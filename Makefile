@@ -6,15 +6,16 @@ BENCH_OUT ?= BENCH_ckpt.json
 GOTESTFLAGS ?= -race -count=1
 GOTEST = $(GO) test $(GOTESTFLAGS)
 
-.PHONY: ci fmt vet build test race race-precopy fuzz chaos dedup-check scale-check obs-check standby-check cover bench benchdiff trace-check examples clean
+.PHONY: ci fmt vet build test race race-precopy fuzz chaos dedup-check scale-check obs-check standby-check bench-module host-bench cover bench benchdiff trace-check examples clean
 
 # Full CI gate: static checks, a clean build, the race-enabled suite,
 # the pre-copy live-checkpoint scenario under the race detector, short
 # fuzzing of the image-format decoders, trace determinism, the chaos
 # fuzzer sweep + corpus replay gate, the dedup-store layout gate, the
 # coordination-tree scaling gate, the observability/availability gate,
-# the warm-standby replication gate, and coverage totals.
-ci: fmt vet build race race-precopy fuzz trace-check chaos dedup-check scale-check obs-check standby-check cover
+# the warm-standby replication gate, the nested benchmark module (which
+# `./...` from the root does not reach), and coverage totals.
+ci: fmt vet build race race-precopy fuzz trace-check chaos dedup-check scale-check obs-check standby-check bench-module cover
 
 # gofmt gate: fails listing any file that is not gofmt-clean.
 fmt:
@@ -38,13 +39,15 @@ race-precopy:
 	$(GOTEST) -run '^TestPrecopy' .
 
 # Short, deterministic-budget fuzz passes over every image-format entry
-# point (TLV decoder, round-trip property, full+delta image decoder).
+# point (TLV decoder, round-trip property, full+delta image decoder) and
+# the LZ4 kernels against their byte-wise reference implementations.
 # Raise FUZZTIME for a real fuzzing session.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime $(FUZZTIME) ./internal/imgfmt
 	$(GO) test -run '^$$' -fuzz '^FuzzRoundTrip$$' -fuzztime $(FUZZTIME) ./internal/imgfmt
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeV3$$' -fuzztime $(FUZZTIME) ./internal/imgfmt
 	$(GO) test -run '^$$' -fuzz '^FuzzRoundTripV3$$' -fuzztime $(FUZZTIME) ./internal/imgfmt
+	$(GO) test -run '^$$' -fuzz '^FuzzBlockCompressMatchesReference$$' -fuzztime $(FUZZTIME) ./internal/imgfmt
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeImage$$' -fuzztime $(FUZZTIME) ./internal/ckpt
 	$(GO) test -run '^$$' -fuzz '^FuzzReadJSONL$$' -fuzztime $(FUZZTIME) ./internal/trace
 
@@ -97,8 +100,12 @@ scale-check:
 # stamping, naming lint over the canonical scenario), byte-determinism
 # of the critical-path render across two same-seed runs, a strict
 # dangling-span check on the canonical trace, and the benchdiff RTO
-# comparison against the recorded trajectory.
+# comparison against the recorded trajectory. The nil-tracer wall-clock
+# overhead bound lives here, not in `go test ./...` (build tag obscheck,
+# no race detector): a 1 % timing threshold is a gate to run on a quiet
+# host, and tier-1 pins the same path with an allocation count instead.
 obs-check:
+	$(GO) test -count=1 -tags obscheck -run '^TestNilTracerOverhead$$' ./internal/trace
 	$(GOTEST) -run '^TestCriticalPath|^TestContainment|^TestWindow|^TestStraggler|^TestAnalyzer|^TestFailoverReport|^TestPhaseStats|^TestCheckMetricName|^TestRegistryCheckNames|^TestLegacyAliases|^TestWriteProm' ./internal/trace
 	$(GOTEST) -run '^TestFailoverRTO|^TestMetricNamesConform$$' .
 	@dir=$$(mktemp -d); \
@@ -125,6 +132,16 @@ standby-check:
 	$(GOTEST) -run '^TestGCPinsUnackedGenerations$$' ./internal/supervisor
 	$(GOTEST) -timeout 20m -run '^TestStandby' .
 	$(GO) run ./cmd/zapc-benchdiff $(BENCH_OUT)
+
+# The host-cost benchmark is its own module (benchmark/go.mod) so nothing
+# depends on it; it compiles against internal/ckpt and internal/imgfmt,
+# so a change to their surface must still vet and pass its toy-size suite.
+bench-module:
+	cd benchmark && $(GO) vet ./... && $(GO) test ./...
+
+# One untraced run of the write-path workload, as the driver invokes it.
+host-bench:
+	bash benchmark/run.sh --workload snap-bt16 --trace 0
 
 # Coverage profile plus per-package totals.
 cover:

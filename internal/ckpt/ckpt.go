@@ -16,7 +16,6 @@ package ckpt
 import (
 	"errors"
 	"fmt"
-	"io"
 	"sort"
 	"sync"
 
@@ -191,15 +190,21 @@ func (img *Image) Remap(remap map[netstack.IP]netstack.IP) {
 
 // Bytes reports the logical serialized size of the image (the paper's
 // checkpoint image size, Figure 6c): the uncompressed field stream,
-// computed by encoding to a counting sink — the image is never
-// materialized. Per-frame compression shrinks the bytes on the wire
-// (StreamStats.Bytes), not this figure, so size-based invariants stay
-// comparable across frame versions. The value is memoized: images are
-// treated as immutable once the checkpoint completes.
+// StreamStats.Raw of its record. Per-frame compression shrinks the bytes
+// on the wire (StreamStats.Bytes), not this figure, so size-based
+// invariants stay comparable across frame versions. Nothing is encoded
+// to learn it: Record seeds it from the encode a checkpoint runs anyway,
+// and otherwise a count-only walk of the fields (no compression, no
+// checksum, no copy of region bytes) computes it on first use. The value
+// is memoized: images are treated as immutable once the checkpoint
+// completes. The decoder deliberately does not seed it — Remap rewrites
+// VIPs after decode and uvarint widths differ across subnets, so a
+// decode-time size would go stale where this lazy one does not.
 func (img *Image) Bytes() int64 {
 	if img.sizeCache == 0 {
-		st, _ := img.EncodeStream(io.Discard) // io.Discard never errors
-		img.sizeCache = st.Raw
+		s := imgfmt.NewStreamCounter()
+		img.fields(s)
+		img.sizeCache = s.Logical()
 	}
 	return img.sizeCache
 }

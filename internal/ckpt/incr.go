@@ -401,52 +401,38 @@ func (t *Tracker) Rebase() {
 	t.lastSum = 0
 }
 
-// Pending is a captured-but-uncommitted checkpoint generation. The
-// record is never materialized inside the Pending: callers stream it to
-// their sink with Stream.
+// Pending is a captured-but-uncommitted checkpoint generation.
 type Pending struct {
 	// Image is the materialized full image of this generation,
 	// regardless of record kind — restart never needs to reconstruct
 	// in-memory chains.
 	Image *Image
 	// Delta is the incremental record, nil for a full generation.
-	Delta *DeltaImage
-	// stats memoizes the first successful Stream; the encoding is
-	// deterministic, so every sink observes the same bytes and checksum.
-	stats  *StreamStats
+	Delta  *DeltaImage
+	rec    *Record
 	commit func(sum uint32)
 }
 
 // Full reports whether this generation is a full image record.
 func (pn *Pending) Full() bool { return pn.Delta == nil }
 
-// Stream writes this generation's record — the full image for a full
-// generation, the delta record otherwise — to w in the version-2
-// chunked format. The encoding is deterministic, so Stream may be
-// called any number of times (for a store and for accounting) and every
-// call produces identical bytes.
-func (pn *Pending) Stream(w io.Writer) (StreamStats, error) {
-	var st StreamStats
-	var err error
-	if pn.Delta != nil {
-		st, err = pn.Delta.EncodeStream(w)
-	} else {
-		st, err = pn.Image.EncodeStream(w)
+// Record returns this generation's wire record — the full image for a
+// full generation, the delta record otherwise — encoding it on first
+// use, once.
+func (pn *Pending) Record() *Record {
+	if pn.rec == nil {
+		pn.rec = generationRecord(pn.Image, pn.Delta)
 	}
-	if err == nil && pn.stats == nil {
-		cp := st
-		pn.stats = &cp
-	}
-	return st, err
+	return pn.rec
 }
 
-// Stats returns the record's size, peak-buffering, and checksum
-// figures, encoding to a counting sink if no Stream has run yet.
-func (pn *Pending) Stats() StreamStats {
-	if pn.stats == nil {
-		_, _ = pn.Stream(io.Discard) // cannot fail: io.Discard never errors
-	}
-	return *pn.stats
+// Stream replays this generation's record into w and returns the stats
+// of its one encode. It may be called any number of times (for a store
+// and for accounting); every call writes identical bytes.
+func (pn *Pending) Stream(w io.Writer) (StreamStats, error) {
+	r := pn.Record()
+	_, err := r.WriteTo(w)
+	return r.StreamStats, err
 }
 
 // Commit advances the tracker to this generation. Call exactly once,
@@ -454,7 +440,7 @@ func (pn *Pending) Stats() StreamStats {
 // completed).
 func (pn *Pending) Commit() {
 	if pn.commit != nil {
-		pn.commit(pn.Stats().Sum)
+		pn.commit(pn.Record().Sum)
 		pn.commit = nil
 	}
 }

@@ -194,7 +194,7 @@ func TestIncrementalBytesAtLeast5xSmaller(t *testing.T) {
 		proc.SetRegion("hot", []byte{1, 2, 3, 4})
 	}
 	deltaPend := captureCommit(t, tr, p, false)
-	fullBytes, deltaBytes := int(fullPend.Stats().Bytes), int(deltaPend.Stats().Bytes)
+	fullBytes, deltaBytes := int(fullPend.Record().Bytes), int(deltaPend.Record().Bytes)
 	if deltaBytes*5 > fullBytes {
 		t.Fatalf("delta %d bytes vs full %d bytes: less than 5x reduction", deltaBytes, fullBytes)
 	}
@@ -267,7 +267,7 @@ func TestPendingDiscardKeepsChainAnchored(t *testing.T) {
 	if retry.Delta.Seq != 1 {
 		t.Fatalf("retry seq = %d, want 1 (aborted capture must not advance the chain)", retry.Delta.Seq)
 	}
-	if retry.Delta.ParentSum != fullPend.Stats().Sum {
+	if retry.Delta.ParentSum != fullPend.Record().Sum {
 		t.Fatal("retry does not link to the committed base")
 	}
 	if _, err := ReconstructChain([][]byte{wireOf(t, fullPend), wireOf(t, retry)}); err != nil {

@@ -2,7 +2,6 @@ package ckpt
 
 import (
 	"fmt"
-	"io"
 
 	"zapc/internal/imgfmt"
 	"zapc/internal/netckpt"
@@ -99,33 +98,16 @@ type PrecopyRecord struct {
 	Delta *DeltaImage
 	// Final marks the residual record captured with the pod quiesced.
 	Final bool
-	stats *StreamStats
+	rec   *Record
 }
 
-// Stream writes the record to w in the version-2 chunked format. The
-// encoding is deterministic; repeated calls produce identical bytes.
-func (r *PrecopyRecord) Stream(w io.Writer) (StreamStats, error) {
-	var st StreamStats
-	var err error
-	if r.Delta != nil {
-		st, err = r.Delta.EncodeStream(w)
-	} else {
-		st, err = r.Image.EncodeStream(w)
+// Record returns the round's wire record, encoding it on first use,
+// once; the next round's ParentSum and the flush both read it.
+func (r *PrecopyRecord) Record() *Record {
+	if r.rec == nil {
+		r.rec = generationRecord(r.Image, r.Delta)
 	}
-	if err == nil && r.stats == nil {
-		cp := st
-		r.stats = &cp
-	}
-	return st, err
-}
-
-// Stats returns the record's size/peak/checksum, encoding to a counting
-// sink if no Stream has run yet.
-func (r *PrecopyRecord) Stats() StreamStats {
-	if r.stats == nil {
-		_, _ = r.Stream(io.Discard) // io.Discard never errors
-	}
-	return *r.stats
+	return r.rec
 }
 
 // Precopy drives one pod's iterative pre-copy checkpoint. BeginPrecopy
@@ -240,7 +222,7 @@ func (pc *Precopy) Finalize() (*PrecopyRecord, error) {
 // push diffs img against the previous round, appends the record, and
 // advances the driver's watermarks.
 func (pc *Precopy) push(img *Image, marks map[vos.PID]uint64, final bool) *PrecopyRecord {
-	parentSum := pc.records[len(pc.records)-1].Stats().Sum
+	parentSum := pc.records[len(pc.records)-1].Record().Sum
 	d := buildDelta(img, pc.last, pc.lastProg, pc.dirtyNames(), uint64(len(pc.records)), parentSum)
 	rec := &PrecopyRecord{Delta: d, Final: final}
 	pc.records = append(pc.records, rec)

@@ -1,28 +1,34 @@
 // Streaming forms of the pod image and delta record.
 //
-// The version-1 encoders (Encode, EncodeParallel, DeltaImage.Encode)
-// materialize the whole record in memory. The version-2 layout keeps
-// the same information but flattens bulk payloads to top-level fields
-// so they can be framed straight to an io.Writer by imgfmt's
-// StreamEncoder: process metadata (vpid, kind, descriptor table) lives
-// in a small header section, while program state and every memory
-// region follow as top-level Bytes fields that the encoder frames out
-// of the caller's buffers without copying. Peak buffering is O(chunk
-// size + largest metadata section), never O(image size).
+// The buffered encoders (Encode, EncodeParallel, DeltaImage.Encode)
+// materialize the whole record in memory. The streaming layout keeps the
+// same information but flattens bulk payloads to top-level fields so
+// imgfmt's StreamEncoder can frame them straight to an io.Writer: process
+// metadata (vpid, kind, descriptor table) lives in a small header
+// section, while program state and every memory region follow as
+// top-level Bytes fields that the encoder frames out of the caller's
+// buffers without copying. Records are written as version-3 frames —
+// each independently RAW or LZ4-compressed, see imgfmt — and the
+// encoder's peak buffering is O(chunk size + largest metadata section),
+// never O(image size).
 //
-// Version-2 full image field order:
+// A checkpoint runs this encode once per generation, into a Record
+// (record.go); flushing replays the retained bytes. An image's logical
+// size (Image.Bytes) comes from a count-only walk of the same fields.
+//
+// Full image field order:
 //
 //	s2PodName s2VIP s2VTime s2Net{...}
 //	( s2Proc{vpid kind fd*} s2ProgData (s2RegName s2RegData)* )*
 //
-// Version-2 delta record field order:
+// Delta record field order:
 //
 //	d2PodName d2VIP d2VTime d2Seq d2ParentSum d2Net{...}
 //	( d2Proc{vpid kind new progChanged removedRegion* fd*}
 //	  d2ProgData? (d2RegName d2RegData)* )*
 //	d2RemovedProc*
 //
-// Decoders accept both versions (dispatching on the header via
+// Decoders accept every format version (dispatching on the header via
 // imgfmt.SniffVersion), so images checkpointed before the streaming
 // pipeline still restore.
 package ckpt
@@ -41,7 +47,7 @@ import (
 	"zapc/internal/vos"
 )
 
-// Version-2 pod image root tags.
+// Streaming pod image root tags.
 const (
 	s2PodName  = 1
 	s2VIP      = 2
@@ -62,7 +68,7 @@ const (
 	p2FDSlot = 2
 )
 
-// Version-2 delta record root tags.
+// Streaming delta record root tags.
 const (
 	d2PodName     = 1
 	d2VIP         = 2
@@ -146,9 +152,21 @@ func (img *Image) EncodeStream(w io.Writer) (StreamStats, error) {
 // EncodeStreamWith is EncodeStream with explicit frame-layer options
 // (legacy version-2 framing, or version 3 with compression disabled) —
 // for baselines, compatibility tooling, and cross-configuration tests.
+// Every call encodes afresh; the checkpoint path encodes once, via
+// Record.
 func (img *Image) EncodeStreamWith(w io.Writer, o imgfmt.StreamOpts) (StreamStats, error) {
 	cw := &countCRCWriter{w: w}
 	s := imgfmt.NewStreamEncoderOpts(cw, o)
+	img.fields(s)
+	if err := s.Close(); err != nil {
+		return StreamStats{}, err
+	}
+	return StreamStats{Bytes: cw.n, Raw: s.Logical(), Peak: s.Peak(), Sum: cw.sum}, nil
+}
+
+// fields walks the image's field stream into s: the one definition of
+// the layout, shared by the encode and by Bytes' count-only sizing.
+func (img *Image) fields(s *imgfmt.StreamEncoder) {
 	s.String(s2PodName, img.PodName)
 	s.Uint(s2VIP, uint64(img.VIP))
 	s.Int(s2VTime, int64(img.VirtualTime))
@@ -173,10 +191,6 @@ func (img *Image) EncodeStreamWith(w io.Writer, o imgfmt.StreamOpts) (StreamStat
 			s.Bytes(s2RegData, r.Data)
 		}
 	}
-	if err := s.Close(); err != nil {
-		return StreamStats{}, err
-	}
-	return StreamStats{Bytes: cw.n, Raw: s.Logical(), Peak: s.Peak(), Sum: cw.sum}, nil
 }
 
 // EncodeStream writes the delta record to w in the default chunked

@@ -26,7 +26,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"io"
 
 	"zapc/internal/ckpt"
 	"zapc/internal/coord"
@@ -613,11 +612,11 @@ type ckptAgent struct {
 	netTime     sim.Duration
 	saTime      sim.Duration
 	img         *ckpt.Image
-	pend        *ckpt.Pending    // incremental mode only; committed on success
-	pre         *ckpt.Precopy    // pre-copy mode only
-	preResent   int64            // bytes re-copied by live rounds after the base
-	preRounds   int              // live rounds taken (base included)
-	stats       ckpt.StreamStats // size/peak/checksum of the serialized record
+	pend        *ckpt.Pending // incremental mode only; committed on success
+	pre         *ckpt.Precopy // pre-copy mode only
+	preResent   int64         // bytes re-copied by live rounds after the base
+	preRounds   int           // live rounds taken (base included)
+	rec         *ckpt.Record  // the generation's one encode: stats now, replayed at flush
 	netBytes    int64
 	queueLen    int64
 	repolls     int64        // quiescence re-polls (exponential backoff)
@@ -755,7 +754,7 @@ func (a *ckptAgent) precopyBase() {
 	}
 	a.pre = pre
 	roundStart := w.Now()
-	bytes := costs.EffImageBytes(rec.Stats().Bytes)
+	bytes := costs.EffImageBytes(rec.Record().Bytes)
 	cost := w.Jitter(costs.CheckpointFixed, 0.25) +
 		costs.MemCopyTime(bytes)/parSpeedup(workers, len(rec.Image.Procs))
 	w.After(cost, func() { a.precopyRoundDone(rec, roundStart, 0) })
@@ -773,10 +772,10 @@ func (a *ckptAgent) precopyRoundDone(rec *ckpt.PrecopyRecord, roundStart sim.Tim
 	a.preRounds = round
 	a.op.m.tr.SpanBetween(a.preSpan, fmt.Sprintf("ckpt/precopy/round-%d", round),
 		int64(roundStart), int64(w.Now()),
-		trace.I64("bytes", rec.Stats().Bytes),
+		trace.I64("bytes", rec.Record().Bytes),
 		trace.I64("resent_bytes", resent))
-	a.op.m.reg.Counter("ckpt_encode_bytes_total").Add(rec.Stats().Bytes)
-	a.op.m.reg.Gauge("store_peak_buffered_bytes").SetMax(rec.Stats().Peak)
+	a.op.m.reg.Counter("ckpt_encode_bytes_total").Add(rec.Record().Bytes)
+	a.op.m.reg.Gauge("store_peak_buffered_bytes").SetMax(rec.Record().Peak)
 	if err := a.flushPrecopyRecord(rec, round); err != nil {
 		a.op.abort(err)
 		return
@@ -844,7 +843,7 @@ func (a *ckptAgent) precopyRound() {
 		a.op.abort(err)
 		return
 	}
-	resent := rec.Stats().Bytes
+	resent := rec.Record().Bytes
 	a.preResent += resent
 	roundStart := w.Now()
 	bytes := costs.EffImageBytes(resent)
@@ -871,7 +870,7 @@ func (a *ckptAgent) flushPrecopyRecord(rec *ckpt.PrecopyRecord, round int) error
 		trace.Track(a.pod.Name()), trace.Str("path", path))
 	wc, err := a.op.m.store.Create(path)
 	if err == nil {
-		if _, serr := rec.Stream(wc); serr != nil {
+		if _, serr := rec.Record().WriteTo(wc); serr != nil {
 			wc.Close()
 			err = serr
 		} else {
@@ -882,7 +881,7 @@ func (a *ckptAgent) flushPrecopyRecord(rec *ckpt.PrecopyRecord, round int) error
 		fSpan.End(trace.Str("err", err.Error()))
 		return err
 	}
-	fSpan.End(trace.I64("bytes", rec.Stats().Bytes))
+	fSpan.End(trace.I64("bytes", rec.Record().Bytes))
 	return nil
 }
 
@@ -946,11 +945,11 @@ func (a *ckptAgent) standalone() {
 			return
 		}
 		a.img = a.pre.FinalImage()
-		a.stats = rec.Stats()
+		a.rec = rec.Record()
 		a.saSpan = a.op.m.tr.Start(a.span, "ckpt/serialize",
 			trace.I64("workers", int64(workers)),
 			trace.I64("precopy_residual", 1))
-		bytes := costs.EffImageBytes(a.stats.Bytes)
+		bytes := costs.EffImageBytes(a.rec.Bytes)
 		cost := w.Jitter(precopyResidualFixed(costs), 0.25) +
 			costs.MemCopyTime(bytes)/parSpeedup(workers, len(a.img.Procs))
 		w.After(cost, func() {
@@ -959,10 +958,10 @@ func (a *ckptAgent) standalone() {
 			}
 			a.saTime = cost
 			a.saDone = true
-			a.saSpan.End(trace.I64("wire_bytes", a.stats.Bytes),
-				trace.I64("peak_buffered", a.stats.Peak))
-			a.op.m.reg.Counter("ckpt_encode_bytes_total").Add(a.stats.Bytes)
-			a.op.m.reg.Gauge("store_peak_buffered_bytes").SetMax(a.stats.Peak)
+			a.saSpan.End(trace.I64("wire_bytes", a.rec.Bytes),
+				trace.I64("peak_buffered", a.rec.Peak))
+			a.op.m.reg.Counter("ckpt_encode_bytes_total").Add(a.rec.Bytes)
+			a.op.m.reg.Gauge("store_peak_buffered_bytes").SetMax(a.rec.Peak)
 			a.maybeFinish()
 		})
 		return
@@ -975,7 +974,7 @@ func (a *ckptAgent) standalone() {
 			return
 		}
 		a.pend = pend
-		a.stats = pend.Stats()
+		a.rec = pend.Record()
 		img = pend.Image
 	} else {
 		var err error
@@ -984,14 +983,9 @@ func (a *ckptAgent) standalone() {
 			a.op.abort(err)
 			return
 		}
-		// Size the record by streaming it to a counting sink; nothing is
-		// materialized, and the peak-buffering figure comes for free.
-		st, serr := img.EncodeStream(io.Discard)
-		if serr != nil {
-			a.op.abort(serr)
-			return
-		}
-		a.stats = st
+		// The generation's only encode: its stats size the modeled costs
+		// below, its bytes are what the flush replays.
+		a.rec = img.Record()
 	}
 	a.img = img
 	a.saSpan = a.op.m.tr.Start(a.span, "ckpt/serialize",
@@ -1003,7 +997,7 @@ func (a *ckptAgent) standalone() {
 	// parallelism (per-process capture fans out across the pool). The
 	// fixed and copy components stay separate so the modeled worker
 	// lanes can start where the fixed prologue ends.
-	bytes := costs.EffImageBytes(a.stats.Bytes)
+	bytes := costs.EffImageBytes(a.rec.Bytes)
 	fixed := w.Jitter(costs.CheckpointFixed, 0.25)
 	cost := fixed + costs.MemCopyTime(bytes)/parSpeedup(workers, len(img.Procs))
 	w.After(cost, func() {
@@ -1013,10 +1007,10 @@ func (a *ckptAgent) standalone() {
 		a.saTime = cost
 		a.saDone = true
 		a.emitWorkerLanes(saStart, fixed, workers)
-		a.saSpan.End(trace.I64("wire_bytes", a.stats.Bytes),
-			trace.I64("peak_buffered", a.stats.Peak))
-		a.op.m.reg.Counter("ckpt_encode_bytes_total").Add(a.stats.Bytes)
-		a.op.m.reg.Gauge("store_peak_buffered_bytes").SetMax(a.stats.Peak)
+		a.saSpan.End(trace.I64("wire_bytes", a.rec.Bytes),
+			trace.I64("peak_buffered", a.rec.Peak))
+		a.op.m.reg.Counter("ckpt_encode_bytes_total").Add(a.rec.Bytes)
+		a.op.m.reg.Gauge("store_peak_buffered_bytes").SetMax(a.rec.Peak)
 		a.maybeFinish()
 	})
 }
@@ -1152,7 +1146,7 @@ func (op *ckptOp) doneArrived(a *ckptAgent) {
 	a2 := a
 	total := sim.Duration(op.m.w.Now() - a2.began)
 	a.span.End(trace.I64("image_bytes", a.img.Bytes()),
-		trace.I64("wire_bytes", a.stats.Bytes))
+		trace.I64("wire_bytes", a.rec.Bytes))
 	op.m.reg.Histogram("ckpt_agent_total_ns").Observe(int64(total))
 	op.result.Stats.Agents = append(op.result.Stats.Agents, AgentStats{
 		Pod:                a.pod.Name(),
@@ -1163,8 +1157,8 @@ func (op *ckptOp) doneArrived(a *ckptAgent) {
 		ImageBytes:         a.img.Bytes(),
 		NetBytes:           a.netBytes,
 		NetQueueLen:        a.queueLen,
-		WireBytes:          a.stats.Bytes,
-		PeakBuffered:       a.stats.Peak,
+		WireBytes:          a.rec.Bytes,
+		PeakBuffered:       a.rec.Peak,
 		Incremental:        a.pend != nil && !a.pend.Full(),
 		SuspendWindow:      a.window,
 		PrecopyRounds:      a.preRounds,
@@ -1236,7 +1230,7 @@ func (op *ckptOp) flushAgent(ag *ckptAgent) {
 		op.result.Err = err
 		fSpan.End(trace.Str("err", err.Error()))
 	} else {
-		fSpan.End(trace.I64("bytes", ag.stats.Bytes))
+		fSpan.End(trace.I64("bytes", ag.rec.Bytes))
 	}
 }
 
@@ -1282,7 +1276,7 @@ func (op *ckptOp) flushStaggered() {
 		})
 		var bytes int64
 		for _, ag := range wave {
-			bytes += costs.EffImageBytes(ag.stats.Bytes)
+			bytes += costs.EffImageBytes(ag.rec.Bytes)
 		}
 		offset += costs.DiskTime(bytes)
 	}
@@ -1302,22 +1296,13 @@ func (op *ckptOp) finishOK() {
 	op.onDone(op.result)
 }
 
-// flushRecord streams one agent's record into the manager's store.
+// flushRecord replays one agent's record into the manager's store.
 func (op *ckptOp) flushRecord(path string, ag *ckptAgent) error {
 	wc, err := op.m.store.Create(path)
 	if err != nil {
 		return err
 	}
-	switch {
-	case ag.pre != nil:
-		recs := ag.pre.Records()
-		_, err = recs[len(recs)-1].Stream(wc)
-	case ag.pend != nil:
-		_, err = ag.pend.Stream(wc)
-	default:
-		_, err = ag.img.EncodeStream(wc)
-	}
-	if err != nil {
+	if _, err := ag.rec.WriteTo(wc); err != nil {
 		wc.Close()
 		return err
 	}

@@ -148,7 +148,7 @@ func FuzzRoundTripV3(f *testing.F) {
 			t.Fatalf("finished: %v", err)
 		}
 		// Block codec round trip, when the heuristic accepts the payload.
-		if c := blockCompress(payload); c != nil {
+		if c := blockCompress(nil, payload); c != nil {
 			raw, err := blockDecompress(c, len(payload))
 			if err != nil || !bytes.Equal(raw, payload) {
 				t.Fatalf("block round trip: %v", err)

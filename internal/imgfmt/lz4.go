@@ -24,6 +24,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math/bits"
 )
 
 // Frame styles for version-3 frames.
@@ -52,23 +53,49 @@ func hash4(u uint32) uint32 { return (u * 2654435761) >> (32 - hashLog) }
 
 func load32(b []byte, i int) uint32 { return binary.LittleEndian.Uint32(b[i:]) }
 
-// blockCompress compresses one frame payload, returning nil when the
-// frame is not worth compressing: too small to ever win, or the encoded
-// form would not be strictly smaller than the RAW form once the
-// compressed-length prefix is accounted for. Returning nil (not a
-// bigger block) IS the per-frame RAW/compressed decision: the encoder
+func load64(b []byte, i int) uint64 { return binary.LittleEndian.Uint64(b[i:]) }
+
+// matchLen reports how many leading bytes src[a:] and src[b:] share
+// (a < b), comparing eight at a time: the first differing byte of a
+// little-endian word is the lowest set byte of the XOR.
+func matchLen(src []byte, a, b int) int {
+	n := 0
+	for b+n+8 <= len(src) {
+		if x := load64(src, a+n) ^ load64(src, b+n); x != 0 {
+			return n + bits.TrailingZeros64(x)>>3
+		}
+		n += 8
+	}
+	for b+n < len(src) && src[a+n] == src[b+n] {
+		n++
+	}
+	return n
+}
+
+// compressBound is the most blockCompress ever appends for an n-byte
+// payload: it gives up once the block passes n-4 bytes, overshooting by
+// at most the two length extensions of the sequence that crossed.
+func compressBound(n int) int { return n + n/255 + 16 }
+
+// blockCompress compresses one frame payload into dst[:0], returning
+// nil when the frame is not worth compressing: too small to ever win,
+// or the encoded form would not be strictly smaller than the RAW form
+// once the compressed-length prefix is accounted for. Returning nil (not
+// a bigger block) IS the per-frame RAW/compressed decision: the encoder
 // stores exactly what this function hands back, so the choice is a pure
-// function of the payload bytes.
-func blockCompress(src []byte) []byte {
+// function of the payload bytes. A dst with compressBound(len(src))
+// capacity is never outgrown, so a caller can reuse one across frames.
+func blockCompress(dst, src []byte) []byte {
 	n := len(src)
 	if n < minCompressSrc || n > MaxFrame {
 		return nil
 	}
 	// The RAW frame body costs n bytes; the compressed body costs
 	// len(dst) plus its uvarint length prefix (≤3 bytes for any frame
-	// under MaxFrame). Bail as soon as the win becomes impossible.
+	// under MaxFrame). Bail as soon as the win becomes impossible — before
+	// copying literals that would only be thrown away.
 	bound := n - 4
-	dst := make([]byte, 0, n)
+	dst = dst[:0]
 	var table [1 << hashLog]int32 // position+1 of a recent 4-byte sequence
 	anchor := 0                   // start of the pending literal run
 	misses := 0                   // consecutive failed probes, drives skip acceleration
@@ -82,16 +109,18 @@ func blockCompress(src []byte) []byte {
 			continue
 		}
 		misses = 0
-		m, c := i+minMatch, cand+minMatch
-		for m < n && src[m] == src[c] {
-			m++
-			c++
+		m := i + minMatch + matchLen(src, cand+minMatch, i+minMatch)
+		if len(dst)+1+(i-anchor)+2 > bound { // token + literals + offset
+			return nil
 		}
 		dst = appendSeq(dst, src[anchor:i], i-cand, m-i)
 		if len(dst) > bound {
 			return nil
 		}
 		i, anchor = m, m
+	}
+	if len(dst)+1+(n-anchor) > bound { // token + literals
+		return nil
 	}
 	dst = appendSeq(dst, src[anchor:], 0, 0) // final literal-only sequence
 	if len(dst) > bound {
@@ -233,9 +262,17 @@ func blockDecompress(src []byte, rawLen int) ([]byte, error) {
 		if len(dst)+ml > rawLen {
 			return nil, errors.New("lz4: match overruns declared raw size")
 		}
+		// An overlapping match (offset < length) encodes a run of period
+		// offset: each pass copies everything decoded since pos, so the
+		// span available to copy doubles.
 		pos := len(dst) - offset
-		for k := 0; k < ml; k++ { // byte-wise: overlapping matches encode runs
-			dst = append(dst, dst[pos+k])
+		for ml > 0 {
+			n := len(dst) - pos
+			if n > ml {
+				n = ml
+			}
+			dst = append(dst, dst[pos:pos+n]...)
+			ml -= n
 		}
 	}
 }

@@ -83,6 +83,8 @@ type StreamEncoder struct {
 	w        io.Writer
 	version  int      // 0 bare section, 1 buffered legacy, 2/3 framed streaming
 	compress bool     // version 3 with the per-frame compression heuristic on
+	count    bool     // sizing only: frames are measured (Logical), never built or written
+	scratch  []byte   // compressed form of the frame being emitted, reused across frames
 	stack    [][]byte // stack[0] is the root buffer; deeper entries are open sections
 	chunk    int
 	crc      uint32 // running CRC over header + logical payload (versions 2/3)
@@ -146,6 +148,15 @@ func newStream(w io.Writer, magic string, o StreamOpts) *StreamEncoder {
 	return s
 }
 
+// NewStreamCounter returns an encoder that sizes a record without
+// producing it: after the same field calls, Logical reports what a
+// streaming encode would — with no compression, no checksums, nothing
+// written, and no copy of any top-level Bytes value. It is never closed.
+func NewStreamCounter() *StreamEncoder {
+	return &StreamEncoder{version: StreamVersion3, count: true, chunk: DefaultChunk,
+		stack: [][]byte{make([]byte, 0, 64)}}
+}
+
 // streaming reports whether this encoder writes a framed (chunked)
 // stream, as opposed to the buffered version-1 or bare-section forms.
 func (s *StreamEncoder) streaming() bool { return s.version >= StreamVersion }
@@ -204,6 +215,9 @@ func (s *StreamEncoder) emitFrame(payload []byte) {
 		return
 	}
 	s.logical += int64(len(payload))
+	if s.count {
+		return
+	}
 	if s.version == StreamVersion {
 		var hdr [binary.MaxVarintLen64]byte
 		n := binary.PutUvarint(hdr[:], uint64(len(payload)))
@@ -217,7 +231,12 @@ func (s *StreamEncoder) emitFrame(payload []byte) {
 	}
 	stored, style := payload, byte(FrameRaw)
 	if s.compress {
-		if c := blockCompress(payload); c != nil {
+		// One scratch serves every frame: w has consumed (io.Writer may
+		// not retain) the previous frame's bytes before the next compress.
+		if need := compressBound(len(payload)); cap(s.scratch) < need {
+			s.scratch = make([]byte, 0, need)
+		}
+		if c := blockCompress(s.scratch, payload); c != nil {
 			stored, style = c, FrameLZ4
 		}
 	}
@@ -241,6 +260,10 @@ func (s *StreamEncoder) emitFrame(payload []byte) {
 func (s *StreamEncoder) settle() {
 	if s.streaming() && len(s.stack) == 1 && s.err == nil {
 		b := s.stack[0]
+		if s.count { // nothing to batch into chunks: measure and drop
+			s.emitFrame(b)
+			b = b[len(b):]
+		}
 		for len(b) >= s.chunk {
 			s.emitFrame(b[:s.chunk])
 			b = b[s.chunk:]
@@ -288,7 +311,7 @@ func (s *StreamEncoder) Bytes(tag uint64, v []byte) {
 	s.field(tag, TypeBytes)
 	b := s.top()
 	*b = appendUvarint(*b, uint64(len(v)))
-	if s.streaming() && len(s.stack) == 1 && len(v) >= s.chunk {
+	if s.streaming() && len(s.stack) == 1 && (len(v) >= s.chunk || s.count) {
 		s.settle() // account for the staged header before flushing it
 		s.emitFrame(s.stack[0])
 		s.stack[0] = s.stack[0][:0]

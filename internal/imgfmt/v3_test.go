@@ -275,7 +275,7 @@ func TestLZ4BlockRoundTrip(t *testing.T) {
 		}(),
 	}
 	for name, src := range cases {
-		c := blockCompress(src)
+		c := blockCompress(nil, src)
 		if c == nil {
 			t.Fatalf("%s: compressible payload declined", name)
 		}
@@ -290,10 +290,10 @@ func TestLZ4BlockRoundTrip(t *testing.T) {
 			t.Fatalf("%s: round trip mismatch", name)
 		}
 	}
-	if c := blockCompress(incompressible(3, 4096)); c != nil {
+	if c := blockCompress(nil, incompressible(3, 4096)); c != nil {
 		t.Fatalf("noise accepted for compression (%d bytes)", len(c))
 	}
-	if c := blockCompress([]byte("tiny")); c != nil {
+	if c := blockCompress(nil, []byte("tiny")); c != nil {
 		t.Fatal("sub-threshold payload accepted for compression")
 	}
 }
@@ -316,7 +316,7 @@ func TestLZ4DecompressHostile(t *testing.T) {
 		}
 	}
 	// A valid block lying about its raw length must be caught.
-	c := blockCompress(sparse(1024))
+	c := blockCompress(nil, sparse(1024))
 	if c == nil {
 		t.Fatal("seed block did not compress")
 	}
@@ -325,5 +325,46 @@ func TestLZ4DecompressHostile(t *testing.T) {
 	}
 	if _, err := blockDecompress(c, 1025); err == nil {
 		t.Fatal("long raw length accepted")
+	}
+}
+
+// TestStreamCounterMatchesEncode: after the same field calls, the
+// count-only encoder reports the Logical size a real streaming encode
+// does — for values below, at and above the chunk size, open sections,
+// and a staging buffer that crosses a chunk boundary on small fields.
+func TestStreamCounterMatchesEncode(t *testing.T) {
+	fields := func(e *StreamEncoder) {
+		e.String(1, "pod-0")
+		e.Uint(2, 0xF0000001)
+		e.Int(3, -12345)
+		e.Begin(4)
+		e.Uint(1, 9)
+		e.Bytes(2, incompressible(2, 300))
+		e.End()
+		se := NewSectionEncoder()
+		se.Bool(1, true)
+		e.RawSection(5, se.Body())
+		for _, n := range []int{0, 1, 100, DefaultChunk - 1, DefaultChunk, DefaultChunk + 1, 3*DefaultChunk + 17} {
+			e.Bytes(6, sparse(n))
+		}
+		for i := 0; i < 3000; i++ { // small fields filling more than one chunk
+			e.String(7, "descriptor-table-entry")
+			e.Float64(8, float64(i))
+		}
+		e.Bool(9, false)
+	}
+	var buf bytes.Buffer
+	enc := NewStreamEncoder(&buf)
+	fields(enc)
+	if err := enc.Close(); err != nil {
+		t.Fatal(err)
+	}
+	cnt := NewStreamCounter()
+	fields(cnt)
+	if cnt.Logical() != enc.Logical() || cnt.Logical() == 0 {
+		t.Fatalf("counter sized the record at %d logical bytes, the encode framed %d", cnt.Logical(), enc.Logical())
+	}
+	if cnt.Written() != 0 {
+		t.Fatalf("counter wrote %d bytes", cnt.Written())
 	}
 }

@@ -126,12 +126,16 @@ func (w *World) At(t Time, fn func()) EventID {
 }
 
 // Cancel removes a scheduled event. Cancelling an already-fired or
-// already-cancelled event is a no-op.
+// already-cancelled event is a no-op. The event's slot stays queued
+// until its deadline pops, but its callback is released now: a cancelled
+// long timer (a 30 s watchdog, say) must not pin everything its closure
+// captured for the rest of its virtual lifetime.
 func (w *World) Cancel(id EventID) {
 	if id.ev == nil || id.ev.dead {
 		return
 	}
 	id.ev.dead = true
+	id.ev.fn = nil
 }
 
 // Step runs the next pending event, advancing the clock. It reports false

@@ -1,0 +1,180 @@
+package zapc_test
+
+// Properties of the encode-once checkpoint record, end to end. The
+// golden hashes below were captured on the commit before records became
+// retained, replayed wire bytes; the replay must leave every stored byte
+// where the re-encoding pipeline put it. The allocation budget is what
+// encoding once (and compressing into a reused scratch) buys.
+
+import (
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
+	"runtime"
+	"sort"
+	"strings"
+	"testing"
+
+	"zapc"
+)
+
+// goldenRecords maps every record two fixed-seed four-endpoint runs
+// flush to the SHA-256 of its stored bytes: bt takes a plain Snapshot,
+// an incremental full+delta pair and a pre-copy checkpoint (bt never
+// re-dirties a region, so that chain is base+residual); churn, which
+// does, takes the pre-copy base+round+residual chain.
+var goldenRecords = map[string]string{
+	"gold/churn/churn-1-0.delta":     "280645ce78b812af778106615e0259d592ff219a93fb7bcf886cc6d385d58fb2",
+	"gold/churn/churn-1-0.img":       "8fa9b4b4b0824021286d5611fb8a2d65732ed9dac2209bbf527422a61db3ffff",
+	"gold/churn/churn-1-0.r01.delta": "16d7de6a40db26f650b59c1946113208a629aa2c5c7cc61e8861a6731f2c3533",
+	"gold/churn/churn-1-0.r02.delta": "5ae44a37ecdeb0ff586ca7ed5f8d245d6891f0290aaf48716a771ef14b2ff5e3",
+	"gold/churn/churn-1-1.delta":     "1c043fcbe1deb9d111aa26165efa3eb50b6e58fc35c4cdc041793a91585ed749",
+	"gold/churn/churn-1-1.img":       "24c464db533d4428a9eed0a97b793d52ac88cfc81ac63ba601672dae7b610a18",
+	"gold/churn/churn-1-1.r01.delta": "19e1ddd0f681351ad41b29eeac682cf740f27ffb30528b54cfa1c7d335cdd644",
+	"gold/churn/churn-1-1.r02.delta": "40def03f5ad11c88b3da2204a28832520192a4d14e3152d2e05831c38a7dda65",
+	"gold/churn/churn-1-2.delta":     "1ccc892ccdfe73d35859b6767619a7d22f7b764708c60fb2203de1eb3dd938c8",
+	"gold/churn/churn-1-2.img":       "eba459279d874f7eb97b7748c7803d3b4ccb4e4183800b8c2d7f1e5cc4eff375",
+	"gold/churn/churn-1-2.r01.delta": "6737f23500f026b5b4973237d18a2066b0cae7ec58c22d4d2064c31dbcb2770e",
+	"gold/churn/churn-1-2.r02.delta": "5dc9eb5a9137090f05686e49c6e788676f8d1c1812882e3c2bf01299292fa5c9",
+	"gold/churn/churn-1-3.delta":     "8564720c73260d3fb47aeb70644c73f0f0d0eb46559a9c018b626bc2d11db226",
+	"gold/churn/churn-1-3.img":       "c42e2ae722080bb239816a99ff7224bbfb1b327312a91707ac60a28f1d9aacc6",
+	"gold/churn/churn-1-3.r01.delta": "c793494601bf92f27eabfc8045543c62216fff22d1aea2c191ae950e95a0fde8",
+	"gold/churn/churn-1-3.r02.delta": "f6188ef2fe93479dc76b938a635d1fb73b1b2beba36fc40aacb44adc2de21ee0",
+	"gold/incr0/bt-1-0.img":          "a1e42dcb49faf67aac956aa735e2ac6b962930477199e5fa5f53ccf469b63e61",
+	"gold/incr0/bt-1-1.img":          "ef5a1262a4d89102622b6271ad764c040f6b8b2b0766acd2fa7a0f01715050a8",
+	"gold/incr0/bt-1-2.img":          "2e494843f318bcd5089febbbb3e8169edc615b74113a4d4311a9181988d3e00a",
+	"gold/incr0/bt-1-3.img":          "10401d442bd837011034ff8509b463f507ee6b44bd82124be09043f8b214acd0",
+	"gold/incr1/bt-1-0.delta":        "705be0c847dd2d4987872a895f191c0aa8b59f55bcfc217735a802a709182082",
+	"gold/incr1/bt-1-1.delta":        "412f86c1eb3d7786667e9ff883a0d872bd5f8815ca4b6c4dbfd958396bb132ed",
+	"gold/incr1/bt-1-2.delta":        "f720a63a6afd6e7c8fb60b00fd6aa9a47b22f66fc1f4ca203c98f02fddadc141",
+	"gold/incr1/bt-1-3.delta":        "94980451e6a0b64cd6a7fec75b379a47e7c0975a42167907db3520c7ff5a3e4f",
+	"gold/pre/bt-1-0.delta":          "8c322e997bfd8bf9634cb12ccea8069ecdcabc5e79d1dcc6ff8d17f5dab74fb0",
+	"gold/pre/bt-1-0.img":            "0625e75d9605501807a54e621b66b35c59298e5228a6120c65f502ac5c42858f",
+	"gold/pre/bt-1-1.delta":          "cdac77490b77a0f5bd4e390099ffa6321786dbd7f4a2bfbe23af0234d2b3772f",
+	"gold/pre/bt-1-1.img":            "088bd89cf3c001ed7dd0f1536758b19414b45ddba30eac999f9e4f13e44cd8a2",
+	"gold/pre/bt-1-2.delta":          "48ee2259270b14b5af7b8702b7228ce7c60a2a83b0f776cb5eef07c9e1aa5c76",
+	"gold/pre/bt-1-2.img":            "a346d617177be1cbcda7fc802aff894c6e83ca0a303a57c68d50b9fc77b102b4",
+	"gold/pre/bt-1-3.delta":          "0e470bd8b94f072af1109cdc2165514c73a23a234dc1bc93b62de51d6513316e",
+	"gold/pre/bt-1-3.img":            "cc427b55c6cf46d63e0f6f93f41117ae6eddea29b9fe20bc6dddb15c83502aed",
+	"gold/snap/bt-1-0.img":           "1861a4ef573501e6fec1c4d8a6d8e02d93f5bc95c35a38c52426b1f51dd2e8a2",
+	"gold/snap/bt-1-1.img":           "b7313c514db64e8098fe1d2581b9abf089c750d991ad121922ae86acd1e28aea",
+	"gold/snap/bt-1-2.img":           "5b197a47119ffab16d95e3488995cd5b14a1811632b2a1930ce06ad02f193488",
+	"gold/snap/bt-1-3.img":           "eb517a20a9317ff1ff2ae2292ac4bc1fbf8befe4c0a567c1c1e2281982b18557",
+}
+
+type goldenStep struct {
+	at   float64
+	opts zapc.CheckpointOptions
+}
+
+func goldenRun(t *testing.T, spec zapc.JobSpec, steps []goldenStep) map[string][]byte {
+	t.Helper()
+	c := zapc.New(zapc.Config{Nodes: 4, Seed: 2005})
+	job, err := c.Launch(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range steps {
+		driveTo(t, c, job, s.at)
+		if _, err := c.Checkpoint(job, s.opts); err != nil {
+			t.Fatalf("checkpoint into %s: %v", s.opts.FlushTo, err)
+		}
+	}
+	if _, err := c.RunJob(job, eqDeadline); err != nil {
+		t.Fatal(err)
+	}
+	return grabFlushed(t, c, "gold")
+}
+
+func goldenRuns(t *testing.T) map[string][]byte {
+	t.Helper()
+	incr := zapc.NewIncrSet(4)
+	recs := goldenRun(t, zapc.JobSpec{App: "bt", Endpoints: 4, Work: 0.1, Scale: 1.0 / 16, WithDaemons: true}, []goldenStep{
+		{0.2, zapc.CheckpointOptions{Mode: zapc.Snapshot, Workers: 2, FlushTo: "gold/snap"}},
+		{0.35, zapc.CheckpointOptions{Mode: zapc.Snapshot, Workers: 2, Incr: incr, FlushTo: "gold/incr0"}},
+		{0.5, zapc.CheckpointOptions{Mode: zapc.Snapshot, Workers: 2, Incr: incr, FlushTo: "gold/incr1"}},
+		{0.65, zapc.CheckpointOptions{Mode: zapc.Snapshot, Workers: 2, FlushTo: "gold/pre",
+			Precopy: &zapc.PrecopyOptions{}}},
+	})
+	for path, data := range goldenRun(t, churnSpec(), []goldenStep{
+		{0.4, zapc.CheckpointOptions{Mode: zapc.Snapshot, Workers: 4, FlushTo: "gold/churn",
+			Precopy: &zapc.PrecopyOptions{MaxRounds: 3}}},
+	}) {
+		recs[path] = data
+	}
+	return recs
+}
+
+func TestGoldenRecordHashes(t *testing.T) {
+	recs := goldenRuns(t)
+	got := make(map[string]string, len(recs))
+	var paths []string
+	for path, data := range recs {
+		sum := sha256.Sum256(data)
+		got[path] = hex.EncodeToString(sum[:])
+		paths = append(paths, path)
+	}
+	sort.Strings(paths)
+	var table strings.Builder
+	for _, p := range paths {
+		fmt.Fprintf(&table, "\t%q: %q,\n", p, got[p])
+	}
+	for _, want := range []string{
+		"gold/snap/bt-1-0.img", "gold/incr0/bt-1-0.img", "gold/incr1/bt-1-0.delta",
+		"gold/pre/bt-1-0.img", "gold/pre/bt-1-0.delta",
+		"gold/churn/churn-1-0.img", "gold/churn/churn-1-0.r01.delta", "gold/churn/churn-1-0.delta",
+	} {
+		if got[want] == "" {
+			t.Fatalf("runs flushed no %s; flushed:\n%s", want, table.String())
+		}
+	}
+	if len(got) != len(goldenRecords) {
+		t.Fatalf("flushed %d records, golden table has %d; actual table:\n%s", len(got), len(goldenRecords), table.String())
+	}
+	for _, p := range paths {
+		if got[p] != goldenRecords[p] {
+			t.Errorf("%s: stored bytes hash %s, golden %s", p, got[p], goldenRecords[p])
+		}
+	}
+	if t.Failed() {
+		t.Logf("actual table:\n%s", table.String())
+	}
+}
+
+// TestCheckpointAllocationBudget: a flushed Snapshot checkpoint of pods
+// over 1 MiB each allocates less than twice the logical bytes it saves —
+// the capture's copy of the regions plus a compressed record, not one
+// image-sized buffer per encode pass and a 64 KiB block per frame. Counts
+// bytes, not time.
+func TestCheckpointAllocationBudget(t *testing.T) {
+	c := zapc.New(zapc.Config{Nodes: 4, Seed: 2005})
+	job, err := c.Launch(zapc.JobSpec{App: "bt", Endpoints: 4, Work: 0.1, Scale: 1.0 / 16, WithDaemons: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	driveTo(t, c, job, 0.3)
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	res, err := c.Checkpoint(job, zapc.CheckpointOptions{Mode: zapc.Snapshot, Workers: 2, FlushTo: "budget"})
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var logical int64
+	for _, a := range res.Stats.Agents {
+		if a.ImageBytes < 1<<20 {
+			t.Fatalf("pod %s: image only %d bytes — raise Scale", a.Pod, a.ImageBytes)
+		}
+		logical += a.ImageBytes
+	}
+	if got := int64(after.TotalAlloc - before.TotalAlloc); got >= 2*logical {
+		t.Fatalf("checkpoint allocated %d bytes to save %d logical bytes (%.2fx); budget is 2x",
+			got, logical, float64(got)/float64(logical))
+	} else {
+		t.Logf("checkpoint allocated %.2fx its %d logical bytes", float64(got)/float64(logical), logical)
+	}
+	if _, err := c.RunJob(job, eqDeadline); err != nil {
+		t.Fatal(err)
+	}
+}
