@@ -39,8 +39,9 @@ race-precopy:
 	$(GOTEST) -run '^TestPrecopy' .
 
 # Short, deterministic-budget fuzz passes over every image-format entry
-# point (TLV decoder, round-trip property, full+delta image decoder) and
-# the LZ4 kernels against their byte-wise reference implementations.
+# point (TLV decoder, round-trip property, full+delta image decoder), the
+# LZ4 kernels against their byte-wise reference implementations and the
+# stream decoder against its window-copy reference.
 # Raise FUZZTIME for a real fuzzing session.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime $(FUZZTIME) ./internal/imgfmt
@@ -48,6 +49,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeV3$$' -fuzztime $(FUZZTIME) ./internal/imgfmt
 	$(GO) test -run '^$$' -fuzz '^FuzzRoundTripV3$$' -fuzztime $(FUZZTIME) ./internal/imgfmt
 	$(GO) test -run '^$$' -fuzz '^FuzzBlockCompressMatchesReference$$' -fuzztime $(FUZZTIME) ./internal/imgfmt
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeMatchesReference$$' -fuzztime $(FUZZTIME) ./internal/imgfmt
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeImage$$' -fuzztime $(FUZZTIME) ./internal/ckpt
 	$(GO) test -run '^$$' -fuzz '^FuzzReadJSONL$$' -fuzztime $(FUZZTIME) ./internal/trace
 
@@ -139,9 +141,11 @@ standby-check:
 bench-module:
 	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 
-# One untraced run of the write-path workload, as the driver invokes it.
+# One untraced run of one workload, as the driver invokes it: the
+# write path unless W names another (W=restart-bt16 is the read path).
+W ?= snap-bt16
 host-bench:
-	bash benchmark/run.sh --workload snap-bt16 --trace 0
+	bash benchmark/run.sh --workload $(W) --trace 0
 
 # Coverage profile plus per-package totals.
 cover:

@@ -191,3 +191,28 @@ func TestImageBytesCountsWithoutEncoding(t *testing.T) {
 		t.Fatalf("remapped image sized %d, encodes to %d (unremapped %d)", img3.Bytes(), st3.Raw, st.Raw)
 	}
 }
+
+// TestDecodeImageAllocatesAboutItsSize: every region byte of a decoded
+// image lands once, in the slice the image keeps — no per-frame staging
+// slices, no window regrown to the value's size, no copy out of it.
+func TestDecodeImageAllocatesAboutItsSize(t *testing.T) {
+	c := mkCluster(t, 1)
+	p := mkIdlePod(t, c, "decode-budget", 2, 2<<20)
+	img, err := CheckpointPod(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	st, err := img.EncodeStream(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got *Image
+	n := allocated(func() { got, err = DecodeImageFrom(bytes.NewReader(buf.Bytes()), 1) })
+	if err != nil || got.Bytes() != st.Raw || st.Raw < 4<<20 {
+		t.Fatalf("decode: %v (decoded %d logical bytes, encoded %d; want equal, over 4 MiB)", err, got.Bytes(), st.Raw)
+	}
+	if float64(n) >= 1.15*float64(st.Raw) {
+		t.Fatalf("DecodeImageFrom allocated %d bytes for %d logical; want < 1.15x", n, st.Raw)
+	}
+}

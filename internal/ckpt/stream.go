@@ -281,9 +281,10 @@ func decodeProcHeader(sec *imgfmt.Decoder) (ProcImage, error) {
 	return p, nil
 }
 
-// decodeImageV2 walks a version-2 stream, pulling one verified frame at
-// a time; the only whole-value allocations are the individual payloads
-// the image itself keeps (program state, regions).
+// decodeImageV2 walks a framed (version-2 or version-3) stream, pulling
+// one verified frame at a time. The decoder expands each large payload
+// the image keeps (program state, regions) straight into its own slice;
+// those slices are the only whole-value allocations.
 func decodeImageV2(d *imgfmt.StreamDecoder) (*Image, error) {
 	img := &Image{}
 	var err error
@@ -503,10 +504,10 @@ func decodeDeltaV2(dec *imgfmt.StreamDecoder) (*DeltaImage, error) {
 	return d, nil
 }
 
-// DecodeImageFrom parses a pod image from a reader, handling both
-// format versions. A version-2 stream is decoded incrementally with
-// per-frame CRC validation; a version-1 stream is read fully (its
-// format requires it) and decoded on the worker pool.
+// DecodeImageFrom parses a pod image from a reader, handling every
+// format version. A framed (version-2 or version-3) stream is decoded
+// incrementally with per-frame CRC validation; a version-1 stream is
+// read fully (its format requires it) and decoded on the worker pool.
 func DecodeImageFrom(r io.Reader, workers int) (*Image, error) {
 	d, err := imgfmt.NewStreamDecoder(r)
 	if err != nil {

@@ -195,24 +195,17 @@ func readLenExt(src []byte, i int) (int, int, error) {
 	}
 }
 
-// blockDecompress expands one compressed frame body to exactly rawLen
-// bytes. Every length and offset is validated against the bytes that
-// actually arrived; malformed input returns an error and never panics
-// or allocates more than rawLen.
-func blockDecompress(src []byte, rawLen int) ([]byte, error) {
+// blockDecompressInto appends the rawLen-byte expansion of one
+// compressed frame body to dst. Every length and offset is validated
+// against the bytes that actually arrived — matches reach back only
+// into this frame's own output, never into what dst already held —
+// so malformed input returns an error and never panics or appends more
+// than rawLen. A dst with rawLen spare capacity is expanded in place.
+func blockDecompressInto(dst, src []byte, rawLen int) ([]byte, error) {
 	if rawLen < 0 || rawLen > MaxFrame {
 		return nil, fmt.Errorf("lz4: bad raw length %d", rawLen)
 	}
-	// Size the initial allocation by what the input could plausibly
-	// expand to (a length-extension byte yields at most 255 output
-	// bytes), so a tiny hostile block declaring a huge raw size cannot
-	// force a large allocation up front. append regrows if a legitimate
-	// block really does expand further.
-	cap0 := rawLen
-	if max := len(src) * 255; cap0 > max {
-		cap0 = max
-	}
-	dst := make([]byte, 0, cap0)
+	base, end := len(dst), len(dst)+rawLen
 	i := 0
 	for {
 		if i >= len(src) {
@@ -231,14 +224,14 @@ func blockDecompress(src []byte, rawLen int) ([]byte, error) {
 		if lit > len(src)-i {
 			return nil, errors.New("lz4: literal run past end of block")
 		}
-		if len(dst)+lit > rawLen {
+		if len(dst)+lit > end {
 			return nil, errors.New("lz4: output overruns declared raw size")
 		}
 		dst = append(dst, src[i:i+lit]...)
 		i += lit
 		if i == len(src) { // final literal-only sequence ends the block
-			if len(dst) != rawLen {
-				return nil, fmt.Errorf("lz4: decoded %d bytes, declared %d", len(dst), rawLen)
+			if len(dst) != end {
+				return nil, fmt.Errorf("lz4: decoded %d bytes, declared %d", len(dst)-base, rawLen)
 			}
 			return dst, nil
 		}
@@ -247,8 +240,8 @@ func blockDecompress(src []byte, rawLen int) ([]byte, error) {
 		}
 		offset := int(src[i]) | int(src[i+1])<<8
 		i += 2
-		if offset == 0 || offset > len(dst) {
-			return nil, fmt.Errorf("lz4: match offset %d outside %d decoded bytes", offset, len(dst))
+		if offset == 0 || offset > len(dst)-base {
+			return nil, fmt.Errorf("lz4: match offset %d outside %d decoded bytes", offset, len(dst)-base)
 		}
 		ml := int(token & 0x0F)
 		if ml == 15 {
@@ -259,7 +252,7 @@ func blockDecompress(src []byte, rawLen int) ([]byte, error) {
 			ml, i = ml+ext, ni
 		}
 		ml += minMatch
-		if len(dst)+ml > rawLen {
+		if len(dst)+ml > end {
 			return nil, errors.New("lz4: match overruns declared raw size")
 		}
 		// An overlapping match (offset < length) encodes a run of period

@@ -51,6 +51,15 @@ func refBlockCompress(src []byte) []byte {
 	return dst
 }
 
+// blockDecompress is the allocating form the decoder used before it
+// expanded frames in place: blockDecompressInto over a fresh slice,
+// sized by what the input could plausibly expand to (a length-extension
+// byte yields at most 255 output bytes) and regrown by append if a
+// legitimate block really does expand further.
+func blockDecompress(src []byte, rawLen int) ([]byte, error) {
+	return blockDecompressInto(make([]byte, 0, max(0, min(rawLen, len(src)*255, MaxFrame))), src, rawLen)
+}
+
 func refBlockDecompress(src []byte, rawLen int) ([]byte, error) {
 	if rawLen < 0 || rawLen > MaxFrame {
 		return nil, fmt.Errorf("lz4: bad raw length %d", rawLen)

@@ -45,6 +45,7 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
+	"slices"
 )
 
 // StreamVersion is the uncompressed chunked framing version. Streams of
@@ -475,10 +476,16 @@ func SniffVersion(data []byte) (version int, delta bool, err error) {
 // chunk CRCs as frames arrive. It handles every format version: a
 // version-1 stream is read fully and validated like DecodeAny (its raw
 // bytes stay available through Raw for callers that re-parse them); a
-// version-2 or version-3 stream is pulled frame by frame, holding only
-// the bytes of the field currently being decoded. Version-3 frames are
-// decompressed after their stored-byte CRC has been verified, so
-// corrupt input never reaches the decompressor unnoticed.
+// version-2 or version-3 stream is pulled frame by frame from one frame
+// source (nextFrame + readFrame) into one of two places. Header-sized
+// fields — tags, varints, names, small sections — are parsed out of a
+// window of verified-but-unconsumed payload that holds about a frame. A
+// value longer than the window holds is expanded frame by frame straight
+// into the slice the caller keeps (lengthPrefixed), so each of its bytes
+// lands once. Skip discards through the window, one frame at a time.
+// Version-3 frames are decompressed, out of one reused scratch, after
+// their stored-byte CRC has been verified, so corrupt input never
+// reaches the decompressor unnoticed.
 //
 // All reads are bounded: a truncated or corrupt stream always yields an
 // error (never a hang), and declared lengths are only trusted up to the
@@ -489,9 +496,13 @@ type StreamDecoder struct {
 	delta   bool
 	version int
 
-	r     io.Reader
-	win   []byte // verified-but-unconsumed payload window
-	off   int
+	r      io.Reader
+	win    []byte // verified-but-unconsumed payload window
+	off    int
+	stored []byte // stored bytes of the LZ4 frame being expanded, reused across frames
+	// hdr receives frame-header and trailer bytes. It is a field because
+	// a local array handed to r.Read escapes: one heap object per read.
+	hdr   [binary.MaxVarintLen64]byte
 	crc   uint32 // running CRC over header + consumed payloads
 	fin   bool   // terminator seen and whole-stream CRC verified
 	frame int    // 1-based index of the frame being pulled, for errors
@@ -517,11 +528,11 @@ func NewStreamDecoder(r io.Reader) (*StreamDecoder, error) {
 	default:
 		return nil, ErrBadMagic
 	}
-	ver, vbytes, err := readUvarintFrom(r)
+	ver, n, err := readUvarint(r, hdr[len(hdr):cap(hdr)])
 	if err != nil {
 		return nil, ErrTruncated
 	}
-	hdr = append(hdr, vbytes...)
+	hdr = hdr[:len(hdr)+n]
 	switch ver {
 	case Version:
 		rest, err := io.ReadAll(r)
@@ -546,25 +557,23 @@ func NewStreamDecoder(r io.Reader) (*StreamDecoder, error) {
 	return d, nil
 }
 
-// readUvarintFrom decodes a uvarint byte-at-a-time, returning the raw
-// bytes consumed alongside the value.
-func readUvarintFrom(r io.Reader) (uint64, []byte, error) {
-	var raw []byte
+// readUvarint decodes a uvarint from r byte-at-a-time into buf (at
+// least MaxVarintLen64 long), returning the value and how many bytes of
+// buf it consumed — the record header folds them into the stream CRC.
+func readUvarint(r io.Reader, buf []byte) (uint64, int, error) {
 	var v uint64
 	var shift uint
-	var one [1]byte
 	for i := 0; i < binary.MaxVarintLen64; i++ {
-		if _, err := io.ReadFull(r, one[:]); err != nil {
-			return 0, nil, ErrTruncated
+		if _, err := io.ReadFull(r, buf[i:i+1]); err != nil {
+			return 0, 0, ErrTruncated
 		}
-		raw = append(raw, one[0])
-		if one[0] < 0x80 {
-			return v | uint64(one[0])<<shift, raw, nil
+		if buf[i] < 0x80 {
+			return v | uint64(buf[i])<<shift, i + 1, nil
 		}
-		v |= uint64(one[0]&0x7f) << shift
+		v |= uint64(buf[i]&0x7f) << shift
 		shift += 7
 	}
-	return 0, nil, ErrTruncated
+	return 0, 0, ErrTruncated
 }
 
 // Version reports the format version of the stream (1, 2, or 3).
@@ -579,29 +588,41 @@ func (d *StreamDecoder) Raw() []byte { return d.raw }
 
 func (d *StreamDecoder) avail() int { return len(d.win) - d.off }
 
-// pull reads, verifies, and appends the next frame to the window.
-// It returns false at the terminator or on error.
-func (d *StreamDecoder) pull() bool {
-	if d.err != nil || d.fin {
-		return false
+// frame is one parsed frame header. A version-2 frame reads as RAW.
+type frame struct {
+	rawLen    int // logical payload bytes
+	storedLen int // body bytes on the wire; rawLen unless style is FrameLZ4
+	style     byte
+}
+
+// read fills the first n bytes of the header scratch from the reader,
+// returning nil with d.err set when the stream ends first.
+func (d *StreamDecoder) read(n int) []byte {
+	if _, err := io.ReadFull(d.r, d.hdr[:n]); err != nil {
+		d.err = ErrTruncated
+		return nil
 	}
-	n, _, err := readUvarintFrom(d.r)
+	return d.hdr[:n]
+}
+
+// nextFrame reads the next frame header. It returns false at the
+// terminator (whose whole-stream CRC it verifies) or on error. Errors
+// name the failing frame (1-based).
+func (d *StreamDecoder) nextFrame() (f frame, ok bool) {
+	if d.err != nil || d.fin {
+		return f, false
+	}
+	n, _, err := readUvarint(d.r, d.hdr[:])
 	if err != nil {
 		d.err = ErrTruncated
-		return false
+		return f, false
 	}
 	if n == 0 {
-		var sum [4]byte
-		if _, err := io.ReadFull(d.r, sum[:]); err != nil {
-			d.err = ErrTruncated
-			return false
-		}
-		if binary.LittleEndian.Uint32(sum[:]) != d.crc {
+		if sum := d.read(4); sum != nil && binary.LittleEndian.Uint32(sum) != d.crc {
 			d.err = fmt.Errorf("%w: stream trailer", ErrBadChecksum)
-			return false
 		}
-		d.fin = true
-		return false
+		d.fin = d.err == nil
+		return f, false
 	}
 	if n > MaxFrame {
 		if d.version == StreamVersion3 {
@@ -609,91 +630,107 @@ func (d *StreamDecoder) pull() bool {
 		} else {
 			d.err = fmt.Errorf("%w: declared payload of %d bytes", ErrFrame, n)
 		}
-		return false
+		return f, false
 	}
 	d.frame++
-	var payload []byte
-	if d.version == StreamVersion3 {
-		if payload = d.pullV3(int(n)); payload == nil {
-			return false
-		}
-	} else {
-		payload = make([]byte, n)
-		if _, err := io.ReadFull(d.r, payload); err != nil {
+	f = frame{rawLen: int(n), storedLen: int(n), style: FrameRaw}
+	if d.version != StreamVersion3 {
+		return f, true
+	}
+	style := d.read(1)
+	if style == nil {
+		return f, false
+	}
+	switch f.style = style[0]; f.style {
+	case FrameRaw:
+	case FrameLZ4:
+		m, _, err := readUvarint(d.r, d.hdr[:])
+		if err != nil {
 			d.err = ErrTruncated
-			return false
+			return f, false
 		}
-		var tr [4]byte
-		if _, err := io.ReadFull(d.r, tr[:]); err != nil {
-			d.err = ErrTruncated
-			return false
+		if m == 0 || m >= n {
+			d.err = fmt.Errorf("%w: frame %d stores %d bytes for %d raw", ErrFrame, d.frame, m, n)
+			return f, false
 		}
-		if crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(tr[:]) {
+		f.storedLen = int(m)
+	default:
+		d.err = fmt.Errorf("%w: frame %d has unknown style %d", ErrFrame, d.frame, f.style)
+		return f, false
+	}
+	return f, true
+}
+
+// readFrame reads and verifies the body of frame f, appends its logical
+// payload to dst — which must have f.rawLen bytes of spare capacity, so
+// dst never moves — and folds it into the whole-stream CRC. A RAW body
+// is read straight into place. An LZ4 body is read into the stored
+// scratch and expanded into place only once its CRC has been verified;
+// the capacity pin keeps a kernel bug from writing past this frame.
+func (d *StreamDecoder) readFrame(dst []byte, f frame) ([]byte, bool) {
+	base, end := len(dst), len(dst)+f.rawLen
+	body := dst[base:end]
+	if f.style == FrameLZ4 {
+		if cap(d.stored) < f.storedLen {
+			d.stored = make([]byte, f.rawLen) // storedLen < rawLen: full-size frames share one
+		}
+		body = d.stored[:f.storedLen]
+	}
+	if _, err := io.ReadFull(d.r, body); err != nil {
+		d.err = ErrTruncated
+		return nil, false
+	}
+	sum := d.read(4)
+	if sum == nil {
+		return nil, false
+	}
+	if crc32.ChecksumIEEE(body) != binary.LittleEndian.Uint32(sum) {
+		if d.version == StreamVersion3 {
+			d.err = fmt.Errorf("%w: frame %d stored CRC", ErrFrame, d.frame)
+		} else {
 			d.err = fmt.Errorf("%w: chunk CRC", ErrBadChecksum)
-			return false
+		}
+		return nil, false
+	}
+	if f.style == FrameLZ4 {
+		if _, err := blockDecompressInto(dst[:base:end], body, f.rawLen); err != nil {
+			d.err = fmt.Errorf("%w: frame %d: %v", ErrFrame, d.frame, err)
+			return nil, false
 		}
 	}
-	d.crc = crc32.Update(d.crc, crc32.IEEETable, payload)
+	dst = dst[:end]
+	d.crc = crc32.Update(d.crc, crc32.IEEETable, dst[base:])
+	return dst, true
+}
+
+// pull appends the next frame's payload to the window. It returns
+// false at the terminator or on error.
+func (d *StreamDecoder) pull() bool {
+	f, ok := d.nextFrame()
+	return ok && d.pullFrame(f)
+}
+
+// pullFrame appends frame f's payload to the window, first dropping
+// what has been consumed so the window keeps its capacity across fields.
+func (d *StreamDecoder) pullFrame(f frame) bool {
 	if d.off > 0 {
 		d.win = append(d.win[:0], d.win[d.off:]...)
 		d.off = 0
 	}
-	d.win = append(d.win, payload...)
-	return true
+	win, ok := d.readFrame(slices.Grow(d.win, f.rawLen), f)
+	if ok {
+		d.win = win
+	}
+	return ok
 }
 
-// pullV3 reads the body of one version-3 frame whose raw length has
-// already been consumed, returning the logical payload or nil with
-// d.err set. Errors name the failing frame (1-based). The stored-byte
-// CRC is verified before any decompression runs.
-func (d *StreamDecoder) pullV3(rawLen int) []byte {
-	var one [1]byte
-	if _, err := io.ReadFull(d.r, one[:]); err != nil {
-		d.err = ErrTruncated
-		return nil
+// pullErr is the error to report after nextFrame or pull returned
+// false: the one recorded, or truncation when the stream simply ended.
+func (d *StreamDecoder) pullErr() error {
+	if d.err != nil {
+		return d.err
 	}
-	style := one[0]
-	storedLen := rawLen
-	switch style {
-	case FrameRaw:
-	case FrameLZ4:
-		m, _, err := readUvarintFrom(d.r)
-		if err != nil {
-			d.err = ErrTruncated
-			return nil
-		}
-		if m == 0 || m >= uint64(rawLen) {
-			d.err = fmt.Errorf("%w: frame %d stores %d bytes for %d raw", ErrFrame, d.frame, m, rawLen)
-			return nil
-		}
-		storedLen = int(m)
-	default:
-		d.err = fmt.Errorf("%w: frame %d has unknown style %d", ErrFrame, d.frame, style)
-		return nil
-	}
-	stored := make([]byte, storedLen)
-	if _, err := io.ReadFull(d.r, stored); err != nil {
-		d.err = ErrTruncated
-		return nil
-	}
-	var tr [4]byte
-	if _, err := io.ReadFull(d.r, tr[:]); err != nil {
-		d.err = ErrTruncated
-		return nil
-	}
-	if crc32.ChecksumIEEE(stored) != binary.LittleEndian.Uint32(tr[:]) {
-		d.err = fmt.Errorf("%w: frame %d stored CRC", ErrFrame, d.frame)
-		return nil
-	}
-	if style == FrameRaw {
-		return stored
-	}
-	payload, err := blockDecompress(stored, rawLen)
-	if err != nil {
-		d.err = fmt.Errorf("%w: frame %d: %v", ErrFrame, d.frame, err)
-		return nil
-	}
-	return payload
+	return ErrTruncated
 }
 
 // need blocks until at least n verified payload bytes are available in
@@ -702,10 +739,7 @@ func (d *StreamDecoder) pullV3(rawLen int) []byte {
 func (d *StreamDecoder) need(n int) error {
 	for d.avail() < n {
 		if !d.pull() {
-			if d.err != nil {
-				return d.err
-			}
-			return ErrTruncated
+			return d.pullErr()
 		}
 	}
 	return nil
@@ -722,10 +756,7 @@ func (d *StreamDecoder) uvarint() (uint64, error) {
 			return 0, ErrTruncated
 		}
 		if !d.pull() {
-			if d.err != nil {
-				return 0, d.err
-			}
-			return 0, ErrTruncated
+			return 0, d.pullErr()
 		}
 	}
 }
@@ -741,10 +772,7 @@ func (d *StreamDecoder) svarint() (int64, error) {
 			return 0, ErrTruncated
 		}
 		if !d.pull() {
-			if d.err != nil {
-				return 0, d.err
-			}
-			return 0, ErrTruncated
+			return 0, d.pullErr()
 		}
 	}
 }
@@ -813,24 +841,74 @@ func (d *StreamDecoder) header(wantTag uint64, wantType byte) error {
 	return nil
 }
 
-// lengthPrefixed consumes a length-prefixed value, returning a copy the
-// caller owns. The window only ever grows by CRC-verified frames, so a
-// lying length prefix fails with ErrTruncated before any allocation
-// larger than the data that actually arrived.
-func (d *StreamDecoder) lengthPrefixed() ([]byte, error) {
+// valueLen reads the length prefix of a Bytes, String or Section value.
+func (d *StreamDecoder) valueLen() (int, error) {
 	n, err := d.uvarint()
+	if err != nil {
+		return 0, err
+	}
+	if n > math.MaxInt32 {
+		return 0, ErrTruncated
+	}
+	return int(n), nil
+}
+
+// lengthPrefixed consumes a length-prefixed value, returning a slice
+// the caller owns. A value the window already holds is copied out of
+// it. A longer one gets its destination up front — the window's tail
+// moves in, then every whole frame is read, verified and expanded
+// directly into it; only a frame that straddles the value's end goes
+// through the window. The destination starts at no more than 4·MaxFrame
+// and doubles only as CRC-verified frames fill it, never past the
+// declared length, so a lying length prefix fails with ErrTruncated
+// having allocated a bounded multiple of the data that actually arrived.
+func (d *StreamDecoder) lengthPrefixed() ([]byte, error) {
+	n, err := d.valueLen()
 	if err != nil {
 		return nil, err
 	}
-	if n > math.MaxInt32 {
-		return nil, ErrTruncated
+	if n <= d.avail() {
+		v := append([]byte(nil), d.win[d.off:d.off+n]...)
+		d.off += n
+		return v, nil
 	}
-	if err := d.need(int(n)); err != nil {
-		return nil, err
+	dst := append(make([]byte, 0, min(n, 4*MaxFrame)), d.win[d.off:]...)
+	d.win, d.off = d.win[:0], 0
+	for len(dst) < n {
+		f, ok := d.nextFrame()
+		if !ok {
+			return nil, d.pullErr()
+		}
+		rest := n - len(dst)
+		if need := len(dst) + min(f.rawLen, rest); need > cap(dst) {
+			dst = append(make([]byte, 0, min(n, max(2*cap(dst), need))), dst...)
+		}
+		if f.rawLen > rest {
+			if !d.pullFrame(f) {
+				return nil, d.err
+			}
+			dst = append(dst, d.win[:rest]...)
+			d.off = rest
+		} else if dst, ok = d.readFrame(dst, f); !ok {
+			return nil, d.err
+		}
 	}
-	v := append([]byte(nil), d.win[d.off:d.off+int(n)]...)
-	d.off += int(n)
-	return v, nil
+	return dst, nil
+}
+
+// discard consumes n payload bytes without keeping them. The window is
+// emptied before each further frame, so a value of any length has every
+// frame verified while at most one is held.
+func (d *StreamDecoder) discard(n int) error {
+	for n > d.avail() {
+		n -= d.avail()
+		d.win, d.off = d.win[:0], 0
+		if !d.pull() {
+			return d.pullErr()
+		}
+	}
+	d.off += n
+	return nil
 }
 
 // Uint reads an unsigned integer field with the given tag.
@@ -928,7 +1006,8 @@ func (d *StreamDecoder) Section(tag uint64) (*Decoder, error) {
 	return &Decoder{data: body}, nil
 }
 
-// Skip consumes the next field regardless of tag or type.
+// Skip consumes the next field regardless of tag or type. Its bytes are
+// verified like any others but never materialized.
 func (d *StreamDecoder) Skip() error {
 	if d.mem != nil {
 		return d.mem.Skip()
@@ -955,20 +1034,15 @@ func (d *StreamDecoder) Skip() error {
 		_, err := d.svarint()
 		return err
 	case TypeBytes, TypeString, TypeSection:
-		_, err := d.lengthPrefixed()
-		return err
+		n, err := d.valueLen()
+		if err != nil {
+			return err
+		}
+		return d.discard(n)
 	case TypeBool:
-		if err := d.need(1); err != nil {
-			return err
-		}
-		d.off++
-		return nil
+		return d.discard(1)
 	case TypeFloat64:
-		if err := d.need(8); err != nil {
-			return err
-		}
-		d.off += 8
-		return nil
+		return d.discard(8)
 	default:
 		return fmt.Errorf("imgfmt: unknown wire type %d", typ)
 	}

@@ -727,7 +727,7 @@ func (s *Supervisor) ckptDone(dir string, res *core.CheckpointResult) {
 		// back to the nearest full image, for deltas) must reconstruct
 		// from what actually landed on the shared filesystem.
 		s.gens = append(s.gens, Generation{Seq: s.gen, Dir: dir, T: s.t.W.Now(), Full: full})
-		if _, lerr := s.loadGeneration(len(s.gens) - 1); lerr != nil {
+		if lerr := s.checkGeneration(len(s.gens) - 1); lerr != nil {
 			s.gens = s.gens[:len(s.gens)-1]
 			err = fmt.Errorf("chain validation: %w", lerr)
 			if s.incr != nil {
@@ -827,7 +827,7 @@ func (s *Supervisor) sweepStore() {
 // generation is only ever trusted after an end-to-end
 // write/read/decode round trip. Records are verified as streams — the
 // supervisor never materializes one. Chain linkage of delta records is
-// validated separately via loadGeneration.
+// validated separately via checkGeneration.
 func (s *Supervisor) validateGeneration(dir string) error {
 	files := s.t.Store.List(dir)
 	if len(files) == 0 {
@@ -948,29 +948,44 @@ func (s *Supervisor) chainPaths(gi int) (map[string][]string, error) {
 	return chains, nil
 }
 
-// loadGeneration reads and verifies every image of the generation at
-// index gi into s.gens, reconstructing base+delta chains for
-// incremental generations, and returns the images sorted by pod name
-// for deterministic placement. The error names the first pod whose
-// record (or chain) fails validation.
-func (s *Supervisor) loadGeneration(gi int) ([]*ckpt.Image, error) {
+// checkGeneration is the commit-time chain check: it reads and verifies
+// every pod of the generation at index gi into s.gens, reconstructing
+// base+delta chains for incremental generations, and keeps nothing —
+// each pod's image is dropped before the next pod's chain is opened, so
+// at most one is live. The error names the first pod whose record (or
+// chain) fails validation.
+func (s *Supervisor) checkGeneration(gi int) error {
 	g := s.gens[gi]
 	span := s.tr.Start(s.opSpan(), "supervisor/load-generation", trace.Track("supervisor"),
 		trace.Str("dir", g.Dir), trace.I64("seq", int64(g.Seq)))
-	images, err := s.loadGenerationRecords(gi)
-	if err != nil {
+	images := 0
+	if err := s.walkGeneration(gi, func(*ckpt.Image) { images++ }); err != nil {
 		span.End(trace.Str("err", err.Error()))
+		return err
+	}
+	span.End(trace.I64("images", int64(images)))
+	return nil
+}
+
+// loadGenerationRecords materializes the generation at index gi for
+// recovery: every pod's verified image, sorted by pod name for
+// deterministic placement.
+func (s *Supervisor) loadGenerationRecords(gi int) ([]*ckpt.Image, error) {
+	var images []*ckpt.Image
+	if err := s.walkGeneration(gi, func(img *ckpt.Image) { images = append(images, img) }); err != nil {
 		return nil, err
 	}
-	span.End(trace.I64("images", int64(len(images))))
+	sort.Slice(images, func(i, j int) bool { return images[i].PodName < images[j].PodName })
 	return images, nil
 }
 
-func (s *Supervisor) loadGenerationRecords(gi int) ([]*ckpt.Image, error) {
+// walkGeneration reads and verifies the generation at index gi one pod
+// at a time, handing each pod's image to visit.
+func (s *Supervisor) walkGeneration(gi int, visit func(*ckpt.Image)) error {
 	g := s.gens[gi]
 	files := s.t.Store.List(g.Dir)
 	if len(files) == 0 {
-		return nil, fmt.Errorf("generation %s: %w", g.Dir, ErrNoValidCheckpoint)
+		return fmt.Errorf("generation %s: %w", g.Dir, ErrNoValidCheckpoint)
 	}
 	// A Full generation is self-contained: each pod is either a single
 	// .img (stop-and-copy) or a pre-copy chain base+rounds+residual. A
@@ -983,7 +998,7 @@ func (s *Supervisor) loadGenerationRecords(gi int) ([]*ckpt.Image, error) {
 		var err error
 		chains, err = s.chainPaths(gi)
 		if err != nil {
-			return nil, err
+			return err
 		}
 	}
 	// Walk the chains in pod-name order: map iteration order must not
@@ -994,20 +1009,19 @@ func (s *Supervisor) loadGenerationRecords(gi int) ([]*ckpt.Image, error) {
 		names = append(names, name)
 	}
 	sort.Strings(names)
-	var images []*ckpt.Image
 	for _, name := range names {
 		paths := chains[name]
 		if len(paths) == 1 && strings.HasSuffix(paths[0], ".img") {
 			rc, err := s.t.Store.Open(paths[0])
 			if err != nil {
-				return nil, err
+				return err
 			}
 			img, err := ckpt.VerifyImageFrom(rc)
 			rc.Close()
 			if err != nil {
-				return nil, fmt.Errorf("pod %s (%s): %w", name, paths[0], err)
+				return fmt.Errorf("pod %s (%s): %w", name, paths[0], err)
 			}
-			images = append(images, img)
+			visit(img)
 			continue
 		}
 		cSpan := s.tr.Start(s.opSpan(), "supervisor/chain-reconstruct", trace.Track("supervisor"),
@@ -1017,13 +1031,12 @@ func (s *Supervisor) loadGenerationRecords(gi int) ([]*ckpt.Image, error) {
 		})
 		if err != nil {
 			cSpan.End(trace.Str("err", err.Error()))
-			return nil, fmt.Errorf("pod %s: %w", name, err)
+			return fmt.Errorf("pod %s: %w", name, err)
 		}
 		cSpan.End(trace.I64("bytes", img.Bytes()))
-		images = append(images, img)
+		visit(img)
 	}
-	sort.Slice(images, func(i, j int) bool { return images[i].PodName < images[j].PodName })
-	return images, nil
+	return nil
 }
 
 // startRecovery begins (or re-enters) failover: tear down the job's

@@ -4,18 +4,24 @@ package zapc_test
 // golden hashes below were captured on the commit before records became
 // retained, replayed wire bytes; the replay must leave every stored byte
 // where the re-encoding pipeline put it. The allocation budget is what
-// encoding once (and compressing into a reused scratch) buys.
+// encoding once (and compressing into a reused scratch) buys. The read
+// side closes the loop: decoding a stored record and encoding what was
+// decoded must give the stored bytes back.
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"io"
 	"runtime"
 	"sort"
 	"strings"
 	"testing"
 
 	"zapc"
+	"zapc/internal/ckpt"
+	"zapc/internal/imagestore"
 )
 
 // goldenRecords maps every record two fixed-seed four-endpoint runs
@@ -138,6 +144,71 @@ func TestGoldenRecordHashes(t *testing.T) {
 	}
 	if t.Failed() {
 		t.Logf("actual table:\n%s", table.String())
+	}
+}
+
+// TestGoldenRecordsReencodeIdentically is the read side of the golden
+// set: every stored record decodes — full images, deltas, and each pod's
+// chain (incremental full+delta, pre-copy base+rounds+residual) through
+// ReconstructChainFrom — and what was decoded re-encodes to exactly the
+// stored bytes, so no field is lost, reordered or resized on the way in.
+func TestGoldenRecordsReencodeIdentically(t *testing.T) {
+	recs := goldenRuns(t)
+	open := func(path string) io.Reader { return bytes.NewReader(recs[path]) }
+	sized := func(path string, img *ckpt.Image) {
+		t.Helper()
+		st, err := img.EncodeStream(io.Discard)
+		if err != nil || img.Bytes() != st.Raw {
+			t.Fatalf("%s: decoded image counts %d logical bytes, encodes %d (%v)", path, img.Bytes(), st.Raw, err)
+		}
+	}
+	byDir := make(map[string][]string)
+	for path, data := range recs {
+		dir := path[:strings.LastIndex(path, "/")]
+		byDir[dir] = append(byDir[dir], path)
+		var again bytes.Buffer
+		if strings.HasSuffix(path, ".delta") {
+			d, err := ckpt.DecodeDeltaFrom(open(path))
+			if err != nil {
+				t.Fatalf("%s: %v", path, err)
+			}
+			if _, err := d.EncodeStream(&again); err != nil {
+				t.Fatal(err)
+			}
+		} else {
+			img, err := ckpt.DecodeImageFrom(open(path), 1)
+			if err != nil {
+				t.Fatalf("%s: %v", path, err)
+			}
+			sized(path, img)
+			if _, err := img.EncodeStream(&again); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if sha256.Sum256(again.Bytes()) != sha256.Sum256(data) {
+			t.Errorf("%s: decoded and re-encoded, %d stored bytes became %d different ones", path, len(data), again.Len())
+		}
+	}
+	// The incremental delta generation chains on the full one before it.
+	byDir["gold/incr1"] = append(byDir["gold/incr1"], byDir["gold/incr0"]...)
+	chains := 0
+	for dir, files := range byDir {
+		for pod, links := range imagestore.PodChains(files) {
+			if len(links) < 2 {
+				continue
+			}
+			chains++
+			img, err := ckpt.ReconstructChainFrom(len(links), func(i int) (io.ReadCloser, error) {
+				return io.NopCloser(open(links[i])), nil
+			})
+			if err != nil {
+				t.Fatalf("%s: pod %s chain %v: %v", dir, pod, links, err)
+			}
+			sized(dir+"/"+pod, img)
+		}
+	}
+	if chains != 12 { // bt incremental, bt pre-copy and churn pre-copy, four pods each
+		t.Fatalf("reconstructed %d chains, want 12", chains)
 	}
 }
 
