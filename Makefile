@@ -39,9 +39,10 @@ race-precopy:
 	$(GOTEST) -run '^TestPrecopy' .
 
 # Short, deterministic-budget fuzz passes over every image-format entry
-# point (TLV decoder, round-trip property, full+delta image decoder), the
-# LZ4 kernels against their byte-wise reference implementations and the
-# stream decoder against its window-copy reference.
+# point (TLV decoder, round-trip property, the pod-image decoder, the
+# delta decoder and the chain reader behind it), the LZ4 kernels against
+# their byte-wise reference implementations and the stream decoder
+# against its window-copy reference.
 # Raise FUZZTIME for a real fuzzing session.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime $(FUZZTIME) ./internal/imgfmt
@@ -51,6 +52,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzBlockCompressMatchesReference$$' -fuzztime $(FUZZTIME) ./internal/imgfmt
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeMatchesReference$$' -fuzztime $(FUZZTIME) ./internal/imgfmt
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeImage$$' -fuzztime $(FUZZTIME) ./internal/ckpt
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeDelta$$' -fuzztime $(FUZZTIME) ./internal/ckpt
 	$(GO) test -run '^$$' -fuzz '^FuzzReadJSONL$$' -fuzztime $(FUZZTIME) ./internal/trace
 
 # Trace determinism gate: the traced crash-and-failover scenario run
@@ -108,7 +110,7 @@ scale-check:
 # host, and tier-1 pins the same path with an allocation count instead.
 obs-check:
 	$(GO) test -count=1 -tags obscheck -run '^TestNilTracerOverhead$$' ./internal/trace
-	$(GOTEST) -run '^TestCriticalPath|^TestContainment|^TestWindow|^TestStraggler|^TestAnalyzer|^TestFailoverReport|^TestPhaseStats|^TestCheckMetricName|^TestRegistryCheckNames|^TestLegacyAliases|^TestWriteProm' ./internal/trace
+	$(GOTEST) -run '^TestCriticalPath|^TestContainment|^TestWindow|^TestStraggler|^TestAnalyzer|^TestFailoverReport|^TestPhaseStats|^TestCheckMetricName|^TestRegistryCheckNames|^TestWriteProm' ./internal/trace
 	$(GOTEST) -run '^TestFailoverRTO|^TestMetricNamesConform$$' .
 	@dir=$$(mktemp -d); \
 	$(GO) run ./cmd/zapc-bench -fig trace -events $$dir/a.jsonl -trace $$dir/a.json >/dev/null && \
@@ -153,10 +155,10 @@ cover:
 	$(GO) tool cover -func=coverage.out | tail -1
 
 # Benchmarks across every package, then the checkpoint-pipeline
-# trajectory run and its regression gate (>25% encode-throughput drop,
-# >25% peak-buffered-bytes growth, or >25% pre-copy suspend-window
-# growth vs the previous record fails), then the traced pipeline run
-# with its phase/metric summary.
+# trajectory run and its regression gate (>25% growth of peak buffered
+# bytes, the pre-copy suspend window, stored bytes per generation, the
+# coordination barrier or an RTO vs the previous record fails), then the
+# traced pipeline run with its phase/metric summary.
 bench:
 	$(GO) test -bench=. -benchmem ./...
 	$(GO) run ./cmd/zapc-bench -fig ckpt -out $(BENCH_OUT)

@@ -1,14 +1,10 @@
 package zapc
 
 import (
-	"bytes"
 	"fmt"
-	"io"
-	"time"
 
 	"zapc/internal/ckpt"
 	"zapc/internal/core"
-	"zapc/internal/imgfmt"
 	"zapc/internal/metrics"
 )
 
@@ -34,15 +30,10 @@ type CkptPipelineRow struct {
 	DeltaBytes     int64
 	BytesReduction float64
 
-	// Host wall-clock serialization throughput of the parallel encoder
-	// over the run's images (MiB/s), and total harness wall time.
-	EncodeMBps float64
-	Wall       time.Duration
-
 	// PeakBufferedBytes is the largest amount of record data any
 	// streaming serializer held in memory at once across every
-	// checkpoint of the run — the invariant the version-2 chunked
-	// format exists to bound. It stays O(chunk size), never O(image).
+	// checkpoint of the run — the invariant the framed record format
+	// exists to bound. It stays O(chunk size), never O(image).
 	PeakBufferedBytes int64
 
 	// ScSuspend and PrecopySuspend are the modeled pod-suspension
@@ -57,13 +48,6 @@ type CkptPipelineRow struct {
 	SuspendReduction   float64
 	PrecopyRounds      int
 	PrecopyResentBytes int64
-
-	// EncodeRawMBps / DecodeMBps / DecodeRawMBps price the version-3
-	// frame compression arm: host wall-clock stream encode with RAW
-	// frames, and decode of compressed vs RAW records.
-	EncodeRawMBps float64
-	DecodeMBps    float64
-	DecodeRawMBps float64
 
 	// StoredBytesPerGen is the average physical growth of the
 	// content-deduplicated image store per generation of the incremental
@@ -93,7 +77,8 @@ func ckptAt(c *Cluster, job *Job, target float64, opts core.Options) (*core.Chec
 // sequential and parallel arms run the same seed, so the two modeled
 // checkpoint times differ only by the worker-pool width; the
 // incremental arm takes cfg.Checkpoints snapshots through an IncrSet
-// and reports the full-vs-delta wire economics.
+// and reports the full-vs-delta wire economics. Every figure is modeled
+// or an exact count; host cost is the benchmark module's to measure.
 func RunCkptPipeline(cfg ExperimentConfig, app string, endpoints, workers int) (CkptPipelineRow, error) {
 	cfg = cfg.defaults()
 	if workers <= 0 {
@@ -101,16 +86,12 @@ func RunCkptPipeline(cfg ExperimentConfig, app string, endpoints, workers int) (
 			workers = 4
 		}
 	}
-	start := time.Now()
 	row := CkptPipelineRow{App: app, Pods: endpoints, Workers: workers}
 
 	// --- Arm 1+2: sequential vs parallel modeled checkpoint time on
 	// identical cluster state (same seed, same progress point). The
 	// parallel arm streams its records to the cluster's shared
-	// filesystem (Options.FlushTo); they are read back from there for
-	// the host-side encoder measurement — at no point does the
-	// checkpoint path itself materialize a record.
-	var records [][]byte
+	// filesystem (Options.FlushTo), as a production checkpoint does.
 	for arm, w := range []int{1, workers} {
 		c := clusterFor(endpoints, cfg)
 		job, err := c.Launch(cfg.spec(app, endpoints, false))
@@ -135,13 +116,8 @@ func RunCkptPipeline(cfg ExperimentConfig, app string, endpoints, workers int) (
 		} else {
 			row.ParCkpt = res.Stats.Total
 			row.ScSuspend = res.Stats.MaxSuspendWindow()
-			records = records[:0]
-			for _, a := range res.Stats.Agents {
-				rec, err := c.FS.ReadFile(fmt.Sprintf("bench/par/%s.img", a.Pod))
-				if err != nil {
-					return row, fmt.Errorf("ckpt pipeline %s/%d: reading flushed image: %w", app, endpoints, err)
-				}
-				records = append(records, rec)
+			for _, p := range job.Pods {
+				row.Procs += len(p.Procs())
 			}
 		}
 		if _, err := c.RunJob(job, runDeadline); err != nil {
@@ -235,77 +211,6 @@ func RunCkptPipeline(cfg ExperimentConfig, app string, endpoints, workers int) (
 	if n := cfg.Checkpoints; n > 0 {
 		row.LogicalBytesPerGen = ded.Usage().LogicalBytes / int64(n)
 	}
-
-	// --- Host wall-clock encoder throughput over the parallel arm's
-	// images: decode once, then time repeated parallel re-encodes.
-	var images []*ckpt.Image
-	var totalBytes int64
-	for _, rec := range records {
-		img, err := ckpt.DecodeImageWith(rec, workers)
-		if err != nil {
-			return row, err
-		}
-		images = append(images, img)
-		totalBytes += int64(len(rec))
-		row.Procs += len(img.Procs)
-	}
-	const reps = 8
-	encStart := time.Now()
-	for r := 0; r < reps; r++ {
-		for _, img := range images {
-			img.EncodeParallel(workers)
-		}
-	}
-	if el := time.Since(encStart).Seconds(); el > 0 {
-		row.EncodeMBps = float64(totalBytes*reps) / (1 << 20) / el
-	}
-
-	// --- Compressed-vs-RAW frame pricing: stream-encode the same images
-	// with compression disabled, then decode both record sets back.
-	// Throughputs are over the respective wire bytes, so the four
-	// figures are directly comparable to EncodeMBps.
-	var rawRecords [][]byte
-	var rawBytes int64
-	for _, img := range images {
-		var buf bytes.Buffer
-		if _, err := img.EncodeStreamWith(&buf, imgfmt.StreamOpts{NoCompress: true}); err != nil {
-			return row, err
-		}
-		rawRecords = append(rawRecords, buf.Bytes())
-		rawBytes += int64(buf.Len())
-	}
-	encStart = time.Now()
-	for r := 0; r < reps; r++ {
-		for _, img := range images {
-			if _, err := img.EncodeStreamWith(io.Discard, imgfmt.StreamOpts{NoCompress: true}); err != nil {
-				return row, err
-			}
-		}
-	}
-	if el := time.Since(encStart).Seconds(); el > 0 {
-		row.EncodeRawMBps = float64(rawBytes*reps) / (1 << 20) / el
-	}
-	decode := func(recs [][]byte, n int64) (float64, error) {
-		t0 := time.Now()
-		for r := 0; r < reps; r++ {
-			for _, rec := range recs {
-				if _, err := ckpt.DecodeImageWith(rec, workers); err != nil {
-					return 0, err
-				}
-			}
-		}
-		if el := time.Since(t0).Seconds(); el > 0 {
-			return float64(n*reps) / (1 << 20) / el, nil
-		}
-		return 0, nil
-	}
-	if row.DecodeMBps, err = decode(records, totalBytes); err != nil {
-		return row, err
-	}
-	if row.DecodeRawMBps, err = decode(rawRecords, rawBytes); err != nil {
-		return row, err
-	}
-	row.Wall = time.Since(start)
 	return row, nil
 }
 
@@ -326,31 +231,24 @@ func (r CkptPipelineRow) Record(cfg ExperimentConfig, when string) metrics.CkptB
 		FullBytes:          r.FullBytes,
 		DeltaBytes:         r.DeltaBytes,
 		BytesReduction:     r.BytesReduction,
-		EncodeMBps:         r.EncodeMBps,
 		PeakBufferedBytes:  r.PeakBufferedBytes,
 		SuspendUs:          float64(r.PrecopySuspend) / 1e3,
 		ScSuspendUs:        float64(r.ScSuspend) / 1e3,
 		PrecopyRounds:      r.PrecopyRounds,
 		PrecopyResentBytes: r.PrecopyResentBytes,
-		EncodeRawMBps:      r.EncodeRawMBps,
-		DecodeMBps:         r.DecodeMBps,
-		DecodeRawMBps:      r.DecodeRawMBps,
 		StoredBytesPerGen:  r.StoredBytesPerGen,
 		LogicalBytesPerGen: r.LogicalBytesPerGen,
-		WallNs:             int64(r.Wall),
 	}
 }
 
 // CkptPipelineTable formats pipeline rows for terminal output.
 func CkptPipelineTable(rows []CkptPipelineRow) string {
-	t := metrics.NewTable("app", "pods", "procs", "workers", "seq-ckpt", "par-ckpt", "speedup", "full-img", "delta-img", "reduction", "encode", "decode", "peak-buf", "sc-susp", "pre-susp", "dt-gain", "rounds", "stored/gen")
+	t := metrics.NewTable("app", "pods", "procs", "workers", "seq-ckpt", "par-ckpt", "speedup", "full-img", "delta-img", "reduction", "peak-buf", "sc-susp", "pre-susp", "dt-gain", "rounds", "stored/gen")
 	for _, r := range rows {
 		t.Row(r.App, r.Pods, r.Procs, r.Workers, r.SeqCkpt, r.ParCkpt,
 			fmt.Sprintf("%.2fx", r.SimSpeedup),
 			metrics.HumanBytes(r.FullBytes), metrics.HumanBytes(r.DeltaBytes),
 			fmt.Sprintf("%.1fx", r.BytesReduction),
-			fmt.Sprintf("%.0f MiB/s", r.EncodeMBps),
-			fmt.Sprintf("%.0f MiB/s", r.DecodeMBps),
 			metrics.HumanBytes(r.PeakBufferedBytes),
 			r.ScSuspend, r.PrecopySuspend,
 			fmt.Sprintf("%.1fx", r.SuspendReduction),

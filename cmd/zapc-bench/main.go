@@ -274,8 +274,8 @@ func main() {
 		if err := os.WriteFile(*out, zapc.AppendBenchRun(prev, rec), 0o644); err != nil {
 			return err
 		}
-		fmt.Printf("appended run to %s (sim-speedup %.2fx, delta reduction %.1fx, encode %.0f MiB/s, peak buffered %d B)\n",
-			*out, rec.SimSpeedup, rec.BytesReduction, rec.EncodeMBps, rec.PeakBufferedBytes)
+		fmt.Printf("appended run to %s (sim-speedup %.2fx, delta reduction %.1fx, peak buffered %d B)\n",
+			*out, rec.SimSpeedup, rec.BytesReduction, rec.PeakBufferedBytes)
 		fmt.Printf("pre-copy downtime: suspend %.0f us vs stop-and-copy %.0f us (%.1fx) in %d rounds, %s resent\n",
 			rec.SuspendUs, rec.ScSuspendUs, rec.ScSuspendUs/rec.SuspendUs,
 			rec.PrecopyRounds, zapc.HumanBytes(rec.PrecopyResentBytes))

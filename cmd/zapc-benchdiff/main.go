@@ -1,11 +1,11 @@
 // Command zapc-benchdiff guards the checkpoint pipeline against
 // performance regressions. It reads a BENCH_ckpt.json trajectory (as
 // appended by `zapc-bench -fig ckpt`) and compares the newest record
-// against the one before it, exiting non-zero when the parallel
-// encoder's host throughput dropped — or the streaming serializer's
-// peak buffering, the pre-copy suspension window, the tree-coordinated
-// barrier time, or the failover recovery window (RTO), grew — by more
-// than the tolerance. The warm-standby point is gated twice: the
+// against the one before it, exiting non-zero when the streaming
+// serializer's peak buffering, the pre-copy suspension window, the
+// dedup store's per-generation growth, the tree-coordinated barrier
+// time, or the failover recovery window (RTO) grew by more than the
+// tolerance. The warm-standby point is gated twice: the
 // promoted-failover RTO must not grow past the tolerance, and the
 // standby-vs-store speedup must stay above the order-of-magnitude
 // floor regardless of the previous record.
@@ -29,7 +29,7 @@ import (
 )
 
 func main() {
-	tol := flag.Float64("tol", 25, "max tolerated encode-throughput regression, percent")
+	tol := flag.Float64("tol", 25, "max tolerated regression of any guarded figure, percent")
 	flag.Parse()
 	file := "BENCH_ckpt.json"
 	if flag.NArg() > 0 {
@@ -56,9 +56,8 @@ func main() {
 	if err := zapc.CompareBenchSchema(prev, cur); err != nil {
 		fatal(err)
 	}
-	fmt.Printf("zapc-benchdiff: %s: encode %.1f -> %.1f MiB/s, decode %.1f -> %.1f MiB/s, sim-speedup %.2fx -> %.2fx, delta reduction %.1fx -> %.1fx, peak buffered %d -> %d B, suspend %.0f -> %.0f us, stored/gen %d -> %d B\n",
-		file, prev.EncodeMBps, cur.EncodeMBps, prev.DecodeMBps, cur.DecodeMBps,
-		prev.SimSpeedup, cur.SimSpeedup,
+	fmt.Printf("zapc-benchdiff: %s: sim-speedup %.2fx -> %.2fx, delta reduction %.1fx -> %.1fx, peak buffered %d -> %d B, suspend %.0f -> %.0f us, stored/gen %d -> %d B\n",
+		file, prev.SimSpeedup, cur.SimSpeedup,
 		prev.BytesReduction, cur.BytesReduction, prev.PeakBufferedBytes, cur.PeakBufferedBytes,
 		prev.SuspendUs, cur.SuspendUs, prev.StoredBytesPerGen, cur.StoredBytesPerGen)
 	if prev.CoordBarrierUs > 0 || cur.CoordBarrierUs > 0 {
@@ -77,9 +76,6 @@ func main() {
 		fmt.Printf("zapc-benchdiff: standby rto %.0f -> %.0f us vs store %.0f -> %.0f us (speedup %.1fx -> %.1fx, catch-up %.0f -> %.0f us)\n",
 			prev.StandbyRTOUs, cur.StandbyRTOUs, prev.StandbyStoreRTOUs, cur.StandbyStoreRTOUs,
 			prev.StandbyRTOSpeedup, cur.StandbyRTOSpeedup, prev.StandbyCatchUpUs, cur.StandbyCatchUpUs)
-	}
-	if err := zapc.CompareBenchThroughput(prev, cur, *tol); err != nil {
-		fatal(err)
 	}
 	if err := zapc.CompareBenchPeakBuffered(prev, cur, *tol); err != nil {
 		fatal(err)

@@ -34,6 +34,7 @@
 package main
 
 import (
+	"bytes"
 	"flag"
 	"fmt"
 	"os"
@@ -207,7 +208,7 @@ func inspect(path string) error {
 	if err != nil {
 		return err
 	}
-	img, err := ckpt.DecodeImage(data)
+	img, err := ckpt.DecodeImageFrom(bytes.NewReader(data), 0)
 	if err != nil {
 		return err
 	}

@@ -33,22 +33,11 @@ var (
 	ErrNotQuiescent   = errors.New("ckpt: pod is not quiescent")
 	ErrUnknownProgram = errors.New("ckpt: unknown program kind")
 	// ErrCorruptImage marks a serialized pod image that fails integrity
-	// validation (imgfmt CRC mismatch, truncation, or a malformed field
-	// stream). Restart paths check images read from shared storage
-	// before any pod is built from them.
+	// validation (imgfmt CRC mismatch, truncation, an unsupported format
+	// version, or a malformed field stream). Restart paths check images
+	// read from shared storage before any pod is built from them.
 	ErrCorruptImage = errors.New("ckpt: corrupt checkpoint image")
 )
-
-// VerifyImage decode-checks a serialized pod image: the imgfmt CRC-32
-// trailer, the header, and the full field stream. It returns the decoded
-// image, or ErrCorruptImage wrapping the underlying decode failure.
-func VerifyImage(data []byte) (*Image, error) {
-	img, err := DecodeImage(data)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrCorruptImage, err)
-	}
-	return img, nil
-}
 
 // Program registry: restart must re-instantiate programs from their Kind
 // tag before feeding them their saved state.
@@ -88,7 +77,7 @@ type FDEntry struct {
 type ProcImage struct {
 	VPID     vos.PID
 	Kind     string
-	ProgData []byte // program-defined state (nested imgfmt stream)
+	ProgData []byte // program-defined state (an imgfmt program-state blob)
 	Regions  []vos.Region
 	FDs      []FDEntry
 }
@@ -192,10 +181,11 @@ func (img *Image) Remap(remap map[netstack.IP]netstack.IP) {
 // checkpoint image size, Figure 6c): the uncompressed field stream,
 // StreamStats.Raw of its record. Per-frame compression shrinks the bytes
 // on the wire (StreamStats.Bytes), not this figure, so size-based
-// invariants stay comparable across frame versions. Nothing is encoded
-// to learn it: Record seeds it from the encode a checkpoint runs anyway,
-// and otherwise a count-only walk of the fields (no compression, no
-// checksum, no copy of region bytes) computes it on first use. The value
+// invariants do not depend on how compressible the image is. Nothing is
+// encoded to learn it: Record seeds it from the encode a checkpoint runs
+// anyway, and otherwise the layout walked into a count-only encoder (no
+// compression, no checksum, no copy of region bytes) computes it on
+// first use. The value
 // is memoized: images are treated as immutable once the checkpoint
 // completes. The decoder deliberately does not seed it — Remap rewrites
 // VIPs after decode and uvarint widths differ across subnets, so a
@@ -203,7 +193,7 @@ func (img *Image) Remap(remap map[netstack.IP]netstack.IP) {
 func (img *Image) Bytes() int64 {
 	if img.sizeCache == 0 {
 		s := imgfmt.NewStreamCounter()
-		img.fields(s)
+		img.layout(writer{s})
 		img.sizeCache = s.Logical()
 	}
 	return img.sizeCache

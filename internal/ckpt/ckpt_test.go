@@ -230,6 +230,21 @@ func init() {
 	Register("ckpttest.consumer", func() vos.Program { return &consumer{} })
 }
 
+// recordOf is the image's record: the bytes a checkpoint stores for it.
+func recordOf(img *Image) []byte {
+	var buf bytes.Buffer
+	img.Record().WriteTo(&buf) // a bytes.Buffer never fails a Write
+	return buf.Bytes()
+}
+
+// sameImage reports whether two images are equal in every serialized
+// field — whether their records are the same bytes.
+func sameImage(a, b *Image) bool { return bytes.Equal(recordOf(a), recordOf(b)) }
+
+func decodeImage(data []byte) (*Image, error) { return DecodeImageFrom(bytes.NewReader(data), 0) }
+
+func decodeDelta(data []byte) (*DeltaImage, error) { return DecodeDeltaFrom(bytes.NewReader(data)) }
+
 type cluster struct {
 	w     *sim.World
 	nw    *netstack.Network
@@ -315,8 +330,7 @@ func TestSerializeRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	data := img.Encode()
-	got, err := DecodeImage(data)
+	got, err := decodeImage(recordOf(img))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -330,13 +344,13 @@ func TestSerializeRoundTrip(t *testing.T) {
 	if string(pi.Regions[0].Data) != string([]byte{1, 2, 3, 4, 5}) {
 		t.Fatal("region data corrupted")
 	}
-	var v2 bytes.Buffer
-	st, err := img.EncodeStream(&v2)
+	var rec bytes.Buffer
+	st, err := img.EncodeStream(&rec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if int64(v2.Len()) != st.Bytes {
-		t.Fatalf("streamed record is %d bytes, stats say %d", v2.Len(), st.Bytes)
+	if int64(rec.Len()) != st.Bytes {
+		t.Fatalf("streamed record is %d bytes, stats say %d", rec.Len(), st.Bytes)
 	}
 	if img.Bytes() != st.Raw {
 		t.Fatalf("Bytes() = %d, logical stream size is %d", img.Bytes(), st.Raw)
@@ -365,10 +379,10 @@ func TestComputeRestoreContinues(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	data := img.Encode()
+	data := recordOf(img)
 	p.Destroy()
 
-	img2, err := DecodeImage(data)
+	img2, err := decodeImage(data)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -443,15 +457,15 @@ func runStream(t *testing.T, total uint32, interrupt bool) uint64 {
 		}
 		// Serialize through the portable format, as a real migration
 		// would.
-		bytesA, bytesB := imgA.Encode(), imgB.Encode()
+		bytesA, bytesB := recordOf(imgA), recordOf(imgB)
 		podA.Destroy()
 		podB.Destroy()
 
-		imgA2, err := DecodeImage(bytesA)
+		imgA2, err := decodeImage(bytesA)
 		if err != nil {
 			t.Fatal(err)
 		}
-		imgB2, err := DecodeImage(bytesB)
+		imgB2, err := decodeImage(bytesB)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 
-	"zapc/internal/imgfmt"
 	"zapc/internal/netckpt"
 	"zapc/internal/netstack"
 	"zapc/internal/pod"
@@ -18,30 +17,6 @@ import (
 // a delta whose ParentSum does not match the preceding record's
 // checksum, a sequence gap, or a pod-name mismatch.
 var ErrChainBroken = errors.New("ckpt: incremental chain broken")
-
-// Delta record field tags (root).
-const (
-	dtagPodName     = 1
-	dtagVIP         = 2
-	dtagVTime       = 3
-	dtagSeq         = 4
-	dtagParentSum   = 5
-	dtagNet         = 6
-	dtagProc        = 7
-	dtagRemovedProc = 8
-)
-
-// ProcDelta field tags.
-const (
-	dtagVPID          = 1
-	dtagKind          = 2
-	dtagNew           = 3
-	dtagProgChanged   = 4
-	dtagProgData      = 5
-	dtagRegion        = 6
-	dtagRemovedRegion = 7
-	dtagFD            = 8
-)
 
 // ProcDelta is the incremental record of one process: only what changed
 // since the parent generation. A New process carries its full state.
@@ -86,200 +61,6 @@ type DeltaImage struct {
 	// RemovedProcs lists virtual PIDs present in the parent generation
 	// but gone now (exited processes).
 	RemovedProcs []vos.PID
-}
-
-// Encode serializes the delta record (ZAPCDLT stream).
-func (d *DeltaImage) Encode() []byte {
-	e := imgfmt.NewDeltaEncoder()
-	e.String(dtagPodName, d.PodName)
-	e.Uint(dtagVIP, uint64(d.VIP))
-	e.Int(dtagVTime, int64(d.VirtualTime))
-	e.Uint(dtagSeq, d.Seq)
-	e.Uint(dtagParentSum, uint64(d.ParentSum))
-	e.Begin(dtagNet)
-	d.Net.Encode(e)
-	e.End()
-	for _, p := range d.Procs {
-		e.Begin(dtagProc)
-		e.Int(dtagVPID, int64(p.VPID))
-		e.String(dtagKind, p.Kind)
-		e.Bool(dtagNew, p.New)
-		e.Bool(dtagProgChanged, p.ProgChanged)
-		if p.ProgChanged {
-			e.Bytes(dtagProgData, p.ProgData)
-		}
-		for _, r := range p.Regions {
-			e.Begin(dtagRegion)
-			e.String(tagRegName, r.Name)
-			e.Bytes(tagRegData, r.Data)
-			e.End()
-		}
-		for _, name := range p.RemovedRegions {
-			e.String(dtagRemovedRegion, name)
-		}
-		for _, fd := range p.FDs {
-			e.Begin(dtagFD)
-			e.Int(tagFDNum, int64(fd.FD))
-			e.Int(tagFDSlot, int64(fd.Slot))
-			e.End()
-		}
-		e.End()
-	}
-	for _, vpid := range d.RemovedProcs {
-		e.Int(dtagRemovedProc, int64(vpid))
-	}
-	return e.Finish()
-}
-
-// DecodeDelta parses a serialized incremental record of either format
-// version.
-func DecodeDelta(data []byte) (*DeltaImage, error) {
-	ver, delta, err := imgfmt.SniffVersion(data)
-	if err != nil {
-		return nil, err
-	}
-	if !delta {
-		return nil, fmt.Errorf("%w: pod image where delta record expected", imgfmt.ErrBadMagic)
-	}
-	if ver == imgfmt.Version {
-		return decodeDeltaV1(data)
-	}
-	dec, err := imgfmt.DecodeStream(data)
-	if err != nil {
-		return nil, err
-	}
-	return decodeDeltaV2(dec)
-}
-
-func decodeDeltaV1(data []byte) (*DeltaImage, error) {
-	dec, err := imgfmt.NewDeltaDecoder(data)
-	if err != nil {
-		return nil, err
-	}
-	d := &DeltaImage{}
-	if d.PodName, err = dec.String(dtagPodName); err != nil {
-		return nil, err
-	}
-	vip, err := dec.Uint(dtagVIP)
-	if err != nil {
-		return nil, err
-	}
-	d.VIP = netstack.IP(vip)
-	vt, err := dec.Int(dtagVTime)
-	if err != nil {
-		return nil, err
-	}
-	d.VirtualTime = sim.Time(vt)
-	if d.Seq, err = dec.Uint(dtagSeq); err != nil {
-		return nil, err
-	}
-	psum, err := dec.Uint(dtagParentSum)
-	if err != nil {
-		return nil, err
-	}
-	d.ParentSum = uint32(psum)
-	netSec, err := dec.Section(dtagNet)
-	if err != nil {
-		return nil, err
-	}
-	if d.Net, err = netckpt.DecodeImage(netSec); err != nil {
-		return nil, err
-	}
-	for dec.More() {
-		tag, _, err := dec.Peek()
-		if err != nil {
-			return nil, err
-		}
-		switch tag {
-		case dtagProc:
-			sec, err := dec.Section(dtagProc)
-			if err != nil {
-				return nil, err
-			}
-			p, err := decodeProcDelta(sec)
-			if err != nil {
-				return nil, err
-			}
-			d.Procs = append(d.Procs, p)
-		case dtagRemovedProc:
-			v, err := dec.Int(dtagRemovedProc)
-			if err != nil {
-				return nil, err
-			}
-			d.RemovedProcs = append(d.RemovedProcs, vos.PID(v))
-		default:
-			if err := dec.Skip(); err != nil {
-				return nil, err
-			}
-		}
-	}
-	return d, nil
-}
-
-func decodeProcDelta(dec *imgfmt.Decoder) (ProcDelta, error) {
-	var p ProcDelta
-	vpid, err := dec.Int(dtagVPID)
-	if err != nil {
-		return p, err
-	}
-	p.VPID = vos.PID(vpid)
-	if p.Kind, err = dec.String(dtagKind); err != nil {
-		return p, err
-	}
-	if p.New, err = dec.Bool(dtagNew); err != nil {
-		return p, err
-	}
-	if p.ProgChanged, err = dec.Bool(dtagProgChanged); err != nil {
-		return p, err
-	}
-	if p.ProgChanged {
-		pd, err := dec.Bytes(dtagProgData)
-		if err != nil {
-			return p, err
-		}
-		p.ProgData = append([]byte(nil), pd...)
-	}
-	for dec.More() {
-		tag, _, err := dec.Peek()
-		if err != nil {
-			return p, err
-		}
-		switch tag {
-		case dtagRegion:
-			sec, err := dec.Section(dtagRegion)
-			if err != nil {
-				return p, err
-			}
-			name, e1 := sec.String(tagRegName)
-			data, e2 := sec.Bytes(tagRegData)
-			if err := errors.Join(e1, e2); err != nil {
-				return p, err
-			}
-			p.Regions = append(p.Regions, vos.Region{Name: name, Data: append([]byte(nil), data...)})
-		case dtagRemovedRegion:
-			name, err := dec.String(dtagRemovedRegion)
-			if err != nil {
-				return p, err
-			}
-			p.RemovedRegions = append(p.RemovedRegions, name)
-		case dtagFD:
-			sec, err := dec.Section(dtagFD)
-			if err != nil {
-				return p, err
-			}
-			fd, e1 := sec.Int(tagFDNum)
-			slot, e2 := sec.Int(tagFDSlot)
-			if err := errors.Join(e1, e2); err != nil {
-				return p, err
-			}
-			p.FDs = append(p.FDs, FDEntry{FD: int(fd), Slot: int(slot)})
-		default:
-			if err := dec.Skip(); err != nil {
-				return p, err
-			}
-		}
-	}
-	return p, nil
 }
 
 // ApplyDelta materializes the child generation: a full image equal to

@@ -73,7 +73,7 @@ func TestDeltaWireRoundTrip(t *testing.T) {
 		t.Fatal("expected a delta generation")
 	}
 	wire := wireOf(t, pend)
-	got, err := DecodeDelta(wire)
+	got, err := decodeDelta(wire)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,11 +110,11 @@ func TestApplyDeltaMatchesFullCheckpoint(t *testing.T) {
 	if pend.Full() {
 		t.Fatal("expected delta")
 	}
-	d, err := DecodeDelta(wireOf(t, pend))
+	d, err := decodeDelta(wireOf(t, pend))
 	if err != nil {
 		t.Fatal(err)
 	}
-	baseImg, err := DecodeImage(wireOf(t, base))
+	baseImg, err := decodeImage(wireOf(t, base))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,10 +126,10 @@ func TestApplyDeltaMatchesFullCheckpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(rebuilt.Encode(), full.Encode()) {
+	if !sameImage(rebuilt, full) {
 		t.Fatal("base+delta reconstruction differs from a full checkpoint")
 	}
-	if !bytes.Equal(pend.Image.Encode(), full.Encode()) {
+	if !sameImage(pend.Image, full) {
 		t.Fatal("Pending.Image differs from a full checkpoint")
 	}
 	// The removed region must be gone from the reconstruction.
@@ -163,7 +163,7 @@ func TestInPlaceMutationCaughtBySafetyNet(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := DecodeDelta(wireOf(t, pend))
+	d, err := decodeDelta(wireOf(t, pend))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +178,7 @@ func TestInPlaceMutationCaughtBySafetyNet(t *testing.T) {
 	if !found {
 		t.Fatal("in-place write missed by the delta")
 	}
-	if !bytes.Equal(pend.Image.Encode(), full.Encode()) {
+	if !sameImage(pend.Image, full) {
 		t.Fatal("delta generation diverged from full checkpoint")
 	}
 }
@@ -219,7 +219,7 @@ func TestReconstructChain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(rebuilt.Encode(), full.Encode()) {
+	if !sameImage(rebuilt, full) {
 		t.Fatal("chain reconstruction differs from full checkpoint")
 	}
 
@@ -240,7 +240,7 @@ func TestReconstructChain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := DecodeDelta(records[1])
+	d, err := decodeDelta(records[1])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -321,7 +321,7 @@ func TestProcessExitProducesRemoval(t *testing.T) {
 	c.drive(t, func() bool { return shortLived.Status() == vos.StatusExited })
 	c.freeze(t, p)
 	pend := captureCommit(t, tr, p, false)
-	d, err := DecodeDelta(wireOf(t, pend))
+	d, err := decodeDelta(wireOf(t, pend))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -332,7 +332,7 @@ func TestProcessExitProducesRemoval(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(pend.Image.Encode(), full.Encode()) {
+	if !sameImage(pend.Image, full) {
 		t.Fatal("post-exit delta generation diverged from full checkpoint")
 	}
 }

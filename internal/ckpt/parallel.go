@@ -1,11 +1,9 @@
 package ckpt
 
 import (
-	"fmt"
 	"runtime"
 	"sync"
 
-	"zapc/internal/imgfmt"
 	"zapc/internal/pod"
 )
 
@@ -145,71 +143,4 @@ func CheckpointPods(pods []*pod.Pod, workers int) ([]*Image, error) {
 		sortProcs(images[pi].Procs)
 	}
 	return images, nil
-}
-
-// EncodeParallel serializes the image like Encode, encoding each
-// process section on the worker pool and splicing the bodies in process
-// order, so the result is byte-identical to the sequential encoding.
-func (img *Image) EncodeParallel(workers int) []byte {
-	e := imgfmt.NewEncoder()
-	e.String(tagPodName, img.PodName)
-	e.Uint(tagVIP, uint64(img.VIP))
-	e.Int(tagVTime, int64(img.VirtualTime))
-	e.Begin(tagNet)
-	img.Net.Encode(e)
-	e.End()
-	bodies := make([][]byte, len(img.Procs))
-	_ = fanOut(len(img.Procs), workers, func(i int) error {
-		se := imgfmt.NewSectionEncoder()
-		encodeProcBody(se, img.Procs[i])
-		bodies[i] = se.Body()
-		return nil
-	})
-	for _, b := range bodies {
-		e.RawSection(tagProc, b)
-	}
-	return e.Finish()
-}
-
-// DecodeImageWith parses a serialized pod image of either format
-// version. A version-1 image decodes its process sections on a bounded
-// worker pool (the restart path's mirror of CheckpointPodWith); a
-// version-2 image decodes through the chunk-verifying stream walk.
-// workers <= 0 selects DefaultWorkers.
-func DecodeImageWith(data []byte, workers int) (*Image, error) {
-	ver, delta, err := imgfmt.SniffVersion(data)
-	if err != nil {
-		return nil, err
-	}
-	if delta {
-		return nil, fmt.Errorf("%w: delta record where pod image expected", imgfmt.ErrBadMagic)
-	}
-	if ver == imgfmt.Version {
-		return decodeImageV1(data, workers)
-	}
-	sd, err := imgfmt.DecodeStream(data)
-	if err != nil {
-		return nil, err
-	}
-	return decodeImageV2(sd)
-}
-
-func decodeImageV1(data []byte, workers int) (*Image, error) {
-	img, secs, err := decodeImageHeader(data)
-	if err != nil {
-		return nil, err
-	}
-	pis := make([]ProcImage, len(secs))
-	if err := fanOut(len(secs), workers, func(i int) error {
-		p, err := decodeProc(secs[i])
-		if err != nil {
-			return err
-		}
-		pis[i] = p
-		return nil
-	}); err != nil {
-		return nil, err
-	}
-	img.Procs = pis
-	return img, nil
 }

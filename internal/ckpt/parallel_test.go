@@ -4,8 +4,11 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"io"
+	"reflect"
 	"testing"
 
+	"zapc/internal/imgfmt"
 	"zapc/internal/memfs"
 	"zapc/internal/netstack"
 	"zapc/internal/pod"
@@ -76,46 +79,8 @@ func TestParallelCheckpointMatchesSequential(t *testing.T) {
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
-		if !bytes.Equal(seq.Encode(), par.Encode()) {
+		if !sameImage(seq, par) {
 			t.Fatalf("workers=%d: parallel capture differs from sequential", workers)
-		}
-	}
-}
-
-func TestEncodeParallelByteIdentical(t *testing.T) {
-	c := mkCluster(t, 1)
-	p := mkBusyPod(t, c, "enc", 0, 5)
-	img, err := CheckpointPod(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := img.EncodeParallel(1)
-	for _, workers := range []int{0, 2, 3, 8} {
-		if got := img.EncodeParallel(workers); !bytes.Equal(want, got) {
-			t.Fatalf("workers=%d: encoding differs", workers)
-		}
-	}
-}
-
-func TestDecodeImageWithParallel(t *testing.T) {
-	c := mkCluster(t, 1)
-	p := mkBusyPod(t, c, "dec", 0, 5)
-	img, err := CheckpointPod(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	data := img.Encode()
-	want, err := DecodeImageWith(data, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{0, 2, 4} {
-		got, err := DecodeImageWith(data, workers)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		if !bytes.Equal(want.Encode(), got.Encode()) {
-			t.Fatalf("workers=%d: decoded image differs", workers)
 		}
 	}
 }
@@ -142,7 +107,7 @@ func TestCheckpointPodsSharedPool(t *testing.T) {
 		if imgs[i].PodName != p.Name() {
 			t.Fatalf("image %d is for pod %q, want %q", i, imgs[i].PodName, p.Name())
 		}
-		if !bytes.Equal(want.Encode(), imgs[i].Encode()) {
+		if !sameImage(want, imgs[i]) {
 			t.Fatalf("pod %q: pooled capture differs from sequential", p.Name())
 		}
 	}
@@ -213,11 +178,10 @@ func TestNormWorkers(t *testing.T) {
 	}
 }
 
-// FuzzDecodeImage feeds arbitrary bytes to the pod-image and
-// delta-record decoders: they must return errors, never panic, and a
-// successfully decoded image must re-encode decodably.
-func FuzzDecodeImage(f *testing.F) {
-	// Seed with genuine records of both kinds.
+// fuzzChain returns the records of a real two-generation chain — a full
+// image and the delta a Tracker captures after one region changed — for
+// seeding the decoder fuzz targets.
+func fuzzChain(f *testing.F) (full, delta []byte) {
 	c := mkRawCluster(1)
 	p, _ := pod.New("seed", c.nodes[0], c.nw, c.fs, 7)
 	proc := p.AddProcess(&worker{Limit: 50})
@@ -225,59 +189,110 @@ func FuzzDecodeImage(f *testing.F) {
 	c.w.RunUntil(sim.Time(2 * sim.Millisecond))
 	rawFreeze(c, p)
 	tr := NewTracker()
-	fullPend, err := tr.Capture(p, 1, true)
-	if err != nil {
-		f.Fatal(err)
+	var wires [2]bytes.Buffer
+	for gen := range wires {
+		pend, err := tr.Capture(p, 1, gen == 0)
+		if err != nil {
+			f.Fatal(err)
+		}
+		if _, err := pend.Stream(&wires[gen]); err != nil {
+			f.Fatal(err)
+		}
+		pend.Commit()
+		proc.SetRegion("heap", []byte("fedcba9876543210"))
 	}
-	fullPend.Commit()
-	proc.SetRegion("heap", []byte("fedcba9876543210"))
-	deltaPend, err := tr.Capture(p, 1, false)
-	if err != nil {
-		f.Fatal(err)
+	return wires[0].Bytes(), wires[1].Bytes()
+}
+
+// addMutations seeds f with rec, two truncations of it and a copy with
+// one bit flipped mid-record (under a frame CRC).
+func addMutations(f *testing.F, rec []byte) {
+	f.Add(rec)
+	f.Add(rec[:len(rec)/3])
+	f.Add(rec[:len(rec)*2/3])
+	flip := append([]byte(nil), rec...)
+	flip[len(flip)/2] ^= 0x04
+	f.Add(flip)
+}
+
+// namedErr reports whether a decode or chain failure is one a caller can
+// match: a broken chain, or one of imgfmt's error classes.
+func namedErr(err error) bool {
+	for _, class := range []error{ErrChainBroken, imgfmt.ErrBadMagic, imgfmt.ErrBadVersion,
+		imgfmt.ErrBadChecksum, imgfmt.ErrTruncated, imgfmt.ErrTypeMismatch, imgfmt.ErrTagMismatch} {
+		if errors.Is(err, class) {
+			return true
+		}
 	}
-	var fullWire, deltaWire bytes.Buffer
-	if _, err := fullPend.Stream(&fullWire); err != nil {
-		f.Fatal(err)
-	}
-	if _, err := deltaPend.Stream(&deltaWire); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(fullWire.Bytes())
-	f.Add(deltaWire.Bytes())
-	// Legacy version-1 records must keep decoding too.
-	f.Add(fullPend.Image.Encode())
-	f.Add(deltaPend.Delta.Encode())
+	return false
+}
+
+// FuzzDecodeImage feeds arbitrary bytes to the pod-image decoder: it
+// must return a named error, never panic, and a successfully decoded
+// image must re-encode to a record that decodes to the same image.
+func FuzzDecodeImage(f *testing.F) {
+	full, delta := fuzzChain(f)
+	addMutations(f, full)
+	f.Add(delta) // the wrong kind of record
 	f.Add([]byte{})
 	f.Add(bytes.Repeat([]byte{0x5a}, 64))
-	// A truncated v2 record: every decode path must error, never hang.
-	f.Add(fullWire.Bytes()[:fullWire.Len()*2/3])
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if img, err := DecodeImage(data); err == nil {
-			if _, err := DecodeImage(img.Encode()); err != nil {
-				t.Fatalf("re-decode of decoded image failed: %v", err)
-			}
-			var v2 bytes.Buffer
-			if _, err := img.EncodeStream(&v2); err != nil {
-				t.Fatalf("streaming re-encode failed: %v", err)
-			}
-			if _, err := DecodeImage(v2.Bytes()); err != nil {
-				t.Fatalf("re-decode of streamed image failed: %v", err)
-			}
+		img, err := decodeImage(data)
+		if _, verr := VerifyImageFrom(bytes.NewReader(data)); (verr == nil) != (err == nil) ||
+			verr != nil && !errors.Is(verr, ErrCorruptImage) {
+			t.Fatalf("VerifyImageFrom says %v, DecodeImageFrom %v", verr, err)
 		}
-		if d, err := DecodeDelta(data); err == nil {
-			if _, err := DecodeDelta(d.Encode()); err != nil {
+		if err != nil {
+			if !namedErr(err) {
+				t.Fatalf("decode failed with an unnamed error: %v", err)
+			}
+			return
+		}
+		rec := recordOf(img)
+		again, err := decodeImage(rec)
+		if err != nil {
+			t.Fatalf("re-decode of decoded image failed: %v", err)
+		}
+		if !bytes.Equal(recordOf(again), rec) {
+			t.Fatal("decoded image re-encodes to a record that decodes to a different image")
+		}
+	})
+}
+
+// FuzzDecodeDelta is FuzzDecodeImage for the delta decoder, plus the
+// reader behind it: the same bytes, as the second link of a chain whose
+// base is valid, must reconstruct or fail with a named error.
+func FuzzDecodeDelta(f *testing.F) {
+	full, delta := fuzzChain(f)
+	addMutations(f, delta)
+	f.Add(full) // the wrong kind of record
+	f.Add([]byte{})
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		d, err := decodeDelta(data)
+		if err == nil {
+			var rec bytes.Buffer
+			if _, err := d.EncodeStream(&rec); err != nil {
+				t.Fatal(err)
+			}
+			again, err := decodeDelta(rec.Bytes())
+			if err != nil {
 				t.Fatalf("re-decode of decoded delta failed: %v", err)
 			}
-			var v2 bytes.Buffer
-			if _, err := d.EncodeStream(&v2); err != nil {
-				t.Fatalf("streaming re-encode failed: %v", err)
+			if !reflect.DeepEqual(again, d) {
+				t.Fatal("decoded delta re-encodes to a record that decodes to a different delta")
 			}
-			if _, err := DecodeDelta(v2.Bytes()); err != nil {
-				t.Fatalf("re-decode of streamed delta failed: %v", err)
-			}
+		} else if !namedErr(err) {
+			t.Fatalf("decode failed with an unnamed error: %v", err)
 		}
-		_, _ = VerifyImage(data)
+		img, cerr := ReconstructChain([][]byte{full, data})
+		if cerr != nil && !namedErr(cerr) {
+			t.Fatalf("chain failed with an unnamed error: %v", cerr)
+		}
+		if cerr == nil && (err != nil || img.PodName != d.PodName) {
+			t.Fatalf("chain accepted a second record the delta decoder answers with %v", err)
+		}
 	})
 }
 
@@ -301,7 +316,11 @@ func BenchmarkCheckpointEncode(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				bytesOut = int64(len(img.EncodeParallel(workers)))
+				st, err := img.EncodeStream(io.Discard)
+				if err != nil {
+					b.Fatal(err)
+				}
+				bytesOut = st.Raw
 			}
 			b.SetBytes(bytesOut)
 		})

@@ -75,8 +75,7 @@ func TestQuickImageRoundTrip(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		img := randImage(r)
-		data := img.Encode()
-		got, err := DecodeImage(data)
+		got, err := decodeImage(recordOf(img))
 		if err != nil {
 			return false
 		}
@@ -119,21 +118,21 @@ func TestQuickImageRoundTrip(t *testing.T) {
 	}
 }
 
-// Property: corrupting any single byte of an encoded image is always
+// Property: corrupting any single bit of an image record is always
 // detected (checksum) — images are never silently mis-restored.
 func TestQuickCorruptionDetected(t *testing.T) {
 	r := rand.New(rand.NewSource(5))
 	img := randImage(r)
-	data := img.Encode()
+	data := recordOf(img)
 	for trial := 0; trial < 200; trial++ {
 		pos := r.Intn(len(data))
 		bit := byte(1) << uint(r.Intn(8))
 		corrupt := append([]byte(nil), data...)
 		corrupt[pos] ^= bit
-		if _, err := DecodeImage(corrupt); err == nil {
-			// A flip in the trailer may cancel out only if the CRC of
-			// the body matches by construction — impossible for a
-			// single-bit flip.
+		if _, err := decodeImage(corrupt); err == nil {
+			// CRC-32 misses no single-bit error: a flip in a frame body
+			// fails that frame's CRC, one in a frame header misframes the
+			// stream, one in a CRC cannot match the bytes it covers.
 			t.Fatalf("single-bit corruption at %d undetected", pos)
 		}
 	}

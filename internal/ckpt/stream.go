@@ -1,22 +1,23 @@
-// Streaming forms of the pod image and delta record.
+// The two record kinds — pod image and delta — and their layouts.
 //
-// The buffered encoders (Encode, EncodeParallel, DeltaImage.Encode)
-// materialize the whole record in memory. The streaming layout keeps the
-// same information but flattens bulk payloads to top-level fields so
-// imgfmt's StreamEncoder can frame them straight to an io.Writer: process
-// metadata (vpid, kind, descriptor table) lives in a small header
-// section, while program state and every memory region follow as
-// top-level Bytes fields that the encoder frames out of the caller's
-// buffers without copying. Records are written as version-3 frames —
-// each independently RAW or LZ4-compressed, see imgfmt — and the
+// A record is written in imgfmt's framed stream format, and its layout
+// keeps bulk payloads at the top level so the StreamEncoder can frame
+// them straight to an io.Writer: process metadata (vpid, kind,
+// descriptor table) lives in a small header section, while program
+// state and every memory region follow as top-level Bytes fields that
+// the encoder frames out of the caller's buffers without copying. The
 // encoder's peak buffering is O(chunk size + largest metadata section),
 // never O(image size).
 //
-// A checkpoint runs this encode once per generation, into a Record
-// (record.go); flushing replays the retained bytes. An image's logical
-// size (Image.Bytes) comes from a count-only walk of the same fields.
+// Each kind's layout is written down once, as a function that hands
+// every field — its tag and a pointer to where its value lives — to a
+// visitor, in wire order. Encoding, the count-only sizing behind
+// Image.Bytes and decoding all run that one function — a writing visitor
+// over a real encoder, the same over a counting one, a reading visitor —
+// so a field added to a layout is written, counted and read by
+// construction.
 //
-// Full image field order:
+// Pod image field order:
 //
 //	s2PodName s2VIP s2VTime s2Net{...}
 //	( s2Proc{vpid kind fd*} s2ProgData (s2RegName s2RegData)* )*
@@ -28,9 +29,8 @@
 //	  d2ProgData? (d2RegName d2RegData)* )*
 //	d2RemovedProc*
 //
-// Decoders accept every format version (dispatching on the header via
-// imgfmt.SniffVersion), so images checkpointed before the streaming
-// pipeline still restore.
+// A checkpoint runs the encode once per generation, into a Record
+// (record.go); flushing replays the retained bytes.
 package ckpt
 
 import (
@@ -42,12 +42,10 @@ import (
 
 	"zapc/internal/imgfmt"
 	"zapc/internal/netckpt"
-	"zapc/internal/netstack"
-	"zapc/internal/sim"
 	"zapc/internal/vos"
 )
 
-// Streaming pod image root tags.
+// Pod image root tags.
 const (
 	s2PodName  = 1
 	s2VIP      = 2
@@ -59,7 +57,8 @@ const (
 	s2RegData  = 8
 )
 
-// Tags inside an s2Proc header section.
+// Tags inside an s2Proc header section, and inside the descriptor
+// entries of both record kinds.
 const (
 	p2VPID   = 1
 	p2Kind   = 2
@@ -68,7 +67,7 @@ const (
 	p2FDSlot = 2
 )
 
-// Streaming delta record root tags.
+// Delta record root tags.
 const (
 	d2PodName     = 1
 	d2VIP         = 2
@@ -93,13 +92,258 @@ const (
 	dp2FD            = 6
 )
 
+// visitor is handed every field of a record by the record's layout
+// function: the field's tag and a pointer to its value. A writing
+// visitor reads through the pointer, a reading one stores through it;
+// the layout cannot tell which it is driving.
+type visitor interface {
+	Uint32(tag uint64, v *uint32)
+	Uint64(tag uint64, v *uint64)
+	Int(tag uint64, v *int)
+	Int64(tag uint64, v *int64)
+	Bool(tag uint64, v *bool)
+	String(tag uint64, v *string)
+	Bytes(tag uint64, v *[]byte)
+	// Net visits the pod's network state, a section whose own layout
+	// netckpt owns.
+	Net(tag uint64, v **netckpt.NetImage)
+	// Begin and End bracket the fields of a nested section.
+	Begin(tag uint64)
+	End()
+	// More reports whether a repeated group whose elements start with a
+	// field tagged tag has another element: more itself when writing;
+	// when reading, whether the next field carries tag.
+	More(tag uint64, more bool) bool
+}
+
+// each visits a repeated group led by tag: the elements of *s when
+// writing; when reading, one appended element for as long as the next
+// field carries tag.
+func each[T any](v visitor, tag uint64, s *[]T, elem func(e *T, v visitor, tag uint64)) {
+	for i := 0; v.More(tag, i < len(*s)); i++ {
+		if i == len(*s) {
+			*s = append(*s, *new(T))
+		}
+		elem(&(*s)[i], v, tag)
+	}
+}
+
+// record is what a pod image and a delta record have in common.
+type record interface {
+	layout(v visitor)
+}
+
+func (img *Image) layout(v visitor) {
+	v.String(s2PodName, &img.PodName)
+	v.Uint32(s2VIP, (*uint32)(&img.VIP))
+	v.Int64(s2VTime, (*int64)(&img.VirtualTime))
+	v.Net(s2Net, &img.Net)
+	each(v, s2Proc, &img.Procs, (*ProcImage).layout)
+}
+
+func (p *ProcImage) layout(v visitor, tag uint64) {
+	v.Begin(tag)
+	v.Int(p2VPID, (*int)(&p.VPID))
+	v.String(p2Kind, &p.Kind)
+	each(v, p2FD, &p.FDs, (*FDEntry).layout)
+	v.End()
+	v.Bytes(s2ProgData, &p.ProgData)
+	each(v, s2RegName, &p.Regions, func(r *vos.Region, v visitor, tag uint64) {
+		v.String(tag, &r.Name)
+		v.Bytes(s2RegData, &r.Data)
+	})
+}
+
+func (fd *FDEntry) layout(v visitor, tag uint64) {
+	v.Begin(tag)
+	v.Int(p2FDNum, &fd.FD)
+	v.Int(p2FDSlot, &fd.Slot)
+	v.End()
+}
+
+func (d *DeltaImage) layout(v visitor) {
+	v.String(d2PodName, &d.PodName)
+	v.Uint32(d2VIP, (*uint32)(&d.VIP))
+	v.Int64(d2VTime, (*int64)(&d.VirtualTime))
+	v.Uint64(d2Seq, &d.Seq)
+	v.Uint32(d2ParentSum, &d.ParentSum)
+	v.Net(d2Net, &d.Net)
+	each(v, d2Proc, &d.Procs, (*ProcDelta).layout)
+	each(v, d2RemovedProc, &d.RemovedProcs, func(p *vos.PID, v visitor, tag uint64) {
+		v.Int(tag, (*int)(p))
+	})
+}
+
+func (p *ProcDelta) layout(v visitor, tag uint64) {
+	v.Begin(tag)
+	v.Int(dp2VPID, (*int)(&p.VPID))
+	v.String(dp2Kind, &p.Kind)
+	v.Bool(dp2New, &p.New)
+	v.Bool(dp2ProgChanged, &p.ProgChanged)
+	each(v, dp2RemovedRegion, &p.RemovedRegions, func(name *string, v visitor, tag uint64) {
+		v.String(tag, name)
+	})
+	each(v, dp2FD, &p.FDs, (*FDEntry).layout)
+	v.End()
+	if p.ProgChanged {
+		v.Bytes(d2ProgData, &p.ProgData)
+	}
+	each(v, d2RegName, &p.Regions, func(r *vos.Region, v visitor, tag uint64) {
+		v.String(tag, &r.Name)
+		v.Bytes(d2RegData, &r.Data)
+	})
+}
+
+// writer is the writing visitor: every field goes to a StreamEncoder —
+// a real one to encode the record, a count-only one to size it.
+type writer struct{ s *imgfmt.StreamEncoder }
+
+func (w writer) Uint32(tag uint64, v *uint32)  { w.s.Uint(tag, uint64(*v)) }
+func (w writer) Uint64(tag uint64, v *uint64)  { w.s.Uint(tag, *v) }
+func (w writer) Int(tag uint64, v *int)        { w.s.Int(tag, int64(*v)) }
+func (w writer) Int64(tag uint64, v *int64)    { w.s.Int(tag, *v) }
+func (w writer) Bool(tag uint64, v *bool)      { w.s.Bool(tag, *v) }
+func (w writer) String(tag uint64, v *string)  { w.s.String(tag, *v) }
+func (w writer) Bytes(tag uint64, v *[]byte)   { w.s.Bytes(tag, *v) }
+func (w writer) Begin(tag uint64)              { w.s.Begin(tag) }
+func (w writer) End()                          { w.s.End() }
+func (w writer) More(_ uint64, more bool) bool { return more }
+
+func (w writer) Net(tag uint64, v **netckpt.NetImage) {
+	e := imgfmt.NewSectionEncoder()
+	(*v).Encode(e)
+	w.s.RawSection(tag, e.Body())
+}
+
+// fieldSource is what the record's StreamDecoder and the in-memory
+// Decoder of a section within it have in common.
+type fieldSource interface {
+	Peek() (tag uint64, typ byte, err error)
+	Uint(tag uint64) (uint64, error)
+	Int(tag uint64) (int64, error)
+	Bool(tag uint64) (bool, error)
+	String(tag uint64) (string, error)
+	Bytes(tag uint64) ([]byte, error)
+	Section(tag uint64) (*imgfmt.Decoder, error)
+}
+
+// reader is the reading visitor. It is strict: fields must arrive in
+// layout order, and a section or record holding a field its layout does
+// not name is refused — the format evolves by its version number, which
+// NewStreamDecoder checks, not by skipping what a reader does not know.
+// The first error sticks; every later visit is a no-op and More reports
+// false, so the layout runs out without reading further.
+type reader struct {
+	src   fieldSource   // the record stream, or the innermost open section
+	outer []fieldSource // the sources src is nested in, innermost last
+	err   error
+}
+
+func (r *reader) Uint64(tag uint64, v *uint64) {
+	if r.err == nil {
+		*v, r.err = r.src.Uint(tag)
+	}
+}
+
+func (r *reader) Uint32(tag uint64, v *uint32) {
+	var x uint64
+	r.Uint64(tag, &x)
+	*v = uint32(x)
+}
+
+func (r *reader) Int64(tag uint64, v *int64) {
+	if r.err == nil {
+		*v, r.err = r.src.Int(tag)
+	}
+}
+
+func (r *reader) Int(tag uint64, v *int) {
+	var x int64
+	r.Int64(tag, &x)
+	*v = int(x)
+}
+
+func (r *reader) Bool(tag uint64, v *bool) {
+	if r.err == nil {
+		*v, r.err = r.src.Bool(tag)
+	}
+}
+
+func (r *reader) String(tag uint64, v *string) {
+	if r.err == nil {
+		*v, r.err = r.src.String(tag)
+	}
+}
+
+// Bytes keeps the slice the source returns. The record stream hands
+// over one it expanded the value into and does not retain; sections
+// carry no Bytes fields.
+func (r *reader) Bytes(tag uint64, v *[]byte) {
+	if r.err == nil {
+		*v, r.err = r.src.Bytes(tag)
+	}
+}
+
+func (r *reader) Net(tag uint64, v **netckpt.NetImage) {
+	if r.err != nil {
+		return
+	}
+	sec, err := r.src.Section(tag)
+	if err == nil {
+		*v, err = netckpt.DecodeImage(sec)
+	}
+	r.err = err
+}
+
+func (r *reader) Begin(tag uint64) {
+	if r.err != nil {
+		return
+	}
+	sec, err := r.src.Section(tag)
+	if err != nil {
+		r.err = err
+		return
+	}
+	r.outer = append(r.outer, r.src)
+	r.src = sec
+}
+
+// End requires the section to be used up: a field left unread is one
+// the layout does not name.
+func (r *reader) End() {
+	if r.err != nil {
+		return
+	}
+	switch _, _, err := r.src.Peek(); {
+	case errors.Is(err, imgfmt.ErrEndOfSection):
+		last := len(r.outer) - 1
+		r.src, r.outer = r.outer[last], r.outer[:last]
+	case err == nil:
+		r.err = fmt.Errorf("%w: section has a field its layout does not name", imgfmt.ErrTagMismatch)
+	default:
+		r.err = err
+	}
+}
+
+func (r *reader) More(tag uint64, _ bool) bool {
+	if r.err != nil {
+		return false
+	}
+	next, _, err := r.src.Peek()
+	if errors.Is(err, imgfmt.ErrEndOfSection) {
+		return false
+	}
+	r.err = err
+	return err == nil && next == tag
+}
+
 // StreamStats reports what a streaming encode produced.
 type StreamStats struct {
-	// Bytes is the total record size on the wire — after per-frame
-	// compression, for version-3 streams.
+	// Bytes is the total record size on the wire, after per-frame
+	// compression.
 	Bytes int64
 	// Raw is the logical (uncompressed) payload size the frames carry:
-	// the size of the version-1 field stream. Bytes/Raw is the
+	// the size of the record's field stream. Bytes/Raw is the
 	// compression ratio of the record.
 	Raw int64
 	// Peak is the maximum bytes the encoder ever buffered at once —
@@ -140,8 +384,17 @@ func (c *crcReader) Read(p []byte) (int, error) {
 	return n, err
 }
 
-// EncodeStream writes the image to w in the default chunked format
-// (version 3: per-frame RAW or compressed). Bulk payloads (program
+// encodeRecord walks rec's layout into s, whose output goes through cw,
+// and closes the stream.
+func encodeRecord(cw *countCRCWriter, s *imgfmt.StreamEncoder, rec record) (StreamStats, error) {
+	rec.layout(writer{s})
+	if err := s.Close(); err != nil {
+		return StreamStats{}, err
+	}
+	return StreamStats{Bytes: cw.n, Raw: s.Logical(), Peak: s.Peak(), Sum: cw.sum}, nil
+}
+
+// EncodeStream writes the image record to w. Bulk payloads (program
 // state, memory regions) are framed directly out of the image's
 // buffers; at no point does the encoder hold the record — or any
 // process's full state — contiguously.
@@ -150,399 +403,70 @@ func (img *Image) EncodeStream(w io.Writer) (StreamStats, error) {
 }
 
 // EncodeStreamWith is EncodeStream with explicit frame-layer options
-// (legacy version-2 framing, or version 3 with compression disabled) —
-// for baselines, compatibility tooling, and cross-configuration tests.
+// (compression disabled) — for baselines and cross-configuration tests.
 // Every call encodes afresh; the checkpoint path encodes once, via
 // Record.
 func (img *Image) EncodeStreamWith(w io.Writer, o imgfmt.StreamOpts) (StreamStats, error) {
 	cw := &countCRCWriter{w: w}
-	s := imgfmt.NewStreamEncoderOpts(cw, o)
-	img.fields(s)
-	if err := s.Close(); err != nil {
-		return StreamStats{}, err
-	}
-	return StreamStats{Bytes: cw.n, Raw: s.Logical(), Peak: s.Peak(), Sum: cw.sum}, nil
+	return encodeRecord(cw, imgfmt.NewStreamEncoderOpts(cw, o), img)
 }
 
-// fields walks the image's field stream into s: the one definition of
-// the layout, shared by the encode and by Bytes' count-only sizing.
-func (img *Image) fields(s *imgfmt.StreamEncoder) {
-	s.String(s2PodName, img.PodName)
-	s.Uint(s2VIP, uint64(img.VIP))
-	s.Int(s2VTime, int64(img.VirtualTime))
-	ne := imgfmt.NewSectionEncoder()
-	img.Net.Encode(ne)
-	s.RawSection(s2Net, ne.Body())
-	for i := range img.Procs {
-		p := &img.Procs[i]
-		he := imgfmt.NewSectionEncoder()
-		he.Int(p2VPID, int64(p.VPID))
-		he.String(p2Kind, p.Kind)
-		for _, fd := range p.FDs {
-			he.Begin(p2FD)
-			he.Int(p2FDNum, int64(fd.FD))
-			he.Int(p2FDSlot, int64(fd.Slot))
-			he.End()
-		}
-		s.RawSection(s2Proc, he.Body())
-		s.Bytes(s2ProgData, p.ProgData)
-		for _, r := range p.Regions {
-			s.String(s2RegName, r.Name)
-			s.Bytes(s2RegData, r.Data)
-		}
-	}
-}
-
-// EncodeStream writes the delta record to w in the default chunked
-// format, with the same bounded-buffering property as the image form.
+// EncodeStream writes the delta record to w, with the same
+// bounded-buffering property as the image form.
 func (d *DeltaImage) EncodeStream(w io.Writer) (StreamStats, error) {
-	return d.EncodeStreamWith(w, imgfmt.StreamOpts{})
-}
-
-// EncodeStreamWith is EncodeStream with explicit frame-layer options.
-func (d *DeltaImage) EncodeStreamWith(w io.Writer, o imgfmt.StreamOpts) (StreamStats, error) {
 	cw := &countCRCWriter{w: w}
-	s := imgfmt.NewStreamDeltaEncoderOpts(cw, o)
-	s.String(d2PodName, d.PodName)
-	s.Uint(d2VIP, uint64(d.VIP))
-	s.Int(d2VTime, int64(d.VirtualTime))
-	s.Uint(d2Seq, d.Seq)
-	s.Uint(d2ParentSum, uint64(d.ParentSum))
-	ne := imgfmt.NewSectionEncoder()
-	d.Net.Encode(ne)
-	s.RawSection(d2Net, ne.Body())
-	for i := range d.Procs {
-		p := &d.Procs[i]
-		he := imgfmt.NewSectionEncoder()
-		he.Int(dp2VPID, int64(p.VPID))
-		he.String(dp2Kind, p.Kind)
-		he.Bool(dp2New, p.New)
-		he.Bool(dp2ProgChanged, p.ProgChanged)
-		for _, name := range p.RemovedRegions {
-			he.String(dp2RemovedRegion, name)
-		}
-		for _, fd := range p.FDs {
-			he.Begin(dp2FD)
-			he.Int(p2FDNum, int64(fd.FD))
-			he.Int(p2FDSlot, int64(fd.Slot))
-			he.End()
-		}
-		s.RawSection(d2Proc, he.Body())
-		if p.ProgChanged {
-			s.Bytes(d2ProgData, p.ProgData)
-		}
-		for _, r := range p.Regions {
-			s.String(d2RegName, r.Name)
-			s.Bytes(d2RegData, r.Data)
-		}
-	}
-	for _, vpid := range d.RemovedProcs {
-		s.Int(d2RemovedProc, int64(vpid))
-	}
-	if err := s.Close(); err != nil {
-		return StreamStats{}, err
-	}
-	return StreamStats{Bytes: cw.n, Raw: s.Logical(), Peak: s.Peak(), Sum: cw.sum}, nil
+	return encodeRecord(cw, imgfmt.NewStreamDeltaEncoder(cw), d)
 }
 
-// decodeProcHeader parses one s2Proc metadata section.
-func decodeProcHeader(sec *imgfmt.Decoder) (ProcImage, error) {
-	var p ProcImage
-	vpid, err := sec.Int(p2VPID)
+// decodeRecord reads one record of the wanted kind from r into rec,
+// pulling one verified frame at a time. The decoder expands each large
+// payload the record keeps (program state, regions) straight into its
+// own slice; those slices are the only whole-value allocations.
+func decodeRecord(r io.Reader, delta bool, rec record) error {
+	d, err := imgfmt.NewStreamDecoder(r)
 	if err != nil {
-		return p, err
+		return err
 	}
-	p.VPID = vos.PID(vpid)
-	if p.Kind, err = sec.String(p2Kind); err != nil {
-		return p, err
+	if d.IsDelta() != delta {
+		if delta {
+			return fmt.Errorf("%w: pod image where delta record expected", imgfmt.ErrBadMagic)
+		}
+		return fmt.Errorf("%w: delta record where pod image expected", imgfmt.ErrBadMagic)
 	}
-	for sec.More() {
-		tag, _, err := sec.Peek()
-		if err != nil {
-			return p, err
-		}
-		if tag != p2FD {
-			if err := sec.Skip(); err != nil {
-				return p, err
-			}
-			continue
-		}
-		fdSec, err := sec.Section(p2FD)
-		if err != nil {
-			return p, err
-		}
-		fd, e1 := fdSec.Int(p2FDNum)
-		slot, e2 := fdSec.Int(p2FDSlot)
-		if err := errors.Join(e1, e2); err != nil {
-			return p, err
-		}
-		p.FDs = append(p.FDs, FDEntry{FD: int(fd), Slot: int(slot)})
+	rd := &reader{src: d}
+	rec.layout(rd)
+	if rd.err != nil {
+		return rd.err
 	}
-	return p, nil
+	return d.Finished()
 }
 
-// decodeImageV2 walks a framed (version-2 or version-3) stream, pulling
-// one verified frame at a time. The decoder expands each large payload
-// the image keeps (program state, regions) straight into its own slice;
-// those slices are the only whole-value allocations.
-func decodeImageV2(d *imgfmt.StreamDecoder) (*Image, error) {
+// DecodeImageFrom parses a pod image record from a reader,
+// incrementally and with per-frame CRC validation. The int is ignored:
+// it sized the worker pool that decoded version-1 images, and stays in
+// the signature only because the benchmark module compiles against it.
+func DecodeImageFrom(r io.Reader, _ int) (*Image, error) {
 	img := &Image{}
-	var err error
-	if img.PodName, err = d.String(s2PodName); err != nil {
-		return nil, err
-	}
-	vip, err := d.Uint(s2VIP)
-	if err != nil {
-		return nil, err
-	}
-	img.VIP = netstack.IP(vip)
-	vt, err := d.Int(s2VTime)
-	if err != nil {
-		return nil, err
-	}
-	img.VirtualTime = sim.Time(vt)
-	netSec, err := d.Section(s2Net)
-	if err != nil {
-		return nil, err
-	}
-	if img.Net, err = netckpt.DecodeImage(netSec); err != nil {
-		return nil, err
-	}
-	cur := -1 // index into img.Procs (indices, not pointers: the slice grows)
-	for {
-		tag, _, err := d.Peek()
-		if errors.Is(err, imgfmt.ErrEndOfSection) {
-			break
-		}
-		if err != nil {
-			return nil, err
-		}
-		switch tag {
-		case s2Proc:
-			sec, err := d.Section(s2Proc)
-			if err != nil {
-				return nil, err
-			}
-			p, err := decodeProcHeader(sec)
-			if err != nil {
-				return nil, err
-			}
-			img.Procs = append(img.Procs, p)
-			cur = len(img.Procs) - 1
-		case s2ProgData:
-			b, err := d.Bytes(s2ProgData)
-			if err != nil {
-				return nil, err
-			}
-			if cur < 0 {
-				return nil, fmt.Errorf("%w: program data before process header", imgfmt.ErrTagMismatch)
-			}
-			img.Procs[cur].ProgData = b
-		case s2RegName:
-			name, err := d.String(s2RegName)
-			if err != nil {
-				return nil, err
-			}
-			data, err := d.Bytes(s2RegData)
-			if err != nil {
-				return nil, err
-			}
-			if cur < 0 {
-				return nil, fmt.Errorf("%w: region before process header", imgfmt.ErrTagMismatch)
-			}
-			img.Procs[cur].Regions = append(img.Procs[cur].Regions, vos.Region{Name: name, Data: data})
-		default:
-			if err := d.Skip(); err != nil {
-				return nil, err
-			}
-		}
-	}
-	if err := d.Finished(); err != nil {
+	if err := decodeRecord(r, false, img); err != nil {
 		return nil, err
 	}
 	return img, nil
 }
 
-// decodeProcDeltaHeader parses one d2Proc metadata section.
-func decodeProcDeltaHeader(sec *imgfmt.Decoder) (ProcDelta, error) {
-	var p ProcDelta
-	vpid, err := sec.Int(dp2VPID)
-	if err != nil {
-		return p, err
-	}
-	p.VPID = vos.PID(vpid)
-	if p.Kind, err = sec.String(dp2Kind); err != nil {
-		return p, err
-	}
-	if p.New, err = sec.Bool(dp2New); err != nil {
-		return p, err
-	}
-	if p.ProgChanged, err = sec.Bool(dp2ProgChanged); err != nil {
-		return p, err
-	}
-	for sec.More() {
-		tag, _, err := sec.Peek()
-		if err != nil {
-			return p, err
-		}
-		switch tag {
-		case dp2RemovedRegion:
-			name, err := sec.String(dp2RemovedRegion)
-			if err != nil {
-				return p, err
-			}
-			p.RemovedRegions = append(p.RemovedRegions, name)
-		case dp2FD:
-			fdSec, err := sec.Section(dp2FD)
-			if err != nil {
-				return p, err
-			}
-			fd, e1 := fdSec.Int(p2FDNum)
-			slot, e2 := fdSec.Int(p2FDSlot)
-			if err := errors.Join(e1, e2); err != nil {
-				return p, err
-			}
-			p.FDs = append(p.FDs, FDEntry{FD: int(fd), Slot: int(slot)})
-		default:
-			if err := sec.Skip(); err != nil {
-				return p, err
-			}
-		}
-	}
-	return p, nil
-}
-
-func decodeDeltaV2(dec *imgfmt.StreamDecoder) (*DeltaImage, error) {
+// DecodeDeltaFrom parses an incremental record from a reader.
+func DecodeDeltaFrom(r io.Reader) (*DeltaImage, error) {
 	d := &DeltaImage{}
-	var err error
-	if d.PodName, err = dec.String(d2PodName); err != nil {
-		return nil, err
-	}
-	vip, err := dec.Uint(d2VIP)
-	if err != nil {
-		return nil, err
-	}
-	d.VIP = netstack.IP(vip)
-	vt, err := dec.Int(d2VTime)
-	if err != nil {
-		return nil, err
-	}
-	d.VirtualTime = sim.Time(vt)
-	if d.Seq, err = dec.Uint(d2Seq); err != nil {
-		return nil, err
-	}
-	psum, err := dec.Uint(d2ParentSum)
-	if err != nil {
-		return nil, err
-	}
-	d.ParentSum = uint32(psum)
-	netSec, err := dec.Section(d2Net)
-	if err != nil {
-		return nil, err
-	}
-	if d.Net, err = netckpt.DecodeImage(netSec); err != nil {
-		return nil, err
-	}
-	cur := -1
-	for {
-		tag, _, err := dec.Peek()
-		if errors.Is(err, imgfmt.ErrEndOfSection) {
-			break
-		}
-		if err != nil {
-			return nil, err
-		}
-		switch tag {
-		case d2Proc:
-			sec, err := dec.Section(d2Proc)
-			if err != nil {
-				return nil, err
-			}
-			p, err := decodeProcDeltaHeader(sec)
-			if err != nil {
-				return nil, err
-			}
-			d.Procs = append(d.Procs, p)
-			cur = len(d.Procs) - 1
-		case d2ProgData:
-			b, err := dec.Bytes(d2ProgData)
-			if err != nil {
-				return nil, err
-			}
-			if cur < 0 {
-				return nil, fmt.Errorf("%w: program data before process header", imgfmt.ErrTagMismatch)
-			}
-			d.Procs[cur].ProgData = b
-		case d2RegName:
-			name, err := dec.String(d2RegName)
-			if err != nil {
-				return nil, err
-			}
-			data, err := dec.Bytes(d2RegData)
-			if err != nil {
-				return nil, err
-			}
-			if cur < 0 {
-				return nil, fmt.Errorf("%w: region before process header", imgfmt.ErrTagMismatch)
-			}
-			d.Procs[cur].Regions = append(d.Procs[cur].Regions, vos.Region{Name: name, Data: data})
-		case d2RemovedProc:
-			v, err := dec.Int(d2RemovedProc)
-			if err != nil {
-				return nil, err
-			}
-			d.RemovedProcs = append(d.RemovedProcs, vos.PID(v))
-		default:
-			if err := dec.Skip(); err != nil {
-				return nil, err
-			}
-		}
-	}
-	if err := dec.Finished(); err != nil {
+	if err := decodeRecord(r, true, d); err != nil {
 		return nil, err
 	}
 	return d, nil
 }
 
-// DecodeImageFrom parses a pod image from a reader, handling every
-// format version. A framed (version-2 or version-3) stream is decoded
-// incrementally with per-frame CRC validation; a version-1 stream is
-// read fully (its format requires it) and decoded on the worker pool.
-func DecodeImageFrom(r io.Reader, workers int) (*Image, error) {
-	d, err := imgfmt.NewStreamDecoder(r)
-	if err != nil {
-		return nil, err
-	}
-	if d.IsDelta() {
-		return nil, fmt.Errorf("%w: delta record where pod image expected", imgfmt.ErrBadMagic)
-	}
-	if d.Version() == imgfmt.Version {
-		return decodeImageV1(d.Raw(), workers)
-	}
-	return decodeImageV2(d)
-}
-
-// DecodeDeltaFrom parses an incremental record from a reader, handling
-// both format versions.
-func DecodeDeltaFrom(r io.Reader) (*DeltaImage, error) {
-	d, err := imgfmt.NewStreamDecoder(r)
-	if err != nil {
-		return nil, err
-	}
-	if !d.IsDelta() {
-		return nil, fmt.Errorf("%w: pod image where delta record expected", imgfmt.ErrBadMagic)
-	}
-	if d.Version() == imgfmt.Version {
-		return decodeDeltaV1(d.Raw())
-	}
-	return decodeDeltaV2(d)
-}
-
-// VerifyImageFrom is the streaming form of VerifyImage: it
-// decode-checks a pod image from a reader, failing with
-// ErrCorruptImage on any CRC mismatch, truncation, or malformed field.
+// VerifyImageFrom decode-checks a pod image from a reader, failing with
+// ErrCorruptImage on any CRC mismatch, truncation, unsupported version
+// or malformed field.
 func VerifyImageFrom(r io.Reader) (*Image, error) {
-	img, err := DecodeImageFrom(r, 1)
+	img, err := DecodeImageFrom(r, 0)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrCorruptImage, err)
 	}

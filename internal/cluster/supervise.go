@@ -21,17 +21,10 @@ var ErrCorruptImage = ckpt.ErrCorruptImage
 // LoadImages streams every checkpoint image under the given image-store
 // directory through the chunk-verifying decoder before returning it,
 // sorted by pod name. Images are never materialized as contiguous
-// buffers on the way in. A validation failure names the offending pod
-// and wraps ErrCorruptImage.
+// buffers on the way in. A validation failure — a record of an
+// unsupported format version included — names the offending pod and
+// wraps ErrCorruptImage.
 func (c *Cluster) LoadImages(dir string) ([]*ckpt.Image, error) {
-	return c.LoadImagesWith(dir, 1)
-}
-
-// LoadImagesWith is LoadImages with legacy version-1 images decoded
-// across a bounded worker pool (workers <= 0 selects one per host CPU),
-// the restart-side mirror of the parallel checkpoint pipeline.
-// Version-2 images decode through the streaming walk.
-func (c *Cluster) LoadImagesWith(dir string, workers int) ([]*ckpt.Image, error) {
 	store := c.Mgr.Store()
 	files := store.List(dir)
 	if len(files) == 0 {
@@ -43,7 +36,7 @@ func (c *Cluster) LoadImagesWith(dir string, workers int) ([]*ckpt.Image, error)
 		if err != nil {
 			return nil, err
 		}
-		img, err := ckpt.DecodeImageFrom(rc, workers)
+		img, err := ckpt.DecodeImageFrom(rc, 0)
 		rc.Close()
 		if err != nil {
 			name := strings.TrimSuffix(f[strings.LastIndex(f, "/")+1:], ".img")

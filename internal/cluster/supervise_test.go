@@ -6,8 +6,8 @@ import (
 	"strings"
 	"testing"
 
-	"zapc/internal/ckpt"
 	"zapc/internal/core"
+	"zapc/internal/imgfmt"
 	"zapc/internal/sim"
 )
 
@@ -89,10 +89,9 @@ func TestRestartFromFSRefusesCorruptImage(t *testing.T) {
 }
 
 // TestLoadImagesRefusesTruncatedImage truncates a flushed checkpoint
-// image mid-stream — in the chunked version-2 format and in the legacy
-// version-1 format — and asserts that LoadImages and RestartFromFS
-// refuse it with ErrCorruptImage naming the pod, while the intact
-// record of either version loads fine.
+// image mid-stream, then rewrites its header to each retired format
+// version, and asserts that LoadImages and RestartFromFS refuse it with
+// ErrCorruptImage naming the pod, while the intact record loads fine.
 func TestLoadImagesRefusesTruncatedImage(t *testing.T) {
 	c := New(Config{Nodes: 2, Seed: 23})
 	job, err := c.Launch(JobSpec{App: "cpi", Endpoints: 2, Work: 0.01, Scale: 0.001})
@@ -112,50 +111,49 @@ func TestLoadImagesRefusesTruncatedImage(t *testing.T) {
 	}
 	victim := files[0]
 	podName := strings.TrimSuffix(victim[strings.LastIndex(victim, "/")+1:], ".img")
-	v2, err := c.FS.ReadFile(victim)
+	whole, err := c.FS.ReadFile(victim)
 	if err != nil {
 		t.Fatal(err)
 	}
-	img, err := ckpt.DecodeImage(v2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	v1 := img.Encode()
 
-	expectCorrupt := func(label string) {
+	expectCorrupt := func(label, why string) {
 		t.Helper()
 		if _, err := c.LoadImages(dir); !errors.Is(err, ErrCorruptImage) {
 			t.Fatalf("%s: LoadImages err = %v, want ErrCorruptImage", label, err)
-		} else if !strings.Contains(err.Error(), podName) {
-			t.Fatalf("%s: error %q does not name pod %s", label, err, podName)
+		} else if !strings.Contains(err.Error(), podName) || !strings.Contains(err.Error(), why) {
+			t.Fatalf("%s: error %q does not name pod %s and %q", label, err, podName, why)
 		}
 		if _, err := c.RestartFromFS(job, dir, c.Nodes); !errors.Is(err, ErrCorruptImage) {
 			t.Fatalf("%s: RestartFromFS err = %v, want ErrCorruptImage", label, err)
 		}
 	}
 
-	for _, tc := range []struct {
-		label string
-		whole []byte
-	}{
-		{"v2", v2},
-		{"v1", v1},
-	} {
-		// The intact record of either version loads.
-		if err := c.FS.WriteFile(victim, tc.whole); err != nil {
+	if _, err := c.LoadImages(dir); err != nil {
+		t.Fatalf("intact: %v", err)
+	}
+	// Truncations at several depths — inside the header, mid-frame,
+	// and just short of the trailer — all refuse with the pod named.
+	for _, keep := range []int{4, len(whole) / 2, len(whole) - 1} {
+		if err := c.FS.WriteFile(victim, whole[:keep]); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := c.LoadImages(dir); err != nil {
-			t.Fatalf("%s intact: %v", tc.label, err)
+		expectCorrupt(fmt.Sprintf("truncated to %d/%d bytes", keep, len(whole)), "truncated")
+	}
+	// A record claiming a format version this build does not read — the
+	// retired ones, or one not yet written — is refused by number.
+	for _, version := range []byte{1, 2, 4} {
+		old := append([]byte(nil), whole...)
+		old[len(imgfmt.Magic)] = version
+		if err := c.FS.WriteFile(victim, old); err != nil {
+			t.Fatal(err)
 		}
-		// Truncations at several depths — inside the header, mid-frame,
-		// and just short of the trailer — all refuse with the pod named.
-		for _, keep := range []int{4, len(tc.whole) / 2, len(tc.whole) - 1} {
-			if err := c.FS.WriteFile(victim, tc.whole[:keep]); err != nil {
-				t.Fatal(err)
-			}
-			expectCorrupt(fmt.Sprintf("%s truncated to %d/%d bytes", tc.label, keep, len(tc.whole)))
-		}
+		expectCorrupt(fmt.Sprintf("version %d", version), fmt.Sprintf("unsupported version: %d", version))
+	}
+	if err := c.FS.WriteFile(victim, whole); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.LoadImages(dir); err != nil {
+		t.Fatalf("restored record: %v", err)
 	}
 }
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"testing"
@@ -350,7 +351,7 @@ func TestCheckpointToSharedStorage(t *testing.T) {
 			t.Fatalf("image %s not flushed", path)
 		}
 		data, _ := h.fs.ReadFile(path)
-		if _, err := ckpt.DecodeImage(data); err != nil {
+		if _, err := ckpt.DecodeImageFrom(bytes.NewReader(data), 0); err != nil {
 			t.Fatalf("flushed image corrupt: %v", err)
 		}
 	}

@@ -89,7 +89,7 @@ func exhaustStream(t *testing.T, d *StreamDecoder) {
 // full field walk. Decoding must never panic: malformed input may only
 // produce errors.
 func FuzzDecode(f *testing.F) {
-	// Seed with a well-formed image...
+	// Seed with a well-formed program-state blob...
 	e := NewEncoder()
 	e.Uint(1, 42)
 	e.String(2, "pod")
@@ -99,29 +99,28 @@ func FuzzDecode(f *testing.F) {
 	e.End()
 	e.Float64(4, 3.14)
 	f.Add(e.Finish())
-	// ...a well-formed delta record...
-	de := NewDeltaEncoder()
-	de.Int(1, -7)
-	f.Add(de.Finish())
+	// ...the header of a retired record version, which the stream
+	// decoder must refuse...
+	f.Add(appendUvarint([]byte(DeltaMagic), 2))
 	// ...and a few deliberately broken inputs.
 	f.Add([]byte(Magic))
 	f.Add([]byte(DeltaMagic + "\x01"))
 	f.Add([]byte{})
 	f.Add(bytes.Repeat([]byte{0xff}, 32))
-	// Chunked v2 seeds: a valid framed stream, a truncated frame, a
-	// frame with a corrupt chunk CRC, and a frame declaring a huge
-	// payload length.
-	var v2 bytes.Buffer
-	s2 := NewStreamEncoder(&v2)
-	s2.Uint(1, 42)
-	s2.Bytes(2, bytes.Repeat([]byte{0xab}, DefaultChunk+33))
-	s2.String(3, "pod")
-	if err := s2.Close(); err != nil {
+	// Record seeds, in RAW frames so mutations reach the fields: a
+	// valid stream, a truncated frame, a stream with a corrupt trailer
+	// CRC, and a frame declaring a huge payload length.
+	var rec bytes.Buffer
+	se := NewStreamEncoderOpts(&rec, StreamOpts{NoCompress: true})
+	se.Uint(1, 42)
+	se.Bytes(2, bytes.Repeat([]byte{0xab}, DefaultChunk+33))
+	se.String(3, "pod")
+	if err := se.Close(); err != nil {
 		f.Fatal(err)
 	}
-	f.Add(v2.Bytes())
-	f.Add(v2.Bytes()[:len(v2.Bytes())/2])
-	crcFlip := append([]byte(nil), v2.Bytes()...)
+	f.Add(rec.Bytes())
+	f.Add(rec.Bytes()[:rec.Len()/2])
+	crcFlip := append([]byte(nil), rec.Bytes()...)
 	crcFlip[len(crcFlip)-2] ^= 0xff
 	f.Add(crcFlip)
 	huge := appendUvarint([]byte(Magic), StreamVersion)
@@ -129,19 +128,11 @@ func FuzzDecode(f *testing.F) {
 	f.Add(append(huge, 0xde, 0xad, 0xbe, 0xef))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		for _, mk := range []func([]byte) (*Decoder, error){
-			NewDecoder,
-			NewDeltaDecoder,
-			func(b []byte) (*Decoder, error) { d, _, err := DecodeAny(b); return d, err },
-		} {
-			d, err := mk(data)
-			if err != nil {
-				continue
-			}
+		if d, err := NewDecoder(data); err == nil {
 			_ = exhaust(t, d, 0)
 		}
 		// The streaming decoder must be equally panic-free on arbitrary
-		// bytes of either version.
+		// bytes.
 		if sd, err := NewStreamDecoder(bytes.NewReader(data)); err == nil {
 			exhaustStream(t, sd)
 		}
@@ -152,7 +143,7 @@ func FuzzDecode(f *testing.F) {
 			var trailer [4]byte
 			binary.LittleEndian.PutUint32(trailer[:], crc32.ChecksumIEEE(body))
 			patched := append(append([]byte(nil), body...), trailer[:]...)
-			if d, _, err := DecodeAny(patched); err == nil {
+			if d, err := NewDecoder(patched); err == nil {
 				_ = exhaust(t, d, 0)
 			}
 		}
@@ -161,20 +152,14 @@ func FuzzDecode(f *testing.F) {
 
 // FuzzRoundTrip encodes a deterministic field mix derived from the fuzz
 // input and asserts the decoder returns every value bit-exactly, for
-// both stream kinds and for section-encoder splicing.
+// the program-state blob and, inside it, for section-encoder splicing.
 func FuzzRoundTrip(f *testing.F) {
-	f.Add(uint64(7), int64(-9), []byte("abc"), "name", true, 2.5, false)
-	f.Add(uint64(0), int64(0), []byte{}, "", false, math.Inf(-1), true)
-	f.Add(^uint64(0), int64(math.MinInt64), bytes.Repeat([]byte{0xaa}, 300), "π∂", true, math.NaN(), false)
+	f.Add(uint64(7), int64(-9), []byte("abc"), "name", true, 2.5)
+	f.Add(uint64(0), int64(0), []byte{}, "", false, math.Inf(-1))
+	f.Add(^uint64(0), int64(math.MinInt64), bytes.Repeat([]byte{0xaa}, 300), "π∂", true, math.NaN())
 
-	f.Fuzz(func(t *testing.T, u uint64, i int64, bs []byte, s string, b bool, fl float64, delta bool) {
-		mkEnc := NewEncoder
-		mkDec := NewDecoder
-		if delta {
-			mkEnc = NewDeltaEncoder
-			mkDec = NewDeltaDecoder
-		}
-		e := mkEnc()
+	f.Fuzz(func(t *testing.T, u uint64, i int64, bs []byte, s string, b bool, fl float64) {
+		e := NewEncoder()
 		e.Uint(1, u)
 		e.Int(2, i)
 		e.Bytes(3, bs)
@@ -194,7 +179,7 @@ func FuzzRoundTrip(f *testing.F) {
 		e.RawSection(7, se.Body())
 		img := e.Finish()
 
-		d, err := mkDec(img)
+		d, err := NewDecoder(img)
 		if err != nil {
 			t.Fatalf("decode freshly encoded image: %v", err)
 		}

@@ -6,8 +6,8 @@ import (
 	"testing"
 )
 
-// FuzzDecodeV3 feeds hostile bytes to the version-3 frame decoder and
-// the block decompressor. Decoding must never panic, and any corruption
+// FuzzDecodeV3 feeds hostile bytes to the frame decoder and the block
+// decompressor. Decoding must never panic, and any corruption
 // of a well-formed v3 stream must surface as one of the image-format
 // error classes (the ckpt layer wraps exactly these into
 // ErrCorruptImage) — frame-level failures name the frame.
@@ -41,7 +41,7 @@ func FuzzDecodeV3(f *testing.F) {
 	f.Add(flip)
 	// An LZ4 frame whose stored length is not smaller than its raw
 	// length, and an unknown style byte.
-	hdr := appendUvarint([]byte(Magic), StreamVersion3)
+	hdr := appendUvarint([]byte(Magic), StreamVersion)
 	bad := appendUvarint(append([]byte(nil), hdr...), 16)
 	bad = append(bad, FrameLZ4)
 	bad = appendUvarint(bad, 16)
@@ -99,7 +99,7 @@ func FuzzDecodeV3(f *testing.F) {
 	})
 }
 
-// FuzzRoundTripV3 pins encode→decode identity for version-3 streams in
+// FuzzRoundTripV3 pins encode→decode identity for record streams in
 // both compression modes, plus determinism (same payload → same bytes)
 // and direct block-codec round trips.
 func FuzzRoundTripV3(f *testing.F) {
@@ -130,9 +130,6 @@ func FuzzRoundTripV3(f *testing.F) {
 		d, err := NewStreamDecoder(bytes.NewReader(wire))
 		if err != nil {
 			t.Fatalf("decode fresh stream: %v", err)
-		}
-		if d.Version() != StreamVersion3 {
-			t.Fatalf("wrong version %d", d.Version())
 		}
 		if n, err := d.Uint(1); err != nil || n != uint64(len(payload)) {
 			t.Fatalf("uint: %d %v", n, err)

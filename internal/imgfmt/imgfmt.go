@@ -5,15 +5,23 @@
 // information specified in an intermediate format rather than kernel
 // specific data in native format to keep the format portable across
 // different kernels". This package is that format: a self-describing,
-// stream-oriented tag-length-value encoding with nested sections, an
-// explicit version header and a CRC-32 trailer. Nothing in the encoding
-// depends on host endianness, word size, or in-memory layout.
+// stream-oriented tag-length-value encoding with nested sections.
+// Nothing in the encoding depends on host endianness, word size, or
+// in-memory layout.
 //
 // An image is a sequence of fields. Every field carries a caller-chosen
 // numeric tag and a wire type. Sections group fields recursively, so a
 // checkpoint image reads like a tree: pod -> processes -> memory regions,
-// and so on. Decoders may skip fields whose tags they do not recognize,
-// which is what makes the format evolvable across versions.
+// and so on. Decoders may skip fields whose tags they do not recognize.
+//
+// Two things carry a field stream. A record — a pod image or a delta,
+// what is stored, shipped and restarted from — is the field stream cut
+// into CRC'd, individually compressed frames by StreamEncoder and read
+// back by StreamDecoder (stream.go). The in-memory Encoder and Decoder
+// of this file are the codec for what sits inside a record: section
+// bodies, and the program-state blob a vos.Program saves (Magic, Version
+// and a CRC-32 trailer around its fields), which a record carries as one
+// opaque Bytes value.
 package imgfmt
 
 import (
@@ -24,17 +32,18 @@ import (
 	"math"
 )
 
-// Magic identifies a ZapC checkpoint image stream.
+// Magic opens a pod-image record and a program-state blob.
 const Magic = "ZAPCIMG"
 
-// DeltaMagic identifies a ZapC delta record: an incremental checkpoint
-// stream whose generation N+1 encodes only state mutated since
-// generation N. Delta records share the field encoding, version header
-// and CRC-32 trailer with full images; only the magic differs, so a
-// reader can never mistake a delta for a restartable full image.
+// DeltaMagic opens a delta record: an incremental checkpoint whose
+// generation N+1 encodes only state mutated since generation N. Delta
+// records share the framing and field encoding of full images; only the
+// magic differs, so a reader can never mistake a delta for a
+// restartable full image.
 const DeltaMagic = "ZAPCDLT"
 
-// Version is the current encoding version written into every header.
+// Version is the encoding version of a program-state blob, written after
+// its Magic. (Records carry StreamVersion.)
 const Version = 1
 
 // Wire types for encoded fields.
@@ -59,27 +68,22 @@ var (
 	ErrEndOfSection = errors.New("imgfmt: end of section")
 )
 
-// Encoder builds a checkpoint image in memory. The zero value is not
-// usable; create encoders with NewEncoder. Encoders are not safe for
-// concurrent use.
+// Encoder builds a field stream in memory: a program-state blob
+// (NewEncoder, taken with Finish) or a bare section body
+// (NewSectionEncoder, taken with Body). The zero value is not usable.
+// Encoders are not safe for concurrent use.
 //
 // Encoder is a thin buffered wrapper over StreamEncoder: it shares the
-// field encoding and section stack, buffers everything, and finishes
-// with the version-1 whole-stream CRC trailer. Its output is
-// byte-identical to the pre-streaming format.
+// field encoding and section stack and buffers everything.
 type Encoder struct {
 	s *StreamEncoder
 }
 
-// NewEncoder returns an encoder with the image header already written.
+// NewEncoder returns an encoder for a program-state blob, with the blob
+// header (Magic, Version) already written.
 func NewEncoder() *Encoder {
-	return &Encoder{s: newBuffered(Magic)}
-}
-
-// NewDeltaEncoder returns an encoder whose header marks the stream as a
-// delta record rather than a full image.
-func NewDeltaEncoder() *Encoder {
-	return &Encoder{s: newBuffered(DeltaMagic)}
+	hdr := append(make([]byte, 0, 256), Magic...)
+	return &Encoder{s: newBuffered(appendUvarint(hdr, Version))}
 }
 
 // NewSectionEncoder returns an encoder producing a bare field stream
@@ -88,7 +92,7 @@ func NewDeltaEncoder() *Encoder {
 // encoded concurrently (one encoder per worker) and assembled
 // deterministically afterwards.
 func NewSectionEncoder() *Encoder {
-	return &Encoder{s: newSection()}
+	return &Encoder{s: newBuffered(make([]byte, 0, 64))}
 }
 
 func appendUvarint(b []byte, v uint64) []byte {
@@ -139,73 +143,43 @@ func (e *Encoder) Body() []byte { return e.s.Body() }
 // End closes the innermost open section.
 func (e *Encoder) End() { e.s.End() }
 
-// Finish returns the finished image, appending the CRC-32 trailer. It is an
+// Finish returns the finished blob, appending the CRC-32 trailer. It is an
 // error to call Finish with unclosed sections.
 func (e *Encoder) Finish() []byte { return e.s.Finish() }
 
 // Len reports the current encoded length in bytes, excluding the trailer.
 func (e *Encoder) Len() int { return e.s.Len() }
 
-// Decoder reads a checkpoint image produced by Encoder. Create decoders
-// with NewDecoder (for a full image) — section decoders are produced by
-// Section. Decoders are not safe for concurrent use.
+// Decoder reads a field stream produced by Encoder. Create decoders
+// with NewDecoder (for a program-state blob) — section decoders are
+// produced by Section. Decoders are not safe for concurrent use.
 type Decoder struct {
 	data []byte
 	off  int
 }
 
-// NewDecoder validates the header and trailer of a full image and returns a
-// decoder positioned at the first field.
-func NewDecoder(img []byte) (*Decoder, error) {
-	d, delta, err := DecodeAny(img)
-	if err != nil {
-		return nil, err
+// NewDecoder validates the trailer and header of a program-state blob
+// and returns a decoder positioned at the first field.
+func NewDecoder(blob []byte) (*Decoder, error) {
+	if len(blob) < len(Magic)+1+4 {
+		return nil, ErrTruncated
 	}
-	if delta {
-		return nil, fmt.Errorf("%w: delta record where a full image was expected", ErrBadMagic)
-	}
-	return d, nil
-}
-
-// NewDeltaDecoder validates the header and trailer of a delta record and
-// returns a decoder positioned at the first field.
-func NewDeltaDecoder(img []byte) (*Decoder, error) {
-	d, delta, err := DecodeAny(img)
-	if err != nil {
-		return nil, err
-	}
-	if !delta {
-		return nil, fmt.Errorf("%w: full image where a delta record was expected", ErrBadMagic)
-	}
-	return d, nil
-}
-
-// DecodeAny validates either stream kind, reporting whether the input is
-// a delta record.
-func DecodeAny(img []byte) (dec *Decoder, delta bool, err error) {
-	if len(img) < len(Magic)+1+4 {
-		return nil, false, ErrTruncated
-	}
-	body, trailer := img[:len(img)-4], img[len(img)-4:]
+	body, trailer := blob[:len(blob)-4], blob[len(blob)-4:]
 	if crc32.ChecksumIEEE(body) != binary.LittleEndian.Uint32(trailer) {
-		return nil, false, ErrBadChecksum
+		return nil, ErrBadChecksum
 	}
-	switch string(body[:len(Magic)]) {
-	case Magic:
-	case DeltaMagic:
-		delta = true
-	default:
-		return nil, false, ErrBadMagic
+	if string(body[:len(Magic)]) != Magic {
+		return nil, ErrBadMagic
 	}
 	d := &Decoder{data: body, off: len(Magic)}
 	v, err := d.uvarint()
 	if err != nil {
-		return nil, false, err
+		return nil, err
 	}
 	if v != Version {
-		return nil, false, fmt.Errorf("%w: %d", ErrBadVersion, v)
+		return nil, fmt.Errorf("%w: %d", ErrBadVersion, v)
 	}
-	return d, delta, nil
+	return d, nil
 }
 
 func (d *Decoder) uvarint() (uint64, error) {
@@ -389,6 +363,6 @@ func (d *Decoder) Skip() error {
 		d.off += 8
 		return nil
 	default:
-		return fmt.Errorf("imgfmt: unknown wire type %d", typ)
+		return fmt.Errorf("%w: unknown wire type %d", ErrTypeMismatch, typ)
 	}
 }

@@ -1,9 +1,9 @@
-// LZ4-style block codec for version-3 frames.
+// LZ4-style block codec for record frames.
 //
-// Each version-3 frame is independently either RAW or block-compressed,
-// so the codec here is a self-contained single-block format with no
+// Each frame is independently either RAW or block-compressed, so the
+// codec here is a self-contained single-block format with no
 // cross-frame state: compression of a frame is a pure function of that
-// frame's payload bytes, which is what makes v3 output bit-identical
+// frame's payload bytes, which is what makes a record bit-identical
 // regardless of worker count or IO mode.
 //
 // The block format is the classic LZ4 sequence stream: each sequence is
@@ -27,7 +27,7 @@ import (
 	"math/bits"
 )
 
-// Frame styles for version-3 frames.
+// Frame styles.
 const (
 	// FrameRaw tags a frame stored uncompressed.
 	FrameRaw = 0x00

@@ -1,19 +1,11 @@
-// Chunked streaming forms of the image format.
+// The record format: how a pod image or a delta record is stored,
+// shipped and read back.
 //
-// Version 1 images are a single TLV body with one CRC-32 trailer over
-// the whole stream, which forces every producer and consumer to hold
-// the complete image in memory. Version 2 keeps the exact same field
-// encoding but splits the byte stream into framed chunks:
-//
-//	magic ("ZAPCIMG" | "ZAPCDLT")
-//	uvarint version (2)
-//	frame*   :=  uvarint payloadLen (>0) | payload | crc32(payload) LE
-//	terminator = uvarint 0 | crc32(header + all payloads) LE
-//
-// Version 3 keeps the same chunking but makes every frame independently
-// RAW or LZ4-style block-compressed, chosen per frame by a
-// compressibility heuristic (compression is kept only when strictly
-// smaller; see blockCompress):
+// A record is the field stream of imgfmt.go (tag, wire type, value; see
+// the package comment) cut into frames, each independently RAW or
+// LZ4-style block-compressed, chosen per frame by a compressibility
+// heuristic (compression is kept only when strictly smaller; see
+// blockCompress):
 //
 //	magic ("ZAPCIMG" | "ZAPCDLT")
 //	uvarint version (3)
@@ -29,17 +21,21 @@
 // identical whether frames were compressed or not. A consumer (the
 // supervisor's generation validator, a migration receiver) can verify
 // data incrementally and fail fast on truncation without ever
-// materializing the image. The frame layer is pure transport:
-// concatenating every (decompressed) payload yields exactly the
-// version-1 field stream, so the TLV walker above it is shared between
-// all versions. Because the per-frame RAW/compressed decision is a pure
-// function of the frame's payload bytes, version-3 output is
+// materializing the record. The frame layer is pure transport:
+// concatenating every (decompressed) payload yields exactly the field
+// stream. Because the per-frame RAW/compressed decision is a pure
+// function of the frame's payload bytes, a record's bytes are
 // bit-identical regardless of worker count or of streaming vs. buffered
 // IO.
+//
+// This is the only record format. Versions 1 (one unframed body under a
+// single trailer CRC) and 2 (RAW-only frames without a style byte) were
+// written by earlier revisions; no record outlives the process that
+// wrote it, so a header carrying either is refused by number
+// (ErrBadVersion) before anything after it is read.
 package imgfmt
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
@@ -48,15 +44,9 @@ import (
 	"slices"
 )
 
-// StreamVersion is the uncompressed chunked framing version. Streams of
-// this version are decoded forever; encoders only write it on request
-// (StreamOpts.Version), for compatibility tooling and baselines.
-const StreamVersion = 2
-
-// StreamVersion3 is the compressed chunked framing version written by
-// streaming encoders by default: every frame is independently RAW or
-// LZ4-style block-compressed.
-const StreamVersion3 = 3
+// StreamVersion is the record format version: the one streaming
+// encoders write and the only one NewStreamDecoder accepts.
+const StreamVersion = 3
 
 // DefaultChunk is the frame payload size streaming encoders flush at.
 // Peak encoder buffering is O(DefaultChunk + open section bodies).
@@ -67,10 +57,10 @@ const DefaultChunk = 64 << 10
 // hostile length prefix from driving a huge allocation.
 const MaxFrame = 1 << 20
 
-// ErrFrame reports a malformed chunk frame in a version-2 stream.
+// ErrFrame reports a malformed frame in a record stream.
 var ErrFrame = fmt.Errorf("%w: malformed chunk frame", ErrBadChecksum)
 
-// StreamEncoder writes an image as a sequence of CRC-framed chunks to
+// StreamEncoder writes a record as a sequence of CRC-framed chunks to
 // an io.Writer. It shares the field encoding (and the section stack)
 // with the in-memory Encoder, which is a thin buffered wrapper around
 // this type. StreamEncoders are not safe for concurrent use.
@@ -82,13 +72,13 @@ var ErrFrame = fmt.Errorf("%w: malformed chunk frame", ErrBadChecksum)
 // O(chunk) buffering bound.
 type StreamEncoder struct {
 	w        io.Writer
-	version  int      // 0 bare section, 1 buffered legacy, 2/3 framed streaming
-	compress bool     // version 3 with the per-frame compression heuristic on
+	framed   bool     // a record stream (or its count); false beneath an in-memory Encoder
+	compress bool     // the per-frame compression heuristic is on
 	count    bool     // sizing only: frames are measured (Logical), never built or written
 	scratch  []byte   // compressed form of the frame being emitted, reused across frames
 	stack    [][]byte // stack[0] is the root buffer; deeper entries are open sections
 	chunk    int
-	crc      uint32 // running CRC over header + logical payload (versions 2/3)
+	crc      uint32 // running CRC over header + logical payload
 	written  int64
 	logical  int64 // uncompressed payload bytes framed so far
 	peak     int64
@@ -97,24 +87,20 @@ type StreamEncoder struct {
 }
 
 // StreamOpts tunes a streaming encoder. The zero value is the default:
-// version-3 frames with the per-frame compression heuristic enabled.
+// the per-frame compression heuristic enabled.
 type StreamOpts struct {
-	// Version selects the frame layout written: 0 means the default
-	// (StreamVersion3); StreamVersion (2) writes the uncompressed
-	// legacy framing for baselines and compatibility tooling.
-	Version int
-	// NoCompress stores every version-3 frame RAW, skipping the
-	// compression attempt. Decoders do not care: RAW frames are always
-	// legal, and the whole-stream CRC is over logical payloads.
+	// NoCompress stores every frame RAW, skipping the compression
+	// attempt. Decoders do not care: RAW frames are always legal, and
+	// the whole-stream CRC is over logical payloads.
 	NoCompress bool
 }
 
 // NewStreamEncoder returns a streaming encoder that has already written
-// the default (version-3) full-image header to w.
+// the full-image record header to w.
 func NewStreamEncoder(w io.Writer) *StreamEncoder { return newStream(w, Magic, StreamOpts{}) }
 
 // NewStreamDeltaEncoder returns a streaming encoder that has already
-// written the default (version-3) delta-record header to w.
+// written the delta-record header to w.
 func NewStreamDeltaEncoder(w io.Writer) *StreamEncoder { return newStream(w, DeltaMagic, StreamOpts{}) }
 
 // NewStreamEncoderOpts is NewStreamEncoder with explicit options.
@@ -122,28 +108,15 @@ func NewStreamEncoderOpts(w io.Writer, o StreamOpts) *StreamEncoder {
 	return newStream(w, Magic, o)
 }
 
-// NewStreamDeltaEncoderOpts is NewStreamDeltaEncoder with explicit
-// options.
-func NewStreamDeltaEncoderOpts(w io.Writer, o StreamOpts) *StreamEncoder {
-	return newStream(w, DeltaMagic, o)
-}
-
 func newStream(w io.Writer, magic string, o StreamOpts) *StreamEncoder {
-	ver := o.Version
-	if ver == 0 {
-		ver = StreamVersion3
-	}
-	if ver != StreamVersion && ver != StreamVersion3 {
-		panic(fmt.Sprintf("imgfmt: unsupported stream version %d", ver))
-	}
 	s := &StreamEncoder{
 		w:        w,
-		version:  ver,
-		compress: ver == StreamVersion3 && !o.NoCompress,
+		framed:   true,
+		compress: !o.NoCompress,
 		chunk:    DefaultChunk,
 		stack:    [][]byte{make([]byte, 0, 512)},
 	}
-	hdr := appendUvarint(append([]byte(nil), magic...), uint64(ver))
+	hdr := appendUvarint(append([]byte(nil), magic...), StreamVersion)
 	s.crc = crc32.Update(0, crc32.IEEETable, hdr)
 	s.writeRaw(hdr)
 	return s
@@ -154,26 +127,15 @@ func newStream(w io.Writer, magic string, o StreamOpts) *StreamEncoder {
 // streaming encode would — with no compression, no checksums, nothing
 // written, and no copy of any top-level Bytes value. It is never closed.
 func NewStreamCounter() *StreamEncoder {
-	return &StreamEncoder{version: StreamVersion3, count: true, chunk: DefaultChunk,
+	return &StreamEncoder{framed: true, count: true, chunk: DefaultChunk,
 		stack: [][]byte{make([]byte, 0, 64)}}
 }
 
-// streaming reports whether this encoder writes a framed (chunked)
-// stream, as opposed to the buffered version-1 or bare-section forms.
-func (s *StreamEncoder) streaming() bool { return s.version >= StreamVersion }
-
-// newBuffered returns the version-1 in-memory form: the legacy header
-// followed by an unframed field stream, finished with Finish.
-func newBuffered(magic string) *StreamEncoder {
-	root := make([]byte, 0, 256)
-	root = append(root, magic...)
-	root = appendUvarint(root, Version)
-	return &StreamEncoder{version: Version, stack: [][]byte{root}}
-}
-
-// newSection returns the bare-body form used by NewSectionEncoder.
-func newSection() *StreamEncoder {
-	return &StreamEncoder{stack: [][]byte{make([]byte, 0, 64)}}
+// newBuffered returns the unframed in-memory form beneath an Encoder:
+// everything written accumulates after prefix, to be taken with Body
+// (a section body, empty prefix) or Finish (a program-state blob).
+func newBuffered(prefix []byte) *StreamEncoder {
+	return &StreamEncoder{stack: [][]byte{prefix}}
 }
 
 // Err returns the first write error encountered, if any. Once set, all
@@ -184,14 +146,14 @@ func (s *StreamEncoder) Err() error { return s.err }
 func (s *StreamEncoder) Written() int64 { return s.written }
 
 // Logical reports the uncompressed payload bytes framed so far — the
-// size of the version-1 field stream the frames carry, independent of
-// per-frame compression.
+// size of the field stream the frames carry, independent of per-frame
+// compression.
 func (s *StreamEncoder) Logical() int64 { return s.logical }
 
 // Peak reports the maximum bytes this encoder ever buffered at once
-// (staging chunk plus any open section bodies). For buffered versions
-// this approaches the full image size; for version 2 it stays bounded
-// by the chunk size plus the largest section body.
+// (staging chunk plus any open section bodies). Beneath an in-memory
+// Encoder this is everything written; for a record stream it stays
+// bounded by the chunk size plus the largest section body.
 func (s *StreamEncoder) Peak() int64 { return s.peak }
 
 func (s *StreamEncoder) top() *[]byte { return &s.stack[len(s.stack)-1] }
@@ -208,26 +170,15 @@ func (s *StreamEncoder) writeRaw(b []byte) {
 }
 
 // emitFrame writes one framed chunk and folds its logical payload into
-// the whole-stream CRC. On a version-3 encoder the frame is stored
-// compressed when blockCompress judges the payload worth it; the
-// per-frame CRC always covers the bytes as stored.
+// the whole-stream CRC. The frame is stored compressed when
+// blockCompress judges the payload worth it; the per-frame CRC always
+// covers the bytes as stored.
 func (s *StreamEncoder) emitFrame(payload []byte) {
 	if len(payload) == 0 || s.err != nil {
 		return
 	}
 	s.logical += int64(len(payload))
 	if s.count {
-		return
-	}
-	if s.version == StreamVersion {
-		var hdr [binary.MaxVarintLen64]byte
-		n := binary.PutUvarint(hdr[:], uint64(len(payload)))
-		s.writeRaw(hdr[:n])
-		s.writeRaw(payload)
-		var tr [4]byte
-		binary.LittleEndian.PutUint32(tr[:], crc32.ChecksumIEEE(payload))
-		s.writeRaw(tr[:])
-		s.crc = crc32.Update(s.crc, crc32.IEEETable, payload)
 		return
 	}
 	stored, style := payload, byte(FrameRaw)
@@ -259,7 +210,7 @@ func (s *StreamEncoder) emitFrame(payload []byte) {
 // settle updates buffering accounting and, on a streaming encoder with
 // no open sections, flushes full chunks out of the staging buffer.
 func (s *StreamEncoder) settle() {
-	if s.streaming() && len(s.stack) == 1 && s.err == nil {
+	if s.framed && len(s.stack) == 1 && s.err == nil {
 		b := s.stack[0]
 		if s.count { // nothing to batch into chunks: measure and drop
 			s.emitFrame(b)
@@ -312,7 +263,7 @@ func (s *StreamEncoder) Bytes(tag uint64, v []byte) {
 	s.field(tag, TypeBytes)
 	b := s.top()
 	*b = appendUvarint(*b, uint64(len(v)))
-	if s.streaming() && len(s.stack) == 1 && (len(v) >= s.chunk || s.count) {
+	if s.framed && len(s.stack) == 1 && (len(v) >= s.chunk || s.count) {
 		s.settle() // account for the staged header before flushing it
 		s.emitFrame(s.stack[0])
 		s.stack[0] = s.stack[0][:0]
@@ -399,13 +350,13 @@ func (s *StreamEncoder) Body() []byte {
 	return s.stack[0]
 }
 
-// Finish returns the finished buffered (version-1) image, appending the
-// CRC-32 trailer.
+// Finish returns the finished in-memory blob, appending the CRC-32
+// trailer over everything before it.
 func (s *StreamEncoder) Finish() []byte {
 	if len(s.stack) != 1 {
 		panic("imgfmt: Finish with open sections")
 	}
-	if s.streaming() {
+	if s.framed {
 		panic("imgfmt: Finish on a streaming encoder; use Close")
 	}
 	b := s.stack[0]
@@ -434,7 +385,7 @@ func (s *StreamEncoder) Close() error {
 	if len(s.stack) != 1 {
 		panic("imgfmt: Close with open sections")
 	}
-	if !s.streaming() {
+	if !s.framed {
 		panic("imgfmt: Close on a buffered encoder; use Finish")
 	}
 	s.closed = true
@@ -446,55 +397,23 @@ func (s *StreamEncoder) Close() error {
 	return s.err
 }
 
-// SniffVersion reads just the header of an encoded record, reporting
-// its format version and whether it is a delta, without validating the
-// rest.
-func SniffVersion(data []byte) (version int, delta bool, err error) {
-	if len(data) < len(Magic)+1 {
-		return 0, false, ErrTruncated
-	}
-	switch string(data[:len(Magic)]) {
-	case Magic:
-	case DeltaMagic:
-		delta = true
-	default:
-		return 0, false, ErrBadMagic
-	}
-	v, n := binary.Uvarint(data[len(Magic):])
-	if n <= 0 {
-		return 0, false, ErrTruncated
-	}
-	switch v {
-	case Version, StreamVersion, StreamVersion3:
-		return int(v), delta, nil
-	default:
-		return 0, false, fmt.Errorf("%w: %d", ErrBadVersion, v)
-	}
-}
-
-// StreamDecoder reads an encoded record from an io.Reader, verifying
-// chunk CRCs as frames arrive. It handles every format version: a
-// version-1 stream is read fully and validated like DecodeAny (its raw
-// bytes stay available through Raw for callers that re-parse them); a
-// version-2 or version-3 stream is pulled frame by frame from one frame
+// StreamDecoder reads a record from an io.Reader, verifying frame CRCs
+// as frames arrive. The stream is pulled frame by frame from one frame
 // source (nextFrame + readFrame) into one of two places. Header-sized
 // fields — tags, varints, names, small sections — are parsed out of a
 // window of verified-but-unconsumed payload that holds about a frame. A
 // value longer than the window holds is expanded frame by frame straight
 // into the slice the caller keeps (lengthPrefixed), so each of its bytes
 // lands once. Skip discards through the window, one frame at a time.
-// Version-3 frames are decompressed, out of one reused scratch, after
-// their stored-byte CRC has been verified, so corrupt input never
-// reaches the decompressor unnoticed.
+// Frames are decompressed, out of one reused scratch, after their
+// stored-byte CRC has been verified, so corrupt input never reaches the
+// decompressor unnoticed.
 //
 // All reads are bounded: a truncated or corrupt stream always yields an
 // error (never a hang), and declared lengths are only trusted up to the
 // bytes that actually arrived under a valid frame CRC.
 type StreamDecoder struct {
-	mem     *Decoder // non-nil when the input was a buffered version-1 record
-	raw     []byte   // the full version-1 record, trailer included
-	delta   bool
-	version int
+	delta bool
 
 	r      io.Reader
 	win    []byte // verified-but-unconsumed payload window
@@ -514,7 +433,10 @@ type StreamDecoder struct {
 }
 
 // NewStreamDecoder reads and validates the record header from r and
-// returns a decoder positioned at the first field.
+// returns a decoder positioned at the first field. A header carrying
+// any version but StreamVersion — the retired versions 1 and 2 included
+// — fails with ErrBadVersion naming the number, with nothing past the
+// header read.
 func NewStreamDecoder(r io.Reader) (*StreamDecoder, error) {
 	hdr := make([]byte, len(Magic), len(Magic)+binary.MaxVarintLen64)
 	if _, err := io.ReadFull(r, hdr); err != nil {
@@ -532,28 +454,10 @@ func NewStreamDecoder(r io.Reader) (*StreamDecoder, error) {
 	if err != nil {
 		return nil, ErrTruncated
 	}
-	hdr = hdr[:len(hdr)+n]
-	switch ver {
-	case Version:
-		rest, err := io.ReadAll(r)
-		if err != nil {
-			return nil, err
-		}
-		raw := append(hdr, rest...)
-		dec, delta, err := DecodeAny(raw)
-		if err != nil {
-			return nil, err
-		}
-		if delta != d.delta {
-			return nil, ErrBadMagic
-		}
-		d.mem, d.raw, d.version = dec, raw, Version
-	case StreamVersion, StreamVersion3:
-		d.version = int(ver)
-		d.crc = crc32.Update(0, crc32.IEEETable, hdr)
-	default:
+	if ver != StreamVersion {
 		return nil, fmt.Errorf("%w: %d", ErrBadVersion, ver)
 	}
+	d.crc = crc32.Update(0, crc32.IEEETable, hdr[:len(hdr)+n])
 	return d, nil
 }
 
@@ -576,19 +480,12 @@ func readUvarint(r io.Reader, buf []byte) (uint64, int, error) {
 	return 0, 0, ErrTruncated
 }
 
-// Version reports the format version of the stream (1, 2, or 3).
-func (d *StreamDecoder) Version() int { return d.version }
-
 // IsDelta reports whether the stream is a delta record.
 func (d *StreamDecoder) IsDelta() bool { return d.delta }
 
-// Raw returns the complete validated record bytes for a version-1
-// stream (nil for version 2, which is never materialized).
-func (d *StreamDecoder) Raw() []byte { return d.raw }
-
 func (d *StreamDecoder) avail() int { return len(d.win) - d.off }
 
-// frame is one parsed frame header. A version-2 frame reads as RAW.
+// frame is one parsed frame header.
 type frame struct {
 	rawLen    int // logical payload bytes
 	storedLen int // body bytes on the wire; rawLen unless style is FrameLZ4
@@ -625,18 +522,11 @@ func (d *StreamDecoder) nextFrame() (f frame, ok bool) {
 		return f, false
 	}
 	if n > MaxFrame {
-		if d.version == StreamVersion3 {
-			d.err = fmt.Errorf("%w: frame %d declares %d raw bytes", ErrFrame, d.frame+1, n)
-		} else {
-			d.err = fmt.Errorf("%w: declared payload of %d bytes", ErrFrame, n)
-		}
+		d.err = fmt.Errorf("%w: frame %d declares %d raw bytes", ErrFrame, d.frame+1, n)
 		return f, false
 	}
 	d.frame++
 	f = frame{rawLen: int(n), storedLen: int(n), style: FrameRaw}
-	if d.version != StreamVersion3 {
-		return f, true
-	}
 	style := d.read(1)
 	if style == nil {
 		return f, false
@@ -685,11 +575,7 @@ func (d *StreamDecoder) readFrame(dst []byte, f frame) ([]byte, bool) {
 		return nil, false
 	}
 	if crc32.ChecksumIEEE(body) != binary.LittleEndian.Uint32(sum) {
-		if d.version == StreamVersion3 {
-			d.err = fmt.Errorf("%w: frame %d stored CRC", ErrFrame, d.frame)
-		} else {
-			d.err = fmt.Errorf("%w: chunk CRC", ErrBadChecksum)
-		}
+		d.err = fmt.Errorf("%w: frame %d stored CRC", ErrFrame, d.frame)
 		return nil, false
 	}
 	if f.style == FrameLZ4 {
@@ -795,9 +681,6 @@ func (d *StreamDecoder) tagOrEnd() (uint64, error) {
 // Peek returns the tag and type of the next field without consuming it
 // (ErrEndOfSection at a clean end of stream).
 func (d *StreamDecoder) Peek() (tag uint64, typ byte, err error) {
-	if d.mem != nil {
-		return d.mem.Peek()
-	}
 	if d.peeked {
 		return d.ptag, d.ptyp, nil
 	}
@@ -913,9 +796,6 @@ func (d *StreamDecoder) discard(n int) error {
 
 // Uint reads an unsigned integer field with the given tag.
 func (d *StreamDecoder) Uint(tag uint64) (uint64, error) {
-	if d.mem != nil {
-		return d.mem.Uint(tag)
-	}
 	if err := d.header(tag, TypeUint); err != nil {
 		return 0, err
 	}
@@ -924,9 +804,6 @@ func (d *StreamDecoder) Uint(tag uint64) (uint64, error) {
 
 // Int reads a signed integer field with the given tag.
 func (d *StreamDecoder) Int(tag uint64) (int64, error) {
-	if d.mem != nil {
-		return d.mem.Int(tag)
-	}
 	if err := d.header(tag, TypeInt); err != nil {
 		return 0, err
 	}
@@ -936,9 +813,6 @@ func (d *StreamDecoder) Int(tag uint64) (int64, error) {
 // Bytes reads an opaque byte-slice field with the given tag. Unlike
 // Decoder.Bytes, the returned slice is caller-owned.
 func (d *StreamDecoder) Bytes(tag uint64) ([]byte, error) {
-	if d.mem != nil {
-		return d.mem.Bytes(tag)
-	}
 	if err := d.header(tag, TypeBytes); err != nil {
 		return nil, err
 	}
@@ -947,9 +821,6 @@ func (d *StreamDecoder) Bytes(tag uint64) ([]byte, error) {
 
 // String reads a string field with the given tag.
 func (d *StreamDecoder) String(tag uint64) (string, error) {
-	if d.mem != nil {
-		return d.mem.String(tag)
-	}
 	if err := d.header(tag, TypeString); err != nil {
 		return "", err
 	}
@@ -959,9 +830,6 @@ func (d *StreamDecoder) String(tag uint64) (string, error) {
 
 // Bool reads a boolean field with the given tag.
 func (d *StreamDecoder) Bool(tag uint64) (bool, error) {
-	if d.mem != nil {
-		return d.mem.Bool(tag)
-	}
 	if err := d.header(tag, TypeBool); err != nil {
 		return false, err
 	}
@@ -975,9 +843,6 @@ func (d *StreamDecoder) Bool(tag uint64) (bool, error) {
 
 // Float64 reads an IEEE-754 double field with the given tag.
 func (d *StreamDecoder) Float64(tag uint64) (float64, error) {
-	if d.mem != nil {
-		return d.mem.Float64(tag)
-	}
 	if err := d.header(tag, TypeFloat64); err != nil {
 		return 0, err
 	}
@@ -993,9 +858,6 @@ func (d *StreamDecoder) Float64(tag uint64) (float64, error) {
 // in-memory decoder over its (copied) body. Sections are expected to be
 // small metadata groups; bulk data lives in top-level Bytes fields.
 func (d *StreamDecoder) Section(tag uint64) (*Decoder, error) {
-	if d.mem != nil {
-		return d.mem.Section(tag)
-	}
 	if err := d.header(tag, TypeSection); err != nil {
 		return nil, err
 	}
@@ -1009,9 +871,6 @@ func (d *StreamDecoder) Section(tag uint64) (*Decoder, error) {
 // Skip consumes the next field regardless of tag or type. Its bytes are
 // verified like any others but never materialized.
 func (d *StreamDecoder) Skip() error {
-	if d.mem != nil {
-		return d.mem.Skip()
-	}
 	var typ byte
 	if d.peeked {
 		typ = d.ptyp
@@ -1044,21 +903,14 @@ func (d *StreamDecoder) Skip() error {
 	case TypeFloat64:
 		return d.discard(8)
 	default:
-		return fmt.Errorf("imgfmt: unknown wire type %d", typ)
+		return fmt.Errorf("%w: unknown wire type %d", ErrTypeMismatch, typ)
 	}
 }
 
 // Finished verifies that the stream ends cleanly after the last
 // consumed field: no unread fields, terminator present, whole-stream
-// CRC valid. For version-1 streams it checks the in-memory decoder is
-// exhausted (the trailer was validated up front).
+// CRC valid.
 func (d *StreamDecoder) Finished() error {
-	if d.mem != nil {
-		if d.mem.More() {
-			return fmt.Errorf("%w: trailing fields", ErrTagMismatch)
-		}
-		return nil
-	}
 	if _, err := d.tagOrEnd(); err != ErrEndOfSection {
 		if err == nil {
 			return fmt.Errorf("%w: trailing fields", ErrTagMismatch)
@@ -1066,10 +918,4 @@ func (d *StreamDecoder) Finished() error {
 		return err
 	}
 	return nil
-}
-
-// DecodeStream is a convenience wrapper decoding an in-memory record of
-// either version into a StreamDecoder.
-func DecodeStream(data []byte) (*StreamDecoder, error) {
-	return NewStreamDecoder(bytes.NewReader(data))
 }

@@ -121,7 +121,7 @@ func allocated(fn func()) uint64 {
 	return b.TotalAlloc - a.TotalAlloc
 }
 
-// rawFrame hand-builds one version-3 RAW frame.
+// rawFrame hand-builds one RAW frame.
 func rawFrame(payload []byte) []byte {
 	f := append(appendUvarint(nil, uint64(len(payload))), FrameRaw)
 	f = append(f, payload...)
@@ -134,7 +134,7 @@ func rawFrame(payload []byte) []byte {
 func TestForgedLengthAllocatesBounded(t *testing.T) {
 	field := append(appendUvarint(nil, 5), TypeBytes)
 	field = appendUvarint(field, 1<<30)
-	data := appendUvarint([]byte(Magic), StreamVersion3)
+	data := appendUvarint([]byte(Magic), StreamVersion)
 	data = append(data, rawFrame(field)...)
 	data = append(data, rawFrame(incompressible(1, DefaultChunk))...)
 	var err error

@@ -1,10 +1,10 @@
 package imgfmt
 
 // The window-copy stream decoder as it stood before large values were
-// expanded in place, kept verbatim (minus the version-1 passthrough) as
-// the reference StreamDecoder is compared against: every frame is read
-// into a fresh slice, decompressed into another, appended to the window,
-// and every value copied out of the window again.
+// expanded in place, kept (minus the retired format versions) as the
+// reference StreamDecoder is compared against: every frame is read into
+// a fresh slice, decompressed into another, appended to the window, and
+// every value copied out of the window again.
 
 import (
 	"bytes"
@@ -18,13 +18,8 @@ import (
 	"testing"
 )
 
-// errRefV1 reports a version-1 record, which both decoders hand whole
-// to the same in-memory Decoder: there is nothing to compare.
-var errRefV1 = errors.New("reference decoder: version-1 record")
-
 type refStreamDecoder struct {
-	delta   bool
-	version int
+	delta bool
 
 	r     io.Reader
 	win   []byte // verified-but-unconsumed payload window
@@ -40,8 +35,7 @@ type refStreamDecoder struct {
 }
 
 // newRefStreamDecoder reads and validates the record header from r and
-// returns a decoder positioned at the first field (errRefV1 for a
-// version-1 record).
+// returns a decoder positioned at the first field.
 func newRefStreamDecoder(r io.Reader) (*refStreamDecoder, error) {
 	hdr := make([]byte, len(Magic), len(Magic)+binary.MaxVarintLen64)
 	if _, err := io.ReadFull(r, hdr); err != nil {
@@ -60,15 +54,10 @@ func newRefStreamDecoder(r io.Reader) (*refStreamDecoder, error) {
 		return nil, ErrTruncated
 	}
 	hdr = append(hdr, vbytes...)
-	switch ver {
-	case Version:
-		return nil, errRefV1
-	case StreamVersion, StreamVersion3:
-		d.version = int(ver)
-		d.crc = crc32.Update(0, crc32.IEEETable, hdr)
-	default:
+	if ver != StreamVersion {
 		return nil, fmt.Errorf("%w: %d", ErrBadVersion, ver)
 	}
+	d.crc = crc32.Update(0, crc32.IEEETable, hdr)
 	return d, nil
 }
 
@@ -120,34 +109,13 @@ func (d *refStreamDecoder) pull() bool {
 		return false
 	}
 	if n > MaxFrame {
-		if d.version == StreamVersion3 {
-			d.err = fmt.Errorf("%w: frame %d declares %d raw bytes", ErrFrame, d.frame+1, n)
-		} else {
-			d.err = fmt.Errorf("%w: declared payload of %d bytes", ErrFrame, n)
-		}
+		d.err = fmt.Errorf("%w: frame %d declares %d raw bytes", ErrFrame, d.frame+1, n)
 		return false
 	}
 	d.frame++
-	var payload []byte
-	if d.version == StreamVersion3 {
-		if payload = d.pullV3(int(n)); payload == nil {
-			return false
-		}
-	} else {
-		payload = make([]byte, n)
-		if _, err := io.ReadFull(d.r, payload); err != nil {
-			d.err = ErrTruncated
-			return false
-		}
-		var tr [4]byte
-		if _, err := io.ReadFull(d.r, tr[:]); err != nil {
-			d.err = ErrTruncated
-			return false
-		}
-		if crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(tr[:]) {
-			d.err = fmt.Errorf("%w: chunk CRC", ErrBadChecksum)
-			return false
-		}
+	payload := d.pullV3(int(n))
+	if payload == nil {
+		return false
 	}
 	d.crc = crc32.Update(d.crc, crc32.IEEETable, payload)
 	if d.off > 0 {
@@ -158,7 +126,7 @@ func (d *refStreamDecoder) pull() bool {
 	return true
 }
 
-// pullV3 reads the body of one version-3 frame whose raw length has
+// pullV3 reads the body of one frame whose raw length has
 // already been consumed, returning the logical payload or nil with
 // d.err set. Errors name the failing frame (1-based). The stored-byte
 // CRC is verified before any decompression runs.
@@ -459,14 +427,13 @@ func (d *refStreamDecoder) Skip() error {
 		d.off += 8
 		return nil
 	default:
-		return fmt.Errorf("imgfmt: unknown wire type %d", typ)
+		return fmt.Errorf("%w: unknown wire type %d", ErrTypeMismatch, typ)
 	}
 }
 
 // Finished verifies that the stream ends cleanly after the last
 // consumed field: no unread fields, terminator present, whole-stream
-// CRC valid. For version-1 streams it checks the in-memory decoder is
-// exhausted (the trailer was validated up front).
+// CRC valid.
 func (d *refStreamDecoder) Finished() error {
 	if _, err := d.tagOrEnd(); err != ErrEndOfSection {
 		if err == nil {
@@ -564,9 +531,6 @@ func errClass(err error) string {
 func checkMatchesReference(t testing.TB, name string, data []byte, skip uint64) {
 	t.Helper()
 	ref, rerr := newRefStreamDecoder(bytes.NewReader(data))
-	if rerr == errRefV1 {
-		return
-	}
 	got, gerr := NewStreamDecoder(bytes.NewReader(data))
 	var want, have []any
 	if rerr == nil && gerr == nil {
@@ -639,7 +603,6 @@ func TestDecodeMatchesReference(t *testing.T) {
 		{"random", StreamOpts{}, func(n int) []byte { return incompressible(3, n) }},
 		{"mixed", StreamOpts{}, func(n int) []byte { return mixedBytes(4, n) }},
 		{"all-raw", StreamOpts{NoCompress: true}, sparse},
-		{"v2", StreamOpts{Version: StreamVersion}, sparse},
 	}
 	for _, sh := range shapes {
 		for _, n := range sizes {
@@ -670,15 +633,16 @@ func TestDecodeMatchesReference(t *testing.T) {
 
 // shortRecords are records a few hundred bytes long on the wire that
 // still take every path: default-size LZ4 frames ending in a RAW tail,
-// many small frames of both styles with values straddling them, and the
-// version-2 framing.
+// many small frames of both styles with values straddling them, and
+// small frames that are all RAW, so every payload byte is exposed to the
+// corruption sweep.
 func shortRecords(t testing.TB) []namedRecord {
 	v := make([]byte, 2*DefaultChunk+40)
 	copy(v[DefaultChunk-100:], incompressible(9, 200))
 	return []namedRecord{
 		{"default-chunk", mixedRecord(t, StreamOpts{}, 0, v)},
 		{"small-frames", mixedRecord(t, StreamOpts{}, 96, append(incompressible(5, 250), make([]byte, 450)...), make([]byte, 500), incompressible(6, 96))},
-		{"v2", mixedRecord(t, StreamOpts{Version: StreamVersion}, 128, sparse(600))},
+		{"all-raw", mixedRecord(t, StreamOpts{NoCompress: true}, 128, sparse(600))},
 	}
 }
 

@@ -4,18 +4,21 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"hash/crc32"
 	"io"
+	"strings"
 	"testing"
 )
 
-// buildV2 encodes a representative record through the streaming encoder:
-// scalar metadata, a nested section, and a bulk payload larger than the
-// chunk size so multiple frames are exercised.
-func buildV2(t *testing.T, big []byte) []byte {
+// buildRaw encodes a representative record through the streaming encoder
+// with compression off, so every byte of it sits in a RAW frame where a
+// test can find it: scalar metadata, a nested section, and a bulk
+// payload larger than the chunk size so multiple frames are exercised.
+func buildRaw(t *testing.T, big []byte) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	e := NewStreamEncoderOpts(&buf, StreamOpts{Version: StreamVersion})
+	e := NewStreamEncoderOpts(&buf, StreamOpts{NoCompress: true})
 	e.String(1, "pod-0")
 	e.Uint(2, 0x0a000001)
 	e.Int(3, -12345)
@@ -29,51 +32,6 @@ func buildV2(t *testing.T, big []byte) []byte {
 		t.Fatalf("close: %v", err)
 	}
 	return buf.Bytes()
-}
-
-func decodeV2(t *testing.T, data []byte, big []byte) {
-	t.Helper()
-	d, err := NewStreamDecoder(bytes.NewReader(data))
-	if err != nil {
-		t.Fatalf("new decoder: %v", err)
-	}
-	if d.Version() != StreamVersion || d.IsDelta() {
-		t.Fatalf("version=%d delta=%v", d.Version(), d.IsDelta())
-	}
-	if s, err := d.String(1); err != nil || s != "pod-0" {
-		t.Fatalf("string: %q %v", s, err)
-	}
-	if v, err := d.Uint(2); err != nil || v != 0x0a000001 {
-		t.Fatalf("uint: %d %v", v, err)
-	}
-	if v, err := d.Int(3); err != nil || v != -12345 {
-		t.Fatalf("int: %d %v", v, err)
-	}
-	sec, err := d.Section(4)
-	if err != nil {
-		t.Fatalf("section: %v", err)
-	}
-	if v, err := sec.Uint(1); err != nil || v != 9 {
-		t.Fatalf("section uint: %d %v", v, err)
-	}
-	if v, err := sec.Bool(2); err != nil || !v {
-		t.Fatalf("section bool: %v %v", v, err)
-	}
-	got, err := d.Bytes(5)
-	if err != nil || !bytes.Equal(got, big) {
-		t.Fatalf("bytes: %d bytes, %v (want %d)", len(got), err, len(big))
-	}
-	if v, err := d.Float64(6); err != nil || v != 2.75 {
-		t.Fatalf("float: %v %v", v, err)
-	}
-	if err := d.Finished(); err != nil {
-		t.Fatalf("finished: %v", err)
-	}
-}
-
-func TestStreamRoundTripV2(t *testing.T) {
-	big := bytes.Repeat([]byte{0xa5, 0x5a, 7}, (3*DefaultChunk+100)/3)
-	decodeV2(t, buildV2(t, big), big)
 }
 
 // TestStreamEncoderPeakBounded pins the tentpole invariant at the
@@ -96,40 +54,11 @@ func TestStreamEncoderPeakBounded(t *testing.T) {
 	}
 }
 
-// TestStreamDecoderV1 checks a legacy in-memory image reads through the
-// streaming decoder transparently, with Raw exposing the validated
-// record.
-func TestStreamDecoderV1(t *testing.T) {
-	e := NewEncoder()
-	e.Uint(1, 7)
-	e.String(2, "x")
-	img := e.Finish()
-	d, err := NewStreamDecoder(bytes.NewReader(img))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d.Version() != Version || d.IsDelta() {
-		t.Fatalf("version=%d delta=%v", d.Version(), d.IsDelta())
-	}
-	if !bytes.Equal(d.Raw(), img) {
-		t.Fatal("Raw() does not round-trip the v1 record")
-	}
-	if v, err := d.Uint(1); err != nil || v != 7 {
-		t.Fatalf("uint: %d %v", v, err)
-	}
-	if s, err := d.String(2); err != nil || s != "x" {
-		t.Fatalf("string: %q %v", s, err)
-	}
-	if err := d.Finished(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestStreamDecoderTruncated drops bytes off the tail at every length
 // and asserts decode always errors (never hangs, never succeeds).
 func TestStreamDecoderTruncated(t *testing.T) {
 	big := bytes.Repeat([]byte{3}, DefaultChunk+517)
-	whole := buildV2(t, big)
+	whole := buildRaw(t, big)
 	walk := func(data []byte) error {
 		d, err := NewStreamDecoder(bytes.NewReader(data))
 		if err != nil {
@@ -165,11 +94,11 @@ func TestStreamDecoderTruncated(t *testing.T) {
 	}
 }
 
-// TestStreamDecoderBadChunkCRC flips one byte in each frame region and
-// asserts the walk fails with a checksum (or framing) error.
+// TestStreamDecoderBadChunkCRC flips one byte in the header, in a RAW
+// frame's payload and in the trailer, and asserts the walk fails.
 func TestStreamDecoderBadChunkCRC(t *testing.T) {
 	big := bytes.Repeat([]byte{9}, 2*DefaultChunk)
-	whole := buildV2(t, big)
+	whole := buildRaw(t, big)
 	for _, pos := range []int{len(Magic) + 2, len(whole) / 2, len(whole) - 3} {
 		bad := append([]byte(nil), whole...)
 		bad[pos] ^= 0x40
@@ -200,9 +129,7 @@ func TestStreamDecoderBadChunkCRC(t *testing.T) {
 // instead of allocating.
 func TestStreamDecoderHugeDeclaredLength(t *testing.T) {
 	var buf bytes.Buffer
-	buf.WriteString(Magic)
-	hdr := appendUvarint(nil, StreamVersion)
-	buf.Write(hdr)
+	buf.Write(appendUvarint([]byte(Magic), StreamVersion))
 	buf.Write(appendUvarint(nil, 1<<40)) // absurd frame length
 	buf.Write(bytes.Repeat([]byte{0}, 64))
 	d, err := NewStreamDecoder(bytes.NewReader(buf.Bytes()))
@@ -210,28 +137,22 @@ func TestStreamDecoderHugeDeclaredLength(t *testing.T) {
 		t.Fatalf("header rejected: %v", err)
 	}
 	_, _, err = d.Peek()
-	if !errors.Is(err, ErrFrame) && !errors.Is(err, ErrBadChecksum) {
-		t.Fatalf("want frame/checksum error, got %v", err)
+	if !errors.Is(err, ErrFrame) {
+		t.Fatalf("want a frame error, got %v", err)
 	}
 }
 
-// TestStreamDecoderLyingFieldLength: a valid frame whose TLV payload
-// declares a Bytes field longer than the stream. The window only grows
-// by verified frames, so the decode must fail with ErrTruncated without
-// a giant allocation.
+// TestStreamDecoderLyingFieldLength: a valid frame — the last of its
+// stream — whose TLV payload declares a Bytes field longer than
+// everything after it. The destination only grows by verified frames,
+// so the decode must fail with ErrTruncated. (What the failure may
+// allocate is TestForgedLengthAllocatesBounded's to pin.)
 func TestStreamDecoderLyingFieldLength(t *testing.T) {
 	payload := appendUvarint(nil, 5) // tag
 	payload = append(payload, TypeBytes)
 	payload = appendUvarint(payload, 1<<30) // claims 1 GiB
-	var buf bytes.Buffer
-	hdr := appendUvarint([]byte(Magic), StreamVersion)
-	buf.Write(hdr)
-	buf.Write(appendUvarint(nil, uint64(len(payload))))
-	buf.Write(payload)
-	var tr [4]byte
-	binary.LittleEndian.PutUint32(tr[:], crc32.ChecksumIEEE(payload))
-	buf.Write(tr[:])
-	d, err := NewStreamDecoder(bytes.NewReader(buf.Bytes()))
+	data := append(appendUvarint([]byte(Magic), StreamVersion), rawFrame(payload)...)
+	d, err := NewStreamDecoder(bytes.NewReader(data))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,45 +161,41 @@ func TestStreamDecoderLyingFieldLength(t *testing.T) {
 	}
 }
 
-func TestSniffVersion(t *testing.T) {
+// TestStreamDecoderRefusesOldVersions: a header carrying a retired
+// format version — or any but the one written — is refused by number
+// before a byte past the header is read, for both record kinds.
+func TestStreamDecoderRefusesOldVersions(t *testing.T) {
+	for _, tc := range []struct {
+		magic   string
+		version uint64
+	}{{Magic, 1}, {Magic, 2}, {DeltaMagic, 1}, {DeltaMagic, 2}, {Magic, 4}, {Magic, 300}} {
+		hdr := appendUvarint([]byte(tc.magic), tc.version)
+		// A well-formed body follows, so only the version can be at fault.
+		r := bytes.NewReader(append(hdr, rawFrame([]byte{1, TypeUint, 7})...))
+		rest := r.Len() - len(hdr)
+		_, err := NewStreamDecoder(r)
+		if !errors.Is(err, ErrBadVersion) || !strings.Contains(err.Error(), fmt.Sprint(tc.version)) {
+			t.Fatalf("%s version %d: want ErrBadVersion naming it, got %v", tc.magic, tc.version, err)
+		}
+		if r.Len() != rest {
+			t.Fatalf("%s version %d: refused after reading %d bytes past the header", tc.magic, tc.version, rest-r.Len())
+		}
+	}
+	// The program-state blob (Magic, Version 1, no frames) is not a
+	// record either: handed to the record decoder it is an old version.
 	e := NewEncoder()
-	e.Uint(1, 1)
-	v1 := e.Finish()
-	if ver, delta, err := SniffVersion(v1); ver != Version || delta || err != nil {
-		t.Fatalf("v1: %d %v %v", ver, delta, err)
+	e.Uint(1, 7)
+	if _, err := NewStreamDecoder(bytes.NewReader(e.Finish())); !errors.Is(err, ErrBadVersion) {
+		t.Fatalf("program-state blob as a record: want ErrBadVersion, got %v", err)
 	}
-	de := NewDeltaEncoder()
-	de.Uint(1, 1)
-	if ver, delta, err := SniffVersion(de.Finish()); ver != Version || !delta || err != nil {
-		t.Fatalf("v1 delta: %d %v %v", ver, delta, err)
-	}
-	var buf bytes.Buffer
-	se := NewStreamDeltaEncoder(&buf)
-	se.Uint(1, 1)
-	if err := se.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if ver, delta, err := SniffVersion(buf.Bytes()); ver != StreamVersion3 || !delta || err != nil {
-		t.Fatalf("v3 delta: %d %v %v", ver, delta, err)
-	}
-	var buf2 bytes.Buffer
-	se2 := NewStreamDeltaEncoderOpts(&buf2, StreamOpts{Version: StreamVersion})
-	se2.Uint(1, 1)
-	if err := se2.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if ver, delta, err := SniffVersion(buf2.Bytes()); ver != StreamVersion || !delta || err != nil {
-		t.Fatalf("v2 delta: %d %v %v", ver, delta, err)
-	}
-	if _, _, err := SniffVersion([]byte("NOTMAGIC")); !errors.Is(err, ErrBadMagic) {
-		t.Fatalf("bad magic: %v", err)
-	}
-	if _, _, err := SniffVersion([]byte(Magic)); !errors.Is(err, ErrTruncated) {
-		t.Fatalf("short: %v", err)
-	}
-	bad := appendUvarint([]byte(Magic), 9)
-	if _, _, err := SniffVersion(bad); !errors.Is(err, ErrBadVersion) {
-		t.Fatalf("bad version: %v", err)
+	for data, want := range map[string]error{
+		"NOTMAGIC\x03": ErrBadMagic,
+		Magic[:4]:      ErrTruncated,
+		Magic:          ErrTruncated,
+	} {
+		if _, err := NewStreamDecoder(strings.NewReader(data)); !errors.Is(err, want) {
+			t.Fatalf("header %q: want %v, got %v", data, want, err)
+		}
 	}
 }
 

@@ -47,8 +47,8 @@ func decodeV3(t *testing.T, data, big []byte) {
 	if err != nil {
 		t.Fatalf("new decoder: %v", err)
 	}
-	if d.Version() != StreamVersion3 || d.IsDelta() {
-		t.Fatalf("version=%d delta=%v", d.Version(), d.IsDelta())
+	if d.IsDelta() {
+		t.Fatal("full-image record read as a delta")
 	}
 	if s, err := d.String(1); err != nil || s != "pod-0" {
 		t.Fatalf("string: %q %v", s, err)
@@ -69,8 +69,8 @@ func decodeV3(t *testing.T, data, big []byte) {
 }
 
 // TestStreamRoundTripV3 round-trips a multi-frame record through the
-// default (version-3, compressing) encoder and demands the compressible
-// payload actually shrank on the wire.
+// default (compressing) encoder and demands the compressible payload
+// actually shrank on the wire.
 func TestStreamRoundTripV3(t *testing.T) {
 	big := sparse(3*DefaultChunk + 100)
 	enc := buildV3(t, StreamOpts{}, big)
@@ -93,8 +93,8 @@ func TestStreamRoundTripV3Incompressible(t *testing.T) {
 }
 
 // TestV3NoCompress: the NoCompress option stores every frame RAW; the
-// stream stays version 3, decodes identically, and is no smaller than
-// the logical payload.
+// stream decodes identically, and is no smaller than the logical
+// payload.
 func TestV3NoCompress(t *testing.T) {
 	big := sparse(2 * DefaultChunk)
 	raw := buildV3(t, StreamOpts{NoCompress: true}, big)
@@ -152,7 +152,7 @@ func TestV3CorruptNamesFrame(t *testing.T) {
 // not strictly smaller than its raw length; the decoder must reject it
 // as a framing error naming the frame, before any decompression.
 func TestV3BadStoredLength(t *testing.T) {
-	hdr := appendUvarint([]byte(Magic), StreamVersion3)
+	hdr := appendUvarint([]byte(Magic), StreamVersion)
 	frame := appendUvarint(nil, 16)  // rawLen 16
 	frame = append(frame, FrameLZ4)  // compressed style
 	frame = appendUvarint(frame, 16) // storedLen == rawLen: illegal
@@ -170,7 +170,7 @@ func TestV3BadStoredLength(t *testing.T) {
 // TestV3BadStyle: an unknown frame style byte is a framing error naming
 // the frame.
 func TestV3BadStyle(t *testing.T) {
-	hdr := appendUvarint([]byte(Magic), StreamVersion3)
+	hdr := appendUvarint([]byte(Magic), StreamVersion)
 	frame := appendUvarint(nil, 4)
 	frame = append(frame, 0x7f) // unknown style
 	frame = append(frame, make([]byte, 8)...)
@@ -184,8 +184,9 @@ func TestV3BadStyle(t *testing.T) {
 	}
 }
 
-// TestV3TruncatedAlwaysErrors mirrors the v2 truncation sweep: cutting a
-// v3 stream at any byte must error, never hang or succeed.
+// TestV3TruncatedAlwaysErrors is TestStreamDecoderTruncated's sweep over
+// compressed frames: cutting the stream at any byte must error, never
+// hang or succeed.
 func TestV3TruncatedAlwaysErrors(t *testing.T) {
 	big := sparse(DefaultChunk + 517)
 	whole := buildV3(t, StreamOpts{}, big)
@@ -215,43 +216,6 @@ func TestV3TruncatedAlwaysErrors(t *testing.T) {
 		if err := walk(whole[:cut]); err == nil {
 			t.Fatalf("truncation at %d/%d bytes decoded successfully", cut, len(whole))
 		}
-	}
-}
-
-// TestV3DecodesAllVersions: the same logical record written as v1
-// (buffered), v2, and v3 decodes to the same field values through the
-// one streaming decoder — the version sniffing matrix.
-func TestV3DecodesAllVersions(t *testing.T) {
-	big := sparse(DefaultChunk / 2)
-	e1 := NewEncoder()
-	e1.String(1, "pod-0")
-	e1.Uint(2, 0x0a000001)
-	e1.Bytes(5, big)
-	e1.Float64(6, 2.75)
-	v1 := e1.Finish()
-
-	streams := map[string][]byte{
-		"v2": buildV2(t, big),
-		"v3": buildV3(t, StreamOpts{}, big),
-	}
-	for name, data := range streams {
-		d, err := NewStreamDecoder(bytes.NewReader(data))
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if s, _ := d.String(1); s != "pod-0" {
-			t.Fatalf("%s: wrong pod", name)
-		}
-	}
-	d, err := NewStreamDecoder(bytes.NewReader(v1))
-	if err != nil {
-		t.Fatalf("v1: %v", err)
-	}
-	if d.Version() != Version {
-		t.Fatalf("v1 sniffed as %d", d.Version())
-	}
-	if s, _ := d.String(1); s != "pod-0" {
-		t.Fatal("v1: wrong pod")
 	}
 }
 

@@ -15,6 +15,8 @@ const BenchSchema = 1
 // CkptBenchRecord is one run of the checkpoint-pipeline benchmark
 // (cmd/zapc-bench -fig ckpt). Records accumulate in BENCH_ckpt.json so
 // successive runs form a trajectory that zapc-benchdiff can compare.
+// Every figure is modeled (virtual clock) or an exact count; measured
+// host cost is the benchmark module's.
 type CkptBenchRecord struct {
 	// Schema is the record's schema version (see BenchSchema). Zero in
 	// records written before the field existed.
@@ -43,15 +45,11 @@ type CkptBenchRecord struct {
 	DeltaBytes     int64   `json:"delta_bytes"`
 	BytesReduction float64 `json:"bytes_reduction"`
 
-	// EncodeMBps is the host wall-clock serialization throughput of the
-	// parallel encoder over the run's images (MiB/s). This is the
-	// figure zapc-benchdiff guards against regression.
-	EncodeMBps float64 `json:"encode_mbps"`
 	// PeakBufferedBytes is the largest amount of record data any
 	// streaming serializer held in memory at once during the run. The
-	// version-2 chunked format keeps it O(chunk size); zapc-benchdiff
-	// guards it against regression alongside throughput. Zero in
-	// records written before the field existed.
+	// framed record format keeps it O(chunk size); zapc-benchdiff
+	// guards it against regression. Zero in records written before the
+	// field existed.
 	PeakBufferedBytes int64 `json:"peak_buffered_bytes,omitempty"`
 	// SuspendUs is the modeled pod-suspension window of a pre-copy
 	// checkpoint (simulated microseconds, worst pod): SIGSTOP to resume,
@@ -61,14 +59,6 @@ type CkptBenchRecord struct {
 	// Zero in records written before the fields existed.
 	SuspendUs   float64 `json:"suspend_us,omitempty"`
 	ScSuspendUs float64 `json:"sc_suspend_us,omitempty"`
-	// EncodeRawMBps is EncodeMBps with per-frame compression disabled
-	// (version-3 RAW frames), and DecodeMBps / DecodeRawMBps are the
-	// matching deserialization throughputs; together they price the
-	// compression arm of the frame format. Zero in records written
-	// before the fields existed.
-	EncodeRawMBps float64 `json:"encode_raw_mbps,omitempty"`
-	DecodeMBps    float64 `json:"decode_mbps,omitempty"`
-	DecodeRawMBps float64 `json:"decode_raw_mbps,omitempty"`
 	// StoredBytesPerGen is the average physical growth of the
 	// content-deduplicated image store per incremental generation —
 	// unique new blocks plus manifests, after compression and dedup.
@@ -136,8 +126,6 @@ type CkptBenchRecord struct {
 	StandbyStoreRTOUs float64 `json:"standby_store_rto_us,omitempty"`
 	StandbyCatchUpUs  float64 `json:"standby_catch_up_us,omitempty"`
 	StandbyRTOSpeedup float64 `json:"standby_rto_speedup,omitempty"`
-	// WallNs is the host wall-clock time of the whole benchmark run.
-	WallNs int64 `json:"wall_ns"`
 }
 
 // AppendRun appends rec to a trajectory previously serialized with
@@ -174,22 +162,6 @@ func CompareSchema(prev, cur CkptBenchRecord) error {
 	if prev.Schema != cur.Schema {
 		return fmt.Errorf("metrics: bench record schema mismatch: previous record has schema %d, current has schema %d (current tool writes schema %d) — the records are not comparable; delete the stale trajectory file and re-run `zapc-bench -fig ckpt` twice to rebuild a baseline",
 			prev.Schema, cur.Schema, BenchSchema)
-	}
-	return nil
-}
-
-// CompareThroughput checks cur against prev and returns an error when
-// the encode throughput regressed by more than tolPct percent. Other
-// fields are informational; throughput is the guarded metric because it
-// is the only host-hardware-dependent one.
-func CompareThroughput(prev, cur CkptBenchRecord, tolPct float64) error {
-	if prev.EncodeMBps <= 0 {
-		return nil // nothing to compare against
-	}
-	drop := 100 * (prev.EncodeMBps - cur.EncodeMBps) / prev.EncodeMBps
-	if drop > tolPct {
-		return fmt.Errorf("encode throughput regressed %.1f%% (%.1f -> %.1f MiB/s, tolerance %.0f%%)",
-			drop, prev.EncodeMBps, cur.EncodeMBps, tolPct)
 	}
 	return nil
 }

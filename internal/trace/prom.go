@@ -7,7 +7,7 @@ import (
 	"strings"
 )
 
-// Metric naming scheme. Every canonical instrument name must be
+// Metric naming scheme. Every instrument name must be
 // lower_snake_case and carry a suffix declaring its semantics:
 //
 //   - counters end in "_total" (monotone event/byte sums);
@@ -17,8 +17,7 @@ import (
 // The scheme keeps the exposition self-describing — a consumer can
 // tell rates from sizes from latencies without a side-channel schema —
 // and CheckMetricName lets a lint test fail the build when a new
-// instrument violates it. Legacy spellings live in legacyAliases until
-// their consumers migrate.
+// instrument violates it.
 
 // promSuffixes are the accepted unit suffixes for gauges and
 // histograms. "_gens" counts checkpoint generations (the replication
@@ -59,16 +58,11 @@ func CheckMetricName(kind, name string) error {
 	return nil
 }
 
-// CheckNames validates every canonical instrument registered so far
-// against the naming scheme, returning one error per violation sorted
-// by name. Alias rows are exempt — they exist precisely because the old
-// spelling breaks the scheme.
+// CheckNames validates every instrument registered so far against the
+// naming scheme, returning one error per violation sorted by name.
 func (r *Registry) CheckNames() []error {
 	var errs []error
 	for _, p := range r.Snapshot() {
-		if p.AliasOf != "" {
-			continue
-		}
 		if err := CheckMetricName(p.Kind, p.Name); err != nil {
 			errs = append(errs, err)
 		}
@@ -80,16 +74,9 @@ func (r *Registry) CheckNames() []error {
 // WriteProm writes the registry in the Prometheus text exposition
 // format: families sorted by name, one # TYPE line each, histograms
 // expanded into cumulative power-of-two le-buckets plus _sum/_count.
-// Output is byte-deterministic for a given registry state. Alias rows
-// are skipped — exposing both spellings would double-count the series.
+// Output is byte-deterministic for a given registry state.
 func (r *Registry) WriteProm(w io.Writer) error {
-	snap := r.Snapshot()
-	points := make([]MetricPoint, 0, len(snap))
-	for _, p := range snap {
-		if p.AliasOf == "" {
-			points = append(points, p)
-		}
-	}
+	points := r.Snapshot()
 	sort.Slice(points, func(i, j int) bool {
 		if points[i].Name != points[j].Name {
 			return points[i].Name < points[j].Name

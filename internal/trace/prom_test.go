@@ -41,8 +41,8 @@ func TestCheckMetricName(t *testing.T) {
 }
 
 // TestRegistryCheckNames is the lint satellite's unit form: a registry
-// holding only conforming names passes, one bad instrument is reported,
-// and alias rows are exempt.
+// holding only conforming names passes and one bad instrument is
+// reported.
 func TestRegistryCheckNames(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("good_events_total").Add(1)
@@ -51,12 +51,6 @@ func TestRegistryCheckNames(t *testing.T) {
 	if errs := r.CheckNames(); len(errs) != 0 {
 		t.Fatalf("conforming registry flagged: %v", errs)
 	}
-	// A legacy spelling resolves to its canonical instrument, so it must
-	// not introduce a violation.
-	r.Counter("netstack_drained_msgs").Add(5)
-	if errs := r.CheckNames(); len(errs) != 0 {
-		t.Fatalf("legacy alias flagged: %v", errs)
-	}
 	r.Gauge("bare_gauge").Set(1)
 	errs := r.CheckNames()
 	if len(errs) != 1 || !strings.Contains(errs[0].Error(), "bare_gauge") {
@@ -64,40 +58,9 @@ func TestRegistryCheckNames(t *testing.T) {
 	}
 }
 
-// TestLegacyAliases checks that legacy spellings and canonical names
-// address the same instrument, and that Snapshot carries the alias rows
-// with matching values.
-func TestLegacyAliases(t *testing.T) {
-	r := NewRegistry()
-	r.Counter("netstack_drained_msgs").Add(3)
-	r.Counter("netstack_drained_msgs_total").Add(4)
-	if got := r.Counter("netstack_drained_msgs_total").Value(); got != 7 {
-		t.Fatalf("alias and canonical must share a counter: got %d", got)
-	}
-	snap := r.Snapshot()
-	var canon, alias *MetricPoint
-	for i := range snap {
-		switch snap[i].Name {
-		case "netstack_drained_msgs_total":
-			canon = &snap[i]
-		case "netstack_drained_msgs":
-			alias = &snap[i]
-		}
-	}
-	if canon == nil || alias == nil {
-		t.Fatalf("snapshot missing canonical or alias row: %+v", snap)
-	}
-	if canon.AliasOf != "" {
-		t.Fatalf("canonical row marked as alias: %+v", canon)
-	}
-	if alias.AliasOf != "netstack_drained_msgs_total" || alias.Value != canon.Value {
-		t.Fatalf("alias row must mirror the canonical instrument: %+v vs %+v", alias, canon)
-	}
-}
-
 // TestWriteProm checks the exposition format on a fixed registry:
 // families sorted, # TYPE lines, cumulative power-of-two buckets with
-// +Inf/_sum/_count, aliases excluded, and byte determinism.
+// +Inf/_sum/_count, and byte determinism.
 func TestWriteProm(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("zz_events_total").Add(10)
@@ -106,7 +69,7 @@ func TestWriteProm(t *testing.T) {
 	h.Observe(1) // bucket 0: v < 2
 	h.Observe(3) // bucket 1: v < 4
 	h.Observe(3)
-	r.Counter("netstack_drained_msgs").Add(9) // via alias
+	r.Counter("netstack_drained_msgs_total").Add(9)
 
 	var buf bytes.Buffer
 	if err := r.WriteProm(&buf); err != nil {
@@ -130,9 +93,6 @@ func TestWriteProm(t *testing.T) {
 	}, "\n")
 	if got != want {
 		t.Fatalf("exposition mismatch:\n--- got ---\n%s--- want ---\n%s", got, want)
-	}
-	if strings.Contains(got, "netstack_drained_msgs ") {
-		t.Fatal("alias spelling leaked into the exposition")
 	}
 	var buf2 bytes.Buffer
 	if err := r.WriteProm(&buf2); err != nil {

@@ -139,35 +139,12 @@ func (h *Histogram) Sum() int64 {
 	return h.sum.Load()
 }
 
-// legacyAliases maps metric names that predate the unit-suffix naming
-// scheme (see CheckMetricName) to their canonical replacements. Lookups
-// under a legacy name resolve to the canonical instrument, and Snapshot
-// emits an extra alias row per legacy name so downstream consumers keyed
-// on the old spelling keep working.
-var legacyAliases = map[string]string{
-	"netstack_drained_msgs":     "netstack_drained_msgs_total",
-	"netstack_drained_bytes":    "netstack_drained_bytes_total",
-	"netstack_reinjected_msgs":  "netstack_reinjected_msgs_total",
-	"netstack_reinjected_bytes": "netstack_reinjected_bytes_total",
-}
-
-// canonicalName resolves a possibly-legacy metric name to its canonical
-// form.
-func canonicalName(name string) string {
-	if c, ok := legacyAliases[name]; ok {
-		return c
-	}
-	return name
-}
-
-// Counter returns the named counter, creating it on first use. Legacy
-// pre-scheme names resolve to their canonical instrument. A nil
+// Counter returns the named counter, creating it on first use. A nil
 // registry returns a nil (no-op) counter.
 func (r *Registry) Counter(name string) *Counter {
 	if r == nil {
 		return nil
 	}
-	name = canonicalName(name)
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	c := r.counters[name]
@@ -184,7 +161,6 @@ func (r *Registry) Gauge(name string) *Gauge {
 	if r == nil {
 		return nil
 	}
-	name = canonicalName(name)
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	g := r.gauges[name]
@@ -201,7 +177,6 @@ func (r *Registry) Histogram(name string) *Histogram {
 	if r == nil {
 		return nil
 	}
-	name = canonicalName(name)
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	h := r.hists[name]
@@ -224,11 +199,6 @@ type MetricPoint struct {
 	// Buckets holds the non-empty histogram buckets as "2^i:count"
 	// strings, ascending (nil otherwise).
 	Buckets []string `json:"buckets,omitempty"`
-	// AliasOf names the canonical metric this row mirrors when Name is
-	// a legacy pre-scheme spelling ("" for canonical rows). Alias rows
-	// carry the same values as their canonical row and exist only for
-	// consumers keyed on the old name.
-	AliasOf string `json:"alias_of,omitempty"`
 }
 
 // Snapshot returns every instrument sorted by (kind, name) — a
@@ -254,25 +224,6 @@ func (r *Registry) Snapshot() []MetricPoint {
 			}
 		}
 		out = append(out, p)
-	}
-	// Back-compat alias rows for legacy names whose canonical
-	// instrument is registered.
-	for legacy, canon := range legacyAliases {
-		if c, ok := r.counters[canon]; ok {
-			out = append(out, MetricPoint{Name: legacy, Kind: "counter", Value: c.Value(), AliasOf: canon})
-		}
-		if g, ok := r.gauges[canon]; ok {
-			out = append(out, MetricPoint{Name: legacy, Kind: "gauge", Value: g.Value(), AliasOf: canon})
-		}
-		if h, ok := r.hists[canon]; ok {
-			p := MetricPoint{Name: legacy, Kind: "histogram", Value: h.Count(), Sum: h.Sum(), AliasOf: canon}
-			for i := 0; i < HistBuckets; i++ {
-				if n := h.buckets[i].Load(); n > 0 {
-					p.Buckets = append(p.Buckets, fmt.Sprintf("2^%d:%d", i, n))
-				}
-			}
-			out = append(out, p)
-		}
 	}
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Kind != out[j].Kind {

@@ -9,7 +9,6 @@ package zapc_test
 // iteration on its budget rather than looping forever.
 
 import (
-	"bytes"
 	"fmt"
 	"testing"
 
@@ -140,7 +139,7 @@ func TestPrecopyRestoreEquivalence(t *testing.T) {
 				if err != nil {
 					t.Fatalf("pod %v: chain: %v", vip, err)
 				}
-				if !bytes.Equal(rebuilt.Encode(), img.Encode()) {
+				if !sameImage(rebuilt, img) {
 					t.Fatalf("pod %v: pre-copy chain reconstruction differs from the materialized image", vip)
 				}
 			}
@@ -224,7 +223,7 @@ func TestPrecopyBudgetTermination(t *testing.T) {
 	}
 
 	// The cap is on bytes actually resent on the wire; churn's sparse
-	// hot set compresses hard under v3 frames, so the cap sits well
+	// hot set compresses hard in LZ4 frames, so the cap sits well
 	// below the compressed per-round resend volume.
 	reasons, _ = stopReasons(&zapc.PrecopyOptions{MaxRounds: 20, MaxResentBytes: 4 << 10})
 	if reasons["byte-budget"] == 0 {

@@ -18,7 +18,7 @@ import (
 
 // TestCheckpointPeakBufferingBounded checkpoints the largest pipeline
 // bench workload shape (cpi, eight endpoints) with paper-meaningful
-// image sizes and asserts the invariant the version-2 format exists
+// image sizes and asserts the invariant the framed record format exists
 // for: no serializer ever buffered more than a quarter of its pod's
 // image — in practice it holds a chunk plus the largest metadata
 // section.

@@ -163,8 +163,8 @@ func TestTraceReaderRejectsGarbage(t *testing.T) {
 // end: a fresh record carries the current schema, and mixing it with a
 // pre-versioning record is refused.
 func TestBenchSchemaGuard(t *testing.T) {
-	cur := zapc.CkptBenchRecord{Schema: zapc.BenchSchema, EncodeMBps: 100}
-	old := zapc.CkptBenchRecord{EncodeMBps: 100} // schema 0: written before versioning
+	cur := zapc.CkptBenchRecord{Schema: zapc.BenchSchema, SimSpeedup: 2}
+	old := zapc.CkptBenchRecord{SimSpeedup: 2} // schema 0: written before versioning
 	if err := zapc.CompareBenchSchema(cur, cur); err != nil {
 		t.Fatalf("same-schema records must compare: %v", err)
 	}

@@ -197,12 +197,6 @@ func DecodeBenchTrajectory(data []byte) ([]CkptBenchRecord, error) {
 // HumanBytes formats a byte count the way the paper's tables do.
 func HumanBytes(n int64) string { return metrics.HumanBytes(n) }
 
-// CompareBenchThroughput fails when cur's encode throughput regressed
-// more than tolPct percent below prev's (zapc-benchdiff's check).
-func CompareBenchThroughput(prev, cur CkptBenchRecord, tolPct float64) error {
-	return metrics.CompareThroughput(prev, cur, tolPct)
-}
-
 // CompareBenchPeakBuffered fails when cur's peak streaming buffer grew
 // more than tolPct percent above prev's (zapc-benchdiff's guard that no
 // path went back to materializing whole images).
