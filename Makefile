@@ -1,21 +1,22 @@
 GO ?= go
 FUZZTIME ?= 5s
-BENCH_OUT ?= BENCH_ckpt.json
 # Shared flags for every race-enabled scenario gate, so new gates pick
 # up the same detector and caching policy by default.
 GOTESTFLAGS ?= -race -count=1
 GOTEST = $(GO) test $(GOTESTFLAGS)
 
-.PHONY: ci fmt vet build test race race-precopy fuzz chaos dedup-check scale-check obs-check standby-check bench-module host-bench cover bench benchdiff trace-check examples clean
+.PHONY: ci fmt vet boundary build test race race-precopy fuzz chaos dedup-check scale-check obs-check standby-check bench-module host-bench cover bench baseline trace-check examples clean
 
-# Full CI gate: static checks, a clean build, the race-enabled suite,
-# the pre-copy live-checkpoint scenario under the race detector, short
+# Full CI gate: static checks, the package-boundary check, a clean
+# build, the race-enabled suite (which holds the modeled-baseline
+# equality gate, TestModeledBaseline), the pre-copy live-checkpoint
+# scenario under the race detector, short
 # fuzzing of the image-format decoders, trace determinism, the chaos
 # fuzzer sweep + corpus replay gate, the dedup-store layout gate, the
 # coordination-tree scaling gate, the observability/availability gate,
 # the warm-standby replication gate, the nested benchmark module (which
 # `./...` from the root does not reach), and coverage totals.
-ci: fmt vet build race race-precopy fuzz trace-check chaos dedup-check scale-check obs-check standby-check bench-module cover
+ci: fmt vet boundary build race race-precopy fuzz trace-check chaos dedup-check scale-check obs-check standby-check bench-module cover
 
 # gofmt gate: fails listing any file that is not gofmt-clean.
 fmt:
@@ -23,6 +24,18 @@ fmt:
 
 vet:
 	$(GO) vet ./...
+
+# Package-boundary gate: the root package is the facade file and
+# nothing else, and it re-exports no tooling — the bench harness
+# (internal/experiments, internal/metrics) and the chaos fuzzer are
+# imported by cmd/ directly.
+boundary:
+	@files="$$($(GO) list -f '{{join .GoFiles " "}}' .)"; \
+	if [ "$$files" != "zapc.go" ]; then echo "boundary: root package must hold zapc.go only, has: $$files"; exit 1; fi
+	@for p in $$($(GO) list -f '{{join .Imports " "}}' .); do \
+		case $$p in zapc/internal/metrics|zapc/internal/chaos|zapc/internal/experiments) \
+			echo "boundary: zapc.go must not import $$p"; exit 1;; esac; \
+	done
 
 build:
 	$(GO) build ./...
@@ -90,21 +103,19 @@ dedup-check:
 
 # Coordination-tree scaling gate: the topology unit suite, the
 # cross-topology bit-identity property, and the full 1024-pod scaling
-# point (flat star vs fan-out-16 tree), all under -race, then the
-# benchdiff coordination-barrier comparison against the recorded
-# trajectory.
+# point (flat star vs fan-out-16 tree), all under -race. The 256-pod
+# barrier and root-message figures are held by the modeled baseline.
 scale-check:
 	$(GOTEST) ./internal/coord
 	$(GOTEST) -run '^TestCoordCrossTopologyBitIdentity$$|^TestCoordScalingSublinear$$' .
 	ZAPC_SCALE=1 $(GOTEST) -timeout 30m -run '^TestCoordScaling1024$$' .
-	$(GO) run ./cmd/zapc-benchdiff $(BENCH_OUT)
 
 # Observability gate: the trace-analyzer and metric-naming unit suites
-# under -race, the failover RTO/RPO scenario gates (determinism, bench
+# under -race, the failover RTO/RPO scenario gates (determinism, record
 # stamping, naming lint over the canonical scenario), byte-determinism
-# of the critical-path render across two same-seed runs, a strict
-# dangling-span check on the canonical trace, and the benchdiff RTO
-# comparison against the recorded trajectory. The nil-tracer wall-clock
+# of the critical-path render across two same-seed runs, and a strict
+# dangling-span check on the canonical trace. The RTO/RPO figures
+# themselves are held by the modeled baseline. The nil-tracer wall-clock
 # overhead bound lives here, not in `go test ./...` (build tag obscheck,
 # no race detector): a 1 % timing threshold is a gate to run on a quiet
 # host, and tier-1 pins the same path with an allocation count instead.
@@ -122,20 +133,19 @@ obs-check:
 	sed "s,$$dir/b,TRACE," $$dir/b.txt > $$dir/b.norm && \
 	cmp $$dir/a.norm $$dir/b.norm && echo "obs-check: critical-path render deterministic ($$(wc -l < $$dir/a.norm) lines)"; \
 	st=$$?; rm -rf $$dir; exit $$st
-	$(GO) run ./cmd/zapc-benchdiff $(BENCH_OUT)
 
 # Warm-standby replication gate: the plane's unit suite (shipping,
 # CRC-verified apply, watermark resume, promotion handover), the
 # supervisor's ack-pinned GC scenario, and the end-to-end standby
 # scenarios — promoted-vs-store speedup floor, cross-path result
 # equivalence, shadow byte-identity, trace determinism, and the
-# standby_* metric lint — all under -race, then the benchdiff gate
-# holding the recorded standby RTO and speedup floor.
+# standby_* metric lint — all under -race. The standby RTO and speedup
+# figures are held by the modeled baseline; the 10x floor is
+# TestStandbyRTOSpeedup's.
 standby-check:
 	$(GOTEST) ./internal/standby
 	$(GOTEST) -run '^TestGCPinsUnackedGenerations$$' ./internal/supervisor
 	$(GOTEST) -timeout 20m -run '^TestStandby' .
-	$(GO) run ./cmd/zapc-benchdiff $(BENCH_OUT)
 
 # The host-cost benchmark is its own module (benchmark/go.mod) so nothing
 # depends on it; it compiles against internal/ckpt and internal/imgfmt,
@@ -154,19 +164,20 @@ cover:
 	$(GO) test -coverprofile=coverage.out ./...
 	$(GO) tool cover -func=coverage.out | tail -1
 
-# Benchmarks across every package, then the checkpoint-pipeline
-# trajectory run and its regression gate (>25% growth of peak buffered
-# bytes, the pre-copy suspend window, stored bytes per generation, the
-# coordination barrier or an RTO vs the previous record fails), then the
+# Benchmarks across every package, then the checkpoint-pipeline run
+# (tables and the modeled record's summary, nothing written) and the
 # traced pipeline run with its phase/metric summary.
 bench:
 	$(GO) test -bench=. -benchmem ./...
-	$(GO) run ./cmd/zapc-bench -fig ckpt -out $(BENCH_OUT)
-	$(GO) run ./cmd/zapc-benchdiff $(BENCH_OUT)
+	$(GO) run ./cmd/zapc-bench -fig ckpt
 	$(GO) run ./cmd/zapc-bench -fig trace
 
-benchdiff:
-	$(GO) run ./cmd/zapc-benchdiff $(BENCH_OUT)
+# Regenerate the committed modeled record that TestModeledBaseline
+# compares against for equality. Run it only for a change that moves a
+# modeled figure on purpose, and say in the PR which model change moved
+# which field (EXPERIMENTS.md, "Modeled baseline").
+baseline:
+	$(GO) run ./cmd/zapc-bench -fig ckpt -out testdata/modeled_baseline.json
 
 examples:
 	$(GO) run ./examples/quickstart

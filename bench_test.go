@@ -21,12 +21,13 @@ import (
 	"testing"
 
 	"zapc"
+	"zapc/internal/experiments"
 )
 
 // benchCfg keeps the benchmark suite fast while preserving shape;
 // cmd/zapc-bench runs the same harness at full fidelity.
-func benchCfg() zapc.ExperimentConfig {
-	return zapc.ExperimentConfig{
+func benchCfg() experiments.Config {
+	return experiments.Config{
 		Scale:       1.0 / 64,
 		Work:        0.1,
 		Checkpoints: 5,
@@ -46,10 +47,10 @@ func BenchmarkFig5(b *testing.B) {
 	for _, app := range zapc.Apps() {
 		for _, n := range benchSizes(app) {
 			b.Run(fmt.Sprintf("%s/n=%d", app, n), func(b *testing.B) {
-				var row zapc.Fig5Row
+				var row experiments.Fig5Row
 				var err error
 				for i := 0; i < b.N; i++ {
-					row, err = zapc.RunFig5(benchCfg(), app, n)
+					row, err = experiments.RunFig5(benchCfg(), app, n)
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -66,10 +67,10 @@ func BenchmarkFig6a(b *testing.B) {
 	for _, app := range zapc.Apps() {
 		for _, n := range benchSizes(app) {
 			b.Run(fmt.Sprintf("%s/n=%d", app, n), func(b *testing.B) {
-				var row zapc.Fig6Row
+				var row experiments.Fig6Row
 				var err error
 				for i := 0; i < b.N; i++ {
-					row, err = zapc.RunFig6(benchCfg(), app, n)
+					row, err = experiments.RunFig6(benchCfg(), app, n)
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -86,10 +87,10 @@ func BenchmarkFig6b(b *testing.B) {
 	for _, app := range zapc.Apps() {
 		for _, n := range benchSizes(app) {
 			b.Run(fmt.Sprintf("%s/n=%d", app, n), func(b *testing.B) {
-				var row zapc.Fig6Row
+				var row experiments.Fig6Row
 				var err error
 				for i := 0; i < b.N; i++ {
-					row, err = zapc.RunFig6(benchCfg(), app, n)
+					row, err = experiments.RunFig6(benchCfg(), app, n)
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -106,10 +107,10 @@ func BenchmarkFig6c(b *testing.B) {
 	for _, app := range zapc.Apps() {
 		for _, n := range benchSizes(app) {
 			b.Run(fmt.Sprintf("%s/n=%d", app, n), func(b *testing.B) {
-				var row zapc.Fig6Row
+				var row experiments.Fig6Row
 				var err error
 				for i := 0; i < b.N; i++ {
-					row, err = zapc.RunFig6(benchCfg(), app, n)
+					row, err = experiments.RunFig6(benchCfg(), app, n)
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -127,10 +128,10 @@ func BenchmarkFig6c(b *testing.B) {
 func BenchmarkNetworkState(b *testing.B) {
 	for _, n := range []int{4, 16} {
 		b.Run(fmt.Sprintf("cpi/n=%d", n), func(b *testing.B) {
-			var row zapc.Fig6Row
+			var row experiments.Fig6Row
 			var err error
 			for i := 0; i < b.N; i++ {
-				row, err = zapc.RunFig6(benchCfg(), "cpi", n)
+				row, err = experiments.RunFig6(benchCfg(), "cpi", n)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -145,15 +146,15 @@ func BenchmarkNetworkState(b *testing.B) {
 // pipeline: modeled coordinated-checkpoint time sequential vs pooled
 // and the wire economics of delta generations (the benchmark's own
 // ns/op is the harness's host cost). cmd/zapc-bench -fig ckpt runs the
-// same harness and appends the results to the BENCH_ckpt.json
-// trajectory.
+// same harness at full fidelity; its 8-pod row is part of the committed
+// modeled baseline.
 func BenchmarkCkptPipeline(b *testing.B) {
 	for _, n := range []int{4, 8} {
 		b.Run(fmt.Sprintf("cpi/n=%d", n), func(b *testing.B) {
-			var row zapc.CkptPipelineRow
+			var row experiments.CkptPipelineRow
 			var err error
 			for i := 0; i < b.N; i++ {
-				row, err = zapc.RunCkptPipeline(benchCfg(), "cpi", n, 4)
+				row, err = experiments.RunCkptPipeline(benchCfg(), "cpi", n)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -173,10 +174,10 @@ func BenchmarkCkptPipeline(b *testing.B) {
 func BenchmarkAblationSyncPlacement(b *testing.B) {
 	for _, app := range []string{"cpi", "bt"} {
 		b.Run(app, func(b *testing.B) {
-			var row zapc.SyncAblationRow
+			var row experiments.SyncAblationRow
 			var err error
 			for i := 0; i < b.N; i++ {
-				row, err = zapc.RunSyncAblation(benchCfg(), app, 4)
+				row, err = experiments.RunSyncAblation(benchCfg(), app, 4)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -190,10 +191,10 @@ func BenchmarkAblationSyncPlacement(b *testing.B) {
 // BenchmarkAblationSendQueueRedirect measures design choice A2: folding
 // send-queue data into the peer's checkpoint stream during migration.
 func BenchmarkAblationSendQueueRedirect(b *testing.B) {
-	var row zapc.RedirectAblationRow
+	var row experiments.RedirectAblationRow
 	var err error
 	for i := 0; i < b.N; i++ {
-		row, err = zapc.RunRedirectAblation(benchCfg(), "bt", 4)
+		row, err = experiments.RunRedirectAblation(benchCfg(), "bt", 4)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -207,10 +208,10 @@ func BenchmarkAblationSendQueueRedirect(b *testing.B) {
 func BenchmarkAblationReconnect(b *testing.B) {
 	for _, n := range []int{4, 9, 16} {
 		b.Run(fmt.Sprintf("bt/n=%d", n), func(b *testing.B) {
-			var row zapc.ReconnectScalingRow
+			var row experiments.ReconnectScalingRow
 			var err error
 			for i := 0; i < b.N; i++ {
-				row, err = zapc.RunReconnectScaling(benchCfg(), n)
+				row, err = experiments.RunReconnectScaling(benchCfg(), n)
 				if err != nil {
 					b.Fatal(err)
 				}

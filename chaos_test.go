@@ -3,7 +3,7 @@ package zapc_test
 import (
 	"testing"
 
-	"zapc"
+	"zapc/internal/chaos"
 )
 
 // TestChaosCorpusReplays is the regression gate over the chaos corpus:
@@ -15,7 +15,7 @@ import (
 // consciously regenerated (zapc-chaos -out testdata/chaos) with the
 // new verdict reviewed.
 func TestChaosCorpusReplays(t *testing.T) {
-	fixtures, names, err := zapc.LoadChaosCorpus("testdata/chaos")
+	fixtures, names, err := chaos.LoadCorpus("testdata/chaos")
 	if err != nil {
 		t.Fatal(err)
 	}

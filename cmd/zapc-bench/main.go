@@ -18,13 +18,14 @@
 //	zapc-bench -fig rto        # failover RTO/RPO sweep + standby-vs-store comparison
 //	zapc-bench -fig all        # everything
 //
-// -fig ckpt additionally appends one record per run to the trajectory
-// file named by -out (default BENCH_ckpt.json); zapc-benchdiff compares
-// the last two records and fails on an encode-throughput regression.
+// -fig ckpt additionally computes the modeled record (see EXPERIMENTS.md,
+// "Modeled baseline") and, with -out FILE, overwrites FILE with it;
+// `make baseline` writes testdata/modeled_baseline.json this way, and a
+// tier-1 test fails unless a recomputed record equals that file.
 //
 // -fig trace runs the canonical supervised crash-and-failover scenario
-// with tracing enabled and writes two artifacts alongside the
-// trajectory file: a JSONL event log (-events, default BENCH_trace.jsonl)
+// with tracing enabled and writes two artifacts: a JSONL event log
+// (-events, default BENCH_trace.jsonl)
 // and a Chrome trace-event timeline (-trace, default BENCH_trace.json)
 // that loads directly in ui.perfetto.dev. Both are byte-deterministic
 // for a fixed -seed.
@@ -40,17 +41,15 @@ import (
 	"fmt"
 	"os"
 	"strings"
-	"time"
 
-	"zapc"
+	"zapc/internal/apps"
+	"zapc/internal/cluster"
+	"zapc/internal/core"
+	"zapc/internal/experiments"
+	"zapc/internal/metrics"
+	"zapc/internal/sim"
+	"zapc/internal/trace"
 )
-
-// coordBenchCfg shrinks the workload for the coordination-scaling
-// points: the control plane is what is being measured, so the
-// footprints are tiny and points up to 1024 pods stay cheap.
-func coordBenchCfg(cfg zapc.ExperimentConfig) zapc.ExperimentConfig {
-	return zapc.ExperimentConfig{Scale: 0.002, Work: 0.02, Seed: cfg.Seed}
-}
 
 func main() {
 	fig := flag.String("fig", "all", "figure to regenerate: 5, 6a, 6b, 6c, net, timeline, sync, redirect, reconnect, ckpt, coord, trace, rto, all")
@@ -59,20 +58,19 @@ func main() {
 	ckpts := flag.Int("ckpts", 10, "checkpoints per measured run")
 	appsFlag := flag.String("apps", "", "comma-separated app subset (default: all four)")
 	seed := flag.Int64("seed", 2005, "simulation seed")
-	workers := flag.Int("workers", 0, "checkpoint worker-pool width for -fig ckpt (<=0: one per host CPU)")
-	out := flag.String("out", "BENCH_ckpt.json", "trajectory file appended by -fig ckpt")
+	out := flag.String("out", "", "file -fig ckpt overwrites with the modeled record (default: not written)")
 	traceOut := flag.String("trace", "BENCH_trace.json", "Chrome trace-event timeline written by -fig trace")
 	eventsOut := flag.String("events", "BENCH_trace.jsonl", "JSONL event log written by -fig trace")
 	flag.Parse()
 
-	cfg := zapc.ExperimentConfig{
+	cfg := experiments.Config{
 		Scale:       *scale,
 		Work:        *work,
 		Checkpoints: *ckpts,
 		Seed:        *seed,
 		WithDaemons: true,
 	}
-	appList := zapc.Apps()
+	appList := apps.Names()
 	if *appsFlag != "" {
 		appList = strings.Split(*appsFlag, ",")
 	}
@@ -87,14 +85,14 @@ func main() {
 		}
 	}
 
-	var fig6 []zapc.Fig6Row
-	fig6For := func() ([]zapc.Fig6Row, error) {
+	var fig6 []experiments.Fig6Row
+	fig6For := func() ([]experiments.Fig6Row, error) {
 		if fig6 != nil {
 			return fig6, nil
 		}
 		for _, app := range appList {
-			for _, n := range zapc.NodeCounts(app) {
-				row, err := zapc.RunFig6(cfg, app, n)
+			for _, n := range experiments.NodeCounts(app) {
+				row, err := experiments.RunFig6(cfg, app, n)
 				if err != nil {
 					return nil, err
 				}
@@ -106,17 +104,17 @@ func main() {
 
 	run("5", func() error {
 		fmt.Println("== Figure 5: application completion time, Base (vanilla) vs ZapC pods ==")
-		var rows []zapc.Fig5Row
+		var rows []experiments.Fig5Row
 		for _, app := range appList {
-			for _, n := range zapc.NodeCounts(app) {
-				row, err := zapc.RunFig5(cfg, app, n)
+			for _, n := range experiments.NodeCounts(app) {
+				row, err := experiments.RunFig5(cfg, app, n)
 				if err != nil {
 					return err
 				}
 				rows = append(rows, row)
 			}
 		}
-		fmt.Println(zapc.Fig5Table(rows))
+		fmt.Println(experiments.Fig5Table(rows))
 		return nil
 	})
 
@@ -126,7 +124,7 @@ func main() {
 			return err
 		}
 		fmt.Println("== Figure 6a: coordinated checkpoint times (10 snapshots/run) ==")
-		fmt.Println(zapc.Fig6aTable(rows))
+		fmt.Println(experiments.Fig6aTable(rows))
 		return nil
 	})
 
@@ -136,7 +134,7 @@ func main() {
 			return err
 		}
 		fmt.Println("== Figure 6b: coordinated restart times (from a mid-run image) ==")
-		fmt.Println(zapc.Fig6bTable(rows))
+		fmt.Println(experiments.Fig6bTable(rows))
 		return nil
 	})
 
@@ -146,7 +144,7 @@ func main() {
 			return err
 		}
 		fmt.Println("== Figure 6c: largest-pod checkpoint image sizes ==")
-		fmt.Println(zapc.Fig6cTable(rows, cfg.Scale))
+		fmt.Println(experiments.Fig6cTable(rows, cfg.Scale))
 		return nil
 	})
 
@@ -167,19 +165,19 @@ func main() {
 	run("timeline", func() error {
 		fmt.Println("== Figure 2: coordinated checkpoint timeline (one bar per agent) ==")
 		fmt.Println("   S=suspend+block  N=network ckpt  C=standalone ckpt  .=sync/ctrl wait")
-		c := zapc.New(zapc.Config{Nodes: 4, Seed: cfg.Seed})
-		job, err := c.Launch(zapc.JobSpec{App: "bt", Endpoints: 4, Work: cfg.Work, Scale: cfg.Scale, WithDaemons: true})
+		c := cluster.New(cluster.Config{Nodes: 4, Seed: cfg.Seed})
+		job, err := c.Launch(cluster.JobSpec{App: "bt", Endpoints: 4, Work: cfg.Work, Scale: cfg.Scale, WithDaemons: true})
 		if err != nil {
 			return err
 		}
-		if err := c.Drive(func() bool { return job.Progress() >= 0.4 }, 3600*zapc.Second); err != nil {
+		if err := c.Drive(func() bool { return job.Progress() >= 0.4 }, 3600*sim.Second); err != nil {
 			return err
 		}
-		res, err := c.Checkpoint(job, zapc.CheckpointOptions{Mode: zapc.Snapshot})
+		res, err := c.Checkpoint(job, core.Options{Mode: core.Snapshot})
 		if err != nil {
 			return err
 		}
-		var maxT zapc.Duration
+		var maxT sim.Duration
 		for _, a := range res.Stats.Agents {
 			if a.Total > maxT {
 				maxT = a.Total
@@ -187,7 +185,7 @@ func main() {
 		}
 		const width = 64
 		for _, a := range res.Stats.Agents {
-			seg := func(d zapc.Duration, ch byte) string {
+			seg := func(d sim.Duration, ch byte) string {
 				n := int(float64(d) / float64(maxT) * width)
 				if d > 0 && n == 0 {
 					n = 1
@@ -212,7 +210,7 @@ func main() {
 	run("sync", func() error {
 		fmt.Println("== Ablation A1: single-sync overlap (Figure 2) vs naive ordering ==")
 		for _, app := range appList {
-			row, err := zapc.RunSyncAblation(cfg, app, 4)
+			row, err := experiments.RunSyncAblation(cfg, app, 4)
 			if err != nil {
 				return err
 			}
@@ -225,7 +223,7 @@ func main() {
 
 	run("redirect", func() error {
 		fmt.Println("== Ablation A2: send-queue redirect during migration (§5) ==")
-		row, err := zapc.RunRedirectAblation(cfg, "bt", 4)
+		row, err := experiments.RunRedirectAblation(cfg, "bt", 4)
 		if err != nil {
 			return err
 		}
@@ -237,48 +235,31 @@ func main() {
 
 	run("ckpt", func() error {
 		fmt.Println("== Parallel + incremental checkpoint pipeline ==")
-		var rows []zapc.CkptPipelineRow
-		for _, n := range []int{4, 8} {
-			row, err := zapc.RunCkptPipeline(cfg, "cpi", n, *workers)
+		row4, err := experiments.RunCkptPipeline(cfg, "cpi", 4)
+		if err != nil {
+			return err
+		}
+		rec, row8, err := experiments.RunModeled(cfg)
+		if err != nil {
+			return err
+		}
+		fmt.Println(experiments.CkptPipelineTable([]experiments.CkptPipelineRow{row4, row8}))
+		dest := ""
+		if *out != "" {
+			data, err := rec.JSON()
 			if err != nil {
 				return err
 			}
-			rows = append(rows, row)
+			if err := os.WriteFile(*out, data, 0o644); err != nil {
+				return err
+			}
+			dest = " written to " + *out
 		}
-		fmt.Println(zapc.CkptPipelineTable(rows))
-		// Append the 8-pod row to the trajectory so successive runs are
-		// comparable with zapc-benchdiff. One coordination scaling point
-		// (256 pods, fan-out 16) rides along so the benchdiff gate also
-		// covers the tree barrier.
-		rec := rows[len(rows)-1].Record(cfg, time.Now().UTC().Format(time.RFC3339))
-		coordRow, err := zapc.RunCoordScaling(coordBenchCfg(cfg), 256, 16)
-		if err != nil {
-			return err
-		}
-		coordRow.Stamp(&rec)
-		// One failover-availability point (the canonical 4-pod supervised
-		// crash) rides along so the benchdiff gate also covers RTO/RPO —
-		// measured as the standby-vs-store pair, so the same run stamps
-		// the store-restore decomposition and the promoted-standby
-		// speedup that zapc-benchdiff holds to the 10x floor.
-		sbRes, err := zapc.RunStandbyRTO(cfg, 4, 0, true)
-		if err != nil {
-			return err
-		}
-		sbRes.Store.Stamp(&rec)
-		sbRes.Stamp(&rec)
-		prev, err := os.ReadFile(*out)
-		if err != nil && !os.IsNotExist(err) {
-			return err
-		}
-		if err := os.WriteFile(*out, zapc.AppendBenchRun(prev, rec), 0o644); err != nil {
-			return err
-		}
-		fmt.Printf("appended run to %s (sim-speedup %.2fx, delta reduction %.1fx, peak buffered %d B)\n",
-			*out, rec.SimSpeedup, rec.BytesReduction, rec.PeakBufferedBytes)
+		fmt.Printf("modeled record%s (sim-speedup %.2fx, delta reduction %.1fx, peak buffered %d B)\n",
+			dest, rec.SimSpeedup, rec.BytesReduction, rec.PeakBufferedBytes)
 		fmt.Printf("pre-copy downtime: suspend %.0f us vs stop-and-copy %.0f us (%.1fx) in %d rounds, %s resent\n",
 			rec.SuspendUs, rec.ScSuspendUs, rec.ScSuspendUs/rec.SuspendUs,
-			rec.PrecopyRounds, zapc.HumanBytes(rec.PrecopyResentBytes))
+			rec.PrecopyRounds, metrics.HumanBytes(rec.PrecopyResentBytes))
 		fmt.Printf("coordination: %d pods fan-out %d barrier %.0f us (flat %.0f us), root msgs %d (flat %d)\n",
 			rec.CoordPods, rec.CoordFanout, rec.CoordBarrierUs, rec.CoordFlatBarrierUs,
 			rec.CoordRootMsgs, rec.CoordFlatRootMsgs)
@@ -292,51 +273,43 @@ func main() {
 
 	run("rto", func() error {
 		fmt.Println("== Failover availability: RTO decomposition, flat vs fan-out 16, full vs incremental chains ==")
-		var rows []zapc.FailoverRTORow
+		// Each standby-vs-store pair's store arm is the plain failover
+		// point at the same configuration and seed, so the four pairs
+		// feed both tables.
+		var rows []experiments.FailoverRTORow
+		var pairs []experiments.StandbyRTOResult
 		for _, pt := range []struct {
 			pods, fanout int
 			incremental  bool
 		}{
 			{4, 0, false}, {4, 0, true}, {18, 16, false}, {18, 16, true},
 		} {
-			row, err := zapc.RunFailoverRTO(cfg, pt.pods, pt.fanout, pt.incremental)
+			pair, err := experiments.RunStandbyRTO(cfg, pt.pods, pt.fanout, pt.incremental)
 			if err != nil {
 				return err
 			}
-			rows = append(rows, row)
-		}
-		fmt.Println(zapc.FailoverRTOTable(rows))
-		fmt.Println("== Warm standby vs store restore: both failover paths on the same seed ==")
-		var pairs []zapc.StandbyRTOResult
-		for _, pt := range []struct {
-			pods, fanout int
-			incremental  bool
-		}{
-			{4, 0, false}, {4, 0, true}, {18, 16, false}, {18, 16, true},
-		} {
-			pair, err := zapc.RunStandbyRTO(cfg, pt.pods, pt.fanout, pt.incremental)
-			if err != nil {
-				return err
-			}
+			rows = append(rows, pair.Store)
 			pairs = append(pairs, pair)
 		}
-		fmt.Println(zapc.StandbyRTOTable(pairs))
+		fmt.Println(experiments.FailoverRTOTable(rows))
+		fmt.Println("== Warm standby vs store restore: both failover paths on the same seed ==")
+		fmt.Println(experiments.StandbyRTOTable(pairs))
 		return nil
 	})
 
 	run("coord", func() error {
 		fmt.Println("== Coordination-tree scaling: flat star vs fan-out 16 tree ==")
-		rows, err := zapc.RunCoordScalingAll(coordBenchCfg(cfg), 16)
+		rows, err := experiments.RunCoordScalingAll(experiments.CoordScalingConfig(cfg), 16)
 		if err != nil {
 			return err
 		}
-		fmt.Println(zapc.CoordScalingTable(rows))
+		fmt.Println(experiments.CoordScalingTable(rows))
 		return nil
 	})
 
 	run("trace", func() error {
 		fmt.Println("== Traced checkpoint–failover–restart pipeline ==")
-		res, err := zapc.RunTraceScenario(cfg)
+		res, err := experiments.RunTraceScenario(cfg)
 		if err != nil {
 			return err
 		}
@@ -351,14 +324,14 @@ func main() {
 		if err := ef.Close(); err != nil {
 			return err
 		}
-		chrome, err := zapc.ChromeTraceBytes(res.Tracer.Events())
+		chrome, err := trace.ChromeTrace(res.Tracer.Events())
 		if err != nil {
 			return err
 		}
 		if err := os.WriteFile(*traceOut, chrome, 0o644); err != nil {
 			return err
 		}
-		fmt.Println(zapc.TracePhaseSummary(res.Tracer.Events()))
+		fmt.Println(trace.PhaseSummary(res.Tracer.Events()))
 		fmt.Println(res.Metrics.Summary())
 		fmt.Printf("scenario: %d checkpoints, %d failover(s), %d fault(s) fired, result %.6f\n",
 			res.Stats.Checkpoints, res.Stats.Failovers, len(res.Faults), res.Result)
@@ -370,7 +343,7 @@ func main() {
 	run("reconnect", func() error {
 		fmt.Println("== Ablation A3: two-actor reconnection scaling (no deadlock schedule) ==")
 		for _, n := range []int{4, 9, 16} {
-			row, err := zapc.RunReconnectScaling(cfg, n)
+			row, err := experiments.RunReconnectScaling(cfg, n)
 			if err != nil {
 				return err
 			}

@@ -34,7 +34,6 @@ import (
 	"path/filepath"
 	"strings"
 
-	"zapc"
 	"zapc/internal/chaos"
 )
 
@@ -53,13 +52,13 @@ func main() {
 }
 
 func sweep(from, to int64, out, traceDir string) int {
-	base := zapc.DefaultChaosConfig()
-	results, err := zapc.ChaosSweep(base, from, to)
+	base := chaos.DefaultConfig()
+	results, err := chaos.Sweep(base, from, to)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "zapc-chaos: %v\n", err)
 		return 1
 	}
-	counts := map[zapc.ChaosOutcome]int{}
+	counts := map[chaos.Outcome]int{}
 	bugs := 0
 	for _, res := range results {
 		counts[res.Verdict.Outcome]++
@@ -68,7 +67,7 @@ func sweep(from, to int64, out, traceDir string) int {
 			mark = "!!"
 			bugs++
 		}
-		if res.Verdict.Outcome != zapc.ChaosRecovered {
+		if res.Verdict.Outcome != chaos.OutRecovered {
 			fmt.Printf("%s seed %4d  %s\n", mark, res.Seed, res.Verdict)
 			if res.Verdict.Detail != "" {
 				fmt.Printf("     %s\n", res.Verdict.Detail)
@@ -76,8 +75,8 @@ func sweep(from, to int64, out, traceDir string) int {
 		}
 	}
 	fmt.Printf("swept seeds %d..%d: ", from, to)
-	for _, o := range []zapc.ChaosOutcome{zapc.ChaosRecovered, zapc.ChaosNamedError,
-		zapc.ChaosHang, zapc.ChaosCorruptState, zapc.ChaosUnnamedError} {
+	for _, o := range []chaos.Outcome{chaos.OutRecovered, chaos.OutNamedError,
+		chaos.OutHang, chaos.OutCorrupt, chaos.OutUnnamedError} {
 		if counts[o] > 0 {
 			fmt.Printf("%s=%d ", o, counts[o])
 		}
@@ -85,13 +84,13 @@ func sweep(from, to int64, out, traceDir string) int {
 	fmt.Println()
 
 	if out != "" {
-		corpus, err := zapc.BuildChaosCorpus(results)
+		corpus, err := chaos.BuildCorpus(results)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "zapc-chaos: %v\n", err)
 			return 1
 		}
 		for _, f := range corpus {
-			path, err := zapc.WriteChaosFixture(out, f)
+			path, err := chaos.WriteFixture(out, f)
 			if err != nil {
 				fmt.Fprintf(os.Stderr, "zapc-chaos: %v\n", err)
 				return 1
@@ -114,12 +113,12 @@ func sweep(from, to int64, out, traceDir string) int {
 
 // exportTraces re-runs every non-recovered seed traced and writes its
 // Perfetto timeline.
-func exportTraces(results []zapc.ChaosSweepResult, dir string) error {
+func exportTraces(results []chaos.SweepResult, dir string) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
 	for _, res := range results {
-		if res.Verdict.Outcome == zapc.ChaosRecovered {
+		if res.Verdict.Outcome == chaos.OutRecovered {
 			continue
 		}
 		_, tr, _, err := chaos.NewRunner(res.Config).RunTraced(res.Seed, res.Schedule)
@@ -144,7 +143,7 @@ func exportTraces(results []zapc.ChaosSweepResult, dir string) error {
 }
 
 func replayCorpus(path string) int {
-	var fixtures []zapc.ChaosFixture
+	var fixtures []chaos.Fixture
 	var names []string
 	if info, err := os.Stat(path); err == nil && !info.IsDir() {
 		f, err := chaos.LoadFixture(path)
@@ -152,10 +151,10 @@ func replayCorpus(path string) int {
 			fmt.Fprintf(os.Stderr, "zapc-chaos: %v\n", err)
 			return 1
 		}
-		fixtures, names = []zapc.ChaosFixture{f}, []string{filepath.Base(path)}
+		fixtures, names = []chaos.Fixture{f}, []string{filepath.Base(path)}
 	} else {
 		var err error
-		fixtures, names, err = zapc.LoadChaosCorpus(path)
+		fixtures, names, err = chaos.LoadCorpus(path)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "zapc-chaos: %v\n", err)
 			return 1

@@ -11,10 +11,10 @@ import (
 	"os"
 	"testing"
 
-	"zapc"
+	"zapc/internal/experiments"
 )
 
-var coordScaleCfg = zapc.ExperimentConfig{Scale: 0.002, Work: 0.02}
+var coordScaleCfg = experiments.Config{Scale: 0.002, Work: 0.02}
 
 // TestCoordScalingSublinear sweeps N in {4, 64, 256} at fanout 16: flat
 // root traffic stays O(N) while the tree root's is bounded by
@@ -22,9 +22,9 @@ var coordScaleCfg = zapc.ExperimentConfig{Scale: 0.002, Work: 0.02}
 // pod count.
 func TestCoordScalingSublinear(t *testing.T) {
 	const fanout = 16
-	var rows []zapc.CoordScalingRow
+	var rows []experiments.CoordScalingRow
 	for _, n := range []int{4, 64, 256} {
-		row, err := zapc.RunCoordScaling(coordScaleCfg, n, fanout)
+		row, err := experiments.RunCoordScaling(coordScaleCfg, n, fanout)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -70,7 +70,7 @@ func TestCoordScaling1024(t *testing.T) {
 		t.Skip("set ZAPC_SCALE=1 to run the 1024-pod scaling point (make scale-check)")
 	}
 	const n, fanout = 1024, 16
-	row, err := zapc.RunCoordScaling(coordScaleCfg, n, fanout)
+	row, err := experiments.RunCoordScaling(coordScaleCfg, n, fanout)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -329,13 +329,10 @@ func (r *Runner) run(seed int64, sched faultinject.Schedule, traced bool) (Verdi
 		feedTrunc = plane.Trunc()
 	}
 
-	inj := faultinject.New(c.W, c.FS)
-	inj.ObservePhases(c.Mgr)
-	inj.InterposeCtrl(c.Mgr)
+	inj := c.NewFaultInjector()
 	// Heartbeats share the control plane: drop/delay faults perturb the
 	// failure detector too, not just coordinated operations.
 	sup.SetCtrlHook(inj.CtrlHook())
-	inj.SetTracer(c.Tracer(), c.Metrics())
 	inj.SetProgressProbe(job.Progress, 0)
 
 	steps, err := sched.Bind(faultinject.Env{Nodes: c.Nodes, Mgr: c.Mgr, Trunc: trunc, FeedTrunc: feedTrunc})

@@ -297,7 +297,7 @@ func FuzzDecodeDelta(f *testing.F) {
 }
 
 // Benchmarks for the capture+encode pipeline at several pool widths;
-// the cmd/zapc-bench trajectory uses the same shape.
+// cmd/zapc-bench -fig ckpt uses the same shape.
 func BenchmarkCheckpointEncode(b *testing.B) {
 	for _, workers := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {

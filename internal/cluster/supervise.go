@@ -7,6 +7,7 @@ import (
 
 	"zapc/internal/ckpt"
 	"zapc/internal/core"
+	"zapc/internal/faultinject"
 	"zapc/internal/pod"
 	"zapc/internal/sim"
 	"zapc/internal/supervisor"
@@ -106,4 +107,16 @@ func (c *Cluster) Supervise(j *Job, pol supervisor.Policy) (*supervisor.Supervis
 	s.SetTracer(c.tr, c.reg)
 	s.Start()
 	return s, nil
+}
+
+// NewFaultInjector creates a fault injector wired to the cluster's
+// simulation world, shared filesystem, and manager control plane. If
+// the cluster has tracing enabled, fired faults appear on the timeline
+// as instants on the "faults" track.
+func (c *Cluster) NewFaultInjector() *faultinject.Injector {
+	inj := faultinject.New(c.W, c.FS)
+	inj.ObservePhases(c.Mgr)
+	inj.InterposeCtrl(c.Mgr)
+	inj.SetTracer(c.tr, c.reg)
+	return inj
 }

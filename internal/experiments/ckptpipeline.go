@@ -1,11 +1,13 @@
-package zapc
+package experiments
 
 import (
 	"fmt"
 
 	"zapc/internal/ckpt"
+	"zapc/internal/cluster"
 	"zapc/internal/core"
 	"zapc/internal/metrics"
+	"zapc/internal/sim"
 )
 
 // CkptPipelineRow reports one run of the parallel/incremental
@@ -20,8 +22,8 @@ type CkptPipelineRow struct {
 	Workers int
 
 	// Modeled coordinated-checkpoint time, Workers=1 vs Workers=N.
-	SeqCkpt    Duration
-	ParCkpt    Duration
+	SeqCkpt    sim.Duration
+	ParCkpt    sim.Duration
 	SimSpeedup float64
 
 	// Average wire bytes per generation, full vs delta, over the
@@ -43,8 +45,8 @@ type CkptPipelineRow struct {
 	// iteration buys. PrecopyRounds counts the live copy rounds (base
 	// included) and PrecopyResentBytes the extra wire bytes those
 	// re-copies cost over a single full image.
-	ScSuspend          Duration
-	PrecopySuspend     Duration
+	ScSuspend          sim.Duration
+	PrecopySuspend     sim.Duration
 	SuspendReduction   float64
 	PrecopyRounds      int
 	PrecopyResentBytes int64
@@ -60,7 +62,7 @@ type CkptPipelineRow struct {
 
 // ckptAt drives the job to the given progress and takes one snapshot
 // checkpoint with the given options, returning the result.
-func ckptAt(c *Cluster, job *Job, target float64, opts core.Options) (*core.CheckpointResult, error) {
+func ckptAt(c *cluster.Cluster, job *cluster.Job, target float64, opts core.Options) (*core.CheckpointResult, error) {
 	if err := c.Drive(func() bool { return job.Progress() >= target || job.Finished() }, runDeadline); err != nil {
 		return nil, err
 	}
@@ -71,21 +73,19 @@ func ckptAt(c *Cluster, job *Job, target float64, opts core.Options) (*core.Chec
 }
 
 // RunCkptPipeline measures the checkpoint pipeline for one (app,
-// endpoints) configuration. workers <= 0 selects one worker per host
-// CPU, floored at 4 so the parallel arm stays meaningful on small
-// hosts (the modeled pool width does not require host cores). The
-// sequential and parallel arms run the same seed, so the two modeled
-// checkpoint times differ only by the worker-pool width; the
-// incremental arm takes cfg.Checkpoints snapshots through an IncrSet
-// and reports the full-vs-delta wire economics. Every figure is modeled
-// or an exact count; host cost is the benchmark module's to measure.
-func RunCkptPipeline(cfg ExperimentConfig, app string, endpoints, workers int) (CkptPipelineRow, error) {
+// endpoints) configuration. The sequential and parallel arms run the
+// same seed, so the two modeled checkpoint times differ only by the
+// worker-pool width; the incremental arm takes cfg.Checkpoints
+// snapshots through an IncrSet and reports the full-vs-delta wire
+// economics. Every figure is modeled or an exact count; host cost is
+// the benchmark module's to measure.
+func RunCkptPipeline(cfg Config, app string, endpoints int) (CkptPipelineRow, error) {
 	cfg = cfg.defaults()
-	if workers <= 0 {
-		if workers = ckpt.DefaultWorkers(); workers < 4 {
-			workers = 4
-		}
-	}
+	// The pool width is a constant, not the host's CPU count: the
+	// modeled pool does not need host cores, and a record that echoed
+	// the host could not be compared for equality with the committed
+	// baseline.
+	const workers = 4
 	row := CkptPipelineRow{App: app, Pods: endpoints, Workers: workers}
 
 	// --- Arm 1+2: sequential vs parallel modeled checkpoint time on
@@ -212,33 +212,6 @@ func RunCkptPipeline(cfg ExperimentConfig, app string, endpoints, workers int) (
 		row.LogicalBytesPerGen = ded.Usage().LogicalBytes / int64(n)
 	}
 	return row, nil
-}
-
-// Record converts a row into the JSON trajectory record appended to
-// BENCH_ckpt.json.
-func (r CkptPipelineRow) Record(cfg ExperimentConfig, when string) metrics.CkptBenchRecord {
-	cfg = cfg.defaults()
-	return metrics.CkptBenchRecord{
-		Schema:             metrics.BenchSchema,
-		When:               when,
-		Seed:               cfg.Seed,
-		Pods:               r.Pods,
-		Procs:              r.Procs,
-		Workers:            r.Workers,
-		SeqSimMs:           float64(r.SeqCkpt) / 1e6,
-		ParSimMs:           float64(r.ParCkpt) / 1e6,
-		SimSpeedup:         r.SimSpeedup,
-		FullBytes:          r.FullBytes,
-		DeltaBytes:         r.DeltaBytes,
-		BytesReduction:     r.BytesReduction,
-		PeakBufferedBytes:  r.PeakBufferedBytes,
-		SuspendUs:          float64(r.PrecopySuspend) / 1e3,
-		ScSuspendUs:        float64(r.ScSuspend) / 1e3,
-		PrecopyRounds:      r.PrecopyRounds,
-		PrecopyResentBytes: r.PrecopyResentBytes,
-		StoredBytesPerGen:  r.StoredBytesPerGen,
-		LogicalBytesPerGen: r.LogicalBytesPerGen,
-	}
 }
 
 // CkptPipelineTable formats pipeline rows for terminal output.

@@ -1,4 +1,10 @@
-package zapc
+// Package experiments is the evaluation harness: the scenarios that
+// regenerate the paper's figures (§6), the design-choice ablations, the
+// checkpoint-pipeline, coordination-scaling and failover-availability
+// experiments, and the modeled baseline record the repository commits
+// (RunModeled). cmd/zapc-bench and the root package's tests drive it; it
+// is built on the internal packages directly, not on the zapc facade.
+package experiments
 
 import (
 	"fmt"
@@ -9,9 +15,9 @@ import (
 	"zapc/internal/sim"
 )
 
-// ExperimentConfig tunes the evaluation harness that regenerates the
-// paper's figures.
-type ExperimentConfig struct {
+// Config tunes the evaluation harness that regenerates the paper's
+// figures.
+type Config struct {
 	// Scale multiplies the paper-scale memory footprints (default 1/16
 	// so the suite runs comfortably on a laptop; 1.0 reproduces the
 	// paper's absolute image sizes).
@@ -28,7 +34,7 @@ type ExperimentConfig struct {
 	WithDaemons bool
 }
 
-func (c ExperimentConfig) defaults() ExperimentConfig {
+func (c Config) defaults() Config {
 	if c.Scale == 0 {
 		c.Scale = 1.0 / 16
 	}
@@ -57,7 +63,7 @@ func NodeCounts(app string) []int {
 // clusterFor reproduces the paper's hardware configurations: up to
 // eight uniprocessor nodes; the sixteen-endpoint configuration uses
 // eight dual-processor nodes (two pods per node).
-func clusterFor(endpoints int, cfg ExperimentConfig) *cluster.Cluster {
+func clusterFor(endpoints int, cfg Config) *cluster.Cluster {
 	nodes, cpus := endpoints, 1
 	if endpoints > 9 {
 		nodes, cpus = (endpoints+1)/2, 2
@@ -69,7 +75,7 @@ func clusterFor(endpoints int, cfg ExperimentConfig) *cluster.Cluster {
 	return cluster.New(cluster.Config{Nodes: nodes, CPUsPerNode: cpus, Seed: cfg.Seed, Costs: &costs})
 }
 
-func (c ExperimentConfig) spec(app string, endpoints int, base bool) cluster.JobSpec {
+func (c Config) spec(app string, endpoints int, base bool) cluster.JobSpec {
 	return cluster.JobSpec{
 		App:         app,
 		Endpoints:   endpoints,
@@ -87,14 +93,14 @@ const runDeadline = 4 * 3600 * sim.Second
 type Fig5Row struct {
 	App       string
 	Endpoints int
-	Base      Duration
-	ZapC      Duration
+	Base      sim.Duration
+	ZapC      sim.Duration
 	// OverheadPct is the relative virtualization cost in percent.
 	OverheadPct float64
 }
 
 // RunFig5 measures one Figure 5 point.
-func RunFig5(cfg ExperimentConfig, app string, endpoints int) (Fig5Row, error) {
+func RunFig5(cfg Config, app string, endpoints int) (Fig5Row, error) {
 	cfg = cfg.defaults()
 	row := Fig5Row{App: app, Endpoints: endpoints}
 	for _, base := range []bool{true, false} {
@@ -117,21 +123,6 @@ func RunFig5(cfg ExperimentConfig, app string, endpoints int) (Fig5Row, error) {
 	return row, nil
 }
 
-// RunFig5All measures the full Figure 5 sweep.
-func RunFig5All(cfg ExperimentConfig) ([]Fig5Row, error) {
-	var rows []Fig5Row
-	for _, app := range Apps() {
-		for _, n := range NodeCounts(app) {
-			row, err := RunFig5(cfg, app, n)
-			if err != nil {
-				return rows, err
-			}
-			rows = append(rows, row)
-		}
-	}
-	return rows, nil
-}
-
 // Fig6Row is one point of Figure 6 (a: checkpoint times, b: restart
 // times, c: image sizes) plus the in-text network-state series.
 type Fig6Row struct {
@@ -139,17 +130,17 @@ type Fig6Row struct {
 	Endpoints int
 
 	// Figure 6a: checkpoint times over cfg.Checkpoints snapshots.
-	CkptMean Duration
-	CkptStd  Duration
-	CkptMax  Duration
+	CkptMean sim.Duration
+	CkptStd  sim.Duration
+	CkptMax  sim.Duration
 	// Network-state checkpoint time (per-agent max over the run).
-	NetCkptMax Duration
+	NetCkptMax sim.Duration
 
 	// Figure 6b: restart time from a mid-run image.
-	Restart Duration
+	Restart sim.Duration
 	// Network-state restart time (per-agent max).
-	NetRestoreMax Duration
-	StandaloneMax Duration
+	NetRestoreMax sim.Duration
+	StandaloneMax sim.Duration
 
 	// Figure 6c: largest pod image (mean over snapshots) and the
 	// model-projected paper-scale size.
@@ -162,7 +153,7 @@ type Fig6Row struct {
 // RunFig6 measures one (app, endpoints) cell of Figure 6: it takes
 // cfg.Checkpoints snapshots evenly spread over a run (6a, 6c), then
 // re-runs, migrates at mid-run, and reports the restart breakdown (6b).
-func RunFig6(cfg ExperimentConfig, app string, endpoints int) (Fig6Row, error) {
+func RunFig6(cfg Config, app string, endpoints int) (Fig6Row, error) {
 	cfg = cfg.defaults()
 	row := Fig6Row{App: app, Endpoints: endpoints}
 
@@ -196,10 +187,10 @@ func RunFig6(cfg ExperimentConfig, app string, endpoints int) (Fig6Row, error) {
 	if _, err := c.RunJob(job, runDeadline); err != nil {
 		return row, fmt.Errorf("fig6a %s/%d completion: %w", app, endpoints, err)
 	}
-	row.CkptMean = Duration(tTotal.Mean())
-	row.CkptStd = Duration(tTotal.Std())
-	row.CkptMax = Duration(tTotal.Max())
-	row.NetCkptMax = Duration(tNet.Max())
+	row.CkptMean = sim.Duration(tTotal.Mean())
+	row.CkptStd = sim.Duration(tTotal.Std())
+	row.CkptMax = sim.Duration(tTotal.Max())
+	row.NetCkptMax = sim.Duration(tNet.Max())
 	row.MaxImage = int64(imgMax.Mean())
 	row.ProjectedImage = int64(imgMax.Mean() / cfg.Scale)
 	row.NetStateBytes = int64(netBytes.Max())
@@ -237,28 +228,13 @@ func RunFig6(cfg ExperimentConfig, app string, endpoints int) (Fig6Row, error) {
 	return row, nil
 }
 
-// RunFig6All measures the full Figure 6 sweep.
-func RunFig6All(cfg ExperimentConfig) ([]Fig6Row, error) {
-	var rows []Fig6Row
-	for _, app := range Apps() {
-		for _, n := range NodeCounts(app) {
-			row, err := RunFig6(cfg, app, n)
-			if err != nil {
-				return rows, err
-			}
-			rows = append(rows, row)
-		}
-	}
-	return rows, nil
-}
-
 // SyncAblationRow compares the paper's overlapped single-sync design
 // (Figure 2) against the naive wait-for-continue ordering.
 type SyncAblationRow struct {
 	App        string
 	Endpoints  int
-	Overlapped Duration
-	Naive      Duration
+	Overlapped sim.Duration
+	Naive      sim.Duration
 }
 
 // RunSyncAblation measures ablation A1 for one configuration. The
@@ -266,7 +242,7 @@ type SyncAblationRow struct {
 // from anywhere"), so the synchronization round trip is a campus-link
 // 5 ms rather than a switch hop — the latency the Figure 2 overlap
 // hides.
-func RunSyncAblation(cfg ExperimentConfig, app string, endpoints int) (SyncAblationRow, error) {
+func RunSyncAblation(cfg Config, app string, endpoints int) (SyncAblationRow, error) {
 	cfg = cfg.defaults()
 	row := SyncAblationRow{App: app, Endpoints: endpoints}
 	for _, naive := range []bool{false, true} {
@@ -299,8 +275,8 @@ type RedirectAblationRow struct {
 	Endpoints       int
 	PlainWireBytes  int64
 	RedirWireBytes  int64
-	PlainRestart    Duration
-	RedirectRestart Duration
+	PlainRestart    sim.Duration
+	RedirectRestart sim.Duration
 }
 
 // RunRedirectAblation measures ablation A2: the job is migrated while
@@ -308,7 +284,7 @@ type RedirectAblationRow struct {
 // outage lets every in-flight halo pile up unacked, the situation the
 // optimization targets); wire bytes moved during the migration are
 // compared with and without the redirect.
-func RunRedirectAblation(cfg ExperimentConfig, app string, endpoints int) (RedirectAblationRow, error) {
+func RunRedirectAblation(cfg Config, app string, endpoints int) (RedirectAblationRow, error) {
 	cfg = cfg.defaults()
 	row := RedirectAblationRow{App: app, Endpoints: endpoints}
 	for _, redirect := range []bool{false, true} {
@@ -357,12 +333,12 @@ type ReconnectScalingRow struct {
 	App         string
 	Endpoints   int
 	Connections int
-	NetRestore  Duration
+	NetRestore  sim.Duration
 }
 
 // RunReconnectScaling measures one A3 point using the
 // communication-heavy BT mesh.
-func RunReconnectScaling(cfg ExperimentConfig, endpoints int) (ReconnectScalingRow, error) {
+func RunReconnectScaling(cfg Config, endpoints int) (ReconnectScalingRow, error) {
 	cfg = cfg.defaults()
 	row := ReconnectScalingRow{App: "bt", Endpoints: endpoints}
 	c := clusterFor(endpoints, cfg)
@@ -409,11 +385,11 @@ type CoordScalingRow struct {
 	Depth  int
 	// Barrier / FlatBarrier are the fan-out barrier spans (manager
 	// invocation to the last agent's start receipt).
-	Barrier     Duration
-	FlatBarrier Duration
+	Barrier     sim.Duration
+	FlatBarrier sim.Duration
 	// Suspend / FlatSuspend are the worst-pod suspend windows.
-	Suspend     Duration
-	FlatSuspend Duration
+	Suspend     sim.Duration
+	FlatSuspend sim.Duration
 	// RootMsgs / FlatRootMsgs count control messages the root sent or
 	// received over the whole operation.
 	RootMsgs     int64
@@ -426,12 +402,19 @@ type CoordScalingRow struct {
 // experiment keeps the latency-only legacy control plane.
 const coordScalingPerMsg = 25 * sim.Microsecond
 
+// CoordScalingConfig shrinks the workload for the coordination-scaling
+// points: the control plane is what is being measured, so the
+// footprints are tiny and points up to 1024 pods stay cheap.
+func CoordScalingConfig(cfg Config) Config {
+	return Config{Scale: 0.002, Work: 0.02, Seed: cfg.Seed}
+}
+
 // RunCoordScaling measures one coordination-scaling point: pods
 // endpoints checkpointed stop-and-copy, flat vs tree-of-fanout, same
 // seed. The workload is shrunk hard (tiny footprints, no daemons) so
 // the control plane dominates and points up to 1024 pods stay cheap to
 // simulate.
-func RunCoordScaling(cfg ExperimentConfig, pods, fanout int) (CoordScalingRow, error) {
+func RunCoordScaling(cfg Config, pods, fanout int) (CoordScalingRow, error) {
 	cfg = cfg.defaults()
 	row := CoordScalingRow{Pods: pods, Fanout: fanout}
 	for _, tree := range []bool{false, true} {
@@ -469,23 +452,11 @@ func RunCoordScaling(cfg ExperimentConfig, pods, fanout int) (CoordScalingRow, e
 	return row, nil
 }
 
-// Stamp writes the scaling point into a bench trajectory record so
-// zapc-benchdiff can gate the coordination barrier across runs.
-func (r CoordScalingRow) Stamp(rec *metrics.CkptBenchRecord) {
-	rec.CoordPods = r.Pods
-	rec.CoordFanout = r.Fanout
-	rec.CoordDepth = r.Depth
-	rec.CoordRootMsgs = r.RootMsgs
-	rec.CoordFlatRootMsgs = r.FlatRootMsgs
-	rec.CoordBarrierUs = float64(r.Barrier) / 1e3
-	rec.CoordFlatBarrierUs = float64(r.FlatBarrier) / 1e3
-}
-
 // CoordScalingCounts is the pod-count sweep of the scaling experiment.
 func CoordScalingCounts() []int { return []int{4, 64, 256, 1024} }
 
 // RunCoordScalingAll measures the full sweep at one fan-out.
-func RunCoordScalingAll(cfg ExperimentConfig, fanout int) ([]CoordScalingRow, error) {
+func RunCoordScalingAll(cfg Config, fanout int) ([]CoordScalingRow, error) {
 	var rows []CoordScalingRow
 	for _, n := range CoordScalingCounts() {
 		row, err := RunCoordScaling(cfg, n, fanout)

@@ -1,11 +1,13 @@
-package zapc
+package experiments
 
 import (
 	"fmt"
 	"strings"
 
-	"zapc/internal/metrics"
+	"zapc/internal/cluster"
+	"zapc/internal/faultinject"
 	"zapc/internal/sim"
+	"zapc/internal/supervisor"
 	"zapc/internal/trace"
 )
 
@@ -23,8 +25,8 @@ type FailoverRTORow struct {
 	Report trace.RTOReport
 	// SupRTO / SupRPO are the supervisor's own online measurements of
 	// the same episode; the trace-derived figures must agree with them.
-	SupRTO Duration
-	SupRPO Duration
+	SupRTO sim.Duration
+	SupRPO sim.Duration
 	// Promotions counts failovers served by promoting a warm standby
 	// (zero on the store-restore path).
 	Promotions int
@@ -33,7 +35,7 @@ type FailoverRTORow struct {
 	// to the same value as an uninterrupted run).
 	Result float64
 	// Events is the scenario's full event log, for exports.
-	Events []TraceEvent
+	Events []trace.Event
 }
 
 // RunFailoverRTO measures one failover-availability point: a cpi job on
@@ -45,11 +47,11 @@ type FailoverRTORow struct {
 // supervisor's online rto/rpo figures and the trace analyzer's
 // critical-path decomposition of the same window; the run is
 // deterministic per cfg.Seed.
-func RunFailoverRTO(cfg ExperimentConfig, pods, fanout int, incremental bool) (FailoverRTORow, error) {
+func RunFailoverRTO(cfg Config, pods, fanout int, incremental bool) (FailoverRTORow, error) {
 	return runFailoverRTO(cfg, pods, fanout, incremental, false)
 }
 
-func runFailoverRTO(cfg ExperimentConfig, pods, fanout int, incremental, standby bool) (FailoverRTORow, error) {
+func runFailoverRTO(cfg Config, pods, fanout int, incremental, standby bool) (FailoverRTORow, error) {
 	cfg = cfg.defaults()
 	row := FailoverRTORow{Pods: pods, Fanout: fanout, Incremental: incremental}
 	c := clusterFor(pods, cfg)
@@ -58,9 +60,9 @@ func runFailoverRTO(cfg ExperimentConfig, pods, fanout int, incremental, standby
 	if err != nil {
 		return row, err
 	}
-	sup, err := c.Supervise(job, SupervisorPolicy{
-		HeartbeatInterval: 50 * Millisecond,
-		CheckpointEvery:   250 * Millisecond,
+	sup, err := c.Supervise(job, supervisor.Policy{
+		HeartbeatInterval: 50 * sim.Millisecond,
+		CheckpointEvery:   250 * sim.Millisecond,
 		Incremental:       incremental,
 		Workers:           3,
 		Retain:            2,
@@ -70,7 +72,7 @@ func runFailoverRTO(cfg ExperimentConfig, pods, fanout int, incremental, standby
 		return row, err
 	}
 	if standby {
-		if _, err := c.AttachStandby(sup, StandbyConfig{}); err != nil {
+		if _, err := c.AttachStandby(sup, cluster.StandbyConfig{}); err != nil {
 			return row, err
 		}
 	}
@@ -91,10 +93,10 @@ func runFailoverRTO(cfg ExperimentConfig, pods, fanout int, incremental, standby
 	if job.Finished() || crashAt >= 0.95 {
 		return row, fmt.Errorf("rto %d pods: job outran the first checkpoint generation (progress %.2f)", pods, job.Progress())
 	}
-	inj := NewFaultInjector(c)
+	inj := c.NewFaultInjector()
 	inj.SetProgressProbe(job.Progress, 0)
-	if err := inj.Arm([]FaultStep{{
-		Name: "crash-node", Progress: crashAt, Action: FaultCrashNode, Node: c.Nodes[1],
+	if err := inj.Arm([]faultinject.Step{{
+		Name: "crash-node", Progress: crashAt, Action: faultinject.ActCrashNode, Node: c.Nodes[1],
 	}}); err != nil {
 		return row, err
 	}
@@ -148,7 +150,7 @@ type StandbyRTOResult struct {
 // exact RunFailoverRTO scenario run twice on the same seed — once with
 // a warm standby attached (the failover must be served by promotion,
 // with zero load/reconstruct time) and once restoring from the store.
-func RunStandbyRTO(cfg ExperimentConfig, pods, fanout int, incremental bool) (StandbyRTOResult, error) {
+func RunStandbyRTO(cfg Config, pods, fanout int, incremental bool) (StandbyRTOResult, error) {
 	var res StandbyRTOResult
 	st, err := runFailoverRTO(cfg, pods, fanout, incremental, true)
 	if err != nil {
@@ -163,17 +165,6 @@ func RunStandbyRTO(cfg ExperimentConfig, pods, fanout int, incremental bool) (St
 		res.Speedup = float64(base.Report.RTO()) / float64(rto)
 	}
 	return res, nil
-}
-
-// Stamp writes the standby-vs-store comparison into a bench trajectory
-// record so zapc-benchdiff can gate both the absolute standby window
-// and the order-of-magnitude speedup floor.
-func (r StandbyRTOResult) Stamp(rec *metrics.CkptBenchRecord) {
-	us := func(ns int64) float64 { return float64(ns) / 1e3 }
-	rec.StandbyRTOUs = us(r.Standby.Report.RTO())
-	rec.StandbyStoreRTOUs = us(r.Store.Report.RTO())
-	rec.StandbyCatchUpUs = us(r.Standby.Report.SegmentTotal(trace.SegCatchUp))
-	rec.StandbyRTOSpeedup = r.Speedup
 }
 
 // StandbyRTOTable renders the standby-vs-store sweep: both arms of each
@@ -213,11 +204,10 @@ func StandbyRTOTable(rows []StandbyRTOResult) string {
 	return b.String()
 }
 
-// Stamp writes the availability point into a bench trajectory record so
-// zapc-benchdiff can gate RTO regressions alongside the checkpoint-path
-// figures.
-func (r FailoverRTORow) Stamp(rec *metrics.CkptBenchRecord) {
-	us := func(ns int64) float64 { return float64(ns) / 1e3 }
+// Stamp writes the availability point's RTO/RPO and segment
+// decomposition into the modeled record. RunModeled is its one caller
+// outside tests, which pin the decomposition at other seeds.
+func (r FailoverRTORow) Stamp(rec *ModeledRecord) {
 	rec.RTOUs = us(r.Report.RTO())
 	if r.Report.RPOUs >= 0 {
 		rec.RPOUs = float64(r.Report.RPOUs)

@@ -1,13 +1,21 @@
-package zapc
+package experiments
+
+import (
+	"zapc/internal/core"
+	"zapc/internal/faultinject"
+	"zapc/internal/sim"
+	"zapc/internal/supervisor"
+	"zapc/internal/trace"
+)
 
 // TraceScenarioResult is everything RunTraceScenario produced: the
 // tracer and registry to export, plus the supervisor and fault-injector
 // evidence that the scenario actually exercised the failure path.
 type TraceScenarioResult struct {
-	Tracer  *Tracer
-	Metrics *TraceRegistry
-	Stats   SupervisorStats
-	Faults  []FaultRecord
+	Tracer  *trace.Tracer
+	Metrics *trace.Registry
+	Stats   supervisor.Stats
+	Faults  []faultinject.Record
 	Result  float64
 }
 
@@ -22,7 +30,7 @@ type TraceScenarioResult struct {
 // drain/reinject, heartbeats, failover, injected fault — lands on one
 // virtual-clock timeline. For a fixed cfg.Seed the exported trace is
 // byte-identical across runs.
-func RunTraceScenario(cfg ExperimentConfig) (*TraceScenarioResult, error) {
+func RunTraceScenario(cfg Config) (*TraceScenarioResult, error) {
 	cfg = cfg.defaults()
 	const endpoints = 4
 	c := clusterFor(endpoints, cfg)
@@ -38,14 +46,14 @@ func RunTraceScenario(cfg ExperimentConfig) (*TraceScenarioResult, error) {
 	if err := c.Drive(func() bool { return job.Progress() >= 0.15 }, runDeadline); err != nil {
 		return nil, err
 	}
-	if _, err := c.Checkpoint(job, CheckpointOptions{
-		Mode: Snapshot, Workers: 3, FlushTo: "trace/pre", Precopy: &PrecopyOptions{},
+	if _, err := c.Checkpoint(job, core.Options{
+		Mode: core.Snapshot, Workers: 3, FlushTo: "trace/pre", Precopy: &core.PrecopyOptions{},
 	}); err != nil {
 		return nil, err
 	}
-	sup, err := c.Supervise(job, SupervisorPolicy{
-		HeartbeatInterval: 50 * Millisecond,
-		CheckpointEvery:   250 * Millisecond,
+	sup, err := c.Supervise(job, supervisor.Policy{
+		HeartbeatInterval: 50 * sim.Millisecond,
+		CheckpointEvery:   250 * sim.Millisecond,
 		Incremental:       true,
 		Workers:           3,
 		Retain:            2,
@@ -53,10 +61,10 @@ func RunTraceScenario(cfg ExperimentConfig) (*TraceScenarioResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	inj := NewFaultInjector(c)
+	inj := c.NewFaultInjector()
 	inj.SetProgressProbe(job.Progress, 0)
-	if err := inj.Arm([]FaultStep{{
-		Name: "crash-node", Progress: 0.5, Action: FaultCrashNode, Node: c.Nodes[1],
+	if err := inj.Arm([]faultinject.Step{{
+		Name: "crash-node", Progress: 0.5, Action: faultinject.ActCrashNode, Node: c.Nodes[1],
 	}}); err != nil {
 		return nil, err
 	}

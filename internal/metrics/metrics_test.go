@@ -127,26 +127,3 @@ func TestQuickSampleInvariants(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-// CompareSuspend gates growth of the pre-copy suspension window:
-// within-tolerance drift and missing baselines pass, real regressions
-// fail with a message naming the window.
-func TestCompareSuspend(t *testing.T) {
-	base := CkptBenchRecord{SuspendUs: 1000}
-	if err := CompareSuspend(base, CkptBenchRecord{SuspendUs: 1200}, 25); err != nil {
-		t.Fatalf("20%% growth within a 25%% tolerance must pass: %v", err)
-	}
-	if err := CompareSuspend(base, CkptBenchRecord{SuspendUs: 500}, 25); err != nil {
-		t.Fatalf("an improvement must pass: %v", err)
-	}
-	if err := CompareSuspend(CkptBenchRecord{}, CkptBenchRecord{SuspendUs: 9e9}, 25); err != nil {
-		t.Fatalf("records predating the field must compare clean: %v", err)
-	}
-	err := CompareSuspend(base, CkptBenchRecord{SuspendUs: 1300}, 25)
-	if err == nil {
-		t.Fatal("30% growth over a 25% tolerance must fail")
-	}
-	if !strings.Contains(err.Error(), "suspend window") {
-		t.Fatalf("refusal should name the suspend window: %v", err)
-	}
-}

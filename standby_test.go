@@ -17,27 +17,33 @@ import (
 
 	"zapc"
 	"zapc/internal/ckpt"
+	"zapc/internal/experiments"
 	"zapc/internal/imagestore"
-	"zapc/internal/metrics"
 	"zapc/internal/trace"
 )
 
+// standbySpeedupFloor is the minimum store-restore-to-standby RTO ratio
+// the warm-standby path must maintain: promotion that is not at least
+// an order of magnitude faster than reading the chain back from the
+// store means the shadow state quietly stopped being warm.
+const standbySpeedupFloor = 10.0
+
 // TestStandbyRTOSpeedup is the headline acceptance gate: on the
 // canonical incremental-chain failover point the promoted standby
-// serves recovery at least StandbySpeedupFloor times faster than the
+// serves recovery at least standbySpeedupFloor times faster than the
 // store-restore baseline, and the entire win comes from the vanished
 // load/reconstruct segments.
 func TestStandbyRTOSpeedup(t *testing.T) {
-	res, err := zapc.RunStandbyRTO(zapc.ExperimentConfig{Seed: 11}, 4, 0, true)
+	res, err := experiments.RunStandbyRTO(experiments.Config{Seed: 11}, 4, 0, true)
 	if err != nil {
 		t.Fatalf("RunStandbyRTO: %v", err)
 	}
 	if res.Standby.Promotions < 1 {
 		t.Fatal("failover was not served by promotion")
 	}
-	if res.Speedup < metrics.StandbySpeedupFloor {
+	if res.Speedup < standbySpeedupFloor {
 		t.Fatalf("standby speedup %.1fx below the %.0fx floor (standby %v, store %v)",
-			res.Speedup, metrics.StandbySpeedupFloor,
+			res.Speedup, standbySpeedupFloor,
 			zapc.Duration(res.Standby.Report.RTO()), zapc.Duration(res.Store.Report.RTO()))
 	}
 	if load := res.Standby.Report.SegmentTotal(trace.SegLoad) +
@@ -73,7 +79,7 @@ func TestStandbyCrossPathEquivalence(t *testing.T) {
 		tc := tc
 		name := fmt.Sprintf("pods=%d/fanout=%d/incr=%v", tc.pods, tc.fanout, tc.incremental)
 		t.Run(name, func(t *testing.T) {
-			res, err := zapc.RunStandbyRTO(zapc.ExperimentConfig{Seed: 23}, tc.pods, tc.fanout, tc.incremental)
+			res, err := experiments.RunStandbyRTO(experiments.Config{Seed: 23}, tc.pods, tc.fanout, tc.incremental)
 			if err != nil {
 				t.Fatalf("RunStandbyRTO: %v", err)
 			}
@@ -101,8 +107,8 @@ func TestStandbyCrossPathEquivalence(t *testing.T) {
 // produce the identical RTO decomposition and byte-identical event
 // logs.
 func TestStandbyTraceDeterminism(t *testing.T) {
-	run := func() zapc.StandbyRTOResult {
-		res, err := zapc.RunStandbyRTO(zapc.ExperimentConfig{Seed: 11}, 4, 0, true)
+	run := func() experiments.StandbyRTOResult {
+		res, err := experiments.RunStandbyRTO(experiments.Config{Seed: 11}, 4, 0, true)
 		if err != nil {
 			t.Fatalf("RunStandbyRTO: %v", err)
 		}

@@ -8,14 +8,15 @@ import (
 	"testing"
 
 	"zapc"
+	"zapc/internal/experiments"
 )
 
 // runTraced runs the canonical traced crash-and-failover scenario and
 // returns its result, mirroring trace events into the test log under
 // -v.
-func runTraced(t *testing.T, seed int64) *zapc.TraceScenarioResult {
+func runTraced(t *testing.T, seed int64) *experiments.TraceScenarioResult {
 	t.Helper()
-	res, err := zapc.RunTraceScenario(zapc.ExperimentConfig{Seed: seed})
+	res, err := experiments.RunTraceScenario(experiments.Config{Seed: seed})
 	if err != nil {
 		t.Fatalf("RunTraceScenario: %v", err)
 	}
@@ -27,7 +28,7 @@ func runTraced(t *testing.T, seed int64) *zapc.TraceScenarioResult {
 	return res
 }
 
-func traceJSONL(t *testing.T, res *zapc.TraceScenarioResult) []byte {
+func traceJSONL(t *testing.T, res *experiments.TraceScenarioResult) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	if err := res.Tracer.WriteJSONL(&buf); err != nil {
@@ -156,32 +157,5 @@ func TestTraceReaderRejectsGarbage(t *testing.T) {
 	_, err = zapc.ReadTraceJSONL(strings.NewReader("not json at all\n"))
 	if !errors.Is(err, zapc.ErrBadTrace) {
 		t.Fatalf("want ErrBadTrace for non-JSON, got %v", err)
-	}
-}
-
-// TestBenchSchemaGuard exercises the trajectory version gate end to
-// end: a fresh record carries the current schema, and mixing it with a
-// pre-versioning record is refused.
-func TestBenchSchemaGuard(t *testing.T) {
-	cur := zapc.CkptBenchRecord{Schema: zapc.BenchSchema, SimSpeedup: 2}
-	old := zapc.CkptBenchRecord{SimSpeedup: 2} // schema 0: written before versioning
-	if err := zapc.CompareBenchSchema(cur, cur); err != nil {
-		t.Fatalf("same-schema records must compare: %v", err)
-	}
-	err := zapc.CompareBenchSchema(old, cur)
-	if err == nil {
-		t.Fatal("schema mismatch must be refused")
-	}
-	if !strings.Contains(err.Error(), "schema") {
-		t.Fatalf("refusal should name the schema: %v", err)
-	}
-	// Round-trip through the trajectory encoding keeps the version.
-	data := zapc.AppendBenchRun(nil, cur)
-	recs, err := zapc.DecodeBenchTrajectory(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if recs[0].Schema != zapc.BenchSchema {
-		t.Fatalf("schema lost in round trip: %d", recs[0].Schema)
 	}
 }

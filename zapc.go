@@ -6,9 +6,12 @@
 // coordinated checkpoint-restart and transport-protocol-independent
 // network-state mechanisms implemented faithfully on top.
 //
-// The public surface exposes the virtual testbed (Cluster), application
-// deployment (JobSpec/Job — the paper's four workloads are built in),
-// and the coordinated operations:
+// This file is the whole package, and the package is the facade for
+// code outside this module, which cannot import internal/: the virtual
+// testbed (Cluster), application deployment (JobSpec/Job — the paper's
+// four workloads are built in), the coordinated operations, and what a
+// caller of those needs to name — supervision, fault scripting, warm
+// standby, image stores, tracing:
 //
 //	c := zapc.New(zapc.Config{Nodes: 4, Seed: 1})
 //	job, _ := c.Launch(zapc.JobSpec{App: "cpi", Endpoints: 4})
@@ -16,6 +19,15 @@
 //	res, _ := c.Checkpoint(job, zapc.CheckpointOptions{Mode: zapc.Snapshot})
 //	// ... later, possibly on other nodes:
 //	c.Restart(job, res, targets)
+//
+// A name belongs here only if examples/, cmd/zapc (both written against
+// the facade alone) or a signature reachable from Cluster, Job,
+// Supervisor, StandbyPlane or Tracer needs it. The repository's own
+// tooling does not go through the facade: cmd/zapc-bench,
+// cmd/zapc-chaos and cmd/zapc-inspect import internal/experiments (the
+// figure harness and the modeled baseline), internal/chaos and
+// internal/trace (the span-DAG analyzer) directly — `make ci` checks
+// the boundary.
 //
 // Everything is deterministic for a fixed seed: a run that is
 // checkpointed, migrated, and resumed produces results bit-identical to
@@ -26,14 +38,12 @@ package zapc
 import (
 	"io"
 
-	"zapc/internal/chaos"
 	"zapc/internal/ckpt"
 	"zapc/internal/cluster"
 	"zapc/internal/coord"
 	"zapc/internal/core"
 	"zapc/internal/faultinject"
 	"zapc/internal/imagestore"
-	"zapc/internal/metrics"
 	"zapc/internal/sim"
 	"zapc/internal/standby"
 	"zapc/internal/supervisor"
@@ -145,8 +155,6 @@ type (
 	IncrSet = ckpt.IncrSet
 	// DeltaImage is one incremental checkpoint record.
 	DeltaImage = ckpt.DeltaImage
-	// CkptBenchRecord is one BENCH_ckpt.json trajectory entry.
-	CkptBenchRecord = metrics.CkptBenchRecord
 )
 
 // Streaming image pipeline (see internal/imagestore). Checkpoint records
@@ -182,64 +190,6 @@ func NewDedupImageStore(inner ImageStore) *DedupImageStore { return imagestore.N
 // full base image every fullEvery generations (<=1 means every
 // checkpoint is full).
 func NewIncrSet(fullEvery int) *IncrSet { return ckpt.NewIncrSet(fullEvery) }
-
-// AppendBenchRun appends one checkpoint-pipeline benchmark record to a
-// BENCH_ckpt.json trajectory buffer.
-func AppendBenchRun(existing []byte, rec CkptBenchRecord) []byte {
-	return metrics.AppendRun(existing, rec)
-}
-
-// DecodeBenchTrajectory parses a BENCH_ckpt.json trajectory.
-func DecodeBenchTrajectory(data []byte) ([]CkptBenchRecord, error) {
-	return metrics.DecodeTrajectory(data)
-}
-
-// HumanBytes formats a byte count the way the paper's tables do.
-func HumanBytes(n int64) string { return metrics.HumanBytes(n) }
-
-// CompareBenchPeakBuffered fails when cur's peak streaming buffer grew
-// more than tolPct percent above prev's (zapc-benchdiff's guard that no
-// path went back to materializing whole images).
-func CompareBenchPeakBuffered(prev, cur CkptBenchRecord, tolPct float64) error {
-	return metrics.ComparePeakBuffered(prev, cur, tolPct)
-}
-
-// CompareBenchStoredBytes fails when cur's per-generation dedup-store
-// growth rose more than tolPct percent above prev's (zapc-benchdiff's
-// guard that frame compression and cross-generation dedup keep paying).
-func CompareBenchStoredBytes(prev, cur CkptBenchRecord, tolPct float64) error {
-	return metrics.CompareStoredBytes(prev, cur, tolPct)
-}
-
-// CompareBenchSuspend fails when cur's pre-copy suspension window grew
-// more than tolPct percent above prev's (zapc-benchdiff's guard that
-// the quiesce window stays O(residual dirty set), not O(image)).
-func CompareBenchSuspend(prev, cur CkptBenchRecord, tolPct float64) error {
-	return metrics.CompareSuspend(prev, cur, tolPct)
-}
-
-// CompareBenchRTO fails when cur's failover recovery window grew more
-// than tolPct percent above prev's (zapc-benchdiff's guard that
-// automatic recovery keeps its outage-per-failure budget).
-func CompareBenchRTO(prev, cur CkptBenchRecord, tolPct float64) error {
-	return metrics.CompareRTO(prev, cur, tolPct)
-}
-
-// CompareBenchStandbyRTO fails when cur's warm-standby recovery window
-// grew more than tolPct percent over prev's, or when the standby's
-// store-vs-promotion speedup fell below the order-of-magnitude floor
-// (zapc-benchdiff's check).
-func CompareBenchStandbyRTO(prev, cur CkptBenchRecord, tolPct float64) error {
-	return metrics.CompareStandbyRTO(prev, cur, tolPct)
-}
-
-// CompareBenchCoordBarrier fails when cur's tree-coordinated barrier
-// time grew more than tolPct percent above prev's (zapc-benchdiff's
-// guard that fan-out/fan-in batching keeps the root off the O(N)
-// serialization path).
-func CompareBenchCoordBarrier(prev, cur CkptBenchRecord, tolPct float64) error {
-	return metrics.CompareCoordBarrier(prev, cur, tolPct)
-}
 
 // Pipeline observability (see internal/trace). c.EnableTracing() turns
 // on span tracing and metrics for the whole checkpoint/restart path —
@@ -290,67 +240,6 @@ func TracePhaseStats(events []TraceEvent) []TracePhaseStat { return trace.PhaseS
 // TracePhaseSummary formats the per-phase latency breakdown as a table.
 func TracePhaseSummary(events []TraceEvent) string { return trace.PhaseSummary(events) }
 
-// Causal trace analysis (see internal/trace/analyze.go). BuildTraceDAG
-// reconstructs the span DAG from an event log — explicit parent links
-// plus containment adoption for separately-rooted subsystems — and the
-// critical-path functions decompose any operation or window into the
-// slowest chain of attributed segments. FailoverRTOReports turns a
-// traced crash-and-recover run into per-failover RTO/RPO decompositions.
-type (
-	// TraceDAG is the reconstructed span graph of one trace.
-	TraceDAG = trace.DAG
-	// TraceSpanNode is one reconstructed span in the DAG.
-	TraceSpanNode = trace.SpanNode
-	// TraceSegment is one attributed interval of a critical path.
-	TraceSegment = trace.Segment
-	// TraceStraggler is one entry of a fan-out straggler ranking.
-	TraceStraggler = trace.Straggler
-	// TraceRTOReport decomposes one completed failover into RTO/RPO and
-	// labeled critical-path segments.
-	TraceRTOReport = trace.RTOReport
-)
-
-// BuildTraceDAG reconstructs the span DAG from an event log.
-func BuildTraceDAG(events []TraceEvent) *TraceDAG { return trace.BuildDAG(events) }
-
-// TraceCriticalPath computes the critical path through one span.
-func TraceCriticalPath(root *TraceSpanNode) []TraceSegment { return trace.CriticalPath(root) }
-
-// TraceStragglerRanking ranks a fan-out span's children by completion
-// time, slowest first.
-func TraceStragglerRanking(parent *TraceSpanNode, childName string) []TraceStraggler {
-	return trace.StragglerRanking(parent, childName)
-}
-
-// FailoverRTOReports returns one RTO/RPO decomposition per completed
-// failover in the event log, in time order.
-func FailoverRTOReports(events []TraceEvent) []TraceRTOReport {
-	return trace.FailoverReports(events)
-}
-
-// ChromeTraceHighlightedBytes is ChromeTraceBytes with the given
-// critical path rendered red and mirrored into a dedicated
-// "critical-path" lane.
-func ChromeTraceHighlightedBytes(events []TraceEvent, path []TraceSegment) ([]byte, error) {
-	return trace.ChromeTraceHighlighted(events, path)
-}
-
-// FormatTraceCriticalPath renders a critical path as an aligned table.
-func FormatTraceCriticalPath(segs []TraceSegment) string { return trace.FormatCriticalPath(segs) }
-
-// FormatTraceStragglers renders a straggler ranking, slowest first.
-func FormatTraceStragglers(rank []TraceStraggler) string { return trace.FormatStragglers(rank) }
-
-// BenchSchema is the schema version stamped into new CkptBenchRecord
-// trajectory entries.
-const BenchSchema = metrics.BenchSchema
-
-// CompareBenchSchema refuses to compare trajectory records written
-// under different schema versions (zapc-benchdiff's first check).
-func CompareBenchSchema(prev, cur CkptBenchRecord) error {
-	return metrics.CompareSchema(prev, cur)
-}
-
 // ErrCorruptImage is returned (wrapped, naming the affected pod) when a
 // checkpoint image fails CRC validation during LoadImages/RestartFromFS.
 var ErrCorruptImage = cluster.ErrCorruptImage
@@ -376,103 +265,7 @@ const (
 // simulation world, shared filesystem, and manager control plane. If
 // the cluster has tracing enabled, fired faults appear on the timeline
 // as instants on the "faults" track.
-func NewFaultInjector(c *Cluster) *FaultInjector {
-	inj := faultinject.New(c.W, c.FS)
-	inj.ObservePhases(c.Mgr)
-	inj.InterposeCtrl(c.Mgr)
-	inj.SetTracer(c.Tracer(), c.Metrics())
-	return inj
-}
-
-// Seeded chaos fuzzing over the recovery surface (see internal/chaos).
-// A seed expands into a fault schedule; the runner executes it against
-// a supervised reference workload and classifies the outcome against
-// the global invariant (recovered-equivalent | named-error; never a
-// hang, never corrupt state). Non-recovered runs minimize into JSON
-// fixtures that form the regression corpus under testdata/chaos:
-//
-//	cfg := zapc.ChaosConfigForSeed(zapc.DefaultChaosConfig(), seed)
-//	v, _ := zapc.NewChaosRunner(cfg).Run(seed, zapc.GenerateChaosSchedule(seed, cfg))
-//	if v.Bug() { /* minimize, serialize, file a fixture */ }
-type (
-	// ChaosConfig pins one chaos scenario (workload, supervision
-	// policy, watchdog deadline).
-	ChaosConfig = chaos.Config
-	// ChaosRunner executes (seed, schedule) pairs under one config.
-	ChaosRunner = chaos.Runner
-	// ChaosVerdict classifies one run against the invariant.
-	ChaosVerdict = chaos.Verdict
-	// ChaosOutcome is the verdict class.
-	ChaosOutcome = chaos.Outcome
-	// ChaosFixture is one replayable regression-corpus entry.
-	ChaosFixture = chaos.Fixture
-	// ChaosSweepResult is one seed's run within a corpus sweep.
-	ChaosSweepResult = chaos.SweepResult
-	// FaultSchedule is the serializable (JSON) form of a fault
-	// schedule: symbolic targets, validated grammar.
-	FaultSchedule = faultinject.Schedule
-	// FaultSpecStep is one serializable schedule entry.
-	FaultSpecStep = faultinject.SpecStep
-	// FaultEnv resolves a FaultSchedule's symbolic targets against a
-	// live cluster when binding.
-	FaultEnv = faultinject.Env
-)
-
-// Chaos verdict outcomes.
-const (
-	ChaosRecovered    = chaos.OutRecovered
-	ChaosNamedError   = chaos.OutNamedError
-	ChaosHang         = chaos.OutHang
-	ChaosCorruptState = chaos.OutCorrupt
-	ChaosUnnamedError = chaos.OutUnnamedError
-)
-
-// DefaultChaosConfig is the canonical chaos scenario (see chaos.DefaultConfig).
-func DefaultChaosConfig() ChaosConfig { return chaos.DefaultConfig() }
-
-// ChaosConfigForSeed derives the per-seed scenario from a base config.
-func ChaosConfigForSeed(base ChaosConfig, seed int64) ChaosConfig {
-	return chaos.ConfigForSeed(base, seed)
-}
-
-// NewChaosRunner builds a runner for one chaos config.
-func NewChaosRunner(cfg ChaosConfig) *ChaosRunner { return chaos.NewRunner(cfg) }
-
-// GenerateChaosSchedule expands a seed into its fault schedule.
-func GenerateChaosSchedule(seed int64, cfg ChaosConfig) FaultSchedule {
-	return chaos.Generate(seed, cfg)
-}
-
-// ChaosSweep runs every seed in [lo, hi] and returns verdicts in order.
-func ChaosSweep(base ChaosConfig, lo, hi int64) ([]ChaosSweepResult, error) {
-	return chaos.Sweep(base, lo, hi)
-}
-
-// BuildChaosCorpus minimizes every non-recovered sweep result into a
-// regression fixture.
-func BuildChaosCorpus(results []ChaosSweepResult) ([]ChaosFixture, error) {
-	return chaos.BuildCorpus(results)
-}
-
-// WriteChaosFixture writes a fixture under dir with its canonical name.
-func WriteChaosFixture(dir string, f ChaosFixture) (string, error) {
-	return chaos.WriteFixture(dir, f)
-}
-
-// LoadChaosCorpus reads every fixture under dir, sorted by file name.
-func LoadChaosCorpus(dir string) ([]ChaosFixture, []string, error) {
-	return chaos.LoadCorpus(dir)
-}
-
-// EncodeFaultSchedule serializes a validated schedule as deterministic
-// indented JSON; DecodeFaultSchedule parses one strictly, with errors
-// naming the offending step.
-func EncodeFaultSchedule(s FaultSchedule) ([]byte, error) { return faultinject.EncodeSchedule(s) }
-
-// DecodeFaultSchedule parses and validates a JSON fault schedule.
-func DecodeFaultSchedule(data []byte) (FaultSchedule, error) {
-	return faultinject.DecodeSchedule(data)
-}
+func NewFaultInjector(c *Cluster) *FaultInjector { return c.NewFaultInjector() }
 
 // Checkpoint modes.
 const (

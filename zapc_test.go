@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"zapc"
+	"zapc/internal/experiments"
 )
 
 func TestPublicAPIQuickstart(t *testing.T) {
@@ -36,16 +37,16 @@ func TestAppsListed(t *testing.T) {
 		t.Fatalf("apps = %v", zapc.Apps())
 	}
 	for _, app := range zapc.Apps() {
-		if len(zapc.NodeCounts(app)) < 4 {
-			t.Fatalf("node counts for %s: %v", app, zapc.NodeCounts(app))
+		if len(experiments.NodeCounts(app)) < 4 {
+			t.Fatalf("node counts for %s: %v", app, experiments.NodeCounts(app))
 		}
 	}
 }
 
 // smoke-test the figure harness at tiny scale; shape checks only.
 func TestFig5Harness(t *testing.T) {
-	cfg := zapc.ExperimentConfig{Scale: 0.002, Work: 0.05, Checkpoints: 3}
-	row, err := zapc.RunFig5(cfg, "bratu", 4)
+	cfg := experiments.Config{Scale: 0.002, Work: 0.05, Checkpoints: 3}
+	row, err := experiments.RunFig5(cfg, "bratu", 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,8 +59,8 @@ func TestFig5Harness(t *testing.T) {
 }
 
 func TestFig6Harness(t *testing.T) {
-	cfg := zapc.ExperimentConfig{Scale: 0.01, Work: 0.1, Checkpoints: 3, WithDaemons: true}
-	row, err := zapc.RunFig6(cfg, "cpi", 2)
+	cfg := experiments.Config{Scale: 0.01, Work: 0.1, Checkpoints: 3, WithDaemons: true}
+	row, err := experiments.RunFig6(cfg, "cpi", 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,8 +81,8 @@ func TestFig6Harness(t *testing.T) {
 }
 
 func TestSyncAblationHarness(t *testing.T) {
-	cfg := zapc.ExperimentConfig{Scale: 0.05, Work: 0.1}
-	row, err := zapc.RunSyncAblation(cfg, "cpi", 4)
+	cfg := experiments.Config{Scale: 0.05, Work: 0.1}
+	row, err := experiments.RunSyncAblation(cfg, "cpi", 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,8 +92,8 @@ func TestSyncAblationHarness(t *testing.T) {
 }
 
 func TestRedirectAblationHarness(t *testing.T) {
-	cfg := zapc.ExperimentConfig{Scale: 0.002, Work: 0.1}
-	row, err := zapc.RunRedirectAblation(cfg, "bt", 4)
+	cfg := experiments.Config{Scale: 0.002, Work: 0.1}
+	row, err := experiments.RunRedirectAblation(cfg, "bt", 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,8 +103,8 @@ func TestRedirectAblationHarness(t *testing.T) {
 }
 
 func TestReconnectScalingHarness(t *testing.T) {
-	cfg := zapc.ExperimentConfig{Scale: 0.002, Work: 0.1}
-	small, err := zapc.RunReconnectScaling(cfg, 4)
+	cfg := experiments.Config{Scale: 0.002, Work: 0.1}
+	small, err := experiments.RunReconnectScaling(cfg, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,12 +114,12 @@ func TestReconnectScalingHarness(t *testing.T) {
 }
 
 func TestTablesRender(t *testing.T) {
-	rows5 := []zapc.Fig5Row{{App: "cpi", Endpoints: 4, Base: zapc.Second, ZapC: zapc.Second + zapc.Millisecond}}
-	if s := zapc.Fig5Table(rows5); len(s) == 0 {
+	rows5 := []experiments.Fig5Row{{App: "cpi", Endpoints: 4, Base: zapc.Second, ZapC: zapc.Second + zapc.Millisecond}}
+	if s := experiments.Fig5Table(rows5); len(s) == 0 {
 		t.Fatal("empty fig5 table")
 	}
-	rows6 := []zapc.Fig6Row{{App: "cpi", Endpoints: 4, CkptMean: zapc.Millisecond}}
-	for _, s := range []string{zapc.Fig6aTable(rows6), zapc.Fig6bTable(rows6), zapc.Fig6cTable(rows6, 1)} {
+	rows6 := []experiments.Fig6Row{{App: "cpi", Endpoints: 4, CkptMean: zapc.Millisecond}}
+	for _, s := range []string{experiments.Fig6aTable(rows6), experiments.Fig6bTable(rows6), experiments.Fig6cTable(rows6, 1)} {
 		if len(s) == 0 {
 			t.Fatal("empty fig6 table")
 		}
