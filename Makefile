@@ -5,7 +5,7 @@ FUZZTIME ?= 5s
 GOTESTFLAGS ?= -race -count=1
 GOTEST = $(GO) test $(GOTESTFLAGS)
 
-.PHONY: ci fmt vet boundary build test race race-precopy fuzz chaos dedup-check scale-check obs-check standby-check bench-module host-bench cover bench baseline trace-check examples clean
+.PHONY: ci fmt vet boundary build test race race-precopy fuzz chaos dedup-check scale-check obs-check standby-check bench-module host-bench cover bench baseline trace-check examples loc clean
 
 # Full CI gate: static checks, the package-boundary check, a clean
 # build, the race-enabled suite (which holds the modeled-baseline
@@ -47,15 +47,18 @@ race:
 	$(GO) test -race ./...
 
 # Explicit pre-copy scenario gate: suspend-window win, chain restore
-# equivalence, determinism and budget termination, all under -race.
+# equivalence, restart from a flushed pre-copy directory and from a
+# default-policy supervisor generation, determinism and budget
+# termination, all under -race.
 race-precopy:
 	$(GOTEST) -run '^TestPrecopy' .
 
 # Short, deterministic-budget fuzz passes over every image-format entry
 # point (TLV decoder, round-trip property, the pod-image decoder, the
-# delta decoder and the chain reader behind it), the LZ4 kernels against
-# their byte-wise reference implementations and the stream decoder
-# against its window-copy reference.
+# delta decoder and, with the same bytes as the second record of a valid
+# chain, ckpt.Chain — the one chain reader every restore path uses), the
+# LZ4 kernels against their byte-wise reference implementations and the
+# stream decoder against its window-copy reference.
 # Raise FUZZTIME for a real fuzzing session.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime $(FUZZTIME) ./internal/imgfmt
@@ -183,6 +186,11 @@ examples:
 	$(GO) run ./examples/quickstart
 	$(GO) run ./examples/migrate
 	$(GO) run ./examples/faultrecovery
+
+# The size figure simplicity PRs quote: non-test Go lines outside the
+# nested benchmark module.
+loc:
+	@find . -name '*.go' -not -name '*_test.go' -not -path './benchmark/*' | xargs wc -l | tail -1
 
 clean:
 	$(GO) clean ./...

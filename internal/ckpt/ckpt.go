@@ -101,43 +101,11 @@ func CheckpointPod(p *pod.Pod) (*Image, error) {
 	return CheckpointPodWith(p, 1)
 }
 
-// procRef and sockRef name the worker-pool job inputs.
-type (
-	procRef = *vos.Process
-	sockRef = *netstack.Socket
-)
-
-// beginCheckpoint performs the sequential prologue every checkpoint
-// shares: quiescence check, network-state capture, the image skeleton,
-// the frozen process list, and the socket-identity -> slot table (the
-// same enumeration order netckpt used; the pod is frozen, so the socket
-// table is stable).
-func beginCheckpoint(p *pod.Pod) (*Image, []procRef, map[sockRef]int, error) {
-	if !p.Quiescent() {
-		return nil, nil, nil, ErrNotQuiescent
-	}
-	netImg, _, err := netckpt.CheckpointStack(p.Stack())
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	img := &Image{
-		PodName:     p.Name(),
-		VIP:         p.VirtualIP(),
-		VirtualTime: p.VirtualNow(),
-		Net:         netImg,
-	}
-	slotOf := make(map[sockRef]int)
-	for i, s := range p.Stack().Sockets() {
-		slotOf[s] = i
-	}
-	return img, p.Procs(), slotOf, nil
-}
-
-// captureProc serializes one frozen process: program state, memory
-// regions, and descriptor-to-slot bindings. It reads the process but
-// never mutates it, so captures of distinct processes may run
-// concurrently.
-func captureProc(proc *vos.Process, slotOf map[sockRef]int) (ProcImage, error) {
+// captureProc serializes one process: program state, a deep copy of
+// its memory regions, and descriptor-to-slot bindings. It reads the
+// process but never mutates it, so captures of distinct processes may
+// run concurrently.
+func captureProc(proc *vos.Process, slotOf map[*netstack.Socket]int) (ProcImage, error) {
 	pi := ProcImage{
 		VPID: proc.VPID,
 		Kind: proc.Prog.Kind(),

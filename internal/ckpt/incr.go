@@ -138,10 +138,17 @@ func ApplyDelta(base *Image, d *DeltaImage) (*Image, error) {
 	return img, nil
 }
 
-// Tracker drives incremental checkpointing of one pod: it remembers the
-// last committed generation (materialized image, per-process dirty
+// Tracker is the chain writer of one pod: it remembers the last
+// committed generation (materialized image, per-process dirty
 // watermarks, program-state fingerprints, record checksum) and emits
-// delta records containing only what changed since.
+// delta records containing only what changed since. Every chain is
+// written through one: an incremental chain across checkpoints (the
+// IncrSet's long-lived tracker), a pre-copy generation within one (a
+// fresh tracker per operation: CaptureLive for the base and each live
+// round, each committed as it is taken, then Capture for the residual
+// once the pod is quiesced), and a plain full image (a fresh tracker's
+// first capture). The records chain on Seq and ParentSum, so every one
+// of them restores through Chain — there is one on-disk format.
 //
 // Capture is transactional: it returns a Pending that can stream the
 // record to a sink, and the tracker state only advances when the caller
@@ -182,6 +189,18 @@ func (t *Tracker) Rebase() {
 	t.lastSum = 0
 }
 
+// DirtyBytes reports the size of the dirty set p has accumulated since
+// the last committed generation — the quantity the pre-copy coordinator
+// compares against its convergence threshold to decide whether another
+// live round is worthwhile.
+func (t *Tracker) DirtyBytes(p *pod.Pod) int64 {
+	var n int64
+	for _, proc := range p.Procs() {
+		n += proc.DirtyBytes(t.marks[proc.VPID])
+	}
+	return n
+}
+
 // Pending is a captured-but-uncommitted checkpoint generation.
 type Pending struct {
 	// Image is the materialized full image of this generation,
@@ -216,9 +235,9 @@ func (pn *Pending) Stream(w io.Writer) (StreamStats, error) {
 	return r.StreamStats, err
 }
 
-// Commit advances the tracker to this generation. Call exactly once,
-// only after the record is durable (the coordinated operation
-// completed).
+// Commit advances the tracker to this generation. Call it only once the
+// record is durable (the coordinated operation completed and every
+// flush succeeded); a second call is a no-op.
 func (pn *Pending) Commit() {
 	if pn.commit != nil {
 		pn.commit(pn.Record().Sum)
@@ -230,8 +249,7 @@ func (pn *Pending) Commit() {
 // generation's materialized image and emits the delta record: every
 // process appears (carrying its complete FD table and, when changed, its
 // program state), but only the regions whose write watermark or bytes
-// changed are included. Shared by the incremental Tracker and the
-// pre-copy rounds so both paths emit byte-identical record shapes.
+// changed are included.
 func buildDelta(img, last *Image, lastProg map[vos.PID][]byte,
 	dirtyNames map[vos.PID]map[string]bool, seq uint64, parentSum uint32) *DeltaImage {
 	d := &DeltaImage{
@@ -308,13 +326,24 @@ func buildDelta(img, last *Image, lastProg map[vos.PID][]byte,
 // (full=true, or no base exists) or a delta record against the last
 // committed generation, using the worker pool for serialization.
 func (t *Tracker) Capture(p *pod.Pod, workers int, full bool) (*Pending, error) {
-	img, err := CheckpointPodWith(p, workers)
+	return t.capture(p, workers, full, false)
+}
+
+// CaptureLive is Capture of a running pod (see capture): a full record
+// when no base exists, otherwise a delta of what was dirtied since the
+// last committed generation. The record carries no network state.
+func (t *Tracker) CaptureLive(p *pod.Pod, workers int) (*Pending, error) {
+	return t.capture(p, workers, false, true)
+}
+
+func (t *Tracker) capture(p *pod.Pod, workers int, full, live bool) (*Pending, error) {
+	img, err := capture(p, workers, live)
 	if err != nil {
 		return nil, err
 	}
 	// Snapshot the dirty watermarks and program fingerprints at capture
-	// time (the pod is frozen, so these are the watermarks of exactly
-	// the state in img).
+	// time (no process runs during the capture, so these are the
+	// watermarks of exactly the state in img).
 	marks := make(map[vos.PID]uint64)
 	for _, proc := range p.Procs() {
 		marks[proc.VPID] = proc.MemClock()
@@ -403,9 +432,4 @@ func (s *IncrSet) Rebase() {
 	for _, t := range s.trackers {
 		t.Rebase()
 	}
-}
-
-// Drop forgets the tracker of one pod (the pod left the cluster).
-func (s *IncrSet) Drop(name string) {
-	delete(s.trackers, name)
 }

@@ -379,3 +379,154 @@ func TestIncrSetCadence(t *testing.T) {
 		t.Fatal("capture after IncrSet.Rebase must be full")
 	}
 }
+
+// TestChainNextLeavesChainUnchangedOnError: every record Chain.Next
+// refuses — the wrong kind for its place, a delta that does not link, one
+// that does not decode — fails with the sentinel its defect calls for and
+// returns the chain it was given, so the chain still takes the right
+// record afterwards. The standby's swap-on-success apply rests on this.
+func TestChainNextLeavesChainUnchangedOnError(t *testing.T) {
+	c := mkCluster(t, 1)
+	p := mkIdlePod(t, c, "chain", 2, 4096)
+	tr := NewTracker()
+	records := [][]byte{wireOf(t, captureCommit(t, tr, p, true))}
+	for gen := 0; gen < 2; gen++ {
+		for i, proc := range p.Procs() {
+			proc.SetRegion("hot", []byte{byte(gen), byte(i)})
+		}
+		records = append(records, wireOf(t, captureCommit(t, tr, p, false)))
+	}
+	want, err := CheckpointPod(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// reencoded is records[1] with one header field changed — a delta
+	// that decodes, and links in everything but that field.
+	reencoded := func(change func(*DeltaImage)) []byte {
+		d, err := decodeDelta(records[1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		change(d)
+		var buf bytes.Buffer
+		if _, err := d.EncodeStream(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	flipped := append([]byte(nil), records[1]...)
+	flipped[len(flipped)/2] ^= 0x10
+
+	var empty Chain
+	based, err := empty.Next(bytes.NewReader(records[0]))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		from Chain
+		rec  []byte
+		want error
+	}{
+		{"delta first", empty, records[1], ErrChainBroken},
+		{"image second", based, records[0], ErrChainBroken},
+		{"sequence gap", based, reencoded(func(d *DeltaImage) { d.Seq = 2 }), ErrChainBroken},
+		{"parent checksum mismatch", based, records[2], ErrChainBroken},
+		{"pod name mismatch", based, reencoded(func(d *DeltaImage) { d.PodName = "other" }), ErrChainBroken},
+		{"flipped byte", based, flipped, ErrCorruptImage},
+		{"truncated", based, records[1][:len(records[1])/2], ErrCorruptImage},
+		{"corrupt image", empty, records[0][:len(records[0])-1], ErrCorruptImage},
+	} {
+		got, err := tc.from.Next(bytes.NewReader(tc.rec))
+		if !errors.Is(err, tc.want) {
+			t.Errorf("%s: err = %v, want %v", tc.name, err, tc.want)
+		}
+		if got != tc.from {
+			t.Errorf("%s: a refused record changed the chain: %+v -> %+v", tc.name, tc.from, got)
+		}
+	}
+	// The chains the refusals were returned from still extend.
+	full := based
+	for _, rec := range records[1:] {
+		if full, err = full.Next(bytes.NewReader(rec)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !sameImage(full.Image, want) {
+		t.Fatal("chain read record by record differs from a full checkpoint")
+	}
+}
+
+// TestTrackerLiveRoundsThenResidual writes a pre-copy generation the way
+// the coordinated agent does — a live base, live rounds, then the
+// residual once the pod is quiesced, each committed as it is taken — and
+// reads it back: the chain reconstructs to exactly what a stop-and-copy
+// capture at the quiesce point produces.
+func TestTrackerLiveRoundsThenResidual(t *testing.T) {
+	c := mkCluster(t, 1)
+	p, err := pod.New("live", c.nodes[0], c.nw, c.fs, nextVIP())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		proc := p.AddProcess(&worker{Limit: 1000})
+		proc.SetRegion("heap", make([]byte, 2048))
+		proc.SetRegion("ballast", bytes.Repeat([]byte{byte(i)}, 8192))
+	}
+	c.w.RunUntil(c.w.Now() + sim.Time(3*sim.Millisecond))
+
+	tr := NewTracker()
+	if _, err := tr.Capture(p, 2, true); !errors.Is(err, ErrNotQuiescent) {
+		t.Fatalf("frozen capture of a running pod: err = %v, want ErrNotQuiescent", err)
+	}
+	if got := tr.DirtyBytes(p); got != 3*(2048+8192) {
+		t.Fatalf("DirtyBytes before the base = %d, want every region", got)
+	}
+	var records [][]byte
+	for round := 0; round < 3; round++ {
+		pend, err := tr.CaptureLive(p, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pend.Commit()
+		if pend.Full() != (round == 0) {
+			t.Fatalf("round %d: Full() = %v", round, pend.Full())
+		}
+		if got := tr.DirtyBytes(p); got != 0 {
+			t.Fatalf("round %d: DirtyBytes right after its commit = %d", round, got)
+		}
+		records = append(records, wireOf(t, pend))
+		// The pod keeps running: its workers scribble on heap in place,
+		// and one region is rewritten through the tracked API.
+		p.Procs()[round].SetRegion("heap", bytes.Repeat([]byte{0xa0 + byte(round)}, 2048))
+		c.w.RunUntil(c.w.Now() + sim.Time(3*sim.Millisecond))
+		if got := tr.DirtyBytes(p); got != 2048 {
+			t.Fatalf("round %d: DirtyBytes after one region rewrite = %d, want 2048", round, got)
+		}
+	}
+	c.freeze(t, p)
+	residual, err := tr.Capture(p, 2, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	residual.Commit()
+	if residual.Full() || residual.Delta.Seq != 3 {
+		t.Fatalf("residual: Full() = %v, seq %d; want delta 3", residual.Full(), residual.Delta.Seq)
+	}
+	records = append(records, wireOf(t, residual))
+
+	want, err := CheckpointPod(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rebuilt, err := ReconstructChain(records)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !sameImage(rebuilt, want) {
+		t.Fatal("pre-copy chain reconstruction differs from a stop-and-copy capture at the quiesce point")
+	}
+	if !sameImage(residual.Image, want) {
+		t.Fatal("the residual's materialized image differs from a stop-and-copy capture")
+	}
+}

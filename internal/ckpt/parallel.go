@@ -4,6 +4,8 @@ import (
 	"runtime"
 	"sync"
 
+	"zapc/internal/netckpt"
+	"zapc/internal/netstack"
 	"zapc/internal/pod"
 )
 
@@ -77,70 +79,60 @@ func fanOut(n, workers int, fn func(int) error) error {
 	return nil
 }
 
-// CheckpointPodWith saves a suspended pod like CheckpointPod, fanning
-// the per-process serialization (program state, memory regions,
-// descriptor bindings) across a bounded worker pool. workers <= 0
-// selects DefaultWorkers. The output is byte-identical to the
-// sequential walk.
-func CheckpointPodWith(p *pod.Pod, workers int) (*Image, error) {
-	img, procs, slotOf, err := beginCheckpoint(p)
-	if err != nil {
-		return nil, err
+// capture saves a pod: the sequential prologue (network state, the image
+// skeleton, the socket-identity -> slot table in the enumeration order
+// netckpt uses), then the per-process serialization (program state,
+// memory regions, descriptor bindings) fanned across a bounded worker
+// pool. workers <= 0 selects DefaultWorkers; the output is byte-identical
+// to the sequential walk. The walk has no side effects on the pod.
+//
+// A frozen capture requires the pod quiescent with its network blocked.
+// A live capture takes a running pod instead — the pre-copy rounds
+// (paper §4; CheckSync/pre-copy migration lineage). The simulation runs
+// event callbacks atomically (no process is ever mid-step while another
+// callback runs), so a capture taken inside one callback is
+// read-consistent at the processes' write clocks — the simulated
+// stand-in for copy-on-write / soft-dirty page capture. Its network
+// image is intentionally empty: socket sequence numbers and buffer
+// occupancy are inherently quiesce-phase state, and restore always
+// applies the final residual record, whose Net — captured with the pod
+// frozen and blocked — is authoritative.
+func capture(p *pod.Pod, workers int, live bool) (*Image, error) {
+	img := &Image{
+		PodName:     p.Name(),
+		VIP:         p.VirtualIP(),
+		VirtualTime: p.VirtualNow(),
 	}
-	pis := make([]ProcImage, len(procs))
-	if err := fanOut(len(procs), workers, func(i int) error {
-		pi, err := captureProc(procs[i], slotOf)
-		if err != nil {
-			return err
+	if live {
+		img.Net = &netckpt.NetImage{PodIP: p.Stack().IPAddr()}
+	} else {
+		if !p.Quiescent() {
+			return nil, ErrNotQuiescent
 		}
-		pis[i] = pi
-		return nil
+		netImg, _, err := netckpt.CheckpointStack(p.Stack())
+		if err != nil {
+			return nil, err
+		}
+		img.Net = netImg
+	}
+	slotOf := make(map[*netstack.Socket]int)
+	for i, s := range p.Stack().Sockets() {
+		slotOf[s] = i
+	}
+	procs := p.Procs()
+	img.Procs = make([]ProcImage, len(procs))
+	if err := fanOut(len(procs), workers, func(i int) (err error) {
+		img.Procs[i], err = captureProc(procs[i], slotOf)
+		return err
 	}); err != nil {
 		return nil, err
 	}
-	img.Procs = pis
 	sortProcs(img.Procs)
 	return img, nil
 }
 
-// CheckpointPods checkpoints several frozen pods through one shared
-// bounded worker pool: the processes of all pods are flattened into a
-// single job list so the pool stays busy even when pod sizes are
-// uneven. Images are returned in input order.
-func CheckpointPods(pods []*pod.Pod, workers int) ([]*Image, error) {
-	type job struct{ pod, proc int }
-	images := make([]*Image, len(pods))
-	procTables := make([][]procRef, len(pods))
-	slotTables := make([]map[sockRef]int, len(pods))
-	results := make([][]ProcImage, len(pods))
-	var jobs []job
-	for pi, p := range pods {
-		img, procs, slotOf, err := beginCheckpoint(p)
-		if err != nil {
-			return nil, err
-		}
-		images[pi] = img
-		procTables[pi] = procs
-		slotTables[pi] = slotOf
-		results[pi] = make([]ProcImage, len(procs))
-		for qi := range procs {
-			jobs = append(jobs, job{pi, qi})
-		}
-	}
-	if err := fanOut(len(jobs), workers, func(i int) error {
-		j := jobs[i]
-		pi, err := captureProc(procTables[j.pod][j.proc], slotTables[j.pod])
-		if err != nil {
-			return err
-		}
-		results[j.pod][j.proc] = pi
-		return nil
-	}); err != nil {
-		return nil, err
-	}
-	for pi := range images {
-		images[pi].Procs = results[pi]
-		sortProcs(images[pi].Procs)
-	}
-	return images, nil
+// CheckpointPodWith saves a suspended pod like CheckpointPod, with a
+// parallel worker pool of the given width.
+func CheckpointPodWith(p *pod.Pod, workers int) (*Image, error) {
+	return capture(p, workers, false)
 }

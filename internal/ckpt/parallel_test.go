@@ -85,48 +85,6 @@ func TestParallelCheckpointMatchesSequential(t *testing.T) {
 	}
 }
 
-func TestCheckpointPodsSharedPool(t *testing.T) {
-	c := mkCluster(t, 2)
-	pods := []*pod.Pod{
-		mkBusyPod(t, c, "a", 0, 3),
-		mkBusyPod(t, c, "b", 1, 1),
-		mkBusyPod(t, c, "c", 0, 5),
-	}
-	imgs, err := CheckpointPods(pods, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(imgs) != len(pods) {
-		t.Fatalf("got %d images for %d pods", len(imgs), len(pods))
-	}
-	for i, p := range pods {
-		want, err := CheckpointPod(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if imgs[i].PodName != p.Name() {
-			t.Fatalf("image %d is for pod %q, want %q", i, imgs[i].PodName, p.Name())
-		}
-		if !sameImage(want, imgs[i]) {
-			t.Fatalf("pod %q: pooled capture differs from sequential", p.Name())
-		}
-	}
-}
-
-func TestCheckpointPodsRejectsRunningPod(t *testing.T) {
-	c := mkCluster(t, 1)
-	frozen := mkBusyPod(t, c, "f", 0, 2)
-	running, err := pod.New("r", c.nodes[0], c.nw, c.fs, nextVIP())
-	if err != nil {
-		t.Fatal(err)
-	}
-	running.AddProcess(&worker{Limit: 1000})
-	c.w.RunUntil(c.w.Now() + sim.Time(sim.Millisecond))
-	if _, err := CheckpointPods([]*pod.Pod{frozen, running}, 4); !errors.Is(err, ErrNotQuiescent) {
-		t.Fatalf("err = %v, want ErrNotQuiescent", err)
-	}
-}
-
 func TestFanOutFirstErrorByIndex(t *testing.T) {
 	errA, errB := errors.New("a"), errors.New("b")
 	for _, workers := range []int{1, 4} {
@@ -261,8 +219,9 @@ func FuzzDecodeImage(f *testing.F) {
 }
 
 // FuzzDecodeDelta is FuzzDecodeImage for the delta decoder, plus the
-// reader behind it: the same bytes, as the second link of a chain whose
-// base is valid, must reconstruct or fail with a named error.
+// chain reader behind it (Chain.Next, which ReconstructChain loops
+// over): the same bytes, as the second link of a chain whose base is
+// valid, must reconstruct or fail with a named error.
 func FuzzDecodeDelta(f *testing.F) {
 	full, delta := fuzzChain(f)
 	addMutations(f, delta)

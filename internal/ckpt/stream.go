@@ -371,8 +371,8 @@ func (c *countCRCWriter) Write(p []byte) (int, error) {
 	return n, err
 }
 
-// crcReader mirrors countCRCWriter on the consuming side, so chain
-// validation can link ParentSums without re-reading records.
+// crcReader mirrors countCRCWriter on the consuming side, so Chain can
+// link ParentSums without re-reading records.
 type crcReader struct {
 	r   io.Reader
 	sum uint32
@@ -418,10 +418,7 @@ func (d *DeltaImage) EncodeStream(w io.Writer) (StreamStats, error) {
 	return encodeRecord(cw, imgfmt.NewStreamDeltaEncoder(cw), d)
 }
 
-// decodeRecord reads one record of the wanted kind from r into rec,
-// pulling one verified frame at a time. The decoder expands each large
-// payload the record keeps (program state, regions) straight into its
-// own slice; those slices are the only whole-value allocations.
+// decodeRecord reads one record of the wanted kind from r into rec.
 func decodeRecord(r io.Reader, delta bool, rec record) error {
 	d, err := imgfmt.NewStreamDecoder(r)
 	if err != nil {
@@ -433,6 +430,14 @@ func decodeRecord(r io.Reader, delta bool, rec record) error {
 		}
 		return fmt.Errorf("%w: delta record where pod image expected", imgfmt.ErrBadMagic)
 	}
+	return readFields(d, rec)
+}
+
+// readFields reads the rest of the record d has opened into rec, pulling
+// one verified frame at a time. The decoder expands each large payload
+// the record keeps (program state, regions) straight into its own slice;
+// those slices are the only whole-value allocations.
+func readFields(d *imgfmt.StreamDecoder, rec record) error {
 	rd := &reader{src: d}
 	rec.layout(rd)
 	if rd.err != nil {
@@ -473,53 +478,87 @@ func VerifyImageFrom(r io.Reader) (*Image, error) {
 	return img, nil
 }
 
+// Chain is one pod's record chain as read so far: the image its records
+// materialize, and what the next delta must link to. The zero value is
+// the empty chain. It is the one chain reader: restart from a store, the
+// supervisor's commit check and recovery, and the standby's apply all
+// extend a Chain record by record, so "a valid generation" has one
+// definition. A Chain is a value; Next returns the extended chain and
+// never modifies its receiver or the image it holds.
+type Chain struct {
+	// Image is what a full checkpoint at the last record's capture point
+	// would have produced; nil while the chain is empty.
+	Image *Image
+	sum   uint32 // CRC-32 (IEEE) of the last record's bytes
+	seq   uint64 // the last record's place: 0 the full image, then 1, 2, ...
+}
+
+// Next reads the chain's next record from r — a full image when the
+// chain is empty, otherwise a delta whose pod name, Seq and ParentSum
+// (the CRC-32 of the preceding record's bytes, which Next accumulates as
+// it reads) link to the chain — and returns the chain extended by it.
+// The record streams through its decoder frame by frame, every frame CRC
+// and the trailer verified. A record that does not decode fails with
+// ErrCorruptImage, one that decodes but does not link (the wrong kind of
+// record included) with ErrChainBroken; either way the chain returned is
+// c, unchanged.
+func (c Chain) Next(r io.Reader) (Chain, error) {
+	cr := &crcReader{r: r}
+	d, err := imgfmt.NewStreamDecoder(cr)
+	if err != nil {
+		return c, fmt.Errorf("%w: %w", ErrCorruptImage, err)
+	}
+	if c.Image == nil {
+		if d.IsDelta() {
+			return c, fmt.Errorf("%w: a delta record where the chain's full image is expected", ErrChainBroken)
+		}
+		img := &Image{}
+		if err := readFields(d, img); err != nil {
+			return c, fmt.Errorf("%w: %w", ErrCorruptImage, err)
+		}
+		return Chain{Image: img, sum: cr.sum}, nil
+	}
+	if !d.IsDelta() {
+		return c, fmt.Errorf("%w: a pod image where delta %d is expected", ErrChainBroken, c.seq+1)
+	}
+	dl := &DeltaImage{}
+	if err := readFields(d, dl); err != nil {
+		return c, fmt.Errorf("%w: %w", ErrCorruptImage, err)
+	}
+	if dl.ParentSum != c.sum {
+		return c, fmt.Errorf("%w: delta %d has parent checksum %08x, the record before it %08x",
+			ErrChainBroken, dl.Seq, dl.ParentSum, c.sum)
+	}
+	if dl.Seq != c.seq+1 {
+		return c, fmt.Errorf("%w: delta has sequence %d, want %d", ErrChainBroken, dl.Seq, c.seq+1)
+	}
+	img, err := ApplyDelta(c.Image, dl)
+	if err != nil {
+		return c, err
+	}
+	return Chain{Image: img, sum: cr.sum, seq: dl.Seq}, nil
+}
+
 // ReconstructChainFrom validates and materializes a base-plus-deltas
-// chain of n records opened one at a time through open — the streaming
-// form of ReconstructChain. Record 0 must be a full image, every later
-// record a delta whose ParentSum matches the CRC-32 of the preceding
-// record's bytes and whose Seq increments by one. Only one record is
-// in flight at a time, and each streams through its decoder without
-// being materialized.
+// chain of n records opened one at a time through open: a Chain extended
+// n times. Only one record is in flight at a time.
 func ReconstructChainFrom(n int, open func(i int) (io.ReadCloser, error)) (*Image, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("%w: empty chain", ErrChainBroken)
 	}
-	readRecord := func(i int) (*Image, *DeltaImage, uint32, error) {
+	var c Chain
+	for i := 0; i < n; i++ {
 		rc, err := open(i)
 		if err != nil {
-			return nil, nil, 0, err
+			return nil, err
 		}
-		defer rc.Close()
-		cr := &crcReader{r: rc}
-		if i == 0 {
-			img, err := DecodeImageFrom(cr, 1)
-			return img, nil, cr.sum, err
-		}
-		d, err := DecodeDeltaFrom(cr)
-		return nil, d, cr.sum, err
-	}
-	img, _, sum, err := readRecord(0)
-	if err != nil {
-		return nil, err
-	}
-	for i := 1; i < n; i++ {
-		_, d, recSum, err := readRecord(i)
+		c, err = c.Next(rc)
+		rc.Close()
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("record %d: %w", i, err)
 		}
-		if d.ParentSum != sum {
-			return nil, fmt.Errorf("%w: record %d parent checksum %08x, want %08x",
-				ErrChainBroken, i, d.ParentSum, sum)
-		}
-		if d.Seq != uint64(i) {
-			return nil, fmt.Errorf("%w: record %d has sequence %d", ErrChainBroken, i, d.Seq)
-		}
-		if img, err = ApplyDelta(img, d); err != nil {
-			return nil, err
-		}
-		sum = recSum
 	}
-	return img, nil
+	return c.Image, nil
 }
 
 // ReconstructChain decodes and validates an in-memory record chain; it

@@ -2,12 +2,11 @@ package cluster
 
 import (
 	"fmt"
-	"sort"
-	"strings"
 
 	"zapc/internal/ckpt"
 	"zapc/internal/core"
 	"zapc/internal/faultinject"
+	"zapc/internal/imagestore"
 	"zapc/internal/pod"
 	"zapc/internal/sim"
 	"zapc/internal/supervisor"
@@ -19,39 +18,36 @@ import (
 // so errors.Is works across layers.
 var ErrCorruptImage = ckpt.ErrCorruptImage
 
-// LoadImages streams every checkpoint image under the given image-store
-// directory through the chunk-verifying decoder before returning it,
-// sorted by pod name. Images are never materialized as contiguous
-// buffers on the way in. A validation failure — a record of an
-// unsupported format version included — names the offending pod and
-// wraps ErrCorruptImage.
+// LoadImages reads every pod's records under the given image-store
+// directory through the verifying chain reader — one .img per pod, or a
+// pre-copy generation's base, round deltas and residual — and returns
+// the images they materialize in pod-name order. Records are never
+// materialized as contiguous buffers on the way in. A record that fails
+// validation — one of an unsupported format version included — names
+// the offending pod and path and wraps ErrCorruptImage; records that do
+// not chain (an incremental delta generation, which is not
+// self-contained, included) wrap ckpt.ErrChainBroken.
 func (c *Cluster) LoadImages(dir string) ([]*ckpt.Image, error) {
 	store := c.Mgr.Store()
-	files := store.List(dir)
-	if len(files) == 0 {
+	chains := imagestore.PodChains(store.List(dir))
+	if len(chains) == 0 {
 		return nil, fmt.Errorf("cluster: no checkpoint images under %q", dir)
 	}
-	images := make([]*ckpt.Image, 0, len(files))
-	for _, f := range files {
-		rc, err := store.Open(f)
+	images := make([]*ckpt.Image, 0, len(chains))
+	for _, pc := range chains {
+		ch, err := pc.Read(store, ckpt.Chain{})
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("cluster: %w", err)
 		}
-		img, err := ckpt.DecodeImageFrom(rc, 0)
-		rc.Close()
-		if err != nil {
-			name := strings.TrimSuffix(f[strings.LastIndex(f, "/")+1:], ".img")
-			return nil, fmt.Errorf("cluster: pod %s (%s): %w: %v", name, f, ckpt.ErrCorruptImage, err)
-		}
-		images = append(images, img)
+		images = append(images, ch.Image)
 	}
-	sort.Slice(images, func(i, j int) bool { return images[i].PodName < images[j].PodName })
 	return images, nil
 }
 
-// RestartFromFS restores a job from the images flushed to a shared-FS
-// directory (a supervisor generation or a Checkpoint FlushTo target),
-// validating every image first; a corrupt image refuses the restart with
+// RestartFromFS restores a job from the records flushed to a shared-FS
+// directory — any Checkpoint FlushTo target, stop-and-copy or pre-copy,
+// or a self-contained (full) supervisor generation — validating every
+// record first (see LoadImages); a corrupt one refuses the restart with
 // ErrCorruptImage before any VIP is claimed or pod built. Placements go
 // round-robin across targets.
 func (c *Cluster) RestartFromFS(j *Job, dir string, targets []*vos.Node) (*core.RestartResult, error) {

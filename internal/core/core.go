@@ -160,7 +160,9 @@ type Options struct {
 	// encodes only the state mutated since the pod's last committed
 	// generation (a delta record), with full images at the set's
 	// cadence. Tracker state commits only when the whole coordinated
-	// operation succeeds, so aborted operations never advance a chain.
+	// operation succeeds and, with FlushTo, every record reached the
+	// store, so an aborted operation or a failed flush never advances a
+	// chain.
 	Incr *ckpt.IncrSet
 	// Precopy, when non-nil, switches the checkpoint to iterative
 	// pre-copy mode: agents snapshot and stream all memory while the pod
@@ -182,8 +184,8 @@ type Options struct {
 // looping forever, and the convergence threshold is roughly what one
 // residual round costs against model memory bandwidth.
 const (
-	DefaultPrecopyMaxRounds     = 8
-	DefaultPrecopyConvergeBytes = 64 << 10
+	defaultPrecopyRounds   = 8
+	defaultPrecopyConverge = 64 << 10
 )
 
 // PrecopyOptions tunes the iterative pre-copy loop.
@@ -191,12 +193,12 @@ type PrecopyOptions struct {
 	// MaxRounds bounds the live copy rounds, the base snapshot included.
 	// When the dirty set has not converged after this many rounds the
 	// agent quiesces anyway and stop-and-copies the remainder. Zero
-	// selects DefaultPrecopyMaxRounds.
+	// selects 8.
 	MaxRounds int
 	// ConvergeBytes is the convergence threshold: once the dirty set
 	// accumulated during a round is at most this many bytes, another
 	// round is not worth its overhead and the agent quiesces. Zero
-	// selects DefaultPrecopyConvergeBytes.
+	// selects 64 KiB.
 	ConvergeBytes int64
 	// MaxResentBytes caps the total bytes re-copied by rounds after the
 	// base snapshot — a bandwidth budget for write-heavy applications
@@ -206,32 +208,16 @@ type PrecopyOptions struct {
 
 func (o *PrecopyOptions) maxRounds() int {
 	if o.MaxRounds <= 0 {
-		return DefaultPrecopyMaxRounds
+		return defaultPrecopyRounds
 	}
 	return o.MaxRounds
 }
 
 func (o *PrecopyOptions) convergeBytes() int64 {
 	if o.ConvergeBytes <= 0 {
-		return DefaultPrecopyConvergeBytes
+		return defaultPrecopyConverge
 	}
 	return o.ConvergeBytes
-}
-
-// precopyRoundFixed and precopyResidualFixed read the cost model with
-// fallbacks so custom Costs predating the pre-copy fields keep working.
-func precopyRoundFixed(c sim.Costs) sim.Duration {
-	if c.PrecopyRoundFixed > 0 {
-		return c.PrecopyRoundFixed
-	}
-	return c.CheckpointFixed / 25
-}
-
-func precopyResidualFixed(c sim.Costs) sim.Duration {
-	if c.PrecopyResidualFixed > 0 {
-		return c.PrecopyResidualFixed
-	}
-	return c.CheckpointFixed / 10
 }
 
 // effWorkers resolves the Options.Workers convention.
@@ -612,8 +598,8 @@ type ckptAgent struct {
 	netTime     sim.Duration
 	saTime      sim.Duration
 	img         *ckpt.Image
-	pend        *ckpt.Pending // incremental mode only; committed on success
-	pre         *ckpt.Precopy // pre-copy mode only
+	pend        *ckpt.Pending // the quiesced capture; committed once the operation is durable
+	pre         *ckpt.Tracker // pre-copy mode only: this operation's chain
 	preResent   int64         // bytes re-copied by live rounds after the base
 	preRounds   int           // live rounds taken (base included)
 	rec         *ckpt.Record  // the generation's one encode: stats now, replayed at flush
@@ -734,54 +720,73 @@ func (a *ckptAgent) waitQuiescent() {
 	a.netCheckpoint()
 }
 
-// precopyBase is pre-copy round 1: snapshot the full memory of the
-// still-running pod at a watermark and stream it out. The serialization
-// cost is charged while the application keeps executing — writes that
-// land during the copy dirty their regions past the watermark and are
-// picked up by the next round.
+// precopyBase opens the live phase. This operation's chain starts empty,
+// so round 1 snapshots the full memory of the still-running pod.
 func (a *ckptAgent) precopyBase() {
-	w := a.op.m.w
-	costs := w.Costs
 	popts := a.op.opts.Precopy
-	workers := effWorkers(a.op.opts.Workers)
 	a.preSpan = a.op.m.tr.Start(a.span, "ckpt/precopy",
 		trace.I64("max_rounds", int64(popts.maxRounds())),
 		trace.I64("converge_bytes", popts.convergeBytes()))
-	pre, rec, err := ckpt.BeginPrecopy(a.pod, workers)
+	a.pre = ckpt.NewTracker()
+	a.precopyRound()
+}
+
+// precopyRound runs one live round: capture the still-running pod at a
+// watermark — all of its memory in round 1, thereafter only the state
+// dirtied since the previous round's watermark — and stream it out. The
+// serialization cost is charged while the application keeps executing —
+// writes that land during the copy dirty their regions past the
+// watermark and are picked up by the next round.
+func (a *ckptAgent) precopyRound() {
+	w := a.op.m.w
+	costs := w.Costs
+	workers := effWorkers(a.op.opts.Workers)
+	pend, err := a.pre.CaptureLive(a.pod, workers)
 	if err != nil {
 		a.op.abort(err)
 		return
 	}
-	a.pre = pre
+	// The chain belongs to this operation alone, so a round commits as
+	// it is taken: the next round diffs against it whether or not the
+	// operation completes.
+	pend.Commit()
+	a.preRounds++
+	fixed, resent := costs.CheckpointFixed, int64(0)
+	if !pend.Full() {
+		fixed, resent = costs.PrecopyRoundFixed, pend.Record().Bytes
+		a.preResent += resent
+	}
 	roundStart := w.Now()
-	bytes := costs.EffImageBytes(rec.Record().Bytes)
-	cost := w.Jitter(costs.CheckpointFixed, 0.25) +
-		costs.MemCopyTime(bytes)/parSpeedup(workers, len(rec.Image.Procs))
-	w.After(cost, func() { a.precopyRoundDone(rec, roundStart, 0) })
+	bytes := costs.EffImageBytes(pend.Record().Bytes)
+	cost := w.Jitter(fixed, 0.25) +
+		costs.MemCopyTime(bytes)/parSpeedup(workers, len(pend.Image.Procs))
+	w.After(cost, func() { a.precopyRoundDone(pend, roundStart, resent) })
 }
 
 // precopyRoundDone closes out one live round: emit its span, flush its
 // record to the store, and either run another round or quiesce,
 // depending on the dirty set against the convergence rule and budgets.
-func (a *ckptAgent) precopyRoundDone(rec *ckpt.PrecopyRecord, roundStart sim.Time, resent int64) {
+func (a *ckptAgent) precopyRoundDone(pend *ckpt.Pending, roundStart sim.Time, resent int64) {
 	if a.op.aborted || a.op.checkFailure() {
 		return
 	}
 	w := a.op.m.w
-	round := a.pre.Rounds()
-	a.preRounds = round
+	round := a.preRounds
+	rec := pend.Record()
 	a.op.m.tr.SpanBetween(a.preSpan, fmt.Sprintf("ckpt/precopy/round-%d", round),
 		int64(roundStart), int64(w.Now()),
-		trace.I64("bytes", rec.Record().Bytes),
+		trace.I64("bytes", rec.Bytes),
 		trace.I64("resent_bytes", resent))
-	a.op.m.reg.Counter("ckpt_encode_bytes_total").Add(rec.Record().Bytes)
-	a.op.m.reg.Gauge("store_peak_buffered_bytes").SetMax(rec.Record().Peak)
-	if err := a.flushPrecopyRecord(rec, round); err != nil {
+	a.op.m.reg.Counter("ckpt_encode_bytes_total").Add(rec.Bytes)
+	a.op.m.reg.Gauge("store_peak_buffered_bytes").SetMax(rec.Peak)
+	// Each live round is flushed as it completes, so by quiesce time
+	// everything but the residual is already durable.
+	if err := a.flush(a.preSpan, pend, round-1); err != nil {
 		a.op.abort(err)
 		return
 	}
 	popts := a.op.opts.Precopy
-	dirty := a.pre.DirtyBytes()
+	dirty := a.pre.DirtyBytes(a.pod)
 	reason := ""
 	switch {
 	case dirty <= popts.convergeBytes():
@@ -832,47 +837,30 @@ func (op *ckptOp) readyArrived() {
 	})
 }
 
-// precopyRound runs one more live round: re-snapshot, diff against the
-// previous round's watermark, and stream only the dirtied state.
-func (a *ckptAgent) precopyRound() {
-	w := a.op.m.w
-	costs := w.Costs
-	workers := effWorkers(a.op.opts.Workers)
-	rec, err := a.pre.Round()
-	if err != nil {
-		a.op.abort(err)
-		return
-	}
-	resent := rec.Record().Bytes
-	a.preResent += resent
-	roundStart := w.Now()
-	bytes := costs.EffImageBytes(resent)
-	cost := w.Jitter(precopyRoundFixed(costs), 0.25) +
-		costs.MemCopyTime(bytes)/parSpeedup(workers, len(a.pod.Procs()))
-	w.After(cost, func() { a.precopyRoundDone(rec, roundStart, resent) })
-}
-
-// flushPrecopyRecord streams one live round into the manager's store as
-// it completes — the base as <pod>.img, round N as <pod>.rNN.delta — so
-// by quiesce time everything but the residual is already durable. No-op
-// when the checkpoint does not flush.
-func (a *ckptAgent) flushPrecopyRecord(rec *ckpt.PrecopyRecord, round int) error {
+// flush replays one record into the manager's store under the name its
+// place in the pod's chain gives it: a full record is <pod>.img, the
+// delta of live pre-copy round N+1 (liveRound N > 0) <pod>.rNN.delta,
+// the delta of a quiesced capture <pod>.delta. No-op when the checkpoint
+// does not flush.
+func (a *ckptAgent) flush(parent *trace.Span, pend *ckpt.Pending, liveRound int) error {
 	if a.op.opts.FlushTo == "" {
 		return nil
 	}
-	var path string
-	if rec.Image != nil {
-		path = fmt.Sprintf("%s/%s.img", a.op.opts.FlushTo, a.pod.Name())
-	} else {
-		path = fmt.Sprintf("%s/%s.r%02d.delta", a.op.opts.FlushTo, a.pod.Name(), round-1)
+	name := pend.Image.PodName
+	ext := "delta"
+	switch {
+	case pend.Full():
+		ext = "img"
+	case liveRound > 0:
+		ext = fmt.Sprintf("r%02d.delta", liveRound)
 	}
-	fSpan := a.op.m.tr.Start(a.preSpan, "store/flush",
-		trace.Track(a.pod.Name()), trace.Str("path", path))
+	path := fmt.Sprintf("%s/%s.%s", a.op.opts.FlushTo, name, ext)
+	fSpan := a.op.m.tr.Start(parent, "store/flush", trace.Track(name), trace.Str("path", path))
+	rec := pend.Record()
 	wc, err := a.op.m.store.Create(path)
 	if err == nil {
-		if _, serr := rec.Record().WriteTo(wc); serr != nil {
+		if _, err = rec.WriteTo(wc); err != nil {
 			wc.Close()
-			err = serr
 		} else {
 			err = wc.Close()
 		}
@@ -881,7 +869,7 @@ func (a *ckptAgent) flushPrecopyRecord(rec *ckpt.PrecopyRecord, round int) error
 		fSpan.End(trace.Str("err", err.Error()))
 		return err
 	}
-	fSpan.End(trace.I64("bytes", rec.Record().Bytes))
+	fSpan.End(trace.I64("bytes", rec.Bytes))
 	return nil
 }
 
@@ -927,10 +915,12 @@ func (a *ckptAgent) netCheckpoint() {
 }
 
 // standalone is agent step 3: the standalone pod checkpoint, overlapped
-// with the manager synchronization. In pre-copy mode only the residual
-// dirty set is captured here — the bulk of the image already streamed
-// out during the live rounds — so this, the dominant term of the suspend
-// window, shrinks from O(image) to O(final dirty set).
+// with the manager synchronization. Every mode captures through a
+// Tracker; the mode picks which. In pre-copy mode it is the operation's
+// chain, so only the residual dirty set is captured here — the bulk of
+// the image already streamed out during the live rounds — and this, the
+// dominant term of the suspend window, shrinks from O(image) to O(final
+// dirty set).
 func (a *ckptAgent) standalone() {
 	if a.op.aborted || a.op.checkFailure() {
 		return
@@ -938,81 +928,60 @@ func (a *ckptAgent) standalone() {
 	w := a.op.m.w
 	costs := w.Costs
 	workers := effWorkers(a.op.opts.Workers)
-	if a.pre != nil {
-		rec, err := a.pre.Finalize()
-		if err != nil {
-			a.op.abort(err)
-			return
-		}
-		a.img = a.pre.FinalImage()
-		a.rec = rec.Record()
-		a.saSpan = a.op.m.tr.Start(a.span, "ckpt/serialize",
-			trace.I64("workers", int64(workers)),
-			trace.I64("precopy_residual", 1))
-		bytes := costs.EffImageBytes(a.rec.Bytes)
-		cost := w.Jitter(precopyResidualFixed(costs), 0.25) +
-			costs.MemCopyTime(bytes)/parSpeedup(workers, len(a.img.Procs))
-		w.After(cost, func() {
-			if a.op.aborted {
-				return
-			}
-			a.saTime = cost
-			a.saDone = true
-			a.saSpan.End(trace.I64("wire_bytes", a.rec.Bytes),
-				trace.I64("peak_buffered", a.rec.Peak))
-			a.op.m.reg.Counter("ckpt_encode_bytes_total").Add(a.rec.Bytes)
-			a.op.m.reg.Gauge("store_peak_buffered_bytes").SetMax(a.rec.Peak)
-			a.maybeFinish()
-		})
+	var err error
+	switch {
+	case a.pre != nil:
+		a.pend, err = a.pre.Capture(a.pod, workers, false)
+	case a.op.opts.Incr != nil:
+		a.pend, err = a.op.opts.Incr.Capture(a.pod, workers)
+	default:
+		a.pend, err = ckpt.NewTracker().Capture(a.pod, workers, true)
+	}
+	if err != nil {
+		a.op.abort(err)
 		return
 	}
-	var img *ckpt.Image
-	if a.op.opts.Incr != nil {
-		pend, err := a.op.opts.Incr.Capture(a.pod, workers)
-		if err != nil {
-			a.op.abort(err)
-			return
-		}
-		a.pend = pend
-		a.rec = pend.Record()
-		img = pend.Image
-	} else {
-		var err error
-		img, err = ckpt.CheckpointPodWith(a.pod, workers)
-		if err != nil {
-			a.op.abort(err)
-			return
-		}
-		// The generation's only encode: its stats size the modeled costs
-		// below, its bytes are what the flush replays.
-		a.rec = img.Record()
+	a.img = a.pend.Image
+	// The generation's only encode: its stats size the modeled costs
+	// below, its bytes are what the flush replays.
+	a.rec = a.pend.Record()
+	fixed, kind := costs.CheckpointFixed, trace.I64("incremental", b2i(a.incremental()))
+	if a.pre != nil {
+		fixed, kind = costs.PrecopyResidualFixed, trace.I64("precopy_residual", 1)
 	}
-	a.img = img
 	a.saSpan = a.op.m.tr.Start(a.span, "ckpt/serialize",
-		trace.I64("workers", int64(workers)),
-		trace.I64("incremental", b2i(a.pend != nil && !a.pend.Full())))
+		trace.I64("workers", int64(workers)), kind)
 	saStart := w.Now()
 	// The copy cost covers what is actually written — the delta record
-	// in incremental mode — and divides by the effective serialization
-	// parallelism (per-process capture fans out across the pool). The
-	// fixed and copy components stay separate so the modeled worker
-	// lanes can start where the fixed prologue ends.
+	// in incremental and pre-copy mode — and divides by the effective
+	// serialization parallelism (per-process capture fans out across the
+	// pool). The fixed and copy components stay separate so the modeled
+	// worker lanes can start where the fixed prologue ends.
 	bytes := costs.EffImageBytes(a.rec.Bytes)
-	fixed := w.Jitter(costs.CheckpointFixed, 0.25)
-	cost := fixed + costs.MemCopyTime(bytes)/parSpeedup(workers, len(img.Procs))
+	fixed = w.Jitter(fixed, 0.25)
+	cost := fixed + costs.MemCopyTime(bytes)/parSpeedup(workers, len(a.img.Procs))
 	w.After(cost, func() {
 		if a.op.aborted {
 			return
 		}
 		a.saTime = cost
 		a.saDone = true
-		a.emitWorkerLanes(saStart, fixed, workers)
+		if a.pre == nil {
+			a.emitWorkerLanes(saStart, fixed, workers)
+		}
 		a.saSpan.End(trace.I64("wire_bytes", a.rec.Bytes),
 			trace.I64("peak_buffered", a.rec.Peak))
 		a.op.m.reg.Counter("ckpt_encode_bytes_total").Add(a.rec.Bytes)
 		a.op.m.reg.Gauge("store_peak_buffered_bytes").SetMax(a.rec.Peak)
 		a.maybeFinish()
 	})
+}
+
+// incremental reports whether the agent's generation is a delta record
+// of an incremental chain. A pre-copy residual is a delta too, but its
+// generation is self-contained, which is what callers ask about.
+func (a *ckptAgent) incremental() bool {
+	return a.op.opts.Incr != nil && !a.pend.Full()
 }
 
 // emitWorkerLanes reconstructs the per-worker serialization schedule the
@@ -1159,7 +1128,7 @@ func (op *ckptOp) doneArrived(a *ckptAgent) {
 		NetQueueLen:        a.queueLen,
 		WireBytes:          a.rec.Bytes,
 		PeakBuffered:       a.rec.Peak,
-		Incremental:        a.pend != nil && !a.pend.Full(),
+		Incremental:        a.incremental(),
 		SuspendWindow:      a.window,
 		PrecopyRounds:      a.preRounds,
 		PrecopyResentBytes: a.preResent,
@@ -1172,14 +1141,6 @@ func (op *ckptOp) doneArrived(a *ckptAgent) {
 	op.dones++
 	if op.dones < len(op.agents) {
 		return
-	}
-	// The whole coordinated operation succeeded: commit the incremental
-	// trackers now, so an abort anywhere above leaves every chain
-	// anchored at its last durable generation.
-	for _, ag := range op.agents {
-		if ag.pend != nil {
-			ag.pend.Commit()
-		}
 	}
 	if op.opts.Redirect && op.opts.Mode == Migrate {
 		nets := make(map[netstack.IP]*netckpt.NetImage, len(op.result.Images))
@@ -1217,20 +1178,12 @@ func (op *ckptOp) doneArrived(a *ckptAgent) {
 	op.finishOK()
 }
 
-// flushAgent streams one agent's record into the manager's store.
+// flushAgent streams one agent's quiesced capture into the manager's
+// store. A failed flush fails the operation's result, not the pods:
+// they have already resumed.
 func (op *ckptOp) flushAgent(ag *ckptAgent) {
-	ext := "img"
-	if (ag.pend != nil && !ag.pend.Full()) || ag.pre != nil {
-		ext = "delta"
-	}
-	path := fmt.Sprintf("%s/%s.%s", op.opts.FlushTo, ag.img.PodName, ext)
-	fSpan := op.m.tr.Start(op.span, "store/flush",
-		trace.Track(ag.img.PodName), trace.Str("path", path))
-	if err := op.flushRecord(path, ag); err != nil {
+	if err := ag.flush(op.span, ag.pend, 0); err != nil {
 		op.result.Err = err
-		fSpan.End(trace.Str("err", err.Error()))
-	} else {
-		fSpan.End(trace.I64("bytes", ag.rec.Bytes))
 	}
 }
 
@@ -1282,31 +1235,28 @@ func (op *ckptOp) flushStaggered() {
 	}
 }
 
-// finishOK closes the operation: per-level barrier spans (tree mode
-// only — a flat plane emits nothing, keeping legacy traces
-// byte-identical), the coordinated span, counters, the phase
+// finishOK closes the operation: the tracker commits, per-level barrier
+// spans (tree mode only — a flat plane emits nothing, keeping legacy
+// traces byte-identical), the coordinated span, counters, the phase
 // notification, and the caller's callback.
 func (op *ckptOp) finishOK() {
 	op.m.dropOp(op)
+	// Every agent reported done and, when the operation flushes, the last
+	// flush wave has run: only now, and only if every record landed, do
+	// the trackers advance. An abort anywhere before this, or a record
+	// the store did not take, leaves every chain anchored at its last
+	// durable generation, so the retry links to what is actually stored.
+	if op.result.Err == nil {
+		for _, ag := range op.agents {
+			ag.pend.Commit()
+		}
+	}
 	op.plane.EmitLevelSpans(op.m.tr, op.span)
 	op.span.End(trace.Str("outcome", "ok"),
 		trace.I64("total_ns", int64(op.result.Stats.Total)))
 	op.m.reg.Counter("ckpt_ops_total").Add(1)
 	op.m.notify(PhaseCheckpointDone)
 	op.onDone(op.result)
-}
-
-// flushRecord replays one agent's record into the manager's store.
-func (op *ckptOp) flushRecord(path string, ag *ckptAgent) error {
-	wc, err := op.m.store.Create(path)
-	if err != nil {
-		return err
-	}
-	if _, err := ag.rec.WriteTo(wc); err != nil {
-		wc.Close()
-		return err
-	}
-	return wc.Close()
 }
 
 // Placement names the target node for one pod image.

@@ -1,15 +1,19 @@
-// Record-chain layout helpers, shared by every consumer that must walk
-// a generation directory in restore order: the supervisor's
-// chain-validating load path and the warm-standby replication plane
-// both reconstruct per-pod base+delta chains from the same file-name
-// conventions (<pod>.img, <pod>.rNN.delta pre-copy rounds,
-// <pod>.delta residual).
+// Record-chain layout and the one loop that reads it, shared by every
+// consumer that must walk a generation directory in restore order:
+// restart from a store (cluster.LoadImages), the supervisor's commit
+// check and recovery load, and the warm-standby replication plane all
+// group records into per-pod chains by the same file-name conventions
+// (<pod>.img, <pod>.rNN.delta pre-copy rounds, <pod>.delta residual) and
+// read each through PodChain.Read.
 package imagestore
 
 import (
+	"fmt"
 	"sort"
 	"strconv"
 	"strings"
+
+	"zapc/internal/ckpt"
 )
 
 // ChainRank orders one pod's records within a generation for chain
@@ -31,18 +35,52 @@ func ChainRank(path string) int {
 	return 1 << 30 // the residual (plain .delta) closes the chain
 }
 
+// PodChain is one pod's records in restore order.
+type PodChain struct {
+	Pod   string
+	Paths []string
+}
+
 // PodChains groups one generation directory's files into per-pod record
-// chains in restore order. A stop-and-copy generation yields one-element
-// chains; a pre-copy generation yields base + round deltas + residual.
-func PodChains(files []string) map[string][]string {
-	chains := make(map[string][]string)
+// chains in restore order, sorted by pod name — map iteration order must
+// not decide which pod's error surfaces first, the order trace events
+// are emitted in, or restart placement. A stop-and-copy generation
+// yields one-element chains; a pre-copy generation yields base + round
+// deltas + residual.
+func PodChains(files []string) []PodChain {
+	byPod := make(map[string][]string)
 	for _, f := range files {
 		name := PodOf(f)
-		chains[name] = append(chains[name], f)
+		byPod[name] = append(byPod[name], f)
 	}
-	for name, fs := range chains {
+	chains := make([]PodChain, 0, len(byPod))
+	for name, fs := range byPod {
 		sort.Slice(fs, func(i, j int) bool { return ChainRank(fs[i]) < ChainRank(fs[j]) })
-		chains[name] = fs
+		chains = append(chains, PodChain{Pod: name, Paths: fs})
 	}
+	sort.Slice(chains, func(i, j int) bool { return chains[i].Pod < chains[j].Pod })
 	return chains
+}
+
+// Read extends c with the chain's records, opened from st one at a time
+// and closed before the next is opened: from the empty chain when Paths
+// starts at the pod's full image, from a retained chain when Paths
+// continues it. The records stay in the store and stream through the
+// verifying decoder; only the image they materialize is kept. An error
+// names the pod and the record it stopped at, and wraps what Chain.Next
+// reported (ckpt.ErrCorruptImage, ckpt.ErrChainBroken) or the store's
+// own error for a record that would not open; the chain returned with
+// it is as far as the records linked.
+func (pc PodChain) Read(st Store, c ckpt.Chain) (ckpt.Chain, error) {
+	for _, path := range pc.Paths {
+		rc, err := st.Open(path)
+		if err == nil {
+			c, err = c.Next(rc)
+			rc.Close()
+		}
+		if err != nil {
+			return c, fmt.Errorf("pod %s (%s): %w", pc.Pod, path, err)
+		}
+	}
+	return c, nil
 }

@@ -50,11 +50,6 @@ func NewRemote(nw *netstack.Network, ip netstack.IP, server netstack.Addr) (*Rem
 	return &Remote{stack: st, server: server}, nil
 }
 
-// DialStack returns a remote store that reuses an existing stack.
-func DialStack(st *netstack.Stack, server netstack.Addr) *Remote {
-	return &Remote{stack: st, server: server}
-}
-
 // Create opens a connection to the server and returns a streaming
 // writer for the image at path. Delivery is asynchronous: bytes drain
 // as the simulation runs, and the image becomes visible in the server's

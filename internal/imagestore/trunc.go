@@ -50,21 +50,21 @@ const DefaultTruncLimit = 4096
 
 // TruncStore wraps a Store with armable stream-truncation faults.
 // Unarmed it is a transparent pass-through; ArmWrites(n) makes the next
-// n Create streams fail with ErrTruncatedStream after Limit bytes
-// (committing nothing), and ArmReads(n) does the same for Open streams.
+// n Create streams fail with ErrTruncatedStream after DefaultTruncLimit
+// bytes (committing nothing), and ArmReads(n) does the same for Open
+// streams.
 // All other methods delegate to the wrapped store.
 type TruncStore struct {
 	inner    Store
 	writeArm int
 	readArm  int
-	limit    int64
 
 	cuts []string // paths of streams that were truncated, in order
 }
 
 // Truncating wraps a store with the truncation fault harness.
 func Truncating(inner Store) *TruncStore {
-	return &TruncStore{inner: inner, limit: DefaultTruncLimit}
+	return &TruncStore{inner: inner}
 }
 
 // ArmWrites arms truncation of the next n image write streams.
@@ -72,14 +72,6 @@ func (t *TruncStore) ArmWrites(n int) { t.writeArm += n }
 
 // ArmReads arms truncation of the next n image read streams.
 func (t *TruncStore) ArmReads(n int) { t.readArm += n }
-
-// SetLimit overrides the bytes passed through before the cut
-// (non-positive keeps the default).
-func (t *TruncStore) SetLimit(n int64) {
-	if n > 0 {
-		t.limit = n
-	}
-}
 
 // Cuts returns the record paths whose streams were truncated, in order.
 func (t *TruncStore) Cuts() []string { return append([]string(nil), t.cuts...) }
@@ -96,7 +88,7 @@ func (t *TruncStore) Create(path string) (io.WriteCloser, error) {
 	}
 	t.writeArm--
 	t.cuts = append(t.cuts, path)
-	return &truncWriter{inner: wc, path: path, left: t.limit}, nil
+	return &truncWriter{inner: wc, path: path, left: DefaultTruncLimit}, nil
 }
 
 // Open returns the inner reader, or — while a read fault is armed — a
@@ -111,7 +103,7 @@ func (t *TruncStore) Open(path string) (io.ReadCloser, error) {
 	}
 	t.readArm--
 	t.cuts = append(t.cuts, path)
-	return &truncReader{inner: rc, path: path, left: t.limit}, nil
+	return &truncReader{inner: rc, path: path, left: DefaultTruncLimit}, nil
 }
 
 // List delegates to the wrapped store.

@@ -8,11 +8,13 @@
 // image transport the migration path uses (imagestore.Remote feeding an
 // imagestore.Server on the standby). Each record lands in the standby's
 // local mirror store; once a generation's records are all in, the plane
-// applies them into its shadow images (decode + chain reconstruction
-// for full generations, ApplyDelta for incremental ones) and advances
-// its acknowledgement watermark. Because application uses the exact
-// decoders the store-restore path uses over byte-identical records, a
-// promoted standby restarts from byte-identical state.
+// applies them into its shadow chains — a full generation starts each
+// pod's chain afresh, an incremental one extends the chain the plane
+// retains — and advances its acknowledgement watermark. Application is
+// the chain reader the store-restore path uses (ckpt.Chain through
+// imagestore.PodChain.Read) over byte-identical records, so the standby
+// accepts exactly the generations recovery would, and a promoted standby
+// restarts from byte-identical state.
 //
 // The watermark is the coordination contract with the primary: the
 // supervisor never garbage-collects a generation chain the standby has
@@ -27,7 +29,6 @@ package standby
 import (
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"sort"
 
@@ -97,8 +98,7 @@ type Plane struct {
 	reg *trace.Registry
 
 	gens     []supervisor.Generation // applied generations, ascending seq
-	shadows  map[string]*ckpt.Image  // pod name -> materialized shadow
-	sums     map[string]uint32       // pod name -> CRC of last applied record
+	shadows  map[string]ckpt.Chain   // pod name -> chain applied so far; its Image is the shadow
 	ackedSeq int
 	appliedT sim.Time
 	promoted bool
@@ -134,8 +134,7 @@ func New(w *sim.World, nw *netstack.Network, node *vos.Node, src imagestore.Stor
 		cfg:      cfg,
 		src:      src,
 		local:    imagestore.NewFS(memfs.New()),
-		shadows:  make(map[string]*ckpt.Image),
-		sums:     make(map[string]uint32),
+		shadows:  make(map[string]ckpt.Chain),
 		ackedSeq: -1,
 	}
 	srv, err := imagestore.NewServer(nw, serverIP, cfg.Port, p.local)
@@ -194,8 +193,8 @@ func (p *Plane) AppliedGenerations() []supervisor.Generation {
 // ShadowImages returns the current shadow images sorted by pod name.
 func (p *Plane) ShadowImages() []*ckpt.Image {
 	images := make([]*ckpt.Image, 0, len(p.shadows))
-	for _, img := range p.shadows {
-		images = append(images, img)
+	for _, c := range p.shadows {
+		images = append(images, c.Image)
 	}
 	sort.Slice(images, func(i, j int) bool { return images[i].PodName < images[j].PodName })
 	return images
@@ -368,9 +367,9 @@ func (p *Plane) applyGen() {
 	p.applying = true
 	p.w.After(cost, func() {
 		p.applying = false
-		shadows, sums, err := p.materialize(g)
+		shadows, err := p.materialize(g)
 		if err == nil {
-			p.shadows, p.sums = shadows, sums
+			p.shadows = shadows
 			p.gens = append(p.gens, g)
 			p.ackedSeq = g.Seq
 			p.appliedT = g.T
@@ -401,85 +400,33 @@ func (p *Plane) applyGen() {
 }
 
 // materialize builds the next shadow map from the local mirror's
-// records for generation g. Full generations replace the shadows
-// wholesale (reconstructing any pre-copy chain within the directory);
-// delta generations apply one residual delta per pod onto its shadow,
-// verifying the delta's parent checksum against the CRC of the record
-// the shadow was built from — the same chain validation the
-// store-restore path performs. The current shadows are never modified,
-// so a failed apply leaves the previous acknowledged state intact.
-func (p *Plane) materialize(g supervisor.Generation) (map[string]*ckpt.Image, map[string]uint32, error) {
+// records for generation g. A full generation replaces the shadows
+// wholesale, each pod's chain read from empty (one image, or a pre-copy
+// chain within the directory); a delta generation extends each pod's
+// retained chain by its delta, so the delta must link — parent checksum,
+// sequence, pod — to the record the shadow was built from, the same
+// validation the store-restore path performs. The current shadows are
+// never modified, so a failed apply leaves the previous acknowledged
+// state intact.
+func (p *Plane) materialize(g supervisor.Generation) (map[string]ckpt.Chain, error) {
 	files := p.local.List(g.Dir)
 	if len(files) == 0 {
-		return nil, nil, fmt.Errorf("generation %s: no replicated records", g.Dir)
+		return nil, fmt.Errorf("generation %s: no replicated records", g.Dir)
 	}
-	if g.Full {
-		chains := imagestore.PodChains(files)
-		names := make([]string, 0, len(chains))
-		for name := range chains {
-			names = append(names, name)
+	shadows := make(map[string]ckpt.Chain, len(p.shadows))
+	if !g.Full {
+		for name, c := range p.shadows {
+			shadows[name] = c
 		}
-		sort.Strings(names)
-		shadows := make(map[string]*ckpt.Image, len(chains))
-		sums := make(map[string]uint32, len(chains))
-		for _, name := range names {
-			paths := chains[name]
-			var lastSum uint32
-			img, err := ckpt.ReconstructChainFrom(len(paths), func(i int) (io.ReadCloser, error) {
-				rc, err := p.local.Open(paths[i])
-				if err != nil {
-					return nil, err
-				}
-				cr := &crcReadCloser{rc: rc}
-				if i == len(paths)-1 {
-					cr.sink = &lastSum
-				}
-				return cr, nil
-			})
-			if err != nil {
-				return nil, nil, fmt.Errorf("pod %s: %w", name, err)
-			}
-			shadows[name] = img
-			sums[name] = lastSum
-		}
-		return shadows, sums, nil
 	}
-	shadows := make(map[string]*ckpt.Image, len(p.shadows))
-	sums := make(map[string]uint32, len(p.sums))
-	for k, v := range p.shadows {
-		shadows[k] = v
-		sums[k] = p.sums[k]
-	}
-	sort.Strings(files)
-	for _, f := range files {
-		name := imagestore.PodOf(f)
-		base, ok := shadows[name]
-		if !ok {
-			return nil, nil, fmt.Errorf("pod %s: delta %s has no shadow base", name, f)
-		}
-		rc, err := p.local.Open(f)
+	for _, pc := range imagestore.PodChains(files) {
+		c, err := pc.Read(p.local, shadows[pc.Pod])
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
-		var sum uint32
-		cr := &crcReadCloser{rc: rc, sink: &sum}
-		d, err := ckpt.DecodeDeltaFrom(cr)
-		cr.Close()
-		if err != nil {
-			return nil, nil, fmt.Errorf("pod %s (%s): %w", name, f, err)
-		}
-		if d.ParentSum != sums[name] {
-			return nil, nil, fmt.Errorf("pod %s (%s): %w: parent checksum %08x, shadow built from %08x",
-				name, f, ckpt.ErrChainBroken, d.ParentSum, sums[name])
-		}
-		img, err := ckpt.ApplyDelta(base, d)
-		if err != nil {
-			return nil, nil, fmt.Errorf("pod %s: %w", name, err)
-		}
-		shadows[name] = img
-		sums[name] = sum
+		shadows[pc.Pod] = c
 	}
-	return shadows, sums, nil
+	return shadows, nil
 }
 
 // pruneLocal drops mirrored generations made obsolete by a newly
@@ -571,23 +518,3 @@ func (p *Plane) setLag() {
 	}
 	p.reg.Gauge("standby_lag_gens").Set(lag)
 }
-
-// crcReadCloser mirrors the chain decoder's record checksumming
-// (crc32.ChecksumIEEE over the serialized record) so delta parent sums
-// can be verified across generations.
-type crcReadCloser struct {
-	rc   io.ReadCloser
-	sum  uint32
-	sink *uint32
-}
-
-func (c *crcReadCloser) Read(p []byte) (int, error) {
-	n, err := c.rc.Read(p)
-	c.sum = crc32.Update(c.sum, crc32.IEEETable, p[:n])
-	if c.sink != nil {
-		*c.sink = c.sum
-	}
-	return n, err
-}
-
-func (c *crcReadCloser) Close() error { return c.rc.Close() }

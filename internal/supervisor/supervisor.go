@@ -17,8 +17,9 @@
 //     coordinately checkpointed to a fresh generation directory on the
 //     shared filesystem, with exponential-backoff retry when an attempt
 //     aborts (transient control-plane fault, watchdog timeout);
-//   - bounded retention of validated generations: each flushed image is
-//     read back and CRC-verified via the imgfmt trailer before the
+//   - bounded retention of validated generations: every record a
+//     generation flushed is read back through the verifying chain reader
+//     (ckpt.Chain: frame CRCs, trailer, chain linkage) before the
 //     generation is trusted; generations beyond Retain are garbage
 //     collected oldest-first;
 //   - automatic failover: on a detected node failure the job's pods are
@@ -32,8 +33,6 @@ package supervisor
 import (
 	"errors"
 	"fmt"
-	"io"
-	"sort"
 	"strings"
 
 	"zapc/internal/ckpt"
@@ -103,12 +102,6 @@ type Policy struct {
 	// only quiesced for the residual dirty set, which is what makes
 	// frequent checkpoints affordable downtime-wise.
 	StopAndCopy bool
-	// PrecopyMaxRounds bounds the live pre-copy rounds per checkpoint
-	// (0 selects core.DefaultPrecopyMaxRounds).
-	PrecopyMaxRounds int
-	// PrecopyConvergeBytes is the pre-copy convergence threshold
-	// (0 selects core.DefaultPrecopyConvergeBytes).
-	PrecopyConvergeBytes int64
 	// Fanout selects the coordination-tree arity handed to the
 	// coordinated checkpoint and restart operations. Positive values
 	// route control traffic through a k-ary tree of sub-coordinators;
@@ -695,10 +688,7 @@ func (s *Supervisor) checkpointAttempt() {
 		// Periodic non-incremental checkpoints default to pre-copy: the
 		// application keeps running through the bulk of the serialization
 		// and only the residual dirty set is captured quiesced.
-		opts.Precopy = &core.PrecopyOptions{
-			MaxRounds:     s.pol.PrecopyMaxRounds,
-			ConvergeBytes: s.pol.PrecopyConvergeBytes,
-		}
+		opts.Precopy = &core.PrecopyOptions{}
 	}
 	s.t.Mgr.Checkpoint(s.t.Pods(), opts, func(res *core.CheckpointResult) {
 		s.ckptDone(dir, res)
@@ -710,22 +700,18 @@ func (s *Supervisor) ckptDone(dir string, res *core.CheckpointResult) {
 		return
 	}
 	err := res.Err
-	if err == nil {
-		err = s.validateGeneration(dir)
-	}
 	full := true
-	if err == nil {
-		for _, ag := range res.Stats.Agents {
-			if ag.Incremental {
-				full = false
-				break
-			}
+	for _, ag := range res.Stats.Agents {
+		if ag.Incremental {
+			full = false
+			break
 		}
 	}
 	if err == nil {
-		// End-to-end chain validation: the generation (with its chain
-		// back to the nearest full image, for deltas) must reconstruct
-		// from what actually landed on the shared filesystem.
+		// The commit check: the generation (with its chain back to the
+		// nearest full image, for deltas) must reconstruct from what
+		// actually landed in the store — an end-to-end write/read/decode
+		// round trip of every record just flushed.
 		s.gens = append(s.gens, Generation{Seq: s.gen, Dir: dir, T: s.t.W.Now(), Full: full})
 		if lerr := s.checkGeneration(len(s.gens) - 1); lerr != nil {
 			s.gens = s.gens[:len(s.gens)-1]
@@ -736,8 +722,6 @@ func (s *Supervisor) ckptDone(dir string, res *core.CheckpointResult) {
 				// it.
 				s.incr.Rebase()
 			}
-		} else {
-			s.gens = s.gens[:len(s.gens)-1]
 		}
 	}
 	switch {
@@ -748,7 +732,7 @@ func (s *Supervisor) ckptDone(dir string, res *core.CheckpointResult) {
 				bytes += info.Size
 			}
 		}
-		s.gens = append(s.gens, Generation{Seq: s.gen, Dir: dir, T: s.t.W.Now(), Bytes: bytes, Full: full})
+		s.gens[len(s.gens)-1].Bytes = bytes
 		s.gen++
 		s.stats.Checkpoints++
 		kind := "full"
@@ -820,35 +804,6 @@ func (s *Supervisor) sweepStore() {
 			s.log(EvGC, "swept %d orphaned store blocks", n)
 		}
 	}
-}
-
-// validateGeneration streams back every record just flushed and
-// decode-checks it (per-chunk CRCs, trailer, and full field walk), so a
-// generation is only ever trusted after an end-to-end
-// write/read/decode round trip. Records are verified as streams — the
-// supervisor never materializes one. Chain linkage of delta records is
-// validated separately via checkGeneration.
-func (s *Supervisor) validateGeneration(dir string) error {
-	files := s.t.Store.List(dir)
-	if len(files) == 0 {
-		return fmt.Errorf("supervisor: generation %s flushed no images", dir)
-	}
-	for _, f := range files {
-		rc, err := s.t.Store.Open(f)
-		if err != nil {
-			return err
-		}
-		if strings.HasSuffix(f, ".delta") {
-			_, err = ckpt.DecodeDeltaFrom(rc)
-		} else {
-			_, err = ckpt.VerifyImageFrom(rc)
-		}
-		rc.Close()
-		if err != nil {
-			return fmt.Errorf("%s: %w", f, err)
-		}
-	}
-	return nil
 }
 
 // gc drops generations beyond the retention depth, oldest first. A full
@@ -923,11 +878,14 @@ func (s *Supervisor) syncReplica() {
 	})
 }
 
-// chainPaths collects, for the generation at index gi, each pod's
-// record-chain paths: the nearest full generation at or before gi plus
-// every delta between it and gi, in order. Records themselves stay in
-// the store; reconstruction streams them one at a time.
-func (s *Supervisor) chainPaths(gi int) (map[string][]string, error) {
+// chains resolves the generation at index gi into each pod's record
+// chain: the pod's records in the nearest full generation at or before
+// gi — one .img (stop-and-copy), or a pre-copy base+rounds+residual —
+// followed by its delta in every generation after that up to gi. A full
+// generation is self-contained; an incremental one chains back through
+// the generations before it. Nothing is opened or stat'ed here: a link
+// that is gone surfaces, named, where the chain is sized or read.
+func (s *Supervisor) chains(gi int) ([]imagestore.PodChain, error) {
 	base := gi
 	for base >= 0 && !s.gens[base].Full {
 		base--
@@ -936,30 +894,36 @@ func (s *Supervisor) chainPaths(gi int) (map[string][]string, error) {
 		return nil, fmt.Errorf("generation %s: no full base generation retained", s.gens[gi].Dir)
 	}
 	chains := imagestore.PodChains(s.t.Store.List(s.gens[base].Dir))
+	if len(chains) == 0 {
+		return nil, fmt.Errorf("generation %s: %w", s.gens[base].Dir, ErrNoValidCheckpoint)
+	}
 	for j := base + 1; j <= gi; j++ {
-		for name := range chains {
-			f := fmt.Sprintf("%s/%s.delta", s.gens[j].Dir, name)
-			if _, err := s.t.Store.Stat(f); err != nil {
-				return nil, fmt.Errorf("generation %s: pod %s: %w", s.gens[j].Dir, name, err)
-			}
-			chains[name] = append(chains[name], f)
+		for i := range chains {
+			chains[i].Paths = append(chains[i].Paths,
+				fmt.Sprintf("%s/%s.delta", s.gens[j].Dir, chains[i].Pod))
 		}
 	}
 	return chains, nil
 }
 
-// checkGeneration is the commit-time chain check: it reads and verifies
-// every pod of the generation at index gi into s.gens, reconstructing
-// base+delta chains for incremental generations, and keeps nothing —
-// each pod's image is dropped before the next pod's chain is opened, so
-// at most one is live. The error names the first pod whose record (or
-// chain) fails validation.
+// checkGeneration is the commit check: it reads and verifies every pod
+// of the generation at index gi into s.gens through its whole chain, and
+// keeps nothing. It first refuses a generation whose directory lists a
+// record no pod's chain reaches, so every record just flushed is
+// decode-checked or the commit fails naming the one that would not be.
 func (s *Supervisor) checkGeneration(gi int) error {
 	g := s.gens[gi]
 	span := s.tr.Start(s.opSpan(), "supervisor/load-generation", trace.Track("supervisor"),
 		trace.Str("dir", g.Dir), trace.I64("seq", int64(g.Seq)))
 	images := 0
-	if err := s.walkGeneration(gi, func(*ckpt.Image) { images++ }); err != nil {
+	chains, err := s.chains(gi)
+	if err == nil {
+		err = unreachedRecord(g.Dir, s.t.Store.List(g.Dir), chains)
+	}
+	if err == nil {
+		err = s.readChains(chains, func(*ckpt.Image) { images++ })
+	}
+	if err != nil {
 		span.End(trace.Str("err", err.Error()))
 		return err
 	}
@@ -967,74 +931,44 @@ func (s *Supervisor) checkGeneration(gi int) error {
 	return nil
 }
 
-// loadGenerationRecords materializes the generation at index gi for
-// recovery: every pod's verified image, sorted by pod name for
-// deterministic placement.
-func (s *Supervisor) loadGenerationRecords(gi int) ([]*ckpt.Image, error) {
-	var images []*ckpt.Image
-	if err := s.walkGeneration(gi, func(img *ckpt.Image) { images = append(images, img) }); err != nil {
-		return nil, err
+// unreachedRecord names the first of a generation directory's files that
+// is on no pod's chain, if there is one.
+func unreachedRecord(dir string, files []string, chains []imagestore.PodChain) error {
+	reached := make(map[string]bool)
+	for _, pc := range chains {
+		for _, path := range pc.Paths {
+			reached[path] = true
+		}
 	}
-	sort.Slice(images, func(i, j int) bool { return images[i].PodName < images[j].PodName })
-	return images, nil
+	for _, f := range files {
+		if !reached[f] {
+			return fmt.Errorf("generation %s: record %s is part of no pod's chain", dir, f)
+		}
+	}
+	return nil
 }
 
-// walkGeneration reads and verifies the generation at index gi one pod
-// at a time, handing each pod's image to visit.
-func (s *Supervisor) walkGeneration(gi int, visit func(*ckpt.Image)) error {
-	g := s.gens[gi]
-	files := s.t.Store.List(g.Dir)
-	if len(files) == 0 {
-		return fmt.Errorf("generation %s: %w", g.Dir, ErrNoValidCheckpoint)
-	}
-	// A Full generation is self-contained: each pod is either a single
-	// .img (stop-and-copy) or a pre-copy chain base+rounds+residual. A
-	// non-Full (incremental) generation chains back through prior
-	// generations via chainPaths.
-	var chains map[string][]string
-	if g.Full {
-		chains = imagestore.PodChains(files)
-	} else {
-		var err error
-		chains, err = s.chainPaths(gi)
-		if err != nil {
-			return err
+// readChains reads and verifies each pod's chain in turn, handing the
+// image it materializes to visit. A visit that keeps nothing — the
+// commit check's — leaves each pod's image unreferenced before the next
+// pod's chain is opened, so at most one is live. The error names the
+// first pod, and the record, that fails validation.
+func (s *Supervisor) readChains(chains []imagestore.PodChain, visit func(*ckpt.Image)) error {
+	for _, pc := range chains {
+		var cSpan *trace.Span
+		if len(pc.Paths) > 1 {
+			cSpan = s.tr.Start(s.opSpan(), "supervisor/chain-reconstruct", trace.Track("supervisor"),
+				trace.Str("pod", pc.Pod), trace.I64("links", int64(len(pc.Paths))))
 		}
-	}
-	// Walk the chains in pod-name order: map iteration order must not
-	// decide which pod's error surfaces first or the order trace
-	// events are emitted in.
-	names := make([]string, 0, len(chains))
-	for name := range chains {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		paths := chains[name]
-		if len(paths) == 1 && strings.HasSuffix(paths[0], ".img") {
-			rc, err := s.t.Store.Open(paths[0])
-			if err != nil {
-				return err
-			}
-			img, err := ckpt.VerifyImageFrom(rc)
-			rc.Close()
-			if err != nil {
-				return fmt.Errorf("pod %s (%s): %w", name, paths[0], err)
-			}
-			visit(img)
-			continue
-		}
-		cSpan := s.tr.Start(s.opSpan(), "supervisor/chain-reconstruct", trace.Track("supervisor"),
-			trace.Str("pod", name), trace.I64("links", int64(len(paths))))
-		img, err := ckpt.ReconstructChainFrom(len(paths), func(i int) (io.ReadCloser, error) {
-			return s.t.Store.Open(paths[i])
-		})
+		c, err := pc.Read(s.t.Store, ckpt.Chain{})
 		if err != nil {
 			cSpan.End(trace.Str("err", err.Error()))
-			return fmt.Errorf("pod %s: %w", name, err)
+			return err
 		}
-		cSpan.End(trace.I64("bytes", img.Bytes()))
-		visit(img)
+		if cSpan != nil {
+			cSpan.End(trace.I64("bytes", c.Image.Bytes()))
+		}
+		visit(c.Image)
 	}
 	return nil
 }
@@ -1109,16 +1043,20 @@ func (s *Supervisor) tryRestore(gi int) {
 	g := s.gens[gi]
 	span := s.tr.Start(s.opSpan(), "supervisor/load-generation", trace.Track("supervisor"),
 		trace.Str("dir", g.Dir), trace.I64("seq", int64(g.Seq)))
-	replayBytes, err := s.chainReplayBytes(gi)
-	if err != nil {
-		// A chain link is already missing; nothing was read, no cost.
-		span.End(trace.Str("err", err.Error()))
-		s.skipCorrupt(gi, err)
-		return
+	// Size the chains first — a link that is already missing fails here,
+	// before anything is read — then decode and verify host-side (free):
+	// a corrupt generation is skipped without charging a read that never
+	// completes usefully. The images come back in pod-name order, which
+	// is what makes placement deterministic.
+	var replayBytes int64
+	var images []*ckpt.Image
+	chains, err := s.chains(gi)
+	if err == nil {
+		replayBytes, err = s.chainReplayBytes(g, chains)
 	}
-	// Decode and verify host-side first (free): a corrupt generation is
-	// skipped without charging a read that never completes usefully.
-	images, err := s.loadGenerationRecords(gi)
+	if err == nil {
+		err = s.readChains(chains, func(img *ckpt.Image) { images = append(images, img) })
+	}
 	if err != nil {
 		span.End(trace.Str("err", err.Error()))
 		s.skipCorrupt(gi, err)
@@ -1150,28 +1088,14 @@ func (s *Supervisor) tryRestore(gi int) {
 	})
 }
 
-// chainReplayBytes sizes the delta-replay work for the generation at
-// index gi: the stored bytes of every delta record that must be
-// replayed onto its base (pre-copy rounds and incremental deltas). It
-// also verifies every chain link still exists; a Stat failure means a
-// link is gone before any read happened.
-func (s *Supervisor) chainReplayBytes(gi int) (replayBytes int64, err error) {
-	g := s.gens[gi]
-	var chains map[string][]string
-	if g.Full {
-		files := s.t.Store.List(g.Dir)
-		if len(files) == 0 {
-			return 0, fmt.Errorf("generation %s: %w", g.Dir, ErrNoValidCheckpoint)
-		}
-		chains = imagestore.PodChains(files)
-	} else {
-		chains, err = s.chainPaths(gi)
-		if err != nil {
-			return 0, err
-		}
-	}
-	for _, paths := range chains {
-		for _, p := range paths {
+// chainReplayBytes sizes the delta-replay work for generation g: the
+// stored bytes of every delta record that must be replayed onto its base
+// (pre-copy rounds and incremental deltas). It also verifies every chain
+// link still exists; a Stat failure means a link is gone before any read
+// happened.
+func (s *Supervisor) chainReplayBytes(g Generation, chains []imagestore.PodChain) (replayBytes int64, err error) {
+	for _, pc := range chains {
+		for _, p := range pc.Paths {
 			info, serr := s.t.Store.Stat(p)
 			if serr != nil {
 				return 0, fmt.Errorf("generation %s: %s: %w", g.Dir, p, serr)

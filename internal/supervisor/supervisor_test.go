@@ -191,6 +191,68 @@ func TestSupervisorRetryBackoff(t *testing.T) {
 	}
 }
 
+// TestCommitCheckRefusesStrayRecord: the commit check reads every record
+// a generation's directory lists, or fails the commit naming the one it
+// would not. A record no pod's chain reaches — an x.delta beside a
+// stop-and-copy generation's images, an .img (a valid one: a copy of a
+// committed image) in an incremental delta generation — was flushed by
+// nobody the supervisor knows; the attempt is scrapped, the stray with
+// it, and its one retry commits.
+func TestCommitCheckRefusesStrayRecord(t *testing.T) {
+	for _, tc := range []struct {
+		name, stray string
+		after       int // generations committed before the stray is planted
+		pol         supervisor.Policy
+	}{
+		{"delta in a stop-and-copy generation", "stray/gen0000/x.delta", 0, supervisor.Policy{StopAndCopy: true}},
+		{"image in a delta generation", "stray/gen0001/y.img", 1, supervisor.Policy{Incremental: true}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			spec := cluster.JobSpec{App: "cpi", Endpoints: 4, Work: 0.05, Scale: 0.001}
+			_, refDur := reference(t, 8, spec)
+			c := cluster.New(cluster.Config{Nodes: 4, Seed: 8})
+			job, err := c.Launch(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tc.pol.Dir = "stray"
+			tc.pol.CheckpointEvery = refDur / 10
+			tc.pol.RetryBackoff = 10 * sim.Millisecond
+			sup, err := c.Supervise(job, tc.pol)
+			if err != nil {
+				t.Fatal(err)
+			}
+			committed := func(n int) {
+				t.Helper()
+				if err := c.Drive(func() bool { return sup.Stats().Checkpoints >= n }, deadline); err != nil {
+					t.Fatalf("drive to generation %d: %v (events: %v)", n, err, sup.Events())
+				}
+			}
+			committed(tc.after)
+			content := []byte("flushed by nobody")
+			if tc.after > 0 {
+				if content, err = c.FS.ReadFile(c.FS.List("stray/gen0000")[0]); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := c.FS.WriteFile(tc.stray, content); err != nil {
+				t.Fatal(err)
+			}
+			committed(tc.after + 2)
+			retries := sup.EventsOf(supervisor.EvRetry)
+			if len(retries) != 1 {
+				t.Fatalf("want exactly the stray's generation retried once; events: %v", sup.Events())
+			}
+			if d := retries[0].Detail; !strings.Contains(d, "chain validation") || !strings.Contains(d, tc.stray) {
+				t.Fatalf("retry does not name the stray record %s: %q", tc.stray, d)
+			}
+			if _, err := c.FS.Stat(tc.stray); err == nil {
+				t.Fatalf("stray record %s survived the scrapped attempt", tc.stray)
+			}
+		})
+	}
+}
+
 // TestSupervisorSkipsCorruptGeneration corrupts the newest committed
 // generation on the shared FS; at the next failover the supervisor must
 // skip it (with an explicit event) and restart from the previous valid

@@ -290,23 +290,6 @@ func (p *Process) DirtyBytes(since uint64) int64 {
 	return n
 }
 
-// SnapshotRegions deep-copies the regions written after the given
-// watermark and returns them together with the write clock the copies
-// are consistent at. The simulation runs event callbacks atomically, so
-// no process is mid-step while a snapshot is taken: the returned pages
-// and watermark form a read-consistent pair even while the process keeps
-// running between events — the simulated stand-in for copy-on-write /
-// soft-dirty capture. Pass since=0 for a full-image snapshot.
-func (p *Process) SnapshotRegions(since uint64) ([]Region, uint64) {
-	var out []Region
-	for _, r := range p.mem {
-		if p.memVer[r.Name] > since {
-			out = append(out, Region{Name: r.Name, Data: append([]byte(nil), r.Data...)})
-		}
-	}
-	return out, p.memClock
-}
-
 // Region returns a named memory region's data.
 func (p *Process) Region(name string) ([]byte, bool) {
 	for i := range p.mem {

@@ -251,21 +251,4 @@ func TestDirtyBytesAndSnapshot(t *testing.T) {
 	if got := p.DirtyBytes(mark); got != 4 {
 		t.Fatalf("DirtyBytes after one rewrite = %d, want 4", got)
 	}
-	// SnapshotRegions returns deep copies consistent at its watermark.
-	snap, at := p.SnapshotRegions(mark)
-	if at != p.MemClock() {
-		t.Fatalf("snapshot watermark = %d, want current clock %d", at, p.MemClock())
-	}
-	if len(snap) != 1 || snap[0].Name != "b" {
-		t.Fatalf("snapshot since watermark = %+v, want region b only", snap)
-	}
-	live, _ := p.Region("b")
-	live[0] = 99
-	if snap[0].Data[0] == 99 {
-		t.Fatal("snapshot aliases live region bytes; must deep-copy")
-	}
-	full, _ := p.SnapshotRegions(0)
-	if len(full) != 2 {
-		t.Fatalf("full snapshot = %d regions, want 2", len(full))
-	}
 }

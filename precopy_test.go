@@ -156,6 +156,81 @@ func TestPrecopyRestoreEquivalence(t *testing.T) {
 	}
 }
 
+// TestPrecopyRestartFromFSFlushTo: what a pre-copy checkpoint flushes —
+// base, round deltas and residual per pod — is what a restart from
+// storage reads: RestartFromFS on the FlushTo directory restores the job,
+// which completes with exactly the uninterrupted result. (LoadImages used
+// to know only .img files and refused the residual as a corrupt image.)
+func TestPrecopyRestartFromFSFlushTo(t *testing.T) {
+	const seed = 5
+	want := refFor(t, seed, churnSpec())
+	c := zapc.New(zapc.Config{Nodes: 4, Seed: seed})
+	job, err := c.Launch(churnSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	driveTo(t, c, job, 0.5)
+	if _, err := c.Checkpoint(job, zapc.CheckpointOptions{
+		Mode: zapc.MigrateMode, Workers: 4, FlushTo: "fs/pre",
+		Precopy: &zapc.PrecopyOptions{MaxRounds: 3},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if n := len(c.FS.List("fs/pre")); n != 4*4 {
+		t.Fatalf("flushed %d records, want base + 2 rounds + residual for each of 4 pods", n)
+	}
+	if _, err := c.RestartFromFS(job, "fs/pre", c.Nodes); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.RunJob(job, eqDeadline); err != nil {
+		t.Fatal(err)
+	}
+	if got := job.Result(); got != want {
+		t.Fatalf("restart from a pre-copy FlushTo directory: result %v != uninterrupted %v", got, want)
+	}
+}
+
+// TestPrecopyRestartFromFSSupervisorGeneration is the same from a
+// generation directory the supervisor wrote under its default policy,
+// which is pre-copy: the newest committed generation restores by hand
+// with RestartFromFS and the job completes with the exact result.
+func TestPrecopyRestartFromFSSupervisorGeneration(t *testing.T) {
+	const seed = 23
+	spec := churnSpec()
+	spec.Work = 4
+	want := refFor(t, seed, spec)
+	c := zapc.New(zapc.Config{Nodes: 4, Seed: seed})
+	job, err := c.Launch(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sup, err := c.Supervise(job, zapc.SupervisorPolicy{CheckpointEvery: 200 * zapc.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Drive(func() bool { return sup.Stats().Checkpoints >= 2 }, eqDeadline); err != nil {
+		t.Fatalf("drive to second generation: %v (events: %v)", err, sup.Events())
+	}
+	sup.Stop()
+	gens := sup.Generations()
+	newest := gens[len(gens)-1]
+	if n := len(c.FS.List(newest.Dir)); n <= 2*4 {
+		t.Fatalf("generation %s holds %d records — not a pre-copy chain per pod", newest.Dir, n)
+	}
+	for _, p := range job.Pods {
+		p.Destroy()
+	}
+	if _, err := c.RestartFromFS(job, newest.Dir, c.Nodes); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.RunJob(job, eqDeadline); err != nil {
+		t.Fatal(err)
+	}
+	if got := job.Result(); got != want {
+		t.Fatalf("restart from supervisor generation %s: result %v != uninterrupted %v", newest.Dir, got, want)
+	}
+}
+
 // TestPrecopyDeterminism: two identically-seeded pre-copy runs flush
 // byte-identical chains — base, every round delta, and residual.
 func TestPrecopyDeterminism(t *testing.T) {

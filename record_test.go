@@ -193,7 +193,8 @@ func TestGoldenRecordsReencodeIdentically(t *testing.T) {
 	byDir["gold/incr1"] = append(byDir["gold/incr1"], byDir["gold/incr0"]...)
 	chains := 0
 	for dir, files := range byDir {
-		for pod, links := range imagestore.PodChains(files) {
+		for _, pc := range imagestore.PodChains(files) {
+			links := pc.Paths
 			if len(links) < 2 {
 				continue
 			}
@@ -202,9 +203,9 @@ func TestGoldenRecordsReencodeIdentically(t *testing.T) {
 				return io.NopCloser(open(links[i])), nil
 			})
 			if err != nil {
-				t.Fatalf("%s: pod %s chain %v: %v", dir, pod, links, err)
+				t.Fatalf("%s: pod %s chain %v: %v", dir, pc.Pod, links, err)
 			}
-			sized(dir+"/"+pod, img)
+			sized(dir+"/"+pc.Pod, img)
 		}
 	}
 	if chains != 12 { // bt incremental, bt pre-copy and churn pre-copy, four pods each

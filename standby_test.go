@@ -322,8 +322,8 @@ func TestStandbyShadowByteIdentity(t *testing.T) {
 		t.Fatalf("no pod chains in full generation %s", gens[fullIdx].Dir)
 	}
 	for i := fullIdx + 1; i < len(gens); i++ {
-		for name := range chains {
-			chains[name] = append(chains[name], fmt.Sprintf("%s/%s.delta", gens[i].Dir, name))
+		for j := range chains {
+			chains[j].Paths = append(chains[j].Paths, fmt.Sprintf("%s/%s.delta", gens[i].Dir, chains[j].Pod))
 		}
 	}
 	shadows := plane.ShadowImages()
@@ -334,7 +334,8 @@ func TestStandbyShadowByteIdentity(t *testing.T) {
 	if len(byPod) != len(chains) {
 		t.Fatalf("%d shadow pods vs %d store chains", len(byPod), len(chains))
 	}
-	for name, paths := range chains {
+	for _, pc := range chains {
+		name, paths := pc.Pod, pc.Paths
 		rebuilt, err := ckpt.ReconstructChainFrom(len(paths), func(i int) (io.ReadCloser, error) {
 			return primary.Open(paths[i])
 		})

@@ -240,9 +240,17 @@ func TracePhaseStats(events []TraceEvent) []TracePhaseStat { return trace.PhaseS
 // TracePhaseSummary formats the per-phase latency breakdown as a table.
 func TracePhaseSummary(events []TraceEvent) string { return trace.PhaseSummary(events) }
 
-// ErrCorruptImage is returned (wrapped, naming the affected pod) when a
-// checkpoint image fails CRC validation during LoadImages/RestartFromFS.
+// ErrCorruptImage is returned (wrapped, naming the affected pod and
+// record) when a stored checkpoint record does not decode — a CRC
+// mismatch, a truncation, an unsupported version — during
+// LoadImages/RestartFromFS.
 var ErrCorruptImage = cluster.ErrCorruptImage
+
+// ErrChainBroken is returned the same way when a pod's stored records
+// decode but do not link into a chain: a delta out of sequence, one
+// whose parent checksum names a different record, or a directory that
+// is not self-contained (an incremental delta generation on its own).
+var ErrChainBroken = ckpt.ErrChainBroken
 
 // ErrTruncatedStream is returned (wrapped, naming the affected pod and
 // the byte offset) when a checkpoint image stream dies before commit —
