@@ -5,18 +5,18 @@ FUZZTIME ?= 5s
 GOTESTFLAGS ?= -race -count=1
 GOTEST = $(GO) test $(GOTESTFLAGS)
 
-.PHONY: ci fmt vet boundary build test race race-precopy fuzz chaos dedup-check scale-check obs-check standby-check bench-module host-bench cover bench baseline trace-check examples loc clean
+.PHONY: ci fmt vet boundary build test race race-precopy cow-check fuzz chaos dedup-check scale-check obs-check standby-check bench-module host-bench cover bench baseline trace-check examples loc clean
 
 # Full CI gate: static checks, the package-boundary check, a clean
 # build, the race-enabled suite (which holds the modeled-baseline
 # equality gate, TestModeledBaseline), the pre-copy live-checkpoint
-# scenario under the race detector, short
+# scenario and the copy-on-write contract under the race detector, short
 # fuzzing of the image-format decoders, trace determinism, the chaos
 # fuzzer sweep + corpus replay gate, the dedup-store layout gate, the
 # coordination-tree scaling gate, the observability/availability gate,
 # the warm-standby replication gate, the nested benchmark module (which
 # `./...` from the root does not reach), and coverage totals.
-ci: fmt vet boundary build race race-precopy fuzz trace-check chaos dedup-check scale-check obs-check standby-check bench-module cover
+ci: fmt vet boundary build race race-precopy cow-check fuzz trace-check chaos dedup-check scale-check obs-check standby-check bench-module cover
 
 # gofmt gate: fails listing any file that is not gofmt-clean.
 fmt:
@@ -52,6 +52,17 @@ race:
 # termination, all under -race.
 race-precopy:
 	$(GOTEST) -run '^TestPrecopy' .
+
+# Copy-on-write gate: an image aliases the pod's bytes and a restored pod
+# the image's, so these hold the one thing that keeps them apart — vos
+# copies a shared region before its first write. The vos contract test,
+# the model check against the deep-copying reference capture (two capture
+# workers marking regions shared on distinct processes), the end-to-end
+# pin on churn and bt, and the allocation budgets that fail if a copy of
+# the regions comes back on either path, all under -race.
+cow-check:
+	$(GOTEST) -run '^TestCOW' . ./internal/ckpt ./internal/vos
+	$(GOTEST) -run '^TestCheckpointAllocationBudget$$|^TestRestartAllocationBudget$$' .
 
 # Short, deterministic-budget fuzz passes over every image-format entry
 # point (TLV decoder, round-trip property, the pod-image decoder, the

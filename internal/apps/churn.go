@@ -56,17 +56,14 @@ func (c *Churn) Step(ctx *vos.Context) vos.StepResult {
 		c.Phase = 1
 		return vos.Yield(0)
 	case 1: // rewrite the hot set in place, one sweep per step
-		data, ok := ctx.Proc().Region("hot")
-		if !ok {
+		data, err := ctx.Proc().WriteRegion("hot")
+		if err != nil {
 			return vos.Exit(9)
 		}
 		seed := c.NextIt*2654435761 + uint64(c.Cfg.Rank)*40503
 		for i := 0; i < len(data); i += 64 {
 			data[i] = byte(seed + uint64(i))
 			c.Sum += uint64(data[i])
-		}
-		if err := ctx.Proc().TouchRegion("hot"); err != nil {
-			return vos.Exit(9)
 		}
 		c.NextIt++
 		cost := computeCost(float64(ChurnHotBytes) / 4)

@@ -95,16 +95,19 @@ type Image struct {
 
 // CheckpointPod saves a suspended pod. The pod must be quiescent with
 // its network blocked (the coordinated Agent guarantees both before
-// calling). The walk has no side effects on the pod. CheckpointPodWith
-// performs the same save with a parallel worker pool.
+// calling). CheckpointPodWith performs the same save with a parallel
+// worker pool.
 func CheckpointPod(p *pod.Pod) (*Image, error) {
 	return CheckpointPodWith(p, 1)
 }
 
-// captureProc serializes one process: program state, a deep copy of
-// its memory regions, and descriptor-to-slot bindings. It reads the
-// process but never mutates it, so captures of distinct processes may
-// run concurrently.
+// captureProc serializes one process: program state, its memory
+// regions, and descriptor-to-slot bindings. The regions are aliased, not
+// copied: vos marks them shared and copies one only if the process goes
+// on to write it (vos.Process.WriteRegion), so the image stays exactly
+// what was captured for as long as anything holds it. It touches nothing
+// but its own process, so captures of distinct processes may run
+// concurrently.
 func captureProc(proc *vos.Process, slotOf map[*netstack.Socket]int) (ProcImage, error) {
 	pi := ProcImage{
 		VPID: proc.VPID,
@@ -115,12 +118,7 @@ func captureProc(proc *vos.Process, slotOf map[*netstack.Socket]int) (ProcImage,
 		return pi, fmt.Errorf("ckpt: saving %s (vpid %d): %w", pi.Kind, pi.VPID, err)
 	}
 	pi.ProgData = enc.Finish()
-	for _, r := range proc.Memory() {
-		pi.Regions = append(pi.Regions, vos.Region{
-			Name: r.Name,
-			Data: append([]byte(nil), r.Data...),
-		})
-	}
+	pi.Regions = proc.ShareMemory()
 	for _, fd := range proc.FDs() {
 		s, _ := proc.SocketFor(fd)
 		slot, ok := slotOf[s]
@@ -252,7 +250,7 @@ func restoreProcs(img *Image, newPod *pod.Pod, socks []*netstack.Socket) error {
 			return err
 		}
 		for _, r := range pi.Regions {
-			proc.SetRegion(r.Name, append([]byte(nil), r.Data...))
+			proc.SetSharedRegion(r.Name, r.Data)
 		}
 		for _, fe := range pi.FDs {
 			if fe.Slot < 0 || fe.Slot >= len(socks) || socks[fe.Slot] == nil {

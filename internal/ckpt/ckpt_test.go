@@ -27,7 +27,7 @@ func (wk *worker) Step(ctx *vos.Context) vos.StepResult {
 		return vos.Exit(0)
 	}
 	wk.Done++
-	if mem, ok := ctx.Proc().Region("heap"); ok && len(mem) > 0 {
+	if mem, err := ctx.Proc().WriteRegion("heap"); err == nil && len(mem) > 0 {
 		mem[wk.Done%len(mem)] = byte(wk.Done)
 	}
 	return vos.Yield(sim.Millisecond)

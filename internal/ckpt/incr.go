@@ -282,11 +282,13 @@ func buildDelta(img, last *Image, lastProg map[vos.PID][]byte,
 				pd.ProgData = pi.ProgData
 			}
 			// A region goes into the delta when its write watermark says
-			// it was touched — or, as a safety net for programs that
-			// mutate region bytes in place without TouchRegion, when its
-			// bytes differ from the base generation's copy. The byte
-			// comparison only scans; the delta still carries (and the
-			// sink only writes) the regions that actually changed.
+			// it was written, or when its bytes differ from the base
+			// generation's. Captures alias, so a region nobody wrote is
+			// the same backing array in both images and the test is O(1);
+			// the byte compare is the fall-through for one whose backing
+			// differs. It cannot see a write made through Region() —
+			// both images hold that array — which is why WriteRegion is
+			// the only call that hands out bytes to write.
 			names := dirtyNames[pi.VPID]
 			oldReg := make(map[string][]byte, len(old.Regions))
 			for _, r := range old.Regions {
@@ -294,7 +296,7 @@ func buildDelta(img, last *Image, lastProg map[vos.PID][]byte,
 			}
 			for _, r := range pi.Regions {
 				ob, ok := oldReg[r.Name]
-				if !ok || names[r.Name] || !bytes.Equal(ob, r.Data) {
+				if !ok || names[r.Name] || !sameBytes(ob, r.Data) {
 					pd.Regions = append(pd.Regions, r)
 				}
 			}
@@ -320,6 +322,33 @@ func buildDelta(img, last *Image, lastProg map[vos.PID][]byte,
 		}
 	}
 	return d
+}
+
+// sameBytes reports whether a and b hold equal bytes, without reading
+// them when they are one backing array — what an unwritten region is in
+// two captures of the same pod, since captures alias.
+func sameBytes(a, b []byte) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	if len(a) == 0 || &a[0] == &b[0] {
+		return true
+	}
+	return bytes.Equal(a, b)
+}
+
+// dirtySince names, per process, the regions written after the given
+// watermarks.
+func dirtySince(p *pod.Pod, marks map[vos.PID]uint64) map[vos.PID]map[string]bool {
+	dirty := make(map[vos.PID]map[string]bool)
+	for _, proc := range p.Procs() {
+		names := make(map[string]bool)
+		for _, r := range proc.DirtyRegions(marks[proc.VPID]) {
+			names[r.Name] = true
+		}
+		dirty[proc.VPID] = names
+	}
+	return dirty
 }
 
 // Capture checkpoints the frozen pod and builds either a full record
@@ -365,15 +394,7 @@ func (t *Tracker) capture(p *pod.Pod, workers int, full, live bool) (*Pending, e
 			},
 		}, nil
 	}
-	dirtyNames := make(map[vos.PID]map[string]bool)
-	for _, proc := range p.Procs() {
-		names := make(map[string]bool)
-		for _, r := range proc.DirtyRegions(t.marks[proc.VPID]) {
-			names[r.Name] = true
-		}
-		dirtyNames[proc.VPID] = names
-	}
-	d := buildDelta(img, t.last, t.lastProg, dirtyNames, t.seq+1, t.lastSum)
+	d := buildDelta(img, t.last, t.lastProg, dirtySince(p, t.marks), t.seq+1, t.lastSum)
 	return &Pending{
 		Image: img,
 		Delta: d,

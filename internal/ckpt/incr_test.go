@@ -144,39 +144,47 @@ func TestApplyDeltaMatchesFullCheckpoint(t *testing.T) {
 	}
 }
 
-func TestInPlaceMutationCaughtBySafetyNet(t *testing.T) {
+// TestCOWWriteAfterCaptureLandsInDeltaNotInImage is the capture contract
+// one write at a time: the committed image aliases the pod's bytes, a
+// write through WriteRegion after it goes to a private copy — the image
+// re-encodes to the same record — and the next delta carries exactly the
+// written region, decided without the unwritten one being a different
+// array to compare.
+func TestCOWWriteAfterCaptureLandsInDeltaNotInImage(t *testing.T) {
 	c := mkCluster(t, 1)
-	p := mkIdlePod(t, c, "inplace", 1, 512)
+	p := mkIdlePod(t, c, "cow", 1, 512)
 	tr := NewTracker()
-	captureCommit(t, tr, p, true)
-	// Mutate region bytes in place, bypassing SetRegion/TouchRegion —
-	// the watermark never moves, only the byte-compare safety net can
-	// see this write.
+	base := captureCommit(t, tr, p, true)
+	baseRec := recordOf(base.Image)
 	proc := p.Procs()[0]
-	reg, ok := proc.Region("ballast")
-	if !ok {
-		t.Fatal("no ballast region")
+	for _, r := range base.Image.Procs[0].Regions {
+		if cur, _ := proc.Region(r.Name); &cur[0] != &r.Data[0] {
+			t.Fatalf("capture copied region %q instead of aliasing it", r.Name)
+		}
 	}
-	reg[0] ^= 0xff
-	pend := captureCommit(t, tr, p, false)
-	full, err := CheckpointPod(p)
+	reg, err := proc.WriteRegion("ballast")
 	if err != nil {
 		t.Fatal(err)
 	}
+	reg[0] ^= 0xff
+	if !bytes.Equal(recordOf(base.Image), baseRec) {
+		t.Fatal("a write after the capture changed the captured image")
+	}
+	pend := captureCommit(t, tr, p, false)
 	d, err := decodeDelta(wireOf(t, pend))
 	if err != nil {
 		t.Fatal(err)
 	}
-	found := false
-	for _, pd := range d.Procs {
-		for _, r := range pd.Regions {
-			if r.Name == "ballast" {
-				found = true
-			}
-		}
+	if regs := d.Procs[0].Regions; len(regs) != 1 || regs[0].Name != "ballast" || regs[0].Data[0] != reg[0] {
+		t.Fatalf("delta regions = %+v, want the written ballast alone", regs)
 	}
-	if !found {
-		t.Fatal("in-place write missed by the delta")
+	hot := func(img *Image) *byte { return &img.Procs[0].Regions[1].Data[0] }
+	if hot(pend.Image) != hot(base.Image) {
+		t.Fatal("an unwritten region is not one backing array across two captures")
+	}
+	full, err := CheckpointPod(p)
+	if err != nil {
+		t.Fatal(err)
 	}
 	if !sameImage(pend.Image, full) {
 		t.Fatal("delta generation diverged from full checkpoint")
@@ -496,12 +504,13 @@ func TestTrackerLiveRoundsThenResidual(t *testing.T) {
 			t.Fatalf("round %d: DirtyBytes right after its commit = %d", round, got)
 		}
 		records = append(records, wireOf(t, pend))
-		// The pod keeps running: its workers scribble on heap in place,
-		// and one region is rewritten through the tracked API.
+		// The pod keeps running: one heap is replaced outright, and every
+		// worker's steps write its own heap in place — a private copy,
+		// this round's image holding the bytes it captured.
 		p.Procs()[round].SetRegion("heap", bytes.Repeat([]byte{0xa0 + byte(round)}, 2048))
 		c.w.RunUntil(c.w.Now() + sim.Time(3*sim.Millisecond))
-		if got := tr.DirtyBytes(p); got != 2048 {
-			t.Fatalf("round %d: DirtyBytes after one region rewrite = %d, want 2048", round, got)
+		if got := tr.DirtyBytes(p); got != 3*2048 {
+			t.Fatalf("round %d: DirtyBytes after every worker wrote its heap = %d, want %d", round, got, 3*2048)
 		}
 	}
 	c.freeze(t, p)

@@ -35,7 +35,9 @@ func normWorkers(workers, jobs int) int {
 //
 // The checkpointed state is immutable while fanOut runs — the
 // coordinated freeze suspends every process and blocks the pod's
-// network before serialization starts — so workers share nothing but
+// network before serialization starts, and a live round runs inside one
+// event callback — and each job touches one process only (captureProc
+// marks that process's regions shared), so workers share nothing but
 // their output slots.
 func fanOut(n, workers int, fn func(int) error) error {
 	if n == 0 {
@@ -84,15 +86,17 @@ func fanOut(n, workers int, fn func(int) error) error {
 // netckpt uses), then the per-process serialization (program state,
 // memory regions, descriptor bindings) fanned across a bounded worker
 // pool. workers <= 0 selects DefaultWorkers; the output is byte-identical
-// to the sequential walk. The walk has no side effects on the pod.
+// to the sequential walk. The one side effect on the pod is that its
+// regions are marked shared with the image (see captureProc), which no
+// image byte, dirty clock or trace event can see.
 //
 // A frozen capture requires the pod quiescent with its network blocked.
 // A live capture takes a running pod instead — the pre-copy rounds
 // (paper §4; CheckSync/pre-copy migration lineage). The simulation runs
 // event callbacks atomically (no process is ever mid-step while another
 // callback runs), so a capture taken inside one callback is
-// read-consistent at the processes' write clocks — the simulated
-// stand-in for copy-on-write / soft-dirty page capture. Its network
+// read-consistent at the processes' write clocks, and copy-on-write
+// keeps it so while the pod runs on. Its network
 // image is intentionally empty: socket sequence numbers and buffer
 // occupancy are inherently quiesce-phase state, and restore always
 // applies the final residual record, whose Net — captured with the pod

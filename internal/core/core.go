@@ -26,6 +26,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"zapc/internal/ckpt"
 	"zapc/internal/coord"
@@ -454,11 +455,13 @@ func NewManager(w *sim.World, nw *netstack.Network, fs *memfs.FS) *Manager {
 }
 
 // dropOp removes a finished or aborted checkpoint operation from the
-// in-flight registry.
+// in-flight registry. slices.Delete clears the slot the shift vacates,
+// so the backing array does not keep the operation — its images and
+// records — reachable until the next checkpoint overwrites it.
 func (m *Manager) dropOp(op *ckptOp) {
 	for i, o := range m.ckptOps {
 		if o == op {
-			m.ckptOps = append(m.ckptOps[:i], m.ckptOps[i+1:]...)
+			m.ckptOps = slices.Delete(m.ckptOps, i, i+1)
 			return
 		}
 	}

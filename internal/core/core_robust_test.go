@@ -240,3 +240,35 @@ func TestRestartWatchdogOnLostControl(t *testing.T) {
 		}
 	}
 }
+
+// TestDropOpClearsVacatedSlot: once a checkpoint has completed or been
+// aborted, nothing in the in-flight registry — including the part of its
+// backing array past len — still points at the operation, so its images
+// and records are collectable as soon as the caller lets go of them.
+func TestDropOpClearsVacatedSlot(t *testing.T) {
+	h := mkHarness(t, 2)
+	podA, podB, pi, _ := h.launchPair(t, 200)
+	h.drive(t, func() bool { return pi.Val > 20 })
+	for _, tc := range []struct {
+		after string
+		abort error
+	}{{"a completed", nil}, {"an aborted", ErrTimeout}} {
+		var res *CheckpointResult
+		h.mgr.Checkpoint([]*pod.Pod{podA, podB}, Options{Mode: Snapshot}, func(r *CheckpointResult) { res = r })
+		if tc.abort != nil {
+			h.mgr.AbortCheckpoints(tc.abort)
+		}
+		h.drive(t, func() bool { return res != nil })
+		if !errors.Is(res.Err, tc.abort) {
+			t.Fatalf("%s checkpoint: err = %v", tc.after, res.Err)
+		}
+		if cap(h.mgr.ckptOps) == 0 {
+			t.Fatal("the registry never held the operation")
+		}
+		for i, op := range h.mgr.ckptOps[:cap(h.mgr.ckptOps)] {
+			if op != nil {
+				t.Fatalf("after %s checkpoint: slot %d of the registry still holds the operation", tc.after, i)
+			}
+		}
+	}
+}

@@ -124,11 +124,27 @@ type Env struct {
 }
 
 // Memory region of a process. Data holds real bytes so checkpoint image
-// sizes are genuine.
+// sizes are genuine. The bytes belong to vos: a checkpoint image may hold
+// the same backing array as the process (ShareMemory, SetSharedRegion),
+// and WriteRegion is the only call that hands them out for writing.
 type Region struct {
 	Name string
 	Data []byte
 }
+
+// regionState is what vos keeps per region beside its bytes: the memClock
+// value of the region's last write and, in the top bit, the shared mark —
+// some checkpoint image also holds the bytes, so the process may read
+// them but must swap in a private copy before writing. There is no
+// reference count, so the mark outlives the image: a region written
+// after its image was dropped pays one needless copy. One word, so the
+// table costs a process what the version table alone did.
+type regionState uint64
+
+const regionShared regionState = 1 << 63
+
+func (s regionState) ver() uint64  { return uint64(s &^ regionShared) }
+func (s regionState) shared() bool { return s&regionShared != 0 }
 
 // Process is one virtual process.
 type Process struct {
@@ -150,12 +166,13 @@ type Process struct {
 
 	mem []Region
 	// Dirty-region tracking for incremental checkpoints: memClock ticks
-	// on every region write and memVer records, per region, the clock
+	// on every region write and memState records, per region, the clock
 	// value of its last write. A checkpoint generation records the clock
 	// as its watermark; the next generation only serializes regions whose
-	// version exceeds it.
+	// version exceeds it. The same entry says whether a checkpoint image
+	// holds the region's bytes too (copy-on-write: see WriteRegion).
 	memClock uint64
-	memVer   map[string]uint64
+	memState map[string]regionState
 
 	// Blocking state.
 	waitFDs  []FDWait
@@ -208,8 +225,17 @@ func (p *Process) InstallFD(fd int, s *netstack.Socket) {
 	}
 }
 
-// Memory returns the process's memory regions.
-func (p *Process) Memory() []Region { return p.mem }
+// ShareMemory returns the region table for a checkpoint image to keep
+// and marks every region shared: the image aliases the process's bytes
+// (the table itself is a copy, DropRegion shifts p.mem in place), and
+// the process copies a region only if it goes on to write it. Captures
+// of distinct processes may run concurrently.
+func (p *Process) ShareMemory() []Region {
+	for _, r := range p.mem {
+		p.memState[r.Name] |= regionShared
+	}
+	return append([]Region(nil), p.mem...)
+}
 
 // MemoryBytes reports the total size of all regions.
 func (p *Process) MemoryBytes() int64 {
@@ -221,9 +247,30 @@ func (p *Process) MemoryBytes() int64 {
 }
 
 // SetRegion creates or replaces a named memory region, marking it dirty
-// for incremental checkpointing.
+// for incremental checkpointing. The caller's slice becomes the region,
+// private to the process.
 func (p *Process) SetRegion(name string, data []byte) {
-	p.markDirty(name)
+	p.setRegion(name, data, false)
+}
+
+// SetSharedRegion is SetRegion for bytes a checkpoint image also holds
+// (the restart path): the region is shared from birth, so the image
+// never changes and restoring it twice yields processes that each copy
+// on their own first write.
+func (p *Process) SetSharedRegion(name string, data []byte) {
+	p.setRegion(name, data, true)
+}
+
+func (p *Process) setRegion(name string, data []byte, shared bool) {
+	if p.memState == nil {
+		p.memState = make(map[string]regionState)
+	}
+	p.memClock++
+	st := regionState(p.memClock)
+	if shared {
+		st |= regionShared
+	}
+	p.memState[name] = st
 	for i := range p.mem {
 		if p.mem[i].Name == name {
 			p.mem[i].Data = data
@@ -233,27 +280,28 @@ func (p *Process) SetRegion(name string, data []byte) {
 	p.mem = append(p.mem, Region{Name: name, Data: data})
 }
 
-// markDirty advances the write clock and stamps the region, creating the
-// version entry if needed (SetRegion calls it before the region exists).
-func (p *Process) markDirty(name string) {
-	if p.memVer == nil {
-		p.memVer = make(map[string]uint64)
+// WriteRegion returns an existing region's bytes for writing in place
+// and marks the region dirty, so incremental and pre-copy checkpoints
+// re-serialize it. It is the MMU of the simulation: a region whose bytes
+// a checkpoint image also holds is first replaced by a private copy, so
+// no image ever sees the write. The slice is valid for writing only
+// inside the Step that asked for it — captures happen between steps, and
+// a slice kept across steps is the one way to write a shared page.
+// Asking for a region that does not exist is a programming error and is
+// reported rather than silently creating a phantom version entry.
+func (p *Process) WriteRegion(name string) ([]byte, error) {
+	for i := range p.mem {
+		if p.mem[i].Name != name {
+			continue
+		}
+		if p.memState[name].shared() {
+			p.mem[i].Data = append([]byte(nil), p.mem[i].Data...)
+		}
+		p.memClock++
+		p.memState[name] = regionState(p.memClock)
+		return p.mem[i].Data, nil
 	}
-	p.memClock++
-	p.memVer[name] = p.memClock
-}
-
-// TouchRegion marks an existing region dirty without replacing its
-// backing slice (programs that mutate region bytes in place call this so
-// incremental and pre-copy checkpoints re-serialize the region). Touching
-// a region that does not exist is a programming error and is reported
-// rather than silently creating a phantom version entry.
-func (p *Process) TouchRegion(name string) error {
-	if _, ok := p.Region(name); !ok {
-		return fmt.Errorf("vos: touch of nonexistent region %q in pid %d", name, p.VPID)
-	}
-	p.markDirty(name)
-	return nil
+	return nil, fmt.Errorf("vos: write to nonexistent region %q in pid %d", name, p.VPID)
 }
 
 // MemClock returns the process's region-write clock. A checkpoint
@@ -263,14 +311,14 @@ func (p *Process) MemClock() uint64 { return p.memClock }
 
 // RegionVersion returns the clock value of a region's last write (0 if
 // the region has never been written through the tracked API).
-func (p *Process) RegionVersion(name string) uint64 { return p.memVer[name] }
+func (p *Process) RegionVersion(name string) uint64 { return p.memState[name].ver() }
 
 // DirtyRegions returns the regions written after the given watermark, in
 // table order.
 func (p *Process) DirtyRegions(since uint64) []Region {
 	var out []Region
 	for _, r := range p.mem {
-		if p.memVer[r.Name] > since {
+		if p.memState[r.Name].ver() > since {
 			out = append(out, r)
 		}
 	}
@@ -283,14 +331,17 @@ func (p *Process) DirtyRegions(since uint64) []Region {
 func (p *Process) DirtyBytes(since uint64) int64 {
 	var n int64
 	for _, r := range p.mem {
-		if p.memVer[r.Name] > since {
+		if p.memState[r.Name].ver() > since {
 			n += int64(len(r.Data))
 		}
 	}
 	return n
 }
 
-// Region returns a named memory region's data.
+// Region returns a named memory region's data for reading. Writing
+// through it is the simulation's equivalent of bypassing the MMU: the
+// write is invisible to dirty tracking and alters every checkpoint image
+// that shares the bytes. WriteRegion is the call for writing.
 func (p *Process) Region(name string) ([]byte, bool) {
 	for i := range p.mem {
 		if p.mem[i].Name == name {
@@ -300,11 +351,12 @@ func (p *Process) Region(name string) ([]byte, bool) {
 	return nil, false
 }
 
-// DropRegion removes a named region.
+// DropRegion removes a named region and its tracking entry.
 func (p *Process) DropRegion(name string) {
 	for i := range p.mem {
 		if p.mem[i].Name == name {
 			p.mem = append(p.mem[:i], p.mem[i+1:]...)
+			delete(p.memState, name)
 			return
 		}
 	}

@@ -1,7 +1,9 @@
 package vos
 
 import (
+	"bytes"
 	"errors"
+	"strings"
 	"testing"
 
 	"zapc/internal/imgfmt"
@@ -196,42 +198,146 @@ func TestDirtyRegionTracking(t *testing.T) {
 	if got := p.DirtyRegions(mark); len(got) != 0 {
 		t.Fatalf("dirty since watermark = %d regions, want 0", len(got))
 	}
-	// In-place mutation is invisible without TouchRegion...
-	data, _ := p.Region("a")
+	// Asking for a region to write marks it dirty; a private region comes
+	// back as it is, without copying.
+	before, _ := p.Region("a")
+	data, err := p.WriteRegion("a")
+	if err != nil {
+		t.Fatalf("WriteRegion(a): %v", err)
+	}
+	if &data[0] != &before[0] {
+		t.Fatal("WriteRegion copied a private region")
+	}
 	data[0] = 9
-	if got := p.DirtyRegions(mark); len(got) != 0 {
-		t.Fatal("untouched in-place write should not mark dirty")
-	}
-	// ...and visible with it.
-	if err := p.TouchRegion("a"); err != nil {
-		t.Fatalf("TouchRegion(a): %v", err)
-	}
 	got := p.DirtyRegions(mark)
-	if len(got) != 1 || got[0].Name != "a" {
-		t.Fatalf("dirty after touch = %+v, want region a", got)
+	if len(got) != 1 || got[0].Name != "a" || got[0].Data[0] != 9 {
+		t.Fatalf("dirty after write = %+v, want region a holding the write", got)
 	}
 	if p.RegionVersion("a") <= p.RegionVersion("b") {
-		t.Fatal("touch did not advance region version")
+		t.Fatal("write did not advance region version")
 	}
 	// Replacing a region marks it dirty again.
 	p.SetRegion("b", []byte{3})
 	if got := p.DirtyRegions(p.RegionVersion("a")); len(got) != 1 || got[0].Name != "b" {
 		t.Fatalf("dirty after SetRegion = %+v, want region b", got)
 	}
+	// A dropped region leaves no tracking entry behind.
+	p.DropRegion("b")
+	if p.RegionVersion("b") != 0 {
+		t.Fatal("DropRegion left the region's version entry in the map")
+	}
 }
 
-func TestTouchRegionUnknown(t *testing.T) {
+func TestWriteRegionUnknown(t *testing.T) {
 	_, n, env := testEnv(t)
 	p := n.SpawnStopped(&counter{Steps: 1}, env)
+	p.VPID = 7
 	clock := p.MemClock()
-	if err := p.TouchRegion("ghost"); err == nil {
-		t.Fatal("TouchRegion on a nonexistent region must error")
+	_, err := p.WriteRegion("ghost")
+	if err == nil {
+		t.Fatal("WriteRegion on a nonexistent region must error")
+	}
+	if msg := err.Error(); !strings.Contains(msg, `"ghost"`) || !strings.Contains(msg, "pid 7") {
+		t.Fatalf("error %q does not name the region and the pid", msg)
 	}
 	if p.MemClock() != clock {
-		t.Fatal("failed touch must not advance the write clock")
+		t.Fatal("failed write must not advance the write clock")
 	}
 	if p.RegionVersion("ghost") != 0 {
-		t.Fatal("failed touch must not create a phantom version entry")
+		t.Fatal("failed write must not create a phantom version entry")
+	}
+}
+
+// TestCOWWriteRegionCopiesSharedBytes is the copy-on-write contract at
+// the vos layer: bytes an image holds — handed in by SetSharedRegion or
+// taken by ShareMemory — are never written; the first WriteRegion swaps
+// in a private copy with equal contents, and later ones do not copy
+// again until the next capture.
+func TestCOWWriteRegionCopiesSharedBytes(t *testing.T) {
+	_, n, env := testEnv(t)
+	p := n.SpawnStopped(&counter{Steps: 1}, env)
+	// writeCopies writes a region whose bytes held also belong to an image.
+	writeCopies := func(name string, held []byte) {
+		t.Helper()
+		want := append([]byte(nil), held...)
+		w, err := p.WriteRegion(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if &w[0] == &held[0] {
+			t.Fatalf("%s: WriteRegion handed out bytes an image holds", name)
+		}
+		if !bytes.Equal(w, want) {
+			t.Fatalf("%s: private copy = %v, want %v", name, w, want)
+		}
+		w[0] ^= 0xff
+		if !bytes.Equal(held, want) {
+			t.Fatalf("%s: image bytes changed to %v after a write", name, held)
+		}
+		if cur, _ := p.Region(name); cur[0] != w[0] {
+			t.Fatalf("%s: the write did not land in the process's region", name)
+		}
+		if again, _ := p.WriteRegion(name); &again[0] != &w[0] {
+			t.Fatalf("%s: a region that is private again was copied a second time", name)
+		}
+	}
+
+	restored := []byte{4, 5, 6}
+	p.SetSharedRegion("restored", restored)
+	if p.RegionVersion("restored") != p.MemClock() || p.MemClock() != 1 {
+		t.Fatal("SetSharedRegion did not mark the region dirty like SetRegion")
+	}
+	writeCopies("restored", restored)
+
+	p.SetRegion("captured", []byte{1, 2, 3})
+	image := p.ShareMemory()
+	if len(image) != 2 || image[0].Name != "restored" || image[1].Name != "captured" {
+		t.Fatalf("ShareMemory = %+v, want both regions in table order", image)
+	}
+	for _, r := range image {
+		if cur, _ := p.Region(r.Name); &cur[0] != &r.Data[0] {
+			t.Fatalf("%s: ShareMemory copied the region instead of aliasing it", r.Name)
+		}
+	}
+	// The table is the image's own: dropping a region shifts the
+	// process's table, not the image's.
+	p.DropRegion("restored")
+	if len(image) != 2 || image[0].Name != "restored" || image[1].Name != "captured" {
+		t.Fatalf("DropRegion shifted the image's table: %+v", image)
+	}
+	writeCopies("captured", image[1].Data)
+	// A second capture shares the private copy in turn.
+	writeCopies("captured", p.ShareMemory()[0].Data)
+}
+
+// BenchmarkWriteRegion is what a Step pays to get a region to write: a
+// private one costs the table walk and the dirty mark, a shared one the
+// copy on top — once per capture, however many steps write afterwards.
+func BenchmarkWriteRegion(b *testing.B) {
+	const size = 1 << 20
+	for _, shared := range []bool{false, true} {
+		name := "private"
+		if shared {
+			name = "shared"
+		}
+		b.Run(name, func(b *testing.B) {
+			_, n, env := testEnv(b)
+			p := n.SpawnStopped(&counter{Steps: 1}, env)
+			p.SetRegion("heap", make([]byte, size))
+			b.SetBytes(size)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if shared {
+					p.ShareMemory()
+				}
+				data, err := p.WriteRegion("heap")
+				if err != nil {
+					b.Fatal(err)
+				}
+				data[i%size] = byte(i)
+			}
+		})
 	}
 }
 

@@ -11,7 +11,7 @@ import (
 )
 
 // testEnv builds a world, network, one stack and one node.
-func testEnv(t *testing.T) (*sim.World, *Node, *Env) {
+func testEnv(t testing.TB) (*sim.World, *Node, *Env) {
 	t.Helper()
 	w := sim.NewWorld(7)
 	nw := netstack.NewNetwork(w)

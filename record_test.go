@@ -213,26 +213,40 @@ func TestGoldenRecordsReencodeIdentically(t *testing.T) {
 	}
 }
 
-// TestCheckpointAllocationBudget: a flushed Snapshot checkpoint of pods
-// over 1 MiB each allocates less than twice the logical bytes it saves —
-// the capture's copy of the regions plus a compressed record, not one
-// image-sized buffer per encode pass and a 64 KiB block per frame. Counts
-// bytes, not time.
-func TestCheckpointAllocationBudget(t *testing.T) {
+// btSpec is the four-endpoint bt job at the given memory scale: pods of
+// 6 MiB at 1/16, the golden runs' size.
+func btSpec(scale float64) zapc.JobSpec {
+	return zapc.JobSpec{App: "bt", Endpoints: 4, Work: 0.1, Scale: scale, WithDaemons: true}
+}
+
+// budgetJob launches the job the allocation budgets measure — pods over
+// 1 MiB each at either scale used — and drives it to its checkpoint
+// point.
+func budgetJob(t *testing.T, scale float64) (*zapc.Cluster, *zapc.Job) {
+	t.Helper()
 	c := zapc.New(zapc.Config{Nodes: 4, Seed: 2005})
-	job, err := c.Launch(zapc.JobSpec{App: "bt", Endpoints: 4, Work: 0.1, Scale: 1.0 / 16, WithDaemons: true})
+	job, err := c.Launch(btSpec(scale))
 	if err != nil {
 		t.Fatal(err)
 	}
 	driveTo(t, c, job, 0.3)
+	return c, job
+}
+
+// allocatedBy reports the bytes op allocates, live or not when it returns.
+func allocatedBy(op func()) int64 {
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)
-	res, err := c.Checkpoint(job, zapc.CheckpointOptions{Mode: zapc.Snapshot, Workers: 2, FlushTo: "budget"})
+	op()
 	runtime.ReadMemStats(&after)
-	if err != nil {
-		t.Fatal(err)
-	}
+	return int64(after.TotalAlloc - before.TotalAlloc)
+}
+
+// checkBudget fails unless an operation over the checkpoint's images
+// allocated less than budget times their logical bytes.
+func checkBudget(t *testing.T, op string, allocated int64, res *zapc.CheckpointResult, budget float64) {
+	t.Helper()
 	var logical int64
 	for _, a := range res.Stats.Agents {
 		if a.ImageBytes < 1<<20 {
@@ -240,12 +254,53 @@ func TestCheckpointAllocationBudget(t *testing.T) {
 		}
 		logical += a.ImageBytes
 	}
-	if got := int64(after.TotalAlloc - before.TotalAlloc); got >= 2*logical {
-		t.Fatalf("checkpoint allocated %d bytes to save %d logical bytes (%.2fx); budget is 2x",
-			got, logical, float64(got)/float64(logical))
-	} else {
-		t.Logf("checkpoint allocated %.2fx its %d logical bytes", float64(got)/float64(logical), logical)
+	ratio := float64(allocated) / float64(logical)
+	if ratio >= budget {
+		t.Fatalf("%s allocated %d bytes over %d logical bytes (%.2fx); budget is %.2fx", op, allocated, logical, ratio, budget)
 	}
+	t.Logf("%s allocated %.2fx its %d logical bytes", op, ratio, logical)
+}
+
+// TestCheckpointAllocationBudget: a flushed Snapshot checkpoint allocates
+// less than a quarter of the logical bytes it saves — the compressed
+// record and the headers. The capture aliases the pods' regions, and no
+// encode pass has an image-sized buffer or a 64 KiB block per frame.
+// Counts bytes, not time.
+func TestCheckpointAllocationBudget(t *testing.T) {
+	c, job := budgetJob(t, 1.0/16)
+	var res *zapc.CheckpointResult
+	var err error
+	got := allocatedBy(func() {
+		res, err = c.Checkpoint(job, zapc.CheckpointOptions{Mode: zapc.Snapshot, Workers: 2, FlushTo: "budget"})
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkBudget(t, "checkpoint", got, res, 0.25)
+	if _, err := c.RunJob(job, eqDeadline); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestRestartAllocationBudget is the read-side twin: a restart from the
+// flushed directory allocates less than one and a half times the logical
+// bytes it reads — the decode's one destination per region, which the
+// restored pods share rather than copy, the headers, and the restart's
+// own simulation. The scale keeps every region under the 4·MaxFrame the
+// stream decoder allocates up front: a longer value's destination grows
+// by doubling — the decoder's guard against a lying length prefix, up to
+// twice the region again — which is not the copy this budget is about.
+func TestRestartAllocationBudget(t *testing.T) {
+	c, job := budgetJob(t, 1.0/32)
+	res, err := c.Checkpoint(job, zapc.CheckpointOptions{Mode: zapc.MigrateMode, Workers: 2, FlushTo: "budget"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := allocatedBy(func() { _, err = c.RestartFromFS(job, "budget", c.Nodes) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkBudget(t, "restart", got, res, 1.5)
 	if _, err := c.RunJob(job, eqDeadline); err != nil {
 		t.Fatal(err)
 	}
