@@ -13,6 +13,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"hash"
 	"io"
 	"runtime"
 	"sort"
@@ -303,5 +304,63 @@ func TestRestartAllocationBudget(t *testing.T) {
 	checkBudget(t, "restart", got, res, 1.5)
 	if _, err := c.RunJob(job, eqDeadline); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// goldenBlobs pins what the record goldens above do not reach into: the
+// program-state blobs of the three apps those runs never launch, and the
+// middleware daemon's. Each is the SHA-256 over the blobs of that kind,
+// pod after pod, of a fixed-seed four-endpoint run checkpointed at 40 %.
+// They were taken from the hand-written Save methods, before any
+// program declared a layout.
+var goldenBlobs = map[string]string{
+	"bratu/apps.bratu":   "8cb60e3aac1dbd0bd3d0e6d430e73da09808fee115f028295d6ed94d5e4d64fa",
+	"bratu/mpi.daemon":   "0f52ec3e43c01133b9cfd56a7966cd3b1212e35f24232d29bbc1e3a3abe1c696",
+	"cpi/apps.cpi":       "612422dfdd3853340c25c7ff4348ccf4e704434fb2993d721f7291daca99e148",
+	"cpi/mpi.daemon":     "6e6c20ad30c8fa260ef498008a8ca31b70d317adb4a1c0b5dbfc7e2aa92c0749",
+	"povray/apps.povray": "143db0ff06eb35e0b6544b3b66625e555bef0b8e08169c5bed9b171c9b0c7bdb",
+	"povray/mpi.daemon":  "0f52ec3e43c01133b9cfd56a7966cd3b1212e35f24232d29bbc1e3a3abe1c696",
+}
+
+func TestGoldenProgramBlobs(t *testing.T) {
+	got := make(map[string]string)
+	for _, app := range []string{"cpi", "bratu", "povray"} {
+		c := zapc.New(zapc.Config{Nodes: 4, Seed: 2005})
+		job, err := c.Launch(zapc.JobSpec{App: app, Endpoints: 4, Work: 0.05, Scale: 0.002, WithDaemons: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		driveTo(t, c, job, 0.4)
+		res, err := c.Checkpoint(job, zapc.CheckpointOptions{Mode: zapc.Snapshot})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var imgs []*ckpt.Image
+		for _, img := range res.Images {
+			imgs = append(imgs, img)
+		}
+		sort.Slice(imgs, func(i, j int) bool { return imgs[i].PodName < imgs[j].PodName })
+		sums := make(map[string]hash.Hash)
+		for _, img := range imgs {
+			for _, p := range img.Procs {
+				h, ok := sums[p.Kind]
+				if !ok {
+					h = sha256.New()
+					sums[p.Kind] = h
+				}
+				h.Write(p.ProgData)
+			}
+		}
+		for kind, h := range sums {
+			got[app+"/"+kind] = hex.EncodeToString(h.Sum(nil))
+		}
+	}
+	for key, want := range goldenBlobs {
+		if got[key] != want {
+			t.Errorf("%s: blobs hash to %s, golden %s", key, got[key], want)
+		}
+	}
+	if len(got) != len(goldenBlobs) {
+		t.Errorf("hashed %d blob kinds, golden has %d: %v", len(got), len(goldenBlobs), got)
 	}
 }
