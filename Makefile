@@ -28,7 +28,10 @@ vet:
 # Package-boundary gate: the root package is the facade file and
 # nothing else, and it re-exports no tooling — the bench harness
 # (internal/experiments, internal/metrics) and the chaos fuzzer are
-# imported by cmd/ directly.
+# imported by cmd/ directly. And a resource's fields are declared once:
+# outside internal/imgfmt and internal/ckpt no non-test file drives the
+# in-memory codec by hand, and nothing anywhere has a Save or Restore
+# method over an imgfmt codec — it declares a Layout (imgfmt/visitor.go).
 boundary:
 	@files="$$($(GO) list -f '{{join .GoFiles " "}}' .)"; \
 	if [ "$$files" != "zapc.go" ]; then echo "boundary: root package must hold zapc.go only, has: $$files"; exit 1; fi
@@ -36,6 +39,11 @@ boundary:
 		case $$p in zapc/internal/metrics|zapc/internal/chaos|zapc/internal/experiments) \
 			echo "boundary: zapc.go must not import $$p"; exit 1;; esac; \
 	done
+	@bad="$$(grep -rnE --include='*.go' 'imgfmt\.(Decoder|NewDecoder|NewEncoder)\b' . \
+		| grep -vE '^\./internal/(imgfmt|ckpt)/|_test\.go:')"; \
+	if [ -n "$$bad" ]; then echo "boundary: only internal/imgfmt and internal/ckpt may drive the codec by hand; declare a Layout:"; echo "$$bad"; exit 1; fi
+	@bad="$$(grep -rnE --include='*.go' 'func \([^)]*\) (Save|Restore)\([^)]*imgfmt\.' .)"; \
+	if [ -n "$$bad" ]; then echo "boundary: a hand-written Save/Restore pair over an imgfmt codec; declare a Layout:"; echo "$$bad"; exit 1; fi
 
 build:
 	$(GO) build ./...
@@ -67,9 +75,11 @@ cow-check:
 # Short, deterministic-budget fuzz passes over every image-format entry
 # point (TLV decoder, round-trip property, the pod-image decoder, the
 # delta decoder and, with the same bytes as the second record of a valid
-# chain, ckpt.Chain — the one chain reader every restore path uses), the
-# LZ4 kernels against their byte-wise reference implementations and the
-# stream decoder against its window-copy reference.
+# chain, ckpt.Chain — the one chain reader every restore path uses; the
+# layouts inside a record: the Net section's and every registered
+# program's), the LZ4 kernels against their byte-wise reference
+# implementations and the stream decoder against its window-copy
+# reference.
 # Raise FUZZTIME for a real fuzzing session.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime $(FUZZTIME) ./internal/imgfmt
@@ -80,6 +90,8 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeMatchesReference$$' -fuzztime $(FUZZTIME) ./internal/imgfmt
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeImage$$' -fuzztime $(FUZZTIME) ./internal/ckpt
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeDelta$$' -fuzztime $(FUZZTIME) ./internal/ckpt
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeNetImage$$' -fuzztime $(FUZZTIME) ./internal/netckpt
+	$(GO) test -run '^$$' -fuzz '^FuzzRestoreProgram$$' -fuzztime $(FUZZTIME) ./internal/apps
 	$(GO) test -run '^$$' -fuzz '^FuzzReadJSONL$$' -fuzztime $(FUZZTIME) ./internal/trace
 
 # Trace determinism gate: the traced crash-and-failover scenario run

@@ -106,7 +106,7 @@ func ensureBallast(ctx *vos.Context, app string, size int, scale float64) {
 	ctx.Proc().SetRegion("data", buf)
 }
 
-// f64Bytes flattens a float64 slice for serialization.
+// f64Bytes flattens a float64 slice into a message payload.
 func f64Bytes(xs []float64) []byte {
 	out := make([]byte, 8*len(xs))
 	for i, v := range xs {

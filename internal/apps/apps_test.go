@@ -25,7 +25,7 @@ type rig struct {
 
 // launch builds a cluster with one pod per endpoint and starts the
 // named app at the given size.
-func launch(t *testing.T, name string, size int, work float64) *rig {
+func launch(t testing.TB, name string, size int, work float64) *rig {
 	t.Helper()
 	w := sim.NewWorld(777)
 	r := &rig{w: w, nw: netstack.NewNetwork(w), fs: memfs.New()}
@@ -56,7 +56,7 @@ func launch(t *testing.T, name string, size int, work float64) *rig {
 	return r
 }
 
-func (r *rig) drive(t *testing.T, cond func() bool) {
+func (r *rig) drive(t testing.TB, cond func() bool) {
 	t.Helper()
 	deadline := r.w.Now() + sim.Time(30*60*sim.Second)
 	for !cond() {

@@ -206,100 +206,29 @@ func (b *Bratu) Progress() float64 {
 // Kind implements vos.Program.
 func (b *Bratu) Kind() string { return KindBratu }
 
-// Save implements vos.Program.
-func (b *Bratu) Save(e *imgfmt.Encoder) error {
-	e.Begin(1)
-	if err := b.Comm.Save(e); err != nil {
-		return err
-	}
-	e.End()
-	e.Int(2, int64(b.Cfg.Rank))
-	e.Int(3, int64(b.Cfg.Size))
-	e.Float64(4, b.Cfg.Scale)
-	e.Float64(5, b.Cfg.Work)
-	for i, v := range []int{b.NX, b.NY, b.Rows, b.Row0, b.Iter, b.MaxIters, b.CheckEvery, b.Phase} {
-		e.Int(uint64(6+i), int64(v))
-	}
-	e.Float64(14, b.Lambda)
-	e.Bytes(15, f64Bytes(b.U))
-	e.Bool(16, b.recvdUp)
-	e.Bool(17, b.recvdDown)
-	e.Float64(18, b.localRes)
-	e.Float64(19, b.Residual)
-	e.Float64(20, b.Tol)
-	e.Bool(21, b.Done)
-	e.Bytes(22, b.bcast)
-	e.Int(23, int64(b.Pending))
-	return nil
-}
-
-// Restore implements vos.Program.
-func (b *Bratu) Restore(d *imgfmt.Decoder) error {
-	sec, err := d.Section(1)
-	if err != nil {
-		return err
-	}
-	b.Comm = &mpi.Comm{}
-	if err := b.Comm.Restore(sec); err != nil {
-		return err
-	}
-	rank, err := d.Int(2)
-	if err != nil {
-		return err
-	}
-	size, err := d.Int(3)
-	if err != nil {
-		return err
-	}
-	b.Cfg.Rank, b.Cfg.Size = int(rank), int(size)
-	if b.Cfg.Scale, err = d.Float64(4); err != nil {
-		return err
-	}
-	if b.Cfg.Work, err = d.Float64(5); err != nil {
-		return err
-	}
-	for i, dst := range []*int{&b.NX, &b.NY, &b.Rows, &b.Row0, &b.Iter, &b.MaxIters, &b.CheckEvery, &b.Phase} {
-		v, err := d.Int(uint64(6 + i))
-		if err != nil {
-			return err
-		}
-		*dst = int(v)
-	}
-	if b.Lambda, err = d.Float64(14); err != nil {
-		return err
-	}
-	u, err := d.Bytes(15)
-	if err != nil {
-		return err
-	}
-	b.U = bytesF64(u)
-	if b.recvdUp, err = d.Bool(16); err != nil {
-		return err
-	}
-	if b.recvdDown, err = d.Bool(17); err != nil {
-		return err
-	}
-	if b.localRes, err = d.Float64(18); err != nil {
-		return err
-	}
-	if b.Residual, err = d.Float64(19); err != nil {
-		return err
-	}
-	if b.Tol, err = d.Float64(20); err != nil {
-		return err
-	}
-	if b.Done, err = d.Bool(21); err != nil {
-		return err
-	}
-	bc, err := d.Bytes(22)
-	if err != nil {
-		return err
-	}
-	b.bcast = append([]byte(nil), bc...)
-	pend, err := d.Int(23)
-	if err != nil {
-		return err
-	}
-	b.Pending = sim.Duration(pend)
-	return nil
+// Layout implements vos.Program.
+func (b *Bratu) Layout(v imgfmt.Visitor) {
+	b.Comm = imgfmt.Section(v, 1, b.Comm)
+	b.Cfg.Rank = imgfmt.Int(v, 2, b.Cfg.Rank)
+	b.Cfg.Size = imgfmt.Int(v, 3, b.Cfg.Size)
+	b.Cfg.Scale = v.Float64(4, b.Cfg.Scale)
+	b.Cfg.Work = v.Float64(5, b.Cfg.Work)
+	b.NX = imgfmt.Int(v, 6, b.NX)
+	b.NY = imgfmt.Int(v, 7, b.NY)
+	b.Rows = imgfmt.Int(v, 8, b.Rows)
+	b.Row0 = imgfmt.Int(v, 9, b.Row0)
+	b.Iter = imgfmt.Int(v, 10, b.Iter)
+	b.MaxIters = imgfmt.Int(v, 11, b.MaxIters)
+	b.CheckEvery = imgfmt.Int(v, 12, b.CheckEvery)
+	b.Phase = imgfmt.Int(v, 13, b.Phase)
+	b.Lambda = v.Float64(14, b.Lambda)
+	b.U = v.Floats(15, b.U)
+	b.recvdUp = v.Bool(16, b.recvdUp)
+	b.recvdDown = v.Bool(17, b.recvdDown)
+	b.localRes = v.Float64(18, b.localRes)
+	b.Residual = v.Float64(19, b.Residual)
+	b.Tol = v.Float64(20, b.Tol)
+	b.Done = v.Bool(21, b.Done)
+	b.bcast = v.Bytes(22, b.bcast)
+	b.Pending = imgfmt.Int(v, 23, b.Pending)
 }

@@ -231,93 +231,24 @@ func (b *BT) Progress() float64 {
 // Kind implements vos.Program.
 func (b *BT) Kind() string { return KindBT }
 
-// Save implements vos.Program.
-func (b *BT) Save(e *imgfmt.Encoder) error {
-	e.Begin(1)
-	if err := b.Comm.Save(e); err != nil {
-		return err
-	}
-	e.End()
-	e.Int(2, int64(b.Cfg.Rank))
-	e.Int(3, int64(b.Cfg.Size))
-	e.Float64(4, b.Cfg.Scale)
-	e.Float64(5, b.Cfg.Work)
-	e.Int(6, int64(b.N))
-	e.Int(7, int64(b.Iters))
-	e.Int(8, int64(b.Iter))
-	e.Int(9, int64(b.Phase))
-	e.Int(10, int64(b.Px))
-	e.Bytes(11, f64Bytes(b.Grid))
-	for _, r := range b.recvd {
-		e.Bool(12, r)
-	}
-	e.Float64(13, b.Norm)
-	e.Bool(14, b.Done)
-	e.Bytes(15, b.bcast)
-	e.Int(16, int64(b.Pending))
-	return nil
-}
-
-// Restore implements vos.Program.
-func (b *BT) Restore(d *imgfmt.Decoder) error {
-	sec, err := d.Section(1)
-	if err != nil {
-		return err
-	}
-	b.Comm = &mpi.Comm{}
-	if err := b.Comm.Restore(sec); err != nil {
-		return err
-	}
-	ints := make([]int64, 0, 6)
-	for _, tag := range []uint64{2, 3} {
-		v, err := d.Int(tag)
-		if err != nil {
-			return err
-		}
-		ints = append(ints, v)
-	}
-	b.Cfg.Rank, b.Cfg.Size = int(ints[0]), int(ints[1])
-	if b.Cfg.Scale, err = d.Float64(4); err != nil {
-		return err
-	}
-	if b.Cfg.Work, err = d.Float64(5); err != nil {
-		return err
-	}
-	for _, p := range []struct {
-		tag uint64
-		dst *int
-	}{{6, &b.N}, {7, &b.Iters}, {8, &b.Iter}, {9, &b.Phase}, {10, &b.Px}} {
-		v, err := d.Int(p.tag)
-		if err != nil {
-			return err
-		}
-		*p.dst = int(v)
-	}
-	grid, err := d.Bytes(11)
-	if err != nil {
-		return err
-	}
-	b.Grid = bytesF64(grid)
+// Layout implements vos.Program.
+func (b *BT) Layout(v imgfmt.Visitor) {
+	b.Comm = imgfmt.Section(v, 1, b.Comm)
+	b.Cfg.Rank = imgfmt.Int(v, 2, b.Cfg.Rank)
+	b.Cfg.Size = imgfmt.Int(v, 3, b.Cfg.Size)
+	b.Cfg.Scale = v.Float64(4, b.Cfg.Scale)
+	b.Cfg.Work = v.Float64(5, b.Cfg.Work)
+	b.N = imgfmt.Int(v, 6, b.N)
+	b.Iters = imgfmt.Int(v, 7, b.Iters)
+	b.Iter = imgfmt.Int(v, 8, b.Iter)
+	b.Phase = imgfmt.Int(v, 9, b.Phase)
+	b.Px = imgfmt.Int(v, 10, b.Px)
+	b.Grid = v.Floats(11, b.Grid)
 	for i := range b.recvd {
-		if b.recvd[i], err = d.Bool(12); err != nil {
-			return err
-		}
+		b.recvd[i] = v.Bool(12, b.recvd[i])
 	}
-	if b.Norm, err = d.Float64(13); err != nil {
-		return err
-	}
-	if b.Done, err = d.Bool(14); err != nil {
-		return err
-	}
-	bc, err := d.Bytes(15)
-	if err != nil {
-		return err
-	}
-	b.bcast = append([]byte(nil), bc...)
-	pend, err := d.Int(16)
-	if err != nil {
-		return err
-	}
-	b.Pending = sim.Duration(pend)
-	return nil
+	b.Norm = v.Float64(13, b.Norm)
+	b.Done = v.Bool(14, b.Done)
+	b.bcast = v.Bytes(15, b.bcast)
+	b.Pending = imgfmt.Int(v, 16, b.Pending)
 }

@@ -119,76 +119,18 @@ func (c *Churn) Progress() float64 {
 // Kind implements vos.Program.
 func (c *Churn) Kind() string { return KindChurn }
 
-// Save implements vos.Program.
-func (c *Churn) Save(e *imgfmt.Encoder) error {
-	e.Begin(1)
-	if err := c.Comm.Save(e); err != nil {
-		return err
-	}
-	e.End()
-	e.Int(2, int64(c.Cfg.Rank))
-	e.Int(3, int64(c.Cfg.Size))
-	e.Float64(4, c.Cfg.Scale)
-	e.Float64(5, c.Cfg.Work)
-	e.Uint(6, c.Iters)
-	e.Uint(7, c.NextIt)
-	e.Uint(8, c.Sum)
-	e.Int(9, int64(c.Phase))
-	e.Float64(10, c.Out)
-	e.Bool(11, c.Done)
-	e.Bytes(12, c.bcastBuf)
-	return nil
-}
-
-// Restore implements vos.Program.
-func (c *Churn) Restore(d *imgfmt.Decoder) error {
-	sec, err := d.Section(1)
-	if err != nil {
-		return err
-	}
-	c.Comm = &mpi.Comm{}
-	if err := c.Comm.Restore(sec); err != nil {
-		return err
-	}
-	rank, err := d.Int(2)
-	if err != nil {
-		return err
-	}
-	size, err := d.Int(3)
-	if err != nil {
-		return err
-	}
-	c.Cfg.Rank, c.Cfg.Size = int(rank), int(size)
-	if c.Cfg.Scale, err = d.Float64(4); err != nil {
-		return err
-	}
-	if c.Cfg.Work, err = d.Float64(5); err != nil {
-		return err
-	}
-	if c.Iters, err = d.Uint(6); err != nil {
-		return err
-	}
-	if c.NextIt, err = d.Uint(7); err != nil {
-		return err
-	}
-	if c.Sum, err = d.Uint(8); err != nil {
-		return err
-	}
-	ph, err := d.Int(9)
-	if err != nil {
-		return err
-	}
-	c.Phase = int(ph)
-	if c.Out, err = d.Float64(10); err != nil {
-		return err
-	}
-	if c.Done, err = d.Bool(11); err != nil {
-		return err
-	}
-	buf, err := d.Bytes(12)
-	if err != nil {
-		return err
-	}
-	c.bcastBuf = append([]byte(nil), buf...)
-	return nil
+// Layout implements vos.Program.
+func (c *Churn) Layout(v imgfmt.Visitor) {
+	c.Comm = imgfmt.Section(v, 1, c.Comm)
+	c.Cfg.Rank = imgfmt.Int(v, 2, c.Cfg.Rank)
+	c.Cfg.Size = imgfmt.Int(v, 3, c.Cfg.Size)
+	c.Cfg.Scale = v.Float64(4, c.Cfg.Scale)
+	c.Cfg.Work = v.Float64(5, c.Cfg.Work)
+	c.Iters = v.Uint(6, c.Iters)
+	c.NextIt = v.Uint(7, c.NextIt)
+	c.Sum = v.Uint(8, c.Sum)
+	c.Phase = imgfmt.Int(v, 9, c.Phase)
+	c.Out = v.Float64(10, c.Out)
+	c.Done = v.Bool(11, c.Done)
+	c.bcastBuf = v.Bytes(12, c.bcastBuf)
 }

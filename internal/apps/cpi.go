@@ -113,80 +113,19 @@ func (c *CPI) Progress() float64 {
 // Kind implements vos.Program.
 func (c *CPI) Kind() string { return KindCPI }
 
-// Save implements vos.Program.
-func (c *CPI) Save(e *imgfmt.Encoder) error {
-	e.Begin(1)
-	if err := c.Comm.Save(e); err != nil {
-		return err
-	}
-	e.End()
-	e.Int(2, int64(c.Cfg.Rank))
-	e.Int(3, int64(c.Cfg.Size))
-	e.Float64(4, c.Cfg.Scale)
-	e.Float64(5, c.Cfg.Work)
-	e.Uint(6, c.Intervals)
-	e.Uint(7, c.Block)
-	e.Uint(8, c.NextI)
-	e.Float64(9, c.Partial)
-	e.Int(10, int64(c.Phase))
-	e.Float64(11, c.Pi)
-	e.Bool(12, c.Done)
-	e.Bytes(13, c.bcastBuf)
-	return nil
-}
-
-// Restore implements vos.Program.
-func (c *CPI) Restore(d *imgfmt.Decoder) error {
-	sec, err := d.Section(1)
-	if err != nil {
-		return err
-	}
-	c.Comm = &mpi.Comm{}
-	if err := c.Comm.Restore(sec); err != nil {
-		return err
-	}
-	rank, err := d.Int(2)
-	if err != nil {
-		return err
-	}
-	size, err := d.Int(3)
-	if err != nil {
-		return err
-	}
-	c.Cfg.Rank, c.Cfg.Size = int(rank), int(size)
-	if c.Cfg.Scale, err = d.Float64(4); err != nil {
-		return err
-	}
-	if c.Cfg.Work, err = d.Float64(5); err != nil {
-		return err
-	}
-	if c.Intervals, err = d.Uint(6); err != nil {
-		return err
-	}
-	if c.Block, err = d.Uint(7); err != nil {
-		return err
-	}
-	if c.NextI, err = d.Uint(8); err != nil {
-		return err
-	}
-	if c.Partial, err = d.Float64(9); err != nil {
-		return err
-	}
-	ph, err := d.Int(10)
-	if err != nil {
-		return err
-	}
-	c.Phase = int(ph)
-	if c.Pi, err = d.Float64(11); err != nil {
-		return err
-	}
-	if c.Done, err = d.Bool(12); err != nil {
-		return err
-	}
-	buf, err := d.Bytes(13)
-	if err != nil {
-		return err
-	}
-	c.bcastBuf = append([]byte(nil), buf...)
-	return nil
+// Layout implements vos.Program.
+func (c *CPI) Layout(v imgfmt.Visitor) {
+	c.Comm = imgfmt.Section(v, 1, c.Comm)
+	c.Cfg.Rank = imgfmt.Int(v, 2, c.Cfg.Rank)
+	c.Cfg.Size = imgfmt.Int(v, 3, c.Cfg.Size)
+	c.Cfg.Scale = v.Float64(4, c.Cfg.Scale)
+	c.Cfg.Work = v.Float64(5, c.Cfg.Work)
+	c.Intervals = v.Uint(6, c.Intervals)
+	c.Block = v.Uint(7, c.Block)
+	c.NextI = v.Uint(8, c.NextI)
+	c.Partial = v.Float64(9, c.Partial)
+	c.Phase = imgfmt.Int(v, 10, c.Phase)
+	c.Pi = v.Float64(11, c.Pi)
+	c.Done = v.Bool(12, c.Done)
+	c.bcastBuf = v.Bytes(13, c.bcastBuf)
 }

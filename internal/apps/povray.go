@@ -247,74 +247,24 @@ func (p *Povray) Progress() float64 {
 // Kind implements vos.Program.
 func (p *Povray) Kind() string { return KindPovray }
 
-// Save implements vos.Program.
-func (p *Povray) Save(e *imgfmt.Encoder) error {
-	e.Begin(1)
-	if err := p.Comm.Save(e); err != nil {
-		return err
-	}
-	e.End()
-	e.Int(2, int64(p.Cfg.Rank))
-	e.Int(3, int64(p.Cfg.Size))
-	e.Float64(4, p.Cfg.Scale)
-	e.Float64(5, p.Cfg.Work)
-	for i, v := range []int{p.Width, p.Height, p.TileSize, p.Phase, p.NextTile, p.GotTiles, p.Stopped, p.CurTile} {
-		e.Int(uint64(6+i), int64(v))
-	}
-	e.Uint(14, p.Checksum)
-	e.Bool(15, p.Waiting)
-	e.Bool(16, p.Done)
-	e.Int(17, int64(p.Pending))
-	e.Uint(18, p.Rendered)
-	return nil
-}
-
-// Restore implements vos.Program.
-func (p *Povray) Restore(d *imgfmt.Decoder) error {
-	sec, err := d.Section(1)
-	if err != nil {
-		return err
-	}
-	p.Comm = &mpi.Comm{}
-	if err := p.Comm.Restore(sec); err != nil {
-		return err
-	}
-	rank, err := d.Int(2)
-	if err != nil {
-		return err
-	}
-	size, err := d.Int(3)
-	if err != nil {
-		return err
-	}
-	p.Cfg.Rank, p.Cfg.Size = int(rank), int(size)
-	if p.Cfg.Scale, err = d.Float64(4); err != nil {
-		return err
-	}
-	if p.Cfg.Work, err = d.Float64(5); err != nil {
-		return err
-	}
-	for i, dst := range []*int{&p.Width, &p.Height, &p.TileSize, &p.Phase, &p.NextTile, &p.GotTiles, &p.Stopped, &p.CurTile} {
-		v, err := d.Int(uint64(6 + i))
-		if err != nil {
-			return err
-		}
-		*dst = int(v)
-	}
-	if p.Checksum, err = d.Uint(14); err != nil {
-		return err
-	}
-	if p.Waiting, err = d.Bool(15); err != nil {
-		return err
-	}
-	if p.Done, err = d.Bool(16); err != nil {
-		return err
-	}
-	pend, err := d.Int(17)
-	if err != nil {
-		return err
-	}
-	p.Pending = sim.Duration(pend)
-	p.Rendered, err = d.Uint(18)
-	return err
+// Layout implements vos.Program.
+func (p *Povray) Layout(v imgfmt.Visitor) {
+	p.Comm = imgfmt.Section(v, 1, p.Comm)
+	p.Cfg.Rank = imgfmt.Int(v, 2, p.Cfg.Rank)
+	p.Cfg.Size = imgfmt.Int(v, 3, p.Cfg.Size)
+	p.Cfg.Scale = v.Float64(4, p.Cfg.Scale)
+	p.Cfg.Work = v.Float64(5, p.Cfg.Work)
+	p.Width = imgfmt.Int(v, 6, p.Width)
+	p.Height = imgfmt.Int(v, 7, p.Height)
+	p.TileSize = imgfmt.Int(v, 8, p.TileSize)
+	p.Phase = imgfmt.Int(v, 9, p.Phase)
+	p.NextTile = imgfmt.Int(v, 10, p.NextTile)
+	p.GotTiles = imgfmt.Int(v, 11, p.GotTiles)
+	p.Stopped = imgfmt.Int(v, 12, p.Stopped)
+	p.CurTile = imgfmt.Int(v, 13, p.CurTile)
+	p.Checksum = v.Uint(14, p.Checksum)
+	p.Waiting = v.Bool(15, p.Waiting)
+	p.Done = v.Bool(16, p.Done)
+	p.Pending = imgfmt.Int(v, 17, p.Pending)
+	p.Rendered = v.Uint(18, p.Rendered)
 }

@@ -113,11 +113,7 @@ func captureProc(proc *vos.Process, slotOf map[*netstack.Socket]int) (ProcImage,
 		VPID: proc.VPID,
 		Kind: proc.Prog.Kind(),
 	}
-	enc := imgfmt.NewEncoder()
-	if err := proc.Prog.Save(enc); err != nil {
-		return pi, fmt.Errorf("ckpt: saving %s (vpid %d): %w", pi.Kind, pi.VPID, err)
-	}
-	pi.ProgData = enc.Finish()
+	pi.ProgData = imgfmt.Blob(proc.Prog.Layout)
 	pi.Regions = proc.ShareMemory()
 	for _, fd := range proc.FDs() {
 		s, _ := proc.SocketFor(fd)
@@ -159,7 +155,7 @@ func (img *Image) Remap(remap map[netstack.IP]netstack.IP) {
 func (img *Image) Bytes() int64 {
 	if img.sizeCache == 0 {
 		s := imgfmt.NewStreamCounter()
-		img.layout(writer{s})
+		img.layout(imgfmt.Writer(s))
 		img.sizeCache = s.Logical()
 	}
 	return img.sizeCache
@@ -238,11 +234,7 @@ func restoreProcs(img *Image, newPod *pod.Pod, socks []*netstack.Socket) error {
 		if err != nil {
 			return err
 		}
-		dec, err := imgfmt.NewDecoder(pi.ProgData)
-		if err != nil {
-			return fmt.Errorf("ckpt: program data of vpid %d: %w", pi.VPID, err)
-		}
-		if err := prog.Restore(dec); err != nil {
+		if err := imgfmt.ReadBlob(pi.ProgData, prog.Layout); err != nil {
 			return fmt.Errorf("ckpt: restoring %s (vpid %d): %w", pi.Kind, pi.VPID, err)
 		}
 		proc, err := newPod.AddRestoredProcess(prog, pi.VPID)

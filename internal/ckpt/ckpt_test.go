@@ -32,22 +32,9 @@ func (wk *worker) Step(ctx *vos.Context) vos.StepResult {
 	}
 	return vos.Yield(sim.Millisecond)
 }
-func (wk *worker) Save(e *imgfmt.Encoder) error {
-	e.Uint(1, uint64(wk.Limit))
-	e.Uint(2, uint64(wk.Done))
-	return nil
-}
-func (wk *worker) Restore(d *imgfmt.Decoder) error {
-	l, err := d.Uint(1)
-	if err != nil {
-		return err
-	}
-	dn, err := d.Uint(2)
-	if err != nil {
-		return err
-	}
-	wk.Limit, wk.Done = int(l), int(dn)
-	return nil
+func (wk *worker) Layout(v imgfmt.Visitor) {
+	wk.Limit = imgfmt.Uint(v, 1, wk.Limit)
+	wk.Done = imgfmt.Uint(v, 2, wk.Done)
 }
 func (wk *worker) Kind() string { return "ckpttest.worker" }
 
@@ -100,35 +87,13 @@ func (p *producer) Step(ctx *vos.Context) vos.StepResult {
 		return vos.Exit(0)
 	}
 }
-func (p *producer) Save(e *imgfmt.Encoder) error {
-	e.Uint(1, uint64(p.Phase))
-	e.Uint(2, uint64(p.FD))
-	e.Uint(3, uint64(p.To.IP))
-	e.Uint(4, uint64(p.To.Port))
-	e.Uint(5, uint64(p.Next))
-	e.Uint(6, uint64(p.Total))
-	return nil
-}
-func (p *producer) Restore(d *imgfmt.Decoder) error {
-	vals := make([]uint64, 6)
-	for i := range vals {
-		v, err := d.Uint(uint64(i + 1))
-		if err != nil {
-			return err
-		}
-		vals[i] = v
-	}
-	p.Phase = int(vals[0])
-	p.FD = int(vals[1])
-	p.To = netstack.Addr{IP: netstack.IP(vals[2]), Port: netstack.Port(vals[3])}
-	p.Next = uint32(vals[4])
-	p.Total = uint32(vals[5])
-	// A producer checkpointed mid-connect must re-poll rather than
-	// assume establishment.
-	if p.Phase == 1 {
-		p.Phase = 1
-	}
-	return nil
+func (p *producer) Layout(v imgfmt.Visitor) {
+	p.Phase = imgfmt.Uint(v, 1, p.Phase)
+	p.FD = imgfmt.Uint(v, 2, p.FD)
+	p.To.IP = imgfmt.Uint(v, 3, p.To.IP)
+	p.To.Port = imgfmt.Uint(v, 4, p.To.Port)
+	p.Next = imgfmt.Uint(v, 5, p.Next)
+	p.Total = imgfmt.Uint(v, 6, p.Total)
 }
 func (p *producer) Kind() string { return "ckpttest.producer" }
 
@@ -189,38 +154,14 @@ func (c *consumer) Step(ctx *vos.Context) vos.StepResult {
 		return vos.Exit(9)
 	}
 }
-func (c *consumer) Save(e *imgfmt.Encoder) error {
-	e.Uint(1, uint64(c.Phase))
-	e.Uint(2, uint64(c.LFD))
-	e.Uint(3, uint64(c.CFD))
-	e.Uint(4, uint64(c.Port))
-	e.Uint(5, c.Sum)
-	e.Bytes(6, c.Partial)
-	e.Bool(7, c.Done)
-	return nil
-}
-func (c *consumer) Restore(d *imgfmt.Decoder) error {
-	ph, err := d.Uint(1)
-	if err != nil {
-		return err
-	}
-	lfd, _ := d.Uint(2)
-	cfd, _ := d.Uint(3)
-	port, _ := d.Uint(4)
-	sum, _ := d.Uint(5)
-	partial, _ := d.Bytes(6)
-	done, err := d.Bool(7)
-	if err != nil {
-		return err
-	}
-	c.Phase = int(ph)
-	c.LFD = int(lfd)
-	c.CFD = int(cfd)
-	c.Port = netstack.Port(port)
-	c.Sum = sum
-	c.Partial = append([]byte(nil), partial...)
-	c.Done = done
-	return nil
+func (c *consumer) Layout(v imgfmt.Visitor) {
+	c.Phase = imgfmt.Uint(v, 1, c.Phase)
+	c.LFD = imgfmt.Uint(v, 2, c.LFD)
+	c.CFD = imgfmt.Uint(v, 3, c.CFD)
+	c.Port = imgfmt.Uint(v, 4, c.Port)
+	c.Sum = v.Uint(5, c.Sum)
+	c.Partial = v.Bytes(6, c.Partial)
+	c.Done = v.Bool(7, c.Done)
 }
 func (c *consumer) Kind() string { return "ckpttest.consumer" }
 

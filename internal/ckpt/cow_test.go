@@ -34,11 +34,7 @@ func refCapture(t *testing.T, p *pod.Pod, net *netckpt.NetImage) *Image {
 	img := &Image{PodName: p.Name(), VIP: p.VirtualIP(), VirtualTime: p.VirtualNow(), Net: net}
 	for _, proc := range p.Procs() {
 		pi := ProcImage{VPID: proc.VPID, Kind: proc.Prog.Kind()}
-		enc := imgfmt.NewEncoder()
-		if err := proc.Prog.Save(enc); err != nil {
-			t.Fatal(err)
-		}
-		pi.ProgData = enc.Finish()
+		pi.ProgData = imgfmt.Blob(proc.Prog.Layout)
 		for _, r := range proc.DirtyRegions(0) { // every region: versions start at 1
 			pi.Regions = append(pi.Regions, vos.Region{
 				Name: r.Name,

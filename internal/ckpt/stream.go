@@ -9,22 +9,22 @@
 // encoder's peak buffering is O(chunk size + largest metadata section),
 // never O(image size).
 //
-// Each kind's layout is written down once, as a function that hands
-// every field — its tag and a pointer to where its value lives — to a
-// visitor, in wire order. Encoding, the count-only sizing behind
-// Image.Bytes and decoding all run that one function — a writing visitor
-// over a real encoder, the same over a counting one, a reading visitor —
-// so a field added to a layout is written, counted and read by
-// construction.
+// Each kind's layout is written down once, as a function handing every
+// field to an imgfmt.Visitor (see imgfmt/visitor.go), and composes the
+// layouts of what it holds: the Net section is netckpt's. Encoding, the
+// count-only sizing behind Image.Bytes and decoding all run that one
+// function. The decoder expands each large payload the record keeps
+// (program state, regions) straight into its own slice; those slices are
+// the only whole-value allocations.
 //
 // Pod image field order:
 //
-//	s2PodName s2VIP s2VTime s2Net{...}
+//	s2PodName s2VIP s2VTime s2Net{netckpt.NetImage.Layout}
 //	( s2Proc{vpid kind fd*} s2ProgData (s2RegName s2RegData)* )*
 //
 // Delta record field order:
 //
-//	d2PodName d2VIP d2VTime d2Seq d2ParentSum d2Net{...}
+//	d2PodName d2VIP d2VTime d2Seq d2ParentSum d2Net{netckpt.NetImage.Layout}
 //	( d2Proc{vpid kind new progChanged removedRegion* fd*}
 //	  d2ProgData? (d2RegName d2RegData)* )*
 //	d2RemovedProc*
@@ -35,13 +35,11 @@ package ckpt
 
 import (
 	"bytes"
-	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
 
 	"zapc/internal/imgfmt"
-	"zapc/internal/netckpt"
 	"zapc/internal/vos"
 )
 
@@ -92,249 +90,65 @@ const (
 	dp2FD            = 6
 )
 
-// visitor is handed every field of a record by the record's layout
-// function: the field's tag and a pointer to its value. A writing
-// visitor reads through the pointer, a reading one stores through it;
-// the layout cannot tell which it is driving.
-type visitor interface {
-	Uint32(tag uint64, v *uint32)
-	Uint64(tag uint64, v *uint64)
-	Int(tag uint64, v *int)
-	Int64(tag uint64, v *int64)
-	Bool(tag uint64, v *bool)
-	String(tag uint64, v *string)
-	Bytes(tag uint64, v *[]byte)
-	// Net visits the pod's network state, a section whose own layout
-	// netckpt owns.
-	Net(tag uint64, v **netckpt.NetImage)
-	// Begin and End bracket the fields of a nested section.
-	Begin(tag uint64)
-	End()
-	// More reports whether a repeated group whose elements start with a
-	// field tagged tag has another element: more itself when writing;
-	// when reading, whether the next field carries tag.
-	More(tag uint64, more bool) bool
+func (img *Image) layout(v imgfmt.Visitor) {
+	img.PodName = v.String(s2PodName, img.PodName)
+	img.VIP = imgfmt.Uint(v, s2VIP, img.VIP)
+	img.VirtualTime = imgfmt.Int(v, s2VTime, img.VirtualTime)
+	img.Net = imgfmt.Section(v, s2Net, img.Net)
+	img.Procs = imgfmt.Each(v, s2Proc, img.Procs, (*ProcImage).layout)
 }
 
-// each visits a repeated group led by tag: the elements of *s when
-// writing; when reading, one appended element for as long as the next
-// field carries tag.
-func each[T any](v visitor, tag uint64, s *[]T, elem func(e *T, v visitor, tag uint64)) {
-	for i := 0; v.More(tag, i < len(*s)); i++ {
-		if i == len(*s) {
-			*s = append(*s, *new(T))
-		}
-		elem(&(*s)[i], v, tag)
-	}
-}
-
-// record is what a pod image and a delta record have in common.
-type record interface {
-	layout(v visitor)
-}
-
-func (img *Image) layout(v visitor) {
-	v.String(s2PodName, &img.PodName)
-	v.Uint32(s2VIP, (*uint32)(&img.VIP))
-	v.Int64(s2VTime, (*int64)(&img.VirtualTime))
-	v.Net(s2Net, &img.Net)
-	each(v, s2Proc, &img.Procs, (*ProcImage).layout)
-}
-
-func (p *ProcImage) layout(v visitor, tag uint64) {
+func (p *ProcImage) layout(v imgfmt.Visitor, tag uint64) {
 	v.Begin(tag)
-	v.Int(p2VPID, (*int)(&p.VPID))
-	v.String(p2Kind, &p.Kind)
-	each(v, p2FD, &p.FDs, (*FDEntry).layout)
+	p.VPID = imgfmt.Int(v, p2VPID, p.VPID)
+	p.Kind = v.String(p2Kind, p.Kind)
+	p.FDs = imgfmt.Each(v, p2FD, p.FDs, (*FDEntry).layout)
 	v.End()
-	v.Bytes(s2ProgData, &p.ProgData)
-	each(v, s2RegName, &p.Regions, func(r *vos.Region, v visitor, tag uint64) {
-		v.String(tag, &r.Name)
-		v.Bytes(s2RegData, &r.Data)
+	p.ProgData = v.Bytes(s2ProgData, p.ProgData)
+	p.Regions = imgfmt.Each(v, s2RegName, p.Regions, func(r *vos.Region, v imgfmt.Visitor, tag uint64) {
+		r.Name = v.String(tag, r.Name)
+		r.Data = v.Bytes(s2RegData, r.Data)
 	})
 }
 
-func (fd *FDEntry) layout(v visitor, tag uint64) {
+func (fd *FDEntry) layout(v imgfmt.Visitor, tag uint64) {
 	v.Begin(tag)
-	v.Int(p2FDNum, &fd.FD)
-	v.Int(p2FDSlot, &fd.Slot)
+	fd.FD = imgfmt.Int(v, p2FDNum, fd.FD)
+	fd.Slot = imgfmt.Int(v, p2FDSlot, fd.Slot)
 	v.End()
 }
 
-func (d *DeltaImage) layout(v visitor) {
-	v.String(d2PodName, &d.PodName)
-	v.Uint32(d2VIP, (*uint32)(&d.VIP))
-	v.Int64(d2VTime, (*int64)(&d.VirtualTime))
-	v.Uint64(d2Seq, &d.Seq)
-	v.Uint32(d2ParentSum, &d.ParentSum)
-	v.Net(d2Net, &d.Net)
-	each(v, d2Proc, &d.Procs, (*ProcDelta).layout)
-	each(v, d2RemovedProc, &d.RemovedProcs, func(p *vos.PID, v visitor, tag uint64) {
-		v.Int(tag, (*int)(p))
+func (d *DeltaImage) layout(v imgfmt.Visitor) {
+	d.PodName = v.String(d2PodName, d.PodName)
+	d.VIP = imgfmt.Uint(v, d2VIP, d.VIP)
+	d.VirtualTime = imgfmt.Int(v, d2VTime, d.VirtualTime)
+	d.Seq = v.Uint(d2Seq, d.Seq)
+	d.ParentSum = imgfmt.Uint(v, d2ParentSum, d.ParentSum)
+	d.Net = imgfmt.Section(v, d2Net, d.Net)
+	d.Procs = imgfmt.Each(v, d2Proc, d.Procs, (*ProcDelta).layout)
+	d.RemovedProcs = imgfmt.Each(v, d2RemovedProc, d.RemovedProcs, func(p *vos.PID, v imgfmt.Visitor, tag uint64) {
+		*p = imgfmt.Int(v, tag, *p)
 	})
 }
 
-func (p *ProcDelta) layout(v visitor, tag uint64) {
+func (p *ProcDelta) layout(v imgfmt.Visitor, tag uint64) {
 	v.Begin(tag)
-	v.Int(dp2VPID, (*int)(&p.VPID))
-	v.String(dp2Kind, &p.Kind)
-	v.Bool(dp2New, &p.New)
-	v.Bool(dp2ProgChanged, &p.ProgChanged)
-	each(v, dp2RemovedRegion, &p.RemovedRegions, func(name *string, v visitor, tag uint64) {
-		v.String(tag, name)
+	p.VPID = imgfmt.Int(v, dp2VPID, p.VPID)
+	p.Kind = v.String(dp2Kind, p.Kind)
+	p.New = v.Bool(dp2New, p.New)
+	p.ProgChanged = v.Bool(dp2ProgChanged, p.ProgChanged)
+	p.RemovedRegions = imgfmt.Each(v, dp2RemovedRegion, p.RemovedRegions, func(name *string, v imgfmt.Visitor, tag uint64) {
+		*name = v.String(tag, *name)
 	})
-	each(v, dp2FD, &p.FDs, (*FDEntry).layout)
+	p.FDs = imgfmt.Each(v, dp2FD, p.FDs, (*FDEntry).layout)
 	v.End()
 	if p.ProgChanged {
-		v.Bytes(d2ProgData, &p.ProgData)
+		p.ProgData = v.Bytes(d2ProgData, p.ProgData)
 	}
-	each(v, d2RegName, &p.Regions, func(r *vos.Region, v visitor, tag uint64) {
-		v.String(tag, &r.Name)
-		v.Bytes(d2RegData, &r.Data)
+	p.Regions = imgfmt.Each(v, d2RegName, p.Regions, func(r *vos.Region, v imgfmt.Visitor, tag uint64) {
+		r.Name = v.String(tag, r.Name)
+		r.Data = v.Bytes(d2RegData, r.Data)
 	})
-}
-
-// writer is the writing visitor: every field goes to a StreamEncoder —
-// a real one to encode the record, a count-only one to size it.
-type writer struct{ s *imgfmt.StreamEncoder }
-
-func (w writer) Uint32(tag uint64, v *uint32)  { w.s.Uint(tag, uint64(*v)) }
-func (w writer) Uint64(tag uint64, v *uint64)  { w.s.Uint(tag, *v) }
-func (w writer) Int(tag uint64, v *int)        { w.s.Int(tag, int64(*v)) }
-func (w writer) Int64(tag uint64, v *int64)    { w.s.Int(tag, *v) }
-func (w writer) Bool(tag uint64, v *bool)      { w.s.Bool(tag, *v) }
-func (w writer) String(tag uint64, v *string)  { w.s.String(tag, *v) }
-func (w writer) Bytes(tag uint64, v *[]byte)   { w.s.Bytes(tag, *v) }
-func (w writer) Begin(tag uint64)              { w.s.Begin(tag) }
-func (w writer) End()                          { w.s.End() }
-func (w writer) More(_ uint64, more bool) bool { return more }
-
-func (w writer) Net(tag uint64, v **netckpt.NetImage) {
-	e := imgfmt.NewSectionEncoder()
-	(*v).Encode(e)
-	w.s.RawSection(tag, e.Body())
-}
-
-// fieldSource is what the record's StreamDecoder and the in-memory
-// Decoder of a section within it have in common.
-type fieldSource interface {
-	Peek() (tag uint64, typ byte, err error)
-	Uint(tag uint64) (uint64, error)
-	Int(tag uint64) (int64, error)
-	Bool(tag uint64) (bool, error)
-	String(tag uint64) (string, error)
-	Bytes(tag uint64) ([]byte, error)
-	Section(tag uint64) (*imgfmt.Decoder, error)
-}
-
-// reader is the reading visitor. It is strict: fields must arrive in
-// layout order, and a section or record holding a field its layout does
-// not name is refused — the format evolves by its version number, which
-// NewStreamDecoder checks, not by skipping what a reader does not know.
-// The first error sticks; every later visit is a no-op and More reports
-// false, so the layout runs out without reading further.
-type reader struct {
-	src   fieldSource   // the record stream, or the innermost open section
-	outer []fieldSource // the sources src is nested in, innermost last
-	err   error
-}
-
-func (r *reader) Uint64(tag uint64, v *uint64) {
-	if r.err == nil {
-		*v, r.err = r.src.Uint(tag)
-	}
-}
-
-func (r *reader) Uint32(tag uint64, v *uint32) {
-	var x uint64
-	r.Uint64(tag, &x)
-	*v = uint32(x)
-}
-
-func (r *reader) Int64(tag uint64, v *int64) {
-	if r.err == nil {
-		*v, r.err = r.src.Int(tag)
-	}
-}
-
-func (r *reader) Int(tag uint64, v *int) {
-	var x int64
-	r.Int64(tag, &x)
-	*v = int(x)
-}
-
-func (r *reader) Bool(tag uint64, v *bool) {
-	if r.err == nil {
-		*v, r.err = r.src.Bool(tag)
-	}
-}
-
-func (r *reader) String(tag uint64, v *string) {
-	if r.err == nil {
-		*v, r.err = r.src.String(tag)
-	}
-}
-
-// Bytes keeps the slice the source returns. The record stream hands
-// over one it expanded the value into and does not retain; sections
-// carry no Bytes fields.
-func (r *reader) Bytes(tag uint64, v *[]byte) {
-	if r.err == nil {
-		*v, r.err = r.src.Bytes(tag)
-	}
-}
-
-func (r *reader) Net(tag uint64, v **netckpt.NetImage) {
-	if r.err != nil {
-		return
-	}
-	sec, err := r.src.Section(tag)
-	if err == nil {
-		*v, err = netckpt.DecodeImage(sec)
-	}
-	r.err = err
-}
-
-func (r *reader) Begin(tag uint64) {
-	if r.err != nil {
-		return
-	}
-	sec, err := r.src.Section(tag)
-	if err != nil {
-		r.err = err
-		return
-	}
-	r.outer = append(r.outer, r.src)
-	r.src = sec
-}
-
-// End requires the section to be used up: a field left unread is one
-// the layout does not name.
-func (r *reader) End() {
-	if r.err != nil {
-		return
-	}
-	switch _, _, err := r.src.Peek(); {
-	case errors.Is(err, imgfmt.ErrEndOfSection):
-		last := len(r.outer) - 1
-		r.src, r.outer = r.outer[last], r.outer[:last]
-	case err == nil:
-		r.err = fmt.Errorf("%w: section has a field its layout does not name", imgfmt.ErrTagMismatch)
-	default:
-		r.err = err
-	}
-}
-
-func (r *reader) More(tag uint64, _ bool) bool {
-	if r.err != nil {
-		return false
-	}
-	next, _, err := r.src.Peek()
-	if errors.Is(err, imgfmt.ErrEndOfSection) {
-		return false
-	}
-	r.err = err
-	return err == nil && next == tag
 }
 
 // StreamStats reports what a streaming encode produced.
@@ -384,10 +198,10 @@ func (c *crcReader) Read(p []byte) (int, error) {
 	return n, err
 }
 
-// encodeRecord walks rec's layout into s, whose output goes through cw,
-// and closes the stream.
-func encodeRecord(cw *countCRCWriter, s *imgfmt.StreamEncoder, rec record) (StreamStats, error) {
-	rec.layout(writer{s})
+// encodeRecord walks a record's layout into s, whose output goes through
+// cw, and closes the stream.
+func encodeRecord(cw *countCRCWriter, s *imgfmt.StreamEncoder, layout func(imgfmt.Visitor)) (StreamStats, error) {
+	layout(imgfmt.Writer(s))
 	if err := s.Close(); err != nil {
 		return StreamStats{}, err
 	}
@@ -408,18 +222,18 @@ func (img *Image) EncodeStream(w io.Writer) (StreamStats, error) {
 // Record.
 func (img *Image) EncodeStreamWith(w io.Writer, o imgfmt.StreamOpts) (StreamStats, error) {
 	cw := &countCRCWriter{w: w}
-	return encodeRecord(cw, imgfmt.NewStreamEncoderOpts(cw, o), img)
+	return encodeRecord(cw, imgfmt.NewStreamEncoderOpts(cw, o), img.layout)
 }
 
 // EncodeStream writes the delta record to w, with the same
 // bounded-buffering property as the image form.
 func (d *DeltaImage) EncodeStream(w io.Writer) (StreamStats, error) {
 	cw := &countCRCWriter{w: w}
-	return encodeRecord(cw, imgfmt.NewStreamDeltaEncoder(cw), d)
+	return encodeRecord(cw, imgfmt.NewStreamDeltaEncoder(cw), d.layout)
 }
 
-// decodeRecord reads one record of the wanted kind from r into rec.
-func decodeRecord(r io.Reader, delta bool, rec record) error {
+// decodeRecord reads one record of the wanted kind from r through layout.
+func decodeRecord(r io.Reader, delta bool, layout func(imgfmt.Visitor)) error {
 	d, err := imgfmt.NewStreamDecoder(r)
 	if err != nil {
 		return err
@@ -430,20 +244,7 @@ func decodeRecord(r io.Reader, delta bool, rec record) error {
 		}
 		return fmt.Errorf("%w: delta record where pod image expected", imgfmt.ErrBadMagic)
 	}
-	return readFields(d, rec)
-}
-
-// readFields reads the rest of the record d has opened into rec, pulling
-// one verified frame at a time. The decoder expands each large payload
-// the record keeps (program state, regions) straight into its own slice;
-// those slices are the only whole-value allocations.
-func readFields(d *imgfmt.StreamDecoder, rec record) error {
-	rd := &reader{src: d}
-	rec.layout(rd)
-	if rd.err != nil {
-		return rd.err
-	}
-	return d.Finished()
+	return imgfmt.ReadRecord(d, layout)
 }
 
 // DecodeImageFrom parses a pod image record from a reader,
@@ -452,7 +253,7 @@ func readFields(d *imgfmt.StreamDecoder, rec record) error {
 // the signature only because the benchmark module compiles against it.
 func DecodeImageFrom(r io.Reader, _ int) (*Image, error) {
 	img := &Image{}
-	if err := decodeRecord(r, false, img); err != nil {
+	if err := decodeRecord(r, false, img.layout); err != nil {
 		return nil, err
 	}
 	return img, nil
@@ -461,7 +262,7 @@ func DecodeImageFrom(r io.Reader, _ int) (*Image, error) {
 // DecodeDeltaFrom parses an incremental record from a reader.
 func DecodeDeltaFrom(r io.Reader) (*DeltaImage, error) {
 	d := &DeltaImage{}
-	if err := decodeRecord(r, true, d); err != nil {
+	if err := decodeRecord(r, true, d.layout); err != nil {
 		return nil, err
 	}
 	return d, nil
@@ -513,7 +314,7 @@ func (c Chain) Next(r io.Reader) (Chain, error) {
 			return c, fmt.Errorf("%w: a delta record where the chain's full image is expected", ErrChainBroken)
 		}
 		img := &Image{}
-		if err := readFields(d, img); err != nil {
+		if err := imgfmt.ReadRecord(d, img.layout); err != nil {
 			return c, fmt.Errorf("%w: %w", ErrCorruptImage, err)
 		}
 		return Chain{Image: img, sum: cr.sum}, nil
@@ -522,7 +323,7 @@ func (c Chain) Next(r io.Reader) (Chain, error) {
 		return c, fmt.Errorf("%w: a pod image where delta %d is expected", ErrChainBroken, c.seq+1)
 	}
 	dl := &DeltaImage{}
-	if err := readFields(d, dl); err != nil {
+	if err := imgfmt.ReadRecord(d, dl.layout); err != nil {
 		return c, fmt.Errorf("%w: %w", ErrCorruptImage, err)
 	}
 	if dl.ParentSum != c.sum {

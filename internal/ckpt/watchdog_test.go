@@ -37,37 +37,12 @@ func (wd *watchdog) Step(ctx *vos.Context) vos.StepResult {
 	}
 	return vos.Sleep(10 * sim.Millisecond)
 }
-func (wd *watchdog) Save(e *imgfmt.Encoder) error {
-	e.Int(1, int64(wd.Last))
-	e.Int(2, int64(wd.Threshold))
-	e.Int(3, int64(wd.Ticks))
-	e.Int(4, int64(wd.MaxTicks))
-	e.Bool(5, wd.Fired)
-	return nil
-}
-func (wd *watchdog) Restore(d *imgfmt.Decoder) error {
-	last, err := d.Int(1)
-	if err != nil {
-		return err
-	}
-	thr, err := d.Int(2)
-	if err != nil {
-		return err
-	}
-	ticks, err := d.Int(3)
-	if err != nil {
-		return err
-	}
-	maxT, err := d.Int(4)
-	if err != nil {
-		return err
-	}
-	wd.Last = sim.Time(last)
-	wd.Threshold = sim.Duration(thr)
-	wd.Ticks = int(ticks)
-	wd.MaxTicks = int(maxT)
-	wd.Fired, err = d.Bool(5)
-	return err
+func (wd *watchdog) Layout(v imgfmt.Visitor) {
+	wd.Last = imgfmt.Int(v, 1, wd.Last)
+	wd.Threshold = imgfmt.Int(v, 2, wd.Threshold)
+	wd.Ticks = imgfmt.Int(v, 3, wd.Ticks)
+	wd.MaxTicks = imgfmt.Int(v, 4, wd.MaxTicks)
+	wd.Fired = v.Bool(5, wd.Fired)
 }
 func (wd *watchdog) Kind() string { return "ckpttest.watchdog" }
 

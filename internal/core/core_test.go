@@ -97,46 +97,18 @@ func (p *pinger) Step(ctx *vos.Context) vos.StepResult {
 	}
 }
 
-func (p *pinger) Save(e *imgfmt.Encoder) error {
-	e.Uint(1, uint64(p.Phase))
-	e.Uint(2, uint64(p.FD))
-	e.Uint(3, uint64(p.To.IP))
-	e.Uint(4, uint64(p.To.Port))
-	e.Uint(5, uint64(p.Rounds))
-	e.Uint(6, uint64(p.Val))
-	e.Begin(7)
-	for _, v := range p.Seen {
-		e.Uint(1, uint64(v))
-	}
-	e.End()
-	return nil
-}
-func (p *pinger) Restore(d *imgfmt.Decoder) error {
-	var vals [6]uint64
-	for i := range vals {
-		v, err := d.Uint(uint64(i + 1))
-		if err != nil {
-			return err
-		}
-		vals[i] = v
-	}
-	p.Phase = int(vals[0])
-	p.FD = int(vals[1])
-	p.To = netstack.Addr{IP: netstack.IP(vals[2]), Port: netstack.Port(vals[3])}
-	p.Rounds = uint32(vals[4])
-	p.Val = uint32(vals[5])
-	sec, err := d.Section(7)
-	if err != nil {
-		return err
-	}
-	for sec.More() {
-		v, err := sec.Uint(1)
-		if err != nil {
-			return err
-		}
-		p.Seen = append(p.Seen, uint32(v))
-	}
-	return nil
+func u32Field(x *uint32, v imgfmt.Visitor, tag uint64) { *x = imgfmt.Uint(v, tag, *x) }
+
+func (p *pinger) Layout(v imgfmt.Visitor) {
+	p.Phase = imgfmt.Uint(v, 1, p.Phase)
+	p.FD = imgfmt.Uint(v, 2, p.FD)
+	p.To.IP = imgfmt.Uint(v, 3, p.To.IP)
+	p.To.Port = imgfmt.Uint(v, 4, p.To.Port)
+	p.Rounds = imgfmt.Uint(v, 5, p.Rounds)
+	p.Val = imgfmt.Uint(v, 6, p.Val)
+	v.Begin(7)
+	p.Seen = imgfmt.Each(v, 1, p.Seen, u32Field)
+	v.End()
 }
 func (p *pinger) Kind() string { return "coretest.pinger" }
 
@@ -192,43 +164,14 @@ func (p *ponger) Step(ctx *vos.Context) vos.StepResult {
 	}
 }
 
-func (p *ponger) Save(e *imgfmt.Encoder) error {
-	e.Uint(1, uint64(p.Phase))
-	e.Uint(2, uint64(p.LFD))
-	e.Uint(3, uint64(p.CFD))
-	e.Uint(4, uint64(p.Port))
-	e.Begin(5)
-	for _, v := range p.Seen {
-		e.Uint(1, uint64(v))
-	}
-	e.End()
-	return nil
-}
-func (p *ponger) Restore(d *imgfmt.Decoder) error {
-	var vals [4]uint64
-	for i := range vals {
-		v, err := d.Uint(uint64(i + 1))
-		if err != nil {
-			return err
-		}
-		vals[i] = v
-	}
-	p.Phase = int(vals[0])
-	p.LFD = int(vals[1])
-	p.CFD = int(vals[2])
-	p.Port = netstack.Port(vals[3])
-	sec, err := d.Section(5)
-	if err != nil {
-		return err
-	}
-	for sec.More() {
-		v, err := sec.Uint(1)
-		if err != nil {
-			return err
-		}
-		p.Seen = append(p.Seen, uint32(v))
-	}
-	return nil
+func (p *ponger) Layout(v imgfmt.Visitor) {
+	p.Phase = imgfmt.Uint(v, 1, p.Phase)
+	p.LFD = imgfmt.Uint(v, 2, p.LFD)
+	p.CFD = imgfmt.Uint(v, 3, p.CFD)
+	p.Port = imgfmt.Uint(v, 4, p.Port)
+	v.Begin(5)
+	p.Seen = imgfmt.Each(v, 1, p.Seen, u32Field)
+	v.End()
 }
 func (p *ponger) Kind() string { return "coretest.ponger" }
 

@@ -3,13 +3,14 @@ package imgfmt
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"hash/crc32"
 	"math"
 	"testing"
 )
 
-// exhaust walks every field of a decoder recursively, exercising Peek,
-// typed reads and Skip. It must return an error or reach the end of the
+// exhaust walks every field of a decoder recursively, exercising Peek
+// and the typed reads. It must return an error or reach the end of the
 // stream — never panic — whatever bytes the decoder was built over.
 func exhaust(t *testing.T, d *Decoder, depth int) error {
 	if depth > 64 {
@@ -34,13 +35,13 @@ func exhaust(t *testing.T, d *Decoder, depth int) error {
 		case TypeFloat64:
 			_, err = d.Float64(tag)
 		case TypeSection:
-			var sec *Decoder
+			var sec Decoder
 			sec, err = d.Section(tag)
 			if err == nil {
-				err = exhaust(t, sec, depth+1)
+				err = exhaust(t, &sec, depth+1)
 			}
 		default:
-			err = d.Skip()
+			err = fmt.Errorf("%w: unknown wire type %d", ErrTypeMismatch, typ)
 		}
 		if err != nil {
 			return err
@@ -71,10 +72,10 @@ func exhaustStream(t *testing.T, d *StreamDecoder) {
 		case TypeFloat64:
 			_, err = d.Float64(tag)
 		case TypeSection:
-			var sec *Decoder
+			var sec Decoder
 			sec, err = d.Section(tag)
 			if err == nil {
-				err = exhaust(t, sec, 0)
+				err = exhaust(t, &sec, 0)
 			}
 		default:
 			err = d.Skip()

@@ -12,16 +12,22 @@
 // An image is a sequence of fields. Every field carries a caller-chosen
 // numeric tag and a wire type. Sections group fields recursively, so a
 // checkpoint image reads like a tree: pod -> processes -> memory regions,
-// and so on. Decoders may skip fields whose tags they do not recognize.
+// and so on. Readers are strict: a field out of order, of the wrong
+// type, or that the reader's layout does not name is refused; the format
+// evolves by its version number.
 //
 // Two things carry a field stream. A record — a pod image or a delta,
 // what is stored, shipped and restarted from — is the field stream cut
 // into CRC'd, individually compressed frames by StreamEncoder and read
-// back by StreamDecoder (stream.go). The in-memory Encoder and Decoder
-// of this file are the codec for what sits inside a record: section
-// bodies, and the program-state blob a vos.Program saves (Magic, Version
-// and a CRC-32 trailer around its fields), which a record carries as one
-// opaque Bytes value.
+// back by StreamDecoder (stream.go). Inside a record sit section bodies
+// and the program-state blob of each process (Magic, Version and a
+// CRC-32 trailer around its fields, carried as one opaque Bytes value):
+// both are written by a StreamEncoder that buffers in memory (NewEncoder,
+// NewSectionEncoder) and read by the Decoder of this file.
+//
+// Nothing outside this package and internal/ckpt drives an encoder or a
+// decoder by hand: a resource declares a layout (visitor.go) and is
+// written, sized and read through it.
 package imgfmt
 
 import (
@@ -68,31 +74,19 @@ var (
 	ErrEndOfSection = errors.New("imgfmt: end of section")
 )
 
-// Encoder builds a field stream in memory: a program-state blob
-// (NewEncoder, taken with Finish) or a bare section body
-// (NewSectionEncoder, taken with Body). The zero value is not usable.
-// Encoders are not safe for concurrent use.
-//
-// Encoder is a thin buffered wrapper over StreamEncoder: it shares the
-// field encoding and section stack and buffers everything.
-type Encoder struct {
-	s *StreamEncoder
-}
-
-// NewEncoder returns an encoder for a program-state blob, with the blob
-// header (Magic, Version) already written.
-func NewEncoder() *Encoder {
+// NewEncoder returns an in-memory encoder for a program-state blob, with
+// the blob header (Magic, Version) already written; Finish takes the
+// blob.
+func NewEncoder() *StreamEncoder {
 	hdr := append(make([]byte, 0, 256), Magic...)
-	return &Encoder{s: newBuffered(appendUvarint(hdr, Version))}
+	return newBuffered(appendUvarint(hdr, Version))
 }
 
-// NewSectionEncoder returns an encoder producing a bare field stream
-// with no header or trailer, for use as a nested section body spliced
-// into another stream via RawSection. Section bodies can therefore be
-// encoded concurrently (one encoder per worker) and assembled
-// deterministically afterwards.
-func NewSectionEncoder() *Encoder {
-	return &Encoder{s: newBuffered(make([]byte, 0, 64))}
+// NewSectionEncoder returns an in-memory encoder producing a bare field
+// stream with no header or trailer, taken with Body: a section body to
+// be spliced into another stream via RawSection.
+func NewSectionEncoder() *StreamEncoder {
+	return newBuffered(make([]byte, 0, 64))
 }
 
 func appendUvarint(b []byte, v uint64) []byte {
@@ -107,52 +101,9 @@ func appendSvarint(b []byte, v int64) []byte {
 	return append(b, tmp[:n]...)
 }
 
-// Uint writes an unsigned integer field.
-func (e *Encoder) Uint(tag uint64, v uint64) { e.s.Uint(tag, v) }
-
-// Int writes a signed integer field.
-func (e *Encoder) Int(tag uint64, v int64) { e.s.Int(tag, v) }
-
-// Bytes writes an opaque byte-slice field.
-func (e *Encoder) Bytes(tag uint64, v []byte) { e.s.Bytes(tag, v) }
-
-// String writes a string field.
-func (e *Encoder) String(tag uint64, v string) { e.s.String(tag, v) }
-
-// Bool writes a boolean field.
-func (e *Encoder) Bool(tag uint64, v bool) { e.s.Bool(tag, v) }
-
-// Float64 writes an IEEE-754 double field.
-func (e *Encoder) Float64(tag uint64, v float64) { e.s.Float64(tag, v) }
-
-// Begin opens a nested section with the given tag. Sections may nest to any
-// depth; each Begin must be matched by an End.
-func (e *Encoder) Begin(tag uint64) { e.s.Begin(tag) }
-
-// RawSection writes a section field whose body was encoded separately
-// (by a NewSectionEncoder finished with Body). The resulting bytes are
-// identical to Begin + re-encoding the fields + End, which is what lets
-// parallel encoders produce byte-identical images to sequential ones.
-func (e *Encoder) RawSection(tag uint64, body []byte) { e.s.RawSection(tag, body) }
-
-// Body returns the bare field stream of a section encoder (no header,
-// no trailer). It is an error to call Body with open sections or on an
-// encoder that has a header.
-func (e *Encoder) Body() []byte { return e.s.Body() }
-
-// End closes the innermost open section.
-func (e *Encoder) End() { e.s.End() }
-
-// Finish returns the finished blob, appending the CRC-32 trailer. It is an
-// error to call Finish with unclosed sections.
-func (e *Encoder) Finish() []byte { return e.s.Finish() }
-
-// Len reports the current encoded length in bytes, excluding the trailer.
-func (e *Encoder) Len() int { return e.s.Len() }
-
-// Decoder reads a field stream produced by Encoder. Create decoders
-// with NewDecoder (for a program-state blob) — section decoders are
-// produced by Section. Decoders are not safe for concurrent use.
+// Decoder reads a field stream held in memory. Create decoders with
+// NewDecoder (for a program-state blob) — section decoders are produced
+// by Section. Decoders are not safe for concurrent use.
 type Decoder struct {
 	data []byte
 	off  int
@@ -318,51 +269,10 @@ func (d *Decoder) Float64(tag uint64) (float64, error) {
 
 // Section reads a nested section field with the given tag and returns a
 // decoder over its contents.
-func (d *Decoder) Section(tag uint64) (*Decoder, error) {
+func (d *Decoder) Section(tag uint64) (Decoder, error) {
 	if err := d.header(tag, TypeSection); err != nil {
-		return nil, err
+		return Decoder{}, err
 	}
 	body, err := d.lengthPrefixed()
-	if err != nil {
-		return nil, err
-	}
-	return &Decoder{data: body}, nil
-}
-
-// Skip consumes the next field regardless of tag or type. It allows decoders
-// to ignore fields introduced by newer encoders.
-func (d *Decoder) Skip() error {
-	if _, err := d.uvarint(); err != nil {
-		return err
-	}
-	if d.off >= len(d.data) {
-		return ErrTruncated
-	}
-	typ := d.data[d.off]
-	d.off++
-	switch typ {
-	case TypeUint:
-		_, err := d.uvarint()
-		return err
-	case TypeInt:
-		_, err := d.svarint()
-		return err
-	case TypeBytes, TypeString, TypeSection:
-		_, err := d.lengthPrefixed()
-		return err
-	case TypeBool:
-		if d.off >= len(d.data) {
-			return ErrTruncated
-		}
-		d.off++
-		return nil
-	case TypeFloat64:
-		if len(d.data)-d.off < 8 {
-			return ErrTruncated
-		}
-		d.off += 8
-		return nil
-	default:
-		return fmt.Errorf("%w: unknown wire type %d", ErrTypeMismatch, typ)
-	}
+	return Decoder{data: body}, err
 }

@@ -125,32 +125,6 @@ func TestTypeMismatch(t *testing.T) {
 	}
 }
 
-func TestSkipUnknownFields(t *testing.T) {
-	e := NewEncoder()
-	e.Uint(1, 5)
-	e.String(2, "skip me")
-	e.Begin(3)
-	e.Float64(4, 2.5)
-	e.End()
-	e.Bool(5, true)
-	e.Uint(6, 6)
-	img := e.Finish()
-
-	d, _ := NewDecoder(img)
-	if _, err := d.Uint(1); err != nil {
-		t.Fatal(err)
-	}
-	// Skip the string, section, and bool we "don't understand".
-	for i := 0; i < 3; i++ {
-		if err := d.Skip(); err != nil {
-			t.Fatalf("Skip %d: %v", i, err)
-		}
-	}
-	if v, err := d.Uint(6); err != nil || v != 6 {
-		t.Fatalf("Uint(6) = %d, %v", v, err)
-	}
-}
-
 func TestPeek(t *testing.T) {
 	e := NewEncoder()
 	e.String(7, "x")
@@ -257,11 +231,7 @@ func TestQuickGarbageNoPanics(t *testing.T) {
 			return true
 		}
 		// If it decoded, walking all fields must not panic.
-		for d.More() {
-			if err := d.Skip(); err != nil {
-				return true
-			}
-		}
+		exhaust(t, d, 0)
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
@@ -283,7 +253,7 @@ func TestDeepNesting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cur := d
+	cur := *d
 	for i := 0; i < depth; i++ {
 		var err error
 		cur, err = cur.Section(uint64(i + 1))

@@ -61,9 +61,9 @@ const MaxFrame = 1 << 20
 var ErrFrame = fmt.Errorf("%w: malformed chunk frame", ErrBadChecksum)
 
 // StreamEncoder writes a record as a sequence of CRC-framed chunks to
-// an io.Writer. It shares the field encoding (and the section stack)
-// with the in-memory Encoder, which is a thin buffered wrapper around
-// this type. StreamEncoders are not safe for concurrent use.
+// an io.Writer — or, from NewEncoder and NewSectionEncoder, buffers the
+// bare field stream in memory. StreamEncoders are not safe for
+// concurrent use.
 //
 // Fields written at the top level are flushed to the writer as soon as
 // a full chunk accumulates; section bodies buffer until their End so
@@ -72,7 +72,7 @@ var ErrFrame = fmt.Errorf("%w: malformed chunk frame", ErrBadChecksum)
 // O(chunk) buffering bound.
 type StreamEncoder struct {
 	w        io.Writer
-	framed   bool     // a record stream (or its count); false beneath an in-memory Encoder
+	framed   bool     // a record stream (or its count); false when buffering in memory
 	compress bool     // the per-frame compression heuristic is on
 	count    bool     // sizing only: frames are measured (Logical), never built or written
 	scratch  []byte   // compressed form of the frame being emitted, reused across frames
@@ -131,9 +131,9 @@ func NewStreamCounter() *StreamEncoder {
 		stack: [][]byte{make([]byte, 0, 64)}}
 }
 
-// newBuffered returns the unframed in-memory form beneath an Encoder:
-// everything written accumulates after prefix, to be taken with Body
-// (a section body, empty prefix) or Finish (a program-state blob).
+// newBuffered returns the unframed in-memory form: everything written
+// accumulates after prefix, to be taken with Body (a section body,
+// empty prefix) or Finish (a program-state blob).
 func newBuffered(prefix []byte) *StreamEncoder {
 	return &StreamEncoder{stack: [][]byte{prefix}}
 }
@@ -151,8 +151,8 @@ func (s *StreamEncoder) Written() int64 { return s.written }
 func (s *StreamEncoder) Logical() int64 { return s.logical }
 
 // Peak reports the maximum bytes this encoder ever buffered at once
-// (staging chunk plus any open section bodies). Beneath an in-memory
-// Encoder this is everything written; for a record stream it stays
+// (staging chunk plus any open section bodies). For an in-memory
+// encoder this is everything written; for a record stream it stays
 // bounded by the chunk size plus the largest section body.
 func (s *StreamEncoder) Peak() int64 { return s.peak }
 
@@ -706,6 +706,9 @@ func (d *StreamDecoder) header(wantTag uint64, wantType byte) error {
 	} else {
 		var err error
 		tag, err = d.tagOrEnd()
+		if err == ErrEndOfSection {
+			err = ErrTruncated // the record ends where a field is required
+		}
 		if err != nil {
 			return err
 		}
@@ -857,15 +860,12 @@ func (d *StreamDecoder) Float64(tag uint64) (float64, error) {
 // Section reads a nested section field with the given tag, returning an
 // in-memory decoder over its (copied) body. Sections are expected to be
 // small metadata groups; bulk data lives in top-level Bytes fields.
-func (d *StreamDecoder) Section(tag uint64) (*Decoder, error) {
+func (d *StreamDecoder) Section(tag uint64) (Decoder, error) {
 	if err := d.header(tag, TypeSection); err != nil {
-		return nil, err
+		return Decoder{}, err
 	}
 	body, err := d.lengthPrefixed()
-	if err != nil {
-		return nil, err
-	}
-	return &Decoder{data: body}, nil
+	return Decoder{data: body}, err
 }
 
 // Skip consumes the next field regardless of tag or type. Its bytes are

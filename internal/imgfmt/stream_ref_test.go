@@ -377,15 +377,12 @@ func (d *refStreamDecoder) Float64(tag uint64) (float64, error) {
 // Section reads a nested section field with the given tag, returning an
 // in-memory decoder over its (copied) body. Sections are expected to be
 // small metadata groups; bulk data lives in top-level Bytes fields.
-func (d *refStreamDecoder) Section(tag uint64) (*Decoder, error) {
+func (d *refStreamDecoder) Section(tag uint64) (Decoder, error) {
 	if err := d.header(tag, TypeSection); err != nil {
-		return nil, err
+		return Decoder{}, err
 	}
 	body, err := d.lengthPrefixed()
-	if err != nil {
-		return nil, err
-	}
-	return &Decoder{data: body}, nil
+	return Decoder{data: body}, err
 }
 
 // Skip consumes the next field regardless of tag or type.
@@ -453,7 +450,7 @@ type fieldDecoder interface {
 	String(tag uint64) (string, error)
 	Bool(tag uint64) (bool, error)
 	Float64(tag uint64) (float64, error)
-	Section(tag uint64) (*Decoder, error)
+	Section(tag uint64) (Decoder, error)
 	Skip() error
 	Finished() error
 }
@@ -488,7 +485,7 @@ func drain(d fieldDecoder, skip uint64) (vals []any, err error) {
 		case typ == TypeFloat64:
 			v, err = d.Float64(tag)
 		case typ == TypeSection:
-			var sec *Decoder
+			var sec Decoder
 			if sec, err = d.Section(tag); err == nil {
 				v = sec.data
 			}

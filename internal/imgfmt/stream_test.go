@@ -199,8 +199,9 @@ func TestStreamDecoderRefusesOldVersions(t *testing.T) {
 	}
 }
 
-// TestEncoderWrapperByteIdentity pins that the in-memory Encoder (now a
-// wrapper over StreamEncoder) still produces the exact legacy v1 bytes:
+// TestEncoderWrapperByteIdentity pins that the in-memory encoder (once a
+// type of its own, then a wrapper, now the buffering StreamEncoder
+// NewEncoder returns) produces the exact program-state blob bytes:
 // header, field stream, CRC trailer.
 func TestEncoderWrapperByteIdentity(t *testing.T) {
 	e := NewEncoder()

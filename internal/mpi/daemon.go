@@ -30,7 +30,7 @@ const DefaultHeartbeat = 250 * sim.Millisecond
 
 // NewDaemon creates a daemon for the given rank.
 func NewDaemon(rank int, port netstack.Port, peers []netstack.IP) *Daemon {
-	return &Daemon{Rank: rank, Port: port, PeerIPs: peers, Interval: DefaultHeartbeat}
+	return &Daemon{Rank: rank, Port: port, PeerIPs: append([]netstack.IP(nil), peers...), Interval: DefaultHeartbeat}
 }
 
 // Step implements vos.Program.
@@ -63,61 +63,16 @@ func (d *Daemon) Step(ctx *vos.Context) vos.StepResult {
 	}
 }
 
-// Save implements vos.Program.
-func (d *Daemon) Save(e *imgfmt.Encoder) error {
-	e.Int(1, int64(d.Phase))
-	e.Int(2, int64(d.FD))
-	e.Int(3, int64(d.Rank))
-	e.Uint(4, uint64(d.Port))
-	for _, ip := range d.PeerIPs {
-		e.Uint(5, uint64(ip))
-	}
-	e.Int(6, int64(d.Interval))
-	e.Uint(7, d.Sent)
-	e.Uint(8, d.Seen)
-	return nil
-}
-
-// Restore implements vos.Program.
-func (d *Daemon) Restore(dec *imgfmt.Decoder) error {
-	ph, err := dec.Int(1)
-	if err != nil {
-		return err
-	}
-	fd, err := dec.Int(2)
-	if err != nil {
-		return err
-	}
-	rank, err := dec.Int(3)
-	if err != nil {
-		return err
-	}
-	port, err := dec.Uint(4)
-	if err != nil {
-		return err
-	}
-	d.Phase, d.FD, d.Rank, d.Port = int(ph), int(fd), int(rank), netstack.Port(port)
-	for {
-		tag, _, perr := dec.Peek()
-		if perr != nil || tag != 5 {
-			break
-		}
-		v, err := dec.Uint(5)
-		if err != nil {
-			return err
-		}
-		d.PeerIPs = append(d.PeerIPs, netstack.IP(v))
-	}
-	iv, err := dec.Int(6)
-	if err != nil {
-		return err
-	}
-	d.Interval = sim.Duration(iv)
-	if d.Sent, err = dec.Uint(7); err != nil {
-		return err
-	}
-	d.Seen, err = dec.Uint(8)
-	return err
+// Layout implements vos.Program.
+func (d *Daemon) Layout(v imgfmt.Visitor) {
+	d.Phase = imgfmt.Int(v, 1, d.Phase)
+	d.FD = imgfmt.Int(v, 2, d.FD)
+	d.Rank = imgfmt.Int(v, 3, d.Rank)
+	d.Port = imgfmt.Uint(v, 4, d.Port)
+	d.PeerIPs = imgfmt.Each(v, 5, d.PeerIPs, ipField)
+	d.Interval = imgfmt.Int(v, 6, d.Interval)
+	d.Sent = v.Uint(7, d.Sent)
+	d.Seen = v.Uint(8, d.Seen)
 }
 
 // Kind implements vos.Program.

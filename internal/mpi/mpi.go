@@ -79,6 +79,9 @@ type Comm struct {
 
 // New creates an uninitialized communicator.
 func New(cfg Config) *Comm {
+	// The communicator's state is its own memory (see vos.Program): the
+	// caller hands the same peer list to every program of a pod.
+	cfg.PeerIPs = append([]netstack.IP(nil), cfg.PeerIPs...)
 	c := &Comm{Cfg: cfg, LFD: -1}
 	c.FDs = make([]int, cfg.Size)
 	for i := range c.FDs {

@@ -87,9 +87,8 @@ func (r *ranker) Step(ctx *vos.Context) vos.StepResult {
 }
 
 // pendingBcast holds the in-flight broadcast buffer between steps.
-func (r *ranker) Save(e *imgfmt.Encoder) error    { return nil }
-func (r *ranker) Restore(d *imgfmt.Decoder) error { return nil }
-func (r *ranker) Kind() string                    { return "mpitest.ranker" }
+func (r *ranker) Layout(imgfmt.Visitor) {}
+func (r *ranker) Kind() string          { return "mpitest.ranker" }
 
 func mathBits(f float64) uint64 {
 	return uint64(int64(f * 1000)) // fixed-point for test stability
@@ -205,9 +204,8 @@ func (a *allreducer) Step(ctx *vos.Context) vos.StepResult {
 		return vos.Exit(0)
 	}
 }
-func (a *allreducer) Save(e *imgfmt.Encoder) error    { return nil }
-func (a *allreducer) Restore(d *imgfmt.Decoder) error { return nil }
-func (a *allreducer) Kind() string                    { return "mpitest.allreducer" }
+func (a *allreducer) Layout(imgfmt.Visitor) {}
+func (a *allreducer) Kind() string          { return "mpitest.allreducer" }
 
 func TestAllreduceEveryRankGetsResult(t *testing.T) {
 	const size, iters = 4, 3
@@ -272,16 +270,8 @@ func TestCommSerializationRoundTrip(t *testing.T) {
 	c.gathered[0] = []byte("g0")
 	c.closed[3] = true
 
-	e := imgfmt.NewEncoder()
-	if err := c.Save(e); err != nil {
-		t.Fatal(err)
-	}
-	d, err := imgfmt.NewDecoder(e.Finish())
-	if err != nil {
-		t.Fatal(err)
-	}
 	c2 := &Comm{}
-	if err := c2.Restore(d); err != nil {
+	if err := imgfmt.ReadBlob(imgfmt.Blob(c.Layout), c2.Layout); err != nil {
 		t.Fatal(err)
 	}
 	if c2.Cfg.Rank != 2 || c2.Cfg.Size != 4 || c2.Cfg.Port != 6000 || len(c2.Cfg.PeerIPs) != 4 {
@@ -346,13 +336,8 @@ func TestDaemonSerialization(t *testing.T) {
 	d.FD = 4
 	d.Sent = 100
 	d.Seen = 99
-	e := imgfmt.NewEncoder()
-	if err := d.Save(e); err != nil {
-		t.Fatal(err)
-	}
-	dec, _ := imgfmt.NewDecoder(e.Finish())
 	d2 := &Daemon{}
-	if err := d2.Restore(dec); err != nil {
+	if err := imgfmt.ReadBlob(imgfmt.Blob(d.Layout), d2.Layout); err != nil {
 		t.Fatal(err)
 	}
 	if d2.Rank != 1 || d2.FD != 4 || d2.Sent != 100 || d2.Seen != 99 ||

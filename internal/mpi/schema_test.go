@@ -3,6 +3,8 @@ package mpi
 import (
 	"crypto/sha256"
 	"encoding/hex"
+	"errors"
+	"runtime"
 	"testing"
 
 	"zapc/internal/imgfmt"
@@ -33,23 +35,73 @@ func fullComm() *Comm {
 	return c
 }
 
-// commBlob encodes c as a program-state blob.
-func commBlob(t *testing.T, c *Comm) []byte {
-	t.Helper()
-	e := imgfmt.NewEncoder()
-	if err := c.Save(e); err != nil {
-		t.Fatal(err)
-	}
-	return e.Finish()
-}
-
 // goldenCommBlob is the SHA-256 of fullComm's blob as the hand-written
 // Comm.Save wrote it, before the communicator declared a layout.
 const goldenCommBlob = "723c40f41607f5778ace4076c3aef44da160e4f8b431ce8237efdc812c2d470b"
 
 func TestGoldenCommBlob(t *testing.T) {
-	sum := sha256.Sum256(commBlob(t, fullComm()))
+	sum := sha256.Sum256(imgfmt.Blob(fullComm().Layout))
 	if got := hex.EncodeToString(sum[:]); got != goldenCommBlob {
 		t.Fatalf("communicator blob hashes to %s, golden %s", got, goldenCommBlob)
+	}
+}
+
+// A communicator's per-rank lists are not sized from the Size it reads:
+// a CRC-valid blob claiming a size its lists do not bear out is refused,
+// having allocated nothing to speak of.
+func TestCommLayoutSizesNothingFromTheWire(t *testing.T) {
+	for _, size := range []int{1 << 40, -1, 0, 3, 5} {
+		c := New(Config{Rank: 2, Size: 4, Port: 6000, PeerIPs: []netstack.IP{1, 2, 3, 4}})
+		c.Cfg.Size = size // the lists stay four long
+		blob := imgfmt.Blob(c.Layout)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		err := imgfmt.ReadBlob(blob, new(Comm).Layout)
+		runtime.ReadMemStats(&after)
+		if !errors.Is(err, imgfmt.ErrBadValue) {
+			t.Errorf("Size %d over four-rank lists: err = %v, want ErrBadValue", size, err)
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 64<<10 {
+			t.Errorf("Size %d: refusing the blob allocated %d bytes", size, grew)
+		}
+	}
+	c := fullComm()
+	c.Cfg.Rank = 4
+	if err := imgfmt.ReadBlob(imgfmt.Blob(c.Layout), new(Comm).Layout); !errors.Is(err, imgfmt.ErrBadValue) {
+		t.Errorf("Rank 4 of 4: err = %v, want ErrBadValue", err)
+	}
+}
+
+// Every byte slice of a restored communicator is its own: appending to
+// and overwriting them must not reach the blob they were read from, which
+// belongs to an immutable image that may be restored again.
+func TestRestoredCommDoesNotAliasTheBlob(t *testing.T) {
+	blob := imgfmt.Blob(fullComm().Layout)
+	want := sha256.Sum256(blob)
+	c := &Comm{}
+	if err := imgfmt.ReadBlob(blob, c.Layout); err != nil {
+		t.Fatal(err)
+	}
+	scribble := func(b []byte) []byte {
+		for i := range b {
+			b[i] ^= 0xff
+		}
+		return append(b, "overrun"...)
+	}
+	c.arBuf = scribble(c.arBuf)
+	for i := range c.partial {
+		c.partial[i], c.outq[i] = scribble(c.partial[i]), scribble(c.outq[i])
+	}
+	for i := range c.pending {
+		c.pending[i].Buf = scribble(c.pending[i].Buf)
+	}
+	for i := range c.inbox {
+		c.inbox[i].Data = scribble(c.inbox[i].Data)
+	}
+	for r, data := range c.gathered {
+		c.gathered[r] = scribble(data)
+	}
+	if sha256.Sum256(blob) != want {
+		t.Fatal("writing to a restored communicator changed the blob it was restored from")
 	}
 }

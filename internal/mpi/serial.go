@@ -38,226 +38,75 @@ const (
 	tagArBuf     = 18
 )
 
-// Save serializes the communicator.
-func (c *Comm) Save(e *imgfmt.Encoder) error {
-	e.Int(tagRank, int64(c.Cfg.Rank))
-	e.Int(tagSize, int64(c.Cfg.Size))
-	e.Uint(tagPort, uint64(c.Cfg.Port))
-	for _, ip := range c.Cfg.PeerIPs {
-		e.Uint(tagPeerIP, uint64(ip))
-	}
-	e.Int(tagInitPhase, int64(c.InitPhase))
-	e.Int(tagLFD, int64(c.LFD))
-	for _, fd := range c.FDs {
-		e.Int(tagFD, int64(fd))
-	}
-	for _, pc := range c.pending {
-		e.Begin(tagPending)
-		e.Int(tagPendFD, int64(pc.FD))
-		e.Bytes(tagPendBuf, pc.Buf)
-		e.End()
-	}
-	for _, h := range c.hello {
-		e.Int(tagHello, int64(h))
-	}
-	for _, p := range c.partial {
-		e.Bytes(tagPartial, p)
-	}
-	for _, m := range c.inbox {
-		e.Begin(tagMsg)
-		e.Int(tagMsgFrom, int64(m.From))
-		e.Uint(tagMsgTag, uint64(m.Tag))
-		e.Bytes(tagMsgData, m.Data)
-		e.End()
-	}
-	for _, q := range c.outq {
-		e.Bytes(tagOutq, q)
-	}
-	e.Uint(tagSeq, c.Seq)
-	e.Bool(tagBarMid, c.barMid)
-	for r := 0; r < c.Cfg.Size; r++ {
-		if data, ok := c.gathered[r]; ok {
-			e.Begin(tagGathered)
-			e.Int(tagGathRank, int64(r))
-			e.Bytes(tagGathData, data)
-			e.End()
-		}
-	}
-	for _, cl := range c.closed {
-		e.Bool(tagClosed, cl)
-	}
-	e.Bool(tagArMid, c.arMid)
-	e.Bytes(tagArBuf, c.arBuf)
-	return nil
+// gatherEntry is one element of the gathered map as the wire lists it.
+type gatherEntry struct {
+	rank int
+	data []byte
 }
 
-// Restore reinstates a communicator saved by Save.
-func (c *Comm) Restore(d *imgfmt.Decoder) error {
-	rank, err := d.Int(tagRank)
-	if err != nil {
-		return err
-	}
-	size, err := d.Int(tagSize)
-	if err != nil {
-		return err
-	}
-	port, err := d.Uint(tagPort)
-	if err != nil {
-		return err
-	}
-	*c = *New(Config{Rank: int(rank), Size: int(size), Port: netstack.Port(port)})
-	repeat := func(tag uint64, fn func() error) error {
-		for {
-			t, _, err := d.Peek()
-			if err != nil || t != tag {
-				return nil
-			}
-			if err := fn(); err != nil {
-				return err
+// Element layouts of the repeated scalar fields.
+func intField(x *int, v imgfmt.Visitor, tag uint64)         { *x = imgfmt.Int(v, tag, *x) }
+func boolField(b *bool, v imgfmt.Visitor, tag uint64)       { *b = v.Bool(tag, *b) }
+func bytesField(b *[]byte, v imgfmt.Visitor, tag uint64)    { *b = v.Bytes(tag, *b) }
+func ipField(ip *netstack.IP, v imgfmt.Visitor, tag uint64) { *ip = imgfmt.Uint(v, tag, *ip) }
+
+// Layout declares the communicator's state. Nothing is sized from the
+// Size it reads: every per-rank list grows by the elements that arrive,
+// and the communicator is refused unless they all came to Size.
+func (c *Comm) Layout(v imgfmt.Visitor) {
+	cfg := &c.Cfg
+	cfg.Rank = imgfmt.Int(v, tagRank, cfg.Rank)
+	cfg.Size = imgfmt.Int(v, tagSize, cfg.Size)
+	cfg.Port = imgfmt.Uint(v, tagPort, cfg.Port)
+	cfg.PeerIPs = imgfmt.Each(v, tagPeerIP, cfg.PeerIPs, ipField)
+	c.InitPhase = imgfmt.Int(v, tagInitPhase, c.InitPhase)
+	c.LFD = imgfmt.Int(v, tagLFD, c.LFD)
+	c.FDs = imgfmt.Each(v, tagFD, c.FDs, intField)
+	c.pending = imgfmt.Each(v, tagPending, c.pending, func(pc *pendingConn, v imgfmt.Visitor, tag uint64) {
+		v.Begin(tag)
+		pc.FD = imgfmt.Int(v, tagPendFD, pc.FD)
+		pc.Buf = v.Bytes(tagPendBuf, pc.Buf)
+		v.End()
+	})
+	c.hello = imgfmt.Each(v, tagHello, c.hello, intField)
+	c.partial = imgfmt.Each(v, tagPartial, c.partial, bytesField)
+	c.inbox = imgfmt.Each(v, tagMsg, c.inbox, func(m *Message, v imgfmt.Visitor, tag uint64) {
+		v.Begin(tag)
+		m.From = imgfmt.Int(v, tagMsgFrom, m.From)
+		m.Tag = imgfmt.Uint(v, tagMsgTag, m.Tag)
+		m.Data = v.Bytes(tagMsgData, m.Data)
+		v.End()
+	})
+	c.outq = imgfmt.Each(v, tagOutq, c.outq, bytesField)
+	c.Seq = v.Uint(tagSeq, c.Seq)
+	c.barMid = v.Bool(tagBarMid, c.barMid)
+	// The gathered map goes on the wire as a list in rank order.
+	var got []gatherEntry
+	if len(c.gathered) > 0 {
+		for r := 0; r < cfg.Size; r++ {
+			if data, ok := c.gathered[r]; ok {
+				got = append(got, gatherEntry{r, data})
 			}
 		}
 	}
-	if err := repeat(tagPeerIP, func() error {
-		v, err := d.Uint(tagPeerIP)
-		c.Cfg.PeerIPs = append(c.Cfg.PeerIPs, netstack.IP(v))
-		return err
-	}); err != nil {
-		return err
+	got = imgfmt.Each(v, tagGathered, got, func(g *gatherEntry, v imgfmt.Visitor, tag uint64) {
+		v.Begin(tag)
+		g.rank = imgfmt.Int(v, tagGathRank, g.rank)
+		g.data = v.Bytes(tagGathData, g.data)
+		v.End()
+	})
+	if c.gathered == nil {
+		c.gathered = make(map[int][]byte)
 	}
-	ph, err := d.Int(tagInitPhase)
-	if err != nil {
-		return err
+	prev := -1
+	for _, g := range got {
+		v.Check(prev < g.rank && g.rank < cfg.Size, "mpi: gathered ranks out of order or range")
+		c.gathered[g.rank], prev = g.data, g.rank
 	}
-	c.InitPhase = int(ph)
-	lfd, err := d.Int(tagLFD)
-	if err != nil {
-		return err
-	}
-	c.LFD = int(lfd)
-	i := 0
-	if err := repeat(tagFD, func() error {
-		v, err := d.Int(tagFD)
-		if i < len(c.FDs) {
-			c.FDs[i] = int(v)
-		}
-		i++
-		return err
-	}); err != nil {
-		return err
-	}
-	if err := repeat(tagPending, func() error {
-		sec, err := d.Section(tagPending)
-		if err != nil {
-			return err
-		}
-		fd, e1 := sec.Int(tagPendFD)
-		buf, e2 := sec.Bytes(tagPendBuf)
-		if e1 != nil {
-			return e1
-		}
-		if e2 != nil {
-			return e2
-		}
-		c.pending = append(c.pending, pendingConn{FD: int(fd), Buf: append([]byte(nil), buf...)})
-		return nil
-	}); err != nil {
-		return err
-	}
-	if err := repeat(tagHello, func() error {
-		v, err := d.Int(tagHello)
-		c.hello = append(c.hello, int(v))
-		return err
-	}); err != nil {
-		return err
-	}
-	i = 0
-	if err := repeat(tagPartial, func() error {
-		b, err := d.Bytes(tagPartial)
-		if i < len(c.partial) {
-			c.partial[i] = append([]byte(nil), b...)
-		}
-		i++
-		return err
-	}); err != nil {
-		return err
-	}
-	if err := repeat(tagMsg, func() error {
-		sec, err := d.Section(tagMsg)
-		if err != nil {
-			return err
-		}
-		from, e1 := sec.Int(tagMsgFrom)
-		tg, e2 := sec.Uint(tagMsgTag)
-		data, e3 := sec.Bytes(tagMsgData)
-		if e1 != nil || e2 != nil || e3 != nil {
-			return firstErr(e1, e2, e3)
-		}
-		c.inbox = append(c.inbox, Message{From: int(from), Tag: uint32(tg), Data: append([]byte(nil), data...)})
-		return nil
-	}); err != nil {
-		return err
-	}
-	i = 0
-	if err := repeat(tagOutq, func() error {
-		b, err := d.Bytes(tagOutq)
-		if i < len(c.outq) {
-			c.outq[i] = append([]byte(nil), b...)
-		}
-		i++
-		return err
-	}); err != nil {
-		return err
-	}
-	if c.Seq, err = d.Uint(tagSeq); err != nil {
-		return err
-	}
-	if c.barMid, err = d.Bool(tagBarMid); err != nil {
-		return err
-	}
-	if err := repeat(tagGathered, func() error {
-		sec, err := d.Section(tagGathered)
-		if err != nil {
-			return err
-		}
-		r, e1 := sec.Int(tagGathRank)
-		data, e2 := sec.Bytes(tagGathData)
-		if e1 != nil || e2 != nil {
-			return firstErr(e1, e2)
-		}
-		c.gathered[int(r)] = append([]byte(nil), data...)
-		return nil
-	}); err != nil {
-		return err
-	}
-	i = 0
-	if err := repeat(tagClosed, func() error {
-		v, err := d.Bool(tagClosed)
-		if i < len(c.closed) {
-			c.closed[i] = v
-		}
-		i++
-		return err
-	}); err != nil {
-		return err
-	}
-	if c.arMid, err = d.Bool(tagArMid); err != nil {
-		return err
-	}
-	buf, err := d.Bytes(tagArBuf)
-	if err != nil {
-		return err
-	}
-	if len(buf) > 0 {
-		c.arBuf = append([]byte(nil), buf...)
-	}
-	return nil
-}
-
-func firstErr(errs ...error) error {
-	for _, e := range errs {
-		if e != nil {
-			return e
-		}
-	}
-	return nil
+	c.closed = imgfmt.Each(v, tagClosed, c.closed, boolField)
+	c.arMid = v.Bool(tagArMid, c.arMid)
+	c.arBuf = v.Bytes(tagArBuf, c.arBuf)
+	n := cfg.Size
+	v.Check(0 <= cfg.Rank && cfg.Rank < n && len(c.FDs) == n && len(c.partial) == n && len(c.outq) == n && len(c.closed) == n,
+		"mpi: communicator's rank or per-rank lists do not fit its size")
 }

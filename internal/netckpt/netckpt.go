@@ -76,7 +76,8 @@ type SocketRecord struct {
 	Remote netstack.Addr
 
 	// Opts is the complete socket/protocol option set (paper: "for
-	// correctness, the entire set of the parameters is included").
+	// correctness, the entire set of the parameters is included"). An
+	// option it does not list is zero.
 	Opts []netstack.OptValue
 
 	// RecvData is the receive-side byte stream owed to the application:
@@ -229,9 +230,9 @@ func CheckpointStack(st *netstack.Stack) (*NetImage, *Meta, error) {
 // Bytes reports the serialized footprint of the network image (the
 // paper's "network-state data" size, a few KB in practice).
 func (img *NetImage) Bytes() int64 {
-	enc := imgfmt.NewEncoder()
-	img.Encode(enc)
-	return int64(enc.Len())
+	s := imgfmt.NewStreamCounter()
+	img.Layout(imgfmt.Writer(s))
+	return int64(len(imgfmt.Magic)) + 1 + s.Logical() // sized as a blob: header and fields
 }
 
 // QueueBytes reports the total queued payload bytes across all sockets
@@ -308,215 +309,67 @@ const (
 	tagAppClose = 24
 )
 
-// Encode writes the image into a checkpoint stream.
-func (img *NetImage) Encode(e *imgfmt.Encoder) {
-	e.Uint(tagPodIP, uint64(img.PodIP))
-	for _, r := range img.Sockets {
-		e.Begin(tagSocket)
-		e.Uint(tagSlot, uint64(r.Slot))
-		e.Uint(tagCreate, r.CreateSeq)
-		e.Uint(tagProto, uint64(r.Proto))
-		e.Uint(tagState, uint64(r.State))
-		e.Uint(tagLocalIP, uint64(r.Local.IP))
-		e.Uint(tagLocalPt, uint64(r.Local.Port))
-		e.Uint(tagRemIP, uint64(r.Remote.IP))
-		e.Uint(tagRemPt, uint64(r.Remote.Port))
-		for _, ov := range r.Opts {
-			// The record carries the entire option set; zero values are
-			// the defaults and need no wire representation (a decoder
-			// treats an absent option as zero), keeping the
-			// network-state footprint at the paper's few-hundred-byte
-			// scale.
-			if ov.Val == 0 {
-				continue
-			}
-			e.Begin(tagOpt)
-			e.Uint(tagOptKey, uint64(ov.Opt))
-			e.Int(tagOptVal, ov.Val)
-			e.End()
-		}
-		e.Bytes(tagRecvData, r.RecvData)
-		e.Bytes(tagOOBData, r.OOBData)
-		for _, c := range r.SendChunks {
-			e.Begin(tagChunk)
-			e.Bytes(tagChkData, c.Data)
-			e.Bool(tagChkOOB, c.OOB)
-			e.Bool(tagChkFIN, c.FIN)
-			e.End()
-		}
-		e.Uint(tagSndNxt, r.PCB.SndNxt)
-		e.Uint(tagSndUna, r.PCB.SndUna)
-		e.Uint(tagRcvNxt, r.PCB.RcvNxt)
-		for _, d := range r.Datagrams {
-			e.Begin(tagDgram)
-			e.Uint(tagDgFromIP, uint64(d.From.IP))
-			e.Uint(tagDgFromPt, uint64(d.From.Port))
-			e.Bytes(tagDgData, d.Data)
-			e.Uint(tagDgRaw, uint64(d.RawProto))
-			e.End()
-		}
-		e.Bool(tagPeeked, r.Peeked)
-		e.Uint(tagRawProto, uint64(r.RawProto))
-		e.Bool(tagShutW, r.ShutWrite)
-		e.Bool(tagPeerCl, r.PeerClosed)
-		e.Uint(tagBacklog, uint64(r.ListenBacklog))
-		e.Int(tagPendOf, int64(r.PendingAcceptOf))
-		e.Bool(tagRedir, r.Redirected)
-		e.Bool(tagAppClose, r.AppClosed)
-		e.End()
-	}
+// Layout declares the image's fields: the pod address, then a section
+// per socket.
+func (img *NetImage) Layout(v imgfmt.Visitor) {
+	img.PodIP = imgfmt.Uint(v, tagPodIP, img.PodIP)
+	img.Sockets = imgfmt.Each(v, tagSocket, img.Sockets, (*SocketRecord).layout)
 }
 
-// DecodeImage reads a network image from a checkpoint stream.
-func DecodeImage(d *imgfmt.Decoder) (*NetImage, error) {
-	img := &NetImage{}
-	ip, err := d.Uint(tagPodIP)
-	if err != nil {
-		return nil, err
-	}
-	img.PodIP = netstack.IP(ip)
-	for d.More() {
-		tag, _, err := d.Peek()
-		if err != nil {
-			return nil, err
+func (r *SocketRecord) layout(v imgfmt.Visitor, tag uint64) {
+	v.Begin(tag)
+	r.Slot = imgfmt.Uint(v, tagSlot, r.Slot)
+	r.CreateSeq = v.Uint(tagCreate, r.CreateSeq)
+	r.Proto = imgfmt.Uint(v, tagProto, r.Proto)
+	r.State = imgfmt.Uint(v, tagState, r.State)
+	r.Local.IP = imgfmt.Uint(v, tagLocalIP, r.Local.IP)
+	r.Local.Port = imgfmt.Uint(v, tagLocalPt, r.Local.Port)
+	r.Remote.IP = imgfmt.Uint(v, tagRemIP, r.Remote.IP)
+	r.Remote.Port = imgfmt.Uint(v, tagRemPt, r.Remote.Port)
+	// The record carries the entire option set, but a zero value is the
+	// default and has no wire representation: an absent option is zero
+	// (applyOpts), which keeps the network-state footprint at the paper's
+	// few-hundred-byte scale. Dropping the zeros here, in place, is a
+	// no-op on a record just read, which never held one.
+	set := r.Opts[:0]
+	for _, ov := range r.Opts {
+		if ov.Val != 0 {
+			set = append(set, ov)
 		}
-		if tag != tagSocket {
-			break
-		}
-		sec, err := d.Section(tagSocket)
-		if err != nil {
-			return nil, err
-		}
-		r, err := decodeSocketRecord(sec)
-		if err != nil {
-			return nil, err
-		}
-		img.Sockets = append(img.Sockets, r)
 	}
-	return img, nil
-}
-
-func decodeSocketRecord(d *imgfmt.Decoder) (SocketRecord, error) {
-	var r SocketRecord
-	var err error
-	u := func(tag uint64) uint64 {
-		if err != nil {
-			return 0
-		}
-		var v uint64
-		v, err = d.Uint(tag)
-		return v
-	}
-	r.Slot = int(u(tagSlot))
-	r.CreateSeq = u(tagCreate)
-	r.Proto = netstack.Proto(u(tagProto))
-	r.State = netstack.State(u(tagState))
-	r.Local = netstack.Addr{IP: netstack.IP(u(tagLocalIP)), Port: netstack.Port(u(tagLocalPt))}
-	r.Remote = netstack.Addr{IP: netstack.IP(u(tagRemIP)), Port: netstack.Port(u(tagRemPt))}
-	if err != nil {
-		return r, err
-	}
-	for {
-		tag, _, perr := d.Peek()
-		if perr != nil || tag != tagOpt {
-			break
-		}
-		sec, serr := d.Section(tagOpt)
-		if serr != nil {
-			return r, serr
-		}
-		k, e1 := sec.Uint(tagOptKey)
-		v, e2 := sec.Int(tagOptVal)
-		if e1 != nil || e2 != nil {
-			return r, errors.Join(e1, e2)
-		}
-		r.Opts = append(r.Opts, netstack.OptValue{Opt: netstack.Opt(k), Val: v})
-	}
-	rd, err := d.Bytes(tagRecvData)
-	if err != nil {
-		return r, err
-	}
-	r.RecvData = append([]byte(nil), rd...)
-	ob, err := d.Bytes(tagOOBData)
-	if err != nil {
-		return r, err
-	}
-	r.OOBData = append([]byte(nil), ob...)
-	for {
-		tag, _, perr := d.Peek()
-		if perr != nil || tag != tagChunk {
-			break
-		}
-		sec, serr := d.Section(tagChunk)
-		if serr != nil {
-			return r, serr
-		}
-		var c netstack.Chunk
-		data, e1 := sec.Bytes(tagChkData)
-		c.Data = append([]byte(nil), data...)
-		c.OOB, _ = sec.Bool(tagChkOOB)
-		c.FIN, _ = sec.Bool(tagChkFIN)
-		if e1 != nil {
-			return r, e1
-		}
-		r.SendChunks = append(r.SendChunks, c)
-	}
-	r.PCB.SndNxt = u(tagSndNxt)
-	r.PCB.SndUna = u(tagSndUna)
-	r.PCB.RcvNxt = u(tagRcvNxt)
-	if err != nil {
-		return r, err
-	}
-	for {
-		tag, _, perr := d.Peek()
-		if perr != nil || tag != tagDgram {
-			break
-		}
-		sec, serr := d.Section(tagDgram)
-		if serr != nil {
-			return r, serr
-		}
-		var dg netstack.Datagram
-		fip, e1 := sec.Uint(tagDgFromIP)
-		fpt, e2 := sec.Uint(tagDgFromPt)
-		data, e3 := sec.Bytes(tagDgData)
-		raw, e4 := sec.Uint(tagDgRaw)
-		if e := errors.Join(e1, e2, e3, e4); e != nil {
-			return r, e
-		}
-		dg.From = netstack.Addr{IP: netstack.IP(fip), Port: netstack.Port(fpt)}
-		dg.Data = append([]byte(nil), data...)
-		dg.RawProto = int(raw)
-		r.Datagrams = append(r.Datagrams, dg)
-	}
-	r.Peeked, err = d.Bool(tagPeeked)
-	if err != nil {
-		return r, err
-	}
-	r.RawProto = int(u(tagRawProto))
-	if err != nil {
-		return r, err
-	}
-	if r.ShutWrite, err = d.Bool(tagShutW); err != nil {
-		return r, err
-	}
-	if r.PeerClosed, err = d.Bool(tagPeerCl); err != nil {
-		return r, err
-	}
-	r.ListenBacklog = int(u(tagBacklog))
-	if err != nil {
-		return r, err
-	}
-	po, err := d.Int(tagPendOf)
-	if err != nil {
-		return r, err
-	}
-	r.PendingAcceptOf = int(po)
-	if r.Redirected, err = d.Bool(tagRedir); err != nil {
-		return r, err
-	}
-	if r.AppClosed, err = d.Bool(tagAppClose); err != nil {
-		return r, err
-	}
-	return r, nil
+	r.Opts = imgfmt.Each(v, tagOpt, set, func(ov *netstack.OptValue, v imgfmt.Visitor, tag uint64) {
+		v.Begin(tag)
+		ov.Opt = imgfmt.Uint(v, tagOptKey, ov.Opt)
+		ov.Val = v.Int(tagOptVal, ov.Val)
+		v.End()
+	})
+	r.RecvData = v.Bytes(tagRecvData, r.RecvData)
+	r.OOBData = v.Bytes(tagOOBData, r.OOBData)
+	r.SendChunks = imgfmt.Each(v, tagChunk, r.SendChunks, func(c *netstack.Chunk, v imgfmt.Visitor, tag uint64) {
+		v.Begin(tag)
+		c.Data = v.Bytes(tagChkData, c.Data)
+		c.OOB = v.Bool(tagChkOOB, c.OOB)
+		c.FIN = v.Bool(tagChkFIN, c.FIN)
+		v.End()
+	})
+	r.PCB.SndNxt = v.Uint(tagSndNxt, r.PCB.SndNxt)
+	r.PCB.SndUna = v.Uint(tagSndUna, r.PCB.SndUna)
+	r.PCB.RcvNxt = v.Uint(tagRcvNxt, r.PCB.RcvNxt)
+	r.Datagrams = imgfmt.Each(v, tagDgram, r.Datagrams, func(d *netstack.Datagram, v imgfmt.Visitor, tag uint64) {
+		v.Begin(tag)
+		d.From.IP = imgfmt.Uint(v, tagDgFromIP, d.From.IP)
+		d.From.Port = imgfmt.Uint(v, tagDgFromPt, d.From.Port)
+		d.Data = v.Bytes(tagDgData, d.Data)
+		d.RawProto = imgfmt.Uint(v, tagDgRaw, d.RawProto)
+		v.End()
+	})
+	r.Peeked = v.Bool(tagPeeked, r.Peeked)
+	r.RawProto = imgfmt.Uint(v, tagRawProto, r.RawProto)
+	r.ShutWrite = v.Bool(tagShutW, r.ShutWrite)
+	r.PeerClosed = v.Bool(tagPeerCl, r.PeerClosed)
+	r.ListenBacklog = imgfmt.Uint(v, tagBacklog, r.ListenBacklog)
+	r.PendingAcceptOf = imgfmt.Int(v, tagPendOf, r.PendingAcceptOf)
+	r.Redirected = v.Bool(tagRedir, r.Redirected)
+	r.AppClosed = v.Bool(tagAppClose, r.AppClosed)
+	v.End()
 }

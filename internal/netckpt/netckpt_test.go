@@ -5,7 +5,6 @@ import (
 	"errors"
 	"testing"
 
-	"zapc/internal/imgfmt"
 	"zapc/internal/netstack"
 	"zapc/internal/sim"
 )
@@ -226,16 +225,7 @@ func TestImageEncodeDecodeRoundTrip(t *testing.T) {
 			},
 		},
 	}
-	e := imgfmt.NewEncoder()
-	img.Encode(e)
-	d, err := imgfmt.NewDecoder(e.Finish())
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := DecodeImage(d)
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := decoded(t, img)
 	if got.PodIP != img.PodIP || len(got.Sockets) != len(img.Sockets) {
 		t.Fatalf("shape mismatch: %+v", got)
 	}

@@ -490,7 +490,15 @@ func (r *Restorer) finish(err error) {
 	r.onDone(err)
 }
 
+// applyOpts replays a saved option set onto a fresh socket. The set
+// names the non-zero options (SocketRecord.layout); every other option
+// was zero, which is not every option's default on a fresh socket.
 func applyOpts(s *netstack.Socket, opts []netstack.OptValue) {
+	for _, o := range netstack.AllOpts() {
+		if s.GetOpt(o) != 0 {
+			s.SetOpt(o, 0)
+		}
+	}
 	for _, ov := range opts {
 		s.SetOpt(ov.Opt, ov.Val)
 	}

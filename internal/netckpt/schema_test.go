@@ -1,8 +1,10 @@
 package netckpt
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
+	"reflect"
 	"testing"
 
 	"zapc/internal/imgfmt"
@@ -62,9 +64,9 @@ func fullNetImage() *NetImage {
 
 // netBody encodes img as the body of a record's Net section.
 func netBody(img *NetImage) []byte {
-	e := imgfmt.NewSectionEncoder()
-	img.Encode(e)
-	return e.Body()
+	s := imgfmt.NewSectionEncoder()
+	img.Layout(imgfmt.Writer(s))
+	return s.Body()
 }
 
 // goldenNetBody is the SHA-256 of fullNetImage's section body as the
@@ -77,4 +79,113 @@ func TestGoldenNetImage(t *testing.T) {
 	if got := hex.EncodeToString(sum[:]); got != goldenNetBody {
 		t.Fatalf("network image section hashes to %s, golden %s", got, goldenNetBody)
 	}
+}
+
+// decoded is img written as a blob and read back.
+func decoded(t *testing.T, img *NetImage) *NetImage {
+	t.Helper()
+	got := &NetImage{}
+	if err := imgfmt.ReadBlob(imgfmt.Blob(img.Layout), got.Layout); err != nil {
+		t.Fatal(err)
+	}
+	return got
+}
+
+// A zero-valued option has no wire representation, and zero is not every
+// option's default on a fresh socket: a restore from the checkpoint's
+// in-memory image, which lists the zeros, and a restore from its decode,
+// which cannot, must still leave every socket with the same options — the
+// ones it was checkpointed with.
+func TestRestoreAppliesSameOptionsFromImageAndDecode(t *testing.T) {
+	restored := func(fromDecode bool) (want, got [][]netstack.OptValue) {
+		w, nw := mkWorld(11)
+		a, b := mkStack(t, nw, 1), mkStack(t, nw, 2)
+		cli, srv, l := establish(t, w, a, b, 80)
+		srv.SetOpt(netstack.SO_RCVBUF, 0) // default 256 KiB
+		srv.SetOpt(netstack.SO_KEEPALIVE, 1)
+		cli.SetOpt(netstack.TCP_MAXSEG, 0) // default MSS
+		cli.SetOpt(netstack.SO_LINGER, 5)
+		for _, s := range []*netstack.Socket{cli, l, srv} {
+			want = append(want, s.OptsSnapshot())
+		}
+		images := freezeCheckpoint(t, a, b)
+		if fromDecode {
+			for ip, img := range images {
+				images[ip] = decoded(t, img)
+			}
+		}
+		socks := restoreAll(t, w, nw, images, a, b)
+		for _, s := range append(socks[1], socks[2]...) {
+			got = append(got, s.OptsSnapshot())
+		}
+		return want, got
+	}
+	for _, fromDecode := range []bool{false, true} {
+		want, got := restored(fromDecode)
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("restore from decode=%v: sockets hold options\n%v\nwere checkpointed with\n%v", fromDecode, got, want)
+		}
+	}
+}
+
+// Every byte slice of a decoded image is the image's own: writing through
+// one must not reach the bytes it was decoded from, which belong to a
+// record that may be decoded again.
+func TestDecodedImageDoesNotAliasItsSource(t *testing.T) {
+	blob := imgfmt.Blob(fullNetImage().Layout)
+	want := sha256.Sum256(blob)
+	got := &NetImage{}
+	if err := imgfmt.ReadBlob(blob, got.Layout); err != nil {
+		t.Fatal(err)
+	}
+	scribble := func(b []byte) []byte {
+		for i := range b {
+			b[i] ^= 0xff
+		}
+		return append(b, "overrun"...)
+	}
+	for i := range got.Sockets {
+		r := &got.Sockets[i]
+		r.RecvData, r.OOBData = scribble(r.RecvData), scribble(r.OOBData)
+		for j := range r.SendChunks {
+			r.SendChunks[j].Data = scribble(r.SendChunks[j].Data)
+		}
+		for j := range r.Datagrams {
+			r.Datagrams[j].Data = scribble(r.Datagrams[j].Data)
+		}
+	}
+	if sha256.Sum256(blob) != want {
+		t.Fatal("writing to a decoded image changed the bytes it was decoded from")
+	}
+}
+
+// FuzzDecodeNetImage feeds arbitrary bytes to the layout walk as the body
+// of a record's Net section. They are refused, or decode to an image
+// whose encoding is a fixed point: it decodes to an image that encodes to
+// the same bytes. Never a panic.
+func FuzzDecodeNetImage(f *testing.F) {
+	f.Add(netBody(fullNetImage()))
+	f.Add(netBody(&NetImage{PodIP: 1}))
+	f.Add([]byte{})
+	read := func(body []byte) (*NetImage, error) {
+		e := imgfmt.NewEncoder()
+		e.RawSection(1, body)
+		var img *NetImage
+		err := imgfmt.ReadBlob(e.Finish(), func(v imgfmt.Visitor) { img = imgfmt.Section(v, 1, img) })
+		return img, err
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		img, err := read(body)
+		if err != nil {
+			return
+		}
+		again := netBody(img)
+		img2, err := read(again)
+		if err != nil {
+			t.Fatalf("re-encoding of a decoded image is refused: %v", err)
+		}
+		if !bytes.Equal(netBody(img2), again) {
+			t.Fatal("re-encoding of a decoded image is not a fixed point")
+		}
+	})
 }

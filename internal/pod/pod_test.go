@@ -22,9 +22,8 @@ func (s *spinner) Step(ctx *vos.Context) vos.StepResult {
 	s.Done++
 	return vos.Yield(sim.Millisecond)
 }
-func (s *spinner) Save(e *imgfmt.Encoder) error    { return nil }
-func (s *spinner) Restore(d *imgfmt.Decoder) error { return nil }
-func (s *spinner) Kind() string                    { return "test.spinner" }
+func (s *spinner) Layout(imgfmt.Visitor) {}
+func (s *spinner) Kind() string          { return "test.spinner" }
 
 func setup(t *testing.T) (*sim.World, *vos.Node, *netstack.Network, *memfs.FS) {
 	t.Helper()

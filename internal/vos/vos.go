@@ -5,7 +5,7 @@
 // Processes are cooperative step machines: a Program's Step method runs
 // one burst of work against the syscall Context and reports how much
 // virtual CPU it consumed and whether the process blocks or exits. All
-// program state is explicit data serialized through Save/Restore, which
+// program state is explicit data declared once by the Program's Layout, which
 // is the substitution this reproduction makes for OS-level capture of
 // process memory and registers (a Go runtime cannot freeze and serialize
 // goroutine stacks): a SIGSTOP parks a virtual process at a step
@@ -93,17 +93,32 @@ type StepResult struct {
 // Program is the application code of a virtual process. Step must be
 // written re-entrantly: after a wake-up (or a restart on another node)
 // it is invoked again and must resume from its own explicit state.
+//
+// That state is declared once, by Layout, which is all a program writes
+// to be checkpointable: one line per field, in wire order,
+//
+//	p.Phase = imgfmt.Int(v, 1, p.Phase)
+//	p.Buf = v.Bytes(2, p.Buf)
+//
+// handing the visitor the field's tag and current value and keeping what
+// comes back. A checkpoint walks Layout with a writing visitor to save
+// the program; a restart re-instantiates the program from its Kind and
+// walks the same Layout with a reading one, which refuses any field out
+// of order, unknown or left over. A layout must not be able to tell the
+// two apart: no field may be visited conditionally on anything but
+// fields visited before it, and a value about to size or index something
+// is vetted first (Visitor.Check). A saving walk stores back what it was
+// handed, and the processes of a pod are saved concurrently, so a
+// program's state is memory no other process holds.
 type Program interface {
 	// Step runs one burst of work.
 	Step(ctx *Context) StepResult
-	// Save serializes the program's entire state into the checkpoint
-	// image (the intermediate format keeps it portable across nodes).
-	Save(enc *imgfmt.Encoder) error
-	// Restore reinstates state saved by Save.
-	Restore(dec *imgfmt.Decoder) error
 	// Kind returns the registry tag used to re-instantiate the program
 	// at restart.
 	Kind() string
+	// Layout declares the program's entire state to v (the intermediate
+	// format keeps it portable across nodes).
+	Layout(v imgfmt.Visitor)
 }
 
 // Env is the execution environment a pod gives its member processes:

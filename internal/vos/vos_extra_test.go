@@ -126,9 +126,8 @@ func (b *bulkWriter) Step(ctx *Context) StepResult {
 		return Yield(100 * sim.Microsecond)
 	}
 }
-func (b *bulkWriter) Save(e *imgfmt.Encoder) error    { return nil }
-func (b *bulkWriter) Restore(d *imgfmt.Decoder) error { return nil }
-func (b *bulkWriter) Kind() string                    { return "test.bulkWriter" }
+func (b *bulkWriter) Layout(imgfmt.Visitor) {}
+func (b *bulkWriter) Kind() string          { return "test.bulkWriter" }
 
 func TestRestoreBlockedAsReady(t *testing.T) {
 	w := sim.NewWorld(6)

@@ -37,22 +37,9 @@ func (c *counter) Step(ctx *Context) StepResult {
 	c.Done++
 	return Yield(1 * sim.Millisecond)
 }
-func (c *counter) Save(e *imgfmt.Encoder) error {
-	e.Uint(1, uint64(c.Steps))
-	e.Uint(2, uint64(c.Done))
-	return nil
-}
-func (c *counter) Restore(d *imgfmt.Decoder) error {
-	s, err := d.Uint(1)
-	if err != nil {
-		return err
-	}
-	dn, err := d.Uint(2)
-	if err != nil {
-		return err
-	}
-	c.Steps, c.Done = int(s), int(dn)
-	return nil
+func (c *counter) Layout(v imgfmt.Visitor) {
+	c.Steps = imgfmt.Uint(v, 1, c.Steps)
+	c.Done = imgfmt.Uint(v, 2, c.Done)
 }
 func (c *counter) Kind() string { return "test.counter" }
 
@@ -71,9 +58,8 @@ func (s *sleeper) Step(ctx *Context) StepResult {
 	s.Woke = ctx.Now()
 	return Exit(0)
 }
-func (s *sleeper) Save(e *imgfmt.Encoder) error    { return nil }
-func (s *sleeper) Restore(d *imgfmt.Decoder) error { return nil }
-func (s *sleeper) Kind() string                    { return "test.sleeper" }
+func (s *sleeper) Layout(imgfmt.Visitor) {}
+func (s *sleeper) Kind() string          { return "test.sleeper" }
 
 func TestProcessRunsToExit(t *testing.T) {
 	w, n, env := testEnv(t)
@@ -213,9 +199,8 @@ func (s *echoServer) Step(ctx *Context) StepResult {
 		return Exit(0)
 	}
 }
-func (s *echoServer) Save(e *imgfmt.Encoder) error    { return nil }
-func (s *echoServer) Restore(d *imgfmt.Decoder) error { return nil }
-func (s *echoServer) Kind() string                    { return "test.echoServer" }
+func (s *echoServer) Layout(imgfmt.Visitor) {}
+func (s *echoServer) Kind() string          { return "test.echoServer" }
 
 // echoClient connects, sends, and verifies the echo.
 type echoClient struct {
@@ -268,9 +253,8 @@ func (c *echoClient) Step(ctx *Context) StepResult {
 		return Exit(0)
 	}
 }
-func (c *echoClient) Save(e *imgfmt.Encoder) error    { return nil }
-func (c *echoClient) Restore(d *imgfmt.Decoder) error { return nil }
-func (c *echoClient) Kind() string                    { return "test.echoClient" }
+func (c *echoClient) Layout(imgfmt.Visitor) {}
+func (c *echoClient) Kind() string          { return "test.echoClient" }
 
 func TestSocketBlockingRoundTrip(t *testing.T) {
 	w := sim.NewWorld(11)
@@ -331,9 +315,8 @@ func (p *probeProg) Step(ctx *Context) StepResult {
 	}
 	return Exit(0)
 }
-func (p *probeProg) Save(e *imgfmt.Encoder) error    { return nil }
-func (p *probeProg) Restore(d *imgfmt.Decoder) error { return nil }
-func (p *probeProg) Kind() string                    { return "test.probe" }
+func (p *probeProg) Layout(imgfmt.Visitor) {}
+func (p *probeProg) Kind() string          { return "test.probe" }
 
 func TestTimeVirtualizationBias(t *testing.T) {
 	w, n, env := testEnv(t)
