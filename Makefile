@@ -5,18 +5,19 @@ FUZZTIME ?= 5s
 GOTESTFLAGS ?= -race -count=1
 GOTEST = $(GO) test $(GOTESTFLAGS)
 
-.PHONY: ci fmt vet boundary build test race race-precopy cow-check fuzz chaos dedup-check scale-check obs-check standby-check bench-module host-bench cover bench baseline trace-check examples loc clean
+.PHONY: ci fmt vet boundary build test race race-precopy cow-check fuzz chaos enum-check dedup-check scale-check obs-check standby-check bench-module host-bench cover bench baseline trace-check examples loc clean
 
 # Full CI gate: static checks, the package-boundary check, a clean
 # build, the race-enabled suite (which holds the modeled-baseline
 # equality gate, TestModeledBaseline), the pre-copy live-checkpoint
 # scenario and the copy-on-write contract under the race detector, short
 # fuzzing of the image-format decoders, trace determinism, the chaos
-# fuzzer sweep + corpus replay gate, the dedup-store layout gate, the
-# coordination-tree scaling gate, the observability/availability gate,
+# fuzzer sweep + corpus replay gate, the exhaustive small-scope fault
+# enumeration, the dedup-store layout gate, the coordination-tree scaling
+# gate, the observability/availability gate,
 # the warm-standby replication gate, the nested benchmark module (which
 # `./...` from the root does not reach), and coverage totals.
-ci: fmt vet boundary build race race-precopy cow-check fuzz trace-check chaos dedup-check scale-check obs-check standby-check bench-module cover
+ci: fmt vet boundary build race race-precopy cow-check fuzz trace-check chaos enum-check dedup-check scale-check obs-check standby-check bench-module cover
 
 # gofmt gate: fails listing any file that is not gofmt-clean.
 fmt:
@@ -32,6 +33,9 @@ vet:
 # outside internal/imgfmt and internal/ckpt no non-test file drives the
 # in-memory codec by hand, and nothing anywhere has a Save or Restore
 # method over an imgfmt codec — it declares a Layout (imgfmt/visitor.go).
+# And a controller has one state: the supervisor and the coordinated
+# operations do not regain a lifecycle boolean beside it, and each
+# operation type has one function that calls onDone (DESIGN.md §13).
 boundary:
 	@files="$$($(GO) list -f '{{join .GoFiles " "}}' .)"; \
 	if [ "$$files" != "zapc.go" ]; then echo "boundary: root package must hold zapc.go only, has: $$files"; exit 1; fi
@@ -44,6 +48,11 @@ boundary:
 	if [ -n "$$bad" ]; then echo "boundary: only internal/imgfmt and internal/ckpt may drive the codec by hand; declare a Layout:"; echo "$$bad"; exit 1; fi
 	@bad="$$(grep -rnE --include='*.go' 'func \([^)]*\) (Save|Restore)\([^)]*imgfmt\.' .)"; \
 	if [ -n "$$bad" ]; then echo "boundary: a hand-written Save/Restore pair over an imgfmt codec; declare a Layout:"; echo "$$bad"; exit 1; fi
+	@bad="$$(grep -nE '^\s+(done|running|recovering|ckptBusy|aborted|finished|stopSent|contSent|saDone|contRecvd)\s+bool\b' internal/supervisor/supervisor.go internal/core/core.go)"; \
+	if [ -n "$$bad" ]; then echo "boundary: a lifecycle boolean beside the state; give the state a value instead (DESIGN.md §13):"; echo "$$bad"; exit 1; fi
+	@fns="$$(awk '/^func /{fn=$$0} /\.onDone\(/{print fn}' internal/core/core.go | sort -u)"; \
+	dup="$$(echo "$$fns" | sed -E 's/^func \([a-z]+ \*?([A-Za-z]+)\).*/\1/' | sort | uniq -d)"; \
+	if [ -n "$$dup" ]; then echo "boundary: onDone is called from more than one function of $$dup; finish is the one exit:"; echo "$$fns"; exit 1; fi
 
 build:
 	$(GO) build ./...
@@ -115,6 +124,13 @@ chaos:
 	$(GO) run ./cmd/zapc-chaos -from 1 -to 24
 	$(GO) run ./cmd/zapc-chaos -from 10000 -to 10008
 	$(GO) run ./cmd/zapc-chaos -from 20000 -to 20008
+
+# Exhaustive small-scope fault enumeration: every single fault that can be
+# placed at a protocol phase of a 2- or 3-pod job (also in `go test
+# ./...`), then every pair on two distinct phases, each run checked
+# against the chaos invariant; prints the supervisor-state x action table.
+enum-check:
+	ZAPC_ENUM=1 $(GO) test -count=1 -timeout 30m -v -run '^TestEnumerate' ./internal/chaos
 
 # Dedup-store layout gate: two generations with overlapping content,
 # written twice into fresh stores, must produce byte-identical physical

@@ -229,6 +229,9 @@ func errName(err error) string {
 type Runner struct {
 	cfg Config
 	ref map[int64]float64
+	// observe, when set, is told each fault as it fires and the state the
+	// supervisor is in at that instant (the enumeration's coverage table).
+	observe func(step, supervisorState string)
 }
 
 // NewRunner builds a runner (the config is defaulted once, here).
@@ -334,6 +337,9 @@ func (r *Runner) run(seed int64, sched faultinject.Schedule, traced bool) (Verdi
 	// failure detector too, not just coordinated operations.
 	sup.SetCtrlHook(inj.CtrlHook())
 	inj.SetProgressProbe(job.Progress, 0)
+	if r.observe != nil {
+		inj.OnFire(func(rec faultinject.Record) { r.observe(rec.Name, sup.State()) })
+	}
 
 	steps, err := sched.Bind(faultinject.Env{Nodes: c.Nodes, Mgr: c.Mgr, Trunc: trunc, FeedTrunc: feedTrunc})
 	if err != nil {

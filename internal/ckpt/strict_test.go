@@ -237,6 +237,23 @@ func TestDecodersInsideARecordAreStrict(t *testing.T) {
 		})
 	}
 
+	// A well-formed record whose value would be used as an index: a socket
+	// record's slot the restorer files sockets under.
+	t.Run("record/slot out of range", func(t *testing.T) {
+		img := strictImage()
+		img.Net.Sockets[1].Slot = 7
+		var rec bytes.Buffer
+		s := imgfmt.NewStreamEncoder(&rec)
+		ckpt.ImageLayout(img)(imgfmt.Writer(s))
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+		c, err := ckpt.Chain{}.Next(bytes.NewReader(rec.Bytes()))
+		if !errors.Is(err, ckpt.ErrCorruptImage) || !errors.Is(err, imgfmt.ErrBadValue) || c.Image != nil {
+			t.Errorf("err = %v, want ErrCorruptImage over ErrBadValue and an unextended chain", err)
+		}
+	})
+
 	// A program-state blob of every registered kind.
 	programs := map[string]vos.Program{"mpi.daemon": mpi.NewDaemon(0, 5999, []netstack.IP{1, 2})}
 	for _, name := range []string{"cpi", "bt", "bratu", "povray", "churn"} {

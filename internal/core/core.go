@@ -75,20 +75,10 @@ const (
 )
 
 func (p Phase) String() string {
-	switch p {
-	case PhaseCheckpointStart:
-		return "checkpoint-start"
-	case PhaseMetaSync:
-		return "meta-sync"
-	case PhaseCheckpointDone:
-		return "checkpoint-done"
-	case PhaseRestartStart:
-		return "restart-start"
-	case PhaseRestartDone:
-		return "restart-done"
-	default:
+	if p < PhaseCheckpointStart || p > PhaseRestartDone {
 		return fmt.Sprintf("phase(%d)", int(p))
 	}
+	return [...]string{"checkpoint-start", "meta-sync", "checkpoint-done", "restart-start", "restart-done"}[p-1]
 }
 
 // ParsePhase is the inverse of Phase.String, used by declarative fault
@@ -370,12 +360,6 @@ func (m *Manager) SetTracer(tr *trace.Tracer, reg *trace.Registry) {
 	m.reg = reg
 }
 
-// Tracer returns the manager's tracer (nil when tracing is off).
-func (m *Manager) Tracer() *trace.Tracer { return m.tr }
-
-// Metrics returns the manager's metrics registry (nil when off).
-func (m *Manager) Metrics() *trace.Registry { return m.reg }
-
 // SetStore replaces the image store that FlushTo streams records into.
 // The default is the shared filesystem; a netstack-backed remote store
 // ships records straight to a peer node instead (the paper's direct
@@ -419,10 +403,6 @@ func (m *Manager) SetCtrlHook(h CtrlHook) { m.ctrlHook = h }
 // operation. Nil (the default) keeps the flat star, which schedules
 // exactly the legacy per-member control messages.
 func (m *Manager) SetCoord(cfg *coord.Config) { m.coordCfg = cfg }
-
-// Coord returns the manager's default coordination topology (nil when
-// the flat star is in effect).
-func (m *Manager) Coord() *coord.Config { return m.coordCfg }
 
 // newPlane builds the control plane for one coordinated operation over
 // n members. The hook closure reads m.ctrlHook at each send so hooks
@@ -478,27 +458,9 @@ func (m *Manager) dropOp(op *ckptOp) {
 func (m *Manager) AbortCheckpoints(err error) int {
 	ops := append([]*ckptOp(nil), m.ckptOps...)
 	for _, op := range ops {
-		op.abort(err)
+		op.finish(err)
 	}
 	return len(ops)
-}
-
-// ctrl models one manager<->agent control message.
-func (m *Manager) ctrl(fn func()) { m.ctrlAfter(0, fn) }
-
-// ctrlAfter models a control message carrying extra serialization or
-// processing delay. The injected control hook may drop the message
-// (it is then never delivered) or stretch its latency.
-func (m *Manager) ctrlAfter(extra sim.Duration, fn func()) {
-	d := m.w.Costs.CtrlLatency + extra
-	if m.ctrlHook != nil {
-		drop, delay := m.ctrlHook()
-		if drop {
-			return
-		}
-		d += delay
-	}
-	m.w.After(d, fn)
 }
 
 // Checkpoint coordinates a checkpoint of the given pods (one agent
@@ -514,8 +476,12 @@ func (m *Manager) Checkpoint(pods []*pod.Pod, opts Options, onDone func(*Checkpo
 		onDone(&CheckpointResult{Err: errors.New("core: Precopy and Incr are mutually exclusive (a pre-copy generation is already a chain)")})
 		return
 	}
+	// The control plane for this operation: the flat star unless a
+	// coordination tree is configured, in which case sub-coordinators
+	// relay fan-outs and aggregate fan-ins into one batched message per
+	// link per phase.
 	op := &ckptOp{
-		m:      m,
+		opBase: opBase{m: m, plane: m.newPlane(len(pods), opts.Coord)},
 		opts:   opts,
 		start:  m.w.Now(),
 		agents: make([]*ckptAgent, len(pods)),
@@ -525,15 +491,10 @@ func (m *Manager) Checkpoint(pods []*pod.Pod, opts Options, onDone func(*Checkpo
 	for i, p := range pods {
 		op.agents[i] = &ckptAgent{op: op, pod: p, idx: i}
 	}
-	// The control plane for this operation: the flat star unless a
-	// coordination tree is configured, in which case sub-coordinators
-	// relay fan-outs and aggregate fan-ins into one batched message per
-	// link per phase.
-	op.plane = m.newPlane(len(pods), opts.Coord)
 	m.ckptOps = append(m.ckptOps, op)
-	op.readyG = op.plane.Gather("precopy-ready", func(int) { op.readyArrived() })
-	op.metaG = op.plane.Gather("meta", func(int) { op.metaArrived() })
-	op.doneG = op.plane.Gather("done", func(i int) { op.doneArrived(op.agents[i]) })
+	op.readyG = op.plane.Gather("precopy-ready", op.each(func(int) { op.readyArrived() }))
+	op.metaG = op.plane.Gather("meta", op.each(func(int) { op.metaArrived() }))
+	op.doneG = op.plane.Gather("done", op.each(func(i int) { op.doneArrived(op.agents[i]) }))
 	// Arm the watchdog: a stalled agent (lost control message, node
 	// wedged before reporting) aborts the operation and resumes the
 	// pods rather than hanging until the caller's deadline.
@@ -543,7 +504,7 @@ func (m *Manager) Checkpoint(pods []*pod.Pod, opts Options, onDone func(*Checkpo
 	}
 	if timeout > 0 {
 		op.watchdog = m.w.After(timeout, func() {
-			op.abort(fmt.Errorf("%w: checkpoint stalled for %v", ErrTimeout, timeout))
+			op.finish(fmt.Errorf("%w: checkpoint stalled for %v", ErrTimeout, timeout))
 		})
 	}
 	mode := "snapshot"
@@ -558,28 +519,68 @@ func (m *Manager) Checkpoint(pods []*pod.Pod, opts Options, onDone func(*Checkpo
 	// Step M1: broadcast 'checkpoint' to all agents (one message per
 	// member on the flat star, one batched message per tree link
 	// otherwise).
-	op.plane.Broadcast("start", nil, func(i int) { op.agents[i].start() })
+	op.plane.Broadcast("start", nil, op.each(func(i int) { op.agents[i].start() }))
+}
+
+// opPhase is where a coordinated operation stands. It only ever moves
+// forward, and opDone — entered by the operation's finish, nowhere else —
+// is terminal. DESIGN.md §13 has the table: which event moves which phase,
+// and where the watchdog is cancelled, the operation leaves the registry,
+// the trackers commit and onDone fires.
+type opPhase uint8
+
+const (
+	opRunning   opPhase = iota // 'start' (or 'restart') broadcast, agents working
+	opQuiescing                // pre-copy: every agent converged, 'quiesce' broadcast
+	opSynced                   // all meta-data in, 'continue' broadcast
+	opFlushing                 // all done-reports in, watchdog cancelled, flush waves running
+	opDone                     // finish has run: onDone fired, nothing further happens
+)
+
+// opBase is what the two coordinated operations share: the phase, and the
+// one gate every continuation an operation schedules — timers, control
+// plane deliveries, restore callbacks, flush waves — passes through, so
+// that none of them outlives the operation.
+type opBase struct {
+	m        *Manager
+	phase    opPhase
+	watchdog sim.EventID
+	span     *trace.Span
+	plane    *coord.Plane
+}
+
+// do runs fn unless the operation is terminal.
+func (o *opBase) do(fn func()) {
+	if o.phase != opDone {
+		fn()
+	}
+}
+
+// after schedules a continuation of the operation d from now.
+func (o *opBase) after(d sim.Duration, fn func()) { o.m.w.After(d, func() { o.do(fn) }) }
+
+// each wraps a per-member control-plane delivery the same way.
+func (o *opBase) each(fn func(int)) func(int) {
+	return func(i int) {
+		if o.phase != opDone {
+			fn(i)
+		}
+	}
 }
 
 type ckptOp struct {
-	m        *Manager
-	opts     Options
-	start    sim.Time
-	agents   []*ckptAgent
-	metas    int
-	dones    int
-	readies  int // pre-copy agents whose live iteration has converged
-	stopSent bool
-	contSent bool
-	aborted  bool
-	watchdog sim.EventID
-	result   *CheckpointResult
-	onDone   func(*CheckpointResult)
-	span     *trace.Span
-	plane    *coord.Plane
-	readyG   *coord.Gather // pre-copy convergence reports
-	metaG    *coord.Gather // meta-data reports
-	doneG    *coord.Gather // completion reports
+	opBase
+	opts    Options
+	start   sim.Time
+	agents  []*ckptAgent
+	metas   int
+	dones   int
+	readies int // pre-copy agents whose live iteration has converged
+	result  *CheckpointResult
+	onDone  func(*CheckpointResult)
+	readyG  *coord.Gather // pre-copy convergence reports
+	metaG   *coord.Gather // meta-data reports
+	doneG   *coord.Gather // completion reports
 }
 
 // b2i renders a bool as a 0/1 trace attribute.
@@ -610,49 +611,85 @@ type ckptAgent struct {
 	queueLen    int64
 	repolls     int64        // quiescence re-polls (exponential backoff)
 	backoff     sim.Duration // current quiescence re-poll interval
-	saDone      bool
-	contRecvd   bool
-	finished    bool
+	phase       agentPhase
 	span        *trace.Span // ckpt/agent, open from suspend to done-report
 	preSpan     *trace.Span // ckpt/precopy, open across the live rounds
 	qSpan       *trace.Span // ckpt/quiesce
 	saSpan      *trace.Span // ckpt/serialize
 }
 
-func (op *ckptOp) abort(err error) {
-	if op.aborted {
+// agentPhase is an agent's two-way join: it completes once its own
+// standalone checkpoint is done and the manager's 'continue' has arrived,
+// in either order.
+type agentPhase uint8
+
+const (
+	agWorking   agentPhase = iota // suspending, copying or saving; neither half in
+	agSaved                       // standalone checkpoint done, waiting for 'continue'
+	agContinued                   // 'continue' in, standalone checkpoint still running
+	agReported                    // both in: pod released, 'done' reported
+)
+
+// finish is the operation's one exit and the only caller of onDone. A
+// nil err completes it — every agent reported done and, when the
+// operation flushes, the last flush wave has run; anything else aborts it
+// gracefully. The first exit wins: a terminal operation refuses, and
+// because every continuation passes opBase.do, nothing of it runs after.
+func (op *ckptOp) finish(err error) {
+	if op.phase == opDone {
 		return
 	}
-	op.aborted = true
+	op.phase = opDone
 	op.m.dropOp(op)
 	op.m.w.Cancel(op.watchdog)
-	// Graceful abort: resume every surviving pod.
-	for _, a := range op.agents {
-		if !a.pod.Destroyed() && !a.pod.Node().Failed() {
-			a.pod.UnblockNetwork()
-			a.pod.Resume()
+	if err != nil {
+		// Graceful abort: resume every surviving pod.
+		for _, a := range op.agents {
+			if !a.pod.Destroyed() && !a.pod.Node().Failed() {
+				a.pod.UnblockNetwork()
+				a.pod.Resume()
+			}
 		}
+		// The abort decision still fans down the tree; the simulation
+		// applies its effects synchronously at decision time (agents also
+		// detect failure independently, per §4), so only the control-plane
+		// accounting is charged.
+		op.plane.AccountAbort()
+		op.m.tr.Instant(op.span, "ckpt/abort", trace.Str("err", err.Error()))
+		op.span.End(trace.Str("outcome", "aborted"))
+		op.m.reg.Counter("ckpt_aborts_total").Add(1)
+		op.result.Err = err
+	} else {
+		// Only now, and only if every record landed, do the trackers
+		// advance. An abort anywhere before this, or a record the store did
+		// not take, leaves every chain anchored at its last durable
+		// generation, so the retry links to what is actually stored.
+		if op.result.Err == nil {
+			for _, ag := range op.agents {
+				ag.pend.Commit()
+			}
+		}
+		// Per-level barrier spans are tree mode only — a flat plane emits
+		// nothing, keeping legacy traces byte-identical.
+		op.plane.EmitLevelSpans(op.m.tr, op.span)
+		op.span.End(trace.Str("outcome", "ok"),
+			trace.I64("total_ns", int64(op.result.Stats.Total)))
+		op.m.reg.Counter("ckpt_ops_total").Add(1)
+		op.m.notify(PhaseCheckpointDone)
 	}
-	// The abort decision still fans down the tree; the simulation
-	// applies its effects synchronously at decision time (agents also
-	// detect failure independently, per §4), so only the control-plane
-	// accounting is charged.
-	op.plane.AccountAbort()
-	op.m.tr.Instant(op.span, "ckpt/abort", trace.Str("err", err.Error()))
-	op.span.End(trace.Str("outcome", "aborted"))
-	op.m.reg.Counter("ckpt_aborts_total").Add(1)
-	op.result.Err = err
 	op.onDone(op.result)
 }
 
+// checkFailure polls for a crashed manager or member node and aborts the
+// operation if it finds one.
 func (op *ckptOp) checkFailure() bool {
 	if op.m.failed {
-		op.abort(ErrManagerFailure)
+		op.finish(ErrManagerFailure)
 		return true
 	}
 	for _, a := range op.agents {
 		if a.pod.Node().Failed() {
-			op.abort(fmt.Errorf("%w: node %s", ErrAgentFailure, a.pod.Node().Name()))
+			op.finish(fmt.Errorf("%w: node %s", ErrAgentFailure, a.pod.Node().Name()))
 			return true
 		}
 	}
@@ -664,7 +701,7 @@ func (op *ckptOp) checkFailure() bool {
 // the live copy rounds and quiesces only once the dirty set converged or
 // a budget was hit.
 func (a *ckptAgent) start() {
-	if a.op.aborted || a.op.checkFailure() {
+	if a.op.checkFailure() {
 		return
 	}
 	a.began = a.op.m.w.Now()
@@ -689,7 +726,7 @@ func (a *ckptAgent) quiesce() {
 	a.pod.BlockNetwork()
 	cost := costs.SignalDeliver*sim.Duration(len(procs)) +
 		costs.FilterRule*sim.Duration(len(a.pod.Stack().Sockets())+1)
-	a.op.m.w.After(cost, a.waitQuiescent)
+	a.op.after(cost, a.waitQuiescent)
 }
 
 // waitQuiescent re-polls until every process parked at a step boundary.
@@ -697,7 +734,7 @@ func (a *ckptAgent) quiesce() {
 // the operation watchdog timeout, so a pod wedged by an injected fault
 // costs O(log) events rather than an unbounded 200µs spin.
 func (a *ckptAgent) waitQuiescent() {
-	if a.op.aborted || a.op.checkFailure() {
+	if a.op.checkFailure() {
 		return
 	}
 	if !a.pod.Quiescent() {
@@ -711,11 +748,9 @@ func (a *ckptAgent) waitQuiescent() {
 		if maxWait <= 0 {
 			maxWait = DefaultCheckpointTimeout
 		}
-		if d > maxWait {
-			d = maxWait
-		}
+		d = min(d, maxWait)
 		a.backoff = 2 * d
-		a.op.m.w.After(d, a.waitQuiescent)
+		a.op.after(d, a.waitQuiescent)
 		return
 	}
 	a.suspend = sim.Duration(a.op.m.w.Now() - a.suspendedAt)
@@ -746,7 +781,7 @@ func (a *ckptAgent) precopyRound() {
 	workers := effWorkers(a.op.opts.Workers)
 	pend, err := a.pre.CaptureLive(a.pod, workers)
 	if err != nil {
-		a.op.abort(err)
+		a.op.finish(err)
 		return
 	}
 	// The chain belongs to this operation alone, so a round commits as
@@ -763,14 +798,14 @@ func (a *ckptAgent) precopyRound() {
 	bytes := costs.EffImageBytes(pend.Record().Bytes)
 	cost := w.Jitter(fixed, 0.25) +
 		costs.MemCopyTime(bytes)/parSpeedup(workers, len(pend.Image.Procs))
-	w.After(cost, func() { a.precopyRoundDone(pend, roundStart, resent) })
+	a.op.after(cost, func() { a.precopyRoundDone(pend, roundStart, resent) })
 }
 
 // precopyRoundDone closes out one live round: emit its span, flush its
 // record to the store, and either run another round or quiesce,
 // depending on the dirty set against the convergence rule and budgets.
 func (a *ckptAgent) precopyRoundDone(pend *ckpt.Pending, roundStart sim.Time, resent int64) {
-	if a.op.aborted || a.op.checkFailure() {
+	if a.op.checkFailure() {
 		return
 	}
 	w := a.op.m.w
@@ -785,7 +820,7 @@ func (a *ckptAgent) precopyRoundDone(pend *ckpt.Pending, roundStart sim.Time, re
 	// Each live round is flushed as it completes, so by quiesce time
 	// everything but the residual is already durable.
 	if err := a.flush(a.preSpan, pend, round-1); err != nil {
-		a.op.abort(err)
+		a.op.finish(err)
 		return
 	}
 	popts := a.op.opts.Precopy
@@ -823,21 +858,17 @@ func (a *ckptAgent) precopyRoundDone(pend *ckpt.Pending, roundStart sim.Time, re
 // broadcasts a simultaneous quiesce. State dirtied while waiting at the
 // barrier is simply part of the residual the final capture picks up.
 func (op *ckptOp) readyArrived() {
-	if op.aborted {
-		return
-	}
 	op.readies++
-	if op.readies < len(op.agents) || op.stopSent {
+	if op.readies < len(op.agents) || op.phase != opRunning {
 		return
 	}
-	op.stopSent = true
+	op.phase = opQuiescing
 	op.m.tr.Instant(op.span, "ckpt/precopy/sync", trace.I64("agents", int64(len(op.agents))))
-	op.plane.Broadcast("quiesce", nil, func(i int) {
-		if op.aborted || op.checkFailure() {
-			return
+	op.plane.Broadcast("quiesce", nil, op.each(func(i int) {
+		if !op.checkFailure() {
+			op.agents[i].quiesce()
 		}
-		op.agents[i].quiesce()
-	})
+	}))
 }
 
 // flush replays one record into the manager's store under the name its
@@ -882,7 +913,7 @@ func (a *ckptAgent) netCheckpoint() {
 	costs := a.op.m.w.Costs
 	netImg, _, err := netckpt.CheckpointStack(a.pod.Stack())
 	if err != nil {
-		a.op.abort(err)
+		a.op.finish(err)
 		return
 	}
 	a.netBytes = netImg.Bytes()
@@ -894,10 +925,7 @@ func (a *ckptAgent) netCheckpoint() {
 	cost := costs.SockOptRead*sim.Duration(nSocks*len(netstack.AllOpts())) +
 		costs.MemCopyTime(a.netBytes) +
 		500*sim.Microsecond // walk kernel tables
-	a.op.m.w.After(cost, func() {
-		if a.op.aborted {
-			return
-		}
+	a.op.after(cost, func() {
 		a.netTime = cost
 		nSpan.End(trace.I64("bytes", a.netBytes),
 			trace.I64("queue_bytes", a.queueLen),
@@ -925,7 +953,7 @@ func (a *ckptAgent) netCheckpoint() {
 // dominant term of the suspend window, shrinks from O(image) to O(final
 // dirty set).
 func (a *ckptAgent) standalone() {
-	if a.op.aborted || a.op.checkFailure() {
+	if a.op.checkFailure() {
 		return
 	}
 	w := a.op.m.w
@@ -941,7 +969,7 @@ func (a *ckptAgent) standalone() {
 		a.pend, err = ckpt.NewTracker().Capture(a.pod, workers, true)
 	}
 	if err != nil {
-		a.op.abort(err)
+		a.op.finish(err)
 		return
 	}
 	a.img = a.pend.Image
@@ -963,12 +991,8 @@ func (a *ckptAgent) standalone() {
 	bytes := costs.EffImageBytes(a.rec.Bytes)
 	fixed = w.Jitter(fixed, 0.25)
 	cost := fixed + costs.MemCopyTime(bytes)/parSpeedup(workers, len(a.img.Procs))
-	w.After(cost, func() {
-		if a.op.aborted {
-			return
-		}
+	a.op.after(cost, func() {
 		a.saTime = cost
-		a.saDone = true
 		if a.pre == nil {
 			a.emitWorkerLanes(saStart, fixed, workers)
 		}
@@ -976,7 +1000,7 @@ func (a *ckptAgent) standalone() {
 			trace.I64("peak_buffered", a.rec.Peak))
 		a.op.m.reg.Counter("ckpt_encode_bytes_total").Add(a.rec.Bytes)
 		a.op.m.reg.Gauge("store_peak_buffered_bytes").SetMax(a.rec.Peak)
-		a.maybeFinish()
+		a.join(agSaved)
 	})
 }
 
@@ -1001,12 +1025,7 @@ func (a *ckptAgent) emitWorkerLanes(saStart sim.Time, fixed sim.Duration, worker
 		return
 	}
 	costs := a.op.m.w.Costs
-	if workers > len(a.img.Procs) {
-		workers = len(a.img.Procs)
-	}
-	if workers < 1 {
-		workers = 1
-	}
+	workers = int(parSpeedup(workers, len(a.img.Procs)))
 	busy := make([]sim.Duration, workers)
 	laneBytes := make([]int64, workers)
 	laneProcs := make([]int64, workers)
@@ -1041,32 +1060,31 @@ func (a *ckptAgent) emitWorkerLanes(saStart sim.Time, fixed sim.Duration, worker
 // metaArrived is manager step M2/M3: collect meta-data; once all have
 // reported, send 'continue' to everyone (the single synchronization).
 func (op *ckptOp) metaArrived() {
-	if op.aborted {
-		return
-	}
 	op.metas++
-	if op.metas < len(op.agents) || op.contSent {
+	if op.metas < len(op.agents) || op.phase >= opSynced {
 		return
 	}
-	op.contSent = true
+	op.phase = opSynced
 	op.m.tr.Instant(op.span, "ckpt/meta-sync", trace.I64("agents", int64(len(op.agents))))
 	op.m.notify(PhaseMetaSync)
-	op.plane.Broadcast("continue", nil, func(i int) {
+	op.plane.Broadcast("continue", nil, op.each(func(i int) {
 		a := op.agents[i]
-		a.contRecvd = true
-		if op.opts.NaiveSync && !a.saDone && a.img == nil {
-			a.standalone()
-			return
+		a.join(agContinued)
+		if op.opts.NaiveSync && a.img == nil {
+			a.standalone() // the ablation saves only now
 		}
-		a.maybeFinish()
-	})
+	}))
 }
 
-// maybeFinish is agent steps 3a/4/4a: the agent completes only after
-// both its standalone checkpoint is done and 'continue' has arrived;
-// then it unblocks (or tears down) its pod and reports done.
-func (a *ckptAgent) maybeFinish() {
-	if a.op.aborted || a.finished || !a.saDone || !a.contRecvd {
+// join books one half of the agent's join — its standalone checkpoint
+// done (agSaved) or 'continue' received (agContinued) — and, once the
+// other half is in too, runs agent steps 3a/4/4a: unblock (or tear down)
+// the pod and report done.
+func (a *ckptAgent) join(half agentPhase) {
+	if a.phase == agWorking {
+		a.phase = half
+	}
+	if a.phase == half || a.phase == agReported {
 		return
 	}
 	// A manager or peer-node crash after the synchronization point must
@@ -1075,7 +1093,7 @@ func (a *ckptAgent) maybeFinish() {
 	if a.op.checkFailure() {
 		return
 	}
-	a.finished = true
+	a.phase = agReported
 	w := a.op.m.w
 	costs := w.Costs
 	if a.op.opts.SnapshotFS && a.op.result.FSSnapshot == nil {
@@ -1106,17 +1124,13 @@ func (a *ckptAgent) maybeFinish() {
 
 // doneArrived is manager step M4: collect completion reports.
 func (op *ckptOp) doneArrived(a *ckptAgent) {
-	if op.aborted {
-		return
-	}
 	// The manager collecting done-reports may itself have crashed
 	// between the meta-data sync and this point; agents then abort and
 	// resume their pods instead of reporting to nobody.
 	if op.checkFailure() {
 		return
 	}
-	a2 := a
-	total := sim.Duration(op.m.w.Now() - a2.began)
+	total := sim.Duration(op.m.w.Now() - a.began)
 	a.span.End(trace.I64("image_bytes", a.img.Bytes()),
 		trace.I64("wire_bytes", a.rec.Bytes))
 	op.m.reg.Histogram("ckpt_agent_total_ns").Observe(int64(total))
@@ -1161,6 +1175,7 @@ func (op *ckptOp) doneArrived(a *ckptAgent) {
 	}
 	op.result.Stats.CoordBarrier = sim.Duration(lastStart - op.start)
 	op.result.Stats.Coord = op.plane.Stats()
+	op.phase = opFlushing
 	op.m.w.Cancel(op.watchdog)
 	if op.opts.FlushTo != "" {
 		if !op.plane.Flat() {
@@ -1178,7 +1193,7 @@ func (op *ckptOp) doneArrived(a *ckptAgent) {
 			op.flushAgent(ag)
 		}
 	}
-	op.finishOK()
+	op.finish(nil)
 }
 
 // flushAgent streams one agent's quiesced capture into the manager's
@@ -1213,21 +1228,20 @@ func (op *ckptOp) flushStaggered() {
 		}
 	}
 	if len(waves) == 0 {
-		op.finishOK()
+		op.finish(nil)
 		return
 	}
 	var offset sim.Duration
 	for i, wave := range waves {
-		wave := wave
 		last := i == len(waves)-1
-		op.m.w.After(offset, func() {
+		op.after(offset, func() {
 			op.m.tr.Instant(op.span, "ckpt/flush-wave",
 				trace.I64("agents", int64(len(wave))))
 			for _, ag := range wave {
 				op.flushAgent(ag)
 			}
 			if last {
-				op.finishOK()
+				op.finish(nil)
 			}
 		})
 		var bytes int64
@@ -1236,30 +1250,6 @@ func (op *ckptOp) flushStaggered() {
 		}
 		offset += costs.DiskTime(bytes)
 	}
-}
-
-// finishOK closes the operation: the tracker commits, per-level barrier
-// spans (tree mode only — a flat plane emits nothing, keeping legacy
-// traces byte-identical), the coordinated span, counters, the phase
-// notification, and the caller's callback.
-func (op *ckptOp) finishOK() {
-	op.m.dropOp(op)
-	// Every agent reported done and, when the operation flushes, the last
-	// flush wave has run: only now, and only if every record landed, do
-	// the trackers advance. An abort anywhere before this, or a record
-	// the store did not take, leaves every chain anchored at its last
-	// durable generation, so the retry links to what is actually stored.
-	if op.result.Err == nil {
-		for _, ag := range op.agents {
-			ag.pend.Commit()
-		}
-	}
-	op.plane.EmitLevelSpans(op.m.tr, op.span)
-	op.span.End(trace.Str("outcome", "ok"),
-		trace.I64("total_ns", int64(op.result.Stats.Total)))
-	op.m.reg.Counter("ckpt_ops_total").Add(1)
-	op.m.notify(PhaseCheckpointDone)
-	op.onDone(op.result)
 }
 
 // Placement names the target node for one pod image.
@@ -1325,18 +1315,14 @@ func (m *Manager) Restart(placements []Placement, remap map[netstack.IP]netstack
 		return
 	}
 	op := &restartOp{
-		m:       m,
+		opBase:  opBase{m: m, plane: m.newPlane(len(placements), nil)},
 		start:   m.w.Now(),
 		total:   len(placements),
 		result:  &RestartResult{},
 		onDone:  onDone,
-		plane:   m.newPlane(len(placements), nil),
 		reports: make([]restartReport, len(placements)),
 	}
-	op.doneG = op.plane.Gather("done", func(i int) {
-		r := op.reports[i]
-		op.agentDone(r.name, r.netT, r.saT, r.total, r.pod)
-	})
+	op.doneG = op.plane.Gather("done", op.each(func(i int) { op.agentDone(op.reports[i]) }))
 	// Routing for the restored virtual addresses is in place before any
 	// agent starts, so early reconnection attempts are refused (and
 	// promptly retried) rather than lost.
@@ -1348,7 +1334,7 @@ func (m *Manager) Restart(placements []Placement, remap map[netstack.IP]netstack
 	// crashed mid-restore, lost control message) aborts the operation
 	// and cleans up instead of wedging the claimed addresses forever.
 	op.watchdog = m.w.After(DefaultRestartTimeout, func() {
-		op.fail(fmt.Errorf("%w: restart stalled for %v", ErrTimeout, DefaultRestartTimeout))
+		op.finish(fmt.Errorf("%w: restart stalled for %v", ErrTimeout, DefaultRestartTimeout))
 	})
 	op.span = m.tr.Start(nil, "restart/coordinated", trace.Track("manager"),
 		trace.I64("pods", int64(len(placements))),
@@ -1359,36 +1345,30 @@ func (m *Manager) Restart(placements []Placement, remap map[netstack.IP]netstack
 	// migration) rides on the member's final hop.
 	op.plane.Broadcast("restart",
 		func(i int) sim.Duration { return placements[i].Delay },
-		func(i int) {
+		op.each(func(i int) {
 			pl := placements[i]
 			op.runAgent(i, pl, plans[pl.Image.VIP])
-		})
+		}))
 }
 
 // restartReport holds one agent's completion report until the batched
 // fan-in delivers it to the root.
 type restartReport struct {
-	name      string
-	netT, saT sim.Duration
-	total     sim.Duration
-	pod       *pod.Pod
+	RestartAgentStats
+	pod *pod.Pod
 }
 
 type restartOp struct {
-	m        *Manager
-	start    sim.Time
-	total    int
-	dones    int
-	aborted  bool
-	vips     []netstack.IP // claimed routing entries, released on abort
-	created  []*pod.Pod    // pods built so far, destroyed on abort
-	watchdog sim.EventID
-	result   *RestartResult
-	onDone   func(*RestartResult)
-	span     *trace.Span
-	plane    *coord.Plane
-	doneG    *coord.Gather
-	reports  []restartReport
+	opBase  // a restart is opRunning until its finish
+	start   sim.Time
+	total   int
+	dones   int
+	vips    []netstack.IP // claimed routing entries, released on abort
+	created []*pod.Pod    // pods built so far, destroyed on abort
+	result  *RestartResult
+	onDone  func(*RestartResult)
+	doneG   *coord.Gather
+	reports []restartReport
 }
 
 // runAgent executes the agent-side restart of Figure 3: create a pod,
@@ -1396,7 +1376,7 @@ type restartOp struct {
 // report done. The pod resumes as soon as its own restart concludes —
 // no cross-agent barrier.
 func (op *restartOp) runAgent(idx int, pl Placement, plan *netckpt.EndpointPlan) {
-	if op.aborted || op.checkFailure(pl.Node) {
+	if op.checkFailure(pl.Node) {
 		return
 	}
 	w := op.m.w
@@ -1411,8 +1391,8 @@ func (op *restartOp) runAgent(idx int, pl Placement, plan *netckpt.EndpointPlan)
 	if pl.Warm {
 		create = 0
 	}
-	w.After(create, func() {
-		if op.aborted || op.checkFailure(pl.Node) {
+	op.after(create, func() {
+		if op.checkFailure(pl.Node) {
 			return
 		}
 		if !pl.Warm {
@@ -1423,62 +1403,64 @@ func (op *restartOp) runAgent(idx int, pl Placement, plan *netckpt.EndpointPlan)
 			trace.I64("entries", int64(len(plan.Entries))))
 		np := ckpt.RestorePod(pl.Image, pl.PodName, pl.Node, op.m.nw, op.m.fs, plan,
 			func(np *pod.Pod, err error) {
-				if err != nil {
-					op.fail(err)
-					return
-				}
-				if op.aborted || op.checkFailure(pl.Node) {
-					return
-				}
-				// Network restore time includes the real (simulated)
-				// reconnection exchanges plus the agent-side
-				// per-connection cost and the queue-restore copy.
-				queueBytes := pl.Image.Net.QueueBytes()
-				queueMsgs := pl.Image.Net.QueueMsgs()
-				queueCopy := costs.MemCopyTime(queueBytes) +
-					costs.ConnSetup*sim.Duration(len(plan.Entries))
-				netTime := sim.Duration(w.Now()-netStart) + queueCopy
-				netSpan.End(trace.I64("queue_bytes", queueBytes),
-					trace.I64("queue_msgs", queueMsgs),
-					trace.I64("queue_copy_ns", int64(queueCopy)))
-				op.m.reg.Counter("netstack_reinjected_msgs_total").Add(queueMsgs)
-				op.m.reg.Counter("netstack_reinjected_bytes_total").Add(queueBytes)
-				// Standalone restart cost: fixed + restore bandwidth
-				// (divided by the decode/rebuild parallelism) +
-				// per-process creation. A warm placement's state is
-				// already resident (the standby paid the restore when it
-				// applied each replicated record), so only the fixed
-				// activation cost remains.
-				bytes := costs.EffImageBytes(pl.Image.Bytes())
-				var saCost sim.Duration
-				if pl.Warm {
-					saCost = w.Jitter(costs.PromoteFixed, 0.25)
-				} else {
-					saCost = w.Jitter(costs.RestartFixed, 0.25) +
-						costs.RestoreTime(bytes)/parSpeedup(effWorkers(op.m.workers), len(pl.Image.Procs)) +
-						costs.ProcCreate*sim.Duration(len(pl.Image.Procs))
-				}
-				saStart := w.Now()
-				w.After(queueCopy+saCost, func() {
-					if op.aborted || op.checkFailure(pl.Node) {
+				op.do(func() {
+					if err != nil {
+						op.finish(err)
 						return
 					}
-					op.m.tr.SpanBetween(agSpan, "restart/standalone",
-						int64(saStart)+int64(queueCopy), int64(w.Now()),
-						trace.I64("bytes", pl.Image.Bytes()),
-						trace.I64("procs", int64(len(pl.Image.Procs))))
-					np.Resume() // no further delay, per the paper
-					agSpan.End()
-					op.m.reg.Histogram("restart_agent_total_ns").Observe(int64(w.Now() - began))
-					op.reports[idx] = restartReport{
-						name: pl.PodName, netT: netTime, saT: saCost,
-						total: sim.Duration(w.Now() - began), pod: np,
+					if op.checkFailure(pl.Node) {
+						return
 					}
-					op.doneG.Report(idx, 0)
+					// Network restore time includes the real (simulated)
+					// reconnection exchanges plus the agent-side
+					// per-connection cost and the queue-restore copy.
+					queueBytes := pl.Image.Net.QueueBytes()
+					queueMsgs := pl.Image.Net.QueueMsgs()
+					queueCopy := costs.MemCopyTime(queueBytes) +
+						costs.ConnSetup*sim.Duration(len(plan.Entries))
+					netTime := sim.Duration(w.Now()-netStart) + queueCopy
+					netSpan.End(trace.I64("queue_bytes", queueBytes),
+						trace.I64("queue_msgs", queueMsgs),
+						trace.I64("queue_copy_ns", int64(queueCopy)))
+					op.m.reg.Counter("netstack_reinjected_msgs_total").Add(queueMsgs)
+					op.m.reg.Counter("netstack_reinjected_bytes_total").Add(queueBytes)
+					// Standalone restart cost: fixed + restore bandwidth
+					// (divided by the decode/rebuild parallelism) +
+					// per-process creation. A warm placement's state is
+					// already resident (the standby paid the restore when it
+					// applied each replicated record), so only the fixed
+					// activation cost remains.
+					bytes := costs.EffImageBytes(pl.Image.Bytes())
+					var saCost sim.Duration
+					if pl.Warm {
+						saCost = w.Jitter(costs.PromoteFixed, 0.25)
+					} else {
+						saCost = w.Jitter(costs.RestartFixed, 0.25) +
+							costs.RestoreTime(bytes)/parSpeedup(effWorkers(op.m.workers), len(pl.Image.Procs)) +
+							costs.ProcCreate*sim.Duration(len(pl.Image.Procs))
+					}
+					saStart := w.Now()
+					op.after(queueCopy+saCost, func() {
+						if op.checkFailure(pl.Node) {
+							return
+						}
+						op.m.tr.SpanBetween(agSpan, "restart/standalone",
+							int64(saStart)+int64(queueCopy), int64(w.Now()),
+							trace.I64("bytes", pl.Image.Bytes()),
+							trace.I64("procs", int64(len(pl.Image.Procs))))
+						np.Resume() // no further delay, per the paper
+						agSpan.End()
+						op.m.reg.Histogram("restart_agent_total_ns").Observe(int64(w.Now() - began))
+						op.reports[idx] = restartReport{RestartAgentStats{
+							Pod: pl.PodName, NetRestore: netTime, Standalone: saCost,
+							Total: sim.Duration(w.Now() - began),
+						}, np}
+						op.doneG.Report(idx, 0)
+					})
 				})
 			})
 		if np != nil {
-			if op.aborted {
+			if op.phase == opDone {
 				// The restore callback may run synchronously and abort
 				// the operation before we get here; don't leak the pod.
 				np.Destroy()
@@ -1496,59 +1478,59 @@ func (op *restartOp) runAgent(idx int, pl Placement, plan *netckpt.EndpointPlan)
 // longer make progress).
 func (op *restartOp) checkFailure(n *vos.Node) bool {
 	if op.m.failed {
-		op.fail(ErrManagerFailure)
+		op.finish(ErrManagerFailure)
 		return true
 	}
 	if n.Failed() {
-		op.fail(fmt.Errorf("%w: node %s", ErrAgentFailure, n.Name()))
+		op.finish(fmt.Errorf("%w: node %s", ErrAgentFailure, n.Name()))
 		return true
 	}
 	return false
 }
 
-// fail aborts the whole restart and undoes its side effects: every pod
-// built so far (including ones whose agents already reported done) is
+// finish is the restart's one exit and the only caller of onDone. A nil
+// err completes it: the last agent's done-report is in. Anything else
+// aborts the whole restart and undoes its side effects: every pod built
+// so far (including ones whose agents already reported done) is
 // destroyed and every claimed virtual address is released, so the
 // network and nodes remain reusable for a retry from the same images.
-func (op *restartOp) fail(err error) {
-	if op.aborted {
+// The first exit wins.
+func (op *restartOp) finish(err error) {
+	if op.phase == opDone {
 		return
 	}
-	op.aborted = true
+	op.phase = opDone
 	op.m.w.Cancel(op.watchdog)
-	for _, p := range op.created {
-		p.Destroy()
-	}
-	for _, ip := range op.vips {
-		op.m.nw.Release(ip)
-	}
-	op.plane.AccountAbort()
-	op.m.tr.Instant(op.span, "restart/abort", trace.Str("err", err.Error()))
-	op.span.End(trace.Str("outcome", "aborted"))
-	op.m.reg.Counter("restart_aborts_total").Add(1)
-	op.result.Pods = nil
-	op.result.Err = fmt.Errorf("%w: %w", ErrAborted, err)
-	op.onDone(op.result)
-}
-
-func (op *restartOp) agentDone(name string, netT, saT, total sim.Duration, np *pod.Pod) {
-	if op.aborted {
-		return
-	}
-	op.result.Pods = append(op.result.Pods, np)
-	op.result.Stats.Agents = append(op.result.Stats.Agents, RestartAgentStats{
-		Pod: name, NetRestore: netT, Standalone: saT, Total: total,
-	})
-	op.dones++
-	if op.dones == op.total {
+	if err != nil {
+		for _, p := range op.created {
+			p.Destroy()
+		}
+		for _, ip := range op.vips {
+			op.m.nw.Release(ip)
+		}
+		op.plane.AccountAbort()
+		op.m.tr.Instant(op.span, "restart/abort", trace.Str("err", err.Error()))
+		op.span.End(trace.Str("outcome", "aborted"))
+		op.m.reg.Counter("restart_aborts_total").Add(1)
+		op.result.Pods = nil
+		op.result.Err = fmt.Errorf("%w: %w", ErrAborted, err)
+	} else {
 		op.result.Stats.Total = sim.Duration(op.m.w.Now() - op.start)
 		op.result.Stats.Coord = op.plane.Stats()
-		op.m.w.Cancel(op.watchdog)
 		op.plane.EmitLevelSpans(op.m.tr, op.span)
 		op.span.End(trace.Str("outcome", "ok"),
 			trace.I64("total_ns", int64(op.result.Stats.Total)))
 		op.m.reg.Counter("restart_ops_total").Add(1)
 		op.m.notify(PhaseRestartDone)
-		op.onDone(op.result)
+	}
+	op.onDone(op.result)
+}
+
+func (op *restartOp) agentDone(r restartReport) {
+	op.result.Pods = append(op.result.Pods, r.pod)
+	op.result.Stats.Agents = append(op.result.Stats.Agents, r.RestartAgentStats)
+	op.dones++
+	if op.dones == op.total {
+		op.finish(nil)
 	}
 }

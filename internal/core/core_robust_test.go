@@ -2,11 +2,14 @@ package core
 
 import (
 	"errors"
+	"slices"
 	"testing"
 
+	"zapc/internal/coord"
 	"zapc/internal/netstack"
 	"zapc/internal/pod"
 	"zapc/internal/sim"
+	"zapc/internal/trace"
 )
 
 // checkpointMigrate takes a Migrate-mode checkpoint of the pair so the
@@ -22,7 +25,8 @@ func checkpointMigrate(t *testing.T, h *harness, podA, podB *pod.Pod) *Checkpoin
 	return res
 }
 
-// TestRestartFailureCleanup is the regression test for restartOp.fail:
+// TestRestartFailureCleanup is the regression test for a failing
+// restartOp.finish:
 // a restart aborted by a target-node crash must release every claimed
 // virtual address and destroy every pod it already built, leaving the
 // network and the surviving nodes reusable for a retry from the same
@@ -270,5 +274,61 @@ func TestDropOpClearsVacatedSlot(t *testing.T) {
 				t.Fatalf("after %s checkpoint: slot %d of the registry still holds the operation", tc.after, i)
 			}
 		}
+	}
+}
+
+// TestAbortBetweenFlushWavesCompletesOnce: a tree-mode checkpoint
+// flushes one wave per top-level subtree, the waves spaced by modeled SAN
+// time. An abort that lands between two waves ends the operation there:
+// the completion callback has fired once, with the abort's error, and the
+// remaining waves write nothing, count nothing and notify nobody.
+func TestAbortBetweenFlushWavesCompletesOnce(t *testing.T) {
+	h := mkHarness(t, 3)
+	podA, podB, pi, po := h.launchPair(t, 200)
+	podC, err := pod.New("idle", h.nodes[2], h.nw, h.fs, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	podC.AddProcess(&ponger{Port: 9001}) // listens, is never dialled
+	reg := trace.NewRegistry()
+	h.mgr.SetTracer(nil, reg)
+	doneNotified := 0
+	h.mgr.SetPhaseHook(func(p Phase) {
+		if p == PhaseCheckpointDone {
+			doneNotified++
+		}
+	})
+	h.drive(t, func() bool { return pi.Val > 20 })
+
+	var results []*CheckpointResult
+	h.mgr.Checkpoint([]*pod.Pod{podA, podB, podC},
+		Options{FlushTo: "ckpt/waves", Coord: &coord.Config{Fanout: 2}},
+		func(r *CheckpointResult) { results = append(results, r) })
+	// Fan-out 2 over three members: the first wave is members 0 and 2,
+	// the second member 1.
+	h.drive(t, func() bool { return h.fs.Exists("ckpt/waves/ping.img") })
+	if len(results) != 0 || h.fs.Exists("ckpt/waves/pong.img") {
+		t.Fatalf("not between the waves: %d results, second wave flushed = %v",
+			len(results), h.fs.Exists("ckpt/waves/pong.img"))
+	}
+	preempt := errors.New("preempted between waves")
+	if n := h.mgr.AbortCheckpoints(preempt); n != 1 {
+		t.Fatalf("AbortCheckpoints aborted %d operations, want 1", n)
+	}
+	atAbort := h.fs.List("ckpt/waves")
+	h.drive(t, func() bool { return pi.Done && po.Done })
+	h.w.Run()
+
+	if len(results) != 1 || !errors.Is(results[0].Err, preempt) {
+		t.Fatalf("onDone fired %d times (first err %v), want once with the abort error", len(results), results[0].Err)
+	}
+	if after := h.fs.List("ckpt/waves"); !slices.Equal(after, atAbort) {
+		t.Fatalf("records written after the abort: had %v, now %v", atAbort, after)
+	}
+	if n := reg.Counter("ckpt_ops_total").Value(); n != 0 {
+		t.Fatalf("ckpt_ops_total = %d after an aborted operation", n)
+	}
+	if doneNotified != 0 {
+		t.Fatalf("PhaseCheckpointDone notified %d times for an aborted operation", doneNotified)
 	}
 }

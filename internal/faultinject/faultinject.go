@@ -84,7 +84,8 @@ type Injector struct {
 	delayBy    sim.Duration
 	delayUntil sim.Time
 
-	fired []Record
+	fired  []Record
+	onFire func(Record)
 
 	tr  *trace.Tracer
 	reg *trace.Registry
@@ -127,8 +128,15 @@ func (inj *Injector) Fired() []Record {
 	return append([]Record(nil), inj.fired...)
 }
 
+// OnFire installs an observer called as each fault fires, before its
+// action runs (nil removes).
+func (inj *Injector) OnFire(fn func(Record)) { inj.onFire = fn }
+
 func (inj *Injector) record(name string) {
 	inj.fired = append(inj.fired, Record{T: inj.w.Now(), Name: name})
+	if inj.onFire != nil {
+		inj.onFire(inj.fired[len(inj.fired)-1])
+	}
 	inj.tr.Instant(nil, "fault/"+name, trace.Track("faults"))
 	inj.reg.Counter("faults_injected_total").Add(1)
 }

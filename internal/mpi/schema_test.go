@@ -70,6 +70,15 @@ func TestCommLayoutSizesNothingFromTheWire(t *testing.T) {
 	if err := imgfmt.ReadBlob(imgfmt.Blob(c.Layout), new(Comm).Layout); !errors.Is(err, imgfmt.ErrBadValue) {
 		t.Errorf("Rank 4 of 4: err = %v, want ErrBadValue", err)
 	}
+	// Step indexes FDs by each owed rank header: one outside the
+	// communicator is refused at the decode, not found by a panic there.
+	for _, peer := range []int{4, -1} {
+		c = fullComm()
+		c.hello[1] = peer
+		if err := imgfmt.ReadBlob(imgfmt.Blob(c.Layout), new(Comm).Layout); !errors.Is(err, imgfmt.ErrBadValue) {
+			t.Errorf("hello rank %d of 4: err = %v, want ErrBadValue", peer, err)
+		}
+	}
 }
 
 // Every byte slice of a restored communicator is its own: appending to

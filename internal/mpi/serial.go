@@ -107,6 +107,9 @@ func (c *Comm) Layout(v imgfmt.Visitor) {
 	c.arMid = v.Bool(tagArMid, c.arMid)
 	c.arBuf = v.Bytes(tagArBuf, c.arBuf)
 	n := cfg.Size
+	for _, peer := range c.hello {
+		v.Check(0 <= peer && peer < n, "mpi: owed rank header names a rank outside the communicator")
+	}
 	v.Check(0 <= cfg.Rank && cfg.Rank < n && len(c.FDs) == n && len(c.partial) == n && len(c.outq) == n && len(c.closed) == n,
 		"mpi: communicator's rank or per-rank lists do not fit its size")
 }

@@ -314,6 +314,9 @@ const (
 func (img *NetImage) Layout(v imgfmt.Visitor) {
 	img.PodIP = imgfmt.Uint(v, tagPodIP, img.PodIP)
 	img.Sockets = imgfmt.Each(v, tagSocket, img.Sockets, (*SocketRecord).layout)
+	for i := range img.Sockets {
+		v.Check(img.Sockets[i].Slot == i, "netckpt: socket record's slot is not its place in the table")
+	}
 }
 
 func (r *SocketRecord) layout(v imgfmt.Visitor, tag uint64) {

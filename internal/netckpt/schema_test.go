@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
+	"errors"
 	"reflect"
 	"testing"
 
@@ -78,6 +79,20 @@ func TestGoldenNetImage(t *testing.T) {
 	sum := sha256.Sum256(netBody(fullNetImage()))
 	if got := hex.EncodeToString(sum[:]); got != goldenNetBody {
 		t.Fatalf("network image section hashes to %s, golden %s", got, goldenNetBody)
+	}
+}
+
+// The restorer files each socket it rebuilds under its record's Slot: a
+// slot that is not the record's place in the table — out of range, or
+// another record's — is refused at the decode, not found by a panic there.
+func TestDecodeRefusesSlotThatIsNotTheIndex(t *testing.T) {
+	for _, slot := range []int{5, 1 << 40, 0} {
+		img := fullNetImage()
+		img.Sockets[2].Slot = slot
+		err := imgfmt.ReadBlob(imgfmt.Blob(img.Layout), new(NetImage).Layout)
+		if !errors.Is(err, imgfmt.ErrBadValue) {
+			t.Errorf("slot %d at index 2: err = %v, want ErrBadValue", slot, err)
+		}
 	}
 }
 

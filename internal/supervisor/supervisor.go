@@ -28,6 +28,11 @@
 //     ordinary coordinated restart path. A generation that got
 //     corrupted on storage after it was written is skipped in favor of
 //     the previous valid one.
+//
+// The loop is one explicit state machine — idle, checkpointing,
+// ckpt-backoff, recovering, restart-backoff, stopped — with one function
+// (enter) that changes the state and one gate (on) every callback passes;
+// DESIGN.md §13 has the transition table.
 package supervisor
 
 import (
@@ -46,12 +51,72 @@ import (
 	"zapc/internal/vos"
 )
 
-// Errors surfaced through Supervisor.Err.
+// Errors surfaced through Supervisor.Err, each wrapped with the state it
+// was raised in and the next generation sequence number.
 var (
 	ErrNoValidCheckpoint = errors.New("supervisor: no valid checkpoint generation to restart from")
 	ErrNoSurvivors       = errors.New("supervisor: no surviving nodes to restart onto")
 	ErrGivenUp           = errors.New("supervisor: retry budget exhausted")
 )
+
+// ErrIllegalTransition halts the supervisor when an event arrives in a
+// state that has no transition for it — a second completion of one
+// checkpoint, a restart completing while idle. It is always a bug in the
+// supervisor or in what drives it, never a fault to be survived.
+type ErrIllegalTransition struct{ State, Event string }
+
+func (e ErrIllegalTransition) Error() string {
+	return fmt.Sprintf("supervisor: illegal transition: event %s in state %s", e.Event, e.State)
+}
+
+// state is where the control loop stands. A state owns at most one timer
+// (s.timer), which enter cancels on the way out; the heartbeat timer runs
+// beside them in every live state. DESIGN.md §13 has the table.
+type state uint8
+
+const (
+	stNew            state = iota // built, not started
+	stIdle                        // between cycles; owns the period timer
+	stCheckpointing               // a coordinated checkpoint is in flight
+	stCkptBackoff                 // an attempt aborted; owns the retry timer
+	stRecovering                  // failing over; owns the store-read and replay timers
+	stRestartBackoff              // a restart failed; owns the restart-retry timer
+	stStopped                     // terminal: job finished, Stop, or halt (see Err)
+)
+
+func (st state) String() string {
+	return [...]string{"new", "idle", "checkpointing", "ckpt-backoff", "recovering", "restart-backoff", "stopped"}[st]
+}
+
+// event is what a callback the supervisor handed out reports back.
+type event uint8
+
+const (
+	evHeartbeat    event = iota // the detector's tick
+	evCkptTimer                 // the period or the retry backoff ran out: start an attempt
+	evCkptDone                  // Mgr.Checkpoint completed
+	evLoaded                    // recovery's store read or delta replay finished
+	evPromoted                  // Replica.Promote handed over (or failed)
+	evRestartDone               // Mgr.Restart completed
+	evRestartTimer              // the restart-retry backoff ran out
+	evSynced                    // Replica.Sync completed
+	numEvents
+)
+
+func (ev event) String() string {
+	return [...]string{"heartbeat", "ckpt-timer", "ckpt-done", "loaded", "promoted", "restart-done", "restart-timer", "synced"}[ev]
+}
+
+// accepts is the transition table's domain: the events each state has a
+// transition for. Replication runs beside the loop and the detector in
+// every live state, so evSynced and evHeartbeat are legal in all of them.
+var accepts = [...]uint16{
+	stIdle:           1<<evHeartbeat | 1<<evSynced | 1<<evCkptTimer,
+	stCheckpointing:  1<<evHeartbeat | 1<<evSynced | 1<<evCkptDone,
+	stCkptBackoff:    1<<evHeartbeat | 1<<evSynced | 1<<evCkptTimer,
+	stRecovering:     1<<evHeartbeat | 1<<evSynced | 1<<evLoaded | 1<<evPromoted | 1<<evRestartDone,
+	stRestartBackoff: 1<<evHeartbeat | 1<<evSynced | 1<<evRestartTimer,
+}
 
 // Policy tunes the supervision loop. Zero values select the defaults
 // noted on each field.
@@ -110,30 +175,16 @@ type Policy struct {
 }
 
 func (p Policy) withDefaults() Policy {
-	if p.HeartbeatInterval <= 0 {
-		p.HeartbeatInterval = 250 * sim.Millisecond
-	}
-	if p.HeartbeatTimeout <= 0 {
-		p.HeartbeatTimeout = 4 * p.HeartbeatInterval
-	}
+	orDefault(&p.HeartbeatInterval, 250*sim.Millisecond)
+	orDefault(&p.HeartbeatTimeout, 4*p.HeartbeatInterval)
 	if p.CheckpointEvery == 0 {
 		p.CheckpointEvery = 10 * sim.Second
 	}
-	if p.CheckpointTimeout <= 0 {
-		p.CheckpointTimeout = 5 * sim.Second
-	}
-	if p.MaxRetries <= 0 {
-		p.MaxRetries = 4
-	}
-	if p.RetryBackoff <= 0 {
-		p.RetryBackoff = 250 * sim.Millisecond
-	}
-	if p.MaxBackoff <= 0 {
-		p.MaxBackoff = 8 * sim.Second
-	}
-	if p.Retain <= 0 {
-		p.Retain = 3
-	}
+	orDefault(&p.CheckpointTimeout, 5*sim.Second)
+	orDefault(&p.MaxRetries, 4)
+	orDefault(&p.RetryBackoff, 250*sim.Millisecond)
+	orDefault(&p.MaxBackoff, 8*sim.Second)
+	orDefault(&p.Retain, 3)
 	if p.Dir == "" {
 		p.Dir = "supervisor"
 	}
@@ -141,6 +192,13 @@ func (p Policy) withDefaults() Policy {
 		p.FullEvery = 4
 	}
 	return p
+}
+
+// orDefault gives a non-positive policy field its default.
+func orDefault[T int | sim.Duration](v *T, d T) {
+	if *v <= 0 {
+		*v = d
+	}
 }
 
 // Target is the supervised system, expressed as the narrow adapter the
@@ -266,11 +324,12 @@ type Supervisor struct {
 	t   Target
 	pol Policy
 
-	running        bool
-	done           bool
-	haltErr        error
-	ckptBusy       bool
-	recovering     bool
+	state   state
+	timer   sim.EventID // the one timer the current state owns
+	hbTimer sim.EventID
+	haltErr error
+	// pendingRecover is the one queued event: a node was declared down
+	// while a cycle or a recovery was in flight, and a failover follows it.
 	pendingRecover bool
 
 	gen     int           // next generation sequence number
@@ -284,20 +343,22 @@ type Supervisor struct {
 
 	ctrlHook core.CtrlHook
 
-	replica  Replica
+	replica Replica
+	// syncBusy stays a flag, not a state: replication runs beside the
+	// loop, not in it — a sync started while idle completes in whatever
+	// state the loop has reached by then.
 	syncBusy bool
-
-	hbTimer    sim.EventID
-	ckptTimer  sim.EventID
-	retryTimer sim.EventID // pending checkpoint retry backoff, for preemption
 
 	events []Event
 	stats  Stats
 
-	tr        *trace.Tracer
-	reg       *trace.Registry
-	cycleSpan *trace.Span // supervisor/ckpt-cycle, open across retries
-	recSpan   *trace.Span // supervisor/failover, open across retries
+	tr  *trace.Tracer
+	reg *trace.Registry
+	// span is the open episode: supervisor/ckpt-cycle across a cycle's
+	// retries, supervisor/failover across a recovery's, nil otherwise. It
+	// is the causal parent of the sub-phase spans, which keeps the
+	// critical-path analyzer's DAG explicit.
+	span *trace.Span
 
 	// RTO bookkeeping. pendingMissT/pendingDetectT capture the first
 	// unclaimed failure declaration (the heartbeat-miss instant and the
@@ -375,7 +436,11 @@ func (s *Supervisor) Generations() []Generation {
 func (s *Supervisor) Err() error { return s.haltErr }
 
 // Running reports whether the loop is armed.
-func (s *Supervisor) Running() bool { return s.running && !s.done }
+func (s *Supervisor) Running() bool { return s.state != stNew && s.state != stStopped }
+
+// State names the control loop's current state (read-only; for coverage
+// tables and diagnostics).
+func (s *Supervisor) State() string { return s.state.String() }
 
 // SetTracer installs an observability pair: every activity-log event is
 // then mirrored as a structured "supervisor/<kind>" instant on the
@@ -387,34 +452,20 @@ func (s *Supervisor) SetTracer(tr *trace.Tracer, reg *trace.Registry) {
 	s.reg = reg
 }
 
-// counterOf maps a log-event kind to its registry counter name ("" for
-// kinds that are not counted).
-func counterOf(kind EventKind) string {
-	switch kind {
-	case EvCheckpoint:
-		return "supervisor_checkpoints_total"
-	case EvRetry:
-		return "supervisor_ckpt_retries_total"
-	case EvNodeDown:
-		return "supervisor_nodes_declared_total"
-	case EvFailover:
-		return "supervisor_failovers_total"
-	case EvSkipCorrupt:
-		return "supervisor_corrupt_skipped_total"
-	case EvRestartRetry:
-		return "supervisor_restart_retries_total"
-	case EvGC:
-		return "supervisor_gc_total"
-	case EvGCPin:
-		return "supervisor_gc_pins_total"
-	case EvReplicate:
-		return "supervisor_replica_syncs_total"
-	case EvReplicaErr:
-		return "supervisor_replica_errors_total"
-	case EvPromote:
-		return "supervisor_promotions_total"
-	}
-	return ""
+// counterOf maps a log-event kind to its registry counter name (kinds
+// that are not counted have none).
+var counterOf = map[EventKind]string{
+	EvCheckpoint:   "supervisor_checkpoints_total",
+	EvRetry:        "supervisor_ckpt_retries_total",
+	EvNodeDown:     "supervisor_nodes_declared_total",
+	EvFailover:     "supervisor_failovers_total",
+	EvSkipCorrupt:  "supervisor_corrupt_skipped_total",
+	EvRestartRetry: "supervisor_restart_retries_total",
+	EvGC:           "supervisor_gc_total",
+	EvGCPin:        "supervisor_gc_pins_total",
+	EvReplicate:    "supervisor_replica_syncs_total",
+	EvReplicaErr:   "supervisor_replica_errors_total",
+	EvPromote:      "supervisor_promotions_total",
 }
 
 func (s *Supervisor) log(kind EventKind, format string, args ...any) {
@@ -428,85 +479,83 @@ func (s *Supervisor) logA(kind EventKind, attrs []trace.Attr, format string, arg
 	s.events = append(s.events, Event{T: s.t.W.Now(), Kind: kind, Detail: detail})
 	all := append([]trace.Attr{trace.Track("supervisor"), trace.Str("detail", detail)}, attrs...)
 	s.tr.Instant(nil, "supervisor/"+string(kind), all...)
-	if name := counterOf(kind); name != "" {
+	if name := counterOf[kind]; name != "" {
 		s.reg.Counter(name).Add(1)
 	}
 }
 
-// endCycleSpan closes the current checkpoint-cycle span, if one is open.
-func (s *Supervisor) endCycleSpan(outcome string) {
-	if s.cycleSpan != nil {
-		s.cycleSpan.End(trace.Str("outcome", outcome))
-		s.cycleSpan = nil
+// on is the gate every callback the supervisor hands out — to the clock,
+// the manager, the replica — passes first. A stopped supervisor drops the
+// event; a state with no transition for it halts, naming both.
+func (s *Supervisor) on(ev event) bool {
+	switch {
+	case s.state == stStopped:
+		return false
+	case accepts[s.state]&(1<<ev) == 0:
+		s.halt(ErrIllegalTransition{State: s.state.String(), Event: ev.String()})
+		return false
 	}
+	return true
 }
 
-// endRecSpan closes the current failover span, if one is open, with the
-// outcome plus any extra attributes.
-func (s *Supervisor) endRecSpan(outcome string, attrs ...trace.Attr) {
-	if s.recSpan != nil {
-		s.recSpan.End(append([]trace.Attr{trace.Str("outcome", outcome)}, attrs...)...)
-		s.recSpan = nil
+// enter is the only writer of s.state. It cancels the timer the old state
+// owned, ends the open episode span when the caller has an outcome for it,
+// and arms the timer the new state owns.
+func (s *Supervisor) enter(next state, outcome string, attrs ...trace.Attr) {
+	s.t.W.Cancel(s.timer)
+	s.timer = sim.EventID{}
+	if outcome != "" && s.span != nil {
+		s.span.End(append([]trace.Attr{trace.Str("outcome", outcome)}, attrs...)...)
+		s.span = nil
 	}
-}
-
-// opSpan is the causal parent for supervisor sub-phase spans: the open
-// failover span during recovery, the checkpoint-cycle span during a
-// cycle, nil otherwise. Nesting the sub-phases keeps the critical-path
-// analyzer's DAG explicit instead of relying on containment adoption.
-func (s *Supervisor) opSpan() *trace.Span {
-	if s.recSpan != nil {
-		return s.recSpan
+	s.state = next
+	switch next {
+	case stIdle:
+		if s.pol.CheckpointEvery > 0 {
+			s.timer = s.t.W.After(s.pol.CheckpointEvery, s.checkpointAttempt)
+		}
+	case stCkptBackoff:
+		s.timer = s.t.W.After(s.backoff(), s.checkpointAttempt)
+	case stRestartBackoff:
+		s.timer = s.t.W.After(s.backoff(), s.restartRetry)
+	case stStopped:
+		s.t.W.Cancel(s.hbTimer)
 	}
-	return s.cycleSpan
 }
 
 // Start arms the failure detector and the checkpoint policy.
 func (s *Supervisor) Start() {
-	if s.running {
+	if s.state != stNew {
 		return
 	}
-	s.running = true
 	s.resetMonitoring()
 	s.hbTimer = s.t.W.After(s.pol.HeartbeatInterval, s.hbTick)
-	if s.pol.CheckpointEvery > 0 {
-		s.ckptTimer = s.t.W.After(s.pol.CheckpointEvery, s.ckptTick)
-	}
+	s.enter(stIdle, "")
 }
 
 // Stop stands the supervisor down and cancels its timers.
 func (s *Supervisor) Stop() {
-	if !s.running || s.done {
-		return
+	if s.Running() {
+		s.enter(stStopped, "stopped")
 	}
-	s.done = true
-	s.t.W.Cancel(s.hbTimer)
-	s.t.W.Cancel(s.ckptTimer)
-	s.endCycleSpan("stopped")
-	s.endRecSpan("stopped")
 }
 
-// halt is a terminal Stop with a recorded reason.
+// halt is a terminal Stop with a recorded reason, which says where the
+// loop stood: the state it was raised in and the next generation seq.
 func (s *Supervisor) halt(err error) {
-	s.haltErr = err
-	s.log(EvHalt, "%v", err)
-	s.endCycleSpan("halt")
-	s.endRecSpan("halt")
-	s.Stop()
+	s.haltErr = fmt.Errorf("%w (raised %s, next generation seq %d)", err, s.state, s.gen)
+	s.log(EvHalt, "%v", s.haltErr)
+	s.enter(stStopped, "halt")
 }
 
 // finishIfDone stands down once the job completes; it reports whether
 // the supervisor is no longer active.
 func (s *Supervisor) finishIfDone() bool {
-	if s.done {
-		return true
-	}
 	if s.t.Finished() {
 		s.log(EvDone, "job finished, supervisor standing down")
 		s.Stop()
-		return true
 	}
-	return false
+	return s.state == stStopped
 }
 
 // resetMonitoring points the failure detector at the nodes currently
@@ -526,24 +575,15 @@ func (s *Supervisor) resetMonitoring() {
 	}
 }
 
-// ctrlDelay consults the injected hook for one heartbeat message.
-func (s *Supervisor) ctrlDelay() (drop bool, delay sim.Duration) {
-	if s.ctrlHook != nil {
-		return s.ctrlHook()
-	}
-	return false, 0
-}
-
 // hbTick is one round of the failure detector: expire silent nodes,
 // ping the rest, re-arm.
 func (s *Supervisor) hbTick() {
-	if s.finishIfDone() {
+	if !s.on(evHeartbeat) || s.finishIfDone() {
 		return
 	}
 	now := s.t.W.Now()
 	lat := s.t.W.Costs.CtrlLatency
 	for _, n := range s.monitored {
-		n := n
 		if s.declared[n] {
 			continue
 		}
@@ -553,7 +593,11 @@ func (s *Supervisor) hbTick() {
 		}
 		// Ping: one control hop out; the pong comes back one hop later
 		// only if the node is actually alive when the ping lands.
-		drop, delay := s.ctrlDelay()
+		var drop bool
+		var delay sim.Duration
+		if s.ctrlHook != nil {
+			drop, delay = s.ctrlHook() // the injected hook, once per heartbeat message
+		}
 		if drop {
 			continue
 		}
@@ -569,7 +613,7 @@ func (s *Supervisor) hbTick() {
 			})
 		})
 	}
-	if !s.done {
+	if s.state != stStopped {
 		s.hbTimer = s.t.W.After(s.pol.HeartbeatInterval, s.hbTick)
 	}
 }
@@ -593,86 +637,57 @@ func (s *Supervisor) nodeDown(n *vos.Node) {
 	}
 	s.logA(EvNodeDown, []trace.Attr{trace.I64("miss_t", int64(missT)), trace.Str("node", n.Name())},
 		"node %s: heartbeat silent for %v", n.Name(), s.pol.HeartbeatTimeout)
-	if s.recovering {
+	switch s.state {
+	case stRecovering, stRestartBackoff:
 		// Recovery is already running; it re-checks survivors itself and
-		// the pending flag re-enters it when the current episode ends.
+		// the queued event re-enters it when the current episode ends.
 		s.pendingRecover = true
-		return
-	}
-	if s.ckptBusy {
+	case stCheckpointing, stCkptBackoff:
 		// A checkpoint cycle is in flight against a dead member, so it
 		// can only abort. Preempt it now instead of waiting it out: an
 		// in-flight operation is aborted through the manager (its
 		// completion callback diverts to recovery synchronously), and a
-		// cycle parked in a retry backoff has its timer cancelled and
-		// diverts here directly. Either way the doomed cycle's remainder
+		// cycle parked in a retry backoff diverts here directly, enter
+		// cancelling its timer. Either way the doomed cycle's remainder
 		// — agent-failure propagation, watchdog, backoff — never lands
 		// on the RTO critical path.
 		s.pendingRecover = true
-		if s.t.Mgr.AbortCheckpoints(fmt.Errorf(
-			"supervisor: checkpoint preempted: node %s declared down mid-cycle", n.Name())) == 0 {
-			s.t.W.Cancel(s.retryTimer)
-			s.ckptBusy = false
-			s.endCycleSpan("diverted-to-recovery")
-			s.startRecovery()
+		s.t.Mgr.AbortCheckpoints(fmt.Errorf(
+			"supervisor: checkpoint preempted: node %s declared down mid-cycle", n.Name()))
+		if s.state == stCkptBackoff {
+			s.failover("diverted-to-recovery")
 		}
-		return
+	case stIdle:
+		s.failover("")
 	}
-	s.startRecovery()
-}
-
-// ckptTick begins one periodic checkpoint cycle.
-func (s *Supervisor) ckptTick() {
-	if s.finishIfDone() || s.recovering {
-		return
-	}
-	if s.ckptBusy {
-		return // previous cycle still retrying; it re-arms the timer
-	}
-	s.ckptBusy = true
-	s.attempt = 0
-	s.cycleSpan = s.tr.Start(nil, "supervisor/ckpt-cycle", trace.Track("supervisor"),
-		trace.I64("gen", int64(s.gen)))
-	s.checkpointAttempt()
 }
 
 func (s *Supervisor) backoff() sim.Duration {
 	d := s.pol.RetryBackoff
-	for i := 1; i < s.attempt; i++ {
+	for i := 1; i < s.attempt && d < s.pol.MaxBackoff; i++ {
 		d *= 2
-		if d >= s.pol.MaxBackoff {
-			return s.pol.MaxBackoff
-		}
 	}
-	if d > s.pol.MaxBackoff {
-		d = s.pol.MaxBackoff
-	}
-	return d
+	return min(d, s.pol.MaxBackoff)
 }
 
 func (s *Supervisor) genDir(seq int) string {
 	return fmt.Sprintf("%s/gen%04d", s.pol.Dir, seq)
 }
 
-// checkpointAttempt runs one coordinated checkpoint to the next
-// generation directory and validates what was flushed.
+// checkpointAttempt is the period timer (from idle: a new cycle) or the
+// retry backoff (from ckpt-backoff: the cycle's next attempt) running
+// out. It runs one coordinated checkpoint to the next generation
+// directory; ckptDone validates what was flushed.
 func (s *Supervisor) checkpointAttempt() {
-	if s.done || s.recovering {
-		s.ckptBusy = false
-		s.endCycleSpan("superseded")
+	if !s.on(evCkptTimer) || s.finishIfDone() {
 		return
 	}
-	if s.pendingRecover {
-		// The detector declared a node between attempts; stop retrying
-		// and fail over instead.
-		s.ckptBusy = false
-		s.endCycleSpan("diverted-to-recovery")
-		s.startRecovery()
-		return
+	if s.state == stIdle {
+		s.attempt = 0
+		s.span = s.tr.Start(nil, "supervisor/ckpt-cycle", trace.Track("supervisor"),
+			trace.I64("gen", int64(s.gen)))
 	}
-	if s.finishIfDone() {
-		return
-	}
+	s.enter(stCheckpointing, "")
 	dir := s.genDir(s.gen)
 	opts := core.Options{
 		Mode:    core.Snapshot,
@@ -696,7 +711,7 @@ func (s *Supervisor) checkpointAttempt() {
 }
 
 func (s *Supervisor) ckptDone(dir string, res *core.CheckpointResult) {
-	if s.done {
+	if !s.on(evCkptDone) {
 		return
 	}
 	err := res.Err
@@ -749,9 +764,7 @@ func (s *Supervisor) ckptDone(dir string, res *core.CheckpointResult) {
 		// flight; scrap the partial generation and fail over.
 		s.scrapGeneration(dir)
 		s.log(EvRetry, "checkpoint aborted during failure handling: %v", err)
-		s.ckptBusy = false
-		s.endCycleSpan("diverted-to-recovery")
-		s.startRecovery()
+		s.failover("diverted-to-recovery")
 	default:
 		// Every other abort — watchdog timeout, lost control message,
 		// manager hiccup, even an agent-failure report — is retried with
@@ -766,25 +779,21 @@ func (s *Supervisor) ckptDone(dir string, res *core.CheckpointResult) {
 			s.endCkptCycle()
 			return
 		}
-		d := s.backoff()
 		s.stats.Retries++
-		s.log(EvRetry, "checkpoint attempt %d aborted (%v), retrying in %v", s.attempt, err, d)
-		s.retryTimer = s.t.W.After(d, s.checkpointAttempt)
+		s.log(EvRetry, "checkpoint attempt %d aborted (%v), retrying in %v", s.attempt, err, s.backoff())
+		s.enter(stCkptBackoff, "")
 	}
 }
 
-// endCkptCycle closes a checkpoint cycle and re-arms the period timer.
+// endCkptCycle closes a checkpoint cycle: back to idle, which re-arms the
+// period timer, unless a failover is queued or the job has finished.
 func (s *Supervisor) endCkptCycle() {
-	s.ckptBusy = false
-	s.endCycleSpan("done")
 	if s.pendingRecover {
-		s.startRecovery()
+		s.failover("done")
 		return
 	}
-	if s.done || s.finishIfDone() || s.pol.CheckpointEvery <= 0 {
-		return
-	}
-	s.ckptTimer = s.t.W.After(s.pol.CheckpointEvery, s.ckptTick)
+	s.enter(stIdle, "done")
+	s.finishIfDone()
 }
 
 // scrapGeneration removes the partial output of a failed attempt.
@@ -853,8 +862,8 @@ func (s *Supervisor) gc() {
 // generation re-triggers the sync.
 func (s *Supervisor) syncReplica() {
 	r := s.replica
-	if r == nil || s.done || s.recovering || s.syncBusy || !r.Ready() {
-		return
+	if r == nil || s.state >= stRecovering || s.syncBusy || !r.Ready() {
+		return // detached, busy, consumed — or the loop is failing over or stopped
 	}
 	if len(s.gens) == 0 || s.gens[len(s.gens)-1].Seq <= r.AckedSeq() {
 		return
@@ -864,7 +873,7 @@ func (s *Supervisor) syncReplica() {
 		"replicating generations past seq %d to standby", r.AckedSeq())
 	r.Sync(append([]Generation(nil), s.gens...), func(err error) {
 		s.syncBusy = false
-		if s.done {
+		if !s.on(evSynced) {
 			return
 		}
 		if err != nil {
@@ -872,9 +881,7 @@ func (s *Supervisor) syncReplica() {
 			s.logA(EvReplicaErr, nil, "replication sync: %v (will resume past gen seq %d)", err, r.AckedSeq())
 			return
 		}
-		if !s.recovering && len(s.gens) > 0 && s.gens[len(s.gens)-1].Seq > r.AckedSeq() {
-			s.syncReplica()
-		}
+		s.syncReplica() // the primary may have committed further meanwhile
 	})
 }
 
@@ -913,7 +920,7 @@ func (s *Supervisor) chains(gi int) ([]imagestore.PodChain, error) {
 // decode-checked or the commit fails naming the one that would not be.
 func (s *Supervisor) checkGeneration(gi int) error {
 	g := s.gens[gi]
-	span := s.tr.Start(s.opSpan(), "supervisor/load-generation", trace.Track("supervisor"),
+	span := s.tr.Start(s.span, "supervisor/load-generation", trace.Track("supervisor"),
 		trace.Str("dir", g.Dir), trace.I64("seq", int64(g.Seq)))
 	images := 0
 	chains, err := s.chains(gi)
@@ -957,7 +964,7 @@ func (s *Supervisor) readChains(chains []imagestore.PodChain, visit func(*ckpt.I
 	for _, pc := range chains {
 		var cSpan *trace.Span
 		if len(pc.Paths) > 1 {
-			cSpan = s.tr.Start(s.opSpan(), "supervisor/chain-reconstruct", trace.Track("supervisor"),
+			cSpan = s.tr.Start(s.span, "supervisor/chain-reconstruct", trace.Track("supervisor"),
 				trace.Str("pod", pc.Pod), trace.I64("links", int64(len(pc.Paths))))
 		}
 		c, err := pc.Read(s.t.Store, ckpt.Chain{})
@@ -973,29 +980,38 @@ func (s *Supervisor) readChains(chains []imagestore.PodChain, visit func(*ckpt.I
 	return nil
 }
 
-// startRecovery begins (or re-enters) failover: tear down the job's
+// failover opens a recovery episode from a state outside one, closing
+// the checkpoint cycle it preempts (if any) with outcome.
+func (s *Supervisor) failover(outcome string) {
+	s.enter(stRecovering, outcome)
+	s.attempt = 0
+	// Claim the pending failure declaration as this episode's RTO
+	// window start. Recovery entered from a checkpoint abort before
+	// the detector fired has no declaration yet; the episode then
+	// starts (and the window opens) now.
+	s.recMissT = s.pendingMissT
+	if s.pendingDetectT == 0 {
+		s.recMissT = s.t.W.Now()
+	}
+	s.pendingMissT, s.pendingDetectT = 0, 0
+	s.span = s.tr.Start(nil, "supervisor/failover", trace.Track("supervisor"),
+		trace.I64("generations", int64(len(s.gens))))
+	s.recoverAttempt()
+}
+
+// restartRetry is the restart-retry backoff running out: the episode's
+// next attempt.
+func (s *Supervisor) restartRetry() {
+	if s.on(evRestartTimer) {
+		s.enter(stRecovering, "")
+		s.recoverAttempt()
+	}
+}
+
+// recoverAttempt is one attempt of the open episode: tear down the job's
 // pods and restart from the newest valid generation on the survivors.
-func (s *Supervisor) startRecovery() {
-	if s.done {
-		return
-	}
+func (s *Supervisor) recoverAttempt() {
 	s.pendingRecover = false
-	if !s.recovering {
-		s.recovering = true
-		s.attempt = 0
-		s.t.W.Cancel(s.ckptTimer)
-		// Claim the pending failure declaration as this episode's RTO
-		// window start. Recovery entered from a checkpoint abort before
-		// the detector fired has no declaration yet; the episode then
-		// starts (and the window opens) now.
-		s.recMissT = s.pendingMissT
-		if s.pendingDetectT == 0 {
-			s.recMissT = s.t.W.Now()
-		}
-		s.pendingMissT, s.pendingDetectT = 0, 0
-		s.recSpan = s.tr.Start(nil, "supervisor/failover", trace.Track("supervisor"),
-			trace.I64("generations", int64(len(s.gens))))
-	}
 	// Recovery may be entered from a checkpoint abort before the
 	// detector's timeout expires; mark the dead nodes declared so the
 	// detector does not trigger a second, redundant failover later.
@@ -1033,15 +1049,12 @@ func (s *Supervisor) startRecovery() {
 // running job, this read sits on the failover critical path. Chained
 // deltas pay an additional replay charge on top of the read.
 func (s *Supervisor) tryRestore(gi int) {
-	if s.done {
-		return
-	}
 	if gi < 0 {
 		s.halt(ErrNoValidCheckpoint)
 		return
 	}
 	g := s.gens[gi]
-	span := s.tr.Start(s.opSpan(), "supervisor/load-generation", trace.Track("supervisor"),
+	span := s.tr.Start(s.span, "supervisor/load-generation", trace.Track("supervisor"),
 		trace.Str("dir", g.Dir), trace.I64("seq", int64(g.Seq)))
 	// Size the chains first — a link that is already missing fails here,
 	// before anything is read — then decode and verify host-side (free):
@@ -1067,23 +1080,22 @@ func (s *Supervisor) tryRestore(gi int) {
 		logical += img.Bytes()
 	}
 	costs := s.t.W.Costs
-	s.t.W.After(costs.StoreReadTime(costs.EffImageBytes(logical)), func() {
-		if s.done {
+	s.timer = s.t.W.After(costs.StoreReadTime(costs.EffImageBytes(logical)), func() {
+		if !s.on(evLoaded) {
 			return
 		}
 		span.End(trace.I64("images", int64(len(images))), trace.I64("bytes", logical))
 		if replayBytes == 0 {
-			s.restartFrom(images, g.T)
+			s.restart(images, g.T, nil)
 			return
 		}
-		cSpan := s.tr.Start(s.opSpan(), "supervisor/chain-reconstruct", trace.Track("supervisor"),
+		cSpan := s.tr.Start(s.span, "supervisor/chain-reconstruct", trace.Track("supervisor"),
 			trace.Str("dir", g.Dir), trace.I64("bytes", replayBytes))
-		s.t.W.After(costs.MemCopyTime(costs.EffImageBytes(replayBytes)), func() {
-			if s.done {
-				return
+		s.timer = s.t.W.After(costs.MemCopyTime(costs.EffImageBytes(replayBytes)), func() {
+			if s.on(evLoaded) {
+				cSpan.End()
+				s.restart(images, g.T, nil)
 			}
-			cSpan.End()
-			s.restartFrom(images, g.T)
 		})
 	})
 }
@@ -1116,22 +1128,25 @@ func (s *Supervisor) skipCorrupt(gi int, err error) {
 	s.tryRestore(gi - 1)
 }
 
-// restartFrom places the restored images round-robin over the surviving
-// nodes and hands them to the manager. genT is the restored state's
-// commit time, the RPO reference point.
-func (s *Supervisor) restartFrom(images []*ckpt.Image, genT sim.Time) {
+// restart hands the images to the manager: placed round-robin over the
+// surviving nodes, or — promoting a standby — warm on its node. genT is
+// the restored state's commit time, the RPO reference point.
+func (s *Supervisor) restart(images []*ckpt.Image, genT sim.Time, warm *vos.Node) {
 	s.recGenT = genT
-	survivors := s.survivors()
-	if len(survivors) == 0 {
-		s.halt(ErrNoSurvivors)
-		return
+	targets := []*vos.Node{warm}
+	if warm == nil {
+		if targets = s.survivors(); len(targets) == 0 {
+			s.halt(ErrNoSurvivors)
+			return
+		}
 	}
 	placements := make([]core.Placement, len(images))
 	for i, img := range images {
 		placements[i] = core.Placement{
 			Image:   img,
 			PodName: img.PodName,
-			Node:    survivors[i%len(survivors)],
+			Node:    targets[i%len(targets)],
+			Warm:    warm != nil,
 		}
 	}
 	s.t.Mgr.SetWorkers(s.pol.Workers)
@@ -1150,10 +1165,10 @@ func (s *Supervisor) restartFrom(images []*ckpt.Image, genT sim.Time) {
 // the store path too.
 func (s *Supervisor) promoteStandby() {
 	rep := s.replica
-	pSpan := s.tr.Start(s.opSpan(), "standby/promote", trace.Track("standby"),
+	pSpan := s.tr.Start(s.span, "standby/promote", trace.Track("standby"),
 		trace.I64("acked_seq", int64(rep.AckedSeq())))
 	rep.Promote(func(images []*ckpt.Image, genT sim.Time, err error) {
-		if s.done {
+		if !s.on(evPromoted) {
 			return
 		}
 		if err == nil && len(images) == 0 {
@@ -1176,21 +1191,7 @@ func (s *Supervisor) promoteStandby() {
 		node := rep.Node()
 		s.logA(EvPromote, []trace.Attr{trace.I64("gen_t", int64(genT))},
 			"promoting standby %s: %d shadow pods, state through t=%v", node.Name(), len(images), genT)
-		s.recGenT = genT
-		placements := make([]core.Placement, len(images))
-		for i, img := range images {
-			placements[i] = core.Placement{
-				Image:   img,
-				PodName: img.PodName,
-				Node:    node,
-				Warm:    true,
-			}
-		}
-		s.t.Mgr.SetWorkers(s.pol.Workers)
-		if s.pol.Fanout > 0 {
-			s.t.Mgr.SetCoord(&coord.Config{Fanout: s.pol.Fanout})
-		}
-		s.t.Mgr.Restart(placements, nil, s.restartDone)
+		s.restart(images, genT, node)
 	})
 }
 
@@ -1206,7 +1207,7 @@ func (s *Supervisor) survivors() []*vos.Node {
 }
 
 func (s *Supervisor) restartDone(res *core.RestartResult) {
-	if s.done {
+	if !s.on(evRestartDone) {
 		return
 	}
 	if res.Err != nil {
@@ -1218,16 +1219,14 @@ func (s *Supervisor) restartDone(res *core.RestartResult) {
 			s.halt(fmt.Errorf("%w: restart failed %d times, last: %v", ErrGivenUp, s.attempt-1, res.Err))
 			return
 		}
-		d := s.backoff()
-		s.log(EvRestartRetry, "restart attempt %d failed (%v), retrying in %v", s.attempt, res.Err, d)
-		s.t.W.After(d, s.startRecovery)
+		s.log(EvRestartRetry, "restart attempt %d failed (%v), retrying in %v", s.attempt, res.Err, s.backoff())
+		s.enter(stRestartBackoff, "")
 		return
 	}
 	if err := s.t.Rebind(res.Pods); err != nil {
 		s.halt(fmt.Errorf("supervisor: rebind after failover: %w", err))
 		return
 	}
-	s.recovering = false
 	s.stats.Failovers++
 	// Availability figures for this failover: RTO runs from the
 	// heartbeat-miss instant to this instant (the pods are serving
@@ -1246,19 +1245,15 @@ func (s *Supervisor) restartDone(res *core.RestartResult) {
 	s.logA(EvFailover, []trace.Attr{trace.I64("rto_us", rtoUs), trace.I64("rpo_us", rpoUs)},
 		"restarted %d pods on %d surviving nodes in %v (rto %v, rpo %v)",
 		len(res.Pods), len(s.survivors()), res.Stats.Total, rto, rpo)
-	s.endRecSpan("ok", trace.I64("rto_us", rtoUs), trace.I64("rpo_us", rpoUs))
 	if s.incr != nil {
 		// The trackers' bases refer to pods that no longer exist; the
 		// next generation of every pod starts a fresh chain.
 		s.incr.Rebase()
 	}
 	s.resetMonitoring()
-	if s.pol.CheckpointEvery > 0 {
-		s.ckptTimer = s.t.W.After(s.pol.CheckpointEvery, s.ckptTick)
-	}
+	s.enter(stIdle, "ok", trace.I64("rto_us", rtoUs), trace.I64("rpo_us", rpoUs))
 	if s.pendingRecover {
 		// A further failure was declared while we were restarting.
-		s.pendingRecover = false
-		s.startRecovery()
+		s.failover("")
 	}
 }
