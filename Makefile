@@ -36,6 +36,9 @@ vet:
 # And a controller has one state: the supervisor and the coordinated
 # operations do not regain a lifecycle boolean beside it, and each
 # operation type has one function that calls onDone (DESIGN.md §13).
+# And a commit re-reads no history: the supervisor's materializing chain
+# read has one caller, recovery, and the commit check names nothing that
+# builds an image.
 boundary:
 	@files="$$($(GO) list -f '{{join .GoFiles " "}}' .)"; \
 	if [ "$$files" != "zapc.go" ]; then echo "boundary: root package must hold zapc.go only, has: $$files"; exit 1; fi
@@ -53,6 +56,10 @@ boundary:
 	@fns="$$(awk '/^func /{fn=$$0} /\.onDone\(/{print fn}' internal/core/core.go | sort -u)"; \
 	dup="$$(echo "$$fns" | sed -E 's/^func \([a-z]+ \*?([A-Za-z]+)\).*/\1/' | sort | uniq -d)"; \
 	if [ -n "$$dup" ]; then echo "boundary: onDone is called from more than one function of $$dup; finish is the one exit:"; echo "$$fns"; exit 1; fi
+	@bad="$$(awk '/^func /{fn=$$0; next} /readChains\(/ && fn !~ /\) tryRestore\(/{print FILENAME ": " fn}' internal/supervisor/supervisor.go)"; \
+	if [ -n "$$bad" ]; then echo "boundary: readChains materializes every chain; recovery (tryRestore) is its one caller, the commit check verifies by induction:"; echo "$$bad"; exit 1; fi
+	@bad="$$(awk '/^func /{fn=$$0} fn ~ /\) (checkGeneration|checkChain|verifyRecord|scrubRecord)\(/ && /ApplyDelta|ReconstructChain|\.Next\(/{print FILENAME ": " $$0}' internal/supervisor/supervisor.go)"; \
+	if [ -n "$$bad" ]; then echo "boundary: the commit check materializes nothing; it verifies (ckpt.Chain.Verify) and re-hashes:"; echo "$$bad"; exit 1; fi
 
 build:
 	$(GO) build ./...
@@ -84,7 +91,8 @@ cow-check:
 # Short, deterministic-budget fuzz passes over every image-format entry
 # point (TLV decoder, round-trip property, the pod-image decoder, the
 # delta decoder and, with the same bytes as the second record of a valid
-# chain, ckpt.Chain — the one chain reader every restore path uses; the
+# chain, ckpt.Chain — the one chain reader every restore path uses — and
+# its verify-only walk against that reader; the
 # layouts inside a record: the Net section's and every registered
 # program's), the LZ4 kernels against their byte-wise reference
 # implementations and the stream decoder against its window-copy
@@ -99,6 +107,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeMatchesReference$$' -fuzztime $(FUZZTIME) ./internal/imgfmt
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeImage$$' -fuzztime $(FUZZTIME) ./internal/ckpt
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeDelta$$' -fuzztime $(FUZZTIME) ./internal/ckpt
+	$(GO) test -run '^$$' -fuzz '^FuzzVerifyMatchesDecode$$' -fuzztime $(FUZZTIME) ./internal/ckpt
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeNetImage$$' -fuzztime $(FUZZTIME) ./internal/netckpt
 	$(GO) test -run '^$$' -fuzz '^FuzzRestoreProgram$$' -fuzztime $(FUZZTIME) ./internal/apps
 	$(GO) test -run '^$$' -fuzz '^FuzzReadJSONL$$' -fuzztime $(FUZZTIME) ./internal/trace

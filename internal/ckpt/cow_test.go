@@ -329,6 +329,26 @@ func BenchmarkCapture(b *testing.B) {
 	}
 }
 
+// BenchmarkVerifyRecord is the commit check's unit of work: the stored
+// record of a frozen pod walked by Chain.Verify, per logical byte of the
+// image it stands for.
+func BenchmarkVerifyRecord(b *testing.B) {
+	c := mkRawCluster(1)
+	img, err := CheckpointPod(benchPod(c))
+	if err != nil {
+		b.Fatal(err)
+	}
+	rec := recordOf(img)
+	b.SetBytes(img.Bytes())
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := (Chain{}).Verify(bytes.NewReader(rec)); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkRestorePod builds a pod from a decoded image and tears it down
 // again, per byte of memory the pod ends up holding.
 func BenchmarkRestorePod(b *testing.B) {

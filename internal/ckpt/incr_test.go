@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"hash/crc32"
+	"io"
 	"testing"
 
 	"zapc/internal/pod"
@@ -389,7 +390,7 @@ func TestIncrSetCadence(t *testing.T) {
 }
 
 // TestChainNextLeavesChainUnchangedOnError: every record Chain.Next
-// refuses — the wrong kind for its place, a delta that does not link, one
+// (and Chain.Verify, which must refuse the same ones) refuses — the wrong kind for its place, a delta that does not link, one
 // that does not decode — fails with the sentinel its defect calls for and
 // returns the chain it was given, so the chain still takes the right
 // record afterwards. The standby's swap-on-success apply rests on this.
@@ -445,12 +446,14 @@ func TestChainNextLeavesChainUnchangedOnError(t *testing.T) {
 		{"truncated", based, records[1][:len(records[1])/2], ErrCorruptImage},
 		{"corrupt image", empty, records[0][:len(records[0])-1], ErrCorruptImage},
 	} {
-		got, err := tc.from.Next(bytes.NewReader(tc.rec))
-		if !errors.Is(err, tc.want) {
-			t.Errorf("%s: err = %v, want %v", tc.name, err, tc.want)
-		}
-		if got != tc.from {
-			t.Errorf("%s: a refused record changed the chain: %+v -> %+v", tc.name, tc.from, got)
+		for how, extend := range map[string]func(Chain, io.Reader) (Chain, error){"Next": Chain.Next, "Verify": Chain.Verify} {
+			got, err := extend(tc.from, bytes.NewReader(tc.rec))
+			if !errors.Is(err, tc.want) {
+				t.Errorf("%s: %s: err = %v, want %v", tc.name, how, err, tc.want)
+			}
+			if got.Image != tc.from.Image || !got.SameHead(tc.from) {
+				t.Errorf("%s: %s: a refused record changed the chain: %+v -> %+v", tc.name, how, tc.from, got)
+			}
 		}
 	}
 	// The chains the refusals were returned from still extend.

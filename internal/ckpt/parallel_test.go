@@ -139,7 +139,7 @@ func TestNormWorkers(t *testing.T) {
 // fuzzChain returns the records of a real two-generation chain — a full
 // image and the delta a Tracker captures after one region changed — for
 // seeding the decoder fuzz targets.
-func fuzzChain(f *testing.F) (full, delta []byte) {
+func fuzzChain(f testing.TB) (full, delta []byte) {
 	c := mkRawCluster(1)
 	p, _ := pod.New("seed", c.nodes[0], c.nw, c.fs, 7)
 	proc := p.AddProcess(&worker{Limit: 50})

@@ -38,6 +38,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"slices"
 
 	"zapc/internal/imgfmt"
 	"zapc/internal/vos"
@@ -270,7 +271,11 @@ func DecodeDeltaFrom(r io.Reader) (*DeltaImage, error) {
 
 // VerifyImageFrom decode-checks a pod image from a reader, failing with
 // ErrCorruptImage on any CRC mismatch, truncation, unsupported version
-// or malformed field.
+// or malformed field. It materializes the image to do so and has no
+// caller in this module: Chain.Verify, which checks the same things and
+// keeps nothing, supersedes it. It stays only because the benchmark
+// module compiles against it; the benchmark-only PR (ROADMAP item 8)
+// removes it together with DecodeImageFrom's ignored int.
 func VerifyImageFrom(r io.Reader) (*Image, error) {
 	img, err := DecodeImageFrom(r, 0)
 	if err != nil {
@@ -279,53 +284,127 @@ func VerifyImageFrom(r io.Reader) (*Image, error) {
 	return img, nil
 }
 
-// Chain is one pod's record chain as read so far: the image its records
-// materialize, and what the next delta must link to. The zero value is
-// the empty chain. It is the one chain reader: restart from a store, the
-// supervisor's commit check and recovery, and the standby's apply all
-// extend a Chain record by record, so "a valid generation" has one
-// definition. A Chain is a value; Next returns the extended chain and
-// never modifies its receiver or the image it holds.
+// Chain is one pod's record chain as read so far: what the next delta
+// must link to — the head — and, when the chain was read with Next, the
+// image its records materialize. The zero value is the empty chain. It is
+// the one chain reader: restart from a store, the supervisor's recovery
+// and the standby's apply extend a Chain record by record with Next; the
+// supervisor's commit check extends one with Verify, which checks the
+// same record against the same head and keeps no image. Both run one
+// walk-and-link function, so "a valid generation" has one definition. A
+// Chain is a value; extending it returns the extended chain and never
+// modifies its receiver or the image it holds.
 type Chain struct {
 	// Image is what a full checkpoint at the last record's capture point
-	// would have produced; nil while the chain is empty.
+	// would have produced. It is nil while the chain is empty, and stays
+	// nil in a chain extended by Verify: emptiness is Len() == 0.
 	Image *Image
-	sum   uint32 // CRC-32 (IEEE) of the last record's bytes
-	seq   uint64 // the last record's place: 0 the full image, then 1, 2, ...
+	pod   string
+	sum   uint32    // CRC-32 (IEEE) of the last record's bytes
+	seq   uint64    // the last record's place: 0 the full image, then 1, 2, ...
+	links int       // records linked so far
+	vpids []vos.PID // the processes alive after the last record, ascending
+}
+
+// Len reports how many records the chain has linked; 0 is the empty chain.
+func (c Chain) Len() int { return c.links }
+
+// Sum is the CRC-32 (IEEE) of the last linked record's bytes, which the
+// next delta's ParentSum must equal.
+func (c Chain) Sum() uint32 { return c.sum }
+
+// Seq is the last linked record's sequence number: 0 for the full image.
+func (c Chain) Seq() uint64 { return c.seq }
+
+// SameHead reports whether two chains end on the same record of the same
+// pod — same checksum, sequence, length and live processes — whether or
+// not either holds an image.
+func (c Chain) SameHead(o Chain) bool {
+	return c.pod == o.pod && c.sum == o.sum && c.seq == o.seq && c.links == o.links &&
+		slices.Equal(c.vpids, o.vpids)
 }
 
 // Next reads the chain's next record from r — a full image when the
-// chain is empty, otherwise a delta whose pod name, Seq and ParentSum
-// (the CRC-32 of the preceding record's bytes, which Next accumulates as
-// it reads) link to the chain — and returns the chain extended by it.
-// The record streams through its decoder frame by frame, every frame CRC
-// and the trailer verified. A record that does not decode fails with
-// ErrCorruptImage, one that decodes but does not link (the wrong kind of
-// record included) with ErrChainBroken; either way the chain returned is
-// c, unchanged.
-func (c Chain) Next(r io.Reader) (Chain, error) {
+// chain is empty, otherwise a delta that links to it (see link) — and
+// returns the chain extended by it. The record streams through its
+// decoder frame by frame, every frame CRC and the trailer verified. A
+// record that does not decode fails with ErrCorruptImage, one that decodes
+// but does not link (the wrong kind of record included) with
+// ErrChainBroken; either way the chain returned is c, unchanged.
+func (c Chain) Next(r io.Reader) (Chain, error) { return c.extend(r, true) }
+
+// Verify is Next keeping nothing: the record is walked by the checking
+// visitor (imgfmt.VerifyRecord) and linked by the same code, so it is
+// refused exactly when Next would refuse it, but no region or
+// program-state byte is copied and the chain returned holds no image —
+// only the head the record after it must link to. A chain extended by
+// Verify can be extended further by Verify, not by Next.
+func (c Chain) Verify(r io.Reader) (Chain, error) { return c.extend(r, false) }
+
+// extend walks the next record — reading it into an image to keep, or
+// only checking it — and links it.
+func (c Chain) extend(r io.Reader, keep bool) (Chain, error) {
+	if keep && c.links > 0 && c.Image == nil {
+		return c, fmt.Errorf("%w: the chain was verified, not read: it holds no image for a delta to apply to", ErrChainBroken)
+	}
 	cr := &crcReader{r: r}
 	d, err := imgfmt.NewStreamDecoder(cr)
 	if err != nil {
 		return c, fmt.Errorf("%w: %w", ErrCorruptImage, err)
 	}
-	if c.Image == nil {
+	if c.links == 0 {
 		if d.IsDelta() {
 			return c, fmt.Errorf("%w: a delta record where the chain's full image is expected", ErrChainBroken)
 		}
 		img := &Image{}
-		if err := imgfmt.ReadRecord(d, img.layout); err != nil {
+		if err := walkRecord(d, img.layout, keep); err != nil {
 			return c, fmt.Errorf("%w: %w", ErrCorruptImage, err)
 		}
-		return Chain{Image: img, sum: cr.sum}, nil
+		next := Chain{pod: img.PodName, sum: cr.sum, links: 1, vpids: make([]vos.PID, len(img.Procs))}
+		for i := range img.Procs {
+			next.vpids[i] = img.Procs[i].VPID
+		}
+		slices.Sort(next.vpids)
+		if keep {
+			next.Image = img
+		}
+		return next, nil
 	}
 	if !d.IsDelta() {
 		return c, fmt.Errorf("%w: a pod image where delta %d is expected", ErrChainBroken, c.seq+1)
 	}
 	dl := &DeltaImage{}
-	if err := imgfmt.ReadRecord(d, dl.layout); err != nil {
+	if err := walkRecord(d, dl.layout, keep); err != nil {
 		return c, fmt.Errorf("%w: %w", ErrCorruptImage, err)
 	}
+	next, err := c.link(dl, cr.sum)
+	if err == nil && keep {
+		next.Image, err = ApplyDelta(c.Image, dl)
+	}
+	if err != nil {
+		return c, err
+	}
+	return next, nil
+}
+
+// walkRecord walks layout over the record d has opened: reading it into
+// the layout's owner, or only checking it. (A function, not a variable
+// holding one of the two: through a variable the layout's method value
+// escapes to the heap.)
+func walkRecord(d *imgfmt.StreamDecoder, layout func(imgfmt.Visitor), keep bool) error {
+	if keep {
+		return imgfmt.ReadRecord(d, layout)
+	}
+	return imgfmt.VerifyRecord(d, layout)
+}
+
+// link is the one definition of "this delta extends that chain": its
+// ParentSum is the checksum of the record before it, its Seq the next in
+// line, it is for the chain's pod, and it updates no process the chain
+// does not know. It needs the delta's metadata only — which a verifying
+// walk leaves as a reading one does — and sum, the checksum of the
+// delta's own bytes, and returns the head after it.
+func (c Chain) link(dl *DeltaImage, sum uint32) (Chain, error) {
 	if dl.ParentSum != c.sum {
 		return c, fmt.Errorf("%w: delta %d has parent checksum %08x, the record before it %08x",
 			ErrChainBroken, dl.Seq, dl.ParentSum, c.sum)
@@ -333,11 +412,26 @@ func (c Chain) Next(r io.Reader) (Chain, error) {
 	if dl.Seq != c.seq+1 {
 		return c, fmt.Errorf("%w: delta has sequence %d, want %d", ErrChainBroken, dl.Seq, c.seq+1)
 	}
-	img, err := ApplyDelta(c.Image, dl)
-	if err != nil {
-		return c, err
+	if dl.PodName != c.pod {
+		return c, fmt.Errorf("%w: delta for pod %q applied to image of pod %q", ErrChainBroken, dl.PodName, c.pod)
 	}
-	return Chain{Image: img, sum: cr.sum, seq: dl.Seq}, nil
+	vpids := make([]vos.PID, 0, len(c.vpids)+len(dl.Procs))
+	for _, vpid := range c.vpids {
+		if !slices.Contains(dl.RemovedProcs, vpid) {
+			vpids = append(vpids, vpid)
+		}
+	}
+	for _, pd := range dl.Procs {
+		if slices.Contains(vpids, pd.VPID) {
+			continue
+		}
+		if !pd.New {
+			return c, fmt.Errorf("%w: delta updates unknown vpid %d", ErrChainBroken, pd.VPID)
+		}
+		vpids = append(vpids, pd.VPID)
+	}
+	slices.Sort(vpids)
+	return Chain{pod: c.pod, sum: sum, seq: dl.Seq, links: c.links + 1, vpids: vpids}, nil
 }
 
 // ReconstructChainFrom validates and materializes a base-plus-deltas

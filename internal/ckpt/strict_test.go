@@ -230,6 +230,11 @@ func TestDecodersInsideARecordAreStrict(t *testing.T) {
 						t.Errorf("visit %d: err = %v, want ErrCorruptImage and an unextended chain", at, err)
 					}
 					strictlyRefused(t, fmt.Sprintf("visit %d", at), err)
+					// The verify-only walk refuses it the same way.
+					v, verr := ckpt.Chain{}.Verify(bytes.NewReader(rec.Bytes()))
+					if verr == nil || verr.Error() != err.Error() || !errors.Is(verr, ckpt.ErrCorruptImage) || v.Len() != 0 {
+						t.Errorf("visit %d: Verify says %v, Next %v", at, verr, err)
+					}
 				})
 			if hits < 10 {
 				t.Fatalf("the defect applied at %d visits of the record: the sweep is not reaching inside sections", hits)
@@ -251,6 +256,9 @@ func TestDecodersInsideARecordAreStrict(t *testing.T) {
 		c, err := ckpt.Chain{}.Next(bytes.NewReader(rec.Bytes()))
 		if !errors.Is(err, ckpt.ErrCorruptImage) || !errors.Is(err, imgfmt.ErrBadValue) || c.Image != nil {
 			t.Errorf("err = %v, want ErrCorruptImage over ErrBadValue and an unextended chain", err)
+		}
+		if _, verr := (ckpt.Chain{}).Verify(bytes.NewReader(rec.Bytes())); !errors.Is(verr, imgfmt.ErrBadValue) || verr.Error() != err.Error() {
+			t.Errorf("Verify says %v, Next %v", verr, err)
 		}
 	})
 

@@ -8,6 +8,9 @@ package cluster
 
 import (
 	"errors"
+	"fmt"
+	"hash/crc32"
+	"io"
 	"strings"
 	"testing"
 
@@ -88,12 +91,13 @@ func churnJob(t *testing.T, c *Cluster, work, at float64) *Job {
 // TestChainErrorsNameSentinelPodAndPath drives the same four defects of
 // a stored pre-copy chain — a flipped byte, a truncation, a record
 // swapped for another pod's, a missing link — through the three places
-// that read stored chains, and asserts each reports the defect the same
+// that read stored chains and the one that verifies them unread (the
+// supervisor's commit check), and asserts each reports the defect the same
 // way: a record that does not decode wraps ckpt.ErrCorruptImage, one
 // that does not link wraps ckpt.ErrChainBroken, and the message names
-// the pod and the record the reader stopped at. Recovery reports through
-// the supervisor's activity log, so there the sentinel is matched by its
-// text.
+// the pod and the record the reader stopped at. Recovery and the commit
+// check report through the supervisor's activity log, so there the
+// sentinel is matched by its text.
 func TestChainErrorsNameSentinelPodAndPath(t *testing.T) {
 	// A defect damages the first pod's chain (the second pod's supplies
 	// the swapped-in record) and returns the path the reader must name.
@@ -203,6 +207,39 @@ func TestChainErrorsNameSentinelPodAndPath(t *testing.T) {
 			sup.Stop()
 			return skipped()[0].Detail, nil
 		}},
+		{"supervisor commit", func(t *testing.T, hurt damage) (string, error) {
+			c := New(Config{Nodes: 4, Seed: 41})
+			job := churnJob(t, c, 10, 0)
+			// The flush and the commit check run in one event, so the damage
+			// is done from inside the store, once the second pod's residual
+			// — and with it both pods' whole chains — has landed.
+			residual, hurtOnce := "ce/sup/gen0000/"+job.Pods[1].Name()+".delta", false
+			c.Mgr.SetStore(&writeHook{Store: c.Mgr.Store(), after: func(wrote string) {
+				if wrote == residual && !hurtOnce {
+					hurtOnce = true
+					hurt(t, c, "ce/sup/gen0000")
+				}
+			}})
+			sup, err := c.Supervise(job, supervisor.Policy{Dir: "ce/sup", CheckpointEvery: 200 * sim.Millisecond})
+			if err != nil {
+				t.Fatal(err)
+			}
+			retried := func() []supervisor.Event { return sup.EventsOf(supervisor.EvRetry) }
+			if err := c.Drive(func() bool { return len(retried()) > 0 || job.Finished() }, chainDeadline); err != nil {
+				t.Fatal(err)
+			}
+			if len(retried()) == 0 {
+				t.Fatalf("damaged generation was committed; events: %v", sup.Events())
+			}
+			sup.Stop()
+			text := retried()[0].Detail
+			for _, want := range []string{"chain validation", "generation seq 0"} {
+				if !strings.Contains(text, want) {
+					t.Errorf("error %q does not name %q", text, want)
+				}
+			}
+			return text, nil
+		}},
 	}
 	for _, e := range entries {
 		for _, d := range defects {
@@ -226,6 +263,77 @@ func TestChainErrorsNameSentinelPodAndPath(t *testing.T) {
 			})
 		}
 	}
+}
+
+// TestCommitCheckNamesARecordChangedAtRest: the commit check's third
+// refusal, which no reader of stored chains has — a retained record whose
+// bytes changed since its own commit — wraps ErrCorruptImage and names the
+// generation being committed, the pod and the record, and says which
+// checksum the commit verified and which the stored bytes have now. (The
+// other two, a just-written record that does not decode or does not link,
+// are the "supervisor commit" rows of the table above.)
+func TestCommitCheckNamesARecordChangedAtRest(t *testing.T) {
+	c := New(Config{Nodes: 4, Seed: 41})
+	job, err := c.Launch(JobSpec{App: "cpi", Endpoints: 4, Work: 0.05, Scale: 0.001})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sup, err := c.Supervise(job, supervisor.Policy{Dir: "ce/sup", Incremental: true,
+		CheckpointEvery: 100 * sim.Millisecond, RetryBackoff: 10 * sim.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Drive(func() bool { return sup.Stats().Checkpoints >= 1 }, chainDeadline); err != nil {
+		t.Fatalf("drive to the first generation: %v (events: %v)", err, sup.Events())
+	}
+	pod := job.Pods[0].Name()
+	base := "ce/sup/gen0000/" + pod + ".img"
+	data := readFile(t, c, base)
+	committed := crc32.ChecksumIEEE(data)
+	data[len(data)/2] ^= 0x01
+	writeFile(t, c, base, data)
+	retried := func() []supervisor.Event { return sup.EventsOf(supervisor.EvRetry) }
+	if err := c.Drive(func() bool { return len(retried()) > 0 || job.Finished() }, chainDeadline); err != nil {
+		t.Fatal(err)
+	}
+	if len(retried()) == 0 {
+		t.Fatalf("a generation was committed over the damaged one; events: %v", sup.Events())
+	}
+	sup.Stop()
+	text := retried()[0].Detail
+	for _, want := range []string{"chain validation", ckpt.ErrCorruptImage.Error(), "generation seq 1", "pod " + pod, base,
+		"changed since its commit", fmt.Sprintf("hash to %08x", crc32.ChecksumIEEE(data)), fmt.Sprintf("verified %08x", committed)} {
+		if !strings.Contains(text, want) {
+			t.Errorf("error %q does not name %q", text, want)
+		}
+	}
+}
+
+// writeHook is a store that reports each record once it is written.
+type writeHook struct {
+	imagestore.Store
+	after func(path string)
+}
+
+func (h *writeHook) Create(path string) (io.WriteCloser, error) {
+	w, err := h.Store.Create(path)
+	if err != nil {
+		return nil, err
+	}
+	return &hookedWriter{w, func() { h.after(path) }}, nil
+}
+
+type hookedWriter struct {
+	io.WriteCloser
+	closed func()
+}
+
+func (w *hookedWriter) Close() error {
+	err := w.WriteCloser.Close()
+	if err == nil {
+		w.closed()
+	}
+	return err
 }
 
 func readFile(t *testing.T, c *Cluster, path string) []byte {

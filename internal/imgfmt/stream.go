@@ -822,6 +822,20 @@ func (d *StreamDecoder) Bytes(tag uint64) ([]byte, error) {
 	return d.lengthPrefixed()
 }
 
+// SkipBytes consumes a byte-slice field with the given tag — header and
+// length checked as Bytes checks them, every frame under the value pulled
+// and verified — and returns its length without materializing it.
+func (d *StreamDecoder) SkipBytes(tag uint64) (int, error) {
+	if err := d.header(tag, TypeBytes); err != nil {
+		return 0, err
+	}
+	n, err := d.valueLen()
+	if err != nil {
+		return 0, err
+	}
+	return n, d.discard(n)
+}
+
 // String reads a string field with the given tag.
 func (d *StreamDecoder) String(tag uint64) (string, error) {
 	if err := d.header(tag, TypeString); err != nil {

@@ -259,6 +259,55 @@ func read(src fieldSource, layout func(Visitor)) error {
 // whole-stream CRC.
 func ReadRecord(d *StreamDecoder, layout func(Visitor)) error { return read(d, layout) }
 
+// verifier is the checking visitor: a reader that keeps no bulk value. It
+// reads scalars, strings and sections exactly as reader does — so every
+// tag, type, order and length is held to the same layout, and a record's
+// frames are pulled and CRC-checked in the same order up to the same
+// trailer — but a Bytes value is skipped where it lies and the value the
+// layout passed in is handed back. A layout therefore may Check what it
+// read as a scalar, never the content of a Bytes field.
+type verifier struct{ reader }
+
+// skip consumes the Bytes field tagged tag and reports its length. The
+// record stream discards the value through its window, one verified frame
+// at a time; a Decoder's value is an alias of its section, dropped unread.
+func (r *verifier) skip(tag uint64) (int, error) {
+	if d, ok := r.src().(*StreamDecoder); ok {
+		return d.SkipBytes(tag)
+	}
+	b, err := r.src().Bytes(tag)
+	return len(b), err
+}
+
+func (r *verifier) Bytes(tag uint64, v []byte) []byte {
+	if r.err == nil {
+		_, r.err = r.skip(tag)
+	}
+	return v
+}
+
+func (r *verifier) Floats(tag uint64, v []float64) []float64 {
+	if r.err == nil {
+		var n int
+		if n, r.err = r.skip(tag); r.err == nil && n%8 != 0 {
+			r.err = fmt.Errorf("%w: %d bytes of float64s", ErrTruncated, n)
+		}
+	}
+	return v
+}
+
+// VerifyRecord is ReadRecord keeping nothing: it walks layout over the
+// rest of the record d has opened and refuses exactly what ReadRecord
+// refuses, with the same error at the same frame, but no Bytes value —
+// region, program state, socket buffer — is copied or allocated. What
+// the layout's owner holds afterwards is the record's metadata: scalars,
+// names, list shapes.
+func VerifyRecord(d *StreamDecoder, layout func(Visitor)) error {
+	r := &verifier{reader{base: d, secs: make([]Decoder, 0, 4)}}
+	layout(r)
+	return r.used()
+}
+
 // ReadBlob checks a program-state blob's trailer and header and reads
 // its fields through layout.
 func ReadBlob(blob []byte, layout func(Visitor)) error {

@@ -17,17 +17,31 @@
 //     coordinately checkpointed to a fresh generation directory on the
 //     shared filesystem, with exponential-backoff retry when an attempt
 //     aborts (transient control-plane fault, watchdog timeout);
-//   - bounded retention of validated generations: every record a
-//     generation flushed is read back through the verifying chain reader
-//     (ckpt.Chain: frame CRCs, trailer, chain linkage) before the
-//     generation is trusted; generations beyond Retain are garbage
-//     collected oldest-first;
+//   - bounded retention of validated generations: before a generation
+//     is trusted, every record it flushed is walked by the verifying
+//     chain reader (ckpt.Chain.Verify: frame CRCs, trailer, layout, chain
+//     linkage — nothing materialized) from the head its pod's chain was
+//     committed at, and every retained record under it is re-hashed
+//     against the checksum memoized at its own commit; generations beyond
+//     Retain are garbage collected oldest-first;
 //   - automatic failover: on a detected node failure the job's pods are
 //     torn down and the application is restarted from the newest valid
 //     generation onto the surviving (or spare) nodes, re-driving the
 //     ordinary coordinated restart path. A generation that got
 //     corrupted on storage after it was written is skipped in favor of
 //     the previous valid one.
+//
+// A commit is checked by induction and re-reads no history. Each
+// committed Generation keeps a memo: for every record it wrote, the chain
+// head its pod stood at once the record was verified (checksum, sequence,
+// live processes; no image). A commit verifies only what this generation
+// wrote, against the previous generation's heads, and scrubs the records
+// under them byte for byte against their memoized checksums; the memo
+// moves only when the whole check passed, and goes where the generation
+// goes (gc, a scrapped attempt). Recovery is the one place chains are
+// read back in full, because it is the one place the image is needed, and
+// it cross-checks the memo: a chain that reads clean but does not end on
+// the record its commit verified is refused as broken. DESIGN.md §13.
 //
 // The loop is one explicit state machine — idle, checkpointing,
 // ckpt-backoff, recovering, restart-backoff, stopped — with one function
@@ -38,6 +52,8 @@ package supervisor
 import (
 	"errors"
 	"fmt"
+	"hash/crc32"
+	"io"
 	"strings"
 
 	"zapc/internal/ckpt"
@@ -317,6 +333,12 @@ type Generation struct {
 	// holds delta records whose restore needs the chain back to the
 	// nearest full generation.
 	Full bool
+	// heads is the commit memo: for every record of the generation, by
+	// store path, the chain head its pod stood at once the commit check
+	// had verified and linked it — no image, and its Sum is the CRC-32 of
+	// the record's stored bytes. It is set when the commit succeeds and
+	// goes where the generation goes.
+	heads map[string]ckpt.Chain
 }
 
 // Supervisor is the self-healing control loop for one job.
@@ -351,6 +373,7 @@ type Supervisor struct {
 
 	events []Event
 	stats  Stats
+	scrub  []byte // the one buffer every retained record is re-hashed through at commit
 
 	tr  *trace.Tracer
 	reg *trace.Registry
@@ -723,10 +746,10 @@ func (s *Supervisor) ckptDone(dir string, res *core.CheckpointResult) {
 		}
 	}
 	if err == nil {
-		// The commit check: the generation (with its chain back to the
-		// nearest full image, for deltas) must reconstruct from what
-		// actually landed in the store — an end-to-end write/read/decode
-		// round trip of every record just flushed.
+		// The commit check: every record just flushed must decode from
+		// what actually landed in the store and link to the head its pod's
+		// chain was committed at, and every retained record under it must
+		// still be the bytes that were verified at its own commit.
 		s.gens = append(s.gens, Generation{Seq: s.gen, Dir: dir, T: s.t.W.Now(), Full: full})
 		if lerr := s.checkGeneration(len(s.gens) - 1); lerr != nil {
 			s.gens = s.gens[:len(s.gens)-1]
@@ -913,29 +936,133 @@ func (s *Supervisor) chains(gi int) ([]imagestore.PodChain, error) {
 	return chains, nil
 }
 
-// checkGeneration is the commit check: it reads and verifies every pod
-// of the generation at index gi into s.gens through its whole chain, and
-// keeps nothing. It first refuses a generation whose directory lists a
-// record no pod's chain reaches, so every record just flushed is
-// decode-checked or the commit fails naming the one that would not be.
+// checkGeneration is the commit check, by induction on each pod's chain:
+// the records the generation at index gi wrote are walked by the
+// verifying decoder and linked to the head the previous generation's
+// commit left (ckpt.Chain.Verify — every frame CRC, the trailer, every
+// field of the layout, kind, pod, Seq, ParentSum, known VPIDs; nothing
+// materialized), and the retained records under them, verified at their
+// own commits, are re-hashed where they lie and compared with the sum
+// memoized then. Together that refuses what reading every chain back to
+// its full image would refuse, at a cost that does not grow with the
+// chain. It first refuses a generation whose directory lists a record no
+// pod's chain reaches, so every record just flushed is checked or the
+// commit fails naming the one that would not be. The new heads are built
+// aside and become the generation's memo only when every pod passed.
 func (s *Supervisor) checkGeneration(gi int) error {
 	g := s.gens[gi]
 	span := s.tr.Start(s.span, "supervisor/load-generation", trace.Track("supervisor"),
 		trace.Str("dir", g.Dir), trace.I64("seq", int64(g.Seq)))
-	images := 0
 	chains, err := s.chains(gi)
 	if err == nil {
 		err = unreachedRecord(g.Dir, s.t.Store.List(g.Dir), chains)
 	}
-	if err == nil {
-		err = s.readChains(chains, func(*ckpt.Image) { images++ })
+	heads := make(map[string]ckpt.Chain)
+	for i := 0; err == nil && i < len(chains); i++ {
+		err = s.checkChain(g, chains[i], heads)
 	}
 	if err != nil {
 		span.End(trace.Str("err", err.Error()))
 		return err
 	}
-	span.End(trace.I64("images", int64(images)))
+	s.gens[gi].heads = heads
+	span.End(trace.I64("images", int64(len(chains))))
 	return nil
+}
+
+// checkChain is one pod's share of generation g's commit check. Of the
+// three refusals — a record that does not decode, one that does not link,
+// one that changed since its commit — each wraps ckpt.ErrCorruptImage or
+// ckpt.ErrChainBroken and names the generation, the pod and the record.
+func (s *Supervisor) checkChain(g Generation, pc imagestore.PodChain, heads map[string]ckpt.Chain) error {
+	var head ckpt.Chain
+	wrote := g.Dir + "/"
+	for _, path := range pc.Paths {
+		var err error
+		if strings.HasPrefix(path, wrote) {
+			if head, err = s.verifyRecord(head, path); err == nil {
+				heads[path] = head
+			}
+		} else {
+			head, err = s.scrubRecord(path)
+		}
+		if err != nil {
+			return fmt.Errorf("generation seq %d: pod %s (%s): %w", g.Seq, pc.Pod, path, err)
+		}
+	}
+	return nil
+}
+
+// verifyRecord extends head by the record at path, just written.
+func (s *Supervisor) verifyRecord(head ckpt.Chain, path string) (ckpt.Chain, error) {
+	rc, err := s.t.Store.Open(path)
+	if err != nil {
+		return head, fmt.Errorf("%w: %w", ckpt.ErrChainBroken, err)
+	}
+	defer rc.Close()
+	cr := &countReader{r: rc}
+	head, err = head.Verify(cr)
+	s.reg.Counter("supervisor_commit_verified_bytes_total").Add(cr.n)
+	return head, err
+}
+
+// countReader counts the bytes the verifying decoder pulls.
+type countReader struct {
+	r io.Reader
+	n int64
+}
+
+func (c *countReader) Read(p []byte) (int, error) {
+	n, err := c.r.Read(p)
+	c.n += int64(n)
+	return n, err
+}
+
+// scrubRecord re-hashes the retained record at path — its stored bytes
+// through the one scrub buffer: no frame parsed, nothing expanded, nothing
+// allocated — and returns the head memoized at its commit if they are the
+// bytes that commit verified.
+func (s *Supervisor) scrubRecord(path string) (ckpt.Chain, error) {
+	memo, ok := s.committed(path)
+	if !ok {
+		return memo, fmt.Errorf("%w: no commit verified this record", ckpt.ErrChainBroken)
+	}
+	rc, err := s.t.Store.Open(path)
+	if err != nil {
+		return memo, fmt.Errorf("%w: removed since its commit: %w", ckpt.ErrChainBroken, err)
+	}
+	defer rc.Close()
+	if s.scrub == nil {
+		s.scrub = make([]byte, 64<<10)
+	}
+	var sum uint32
+	var size int64
+	for err == nil {
+		var n int
+		n, err = rc.Read(s.scrub)
+		sum = crc32.Update(sum, crc32.IEEETable, s.scrub[:n])
+		size += int64(n)
+	}
+	s.reg.Counter("supervisor_commit_scrubbed_bytes_total").Add(size)
+	if err != io.EOF {
+		return memo, fmt.Errorf("%w: %w", ckpt.ErrCorruptImage, err)
+	}
+	if sum != memo.Sum() {
+		return memo, fmt.Errorf("%w: changed since its commit: stored bytes hash to %08x, the commit verified %08x",
+			ckpt.ErrCorruptImage, sum, memo.Sum())
+	}
+	return memo, nil
+}
+
+// committed returns the head memoized for the record at path by the
+// commit of the generation that wrote it.
+func (s *Supervisor) committed(path string) (ckpt.Chain, bool) {
+	for _, g := range s.gens {
+		if head, ok := g.heads[path]; ok {
+			return head, true
+		}
+	}
+	return ckpt.Chain{}, false
 }
 
 // unreachedRecord names the first of a generation directory's files that
@@ -955,12 +1082,13 @@ func unreachedRecord(dir string, files []string, chains []imagestore.PodChain) e
 	return nil
 }
 
-// readChains reads and verifies each pod's chain in turn, handing the
-// image it materializes to visit. A visit that keeps nothing — the
-// commit check's — leaves each pod's image unreferenced before the next
-// pod's chain is opened, so at most one is live. The error names the
-// first pod, and the record, that fails validation.
-func (s *Supervisor) readChains(chains []imagestore.PodChain, visit func(*ckpt.Image)) error {
+// readChains is recovery's read, the one place the image is needed: it
+// reads and verifies each pod's whole chain in turn and returns the
+// images they materialize, in chain order. Each chain must end on the
+// head memoized when its last record was committed (checkHead). The
+// error names the first pod, and the record, that fails validation.
+func (s *Supervisor) readChains(chains []imagestore.PodChain) ([]*ckpt.Image, error) {
+	images := make([]*ckpt.Image, 0, len(chains))
 	for _, pc := range chains {
 		var cSpan *trace.Span
 		if len(pc.Paths) > 1 {
@@ -968,16 +1096,37 @@ func (s *Supervisor) readChains(chains []imagestore.PodChain, visit func(*ckpt.I
 				trace.Str("pod", pc.Pod), trace.I64("links", int64(len(pc.Paths))))
 		}
 		c, err := pc.Read(s.t.Store, ckpt.Chain{})
+		if err == nil {
+			err = s.checkHead(pc, c)
+		}
 		if err != nil {
 			cSpan.End(trace.Str("err", err.Error()))
-			return err
+			return nil, err
 		}
 		if cSpan != nil {
 			cSpan.End(trace.I64("bytes", c.Image.Bytes()))
 		}
-		visit(c.Image)
+		images = append(images, c.Image)
 	}
-	return nil
+	return images, nil
+}
+
+// checkHead is an online invariant monitor: a chain that recovery read
+// clean must end on the record the commit of its generation verified. One
+// that ends elsewhere holds a record swapped, at rest, for another valid
+// one that links — which no CRC and no ParentSum can see, and the memo
+// can. It is reported as a broken chain and counted.
+func (s *Supervisor) checkHead(pc imagestore.PodChain, c ckpt.Chain) error {
+	path := pc.Paths[len(pc.Paths)-1]
+	memo, _ := s.committed(path)
+	if c.SameHead(memo) {
+		return nil
+	}
+	s.reg.Counter("invariant_chain_head_violations_total").Add(1)
+	s.tr.Instant(s.span, "invariant/chain-head", trace.Track("supervisor"),
+		trace.Str("pod", pc.Pod), trace.Str("path", path))
+	return fmt.Errorf("pod %s (%s): %w: the chain reads clean but ends on record %08x (seq %d), not the one its commit verified, %08x (seq %d)",
+		pc.Pod, path, ckpt.ErrChainBroken, c.Sum(), c.Seq(), memo.Sum(), memo.Seq())
 }
 
 // failover opens a recovery episode from a state outside one, closing
@@ -1068,7 +1217,7 @@ func (s *Supervisor) tryRestore(gi int) {
 		replayBytes, err = s.chainReplayBytes(g, chains)
 	}
 	if err == nil {
-		err = s.readChains(chains, func(img *ckpt.Image) { images = append(images, img) })
+		images, err = s.readChains(chains)
 	}
 	if err != nil {
 		span.End(trace.Str("err", err.Error()))

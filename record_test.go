@@ -214,6 +214,56 @@ func TestGoldenRecordsReencodeIdentically(t *testing.T) {
 	}
 }
 
+// TestGoldenRecordsVerifyAsTheyDecode walks all 36 golden records, each
+// in its place on its pod's chain, with the decoding reader (Chain.Next)
+// and with the verify-only walk the supervisor's commit check runs
+// (Chain.Verify): both accept every record and leave the same head —
+// pod, checksum, sequence, live processes — the verifier holding no
+// image; and with one byte flipped or its tail cut, both refuse it with
+// the same error.
+func TestGoldenRecordsVerifyAsTheyDecode(t *testing.T) {
+	recs := goldenRuns(t)
+	byDir := make(map[string][]string)
+	for path := range recs {
+		dir := path[:strings.LastIndex(path, "/")]
+		byDir[dir] = append(byDir[dir], path)
+	}
+	// The incremental delta generation chains on the full one before it.
+	byDir["gold/incr1"] = append(byDir["gold/incr1"], byDir["gold/incr0"]...)
+	delete(byDir, "gold/incr0")
+	walked := 0
+	for _, files := range byDir {
+		for _, pc := range imagestore.PodChains(files) {
+			var read, verified ckpt.Chain
+			for _, path := range pc.Paths {
+				data := recs[path]
+				flipped := append([]byte(nil), data...)
+				flipped[len(flipped)/2] ^= 0x20
+				for what, bad := range map[string][]byte{"flipped": flipped, "cut": data[:len(data)*3/4]} {
+					_, nerr := read.Next(bytes.NewReader(bad))
+					_, verr := verified.Verify(bytes.NewReader(bad))
+					if nerr == nil || verr == nil || nerr.Error() != verr.Error() {
+						t.Fatalf("%s %s: Next says %v, Verify %v", path, what, nerr, verr)
+					}
+				}
+				var nerr, verr error
+				read, nerr = read.Next(bytes.NewReader(data))
+				verified, verr = verified.Verify(bytes.NewReader(data))
+				if nerr != nil || verr != nil {
+					t.Fatalf("%s: Next says %v, Verify %v", path, nerr, verr)
+				}
+				if !read.SameHead(verified) || verified.Image != nil {
+					t.Fatalf("%s: Next left head %+v, Verify %+v", path, read, verified)
+				}
+				walked++
+			}
+		}
+	}
+	if walked != len(goldenRecords) {
+		t.Fatalf("walked %d records, the golden table has %d", walked, len(goldenRecords))
+	}
+}
+
 // btSpec is the four-endpoint bt job at the given memory scale: pods of
 // 6 MiB at 1/16, the golden runs' size.
 func btSpec(scale float64) zapc.JobSpec {
