@@ -39,6 +39,12 @@ vet:
 # And a commit re-reads no history: the supervisor's materializing chain
 # read has one caller, recovery, and the commit check names nothing that
 # builds an image.
+# And the event path makes no garbage: nothing outside tests goes back to
+# container/heap (the event queue is sim's typed heap, which removes a
+# cancelled timer instead of boxing every push and pop), and the three
+# files every simulated event runs through schedule with AfterCall — a
+# func bound once plus its argument — never with After, where a func
+# literal or a method value is a fresh closure per timer (DESIGN.md §2).
 boundary:
 	@files="$$($(GO) list -f '{{join .GoFiles " "}}' .)"; \
 	if [ "$$files" != "zapc.go" ]; then echo "boundary: root package must hold zapc.go only, has: $$files"; exit 1; fi
@@ -60,6 +66,10 @@ boundary:
 	if [ -n "$$bad" ]; then echo "boundary: readChains materializes every chain; recovery (tryRestore) is its one caller, the commit check verifies by induction:"; echo "$$bad"; exit 1; fi
 	@bad="$$(awk '/^func /{fn=$$0} fn ~ /\) (checkGeneration|checkChain|verifyRecord|scrubRecord)\(/ && /ApplyDelta|ReconstructChain|\.Next\(/{print FILENAME ": " $$0}' internal/supervisor/supervisor.go)"; \
 	if [ -n "$$bad" ]; then echo "boundary: the commit check materializes nothing; it verifies (ckpt.Chain.Verify) and re-hashes:"; echo "$$bad"; exit 1; fi
+	@bad="$$(grep -rn --include='*.go' '"container/heap"' . | grep -v '_test\.go:')"; \
+	if [ -n "$$bad" ]; then echo "boundary: container/heap outside a test; the event queue is sim.World's typed heap:"; echo "$$bad"; exit 1; fi
+	@bad="$$(grep -nE '\.After\(' internal/vos/node.go internal/netstack/netstack.go internal/netstack/tcp.go)"; \
+	if [ -n "$$bad" ]; then echo "boundary: After( on the per-event path allocates a closure per timer; schedule with AfterCall and a func bound once:"; echo "$$bad"; exit 1; fi
 
 build:
 	$(GO) build ./...

@@ -140,3 +140,42 @@ func TestRestoreEquivalenceProperty(t *testing.T) {
 		})
 	}
 }
+
+// TestRestoreEquivalenceBTScratch: bt keeps scratch its layout does not
+// visit — the grid its next sweep writes and two halo columns, reused
+// every iteration instead of allocated. A checkpoint that lands between
+// any two phases of an iteration, restarted (with no scratch) and
+// checkpointed again, must still reach the uninterrupted result to the
+// bit. TestCOWImagesOutliveTheWritesThatFollow holds the other half: an
+// image kept while the job sweeps on never sees the reused buffers.
+func TestRestoreEquivalenceBTScratch(t *testing.T) {
+	const seed = 2005
+	spec := btSpec(1.0 / 64)
+	want := refFor(t, seed, spec)
+	c := zapc.New(zapc.Config{Nodes: 4, Seed: seed})
+	job, err := c.Launch(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, at := range []float64{0.2, 0.45, 0.7} {
+		driveTo(t, c, job, at)
+		// A few more events, so successive checkpoints catch the ranks
+		// in different phases of the sweep / exchange / receive cycle.
+		for i := 0; i < int(100*at); i++ {
+			c.W.Step()
+		}
+		ck, err := c.Checkpoint(job, zapc.CheckpointOptions{Mode: zapc.MigrateMode, Workers: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.Restart(job, ck, c.Nodes); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := c.RunJob(job, eqDeadline); err != nil {
+		t.Fatal(err)
+	}
+	if got := job.Result(); got != want {
+		t.Fatalf("bt checkpointed and restarted three times: result %v != uninterrupted %v", got, want)
+	}
+}

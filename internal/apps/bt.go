@@ -38,6 +38,14 @@ type BT struct {
 	Done    bool
 	bcast   []byte
 	Pending sim.Duration // simulated compute not yet charged
+
+	// Scratch, not state (Layout does not visit it): the grid the next
+	// sweep writes and the two halo columns. Reusing them is safe because
+	// a checkpoint encodes Grid when it captures the process — as
+	// applyHalo, which writes Grid in place, already relied on — and a
+	// message's bytes are copied by f64Bytes before Send.
+	spare       []float64
+	left, right []float64
 }
 
 // btGlobalDim is the fixed global grid dimension; local blocks shrink
@@ -90,18 +98,22 @@ func (b *BT) Step(ctx *vos.Context) vos.StepResult {
 		return vos.Yield(0)
 	case 1: // relaxation sweep + send halos
 		n := b.N
-		next := make([]float64, len(b.Grid))
+		if len(b.spare) != len(b.Grid) {
+			b.spare = make([]float64, len(b.Grid))
+		}
+		next := b.spare
+		forcing := 0.001 * math.Sin(float64(b.Iter))
 		for i := 0; i < n; i++ {
 			for j := 0; j < n; j++ {
 				up := b.at((i-1+n)%n, j)
 				dn := b.at((i+1)%n, j)
 				lf := b.at(i, (j-1+n)%n)
 				rt := b.at(i, (j+1)%n)
-				v := 0.2495*(up+dn+lf+rt) + 0.001*math.Sin(float64(b.Iter))
+				v := 0.2495*(up+dn+lf+rt) + forcing
 				next[i*n+j] = v
 			}
 		}
-		b.Grid = next
+		b.Grid, b.spare = next, b.Grid
 		// Charge the sweep's simulated cost in bounded slices, then
 		// exchange halos.
 		b.Pending = sim.Duration(float64(b.N*b.N) * 31250 * b.Cfg.work()) // 31.25 µs/cell at Work=1
@@ -116,8 +128,10 @@ func (b *BT) Step(ctx *vos.Context) vos.StepResult {
 		// Exchange boundary rows/columns with the four torus neighbors.
 		top := b.Grid[:n]
 		bot := b.Grid[(n-1)*n:]
-		left := make([]float64, n)
-		right := make([]float64, n)
+		if len(b.left) != n {
+			b.left, b.right = make([]float64, n), make([]float64, n)
+		}
+		left, right := b.left, b.right
 		for i := 0; i < n; i++ {
 			left[i] = b.at(i, 0)
 			right[i] = b.at(i, n-1)

@@ -75,6 +75,11 @@ type Comm struct {
 	arBuf    []byte // allreduce broadcast buffer
 	gathered map[int][]byte
 	closed   []bool // rank -> peer hung up
+
+	// waits is Block's reusable result (scratch, not state): vos holds
+	// it only while the process is blocked, and Block runs only when it
+	// is not.
+	waits []vos.FDWait
 }
 
 // New creates an uninitialized communicator.
@@ -172,15 +177,12 @@ func (c *Comm) Init(ctx *vos.Context) bool {
 // Block builds the step result that parks the program until any
 // communicator descriptor has activity.
 func (c *Comm) Block() vos.StepResult {
-	r := vos.StepResult{Block: true}
-	add := func(fd int, mask netstack.PollMask) {
-		if fd >= 0 {
-			r.WaitFDs = append(r.WaitFDs, vos.FDWait{FD: fd, Mask: mask})
-		}
+	w := c.waits[:0]
+	if c.LFD >= 0 {
+		w = append(w, vos.FDWait{FD: c.LFD, Mask: netstack.PollIn})
 	}
-	add(c.LFD, netstack.PollIn)
 	for rank, fd := range c.FDs {
-		if rank == c.Cfg.Rank {
+		if rank == c.Cfg.Rank || fd < 0 {
 			continue
 		}
 		mask := netstack.PollIn | netstack.PollHUP
@@ -190,12 +192,15 @@ func (c *Comm) Block() vos.StepResult {
 		if c.InitPhase > 0 && containsInt(c.hello, rank) {
 			mask |= netstack.PollOut | netstack.PollErr
 		}
-		add(fd, mask)
+		w = append(w, vos.FDWait{FD: fd, Mask: mask})
 	}
 	for _, pc := range c.pending {
-		add(pc.FD, netstack.PollIn)
+		if pc.FD >= 0 {
+			w = append(w, vos.FDWait{FD: pc.FD, Mask: netstack.PollIn})
+		}
 	}
-	return r
+	c.waits = w
+	return vos.StepResult{Block: true, WaitFDs: w}
 }
 
 func containsInt(xs []int, v int) bool {
@@ -219,7 +224,7 @@ func (c *Comm) pump(ctx *vos.Context) {
 				break
 			}
 		}
-		c.outq[rank] = q
+		c.outq[rank] = keepFront(c.outq[rank], q)
 	}
 	for rank, fd := range c.FDs {
 		if fd < 0 || rank == c.Cfg.Rank {
@@ -253,7 +258,18 @@ func (c *Comm) parse(rank int) {
 		c.inbox = append(c.inbox, Message{From: rank, Tag: tag, Data: payload})
 		buf = buf[8+n:]
 	}
-	c.partial[rank] = buf
+	c.partial[rank] = keepFront(c.partial[rank], buf)
+}
+
+// keepFront returns rest, the unconsumed tail of q, moved to q's front
+// when that costs no more than what was consumed: a queue that drains
+// keeps its backing array, so refilling it allocates nothing. A queue
+// that was nil stays nil (an image stores either as an empty field).
+func keepFront(q, rest []byte) []byte {
+	if len(rest) > len(q)-len(rest) {
+		return rest
+	}
+	return q[:copy(q, rest)]
 }
 
 // Send transmits a tagged message to a peer rank. It never blocks: bytes
@@ -264,11 +280,9 @@ func (c *Comm) Send(ctx *vos.Context, to int, tag uint32, data []byte) {
 		c.inbox = append(c.inbox, Message{From: to, Tag: tag, Data: append([]byte(nil), data...)})
 		return
 	}
-	frame := make([]byte, 8+len(data))
-	binary.BigEndian.PutUint32(frame[:4], uint32(len(data)))
-	binary.BigEndian.PutUint32(frame[4:8], tag)
-	copy(frame[8:], data)
-	c.outq[to] = append(c.outq[to], frame...)
+	q := binary.BigEndian.AppendUint32(c.outq[to], uint32(len(data)))
+	q = binary.BigEndian.AppendUint32(q, tag)
+	c.outq[to] = append(q, data...)
 	c.pump(ctx)
 }
 

@@ -1,14 +1,17 @@
 package mpi
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"errors"
+	"reflect"
 	"runtime"
 	"testing"
 
 	"zapc/internal/imgfmt"
 	"zapc/internal/netstack"
+	"zapc/internal/vos"
 )
 
 // fullComm is a communicator with every serialized field populated:
@@ -112,5 +115,51 @@ func TestRestoredCommDoesNotAliasTheBlob(t *testing.T) {
 	}
 	if sha256.Sum256(blob) != want {
 		t.Fatal("writing to a restored communicator changed the blob it was restored from")
+	}
+}
+
+// outq and partial keep their backing arrays when they drain, so an empty
+// queue is no longer a nil one. A checkpoint must not be able to tell.
+func TestDrainedQueuesEncodeAsNilOnes(t *testing.T) {
+	drained := fullComm()
+	drained.outq[0], drained.partial[1] = make([]byte, 0, 64), make([]byte, 0, 64)
+	if !bytes.Equal(imgfmt.Blob(drained.Layout), imgfmt.Blob(fullComm().Layout)) {
+		t.Fatal("a drained queue and a nil one encode differently")
+	}
+}
+
+func TestKeepFront(t *testing.T) {
+	q := append(make([]byte, 0, 16), "abcdefgh"...)
+	if got := keepFront(q, q[8:]); len(got) != 0 || cap(got) != 16 {
+		t.Errorf("drained: len %d cap %d, want the whole backing array back", len(got), cap(got))
+	}
+	if got := keepFront(q, q[5:]); string(got) != "fgh" || cap(got) != 16 {
+		t.Errorf("short tail: %q cap %d, want it moved to the front", got, cap(got))
+	}
+	q = append(q[:0], "abcdefgh"...)
+	if got := keepFront(q, q[2:]); string(got) != "cdefgh" || &got[0] != &q[2] {
+		t.Errorf("long tail: %q, want it left where it is", got)
+	}
+	if got := keepFront(nil, nil); got != nil {
+		t.Error("a nil queue did not stay nil")
+	}
+}
+
+// Block hands vos the same wait list it built before, refilled.
+func TestBlockReusesItsWaitList(t *testing.T) {
+	c := fullComm()
+	want := []vos.FDWait{
+		{FD: 3, Mask: netstack.PollIn},
+		{FD: 7, Mask: netstack.PollIn | netstack.PollHUP | netstack.PollOut | netstack.PollErr},
+		{FD: 8, Mask: netstack.PollIn | netstack.PollHUP | netstack.PollOut | netstack.PollErr},
+		{FD: 9, Mask: netstack.PollIn | netstack.PollHUP},
+		{FD: 11, Mask: netstack.PollIn},
+		{FD: 12, Mask: netstack.PollIn},
+	}
+	if got := c.Block(); !got.Block || !reflect.DeepEqual(got.WaitFDs, want) {
+		t.Fatalf("Block() = %+v, want to wait on %+v", got, want)
+	}
+	if n := testing.AllocsPerRun(100, func() { c.Block() }); n != 0 {
+		t.Fatalf("Block allocates %v objects once its list exists, want 0", n)
 	}
 }

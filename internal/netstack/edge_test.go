@@ -49,10 +49,17 @@ func connectPairHelper(t *testing.T, w *sim.World, a, b *Stack, port Port) (*Soc
 func TestShutdownReadDiscardsArrivals(t *testing.T) {
 	w, _, st := testNet(t, 2)
 	cli, srv, _ := connectPairHelper(t, w, st[0], st[1], 5000)
+	// Shut down with a segment still in the backlog: it is discarded and
+	// the backlog's byte count with it.
+	cli.Send([]byte("early"), false)
+	run(t, w, func() bool { return srv.BacklogLen() > 0 })
 	srv.Shutdown(true, false)
+	if !countersMatchScans(cli, srv) {
+		t.Fatal("queue counters diverged from the queues at read shutdown")
+	}
 	cli.Send([]byte("late"), false)
 	w.RunUntil(w.Now() + sim.Time(100*sim.Millisecond))
-	if srv.RecvQueueLen() != 0 {
+	if srv.RecvQueueLen() != 0 || srv.BacklogLen() != 0 {
 		t.Fatal("data queued after read shutdown")
 	}
 	if _, err := srv.Recv(16, false, false); !errors.Is(err, ErrEOF) {

@@ -138,6 +138,9 @@ type Network struct {
 	claimed map[IP]bool
 	loss    float64
 	nextEph Port
+	// deliverFn is deliver bound once, the callback of every packet in
+	// flight.
+	deliverFn func(any)
 
 	// Stats counters for experiments.
 	Delivered int64
@@ -147,7 +150,9 @@ type Network struct {
 
 // NewNetwork creates an empty network on the given world.
 func NewNetwork(w *sim.World) *Network {
-	return &Network{w: w, stacks: make(map[IP]*Stack), claimed: make(map[IP]bool)}
+	n := &Network{w: w, stacks: make(map[IP]*Stack), claimed: make(map[IP]bool)}
+	n.deliverFn = func(p any) { n.deliver(p.(*packet)) }
+	return n
 }
 
 // Claim records that a virtual IP has been routed to a live host whose
@@ -235,9 +240,14 @@ func (n *Network) send(from *Stack, p *packet) {
 		return
 	}
 	p.from = from
+	n.transit(p)
+}
+
+// transit puts a packet on the wire: it is delivered after the link
+// latency plus its serialization delay, riding the event as its argument.
+func (n *Network) transit(p *packet) {
 	c := n.w.Costs
-	d := c.NetLatency + c.NetTransferTime(p.wireSize())
-	n.w.After(d, func() { n.deliver(p) })
+	n.w.AfterCall(c.NetLatency+c.NetTransferTime(p.wireSize()), n.deliverFn, p)
 }
 
 func (n *Network) deliver(p *packet) {
@@ -253,9 +263,7 @@ func (n *Network) deliver(p *packet) {
 		if n.claimed[p.dst.IP] && p.proto == TCP && p.kind != pktRST {
 			// The host is up but the pod is still being restored:
 			// refuse, as a real machine with no listener would.
-			rst := &packet{kind: pktRST, proto: TCP, src: p.dst, dst: p.src}
-			c := n.w.Costs
-			n.w.After(c.NetLatency+c.NetTransferTime(rst.wireSize()), func() { n.deliver(rst) })
+			n.transit(&packet{kind: pktRST, proto: TCP, src: p.dst, dst: p.src})
 			n.Dropped++
 			return
 		}

@@ -26,6 +26,27 @@ func acceptPeerOf(l *Socket, c *Socket) *Socket {
 	return nil
 }
 
+// countersMatchScans holds the running totals the per-segment path keeps
+// (send-queue sequence units, backlog bytes, and the send space derived
+// from the first) to the queue scans they replaced.
+func countersMatchScans(socks ...*Socket) bool {
+	for _, s := range socks {
+		var seq uint64
+		for _, c := range s.sendQ {
+			seq += c.SeqLen()
+		}
+		backlog := 0
+		for _, b := range s.backlogQ {
+			backlog += len(b)
+		}
+		space := max(s.opts[SO_SNDBUF]-int64(seq), 0)
+		if s.SendQueueSeqLen() != seq || s.BacklogLen() != backlog || int64(s.sendSpace()) != space {
+			return false
+		}
+	}
+	return true
+}
+
 // Property: for any sequence of writes (arbitrary sizes, arbitrary OOB
 // interleaving) and any loss rate up to 40%, the receiver observes the
 // normal bytes in order, exactly once, and the OOB bytes in order,
@@ -80,6 +101,9 @@ func TestQuickStreamIntegrity(t *testing.T) {
 				if n == 0 {
 					w.RunUntil(w.Now() + sim.Time(300*sim.Millisecond))
 				}
+				if !countersMatchScans(c, srv) {
+					return false
+				}
 			}
 		}
 		// Drive until everything is delivered (retransmission recovers
@@ -97,11 +121,11 @@ func TestQuickStreamIntegrity(t *testing.T) {
 				c.SendQueueSeqLen() == 0 {
 				break
 			}
-			if !w.Step() {
+			if !w.Step() || !countersMatchScans(c, srv) {
 				break
 			}
 		}
-		return bytes.Equal(gotNorm, wantNorm) && bytes.Equal(gotOOB, wantOOB)
+		return bytes.Equal(gotNorm, wantNorm) && bytes.Equal(gotOOB, wantOOB) && countersMatchScans(c, srv)
 	}
 	cfg := &quick.Config{MaxCount: 25}
 	if err := quick.Check(f, cfg); err != nil {
@@ -141,7 +165,8 @@ func TestQuickPCBInvariant(t *testing.T) {
 
 		check := func() bool {
 			return srv.PCBSnapshot().RcvNxt >= c.PCBSnapshot().SndUna &&
-				c.PCBSnapshot().RcvNxt >= srv.PCBSnapshot().SndUna
+				c.PCBSnapshot().RcvNxt >= srv.PCBSnapshot().SndUna &&
+				countersMatchScans(c, srv)
 		}
 		for _, m := range msgs {
 			c.Send(make([]byte, int(m%2000)+1), false)

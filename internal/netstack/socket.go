@@ -235,12 +235,13 @@ type Socket struct {
 	// backlog queue and are moved to the receive queue by a deferred
 	// kernel event — the asynchrony that makes a naive MSG_PEEK-based
 	// checkpoint incomplete.
-	recvQ    []byte
-	backlogQ [][]byte
-	oobQ     []byte
-	altQ     []byte // alternate receive queue installed at restart
-	ooseg    map[uint64]*packet
-	peeked   bool
+	recvQ        []byte
+	backlogQ     [][]byte
+	backlogBytes int // total bytes in backlogQ
+	oobQ         []byte
+	altQ         []byte // alternate receive queue installed at restart
+	ooseg        map[uint64]*packet
+	peeked       bool
 
 	// Datagram receive path (UDP/RAW).
 	dgrams     []Datagram
@@ -251,7 +252,7 @@ type Socket struct {
 	// (transmitted-but-unacked plus queued-unsent); acks trim it from
 	// the front, so it always covers [SndUna, ...).
 	sendQ    []Chunk
-	sendSeq  uint64 // total seq units ever appended to sendQ
+	sendQSeq uint64 // total seq units in sendQ
 	nextSend int    // index of first not-yet-transmitted chunk
 
 	pcb         PCB
@@ -533,7 +534,7 @@ func (baseOps) Recvmsg(s *Socket, n int, peek, oob bool) ([]byte, error) {
 		s.peeked = true
 		return out, nil
 	}
-	s.recvQ = s.recvQ[n:]
+	s.recvQ = dropFront(s.recvQ, n)
 	if len(s.recvQ) == 0 {
 		s.peeked = false
 	}
@@ -655,11 +656,7 @@ func (s *Socket) reset(err error) {
 
 // sendSpace reports how many more sequence units the send queue accepts.
 func (s *Socket) sendSpace() int {
-	queued := uint64(0)
-	for _, c := range s.sendQ {
-		queued += c.SeqLen()
-	}
-	sp := s.opts[SO_SNDBUF] - int64(queued)
+	sp := s.opts[SO_SNDBUF] - int64(s.sendQSeq)
 	if sp < 0 {
 		return 0
 	}
@@ -670,13 +667,7 @@ func (s *Socket) sendSpace() int {
 func (s *Socket) RecvQueueLen() int { return len(s.recvQ) }
 
 // BacklogLen reports bytes sitting in the kernel backlog queue.
-func (s *Socket) BacklogLen() int {
-	n := 0
-	for _, b := range s.backlogQ {
-		n += len(b)
-	}
-	return n
-}
+func (s *Socket) BacklogLen() int { return s.backlogBytes }
 
 // OOBLen reports bytes in the out-of-band queue.
 func (s *Socket) OOBLen() int { return len(s.oobQ) }
@@ -685,12 +676,21 @@ func (s *Socket) OOBLen() int { return len(s.oobQ) }
 func (s *Socket) AltQueueLen() int { return len(s.altQ) }
 
 // SendQueueSeqLen reports the sequence-unit length of the send queue.
-func (s *Socket) SendQueueSeqLen() uint64 {
-	n := uint64(0)
-	for _, c := range s.sendQ {
-		n += c.SeqLen()
+func (s *Socket) SendQueueSeqLen() uint64 { return s.sendQSeq }
+
+// dropFront removes the first n elements of a queue. When no more remain
+// than were removed they are moved to the front, so a queue that drains
+// — the steady state of a request/response stream — keeps its backing
+// array and the next append allocates nothing. A long queue trimmed a
+// little at a time is resliced instead and pays the amortized regrowth
+// append always charged: the move never costs more than the removal.
+func dropFront[T any](q []T, n int) []T {
+	rest := len(q) - n
+	if rest > n {
+		return q[n:]
 	}
-	return n
+	copy(q, q[n:])
+	return q[:rest]
 }
 
 // PCBSnapshot returns the protocol control block. Reading it is the

@@ -55,20 +55,27 @@ func (s *Socket) sendSYN() {
 		kind: pktSYN, proto: TCP, src: s.local, dst: s.remote,
 	})
 	s.synTries++
-	if s.synTries >= synMaxTries {
-		s.synTimer = s.stack.net.w.After(synRetryEvery, func() {
-			if s.state == StateConnecting {
-				s.teardown(ErrConnRefused)
-			}
-		})
-		return
-	}
-	s.synTimer = s.stack.net.w.After(synRetryEvery, func() {
-		if s.state == StateConnecting {
-			s.sendSYN()
-		}
-	})
+	s.synTimer = s.stack.net.w.AfterCall(synRetryEvery, fireSYNRetry, s)
 }
+
+// synFire is the SYN retry timer: resend until the tries run out, then
+// refuse.
+func (s *Socket) synFire() {
+	switch {
+	case s.state != StateConnecting:
+	case s.synTries >= synMaxTries:
+		s.teardown(ErrConnRefused)
+	default:
+		s.sendSYN()
+	}
+}
+
+// A socket's timers carry the socket as the event's argument, so arming
+// one binds nothing: a method value would be a fresh closure per timer.
+func fireSYNRetry(s any)  { s.(*Socket).synFire() }
+func fireRTO(s any)       { s.(*Socket).rtoFire() }
+func fireKeepalive(s any) { s.(*Socket).kaFire() }
+func fireBacklog(s any)   { s.(*Socket).processBacklog() }
 
 // Send queues stream data for reliable delivery. oob routes the bytes to
 // the peer's out-of-band queue (TCP urgent data). It returns the number
@@ -104,8 +111,12 @@ func (s *Socket) Send(p []byte, oob bool) (int, error) {
 		if end > n {
 			end = n
 		}
+		// The chunk's bytes are copied once, here, and never written
+		// again: packets (retransmissions included) and the receiver's
+		// backlog alias them, and an ack only reslices.
 		s.sendQ = append(s.sendQ, Chunk{Data: append([]byte(nil), p[off:end]...), OOB: oob})
 	}
+	s.sendQSeq += uint64(n)
 	s.pump()
 	return n, nil
 }
@@ -128,7 +139,7 @@ func (s *Socket) Shutdown(read, write bool) error {
 	if read {
 		s.shutRead = true
 		s.recvQ = nil
-		s.backlogQ = nil
+		s.backlogQ, s.backlogBytes = nil, 0
 	}
 	if write {
 		s.shutdownWrite()
@@ -143,6 +154,7 @@ func (s *Socket) shutdownWrite() {
 	}
 	s.shutWrite = true
 	s.sendQ = append(s.sendQ, Chunk{FIN: true})
+	s.sendQSeq++
 	s.pump()
 }
 
@@ -175,7 +187,7 @@ func (s *Socket) armRTO() {
 		return
 	}
 	s.rtoArmed = true
-	s.rtoTimer = s.stack.net.w.After(rtoInterval, s.rtoFire)
+	s.rtoTimer = s.stack.net.w.AfterCall(rtoInterval, fireRTO, s)
 }
 
 func (s *Socket) rtoFire() {
@@ -242,7 +254,7 @@ func (s *Socket) armKeepalive() {
 		return
 	}
 	s.kaArmed = true
-	s.kaTimer = s.stack.net.w.After(s.kaInterval(), s.kaFire)
+	s.kaTimer = s.stack.net.w.AfterCall(s.kaInterval(), fireKeepalive, s)
 }
 
 func (s *Socket) kaInterval() sim.Duration {
@@ -318,26 +330,26 @@ func (s *Socket) handleAck(ack uint64) {
 	s.pcb.SndUna = ack
 	// Trim acknowledged chunks; acks land on chunk boundaries because
 	// delivery and cumulative acknowledgment are whole-segment.
-	for advance > 0 && len(s.sendQ) > 0 {
-		c := s.sendQ[0]
+	acked := 0
+	for advance > 0 && acked < len(s.sendQ) {
+		c := s.sendQ[acked]
 		l := c.SeqLen()
 		if l > advance {
 			// Partial ack inside a chunk (possible after a restart
 			// reloaded coarser chunks): split it.
-			s.sendQ[0].Data = c.Data[advance:]
-			advance = 0
+			s.sendQ[acked].Data = c.Data[advance:]
+			s.sendQSeq -= advance
 			break
 		}
 		advance -= l
+		s.sendQSeq -= l
 		if c.FIN {
 			s.finAcked = true
 		}
-		s.sendQ = s.sendQ[1:]
-		s.nextSend--
-		if s.nextSend < 0 {
-			s.nextSend = 0
-		}
+		acked++
 	}
+	s.sendQ = dropFront(s.sendQ, acked)
+	s.nextSend = max(s.nextSend-acked, 0)
 	s.stack.net.w.Cancel(s.rtoTimer)
 	s.rtoArmed = false
 	s.armRTO()
@@ -395,8 +407,7 @@ func (s *Socket) acceptSegment(p *packet) bool {
 			// SO_OOBINLINE: urgent data is delivered in the normal
 			// stream instead of the out-of-band queue.
 			s.pcb.RcvNxt += uint64(len(p.data))
-			s.backlogQ = append(s.backlogQ, append([]byte(nil), p.data...))
-			s.stack.net.w.After(backlogDelay, s.processBacklog)
+			s.queueBacklog(p.data)
 			return true
 		}
 		s.oobQ = append(s.oobQ, p.data...)
@@ -412,10 +423,19 @@ func (s *Socket) acceptSegment(p *packet) bool {
 			return false
 		}
 		s.pcb.RcvNxt += uint64(len(p.data))
-		s.backlogQ = append(s.backlogQ, append([]byte(nil), p.data...))
-		s.stack.net.w.After(backlogDelay, s.processBacklog)
+		s.queueBacklog(p.data)
 	}
 	return true
+}
+
+// queueBacklog parks a segment's bytes in the kernel backlog and
+// schedules the softirq that moves them on. The backlog aliases the
+// segment: its bytes are the sender's Chunk.Data, immutable once queued,
+// and processBacklog copies them into the receive queue.
+func (s *Socket) queueBacklog(data []byte) {
+	s.backlogQ = append(s.backlogQ, data)
+	s.backlogBytes += len(data)
+	s.stack.net.w.AfterCall(backlogDelay, fireBacklog, s)
 }
 
 // processBacklog is the deferred kernel step that moves backlog data into
@@ -427,7 +447,8 @@ func (s *Socket) processBacklog() {
 	for _, b := range s.backlogQ {
 		s.recvQ = append(s.recvQ, b...)
 	}
-	s.backlogQ = nil
+	clear(s.backlogQ)
+	s.backlogQ, s.backlogBytes = s.backlogQ[:0], 0
 	s.notify()
 }
 

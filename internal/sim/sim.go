@@ -12,7 +12,6 @@
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 	"math/rand"
 	"time"
@@ -40,54 +39,40 @@ func (d Duration) String() string { return time.Duration(d).String() }
 // String formats a simulated timestamp like a duration since t=0.
 func (t Time) String() string { return time.Duration(t).String() }
 
+// event is one scheduled callback. Events are owned by their World: a
+// fired or cancelled event goes back to the world's free list and is
+// handed out again by the next AfterCall, so the steady state of a
+// simulation allocates no events at all.
 type event struct {
 	when Time
 	seq  uint64 // tie-break so simultaneous events run in schedule order
-	fn   func()
-	idx  int
-	dead bool
-}
-
-type eventHeap []*event
-
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].when != h[j].when {
-		return h[i].when < h[j].when
-	}
-	return h[i].seq < h[j].seq
-}
-func (h eventHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].idx = i
-	h[j].idx = j
-}
-func (h *eventHeap) Push(x any) {
-	ev := x.(*event)
-	ev.idx = len(*h)
-	*h = append(*h, ev)
-}
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	ev := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return ev
+	fn   func(any)
+	arg  any
+	idx  int // position in the queue; -1 once fired, cancelled or free
 }
 
 // EventID identifies a scheduled event so it can be cancelled (for example
-// a retransmission timer that is disarmed by an arriving ACK).
-type EventID struct{ ev *event }
+// a retransmission timer that is disarmed by an arriving ACK). It is valid
+// until the event fires or is cancelled and harmless afterwards: the seq
+// it carries names one scheduling, so an ID that outlives its event can
+// never cancel the timer that reuses the slot.
+type EventID struct {
+	ev  *event
+	seq uint64
+}
 
 // World is a discrete-event simulation. Create one with NewWorld. A World
 // is not safe for concurrent use: all activity happens inside event
 // callbacks run by Run/Step on a single goroutine.
 type World struct {
 	now Time
-	pq  eventHeap
-	seq uint64
-	rng *rand.Rand
+	// pq is a 4-ary min-heap on (when, seq) holding live events only:
+	// Cancel removes, it does not mark. seq is unique, so the order is
+	// total and the pop order does not depend on the heap's shape.
+	pq   []*event
+	free []*event
+	seq  uint64
+	rng  *rand.Rand
 
 	// Costs is the hardware cost model used by the rest of the system.
 	Costs Costs
@@ -105,16 +90,107 @@ func (w *World) Now() Time { return w.now }
 // Rand returns the world's deterministic random source.
 func (w *World) Rand() *rand.Rand { return w.rng }
 
-// After schedules fn to run d from now. Negative delays run "now" (but
-// still via the queue, preserving run-to-completion semantics).
-func (w *World) After(d Duration, fn func()) EventID {
+// heapArity is the heap's branching factor: four children per node halve
+// the depth of a binary heap and keep a sift-down's comparisons in one
+// cache line of pointers.
+const heapArity = 4
+
+func (a *event) before(b *event) bool {
+	if a.when != b.when {
+		return a.when < b.when
+	}
+	return a.seq < b.seq
+}
+
+// siftUp moves ev from slot i toward the root until its parent sorts
+// before it.
+func (w *World) siftUp(ev *event, i int) {
+	for i > 0 {
+		parent := (i - 1) / heapArity
+		p := w.pq[parent]
+		if !ev.before(p) {
+			break
+		}
+		w.pq[i], p.idx = p, i
+		i = parent
+	}
+	w.pq[i], ev.idx = ev, i
+}
+
+// siftDown moves ev from slot i toward the leaves until no child sorts
+// before it.
+func (w *World) siftDown(ev *event, i int) {
+	n := len(w.pq)
+	for {
+		first := i*heapArity + 1
+		if first >= n {
+			break
+		}
+		least := first
+		for c := first + 1; c < first+heapArity && c < n; c++ {
+			if w.pq[c].before(w.pq[least]) {
+				least = c
+			}
+		}
+		m := w.pq[least]
+		if !m.before(ev) {
+			break
+		}
+		w.pq[i], m.idx = m, i
+		i = least
+	}
+	w.pq[i], ev.idx = ev, i
+}
+
+// remove takes the event at slot i out of the queue and returns it to
+// the free list with its callback and argument dropped, so neither a
+// fired nor a cancelled timer pins what it captured.
+func (w *World) remove(i int) {
+	ev := w.pq[i]
+	n := len(w.pq) - 1
+	last := w.pq[n]
+	w.pq[n] = nil
+	w.pq = w.pq[:n]
+	if i < n {
+		if last.before(ev) {
+			w.siftUp(last, i)
+		} else {
+			w.siftDown(last, i)
+		}
+	}
+	ev.fn, ev.arg, ev.idx = nil, nil, -1
+	w.free = append(w.free, ev)
+}
+
+// AfterCall schedules fn(arg) to run d from now. Negative delays run
+// "now" (but still via the queue, preserving run-to-completion
+// semantics). It is the one scheduling path: a caller on the per-event
+// path passes a func bound once and its receiver as arg (a pointer in an
+// any does not allocate) instead of a fresh closure per timer.
+func (w *World) AfterCall(d Duration, fn func(any), arg any) EventID {
 	if d < 0 {
 		d = 0
 	}
-	ev := &event{when: w.now + Time(d), seq: w.seq, fn: fn}
+	var ev *event
+	if n := len(w.free) - 1; n >= 0 {
+		ev, w.free = w.free[n], w.free[:n]
+	} else {
+		ev = new(event)
+	}
+	ev.when, ev.seq, ev.fn, ev.arg = w.now+Time(d), w.seq, fn, arg
 	w.seq++
-	heap.Push(&w.pq, ev)
-	return EventID{ev: ev}
+	w.pq = append(w.pq, ev)
+	w.siftUp(ev, len(w.pq)-1)
+	return EventID{ev: ev, seq: ev.seq}
+}
+
+// callFunc runs an After callback, which rides its event as the argument
+// (a func value in an any does not allocate).
+func callFunc(f any) { f.(func())() }
+
+// After schedules fn to run d from now, clamping like AfterCall.
+func (w *World) After(d Duration, fn func()) EventID {
+	return w.AfterCall(d, callFunc, fn)
 }
 
 // At schedules fn at absolute time t (clamped to now).
@@ -125,35 +201,31 @@ func (w *World) At(t Time, fn func()) EventID {
 	return w.After(Duration(t-w.now), fn)
 }
 
-// Cancel removes a scheduled event. Cancelling an already-fired or
-// already-cancelled event is a no-op. The event's slot stays queued
-// until its deadline pops, but its callback is released now: a cancelled
-// long timer (a 30 s watchdog, say) must not pin everything its closure
-// captured for the rest of its virtual lifetime.
+// Cancel removes a scheduled event from the queue and releases its
+// callback at once: a cancelled long timer (a 30 s watchdog, say) pins
+// nothing and occupies no slot for the rest of its virtual lifetime.
+// Cancelling an already-fired or already-cancelled event is a no-op,
+// also when the event has since been recycled into another timer.
 func (w *World) Cancel(id EventID) {
-	if id.ev == nil || id.ev.dead {
-		return
+	if ev := id.ev; ev != nil && ev.seq == id.seq && ev.idx >= 0 {
+		w.remove(ev.idx)
 	}
-	id.ev.dead = true
-	id.ev.fn = nil
 }
 
 // Step runs the next pending event, advancing the clock. It reports false
 // when the queue is empty.
 func (w *World) Step() bool {
-	for len(w.pq) > 0 {
-		ev := heap.Pop(&w.pq).(*event)
-		if ev.dead {
-			continue
-		}
-		if ev.when > w.now {
-			w.now = ev.when
-		}
-		ev.dead = true
-		ev.fn()
-		return true
+	if len(w.pq) == 0 {
+		return false
 	}
-	return false
+	ev := w.pq[0]
+	if ev.when > w.now {
+		w.now = ev.when
+	}
+	fn, arg := ev.fn, ev.arg
+	w.remove(0)
+	fn(arg)
+	return true
 }
 
 // Run executes events until the queue drains.
@@ -165,16 +237,7 @@ func (w *World) Run() {
 // RunUntil executes events with timestamps <= deadline, then sets the clock
 // to deadline if it has not yet passed it.
 func (w *World) RunUntil(deadline Time) {
-	for len(w.pq) > 0 {
-		// Find the next live event without firing dead ones.
-		ev := w.pq[0]
-		if ev.dead {
-			heap.Pop(&w.pq)
-			continue
-		}
-		if ev.when > deadline {
-			break
-		}
+	for len(w.pq) > 0 && w.pq[0].when <= deadline {
 		w.Step()
 	}
 	if w.now < deadline {
@@ -188,16 +251,8 @@ func (w *World) RunWhile(cond func() bool) {
 	}
 }
 
-// Pending reports the number of live scheduled events.
-func (w *World) Pending() int {
-	n := 0
-	for _, ev := range w.pq {
-		if !ev.dead {
-			n++
-		}
-	}
-	return n
-}
+// Pending reports the number of scheduled events.
+func (w *World) Pending() int { return len(w.pq) }
 
 // Jitter returns d scaled by a uniform factor in [1-frac, 1+frac], using
 // the world's deterministic randomness. It is used to model run-to-run

@@ -61,21 +61,20 @@ func TestCancel(t *testing.T) {
 	w.Cancel(id)
 }
 
-// TestCancelReleasesClosure: a cancelled event stays queued until its
-// deadline, but must stop referencing its callback at once — a cancelled
-// 30 s watchdog otherwise pins everything its closure captured. Step
-// still skips the dead slot when it pops.
+// TestCancelReleasesClosure: a cancelled event must stop referencing its
+// callback at once — a cancelled 30 s watchdog otherwise pins everything
+// its closure captured — and it leaves the queue, so Step never sees it.
 func TestCancelReleasesClosure(t *testing.T) {
 	w := NewWorld(1)
 	ran := 0
 	id := w.After(30*Second, func() { ran += 100 })
 	w.After(Second, func() { ran++ })
 	w.Cancel(id)
-	if id.ev.fn != nil {
+	if id.ev.fn != nil || id.ev.arg != nil {
 		t.Fatal("cancelled event still holds its callback")
 	}
-	if len(w.pq) != 2 || w.Pending() != 1 {
-		t.Fatalf("queue holds %d slots, %d live; want the dead slot kept and skipped", len(w.pq), w.Pending())
+	if len(w.pq) != 1 || w.Pending() != 1 {
+		t.Fatalf("queue holds %d slots, %d live; want the cancelled event gone", len(w.pq), w.Pending())
 	}
 	if !w.Step() || ran != 1 || w.Now() != Time(Second) {
 		t.Fatalf("first Step ran=%d now=%v; want the live event at 1s", ran, w.Now())

@@ -16,7 +16,9 @@ var (
 // Context is the system-call interface handed to a Program's Step. Every
 // call is routed through the process's pod environment — identifier
 // translation, time virtualization, and the thin interposition layer —
-// and charged to the step's simulated cost.
+// and charged to the step's simulated cost. A Context is valid only
+// during the Step it was passed to: the process owns one and hands it to
+// every step.
 type Context struct {
 	proc  *Process
 	node  *Node

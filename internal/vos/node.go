@@ -90,6 +90,8 @@ func (n *Node) Spawn(prog Program, env *Env) *Process {
 		status: StatusReady,
 		fds:    make(map[int]*netstack.Socket),
 	}
+	p.ctx = Context{proc: p, node: n}
+	p.onFDEvent = func() { n.recheckBlocked(p) }
 	n.nextPID++
 	n.procs[p.RPID] = p
 	n.enqueue(p)
@@ -137,15 +139,25 @@ func (n *Node) enqueue(p *Process) {
 func (n *Node) dispatch() {
 	for n.running < n.cpus && len(n.runq) > 0 {
 		p := n.runq[0]
-		n.runq = n.runq[1:]
+		// Copy down rather than reslice: the queue is a few processes
+		// long and keeps its backing array.
+		last := copy(n.runq, n.runq[1:])
+		n.runq[last] = nil
+		n.runq = n.runq[:last]
 		p.queued = false
 		if p.status != StatusReady || p.stopped {
 			continue
 		}
 		n.running++
-		n.w.After(0, func() { n.execute(p) })
+		n.w.AfterCall(0, executeProc, p)
 	}
 }
+
+// The scheduler's three timers carry the process as the event's
+// argument: a process never changes node, so nothing is bound per call.
+func executeProc(p any)  { p.(*Process).node.execute(p.(*Process)) }
+func completeProc(p any) { p.(*Process).node.complete(p.(*Process)) }
+func wakeProc(p any)     { p.(*Process).node.wake(p.(*Process)) }
 
 func (n *Node) execute(p *Process) {
 	if n.failed || p.status != StatusReady || p.stopped {
@@ -154,37 +166,39 @@ func (n *Node) execute(p *Process) {
 		return
 	}
 	p.status = StatusRunning
-	ctx := &Context{proc: p, node: n}
-	res := p.Prog.Step(ctx)
-	cost := res.Cost + ctx.extra
+	p.ctx.extra = 0
+	p.res = p.Prog.Step(&p.ctx)
+	cost := p.res.Cost + p.ctx.extra
 	if cost < minStepCost {
 		cost = minStepCost
 	}
 	p.cpuTime += cost
-	n.w.After(cost, func() { n.complete(p, res) })
+	n.w.AfterCall(cost, completeProc, p)
 }
 
-func (n *Node) complete(p *Process, res StepResult) {
+// complete ends the cost window of the step whose result p.res holds.
+func (n *Node) complete(p *Process) {
 	n.running--
 	defer n.dispatch()
 	if n.failed || p.status == StatusExited {
 		return
 	}
 	switch {
-	case res.Exit:
-		p.exit(res.ExitCode)
-	case res.Block:
-		n.block(p, res)
+	case p.res.Exit:
+		p.exit(p.res.ExitCode)
+	case p.res.Block:
+		n.block(p)
 	default:
 		p.status = StatusReady
 		n.enqueue(p)
 	}
 }
 
-// block parks a process on its wait set, unless a waited condition
-// already holds (the readiness may have changed during the step's cost
-// window).
-func (n *Node) block(p *Process, res StepResult) {
+// block parks a process on the wait set of its step's result, unless a
+// waited condition already holds (the readiness may have changed during
+// the step's cost window).
+func (n *Node) block(p *Process) {
+	res := &p.res
 	p.status = StatusBlocked
 	p.waitFDs = res.WaitFDs
 	if n.waitSatisfied(p) {
@@ -195,13 +209,13 @@ func (n *Node) block(p *Process, res StepResult) {
 	}
 	for _, wfd := range res.WaitFDs {
 		if s, ok := p.fds[wfd.FD]; ok {
-			s.SetNotify(func() { n.recheckBlocked(p) })
+			s.SetNotify(p.onFDEvent)
 		}
 	}
 	if res.WaitTimeout > 0 {
 		p.hasTimer = true
 		p.deadline = n.w.Now() + sim.Time(res.WaitTimeout)
-		p.waitEv = n.w.After(res.WaitTimeout, func() { n.wake(p) })
+		p.waitEv = n.w.AfterCall(res.WaitTimeout, wakeProc, p)
 	} else if len(res.WaitFDs) == 0 {
 		// Blocking on nothing would hang forever; treat as yield.
 		p.status = StatusReady

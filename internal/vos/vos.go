@@ -198,6 +198,14 @@ type Process struct {
 	exitCode int
 	queued   bool
 	cpuTime  sim.Duration
+
+	// Scheduler scratch, so a step makes no garbage: the one Context
+	// every Step of this process is handed, the result of the step
+	// whose cost window is open, and the wait-queue callback block
+	// installs on each waited socket.
+	ctx       Context
+	res       StepResult
+	onFDEvent func()
 }
 
 // Status returns the scheduler state.

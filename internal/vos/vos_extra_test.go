@@ -357,3 +357,39 @@ func TestDirtyBytesAndSnapshot(t *testing.T) {
 		t.Fatalf("DirtyBytes after one rewrite = %d, want 4", got)
 	}
 }
+
+// napper alternates a yielding step with a timed sleep, forever.
+type napper struct{ n int }
+
+func (p *napper) Step(ctx *Context) StepResult {
+	ctx.Now()
+	if p.n++; p.n%2 == 0 {
+		return Sleep(sim.Millisecond)
+	}
+	return Yield(sim.Microsecond)
+}
+func (p *napper) Layout(imgfmt.Visitor) {}
+func (p *napper) Kind() string          { return "test.napper" }
+
+// TestSchedulerStepsAllocateNothing is the scheduler's share of the
+// event-path budget: dispatching, running and completing a step, parking
+// a process on a timeout and waking it — three processes contending for
+// two CPUs, so the run queue is in use — make no garbage. A count, not a
+// timing.
+func TestSchedulerStepsAllocateNothing(t *testing.T) {
+	w, n, env := testEnv(t)
+	n.Spawn(&counter{Steps: 1 << 30}, env)
+	n.Spawn(&counter{Steps: 1 << 30}, env)
+	n.Spawn(&napper{}, env)
+	events := func() {
+		for i := 0; i < 64; i++ {
+			if !w.Step() {
+				t.Fatal("world drained")
+			}
+		}
+	}
+	events() // event free list and run queue reach their working size
+	if got := testing.AllocsPerRun(20, events); got != 0 {
+		t.Fatalf("64 scheduler events allocate %v objects, want 0", got)
+	}
+}

@@ -357,6 +357,36 @@ func TestRestartAllocationBudget(t *testing.T) {
 	}
 }
 
+// TestJobAllocationBudget is the uninterrupted job's budget, the cost the
+// paper says a checkpointable job must not pay: per simulator event, a
+// whole bt run allocates the data it moves (a message's chunk, packets,
+// recvmsg result, payload and float conversions) and nothing for the
+// event itself — no timer, closure, context or queue regrowth. bt/16
+// stood at 6.05 objects per event before the event path stopped making
+// garbage and at 1.58 after; this run is at 1.44, and the budget is under
+// what one object per event coming back would cost. Counts objects, not
+// time.
+func TestJobAllocationBudget(t *testing.T) {
+	c := zapc.New(zapc.Config{Nodes: 4, Seed: 2005})
+	job, err := c.Launch(btSpec(1.0 / 64))
+	if err != nil {
+		t.Fatal(err)
+	}
+	driveTo(t, c, job, 0.1) // connections up, queues at their working size
+	var before, after runtime.MemStats
+	events := 0
+	runtime.ReadMemStats(&before)
+	err = c.Drive(func() bool { events++; return job.Finished() }, eqDeadline)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	perEvent := float64(after.Mallocs-before.Mallocs) / float64(events)
+	if perEvent > 2 {
+		t.Fatalf("bt allocates %.2f objects per event over %d events, budget 2", perEvent, events)
+	}
+}
+
 // goldenBlobs pins what the record goldens above do not reach into: the
 // program-state blobs of the three apps those runs never launch, and the
 // middleware daemon's. Each is the SHA-256 over the blobs of that kind,
