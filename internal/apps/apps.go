@@ -98,12 +98,22 @@ func ensureBallast(ctx *vos.Context, app string, size int, scale float64) {
 	if _, ok := ctx.Proc().Region("data"); ok {
 		return
 	}
-	n := BallastBytes(app, size, scale)
+	ctx.Proc().SetRegion("data", ballast(BallastBytes(app, size, scale)))
+}
+
+// ballast returns n bytes of the pattern byte(i*2654435761). A byte of it
+// depends on i mod 256 only, so the first period is computed and the rest
+// doubled in by copy.
+func ballast(n int64) []byte {
 	buf := make([]byte, n)
-	for i := range buf {
-		buf[i] = byte(i * 2654435761)
+	period := buf[:min(n, 256)]
+	for i := range period {
+		period[i] = byte(i * 2654435761)
 	}
-	ctx.Proc().SetRegion("data", buf)
+	for off := len(period); off < len(buf); off *= 2 {
+		copy(buf[off:], buf[:off])
+	}
+	return buf
 }
 
 // f64Bytes flattens a float64 slice into a message payload.

@@ -169,6 +169,44 @@ func TestBallastShape(t *testing.T) {
 	anchor("povray", 4, 10)
 }
 
+// The ballast is the byte loop's pattern, however it is filled: at the
+// edges of the 256-byte period it repeats with and at bt/16's size.
+func TestBallastMatchesTheByteLoop(t *testing.T) {
+	for _, n := range []int64{0, 1, 255, 256, 257, BallastBytes("bt", 16, DefaultScale)} {
+		got := ballast(n)
+		if int64(len(got)) != n {
+			t.Fatalf("ballast(%d) is %d bytes", n, len(got))
+		}
+		for i := range got {
+			if got[i] != byte(i*2654435761) {
+				t.Fatalf("ballast(%d)[%d] = %#x, the byte loop writes %#x", n, i, got[i], byte(i*2654435761))
+			}
+		}
+	}
+}
+
+// BT's halos and Bratu's ghost rows travel as floats encoded straight
+// into the communicator and decoded straight into the grid. The results
+// are the bits the byte-slice path produced (bt/1 sends every halo to
+// itself).
+func TestHaloResultsArePinned(t *testing.T) {
+	for _, c := range []struct {
+		app  string
+		size int
+		bits uint64
+	}{
+		{"bt", 1, 0x3fe0deefb01719f7},
+		{"bt", 4, 0x40267ae3c8ae3285},
+		{"bt", 9, 0x400a4813203b8f07},
+		{"bratu", 3, 0x3f46fd4b21d24ee3},
+		{"bratu", 4, 0x3f46fd4b21d24ee3},
+	} {
+		if got := runToCompletion(t, c.app, c.size, 0.05); math.Float64bits(got) != c.bits {
+			t.Errorf("%s/%d: result %v (%#x), want %v (%#x)", c.app, c.size, got, math.Float64bits(got), math.Float64frombits(c.bits), c.bits)
+		}
+	}
+}
+
 func TestSquareOK(t *testing.T) {
 	for _, ok := range []int{1, 4, 9, 16} {
 		if !SquareOK(ok) {

@@ -123,10 +123,10 @@ func (b *Bratu) Step(ctx *vos.Context) vos.StepResult {
 			return res
 		}
 		if up := b.upRank(); up >= 0 {
-			b.Comm.Send(ctx, up, tagGhostDown, f64Bytes(b.U[b.idx(1, 0):b.idx(2, 0)]))
+			b.Comm.SendFloats(ctx, up, tagGhostDown, b.U[b.idx(1, 0):b.idx(2, 0)])
 		}
 		if dn := b.downRank(); dn < b.Cfg.Size {
-			b.Comm.Send(ctx, dn, tagGhostUp, f64Bytes(b.U[b.idx(b.Rows, 0):b.idx(b.Rows+1, 0)]))
+			b.Comm.SendFloats(ctx, dn, tagGhostUp, b.U[b.idx(b.Rows, 0):b.idx(b.Rows+1, 0)])
 		}
 		b.recvdUp = b.upRank() < 0
 		b.recvdDown = b.downRank() >= b.Cfg.Size
@@ -134,19 +134,15 @@ func (b *Bratu) Step(ctx *vos.Context) vos.StepResult {
 		return res
 	case 2: // receive ghost rows
 		if !b.recvdUp {
-			m, ok := b.Comm.Recv(ctx, b.upRank(), tagGhostUp)
-			if !ok {
+			if _, ok := b.Comm.RecvFloats(ctx, b.upRank(), tagGhostUp, b.U[b.idx(0, 0):b.idx(1, 0)]); !ok {
 				return b.Comm.Block()
 			}
-			copy(b.U[b.idx(0, 0):b.idx(1, 0)], bytesF64(m.Data))
 			b.recvdUp = true
 		}
 		if !b.recvdDown {
-			m, ok := b.Comm.Recv(ctx, b.downRank(), tagGhostDown)
-			if !ok {
+			if _, ok := b.Comm.RecvFloats(ctx, b.downRank(), tagGhostDown, b.U[b.idx(b.Rows+1, 0):b.idx(b.Rows+2, 0)]); !ok {
 				return b.Comm.Block()
 			}
-			copy(b.U[b.idx(b.Rows+1, 0):b.idx(b.Rows+2, 0)], bytesF64(m.Data))
 			b.recvdDown = true
 		}
 		b.Iter++

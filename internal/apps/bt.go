@@ -40,12 +40,15 @@ type BT struct {
 	Pending sim.Duration // simulated compute not yet charged
 
 	// Scratch, not state (Layout does not visit it): the grid the next
-	// sweep writes and the two halo columns. Reusing them is safe because
-	// a checkpoint encodes Grid when it captures the process — as
-	// applyHalo, which writes Grid in place, already relied on — and a
-	// message's bytes are copied by f64Bytes before Send.
-	spare       []float64
-	left, right []float64
+	// sweep writes, and one column that holds the left and then the right
+	// boundary on their way out and each halo on its way in. Reusing them
+	// is safe because a checkpoint encodes Grid when it captures the
+	// process — as applyHalo, which writes Grid in place, already relied
+	// on — SendFloats encodes a column into the outbound queue before it
+	// returns, and RecvFloats decodes into it from a payload it leaves
+	// alone.
+	spare []float64
+	col   []float64
 }
 
 // btGlobalDim is the fixed global grid dimension; local blocks shrink
@@ -126,22 +129,19 @@ func (b *BT) Step(ctx *vos.Context) vos.StepResult {
 		}
 		n := b.N
 		// Exchange boundary rows/columns with the four torus neighbors.
-		top := b.Grid[:n]
-		bot := b.Grid[(n-1)*n:]
-		if len(b.left) != n {
-			b.left, b.right = make([]float64, n), make([]float64, n)
-		}
-		left, right := b.left, b.right
-		for i := 0; i < n; i++ {
-			left[i] = b.at(i, 0)
-			right[i] = b.at(i, n-1)
-		}
 		// My top row becomes the "halo from below" of the rank above me,
 		// and so on around the torus.
-		b.Comm.Send(ctx, b.neighbor(-1, 0), tagHaloBelow, f64Bytes(top))
-		b.Comm.Send(ctx, b.neighbor(+1, 0), tagHaloAbove, f64Bytes(bot))
-		b.Comm.Send(ctx, b.neighbor(0, -1), tagHaloRight, f64Bytes(left))
-		b.Comm.Send(ctx, b.neighbor(0, +1), tagHaloLeft, f64Bytes(right))
+		b.Comm.SendFloats(ctx, b.neighbor(-1, 0), tagHaloBelow, b.Grid[:n])
+		b.Comm.SendFloats(ctx, b.neighbor(+1, 0), tagHaloAbove, b.Grid[(n-1)*n:])
+		col := b.column()
+		for i := range col {
+			col[i] = b.at(i, 0)
+		}
+		b.Comm.SendFloats(ctx, b.neighbor(0, -1), tagHaloRight, col)
+		for i := range col {
+			col[i] = b.at(i, n-1)
+		}
+		b.Comm.SendFloats(ctx, b.neighbor(0, +1), tagHaloLeft, col)
 		b.recvd = [4]bool{}
 		b.Phase = 2
 		return res
@@ -159,12 +159,12 @@ func (b *BT) Step(ctx *vos.Context) vos.StepResult {
 			if b.recvd[i] {
 				continue
 			}
-			m, ok := b.Comm.Recv(ctx, d.from, d.tag)
+			halo := b.column()
+			n, ok := b.Comm.RecvFloats(ctx, d.from, d.tag, halo)
 			if !ok {
 				return b.Comm.Block()
 			}
-			halo := bytesF64(m.Data)
-			b.applyHalo(i, halo)
+			b.applyHalo(i, halo[:n])
 			b.recvd[i] = true
 		}
 		b.Iter++
@@ -197,6 +197,15 @@ func (b *BT) Step(ctx *vos.Context) vos.StepResult {
 		return vos.Exit(0)
 	}
 	return vos.Exit(9)
+}
+
+// column returns the column scratch, made on first use (a restored BT has
+// none).
+func (b *BT) column() []float64 {
+	if len(b.col) != b.N {
+		b.col = make([]float64, b.N)
+	}
+	return b.col
 }
 
 // applyHalo folds a received boundary into the local block edge.

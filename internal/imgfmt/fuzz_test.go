@@ -78,7 +78,7 @@ func exhaustStream(t *testing.T, d *StreamDecoder) {
 				err = exhaust(t, &sec, 0)
 			}
 		default:
-			err = d.Skip()
+			return // an unknown wire type: no reader takes it
 		}
 		if err != nil {
 			return

@@ -882,45 +882,6 @@ func (d *StreamDecoder) Section(tag uint64) (Decoder, error) {
 	return Decoder{data: body}, err
 }
 
-// Skip consumes the next field regardless of tag or type. Its bytes are
-// verified like any others but never materialized.
-func (d *StreamDecoder) Skip() error {
-	var typ byte
-	if d.peeked {
-		typ = d.ptyp
-		d.peeked = false
-	} else {
-		if _, err := d.tagOrEnd(); err != nil {
-			return err
-		}
-		if err := d.need(1); err != nil {
-			return err
-		}
-		typ = d.win[d.off]
-		d.off++
-	}
-	switch typ {
-	case TypeUint:
-		_, err := d.uvarint()
-		return err
-	case TypeInt:
-		_, err := d.svarint()
-		return err
-	case TypeBytes, TypeString, TypeSection:
-		n, err := d.valueLen()
-		if err != nil {
-			return err
-		}
-		return d.discard(n)
-	case TypeBool:
-		return d.discard(1)
-	case TypeFloat64:
-		return d.discard(8)
-	default:
-		return fmt.Errorf("%w: unknown wire type %d", ErrTypeMismatch, typ)
-	}
-}
-
 // Finished verifies that the stream ends cleanly after the last
 // consumed field: no unread fields, terminator present, whole-stream
 // CRC valid.

@@ -385,47 +385,10 @@ func (d *refStreamDecoder) Section(tag uint64) (Decoder, error) {
 	return Decoder{data: body}, err
 }
 
-// Skip consumes the next field regardless of tag or type.
-func (d *refStreamDecoder) Skip() error {
-	var typ byte
-	if d.peeked {
-		typ = d.ptyp
-		d.peeked = false
-	} else {
-		if _, err := d.tagOrEnd(); err != nil {
-			return err
-		}
-		if err := d.need(1); err != nil {
-			return err
-		}
-		typ = d.win[d.off]
-		d.off++
-	}
-	switch typ {
-	case TypeUint:
-		_, err := d.uvarint()
-		return err
-	case TypeInt:
-		_, err := d.svarint()
-		return err
-	case TypeBytes, TypeString, TypeSection:
-		_, err := d.lengthPrefixed()
-		return err
-	case TypeBool:
-		if err := d.need(1); err != nil {
-			return err
-		}
-		d.off++
-		return nil
-	case TypeFloat64:
-		if err := d.need(8); err != nil {
-			return err
-		}
-		d.off += 8
-		return nil
-	default:
-		return fmt.Errorf("%w: unknown wire type %d", ErrTypeMismatch, typ)
-	}
+// SkipBytes consumes a byte-slice field and returns its length.
+func (d *refStreamDecoder) SkipBytes(tag uint64) (int, error) {
+	b, err := d.Bytes(tag)
+	return len(b), err
 }
 
 // Finished verifies that the stream ends cleanly after the last
@@ -451,12 +414,13 @@ type fieldDecoder interface {
 	Bool(tag uint64) (bool, error)
 	Float64(tag uint64) (float64, error)
 	Section(tag uint64) (Decoder, error)
-	Skip() error
+	SkipBytes(tag uint64) (int, error)
 	Finished() error
 }
 
-// drain walks every field of a stream, reading field i by type — or
-// skipping it when bit i%64 of skip is set — and returns the values read
+// drain walks every field of a stream, reading field i by type — or, for
+// a byte-slice field, skipping it when bit i%64 of skip is set — and
+// returns the values read
 // and the error the walk stopped on: Finished's verdict after a clean
 // end of stream, the failing call's otherwise.
 func drain(d fieldDecoder, skip uint64) (vals []any, err error) {
@@ -470,8 +434,8 @@ func drain(d fieldDecoder, skip uint64) (vals []any, err error) {
 		}
 		var v any
 		switch {
-		case skip>>(i%64)&1 == 1:
-			v, err = "skipped", d.Skip()
+		case typ == TypeBytes && skip>>(i%64)&1 == 1:
+			v, err = d.SkipBytes(tag)
 		case typ == TypeUint:
 			v, err = d.Uint(tag)
 		case typ == TypeInt:
@@ -489,8 +453,8 @@ func drain(d fieldDecoder, skip uint64) (vals []any, err error) {
 			if sec, err = d.Section(tag); err == nil {
 				v = sec.data
 			}
-		default:
-			v, err = "skipped", d.Skip()
+		default: // an unknown wire type, which every reader refuses
+			v, err = d.Uint(tag)
 		}
 		if err != nil {
 			return vals, err

@@ -80,6 +80,9 @@ type Comm struct {
 	// it only while the process is blocked, and Block runs only when it
 	// is not.
 	waits []vos.FDWait
+	// slab holds the payloads parse hands out (scratch, not state: a
+	// capture encodes inbox, not where its bytes live); see keep.
+	slab []byte
 }
 
 // New creates an uninitialized communicator.
@@ -148,10 +151,8 @@ func (c *Comm) Init(ctx *vos.Context) bool {
 		// Identify pending inbound connections by their rank header.
 		kept := c.pending[:0]
 		for _, pc := range c.pending {
-			data, err := ctx.Recv(pc.FD, 4-len(pc.Buf), false, false)
-			if err == nil {
-				pc.Buf = append(pc.Buf, data...)
-			}
+			// A failed read leaves Buf as it was; the next step retries.
+			pc.Buf, _ = ctx.RecvAppend(pc.FD, pc.Buf, 4-len(pc.Buf), false, false)
 			if len(pc.Buf) == 4 {
 				rank := int(binary.BigEndian.Uint32(pc.Buf))
 				if rank >= 0 && rank < c.Cfg.Size {
@@ -231,15 +232,16 @@ func (c *Comm) pump(ctx *vos.Context) {
 			continue
 		}
 		for {
-			data, err := ctx.Recv(fd, 1<<16, false, false)
+			had := len(c.partial[rank])
+			var err error
+			c.partial[rank], err = ctx.RecvAppend(fd, c.partial[rank], 1<<16, false, false)
 			if errors.Is(err, netstack.ErrEOF) {
 				c.closed[rank] = true
 				break
 			}
-			if err != nil || len(data) == 0 {
+			if err != nil || len(c.partial[rank]) == had {
 				break
 			}
-			c.partial[rank] = append(c.partial[rank], data...)
 		}
 		c.parse(rank)
 	}
@@ -254,11 +256,32 @@ func (c *Comm) parse(rank int) {
 		if uint32(len(buf)-8) < n {
 			break
 		}
-		payload := append([]byte(nil), buf[8:8+n]...)
-		c.inbox = append(c.inbox, Message{From: rank, Tag: tag, Data: payload})
+		c.inbox = append(c.inbox, Message{From: rank, Tag: tag, Data: c.keep(buf[8 : 8+n])})
 		buf = buf[8+n:]
 	}
 	c.partial[rank] = keepFront(c.partial[rank], buf)
+}
+
+// slabSize is the size of one payload slab; a payload over a quarter of
+// it gets its own allocation instead.
+const slabSize = 8 << 10
+
+// keep returns a copy of a payload that no one writes again: it is cut
+// from the append-only slab, capped at its length. A Message's Data may
+// live on as program state (Bcast's buffer, Gather's contributions), so a
+// full slab is replaced, never reset. Empty payloads stay nil.
+func (c *Comm) keep(b []byte) []byte {
+	switch {
+	case len(b) == 0:
+		return nil
+	case len(b) > slabSize/4:
+		return append([]byte(nil), b...)
+	case len(b) > cap(c.slab)-len(c.slab):
+		c.slab = make([]byte, 0, slabSize)
+	}
+	off := len(c.slab)
+	c.slab = append(c.slab, b...)
+	return c.slab[off:len(c.slab):len(c.slab)]
 }
 
 // keepFront returns rest, the unconsumed tail of q, moved to q's front
@@ -277,13 +300,34 @@ func keepFront(q, rest []byte) []byte {
 // by later pumps (MPI buffered-mode semantics).
 func (c *Comm) Send(ctx *vos.Context, to int, tag uint32, data []byte) {
 	if to == c.Cfg.Rank {
-		c.inbox = append(c.inbox, Message{From: to, Tag: tag, Data: append([]byte(nil), data...)})
+		c.inbox = append(c.inbox, Message{From: to, Tag: tag, Data: c.keep(data)})
 		return
 	}
-	q := binary.BigEndian.AppendUint32(c.outq[to], uint32(len(data)))
-	q = binary.BigEndian.AppendUint32(q, tag)
-	c.outq[to] = append(q, data...)
+	c.outq[to] = append(frameHeader(c.outq[to], tag, len(data)), data...)
 	c.pump(ctx)
+}
+
+// SendFloats sends xs as Send sends their little-endian bytes, encoding
+// them straight into the outbound queue.
+func (c *Comm) SendFloats(ctx *vos.Context, to int, tag uint32, xs []float64) {
+	if to == c.Cfg.Rank {
+		c.Send(ctx, to, tag, appendFloats(nil, xs))
+		return
+	}
+	c.outq[to] = appendFloats(frameHeader(c.outq[to], tag, 8*len(xs)), xs)
+	c.pump(ctx)
+}
+
+func frameHeader(q []byte, tag uint32, n int) []byte {
+	q = binary.BigEndian.AppendUint32(q, uint32(n))
+	return binary.BigEndian.AppendUint32(q, tag)
+}
+
+func appendFloats(q []byte, xs []float64) []byte {
+	for _, x := range xs {
+		q = binary.LittleEndian.AppendUint64(q, math.Float64bits(x))
+	}
+	return q
 }
 
 // Recv returns the first undelivered message matching (from, tag); from
@@ -297,6 +341,20 @@ func (c *Comm) Recv(ctx *vos.Context, from int, tag uint32) (Message, bool) {
 		}
 	}
 	return Message{}, false
+}
+
+// RecvFloats is Recv for a message of little-endian float64s: it decodes
+// the payload into dst as copy would, and returns how many it wrote.
+func (c *Comm) RecvFloats(ctx *vos.Context, from int, tag uint32, dst []float64) (n int, ok bool) {
+	m, ok := c.Recv(ctx, from, tag)
+	if !ok {
+		return 0, false
+	}
+	n = min(len(dst), len(m.Data)/8)
+	for i := range n {
+		dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(m.Data[8*i:]))
+	}
+	return n, true
 }
 
 // PeerClosed reports whether a peer has hung up (its process exited).

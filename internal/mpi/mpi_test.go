@@ -1,8 +1,10 @@
 package mpi
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
+	"math"
 	"testing"
 
 	"zapc/internal/imgfmt"
@@ -343,5 +345,99 @@ func TestDaemonSerialization(t *testing.T) {
 	if d2.Rank != 1 || d2.FD != 4 || d2.Sent != 100 || d2.Seen != 99 ||
 		len(d2.PeerIPs) != 2 || d2.Interval != DefaultHeartbeat {
 		t.Fatalf("restored: %+v", d2)
+	}
+}
+
+// f64Bytes is how a float64 payload was built before SendFloats: the
+// little-endian bytes of each value, handed to Send.
+func f64Bytes(xs []float64) []byte {
+	out := make([]byte, 8*len(xs))
+	for i, v := range xs {
+		binary.LittleEndian.PutUint64(out[8*i:], math.Float64bits(v))
+	}
+	return out
+}
+
+// SendFloats puts on the wire exactly the frame Send puts there for the
+// floats' bytes, and RecvFloats reads back what copy would have copied
+// out of them, into a destination shorter than, as long as or longer than
+// the payload. None of this touches a descriptor: with no peer connected,
+// pump leaves the outbound queue alone.
+func TestFloatMessagesMatchTheByteForm(t *testing.T) {
+	xs := []float64{1.5, -0, math.Inf(-1), math.NaN(), 1e-300, 42}
+	cfg := Config{Rank: 0, Size: 2, Port: 6000, PeerIPs: []netstack.IP{1, 2}}
+	floats, byteForm := New(cfg), New(cfg)
+	floats.SendFloats(nil, 1, 9, xs)
+	byteForm.Send(nil, 1, 9, f64Bytes(xs))
+	if !bytes.Equal(floats.outq[1], byteForm.outq[1]) {
+		t.Fatalf("SendFloats wrote % x, Send of the bytes % x", floats.outq[1], byteForm.outq[1])
+	}
+	for _, size := range []int{0, 3, len(xs), len(xs) + 2} {
+		rx := New(Config{Rank: 1, Size: 2, Port: 6000, PeerIPs: []netstack.IP{1, 2}})
+		rx.partial[0] = append([]byte(nil), floats.outq[1]...)
+		rx.parse(0)
+		got, want := make([]float64, size), make([]float64, size)
+		n, ok := rx.RecvFloats(nil, 0, 9, got)
+		wantN := copy(want, bytesF64(f64Bytes(xs)))
+		if !ok || n != wantN {
+			t.Fatalf("RecvFloats into %d: n=%d ok=%v, want %d", size, n, ok, wantN)
+		}
+		for i := range got {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("RecvFloats into %d: float %d is %v, want %v", size, i, got[i], want[i])
+			}
+		}
+	}
+	self := New(cfg)
+	self.SendFloats(nil, 0, 3, xs)
+	if m, ok := self.Recv(nil, 0, 3); !ok || !bytes.Equal(m.Data, f64Bytes(xs)) {
+		t.Fatalf("a float message to itself came back as % x", m.Data)
+	}
+}
+
+func bytesF64(b []byte) []float64 {
+	out := make([]float64, len(b)/8)
+	for i := range out {
+		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
+	}
+	return out
+}
+
+// parse cuts payloads from the communicator's slab instead of allocating
+// each one. A payload handed out is never written again — not by later
+// frames, not by an append to it — because program state (a broadcast
+// buffer, a gathered contribution) may keep it. And a capture cannot tell
+// slab-backed messages from separately allocated ones.
+func TestSlabPayloadsAreImmutableAndEncodeAsCopies(t *testing.T) {
+	c := fullComm()
+	copied := fullComm()
+	frame := func(tag uint32, payload string) []byte {
+		return append(frameHeader(nil, tag, len(payload)), payload...)
+	}
+	c.partial[1] = append(append(c.partial[1], frame(5, "first")...), frame(6, "")...)
+	c.parse(1)
+	copied.inbox = append(copied.inbox, Message{From: 1, Tag: 5, Data: []byte("first")}, Message{From: 1, Tag: 6})
+	if !bytes.Equal(imgfmt.Blob(c.Layout), imgfmt.Blob(copied.Layout)) {
+		t.Fatal("an inbox of slab-backed messages encodes differently from one of copies")
+	}
+	first := c.inbox[len(c.inbox)-2].Data
+	if cap(first) != len(first) {
+		t.Fatalf("a payload carries %d bytes of the slab past its end", cap(first)-len(first))
+	}
+	_ = append(first, "overrun"...)
+	filler := frame(7, "filler")
+	for i := 0; i < 2*slabSize/len("filler"); i++ {
+		c.partial[1] = append(c.partial[1], filler...)
+		c.parse(1)
+	}
+	if string(first) != "first" {
+		t.Fatalf("a payload handed out changed to %q", first)
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		c.partial[1] = append(c.partial[1], filler...)
+		c.parse(1)
+		c.inbox = c.inbox[:0]
+	}); n != 0 { // AllocsPerRun rounds down: a slab's share is zero
+		t.Fatalf("parsing a small frame allocates %v objects, want a slab's share", n)
 	}
 }

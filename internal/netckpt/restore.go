@@ -17,20 +17,20 @@ type altOps struct {
 	orig netstack.Ops
 }
 
-func (a altOps) Recvmsg(s *netstack.Socket, n int, peek, oob bool) ([]byte, error) {
+func (a altOps) Recvmsg(s *netstack.Socket, dst []byte, n int, peek, oob bool) ([]byte, error) {
 	if oob {
-		return a.orig.Recvmsg(s, n, peek, oob)
+		return a.orig.Recvmsg(s, dst, n, peek, oob)
 	}
 	if s.AltQueueLen() > 0 {
-		out := s.ConsumeAlt(n, peek)
+		dst = s.ConsumeAlt(dst, n, peek)
 		if s.AltQueueLen() == 0 && !peek {
 			s.SwapOps(a.orig)
 		}
-		return out, nil
+		return dst, nil
 	}
 	// Depleted: uninstall so regular operation pays no overhead.
 	s.SwapOps(a.orig)
-	return a.orig.Recvmsg(s, n, peek, oob)
+	return a.orig.Recvmsg(s, dst, n, peek, oob)
 }
 
 func (a altOps) Poll(s *netstack.Socket) netstack.PollMask {
@@ -171,7 +171,7 @@ func (r *Restorer) createLocalSockets() error {
 			s := r.st.Socket(netstack.TCP)
 			applyOpts(s, rec.Opts)
 			s.RestoreDetached(rec.Local, rec.Remote)
-			netckptInstallAlt(s, rec.RecvData)
+			InstallAltQueue(s, rec.RecvData)
 			s.LoadOOB(rec.OOBData)
 			r.sockets[rec.Slot] = s
 		case rec.Proto == netstack.TCP && rec.State == netstack.StateListening:
@@ -411,11 +411,6 @@ func (r *Restorer) advance(es *entryState) {
 			es.sock.Close()
 		}
 	}
-}
-
-// netckptInstallAlt mirrors InstallAltQueue for detached restores.
-func netckptInstallAlt(s *netstack.Socket, data []byte) {
-	InstallAltQueue(s, data)
 }
 
 // reconnect replaces a refused connect-side socket and tries again.

@@ -112,6 +112,9 @@ const (
 	pktRaw
 )
 
+// packet is one datagram on the wire. Senders hand send a value; the
+// *packet in flight comes from its Network's free list and goes back to
+// it when deliver returns, so a handler may not keep the pointer.
 type packet struct {
 	kind     pktKind
 	proto    Proto
@@ -141,6 +144,8 @@ type Network struct {
 	// deliverFn is deliver bound once, the callback of every packet in
 	// flight.
 	deliverFn func(any)
+	// free holds released packets for transit to reuse (DESIGN.md §2.1).
+	free []*packet
 
 	// Stats counters for experiments.
 	Delivered int64
@@ -226,31 +231,43 @@ func (n *Network) Stack(ip IP) (*Stack, bool) {
 	return s, ok
 }
 
-// send queues a packet for delivery after the link latency plus
-// serialization delay. Loss and netfilter egress hooks are applied here;
-// ingress hooks at delivery.
-func (n *Network) send(from *Stack, p *packet) {
-	if from.filter.blocksEgress(p) {
+// send puts a packet on the wire for delivery after the link latency plus
+// serialization delay. Loss and netfilter egress hooks are applied here,
+// before the packet takes a slot; ingress hooks at delivery.
+func (n *Network) send(from *Stack, v packet) {
+	if from.filter.blocksEgress(&v) {
 		n.Dropped++
 		return
 	}
-	n.BytesSent += p.wireSize()
+	n.BytesSent += v.wireSize()
 	if n.loss > 0 && n.w.Rand().Float64() < n.loss {
 		n.Dropped++
 		return
 	}
-	p.from = from
-	n.transit(p)
+	v.from = from
+	n.transit(v)
 }
 
 // transit puts a packet on the wire: it is delivered after the link
 // latency plus its serialization delay, riding the event as its argument.
-func (n *Network) transit(p *packet) {
+// It is the one place a *packet is made, from the free list when it can.
+func (n *Network) transit(v packet) {
+	var p *packet
+	if k := len(n.free) - 1; k >= 0 {
+		p, n.free = n.free[k], n.free[:k]
+	} else {
+		p = &packet{}
+	}
+	*p = v
 	c := n.w.Costs
 	n.w.AfterCall(c.NetLatency+c.NetTransferTime(p.wireSize()), n.deliverFn, p)
 }
 
+// deliver ends every packet's life: on every path it goes back to the
+// free list once the receiving stack's handler has returned, and nothing
+// may hold it past that (DESIGN.md §2.1).
 func (n *Network) deliver(p *packet) {
+	defer n.release(p)
 	// A packet whose sending stack has since been detached belongs to a
 	// dead incarnation (its pod was checkpointed and destroyed); it can
 	// never legitimately reach the restored successor.
@@ -263,7 +280,7 @@ func (n *Network) deliver(p *packet) {
 		if n.claimed[p.dst.IP] && p.proto == TCP && p.kind != pktRST {
 			// The host is up but the pod is still being restored:
 			// refuse, as a real machine with no listener would.
-			n.transit(&packet{kind: pktRST, proto: TCP, src: p.dst, dst: p.src})
+			n.transit(packet{kind: pktRST, proto: TCP, src: p.dst, dst: p.src})
 			n.Dropped++
 			return
 		}
@@ -285,6 +302,13 @@ func (n *Network) deliver(p *packet) {
 	}
 	n.Delivered++
 	dst.receive(p)
+}
+
+// release clears a packet, so the free list pins no chunk and no stack,
+// and puts it back.
+func (n *Network) release(p *packet) {
+	*p = packet{}
+	n.free = append(n.free, p)
 }
 
 // PacketTrace, when set by tests, logs every delivery decision.

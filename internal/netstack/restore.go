@@ -50,26 +50,20 @@ func (s *Socket) LoadAltQueue(data []byte) {
 	}
 }
 
-// AltQueue exposes the alternate queue contents (used by the interposed
-// recvmsg/poll implementations and by a second checkpoint).
-func (s *Socket) AltQueue() []byte { return s.altQ }
-
-// ConsumeAlt reads up to n bytes from the alternate queue, consuming them
-// unless peek is set. It returns nil when the queue is empty.
-func (s *Socket) ConsumeAlt(n int, peek bool) []byte {
+// ConsumeAlt appends up to n bytes of the alternate queue to dst,
+// consuming them unless peek is set. An empty queue returns dst as is.
+func (s *Socket) ConsumeAlt(dst []byte, n int, peek bool) []byte {
 	if len(s.altQ) == 0 {
-		return nil
+		return dst
 	}
-	if n > len(s.altQ) {
-		n = len(s.altQ)
-	}
-	out := append([]byte(nil), s.altQ[:n]...)
+	n = min(n, len(s.altQ))
+	dst = append(dst, s.altQ[:n]...)
 	if !peek {
 		s.altQ = s.altQ[n:]
 	} else {
 		s.peeked = true
 	}
-	return out
+	return dst
 }
 
 // LoadOOB restores saved out-of-band data into the socket.
@@ -145,7 +139,3 @@ func (s *Socket) RestoreDetached(local, remote Addr) {
 	s.finSent = true
 	s.finAcked = true
 }
-
-// SetTeardownTrace installs a test-only hook tracing connection
-// teardowns.
-func SetTeardownTrace(fn func(*Socket, error)) { debugTeardown = fn }

@@ -133,9 +133,10 @@ const (
 // application-facing interface. The network-restart code interposes on
 // exactly the three methods the paper names — recvmsg, poll, and release —
 // by swapping this vector, and reinstalls the original once the alternate
-// receive queue drains.
+// receive queue drains. Recvmsg appends what it reads to dst and returns
+// the extended slice, dst itself on an error.
 type Ops interface {
-	Recvmsg(s *Socket, n int, peek, oob bool) ([]byte, error)
+	Recvmsg(s *Socket, dst []byte, n int, peek, oob bool) ([]byte, error)
 	Poll(s *Socket) PollMask
 	Release(s *Socket)
 }
@@ -190,7 +191,7 @@ func (st *Stack) Socket(proto Proto) *Socket {
 		opts:      defaultOpts(proto),
 		ops:       baseOps{},
 		createSeq: st.sockSeq,
-		ooseg:     make(map[uint64]*packet),
+		ooseg:     make(map[uint64]packet),
 	}
 	st.sockSeq++
 	st.sockets = append(st.sockets, s)
@@ -239,8 +240,8 @@ type Socket struct {
 	backlogQ     [][]byte
 	backlogBytes int // total bytes in backlogQ
 	oobQ         []byte
-	altQ         []byte // alternate receive queue installed at restart
-	ooseg        map[uint64]*packet
+	altQ         []byte            // alternate receive queue installed at restart
+	ooseg        map[uint64]packet // out-of-order segments, held by value
 	peeked       bool
 
 	// Datagram receive path (UDP/RAW).
@@ -436,11 +437,17 @@ func (s *Socket) AcceptPending() int {
 	return len(s.acceptQ)
 }
 
-// Recv reads up to n bytes through the socket's dispatch vector. peek
-// examines without consuming (MSG_PEEK); oob reads the out-of-band queue
-// (MSG_OOB).
+// Recv reads up to n bytes through the socket's dispatch vector into a
+// new slice. peek examines without consuming (MSG_PEEK); oob reads the
+// out-of-band queue (MSG_OOB).
 func (s *Socket) Recv(n int, peek, oob bool) ([]byte, error) {
-	return s.ops.Recvmsg(s, n, peek, oob)
+	return s.RecvAppend(nil, n, peek, oob)
+}
+
+// RecvAppend is Recv appending to dst: the bytes land in the caller's
+// buffer, and an error returns dst unchanged.
+func (s *Socket) RecvAppend(dst []byte, n int, peek, oob bool) ([]byte, error) {
+	return s.ops.Recvmsg(s, dst, n, peek, oob)
 }
 
 // Poll reports readiness through the dispatch vector.
@@ -478,67 +485,57 @@ func (s *Socket) RecvFrom(peek bool) (Datagram, error) {
 // baseOps is the default kernel dispatch vector.
 type baseOps struct{}
 
-func (baseOps) Recvmsg(s *Socket, n int, peek, oob bool) ([]byte, error) {
+func (baseOps) Recvmsg(s *Socket, dst []byte, n int, peek, oob bool) ([]byte, error) {
 	if s.closed {
-		return nil, ErrClosed
+		return dst, ErrClosed
 	}
 	if oob {
 		if len(s.oobQ) == 0 {
-			return nil, ErrWouldBlock
+			return dst, ErrWouldBlock
 		}
-		if n > len(s.oobQ) {
-			n = len(s.oobQ)
-		}
-		out := append([]byte(nil), s.oobQ[:n]...)
+		n = min(n, len(s.oobQ))
+		dst = append(dst, s.oobQ[:n]...)
 		if !peek {
 			s.oobQ = s.oobQ[n:]
 		} else {
 			s.peeked = true
 		}
-		return out, nil
+		return dst, nil
 	}
 	if s.proto != TCP {
 		d, err := s.RecvFrom(peek)
 		if err != nil {
-			return nil, err
+			return dst, err
 		}
-		if n < len(d.Data) && !peek {
-			// Datagram semantics: excess is discarded.
-			return append([]byte(nil), d.Data[:n]...), nil
-		}
-		if n > len(d.Data) {
-			n = len(d.Data)
-		}
-		return append([]byte(nil), d.Data[:n]...), nil
+		// Datagram semantics: a read that consumes drops the excess.
+		return append(dst, d.Data[:min(n, len(d.Data))]...), nil
 	}
 	if s.shutRead {
-		return nil, ErrEOF
+		return dst, ErrEOF
 	}
 	if len(s.recvQ) == 0 {
 		if s.sockErr != nil {
-			return nil, s.sockErr
+			return dst, s.sockErr
 		}
 		if s.peerClosed && len(s.backlogQ) == 0 {
-			return nil, ErrEOF
+			return dst, ErrEOF
 		}
 		if s.state != StateEstablished {
-			return nil, ErrNotConnected
+			return dst, ErrNotConnected
 		}
-		return nil, ErrWouldBlock
+		return dst, ErrWouldBlock
 	}
-	if n > len(s.recvQ) {
-		n = len(s.recvQ)
-	}
-	out := append([]byte(nil), s.recvQ[:n]...)
+	n = min(n, len(s.recvQ))
+	dst = append(dst, s.recvQ[:n]...)
 	if peek {
 		s.peeked = true
-		return out, nil
+		return dst, nil
 	}
 	s.recvQ = dropFront(s.recvQ, n)
 	if len(s.recvQ) == 0 {
 		s.peeked = false
 	}
-	return out, nil
+	return dst, nil
 }
 
 func (baseOps) Poll(s *Socket) PollMask {
@@ -604,9 +601,6 @@ func (baseOps) Release(s *Socket) {
 	}
 }
 
-// debugTeardown, when set by tests, traces connection teardowns.
-var debugTeardown func(*Socket, error)
-
 // deregister removes the socket from all stack tables.
 func (s *Socket) deregister() {
 	st := s.stack
@@ -635,9 +629,6 @@ func (s *Socket) maybeReap() {
 }
 
 func (s *Socket) teardown(err error) {
-	if debugTeardown != nil {
-		debugTeardown(s, err)
-	}
 	if err != nil && s.sockErr == nil {
 		s.sockErr = err
 	}

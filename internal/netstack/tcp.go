@@ -51,7 +51,7 @@ func (s *Socket) Connect(remote Addr) error {
 }
 
 func (s *Socket) sendSYN() {
-	s.stack.net.send(s.stack, &packet{
+	s.stack.net.send(s.stack, packet{
 		kind: pktSYN, proto: TCP, src: s.local, dst: s.remote,
 	})
 	s.synTries++
@@ -173,7 +173,7 @@ func (s *Socket) pump() {
 }
 
 func (s *Socket) transmitChunk(c Chunk, seq uint64) {
-	s.stack.net.send(s.stack, &packet{
+	s.stack.net.send(s.stack, packet{
 		kind: pktData, proto: TCP, src: s.local, dst: s.remote,
 		seq: seq, ack: s.pcb.RcvNxt, data: c.Data, oob: c.OOB, fin: c.FIN,
 	})
@@ -227,19 +227,19 @@ func (s *Socket) handleSYN(p *packet) {
 }
 
 func (s *Socket) sendSYNACK() {
-	s.stack.net.send(s.stack, &packet{
+	s.stack.net.send(s.stack, packet{
 		kind: pktSYNACK, proto: TCP, src: s.local, dst: s.remote,
 	})
 }
 
 func (s *Socket) sendRST() {
-	s.stack.net.send(s.stack, &packet{
+	s.stack.net.send(s.stack, packet{
 		kind: pktRST, proto: TCP, src: s.local, dst: s.remote,
 	})
 }
 
 func (s *Socket) sendAck() {
-	s.stack.net.send(s.stack, &packet{
+	s.stack.net.send(s.stack, packet{
 		kind: pktAck, proto: TCP, src: s.local, dst: s.remote, ack: s.pcb.RcvNxt,
 	})
 }
@@ -281,7 +281,7 @@ func (s *Socket) kaFire() {
 		s.teardown(ErrConnReset)
 		return
 	}
-	s.stack.net.send(s.stack, &packet{
+	s.stack.net.send(s.stack, packet{
 		kind: pktKeepalive, proto: TCP, src: s.local, dst: s.remote,
 	})
 	s.armKeepalive()
@@ -373,19 +373,15 @@ func (s *Socket) handleData(p *packet) {
 		// Drain any out-of-order segments now contiguous.
 		for {
 			next, ok := s.ooseg[s.pcb.RcvNxt]
-			if !ok {
+			if !ok || !s.acceptSegment(&next) {
 				break
 			}
 			delete(s.ooseg, next.seq)
-			if !s.acceptSegment(next) {
-				s.ooseg[next.seq] = next
-				break
-			}
 		}
 		s.sendAck()
 	case p.seq > s.pcb.RcvNxt:
 		if _, dup := s.ooseg[p.seq]; !dup {
-			s.ooseg[p.seq] = p
+			s.ooseg[p.seq] = *p // a copy: the packet itself dies with this handler
 		}
 		s.sendAck() // duplicate ack signals the gap
 	default:
@@ -478,6 +474,6 @@ func (st *Stack) receiveTCP(p *packet) {
 	}
 	if p.kind != pktRST {
 		// No socket: refuse.
-		st.net.send(st, &packet{kind: pktRST, proto: TCP, src: p.dst, dst: p.src})
+		st.net.send(st, packet{kind: pktRST, proto: TCP, src: p.dst, dst: p.src})
 	}
 }

@@ -27,7 +27,7 @@ func (s *Socket) SendTo(p []byte, to Addr) (int, error) {
 			return 0, err
 		}
 	}
-	s.stack.net.send(s.stack, &packet{
+	s.stack.net.send(s.stack, packet{
 		kind: pktUDP, proto: UDP, src: s.local, dst: to,
 		data: append([]byte(nil), p...),
 	})
@@ -81,7 +81,7 @@ func (s *Socket) SendRaw(dst IP, p []byte) (int, error) {
 	if s.closed {
 		return 0, ErrClosed
 	}
-	s.stack.net.send(s.stack, &packet{
+	s.stack.net.send(s.stack, packet{
 		kind: pktRaw, proto: RAW, src: s.local, dst: Addr{IP: dst},
 		rawProto: s.rawProto, data: append([]byte(nil), p...),
 	})

@@ -89,22 +89,7 @@ func (p *Pod) Destroyed() bool { return p.destroyed }
 // PID. Names within a pod are assigned the way a traditional OS assigns
 // them, but localized to the pod.
 func (p *Pod) AddProcess(prog vos.Program) *vos.Process {
-	return p.addProcess(prog, false)
-}
-
-// AddProcessStopped spawns a program in the SIGSTOPped state (restart
-// builds the entire pod before anything runs).
-func (p *Pod) AddProcessStopped(prog vos.Program) *vos.Process {
-	return p.addProcess(prog, true)
-}
-
-func (p *Pod) addProcess(prog vos.Program, stopped bool) *vos.Process {
-	var proc *vos.Process
-	if stopped {
-		proc = p.node.SpawnStopped(prog, p.env)
-	} else {
-		proc = p.node.Spawn(prog, p.env)
-	}
+	proc := p.node.Spawn(prog, p.env)
 	if proc == nil {
 		return nil
 	}

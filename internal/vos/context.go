@@ -57,9 +57,6 @@ func (c *Context) PID() PID {
 // Rand returns the world's deterministic random source.
 func (c *Context) Rand() *rand.Rand { return c.node.w.Rand() }
 
-// LocalIP returns the pod's virtual IP address.
-func (c *Context) LocalIP() netstack.IP { return c.proc.Env.Stack.IPAddr() }
-
 func (c *Context) sock(fd int) (*netstack.Socket, error) {
 	s, ok := c.proc.fds[fd]
 	if !ok {
@@ -168,14 +165,21 @@ func (c *Context) SendRaw(fd int, dst netstack.IP, data []byte) (int, error) {
 	return s.SendRaw(dst, data)
 }
 
-// Recv reads up to n bytes (peek = MSG_PEEK, oob = MSG_OOB).
+// Recv reads up to n bytes into a new slice (peek = MSG_PEEK, oob =
+// MSG_OOB).
 func (c *Context) Recv(fd, n int, peek, oob bool) ([]byte, error) {
+	return c.RecvAppend(fd, nil, n, peek, oob)
+}
+
+// RecvAppend is the recvmsg system call: it appends up to n bytes to dst
+// and returns the extended slice, dst itself on an error.
+func (c *Context) RecvAppend(fd int, dst []byte, n int, peek, oob bool) ([]byte, error) {
 	c.charge()
 	s, err := c.sock(fd)
 	if err != nil {
-		return nil, err
+		return dst, err
 	}
-	return s.Recv(n, peek, oob)
+	return s.RecvAppend(dst, n, peek, oob)
 }
 
 // RecvFrom dequeues one datagram.
@@ -218,27 +222,6 @@ func (c *Context) Close(fd int) error {
 	s.SetNotify(nil)
 	s.Close()
 	delete(c.proc.fds, fd)
-	return nil
-}
-
-// GetSockOpt reads a socket option.
-func (c *Context) GetSockOpt(fd int, o netstack.Opt) (int64, error) {
-	c.charge()
-	s, err := c.sock(fd)
-	if err != nil {
-		return 0, err
-	}
-	return s.GetOpt(o), nil
-}
-
-// SetSockOpt writes a socket option.
-func (c *Context) SetSockOpt(fd int, o netstack.Opt, v int64) error {
-	c.charge()
-	s, err := c.sock(fd)
-	if err != nil {
-		return err
-	}
-	s.SetOpt(o, v)
 	return nil
 }
 

@@ -389,11 +389,6 @@ func (p *Process) DropRegion(name string) {
 // with a timeout.
 func (p *Process) Deadline() (sim.Time, bool) { return p.deadline, p.hasTimer }
 
-// WaitSet returns the FD waits of a blocked process.
-func (p *Process) WaitSet() []FDWait {
-	return append([]FDWait(nil), p.waitFDs...)
-}
-
 // Signal delivers a signal to the process.
 func (p *Process) Signal(sig Signal) {
 	if p.status == StatusExited {
