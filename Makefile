@@ -31,8 +31,11 @@ vet:
 # (internal/experiments, internal/metrics) and the chaos fuzzer are
 # imported by cmd/ directly. And a resource's fields are declared once:
 # outside internal/imgfmt and internal/ckpt no non-test file drives the
-# in-memory codec by hand, and nothing anywhere has a Save or Restore
-# method over an imgfmt codec — it declares a Layout (imgfmt/visitor.go).
+# in-memory codec or names the decoder by hand, and nothing anywhere has
+# a Save or Restore method over an imgfmt codec — it declares a Layout
+# (imgfmt/visitor.go). And they are read by one grammar: internal/imgfmt
+# defines each of its functions once, StreamDecoder's, which reads a
+# section or a blob as a window with no frames behind it.
 # And a controller has one state: the supervisor and the coordinated
 # operations do not regain a lifecycle boolean beside it, and each
 # operation type has one function that calls onDone (DESIGN.md §13).
@@ -54,9 +57,12 @@ boundary:
 		case $$p in zapc/internal/metrics|zapc/internal/chaos|zapc/internal/experiments) \
 			echo "boundary: zapc.go must not import $$p"; exit 1;; esac; \
 	done
-	@bad="$$(grep -rnE --include='*.go' 'imgfmt\.(Decoder|NewDecoder|NewEncoder)\b' . \
+	@bad="$$(grep -rnE --include='*.go' 'imgfmt\.(StreamDecoder|NewDecoder|NewEncoder)\b' . \
 		| grep -vE '^\./internal/(imgfmt|ckpt)/|_test\.go:')"; \
 	if [ -n "$$bad" ]; then echo "boundary: only internal/imgfmt and internal/ckpt may drive the codec by hand; declare a Layout:"; echo "$$bad"; exit 1; fi
+	@dup="$$(grep -hoE '^func (\([^)]*\) )?(uvarint|svarint|header|lengthPrefixed|Peek)\(' $$(ls internal/imgfmt/*.go | grep -v '_test\.go$$') \
+		| sed -E 's/.* ([A-Za-z]+)\($$/\1/' | sort | uniq -d)"; \
+	if [ -n "$$dup" ]; then echo "boundary: internal/imgfmt defines the field grammar twice; StreamDecoder reads memory too (a window with no frames behind it):"; echo "$$dup"; exit 1; fi
 	@bad="$$(grep -rnE --include='*.go' 'func \([^)]*\) (Save|Restore)\([^)]*imgfmt\.' .)"; \
 	if [ -n "$$bad" ]; then echo "boundary: a hand-written Save/Restore pair over an imgfmt codec; declare a Layout:"; echo "$$bad"; exit 1; fi
 	@bad="$$(grep -nE '^\s+(done|running|recovering|ckptBusy|aborted|finished|stopSent|contSent|saDone|contRecvd)\s+bool\b' internal/supervisor/supervisor.go internal/core/core.go)"; \
@@ -109,8 +115,9 @@ cow-check:
 # its verify-only walk against that reader; the
 # layouts inside a record: the Net section's and every registered
 # program's), the LZ4 kernels against their byte-wise reference
-# implementations and the stream decoder against its window-copy
-# reference.
+# implementations and the stream decoder against the spec oracle (the
+# whole record split into frames in one buffer, its fields walked by a
+# grammar of the test's own).
 # Raise FUZZTIME for a real fuzzing session.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime $(FUZZTIME) ./internal/imgfmt

@@ -3,88 +3,10 @@ package imgfmt
 import (
 	"bytes"
 	"encoding/binary"
-	"fmt"
 	"hash/crc32"
 	"math"
 	"testing"
 )
-
-// exhaust walks every field of a decoder recursively, exercising Peek
-// and the typed reads. It must return an error or reach the end of the
-// stream — never panic — whatever bytes the decoder was built over.
-func exhaust(t *testing.T, d *Decoder, depth int) error {
-	if depth > 64 {
-		return nil // deeply nested sections are legal; bound the walk
-	}
-	for d.More() {
-		tag, typ, err := d.Peek()
-		if err != nil {
-			return err
-		}
-		switch typ {
-		case TypeUint:
-			_, err = d.Uint(tag)
-		case TypeInt:
-			_, err = d.Int(tag)
-		case TypeBytes:
-			_, err = d.Bytes(tag)
-		case TypeString:
-			_, err = d.String(tag)
-		case TypeBool:
-			_, err = d.Bool(tag)
-		case TypeFloat64:
-			_, err = d.Float64(tag)
-		case TypeSection:
-			var sec Decoder
-			sec, err = d.Section(tag)
-			if err == nil {
-				err = exhaust(t, &sec, depth+1)
-			}
-		default:
-			err = fmt.Errorf("%w: unknown wire type %d", ErrTypeMismatch, typ)
-		}
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// exhaustStream walks every field of a streaming decoder, mirroring
-// exhaust for the io.Reader form.
-func exhaustStream(t *testing.T, d *StreamDecoder) {
-	for i := 0; i < 1<<16; i++ { // bound the walk against pathological streams
-		tag, typ, err := d.Peek()
-		if err != nil {
-			return
-		}
-		switch typ {
-		case TypeUint:
-			_, err = d.Uint(tag)
-		case TypeInt:
-			_, err = d.Int(tag)
-		case TypeBytes:
-			_, err = d.Bytes(tag)
-		case TypeString:
-			_, err = d.String(tag)
-		case TypeBool:
-			_, err = d.Bool(tag)
-		case TypeFloat64:
-			_, err = d.Float64(tag)
-		case TypeSection:
-			var sec Decoder
-			sec, err = d.Section(tag)
-			if err == nil {
-				err = exhaust(t, &sec, 0)
-			}
-		default:
-			return // an unknown wire type: no reader takes it
-		}
-		if err != nil {
-			return
-		}
-	}
-}
 
 // FuzzDecode feeds arbitrary bytes to the decoder entry points and the
 // full field walk. Decoding must never panic: malformed input may only
@@ -130,12 +52,11 @@ func FuzzDecode(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if d, err := NewDecoder(data); err == nil {
-			_ = exhaust(t, d, 0)
+			_, _ = drain(d, 0)
 		}
-		// The streaming decoder must be equally panic-free on arbitrary
-		// bytes.
+		// The record decoder must be equally panic-free on arbitrary bytes.
 		if sd, err := NewStreamDecoder(bytes.NewReader(data)); err == nil {
-			exhaustStream(t, sd)
+			_, _ = drain(sd, 0)
 		}
 		// A raw section decoder over arbitrary bytes (a corrupted nested
 		// body whose outer CRC happened to pass) must not panic either.
@@ -145,15 +66,15 @@ func FuzzDecode(f *testing.F) {
 			binary.LittleEndian.PutUint32(trailer[:], crc32.ChecksumIEEE(body))
 			patched := append(append([]byte(nil), body...), trailer[:]...)
 			if d, err := NewDecoder(patched); err == nil {
-				_ = exhaust(t, d, 0)
+				_, _ = drain(d, 0)
 			}
 		}
 	})
 }
 
 // FuzzRoundTrip encodes a deterministic field mix derived from the fuzz
-// input and asserts the decoder returns every value bit-exactly, for
-// the program-state blob and, inside it, for section-encoder splicing.
+// input and asserts the decoder returns every value bit-exactly, at the
+// top of a program-state blob and inside a section of it.
 func FuzzRoundTrip(f *testing.F) {
 	f.Add(uint64(7), int64(-9), []byte("abc"), "name", true, 2.5)
 	f.Add(uint64(0), int64(0), []byte{}, "", false, math.Inf(-1))
@@ -167,17 +88,11 @@ func FuzzRoundTrip(f *testing.F) {
 		e.String(4, s)
 		e.Bool(5, b)
 		e.Float64(6, fl)
-		// Same fields again inside a section, once via Begin/End and once
-		// via a separately encoded body spliced with RawSection; both
-		// spellings must produce identical bytes.
+		// Some of the fields again, inside a section.
 		e.Begin(7)
 		e.Uint(1, u)
 		e.String(2, s)
 		e.End()
-		se := NewSectionEncoder()
-		se.Uint(1, u)
-		se.String(2, s)
-		e.RawSection(7, se.Body())
 		img := e.Finish()
 
 		d, err := NewDecoder(img)
@@ -208,27 +123,23 @@ func FuzzRoundTrip(f *testing.F) {
 		if err != nil || math.Float64bits(gf) != math.Float64bits(fl) {
 			t.Fatalf("float: got %v,%v want %v", gf, err, fl)
 		}
-		var bodies [][]byte
-		for k := 0; k < 2; k++ {
-			sec, err := d.Section(7)
-			if err != nil {
-				t.Fatalf("section %d: %v", k, err)
-			}
-			bodies = append(bodies, sec.data)
-			su, err := sec.Uint(1)
-			if err != nil || su != u {
-				t.Fatalf("section uint: got %d,%v want %d", su, err, u)
-			}
-			ss, err := sec.String(2)
-			if err != nil || ss != s {
-				t.Fatalf("section string: got %q,%v want %q", ss, err, s)
-			}
+		sec, err := d.Section(7)
+		if err != nil {
+			t.Fatalf("section: %v", err)
 		}
-		if !bytes.Equal(bodies[0], bodies[1]) {
-			t.Fatalf("Begin/End and RawSection bodies differ: %x vs %x", bodies[0], bodies[1])
+		su, err := sec.Uint(1)
+		if err != nil || su != u {
+			t.Fatalf("section uint: got %d,%v want %d", su, err, u)
 		}
-		if d.More() {
-			t.Fatal("trailing fields after round trip")
+		ss, err := sec.String(2)
+		if err != nil || ss != s {
+			t.Fatalf("section string: got %q,%v want %q", ss, err, s)
+		}
+		if err := sec.Finished(); err != nil {
+			t.Fatalf("trailing fields in the section: %v", err)
+		}
+		if err := d.Finished(); err != nil {
+			t.Fatalf("trailing fields after round trip: %v", err)
 		}
 	})
 }

@@ -16,14 +16,17 @@
 // type, or that the reader's layout does not name is refused; the format
 // evolves by its version number.
 //
-// Two things carry a field stream. A record — a pod image or a delta,
-// what is stored, shipped and restarted from — is the field stream cut
-// into CRC'd, individually compressed frames by StreamEncoder and read
-// back by StreamDecoder (stream.go). Inside a record sit section bodies
-// and the program-state blob of each process (Magic, Version and a
-// CRC-32 trailer around its fields, carried as one opaque Bytes value):
-// both are written by a StreamEncoder that buffers in memory (NewEncoder,
-// NewSectionEncoder) and read by the Decoder of this file.
+// One grammar reads a field stream, StreamDecoder's (stream.go), over
+// one of two byte sources. A record — a pod image or a delta, what is
+// stored, shipped and restarted from — is the field stream cut into
+// CRC'd, individually compressed frames by StreamEncoder; its decoder
+// pulls them into a window one verified frame at a time. Inside a record
+// sit section bodies and the program-state blob of each process (Magic,
+// Version and a CRC-32 trailer around its fields, carried as one opaque
+// Bytes value, written by the StreamEncoder NewEncoder returns, which
+// buffers in memory). Their fields are already in memory: the same
+// decoder reads them with the bytes as its window and no frames behind
+// it, so it ends where they do.
 //
 // Nothing outside this package and internal/ckpt drives an encoder or a
 // decoder by hand: a resource declares a layout (visitor.go) and is
@@ -35,7 +38,6 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"math"
 )
 
 // Magic opens a pod-image record and a program-state blob.
@@ -79,14 +81,7 @@ var (
 // blob.
 func NewEncoder() *StreamEncoder {
 	hdr := append(make([]byte, 0, 256), Magic...)
-	return newBuffered(appendUvarint(hdr, Version))
-}
-
-// NewSectionEncoder returns an in-memory encoder producing a bare field
-// stream with no header or trailer, taken with Body: a section body to
-// be spliced into another stream via RawSection.
-func NewSectionEncoder() *StreamEncoder {
-	return newBuffered(make([]byte, 0, 64))
+	return &StreamEncoder{stack: [][]byte{appendUvarint(hdr, Version)}}
 }
 
 func appendUvarint(b []byte, v uint64) []byte {
@@ -101,17 +96,11 @@ func appendSvarint(b []byte, v int64) []byte {
 	return append(b, tmp[:n]...)
 }
 
-// Decoder reads a field stream held in memory. Create decoders with
-// NewDecoder (for a program-state blob) — section decoders are produced
-// by Section. Decoders are not safe for concurrent use.
-type Decoder struct {
-	data []byte
-	off  int
-}
-
 // NewDecoder validates the trailer and header of a program-state blob
-// and returns a decoder positioned at the first field.
-func NewDecoder(blob []byte) (*Decoder, error) {
+// and returns a decoder positioned at the first field: the record
+// decoder, with the blob's fields in its window and no frames behind
+// them.
+func NewDecoder(blob []byte) (*StreamDecoder, error) {
 	if len(blob) < len(Magic)+1+4 {
 		return nil, ErrTruncated
 	}
@@ -122,7 +111,7 @@ func NewDecoder(blob []byte) (*Decoder, error) {
 	if string(body[:len(Magic)]) != Magic {
 		return nil, ErrBadMagic
 	}
-	d := &Decoder{data: body, off: len(Magic)}
+	d := inMemory(body[len(Magic):])
 	v, err := d.uvarint()
 	if err != nil {
 		return nil, err
@@ -130,149 +119,5 @@ func NewDecoder(blob []byte) (*Decoder, error) {
 	if v != Version {
 		return nil, fmt.Errorf("%w: %d", ErrBadVersion, v)
 	}
-	return d, nil
-}
-
-func (d *Decoder) uvarint() (uint64, error) {
-	v, n := binary.Uvarint(d.data[d.off:])
-	if n <= 0 {
-		return 0, ErrTruncated
-	}
-	d.off += n
-	return v, nil
-}
-
-func (d *Decoder) svarint() (int64, error) {
-	v, n := binary.Varint(d.data[d.off:])
-	if n <= 0 {
-		return 0, ErrTruncated
-	}
-	d.off += n
-	return v, nil
-}
-
-// More reports whether any fields remain in this decoder's stream.
-func (d *Decoder) More() bool { return d.off < len(d.data) }
-
-// Peek returns the tag and type of the next field without consuming it.
-func (d *Decoder) Peek() (tag uint64, typ byte, err error) {
-	if !d.More() {
-		return 0, 0, ErrEndOfSection
-	}
-	save := d.off
-	tag, err = d.uvarint()
-	if err != nil {
-		d.off = save
-		return 0, 0, err
-	}
-	if d.off >= len(d.data) {
-		d.off = save
-		return 0, 0, ErrTruncated
-	}
-	typ = d.data[d.off]
-	d.off = save
-	return tag, typ, nil
-}
-
-func (d *Decoder) header(wantTag uint64, wantType byte) error {
-	tag, err := d.uvarint()
-	if err != nil {
-		return err
-	}
-	if tag != wantTag {
-		return fmt.Errorf("%w: got %d want %d", ErrTagMismatch, tag, wantTag)
-	}
-	if d.off >= len(d.data) {
-		return ErrTruncated
-	}
-	typ := d.data[d.off]
-	d.off++
-	if typ != wantType {
-		return fmt.Errorf("%w: tag %d got type %d want %d", ErrTypeMismatch, tag, typ, wantType)
-	}
-	return nil
-}
-
-// Uint reads an unsigned integer field with the given tag.
-func (d *Decoder) Uint(tag uint64) (uint64, error) {
-	if err := d.header(tag, TypeUint); err != nil {
-		return 0, err
-	}
-	return d.uvarint()
-}
-
-// Int reads a signed integer field with the given tag.
-func (d *Decoder) Int(tag uint64) (int64, error) {
-	if err := d.header(tag, TypeInt); err != nil {
-		return 0, err
-	}
-	return d.svarint()
-}
-
-func (d *Decoder) lengthPrefixed() ([]byte, error) {
-	n, err := d.uvarint()
-	if err != nil {
-		return nil, err
-	}
-	if uint64(len(d.data)-d.off) < n {
-		return nil, ErrTruncated
-	}
-	v := d.data[d.off : d.off+int(n)]
-	d.off += int(n)
-	return v, nil
-}
-
-// Bytes reads an opaque byte-slice field with the given tag. The returned
-// slice aliases the decoder's backing array; callers that retain it across
-// further decoding must copy it.
-func (d *Decoder) Bytes(tag uint64) ([]byte, error) {
-	if err := d.header(tag, TypeBytes); err != nil {
-		return nil, err
-	}
-	return d.lengthPrefixed()
-}
-
-// String reads a string field with the given tag.
-func (d *Decoder) String(tag uint64) (string, error) {
-	if err := d.header(tag, TypeString); err != nil {
-		return "", err
-	}
-	b, err := d.lengthPrefixed()
-	return string(b), err
-}
-
-// Bool reads a boolean field with the given tag.
-func (d *Decoder) Bool(tag uint64) (bool, error) {
-	if err := d.header(tag, TypeBool); err != nil {
-		return false, err
-	}
-	if d.off >= len(d.data) {
-		return false, ErrTruncated
-	}
-	v := d.data[d.off]
-	d.off++
-	return v != 0, nil
-}
-
-// Float64 reads an IEEE-754 double field with the given tag.
-func (d *Decoder) Float64(tag uint64) (float64, error) {
-	if err := d.header(tag, TypeFloat64); err != nil {
-		return 0, err
-	}
-	if len(d.data)-d.off < 8 {
-		return 0, ErrTruncated
-	}
-	bits := binary.LittleEndian.Uint64(d.data[d.off:])
-	d.off += 8
-	return math.Float64frombits(bits), nil
-}
-
-// Section reads a nested section field with the given tag and returns a
-// decoder over its contents.
-func (d *Decoder) Section(tag uint64) (Decoder, error) {
-	if err := d.header(tag, TypeSection); err != nil {
-		return Decoder{}, err
-	}
-	body, err := d.lengthPrefixed()
-	return Decoder{data: body}, err
+	return &d, nil
 }

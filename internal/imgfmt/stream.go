@@ -61,9 +61,8 @@ const MaxFrame = 1 << 20
 var ErrFrame = fmt.Errorf("%w: malformed chunk frame", ErrBadChecksum)
 
 // StreamEncoder writes a record as a sequence of CRC-framed chunks to
-// an io.Writer — or, from NewEncoder and NewSectionEncoder, buffers the
-// bare field stream in memory. StreamEncoders are not safe for
-// concurrent use.
+// an io.Writer — or, from NewEncoder, buffers a program-state blob in
+// memory. StreamEncoders are not safe for concurrent use.
 //
 // Fields written at the top level are flushed to the writer as soon as
 // a full chunk accumulates; section bodies buffer until their End so
@@ -79,8 +78,7 @@ type StreamEncoder struct {
 	stack    [][]byte // stack[0] is the root buffer; deeper entries are open sections
 	chunk    int
 	crc      uint32 // running CRC over header + logical payload
-	written  int64
-	logical  int64 // uncompressed payload bytes framed so far
+	logical  int64  // uncompressed payload bytes framed so far
 	peak     int64
 	err      error
 	closed   bool
@@ -131,19 +129,9 @@ func NewStreamCounter() *StreamEncoder {
 		stack: [][]byte{make([]byte, 0, 64)}}
 }
 
-// newBuffered returns the unframed in-memory form: everything written
-// accumulates after prefix, to be taken with Body (a section body,
-// empty prefix) or Finish (a program-state blob).
-func newBuffered(prefix []byte) *StreamEncoder {
-	return &StreamEncoder{stack: [][]byte{prefix}}
-}
-
 // Err returns the first write error encountered, if any. Once set, all
 // further operations are no-ops returning the same error from Close.
 func (s *StreamEncoder) Err() error { return s.err }
-
-// Written reports the bytes emitted to the writer so far.
-func (s *StreamEncoder) Written() int64 { return s.written }
 
 // Logical reports the uncompressed payload bytes framed so far — the
 // size of the field stream the frames carry, independent of per-frame
@@ -162,9 +150,7 @@ func (s *StreamEncoder) writeRaw(b []byte) {
 	if s.err != nil {
 		return
 	}
-	n, err := s.w.Write(b)
-	s.written += int64(n)
-	if err != nil {
+	if _, err := s.w.Write(b); err != nil {
 		s.err = err
 	}
 }
@@ -332,24 +318,6 @@ func (s *StreamEncoder) End() {
 	s.settle()
 }
 
-// RawSection writes a section field whose body was encoded separately
-// (by a NewSectionEncoder finished with Body).
-func (s *StreamEncoder) RawSection(tag uint64, body []byte) {
-	s.field(tag, TypeSection)
-	b := s.top()
-	*b = appendUvarint(*b, uint64(len(body)))
-	*b = append(*b, body...)
-	s.settle()
-}
-
-// Body returns the bare field stream of a section encoder.
-func (s *StreamEncoder) Body() []byte {
-	if len(s.stack) != 1 {
-		panic("imgfmt: Body with open sections")
-	}
-	return s.stack[0]
-}
-
 // Finish returns the finished in-memory blob, appending the CRC-32
 // trailer over everything before it.
 func (s *StreamEncoder) Finish() []byte {
@@ -364,15 +332,6 @@ func (s *StreamEncoder) Finish() []byte {
 	var tmp [4]byte
 	binary.LittleEndian.PutUint32(tmp[:], sum)
 	return append(b, tmp[:]...)
-}
-
-// Len reports the bytes currently buffered across the section stack.
-func (s *StreamEncoder) Len() int {
-	n := 0
-	for _, b := range s.stack {
-		n += len(b)
-	}
-	return n
 }
 
 // Close flushes the final partial chunk and writes the stream
@@ -397,39 +356,49 @@ func (s *StreamEncoder) Close() error {
 	return s.err
 }
 
-// StreamDecoder reads a record from an io.Reader, verifying frame CRCs
-// as frames arrive. The stream is pulled frame by frame from one frame
-// source (nextFrame + readFrame) into one of two places. Header-sized
-// fields — tags, varints, names, small sections — are parsed out of a
-// window of verified-but-unconsumed payload that holds about a frame. A
-// value longer than the window holds is expanded frame by frame straight
-// into the slice the caller keeps (lengthPrefixed), so each of its bytes
-// lands once. Skip discards through the window, one frame at a time.
-// Frames are decompressed, out of one reused scratch, after their
-// stored-byte CRC has been verified, so corrupt input never reaches the
-// decompressor unnoticed.
+// StreamDecoder is the field grammar, the one reader of a field stream.
+// Fields are parsed out of a window of verified-but-unconsumed payload.
+// Behind the window of a record (NewStreamDecoder) is an io.Reader: the
+// stream is pulled frame by frame from one frame source (nextFrame +
+// readFrame), each frame's stored-byte CRC verified before it is
+// decompressed out of one reused scratch, so corrupt input never
+// reaches the decompressor unnoticed. The window holds about a frame; a
+// value longer than it holds is expanded frame by frame straight into
+// the slice the caller keeps (lengthPrefixed), so each of its bytes
+// lands once, and SkipBytes discards through the window one frame at a
+// time. Behind the window of a section body or a blob (Section,
+// NewDecoder) is nothing: the window is the whole source and there are
+// no frames to pull, so it ends cleanly where the bytes do — a tag there
+// is ErrEndOfSection, a field cut short ErrTruncated, as at a record's
+// terminator.
 //
 // All reads are bounded: a truncated or corrupt stream always yields an
 // error (never a hang), and declared lengths are only trusted up to the
 // bytes that actually arrived under a valid frame CRC.
 type StreamDecoder struct {
-	delta bool
-
-	r      io.Reader
-	win    []byte // verified-but-unconsumed payload window
+	frames *frames // what stands behind the window; nil in memory
+	win    []byte  // verified-but-unconsumed payload window
 	off    int
+
+	peeked bool
+	ptyp   byte
+	ptag   uint64
+}
+
+// frames is what stands behind a record's window: the reader its frames
+// arrive on and the state of reading them. A nil *frames has none left
+// and has ended cleanly.
+type frames struct {
+	r      io.Reader
 	stored []byte // stored bytes of the LZ4 frame being expanded, reused across frames
 	// hdr receives frame-header and trailer bytes. It is a field because
 	// a local array handed to r.Read escapes: one heap object per read.
 	hdr   [binary.MaxVarintLen64]byte
-	crc   uint32 // running CRC over header + consumed payloads
+	delta bool
 	fin   bool   // terminator seen and whole-stream CRC verified
+	crc   uint32 // running CRC over header + consumed payloads
 	frame int    // 1-based index of the frame being pulled, for errors
 	err   error
-
-	peeked bool
-	ptag   uint64
-	ptyp   byte
 }
 
 // NewStreamDecoder reads and validates the record header from r and
@@ -442,11 +411,16 @@ func NewStreamDecoder(r io.Reader) (*StreamDecoder, error) {
 	if _, err := io.ReadFull(r, hdr); err != nil {
 		return nil, ErrTruncated
 	}
-	d := &StreamDecoder{r: r}
+	rec := &struct { // the decoder and its frames in one allocation
+		d StreamDecoder
+		f frames
+	}{f: frames{r: r}}
+	d, f := &rec.d, &rec.f
+	d.frames = f
 	switch string(hdr) {
 	case Magic:
 	case DeltaMagic:
-		d.delta = true
+		f.delta = true
 	default:
 		return nil, ErrBadMagic
 	}
@@ -457,9 +431,13 @@ func NewStreamDecoder(r io.Reader) (*StreamDecoder, error) {
 	if ver != StreamVersion {
 		return nil, fmt.Errorf("%w: %d", ErrBadVersion, ver)
 	}
-	d.crc = crc32.Update(0, crc32.IEEETable, hdr[:len(hdr)+n])
+	f.crc = crc32.Update(0, crc32.IEEETable, hdr[:len(hdr)+n])
 	return d, nil
 }
+
+// inMemory returns a decoder over a field stream held in memory: b is
+// the window, with no frames behind it.
+func inMemory(b []byte) StreamDecoder { return StreamDecoder{win: b} }
 
 // readUvarint decodes a uvarint from r byte-at-a-time into buf (at
 // least MaxVarintLen64 long), returning the value and how many bytes of
@@ -481,7 +459,7 @@ func readUvarint(r io.Reader, buf []byte) (uint64, int, error) {
 }
 
 // IsDelta reports whether the stream is a delta record.
-func (d *StreamDecoder) IsDelta() bool { return d.delta }
+func (d *StreamDecoder) IsDelta() bool { return d.frames != nil && d.frames.delta }
 
 func (d *StreamDecoder) avail() int { return len(d.win) - d.off }
 
@@ -494,7 +472,7 @@ type frame struct {
 
 // read fills the first n bytes of the header scratch from the reader,
 // returning nil with d.err set when the stream ends first.
-func (d *StreamDecoder) read(n int) []byte {
+func (d *frames) read(n int) []byte {
 	if _, err := io.ReadFull(d.r, d.hdr[:n]); err != nil {
 		d.err = ErrTruncated
 		return nil
@@ -503,10 +481,10 @@ func (d *StreamDecoder) read(n int) []byte {
 }
 
 // nextFrame reads the next frame header. It returns false at the
-// terminator (whose whole-stream CRC it verifies) or on error. Errors
-// name the failing frame (1-based).
-func (d *StreamDecoder) nextFrame() (f frame, ok bool) {
-	if d.err != nil || d.fin {
+// terminator (whose whole-stream CRC it verifies), on error, and at once
+// on a nil *frames. Errors name the failing frame (1-based).
+func (d *frames) nextFrame() (f frame, ok bool) {
+	if d == nil || d.err != nil || d.fin {
 		return f, false
 	}
 	n, _, err := readUvarint(d.r, d.hdr[:])
@@ -557,7 +535,7 @@ func (d *StreamDecoder) nextFrame() (f frame, ok bool) {
 // is read straight into place. An LZ4 body is read into the stored
 // scratch and expanded into place only once its CRC has been verified;
 // the capacity pin keeps a kernel bug from writing past this frame.
-func (d *StreamDecoder) readFrame(dst []byte, f frame) ([]byte, bool) {
+func (d *frames) readFrame(dst []byte, f frame) ([]byte, bool) {
 	base, end := len(dst), len(dst)+f.rawLen
 	body := dst[base:end]
 	if f.style == FrameLZ4 {
@@ -592,7 +570,7 @@ func (d *StreamDecoder) readFrame(dst []byte, f frame) ([]byte, bool) {
 // pull appends the next frame's payload to the window. It returns
 // false at the terminator or on error.
 func (d *StreamDecoder) pull() bool {
-	f, ok := d.nextFrame()
+	f, ok := d.frames.nextFrame()
 	return ok && d.pullFrame(f)
 }
 
@@ -603,7 +581,7 @@ func (d *StreamDecoder) pullFrame(f frame) bool {
 		d.win = append(d.win[:0], d.win[d.off:]...)
 		d.off = 0
 	}
-	win, ok := d.readFrame(slices.Grow(d.win, f.rawLen), f)
+	win, ok := d.frames.readFrame(slices.Grow(d.win, f.rawLen), f)
 	if ok {
 		d.win = win
 	}
@@ -613,8 +591,8 @@ func (d *StreamDecoder) pullFrame(f frame) bool {
 // pullErr is the error to report after nextFrame or pull returned
 // false: the one recorded, or truncation when the stream simply ended.
 func (d *StreamDecoder) pullErr() error {
-	if d.err != nil {
-		return d.err
+	if d.frames != nil && d.frames.err != nil {
+		return d.frames.err
 	}
 	return ErrTruncated
 }
@@ -667,13 +645,10 @@ func (d *StreamDecoder) svarint() (int64, error) {
 // stream (ErrEndOfSection) from truncation.
 func (d *StreamDecoder) tagOrEnd() (uint64, error) {
 	if d.avail() == 0 && !d.pull() {
-		if d.err != nil {
-			return 0, d.err
-		}
-		if d.fin {
+		if d.frames == nil || d.frames.fin {
 			return 0, ErrEndOfSection
 		}
-		return 0, ErrTruncated
+		return 0, d.pullErr()
 	}
 	return d.uvarint()
 }
@@ -739,31 +714,39 @@ func (d *StreamDecoder) valueLen() (int, error) {
 	return int(n), nil
 }
 
-// lengthPrefixed consumes a length-prefixed value, returning a slice
-// the caller owns. A value the window already holds is copied out of
-// it. A longer one gets its destination up front — the window's tail
-// moves in, then every whole frame is read, verified and expanded
-// directly into it; only a frame that straddles the value's end goes
-// through the window. The destination starts at no more than 4·MaxFrame
-// and doubles only as CRC-verified frames fill it, never past the
-// declared length, so a lying length prefix fails with ErrTruncated
-// having allocated a bounded multiple of the data that actually arrived.
-func (d *StreamDecoder) lengthPrefixed() ([]byte, error) {
+// lengthPrefixed consumes a length-prefixed value. A value the window
+// already holds is copied out of it when own is set and handed out where
+// it lies otherwise, valid until the next read pulls a frame. A longer
+// one is caller-owned: it gets its destination once its first frame
+// header has arrived — the window's tail moves in, then every whole
+// frame is read, verified and expanded directly into it; only a frame
+// that straddles the value's end goes through the window. The
+// destination starts at no more than 4·MaxFrame and doubles only as
+// CRC-verified frames fill it, never past the declared length, so a
+// lying length prefix fails with ErrTruncated having allocated a bounded
+// multiple of the data that actually arrived — nothing at all in memory.
+func (d *StreamDecoder) lengthPrefixed(own bool) ([]byte, error) {
 	n, err := d.valueLen()
 	if err != nil {
 		return nil, err
 	}
 	if n <= d.avail() {
-		v := append([]byte(nil), d.win[d.off:d.off+n]...)
+		v := d.win[d.off : d.off+n : d.off+n]
 		d.off += n
+		if own {
+			v = append([]byte(nil), v...)
+		}
 		return v, nil
 	}
-	dst := append(make([]byte, 0, min(n, 4*MaxFrame)), d.win[d.off:]...)
-	d.win, d.off = d.win[:0], 0
+	var dst []byte
 	for len(dst) < n {
-		f, ok := d.nextFrame()
+		f, ok := d.frames.nextFrame()
 		if !ok {
 			return nil, d.pullErr()
+		}
+		if dst == nil {
+			dst = append(make([]byte, 0, min(n, 4*MaxFrame)), d.win[d.off:]...)
+			d.win, d.off = d.win[:0], 0
 		}
 		rest := n - len(dst)
 		if need := len(dst) + min(f.rawLen, rest); need > cap(dst) {
@@ -771,12 +754,12 @@ func (d *StreamDecoder) lengthPrefixed() ([]byte, error) {
 		}
 		if f.rawLen > rest {
 			if !d.pullFrame(f) {
-				return nil, d.err
+				return nil, d.frames.err
 			}
 			dst = append(dst, d.win[:rest]...)
 			d.off = rest
-		} else if dst, ok = d.readFrame(dst, f); !ok {
-			return nil, d.err
+		} else if dst, ok = d.frames.readFrame(dst, f); !ok {
+			return nil, d.frames.err
 		}
 	}
 	return dst, nil
@@ -813,13 +796,17 @@ func (d *StreamDecoder) Int(tag uint64) (int64, error) {
 	return d.svarint()
 }
 
-// Bytes reads an opaque byte-slice field with the given tag. Unlike
-// Decoder.Bytes, the returned slice is caller-owned.
-func (d *StreamDecoder) Bytes(tag uint64) ([]byte, error) {
+// Bytes reads an opaque byte-slice field with the given tag, into a
+// slice the caller owns.
+func (d *StreamDecoder) Bytes(tag uint64) ([]byte, error) { return d.bytes(tag, true) }
+
+// bytes reads a byte-slice field, copied out of the window or not as
+// lengthPrefixed's own.
+func (d *StreamDecoder) bytes(tag uint64, own bool) ([]byte, error) {
 	if err := d.header(tag, TypeBytes); err != nil {
 		return nil, err
 	}
-	return d.lengthPrefixed()
+	return d.lengthPrefixed(own)
 }
 
 // SkipBytes consumes a byte-slice field with the given tag — header and
@@ -841,7 +828,7 @@ func (d *StreamDecoder) String(tag uint64) (string, error) {
 	if err := d.header(tag, TypeString); err != nil {
 		return "", err
 	}
-	b, err := d.lengthPrefixed()
+	b, err := d.lengthPrefixed(false)
 	return string(b), err
 }
 
@@ -871,15 +858,17 @@ func (d *StreamDecoder) Float64(tag uint64) (float64, error) {
 	return math.Float64frombits(bits), nil
 }
 
-// Section reads a nested section field with the given tag, returning an
-// in-memory decoder over its (copied) body. Sections are expected to be
+// Section reads a nested section field with the given tag, returning a
+// decoder over its body held in memory. The body aliases the source when
+// it is in memory too; a record's window is compacted as frames arrive,
+// so out of a record the body is copied. Sections are expected to be
 // small metadata groups; bulk data lives in top-level Bytes fields.
-func (d *StreamDecoder) Section(tag uint64) (Decoder, error) {
+func (d *StreamDecoder) Section(tag uint64) (StreamDecoder, error) {
 	if err := d.header(tag, TypeSection); err != nil {
-		return Decoder{}, err
+		return StreamDecoder{}, err
 	}
-	body, err := d.lengthPrefixed()
-	return Decoder{data: body}, err
+	body, err := d.lengthPrefixed(d.frames != nil)
+	return inMemory(body), err
 }
 
 // Finished verifies that the stream ends cleanly after the last

@@ -50,7 +50,7 @@ func TestDecodedValuesOwnTheirBytes(t *testing.T) {
 		if !bytes.Equal(v, want[i]) {
 			t.Fatalf("value %d did not round-trip", i)
 		}
-		if overlaps(v, d.win) || overlaps(v, d.stored) {
+		if overlaps(v, d.win) || overlaps(v, d.frames.stored) {
 			t.Fatalf("value %d shares memory with decoder scratch", i)
 		}
 		for j := range got[:i] {

@@ -57,9 +57,9 @@ func checkVerifyMatchesRead(t testing.TB, name string, data []byte) {
 	if rerr == nil && verr == nil {
 		rerr = ReadRecord(rd, read.layout)
 		verr = VerifyRecord(vd, verified.layout)
-		if rd.frame != vd.frame || rd.fin != vd.fin {
+		if rf, vf := rd.frames, vd.frames; rf.frame != vf.frame || rf.fin != vf.fin {
 			t.Fatalf("%s: reader stopped at frame %d (fin %v), verifier at frame %d (fin %v)",
-				name, rd.frame, rd.fin, vd.frame, vd.fin)
+				name, rf.frame, rf.fin, vf.frame, vf.fin)
 		}
 	}
 	if errClass(verr) != errClass(rerr) || (verr != nil && verr.Error() != rerr.Error()) {

@@ -119,19 +119,6 @@ func Blob(layout func(Visitor)) []byte {
 	return s.Finish()
 }
 
-// fieldSource is what the record's StreamDecoder and the in-memory
-// Decoder of a section or a blob have in common.
-type fieldSource interface {
-	Peek() (tag uint64, typ byte, err error)
-	Uint(tag uint64) (uint64, error)
-	Int(tag uint64) (int64, error)
-	Bool(tag uint64) (bool, error)
-	Float64(tag uint64) (float64, error)
-	String(tag uint64) (string, error)
-	Bytes(tag uint64) ([]byte, error)
-	Section(tag uint64) (Decoder, error)
-}
-
 // reader is the reading visitor. It is strict: fields must arrive in
 // layout order, a repeated group ends only at a different tag or the end
 // of its section, and a section, blob or record holding a field its
@@ -140,55 +127,43 @@ type fieldSource interface {
 // sticks: every later visit hands back the value it was given and More
 // reports false, so the layout runs out without reading further.
 type reader struct {
-	base fieldSource // the record stream, or the blob
-	secs []Decoder   // the open sections, innermost last
+	base *StreamDecoder  // the record stream, or the blob
+	secs []StreamDecoder // the open sections, innermost last
 	err  error
 }
 
 // src is what the next field comes from. Open sections are held by
 // value in one slice, so opening one allocates nothing.
-func (r *reader) src() fieldSource {
+func (r *reader) src() *StreamDecoder {
 	if n := len(r.secs); n > 0 {
 		return &r.secs[n-1]
 	}
 	return r.base
 }
 
-// get reads one scalar field with read, unless an error has stuck.
-func get[T any](r *reader, tag uint64, v T, read func(fieldSource, uint64) (T, error)) T {
+// get reads one field with read, unless an error has stuck.
+func get[T any](r *reader, tag uint64, v T, read func(*StreamDecoder, uint64) (T, error)) T {
 	if r.err == nil {
 		v, r.err = read(r.src(), tag)
 	}
 	return v
 }
 
-func (r *reader) Uint(tag, v uint64) uint64             { return get(r, tag, v, fieldSource.Uint) }
-func (r *reader) Int(tag uint64, v int64) int64         { return get(r, tag, v, fieldSource.Int) }
-func (r *reader) Bool(tag uint64, v bool) bool          { return get(r, tag, v, fieldSource.Bool) }
-func (r *reader) Float64(tag uint64, v float64) float64 { return get(r, tag, v, fieldSource.Float64) }
-func (r *reader) String(tag uint64, v string) string    { return get(r, tag, v, fieldSource.String) }
-
-// Bytes hands back a slice the caller owns. The record stream expands
-// each value into one it does not retain; a Decoder aliases its backing
-// array — a section body, or a blob that belongs to an immutable image
-// which may be restored again — so what it returns is copied.
-func (r *reader) Bytes(tag uint64, v []byte) []byte {
-	if r.err == nil {
-		src := r.src()
-		v, r.err = src.Bytes(tag)
-		if _, aliased := src.(*Decoder); aliased {
-			v = append([]byte(nil), v...)
-		}
-	}
-	return v
+func (r *reader) Uint(tag, v uint64) uint64     { return get(r, tag, v, (*StreamDecoder).Uint) }
+func (r *reader) Int(tag uint64, v int64) int64 { return get(r, tag, v, (*StreamDecoder).Int) }
+func (r *reader) Bool(tag uint64, v bool) bool  { return get(r, tag, v, (*StreamDecoder).Bool) }
+func (r *reader) Float64(tag uint64, v float64) float64 {
+	return get(r, tag, v, (*StreamDecoder).Float64)
 }
+func (r *reader) String(tag uint64, v string) string { return get(r, tag, v, (*StreamDecoder).String) }
+func (r *reader) Bytes(tag uint64, v []byte) []byte  { return get(r, tag, v, (*StreamDecoder).Bytes) }
 
 func (r *reader) Floats(tag uint64, v []float64) []float64 {
 	if r.err != nil {
 		return v
 	}
-	var b []byte
-	if b, r.err = r.src().Bytes(tag); r.err == nil && len(b)%8 != 0 {
+	var b []byte // converted before the next read, so read where it lies
+	if b, r.err = r.src().bytes(tag, false); r.err == nil && len(b)%8 != 0 {
 		r.err = fmt.Errorf("%w: %d bytes of float64s", ErrTruncated, len(b))
 	}
 	v = make([]float64, len(b)/8)
@@ -200,7 +175,7 @@ func (r *reader) Floats(tag uint64, v []float64) []float64 {
 
 func (r *reader) Begin(tag uint64) {
 	if r.err == nil {
-		var sec Decoder
+		var sec StreamDecoder
 		if sec, r.err = r.src().Section(tag); r.err == nil {
 			r.secs = append(r.secs, sec)
 		}
@@ -247,9 +222,9 @@ func (r *reader) Check(ok bool, what string) {
 	}
 }
 
-// read walks layout over src, which the layout must use up.
-func read(src fieldSource, layout func(Visitor)) error {
-	r := &reader{base: src, secs: make([]Decoder, 0, 4)}
+// read walks layout over d, which the layout must use up.
+func read(d *StreamDecoder, layout func(Visitor)) error {
+	r := &reader{base: d, secs: make([]StreamDecoder, 0, 4)}
 	layout(r)
 	return r.used()
 }
@@ -268,20 +243,9 @@ func ReadRecord(d *StreamDecoder, layout func(Visitor)) error { return read(d, l
 // read as a scalar, never the content of a Bytes field.
 type verifier struct{ reader }
 
-// skip consumes the Bytes field tagged tag and reports its length. The
-// record stream discards the value through its window, one verified frame
-// at a time; a Decoder's value is an alias of its section, dropped unread.
-func (r *verifier) skip(tag uint64) (int, error) {
-	if d, ok := r.src().(*StreamDecoder); ok {
-		return d.SkipBytes(tag)
-	}
-	b, err := r.src().Bytes(tag)
-	return len(b), err
-}
-
 func (r *verifier) Bytes(tag uint64, v []byte) []byte {
 	if r.err == nil {
-		_, r.err = r.skip(tag)
+		_, r.err = r.src().SkipBytes(tag)
 	}
 	return v
 }
@@ -289,7 +253,7 @@ func (r *verifier) Bytes(tag uint64, v []byte) []byte {
 func (r *verifier) Floats(tag uint64, v []float64) []float64 {
 	if r.err == nil {
 		var n int
-		if n, r.err = r.skip(tag); r.err == nil && n%8 != 0 {
+		if n, r.err = r.src().SkipBytes(tag); r.err == nil && n%8 != 0 {
 			r.err = fmt.Errorf("%w: %d bytes of float64s", ErrTruncated, n)
 		}
 	}
@@ -303,7 +267,7 @@ func (r *verifier) Floats(tag uint64, v []float64) []float64 {
 // the layout's owner holds afterwards is the record's metadata: scalars,
 // names, list shapes.
 func VerifyRecord(d *StreamDecoder, layout func(Visitor)) error {
-	r := &verifier{reader{base: d, secs: make([]Decoder, 0, 4)}}
+	r := &verifier{reader{base: d, secs: make([]StreamDecoder, 0, 4)}}
 	layout(r)
 	return r.used()
 }
