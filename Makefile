@@ -50,6 +50,10 @@ vet:
 # literal or a method value is a fresh closure per timer (DESIGN.md §2).
 # And a packet in flight comes from its Network's free list: transit is
 # the one place in internal/netstack that makes one.
+# And a fault schedule has one step: non-test internal/faultinject
+# declares one struct with a json:"action" field — the fixture form is
+# what Injector.Arm takes, resolving targets from its Env — and no Bind
+# or Spec translating between two step forms.
 boundary:
 	@files="$$($(GO) list -f '{{join .GoFiles " "}}' .)"; \
 	if [ "$$files" != "zapc.go" ]; then echo "boundary: root package must hold zapc.go only, has: $$files"; exit 1; fi
@@ -80,6 +84,10 @@ boundary:
 	if [ -n "$$bad" ]; then echo "boundary: After( on the per-event path allocates a closure per timer; schedule with AfterCall and a func bound once:"; echo "$$bad"; exit 1; fi
 	@bad="$$(awk '/^func /{fn=$$0} /&packet\{|new\(packet\)/ && fn !~ /\) transit\(/{print FILENAME ": " $$0}' internal/netstack/*.go)"; \
 	if [ -n "$$bad" ]; then echo "boundary: a packet made outside the free list; send a packet value, transit takes the pointer from the free list (DESIGN.md §2.1):"; echo "$$bad"; exit 1; fi
+	@srcs="$$(ls internal/faultinject/*.go | grep -v '_test\.go$$')"; \
+	if [ "$$(cat $$srcs | grep -c 'json:"action')" -gt 1 ]; then echo "boundary: internal/faultinject declares a second fault step; the fixture form is the one Arm takes (DESIGN.md §8):"; grep -n 'json:"action' $$srcs; exit 1; fi; \
+	bad="$$(grep -nE '^func (\([^)]*\) )?(Bind|Spec)\(' $$srcs)"; \
+	if [ -n "$$bad" ]; then echo "boundary: a Bind/Spec translation between two step forms; Arm resolves a step's targets from the injector's Env:"; echo "$$bad"; exit 1; fi
 
 build:
 	$(GO) build ./...
@@ -117,7 +125,8 @@ cow-check:
 # program's), the LZ4 kernels against their byte-wise reference
 # implementations and the stream decoder against the spec oracle (the
 # whole record split into frames in one buffer, its fields walked by a
-# grammar of the test's own).
+# grammar of the test's own), and the fault-schedule JSON (a named
+# schedule error, or a schedule whose encoding is a fixed point).
 # Raise FUZZTIME for a real fuzzing session.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime $(FUZZTIME) ./internal/imgfmt
@@ -132,6 +141,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeNetImage$$' -fuzztime $(FUZZTIME) ./internal/netckpt
 	$(GO) test -run '^$$' -fuzz '^FuzzRestoreProgram$$' -fuzztime $(FUZZTIME) ./internal/apps
 	$(GO) test -run '^$$' -fuzz '^FuzzReadJSONL$$' -fuzztime $(FUZZTIME) ./internal/trace
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeSchedule$$' -fuzztime $(FUZZTIME) ./internal/faultinject
 
 # Trace determinism gate: the traced crash-and-failover scenario run
 # twice with the same seed must export byte-identical JSONL event logs.

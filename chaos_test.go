@@ -1,6 +1,9 @@
 package zapc_test
 
 import (
+	"bytes"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"zapc/internal/chaos"
@@ -13,7 +16,8 @@ import (
 // the recovery surface changed behavior for a scenario the fuzzer
 // already pinned; either the change is a bug, or the fixture must be
 // consciously regenerated (zapc-chaos -out testdata/chaos) with the
-// new verdict reviewed.
+// new verdict reviewed. Each fixture must also re-encode to its own
+// bytes: the schedule grammar it was written in is the one read back.
 func TestChaosCorpusReplays(t *testing.T) {
 	fixtures, names, err := chaos.LoadCorpus("testdata/chaos")
 	if err != nil {
@@ -25,6 +29,13 @@ func TestChaosCorpusReplays(t *testing.T) {
 	for i, f := range fixtures {
 		f := f
 		t.Run(names[i], func(t *testing.T) {
+			data, err := os.ReadFile(filepath.Join("testdata/chaos", names[i]))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if enc, err := chaos.EncodeFixture(f); err != nil || !bytes.Equal(enc, data) {
+				t.Fatalf("fixture does not re-encode to its own bytes (%v)", err)
+			}
 			got, err := f.Replay()
 			if err != nil {
 				t.Fatal(err)

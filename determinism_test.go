@@ -9,6 +9,7 @@ package zapc_test
 import (
 	"bytes"
 	"fmt"
+	"runtime"
 	"testing"
 
 	"zapc"
@@ -117,5 +118,35 @@ func TestCheckpointWorkerWidthInvariance(t *testing.T) {
 	seq := grab(1)
 	for _, w := range []int{2, 8} {
 		diffRecords(t, fmt.Sprintf("workers=%d", w), seq, grab(w))
+	}
+}
+
+// TestNegativeWorkersIsHostIndependent: a width ≤ 0 is sequential, never
+// the host's, so a two-process-per-pod checkpoint models and traces the
+// same under GOMAXPROCS 1 and 4.
+func TestNegativeWorkersIsHostIndependent(t *testing.T) {
+	run := func(procs int) (zapc.Duration, []byte) {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		c := zapc.New(zapc.Config{Nodes: 2, Seed: 3})
+		tr, _ := c.EnableTracing()
+		job, err := c.Launch(zapc.JobSpec{App: "cpi", Endpoints: 2, Work: 0.05, Scale: 0.001, WithDaemons: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		driveTo(t, c, job, 0.3)
+		res, err := c.Checkpoint(job, zapc.CheckpointOptions{Mode: zapc.Snapshot, Workers: -1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := tr.WriteJSONL(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return res.Stats.Total, buf.Bytes()
+	}
+	total1, trace1 := run(1)
+	total4, trace4 := run(4)
+	if total1 != total4 || !bytes.Equal(trace1, trace4) {
+		t.Fatalf("GOMAXPROCS 1 vs 4: modeled total %v vs %v, trace equal %v", total1, total4, bytes.Equal(trace1, trace4))
 	}
 }

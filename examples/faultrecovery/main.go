@@ -59,14 +59,15 @@ func main() {
 	}
 
 	// Script the disaster: when the job reaches 55% progress, node02
-	// fail-stops — every pod on it dies instantly.
+	// (index 2 of the cluster's nodes) fail-stops — every pod on it dies
+	// instantly.
 	inj := zapc.NewFaultInjector(c)
 	inj.SetProgressProbe(job.Progress, 0)
 	if err := inj.Arm([]zapc.FaultStep{{
 		Name:     "crash-node02",
 		Progress: 0.55,
 		Action:   zapc.FaultCrashNode,
-		Node:     c.Nodes[2],
+		Node:     2,
 	}}); err != nil {
 		log.Fatal(err)
 	}

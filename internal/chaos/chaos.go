@@ -320,9 +320,9 @@ func (r *Runner) run(seed int64, sched faultinject.Schedule, traced bool) (Verdi
 		return Verdict{}, nil, nil, err
 	}
 
-	// The standby plane attaches before binding so the schedule can
-	// target both its node (appended to c.Nodes by AttachStandby) and
-	// its replication feed.
+	// The standby plane attaches before the injector is made so the
+	// schedule can target both its node (appended to c.Nodes by
+	// AttachStandby) and its replication feed.
 	var feedTrunc *imagestore.TruncStore
 	if r.cfg.Standby {
 		plane, err := c.AttachStandby(sup, cluster.StandbyConfig{})
@@ -333,6 +333,7 @@ func (r *Runner) run(seed int64, sched faultinject.Schedule, traced bool) (Verdi
 	}
 
 	inj := c.NewFaultInjector()
+	inj.Env.Trunc, inj.Env.FeedTrunc = trunc, feedTrunc
 	// Heartbeats share the control plane: drop/delay faults perturb the
 	// failure detector too, not just coordinated operations.
 	sup.SetCtrlHook(inj.CtrlHook())
@@ -341,11 +342,7 @@ func (r *Runner) run(seed int64, sched faultinject.Schedule, traced bool) (Verdi
 		inj.OnFire(func(rec faultinject.Record) { r.observe(rec.Name, sup.State()) })
 	}
 
-	steps, err := sched.Bind(faultinject.Env{Nodes: c.Nodes, Mgr: c.Mgr, Trunc: trunc, FeedTrunc: feedTrunc})
-	if err != nil {
-		return Verdict{}, nil, nil, err
-	}
-	if err := inj.Arm(steps); err != nil {
+	if err := inj.Arm(sched.Steps); err != nil {
 		return Verdict{}, nil, nil, err
 	}
 

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"zapc/internal/core"
 	"zapc/internal/faultinject"
 	"zapc/internal/sim"
 )
@@ -83,7 +84,7 @@ func TestSweepDeterministic(t *testing.T) {
 func TestCompositionClassesCovered(t *testing.T) {
 	has := func(s faultinject.Schedule, action string) bool {
 		for _, st := range s.Steps {
-			if strings.HasPrefix(st.Action, action) {
+			if strings.HasPrefix(st.Action.String(), action) {
 				return true
 			}
 		}
@@ -101,7 +102,7 @@ func TestCompositionClassesCovered(t *testing.T) {
 			classes["crash+corrupt"] = true
 		case has(s, "drop-control") && has(s, "delay-control"):
 			for _, st := range s.Steps {
-				if st.Phase != "checkpoint-start" && st.Action != "crash-node" {
+				if st.Phase != core.PhaseCheckpointStart && st.Action != faultinject.ActCrashNode {
 					t.Fatalf("seed %d: barrier fault not phase-triggered: %+v", seed, st)
 				}
 			}
@@ -123,8 +124,8 @@ func TestCompositionClassesCovered(t *testing.T) {
 func TestHangClassification(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.DeadlineNS = int64(2100 * sim.Millisecond)
-	sched := faultinject.Schedule{Steps: []faultinject.SpecStep{
-		{Name: "kill", Progress: 0.5, Action: "crash-node", Node: 1},
+	sched := faultinject.Schedule{Steps: []faultinject.Step{
+		{Name: "kill", Progress: 0.5, Action: faultinject.ActCrashNode, Node: 1},
 	}}
 	v, err := NewRunner(cfg).Run(4, sched)
 	if err != nil {
@@ -262,9 +263,9 @@ func TestManagerOutageEndsNamed(t *testing.T) {
 	for _, incr := range []bool{false, true} {
 		cfg := DefaultConfig()
 		cfg.Incremental = incr
-		sched := faultinject.Schedule{Steps: []faultinject.SpecStep{
-			{Name: "mgr", AfterNS: int64(500 * sim.Millisecond), Action: "crash-manager"},
-			{Name: "node", AfterNS: int64(560 * sim.Millisecond), Action: "crash-node", Node: 2},
+		sched := faultinject.Schedule{Steps: []faultinject.Step{
+			{Name: "mgr", After: 500 * sim.Millisecond, Action: faultinject.ActCrashManager},
+			{Name: "node", After: 560 * sim.Millisecond, Action: faultinject.ActCrashNode, Node: 2},
 		}}
 		v, err := NewRunner(cfg).Run(7, sched)
 		if err != nil {

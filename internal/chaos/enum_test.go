@@ -9,6 +9,7 @@ import (
 
 	"zapc/internal/core"
 	"zapc/internal/faultinject"
+	"zapc/internal/sim"
 )
 
 // Exhaustive small-scope fault enumeration. Where the sweeps sample seeds,
@@ -39,14 +40,14 @@ func enumConfig(n, fanout int, standby bool) Config {
 // (crash-node once per victim), with fixed, mid-range parameters. The
 // replication-feed cut needs a standby to cut, so it is listed only for a
 // standby scenario, where the standby node (index n) is a victim too.
-func enumFaults(n int, standby bool) []faultinject.SpecStep {
-	var out []faultinject.SpecStep
+func enumFaults(n int, standby bool) []faultinject.Step {
+	var out []faultinject.Step
 	victims := n
 	if standby {
 		victims++
 	}
 	for a := faultinject.ActCrashNode; a <= faultinject.ActTruncateFeed; a++ {
-		st := faultinject.SpecStep{Action: a.String()}
+		st := faultinject.Step{Action: a}
 		switch a {
 		case faultinject.ActCrashNode:
 			for v := 0; v < victims; v++ {
@@ -59,7 +60,7 @@ func enumFaults(n int, standby bool) []faultinject.SpecStep {
 		case faultinject.ActDropControl:
 			st.Count = 3
 		case faultinject.ActDelayControl:
-			st.DelayNS, st.WindowNS = 20e6, 500e6
+			st.Delay, st.Window = 20*sim.Millisecond, 500*sim.Millisecond
 		case faultinject.ActTruncateStream, faultinject.ActTruncateReads:
 			st.Count = 1
 		case faultinject.ActTruncateFeed:
@@ -74,8 +75,8 @@ func enumFaults(n int, standby bool) []faultinject.SpecStep {
 }
 
 // at places fault f on the occ-th occurrence of phase p.
-func at(f faultinject.SpecStep, p core.Phase, occ int) faultinject.SpecStep {
-	f.Phase, f.PhaseSkip = p.String(), occ
+func at(f faultinject.Step, p core.Phase, occ int) faultinject.Step {
+	f.Phase, f.PhaseSkip = p, occ
 	f.Name = fmt.Sprintf("%s@%s#%d/n%d", f.Action, p, occ, f.Node)
 	return f
 }
@@ -157,15 +158,15 @@ func TestEnumerateSingleFaults(t *testing.T) {
 		for p := core.PhaseCheckpointStart; p <= core.PhaseRestartDone; p++ {
 			for _, occ := range enumOccurrences {
 				for _, f := range enumFaults(sc.cfg.Nodes, sc.cfg.Standby) {
-					if sc.cfg.Standby && f.Action != "truncate-feed" && (f.Action != "crash-node" || f.Node < sc.cfg.Nodes) {
+					if sc.cfg.Standby && f.Action != faultinject.ActTruncateFeed && (f.Action != faultinject.ActCrashNode || f.Node < sc.cfg.Nodes) {
 						continue // the flat 2-pod scenario already ran it
 					}
-					steps := []faultinject.SpecStep{at(f, p, occ)}
+					steps := []faultinject.Step{at(f, p, occ)}
 					if p >= core.PhaseRestartStart {
 						// A restart phase presupposes a failover: these ride
 						// on one scripted crash, which is the scenario, not
 						// the fault under enumeration.
-						primer := at(faultinject.SpecStep{Action: "crash-node", Node: sc.cfg.Nodes - 1}, core.PhaseCheckpointStart, 1)
+						primer := at(faultinject.Step{Action: faultinject.ActCrashNode, Node: sc.cfg.Nodes - 1}, core.PhaseCheckpointStart, 1)
 						primer.Name = "primer@" + primer.Name
 						steps = append(steps, primer)
 					}
@@ -208,7 +209,7 @@ func TestEnumerateDoubleFaults(t *testing.T) {
 			for q := p + 1; q <= core.PhaseRestartDone; q++ {
 				for _, f := range faults {
 					for _, g := range faults {
-						schedules = append(schedules, faultinject.Schedule{Steps: []faultinject.SpecStep{
+						schedules = append(schedules, faultinject.Schedule{Steps: []faultinject.Step{
 							at(f, p, occOf(p)), at(g, q, occOf(q))}})
 					}
 				}

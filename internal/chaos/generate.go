@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"math/rand"
 
+	"zapc/internal/core"
 	"zapc/internal/faultinject"
 	"zapc/internal/sim"
 )
@@ -55,7 +56,7 @@ func ConfigForSeed(base Config, seed int64) Config {
 func Generate(seed int64, cfg Config) faultinject.Schedule {
 	cfg = cfg.withDefaults()
 	rng := rand.New(rand.NewSource(seed))
-	var steps []faultinject.SpecStep
+	var steps []faultinject.Step
 	switch {
 	case seed >= StandbySeedBase:
 		steps = genStandby(rng, cfg)
@@ -72,8 +73,8 @@ func Generate(seed int64, cfg Config) faultinject.Schedule {
 	return faultinject.Schedule{Steps: steps}
 }
 
-func genFlat(rng *rand.Rand, cfg Config, seed int64) []faultinject.SpecStep {
-	var steps []faultinject.SpecStep
+func genFlat(rng *rand.Rand, cfg Config, seed int64) []faultinject.Step {
+	var steps []faultinject.Step
 	switch (seed / 2) % 4 {
 	case 0:
 		steps = genCrashCorrupt(rng, cfg)
@@ -94,16 +95,16 @@ func genFlat(rng *rand.Rand, cfg Config, seed int64) []faultinject.SpecStep {
 // behind it, so the watchdog must abort the attempt and the supervisor
 // must retry or fail over — never hang, never serve a half-barriered
 // image.
-func genTreeBarrier(rng *rand.Rand, cfg Config) []faultinject.SpecStep {
+func genTreeBarrier(rng *rand.Rand, cfg Config) []faultinject.Step {
 	skip := rng.Intn(3)
-	steps := []faultinject.SpecStep{
-		{Phase: "checkpoint-start", PhaseSkip: skip, Action: "drop-control", Count: 1 + rng.Intn(4)},
-		{Phase: "checkpoint-start", PhaseSkip: skip, Action: "crash-node", Node: 0},
+	steps := []faultinject.Step{
+		{Phase: core.PhaseCheckpointStart, PhaseSkip: skip, Action: faultinject.ActDropControl, Count: 1 + rng.Intn(4)},
+		{Phase: core.PhaseCheckpointStart, PhaseSkip: skip, Action: faultinject.ActCrashNode, Node: 0},
 	}
 	if rng.Intn(2) == 0 { // and sometimes a slow tree edge on top
-		steps = append(steps, faultinject.SpecStep{
-			Phase: "checkpoint-start", PhaseSkip: skip, Action: "delay-control",
-			DelayNS: msIn(rng, 1, 40), WindowNS: msIn(rng, 200, 1200)})
+		steps = append(steps, faultinject.Step{
+			Phase: core.PhaseCheckpointStart, PhaseSkip: skip, Action: faultinject.ActDelayControl,
+			Delay: msIn(rng, 1, 40), Window: msIn(rng, 200, 1200)})
 	}
 	return steps
 }
@@ -120,10 +121,10 @@ func genTreeBarrier(rng *rand.Rand, cfg Config) []faultinject.SpecStep {
 // lossy control plane delaying the detector across the promotion.
 // Whatever fires, the invariant is unchanged: recover exactly — via
 // promotion or store fallback — or fail named, never hang.
-func genStandby(rng *rand.Rand, cfg Config) []faultinject.SpecStep {
+func genStandby(rng *rand.Rand, cfg Config) []faultinject.Step {
 	p := progIn(rng, 0.3, 0.6)
-	steps := []faultinject.SpecStep{
-		{Progress: p, Action: "crash-node", Node: rng.Intn(cfg.Nodes)},
+	steps := []faultinject.Step{
+		{Progress: p, Action: faultinject.ActCrashNode, Node: rng.Intn(cfg.Nodes)},
 	}
 	standbyNode := cfg.Nodes // AttachStandby appends it after the primaries
 	switch rng.Intn(5) {
@@ -131,18 +132,18 @@ func genStandby(rng *rand.Rand, cfg Config) []faultinject.SpecStep {
 		// Standby dies just before (or at) the primary crash: promotion
 		// races the plane's death and must fall back to the store.
 		off := 0.05 * float64(rng.Intn(2))
-		steps = append(steps, faultinject.SpecStep{
-			Progress: p - off, Action: "crash-node", Node: standbyNode})
+		steps = append(steps, faultinject.Step{
+			Progress: p - off, Action: faultinject.ActCrashNode, Node: standbyNode})
 	case 1:
 		// Feed cut mid-replication before the crash: the plane must
 		// resume from its ack watermark and still serve the promotion.
-		steps = append(steps, faultinject.SpecStep{
-			Progress: progIn(rng, 0.1, 0.25), Action: "truncate-feed", Count: 1 + rng.Intn(2)})
+		steps = append(steps, faultinject.Step{
+			Progress: progIn(rng, 0.1, 0.25), Action: faultinject.ActTruncateFeed, Count: 1 + rng.Intn(2)})
 	case 2:
 		// Kill the promoted standby after it served the failover: the
 		// second recovery runs with the replica consumed.
-		steps = append(steps, faultinject.SpecStep{
-			Progress: p + 0.1, Action: "crash-node", Node: standbyNode})
+		steps = append(steps, faultinject.Step{
+			Progress: p + 0.1, Action: faultinject.ActCrashNode, Node: standbyNode})
 	case 3:
 		// Total wipeout, standby included: staggered crashes take every
 		// node, so promotion (if it wins the race) only buys a doomed
@@ -152,26 +153,26 @@ func genStandby(rng *rand.Rand, cfg Config) []faultinject.SpecStep {
 		at := msIn(rng, 300, 1200)
 		steps = steps[:0]
 		for i := 0; i <= standbyNode; i++ {
-			steps = append(steps, faultinject.SpecStep{AfterNS: at, Action: "crash-node", Node: i})
+			steps = append(steps, faultinject.Step{After: at, Action: faultinject.ActCrashNode, Node: i})
 			at += msIn(rng, 10, 250)
 		}
 	default:
 		// Lossy control plane across the promotion window.
-		steps = append(steps, faultinject.SpecStep{
-			Progress: p, Action: "delay-control",
-			DelayNS: msIn(rng, 1, 40), WindowNS: msIn(rng, 200, 1200)})
+		steps = append(steps, faultinject.Step{
+			Progress: p, Action: faultinject.ActDelayControl,
+			Delay: msIn(rng, 1, 40), Window: msIn(rng, 200, 1200)})
 	}
 	if rng.Intn(3) == 0 { // sometimes a feed cut rides along
-		steps = append(steps, faultinject.SpecStep{
-			Progress: progIn(rng, 0.1, 0.3), Action: "truncate-feed", Count: 1})
+		steps = append(steps, faultinject.Step{
+			Progress: progIn(rng, 0.1, 0.3), Action: faultinject.ActTruncateFeed, Count: 1})
 	}
 	return steps
 }
 
 // msIn draws a whole-millisecond duration in [lo, hi] ms. Quantizing to
 // 1ms keeps fixtures readable and diffs small.
-func msIn(rng *rand.Rand, lo, hi int) int64 {
-	return int64(lo+rng.Intn(hi-lo+1)) * int64(sim.Millisecond)
+func msIn(rng *rand.Rand, lo, hi int) sim.Duration {
+	return sim.Duration(lo+rng.Intn(hi-lo+1)) * sim.Millisecond
 }
 
 // progIn draws a progress threshold in [lo, hi], quantized to 0.05.
@@ -183,15 +184,15 @@ func progIn(rng *rand.Rand, lo, hi float64) float64 {
 // genCrashCorrupt: corrupt the newest generation, then crash a node a
 // little later — failover must detect the corruption, skip the
 // generation, and restart from the previous valid one.
-func genCrashCorrupt(rng *rand.Rand, cfg Config) []faultinject.SpecStep {
+func genCrashCorrupt(rng *rand.Rand, cfg Config) []faultinject.Step {
 	p := progIn(rng, 0.25, 0.6)
-	steps := []faultinject.SpecStep{
-		{Progress: p, Action: "corrupt-image", Path: cfg.Dir},
-		{Progress: p + 0.1, Action: "crash-node", Node: rng.Intn(cfg.Nodes)},
+	steps := []faultinject.Step{
+		{Progress: p, Action: faultinject.ActCorruptImage, Path: cfg.Dir},
+		{Progress: p + 0.1, Action: faultinject.ActCrashNode, Node: rng.Intn(cfg.Nodes)},
 	}
 	if rng.Intn(3) == 0 { // sometimes the fallback generation is bad too
-		steps = append(steps, faultinject.SpecStep{
-			Progress: p + 0.05, Action: "corrupt-image", Path: cfg.Dir})
+		steps = append(steps, faultinject.Step{
+			Progress: p + 0.05, Action: faultinject.ActCorruptImage, Path: cfg.Dir})
 	}
 	return steps
 }
@@ -200,16 +201,16 @@ func genCrashCorrupt(rng *rand.Rand, cfg Config) []faultinject.SpecStep {
 // checkpoint barrier opens (the pre-copy readiness barrier on the
 // non-incremental pipeline), composing both faults on the same phase
 // occurrence.
-func genBarrierDropDelay(rng *rand.Rand, cfg Config) []faultinject.SpecStep {
+func genBarrierDropDelay(rng *rand.Rand, cfg Config) []faultinject.Step {
 	skip := rng.Intn(3)
-	steps := []faultinject.SpecStep{
-		{Phase: "checkpoint-start", PhaseSkip: skip, Action: "drop-control", Count: 1 + rng.Intn(4)},
-		{Phase: "checkpoint-start", PhaseSkip: skip, Action: "delay-control",
-			DelayNS: msIn(rng, 1, 40), WindowNS: msIn(rng, 200, 1200)},
+	steps := []faultinject.Step{
+		{Phase: core.PhaseCheckpointStart, PhaseSkip: skip, Action: faultinject.ActDropControl, Count: 1 + rng.Intn(4)},
+		{Phase: core.PhaseCheckpointStart, PhaseSkip: skip, Action: faultinject.ActDelayControl,
+			Delay: msIn(rng, 1, 40), Window: msIn(rng, 200, 1200)},
 	}
 	if rng.Intn(2) == 0 { // and sometimes a crash while the plane is lossy
-		steps = append(steps, faultinject.SpecStep{
-			Phase: "checkpoint-start", PhaseSkip: skip + 1, Action: "crash-node", Node: rng.Intn(cfg.Nodes)})
+		steps = append(steps, faultinject.Step{
+			Phase: core.PhaseCheckpointStart, PhaseSkip: skip + 1, Action: faultinject.ActCrashNode, Node: rng.Intn(cfg.Nodes)})
 	}
 	return steps
 }
@@ -217,15 +218,15 @@ func genBarrierDropDelay(rng *rand.Rand, cfg Config) []faultinject.SpecStep {
 // genTruncateFailover: arm image-stream truncation, then crash a node —
 // the cuts land on the streams the failover writes or restores, which
 // must surface the named truncation error and recover on retry.
-func genTruncateFailover(rng *rand.Rand, cfg Config) []faultinject.SpecStep {
+func genTruncateFailover(rng *rand.Rand, cfg Config) []faultinject.Step {
 	p := progIn(rng, 0.2, 0.7)
-	act := "truncate-reads"
+	act := faultinject.ActTruncateReads
 	if rng.Intn(2) == 0 {
-		act = "truncate-stream"
+		act = faultinject.ActTruncateStream
 	}
-	return []faultinject.SpecStep{
+	return []faultinject.Step{
 		{Progress: p, Action: act, Count: 1 + rng.Intn(2)},
-		{Progress: p, Action: "crash-node", Node: rng.Intn(cfg.Nodes)},
+		{Progress: p, Action: faultinject.ActCrashNode, Node: rng.Intn(cfg.Nodes)},
 	}
 }
 
@@ -233,16 +234,16 @@ func genTruncateFailover(rng *rand.Rand, cfg Config) []faultinject.SpecStep {
 // come paired with a recovery most of the time; runs that wipe out
 // every node or exhaust the retry budget must still terminate with a
 // named error.
-func genFreeform(rng *rand.Rand, cfg Config) []faultinject.SpecStep {
+func genFreeform(rng *rand.Rand, cfg Config) []faultinject.Step {
 	switch rng.Intn(8) {
 	case 0:
 		// Total wipeout: every node crashes at staggered times. The only
 		// legal endings are ErrNoSurvivors (or ErrGivenUp when the last
 		// crash lands mid-restart) — and never a hang.
 		at := msIn(rng, 300, 1200)
-		steps := make([]faultinject.SpecStep, cfg.Nodes)
+		steps := make([]faultinject.Step, cfg.Nodes)
 		for i := range steps {
-			steps[i] = faultinject.SpecStep{AfterNS: at, Action: "crash-node", Node: i}
+			steps[i] = faultinject.Step{After: at, Action: faultinject.ActCrashNode, Node: i}
 			at += msIn(rng, 10, 250)
 		}
 		return steps
@@ -251,52 +252,52 @@ func genFreeform(rng *rand.Rand, cfg Config) []faultinject.SpecStep {
 		// to anyone, so the retry budget must run out as ErrGivenUp
 		// (unless the crash precedes the first generation).
 		at := msIn(rng, 300, 1500)
-		return []faultinject.SpecStep{
-			{AfterNS: at, Action: "crash-manager"},
-			{AfterNS: at + msIn(rng, 10, 100), Action: "crash-node", Node: rng.Intn(cfg.Nodes)},
+		return []faultinject.Step{
+			{After: at, Action: faultinject.ActCrashManager},
+			{After: at + msIn(rng, 10, 100), Action: faultinject.ActCrashNode, Node: rng.Intn(cfg.Nodes)},
 		}
 	}
 	n := 1 + rng.Intn(cfg.MaxSteps)
-	var steps []faultinject.SpecStep
+	var steps []faultinject.Step
 	for len(steps) < n {
-		st := faultinject.SpecStep{}
+		st := faultinject.Step{}
 		switch rng.Intn(3) {
 		case 0:
-			st.AfterNS = msIn(rng, 100, 1800)
+			st.After = msIn(rng, 100, 1800)
 		case 1:
 			st.Progress = progIn(rng, 0.1, 0.9)
 		default:
-			st.Phase = []string{"checkpoint-start", "meta-sync", "checkpoint-done"}[rng.Intn(3)]
+			st.Phase = []core.Phase{core.PhaseCheckpointStart, core.PhaseMetaSync, core.PhaseCheckpointDone}[rng.Intn(3)]
 			st.PhaseSkip = rng.Intn(3)
 		}
 		switch rng.Intn(7) {
 		case 0:
-			st.Action = "crash-node"
+			st.Action = faultinject.ActCrashNode
 			st.Node = rng.Intn(cfg.Nodes)
 		case 1:
-			st.Action = "drop-control"
+			st.Action = faultinject.ActDropControl
 			st.Count = 1 + rng.Intn(5)
 		case 2:
-			st.Action = "delay-control"
-			st.DelayNS = msIn(rng, 1, 50)
-			st.WindowNS = msIn(rng, 100, 1000)
+			st.Action = faultinject.ActDelayControl
+			st.Delay = msIn(rng, 1, 50)
+			st.Window = msIn(rng, 100, 1000)
 		case 3:
-			st.Action = "corrupt-image"
+			st.Action = faultinject.ActCorruptImage
 			st.Path = cfg.Dir
 		case 4:
-			st.Action = "truncate-stream"
+			st.Action = faultinject.ActTruncateStream
 			st.Count = 1 + rng.Intn(2)
 		case 5:
-			st.Action = "truncate-reads"
+			st.Action = faultinject.ActTruncateReads
 			st.Count = 1 + rng.Intn(2)
 		default:
 			at := msIn(rng, 100, 1500)
-			st.AfterNS, st.Progress, st.Phase, st.PhaseSkip = at, 0, "", 0
-			st.Action = "crash-manager"
+			st.After, st.Progress, st.Phase, st.PhaseSkip = at, 0, 0, 0
+			st.Action = faultinject.ActCrashManager
 			steps = append(steps, st)
 			if rng.Intn(4) != 0 { // usually heal the manager later
-				steps = append(steps, faultinject.SpecStep{
-					AfterNS: at + msIn(rng, 100, 600), Action: "recover-manager"})
+				steps = append(steps, faultinject.Step{
+					After: at + msIn(rng, 100, 600), Action: faultinject.ActRecoverManager})
 			}
 			continue
 		}

@@ -35,7 +35,7 @@ func (r *Runner) Minimize(seed int64, sched faultinject.Schedule, want Verdict) 
 }
 
 func dropStep(s faultinject.Schedule, i int) faultinject.Schedule {
-	out := make([]faultinject.SpecStep, 0, len(s.Steps)-1)
+	out := make([]faultinject.Step, 0, len(s.Steps)-1)
 	out = append(out, s.Steps[:i]...)
 	out = append(out, s.Steps[i+1:]...)
 	return faultinject.Schedule{Steps: out}

@@ -3,6 +3,8 @@ package chaos
 import (
 	"strings"
 	"testing"
+
+	"zapc/internal/faultinject"
 )
 
 // TestStandbyBandInvariant sweeps the warm-standby seed band: every
@@ -30,10 +32,10 @@ func TestStandbyBandInvariant(t *testing.T) {
 			promoted++
 		}
 		for _, st := range res.Schedule.Steps {
-			if st.Action == "crash-node" && st.Node == res.Config.Nodes {
+			if st.Action == faultinject.ActCrashNode && st.Node == res.Config.Nodes {
 				standbyKilled++
 			}
-			if st.Action == "truncate-feed" {
+			if st.Action == faultinject.ActTruncateFeed {
 				feedCut++
 			}
 		}
@@ -86,10 +88,10 @@ func TestStandbyBandTemplateShape(t *testing.T) {
 		primaryCrash := false
 		for _, st := range s.Steps {
 			switch {
-			case st.Action == "crash-node" && st.Node < cfg.Nodes:
+			case st.Action == faultinject.ActCrashNode && st.Node < cfg.Nodes:
 				primaryCrash = true
-			case st.Action == "crash-node": // standby kill
-			case st.Action == "truncate-feed" || st.Action == "delay-control":
+			case st.Action == faultinject.ActCrashNode: // standby kill
+			case st.Action == faultinject.ActTruncateFeed || st.Action == faultinject.ActDelayControl:
 			default:
 				t.Fatalf("seed %d: unexpected action in standby template: %+v", seed, st)
 			}
@@ -109,7 +111,7 @@ func TestStandbyFeedCutFixtureReplays(t *testing.T) {
 	sched := Generate(StandbySeedBase, cfg)
 	cut := false
 	for _, st := range sched.Steps {
-		cut = cut || st.Action == "truncate-feed"
+		cut = cut || st.Action == faultinject.ActTruncateFeed
 	}
 	if !cut {
 		t.Fatalf("seed %d no longer draws a feed cut: %v", StandbySeedBase, sched.Steps)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"testing"
 
+	"zapc/internal/core"
 	"zapc/internal/faultinject"
 )
 
@@ -71,16 +72,16 @@ func TestTreeBandTemplate(t *testing.T) {
 		}
 		var crash, drop bool
 		for _, st := range s.Steps {
-			if st.Phase != "checkpoint-start" {
+			if st.Phase != core.PhaseCheckpointStart {
 				t.Fatalf("seed %d: tree-band fault not barrier-triggered: %+v", seed, st)
 			}
 			switch st.Action {
-			case "crash-node":
+			case faultinject.ActCrashNode:
 				if st.Node != 0 {
 					t.Fatalf("seed %d: crash missed the sub-coordinator node: %+v", seed, st)
 				}
 				crash = true
-			case "drop-control":
+			case faultinject.ActDropControl:
 				drop = true
 			}
 		}

@@ -168,10 +168,6 @@ type Tracker struct {
 // full image.
 func NewTracker() *Tracker { return &Tracker{} }
 
-// HasBase reports whether a committed generation exists to delta
-// against.
-func (t *Tracker) HasBase() bool { return t.last != nil }
-
 // SinceFull reports the number of generations committed since the last
 // full record (0 right after a full commit).
 func (t *Tracker) SinceFull() int { return t.sinceFull }

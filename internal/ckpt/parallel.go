@@ -9,14 +9,15 @@ import (
 	"zapc/internal/pod"
 )
 
-// DefaultWorkers is the worker-pool width used when a caller passes 0:
-// one worker per host CPU.
-func DefaultWorkers() int { return runtime.GOMAXPROCS(0) }
+// defaultWorkers is the host pool width used when a caller passes 0:
+// one worker per host CPU. It sets how many goroutines run, never a
+// modeled figure.
+func defaultWorkers() int { return runtime.GOMAXPROCS(0) }
 
 // normWorkers clamps a requested pool width to [1, jobs].
 func normWorkers(workers, jobs int) int {
 	if workers <= 0 {
-		workers = DefaultWorkers()
+		workers = defaultWorkers()
 	}
 	if workers > jobs {
 		workers = jobs
@@ -85,7 +86,7 @@ func fanOut(n, workers int, fn func(int) error) error {
 // skeleton, the socket-identity -> slot table in the enumeration order
 // netckpt uses), then the per-process serialization (program state,
 // memory regions, descriptor bindings) fanned across a bounded worker
-// pool. workers <= 0 selects DefaultWorkers; the output is byte-identical
+// pool. workers <= 0 selects defaultWorkers; the output is byte-identical
 // to the sequential walk. The one side effect on the pod is that its
 // regions are marked shared with the image (see captureProc), which no
 // image byte, dirty clock or trace event can see.

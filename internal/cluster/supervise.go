@@ -106,11 +106,13 @@ func (c *Cluster) Supervise(j *Job, pol supervisor.Policy) (*supervisor.Supervis
 }
 
 // NewFaultInjector creates a fault injector wired to the cluster's
-// simulation world, shared filesystem, and manager control plane. If
+// simulation world, shared filesystem, and manager control plane; its
+// Env holds the manager and the cluster's nodes as of the call. If
 // the cluster has tracing enabled, fired faults appear on the timeline
 // as instants on the "faults" track.
 func (c *Cluster) NewFaultInjector() *faultinject.Injector {
 	inj := faultinject.New(c.W, c.FS)
+	inj.Env = faultinject.Env{Nodes: c.Nodes, Mgr: c.Mgr}
 	inj.ObservePhases(c.Mgr)
 	inj.InterposeCtrl(c.Mgr)
 	inj.SetTracer(c.tr, c.reg)

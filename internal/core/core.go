@@ -81,15 +81,19 @@ func (p Phase) String() string {
 	return [...]string{"checkpoint-start", "meta-sync", "checkpoint-done", "restart-start", "restart-done"}[p-1]
 }
 
-// ParsePhase is the inverse of Phase.String, used by declarative fault
-// schedules that name phases symbolically. Unknown names return zero.
-func ParsePhase(s string) Phase {
-	for p := PhaseCheckpointStart; p <= PhaseRestartDone; p++ {
-		if p.String() == s {
-			return p
+// MarshalText writes the phase's name, as declarative fault schedules
+// hold it.
+func (p Phase) MarshalText() ([]byte, error) { return []byte(p.String()), nil }
+
+// UnmarshalText is the inverse of MarshalText.
+func (p *Phase) UnmarshalText(b []byte) error {
+	for q := PhaseCheckpointStart; q <= PhaseRestartDone; q++ {
+		if q.String() == string(b) {
+			*p = q
+			return nil
 		}
 	}
-	return 0
+	return fmt.Errorf("unknown phase %q", b)
 }
 
 // PhaseHook observes operation phases as the manager reaches them.
@@ -143,8 +147,8 @@ type Options struct {
 	// Workers is the per-agent serialization pool width: the standalone
 	// checkpoint fans per-process capture and encoding across this many
 	// goroutines, and the modeled memory-copy time divides by the
-	// effective parallelism min(Workers, processes). 0 keeps the
-	// sequential walk; negative selects one worker per host CPU.
+	// effective parallelism min(Workers, processes). A width ≤ 0 is the
+	// sequential walk.
 	Workers int
 	// Incr, when non-nil, switches the standalone checkpoint to
 	// incremental mode through the given tracker set: a generation
@@ -211,16 +215,10 @@ func (o *PrecopyOptions) convergeBytes() int64 {
 	return o.ConvergeBytes
 }
 
-// effWorkers resolves the Options.Workers convention.
-func effWorkers(w int) int {
-	if w == 0 {
-		return 1
-	}
-	if w < 0 {
-		return ckpt.DefaultWorkers()
-	}
-	return w
-}
+// effWorkers is the pool width an operation models: the caller's, at
+// least one, never the host's, so modeled time and the trace are a
+// function of the options alone.
+func effWorkers(w int) int { return max(w, 1) }
 
 // parSpeedup bounds the modeled serialization speedup by the number of
 // parallelizable units (processes).
@@ -371,8 +369,8 @@ func (m *Manager) Store() imagestore.Store { return m.store }
 
 // SetWorkers sets the restart-side worker-pool width: the modeled
 // restore time of each agent divides by min(workers, processes), the
-// mirror of Options.Workers on the checkpoint side. 0 keeps the
-// sequential model; negative selects one worker per host CPU.
+// mirror of Options.Workers on the checkpoint side. A width ≤ 0 is the
+// sequential model.
 func (m *Manager) SetWorkers(n int) { m.workers = n }
 
 // Fail simulates a crash of the Manager client. Agents notice their

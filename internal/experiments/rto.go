@@ -96,7 +96,7 @@ func runFailoverRTO(cfg Config, pods, fanout int, incremental, standby bool) (Fa
 	inj := c.NewFaultInjector()
 	inj.SetProgressProbe(job.Progress, 0)
 	if err := inj.Arm([]faultinject.Step{{
-		Name: "crash-node", Progress: crashAt, Action: faultinject.ActCrashNode, Node: c.Nodes[1],
+		Name: "crash-node", Progress: crashAt, Action: faultinject.ActCrashNode, Node: 1,
 	}}); err != nil {
 		return row, err
 	}

@@ -64,7 +64,7 @@ func RunTraceScenario(cfg Config) (*TraceScenarioResult, error) {
 	inj := c.NewFaultInjector()
 	inj.SetProgressProbe(job.Progress, 0)
 	if err := inj.Arm([]faultinject.Step{{
-		Name: "crash-node", Progress: 0.5, Action: faultinject.ActCrashNode, Node: c.Nodes[1],
+		Name: "crash-node", Progress: 0.5, Action: faultinject.ActCrashNode, Node: 1,
 	}}); err != nil {
 		return nil, err
 	}

@@ -58,11 +58,23 @@ type phaseTrigger struct {
 	fired  bool
 }
 
+// Env is what an injector's armed steps act on. A field may be left
+// empty if no step needs it.
+type Env struct {
+	Nodes     []*vos.Node            // crash-node: Step.Node indexes it
+	Mgr       *core.Manager          // crash-manager, recover-manager
+	Trunc     *imagestore.TruncStore // truncate-stream, truncate-reads: the wrapped image store
+	FeedTrunc *imagestore.TruncStore // truncate-feed: the standby's wrapped replication feed
+}
+
 // Injector owns a set of armed fault triggers on one simulation world.
 // Create it with New, arm faults with At/AtProgress/OnPhase or a
 // declarative Arm schedule, and wire its control-plane hook into a
 // manager with InterposeCtrl. Zero or one injector per manager.
 type Injector struct {
+	// Env resolves the targets of the steps Arm is given.
+	Env Env
+
 	w  *sim.World
 	fs *memfs.FS
 
@@ -219,7 +231,7 @@ func (inj *Injector) phaseEvent(p core.Phase) {
 }
 
 // InterposeCtrl wires the injector's control-plane hook into a manager
-// so DropControl/DelayControl faults affect its manager↔agent messages.
+// so drop-control/delay-control faults affect its manager↔agent messages.
 func (inj *Injector) InterposeCtrl(m *core.Manager) {
 	m.SetCtrlHook(inj.CtrlHook())
 }
@@ -247,36 +259,18 @@ func CrashNode(n *vos.Node) func() {
 	return func() { n.Fail() }
 }
 
-// CrashManager returns an action that fail-stops the coordination
-// manager. In-flight coordinated operations observe the failure at
-// their next step and abort; pods stay suspended until a replacement
-// manager (Recover) takes over.
-func CrashManager(m *core.Manager) func() {
-	return func() { m.Fail() }
-}
-
-// CorruptFile returns an action that flips one byte in the middle of
-// the named file on the shared FS, modeling silent storage corruption
-// of a checkpoint image. Missing or empty files are left untouched.
-func (inj *Injector) CorruptFile(path string) func() {
-	return func() { inj.corrupt(path) }
-}
-
-// CorruptNewest returns an action that corrupts the lexically last file
+// corruptNewest flips one byte in the middle of the lexically last file
 // under the given FS prefix at firing time — with generation directories
-// numbered by zero-padded sequence, that is the newest checkpoint image.
-func (inj *Injector) CorruptNewest(prefix string) func() {
-	return func() {
-		files := inj.fs.List(prefix)
-		if len(files) == 0 {
-			return
-		}
-		sort.Strings(files)
-		inj.corrupt(files[len(files)-1])
+// numbered by zero-padded sequence, that is the newest checkpoint image —
+// modeling silent storage corruption. An empty prefix or file is left
+// untouched.
+func (inj *Injector) corruptNewest(prefix string) {
+	files := inj.fs.List(prefix)
+	if len(files) == 0 {
+		return
 	}
-}
-
-func (inj *Injector) corrupt(path string) {
+	sort.Strings(files)
+	path := files[len(files)-1]
 	data, err := inj.fs.ReadFile(path)
 	if err != nil || len(data) == 0 {
 		return
@@ -285,100 +279,9 @@ func (inj *Injector) corrupt(path string) {
 	_ = inj.fs.WriteFile(path, data)
 }
 
-// DropControl returns an action that arms a drop budget: the next n
-// control-plane messages through the interposed manager are lost.
-func (inj *Injector) DropControl(n int) func() {
-	return func() { inj.dropLeft += n }
-}
-
-// DelayControl returns an action that opens a delay window: control
-// messages sent within `window` of firing are delayed by d.
-func (inj *Injector) DelayControl(d, window sim.Duration) func() {
-	return func() {
-		inj.delayBy = d
-		inj.delayUntil = inj.w.Now() + sim.Time(window)
-	}
-}
-
-// Action identifies a declarative fault kind for Step schedules.
-type Action int
-
-// Declarative fault kinds.
-const (
-	ActCrashNode Action = iota + 1
-	ActCrashManager
-	ActCorruptImage // corrupt newest file under Step.Path
-	ActDropControl
-	ActDelayControl
-	ActTruncateStream // truncate the next Count image write streams (Step.Trunc)
-	ActTruncateReads  // truncate the next Count image read streams (Step.Trunc)
-	ActRecoverManager // a replacement coordination manager takes over
-	ActTruncateFeed   // truncate the next Count standby replication-feed streams (Step.Trunc)
-)
-
-func (a Action) String() string {
-	switch a {
-	case ActCrashNode:
-		return "crash-node"
-	case ActCrashManager:
-		return "crash-manager"
-	case ActCorruptImage:
-		return "corrupt-image"
-	case ActDropControl:
-		return "drop-control"
-	case ActDelayControl:
-		return "delay-control"
-	case ActTruncateStream:
-		return "truncate-stream"
-	case ActTruncateReads:
-		return "truncate-reads"
-	case ActRecoverManager:
-		return "recover-manager"
-	case ActTruncateFeed:
-		return "truncate-feed"
-	default:
-		return fmt.Sprintf("action(%d)", int(a))
-	}
-}
-
-// ParseAction is the inverse of Action.String, used by the declarative
-// JSON schedule grammar. Unknown names return zero.
-func ParseAction(s string) Action {
-	for a := ActCrashNode; a <= ActTruncateFeed; a++ {
-		if a.String() == s {
-			return a
-		}
-	}
-	return 0
-}
-
-// Step is one entry of a declarative fault schedule. Exactly one
-// trigger must be set: After (relative simulated time), Progress (probe
-// threshold, requires SetProgressProbe), or Phase (requires
-// ObservePhases; PhaseSkip lets earlier occurrences pass). The target
-// fields required depend on Action.
-type Step struct {
-	Name string
-
-	// Trigger (exactly one).
-	After     sim.Duration
-	Progress  float64
-	Phase     core.Phase
-	PhaseSkip int
-
-	Action  Action
-	Node    *vos.Node              // ActCrashNode
-	Manager *core.Manager          // ActCrashManager, ActRecoverManager
-	Path    string                 // ActCorruptImage: FS prefix of the generation store
-	Count   int                    // ActDropControl/ActTruncate*: units (default 1)
-	Delay   sim.Duration           // ActDelayControl: per-message delay
-	Window  sim.Duration           // ActDelayControl: window length
-	Trunc   *imagestore.TruncStore // ActTruncateStream/ActTruncateReads/ActTruncateFeed
-}
-
 // triggerKind classifies a step's trigger for canonical ordering:
 // time triggers first, then progress, then phase. Steps with no valid
-// trigger sort last (compile rejects them anyway).
+// trigger sort last (validate rejects them anyway).
 func triggerKind(s Step) int {
 	switch {
 	case s.After > 0:
@@ -438,23 +341,21 @@ func stepName(i int, s Step) string {
 // kind, trigger value, action, name), not declaration order, and
 // duplicate step names are rejected — together these make a
 // (seed, schedule) pair replay identically no matter how the schedule
-// was assembled. A schedule error arms nothing.
+// was assembled. Errors name the step by its canonical position. A
+// schedule error arms nothing.
 func (inj *Injector) Arm(steps []Step) error {
 	ordered := append([]Step(nil), steps...)
 	sort.SliceStable(ordered, func(i, j int) bool { return stepLess(ordered[i], ordered[j]) })
+	if err := validate(ordered); err != nil {
+		return err
+	}
 	actions := make([]func(), len(ordered))
-	names := make(map[string]int, len(ordered))
 	for i, s := range ordered {
 		act, err := inj.compile(i, s)
 		if err != nil {
 			return err
 		}
 		actions[i] = act
-		name := stepName(i, s)
-		if j, dup := names[name]; dup {
-			return fmt.Errorf("%w: steps %d and %d are both named %q", ErrDupStep, j, i, name)
-		}
-		names[name] = i
 	}
 	for i, s := range ordered {
 		name := stepName(i, s)
@@ -463,85 +364,70 @@ func (inj *Injector) Arm(steps []Step) error {
 			inj.At(s.After, name, actions[i])
 		case s.Progress > 0:
 			inj.AtProgress(s.Progress, name, actions[i])
-		case s.Phase != 0:
+		default:
 			inj.OnPhase(s.Phase, s.PhaseSkip, name, actions[i])
 		}
 	}
 	return nil
 }
 
+// compile turns a valid step into its action. What it checks is what
+// needs the injector: a probe for a progress trigger, the FS for a
+// corruption, and the target in Env.
 func (inj *Injector) compile(i int, s Step) (func(), error) {
-	triggers := 0
-	if s.After > 0 {
-		triggers++
-	}
-	if s.Progress > 0 {
-		triggers++
-	}
-	if s.Phase != 0 {
-		triggers++
-	}
-	if triggers != 1 {
-		return nil, fmt.Errorf("%w: step %d (%s) needs exactly one trigger, has %d",
-			ErrBadStep, i, s.Name, triggers)
-	}
 	if s.Progress > 0 && inj.progress == nil {
-		return nil, fmt.Errorf("%w: step %d (%s) uses a progress trigger but no probe is set",
-			ErrBadStep, i, s.Name)
+		return nil, fmt.Errorf("%w: %s uses a progress trigger but no probe is set", ErrBadStep, describe(i, s))
 	}
+	missing := func(what string) (func(), error) {
+		return nil, fmt.Errorf("%w: %s %s without %s in the environment", ErrNoTarget, describe(i, s), s.Action, what)
+	}
+	env, n := inj.Env, max(s.Count, 1)
 	switch s.Action {
 	case ActCrashNode:
-		if s.Node == nil {
-			return nil, fmt.Errorf("%w: step %d (%s) crash-node without Node", ErrNoTarget, i, s.Name)
+		if s.Node >= len(env.Nodes) {
+			return nil, fmt.Errorf("%w: %s crash-node index %d outside cluster of %d nodes",
+				ErrNoTarget, describe(i, s), s.Node, len(env.Nodes))
 		}
-		return CrashNode(s.Node), nil
-	case ActCrashManager:
-		if s.Manager == nil {
-			return nil, fmt.Errorf("%w: step %d (%s) crash-manager without Manager", ErrNoTarget, i, s.Name)
+		return CrashNode(env.Nodes[s.Node]), nil
+	case ActCrashManager, ActRecoverManager:
+		switch {
+		case env.Mgr == nil:
+			return missing("a manager")
+		case s.Action == ActCrashManager:
+			// In-flight coordinated operations observe the failure at their
+			// next step and abort; pods stay suspended until recover-manager.
+			return env.Mgr.Fail, nil
+		default:
+			return env.Mgr.Recover, nil
 		}
-		return CrashManager(s.Manager), nil
 	case ActCorruptImage:
-		if s.Path == "" {
-			return nil, fmt.Errorf("%w: step %d (%s) corrupt-image without Path", ErrNoTarget, i, s.Name)
-		}
 		if inj.fs == nil {
-			return nil, fmt.Errorf("%w: step %d (%s) corrupt-image without an FS", ErrBadStep, i, s.Name)
+			return nil, fmt.Errorf("%w: %s corrupt-image without an FS", ErrBadStep, describe(i, s))
 		}
-		return inj.CorruptNewest(s.Path), nil
+		return func() { inj.corruptNewest(s.Path) }, nil
 	case ActDropControl:
-		n := s.Count
-		if n <= 0 {
-			n = 1
-		}
-		return inj.DropControl(n), nil
+		// The next n control-plane messages through InterposeCtrl are lost.
+		return func() { inj.dropLeft += n }, nil
 	case ActDelayControl:
-		if s.Delay <= 0 || s.Window <= 0 {
-			return nil, fmt.Errorf("%w: step %d (%s) delay-control needs Delay and Window", ErrBadStep, i, s.Name)
-		}
-		return inj.DelayControl(s.Delay, s.Window), nil
-	case ActTruncateStream, ActTruncateReads, ActTruncateFeed:
-		if s.Trunc == nil {
-			return nil, fmt.Errorf("%w: step %d (%s) %s without a truncating store", ErrNoTarget, i, s.Name, s.Action)
-		}
-		n := s.Count
-		if n <= 0 {
-			n = 1
-		}
-		ts, reads := s.Trunc, s.Action == ActTruncateReads
+		// Control messages sent within Window of firing are delayed by Delay.
 		return func() {
-			if reads {
-				ts.ArmReads(n)
-			} else {
-				ts.ArmWrites(n)
-			}
+			inj.delayBy = s.Delay
+			inj.delayUntil = inj.w.Now() + sim.Time(s.Window)
 		}, nil
-	case ActRecoverManager:
-		if s.Manager == nil {
-			return nil, fmt.Errorf("%w: step %d (%s) recover-manager without Manager", ErrNoTarget, i, s.Name)
+	case ActTruncateFeed:
+		if env.FeedTrunc == nil {
+			return missing("a standby feed")
 		}
-		m := s.Manager
-		return func() { m.Recover() }, nil
-	default:
-		return nil, fmt.Errorf("%w: step %d (%s) unknown action %d", ErrBadStep, i, s.Name, int(s.Action))
+		return func() { env.FeedTrunc.ArmWrites(n) }, nil
+	default: // ActTruncateStream, ActTruncateReads
+		ts := env.Trunc
+		switch {
+		case ts == nil:
+			return missing("a truncating store")
+		case s.Action == ActTruncateReads:
+			return func() { ts.ArmReads(n) }, nil
+		default:
+			return func() { ts.ArmWrites(n) }, nil
+		}
 	}
 }

@@ -3,6 +3,7 @@ package faultinject
 import (
 	"errors"
 	"reflect"
+	"strings"
 	"testing"
 
 	"zapc/internal/core"
@@ -50,6 +51,15 @@ func TestProgressTriggerFiresOnce(t *testing.T) {
 	}
 }
 
+// arm arms steps on inj and runs the world until they have fired.
+func arm(t *testing.T, w *sim.World, inj *Injector, steps ...Step) {
+	t.Helper()
+	if err := inj.Arm(steps); err != nil {
+		t.Fatal(err)
+	}
+	w.RunUntil(w.Now() + sim.Time(sim.Millisecond))
+}
+
 func TestCorruptFileFlipsOneByte(t *testing.T) {
 	w := sim.NewWorld(1)
 	fs := memfs.New()
@@ -57,8 +67,7 @@ func TestCorruptFileFlipsOneByte(t *testing.T) {
 	if err := fs.WriteFile("d/x.img", append([]byte(nil), orig...)); err != nil {
 		t.Fatal(err)
 	}
-	inj := New(w, fs)
-	inj.CorruptFile("d/x.img")()
+	arm(t, w, New(w, fs), Step{After: sim.Millisecond, Action: ActCorruptImage, Path: "d"})
 	got, _ := fs.ReadFile("d/x.img")
 	diff := 0
 	for i := range orig {
@@ -76,8 +85,7 @@ func TestCorruptNewestPicksLexicallyLast(t *testing.T) {
 	fs := memfs.New()
 	fs.WriteFile("g/gen0000/a.img", []byte("older-generation"))
 	fs.WriteFile("g/gen0001/a.img", []byte("newer-generation"))
-	inj := New(w, fs)
-	inj.CorruptNewest("g")()
+	arm(t, w, New(w, fs), Step{After: sim.Millisecond, Action: ActCorruptImage, Path: "g"})
 	oldData, _ := fs.ReadFile("g/gen0000/a.img")
 	newData, _ := fs.ReadFile("g/gen0001/a.img")
 	if string(oldData) != "older-generation" {
@@ -93,7 +101,7 @@ func TestCtrlHookDropBudgetAndDelayWindow(t *testing.T) {
 	inj := New(w, nil)
 	hook := inj.CtrlHook()
 
-	inj.DropControl(2)()
+	arm(t, w, inj, Step{After: sim.Millisecond, Action: ActDropControl, Count: 2})
 	for i := 0; i < 2; i++ {
 		if drop, _ := hook(); !drop {
 			t.Fatalf("message %d not dropped", i)
@@ -103,12 +111,12 @@ func TestCtrlHookDropBudgetAndDelayWindow(t *testing.T) {
 		t.Fatal("drop budget did not expire")
 	}
 
-	inj.DelayControl(5*sim.Millisecond, 100*sim.Millisecond)()
+	arm(t, w, inj, Step{Name: "slow", After: sim.Millisecond, Action: ActDelayControl,
+		Delay: 5 * sim.Millisecond, Window: 100 * sim.Millisecond})
 	if _, d := hook(); d != 5*sim.Millisecond {
 		t.Fatalf("delay = %v inside window", d)
 	}
-	w.After(200*sim.Millisecond, func() {})
-	w.Run()
+	w.RunUntil(w.Now() + sim.Time(200*sim.Millisecond))
 	if _, d := hook(); d != 0 {
 		t.Fatalf("delay = %v after window closed", d)
 	}
@@ -133,33 +141,45 @@ func TestPhaseTriggerSkipsOccurrences(t *testing.T) {
 	}
 }
 
+// TestArmValidation pins what Arm refuses, by error class, each error
+// naming the step: the grammar, and what needs the injector — a probe,
+// an FS, a target in its Env.
 func TestArmValidation(t *testing.T) {
 	w := sim.NewWorld(1)
 	fs := memfs.New()
 	n := vos.NewNode(w, "n0", 1)
-	inj := New(w, fs)
 
 	cases := []struct {
 		name string
+		fs   *memfs.FS
 		step Step
+		want error
 	}{
-		{"no trigger", Step{Action: ActCrashNode, Node: n}},
-		{"two triggers", Step{After: sim.Second, Progress: 0.5, Action: ActCrashNode, Node: n}},
-		{"progress without probe", Step{Progress: 0.5, Action: ActCrashNode, Node: n}},
-		{"crash-node without node", Step{After: sim.Second, Action: ActCrashNode}},
-		{"crash-manager without manager", Step{After: sim.Second, Action: ActCrashManager}},
-		{"corrupt without path", Step{After: sim.Second, Action: ActCorruptImage}},
-		{"delay without window", Step{After: sim.Second, Action: ActDelayControl}},
-		{"unknown action", Step{After: sim.Second}},
+		{"no trigger", fs, Step{Action: ActCrashNode}, ErrBadStep},
+		{"two triggers", fs, Step{After: sim.Second, Progress: 0.5, Action: ActCrashNode}, ErrBadStep},
+		{"progress without probe", fs, Step{Progress: 0.5, Action: ActCrashNode}, ErrBadStep},
+		{"node index outside the cluster", fs, Step{After: sim.Second, Action: ActCrashNode, Node: 1}, ErrNoTarget},
+		{"crash-manager without manager", fs, Step{After: sim.Second, Action: ActCrashManager}, ErrNoTarget},
+		{"recover-manager without manager", fs, Step{After: sim.Second, Action: ActRecoverManager}, ErrNoTarget},
+		{"truncation without a store", fs, Step{After: sim.Second, Action: ActTruncateStream}, ErrNoTarget},
+		{"feed cut without a feed", fs, Step{After: sim.Second, Action: ActTruncateFeed}, ErrNoTarget},
+		{"corrupt without path", fs, Step{After: sim.Second, Action: ActCorruptImage}, ErrNoTarget},
+		{"corrupt without an FS", nil, Step{After: sim.Second, Action: ActCorruptImage, Path: "g"}, ErrBadStep},
+		{"delay without window", fs, Step{After: sim.Second, Action: ActDelayControl}, ErrBadStep},
+		{"unknown action", fs, Step{After: sim.Second}, ErrBadStep},
 	}
 	for _, tc := range cases {
-		if err := inj.Arm([]Step{tc.step}); err == nil {
-			t.Errorf("%s: accepted", tc.name)
-		} else if !errors.Is(err, ErrBadStep) && !errors.Is(err, ErrNoTarget) {
-			t.Errorf("%s: err = %v", tc.name, err)
+		inj := New(w, tc.fs)
+		inj.Env.Nodes = []*vos.Node{n}
+		tc.step.Name = "bad"
+		if err := inj.Arm([]Step{tc.step}); !errors.Is(err, tc.want) {
+			t.Errorf("%s: err = %v, want %v", tc.name, err, tc.want)
+		} else if !strings.Contains(err.Error(), "step 0 (bad)") {
+			t.Errorf("%s: error %q does not name the step", tc.name, err)
 		}
 	}
-	if len(inj.Fired()) != 0 {
+	w.Run()
+	if n.Failed() {
 		t.Fatal("invalid schedules must arm nothing")
 	}
 }
@@ -174,6 +194,7 @@ func TestDeterministicReplay(t *testing.T) {
 		fs.WriteFile("g/gen0000/a.img", []byte("generation-zero!"))
 		n := vos.NewNode(w, "n0", 1)
 		inj := New(w, fs)
+		inj.Env.Nodes = []*vos.Node{n}
 		inj.SetProgressProbe(func() float64 {
 			// Progress with deterministic jitter from the world's RNG.
 			p := float64(w.Now()) / float64(sim.Second)
@@ -182,7 +203,7 @@ func TestDeterministicReplay(t *testing.T) {
 		if err := inj.Arm([]Step{
 			{Name: "drop", After: 100 * sim.Millisecond, Action: ActDropControl, Count: 3},
 			{Name: "corrupt", Progress: 0.4, Action: ActCorruptImage, Path: "g"},
-			{Name: "kill", Progress: 0.8, Action: ActCrashNode, Node: n},
+			{Name: "kill", Progress: 0.8, Action: ActCrashNode, Node: 0},
 			{Name: "delay", After: 600 * sim.Millisecond, Action: ActDelayControl,
 				Delay: sim.Millisecond, Window: 50 * sim.Millisecond},
 		}); err != nil {

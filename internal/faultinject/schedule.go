@@ -1,11 +1,10 @@
-// Declarative, serializable fault schedules. A Schedule is the
-// cluster-independent form of an Injector schedule: targets are
-// symbolic (a node index, a store prefix) instead of live pointers, so
-// a schedule round-trips through JSON byte-for-byte and a minimized
-// failing schedule is a self-contained fixture — decode, Bind against
-// a fresh cluster, Arm, replay. Validation errors always name the bad
-// step (index and name) so a hand-edited or corrupted fixture fails
-// loudly instead of arming a subtly different scenario.
+// Declarative, serializable fault schedules. A Step's targets are
+// symbolic (a node index, a store prefix), so a schedule round-trips
+// through JSON byte-for-byte and a minimized failing schedule is a
+// self-contained fixture — decode, Arm on an injector whose Env holds a
+// fresh cluster, replay. Errors always name the bad step (index and
+// name) so a hand-edited or corrupted fixture fails loudly instead of
+// arming a subtly different scenario.
 package faultinject
 
 import (
@@ -14,123 +13,143 @@ import (
 	"fmt"
 
 	"zapc/internal/core"
-	"zapc/internal/imagestore"
 	"zapc/internal/sim"
-	"zapc/internal/vos"
 )
 
-// SpecStep is one serializable schedule entry. Exactly one trigger
-// must be set: AfterNS (relative simulated time, nanoseconds),
-// Progress (probe threshold in (0,1]), or Phase (symbolic coordinated-
-// operation phase name, with PhaseSkip occurrences let through first).
-// Action is the symbolic fault kind; the target fields required depend
-// on it, mirroring Step.
-type SpecStep struct {
+// Action identifies a declarative fault kind. It serializes as its name.
+type Action int
+
+// Declarative fault kinds.
+const (
+	ActCrashNode Action = iota + 1
+	ActCrashManager
+	ActCorruptImage // corrupt newest file under Step.Path
+	ActDropControl
+	ActDelayControl
+	ActTruncateStream // truncate the next Count image write streams (Env.Trunc)
+	ActTruncateReads  // truncate the next Count image read streams (Env.Trunc)
+	ActRecoverManager // a replacement coordination manager takes over
+	ActTruncateFeed   // truncate the next Count standby replication-feed streams (Env.FeedTrunc)
+)
+
+func (a Action) String() string {
+	switch a {
+	case ActCrashNode:
+		return "crash-node"
+	case ActCrashManager:
+		return "crash-manager"
+	case ActCorruptImage:
+		return "corrupt-image"
+	case ActDropControl:
+		return "drop-control"
+	case ActDelayControl:
+		return "delay-control"
+	case ActTruncateStream:
+		return "truncate-stream"
+	case ActTruncateReads:
+		return "truncate-reads"
+	case ActRecoverManager:
+		return "recover-manager"
+	case ActTruncateFeed:
+		return "truncate-feed"
+	default:
+		return fmt.Sprintf("action(%d)", int(a))
+	}
+}
+
+// MarshalText writes the action's name.
+func (a Action) MarshalText() ([]byte, error) { return []byte(a.String()), nil }
+
+// UnmarshalText is the inverse of MarshalText.
+func (a *Action) UnmarshalText(b []byte) error {
+	for x := ActCrashNode; x <= ActTruncateFeed; x++ {
+		if x.String() == string(b) {
+			*a = x
+			return nil
+		}
+	}
+	return fmt.Errorf("unknown action %q", b)
+}
+
+// Step is one entry of a fault schedule. Exactly one trigger must be
+// set: After (relative simulated time), Progress (probe threshold in
+// (0,1], requires SetProgressProbe), or Phase (requires ObservePhases;
+// PhaseSkip lets earlier occurrences pass). The parameters required
+// depend on Action; targets are resolved from the injector's Env when
+// the step is armed.
+type Step struct {
 	Name string `json:"name,omitempty"`
 
 	// Trigger (exactly one).
-	AfterNS   int64   `json:"after_ns,omitempty"`
-	Progress  float64 `json:"progress,omitempty"`
-	Phase     string  `json:"phase,omitempty"`
-	PhaseSkip int     `json:"phase_skip,omitempty"`
+	After     sim.Duration `json:"after_ns,omitempty"`
+	Progress  float64      `json:"progress,omitempty"`
+	Phase     core.Phase   `json:"phase,omitempty"`
+	PhaseSkip int          `json:"phase_skip,omitempty"`
 
-	Action   string `json:"action"`
-	Node     int    `json:"node,omitempty"`      // crash-node: cluster node index
-	Path     string `json:"path,omitempty"`      // corrupt-image: generation-store prefix
-	Count    int    `json:"count,omitempty"`     // drop-control / truncate-*: units
-	DelayNS  int64  `json:"delay_ns,omitempty"`  // delay-control: per-message delay
-	WindowNS int64  `json:"window_ns,omitempty"` // delay-control: window length
+	Action Action       `json:"action"`
+	Node   int          `json:"node,omitempty"`      // crash-node: index into Env.Nodes
+	Path   string       `json:"path,omitempty"`      // corrupt-image: generation-store prefix
+	Count  int          `json:"count,omitempty"`     // drop-control / truncate-*: units (default 1)
+	Delay  sim.Duration `json:"delay_ns,omitempty"`  // delay-control: per-message delay
+	Window sim.Duration `json:"window_ns,omitempty"` // delay-control: window length
 }
 
 // Schedule is a serializable fault schedule.
 type Schedule struct {
-	Steps []SpecStep `json:"steps"`
+	Steps []Step `json:"steps"`
 }
 
-// Env resolves a Schedule's symbolic targets when binding it to a live
-// cluster. Fields may be nil/empty if no step needs them.
-type Env struct {
-	Nodes []*vos.Node
-	Mgr   *core.Manager
-	// Trunc is the armable stream-truncation wrapper around the
-	// manager's image store (required by truncate-stream/truncate-reads
-	// steps).
-	Trunc *imagestore.TruncStore
-	// FeedTrunc is the armable truncation wrapper on the warm standby's
-	// replication feed (required by truncate-feed steps; only present
-	// when the scenario attaches a standby plane).
-	FeedTrunc *imagestore.TruncStore
-}
-
-func (s SpecStep) describe(i int) string {
+func describe(i int, s Step) string {
 	if s.Name != "" {
 		return fmt.Sprintf("step %d (%s)", i, s.Name)
 	}
 	return fmt.Sprintf("step %d", i)
 }
 
-// validate checks one step's grammar independent of any cluster.
-func (s SpecStep) validate(i int) error {
-	triggers := 0
-	if s.AfterNS > 0 {
-		triggers++
-	}
-	if s.Progress > 0 {
-		triggers++
-	}
-	if s.Phase != "" {
-		triggers++
-	}
-	if triggers != 1 {
-		return fmt.Errorf("%w: %s needs exactly one trigger (after_ns, progress, or phase), has %d",
-			ErrBadStep, s.describe(i), triggers)
-	}
-	if s.Progress > 1 {
-		return fmt.Errorf("%w: %s progress %v is outside (0,1]", ErrBadStep, s.describe(i), s.Progress)
-	}
-	if s.Phase != "" && core.ParsePhase(s.Phase) == 0 {
-		return fmt.Errorf("%w: %s names unknown phase %q", ErrBadStep, s.describe(i), s.Phase)
-	}
-	act := ParseAction(s.Action)
-	if act == 0 {
-		return fmt.Errorf("%w: %s names unknown action %q", ErrBadStep, s.describe(i), s.Action)
-	}
-	switch act {
-	case ActCrashNode:
-		if s.Node < 0 {
-			return fmt.Errorf("%w: %s crash-node with negative node index %d", ErrBadStep, s.describe(i), s.Node)
+// validate is the schedule grammar, independent of any cluster: each
+// step's trigger and parameters, then that no two steps fire under one
+// name. The error names the first bad step.
+func validate(steps []Step) error {
+	names := make(map[string]int, len(steps))
+	for i, s := range steps {
+		triggers := 0
+		if s.After > 0 {
+			triggers++
 		}
-	case ActCorruptImage:
-		if s.Path == "" {
-			return fmt.Errorf("%w: %s corrupt-image without path", ErrNoTarget, s.describe(i))
+		if s.Progress > 0 {
+			triggers++
 		}
-	case ActDelayControl:
-		if s.DelayNS <= 0 || s.WindowNS <= 0 {
-			return fmt.Errorf("%w: %s delay-control needs delay_ns and window_ns", ErrBadStep, s.describe(i))
+		if s.Phase != 0 {
+			triggers++
 		}
+		switch {
+		case triggers != 1:
+			return fmt.Errorf("%w: %s needs exactly one trigger (after_ns, progress, or phase), has %d",
+				ErrBadStep, describe(i, s), triggers)
+		case s.Progress > 1:
+			return fmt.Errorf("%w: %s progress %v is outside (0,1]", ErrBadStep, describe(i, s), s.Progress)
+		case s.Phase < 0 || s.Phase > core.PhaseRestartDone:
+			return fmt.Errorf("%w: %s names unknown phase %d", ErrBadStep, describe(i, s), int(s.Phase))
+		case s.Action < ActCrashNode || s.Action > ActTruncateFeed:
+			return fmt.Errorf("%w: %s names unknown action %d", ErrBadStep, describe(i, s), int(s.Action))
+		case s.Action == ActCrashNode && s.Node < 0:
+			return fmt.Errorf("%w: %s crash-node with negative node index %d", ErrBadStep, describe(i, s), s.Node)
+		case s.Action == ActCorruptImage && s.Path == "":
+			return fmt.Errorf("%w: %s corrupt-image without path", ErrNoTarget, describe(i, s))
+		case s.Action == ActDelayControl && (s.Delay <= 0 || s.Window <= 0):
+			return fmt.Errorf("%w: %s delay-control needs delay_ns and window_ns", ErrBadStep, describe(i, s))
+		}
+		name := stepName(i, s)
+		if j, dup := names[name]; dup {
+			return fmt.Errorf("%w: steps %d and %d are both named %q", ErrDupStep, j, i, name)
+		}
+		names[name] = i
 	}
 	return nil
 }
 
-// Validate checks the whole schedule grammar: per-step triggers and
-// targets, plus schedule-level rules (unique explicit names). The
-// error names the first bad step.
-func (s Schedule) Validate() error {
-	names := make(map[string]int, len(s.Steps))
-	for i, st := range s.Steps {
-		if err := st.validate(i); err != nil {
-			return err
-		}
-		if st.Name == "" {
-			continue
-		}
-		if j, dup := names[st.Name]; dup {
-			return fmt.Errorf("%w: steps %d and %d are both named %q", ErrDupStep, j, i, st.Name)
-		}
-		names[st.Name] = i
-	}
-	return nil
-}
+// Validate checks the schedule grammar in declaration order.
+func (s Schedule) Validate() error { return validate(s.Steps) }
 
 // EncodeSchedule serializes a validated schedule as deterministic,
 // indented JSON (the fixture format under testdata/chaos).
@@ -147,110 +166,37 @@ func EncodeSchedule(s Schedule) ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// DecodeSchedule parses and validates a JSON schedule. Unknown fields
-// are rejected — a fixture that drifted from the grammar fails loudly,
-// naming the problem, rather than arming a different scenario.
+// DecodeSchedule parses and validates a JSON schedule.
 func DecodeSchedule(data []byte) (Schedule, error) {
 	var s Schedule
+	err := s.UnmarshalJSON(data)
+	return s, err
+}
+
+// UnmarshalJSON decodes a schedule strictly, one step at a time, and
+// validates it: unknown fields and unknown action or phase names are
+// rejected naming the step, so a fixture that drifted from the grammar
+// fails loudly rather than arming a different scenario.
+func (s *Schedule) UnmarshalJSON(data []byte) error {
+	var raw struct {
+		Steps []json.RawMessage `json:"steps"`
+	}
+	if err := decodeStrict(data, &raw); err != nil {
+		return fmt.Errorf("%w: %v", ErrBadStep, err)
+	}
+	s.Steps = nil
+	for i, r := range raw.Steps {
+		var st Step
+		if err := decodeStrict(r, &st); err != nil {
+			return fmt.Errorf("%w: step %d: %v", ErrBadStep, i, err)
+		}
+		s.Steps = append(s.Steps, st)
+	}
+	return s.Validate()
+}
+
+func decodeStrict(data []byte, v any) error {
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(&s); err != nil {
-		return Schedule{}, fmt.Errorf("%w: %v", ErrBadStep, err)
-	}
-	if err := s.Validate(); err != nil {
-		return Schedule{}, err
-	}
-	return s, nil
-}
-
-// Bind resolves the schedule's symbolic targets against a live cluster,
-// returning concrete Steps ready for Arm. Binding re-validates: a node
-// index out of range or a missing environment piece errors naming the
-// step.
-func (s Schedule) Bind(env Env) ([]Step, error) {
-	if err := s.Validate(); err != nil {
-		return nil, err
-	}
-	steps := make([]Step, 0, len(s.Steps))
-	for i, st := range s.Steps {
-		out := Step{
-			Name:      st.Name,
-			After:     sim.Duration(st.AfterNS),
-			Progress:  st.Progress,
-			PhaseSkip: st.PhaseSkip,
-			Path:      st.Path,
-			Count:     st.Count,
-			Delay:     sim.Duration(st.DelayNS),
-			Window:    sim.Duration(st.WindowNS),
-		}
-		if st.Phase != "" {
-			out.Phase = core.ParsePhase(st.Phase)
-		}
-		act := ParseAction(st.Action)
-		out.Action = act
-		switch act {
-		case ActCrashNode:
-			if st.Node >= len(env.Nodes) {
-				return nil, fmt.Errorf("%w: %s crash-node index %d outside cluster of %d nodes",
-					ErrNoTarget, st.describe(i), st.Node, len(env.Nodes))
-			}
-			out.Node = env.Nodes[st.Node]
-		case ActCrashManager, ActRecoverManager:
-			if env.Mgr == nil {
-				return nil, fmt.Errorf("%w: %s %s without a manager in the environment",
-					ErrNoTarget, st.describe(i), st.Action)
-			}
-			out.Manager = env.Mgr
-		case ActTruncateStream, ActTruncateReads:
-			if env.Trunc == nil {
-				return nil, fmt.Errorf("%w: %s %s without a truncating store in the environment",
-					ErrNoTarget, st.describe(i), st.Action)
-			}
-			out.Trunc = env.Trunc
-		case ActTruncateFeed:
-			if env.FeedTrunc == nil {
-				return nil, fmt.Errorf("%w: %s %s without a standby feed in the environment",
-					ErrNoTarget, st.describe(i), st.Action)
-			}
-			out.Trunc = env.FeedTrunc
-		}
-		steps = append(steps, out)
-	}
-	return steps, nil
-}
-
-// Spec converts a concrete bound Step back to its serializable form.
-// Pointer targets become symbolic using the environment (the node's
-// index); a target not present in env errors. It is the inverse of
-// Bind, used when a generator composes concrete steps and the harness
-// needs the fixture form.
-func Spec(s Step, env Env) (SpecStep, error) {
-	out := SpecStep{
-		Name:      s.Name,
-		AfterNS:   int64(s.After),
-		Progress:  s.Progress,
-		PhaseSkip: s.PhaseSkip,
-		Action:    s.Action.String(),
-		Path:      s.Path,
-		Count:     s.Count,
-		DelayNS:   int64(s.Delay),
-		WindowNS:  int64(s.Window),
-	}
-	if s.Phase != 0 {
-		out.Phase = s.Phase.String()
-	}
-	if s.Action == ActCrashNode {
-		idx := -1
-		for i, n := range env.Nodes {
-			if n == s.Node {
-				idx = i
-				break
-			}
-		}
-		if idx < 0 {
-			return SpecStep{}, fmt.Errorf("%w: step (%s) crash-node target not in environment", ErrNoTarget, s.Name)
-		}
-		out.Node = idx
-	}
-	return out, nil
+	return dec.Decode(v)
 }

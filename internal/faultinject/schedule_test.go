@@ -2,11 +2,15 @@ package faultinject
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
 
+	"zapc/internal/core"
 	"zapc/internal/imagestore"
 	"zapc/internal/memfs"
 	"zapc/internal/sim"
@@ -14,14 +18,19 @@ import (
 )
 
 func sampleSchedule() Schedule {
-	return Schedule{Steps: []SpecStep{
-		{Name: "kill", Progress: 0.5, Action: "crash-node", Node: 1},
-		{Name: "corrupt", AfterNS: int64(2 * sim.Second), Action: "corrupt-image", Path: "chaos"},
-		{Name: "drop", Phase: "checkpoint-start", Action: "drop-control", Count: 4},
-		{Name: "slow", AfterNS: int64(sim.Second), Action: "delay-control",
-			DelayNS: int64(5 * sim.Millisecond), WindowNS: int64(sim.Second)},
-		{Name: "cut", Phase: "restart-start", Action: "truncate-reads", Count: 1},
+	return Schedule{Steps: []Step{
+		{Name: "kill", Progress: 0.5, Action: ActCrashNode, Node: 1},
+		{Name: "corrupt", After: 2 * sim.Second, Action: ActCorruptImage, Path: "chaos"},
+		{Name: "drop", Phase: core.PhaseCheckpointStart, Action: ActDropControl, Count: 4},
+		{Name: "slow", After: sim.Second, Action: ActDelayControl,
+			Delay: 5 * sim.Millisecond, Window: sim.Second},
+		{Name: "cut", Phase: core.PhaseRestartStart, Action: ActTruncateReads, Count: 1},
 	}}
+}
+
+// named reports whether err is one of the schedule error classes.
+func named(err error) bool {
+	return errors.Is(err, ErrBadStep) || errors.Is(err, ErrNoTarget) || errors.Is(err, ErrDupStep)
 }
 
 func TestScheduleJSONRoundTrip(t *testing.T) {
@@ -53,22 +62,23 @@ func TestScheduleValidationNamesBadStep(t *testing.T) {
 		s     Schedule
 		want  string // substring the error must carry
 	}{
-		{"no trigger", Schedule{Steps: []SpecStep{{Name: "x", Action: "crash-node"}}}, "step 0 (x)"},
-		{"two triggers", Schedule{Steps: []SpecStep{
-			{Name: "y", AfterNS: 1, Progress: 0.5, Action: "crash-node"}}}, "step 0 (y)"},
-		{"unknown action", Schedule{Steps: []SpecStep{
-			{AfterNS: 1, Action: "set-on-fire"}}}, `unknown action "set-on-fire"`},
-		{"unknown phase", Schedule{Steps: []SpecStep{
-			{Phase: "warp", Action: "drop-control"}}}, `unknown phase "warp"`},
-		{"corrupt without path", Schedule{Steps: []SpecStep{
-			{AfterNS: 1, Action: "corrupt-image"}}}, "without path"},
-		{"delay without window", Schedule{Steps: []SpecStep{
-			{AfterNS: 1, Action: "delay-control"}}}, "delay_ns and window_ns"},
-		{"progress out of range", Schedule{Steps: []SpecStep{
-			{Progress: 1.5, Action: "crash-node"}}}, "outside (0,1]"},
-		{"duplicate names", Schedule{Steps: []SpecStep{
-			{Name: "dup", AfterNS: 1, Action: "drop-control"},
-			{Name: "dup", AfterNS: 2, Action: "drop-control"}}}, `both named "dup"`},
+		{"no trigger", Schedule{Steps: []Step{{Name: "x", Action: ActCrashNode}}}, "step 0 (x)"},
+		{"two triggers", Schedule{Steps: []Step{
+			{Name: "y", After: 1, Progress: 0.5, Action: ActCrashNode}}}, "step 0 (y)"},
+		{"unknown action", Schedule{Steps: []Step{{After: 1}}}, "step 0 names unknown action"},
+		{"unknown phase", Schedule{Steps: []Step{
+			{Phase: core.PhaseRestartDone + 1, Action: ActDropControl}}}, "step 0 names unknown phase"},
+		{"corrupt without path", Schedule{Steps: []Step{
+			{After: 1, Action: ActCorruptImage}}}, "step 0 corrupt-image without path"},
+		{"delay without window", Schedule{Steps: []Step{
+			{After: 1, Action: ActDelayControl}}}, "step 0 delay-control needs delay_ns and window_ns"},
+		{"progress out of range", Schedule{Steps: []Step{
+			{Progress: 1.5, Action: ActCrashNode}}}, "step 0 progress 1.5 is outside (0,1]"},
+		{"negative node", Schedule{Steps: []Step{
+			{Name: "k", After: 1, Action: ActCrashNode, Node: -1}}}, "step 0 (k) crash-node with negative node index"},
+		{"duplicate names", Schedule{Steps: []Step{
+			{Name: "dup", After: 1, Action: ActDropControl},
+			{Name: "dup", After: 2, Action: ActDropControl}}}, `steps 0 and 1 are both named "dup"`},
 	}
 	for _, tc := range cases {
 		err := tc.s.Validate()
@@ -76,7 +86,7 @@ func TestScheduleValidationNamesBadStep(t *testing.T) {
 			t.Errorf("%s: accepted", tc.label)
 			continue
 		}
-		if !errors.Is(err, ErrBadStep) && !errors.Is(err, ErrNoTarget) && !errors.Is(err, ErrDupStep) {
+		if !named(err) {
 			t.Errorf("%s: unnamed error %v", tc.label, err)
 		}
 		if !strings.Contains(err.Error(), tc.want) {
@@ -85,57 +95,72 @@ func TestScheduleValidationNamesBadStep(t *testing.T) {
 	}
 }
 
+// TestDecodeScheduleRejectsUnknownFields covers what only the JSON form
+// can carry: fields and names outside the grammar, refused naming the
+// step.
 func TestDecodeScheduleRejectsUnknownFields(t *testing.T) {
-	_, err := DecodeSchedule([]byte(`{"steps":[{"action":"drop-control","after_ns":1,"blast_radius":3}]}`))
-	if !errors.Is(err, ErrBadStep) {
-		t.Fatalf("err = %v, want ErrBadStep", err)
+	cases := []struct {
+		label, json, want string
+	}{
+		{"unknown field", `{"steps":[{"action":"drop-control","after_ns":1,"blast_radius":3}]}`, `step 0: json: unknown field "blast_radius"`},
+		{"unknown action", `{"steps":[{"after_ns":1,"action":"drop-control"},{"after_ns":1,"action":"set-on-fire"}]}`, `step 1: unknown action "set-on-fire"`},
+		{"unknown phase", `{"steps":[{"phase":"warp","action":"drop-control"}]}`, `step 0: unknown phase "warp"`},
+		{"unknown schedule field", `{"steps":[],"seed":1}`, `unknown field "seed"`},
+	}
+	for _, tc := range cases {
+		_, err := DecodeSchedule([]byte(tc.json))
+		if !errors.Is(err, ErrBadStep) {
+			t.Errorf("%s: err = %v, want ErrBadStep", tc.label, err)
+		} else if !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: error %q does not contain %q", tc.label, err, tc.want)
+		}
 	}
 }
 
-func TestScheduleBindResolvesTargets(t *testing.T) {
+// TestArmResolvesTargets arms the symbolic schedule on an injector whose
+// Env holds the targets: each fault lands on the one its step names
+// (TestArmValidation holds the missing ones).
+func TestArmResolvesTargets(t *testing.T) {
 	w := sim.NewWorld(1)
+	fs := memfs.New()
+	fs.WriteFile("chaos/gen0000/a.img", []byte("generation-zero!"))
 	nodes := []*vos.Node{vos.NewNode(w, "n0", 1), vos.NewNode(w, "n1", 1)}
-	env := Env{Nodes: nodes, Trunc: imagestore.Truncating(imagestore.NewFS(memfs.New()))}
-	steps, err := sampleSchedule().Bind(env)
-	if err != nil {
+	inj := New(w, fs)
+	inj.Env = Env{Nodes: nodes, Trunc: imagestore.Truncating(imagestore.NewFS(fs))}
+	inj.SetProgressProbe(func() float64 { return float64(w.Now()) / float64(4*sim.Second) }, 0)
+	if err := inj.Arm(sampleSchedule().Steps); err != nil {
 		t.Fatal(err)
 	}
-	if steps[0].Node != nodes[1] {
-		t.Fatalf("crash-node bound to %v", steps[0].Node)
+	w.RunUntil(sim.Time(3 * sim.Second))
+	inj.phaseEvent(core.PhaseRestartStart)
+	if !nodes[1].Failed() || nodes[0].Failed() {
+		t.Fatalf("crash-node 1 failed n0=%v n1=%v", nodes[0].Failed(), nodes[1].Failed())
 	}
-	if steps[4].Trunc != env.Trunc {
-		t.Fatal("truncate-reads not bound to the env store")
-	}
-
-	// Out-of-range node index names the step.
-	bad := Schedule{Steps: []SpecStep{{Name: "kill", AfterNS: 1, Action: "crash-node", Node: 7}}}
-	if _, err := bad.Bind(env); err == nil || !strings.Contains(err.Error(), "step 0 (kill)") {
-		t.Fatalf("bind err = %v", err)
-	}
-	// Truncation without a store in the env.
-	cut := Schedule{Steps: []SpecStep{{AfterNS: 1, Action: "truncate-stream"}}}
-	if _, err := cut.Bind(Env{Nodes: nodes}); !errors.Is(err, ErrNoTarget) {
-		t.Fatalf("bind err = %v", err)
-	}
-	// Manager actions without a manager.
-	rec := Schedule{Steps: []SpecStep{{AfterNS: 1, Action: "recover-manager"}}}
-	if _, err := rec.Bind(env); !errors.Is(err, ErrNoTarget) {
-		t.Fatalf("bind err = %v", err)
+	if _, err := inj.Env.Trunc.Open("chaos/gen0000/a.img"); err != nil || len(inj.Env.Trunc.Cuts()) != 1 {
+		t.Fatalf("truncate-reads did not arm the env store: %v, cuts %v", err, inj.Env.Trunc.Cuts())
 	}
 }
 
-// TestArmRejectsDuplicateNames pins the schedule-level rule on the
-// concrete Arm path too (Validate covers the serializable form).
+// TestArmRejectsDuplicateNames pins the schedule-level rule on the Arm
+// path too, where an unnamed step is named by its canonical position.
 func TestArmRejectsDuplicateNames(t *testing.T) {
 	w := sim.NewWorld(1)
 	inj := New(w, memfs.New())
-	err := inj.Arm([]Step{
-		{Name: "same", After: sim.Second, Action: ActDropControl},
-		{Name: "same", After: 2 * sim.Second, Action: ActDropControl},
-	})
-	if !errors.Is(err, ErrDupStep) {
-		t.Fatalf("err = %v, want ErrDupStep", err)
+	for _, steps := range [][]Step{
+		{
+			{Name: "same", After: sim.Second, Action: ActDropControl},
+			{Name: "same", After: 2 * sim.Second, Action: ActDropControl},
+		},
+		{
+			{After: sim.Second, Action: ActDropControl},
+			{Name: "step0:drop-control", After: 2 * sim.Second, Action: ActDropControl},
+		},
+	} {
+		if err := inj.Arm(steps); !errors.Is(err, ErrDupStep) {
+			t.Fatalf("err = %v, want ErrDupStep", err)
+		}
 	}
+	w.Run()
 	if len(inj.Fired()) != 0 {
 		t.Fatal("schedule error must arm nothing")
 	}
@@ -179,24 +204,47 @@ func TestArmOrderIndependent(t *testing.T) {
 	}
 }
 
-// TestSpecInverseOfBind pins Step -> SpecStep -> Bind round-tripping.
-func TestSpecInverseOfBind(t *testing.T) {
-	w := sim.NewWorld(1)
-	nodes := []*vos.Node{vos.NewNode(w, "n0", 1), vos.NewNode(w, "n1", 1)}
-	env := Env{Nodes: nodes}
-	step := Step{Name: "kill", Progress: 0.25, Action: ActCrashNode, Node: nodes[1]}
-	spec, err := Spec(step, env)
-	if err != nil {
-		t.Fatal(err)
+// FuzzDecodeSchedule feeds the schedule decoder arbitrary bytes, seeded
+// with the schedule of every chaos fixture. Every input either fails
+// with a named schedule error or decodes to a schedule whose encoding
+// decodes back to it and re-encodes to itself.
+func FuzzDecodeSchedule(f *testing.F) {
+	paths, _ := filepath.Glob("../../testdata/chaos/*.json")
+	for _, p := range paths {
+		var fx struct{ Schedule json.RawMessage }
+		data, err := os.ReadFile(p)
+		if err == nil {
+			err = json.Unmarshal(data, &fx)
+		}
+		if err != nil || fx.Schedule == nil {
+			f.Fatalf("%s: no schedule to seed from: %v", p, err)
+		}
+		f.Add([]byte(fx.Schedule))
 	}
-	if spec.Node != 1 || spec.Action != "crash-node" {
-		t.Fatalf("spec = %+v", spec)
-	}
-	back, err := Schedule{Steps: []SpecStep{spec}}.Bind(env)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(back[0], step) {
-		t.Fatalf("bind(spec) = %+v, want %+v", back[0], step)
-	}
+	sample, _ := EncodeSchedule(sampleSchedule())
+	f.Add(sample)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		s, err := DecodeSchedule(data)
+		if err != nil {
+			if !named(err) {
+				t.Fatalf("unnamed error: %v", err)
+			}
+			return
+		}
+		enc, err := EncodeSchedule(s)
+		if err != nil {
+			t.Fatalf("decoded schedule does not encode: %v", err)
+		}
+		back, err := DecodeSchedule(enc)
+		if err != nil {
+			t.Fatalf("encoding does not decode: %v\n%s", err, enc)
+		}
+		if !reflect.DeepEqual(s, back) {
+			t.Fatalf("decode(encode(s)) != s:\n%+v\n%+v", s, back)
+		}
+		again, err := EncodeSchedule(back)
+		if err != nil || !bytes.Equal(enc, again) {
+			t.Fatalf("re-encoding is not a fixed point (%v):\n%s\n%s", err, enc, again)
+		}
+	})
 }

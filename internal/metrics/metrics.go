@@ -7,7 +7,6 @@ package metrics
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 )
 
@@ -18,9 +17,6 @@ type Sample struct {
 
 // Add appends an observation.
 func (s *Sample) Add(v float64) { s.xs = append(s.xs, v) }
-
-// N reports the number of observations.
-func (s *Sample) N() int { return len(s.xs) }
 
 // Mean returns the arithmetic mean, or 0 for an empty sample.
 func (s *Sample) Mean() float64 {
@@ -50,20 +46,6 @@ func (s *Sample) Std() float64 {
 	return math.Sqrt(ss / float64(n-1))
 }
 
-// Min returns the smallest observation, or 0 for an empty sample.
-func (s *Sample) Min() float64 {
-	if len(s.xs) == 0 {
-		return 0
-	}
-	m := s.xs[0]
-	for _, v := range s.xs[1:] {
-		if v < m {
-			m = v
-		}
-	}
-	return m
-}
-
 // Max returns the largest observation, or 0 for an empty sample.
 func (s *Sample) Max() float64 {
 	if len(s.xs) == 0 {
@@ -76,27 +58,6 @@ func (s *Sample) Max() float64 {
 		}
 	}
 	return m
-}
-
-// Percentile returns the p-th percentile (0..100) using nearest-rank on a
-// sorted copy, or 0 for an empty sample.
-func (s *Sample) Percentile(p float64) float64 {
-	if len(s.xs) == 0 {
-		return 0
-	}
-	c := append([]float64(nil), s.xs...)
-	sort.Float64s(c)
-	if p <= 0 {
-		return c[0]
-	}
-	if p >= 100 {
-		return c[len(c)-1]
-	}
-	rank := int(math.Ceil(p/100*float64(len(c)))) - 1
-	if rank < 0 {
-		rank = 0
-	}
-	return c[rank]
 }
 
 // Table renders aligned plain-text tables for experiment output.

@@ -12,23 +12,20 @@ func TestSampleBasics(t *testing.T) {
 	for _, v := range []float64{1, 2, 3, 4, 5} {
 		s.Add(v)
 	}
-	if s.N() != 5 {
-		t.Fatalf("N = %d", s.N())
-	}
 	if got := s.Mean(); got != 3 {
 		t.Fatalf("Mean = %v", got)
 	}
 	if got := s.Std(); math.Abs(got-math.Sqrt(2.5)) > 1e-12 {
 		t.Fatalf("Std = %v", got)
 	}
-	if s.Min() != 1 || s.Max() != 5 {
-		t.Fatalf("Min/Max = %v/%v", s.Min(), s.Max())
+	if s.Max() != 5 {
+		t.Fatalf("Max = %v", s.Max())
 	}
 }
 
 func TestEmptySample(t *testing.T) {
 	var s Sample
-	if s.Mean() != 0 || s.Std() != 0 || s.Min() != 0 || s.Max() != 0 || s.Percentile(50) != 0 {
+	if s.Mean() != 0 || s.Std() != 0 || s.Max() != 0 {
 		t.Fatal("empty sample should report zeros")
 	}
 }
@@ -38,36 +35,6 @@ func TestSingleObservationStd(t *testing.T) {
 	s.Add(7)
 	if s.Std() != 0 {
 		t.Fatalf("Std of one obs = %v", s.Std())
-	}
-}
-
-func TestPercentile(t *testing.T) {
-	var s Sample
-	for i := 1; i <= 100; i++ {
-		s.Add(float64(i))
-	}
-	if got := s.Percentile(50); got != 50 {
-		t.Fatalf("P50 = %v", got)
-	}
-	if got := s.Percentile(0); got != 1 {
-		t.Fatalf("P0 = %v", got)
-	}
-	if got := s.Percentile(100); got != 100 {
-		t.Fatalf("P100 = %v", got)
-	}
-	if got := s.Percentile(99); got != 99 {
-		t.Fatalf("P99 = %v", got)
-	}
-}
-
-func TestPercentileDoesNotMutate(t *testing.T) {
-	var s Sample
-	s.Add(3)
-	s.Add(1)
-	s.Add(2)
-	s.Percentile(50)
-	if s.xs[0] != 3 || s.xs[1] != 1 || s.xs[2] != 2 {
-		t.Fatal("Percentile mutated sample order")
 	}
 }
 
@@ -105,23 +72,14 @@ func TestHumanBytes(t *testing.T) {
 	}
 }
 
-// Property: Min <= Mean <= Max, and Min <= Percentile(p) <= Max.
+// Property: Mean <= Max.
 func TestQuickSampleInvariants(t *testing.T) {
-	f := func(vals []int32, p uint8) bool {
+	f := func(vals []int32) bool {
 		var s Sample
 		for _, v := range vals {
 			s.Add(float64(v))
 		}
-		if s.N() == 0 {
-			return true
-		}
-		m := s.Mean()
-		const eps = 1e-6
-		if m < s.Min()-eps || m > s.Max()+eps {
-			return false
-		}
-		pc := s.Percentile(float64(p % 101))
-		return pc >= s.Min() && pc <= s.Max()
+		return s.Mean() <= s.Max()+1e-6
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)

@@ -115,7 +115,11 @@ type Plane struct {
 	watchdog sim.EventID
 	lastSeq  int // newest seq known at sync start, for the lag gauge
 
+	// The generation being applied: its completion event and span, both
+	// ended with the sync that started them.
 	applying  bool
+	applyEv   sim.EventID
+	applySpan *trace.Span
 	promoteCb func(images []*ckpt.Image, genT sim.Time, err error)
 
 	stats Stats
@@ -341,9 +345,12 @@ func (p *Plane) onRecord(path string) {
 }
 
 // onTransferError fires when a transfer dies server-side without
-// committing (the stream was cut between client and server).
+// committing (the stream was cut between client and server). An error
+// while no record is in flight (a generation applying, say), or naming
+// another record than the one in flight, is the late close of a
+// committed transfer.
 func (p *Plane) onTransferError(path string, err error) {
-	if !p.syncing || (p.want != "" && path != p.want && path != "") {
+	if !p.syncing || p.want == "" || (path != p.want && path != "") {
 		return
 	}
 	p.want = ""
@@ -362,10 +369,10 @@ func (p *Plane) applyGen() {
 	} else {
 		cost = costs.MemCopyTime(eff)
 	}
-	span := p.tr.Start(nil, "standby/apply", trace.Track("standby"),
-		trace.Str("dir", g.Dir), trace.I64("seq", int64(g.Seq)), trace.I64("bytes", g.Bytes))
 	p.applying = true
-	p.w.After(cost, func() {
+	p.applySpan = p.tr.Start(nil, "standby/apply", trace.Track("standby"),
+		trace.Str("dir", g.Dir), trace.I64("seq", int64(g.Seq)), trace.I64("bytes", g.Bytes))
+	p.applyEv = p.w.After(cost, func() {
 		p.applying = false
 		shadows, err := p.materialize(g)
 		if err == nil {
@@ -378,9 +385,9 @@ func (p *Plane) applyGen() {
 			p.reg.Counter("standby_applied_bytes_total").Add(g.Bytes)
 			p.reg.Counter("standby_applied_gens_total").Add(1)
 			p.setLag()
-			span.End(trace.I64("acked_seq", int64(p.ackedSeq)))
+			p.applySpan.End(trace.I64("acked_seq", int64(p.ackedSeq)))
 		} else {
-			span.End(trace.Str("err", err.Error()))
+			p.applySpan.End(trace.Str("err", err.Error()))
 		}
 		if p.promoted {
 			// The bounded catch-up of a promotion that arrived mid-apply:
@@ -456,6 +463,14 @@ func (p *Plane) finishSync(err error) {
 	p.want = ""
 	p.files, p.queue = nil, nil
 	p.w.Cancel(p.watchdog)
+	if p.applying {
+		// The apply ends with its sync: nothing may ack a generation
+		// after the sync reported its failure, or step a later sync's
+		// queue, and a promotion hands over the watermark at once.
+		p.w.Cancel(p.applyEv)
+		p.applying = false
+		p.applySpan.End(trace.Str("err", "sync ended"))
+	}
 	if p.span != nil {
 		if err != nil {
 			p.span.End(trace.Str("err", err.Error()))

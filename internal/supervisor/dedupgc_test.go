@@ -54,10 +54,11 @@ func TestDedupGCNeverStrandsReferencedBlocks(t *testing.T) {
 	// Arm a write cut on the third checkpoint, after earlier generations
 	// committed blocks the dead attempt will share.
 	inj := faultinject.New(c.W, c.FS)
+	inj.Env = faultinject.Env{Nodes: c.Nodes, Trunc: trunc}
 	inj.ObservePhases(c.Mgr)
 	if err := inj.Arm([]faultinject.Step{{
 		Name: "cut", Phase: core.PhaseCheckpointStart, PhaseSkip: 2,
-		Action: faultinject.ActTruncateStream, Trunc: trunc, Count: 1,
+		Action: faultinject.ActTruncateStream, Count: 1,
 	}}); err != nil {
 		t.Fatal(err)
 	}
@@ -96,10 +97,9 @@ func TestDedupGCNeverStrandsReferencedBlocks(t *testing.T) {
 
 	// Stage 2: crash a node so recovery restarts from the newest valid
 	// generation and retention GC churns chains through the dedup store.
-	kill := faultinject.New(c.W, nil)
-	if err := kill.Arm([]faultinject.Step{{
+	if err := inj.Arm([]faultinject.Step{{
 		Name: "kill", After: sim.Millisecond,
-		Action: faultinject.ActCrashNode, Node: c.Nodes[1],
+		Action: faultinject.ActCrashNode, Node: 1,
 	}}); err != nil {
 		t.Fatal(err)
 	}

@@ -53,10 +53,11 @@ func TestGCCollectsGenerationDyingMidFlush(t *testing.T) {
 			// Arm a write cut on the third checkpoint: its first record
 			// stream dies mid-flush, after earlier generations committed.
 			inj := faultinject.New(c.W, c.FS)
+			inj.Env = faultinject.Env{Nodes: c.Nodes, Trunc: trunc}
 			inj.ObservePhases(c.Mgr)
 			if err := inj.Arm([]faultinject.Step{{
 				Name: "cut", Phase: core.PhaseCheckpointStart, PhaseSkip: 2,
-				Action: faultinject.ActTruncateStream, Trunc: trunc, Count: 1,
+				Action: faultinject.ActTruncateStream, Count: 1,
 			}}); err != nil {
 				t.Fatal(err)
 			}
@@ -96,10 +97,9 @@ func TestGCCollectsGenerationDyingMidFlush(t *testing.T) {
 			// Stage 2: crash a node before the retry can recommit — the
 			// failover must restart from the newest *valid* generation,
 			// never even considering the dead attempt.
-			kill := faultinject.New(c.W, nil)
-			if err := kill.Arm([]faultinject.Step{{
+			if err := inj.Arm([]faultinject.Step{{
 				Name: "kill", After: sim.Millisecond,
-				Action: faultinject.ActCrashNode, Node: c.Nodes[1],
+				Action: faultinject.ActCrashNode, Node: 1,
 			}}); err != nil {
 				t.Fatal(err)
 			}

@@ -44,12 +44,12 @@ func TestSupervisorIncrementalFailoverE2E(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	victim := c.Nodes[1]
 	inj := faultinject.New(c.W, c.FS)
+	inj.Env.Nodes = c.Nodes
 	inj.SetProgressProbe(job.Progress, 0)
 	if err := inj.Arm([]faultinject.Step{{
 		Name: "kill-node1", Progress: 0.55,
-		Action: faultinject.ActCrashNode, Node: victim,
+		Action: faultinject.ActCrashNode, Node: 1,
 	}}); err != nil {
 		t.Fatal(err)
 	}

@@ -57,10 +57,11 @@ func TestSupervisorFailoverE2E(t *testing.T) {
 		}
 		victim := c.Nodes[1]
 		inj := faultinject.New(c.W, c.FS)
+		inj.Env.Nodes = c.Nodes
 		inj.SetProgressProbe(job.Progress, 0)
 		if err := inj.Arm([]faultinject.Step{{
 			Name: "kill-node1", Progress: 0.5,
-			Action: faultinject.ActCrashNode, Node: victim,
+			Action: faultinject.ActCrashNode, Node: 1,
 		}}); err != nil {
 			t.Fatal(err)
 		}
@@ -416,12 +417,12 @@ func TestSupervisorPrecopyGenerationLayout(t *testing.T) {
 				p.Name(), gens[0].Dir, files)
 		}
 	}
-	victim := c.Nodes[2]
 	inj := faultinject.New(c.W, c.FS)
+	inj.Env.Nodes = c.Nodes
 	inj.SetProgressProbe(job.Progress, 0)
 	if err := inj.Arm([]faultinject.Step{{
 		Name: "kill-node2", Progress: 0.6,
-		Action: faultinject.ActCrashNode, Node: victim,
+		Action: faultinject.ActCrashNode, Node: 2,
 	}}); err != nil {
 		t.Fatal(err)
 	}

@@ -109,7 +109,6 @@ type Tracer struct {
 	clock  Clock
 	nextID uint64
 	events []Event
-	mirror func(Event)
 	mu     sync.Mutex
 }
 
@@ -120,18 +119,6 @@ func New(clock Clock) *Tracer {
 		clock = func() int64 { return 0 }
 	}
 	return &Tracer{clock: clock}
-}
-
-// SetMirror installs a callback invoked synchronously for every emitted
-// event (nil removes). Tests hook this to t.Logf so -v runs show the
-// live event stream while default runs stay quiet.
-func (t *Tracer) SetMirror(fn func(Event)) {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	t.mirror = fn
-	t.mu.Unlock()
 }
 
 // Events returns a copy of the recorded event log, in emission order.
@@ -168,11 +155,7 @@ func (t *Tracer) Reset() {
 func (t *Tracer) emit(ev Event) {
 	t.mu.Lock()
 	t.events = append(t.events, ev)
-	mirror := t.mirror
 	t.mu.Unlock()
-	if mirror != nil {
-		mirror(ev)
-	}
 }
 
 // args splits the reserved track attribute out of an attr list.

@@ -61,7 +61,6 @@ func TestNilTracerAndSpanAreNoOps(t *testing.T) {
 	s.End()                         // must not panic
 	tr.Instant(s, "y")              // must not panic
 	tr.SpanBetween(nil, "z", 0, 10) // must not panic
-	tr.SetMirror(func(ev Event) {}) // must not panic
 	if tr.Events() != nil || tr.Len() != 0 {
 		t.Fatal("nil tracer must report no events")
 	}
@@ -255,18 +254,5 @@ func TestPhaseStats(t *testing.T) {
 	}
 	if !strings.Contains(PhaseSummary(tr.Events()), "p/a") {
 		t.Fatal("summary missing phase")
-	}
-}
-
-func TestMirror(t *testing.T) {
-	tr := New(nil)
-	var seen []string
-	tr.SetMirror(func(ev Event) { seen = append(seen, ev.Ph+":"+ev.Name) })
-	s := tr.Start(nil, "m/x")
-	s.End()
-	tr.SetMirror(nil)
-	tr.Instant(nil, "m/quiet")
-	if len(seen) != 2 || seen[0] != "B:m/x" || seen[1] != "E:m/x" {
-		t.Fatalf("mirror stream: %v", seen)
 	}
 }

@@ -179,7 +179,7 @@ func TestStandbyMetricNamesConform(t *testing.T) {
 	inj := zapc.NewFaultInjector(c)
 	inj.SetProgressProbe(job.Progress, 0)
 	if err := inj.Arm([]zapc.FaultStep{{
-		Name: "kill", Progress: crashAt, Action: zapc.FaultCrashNode, Node: c.Nodes[1],
+		Name: "kill", Progress: crashAt, Action: zapc.FaultCrashNode, Node: 1,
 	}}); err != nil {
 		t.Fatal(err)
 	}

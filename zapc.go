@@ -99,7 +99,7 @@ type (
 //	inj := zapc.NewFaultInjector(c)
 //	inj.SetProgressProbe(job.Progress, 0)
 //	_ = inj.Arm([]zapc.FaultStep{{
-//		Name: "kill", Progress: 0.5, Action: zapc.FaultCrashNode, Node: c.Nodes[1],
+//		Name: "kill", Progress: 0.5, Action: zapc.FaultCrashNode, Node: 1, // c.Nodes[1]
 //	}})
 //	c.Drive(job.Finished, 10*zapc.Minute) // recovery happens underneath
 type (
@@ -114,7 +114,8 @@ type (
 	SupervisorStats = supervisor.Stats
 	// FaultInjector schedules deterministic scripted faults.
 	FaultInjector = faultinject.Injector
-	// FaultStep is one entry of a declarative fault schedule.
+	// FaultStep is one entry of a declarative fault schedule; its Node
+	// is an index into the cluster's nodes.
 	FaultStep = faultinject.Step
 	// FaultRecord logs one fired fault.
 	FaultRecord = faultinject.Record
@@ -143,13 +144,13 @@ type (
 
 // Parallel + incremental checkpoint pipeline (see internal/ckpt). The
 // worker-pool width is selected per checkpoint with
-// CheckpointOptions.Workers (0 = sequential, <0 = one per host CPU);
+// CheckpointOptions.Workers (≤ 0 = sequential);
 // incremental base+delta capture is enabled by handing the same IncrSet
 // to successive checkpoints via CheckpointOptions.Incr, or by setting
 // SupervisorPolicy.Incremental:
 //
 //	incr := zapc.NewIncrSet(4) // full base every 4th generation
-//	res, _ := c.Checkpoint(job, zapc.CheckpointOptions{Workers: -1, Incr: incr})
+//	res, _ := c.Checkpoint(job, zapc.CheckpointOptions{Workers: 4, Incr: incr})
 type (
 	// IncrSet tracks base+delta checkpoint chains for a set of pods.
 	IncrSet = ckpt.IncrSet
