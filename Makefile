@@ -54,6 +54,10 @@ vet:
 # declares one struct with a json:"action" field — the fixture form is
 # what Injector.Arm takes, resolving targets from its Env — and no Bind
 # or Spec translating between two step forms.
+# And the program is single-threaded by construction: no non-test file
+# under internal/ or cmd/ has a go statement. The simulation, every
+# capture and every encode run on the one event-loop thread; the worker
+# width a checkpoint names is modeled, not a host pool (DESIGN.md §6).
 boundary:
 	@files="$$($(GO) list -f '{{join .GoFiles " "}}' .)"; \
 	if [ "$$files" != "zapc.go" ]; then echo "boundary: root package must hold zapc.go only, has: $$files"; exit 1; fi
@@ -88,6 +92,8 @@ boundary:
 	if [ "$$(cat $$srcs | grep -c 'json:"action')" -gt 1 ]; then echo "boundary: internal/faultinject declares a second fault step; the fixture form is the one Arm takes (DESIGN.md §8):"; grep -n 'json:"action' $$srcs; exit 1; fi; \
 	bad="$$(grep -nE '^func (\([^)]*\) )?(Bind|Spec)\(' $$srcs)"; \
 	if [ -n "$$bad" ]; then echo "boundary: a Bind/Spec translation between two step forms; Arm resolves a step's targets from the injector's Env:"; echo "$$bad"; exit 1; fi
+	@bad="$$(grep -rnE --include='*.go' '^\s*go\s+[A-Za-z_(]' internal cmd | grep -v '_test\.go:')"; \
+	if [ -n "$$bad" ]; then echo "boundary: a go statement; the program runs on the one simulation thread and a checkpoint's worker width is modeled (DESIGN.md §6):"; echo "$$bad"; exit 1; fi
 
 build:
 	$(GO) build ./...
@@ -108,10 +114,10 @@ race-precopy:
 # Copy-on-write gate: an image aliases the pod's bytes and a restored pod
 # the image's, so these hold the one thing that keeps them apart — vos
 # copies a shared region before its first write. The vos contract test,
-# the model check against the deep-copying reference capture (two capture
-# workers marking regions shared on distinct processes), the end-to-end
-# pin on churn and bt, and the allocation budgets that fail if a copy of
-# the regions comes back on either path, all under -race.
+# the model check against the deep-copying reference capture (frozen and
+# live captures marking the regions of every process shared), the
+# end-to-end pin on churn and bt, and the allocation budgets that fail if
+# a copy of the regions comes back on either path, all under -race.
 cow-check:
 	$(GOTEST) -run '^TestCOW' . ./internal/ckpt ./internal/vos
 	$(GOTEST) -run '^TestCheckpointAllocationBudget$$|^TestRestartAllocationBudget$$' .

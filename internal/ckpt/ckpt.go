@@ -95,10 +95,9 @@ type Image struct {
 
 // CheckpointPod saves a suspended pod. The pod must be quiescent with
 // its network blocked (the coordinated Agent guarantees both before
-// calling). CheckpointPodWith performs the same save with a parallel
-// worker pool.
+// calling).
 func CheckpointPod(p *pod.Pod) (*Image, error) {
-	return CheckpointPodWith(p, 1)
+	return capture(p, false)
 }
 
 // captureProc serializes one process: program state, its memory

@@ -136,18 +136,17 @@ func (k *cowCheck) drop(p *pod.Pod) {
 	delete(k.mem[p][proc.VPID], name)
 }
 
-// capture takes the next record of the source pod's chain — frozen or
-// live, both over a two-worker pool — and checks it at birth: the image
-// equals the deep copy, and a delta applied to the generation before it
-// gives the same image back.
+// capture takes the next record of the source pod's chain, frozen or
+// live, and checks it at birth: the image equals the deep copy, and a
+// delta applied to the generation before it gives the same image back.
 func (k *cowCheck) capture(live bool) {
 	prev := k.tr.last
 	var pend *Pending
 	var err error
 	if live {
-		pend, err = k.tr.CaptureLive(k.src, 2)
+		pend, err = k.tr.CaptureLive(k.src)
 	} else {
-		pend, err = k.tr.Capture(k.src, 2, k.rng.Intn(4) == 0)
+		pend, err = k.tr.Capture(k.src, k.rng.Intn(4) == 0)
 	}
 	if err != nil {
 		k.t.Fatalf("step %d: capture: %v", k.step, err)

@@ -349,20 +349,20 @@ func dirtySince(p *pod.Pod, marks map[vos.PID]uint64) map[vos.PID]map[string]boo
 
 // Capture checkpoints the frozen pod and builds either a full record
 // (full=true, or no base exists) or a delta record against the last
-// committed generation, using the worker pool for serialization.
-func (t *Tracker) Capture(p *pod.Pod, workers int, full bool) (*Pending, error) {
-	return t.capture(p, workers, full, false)
+// committed generation.
+func (t *Tracker) Capture(p *pod.Pod, full bool) (*Pending, error) {
+	return t.capture(p, full, false)
 }
 
 // CaptureLive is Capture of a running pod (see capture): a full record
 // when no base exists, otherwise a delta of what was dirtied since the
 // last committed generation. The record carries no network state.
-func (t *Tracker) CaptureLive(p *pod.Pod, workers int) (*Pending, error) {
-	return t.capture(p, workers, false, true)
+func (t *Tracker) CaptureLive(p *pod.Pod) (*Pending, error) {
+	return t.capture(p, false, true)
 }
 
-func (t *Tracker) capture(p *pod.Pod, workers int, full, live bool) (*Pending, error) {
-	img, err := capture(p, workers, live)
+func (t *Tracker) capture(p *pod.Pod, full, live bool) (*Pending, error) {
+	img, err := capture(p, live)
 	if err != nil {
 		return nil, err
 	}
@@ -435,11 +435,12 @@ func (s *IncrSet) Tracker(name string) *Tracker {
 }
 
 // Capture checkpoints a frozen pod through its tracker, choosing full
-// or delta per the cadence.
-func (s *IncrSet) Capture(p *pod.Pod, workers int) (*Pending, error) {
+// or delta per the cadence. The int is ignored, as CheckpointPodWith's
+// is, and stays only because the benchmark module compiles against it.
+func (s *IncrSet) Capture(p *pod.Pod, _ int) (*Pending, error) {
 	t := s.Tracker(p.Name())
 	full := s.FullEvery <= 1 || t.SinceFull()+1 >= s.FullEvery
-	return t.Capture(p, workers, full)
+	return t.Capture(p, full)
 }
 
 // Rebase resets every tracker: the next generation of every pod is a

@@ -38,7 +38,7 @@ func mkIdlePod(t *testing.T, c *cluster, name string, procs, ballast int) *pod.P
 
 func captureCommit(t *testing.T, tr *Tracker, p *pod.Pod, full bool) *Pending {
 	t.Helper()
-	pend, err := tr.Capture(p, 2, full)
+	pend, err := tr.Capture(p, full)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -265,7 +265,7 @@ func TestPendingDiscardKeepsChainAnchored(t *testing.T) {
 	fullPend := captureCommit(t, tr, p, true)
 
 	p.Procs()[0].SetRegion("hot", []byte{7})
-	aborted, err := tr.Capture(p, 1, false)
+	aborted, err := tr.Capture(p, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -484,7 +484,7 @@ func TestTrackerLiveRoundsThenResidual(t *testing.T) {
 	c.w.RunUntil(c.w.Now() + sim.Time(3*sim.Millisecond))
 
 	tr := NewTracker()
-	if _, err := tr.Capture(p, 2, true); !errors.Is(err, ErrNotQuiescent) {
+	if _, err := tr.Capture(p, true); !errors.Is(err, ErrNotQuiescent) {
 		t.Fatalf("frozen capture of a running pod: err = %v, want ErrNotQuiescent", err)
 	}
 	if got := tr.DirtyBytes(p); got != 3*(2048+8192) {
@@ -492,7 +492,7 @@ func TestTrackerLiveRoundsThenResidual(t *testing.T) {
 	}
 	var records [][]byte
 	for round := 0; round < 3; round++ {
-		pend, err := tr.CaptureLive(p, 2)
+		pend, err := tr.CaptureLive(p)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -514,7 +514,7 @@ func TestTrackerLiveRoundsThenResidual(t *testing.T) {
 		}
 	}
 	c.freeze(t, p)
-	residual, err := tr.Capture(p, 2, false)
+	residual, err := tr.Capture(p, false)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,7 +3,6 @@ package ckpt
 import (
 	"bytes"
 	"errors"
-	"fmt"
 	"io"
 	"reflect"
 	"testing"
@@ -85,57 +84,6 @@ func TestParallelCheckpointMatchesSequential(t *testing.T) {
 	}
 }
 
-func TestFanOutFirstErrorByIndex(t *testing.T) {
-	errA, errB := errors.New("a"), errors.New("b")
-	for _, workers := range []int{1, 4} {
-		err := fanOut(16, workers, func(i int) error {
-			switch i {
-			case 3:
-				return errA
-			case 11:
-				return errB
-			default:
-				return nil
-			}
-		})
-		if !errors.Is(err, errA) {
-			t.Fatalf("workers=%d: err = %v, want first error by index", workers, err)
-		}
-	}
-}
-
-func TestFanOutRunsEveryJob(t *testing.T) {
-	const n = 100
-	hit := make([]bool, n)
-	if err := fanOut(n, 7, func(i int) error {
-		hit[i] = true
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	for i, h := range hit {
-		if !h {
-			t.Fatalf("job %d never ran", i)
-		}
-	}
-}
-
-func TestNormWorkers(t *testing.T) {
-	for _, tc := range []struct{ workers, jobs, want int }{
-		{1, 10, 1},
-		{4, 2, 2},
-		{4, 10, 4},
-		{-1, 1, 1},
-	} {
-		if got := normWorkers(tc.workers, tc.jobs); got != tc.want {
-			t.Errorf("normWorkers(%d,%d) = %d, want %d", tc.workers, tc.jobs, got, tc.want)
-		}
-	}
-	if got := normWorkers(0, 1000); got < 1 {
-		t.Errorf("normWorkers(0,1000) = %d", got)
-	}
-}
-
 // fuzzChain returns the records of a real two-generation chain — a full
 // image and the delta a Tracker captures after one region changed — for
 // seeding the decoder fuzz targets.
@@ -149,7 +97,7 @@ func fuzzChain(f testing.TB) (full, delta []byte) {
 	tr := NewTracker()
 	var wires [2]bytes.Buffer
 	for gen := range wires {
-		pend, err := tr.Capture(p, 1, gen == 0)
+		pend, err := tr.Capture(p, gen == 0)
 		if err != nil {
 			f.Fatal(err)
 		}
@@ -255,33 +203,29 @@ func FuzzDecodeDelta(f *testing.F) {
 	})
 }
 
-// Benchmarks for the capture+encode pipeline at several pool widths;
-// cmd/zapc-bench -fig ckpt uses the same shape.
+// BenchmarkCheckpointEncode is the capture+encode pipeline on one pod of
+// eight 256 KiB heaps; cmd/zapc-bench -fig ckpt uses the same shape.
 func BenchmarkCheckpointEncode(b *testing.B) {
-	for _, workers := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			c := mkRawCluster(1)
-			p, _ := pod.New("bench", c.nodes[0], c.nw, c.fs, 1)
-			for i := 0; i < 8; i++ {
-				proc := p.AddProcess(&worker{Limit: 100})
-				proc.SetRegion("heap", make([]byte, 256<<10))
-			}
-			c.w.RunUntil(sim.Time(2 * sim.Millisecond))
-			rawFreeze(c, p)
-			var bytesOut int64
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				img, err := CheckpointPodWith(p, workers)
-				if err != nil {
-					b.Fatal(err)
-				}
-				st, err := img.EncodeStream(io.Discard)
-				if err != nil {
-					b.Fatal(err)
-				}
-				bytesOut = st.Raw
-			}
-			b.SetBytes(bytesOut)
-		})
+	c := mkRawCluster(1)
+	p, _ := pod.New("bench", c.nodes[0], c.nw, c.fs, 1)
+	for i := 0; i < 8; i++ {
+		proc := p.AddProcess(&worker{Limit: 100})
+		proc.SetRegion("heap", make([]byte, 256<<10))
 	}
+	c.w.RunUntil(sim.Time(2 * sim.Millisecond))
+	rawFreeze(c, p)
+	var bytesOut int64
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		img, err := CheckpointPod(p)
+		if err != nil {
+			b.Fatal(err)
+		}
+		st, err := img.EncodeStream(io.Discard)
+		if err != nil {
+			b.Fatal(err)
+		}
+		bytesOut = st.Raw
+	}
+	b.SetBytes(bytesOut)
 }

@@ -144,11 +144,11 @@ type Options struct {
 	// Drive deadline. Zero selects DefaultCheckpointTimeout; negative
 	// disables the watchdog.
 	Timeout sim.Duration
-	// Workers is the per-agent serialization pool width: the standalone
-	// checkpoint fans per-process capture and encoding across this many
-	// goroutines, and the modeled memory-copy time divides by the
-	// effective parallelism min(Workers, processes). A width ≤ 0 is the
-	// sequential walk.
+	// Workers is the per-agent serialization width the checkpoint
+	// models: the modeled memory-copy time divides by the effective
+	// parallelism min(Workers, processes), and the trace shows that many
+	// worker lanes. The host captures and encodes on the one simulation
+	// thread whatever the width. A width ≤ 0 is the sequential model.
 	Workers int
 	// Incr, when non-nil, switches the standalone checkpoint to
 	// incremental mode through the given tracker set: a generation
@@ -340,7 +340,7 @@ type Manager struct {
 	fs        *memfs.FS
 	store     imagestore.Store // sink for flushed checkpoint records
 	failed    bool
-	workers   int // restart-side serialization pool width (0 = sequential)
+	workers   int // restart-side modeled serialization width (0 = sequential)
 	phaseHook PhaseHook
 	ctrlHook  CtrlHook
 	coordCfg  *coord.Config
@@ -367,10 +367,10 @@ func (m *Manager) SetStore(s imagestore.Store) { m.store = s }
 // Store returns the manager's image store.
 func (m *Manager) Store() imagestore.Store { return m.store }
 
-// SetWorkers sets the restart-side worker-pool width: the modeled
-// restore time of each agent divides by min(workers, processes), the
-// mirror of Options.Workers on the checkpoint side. A width ≤ 0 is the
-// sequential model.
+// SetWorkers sets the restart-side serialization width, which is
+// modeled only: the restore time of each agent divides by
+// min(workers, processes), the mirror of Options.Workers on the
+// checkpoint side. A width ≤ 0 is the sequential model.
 func (m *Manager) SetWorkers(n int) { m.workers = n }
 
 // Fail simulates a crash of the Manager client. Agents notice their
@@ -777,7 +777,7 @@ func (a *ckptAgent) precopyRound() {
 	w := a.op.m.w
 	costs := w.Costs
 	workers := effWorkers(a.op.opts.Workers)
-	pend, err := a.pre.CaptureLive(a.pod, workers)
+	pend, err := a.pre.CaptureLive(a.pod)
 	if err != nil {
 		a.op.finish(err)
 		return
@@ -960,11 +960,11 @@ func (a *ckptAgent) standalone() {
 	var err error
 	switch {
 	case a.pre != nil:
-		a.pend, err = a.pre.Capture(a.pod, workers, false)
+		a.pend, err = a.pre.Capture(a.pod, false)
 	case a.op.opts.Incr != nil:
-		a.pend, err = a.op.opts.Incr.Capture(a.pod, workers)
+		a.pend, err = a.op.opts.Incr.Capture(a.pod, 0)
 	default:
-		a.pend, err = ckpt.NewTracker().Capture(a.pod, workers, true)
+		a.pend, err = ckpt.NewTracker().Capture(a.pod, true)
 	}
 	if err != nil {
 		a.op.finish(err)
@@ -1011,12 +1011,13 @@ func (a *ckptAgent) incremental() bool {
 
 // emitWorkerLanes reconstructs the per-worker serialization schedule the
 // cost model implies and records it as modeled sub-spans of
-// ckpt/serialize. Real goroutine interleavings are nondeterministic, so
-// the lanes are computed analytically — greedy least-busy assignment of
-// per-process copy costs, the same policy a work-stealing pool converges
-// to — and emitted with explicit timestamps from a single event
-// callback, which keeps the trace byte-deterministic. Each lane reports
-// its encode time and how long it idled waiting for the slowest peer.
+// ckpt/serialize. No host worker runs them (the capture is one loop on
+// the simulation thread), so the lanes are computed analytically —
+// greedy least-busy assignment of per-process copy costs, the same
+// policy a work-stealing pool converges to — and emitted with explicit
+// timestamps from a single event callback, which keeps the trace
+// byte-deterministic. Each lane reports its encode time and how long it
+// idled waiting for the slowest peer.
 func (a *ckptAgent) emitWorkerLanes(saStart sim.Time, fixed sim.Duration, workers int) {
 	tr := a.op.m.tr
 	if tr == nil || len(a.img.Procs) == 0 {

@@ -271,9 +271,10 @@ func (c *serverConn) drain() {
 			if errors.Is(err, netstack.ErrWouldBlock) {
 				return
 			}
-			// EOF after a committed image is the clean shutdown; anything
-			// else aborts the transfer with nothing committed.
-			if !errors.Is(err, netstack.ErrEOF) || c.state != stDone {
+			// Once the terminator has committed the image, whatever ends
+			// the connection — the clean EOF or a reset — only closes it.
+			// Before that, the transfer aborts with nothing committed.
+			if c.state != stDone {
 				c.fail(c.abortErr(err))
 			}
 			c.sock.Close()
@@ -294,7 +295,7 @@ func (c *serverConn) drain() {
 // a mid-stream kill must not surface as a generic transport or decode
 // error. Before the path has arrived there is no pod to blame.
 func (c *serverConn) abortErr(cause error) error {
-	if len(c.path) > 0 && c.state != stDone {
+	if len(c.path) > 0 {
 		p := string(c.path)
 		return fmt.Errorf("pod %s (%s): %w in state %d: %v",
 			PodOf(p), p, ErrTruncatedStream, c.state, cause)

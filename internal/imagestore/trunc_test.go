@@ -177,3 +177,113 @@ func TestRemoteStoreAbortNamesPod(t *testing.T) {
 		t.Fatalf("server error does not name the pod: %v", got)
 	}
 }
+
+// resetPeer cuts the client of a transfer off the way a crashed host is:
+// its stack is detached, so what it still has in flight is dropped, and
+// its address stays claimed, so the next segment the server sends it
+// draws a reset.
+func resetPeer(nw *netstack.Network, client *netstack.Stack) {
+	nw.Detach(client)
+	nw.Claim(client.IPAddr())
+}
+
+// serverSide returns the server's end of its one accepted connection.
+func serverSide(t *testing.T, srv *Server) *netstack.Socket {
+	t.Helper()
+	for _, s := range srv.stack.Sockets() {
+		if s != srv.ls {
+			return s
+		}
+	}
+	t.Fatal("server has no accepted connection")
+	return nil
+}
+
+// TestRemoteResetAfterCommitIsNoError: a peer reset that arrives after
+// the terminator has committed the image, with the connection still
+// open, is the end of a finished transfer, not an aborted one. The
+// client writes the wire protocol by hand so that it sends no FIN: the
+// reset, not an EOF, is what the server reads next.
+func TestRemoteResetAfterCommitIsNoError(t *testing.T) {
+	w := sim.NewWorld(8)
+	nw := netstack.NewNetwork(w)
+	peerFS := memfs.New()
+	srv, err := NewServer(nw, 0x0a00ff02, 9000, NewFS(peerFS))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var failed []error
+	srv.SetOnError(func(_ string, err error) { failed = append(failed, err) })
+	client, err := nw.NewStack(0x0a00ff01)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sock := client.Socket(netstack.TCP)
+	if err := sock.Connect(srv.Addr()); err != nil {
+		t.Fatal(err)
+	}
+	drive(t, w, func() bool { return sock.Poll()&netstack.PollOut != 0 })
+	const path = "mig/bt-1-0.img"
+	stream := append(putUvarint(nil, uint64(len(path))), path...)
+	stream = append(putUvarint(stream, 4096), bytes.Repeat([]byte{7}, 4096)...)
+	stream = append(stream, 0) // terminator
+	if n, err := sock.Send(stream, false); err != nil || n != len(stream) {
+		t.Fatalf("send: %d of %d bytes, %v", n, len(stream), err)
+	}
+	drive(t, w, func() bool { return len(srv.Received()) == 1 })
+	conn := serverSide(t, srv)
+	resetPeer(nw, client) // the ack of the terminator draws the reset
+	drive(t, w, func() bool { return conn.Closed() })
+	if !errors.Is(conn.Err(), netstack.ErrConnReset) {
+		t.Fatalf("server connection ended with %v, want a reset", conn.Err())
+	}
+	if errs := srv.Errs(); len(errs) != 0 || len(failed) != 0 {
+		t.Fatalf("reset after commit reported as a failed transfer: Errs %v, onError %v", errs, failed)
+	}
+	if !peerFS.Exists(path) {
+		t.Fatal("committed image is gone")
+	}
+}
+
+// TestRemoteResetMidPayloadNamesPod: the same reset while the payload is
+// still arriving aborts the transfer, names the pod, and commits
+// nothing.
+func TestRemoteResetMidPayloadNamesPod(t *testing.T) {
+	w := sim.NewWorld(9)
+	nw := netstack.NewNetwork(w)
+	peerFS := memfs.New()
+	srv, err := NewServer(nw, 0x0a00ff02, 9000, NewFS(peerFS))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var failed []string
+	srv.SetOnError(func(path string, _ error) { failed = append(failed, path) })
+	rem, err := NewRemote(nw, 0x0a00ff01, srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	wc, err := rem.Create("mig/bt-2-5.img")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := wc.Write(make([]byte, 700<<10)); err != nil { // past both socket buffers
+		t.Fatal(err)
+	}
+	rw := wc.(*remoteWriter)
+	drive(t, w, func() bool { return rw.sent > 300<<10 })
+	resetPeer(nw, rem.stack)
+	drive(t, w, func() bool { return len(srv.Errs()) == 1 })
+	got := srv.Errs()[0]
+	if !errors.Is(got, ErrTruncatedStream) || !strings.Contains(got.Error(), netstack.ErrConnReset.Error()) {
+		t.Fatalf("server error = %v, want ErrTruncatedStream caused by a reset", got)
+	}
+	if !strings.Contains(got.Error(), "pod bt-2-5") {
+		t.Fatalf("server error does not name the pod: %v", got)
+	}
+	if len(failed) != 1 || failed[0] != "mig/bt-2-5.img" {
+		t.Fatalf("onError saw %q, want the one failed path", failed)
+	}
+	if peerFS.Exists("mig/bt-2-5.img") || len(srv.Received()) != 0 {
+		t.Fatal("a reset transfer committed its image")
+	}
+}

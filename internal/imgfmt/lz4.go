@@ -21,6 +21,7 @@
 package imgfmt
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -55,11 +56,22 @@ func load32(b []byte, i int) uint32 { return binary.LittleEndian.Uint32(b[i:]) }
 
 func load64(b []byte, i int) uint64 { return binary.LittleEndian.Uint64(b[i:]) }
 
+// matchBlock is the span matchLen hands to bytes.Equal at a time: long
+// enough that the runtime's vectorised memequal beats the word loop,
+// short enough that the block holding the mismatch is cheap to rescan.
+const matchBlock = 256
+
 // matchLen reports how many leading bytes src[a:] and src[b:] share
-// (a < b), comparing eight at a time: the first differing byte of a
-// little-endian word is the lowest set byte of the XOR.
+// (a < b). A long match — bt's period-256 ballast, a zero run — is
+// skipped in matchBlock spans at memequal speed; the span that differs,
+// and the tail shorter than one, are then compared eight bytes at a time
+// (the first differing byte of a little-endian word is the lowest set
+// byte of the XOR) and byte by byte.
 func matchLen(src []byte, a, b int) int {
 	n := 0
+	for b+n+matchBlock <= len(src) && bytes.Equal(src[a+n:a+n+matchBlock], src[b+n:b+n+matchBlock]) {
+		n += matchBlock
+	}
 	for b+n+8 <= len(src) {
 		if x := load64(src, a+n) ^ load64(src, b+n); x != 0 {
 			return n + bits.TrailingZeros64(x)>>3

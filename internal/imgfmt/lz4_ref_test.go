@@ -1,7 +1,7 @@
 package imgfmt
 
 // The byte-at-a-time LZ4 kernels the codec shipped with, kept as the
-// reference the word-wide ones must match: same compressed bytes, same
+// reference the fast ones must match: same compressed bytes, same
 // RAW/compressed decision, same decoded bytes, same accept/reject of
 // malformed blocks.
 
@@ -170,21 +170,24 @@ func ballastPage(n int) []byte {
 	return b
 }
 
-func TestBlockKernelsMatchReference(t *testing.T) {
-	mixed := func(n int) []byte {
+// kernelShapes are the payload shapes the kernels are checked and
+// benchmarked on: all zero, incompressible, alternating halves of each,
+// bt's ballast and the churn app's sparse region.
+var kernelShapes = map[string]func(n int) []byte{
+	"zero":   func(n int) []byte { return make([]byte, n) },
+	"random": func(n int) []byte { return incompressible(5, n) },
+	"mixed": func(n int) []byte {
 		b := incompressible(11, n)
 		for off := 0; off+512 <= n; off += 1024 {
 			copy(b[off:], make([]byte, 512))
 		}
 		return b
-	}
-	shapes := map[string]func(n int) []byte{
-		"zero":    func(n int) []byte { return make([]byte, n) },
-		"random":  func(n int) []byte { return incompressible(5, n) },
-		"mixed":   mixed,
-		"ballast": ballastPage,
-		"sparse":  sparse,
-	}
+	},
+	"ballast": ballastPage,
+	"sparse":  sparse,
+}
+
+func TestBlockKernelsMatchReference(t *testing.T) {
 	// Lengths 0–80 straddle the compress floor and every alignment of the
 	// eight-byte compare against the frame end; the large ones are a page
 	// and a full frame, plus one byte either side.
@@ -192,7 +195,7 @@ func TestBlockKernelsMatchReference(t *testing.T) {
 	for n := 0; n <= 80; n++ {
 		lengths = append(lengths, n)
 	}
-	for name, gen := range shapes {
+	for name, gen := range kernelShapes {
 		for _, n := range lengths {
 			checkKernelsMatch(t, name, gen(n))
 		}
@@ -215,6 +218,45 @@ func TestBlockKernelsMatchReference(t *testing.T) {
 			unit := incompressible(int64(period), period)
 			src := bytes.Repeat(unit, n/period+1)[:n]
 			checkKernelsMatch(t, fmt.Sprintf("period-%d", period), src)
+		}
+	}
+	// Long matches against matchLen's block compare: runs of k·256 ± 1..7
+	// bytes, so a match ends just inside or just past a block, ending at
+	// the frame end or at a byte that breaks the period.
+	for _, period := range []int{1, 3, 8, 255, 256, 257} {
+		unit := incompressible(int64(period), period)
+		for _, k := range []int{1, 2, 3, 16, 255} {
+			for d := -7; d <= 7; d++ {
+				if d == 0 {
+					continue
+				}
+				n := k*matchBlock + d
+				run := bytes.Repeat(unit, n/period+1)[:n]
+				name := fmt.Sprintf("period-%d/run-%d", period, n)
+				checkKernelsMatch(t, name+"-at-end", run)
+				brk := append(run, unit[n%period]^0xFF)
+				checkKernelsMatch(t, name+"-then-break", append(brk, incompressible(int64(d+8), 9)...))
+			}
+		}
+	}
+	// One mismatch inside a long match: in its first block, at every
+	// offset of a middle one (so one lands on each byte of a block the
+	// compare skips whole), in the last whole one, and 1–7 bytes before
+	// the frame end.
+	for _, shape := range []string{"zero", "ballast"} {
+		for _, n := range []int{4099, DefaultChunk} {
+			at := []int{minMatch + matchBlock/2, n - matchBlock - 3}
+			for off := 0; off < matchBlock; off++ {
+				at = append(at, n/2+off)
+			}
+			for tail := 1; tail <= 7; tail++ {
+				at = append(at, n-tail)
+			}
+			for _, pos := range at {
+				src := kernelShapes[shape](n)
+				src[pos] ^= 0x5A
+				checkKernelsMatch(t, fmt.Sprintf("%s-%d/mismatch-at-%d", shape, n, pos), src)
+			}
 		}
 	}
 }
@@ -248,10 +290,35 @@ func FuzzBlockCompressMatchesReference(f *testing.F) {
 	f.Add(ballastPage(777))
 	f.Add(incompressible(1, 300))
 	f.Add(append(bytes.Repeat([]byte{3}, 90), 1, 2, 3, 4, 5))
+	// Long matches that end mid-block: ballast, then zeros, broken by a
+	// mismatch the block compare must hand to the word loop.
+	f.Add(append(ballastPage(1500), 0xEE, 1, 2, 3, 4, 5, 6, 7))
+	f.Add(append(make([]byte, 1100), 0xEE, 1, 2))
 	f.Fuzz(func(t *testing.T, src []byte) {
 		if len(src) > MaxFrame {
 			src = src[:MaxFrame]
 		}
 		checkKernelsMatch(t, "fuzz", src)
 	})
+}
+
+// compressSink keeps the benchmarked call from being optimised away.
+var compressSink []byte
+
+// BenchmarkBlockCompress is the kernel's throughput per shape, one
+// default-size frame per iteration into a reused scratch, as the stream
+// encoder calls it.
+func BenchmarkBlockCompress(b *testing.B) {
+	for _, name := range []string{"zero", "random", "mixed", "ballast", "sparse"} {
+		b.Run(name, func(b *testing.B) {
+			src := kernelShapes[name](DefaultChunk)
+			dst := make([]byte, compressBound(len(src)))
+			b.SetBytes(int64(len(src)))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				compressSink = blockCompress(dst, src)
+			}
+		})
+	}
 }

@@ -174,7 +174,7 @@ type Policy struct {
 	// FullEvery-th generation is a full image (default 4; only
 	// meaningful with Incremental).
 	FullEvery int
-	// Workers is the serialization worker-pool width handed to the
+	// Workers is the modeled serialization width handed to the
 	// coordinated operations (0 = sequential).
 	Workers int
 	// StopAndCopy forces classic stop-and-copy checkpoints. By default

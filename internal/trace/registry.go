@@ -10,9 +10,11 @@ import (
 
 // Registry is a lock-cheap metrics registry: counters, gauges, and
 // fixed-bucket histograms. Instrument lookup takes a mutex once (call
-// sites may cache the returned instrument); updates are atomic, so
-// host-parallel serialization workers can bump counters without
-// perturbing determinism — aggregated values are order-independent.
+// sites may cache the returned instrument); updates are atomic and
+// aggregated values are order-independent. The program itself bumps
+// them from the one simulation thread — it starts no goroutines — so
+// the atomics serve a caller that reads or updates a registry from a
+// goroutine of its own.
 //
 // A nil *Registry (and the nil instruments it hands out) is a valid
 // no-op, mirroring the Tracer's nil fast path.

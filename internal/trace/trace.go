@@ -23,8 +23,8 @@
 //     emission order from the single-threaded event loop, so two runs
 //     with the same seed produce byte-identical JSONL logs. Host time
 //     must never leak into an event, and nothing may emit events from
-//     host-parallel goroutines (order-independent Registry instruments
-//     are safe there; spans are not).
+//     another goroutine (the program starts none; order-independent
+//     Registry instruments would be safe there, spans are not).
 package trace
 
 import (

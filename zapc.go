@@ -143,8 +143,9 @@ type (
 )
 
 // Parallel + incremental checkpoint pipeline (see internal/ckpt). The
-// worker-pool width is selected per checkpoint with
-// CheckpointOptions.Workers (≤ 0 = sequential);
+// modeled serialization width is selected per checkpoint with
+// CheckpointOptions.Workers (≤ 0 = sequential; the host runs one thread
+// whatever the width);
 // incremental base+delta capture is enabled by handing the same IncrSet
 // to successive checkpoints via CheckpointOptions.Incr, or by setting
 // SupervisorPolicy.Incremental:
