@@ -88,6 +88,10 @@ boundary:
 	if [ -n "$$bad" ]; then echo "boundary: After( on the per-event path allocates a closure per timer; schedule with AfterCall and a func bound once:"; echo "$$bad"; exit 1; fi
 	@bad="$$(awk '/^func /{fn=$$0} /&packet\{|new\(packet\)/ && fn !~ /\) transit\(/{print FILENAME ": " $$0}' internal/netstack/*.go)"; \
 	if [ -n "$$bad" ]; then echo "boundary: a packet made outside the free list; send a packet value, transit takes the pointer from the free list (DESIGN.md §2.1):"; echo "$$bad"; exit 1; fi
+	@bad="$$(grep -nE ':= [^&]*Costs$$' $$(ls internal/vos/*.go internal/netstack/*.go internal/mpi/*.go | grep -v '_test\.go$$'))"; \
+	if [ -n "$$bad" ]; then echo "boundary: a by-value sim.Costs copy on the per-event path; read the field in place or take a pointer:"; echo "$$bad"; exit 1; fi
+	@bad="$$(grep -nE 'map\[int\]\*netstack\.Socket' $$(ls internal/vos/*.go | grep -v '_test\.go$$'))"; \
+	if [ -n "$$bad" ]; then echo "boundary: the descriptor table is a slice indexed by fd, nil for a closed slot (DESIGN.md §2):"; echo "$$bad"; exit 1; fi
 	@srcs="$$(ls internal/faultinject/*.go | grep -v '_test\.go$$')"; \
 	if [ "$$(cat $$srcs | grep -c 'json:"action')" -gt 1 ]; then echo "boundary: internal/faultinject declares a second fault step; the fixture form is the one Arm takes (DESIGN.md §8):"; grep -n 'json:"action' $$srcs; exit 1; fi; \
 	bad="$$(grep -nE '^func (\([^)]*\) )?(Bind|Spec)\(' $$srcs)"; \
@@ -132,7 +136,9 @@ cow-check:
 # implementations and the stream decoder against the spec oracle (the
 # whole record split into frames in one buffer, its fields walked by a
 # grammar of the test's own), and the fault-schedule JSON (a named
-# schedule error, or a schedule whose encoding is a fixed point).
+# schedule error, or a schedule whose encoding is a fixed point), and the
+# dedup manifest reader (ErrDedupCorrupt, or a manifest the writer could
+# have produced, re-encoding to its own bytes).
 # Raise FUZZTIME for a real fuzzing session.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime $(FUZZTIME) ./internal/imgfmt
@@ -147,6 +153,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeNetImage$$' -fuzztime $(FUZZTIME) ./internal/netckpt
 	$(GO) test -run '^$$' -fuzz '^FuzzRestoreProgram$$' -fuzztime $(FUZZTIME) ./internal/apps
 	$(GO) test -run '^$$' -fuzz '^FuzzReadJSONL$$' -fuzztime $(FUZZTIME) ./internal/trace
+	$(GO) test -run '^$$' -fuzz '^FuzzReadManifest$$' -fuzztime $(FUZZTIME) ./internal/imagestore
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeSchedule$$' -fuzztime $(FUZZTIME) ./internal/faultinject
 
 # Trace determinism gate: the traced crash-and-failover scenario run

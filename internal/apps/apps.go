@@ -27,8 +27,10 @@
 package apps
 
 import (
+	"bytes"
 	"encoding/binary"
 	"math"
+	"sync"
 
 	"zapc/internal/ckpt"
 	"zapc/internal/mpi"
@@ -94,26 +96,45 @@ func BallastBytes(app string, size int, scale float64) int64 {
 }
 
 // ensureBallast installs the deterministic memory ballast region once.
+// Every rank of a job gets the same bytes, so they share one slice,
+// installed as shared: a rank that writes it gets a private copy from
+// WriteRegion, and the bytes everyone else holds never change.
 func ensureBallast(ctx *vos.Context, app string, size int, scale float64) {
 	if _, ok := ctx.Proc().Region("data"); ok {
 		return
 	}
-	ctx.Proc().SetRegion("data", ballast(BallastBytes(app, size, scale)))
+	ctx.Proc().SetSharedRegion("data", sharedBallast(BallastBytes(app, size, scale)))
+}
+
+// ballastMemo holds the last ballast built. One entry is enough, as every
+// rank of a job asks for the same size, and keeps what a long test binary
+// retains to one ballast.
+var ballastMemo struct {
+	sync.Mutex
+	n    int64
+	data []byte
+}
+
+// sharedBallast returns ballast(n), built once per run of equal sizes.
+// Nothing may write the slice it returns.
+func sharedBallast(n int64) []byte {
+	ballastMemo.Lock()
+	defer ballastMemo.Unlock()
+	if ballastMemo.data == nil || ballastMemo.n != n {
+		ballastMemo.n, ballastMemo.data = n, ballast(n)
+	}
+	return ballastMemo.data
 }
 
 // ballast returns n bytes of the pattern byte(i*2654435761). A byte of it
-// depends on i mod 256 only, so the first period is computed and the rest
-// doubled in by copy.
+// depends on i mod 256 only, so one period is computed and repeated into
+// an allocation the runtime does not zero first.
 func ballast(n int64) []byte {
-	buf := make([]byte, n)
-	period := buf[:min(n, 256)]
+	var period [256]byte
 	for i := range period {
 		period[i] = byte(i * 2654435761)
 	}
-	for off := len(period); off < len(buf); off *= 2 {
-		copy(buf[off:], buf[:off])
-	}
-	return buf
+	return bytes.Repeat(period[:], int((n+255)/256))[:n:n]
 }
 
 // f64Bytes flattens a float64 slice into a message payload.

@@ -104,19 +104,8 @@ func (b *BT) Step(ctx *vos.Context) vos.StepResult {
 		if len(b.spare) != len(b.Grid) {
 			b.spare = make([]float64, len(b.Grid))
 		}
-		next := b.spare
-		forcing := 0.001 * math.Sin(float64(b.Iter))
-		for i := 0; i < n; i++ {
-			for j := 0; j < n; j++ {
-				up := b.at((i-1+n)%n, j)
-				dn := b.at((i+1)%n, j)
-				lf := b.at(i, (j-1+n)%n)
-				rt := b.at(i, (j+1)%n)
-				v := 0.2495*(up+dn+lf+rt) + forcing
-				next[i*n+j] = v
-			}
-		}
-		b.Grid, b.spare = next, b.Grid
+		btSweep(b.spare, b.Grid, n, 0.001*math.Sin(float64(b.Iter)))
+		b.Grid, b.spare = b.spare, b.Grid
 		// Charge the sweep's simulated cost in bounded slices, then
 		// exchange halos.
 		b.Pending = sim.Duration(float64(b.N*b.N) * 31250 * b.Cfg.work()) // 31.25 µs/cell at Work=1
@@ -197,6 +186,37 @@ func (b *BT) Step(ctx *vos.Context) vos.StepResult {
 		return vos.Exit(0)
 	}
 	return vos.Exit(9)
+}
+
+// btSweep writes one relaxation sweep of the n x n torus grid into next:
+// each cell becomes 0.2495 times the sum of its four neighbours plus the
+// forcing term. It walks row slices and wraps the edge indices with a
+// compare; the sum keeps the order up, down, left, right, so every float
+// is the one the index-modulo form computes.
+func btSweep(next, grid []float64, n int, forcing float64) {
+	for i := 0; i < n; i++ {
+		iu, id := i-1, i+1
+		if iu < 0 {
+			iu = n - 1
+		}
+		if id == n {
+			id = 0
+		}
+		out := next[i*n : i*n+n]
+		row := grid[i*n : i*n+n]
+		up := grid[iu*n : iu*n+n]
+		dn := grid[id*n : id*n+n]
+		for j := range out {
+			l, r := j-1, j+1
+			if l < 0 {
+				l = n - 1
+			}
+			if r == n {
+				r = 0
+			}
+			out[j] = 0.2495*(up[j]+dn[j]+row[l]+row[r]) + forcing
+		}
+	}
 }
 
 // column returns the column scratch, made on first use (a restored BT has

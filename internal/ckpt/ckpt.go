@@ -248,7 +248,9 @@ func restoreProcs(img *Image, newPod *pod.Pod, socks []*netstack.Socket) error {
 				return fmt.Errorf("ckpt: fd %d of vpid %d references unrestored socket slot %d",
 					fe.FD, pi.VPID, fe.Slot)
 			}
-			proc.InstallFD(fe.FD, socks[fe.Slot])
+			if err := proc.InstallFD(fe.FD, socks[fe.Slot]); err != nil {
+				return fmt.Errorf("ckpt: vpid %d: %w", pi.VPID, err)
+			}
 		}
 	}
 	return nil

@@ -35,6 +35,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"sort"
 	"strings"
 	"sync"
@@ -132,16 +133,25 @@ func (d *DedupStore) readManifest(path string) (*dedupManifest, error) {
 	if err != nil {
 		return nil, err
 	}
+	return parseManifest(path, data, d.block)
+}
+
+// parseManifest reads manifest bytes, returning (nil, nil) when data is
+// not a manifest. It accepts exactly what encodeManifest writes for a
+// store of the given block size: minimal varints, a logical size that
+// fits an int64 and equals the sum of the block lengths, and every block
+// length in (0, block].
+func parseManifest(path string, data []byte, block int) (*dedupManifest, error) {
 	if !bytes.HasPrefix(data, []byte(dedupMagic)) {
 		return nil, nil
 	}
 	rest := data[len(dedupMagic):]
-	logical, n := binary.Uvarint(rest)
-	if n <= 0 {
+	logical, n := manifestUvarint(rest)
+	if n <= 0 || logical > math.MaxInt64 {
 		return nil, fmt.Errorf("%w: %s: bad logical size", ErrDedupCorrupt, path)
 	}
 	rest = rest[n:]
-	count, n := binary.Uvarint(rest)
+	count, n := manifestUvarint(rest)
 	if n <= 0 {
 		return nil, fmt.Errorf("%w: %s: bad block count", ErrDedupCorrupt, path)
 	}
@@ -149,9 +159,12 @@ func (d *DedupStore) readManifest(path string) (*dedupManifest, error) {
 	m := &dedupManifest{logical: int64(logical)}
 	var total int64
 	for i := uint64(0); i < count; i++ {
-		bl, n := binary.Uvarint(rest)
+		bl, n := manifestUvarint(rest)
 		if n <= 0 || len(rest[n:]) < sha256.Size {
 			return nil, fmt.Errorf("%w: %s: truncated block entry %d", ErrDedupCorrupt, path, i)
+		}
+		if bl == 0 || bl > uint64(block) {
+			return nil, fmt.Errorf("%w: %s: block %d is %d bytes, outside (0, %d]", ErrDedupCorrupt, path, i, bl, block)
 		}
 		rest = rest[n:]
 		m.blocks = append(m.blocks, dedupBlockRef{key: hex.EncodeToString(rest[:sha256.Size]), n: int(bl)})
@@ -162,6 +175,16 @@ func (d *DedupStore) readManifest(path string) (*dedupManifest, error) {
 		return nil, fmt.Errorf("%w: %s: size mismatch", ErrDedupCorrupt, path)
 	}
 	return m, nil
+}
+
+// manifestUvarint is binary.Uvarint refusing a padded encoding (a zero
+// last byte), so a value has one encoding and a manifest one byte form.
+func manifestUvarint(b []byte) (uint64, int) {
+	v, n := binary.Uvarint(b)
+	if n > 1 && b[n-1] == 0 {
+		return 0, 0
+	}
+	return v, n
 }
 
 func encodeManifest(m *dedupManifest) []byte {

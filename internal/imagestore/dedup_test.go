@@ -2,8 +2,12 @@ package imagestore
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"sort"
 	"testing"
@@ -18,7 +22,7 @@ func newDedupT() (*DedupStore, *FSStore) {
 	return NewDedupBlockSize(inner, 1<<10), inner
 }
 
-func writeImage(t *testing.T, st Store, path string, data []byte) {
+func writeImage(t testing.TB, st Store, path string, data []byte) {
 	t.Helper()
 	wc, err := st.Create(path)
 	if err != nil {
@@ -41,7 +45,7 @@ func writeImage(t *testing.T, st Store, path string, data []byte) {
 	}
 }
 
-func readImage(t *testing.T, st Store, path string) []byte {
+func readImage(t testing.TB, st Store, path string) []byte {
 	t.Helper()
 	rc, err := st.Open(path)
 	if err != nil {
@@ -374,4 +378,75 @@ func TestDedupCorruptManifest(t *testing.T) {
 			t.Fatalf("truncated manifest (cut %d) opened cleanly", cut)
 		}
 	}
+}
+
+// oneBlockManifest is a manifest of logical size n holding one block of
+// n bytes. At n = 2^64-1 the sum of the lengths wraps to the logical
+// size as an int64, which reads as -1.
+func oneBlockManifest(n uint64) []byte {
+	out := []byte(dedupMagic)
+	out = binary.AppendUvarint(out, n)
+	out = binary.AppendUvarint(out, 1)
+	out = binary.AppendUvarint(out, n)
+	return append(out, make([]byte, sha256.Size)...)
+}
+
+// A manifest must size what it lists within the store's block size: a
+// logical size past int64 and a block of 0 bytes or of more than a block
+// are refused, so Stat never reports a negative size.
+func TestDedupManifestSizesAreBounded(t *testing.T) {
+	st, inner := newDedupT()
+	for name, m := range map[string][]byte{
+		"wrapped":    oneBlockManifest(math.MaxUint64),
+		"empty":      oneBlockManifest(0),
+		"over-block": oneBlockManifest(1<<10 + 1),
+		"padded":     append([]byte(dedupMagic), 0x80, 0x00, 0x00),
+	} {
+		wc, _ := inner.Create("bad/" + name)
+		wc.Write(m)
+		if err := wc.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if info, err := st.Stat("bad/" + name); !errors.Is(err, ErrDedupCorrupt) {
+			t.Errorf("%s: Stat = %+v, %v; want ErrDedupCorrupt", name, info, err)
+		}
+	}
+	wc, _ := inner.Create("ok/full")
+	wc.Write(oneBlockManifest(1 << 10))
+	wc.Close()
+	if info, err := st.Stat("ok/full"); err != nil || info.Size != 1<<10 {
+		t.Errorf("one full block: Stat = %+v, %v", info, err)
+	}
+}
+
+// FuzzReadManifest: any bytes after the magic either are refused as
+// ErrDedupCorrupt or are a manifest the writer could have produced — it
+// re-encodes to the same bytes and every block is 0 < n <= block.
+func FuzzReadManifest(f *testing.F) {
+	st, inner := newDedupT()
+	writeImage(f, st, "a", randBytes(1, 2<<10+17))
+	writeImage(f, st, "b", nil)
+	writeImage(f, st, "c", randBytes(2, 1<<10))
+	for _, p := range []string{"a", "b", "c"} {
+		f.Add(readImage(f, inner, p))
+	}
+	f.Add(oneBlockManifest(math.MaxUint64))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		data = append([]byte(dedupMagic), bytes.TrimPrefix(data, []byte(dedupMagic))...)
+		m, err := parseManifest("fuzz", data, 1<<10)
+		if err != nil {
+			if !errors.Is(err, ErrDedupCorrupt) {
+				t.Fatalf("error outside ErrDedupCorrupt: %v", err)
+			}
+			return
+		}
+		if got := encodeManifest(m); !bytes.Equal(got, data) {
+			t.Fatalf("accepted manifest re-encodes to %x, read from %x", got, data)
+		}
+		for i, b := range m.blocks {
+			if b.n <= 0 || b.n > 1<<10 {
+				t.Fatalf("block %d is %d bytes", i, b.n)
+			}
+		}
+	})
 }

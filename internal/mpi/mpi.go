@@ -19,7 +19,6 @@ package mpi
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"math"
 
@@ -235,7 +234,7 @@ func (c *Comm) pump(ctx *vos.Context) {
 			had := len(c.partial[rank])
 			var err error
 			c.partial[rank], err = ctx.RecvAppend(fd, c.partial[rank], 1<<16, false, false)
-			if errors.Is(err, netstack.ErrEOF) {
+			if err == netstack.ErrEOF { // returned unwrapped; errors.Is is dear per poll
 				c.closed[rank] = true
 				break
 			}

@@ -259,7 +259,7 @@ func (n *Network) transit(v packet) {
 		p = &packet{}
 	}
 	*p = v
-	c := n.w.Costs
+	c := &n.w.Costs
 	n.w.AfterCall(c.NetLatency+c.NetTransferTime(p.wireSize()), n.deliverFn, p)
 }
 

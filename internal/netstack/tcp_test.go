@@ -198,7 +198,8 @@ func TestFINAndEOF(t *testing.T) {
 	if string(got) != "bye" {
 		t.Fatalf("got %q", got)
 	}
-	if _, err := srv.Recv(16, false, false); !errors.Is(err, ErrEOF) {
+	// Unwrapped: mpi's pump compares the sentinel with ==.
+	if _, err := srv.Recv(16, false, false); err != ErrEOF {
 		t.Fatalf("want EOF, got %v", err)
 	}
 	if srv.Poll()&PollHUP == 0 {

@@ -401,8 +401,9 @@ func (c Costs) RestoreTime(bytes int64) Duration {
 }
 
 // NetTransferTime is the serialization (bandwidth) component of sending n
-// bytes on a LAN link, excluding propagation latency.
-func (c Costs) NetTransferTime(bytes int64) Duration {
+// bytes on a LAN link, excluding propagation latency. It takes a pointer
+// because every packet calls it: a value receiver copies all of Costs.
+func (c *Costs) NetTransferTime(bytes int64) Duration {
 	return Duration(float64(bytes) / c.NetBandwidth * 1e9)
 }
 

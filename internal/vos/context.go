@@ -29,8 +29,7 @@ type Context struct {
 func (c *Context) Proc() *Process { return c.proc }
 
 func (c *Context) charge() {
-	costs := c.node.w.Costs
-	c.extra += costs.Syscall
+	c.extra += c.node.w.Costs.Syscall
 	if c.proc.Env.Virtualized {
 		c.extra += c.proc.Env.VirtOverhead
 	}
@@ -58,7 +57,7 @@ func (c *Context) PID() PID {
 func (c *Context) Rand() *rand.Rand { return c.node.w.Rand() }
 
 func (c *Context) sock(fd int) (*netstack.Socket, error) {
-	s, ok := c.proc.fds[fd]
+	s, ok := c.proc.SocketFor(fd)
 	if !ok {
 		return nil, ErrBadFD
 	}
@@ -69,11 +68,7 @@ func (c *Context) sock(fd int) (*netstack.Socket, error) {
 // descriptor.
 func (c *Context) Socket(proto netstack.Proto) int {
 	c.charge()
-	s := c.proc.Env.Stack.Socket(proto)
-	fd := c.proc.nextFD
-	c.proc.nextFD++
-	c.proc.fds[fd] = s
-	return fd
+	return c.proc.openFD(c.proc.Env.Stack.Socket(proto))
 }
 
 // Bind binds a socket to a local port (0 allocates an ephemeral port).
@@ -129,10 +124,7 @@ func (c *Context) Accept(fd int) (int, error) {
 	if err != nil {
 		return -1, err
 	}
-	nfd := c.proc.nextFD
-	c.proc.nextFD++
-	c.proc.fds[nfd] = child
-	return nfd, nil
+	return c.proc.openFD(child), nil
 }
 
 // Send writes stream data (oob = TCP urgent data).
@@ -221,7 +213,7 @@ func (c *Context) Close(fd int) error {
 	}
 	s.SetNotify(nil)
 	s.Close()
-	delete(c.proc.fds, fd)
+	c.proc.fds[fd] = nil
 	return nil
 }
 

@@ -88,7 +88,6 @@ func (n *Node) Spawn(prog Program, env *Env) *Process {
 		Prog:   prog,
 		Env:    env,
 		status: StatusReady,
-		fds:    make(map[int]*netstack.Socket),
 	}
 	p.ctx = Context{proc: p, node: n}
 	p.onFDEvent = func() { n.recheckBlocked(p) }
@@ -208,7 +207,7 @@ func (n *Node) block(p *Process) {
 		return
 	}
 	for _, wfd := range res.WaitFDs {
-		if s, ok := p.fds[wfd.FD]; ok {
+		if s, ok := p.SocketFor(wfd.FD); ok {
 			s.SetNotify(p.onFDEvent)
 		}
 	}
@@ -227,7 +226,7 @@ func (n *Node) block(p *Process) {
 // pending socket error always counts as ready, as poll(2) does).
 func (n *Node) waitSatisfied(p *Process) bool {
 	for _, wfd := range p.waitFDs {
-		s, ok := p.fds[wfd.FD]
+		s, ok := p.SocketFor(wfd.FD)
 		if !ok {
 			return true // descriptor vanished: wake to observe EBADF
 		}

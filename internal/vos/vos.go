@@ -16,7 +16,6 @@ package vos
 
 import (
 	"fmt"
-	"sort"
 
 	"zapc/internal/imgfmt"
 	"zapc/internal/memfs"
@@ -176,8 +175,9 @@ type Process struct {
 	status  Status
 	stopped bool
 
-	fds    map[int]*netstack.Socket
-	nextFD int
+	// fds is the descriptor table, indexed by fd; a closed slot is nil.
+	// Descriptors are not reused: a new one is len(fds).
+	fds []*netstack.Socket
 
 	mem []Region
 	// Dirty-region tracking for incremental checkpoints: memClock ticks
@@ -226,26 +226,44 @@ func (p *Process) Node() *Node { return p.node }
 // FDs returns the open descriptors in ascending order.
 func (p *Process) FDs() []int {
 	out := make([]int, 0, len(p.fds))
-	for fd := range p.fds {
-		out = append(out, fd)
+	for fd, s := range p.fds {
+		if s != nil {
+			out = append(out, fd)
+		}
 	}
-	sort.Ints(out)
 	return out
 }
 
 // SocketFor returns the socket behind a descriptor.
 func (p *Process) SocketFor(fd int) (*netstack.Socket, bool) {
-	s, ok := p.fds[fd]
-	return s, ok
+	if uint(fd) >= uint(len(p.fds)) || p.fds[fd] == nil {
+		return nil, false
+	}
+	return p.fds[fd], true
 }
+
+// MaxFD bounds the descriptors a restart installs, as Linux's nr_open
+// bounds a process's table: an image naming a larger one is refused
+// rather than sizing the table from it.
+const MaxFD = 1 << 20
 
 // InstallFD wires a restored socket into the descriptor table at a
 // specific slot (restart path).
-func (p *Process) InstallFD(fd int, s *netstack.Socket) {
-	p.fds[fd] = s
-	if fd >= p.nextFD {
-		p.nextFD = fd + 1
+func (p *Process) InstallFD(fd int, s *netstack.Socket) error {
+	if fd < 0 || fd >= MaxFD {
+		return fmt.Errorf("%w: %d outside [0, %d)", ErrBadFD, fd, MaxFD)
 	}
+	for len(p.fds) <= fd {
+		p.fds = append(p.fds, nil)
+	}
+	p.fds[fd] = s
+	return nil
+}
+
+// openFD puts s in a new descriptor slot at the end of the table.
+func (p *Process) openFD(s *netstack.Socket) int {
+	p.fds = append(p.fds, s)
+	return len(p.fds) - 1
 }
 
 // ShareMemory returns the region table for a checkpoint image to keep
@@ -276,10 +294,10 @@ func (p *Process) SetRegion(name string, data []byte) {
 	p.setRegion(name, data, false)
 }
 
-// SetSharedRegion is SetRegion for bytes a checkpoint image also holds
-// (the restart path): the region is shared from birth, so the image
-// never changes and restoring it twice yields processes that each copy
-// on their own first write.
+// SetSharedRegion is SetRegion for bytes a checkpoint image or another
+// process also holds (the restart path, an application's common
+// ballast): the region is shared from birth, so the other holders never
+// see a change and every process copies on its own first write.
 func (p *Process) SetSharedRegion(name string, data []byte) {
 	p.setRegion(name, data, true)
 }
@@ -433,18 +451,19 @@ func (p *Process) exit(code int) {
 	p.status = StatusExited
 	p.exitCode = code
 	p.clearWaits()
-	for _, fd := range p.FDs() {
-		s := p.fds[fd]
-		s.SetNotify(nil)
-		s.Close()
+	for _, s := range p.fds {
+		if s != nil {
+			s.SetNotify(nil)
+			s.Close()
+		}
 	}
-	p.fds = map[int]*netstack.Socket{}
+	clear(p.fds)
 	p.node.procExited(p)
 }
 
 func (p *Process) clearWaits() {
 	for _, wfd := range p.waitFDs {
-		if s, ok := p.fds[wfd.FD]; ok {
+		if s, ok := p.SocketFor(wfd.FD); ok {
 			s.SetNotify(nil)
 		}
 	}

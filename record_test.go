@@ -21,6 +21,7 @@ import (
 	"testing"
 
 	"zapc"
+	"zapc/internal/apps"
 	"zapc/internal/ckpt"
 	"zapc/internal/imagestore"
 )
@@ -385,6 +386,29 @@ func TestJobAllocationBudget(t *testing.T) {
 	t.Logf("%.3f objects per event over %d events", perEvent, events)
 	if perEvent > 0.5 {
 		t.Fatalf("bt allocates %.2f objects per event over %d events, budget 0.5", perEvent, events)
+	}
+}
+
+// TestJobAllocatesLessThanABallastPerRank is a byte count, not a timing:
+// a bt/16 job at Scale 1/16 allocates, from launch to finish, less than
+// one ballast per rank, as its ranks share one copy-on-write ballast.
+func TestJobAllocatesLessThanABallastPerRank(t *testing.T) {
+	const ranks, scale = 16, 1.0 / 16
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	c := zapc.New(zapc.Config{Nodes: ranks / 2, CPUsPerNode: 2, Seed: 2005})
+	job, err := c.Launch(zapc.JobSpec{App: "bt", Endpoints: ranks, Work: 0.1, Scale: scale, WithDaemons: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Drive(job.Finished, eqDeadline); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	got, budget := after.TotalAlloc-before.TotalAlloc, uint64(ranks*apps.BallastBytes("bt", ranks, scale))
+	t.Logf("%.1f MB allocated from launch to finish, budget %.1f MB", float64(got)/(1<<20), float64(budget)/(1<<20))
+	if got >= budget {
+		t.Fatalf("bt/%d allocates %d bytes from launch to finish, not under one ballast per rank (%d)", ranks, got, budget)
 	}
 }
 
