@@ -350,10 +350,7 @@ func (c *serverConn) feed(data []byte) error {
 			c.need = v
 			c.state = stPayload
 		case stPath:
-			take := int(c.need)
-			if take > len(data) {
-				take = len(data)
-			}
+			take := int(min(c.need, uint64(len(data))))
 			c.path = append(c.path, data[:take]...)
 			data = data[take:]
 			c.need -= uint64(take)
@@ -366,10 +363,9 @@ func (c *serverConn) feed(data []byte) error {
 				c.state = stFrameLen
 			}
 		case stPayload:
-			take := int(c.need)
-			if take > len(data) {
-				take = len(data)
-			}
+			// The min is taken in uint64: a frame length of 2^63 or
+			// more is a negative int.
+			take := int(min(c.need, uint64(len(data))))
 			if _, err := c.wc.Write(data[:take]); err != nil {
 				return err
 			}

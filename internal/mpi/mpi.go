@@ -82,6 +82,11 @@ type Comm struct {
 	// slab holds the payloads parse hands out (scratch, not state: a
 	// capture encodes inbox, not where its bytes live); see keep.
 	slab []byte
+	// scanned is the simulation event of the last full receive scan and
+	// polled the number of peers it called recvmsg on (scratch, not
+	// state: a restored Comm has zeros and scans); see pump.
+	scanned uint64
+	polled  int
 }
 
 // New creates an uninitialized communicator.
@@ -123,6 +128,7 @@ func (c *Comm) Init(ctx *vos.Context) bool {
 		}
 		return c.Cfg.Size == 1
 	default:
+		c.polled = 0 // the descriptors may change: the next pump scans
 		// Send rank headers on connections that completed.
 		remaining := c.hello[:0]
 		for _, peer := range c.hello {
@@ -214,8 +220,20 @@ func containsInt(xs []int, v int) bool {
 
 // pump flushes queued outbound bytes and drains every connection's
 // inbound bytes into parsed messages.
+//
+// A receive scan is charged per call but run once per simulation event.
+// A socket's receive side changes only inside an event, a Step is one
+// event, and what the communicator does between two scans is send, which
+// never touches a receive side. So a scan inside the event of the last
+// full one finds every peer as that one left it — would-block, EOF or in
+// error — and would make exactly one recvmsg per connected peer, each
+// charged before it looks at the descriptor: pump charges those calls
+// and reads nothing (DESIGN.md §2.1).
 func (c *Comm) pump(ctx *vos.Context) {
 	for rank, q := range c.outq {
+		if len(q) == 0 {
+			continue
+		}
 		fd := c.FDs[rank]
 		for len(q) > 0 && fd >= 0 {
 			n, err := ctx.Send(fd, q, false)
@@ -226,23 +244,39 @@ func (c *Comm) pump(ctx *vos.Context) {
 		}
 		c.outq[rank] = keepFront(c.outq[rank], q)
 	}
+	// A Comm with no connected peer never touches ctx: polled stays 0.
+	if c.polled > 0 && c.scanned == ctx.Event() {
+		ctx.ChargeSyscalls(c.polled)
+		return
+	}
+	polled := 0
 	for rank, fd := range c.FDs {
 		if fd < 0 || rank == c.Cfg.Rank {
 			continue
 		}
+		polled++
+		read := false
 		for {
 			had := len(c.partial[rank])
 			var err error
 			c.partial[rank], err = ctx.RecvAppend(fd, c.partial[rank], 1<<16, false, false)
-			if err == netstack.ErrEOF { // returned unwrapped; errors.Is is dear per poll
-				c.closed[rank] = true
+			if err != nil {
+				if err == netstack.ErrEOF { // returned unwrapped; errors.Is is dear per poll
+					c.closed[rank] = true
+				}
 				break
 			}
-			if err != nil || len(c.partial[rank]) == had {
+			if len(c.partial[rank]) == had {
 				break
 			}
+			read = true
 		}
-		c.parse(rank)
+		if read { // parse leaves no whole frame behind
+			c.parse(rank)
+		}
+	}
+	if polled > 0 {
+		c.scanned, c.polled = ctx.Event(), polled
 	}
 }
 

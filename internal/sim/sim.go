@@ -73,6 +73,8 @@ type World struct {
 	free []*event
 	seq  uint64
 	rng  *rand.Rand
+	// events counts the events Step has run; see Events.
+	events uint64
 
 	// Costs is the hardware cost model used by the rest of the system.
 	Costs Costs
@@ -224,9 +226,16 @@ func (w *World) Step() bool {
 	}
 	fn, arg := ev.fn, ev.arg
 	w.remove(0)
+	w.events++
 	fn(arg)
 	return true
 }
+
+// Events returns the number of events Step has run, the one running
+// included: inside an event it names that event, uniquely across the
+// world, and outside any it names the last one run (zero before the
+// first).
+func (w *World) Events() uint64 { return w.events }
 
 // Run executes events until the queue drains.
 func (w *World) Run() {

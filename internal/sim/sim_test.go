@@ -255,3 +255,20 @@ func TestQuickMonotonicClock(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// Events numbers the events Step runs from 1, and names the running one
+// inside it.
+func TestEventsCountsSteps(t *testing.T) {
+	w := NewWorld(1)
+	var seen []uint64
+	for range 3 {
+		w.After(10, func() { seen = append(seen, w.Events()) })
+	}
+	if w.Events() != 0 {
+		t.Fatalf("%d events before the first step", w.Events())
+	}
+	w.Run()
+	if w.Events() != 3 || len(seen) != 3 || seen[0] != 1 || seen[1] != 2 || seen[2] != 3 {
+		t.Fatalf("events %d, seen inside %v", w.Events(), seen)
+	}
+}

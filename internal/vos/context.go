@@ -28,12 +28,27 @@ type Context struct {
 // Proc returns the calling process (for memory-region manipulation).
 func (c *Context) Proc() *Process { return c.proc }
 
-func (c *Context) charge() {
-	c.extra += c.node.w.Costs.Syscall
+// syscallCost is what one system call adds to the step's cost.
+func (c *Context) syscallCost() sim.Duration {
 	if c.proc.Env.Virtualized {
-		c.extra += c.proc.Env.VirtOverhead
+		return c.node.w.Costs.Syscall + c.proc.Env.VirtOverhead
 	}
+	return c.node.w.Costs.Syscall
 }
+
+func (c *Context) charge() { c.extra += c.syscallCost() }
+
+// ChargeSyscalls charges n system calls without making them: exactly
+// what n calls would add to the step's cost. It is for a caller that
+// knows what the calls would return; mpi's repeat receive scan is the
+// one (DESIGN.md §2.1, make boundary).
+func (c *Context) ChargeSyscalls(n int) { c.extra += sim.Duration(n) * c.syscallCost() }
+
+// Event returns the number of the simulation event the step runs in
+// (sim.World.Events). A Step is one event, and every socket's receive
+// side changes only inside an event, so two calls that see the same
+// number see the same receive queues unless the step itself read them.
+func (c *Context) Event() uint64 { return c.node.w.Events() }
 
 // Now returns the current time as seen by the application: the real
 // clock plus the pod's time bias, so that time appears continuous across

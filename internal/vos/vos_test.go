@@ -453,3 +453,35 @@ func TestContextFileIO(t *testing.T) {
 		t.Fatalf("got %q", got)
 	}
 }
+
+// ChargeSyscalls(n) costs a step exactly what n system calls do, with
+// and without the virtualization layer's overhead, and Event names the
+// step's simulation event.
+func TestChargeSyscallsEqualsTheCalls(t *testing.T) {
+	for _, virt := range []bool{false, true} {
+		w, n, env := testEnv(t)
+		env.Virtualized, env.VirtOverhead = virt, 150*sim.Nanosecond
+		var events []uint64
+		calls := n.Spawn(&probeProg{fn: func(ctx *Context) {
+			events = append(events, ctx.Event())
+			for range 7 {
+				ctx.PID()
+			}
+		}}, env)
+		charged := n.Spawn(&probeProg{fn: func(ctx *Context) {
+			events = append(events, ctx.Event())
+			ctx.ChargeSyscalls(7)
+		}}, env)
+		w.Run()
+		want := 7 * (w.Costs.Syscall + env.VirtOverhead)
+		if !virt {
+			want = 7 * w.Costs.Syscall
+		}
+		if calls.CPUTime() != want || charged.CPUTime() != want {
+			t.Fatalf("virtualized %v: 7 calls cost %v, 7 charged %v, want %v", virt, calls.CPUTime(), charged.CPUTime(), want)
+		}
+		if len(events) != 2 || events[0] == 0 || events[0] == events[1] {
+			t.Fatalf("two steps ran in events %v", events)
+		}
+	}
+}
