@@ -55,7 +55,7 @@ func (s *Socket) sendSYN() {
 		kind: pktSYN, proto: TCP, src: s.local, dst: s.remote,
 	})
 	s.synTries++
-	s.synTimer = s.stack.net.w.AfterCall(synRetryEvery, fireSYNRetry, s)
+	s.synTimer = s.stack.net.syn.Call(fireSYNRetry, s)
 }
 
 // synFire is the SYN retry timer: resend until the tries run out, then
@@ -187,7 +187,7 @@ func (s *Socket) armRTO() {
 		return
 	}
 	s.rtoArmed = true
-	s.rtoTimer = s.stack.net.w.AfterCall(rtoInterval, fireRTO, s)
+	s.rtoTimer = s.stack.net.rto.Call(fireRTO, s)
 }
 
 func (s *Socket) rtoFire() {
@@ -431,7 +431,7 @@ func (s *Socket) acceptSegment(p *packet) bool {
 func (s *Socket) queueBacklog(data []byte) {
 	s.backlogQ = append(s.backlogQ, data)
 	s.backlogBytes += len(data)
-	s.stack.net.w.AfterCall(backlogDelay, fireBacklog, s)
+	s.stack.net.backlog.Call(fireBacklog, s)
 }
 
 // processBacklog is the deferred kernel step that moves backlog data into
