@@ -61,6 +61,11 @@ vet:
 # And charging a system call without making it stays one audited site:
 # vos.Context.ChargeSyscalls has one caller, mpi.(*Comm).pump's repeat
 # receive scan, whose result is known (DESIGN.md §2.1).
+# And a fixed delay rides a lane, so only its oldest event sits in the
+# heap: internal/netstack arms its retransmission, backlog and SYN timers
+# and puts packets in flight with Lane.Call, never AfterCall. And a lane
+# is for a delay that recurs: only internal/sim and internal/netstack
+# make one, since a lane per jittered delay would grow without bound.
 boundary:
 	@files="$$($(GO) list -f '{{join .GoFiles " "}}' .)"; \
 	if [ "$$files" != "zapc.go" ]; then echo "boundary: root package must hold zapc.go only, has: $$files"; exit 1; fi
@@ -105,6 +110,11 @@ boundary:
 		&& !(FILENAME ~ /internal\/mpi\/mpi\.go$$/ && fn ~ /^func \(c \*Comm\) pump\(/){print FILENAME ": " $$0}' \
 		$$(grep -rl --include='*.go' 'ChargeSyscalls(' . | grep -v '_test\.go$$'))"; \
 	if [ -n "$$bad" ]; then echo "boundary: ChargeSyscalls charges calls it does not make; a scan whose result is known is charged in mpi.(*Comm).pump alone (DESIGN.md §2.1):"; echo "$$bad"; exit 1; fi
+	@bad="$$(grep -nE 'AfterCall\(.*\b(rtoInterval|backlogDelay|synRetryEvery)\b' $$(ls internal/netstack/*.go | grep -v '_test\.go$$'); \
+		awk '/^func /{fn=$$0} /AfterCall\(/ && fn ~ /\) transit\(/{print FILENAME ": " $$0}' internal/netstack/*.go)"; \
+	if [ -n "$$bad" ]; then echo "boundary: a fixed-delay timer or a packet in flight scheduled with AfterCall; it rides its Network's lane (Lane.Call), so only the lane's head is in the heap (DESIGN.md §2.1):"; echo "$$bad"; exit 1; fi
+	@bad="$$(grep -rnE --include='*.go' 'NewLane\(' . | grep -vE '^\./internal/(sim|netstack)/|_test\.go:')"; \
+	if [ -n "$$bad" ]; then echo "boundary: a lane made outside internal/sim and internal/netstack; a lane is for a delay that recurs, and one per jittered delay grows without bound (DESIGN.md §2.1):"; echo "$$bad"; exit 1; fi
 
 build:
 	$(GO) build ./...
@@ -147,7 +157,8 @@ cow-check:
 # dedup manifest reader (ErrDedupCorrupt, or a manifest the writer could
 # have produced, re-encoding to its own bytes), and the remote image
 # server's stream parser (an error, or a committed image whose bytes are
-# the stream's payload).
+# the stream's payload), and the chaos fixture envelope (an error, or a
+# fixture whose encoding decodes back to the same bytes).
 # Raise FUZZTIME for a real fuzzing session.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime $(FUZZTIME) ./internal/imgfmt
@@ -165,6 +176,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzReadManifest$$' -fuzztime $(FUZZTIME) ./internal/imagestore
 	$(GO) test -run '^$$' -fuzz '^FuzzServerFeed$$' -fuzztime $(FUZZTIME) ./internal/imagestore
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeSchedule$$' -fuzztime $(FUZZTIME) ./internal/faultinject
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeFixture$$' -fuzztime $(FUZZTIME) ./internal/chaos
 
 # Trace determinism gate: the traced crash-and-failover scenario run
 # twice with the same seed must export byte-identical JSONL event logs.

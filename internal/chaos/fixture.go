@@ -67,14 +67,12 @@ func EncodeFixture(f Fixture) ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// DecodeFixture parses a fixture strictly: unknown fields, unknown
-// schema versions, and invalid schedules (Schedule.UnmarshalJSON) are
-// all refused loudly.
+// DecodeFixture parses a fixture strictly: unknown fields, bytes after
+// the fixture, unknown schema versions, and invalid schedules
+// (Schedule.UnmarshalJSON) are all refused loudly.
 func DecodeFixture(data []byte) (Fixture, error) {
 	var f Fixture
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&f); err != nil {
+	if err := faultinject.DecodeStrict(data, &f); err != nil {
 		return Fixture{}, fmt.Errorf("chaos: bad fixture: %w", err)
 	}
 	if f.Schema != FixtureSchema {

@@ -181,13 +181,13 @@ func (s *Schedule) UnmarshalJSON(data []byte) error {
 	var raw struct {
 		Steps []json.RawMessage `json:"steps"`
 	}
-	if err := decodeStrict(data, &raw); err != nil {
+	if err := DecodeStrict(data, &raw); err != nil {
 		return fmt.Errorf("%w: %v", ErrBadStep, err)
 	}
 	s.Steps = nil
 	for i, r := range raw.Steps {
 		var st Step
-		if err := decodeStrict(r, &st); err != nil {
+		if err := DecodeStrict(r, &st); err != nil {
 			return fmt.Errorf("%w: step %d: %v", ErrBadStep, i, err)
 		}
 		s.Steps = append(s.Steps, st)
@@ -195,8 +195,16 @@ func (s *Schedule) UnmarshalJSON(data []byte) error {
 	return s.Validate()
 }
 
-func decodeStrict(data []byte, v any) error {
+// DecodeStrict decodes data as exactly one JSON value into v: it refuses
+// unknown fields, and anything after the value but JSON whitespace.
+func DecodeStrict(data []byte, v any) error {
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
-	return dec.Decode(v)
+	if err := dec.Decode(v); err != nil {
+		return err
+	}
+	if rest := bytes.TrimLeft(data[dec.InputOffset():], " \t\r\n"); len(rest) > 0 {
+		return fmt.Errorf("%d bytes after the JSON value", len(rest))
+	}
+	return nil
 }

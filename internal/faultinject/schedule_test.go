@@ -97,7 +97,7 @@ func TestScheduleValidationNamesBadStep(t *testing.T) {
 
 // TestDecodeScheduleRejectsUnknownFields covers what only the JSON form
 // can carry: fields and names outside the grammar, refused naming the
-// step.
+// step, and bytes after the schedule.
 func TestDecodeScheduleRejectsUnknownFields(t *testing.T) {
 	cases := []struct {
 		label, json, want string
@@ -106,6 +106,9 @@ func TestDecodeScheduleRejectsUnknownFields(t *testing.T) {
 		{"unknown action", `{"steps":[{"after_ns":1,"action":"drop-control"},{"after_ns":1,"action":"set-on-fire"}]}`, `step 1: unknown action "set-on-fire"`},
 		{"unknown phase", `{"steps":[{"phase":"warp","action":"drop-control"}]}`, `step 0: unknown phase "warp"`},
 		{"unknown schedule field", `{"steps":[],"seed":1}`, `unknown field "seed"`},
+		{"trailing garbage", `{"steps":[]} garbage`, `after the JSON value`},
+		{"trailing bracket", `{"steps":[]}]`, `after the JSON value`},
+		{"second value", `{"steps":[]}{"schema": 7}`, `after the JSON value`},
 	}
 	for _, tc := range cases {
 		_, err := DecodeSchedule([]byte(tc.json))
