@@ -36,9 +36,10 @@ vet:
 # (imgfmt/visitor.go). And they are read by one grammar: internal/imgfmt
 # defines each of its functions once, StreamDecoder's, which reads a
 # section or a blob as a window with no frames behind it.
-# And a controller has one state: the supervisor and the coordinated
-# operations do not regain a lifecycle boolean beside it, and each
-# operation type has one function that calls onDone (DESIGN.md §13).
+# And a controller has one state: the supervisor, the coordinated
+# operations and the standby plane do not regain a lifecycle boolean
+# beside it, and each operation type has one function that calls onDone
+# (DESIGN.md §13).
 # And a commit re-reads no history: the supervisor's materializing chain
 # read has one caller, recovery, and the commit check names nothing that
 # builds an image.
@@ -81,7 +82,8 @@ boundary:
 	if [ -n "$$dup" ]; then echo "boundary: internal/imgfmt defines the field grammar twice; StreamDecoder reads memory too (a window with no frames behind it):"; echo "$$dup"; exit 1; fi
 	@bad="$$(grep -rnE --include='*.go' 'func \([^)]*\) (Save|Restore)\([^)]*imgfmt\.' .)"; \
 	if [ -n "$$bad" ]; then echo "boundary: a hand-written Save/Restore pair over an imgfmt codec; declare a Layout:"; echo "$$bad"; exit 1; fi
-	@bad="$$(grep -nE '^\s+(done|running|recovering|ckptBusy|aborted|finished|stopSent|contSent|saDone|contRecvd)\s+bool\b' internal/supervisor/supervisor.go internal/core/core.go)"; \
+	@bad="$$(grep -nE '^\s+([A-Za-z_]+,\s*)*(done|running|recovering|ckptBusy|aborted|finished|stopSent|contSent|saDone|contRecvd|syncing|applying|promoted)(,\s*[A-Za-z_]+)*\s+bool\b' \
+		internal/supervisor/supervisor.go internal/core/core.go internal/standby/standby.go)"; \
 	if [ -n "$$bad" ]; then echo "boundary: a lifecycle boolean beside the state; give the state a value instead (DESIGN.md §13):"; echo "$$bad"; exit 1; fi
 	@fns="$$(awk '/^func /{fn=$$0} /\.onDone\(/{print fn}' internal/core/core.go | sort -u)"; \
 	dup="$$(echo "$$fns" | sed -E 's/^func \([a-z]+ \*?([A-Za-z]+)\).*/\1/' | sort | uniq -d)"; \

@@ -314,7 +314,6 @@ func (r *Runner) run(seed int64, sched faultinject.Schedule, traced bool) (Verdi
 		Workers:           r.cfg.Workers,
 		Retain:            r.cfg.Retain,
 		Dir:               r.cfg.Dir,
-		Fanout:            r.cfg.Fanout,
 	})
 	if err != nil {
 		return Verdict{}, nil, nil, err

@@ -24,8 +24,8 @@ import (
 
 // refCapture is the deep-copying capture walk captureProc ran before
 // captures aliased the pod's memory, kept as the reference the aliasing
-// one is checked against (the role refStreamDecoder plays for the stream
-// decoder): every region's bytes are duplicated at the moment of the
+// one is checked against (the role imgfmt's spec oracle plays for the
+// stream decoder): every region's bytes are duplicated at the moment of the
 // call and nothing is marked shared. Net and FDs are outside what
 // copy-on-write touches; the pods here own no sockets and the caller
 // supplies the network image.

@@ -39,7 +39,7 @@ func capture(p *pod.Pod, live bool) (*Image, error) {
 		if !p.Quiescent() {
 			return nil, ErrNotQuiescent
 		}
-		netImg, _, err := netckpt.CheckpointStack(p.Stack())
+		netImg, err := netckpt.CheckpointStack(p.Stack())
 		if err != nil {
 			return nil, err
 		}

@@ -166,7 +166,7 @@ func TestChainErrorsNameSentinelPodAndPath(t *testing.T) {
 			dir := flushed(t, c)
 			hurt(t, c, dir)
 			node := c.AddNodes(1, 2)[0]
-			plane, err := standby.New(c.W, c.Net, node, c.Mgr.Store(), standbyIPBase, standbyIPBase+1, standby.Config{})
+			plane, err := standby.New(c.W, c.Net, node, c.Mgr.Store(), standbyIPBase, standbyIPBase+1)
 			if err != nil {
 				t.Fatal(err)
 			}

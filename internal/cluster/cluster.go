@@ -16,7 +16,6 @@ import (
 	"fmt"
 
 	"zapc/internal/apps"
-	"zapc/internal/ckpt"
 	"zapc/internal/coord"
 	"zapc/internal/core"
 	"zapc/internal/imagestore"
@@ -351,7 +350,7 @@ func (c *Cluster) Restart(j *Job, images *core.CheckpointResult, targets []*vos.
 	placements := make([]core.Placement, 0, len(images.Images))
 	i := 0
 	for _, a := range images.Stats.Agents {
-		img := imageByName(images, a.Pod)
+		img := images.ImageByName(a.Pod)
 		if img == nil {
 			return nil, fmt.Errorf("cluster: missing image for %s", a.Pod)
 		}
@@ -371,13 +370,4 @@ func (c *Cluster) Restart(j *Job, images *core.CheckpointResult, targets []*vos.
 		return res, res.Err
 	}
 	return res, j.Rebind(res.Pods)
-}
-
-func imageByName(r *core.CheckpointResult, name string) *ckpt.Image {
-	for _, img := range r.Images {
-		if img.PodName == name {
-			return img
-		}
-	}
-	return nil
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"zapc/internal/netstack"
-	"zapc/internal/sim"
 	"zapc/internal/standby"
 	"zapc/internal/supervisor"
 )
@@ -14,17 +13,10 @@ import (
 // replication plane's addresses out of their way.
 const standbyIPBase netstack.IP = 0x0afe0001
 
-// StandbyConfig sizes a warm standby attached with AttachStandby.
-type StandbyConfig struct {
-	// CPUs is the standby node's CPU count (default: same as the
-	// cluster's first node).
-	CPUs int
-	// Port is the replication server's listen port (default 7200).
-	Port netstack.Port
-	// StallTimeout bounds one replication sync before it fails named
-	// (default 30s of virtual time).
-	StallTimeout sim.Duration
-}
+// StandbyConfig is AttachStandby's argument, with nothing left to set:
+// the standby node has the cluster's first node's CPU count, and the
+// plane's port and stall timeout are standby's constants.
+type StandbyConfig struct{}
 
 // AttachStandby adds a spare node to the cluster, builds a warm-standby
 // replication plane on it, and attaches the plane to the supervisor:
@@ -33,23 +25,18 @@ type StandbyConfig struct {
 // shadow state instead of reading the chain back from the store. Call
 // it after Supervise (and after any store wrapping like EnableTracing)
 // so the plane reads the same store the supervisor commits to.
-func (c *Cluster) AttachStandby(sup *supervisor.Supervisor, cfg StandbyConfig) (*standby.Plane, error) {
+func (c *Cluster) AttachStandby(sup *supervisor.Supervisor, _ StandbyConfig) (*standby.Plane, error) {
 	if sup == nil {
 		return nil, fmt.Errorf("cluster: attach standby: nil supervisor")
 	}
-	cpus := cfg.CPUs
-	if cpus < 1 {
-		cpus = c.Nodes[0].CPUs()
-	}
-	node := c.AddNodes(1, cpus)[0]
+	node := c.AddNodes(1, c.Nodes[0].CPUs())[0]
 	if c.nextStandbyIP == 0 {
 		c.nextStandbyIP = standbyIPBase
 	}
 	clientIP := c.nextStandbyIP
 	serverIP := c.nextStandbyIP + 1
 	c.nextStandbyIP += 2
-	plane, err := standby.New(c.W, c.Net, node, c.Mgr.Store(), clientIP, serverIP,
-		standby.Config{Port: cfg.Port, StallTimeout: cfg.StallTimeout})
+	plane, err := standby.New(c.W, c.Net, node, c.Mgr.Store(), clientIP, serverIP)
 	if err != nil {
 		return nil, err
 	}

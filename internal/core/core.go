@@ -168,11 +168,6 @@ type Options struct {
 	// Mutually exclusive with Incr: a pre-copy generation is already a
 	// self-contained base+delta chain.
 	Precopy *PrecopyOptions
-	// Coord overrides the manager's coordination topology for this
-	// operation (see Manager.SetCoord). Nil inherits the manager
-	// default; with neither set, control traffic uses the legacy flat
-	// star — the degenerate fanout=N tree.
-	Coord *coord.Config
 }
 
 // Pre-copy defaults: the round budget keeps a non-converging writer from
@@ -396,22 +391,17 @@ func (m *Manager) SetPhaseHook(h PhaseHook) { m.phaseHook = h }
 // removes). Every manager<->agent control message consults it.
 func (m *Manager) SetCtrlHook(h CtrlHook) { m.ctrlHook = h }
 
-// SetCoord installs the manager's default coordination topology for
-// subsequent coordinated operations; Options.Coord overrides it per
-// operation. Nil (the default) keeps the flat star, which schedules
-// exactly the legacy per-member control messages.
+// SetCoord installs the manager's coordination topology for subsequent
+// coordinated operations. Nil (the default) keeps the flat star, which
+// schedules exactly the legacy per-member control messages.
 func (m *Manager) SetCoord(cfg *coord.Config) { m.coordCfg = cfg }
 
 // newPlane builds the control plane for one coordinated operation over
 // n members. The hook closure reads m.ctrlHook at each send so hooks
 // installed mid-operation (as the fault injector does) take effect
 // immediately, exactly as the legacy ctrl path did.
-func (m *Manager) newPlane(n int, override *coord.Config) *coord.Plane {
-	cfg := override
-	if cfg == nil {
-		cfg = m.coordCfg
-	}
-	return coord.NewPlane(m.w, coord.NewTopology(n, cfg), func() (bool, sim.Duration) {
+func (m *Manager) newPlane(n int) *coord.Plane {
+	return coord.NewPlane(m.w, coord.NewTopology(n, m.coordCfg), func() (bool, sim.Duration) {
 		if m.ctrlHook != nil {
 			return m.ctrlHook()
 		}
@@ -479,7 +469,7 @@ func (m *Manager) Checkpoint(pods []*pod.Pod, opts Options, onDone func(*Checkpo
 	// relay fan-outs and aggregate fan-ins into one batched message per
 	// link per phase.
 	op := &ckptOp{
-		opBase: opBase{m: m, plane: m.newPlane(len(pods), opts.Coord)},
+		opBase: opBase{m: m, plane: m.newPlane(len(pods))},
 		opts:   opts,
 		start:  m.w.Now(),
 		agents: make([]*ckptAgent, len(pods)),
@@ -909,7 +899,7 @@ func (a *ckptAgent) flush(parent *trace.Span, pend *ckpt.Pending, liveRound int)
 // (2a) report the meta-data to the manager.
 func (a *ckptAgent) netCheckpoint() {
 	costs := a.op.m.w.Costs
-	netImg, _, err := netckpt.CheckpointStack(a.pod.Stack())
+	netImg, err := netckpt.CheckpointStack(a.pod.Stack())
 	if err != nil {
 		a.op.finish(err)
 		return
@@ -1314,7 +1304,7 @@ func (m *Manager) Restart(placements []Placement, remap map[netstack.IP]netstack
 		return
 	}
 	op := &restartOp{
-		opBase:  opBase{m: m, plane: m.newPlane(len(placements), nil)},
+		opBase:  opBase{m: m, plane: m.newPlane(len(placements))},
 		start:   m.w.Now(),
 		total:   len(placements),
 		result:  &RestartResult{},

@@ -471,8 +471,8 @@ func TestRestartWithRemap(t *testing.T) {
 		t.Fatal(cres.Err)
 	}
 	placements := []Placement{
-		{Image: cres.imageByName("ping"), PodName: "ping2", Node: h.nodes[2]},
-		{Image: cres.imageByName("pong"), PodName: "pong2", Node: h.nodes[3]},
+		{Image: cres.ImageByName("ping"), PodName: "ping2", Node: h.nodes[2]},
+		{Image: cres.ImageByName("pong"), PodName: "pong2", Node: h.nodes[3]},
 	}
 	remap := map[netstack.IP]netstack.IP{1: 51, 2: 52}
 	var rres *RestartResult

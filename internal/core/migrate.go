@@ -61,7 +61,7 @@ func (m *Manager) Migrate(pods []*pod.Pod, targets []*vos.Node, redirect bool,
 		i := 0
 		for _, a := range cr.Stats.Agents {
 			// Preserve the original pod order for placement.
-			var img = cr.imageByName(a.Pod)
+			var img = cr.ImageByName(a.Pod)
 			if img == nil {
 				onDone(&MigrateResult{Err: fmt.Errorf("core: image for pod %s missing", a.Pod)})
 				return
@@ -95,7 +95,9 @@ func (m *Manager) Migrate(pods []*pod.Pod, targets []*vos.Node, redirect bool,
 	})
 }
 
-func (r *CheckpointResult) imageByName(name string) *ckpt.Image {
+// ImageByName returns the result's image of the named pod, nil if it
+// has none.
+func (r *CheckpointResult) ImageByName(name string) *ckpt.Image {
 	for _, img := range r.Images {
 		if img.PodName == name {
 			return img

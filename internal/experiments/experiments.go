@@ -60,10 +60,15 @@ func NodeCounts(app string) []int {
 	return []int{1, 2, 4, 8, 16}
 }
 
-// clusterFor reproduces the paper's hardware configurations: up to
+// clusterFor builds the cluster clusterConfig describes.
+func clusterFor(endpoints int, cfg Config) *cluster.Cluster {
+	return cluster.New(clusterConfig(endpoints, cfg))
+}
+
+// clusterConfig reproduces the paper's hardware configurations: up to
 // eight uniprocessor nodes; the sixteen-endpoint configuration uses
 // eight dual-processor nodes (two pods per node).
-func clusterFor(endpoints int, cfg Config) *cluster.Cluster {
+func clusterConfig(endpoints int, cfg Config) cluster.Config {
 	nodes, cpus := endpoints, 1
 	if endpoints > 9 {
 		nodes, cpus = (endpoints+1)/2, 2
@@ -72,7 +77,7 @@ func clusterFor(endpoints int, cfg Config) *cluster.Cluster {
 	// Charge image-driven costs at paper scale even when the in-memory
 	// footprints are shrunk by cfg.Scale.
 	costs.ImageCostScale = 1 / cfg.Scale
-	return cluster.New(cluster.Config{Nodes: nodes, CPUsPerNode: cpus, Seed: cfg.Seed, Costs: &costs})
+	return cluster.Config{Nodes: nodes, CPUsPerNode: cpus, Seed: cfg.Seed, Costs: &costs}
 }
 
 func (c Config) spec(app string, endpoints int, base bool) cluster.JobSpec {

@@ -54,7 +54,9 @@ func RunFailoverRTO(cfg Config, pods, fanout int, incremental bool) (FailoverRTO
 func runFailoverRTO(cfg Config, pods, fanout int, incremental, standby bool) (FailoverRTORow, error) {
 	cfg = cfg.defaults()
 	row := FailoverRTORow{Pods: pods, Fanout: fanout, Incremental: incremental}
-	c := clusterFor(pods, cfg)
+	ccfg := clusterConfig(pods, cfg)
+	ccfg.Fanout = fanout
+	c := cluster.New(ccfg)
 	c.EnableTracing()
 	job, err := c.Launch(cfg.spec("cpi", pods, false))
 	if err != nil {
@@ -66,7 +68,6 @@ func runFailoverRTO(cfg Config, pods, fanout int, incremental, standby bool) (Fa
 		Incremental:       incremental,
 		Workers:           3,
 		Retain:            2,
-		Fanout:            fanout,
 	})
 	if err != nil {
 		return row, err

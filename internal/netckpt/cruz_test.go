@@ -44,7 +44,7 @@ func TestNaivePeekMissesBacklogAndOOB(t *testing.T) {
 	b.Filter().BlockAll()
 
 	naiveRecv, naiveOOB := naivePeekCheckpoint(srv)
-	img, _, err := CheckpointStack(b)
+	img, err := CheckpointStack(b)
 	if err != nil {
 		t.Fatal(err)
 	}

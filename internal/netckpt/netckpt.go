@@ -14,11 +14,12 @@
 // reliable protocols retransmit them, unreliable protocols may lose
 // them by contract.
 //
-// Restart: the manager derives a connect/accept schedule from the merged
-// meta-data (respecting shared source ports and the original creation
-// order) and each agent re-establishes its connections with ordinary
-// connect and accept calls, using two logical threads — one accepting,
-// one connecting — so no deadlock-free ordering is ever needed. Saved
+// Restart: the manager derives a connect/accept schedule from the pods'
+// socket records, which carry the paper's meta-data (PlanRestart,
+// respecting shared source ports and the original creation order), and
+// each agent re-establishes its connections with ordinary connect and
+// accept calls, using two logical threads — one accepting, one
+// connecting — so no deadlock-free ordering is ever needed. Saved
 // receive data is loaded into an alternate receive queue behind an
 // interposed dispatch vector (recvmsg, poll, release); the send queue is
 // re-sent through the new connection after discarding the overlap
@@ -27,38 +28,10 @@ package netckpt
 
 import (
 	"errors"
-	"fmt"
 
 	"zapc/internal/imgfmt"
 	"zapc/internal/netstack"
 )
-
-// ConnState is the connection state recorded in the meta-data table the
-// agent reports to the manager, exactly the four states of the paper.
-type ConnState int
-
-// Connection states.
-const (
-	ConnFullDuplex ConnState = iota + 1 // established, both directions open
-	ConnHalfDuplex                      // one direction shut down
-	ConnClosedData                      // closed, possibly unread data
-	ConnConnecting                      // transient: not yet established
-)
-
-func (c ConnState) String() string {
-	switch c {
-	case ConnFullDuplex:
-		return "full-duplex"
-	case ConnHalfDuplex:
-		return "half-duplex"
-	case ConnClosedData:
-		return "closed"
-	case ConnConnecting:
-		return "connecting"
-	default:
-		return fmt.Sprintf("connstate(%d)", int(c))
-	}
-}
 
 // SocketRecord is the saved state of one socket.
 type SocketRecord struct {
@@ -120,50 +93,20 @@ type SocketRecord struct {
 	Redirected bool
 }
 
-// ConnMeta is one row of the meta-data table: the paper's
-// <source, target, state> tuple.
-type ConnMeta struct {
-	Src, Dst  netstack.Addr
-	State     ConnState
-	CreateSeq uint64
-}
-
-// Meta is the network meta-data one agent reports to the manager after
-// its network checkpoint.
-type Meta struct {
-	PodIP netstack.IP
-	Conns []ConnMeta
-}
-
 // NetImage is a pod's complete network-state checkpoint.
 type NetImage struct {
 	PodIP   netstack.IP
 	Sockets []SocketRecord
 }
 
-// connState derives the paper's meta state from socket flags.
-func connState(s *netstack.Socket) ConnState {
-	switch {
-	case s.State() == netstack.StateConnecting:
-		return ConnConnecting
-	case s.WriteShut() && s.PeerClosed():
-		return ConnClosedData
-	case s.WriteShut() || s.PeerClosed():
-		return ConnHalfDuplex
-	default:
-		return ConnFullDuplex
-	}
-}
-
 // CheckpointStack saves the network state of a pod's stack. The pod must
 // be suspended and its network blocked; the walk is side-effect free so
 // the checkpoint can be rolled back (or used as a pure snapshot).
-func CheckpointStack(st *netstack.Stack) (*NetImage, *Meta, error) {
+func CheckpointStack(st *netstack.Stack) (*NetImage, error) {
 	if !st.Filter().Blocked() {
-		return nil, nil, errors.New("netckpt: pod network not blocked")
+		return nil, errors.New("netckpt: pod network not blocked")
 	}
 	img := &NetImage{PodIP: st.IPAddr()}
-	meta := &Meta{PodIP: st.IPAddr()}
 
 	socks := st.Sockets()
 	slotOf := make(map[*netstack.Socket]int, len(socks))
@@ -207,12 +150,6 @@ func CheckpointStack(st *netstack.Stack) (*NetImage, *Meta, error) {
 				if l, ok := pendingOf[s]; ok {
 					rec.PendingAcceptOf = l
 				}
-				meta.Conns = append(meta.Conns, ConnMeta{
-					Src:       rec.Local,
-					Dst:       rec.Remote,
-					State:     connState(s),
-					CreateSeq: rec.CreateSeq,
-				})
 			}
 		case netstack.UDP:
 			rec.Datagrams = s.DatagramQueue()
@@ -224,7 +161,7 @@ func CheckpointStack(st *netstack.Stack) (*NetImage, *Meta, error) {
 		}
 		img.Sockets = append(img.Sockets, rec)
 	}
-	return img, meta, nil
+	return img, nil
 }
 
 // Bytes reports the serialized footprint of the network image (the

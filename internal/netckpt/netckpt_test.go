@@ -67,12 +67,12 @@ func freezeCheckpoint(t *testing.T, stacks ...*netstack.Stack) map[netstack.IP]*
 	}
 	images := make(map[netstack.IP]*NetImage)
 	for _, st := range stacks {
-		img, meta, err := CheckpointStack(st)
+		img, err := CheckpointStack(st)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if meta.PodIP != st.IPAddr() {
-			t.Fatal("meta pod ip mismatch")
+		if img.PodIP != st.IPAddr() {
+			t.Fatal("image pod ip mismatch")
 		}
 		images[st.IPAddr()] = img
 	}
@@ -117,7 +117,7 @@ func restoreAll(t *testing.T, w *sim.World, nw *netstack.Network,
 func TestCheckpointRequiresBlockedNetwork(t *testing.T) {
 	_, nw := mkWorld(1)
 	st := mkStack(t, nw, 1)
-	if _, _, err := CheckpointStack(st); err == nil {
+	if _, err := CheckpointStack(st); err == nil {
 		t.Fatal("checkpoint of unblocked stack must fail")
 	}
 }
@@ -160,40 +160,6 @@ func TestCheckpointCapturesQueues(t *testing.T) {
 	}
 	if imgB.QueueBytes() == 0 || imgB.Bytes() < imgB.QueueBytes() {
 		t.Fatalf("size accounting wrong: %d / %d", imgB.Bytes(), imgB.QueueBytes())
-	}
-}
-
-func TestMetaStates(t *testing.T) {
-	w, nw := mkWorld(3)
-	a := mkStack(t, nw, 1)
-	b := mkStack(t, nw, 2)
-	cli, srv, _ := establish(t, w, a, b, 80)
-	cli.Shutdown(false, true) // half-duplex
-	drive(t, w, func() bool { return srv.PeerClosed() })
-
-	// A connecting socket: SYN to a blocked-off peer.
-	c2 := a.Socket(netstack.TCP)
-	c2.Connect(netstack.Addr{IP: 99, Port: 9}) // no such host: stays connecting
-	images := freezeCheckpoint(t, a, b)
-	_ = images
-
-	a.Filter().UnblockAll()
-	b.Filter().UnblockAll()
-	a.Filter().BlockAll()
-	b.Filter().BlockAll()
-	_, metaA, err := CheckpointStack(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	states := map[ConnState]int{}
-	for _, cm := range metaA.Conns {
-		states[cm.State]++
-	}
-	if states[ConnHalfDuplex] != 1 {
-		t.Fatalf("half-duplex count = %d (%v)", states[ConnHalfDuplex], metaA.Conns)
-	}
-	if states[ConnConnecting] != 1 {
-		t.Fatalf("connecting count = %d", states[ConnConnecting])
 	}
 }
 

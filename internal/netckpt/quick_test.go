@@ -112,11 +112,11 @@ func TestQuickCheckpointPreservesStreams(t *testing.T) {
 		// Freeze, checkpoint, restore on fresh stacks.
 		rig.a.Filter().BlockAll()
 		rig.b.Filter().BlockAll()
-		imgA, _, err := CheckpointStack(rig.a)
+		imgA, err := CheckpointStack(rig.a)
 		if err != nil {
 			return false
 		}
-		imgB, _, err := CheckpointStack(rig.b)
+		imgB, err := CheckpointStack(rig.b)
 		if err != nil {
 			return false
 		}
@@ -212,7 +212,7 @@ func TestDoubleCheckpointCycle(t *testing.T) {
 	rig.b.Filter().BlockAll()
 	images := map[netstack.IP]*NetImage{}
 	for ip, st := range map[netstack.IP]*netstack.Stack{1: rig.a, 2: rig.b} {
-		img, _, err := CheckpointStack(st)
+		img, err := CheckpointStack(st)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -244,7 +244,7 @@ func TestDoubleCheckpointCycle(t *testing.T) {
 	stB.Filter().BlockAll()
 	images2 := map[netstack.IP]*NetImage{}
 	for ip, st := range map[netstack.IP]*netstack.Stack{1: stA, 2: stB} {
-		img, _, err := CheckpointStack(st)
+		img, err := CheckpointStack(st)
 		if err != nil {
 			t.Fatal(err)
 		}

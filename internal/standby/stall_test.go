@@ -7,54 +7,28 @@ import (
 
 	"zapc/internal/ckpt"
 	"zapc/internal/cluster"
-	"zapc/internal/core"
 	"zapc/internal/sim"
 	"zapc/internal/standby"
 	"zapc/internal/supervisor"
 	"zapc/internal/trace"
 )
 
-// stallTimeout is far above shipping a generation, far below applying
-// the second one once image bytes are scaled up.
-const stallTimeout = 2 * sim.Second
+// stallTimeout is the plane's: far above shipping a generation, far
+// below applying the second one once image bytes are scaled up.
+const stallTimeout = standby.StallTimeout
 
-// stalledPlane flushes two full generations of a small job, syncs the
-// first, then makes applying the second cost four stall timeouts and
-// syncs it: the watchdog fires while that generation is mid-apply.
+// stalledPlane makes applying the rig's generation 1 cost four stall
+// timeouts and syncs it: the watchdog fires while that generation is
+// mid-apply.
 func stalledPlane(t *testing.T) (*cluster.Cluster, *standby.Plane, []supervisor.Generation, *trace.Tracer) {
 	t.Helper()
-	c := cluster.New(cluster.Config{Nodes: 2, Seed: 5})
-	job, err := c.Launch(cluster.JobSpec{App: "cpi", Endpoints: 2, Work: 0.2, Scale: 0.001})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var gens []supervisor.Generation
-	for seq, p := range []float64{0.2, 0.4} {
-		if err := c.Drive(func() bool { return job.Progress() >= p }, deadline); err != nil {
-			t.Fatal(err)
-		}
-		dir := fmt.Sprintf("stall/gen%04d", seq)
-		if _, err := c.Checkpoint(job, core.Options{Mode: core.Snapshot, FlushTo: dir}); err != nil {
-			t.Fatal(err)
-		}
-		// Bytes is what the plane charges an apply for.
-		gens = append(gens, supervisor.Generation{Seq: seq, Dir: dir, T: c.W.Now(), Full: true, Bytes: 1 << 20})
-	}
-	plane, err := standby.New(c.W, c.Net, c.AddNodes(1, 1)[0], c.Mgr.Store(), 0x0afe0001, 0x0afe0002,
-		standby.Config{StallTimeout: stallTimeout})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr := trace.New(nil)
-	plane.SetTracer(tr, nil)
-	if err := syncPlane(t, c, plane, gens[:1]); err != nil {
-		t.Fatal(err)
-	}
+	r := newRig(t)
+	c, gens := r.c, r.gens
 	c.W.Costs.ImageCostScale = float64(4*stallTimeout) / 1e9 * c.W.Costs.RestoreBandwidth / float64(gens[1].Bytes)
-	if err := syncPlane(t, c, plane, gens); !errors.Is(err, standby.ErrStalled) {
+	if err := syncPlane(t, c, r.plane, gens); !errors.Is(err, standby.ErrStalled) {
 		t.Fatalf("sync err = %v, want ErrStalled", err)
 	}
-	return c, plane, gens, tr
+	return c, r.plane, gens, r.tr
 }
 
 // syncPlane runs one sync to its end and returns its error.

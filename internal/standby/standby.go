@@ -30,6 +30,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"maps"
 	"sort"
 
 	"zapc/internal/ckpt"
@@ -55,23 +56,56 @@ var (
 	ErrPromoted = errors.New("standby: already promoted")
 )
 
-// Config tunes the replication plane.
-type Config struct {
-	// Port is the standby image server's listen port (default 7200).
-	Port netstack.Port
-	// StallTimeout bounds one replication sync before it fails with
-	// ErrStalled (default 30s of virtual time).
-	StallTimeout sim.Duration
-}
+const (
+	// StallTimeout bounds one replication sync: a sync still open this
+	// long after it started fails with ErrStalled.
+	StallTimeout               = 30 * sim.Second
+	port         netstack.Port = 7200 // the standby image server's listen port
+)
 
-func (c Config) withDefaults() Config {
-	if c.Port == 0 {
-		c.Port = 7200
-	}
-	if c.StallTimeout == 0 {
-		c.StallTimeout = 30 * sim.Second
-	}
-	return c
+// phase is where the plane stands. A sync is open from Sync until it
+// reports; DESIGN.md §13 has the table.
+type phase uint8
+
+const (
+	idle        phase = iota // no sync open
+	shipping                 // a sync's control hop or one of its records is on the wire; owns the watchdog
+	applying                 // a sync's received generation applies; owns the watchdog and the apply timer
+	handingOver              // a promotion waits for the apply; owns both timers, the watchdog inert
+	promoted                 // terminal: the shadows were handed over
+	numPhases
+)
+
+// event is what a caller, or a callback the plane handed out, reports.
+type event uint8
+
+const (
+	evSync    event = iota // Sync
+	evNextGen              // the sync's next generation is due: after the control hop, after each apply
+	evCommit               // the server committed the record on the wire
+	evCut                  // the transfer of the record on the wire died
+	evApplied              // the apply timer ran out
+	evStall                // the watchdog ran out
+	evPromote              // Promote
+	numEvents
+)
+
+var (
+	errSyncInFlight = errors.New("standby: sync already in flight")
+	errNotPending   = errors.New("standby: no such step pending")
+	errAbandoned    = errors.New("standby: the promotion abandoned the sync")
+)
+
+// ignores is the transition table by its complement: a nil cell is one
+// the phase handles, any other names why the phase drops the event — a
+// step it has not got pending (a stale callback), a sync a promotion
+// abandoned — and for Sync and Promote is the error their callback gets.
+var ignores = [numPhases][numEvents]error{
+	idle:        {evNextGen: errNotPending, evCommit: errNotPending, evCut: errNotPending, evApplied: errNotPending, evStall: errNotPending},
+	shipping:    {evSync: errSyncInFlight, evApplied: errNotPending},
+	applying:    {evSync: errSyncInFlight, evNextGen: errNotPending, evCommit: errNotPending, evCut: errNotPending},
+	handingOver: {evSync: ErrNotReady, evNextGen: errNotPending, evCommit: errNotPending, evCut: errNotPending, evStall: errAbandoned, evPromote: ErrPromoted},
+	promoted:    {evSync: ErrNotReady, evNextGen: errAbandoned, evApplied: errNotPending, evStall: errAbandoned, evPromote: ErrPromoted},
 }
 
 // Stats counts plane activity.
@@ -87,12 +121,10 @@ type Stats struct {
 type Plane struct {
 	w    *sim.World
 	node *vos.Node
-	cfg  Config
 
 	src   imagestore.Store       // primary's store, read side
 	out   *imagestore.TruncStore // remote client, armable for feed cuts
-	srv   *imagestore.Server
-	local imagestore.Store // standby-side mirror
+	local imagestore.Store       // standby-side mirror
 
 	tr  *trace.Tracer
 	reg *trace.Registry
@@ -101,24 +133,20 @@ type Plane struct {
 	shadows  map[string]ckpt.Chain   // pod name -> chain applied so far; its Image is the shadow
 	ackedSeq int
 	appliedT sim.Time
-	promoted bool
 
-	// One sync in flight at a time; shipping is a sequential state
-	// machine driven by server commit callbacks.
-	syncing  bool
+	// phase is written by enter alone. A sync ships its generations
+	// one record at a time, each step driven by the server's commit.
+	phase    phase
 	queue    []supervisor.Generation
 	files    []string
 	cur      supervisor.Generation
-	want     string // path whose server-side commit we are waiting for
+	want     string // the record on the wire: its server-side commit is the next step
 	doneFn   func(error)
 	span     *trace.Span
 	watchdog sim.EventID
 	lastSeq  int // newest seq known at sync start, for the lag gauge
 
-	// The generation being applied: its completion event and span, both
-	// ended with the sync that started them.
-	applying  bool
-	applyEv   sim.EventID
+	applyEv   sim.EventID // the apply of cur, and its span
 	applySpan *trace.Span
 	promoteCb func(images []*ckpt.Image, genT sim.Time, err error)
 
@@ -130,22 +158,19 @@ type Plane struct {
 // clientIP and serverIP are the plane's two transport endpoints on the
 // cluster interconnect and must not collide with job VIPs.
 func New(w *sim.World, nw *netstack.Network, node *vos.Node, src imagestore.Store,
-	clientIP, serverIP netstack.IP, cfg Config) (*Plane, error) {
-	cfg = cfg.withDefaults()
+	clientIP, serverIP netstack.IP) (*Plane, error) {
 	p := &Plane{
 		w:        w,
 		node:     node,
-		cfg:      cfg,
 		src:      src,
 		local:    imagestore.NewFS(memfs.New()),
 		shadows:  make(map[string]ckpt.Chain),
 		ackedSeq: -1,
 	}
-	srv, err := imagestore.NewServer(nw, serverIP, cfg.Port, p.local)
+	srv, err := imagestore.NewServer(nw, serverIP, port, p.local)
 	if err != nil {
 		return nil, fmt.Errorf("standby: server: %w", err)
 	}
-	p.srv = srv
 	srv.SetOnImage(p.onRecord)
 	srv.SetOnError(p.onTransferError)
 	remote, err := imagestore.NewRemote(nw, clientIP, srv.Addr())
@@ -172,7 +197,7 @@ func (p *Plane) Node() *vos.Node { return p.node }
 func (p *Plane) AckedSeq() int { return p.ackedSeq }
 
 // Ready reports whether the plane can still be promoted.
-func (p *Plane) Ready() bool { return !p.promoted && !p.node.Failed() }
+func (p *Plane) Ready() bool { return p.phase < handingOver && !p.node.Failed() }
 
 // Stats returns activity counters.
 func (p *Plane) Stats() Stats { return p.stats }
@@ -204,21 +229,37 @@ func (p *Plane) ShadowImages() []*ckpt.Image {
 	return images
 }
 
+// on is the gate every call into the plane and every callback it handed
+// out — to the clock, to the image server — passes first: nil when the
+// phase handles ev, otherwise the named reason it ignores ev.
+func (p *Plane) on(ev event) error { return ignores[p.phase][ev] }
+
+// enter is the only writer of p.phase. Entering idle or promoted
+// disarms the watchdog, and a sync that ends while its generation
+// applies cancels the apply and ends its span.
+func (p *Plane) enter(next phase) {
+	if next == idle || next == promoted {
+		p.w.Cancel(p.watchdog)
+	}
+	if p.phase == applying && next == idle {
+		p.w.Cancel(p.applyEv)
+		p.applySpan.End(trace.Str("err", "sync ended"))
+	}
+	p.phase = next
+}
+
 // Sync ships every generation past the ack watermark to the standby,
 // oldest first, applying each into the shadows. It implements
 // supervisor.Replica: done fires exactly once, and a failure leaves the
 // watermark wherever the last fully applied generation put it, so the
 // next sync resumes from there.
 func (p *Plane) Sync(gens []supervisor.Generation, done func(error)) {
-	if done == nil {
-		done = func(error) {}
-	}
-	if !p.Ready() {
+	if p.node.Failed() {
 		done(ErrNotReady)
 		return
 	}
-	if p.syncing {
-		done(fmt.Errorf("standby: sync already in flight"))
+	if err := p.on(evSync); err != nil {
+		done(err)
 		return
 	}
 	var queue []supervisor.Generation
@@ -231,7 +272,7 @@ func (p *Plane) Sync(gens []supervisor.Generation, done func(error)) {
 		done(nil)
 		return
 	}
-	p.syncing = true
+	p.enter(shipping)
 	p.queue = queue
 	p.doneFn = done
 	p.lastSeq = queue[len(queue)-1].Seq
@@ -239,44 +280,40 @@ func (p *Plane) Sync(gens []supervisor.Generation, done func(error)) {
 	p.stats.Syncs++
 	p.span = p.tr.Start(nil, "standby/replicate", trace.Track("standby"),
 		trace.I64("from_seq", int64(queue[0].Seq)), trace.I64("to_seq", int64(p.lastSeq)))
-	p.watchdog = p.w.After(p.cfg.StallTimeout, func() {
-		if !p.syncing || p.promoted {
-			return
-		}
-		p.want = ""
-		p.failSync(fmt.Errorf("%w: no acknowledgement within %v", ErrStalled, p.cfg.StallTimeout))
-	})
+	p.watchdog = p.w.After(StallTimeout, p.stalled)
 	// The supervisor-to-standby control hop that opens the sync.
 	p.w.After(p.w.Costs.CtrlLatency, p.nextGen)
 }
 
-// aborted checks the plane's liveness mid-sync. A promotion abandons
-// the sync silently (the supervisor is recovering and will never hear
-// the callback); a node failure fails it named.
-func (p *Plane) aborted() bool {
-	if p.promoted {
-		return true
+func (p *Plane) stalled() {
+	if p.on(evStall) == nil {
+		p.endSync(fmt.Errorf("%w: no acknowledgement within %v", ErrStalled, StallTimeout))
 	}
-	if p.node.Failed() {
-		p.failSync(fmt.Errorf("standby: node %s failed mid-replication", p.node.Name()))
-		return true
+}
+
+// nodeFailed fails the open sync, named, once the standby node has
+// failed: every step a sync takes checks it first.
+func (p *Plane) nodeFailed() bool {
+	if !p.node.Failed() {
+		return false
 	}
-	return false
+	p.endSync(fmt.Errorf("standby: node %s failed mid-replication", p.node.Name()))
+	return true
 }
 
 func (p *Plane) nextGen() {
-	if !p.syncing || p.aborted() {
+	if p.on(evNextGen) != nil || p.nodeFailed() {
 		return
 	}
 	if len(p.queue) == 0 {
-		p.finishSync(nil)
+		p.endSync(nil)
 		return
 	}
 	p.cur = p.queue[0]
 	p.queue = p.queue[1:]
 	files := p.src.List(p.cur.Dir)
 	if len(files) == 0 {
-		p.failSync(fmt.Errorf("standby: generation %s vanished from the primary store before replication", p.cur.Dir))
+		p.endSync(fmt.Errorf("standby: generation %s vanished from the primary store before replication", p.cur.Dir))
 		return
 	}
 	sort.Strings(files)
@@ -284,22 +321,29 @@ func (p *Plane) nextGen() {
 	p.nextFile()
 }
 
+// nextFile ships the generation's next record or, once all are in,
+// charges its apply: applied then materializes it into the shadows.
 func (p *Plane) nextFile() {
-	if !p.syncing || p.aborted() {
+	if len(p.files) > 0 {
+		path := p.files[0]
+		p.files = p.files[1:]
+		if err := p.ship(path); err != nil {
+			p.endSync(err)
+			return
+		}
+		p.want = path // the server's commit (or failure) callback drives the next step
 		return
 	}
-	if len(p.files) == 0 {
-		p.applyGen()
-		return
+	g, costs := p.cur, p.w.Costs
+	eff := costs.EffImageBytes(g.Bytes)
+	cost := costs.MemCopyTime(eff)
+	if g.Full {
+		cost = costs.RestoreTime(eff)
 	}
-	path := p.files[0]
-	p.files = p.files[1:]
-	if err := p.ship(path); err != nil {
-		p.failSync(err)
-		return
-	}
-	p.want = path
-	// The server's commit (or failure) callback drives the next step.
+	p.enter(applying)
+	p.applySpan = p.tr.Start(nil, "standby/apply", trace.Track("standby"),
+		trace.Str("dir", g.Dir), trace.I64("seq", int64(g.Seq)), trace.I64("bytes", g.Bytes))
+	p.applyEv = p.w.After(cost, p.applied)
 }
 
 // ship stages one record into the replication stream. Errors from the
@@ -334,76 +378,67 @@ func (p *Plane) ship(path string) error {
 }
 
 // onRecord fires when the server commits a fully received record into
-// the local mirror.
+// the local mirror. Once a promotion came, the record on the wire only
+// lands: the sync ships nothing more.
 func (p *Plane) onRecord(path string) {
 	p.reg.Counter("standby_replicated_records_total").Add(1)
-	if !p.syncing || path != p.want {
-		return // late commit of an abandoned transfer
+	if p.on(evCommit) != nil || path != p.want {
+		return // the late commit of an abandoned transfer
 	}
 	p.want = ""
-	p.nextFile()
+	if p.phase == shipping && !p.nodeFailed() {
+		p.nextFile()
+	}
 }
 
 // onTransferError fires when a transfer dies server-side without
 // committing (the stream was cut between client and server). An error
-// while no record is in flight (a generation applying, say), or naming
-// another record than the one in flight, is the late close of a
-// committed transfer.
+// naming another record than the one on the wire is the late close of
+// a committed transfer. The record on the wire when a promotion came
+// still fails its sync, named.
 func (p *Plane) onTransferError(path string, err error) {
-	if !p.syncing || p.want == "" || (path != p.want && path != "") {
+	if p.on(evCut) != nil || p.want == "" || (path != p.want && path != "") {
 		return
 	}
 	p.want = ""
-	p.failSync(err)
+	p.endSync(err)
 }
 
-// applyGen charges the apply cost for the fully received generation,
-// then materializes it into the shadows and advances the watermark.
-func (p *Plane) applyGen() {
-	g := p.cur
-	costs := p.w.Costs
-	eff := costs.EffImageBytes(g.Bytes)
-	var cost sim.Duration
-	if g.Full {
-		cost = costs.RestoreTime(eff)
-	} else {
-		cost = costs.MemCopyTime(eff)
+// applied advances the watermark past the applied generation, or hands
+// over whatever state is now current to the promotion that waited: the
+// bounded catch-up.
+func (p *Plane) applied() {
+	if p.on(evApplied) != nil {
+		return
 	}
-	p.applying = true
-	p.applySpan = p.tr.Start(nil, "standby/apply", trace.Track("standby"),
-		trace.Str("dir", g.Dir), trace.I64("seq", int64(g.Seq)), trace.I64("bytes", g.Bytes))
-	p.applyEv = p.w.After(cost, func() {
-		p.applying = false
-		shadows, err := p.materialize(g)
-		if err == nil {
-			p.shadows = shadows
-			p.gens = append(p.gens, g)
-			p.ackedSeq = g.Seq
-			p.appliedT = g.T
-			p.stats.GensApplied++
-			p.stats.BytesApplied += g.Bytes
-			p.reg.Counter("standby_applied_bytes_total").Add(g.Bytes)
-			p.reg.Counter("standby_applied_gens_total").Add(1)
-			p.setLag()
-			p.applySpan.End(trace.I64("acked_seq", int64(p.ackedSeq)))
-		} else {
-			p.applySpan.End(trace.Str("err", err.Error()))
-		}
-		if p.promoted {
-			// The bounded catch-up of a promotion that arrived mid-apply:
-			// hand over whatever state is now current.
-			if p.promoteCb != nil {
-				p.finishPromotion()
-			}
-			return
-		}
-		if err != nil {
-			p.failSync(fmt.Errorf("standby: applying %s: %w", g.Dir, err))
-			return
-		}
-		p.pruneLocal(g)
-		p.nextGen()
-	})
+	g := p.cur
+	shadows, err := p.materialize(g)
+	if err == nil {
+		p.shadows = shadows
+		p.gens = append(p.gens, g)
+		p.ackedSeq = g.Seq
+		p.appliedT = g.T
+		p.stats.GensApplied++
+		p.stats.BytesApplied += g.Bytes
+		p.reg.Counter("standby_applied_bytes_total").Add(g.Bytes)
+		p.reg.Counter("standby_applied_gens_total").Add(1)
+		p.setLag()
+		p.applySpan.End(trace.I64("acked_seq", int64(p.ackedSeq)))
+	} else {
+		p.applySpan.End(trace.Str("err", err.Error()))
+	}
+	if p.phase == handingOver {
+		p.enter(promoted)
+		p.handOver()
+		return
+	}
+	p.enter(shipping)
+	if err != nil {
+		p.endSync(fmt.Errorf("standby: applying %s: %w", g.Dir, err))
+		return
+	}
+	p.pruneLocal(g)
+	p.nextGen()
 }
 
 // materialize builds the next shadow map from the local mirror's
@@ -422,9 +457,7 @@ func (p *Plane) materialize(g supervisor.Generation) (map[string]ckpt.Chain, err
 	}
 	shadows := make(map[string]ckpt.Chain, len(p.shadows))
 	if !g.Full {
-		for name, c := range p.shadows {
-			shadows[name] = c
-		}
+		maps.Copy(shadows, p.shadows)
 	}
 	for _, pc := range imagestore.PodChains(files) {
 		c, err := pc.Read(p.local, shadows[pc.Pod])
@@ -442,57 +475,30 @@ func (p *Plane) pruneLocal(g supervisor.Generation) {
 	if !g.Full {
 		return
 	}
-	kept := p.gens[:0]
-	for _, og := range p.gens {
-		if og.Seq < g.Seq {
-			for _, f := range p.local.List(og.Dir) {
-				p.local.Remove(f)
-			}
-			continue
+	last := len(p.gens) - 1 // g, the newest
+	for _, og := range p.gens[:last] {
+		for _, f := range p.local.List(og.Dir) {
+			p.local.Remove(f)
 		}
-		kept = append(kept, og)
 	}
-	p.gens = kept
+	p.gens = p.gens[last:]
 }
 
-func (p *Plane) finishSync(err error) {
-	if !p.syncing {
-		return
+// endSync reports the open sync's end, counting a failure. A sync the
+// promotion abandoned leaves the plane promoted.
+func (p *Plane) endSync(err error) {
+	if p.phase != promoted {
+		p.enter(idle)
 	}
-	p.syncing = false
 	p.want = ""
-	p.files, p.queue = nil, nil
-	p.w.Cancel(p.watchdog)
-	if p.applying {
-		// The apply ends with its sync: nothing may ack a generation
-		// after the sync reported its failure, or step a later sync's
-		// queue, and a promotion hands over the watermark at once.
-		p.w.Cancel(p.applyEv)
-		p.applying = false
-		p.applySpan.End(trace.Str("err", "sync ended"))
+	if err != nil {
+		p.stats.SyncErrors++
+		p.reg.Counter("standby_sync_errors_total").Add(1)
+		p.span.End(trace.Str("err", err.Error()))
+	} else {
+		p.span.End(trace.I64("acked_seq", int64(p.ackedSeq)))
 	}
-	if p.span != nil {
-		if err != nil {
-			p.span.End(trace.Str("err", err.Error()))
-		} else {
-			p.span.End(trace.I64("acked_seq", int64(p.ackedSeq)))
-		}
-		p.span = nil
-	}
-	done := p.doneFn
-	p.doneFn = nil
-	if done != nil {
-		done(err)
-	}
-}
-
-func (p *Plane) failSync(err error) {
-	if !p.syncing {
-		return
-	}
-	p.stats.SyncErrors++
-	p.reg.Counter("standby_sync_errors_total").Add(1)
-	p.finishSync(err)
+	p.doneFn(err)
 }
 
 // Promote retires the plane and hands over the shadow images. If a
@@ -500,36 +506,27 @@ func (p *Plane) failSync(err error) {
 // the bounded catch-up — but an incompletely received generation is
 // abandoned: promotion state is exactly the acknowledgement watermark.
 func (p *Plane) Promote(cb func(images []*ckpt.Image, genT sim.Time, err error)) {
-	if cb == nil {
-		cb = func([]*ckpt.Image, sim.Time, error) {}
-	}
-	if p.promoted {
-		cb(nil, 0, ErrPromoted)
+	if err := p.on(evPromote); err != nil {
+		cb(nil, 0, err)
 		return
 	}
-	p.promoted = true
 	p.promoteCb = cb
-	if p.applying {
-		return // the pending apply completes the handover
+	if p.phase == applying {
+		p.enter(handingOver) // applied completes the handover
+		return
 	}
-	p.finishPromotion()
+	p.enter(promoted)
+	p.handOver()
 }
 
-func (p *Plane) finishPromotion() {
-	cb := p.promoteCb
-	p.promoteCb = nil
-	p.w.Cancel(p.watchdog)
+func (p *Plane) handOver() {
 	if len(p.shadows) == 0 {
-		cb(nil, 0, fmt.Errorf("standby: no generation applied before promotion"))
+		p.promoteCb(nil, 0, fmt.Errorf("standby: no generation applied before promotion"))
 		return
 	}
-	cb(p.ShadowImages(), p.appliedT, nil)
+	p.promoteCb(p.ShadowImages(), p.appliedT, nil)
 }
 
 func (p *Plane) setLag() {
-	lag := int64(p.lastSeq - p.ackedSeq)
-	if lag < 0 {
-		lag = 0
-	}
-	p.reg.Gauge("standby_lag_gens").Set(lag)
+	p.reg.Gauge("standby_lag_gens").Set(int64(max(p.lastSeq-p.ackedSeq, 0)))
 }

@@ -30,7 +30,7 @@ func TestNodeDownBetweenFlushWavesDivertsOnce(t *testing.T) {
 
 	costs := sim.DefaultCosts()
 	costs.DiskBandwidth = 4e3 // a wave of a few KB then takes hundreds of ms
-	c := cluster.New(cluster.Config{Nodes: 4, Seed: 5, Costs: &costs})
+	c := cluster.New(cluster.Config{Nodes: 4, Seed: 5, Costs: &costs, Fanout: 2})
 	job, err := c.Launch(spec)
 	if err != nil {
 		t.Fatal(err)
@@ -39,7 +39,6 @@ func TestNodeDownBetweenFlushWavesDivertsOnce(t *testing.T) {
 		HeartbeatInterval: 10 * sim.Millisecond,
 		CheckpointEvery:   sim.Second,
 		StopAndCopy:       true,
-		Fanout:            2,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -57,7 +57,6 @@ import (
 	"strings"
 
 	"zapc/internal/ckpt"
-	"zapc/internal/coord"
 	"zapc/internal/core"
 	"zapc/internal/imagestore"
 	"zapc/internal/memfs"
@@ -183,11 +182,6 @@ type Policy struct {
 	// only quiesced for the residual dirty set, which is what makes
 	// frequent checkpoints affordable downtime-wise.
 	StopAndCopy bool
-	// Fanout selects the coordination-tree arity handed to the
-	// coordinated checkpoint and restart operations. Positive values
-	// route control traffic through a k-ary tree of sub-coordinators;
-	// zero keeps the manager's default (flat) topology.
-	Fanout int
 }
 
 func (p Policy) withDefaults() Policy {
@@ -718,9 +712,6 @@ func (s *Supervisor) checkpointAttempt() {
 		Timeout: s.pol.CheckpointTimeout,
 		Workers: s.pol.Workers,
 		Incr:    s.incr,
-	}
-	if s.pol.Fanout > 0 {
-		opts.Coord = &coord.Config{Fanout: s.pol.Fanout}
 	}
 	if s.incr == nil && !s.pol.StopAndCopy {
 		// Periodic non-incremental checkpoints default to pre-copy: the
@@ -1299,9 +1290,6 @@ func (s *Supervisor) restart(images []*ckpt.Image, genT sim.Time, warm *vos.Node
 		}
 	}
 	s.t.Mgr.SetWorkers(s.pol.Workers)
-	if s.pol.Fanout > 0 {
-		s.t.Mgr.SetCoord(&coord.Config{Fanout: s.pol.Fanout})
-	}
 	s.t.Mgr.Restart(placements, nil, s.restartDone)
 }
 

@@ -64,10 +64,10 @@ type (
 	Job = cluster.Job
 	// CheckpointOptions tunes a coordinated checkpoint.
 	CheckpointOptions = core.Options
-	// CoordConfig selects the coordination-tree topology for coordinated
-	// operations (CheckpointOptions.Coord, Config.Fanout,
-	// SupervisorPolicy.Fanout). The zero value selects the default
-	// fan-out; unset means the legacy flat star.
+	// CoordConfig selects the coordination-tree topology of a cluster's
+	// coordinated operations. Config.Fanout is the one way to set it
+	// (the cluster hands it to Manager.SetCoord); unset means the
+	// legacy flat star.
 	CoordConfig = coord.Config
 	// CoordStats is the per-link control-plane accounting of one
 	// coordinated operation (message, byte, and root-message counts).
@@ -132,8 +132,9 @@ type (
 //	c.Drive(job.Finished, 10*zapc.Minute) // promotion happens underneath
 //	_ = plane.Stats().GensApplied
 type (
-	// StandbyConfig sizes the warm standby (node CPUs, replication
-	// port, stall timeout).
+	// StandbyConfig is AttachStandby's argument and has no fields: the
+	// standby node has the first node's CPU count, and the replication
+	// port and stall timeout are constants.
 	StandbyConfig = cluster.StandbyConfig
 	// StandbyPlane is the replication plane on the standby node: the
 	// record receiver, the shadow state, and the promotion handover.
