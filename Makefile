@@ -5,7 +5,7 @@ FUZZTIME ?= 5s
 GOTESTFLAGS ?= -race -count=1
 GOTEST = $(GO) test $(GOTESTFLAGS)
 
-.PHONY: ci fmt vet boundary build test race race-precopy cow-check fuzz chaos enum-check dedup-check scale-check obs-check standby-check bench-module host-bench cover bench baseline trace-check examples loc clean
+.PHONY: ci fmt vet boundary build test race race-precopy cow-check fuzz chaos enum-check dedup-check scale-check obs-check standby-check bench-module host-bench cover bench baseline fingerprint fingerprint-wide trace-check examples loc clean
 
 # Full CI gate: static checks, the package-boundary check, a clean
 # build, the race-enabled suite (which holds the modeled-baseline
@@ -294,6 +294,22 @@ bench:
 # which field (EXPERIMENTS.md, "Modeled baseline").
 baseline:
 	$(GO) run ./cmd/zapc-bench -fig ckpt -out testdata/modeled_baseline.json
+
+# Regenerate the committed simulation fingerprint that
+# TestSimulationFingerprint compares against: the canonical trace log,
+# the chaos verdicts of the corpus seed bands and each charge-pinned
+# job's event count. Same rule as `make baseline`: only a change that
+# moves the simulation on purpose runs it, and says which component
+# moved and why.
+fingerprint:
+	ZAPC_FINGERPRINT_WRITE=1 $(GO) test -count=1 -run '^TestSimulationFingerprint$$' .
+
+# The chaos verdicts of 802 seeds (1-200, 10000-10200, 20000-20400)
+# against testdata/sim_fingerprint_wide.json; about 20 s, so outside
+# tier-1 and `make ci`. `ZAPC_FINGERPRINT_WRITE=1 make fingerprint-wide`
+# regenerates the file under the same rule.
+fingerprint-wide:
+	ZAPC_FINGERPRINT_WIDE=1 $(GO) test -count=1 -timeout 30m -run '^TestSimulationFingerprintWide$$' .
 
 examples:
 	$(GO) run ./examples/quickstart

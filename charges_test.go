@@ -49,24 +49,7 @@ var chargePins = []chargePin{
 func TestJobChargesArePinned(t *testing.T) {
 	for _, pin := range chargePins {
 		t.Run(pin.name, func(t *testing.T) {
-			c := zapc.New(zapc.Config{Nodes: pin.nodes, CPUsPerNode: pin.cpus, Seed: 2005})
-			job, err := c.Launch(pin.spec)
-			if err != nil {
-				t.Fatal(err)
-			}
-			var ranks []*vos.Process
-			for _, p := range job.Pods {
-				proc, ok := p.Lookup(1)
-				if !ok {
-					t.Fatalf("pod %s has no application process", p.Name())
-				}
-				ranks = append(ranks, proc)
-			}
-			// Twice the pinned finish: a job the change stalls fails here,
-			// not after hours of simulated heartbeats.
-			if _, err := c.RunJob(job, 2*sim.Duration(pin.finish)); err != nil {
-				t.Fatal(err)
-			}
+			c, ranks := runChargePin(t, pin)
 			cpu := make([]sim.Duration, len(ranks))
 			for i, p := range ranks {
 				cpu[i] = p.CPUTime()
@@ -78,4 +61,29 @@ func TestJobChargesArePinned(t *testing.T) {
 			}
 		})
 	}
+}
+
+// runChargePin runs pin's job to completion and returns its cluster and
+// every rank's application process.
+func runChargePin(t *testing.T, pin chargePin) (*zapc.Cluster, []*vos.Process) {
+	t.Helper()
+	c := zapc.New(zapc.Config{Nodes: pin.nodes, CPUsPerNode: pin.cpus, Seed: 2005})
+	job, err := c.Launch(pin.spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ranks []*vos.Process
+	for _, p := range job.Pods {
+		proc, ok := p.Lookup(1)
+		if !ok {
+			t.Fatalf("pod %s has no application process", p.Name())
+		}
+		ranks = append(ranks, proc)
+	}
+	// Twice the pinned finish: a job the change stalls fails here, not
+	// after hours of simulated heartbeats.
+	if _, err := c.RunJob(job, 2*sim.Duration(pin.finish)); err != nil {
+		t.Fatal(err)
+	}
+	return c, ranks
 }
