@@ -279,7 +279,7 @@ func TestCommitCheckNamesARecordChangedAtRest(t *testing.T) {
 		t.Fatal(err)
 	}
 	sup, err := c.Supervise(job, supervisor.Policy{Dir: "ce/sup", Incremental: true,
-		CheckpointEvery: 100 * sim.Millisecond, RetryBackoff: 10 * sim.Millisecond})
+		CheckpointEvery: 100 * sim.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}

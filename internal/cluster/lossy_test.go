@@ -12,7 +12,8 @@ import (
 // interconnect: reliable transport recovers, collectives finish, and the
 // result is exact.
 func TestLossyNetworkRunCompletes(t *testing.T) {
-	c := New(Config{Nodes: 4, Seed: 9, LossRate: 0.05})
+	c := New(Config{Nodes: 4, Seed: 9})
+	c.Net.SetLossRate(0.05)
 	job, err := c.Launch(JobSpec{App: "cpi", Endpoints: 4, Work: 0.02, Scale: 0.001})
 	if err != nil {
 		t.Fatal(err)
@@ -32,7 +33,8 @@ func TestLossyNetworkRunCompletes(t *testing.T) {
 func TestCheckpointUnderLoss(t *testing.T) {
 	ref := referenceLossy(t)
 
-	c := New(Config{Nodes: 4, Seed: 9, LossRate: 0.05})
+	c := New(Config{Nodes: 4, Seed: 9})
+	c.Net.SetLossRate(0.05)
 	job, err := c.Launch(JobSpec{App: "bratu", Endpoints: 4, Work: 0.03, Scale: 0.001})
 	if err != nil {
 		t.Fatal(err)
@@ -54,7 +56,8 @@ func TestCheckpointUnderLoss(t *testing.T) {
 
 func referenceLossy(t *testing.T) float64 {
 	t.Helper()
-	c := New(Config{Nodes: 4, Seed: 9, LossRate: 0.05})
+	c := New(Config{Nodes: 4, Seed: 9})
+	c.Net.SetLossRate(0.05)
 	job, err := c.Launch(JobSpec{App: "bratu", Endpoints: 4, Work: 0.03, Scale: 0.001})
 	if err != nil {
 		t.Fatal(err)
@@ -68,7 +71,8 @@ func referenceLossy(t *testing.T) float64 {
 // TestSnapshotWithDaemonsUnderLoss combines every moving part: lossy
 // network, daemons with UDP state, repeated snapshots.
 func TestSnapshotWithDaemonsUnderLoss(t *testing.T) {
-	c := New(Config{Nodes: 4, Seed: 10, LossRate: 0.03})
+	c := New(Config{Nodes: 4, Seed: 10})
+	c.Net.SetLossRate(0.03)
 	job, err := c.Launch(JobSpec{App: "bt", Endpoints: 4, Work: 0.03, Scale: 0.001, WithDaemons: true})
 	if err != nil {
 		t.Fatal(err)

@@ -134,15 +134,14 @@ type Options struct {
 	// the reported checkpoint time, matching the paper's methodology).
 	FlushTo string
 	// SnapshotFS takes a point-in-time snapshot of the shared
-	// filesystem immediately prior to reactivating the pods, as the
-	// paper does with SAN/unionfs snapshot functionality, so the
-	// checkpoint also has a consistent file-system image.
+	// filesystem immediately prior to reactivating the pods: the paper's
+	// SAN/unionfs snapshot, so the checkpoint also has a consistent
+	// file-system image.
 	SnapshotFS bool
 	// Timeout is the checkpoint watchdog: if the coordinated operation
 	// has not completed within this span the manager aborts it and the
 	// agents resume their pods, instead of hanging until the caller's
-	// Drive deadline. Zero selects DefaultCheckpointTimeout; negative
-	// disables the watchdog.
+	// Drive deadline. Zero or less selects DefaultCheckpointTimeout.
 	Timeout sim.Duration
 	// Workers is the per-agent serialization width the checkpoint
 	// models: the modeled memory-copy time divides by the effective
@@ -172,7 +171,9 @@ type Options struct {
 
 // Pre-copy defaults: the round budget keeps a non-converging writer from
 // looping forever, and the convergence threshold is roughly what one
-// residual round costs against model memory bandwidth.
+// residual round costs against model memory bandwidth: once the dirty
+// set a round accumulated is at most that many bytes, another round is
+// not worth its overhead and the agent quiesces.
 const (
 	defaultPrecopyRounds   = 8
 	defaultPrecopyConverge = 64 << 10
@@ -183,17 +184,8 @@ type PrecopyOptions struct {
 	// MaxRounds bounds the live copy rounds, the base snapshot included.
 	// When the dirty set has not converged after this many rounds the
 	// agent quiesces anyway and stop-and-copies the remainder. Zero
-	// selects 8.
+	// selects 8. It stays settable for the 3-round golden record.
 	MaxRounds int
-	// ConvergeBytes is the convergence threshold: once the dirty set
-	// accumulated during a round is at most this many bytes, another
-	// round is not worth its overhead and the agent quiesces. Zero
-	// selects 64 KiB.
-	ConvergeBytes int64
-	// MaxResentBytes caps the total bytes re-copied by rounds after the
-	// base snapshot — a bandwidth budget for write-heavy applications
-	// whose dirty rate outruns convergence. Zero means unlimited.
-	MaxResentBytes int64
 }
 
 func (o *PrecopyOptions) maxRounds() int {
@@ -203,11 +195,12 @@ func (o *PrecopyOptions) maxRounds() int {
 	return o.MaxRounds
 }
 
-func (o *PrecopyOptions) convergeBytes() int64 {
-	if o.ConvergeBytes <= 0 {
-		return defaultPrecopyConverge
+// timeout is the checkpoint watchdog's span.
+func (o *Options) timeout() sim.Duration {
+	if o.Timeout <= 0 {
+		return DefaultCheckpointTimeout
 	}
-	return o.ConvergeBytes
+	return o.Timeout
 }
 
 // effWorkers is the pool width an operation models: the caller's, at
@@ -486,15 +479,10 @@ func (m *Manager) Checkpoint(pods []*pod.Pod, opts Options, onDone func(*Checkpo
 	// Arm the watchdog: a stalled agent (lost control message, node
 	// wedged before reporting) aborts the operation and resumes the
 	// pods rather than hanging until the caller's deadline.
-	timeout := opts.Timeout
-	if timeout == 0 {
-		timeout = DefaultCheckpointTimeout
-	}
-	if timeout > 0 {
-		op.watchdog = m.w.After(timeout, func() {
-			op.finish(fmt.Errorf("%w: checkpoint stalled for %v", ErrTimeout, timeout))
-		})
-	}
+	timeout := opts.timeout()
+	op.watchdog = m.w.After(timeout, func() {
+		op.finish(fmt.Errorf("%w: checkpoint stalled for %v", ErrTimeout, timeout))
+	})
 	mode := "snapshot"
 	if opts.Mode == Migrate {
 		mode = "migrate"
@@ -732,11 +720,7 @@ func (a *ckptAgent) waitQuiescent() {
 		if d <= 0 {
 			d = 200 * sim.Microsecond
 		}
-		maxWait := a.op.opts.Timeout
-		if maxWait <= 0 {
-			maxWait = DefaultCheckpointTimeout
-		}
-		d = min(d, maxWait)
+		d = min(d, a.op.opts.timeout())
 		a.backoff = 2 * d
 		a.op.after(d, a.waitQuiescent)
 		return
@@ -752,7 +736,7 @@ func (a *ckptAgent) precopyBase() {
 	popts := a.op.opts.Precopy
 	a.preSpan = a.op.m.tr.Start(a.span, "ckpt/precopy",
 		trace.I64("max_rounds", int64(popts.maxRounds())),
-		trace.I64("converge_bytes", popts.convergeBytes()))
+		trace.I64("converge_bytes", defaultPrecopyConverge))
 	a.pre = ckpt.NewTracker()
 	a.precopyRound()
 }
@@ -815,12 +799,10 @@ func (a *ckptAgent) precopyRoundDone(pend *ckpt.Pending, roundStart sim.Time, re
 	dirty := a.pre.DirtyBytes(a.pod)
 	reason := ""
 	switch {
-	case dirty <= popts.convergeBytes():
+	case dirty <= defaultPrecopyConverge:
 		reason = "converged"
 	case round >= popts.maxRounds():
 		reason = "round-budget"
-	case popts.MaxResentBytes > 0 && a.preResent >= popts.MaxResentBytes:
-		reason = "byte-budget"
 	}
 	if reason == "" {
 		a.precopyRound()

@@ -10,7 +10,7 @@ var (
 	// ErrDeadline is returned when the simulated clock passes the
 	// watchdog deadline before the condition holds.
 	ErrDeadline = errors.New("sim: watchdog deadline exceeded")
-	// ErrLivelock is returned when more than MaxStalled events fire
+	// ErrLivelock is returned when more than DefaultMaxStalled events fire
 	// without the simulated clock advancing — an event cascade that
 	// would otherwise spin the host CPU forever at one instant.
 	ErrLivelock = errors.New("sim: watchdog livelock: event cascade without clock progress")
@@ -34,19 +34,12 @@ type Watchdog struct {
 	// Deadline is the simulated-time budget, measured from the moment
 	// Drive is called.
 	Deadline Duration
-	// MaxStalled bounds events fired at a single instant
-	// (0 selects DefaultMaxStalled).
-	MaxStalled int
 }
 
 // Drive steps the world until cond holds or a watchdog trips, returning
 // nil on success or one of ErrDeadline, ErrLivelock, ErrDrained.
 func (wd Watchdog) Drive(cond func() bool) error {
 	limit := wd.W.Now() + Time(wd.Deadline)
-	maxStalled := wd.MaxStalled
-	if maxStalled <= 0 {
-		maxStalled = DefaultMaxStalled
-	}
 	stalled := 0
 	last := wd.W.Now()
 	for !cond() {
@@ -64,7 +57,7 @@ func (wd Watchdog) Drive(cond func() bool) error {
 			stalled = 0
 		} else {
 			stalled++
-			if stalled > maxStalled {
+			if stalled > DefaultMaxStalled {
 				return ErrLivelock
 			}
 		}

@@ -37,12 +37,16 @@ func TestWatchdogLivelock(t *testing.T) {
 	// An event that reschedules itself with zero delay: the queue never
 	// drains and the clock never advances.
 	var spin func()
-	spin = func() { w.After(0, spin) }
+	spins := 0
+	spin = func() { spins++; w.After(0, spin) }
 	w.After(0, spin)
-	wd := Watchdog{W: w, Deadline: Second, MaxStalled: 1000}
+	wd := Watchdog{W: w, Deadline: Second}
 	err := wd.Drive(func() bool { return false })
 	if !errors.Is(err, ErrLivelock) {
 		t.Fatalf("err = %v, want ErrLivelock", err)
+	}
+	if spins != DefaultMaxStalled+1 {
+		t.Fatalf("tripped after %d same-instant events, want %d", spins, DefaultMaxStalled+1)
 	}
 }
 

@@ -83,7 +83,7 @@ func incrementalJob(t *testing.T, spec cluster.JobSpec, every float64) (*cluster
 	}
 	sup, err := c.Supervise(job, supervisor.Policy{
 		Dir: "ind", Incremental: true, FullEvery: 16, Retain: 16,
-		CheckpointEvery: sim.Duration(float64(refDur) * every), RetryBackoff: 10 * sim.Millisecond,
+		CheckpointEvery: sim.Duration(float64(refDur) * every),
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -138,7 +138,7 @@ func TestSupervisorHeartbeatLatency(t *testing.T) {
 		t.Fatalf("no node-down event; events: %v", sup.Events())
 	}
 	eff := sup.Policy()
-	bound := eff.HeartbeatTimeout + 3*eff.HeartbeatInterval
+	bound := supervisor.HeartbeatMisses*eff.HeartbeatInterval + 3*eff.HeartbeatInterval
 	if lat := sim.Duration(downs[0].T - crashed); lat > bound {
 		t.Fatalf("detection latency %v exceeds %v", lat, bound)
 	}
@@ -147,20 +147,23 @@ func TestSupervisorHeartbeatLatency(t *testing.T) {
 // TestSupervisorRetryBackoff injects a transient control-plane fault
 // (the first checkpoint's broadcast is dropped entirely) and verifies
 // the supervisor retries with backoff and commits on a later attempt.
+// The job is sized to outlive the first attempt's watchdog
+// (CheckpointTimeout) and the first backoff, so the retry runs while it
+// still does.
 func TestSupervisorRetryBackoff(t *testing.T) {
-	spec := cluster.JobSpec{App: "bratu", Endpoints: 4, Work: 0.03, Scale: 0.001}
+	spec := cluster.JobSpec{App: "bratu", Endpoints: 4, Work: 0.5, Scale: 0.001}
 	want, refDur := reference(t, 5, spec)
+	every := refDur / 16
+	if retry := every + supervisor.CheckpointTimeout + supervisor.RetryBackoff; retry > refDur*3/4 {
+		t.Fatalf("the retry at %v would land too close to the job's end at %v", retry, refDur)
+	}
 
 	c := cluster.New(cluster.Config{Nodes: 4, Seed: 5})
 	job, err := c.Launch(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sup, err := c.Supervise(job, supervisor.Policy{
-		CheckpointEvery:   refDur / 4,
-		CheckpointTimeout: 200 * sim.Millisecond,
-		RetryBackoff:      50 * sim.Millisecond,
-	})
+	sup, err := c.Supervise(job, supervisor.Policy{CheckpointEvery: every})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,7 +221,6 @@ func TestCommitCheckRefusesStrayRecord(t *testing.T) {
 			}
 			tc.pol.Dir = "stray"
 			tc.pol.CheckpointEvery = refDur / 10
-			tc.pol.RetryBackoff = 10 * sim.Millisecond
 			sup, err := c.Supervise(job, tc.pol)
 			if err != nil {
 				t.Fatal(err)

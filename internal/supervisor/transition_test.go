@@ -48,7 +48,7 @@ func newRig(t *testing.T) *rig {
 		Nodes:    func() []*vos.Node { return r.nodes },
 		Rebind:   func(ps []*pod.Pod) error { r.pods = ps; return nil },
 		Finished: func() bool { return r.finished },
-	}, Policy{HeartbeatInterval: 1000 * sim.Second, CheckpointEvery: 50 * sim.Second, MaxRetries: 2, StopAndCopy: true})
+	}, Policy{Dir: "rig", HeartbeatInterval: 1000 * sim.Second, CheckpointEvery: 50 * sim.Second, StopAndCopy: true})
 	r.s.Start()
 	r.s.checkpointAttempt()
 	r.runUntil(stIdle)
@@ -194,7 +194,7 @@ func TestTransitionsUnderConditions(t *testing.T) {
 		check  func(t *testing.T, r *rig)
 	}{
 		{"ckpt-done/retries exhausted gives the period up", stCheckpointing,
-			func(r *rig) { r.s.attempt = r.s.pol.MaxRetries; r.deliver(evCkptDone) }, stIdle, 2,
+			func(r *rig) { r.s.attempt = MaxRetries; r.deliver(evCkptDone) }, stIdle, 2,
 			func(t *testing.T, r *rig) {
 				if len(r.s.EventsOf(EvCkptGiveUp)) != 1 {
 					t.Errorf("no give-up logged: %v", r.s.events)
@@ -208,7 +208,7 @@ func TestTransitionsUnderConditions(t *testing.T) {
 				}
 			}},
 		{"restart-done/retries exhausted halts", stRecovering,
-			func(r *rig) { r.s.attempt = r.s.pol.MaxRetries; r.deliver(evRestartDone) }, stStopped, 0,
+			func(r *rig) { r.s.attempt = MaxRetries; r.deliver(evRestartDone) }, stStopped, 0,
 			func(t *testing.T, r *rig) {
 				if !errors.Is(r.s.Err(), ErrGivenUp) {
 					t.Errorf("err = %v, want ErrGivenUp", r.s.Err())
@@ -319,7 +319,7 @@ func TestHaltErrorsNameStateAndGeneration(t *testing.T) {
 		}},
 		{ErrGivenUp, func(r *rig) {
 			r.s.enter(stRecovering, "")
-			r.s.attempt = r.s.pol.MaxRetries
+			r.s.attempt = MaxRetries
 			r.deliver(evRestartDone)
 		}},
 	} {

@@ -75,7 +75,8 @@ type (
 	// PrecopyOptions selects iterative pre-copy live checkpointing via
 	// CheckpointOptions.Precopy: the pod keeps running through the bulk
 	// of the serialization and is quiesced only for the residual dirty
-	// set. Zero values pick the default round/convergence budgets.
+	// set. It stops once a round leaves at most 64 KiB dirty, or after
+	// MaxRounds rounds (zero picks 8).
 	PrecopyOptions = core.PrecopyOptions
 	// CheckpointResult carries images and the timing breakdown.
 	CheckpointResult = core.CheckpointResult
@@ -104,7 +105,8 @@ type (
 //	c.Drive(job.Finished, 10*zapc.Minute) // recovery happens underneath
 type (
 	// SupervisorPolicy tunes the self-healing loop (heartbeat cadence,
-	// checkpoint period, retry/backoff, generation retention).
+	// checkpoint period, generation retention); its timeouts and
+	// retry/backoff are the supervisor's constants.
 	SupervisorPolicy = supervisor.Policy
 	// Supervisor is the self-healing control loop for one job.
 	Supervisor = supervisor.Supervisor
