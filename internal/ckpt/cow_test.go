@@ -72,7 +72,11 @@ type cowCheck struct {
 	mem   map[*pod.Pod]cowMemory
 	tr    *Tracker
 	caps  []cowCapture
-	names int // regions created so far; see set
+	names int // region names used so far; see set
+	// dropped holds each process's dropped region names, and recreated
+	// counts the sets that brought one back.
+	dropped   map[*vos.Process]map[string]bool
+	recreated int
 }
 
 func (k *cowCheck) bytes() []byte {
@@ -93,16 +97,21 @@ func (k *cowCheck) pick(p *pod.Pod) (*vos.Process, string) {
 	return proc, regions[k.rng.Intn(len(regions))].Name
 }
 
-// set replaces a region or creates one under a name never used before:
-// a region dropped and re-created since the base sits at the end of the
-// process's table but is rebuilt by ApplyDelta in its old position — the
-// same memory, a different record — which is how the delta format has
-// always behaved and not what this check is about.
+// set replaces a region or creates one, under a new name or one used
+// before — by another process, or by this one before it dropped it: a
+// region dropped and re-created sits at the end of the process's table,
+// and a delta must rebuild it there.
 func (k *cowCheck) set(p *pod.Pod) {
 	proc, name := k.pick(p)
 	if name == "" || k.rng.Intn(2) == 0 {
-		name = fmt.Sprintf("r%d", k.names)
-		k.names++
+		i := k.rng.Intn(k.names + 1)
+		if i == k.names {
+			k.names++
+		}
+		name = fmt.Sprintf("r%d", i)
+	}
+	if _, held := proc.Region(name); !held && k.dropped[proc][name] {
+		k.recreated++
 	}
 	data := k.bytes()
 	proc.SetRegion(name, data)
@@ -134,6 +143,10 @@ func (k *cowCheck) drop(p *pod.Pod) {
 	}
 	proc.DropRegion(name)
 	delete(k.mem[p][proc.VPID], name)
+	if k.dropped[proc] == nil {
+		k.dropped[proc] = make(map[string]bool)
+	}
+	k.dropped[proc][name] = true
 }
 
 // capture takes the next record of the source pod's chain, frozen or
@@ -244,7 +257,7 @@ func TestCOWModelCheck(t *testing.T) {
 			k := &cowCheck{
 				t: t, rng: rand.New(rand.NewSource(seed)),
 				src: src, dstOn: mkCluster(t, 1), tr: NewTracker(),
-				mem: map[*pod.Pod]cowMemory{src: {}},
+				mem: map[*pod.Pod]cowMemory{src: {}}, dropped: make(map[*vos.Process]map[string]bool),
 			}
 			for i := 0; i < 3; i++ {
 				k.mem[src][src.AddProcess(&worker{Limit: 10}).VPID] = make(map[string][]byte)
@@ -274,8 +287,9 @@ func TestCOWModelCheck(t *testing.T) {
 				}
 				k.invariants()
 			}
-			if len(k.caps) < 10 || k.dst == nil {
-				t.Fatalf("the sequence took %d captures and restored %v — too few to mean anything", len(k.caps), k.dst != nil)
+			if len(k.caps) < 10 || k.dst == nil || k.recreated == 0 {
+				t.Fatalf("the sequence took %d captures, restored %v and re-created %d dropped regions — too few to mean anything",
+					len(k.caps), k.dst != nil, k.recreated)
 			}
 		})
 	}

@@ -33,7 +33,10 @@ type ProcDelta struct {
 	// parent generation's watermark (region granularity, like the
 	// page-granularity incremental checkpointing of the paper's Zap
 	// layer).
-	Regions        []vos.Region
+	Regions []vos.Region
+	// RemovedRegions lists the parent's regions to drop before Regions
+	// is applied: the ones gone, and the ones re-created since, which a
+	// process's table holds after every region it kept.
 	RemovedRegions []string
 	// FDs is the complete descriptor table; it is small enough that
 	// diffing it is not worth the bookkeeping.
@@ -111,6 +114,14 @@ func ApplyDelta(base *Image, d *DeltaImage) (*Image, error) {
 		if pd.ProgChanged {
 			pi.ProgData = pd.ProgData
 		}
+		for _, name := range pd.RemovedRegions {
+			for i := range pi.Regions {
+				if pi.Regions[i].Name == name {
+					pi.Regions = append(pi.Regions[:i], pi.Regions[i+1:]...)
+					break
+				}
+			}
+		}
 		for _, r := range pd.Regions {
 			replaced := false
 			for i := range pi.Regions {
@@ -122,14 +133,6 @@ func ApplyDelta(base *Image, d *DeltaImage) (*Image, error) {
 			}
 			if !replaced {
 				pi.Regions = append(pi.Regions, r)
-			}
-		}
-		for _, name := range pd.RemovedRegions {
-			for i := range pi.Regions {
-				if pi.Regions[i].Name == name {
-					pi.Regions = append(pi.Regions[:i], pi.Regions[i+1:]...)
-					break
-				}
 			}
 		}
 		pi.FDs = append([]FDEntry(nil), pd.FDs...)
@@ -285,23 +288,32 @@ func buildDelta(img, last *Image, lastProg map[vos.PID][]byte,
 			// differs. It cannot see a write made through Region() —
 			// both images hold that array — which is why WriteRegion is
 			// the only call that hands out bytes to write.
+			//
+			// A process's table is the regions it kept, in the parent's
+			// order, then the ones it created since. So the kept ones are
+			// the longest prefix in the parent's order, and a parent's
+			// name past that prefix was dropped and re-created: it is
+			// removed and shipped again, so the delta rebuilds it at the
+			// end of the table as a full capture does.
 			names := dirtyNames[pi.VPID]
-			oldReg := make(map[string][]byte, len(old.Regions))
-			for _, r := range old.Regions {
-				oldReg[r.Name] = r.Data
+			oldIdx := make(map[string]int, len(old.Regions))
+			for i, r := range old.Regions {
+				oldIdx[r.Name] = i
 			}
+			kept := make(map[string]bool, len(pi.Regions))
+			last, prefix := -1, true
 			for _, r := range pi.Regions {
-				ob, ok := oldReg[r.Name]
-				if !ok || names[r.Name] || !sameBytes(ob, r.Data) {
+				i, ok := oldIdx[r.Name]
+				prefix = prefix && ok && i > last
+				if prefix {
+					last, kept[r.Name] = i, true
+				}
+				if !prefix || names[r.Name] || !sameBytes(old.Regions[i].Data, r.Data) {
 					pd.Regions = append(pd.Regions, r)
 				}
 			}
-			cur := make(map[string]bool, len(pi.Regions))
-			for _, r := range pi.Regions {
-				cur[r.Name] = true
-			}
 			for _, r := range old.Regions {
-				if !cur[r.Name] {
+				if !kept[r.Name] {
 					pd.RemovedRegions = append(pd.RemovedRegions, r.Name)
 				}
 			}

@@ -97,9 +97,12 @@ func TestApplyDeltaMatchesFullCheckpoint(t *testing.T) {
 	base := captureCommit(t, tr, p, true)
 
 	// Mutate: one region via SetRegion, program state by running, one
-	// region dropped, one added.
+	// region dropped, one added, and one dropped and re-created, which
+	// moves it to the end of its process's table.
 	procs := p.Procs()
 	procs[0].SetRegion("hot", []byte{0xaa, 0xbb})
+	procs[0].DropRegion("ballast")
+	procs[0].SetRegion("ballast", []byte("re-created"))
 	procs[1].DropRegion("hot")
 	procs[2].SetRegion("extra", []byte("fresh"))
 	p.Resume()
