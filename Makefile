@@ -49,6 +49,9 @@ vet:
 # files every simulated event runs through schedule with AfterCall — a
 # func bound once plus its argument — never with After, where a func
 # literal or a method value is a fresh closure per timer (DESIGN.md §2).
+# So does the supervisor's failure detector, which every heartbeat
+# interval pings every monitored node: hbTick and its ping and pong
+# schedule with AfterCall and the funcs New binds, never with After.
 # And a packet in flight comes from its Network's free list: transit is
 # the one place in internal/netstack that makes one.
 # And a fault schedule has one step: non-test internal/faultinject
@@ -96,6 +99,8 @@ boundary:
 	if [ -n "$$bad" ]; then echo "boundary: container/heap outside a test; the event queue is sim.World's typed heap:"; echo "$$bad"; exit 1; fi
 	@bad="$$(grep -nE '\.After\(' internal/vos/node.go internal/netstack/netstack.go internal/netstack/tcp.go)"; \
 	if [ -n "$$bad" ]; then echo "boundary: After( on the per-event path allocates a closure per timer; schedule with AfterCall and a func bound once:"; echo "$$bad"; exit 1; fi
+	@bad="$$(awk '/^func /{fn=$$0} /\.After\(/ && fn ~ /\) (hbTick|hbPing|hbPong)\(/{print FILENAME ": " $$0}' internal/supervisor/supervisor.go)"; \
+	if [ -n "$$bad" ]; then echo "boundary: After( in the failure detector allocates a closure per monitored node per tick; schedule with AfterCall and the funcs New binds:"; echo "$$bad"; exit 1; fi
 	@bad="$$(awk '/^func /{fn=$$0} /&packet\{|new\(packet\)/ && fn !~ /\) transit\(/{print FILENAME ": " $$0}' internal/netstack/*.go)"; \
 	if [ -n "$$bad" ]; then echo "boundary: a packet made outside the free list; send a packet value, transit takes the pointer from the free list (DESIGN.md §2.1):"; echo "$$bad"; exit 1; fi
 	@bad="$$(grep -nE ':= [^&]*Costs$$' $$(ls internal/vos/*.go internal/netstack/*.go internal/mpi/*.go | grep -v '_test\.go$$'))"; \
@@ -140,10 +145,12 @@ race-precopy:
 # the model check against the deep-copying reference capture (frozen and
 # live captures marking the regions of every process shared), the
 # end-to-end pin on churn and bt, and the allocation budgets that fail if
-# a copy of the regions comes back on either path, all under -race.
+# a copy of the regions comes back on either path, or if the encoder's
+# allocations come to grow with the sections or frames it writes, all
+# under -race.
 cow-check:
 	$(GOTEST) -run '^TestCOW' . ./internal/ckpt ./internal/vos
-	$(GOTEST) -run '^TestCheckpointAllocationBudget$$|^TestRestartAllocationBudget$$' .
+	$(GOTEST) -run '^TestCheckpointAllocationBudget$$|^TestEncoderAllocationsIndependentOfCount$$|^TestRestartAllocationBudget$$' . ./internal/imgfmt
 
 # Short, deterministic-budget fuzz passes over every image-format entry
 # point (TLV decoder, round-trip property, the pod-image decoder, the

@@ -75,6 +75,9 @@ type DedupStore struct {
 	block int
 	refs  map[string]int // committed manifest references per block hash
 	pins  map[string]int // in-flight writer references per block hash
+	// spare is the block buffer the last closed writer handed back; the
+	// next Create takes it, so writers one after another share one.
+	spare []byte
 }
 
 // NewDedup wraps inner with content-hash dedup at the default block
@@ -207,9 +210,19 @@ func (d *DedupStore) Create(path string) (io.WriteCloser, error) {
 	if strings.HasPrefix(path, dedupBlockPrefix) {
 		return nil, fmt.Errorf("imagestore: path %q is inside the dedup block namespace", path)
 	}
-	return &dedupWriter{d: d, path: path}, nil
+	d.mu.Lock()
+	buf := d.spare
+	d.spare = nil
+	d.mu.Unlock()
+	if buf == nil {
+		buf = make([]byte, 0, d.block)
+	}
+	return &dedupWriter{d: d, path: path, buf: buf}, nil
 }
 
+// dedupWriter cuts what it is given into blocks through buf, a buffer of
+// exactly one block it owns until Close hands it back to the store: a
+// full buf is emitted and refilled from its start, so it never moves.
 type dedupWriter struct {
 	d      *DedupStore
 	path   string
@@ -226,15 +239,19 @@ func (w *dedupWriter) Write(p []byte) (int, error) {
 	if w.closed {
 		return 0, errors.New("imagestore: write to closed dedup writer")
 	}
-	w.buf = append(w.buf, p...)
-	for len(w.buf) >= w.d.block {
-		if w.err = w.emit(w.buf[:w.d.block]); w.err != nil {
-			w.release()
-			return 0, w.err
+	n := len(p)
+	for len(p) > 0 {
+		k := copy(w.buf[len(w.buf):cap(w.buf)], p)
+		w.buf, p = w.buf[:len(w.buf)+k], p[k:]
+		if len(w.buf) == cap(w.buf) {
+			if w.err = w.emit(w.buf); w.err != nil {
+				w.release()
+				return 0, w.err
+			}
+			w.buf = w.buf[:0]
 		}
-		w.buf = w.buf[w.d.block:]
 	}
-	return len(p), nil
+	return n, nil
 }
 
 // emit stores one block (if unseen) and pins it for this writer.
@@ -286,15 +303,19 @@ func (w *dedupWriter) Close() error {
 		return w.err
 	}
 	w.closed = true
-	if w.err != nil {
-		return w.err
-	}
-	if len(w.buf) > 0 {
+	if w.err == nil && len(w.buf) > 0 {
 		if w.err = w.emit(w.buf); w.err != nil {
 			w.release()
-			return w.err
 		}
-		w.buf = nil
+	}
+	// The last block is stored (or never will be): the next writer may
+	// have the buffer.
+	w.d.mu.Lock()
+	w.d.spare = w.buf[:0]
+	w.d.mu.Unlock()
+	w.buf = nil
+	if w.err != nil {
+		return w.err
 	}
 	wc, err := w.d.inner.Create(w.path)
 	if err == nil {

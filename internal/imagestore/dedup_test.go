@@ -10,6 +10,8 @@ import (
 	"math"
 	"math/rand"
 	"sort"
+	"strings"
+	"sync"
 	"testing"
 
 	"zapc/internal/memfs"
@@ -24,17 +26,24 @@ func newDedupT() (*DedupStore, *FSStore) {
 
 func writeImage(t testing.TB, st Store, path string, data []byte) {
 	t.Helper()
+	// Write in uneven slices so block cutting never aligns with Write
+	// boundaries.
+	writeImageIn(t, st, path, data, 300)
+}
+
+// writeImageIn writes data to path in pieces of at most piece bytes;
+// piece 0 writes everything at once.
+func writeImageIn(t testing.TB, st Store, path string, data []byte, piece int) {
+	t.Helper()
 	wc, err := st.Create(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Write in uneven slices so block cutting never aligns with Write
-	// boundaries.
+	if piece == 0 {
+		piece = len(data)
+	}
 	for len(data) > 0 {
-		n := 300
-		if n > len(data) {
-			n = len(data)
-		}
+		n := min(piece, len(data))
 		if _, err := wc.Write(data[:n]); err != nil {
 			t.Fatal(err)
 		}
@@ -130,29 +139,159 @@ func TestDedupSharedRegionsStoredOnce(t *testing.T) {
 
 // TestDedupDeterministicLayout: writing the same content twice — in a
 // fresh store, or rewriting generations in a long-lived one — produces
-// a byte-identical physical layout. This is the CI dedup-check gate's
+// a byte-identical physical layout, however the writes were cut: one
+// Write, single bytes, or pieces that straddle block boundaries (700
+// bytes against 1 KiB blocks). This is the CI dedup-check gate's
 // property, pinned at unit level.
 func TestDedupDeterministicLayout(t *testing.T) {
-	layout := func() map[string][]byte {
+	layout := func(piece int) map[string][]byte {
 		st, inner := newDedupT()
 		base := randBytes(9, 4<<10)
-		next := append(append([]byte(nil), base[:2<<10]...), randBytes(10, 2<<10)...)
-		writeImage(t, st, "gen0/pod.img", base)
-		writeImage(t, st, "gen1/pod.img", next)
+		next := append(append([]byte(nil), base[:2<<10]...), randBytes(10, 2<<10+300)...)
+		writeImageIn(t, st, "gen0/pod.img", base, piece)
+		writeImageIn(t, st, "gen1/pod.img", next, piece)
 		out := map[string][]byte{}
 		for _, p := range inner.List("") {
 			out[p] = readImage(t, inner, p)
 		}
 		return out
 	}
-	a, b := layout(), layout()
-	if len(a) != len(b) {
-		t.Fatalf("layouts differ in file count: %d vs %d", len(a), len(b))
-	}
-	for p, data := range a {
-		if !bytes.Equal(data, b[p]) {
-			t.Fatalf("store file %s differs between identical runs", p)
+	want := layout(0)
+	for _, piece := range []int{0, 1, 700} {
+		got := layout(piece)
+		if len(got) != len(want) {
+			t.Fatalf("writes of %d bytes: layouts differ in file count: %d vs %d", piece, len(got), len(want))
 		}
+		for p, data := range want {
+			if !bytes.Equal(data, got[p]) {
+				t.Fatalf("writes of %d bytes: store file %s differs from one Write's", piece, p)
+			}
+		}
+	}
+}
+
+// TestDedupInterleavedWriters: two writers in flight on one store, their
+// writes interleaved, each cut their own blocks — neither sees the
+// other's bytes, before or after the first of them closes and hands its
+// block buffer to the store.
+func TestDedupInterleavedWriters(t *testing.T) {
+	st, _ := newDedupT()
+	writeImage(t, st, "gen0/warm.img", randBytes(20, 1500)) // leaves a buffer with the store
+	a, b := randBytes(21, 5<<10+100), randBytes(22, 3<<10+900)
+	wa, err := st.Create("gen1/a.img")
+	if err != nil {
+		t.Fatal(err)
+	}
+	wb, err := st.Create("gen1/b.img")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < len(a) || i < len(b); i += 700 {
+		for _, w := range []struct {
+			wc   io.WriteCloser
+			data []byte
+		}{{wa, a}, {wb, b}} {
+			if i < len(w.data) {
+				if _, err := w.wc.Write(w.data[i:min(i+700, len(w.data))]); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+	if err := wb.Close(); err != nil {
+		t.Fatal(err)
+	}
+	// A third writer takes b's buffer while a is still in flight.
+	c := randBytes(23, 2<<10+1)
+	writeImage(t, st, "gen1/c.img", c)
+	if err := wa.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for path, want := range map[string][]byte{"gen1/a.img": a, "gen1/b.img": b, "gen1/c.img": c} {
+		if !bytes.Equal(readImage(t, st, path), want) {
+			t.Fatalf("%s does not read back as written", path)
+		}
+	}
+
+	// The same from several goroutines: the buffer changes hands under
+	// the store's lock (go test -race).
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 8; i++ {
+				path := fmt.Sprintf("gen2/g%d-%d.img", g, i)
+				data := randBytes(int64(100*g+i), 2<<10+100*i)
+				wc, err := st.Create(path)
+				if err == nil {
+					_, err = wc.Write(data)
+				}
+				if err == nil {
+					err = wc.Close()
+				}
+				if err != nil {
+					t.Errorf("%s: %v", path, err)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	for g := 0; g < 4; g++ {
+		for i := 0; i < 8; i++ {
+			path := fmt.Sprintf("gen2/g%d-%d.img", g, i)
+			if !bytes.Equal(readImage(t, st, path), randBytes(int64(100*g+i), 2<<10+100*i)) {
+				t.Fatalf("%s does not read back as written", path)
+			}
+		}
+	}
+}
+
+// failingBlocks is a store whose block creates fail once armed.
+type failingBlocks struct {
+	Store
+	fail bool
+}
+
+var errBlockStore = errors.New("block store failed")
+
+func (f *failingBlocks) Create(path string) (io.WriteCloser, error) {
+	if f.fail && strings.HasPrefix(path, dedupBlockPrefix) {
+		return nil, errBlockStore
+	}
+	return f.Store.Create(path)
+}
+
+// TestDedupAbortedWriterLeavesTheNextIntact: a writer that aborts on an
+// inner-store error — its buffer holding a block it could not store —
+// still hands the buffer back at Close, and the next writer to take it
+// reads back exactly what it wrote.
+func TestDedupAbortedWriterLeavesTheNextIntact(t *testing.T) {
+	inner := &failingBlocks{Store: NewFS(memfs.New())}
+	st := NewDedupBlockSize(inner, 1<<10)
+	wc, err := st.Create("gen0/pod.img")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := wc.Write(randBytes(30, 1<<10+500)); err != nil {
+		t.Fatal(err)
+	}
+	inner.fail = true
+	if _, err := wc.Write(randBytes(31, 1<<10)); !errors.Is(err, errBlockStore) {
+		t.Fatalf("write over a failing block store: %v, want %v", err, errBlockStore)
+	}
+	if err := wc.Close(); !errors.Is(err, errBlockStore) {
+		t.Fatalf("close after the failure: %v, want %v", err, errBlockStore)
+	}
+	inner.fail = false
+	data := randBytes(32, 3<<10+10)
+	writeImage(t, st, "gen1/pod.img", data)
+	if !bytes.Equal(readImage(t, st, "gen1/pod.img"), data) {
+		t.Fatal("the writer after an aborted one does not read back as written")
+	}
+	if got := st.List(""); len(got) != 1 || got[0] != "gen1/pod.img" {
+		t.Fatalf("images after the abort: %v, want only gen1/pod.img", got)
 	}
 }
 

@@ -69,6 +69,15 @@ var ErrFrame = fmt.Errorf("%w: malformed chunk frame", ErrBadChecksum)
 // their length prefix can be written. Keep sections small (metadata)
 // and hoist bulk payloads to top-level Bytes fields to preserve the
 // O(chunk) buffering bound.
+//
+// Every buffer the encoder writes through is its own and lives as long
+// as it does: one body buffer per section depth, which the next section
+// at that depth reuses once End has copied the body into its parent; the
+// compress scratch; and one array that stages each frame header, frame
+// CRC and the terminator (a local array handed to w.Write escapes: one
+// heap object per write). So the number of allocations an encode makes
+// depends on its deepest nesting and its largest section, not on how
+// many sections or frames it writes.
 type StreamEncoder struct {
 	w        io.Writer
 	framed   bool     // a record stream (or its count); false when buffering in memory
@@ -82,6 +91,10 @@ type StreamEncoder struct {
 	peak     int64
 	err      error
 	closed   bool
+
+	// staged holds the record header, a frame header, a frame CRC or the
+	// terminator on its way to w.
+	staged [2*binary.MaxVarintLen64 + 1]byte
 }
 
 // StreamOpts tunes a streaming encoder. The zero value is the default:
@@ -114,7 +127,7 @@ func newStream(w io.Writer, magic string, o StreamOpts) *StreamEncoder {
 		chunk:    DefaultChunk,
 		stack:    [][]byte{make([]byte, 0, 512)},
 	}
-	hdr := appendUvarint(append([]byte(nil), magic...), StreamVersion)
+	hdr := appendUvarint(append(s.staged[:0], magic...), StreamVersion)
 	s.crc = crc32.Update(0, crc32.IEEETable, hdr)
 	s.writeRaw(hdr)
 	return s
@@ -178,8 +191,8 @@ func (s *StreamEncoder) emitFrame(payload []byte) {
 			stored, style = c, FrameLZ4
 		}
 	}
-	var hdr [2*binary.MaxVarintLen64 + 1]byte
-	n := binary.PutUvarint(hdr[:], uint64(len(payload)))
+	hdr := s.staged[:]
+	n := binary.PutUvarint(hdr, uint64(len(payload)))
 	hdr[n] = style
 	n++
 	if style == FrameLZ4 {
@@ -187,9 +200,8 @@ func (s *StreamEncoder) emitFrame(payload []byte) {
 	}
 	s.writeRaw(hdr[:n])
 	s.writeRaw(stored)
-	var tr [4]byte
-	binary.LittleEndian.PutUint32(tr[:], crc32.ChecksumIEEE(stored))
-	s.writeRaw(tr[:])
+	binary.LittleEndian.PutUint32(hdr, crc32.ChecksumIEEE(stored))
+	s.writeRaw(hdr[:4])
 	s.crc = crc32.Update(s.crc, crc32.IEEETable, payload)
 }
 
@@ -299,10 +311,17 @@ func (s *StreamEncoder) Float64(tag uint64, v float64) {
 
 // Begin opens a nested section with the given tag. Section bodies
 // buffer in memory until End, even on a streaming encoder, because
-// their length prefix precedes them on the wire.
+// their length prefix precedes them on the wire. The body buffer is the
+// one the last section at this depth left past the top of the stack:
+// its End copied that body into the parent, so it is free. Only the
+// first section at a depth finds none there and makes one.
 func (s *StreamEncoder) Begin(tag uint64) {
 	s.field(tag, TypeSection)
-	s.stack = append(s.stack, make([]byte, 0, 64))
+	n := len(s.stack)
+	s.stack = slices.Grow(s.stack, 1)[:n+1]
+	if s.stack[n] = s.stack[n][:0]; s.stack[n] == nil {
+		s.stack[n] = make([]byte, 0, 64)
+	}
 }
 
 // End closes the innermost open section.
@@ -350,9 +369,10 @@ func (s *StreamEncoder) Close() error {
 	s.closed = true
 	s.emitFrame(s.stack[0])
 	s.stack[0] = s.stack[0][:0]
-	var tr [5]byte // uvarint(0) is the single byte 0
+	tr := s.staged[:5]
+	tr[0] = 0 // uvarint(0) is the single byte 0
 	binary.LittleEndian.PutUint32(tr[1:], s.crc)
-	s.writeRaw(tr[:])
+	s.writeRaw(tr)
 	return s.err
 }
 

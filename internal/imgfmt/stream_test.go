@@ -250,3 +250,59 @@ func TestStreamEncoderWriteError(t *testing.T) {
 type failWriter struct{}
 
 func (failWriter) Write(p []byte) (int, error) { return 0, io.ErrClosedPipe }
+
+// TestEncoderAllocationsIndependentOfCount: the buffers an encode writes
+// through are the encoder's own, so how many sections or frames it
+// writes does not change how many objects it allocates. Sections at one
+// depth share the body buffer the first of them grew, and every frame
+// header, frame CRC and the terminator are staged in one array of the
+// encoder rather than in a local array that escapes through io.Writer.
+// Counts objects, not time.
+func TestEncoderAllocationsIndependentOfCount(t *testing.T) {
+	allocs := func(encode func(e *StreamEncoder)) float64 {
+		return testing.AllocsPerRun(10, func() {
+			e := NewStreamEncoder(io.Discard)
+			encode(e)
+			if err := e.Close(); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	// A top-level field one byte short of a chunk first grows the staging
+	// buffer past a chunk, so what differs between the counts below is
+	// only what the sections themselves cost.
+	pad := strings.Repeat("p", DefaultChunk-1)
+	sections := func(n, depth int) float64 {
+		return allocs(func(e *StreamEncoder) {
+			e.String(1, pad)
+			for i := 0; i < n; i++ {
+				for d := 0; d < depth; d++ {
+					e.Begin(uint64(2 + d))
+				}
+				e.Uint(9, uint64(i))
+				for d := 0; d < depth; d++ {
+					e.End()
+				}
+			}
+		})
+	}
+	for depth := 1; depth <= 3; depth++ {
+		if few, many := sections(8, depth), sections(512, depth); few != many {
+			t.Errorf("depth %d: 8 sections allocated %.0f objects, 512 allocated %.0f; want the same", depth, few, many)
+		}
+	}
+
+	// Alternate compressible and incompressible chunks, so frames are
+	// stored both LZ4 and RAW.
+	const maxFrames = 64
+	data := incompressible(7, maxFrames*DefaultChunk)
+	for i := 0; i < len(data); i += 2 * DefaultChunk {
+		copy(data[i:i+DefaultChunk], sparse(DefaultChunk))
+	}
+	frames := func(n int) float64 {
+		return allocs(func(e *StreamEncoder) { e.Bytes(1, data[:n*DefaultChunk]) })
+	}
+	if one, many := frames(1), frames(maxFrames); one != many {
+		t.Errorf("1 frame allocated %.0f objects, %d frames allocated %.0f; want the same", one, maxFrames, many)
+	}
+}

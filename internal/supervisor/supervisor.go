@@ -356,6 +356,9 @@ type Supervisor struct {
 	monitored []*vos.Node
 	lastSeen  map[*vos.Node]sim.Time
 	declared  map[*vos.Node]bool
+	// The failure detector's event funcs, bound once in New: a tick, and
+	// a ping or pong whose argument is the node it concerns.
+	hbTickFn, hbPingFn, hbPongFn func(any)
 
 	ctrlHook core.CtrlHook
 
@@ -403,6 +406,9 @@ func New(t Target, pol Policy) *Supervisor {
 	if s.pol.Incremental {
 		s.incr = ckpt.NewIncrSet(s.pol.FullEvery)
 	}
+	s.hbTickFn = func(any) { s.hbTick() }
+	s.hbPingFn = func(n any) { s.hbPing(n.(*vos.Node)) }
+	s.hbPongFn = func(n any) { s.hbPong(n.(*vos.Node)) }
 	return s
 }
 
@@ -546,7 +552,7 @@ func (s *Supervisor) Start() {
 		return
 	}
 	s.resetMonitoring()
-	s.hbTimer = s.t.W.After(s.pol.HeartbeatInterval, s.hbTick)
+	s.hbTimer = s.t.W.AfterCall(s.pol.HeartbeatInterval, s.hbTickFn, nil)
 	s.enter(stIdle, "")
 }
 
@@ -619,19 +625,25 @@ func (s *Supervisor) hbTick() {
 			continue
 		}
 		s.reg.Counter("supervisor_heartbeats_total").Add(1)
-		s.t.W.After(lat+delay, func() {
-			if n.Failed() {
-				return // ping lands on a dead node: no pong
-			}
-			s.t.W.After(lat, func() {
-				if t := s.t.W.Now(); t > s.lastSeen[n] {
-					s.lastSeen[n] = t
-				}
-			})
-		})
+		s.t.W.AfterCall(lat+delay, s.hbPingFn, n)
 	}
 	if s.state != stStopped {
-		s.hbTimer = s.t.W.After(s.pol.HeartbeatInterval, s.hbTick)
+		s.hbTimer = s.t.W.AfterCall(s.pol.HeartbeatInterval, s.hbTickFn, nil)
+	}
+}
+
+// hbPing is a ping landing on n: a live node answers with a pong one
+// control hop later, a dead one with nothing.
+func (s *Supervisor) hbPing(n *vos.Node) {
+	if !n.Failed() {
+		s.t.W.AfterCall(s.t.W.Costs.CtrlLatency, s.hbPongFn, n)
+	}
+}
+
+// hbPong is n's pong arriving back: the node was alive when pinged.
+func (s *Supervisor) hbPong(n *vos.Node) {
+	if t := s.t.W.Now(); t > s.lastSeen[n] {
+		s.lastSeen[n] = t
 	}
 }
 
