@@ -70,6 +70,11 @@ vet:
 # and puts packets in flight with Lane.Call, never AfterCall. And a lane
 # is for a delay that recurs: only internal/sim and internal/netstack
 # make one, since a lane per jittered delay would grow without bound.
+# And a reused buffer has an owner, so every allocation count is a pure
+# function of the calls made: no non-test file uses a sync.Pool, whose
+# hand-backs depend on when the collector last ran, and the record
+# encoders' spare is taken in newStream and filled in Close alone
+# (DESIGN.md §5).
 boundary:
 	@files="$$($(GO) list -f '{{join .GoFiles " "}}' .)"; \
 	if [ "$$files" != "zapc.go" ]; then echo "boundary: root package must hold zapc.go only, has: $$files"; exit 1; fi
@@ -122,6 +127,13 @@ boundary:
 	if [ -n "$$bad" ]; then echo "boundary: a fixed-delay timer or a packet in flight scheduled with AfterCall; it rides its Network's lane (Lane.Call), so only the lane's head is in the heap (DESIGN.md §2.1):"; echo "$$bad"; exit 1; fi
 	@bad="$$(grep -rnE --include='*.go' 'NewLane\(' . | grep -vE '^\./internal/(sim|netstack)/|_test\.go:')"; \
 	if [ -n "$$bad" ]; then echo "boundary: a lane made outside internal/sim and internal/netstack; a lane is for a delay that recurs, and one per jittered delay grows without bound (DESIGN.md §2.1):"; echo "$$bad"; exit 1; fi
+	@bad="$$(grep -rnE --include='*.go' 'sync\.Pool' . | grep -v '_test\.go:' | grep -vE '^[^:]+:[0-9]+:[[:space:]]*//')"; \
+	if [ -n "$$bad" ]; then echo "boundary: a sync.Pool hands back what the collector left, so allocation counts would move with GC timing; give the buffer an owner (DESIGN.md §5):"; echo "$$bad"; exit 1; fi
+	@bad="$$(awk 'FNR==1{fn=""} /^func /{fn=$$0} {code=$$0; sub(/\/\/.*/, "", code)} \
+		code ~ /(^|[^A-Za-z0-9_.])spare([^A-Za-z0-9_]|$$)/ && code !~ /^var spare / \
+		&& fn !~ /^func newStream\(|^func \(s \*StreamEncoder\) Close\(/{print FILENAME ": " $$0}' \
+		$$(ls internal/imgfmt/*.go | grep -v '_test\.go$$'))"; \
+	if [ -n "$$bad" ]; then echo "boundary: the record encoders' spare is taken in newStream and filled in Close, nowhere else; an in-memory encoder's staging buffer is the blob it returns (DESIGN.md §5):"; echo "$$bad"; exit 1; fi
 
 build:
 	$(GO) build ./...
@@ -146,11 +158,13 @@ race-precopy:
 # live captures marking the regions of every process shared), the
 # end-to-end pin on churn and bt, and the allocation budgets that fail if
 # a copy of the regions comes back on either path, or if the encoder's
-# allocations come to grow with the sections or frames it writes, all
-# under -race.
+# allocations come to grow with the sections or frames it writes, or a
+# second record of one shape to allocate any buffer, or the spare that
+# carries those buffers from one record encoder to the next to hand one
+# out while its last encoder still writes through it, all under -race.
 cow-check:
 	$(GOTEST) -run '^TestCOW' . ./internal/ckpt ./internal/vos
-	$(GOTEST) -run '^TestCheckpointAllocationBudget$$|^TestEncoderAllocationsIndependentOfCount$$|^TestRestartAllocationBudget$$' . ./internal/imgfmt
+	$(GOTEST) -run '^TestCheckpointAllocationBudget$$|^TestEncoderAllocationsIndependentOfCount$$|^TestSecondRecordAllocatesNoBuffer$$|^TestSpareLeavesBlobsAndRecordsAlone$$|^TestSpareSurvivesMisuse$$|^TestSpareUnderConcurrentEncoders$$|^TestRestartAllocationBudget$$' . ./internal/imgfmt
 
 # Short, deterministic-budget fuzz passes over every image-format entry
 # point (TLV decoder, round-trip property, the pod-image decoder, the

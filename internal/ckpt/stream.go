@@ -274,7 +274,7 @@ func DecodeDeltaFrom(r io.Reader) (*DeltaImage, error) {
 // or malformed field. It materializes the image to do so and has no
 // caller in this module: Chain.Verify, which checks the same things and
 // keeps nothing, supersedes it. It stays only because the benchmark
-// module compiles against it; the benchmark-only PR (ROADMAP item 2)
+// module compiles against it; the benchmark-only PR (ROADMAP item 7)
 // removes it together with DecodeImageFrom's ignored int.
 func VerifyImageFrom(r io.Reader) (*Image, error) {
 	img, err := DecodeImageFrom(r, 0)

@@ -42,6 +42,7 @@ import (
 	"io"
 	"math"
 	"slices"
+	"sync"
 )
 
 // StreamVersion is the record format version: the one streaming
@@ -70,14 +71,17 @@ var ErrFrame = fmt.Errorf("%w: malformed chunk frame", ErrBadChecksum)
 // and hoist bulk payloads to top-level Bytes fields to preserve the
 // O(chunk) buffering bound.
 //
-// Every buffer the encoder writes through is its own and lives as long
-// as it does: one body buffer per section depth, which the next section
-// at that depth reuses once End has copied the body into its parent; the
+// Every buffer the encoder writes through is its own while it is open:
+// one body buffer per section depth, which the next section at that
+// depth reuses once End has copied the body into its parent; the
 // compress scratch; and one array that stages each frame header, frame
 // CRC and the terminator (a local array handed to w.Write escapes: one
 // heap object per write). So the number of allocations an encode makes
 // depends on its deepest nesting and its largest section, not on how
-// many sections or frames it writes.
+// many sections or frames it writes. A record encoder's Close hands its
+// section buffers and compress scratch to the package's spare, and the
+// next record encoder takes them: a record shaped like the last
+// allocates none of them.
 type StreamEncoder struct {
 	w        io.Writer
 	framed   bool     // a record stream (or its count); false when buffering in memory
@@ -119,13 +123,35 @@ func NewStreamEncoderOpts(w io.Writer, o StreamOpts) *StreamEncoder {
 	return newStream(w, Magic, o)
 }
 
+// spare holds the section buffers (stack[0] truncated) and the compress
+// scratch of the last record encoder to Close, until the next record
+// encoder opens. One slot is enough: the program encodes one record at a
+// time, so every record but the first finds its predecessor's buffers
+// there. An encoder opened while another is open, or one never closed,
+// simply allocates its own. Only newStream takes from the slot and only
+// Close fills it; an in-memory encoder's stack[0] becomes its blob, so it
+// never touches the slot. Unlike a sync.Pool's, what the slot hands out
+// depends only on the order of those calls, never on when the collector
+// ran, so every allocation count stays a pure function of the calls made.
+var spare struct {
+	sync.Mutex
+	scratch []byte
+	stack   [][]byte // nil while the slot is empty
+}
+
 func newStream(w io.Writer, magic string, o StreamOpts) *StreamEncoder {
 	s := &StreamEncoder{
 		w:        w,
 		framed:   true,
 		compress: !o.NoCompress,
 		chunk:    DefaultChunk,
-		stack:    [][]byte{make([]byte, 0, 512)},
+	}
+	spare.Lock()
+	s.scratch, s.stack = spare.scratch, spare.stack
+	spare.scratch, spare.stack = nil, nil
+	spare.Unlock()
+	if s.stack == nil {
+		s.stack = [][]byte{make([]byte, 0, 512)}
 	}
 	hdr := appendUvarint(append(s.staged[:0], magic...), StreamVersion)
 	s.crc = crc32.Update(0, crc32.IEEETable, hdr)
@@ -368,11 +394,22 @@ func (s *StreamEncoder) Close() error {
 	}
 	s.closed = true
 	s.emitFrame(s.stack[0])
-	s.stack[0] = s.stack[0][:0]
 	tr := s.staged[:5]
 	tr[0] = 0 // uvarint(0) is the single byte 0
 	binary.LittleEndian.PutUint32(tr[1:], s.crc)
 	s.writeRaw(tr)
+	// w has consumed every byte written from these buffers, so they are
+	// free. Unless an encoder closed since this one opened has already
+	// refilled the slot, the next record encoder takes them from there.
+	// The encoder lets go of them either way: a field written after
+	// Close panics rather than writing into another encoder's buffers.
+	spare.Lock()
+	if spare.stack == nil {
+		s.stack[0] = s.stack[0][:0]
+		spare.scratch, spare.stack = s.scratch, s.stack[:1]
+	}
+	spare.Unlock()
+	s.scratch, s.stack = nil, nil
 	return s.err
 }
 

@@ -257,10 +257,13 @@ func (failWriter) Write(p []byte) (int, error) { return 0, io.ErrClosedPipe }
 // depth share the body buffer the first of them grew, and every frame
 // header, frame CRC and the terminator are staged in one array of the
 // encoder rather than in a local array that escapes through io.Writer.
+// Every run starts with the spare empty, so each counts what one
+// encoder makes of its own rather than what it took from the last.
 // Counts objects, not time.
 func TestEncoderAllocationsIndependentOfCount(t *testing.T) {
 	allocs := func(encode func(e *StreamEncoder)) float64 {
 		return testing.AllocsPerRun(10, func() {
+			emptySpare()
 			e := NewStreamEncoder(io.Discard)
 			encode(e)
 			if err := e.Close(); err != nil {
