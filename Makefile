@@ -75,6 +75,11 @@ vet:
 # hand-backs depend on when the collector last ran, and the record
 # encoders' spare is taken in newStream and filled in Close alone
 # (DESIGN.md §5).
+# And coordination has one send path: the flat star is the one-level
+# tree, so Topology.IsFlat is read only by the two policies that differ
+# by topology, the per-level trace spans (coord.(*Plane).EmitLevelSpans)
+# and the flush waves (core.(*ckptOp).doneArrived), never by a send
+# (DESIGN.md §10).
 boundary:
 	@files="$$($(GO) list -f '{{join .GoFiles " "}}' .)"; \
 	if [ "$$files" != "zapc.go" ]; then echo "boundary: root package must hold zapc.go only, has: $$files"; exit 1; fi
@@ -134,6 +139,12 @@ boundary:
 		&& fn !~ /^func newStream\(|^func \(s \*StreamEncoder\) Close\(/{print FILENAME ": " $$0}' \
 		$$(ls internal/imgfmt/*.go | grep -v '_test\.go$$'))"; \
 	if [ -n "$$bad" ]; then echo "boundary: the record encoders' spare is taken in newStream and filled in Close, nowhere else; an in-memory encoder's staging buffer is the blob it returns (DESIGN.md §5):"; echo "$$bad"; exit 1; fi
+	@bad="$$(awk 'FNR==1{fn=""} /^func /{fn=$$0} {code=$$0; sub(/\/\/.*/, "", code)} \
+		code ~ /IsFlat\(/ && code !~ /^func \(t Topology\) IsFlat\(/ \
+		&& !(FILENAME ~ /internal\/coord\/coord\.go$$/ && fn ~ /^func \(p \*Plane\) EmitLevelSpans\(/) \
+		&& !(FILENAME ~ /internal\/core\/core\.go$$/ && fn ~ /^func \(op \*ckptOp\) doneArrived\(/){print FILENAME ": " $$0}' \
+		$$(grep -rl --include='*.go' 'IsFlat(' . | grep -v '_test\.go$$'))"; \
+	if [ -n "$$bad" ]; then echo "boundary: IsFlat read outside the trace-span and flush-wave policies; the flat star is the one-level tree and sends as one (DESIGN.md §10):"; echo "$$bad"; exit 1; fi
 
 build:
 	$(GO) build ./...

@@ -35,10 +35,10 @@ type Config struct {
 	Seed        int64
 	// Costs optionally overrides the calibrated hardware model.
 	Costs *sim.Costs
-	// Fanout, when positive, routes coordinated operations through a
-	// hierarchical coordination tree of that arity instead of the flat
-	// manager star (0: flat; values >= the pod count degenerate to
-	// flat). See internal/coord.
+	// Fanout is the arity of the coordination tree every coordinated
+	// operation runs through. Zero, negative or a value >= the pod
+	// count is the flat manager star, the one-level tree. See
+	// internal/coord.
 	Fanout int
 }
 
@@ -124,9 +124,7 @@ func New(cfg Config) *Cluster {
 		c.Nodes = append(c.Nodes, vos.NewNode(w, fmt.Sprintf("node%02d", i), cfg.CPUsPerNode))
 	}
 	c.Mgr = core.NewManager(w, c.Net, c.FS)
-	if cfg.Fanout > 0 {
-		c.Mgr.SetCoord(&coord.Config{Fanout: cfg.Fanout})
-	}
+	c.Mgr.SetCoord(&coord.Config{Fanout: cfg.Fanout})
 	return c
 }
 

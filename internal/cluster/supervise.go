@@ -93,7 +93,6 @@ func (c *Cluster) Supervise(j *Job, pol supervisor.Policy) (*supervisor.Supervis
 	s := supervisor.New(supervisor.Target{
 		W:        c.W,
 		Mgr:      c.Mgr,
-		FS:       c.FS,
 		Store:    c.Mgr.Store(),
 		Pods:     func() []*pod.Pod { return j.Pods },
 		Nodes:    func() []*vos.Node { return c.Nodes },

@@ -12,18 +12,19 @@
 // message per link per phase, so the root handles O(N/fanout + fanout)
 // wire messages per phase instead of O(N).
 //
-// The flat star survives as the degenerate fanout=N tree: with no
-// topology configured, a Plane schedules exactly the per-member control
-// messages the legacy manager did — same count, same order, same
-// latency math, same perturbation-hook consults — so every existing
-// byte-determinism and chaos-replay contract holds unchanged.
+// Every topology runs the same protocol. The paper's flat star is the
+// one-level tree (fanout >= N): every member is a leaf under the root,
+// and a leaf's only hop is its final hop, so a member-local delay rides
+// that hop as part of its latency. The star therefore sends one control
+// message per member in member order and consults the perturbation hook
+// once per message, as the paper's manager does.
 //
 // Control cost is modeled per link: each wire message charges the
 // world's CtrlLatency, and a sender transmitting k messages back to
 // back charges an additional CtrlPerMsg occupancy per queued message.
-// CtrlPerMsg defaults to zero (the legacy model); scaling experiments
-// set it non-zero to expose the flat root's serialization bottleneck
-// on the sim clock.
+// CtrlPerMsg defaults to zero (latency only); scaling experiments set
+// it non-zero to expose the flat root's serialization bottleneck on the
+// sim clock.
 package coord
 
 import (
@@ -33,15 +34,11 @@ import (
 	"zapc/internal/trace"
 )
 
-// DefaultFanout is the tree arity used when a topology is requested
-// without an explicit fan-out.
-const DefaultFanout = 16
-
 // Config selects the coordination topology for coordinated operations.
 type Config struct {
-	// Fanout is the number of children per coordinator. 0 selects
-	// DefaultFanout; negative (or a value >= the member count) selects
-	// the flat star, i.e. the degenerate fanout=N tree.
+	// Fanout is the number of children per coordinator. Zero, negative
+	// or a value >= the member count selects the flat star, the
+	// one-level tree.
 	Fanout int
 }
 
@@ -55,27 +52,14 @@ type Topology struct {
 }
 
 // NewTopology derives the tree over n members from cfg. A nil cfg is
-// the flat star (the legacy control plane).
+// the flat star.
 func NewTopology(n int, cfg *Config) Topology {
-	if n < 0 {
-		n = 0
+	n = max(n, 0)
+	f := n
+	if cfg != nil && cfg.Fanout > 0 {
+		f = min(cfg.Fanout, n)
 	}
-	f := n // flat star
-	if cfg != nil {
-		switch {
-		case cfg.Fanout > 0:
-			f = cfg.Fanout
-		case cfg.Fanout == 0:
-			f = DefaultFanout
-		}
-	}
-	if f > n {
-		f = n
-	}
-	if f < 1 {
-		f = 1
-	}
-	return Topology{n: n, fanout: f}
+	return Topology{n: n, fanout: max(f, 1)}
 }
 
 // N returns the member count.
@@ -224,9 +208,6 @@ func NewPlane(w *sim.World, topo Topology, hook Hook, reg *trace.Registry) *Plan
 // Topology returns the plane's tree.
 func (p *Plane) Topology() Topology { return p.topo }
 
-// Flat reports whether the plane degenerates to the legacy star.
-func (p *Plane) Flat() bool { return p.topo.IsFlat() }
-
 // Stats returns the accounting so far, stamped with the topology shape.
 func (p *Plane) Stats() Stats {
 	s := p.st
@@ -251,12 +232,10 @@ func (p *Plane) account(members int, atRoot bool) {
 	}
 }
 
-// Broadcast fans deliver out to every member. In the flat star this is
-// exactly the legacy loop: one control message per member in member
-// order, each charging CtrlLatency (plus the sender-occupancy stagger
-// when CtrlPerMsg is non-zero) and consulting the hook once. In a tree
-// the root sends one batched message per child; a child relays to its
-// own children the moment the batch arrives, then delivers locally.
+// Broadcast fans deliver out to every member: the root sends one
+// batched message per child, and a child relays to its own children the
+// moment the batch arrives, then delivers locally. In the flat star
+// that is one control message per member in member order.
 //
 // extra (optional) adds a per-member delay on that member's final hop
 // only — e.g. a restart placement's staged image transfer.
@@ -266,21 +245,6 @@ func (p *Plane) Broadcast(phase string, extra func(int) sim.Duration, deliver fu
 			return 0
 		}
 		return extra(i)
-	}
-	if p.topo.IsFlat() {
-		for i := 0; i < p.topo.n; i++ {
-			i := i
-			p.account(1, true)
-			d := p.w.Costs.CtrlLatency + ex(i) + sim.Duration(i)*p.w.Costs.CtrlPerMsg
-			drop, delay := p.hook()
-			if drop {
-				p.st.Dropped++
-				continue
-			}
-			d += delay
-			p.w.After(d, func() { deliver(i) })
-		}
-		return
 	}
 	win := p.newWindows(phase)
 	for j, c := range p.topo.RootChildren() {
@@ -293,10 +257,15 @@ func (p *Plane) Broadcast(phase string, extra func(int) sim.Duration, deliver fu
 // c itself. sib is c's position among its siblings: a sender pushing
 // its per-child messages back to back occupies its link for CtrlPerMsg
 // per queued message, which is what bounds a coordinator's useful
-// fan-out.
+// fan-out. A leaf's only hop is its final hop, so its extra rides the
+// link; an interior member waits its extra after relaying.
 func (p *Plane) relay(win *phaseWindows, c, sib, level int, ex func(int) sim.Duration, deliver func(int)) {
 	p.account(p.sizes[c], level == 1)
 	d := p.w.Costs.CtrlLatency + sim.Duration(sib)*p.w.Costs.CtrlPerMsg
+	e := ex(c)
+	if p.sizes[c] == 1 {
+		d, e = d+e, 0
+	}
 	drop, delay := p.hook()
 	if drop {
 		// The whole subtree misses the command; the operation watchdog
@@ -309,7 +278,7 @@ func (p *Plane) relay(win *phaseWindows, c, sib, level int, ex func(int) sim.Dur
 		for j, k := range p.topo.Children(c) {
 			p.relay(win, k, j, level+1, ex, deliver)
 		}
-		if e := ex(c); e > 0 {
+		if e > 0 {
 			p.w.After(e, func() {
 				win.mark(level, p.w.Now())
 				deliver(c)
@@ -322,15 +291,10 @@ func (p *Plane) relay(win *phaseWindows, c, sib, level int, ex func(int) sim.Dur
 }
 
 // Gather returns a fan-in collector for one phase. onArrive(i) runs at
-// the instant member i's report — or, in a tree, the batched report
-// covering it — reaches the root.
+// the instant the batched report covering member i reaches the root.
 func (p *Plane) Gather(phase string, onArrive func(int)) *Gather {
-	g := &Gather{p: p, phase: phase, onArrive: onArrive}
-	if !p.topo.IsFlat() {
-		g.got = make([]int, p.topo.n)
-		g.pend = make([][]int, p.topo.n)
-	}
-	return g
+	return &Gather{p: p, phase: phase, onArrive: onArrive,
+		got: make([]int, p.topo.n), pend: make([][]int, p.topo.n)}
 }
 
 // Gather aggregates member reports up the tree: each sub-coordinator
@@ -347,23 +311,15 @@ type Gather struct {
 // Report routes member i's report toward the root. extra is the
 // member-local cost of producing the report (e.g. serializing its
 // network meta-data) and is charged before the report leaves the
-// member.
+// member: a leaf sends at once with extra riding its only hop, an
+// interior member waits extra before crediting its own report.
 func (g *Gather) Report(i int, extra sim.Duration) {
-	p := g.p
-	if p.topo.IsFlat() {
-		p.account(1, true)
-		d := p.w.Costs.CtrlLatency + extra
-		drop, delay := p.hook()
-		if drop {
-			p.st.Dropped++
-			return
-		}
-		d += delay
-		p.w.After(d, func() { g.onArrive(i) })
+	if g.p.sizes[i] == 1 {
+		g.send(i, []int{i}, extra)
 		return
 	}
 	if extra > 0 {
-		p.w.After(extra, func() { g.credit(i, []int{i}) })
+		g.p.w.After(extra, func() { g.credit(i, []int{i}) })
 		return
 	}
 	g.credit(i, []int{i})
@@ -372,18 +328,24 @@ func (g *Gather) Report(i int, extra sim.Duration) {
 // credit books the given members' reports at sub-coordinator n; once
 // n's subtree is complete the batch moves one link up.
 func (g *Gather) credit(n int, members []int) {
-	p := g.p
 	g.got[n] += len(members)
 	g.pend[n] = append(g.pend[n], members...)
-	if g.got[n] < p.sizes[n] {
+	if g.got[n] < g.p.sizes[n] {
 		return
 	}
 	batch := g.pend[n]
 	g.pend[n] = nil
 	sort.Ints(batch)
+	g.send(n, batch, 0)
+}
+
+// send moves member n's complete batch over the link to its parent,
+// extra on top of the link latency.
+func (g *Gather) send(n int, batch []int, extra sim.Duration) {
+	p := g.p
 	parent := p.topo.Parent(n)
 	p.account(len(batch), parent < 0)
-	d := p.w.Costs.CtrlLatency
+	d := p.w.Costs.CtrlLatency + extra
 	drop, delay := p.hook()
 	if drop {
 		p.st.Dropped++
@@ -445,8 +407,8 @@ func (w *phaseWindows) mark(level int, t sim.Time) {
 
 // EmitLevelSpans emits one span per tree level per broadcast phase,
 // showing the barrier collapsing level by level in the trace timeline.
-// A flat plane (or a nil tracer) emits nothing, keeping legacy traces
-// byte-identical.
+// A flat plane (or a nil tracer) emits nothing: its one level is the
+// operation's own barrier, which the caller's spans already show.
 func (p *Plane) EmitLevelSpans(tr *trace.Tracer, parent *trace.Span) {
 	if tr == nil || p.topo.IsFlat() {
 		return

@@ -1,6 +1,7 @@
 package coord
 
 import (
+	"slices"
 	"testing"
 
 	"zapc/internal/sim"
@@ -56,7 +57,7 @@ func TestTopologyShape(t *testing.T) {
 }
 
 // TestTopologyDegenerate pins the flat-star fallbacks: nil config,
-// negative fanout, fanout >= N, and the zero-value default.
+// zero or negative fanout, and fanout >= N.
 func TestTopologyDegenerate(t *testing.T) {
 	if topo := NewTopology(8, nil); !topo.IsFlat() || topo.Fanout() != 8 {
 		t.Errorf("nil config not flat: %+v", topo)
@@ -67,8 +68,8 @@ func TestTopologyDegenerate(t *testing.T) {
 	if topo := NewTopology(8, &Config{Fanout: 64}); !topo.IsFlat() {
 		t.Errorf("fanout>=N not flat: %+v", topo)
 	}
-	if topo := NewTopology(64, &Config{Fanout: 0}); topo.Fanout() != DefaultFanout {
-		t.Errorf("zero fanout did not select DefaultFanout: %+v", topo)
+	if topo := NewTopology(64, &Config{Fanout: 0}); !topo.IsFlat() || topo.Fanout() != 64 {
+		t.Errorf("zero fanout not flat: %+v", topo)
 	}
 	if topo := NewTopology(0, &Config{Fanout: 4}); topo.Depth() != 0 || len(topo.RootChildren()) != 0 {
 		t.Errorf("empty topology not empty: %+v", topo)
@@ -144,37 +145,84 @@ func TestCounters(t *testing.T) {
 	}
 }
 
-// TestFlatBroadcastTiming pins the legacy schedule: member i's command
-// arrives at CtrlLatency + i*CtrlPerMsg (+ its extra delay), in member
-// order.
+// TestFlatBroadcastTiming pins the flat star's schedule: one hook
+// consult per member, in member order at broadcast time, and member i's
+// command arriving at CtrlLatency + extra(i) + i*CtrlPerMsg. The k-th
+// consult stretches its message by k ns, which ties consult k to
+// member k.
 func TestFlatBroadcastTiming(t *testing.T) {
 	w := sim.NewWorld(1)
 	w.Costs.CtrlPerMsg = 10 * sim.Microsecond
 	p := NewPlane(w, NewTopology(4, nil), noHook, nil)
-	var at []sim.Time
+	var consults []sim.Time
+	p.hook = func() (bool, sim.Duration) {
+		consults = append(consults, w.Now())
+		return false, sim.Duration(len(consults) - 1)
+	}
+	extra := []sim.Duration{0, 0, sim.Millisecond, 5 * sim.Microsecond}
+	at := make(map[int]sim.Time)
 	var order []int
-	p.Broadcast("cmd", func(i int) sim.Duration {
-		if i == 2 {
-			return sim.Millisecond
-		}
-		return 0
-	}, func(i int) {
-		at = append(at, w.Now())
+	p.Broadcast("cmd", func(i int) sim.Duration { return extra[i] }, func(i int) {
+		at[i] = w.Now()
 		order = append(order, i)
 	})
-	w.Run()
-	lat := w.Costs.CtrlLatency
-	want := []sim.Time{
-		sim.Time(lat),
-		sim.Time(lat + 10*sim.Microsecond),
-		sim.Time(lat + 30*sim.Microsecond),
-		sim.Time(lat + sim.Millisecond + 20*sim.Microsecond),
+	if len(consults) != 4 {
+		t.Fatalf("%d hook consults at broadcast time, want one per member", len(consults))
 	}
-	wantOrder := []int{0, 1, 3, 2}
-	for k := range want {
-		if at[k] != want[k] || order[k] != wantOrder[k] {
-			t.Fatalf("delivery %d: member %d at %v, want member %d at %v",
-				k, order[k], at[k], wantOrder[k], want[k])
+	w.Run()
+	for k, c := range consults {
+		if c != 0 {
+			t.Errorf("consult %d at %v, want at broadcast time 0", k, c)
+		}
+	}
+	lat := w.Costs.CtrlLatency
+	for i, e := range extra {
+		want := sim.Time(lat + e + sim.Duration(i)*10*sim.Microsecond + sim.Duration(i))
+		if at[i] != want {
+			t.Errorf("member %d delivered at %v, want %v", i, at[i], want)
+		}
+	}
+	if wantOrder := []int{0, 1, 3, 2}; !slices.Equal(order, wantOrder) {
+		t.Errorf("delivery order %v, want %v", order, wantOrder)
+	}
+}
+
+// TestTreeReportHops pins where a report's extra is paid in a tree
+// (fanout 2 over 4 members: member 0 has children 2 and 3, members 1, 2
+// and 3 are leaves). A leaf's only hop is its final hop: it consults
+// the hook at report time and its batch lands extra + CtrlLatency
+// later. The interior member 0 waits its extra before crediting its own
+// report, so its batch leaves only then.
+func TestTreeReportHops(t *testing.T) {
+	w := sim.NewWorld(1)
+	p := NewPlane(w, NewTopology(4, &Config{Fanout: 2}), noHook, nil)
+	var consults []sim.Time
+	p.hook = func() (bool, sim.Duration) {
+		consults = append(consults, w.Now())
+		return false, 0
+	}
+	lat := w.Costs.CtrlLatency
+	extra := []sim.Duration{sim.Millisecond, 20 * sim.Microsecond, 30 * sim.Microsecond, 40 * sim.Microsecond}
+	at := make(map[int]sim.Time)
+	g := p.Gather("report", func(i int) { at[i] = w.Now() })
+	for i, e := range extra {
+		g.Report(i, e)
+	}
+	w.Run()
+	// Leaves 1, 2, 3 consult at once; member 0's batch (itself, 2, 3)
+	// leaves when its own extra has run out, after 2 and 3 reached it.
+	if want := []sim.Time{0, 0, 0, sim.Time(extra[0])}; !slices.Equal(consults, want) {
+		t.Errorf("hook consults at %v, want %v", consults, want)
+	}
+	want := map[int]sim.Time{
+		0: sim.Time(extra[0] + lat),
+		1: sim.Time(extra[1] + lat),
+		2: sim.Time(extra[0] + lat),
+		3: sim.Time(extra[0] + lat),
+	}
+	for i, tw := range want {
+		if at[i] != tw {
+			t.Errorf("member %d's report reached the root at %v, want %v", i, at[i], tw)
 		}
 	}
 }

@@ -385,14 +385,14 @@ func (m *Manager) SetPhaseHook(h PhaseHook) { m.phaseHook = h }
 func (m *Manager) SetCtrlHook(h CtrlHook) { m.ctrlHook = h }
 
 // SetCoord installs the manager's coordination topology for subsequent
-// coordinated operations. Nil (the default) keeps the flat star, which
-// schedules exactly the legacy per-member control messages.
+// coordinated operations. Nil (the default) is the flat star, the
+// one-level tree: one control message per member per phase.
 func (m *Manager) SetCoord(cfg *coord.Config) { m.coordCfg = cfg }
 
 // newPlane builds the control plane for one coordinated operation over
 // n members. The hook closure reads m.ctrlHook at each send so hooks
 // installed mid-operation (as the fault injector does) take effect
-// immediately, exactly as the legacy ctrl path did.
+// immediately.
 func (m *Manager) newPlane(n int) *coord.Plane {
 	return coord.NewPlane(m.w, coord.NewTopology(n, m.coordCfg), func() (bool, sim.Duration) {
 		if m.ctrlHook != nil {
@@ -457,10 +457,10 @@ func (m *Manager) Checkpoint(pods []*pod.Pod, opts Options, onDone func(*Checkpo
 		onDone(&CheckpointResult{Err: errors.New("core: Precopy and Incr are mutually exclusive (a pre-copy generation is already a chain)")})
 		return
 	}
-	// The control plane for this operation: the flat star unless a
-	// coordination tree is configured, in which case sub-coordinators
-	// relay fan-outs and aggregate fan-ins into one batched message per
-	// link per phase.
+	// The control plane for this operation: a coordination tree whose
+	// sub-coordinators relay fan-outs and aggregate fan-ins into one
+	// batched message per link per phase — the flat star unless a
+	// fan-out is configured.
 	op := &ckptOp{
 		opBase: opBase{m: m, plane: m.newPlane(len(pods))},
 		opts:   opts,
@@ -645,8 +645,8 @@ func (op *ckptOp) finish(err error) {
 				ag.pend.Commit()
 			}
 		}
-		// Per-level barrier spans are tree mode only — a flat plane emits
-		// nothing, keeping legacy traces byte-identical.
+		// Per-level barrier spans: a flat plane has one level and emits
+		// none.
 		op.plane.EmitLevelSpans(op.m.tr, op.span)
 		op.span.End(trace.Str("outcome", "ok"),
 			trace.I64("total_ns", int64(op.result.Stats.Total)))
@@ -842,23 +842,15 @@ func (op *ckptOp) readyArrived() {
 }
 
 // flush replays one record into the manager's store under the name its
-// place in the pod's chain gives it: a full record is <pod>.img, the
-// delta of live pre-copy round N+1 (liveRound N > 0) <pod>.rNN.delta,
-// the delta of a quiesced capture <pod>.delta. No-op when the checkpoint
-// does not flush.
+// place in the pod's chain gives it (imagestore.RecordPath; liveRound N
+// > 0 is live pre-copy round N+1, 0 a quiesced capture). No-op when the
+// checkpoint does not flush.
 func (a *ckptAgent) flush(parent *trace.Span, pend *ckpt.Pending, liveRound int) error {
 	if a.op.opts.FlushTo == "" {
 		return nil
 	}
 	name := pend.Image.PodName
-	ext := "delta"
-	switch {
-	case pend.Full():
-		ext = "img"
-	case liveRound > 0:
-		ext = fmt.Sprintf("r%02d.delta", liveRound)
-	}
-	path := fmt.Sprintf("%s/%s.%s", a.op.opts.FlushTo, name, ext)
+	path := imagestore.RecordPath(a.op.opts.FlushTo, name, pend.Full(), liveRound)
 	fSpan := a.op.m.tr.Start(parent, "store/flush", trace.Track(name), trace.Str("path", path))
 	rec := pend.Record()
 	wc, err := a.op.m.store.Create(path)
@@ -1149,7 +1141,9 @@ func (op *ckptOp) doneArrived(a *ckptAgent) {
 	op.phase = opFlushing
 	op.m.w.Cancel(op.watchdog)
 	if op.opts.FlushTo != "" {
-		if !op.plane.Flat() {
+		// A tree flushes one wave per root subtree; the flat star's one
+		// subtree is every pod, flushed below in one synchronous wave.
+		if !op.plane.Topology().IsFlat() {
 			op.flushStaggered()
 			return
 		}

@@ -403,8 +403,8 @@ type CoordScalingRow struct {
 
 // coordScalingPerMsg is the sender occupancy the scaling experiment
 // charges per queued control message (~40k msgs/s coordinator capacity,
-// 2005-era). The default cost model leaves it zero so every other
-// experiment keeps the latency-only legacy control plane.
+// 2005-era). The default cost model leaves it zero, so every other
+// experiment's control plane is latency-only.
 const coordScalingPerMsg = 25 * sim.Microsecond
 
 // CoordScalingConfig shrinks the workload for the coordination-scaling

@@ -16,23 +16,55 @@ import (
 	"zapc/internal/ckpt"
 )
 
-// ChainRank orders one pod's records within a generation for chain
-// reconstruction: the full image first, then pre-copy round deltas by
-// round number, then the residual delta. Lexicographic store order is
-// NOT restore order ("p.delta" < "p.img" < "p.r01.delta"), so the
-// ordering must be explicit.
-func ChainRank(path string) int {
-	base := path[strings.LastIndex(path, "/")+1:]
-	if strings.HasSuffix(base, ".img") {
-		return 0
+// residualRank is the chain rank of a pod's residual delta, which
+// closes its chain.
+const residualRank = 1 << 30
+
+// RecordPath names one record of a pod's chain in generation directory
+// dir: a full record is <pod>.img, the delta of live pre-copy round
+// N+1 (round N > 0) <pod>.rNN.delta, any other delta <pod>.delta.
+func RecordPath(dir, pod string, full bool, round int) string {
+	switch {
+	case full:
+		return dir + "/" + pod + ".img"
+	case round > 0:
+		return fmt.Sprintf("%s/%s.r%02d.delta", dir, pod, round)
 	}
-	trimmed := strings.TrimSuffix(base, ".delta")
-	if i := strings.LastIndex(trimmed, ".r"); i >= 0 {
-		if n, err := strconv.Atoi(trimmed[i+2:]); err == nil {
-			return n
+	return dir + "/" + pod + ".delta"
+}
+
+// parseRecord is RecordPath's inverse: the pod a record path belongs to
+// and the record's rank in that pod's chain. A path of no known layout
+// is its base name, ranked as a residual.
+func parseRecord(path string) (pod string, rank int) {
+	base := path[strings.LastIndex(path, "/")+1:]
+	if pod, ok := strings.CutSuffix(base, ".img"); ok {
+		return pod, 0
+	}
+	pod = strings.TrimSuffix(base, ".delta")
+	if i := strings.LastIndex(pod, ".r"); i >= 0 {
+		if n, err := strconv.Atoi(pod[i+2:]); err == nil {
+			return pod[:i], n
 		}
 	}
-	return 1 << 30 // the residual (plain .delta) closes the chain
+	return pod, residualRank
+}
+
+// ChainRank orders one pod's records within a generation for chain
+// reconstruction: the full image first (rank 0), then pre-copy round
+// deltas by round number, then the residual delta. Lexicographic store
+// order is NOT restore order ("p.delta" < "p.img" < "p.r01.delta"), so
+// the ordering must be explicit. Every rank above 0 is a delta.
+func ChainRank(path string) int {
+	_, rank := parseRecord(path)
+	return rank
+}
+
+// PodOf extracts the pod name from a record path (see RecordPath).
+// Unknown layouts return the path's base name.
+func PodOf(path string) string {
+	pod, _ := parseRecord(path)
+	return pod
 }
 
 // PodChain is one pod's records in restore order.

@@ -15,28 +15,11 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"strconv"
-	"strings"
 )
 
 // ErrTruncatedStream is returned (wrapped, naming the pod) when an
 // image stream is cut before the record was fully written or read.
 var ErrTruncatedStream = errors.New("imagestore: image stream truncated")
-
-// PodOf extracts the pod name from an image record path: generation
-// records are named <dir>/<pod>.img, <pod>.delta, or <pod>.rNN.delta
-// (pre-copy round deltas). Unknown layouts return the path's base name.
-func PodOf(path string) string {
-	base := path[strings.LastIndex(path, "/")+1:]
-	base = strings.TrimSuffix(base, ".img")
-	base = strings.TrimSuffix(base, ".delta")
-	if i := strings.LastIndex(base, ".r"); i >= 0 && len(base) > i+2 {
-		if _, err := strconv.Atoi(base[i+2:]); err == nil {
-			base = base[:i]
-		}
-	}
-	return base
-}
 
 // truncErr builds the canonical truncation error for one record stream.
 func truncErr(path string, after int64) error {

@@ -287,3 +287,32 @@ func TestRemoteResetMidPayloadNamesPod(t *testing.T) {
 		t.Fatal("a reset transfer committed its image")
 	}
 }
+
+// TestRecordPathRoundTrips: every name RecordPath builds parses back to
+// its pod and to a rank that puts the chain in restore order, a delta's
+// above the full record's.
+func TestRecordPathRoundTrips(t *testing.T) {
+	cases := []struct {
+		full  bool
+		round int
+		path  string
+		rank  int
+	}{
+		{true, 0, "gen0001/cpi-1-0.img", 0},
+		{false, 3, "gen0001/cpi-1-0.r03.delta", 3},
+		{false, 12, "gen0001/cpi-1-0.r12.delta", 12},
+		{false, 0, "gen0001/cpi-1-0.delta", residualRank},
+	}
+	for _, tc := range cases {
+		path := RecordPath("gen0001", "cpi-1-0", tc.full, tc.round)
+		if path != tc.path {
+			t.Errorf("RecordPath(full=%v, round=%d) = %q, want %q", tc.full, tc.round, path, tc.path)
+		}
+		if pod := PodOf(path); pod != "cpi-1-0" {
+			t.Errorf("PodOf(%q) = %q", path, pod)
+		}
+		if rank := ChainRank(path); rank != tc.rank {
+			t.Errorf("ChainRank(%q) = %d, want %d", path, rank, tc.rank)
+		}
+	}
+}

@@ -397,10 +397,10 @@ type Costs struct {
 	CtrlLatency Duration
 	// CtrlPerMsg is the sender-side occupancy of queuing one control
 	// message: a coordinator pushing k messages back to back delivers
-	// the i-th one i*CtrlPerMsg later. Zero (the default, and the
-	// legacy model) makes a flat broadcast latency-only; scaling
-	// experiments set it non-zero to expose the flat coordinator's
-	// O(N) serialization bottleneck that the coordination tree removes.
+	// the i-th one i*CtrlPerMsg later. Zero (the default) makes a
+	// flat broadcast latency-only; scaling experiments set it non-zero
+	// to expose the flat coordinator's O(N) serialization bottleneck
+	// that the coordination tree removes.
 	CtrlPerMsg Duration
 	// Syscall is the cost of one virtualized system call.
 	Syscall Duration

@@ -60,7 +60,6 @@ import (
 	"zapc/internal/ckpt"
 	"zapc/internal/core"
 	"zapc/internal/imagestore"
-	"zapc/internal/memfs"
 	"zapc/internal/pod"
 	"zapc/internal/sim"
 	"zapc/internal/trace"
@@ -217,11 +216,9 @@ func (p Policy) heartbeatTimeout() sim.Duration { return HeartbeatMisses * p.Hea
 type Target struct {
 	W   *sim.World
 	Mgr *core.Manager
-	FS  *memfs.FS
-	// Store is where generations are validated and loaded from; nil
-	// selects the shared filesystem (imagestore.NewFS(FS)). It should
-	// match the manager's store, which is where FlushTo streams the
-	// records.
+	// Store is where generations are validated and loaded from. It
+	// should match the manager's store, which is where FlushTo streams
+	// the records.
 	Store imagestore.Store
 	// Pods returns the job's current pods (changes after a failover).
 	Pods func() []*pod.Pod
@@ -394,9 +391,6 @@ type Supervisor struct {
 // New builds a supervisor for the target under the given policy. Call
 // Start to arm it.
 func New(t Target, pol Policy) *Supervisor {
-	if t.Store == nil {
-		t.Store = imagestore.NewFS(t.FS)
-	}
 	s := &Supervisor{
 		t:        t,
 		pol:      pol.withDefaults(),
@@ -933,7 +927,7 @@ func (s *Supervisor) chains(gi int) ([]imagestore.PodChain, error) {
 	for j := base + 1; j <= gi; j++ {
 		for i := range chains {
 			chains[i].Paths = append(chains[i].Paths,
-				fmt.Sprintf("%s/%s.delta", s.gens[j].Dir, chains[i].Pod))
+				imagestore.RecordPath(s.gens[j].Dir, chains[i].Pod, false, 0))
 		}
 	}
 	return chains, nil
@@ -1264,7 +1258,7 @@ func (s *Supervisor) chainReplayBytes(g Generation, chains []imagestore.PodChain
 			if serr != nil {
 				return 0, fmt.Errorf("generation %s: %s: %w", g.Dir, p, serr)
 			}
-			if strings.HasSuffix(p, ".delta") {
+			if imagestore.ChainRank(p) > 0 {
 				replayBytes += info.Size
 			}
 		}

@@ -42,8 +42,9 @@ func newRig(t *testing.T) *rig {
 		t.Fatal(err)
 	}
 	r.pods = []*pod.Pod{p}
+	mgr := core.NewManager(w, nw, fs)
 	r.s = New(Target{
-		W: w, Mgr: core.NewManager(w, nw, fs), FS: fs,
+		W: w, Mgr: mgr, Store: mgr.Store(),
 		Pods:     func() []*pod.Pod { return r.pods },
 		Nodes:    func() []*vos.Node { return r.nodes },
 		Rebind:   func(ps []*pod.Pod) error { r.pods = ps; return nil },

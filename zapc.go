@@ -66,8 +66,8 @@ type (
 	CheckpointOptions = core.Options
 	// CoordConfig selects the coordination-tree topology of a cluster's
 	// coordinated operations. Config.Fanout is the one way to set it
-	// (the cluster hands it to Manager.SetCoord); unset means the
-	// legacy flat star.
+	// (the cluster hands it to Manager.SetCoord); zero is the flat
+	// star, the one-level tree.
 	CoordConfig = coord.Config
 	// CoordStats is the per-link control-plane accounting of one
 	// coordinated operation (message, byte, and root-message counts).
