@@ -80,6 +80,9 @@ vet:
 # by topology, the per-level trace spans (coord.(*Plane).EmitLevelSpans)
 # and the flush waves (core.(*ckptOp).doneArrived), never by a send
 # (DESIGN.md §10).
+# And a record is sized by the read that checks it (ckpt.Chain.Size): no
+# non-test type in internal/imagestore has a Stat method, and non-test
+# internal/supervisor code calls no .Stat( (DESIGN.md §5).
 boundary:
 	@files="$$($(GO) list -f '{{join .GoFiles " "}}' .)"; \
 	if [ "$$files" != "zapc.go" ]; then echo "boundary: root package must hold zapc.go only, has: $$files"; exit 1; fi
@@ -145,6 +148,9 @@ boundary:
 		&& !(FILENAME ~ /internal\/core\/core\.go$$/ && fn ~ /^func \(op \*ckptOp\) doneArrived\(/){print FILENAME ": " $$0}' \
 		$$(grep -rl --include='*.go' 'IsFlat(' . | grep -v '_test\.go$$'))"; \
 	if [ -n "$$bad" ]; then echo "boundary: IsFlat read outside the trace-span and flush-wave policies; the flat star is the one-level tree and sends as one (DESIGN.md §10):"; echo "$$bad"; exit 1; fi
+	@bad="$$(grep -HnE '^func \([^)]*\) Stat\(' $$(ls internal/imagestore/*.go | grep -v '_test\.go$$'); \
+		grep -HnE '\.Stat\(' $$(ls internal/supervisor/*.go | grep -v '_test\.go$$') | grep -vE '^[^:]+:[0-9]+:[[:space:]]*//')"; \
+	if [ -n "$$bad" ]; then echo "boundary: a record's size comes from the read that checks it (ckpt.Chain.Size), not from store metadata (DESIGN.md §5):"; echo "$$bad"; exit 1; fi
 
 build:
 	$(GO) build ./...

@@ -425,6 +425,7 @@ func TestChainNextLeavesChainUnchangedOnError(t *testing.T) {
 	}
 	flipped := append([]byte(nil), records[1]...)
 	flipped[len(flipped)/2] ^= 0x10
+	trailed := func(rec []byte) []byte { return append(append([]byte(nil), rec...), "xyz"...) }
 
 	var empty Chain
 	based, err := empty.Next(bytes.NewReader(records[0]))
@@ -445,22 +446,31 @@ func TestChainNextLeavesChainUnchangedOnError(t *testing.T) {
 		{"flipped byte", based, flipped, ErrCorruptImage},
 		{"truncated", based, records[1][:len(records[1])/2], ErrCorruptImage},
 		{"corrupt image", empty, records[0][:len(records[0])-1], ErrCorruptImage},
+		{"bytes after a delta", based, trailed(records[1]), ErrCorruptImage},
+		{"bytes after an image", empty, trailed(records[0]), ErrCorruptImage},
 	} {
 		for how, extend := range map[string]func(Chain, io.Reader) (Chain, error){"Next": Chain.Next, "Verify": Chain.Verify} {
 			got, err := extend(tc.from, bytes.NewReader(tc.rec))
 			if !errors.Is(err, tc.want) {
 				t.Errorf("%s: %s: err = %v, want %v", tc.name, how, err, tc.want)
 			}
-			if got.Image != tc.from.Image || !got.SameHead(tc.from) {
+			if got.Image != tc.from.Image || !got.SameHead(tc.from) || got.Size() != tc.from.Size() {
 				t.Errorf("%s: %s: a refused record changed the chain: %+v -> %+v", tc.name, how, tc.from, got)
 			}
 		}
 	}
-	// The chains the refusals were returned from still extend.
+	// The chains the refusals were returned from still extend, and each
+	// head is sized as its record.
+	if based.Size() != int64(len(records[0])) {
+		t.Fatalf("full image of %d bytes read as %d", len(records[0]), based.Size())
+	}
 	full := based
 	for _, rec := range records[1:] {
 		if full, err = full.Next(bytes.NewReader(rec)); err != nil {
 			t.Fatal(err)
+		}
+		if full.Size() != int64(len(rec)) {
+			t.Fatalf("delta of %d bytes read as %d", len(rec), full.Size())
 		}
 	}
 	if !sameImage(full.Image, want) {

@@ -187,16 +187,33 @@ func (c *countCRCWriter) Write(p []byte) (int, error) {
 }
 
 // crcReader mirrors countCRCWriter on the consuming side, so Chain can
-// link ParentSums without re-reading records.
+// link ParentSums, and size its records, without re-reading them.
 type crcReader struct {
 	r   io.Reader
+	n   int64
 	sum uint32
+	// past receives the byte a record must not have after its
+	// terminator: a field, because a local array handed to Read escapes.
+	past [1]byte
 }
 
 func (c *crcReader) Read(p []byte) (int, error) {
 	n, err := c.r.Read(p)
+	c.n += int64(n)
 	c.sum = crc32.Update(c.sum, crc32.IEEETable, p[:n])
 	return n, err
+}
+
+// end confirms the record just walked was the whole stream: a record is
+// one file, so a byte after its terminator is a defect.
+func (c *crcReader) end() error {
+	if _, err := io.ReadFull(c, c.past[:]); err != nil {
+		if err == io.EOF {
+			return nil
+		}
+		return err
+	}
+	return fmt.Errorf("bytes after the record's terminator at offset %d, the first %#02x", c.n-1, c.past[0])
 }
 
 // encodeRecord walks a record's layout into s, whose output goes through
@@ -301,6 +318,7 @@ type Chain struct {
 	Image *Image
 	pod   string
 	sum   uint32    // CRC-32 (IEEE) of the last record's bytes
+	size  int64     // the last record's length in bytes
 	seq   uint64    // the last record's place: 0 the full image, then 1, 2, ...
 	links int       // records linked so far
 	vpids []vos.PID // the processes alive after the last record, ascending
@@ -312,6 +330,10 @@ func (c Chain) Len() int { return c.links }
 // Sum is the CRC-32 (IEEE) of the last linked record's bytes, which the
 // next delta's ParentSum must equal.
 func (c Chain) Sum() uint32 { return c.sum }
+
+// Size is the length in bytes of the last linked record, every byte of
+// which the walk that linked it read and checked.
+func (c Chain) Size() int64 { return c.size }
 
 // Seq is the last linked record's sequence number: 0 for the full image.
 func (c Chain) Seq() uint64 { return c.seq }
@@ -330,7 +352,8 @@ func (c Chain) SameHead(o Chain) bool {
 // decoder frame by frame, every frame CRC and the trailer verified. A
 // record that does not decode fails with ErrCorruptImage, one that decodes
 // but does not link (the wrong kind of record included) with
-// ErrChainBroken; either way the chain returned is c, unchanged.
+// ErrChainBroken; either way the chain returned is c, unchanged. A
+// record is the whole of r: a byte after its terminator is corruption.
 func (c Chain) Next(r io.Reader) (Chain, error) { return c.extend(r, true) }
 
 // Verify is Next keeping nothing: the record is walked by the checking
@@ -357,10 +380,10 @@ func (c Chain) extend(r io.Reader, keep bool) (Chain, error) {
 			return c, fmt.Errorf("%w: a delta record where the chain's full image is expected", ErrChainBroken)
 		}
 		img := &Image{}
-		if err := walkRecord(d, img.layout, keep); err != nil {
+		if err := walkRecord(d, cr, img.layout, keep); err != nil {
 			return c, fmt.Errorf("%w: %w", ErrCorruptImage, err)
 		}
-		next := Chain{pod: img.PodName, sum: cr.sum, links: 1, vpids: make([]vos.PID, len(img.Procs))}
+		next := Chain{pod: img.PodName, sum: cr.sum, size: cr.n, links: 1, vpids: make([]vos.PID, len(img.Procs))}
 		for i := range img.Procs {
 			next.vpids[i] = img.Procs[i].VPID
 		}
@@ -374,10 +397,10 @@ func (c Chain) extend(r io.Reader, keep bool) (Chain, error) {
 		return c, fmt.Errorf("%w: a pod image where delta %d is expected", ErrChainBroken, c.seq+1)
 	}
 	dl := &DeltaImage{}
-	if err := walkRecord(d, dl.layout, keep); err != nil {
+	if err := walkRecord(d, cr, dl.layout, keep); err != nil {
 		return c, fmt.Errorf("%w: %w", ErrCorruptImage, err)
 	}
-	next, err := c.link(dl, cr.sum)
+	next, err := c.link(dl, cr.sum, cr.n)
 	if err == nil && keep {
 		next.Image, err = ApplyDelta(c.Image, dl)
 	}
@@ -387,24 +410,28 @@ func (c Chain) extend(r io.Reader, keep bool) (Chain, error) {
 	return next, nil
 }
 
-// walkRecord walks layout over the record d has opened: reading it into
-// the layout's owner, or only checking it. (A function, not a variable
-// holding one of the two: through a variable the layout's method value
-// escapes to the heap.)
-func walkRecord(d *imgfmt.StreamDecoder, layout func(imgfmt.Visitor), keep bool) error {
+// walkRecord walks layout over the record d has opened from cr: reading it
+// into the layout's owner, or only checking it, and then cr to its end.
+// (A function, not a variable holding one of the two: through a variable
+// the layout's method value escapes to the heap.)
+func walkRecord(d *imgfmt.StreamDecoder, cr *crcReader, layout func(imgfmt.Visitor), keep bool) error {
 	if keep {
-		return imgfmt.ReadRecord(d, layout)
+		if err := imgfmt.ReadRecord(d, layout); err != nil {
+			return err
+		}
+	} else if err := imgfmt.VerifyRecord(d, layout); err != nil {
+		return err
 	}
-	return imgfmt.VerifyRecord(d, layout)
+	return cr.end()
 }
 
 // link is the one definition of "this delta extends that chain": its
 // ParentSum is the checksum of the record before it, its Seq the next in
 // line, it is for the chain's pod, and it updates no process the chain
 // does not know. It needs the delta's metadata only — which a verifying
-// walk leaves as a reading one does — and sum, the checksum of the
-// delta's own bytes, and returns the head after it.
-func (c Chain) link(dl *DeltaImage, sum uint32) (Chain, error) {
+// walk leaves as a reading one does — and sum and size, the checksum and
+// length of the delta's own bytes, and returns the head after it.
+func (c Chain) link(dl *DeltaImage, sum uint32, size int64) (Chain, error) {
 	if dl.ParentSum != c.sum {
 		return c, fmt.Errorf("%w: delta %d has parent checksum %08x, the record before it %08x",
 			ErrChainBroken, dl.Seq, dl.ParentSum, c.sum)
@@ -431,7 +458,7 @@ func (c Chain) link(dl *DeltaImage, sum uint32) (Chain, error) {
 		vpids = append(vpids, pd.VPID)
 	}
 	slices.Sort(vpids)
-	return Chain{pod: c.pod, sum: sum, seq: dl.Seq, links: c.links + 1, vpids: vpids}, nil
+	return Chain{pod: c.pod, sum: sum, size: size, seq: dl.Seq, links: c.links + 1, vpids: vpids}, nil
 }
 
 // ReconstructChainFrom validates and materializes a base-plus-deltas

@@ -14,7 +14,8 @@ import (
 // one verdict: both accept or both refuse with the same error (class,
 // text, hence frame number), a refusal leaves each chain where it was,
 // and an accepted record leaves both on the same head — pod, checksum,
-// sequence, live VPIDs — with no image on the verified side.
+// sequence, live VPIDs, a size that is every byte of data — with no image
+// on the verified side.
 func checkVerifyMatchesNext(t testing.TB, name string, read, verified Chain, data []byte) (Chain, Chain) {
 	t.Helper()
 	next, nerr := read.Next(bytes.NewReader(data))
@@ -22,14 +23,17 @@ func checkVerifyMatchesNext(t testing.TB, name string, read, verified Chain, dat
 	if (nerr == nil) != (verr == nil) || nerr != nil && (nerr.Error() != verr.Error() || namedErr(nerr) != namedErr(verr)) {
 		t.Fatalf("%s: Next says %v, Verify %v", name, nerr, verr)
 	}
-	if !next.SameHead(ver) || ver.Image != nil {
+	if !next.SameHead(ver) || ver.Image != nil || next.Size() != ver.Size() {
 		t.Fatalf("%s: Next left head %+v, Verify %+v", name, next, ver)
 	}
 	if nerr != nil {
-		if !next.SameHead(read) || next.Image != read.Image {
+		if !next.SameHead(read) || next.Image != read.Image || next.Size() != read.Size() {
 			t.Fatalf("%s: a refused record changed the chain", name)
 		}
 		return next, ver
+	}
+	if ver.Size() != int64(len(data)) {
+		t.Fatalf("%s: a record of %d bytes linked with size %d", name, len(data), ver.Size())
 	}
 	alive := make([]vos.PID, len(next.Image.Procs))
 	for i, p := range next.Image.Procs {
@@ -70,13 +74,19 @@ func TestVerifyMatchesNext(t *testing.T) {
 	if based.Len() != 1 || verified.Len() != 1 {
 		t.Fatalf("one record linked, Len() = %d and %d", based.Len(), verified.Len())
 	}
-	for name, data := range map[string][]byte{"delta first": delta, "empty": {}, "noise": bytes.Repeat([]byte{0x5a}, 64)} {
+	for name, data := range map[string][]byte{
+		"delta first": delta, "empty": {}, "noise": bytes.Repeat([]byte{0x5a}, 64),
+		"bytes after the full image": append(slices.Clip(full), "xyz"...),
+	} {
 		checkVerifyMatchesNext(t, name, Chain{}, Chain{}, data)
 	}
 	corruptions(full, func(name string, data []byte) {
 		checkVerifyMatchesNext(t, "full "+name, Chain{}, Chain{}, data)
 	})
-	for name, data := range map[string][]byte{"delta": delta, "image second": full, "empty second": {}} {
+	for name, data := range map[string][]byte{
+		"delta": delta, "image second": full, "empty second": {},
+		"bytes after the delta": append(slices.Clip(delta), "xyz"...),
+	} {
 		checkVerifyMatchesNext(t, name, based, verified, data)
 	}
 	corruptions(delta, func(name string, data []byte) {

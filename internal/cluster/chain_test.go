@@ -119,6 +119,11 @@ func TestChainErrorsNameSentinelPodAndPath(t *testing.T) {
 			writeFile(t, c, path, data[:len(data)/2])
 			return path
 		}},
+		{"bytes after the terminator", ckpt.ErrCorruptImage, func(t *testing.T, c *Cluster, victim, _ imagestore.PodChain) string {
+			path := victim.Paths[1]
+			writeFile(t, c, path, append(readFile(t, c, path), "xyz"...))
+			return path
+		}},
 		{"swapped delta", ckpt.ErrChainBroken, func(t *testing.T, c *Cluster, victim, other imagestore.PodChain) string {
 			path := victim.Paths[1]
 			writeFile(t, c, path, readFile(t, c, other.Paths[1]))

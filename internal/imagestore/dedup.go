@@ -413,18 +413,6 @@ func (d *DedupStore) List(prefix string) []string {
 	return out
 }
 
-// Stat reports the logical image size and its block count.
-func (d *DedupStore) Stat(path string) (Info, error) {
-	m, err := d.readManifest(path)
-	if err != nil {
-		return Info{}, err
-	}
-	if m == nil {
-		return d.inner.Stat(path)
-	}
-	return Info{Path: path, Size: m.logical, Chunks: len(m.blocks)}, nil
-}
-
 // Remove drops the image at path and decrements its block references;
 // blocks reaching zero references (and not pinned by an in-flight
 // writer) are removed with it. Chain-aware retention in the supervisor
@@ -486,17 +474,22 @@ type DedupUsage struct {
 // StoredBytes is the physical footprint: unique blocks plus manifests.
 func (u DedupUsage) StoredBytes() int64 { return u.BlockBytes + u.ManifestBytes }
 
-// Usage scans the store and reports its dedup accounting. Paths are
-// walked in sorted order so the scan itself is deterministic.
+// Usage scans the store and reports its dedup accounting, measuring each
+// block by reading it. Paths are walked in sorted order so the scan itself
+// is deterministic.
 func (d *DedupStore) Usage() DedupUsage {
 	var u DedupUsage
 	paths := d.inner.List("")
 	sort.Strings(paths)
 	for _, p := range paths {
 		if strings.HasPrefix(p, dedupBlockPrefix) {
-			if fi, err := d.inner.Stat(p); err == nil {
-				u.Blocks++
-				u.BlockBytes += fi.Size
+			if rc, err := d.inner.Open(p); err == nil {
+				n, err := io.Copy(io.Discard, rc)
+				rc.Close()
+				if err == nil {
+					u.Blocks++
+					u.BlockBytes += n
+				}
 			}
 			continue
 		}

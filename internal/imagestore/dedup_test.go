@@ -83,13 +83,13 @@ func TestDedupRoundTrip(t *testing.T) {
 		if got := readImage(t, st, path); !bytes.Equal(got, data) {
 			t.Fatalf("size %d: round trip mismatch (%d bytes back)", n, len(got))
 		}
-		info, err := st.Stat(path)
+		m, err := st.readManifest(path)
 		if err != nil {
 			t.Fatal(err)
 		}
-		wantChunks := (n + 1023) / 1024
-		if info.Size != int64(n) || info.Chunks != wantChunks {
-			t.Fatalf("size %d: stat %+v, want Size=%d Chunks=%d", n, info, n, wantChunks)
+		wantBlocks := (n + 1023) / 1024
+		if m.logical != int64(n) || len(m.blocks) != wantBlocks {
+			t.Fatalf("size %d: manifest of %d bytes in %d blocks, want %d in %d", n, m.logical, len(m.blocks), n, wantBlocks)
 		}
 	}
 }
@@ -439,7 +439,7 @@ func TestDedupRecoverRefs(t *testing.T) {
 }
 
 // TestDedupPassThrough: files written beneath the wrapper (or before it
-// existed) read, stat, list, and remove through unchanged.
+// existed) read, list, and remove through unchanged.
 func TestDedupPassThrough(t *testing.T) {
 	inner := NewFS(memfs.New())
 	wc, _ := inner.Create("legacy/pod.img")
@@ -449,10 +449,6 @@ func TestDedupPassThrough(t *testing.T) {
 	st := NewDedup(inner)
 	if got := readImage(t, st, "legacy/pod.img"); string(got) != "plain image bytes" {
 		t.Fatalf("pass-through read: %q", got)
-	}
-	info, err := st.Stat("legacy/pod.img")
-	if err != nil || info.Size != 17 {
-		t.Fatalf("pass-through stat: %+v, %v", info, err)
 	}
 	if err := st.Remove("legacy/pod.img"); err != nil {
 		t.Fatal(err)
@@ -532,7 +528,7 @@ func oneBlockManifest(n uint64) []byte {
 
 // A manifest must size what it lists within the store's block size: a
 // logical size past int64 and a block of 0 bytes or of more than a block
-// are refused, so Stat never reports a negative size.
+// are refused, so a manifest never reports a negative size.
 func TestDedupManifestSizesAreBounded(t *testing.T) {
 	st, inner := newDedupT()
 	for name, m := range map[string][]byte{
@@ -546,15 +542,15 @@ func TestDedupManifestSizesAreBounded(t *testing.T) {
 		if err := wc.Close(); err != nil {
 			t.Fatal(err)
 		}
-		if info, err := st.Stat("bad/" + name); !errors.Is(err, ErrDedupCorrupt) {
-			t.Errorf("%s: Stat = %+v, %v; want ErrDedupCorrupt", name, info, err)
+		if m, err := st.readManifest("bad/" + name); !errors.Is(err, ErrDedupCorrupt) {
+			t.Errorf("%s: manifest %+v, %v; want ErrDedupCorrupt", name, m, err)
 		}
 	}
 	wc, _ := inner.Create("ok/full")
 	wc.Write(oneBlockManifest(1 << 10))
 	wc.Close()
-	if info, err := st.Stat("ok/full"); err != nil || info.Size != 1<<10 {
-		t.Errorf("one full block: Stat = %+v, %v", info, err)
+	if m, err := st.readManifest("ok/full"); err != nil || m.logical != 1<<10 {
+		t.Errorf("one full block: manifest %+v, %v", m, err)
 	}
 }
 

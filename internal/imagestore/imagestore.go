@@ -10,7 +10,8 @@
 // consumers read them back through Open without knowing where they came
 // from. Everything above this interface (the coordination manager, the
 // supervisor, the cluster restart paths) handles images only as
-// streams, never as whole buffers.
+// streams, never as whole buffers, and learns a record's size from the
+// read that checks it (ckpt.Chain.Size), never from store metadata.
 package imagestore
 
 import (
@@ -24,17 +25,6 @@ import (
 // direction of the interface (e.g. the write-only remote store).
 var ErrUnsupported = errors.New("imagestore: operation not supported by this store")
 
-// Info is the stored metadata of one image.
-type Info struct {
-	Path string
-	Size int64
-	// Chunks is the number of separate buffers backing the stored
-	// image: one for a legacy whole-buffer write, one per streamed
-	// Write otherwise. Tests assert Chunks > 1 to prove an image was
-	// streamed end to end without ever being materialized contiguously.
-	Chunks int
-}
-
 // Store is a pluggable checkpoint image store. Images are write-once
 // blobs: Create returns a streaming writer whose Close commits the
 // image atomically (a failed writer must leave no partial image
@@ -45,7 +35,6 @@ type Store interface {
 	// List returns the sorted paths of images under the prefix.
 	List(prefix string) []string
 	Remove(path string) error
-	Stat(path string) (Info, error)
 }
 
 // FSStore stores images on the shared in-memory filesystem — the
@@ -73,12 +62,3 @@ func (s *FSStore) List(prefix string) []string { return s.fs.List(prefix) }
 
 // Remove deletes an image.
 func (s *FSStore) Remove(path string) error { return s.fs.Remove(path) }
-
-// Stat returns image metadata.
-func (s *FSStore) Stat(path string) (Info, error) {
-	fi, err := s.fs.Stat(path)
-	if err != nil {
-		return Info{}, err
-	}
-	return Info{Path: fi.Path, Size: fi.Size, Chunks: fi.Chunks}, nil
-}

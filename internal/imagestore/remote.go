@@ -34,7 +34,7 @@ const maxRemotePath = 4096
 
 // Remote is a write-only Store that streams images to a Server on a
 // peer node. Reads happen against the receiving node's local store, so
-// Open/Stat/Remove return ErrUnsupported and List is empty.
+// Open and Remove return ErrUnsupported and List is empty.
 type Remote struct {
 	stack  *netstack.Stack
 	server netstack.Addr
@@ -80,9 +80,6 @@ func (r *Remote) List(string) []string { return nil }
 
 // Remove is unsupported.
 func (r *Remote) Remove(string) error { return ErrUnsupported }
-
-// Stat is unsupported.
-func (r *Remote) Stat(string) (Info, error) { return Info{}, ErrUnsupported }
 
 // remoteWriter stages chunk buffers and pumps them through the socket
 // as send-buffer space opens up. The staged queue is a list of

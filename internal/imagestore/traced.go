@@ -59,8 +59,6 @@ func (t *tracedStore) Remove(path string) error {
 	return err
 }
 
-func (t *tracedStore) Stat(path string) (Info, error) { return t.inner.Stat(path) }
-
 // tracedWriter counts bytes and write calls (chunks) through to Close,
 // where the span ends with the totals.
 type tracedWriter struct {

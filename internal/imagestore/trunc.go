@@ -95,9 +95,6 @@ func (t *TruncStore) List(prefix string) []string { return t.inner.List(prefix) 
 // Remove delegates to the wrapped store.
 func (t *TruncStore) Remove(path string) error { return t.inner.Remove(path) }
 
-// Stat delegates to the wrapped store.
-func (t *TruncStore) Stat(path string) (Info, error) { return t.inner.Stat(path) }
-
 // truncWriter accepts up to `left` bytes, then fails every subsequent
 // write — and the Close — with the named truncation error. The inner
 // writer is never closed, so nothing is ever committed: a truncated

@@ -8,6 +8,7 @@ import (
 	"maps"
 	"runtime"
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -16,6 +17,7 @@ import (
 	"zapc/internal/imagestore"
 	"zapc/internal/sim"
 	"zapc/internal/supervisor"
+	"zapc/internal/trace"
 )
 
 // probeStore counts the bytes read from each record and runs a hook once
@@ -259,9 +261,13 @@ func TestCommitDecodesOnlyNewRecords(t *testing.T) {
 		clear(probe.read)
 		v0, s0 := verified.Value(), scrubbed.Value()
 		committed(t, c, sup, k+1)
-		wrote := c.FS.List(sup.Generations()[k].Dir)
+		g := sup.Generations()[k]
+		wrote := c.FS.List(g.Dir)
 		if got, want := verified.Value()-v0, size(wrote); got != want || want == 0 {
 			t.Errorf("commit %d: %d bytes went through the verifying decoder, generation %d's records hold %d", k, got, k, want)
+		}
+		if got, want := g.Bytes, size(wrote); got != want {
+			t.Errorf("commit %d: Generation.Bytes = %d, generation %d's records hold %d", k, got, k, want)
 		}
 		if got, want := scrubbed.Value()-s0, size(older); got != want {
 			t.Errorf("commit %d: %d bytes were re-hashed, the %d retained records under it hold %d", k, got, len(older), want)
@@ -327,5 +333,44 @@ func TestRecoveryCrossChecksTheMemo(t *testing.T) {
 	}
 	if got := job.Result(); got != want {
 		t.Fatalf("result %v != reference %v", got, want)
+	}
+}
+
+// TestRecoveryReplayIsChargedForTheDeltasRead: the delta-replay charge of
+// a failover — the bytes on its supervisor/chain-reconstruct span — is
+// the stored size of exactly the delta records on the chains it restored.
+func TestRecoveryReplayIsChargedForTheDeltasRead(t *testing.T) {
+	c, _, sup, _ := incrementalJob(t, cluster.JobSpec{App: "cpi", Endpoints: 4, Work: 0.05, Scale: 0.001}, 0.1)
+	committed(t, c, sup, 3)
+	c.Nodes[1].Fail()
+	if err := c.Drive(func() bool { return sup.Stats().Failovers > 0 }, deadline); err != nil {
+		t.Fatalf("drive: %v (supervisor: %v, events: %v)", err, sup.Err(), sup.Events())
+	}
+	var dir, charged string
+	for _, ev := range c.Tracer().Events() {
+		if ev.Name == "supervisor/chain-reconstruct" && ev.Ph == trace.PhBegin && ev.Args["dir"] != "" {
+			dir, charged = ev.Args["dir"], ev.Args["bytes"]
+		}
+	}
+	if dir == "" {
+		t.Fatalf("no delta replay was charged; events: %v", sup.Events())
+	}
+	var want int64
+	for _, g := range sup.Generations() {
+		for _, path := range c.FS.List(g.Dir) {
+			info, err := c.FS.Stat(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if imagestore.ChainRank(path) > 0 {
+				want += info.Size
+			}
+		}
+		if g.Dir == dir {
+			break
+		}
+	}
+	if got := strconv.FormatInt(want, 10); charged != got || want == 0 {
+		t.Fatalf("restoring %s charged the replay of %s bytes, its chains' deltas hold %s", dir, charged, got)
 	}
 }

@@ -319,16 +319,16 @@ type Generation struct {
 	Seq   int
 	Dir   string
 	T     sim.Time // commit time
-	Bytes int64    // serialized size of all records in the directory
+	Bytes int64    // serialized size of all records in the directory, as the commit check read them
 	// Full marks a full-image generation; false means the directory
 	// holds delta records whose restore needs the chain back to the
 	// nearest full generation.
 	Full bool
 	// heads is the commit memo: for every record of the generation, by
 	// store path, the chain head its pod stood at once the commit check
-	// had verified and linked it — no image, and its Sum is the CRC-32 of
-	// the record's stored bytes. It is set when the commit succeeds and
-	// goes where the generation goes.
+	// had verified and linked it — no image; its Sum is the CRC-32 of the
+	// record's stored bytes and its Size their length. It is set when the
+	// commit succeeds and goes where the generation goes.
 	heads map[string]ckpt.Chain
 }
 
@@ -761,13 +761,6 @@ func (s *Supervisor) ckptDone(dir string, res *core.CheckpointResult) {
 	}
 	switch {
 	case err == nil:
-		var bytes int64
-		for _, f := range s.t.Store.List(dir) {
-			if info, e := s.t.Store.Stat(f); e == nil {
-				bytes += info.Size
-			}
-		}
-		s.gens[len(s.gens)-1].Bytes = bytes
 		s.gen++
 		s.stats.Checkpoints++
 		kind := "full"
@@ -775,7 +768,7 @@ func (s *Supervisor) ckptDone(dir string, res *core.CheckpointResult) {
 			kind = "delta"
 		}
 		s.log(EvCheckpoint, "generation %s committed (%s, %d records, %.1f KB, took %v)",
-			dir, kind, len(res.Images), float64(bytes)/1024, res.Stats.Total)
+			dir, kind, len(res.Images), float64(s.gens[len(s.gens)-1].Bytes)/1024, res.Stats.Total)
 		s.gc()
 		s.syncReplica()
 		s.endCkptCycle()
@@ -945,7 +938,8 @@ func (s *Supervisor) chains(gi int) ([]imagestore.PodChain, error) {
 // chain. It first refuses a generation whose directory lists a record no
 // pod's chain reaches, so every record just flushed is checked or the
 // commit fails naming the one that would not be. The new heads are built
-// aside and become the generation's memo only when every pod passed.
+// aside and become the generation's memo, and their sizes its Bytes, only
+// when every pod passed.
 func (s *Supervisor) checkGeneration(gi int) error {
 	g := s.gens[gi]
 	span := s.tr.Start(s.span, "supervisor/load-generation", trace.Track("supervisor"),
@@ -962,7 +956,11 @@ func (s *Supervisor) checkGeneration(gi int) error {
 		span.End(trace.Str("err", err.Error()))
 		return err
 	}
-	s.gens[gi].heads = heads
+	var bytes int64
+	for _, head := range heads {
+		bytes += head.Size()
+	}
+	s.gens[gi].heads, s.gens[gi].Bytes = heads, bytes
 	span.End(trace.I64("images", int64(len(chains))))
 	return nil
 }
@@ -997,22 +995,10 @@ func (s *Supervisor) verifyRecord(head ckpt.Chain, path string) (ckpt.Chain, err
 		return head, fmt.Errorf("%w: %w", ckpt.ErrChainBroken, err)
 	}
 	defer rc.Close()
-	cr := &countReader{r: rc}
-	head, err = head.Verify(cr)
-	s.reg.Counter("supervisor_commit_verified_bytes_total").Add(cr.n)
+	if head, err = head.Verify(rc); err == nil {
+		s.reg.Counter("supervisor_commit_verified_bytes_total").Add(head.Size())
+	}
 	return head, err
-}
-
-// countReader counts the bytes the verifying decoder pulls.
-type countReader struct {
-	r io.Reader
-	n int64
-}
-
-func (c *countReader) Read(p []byte) (int, error) {
-	n, err := c.r.Read(p)
-	c.n += int64(n)
-	return n, err
 }
 
 // scrubRecord re-hashes the retained record at path — its stored bytes
@@ -1202,17 +1188,12 @@ func (s *Supervisor) tryRestore(gi int) {
 	g := s.gens[gi]
 	span := s.tr.Start(s.span, "supervisor/load-generation", trace.Track("supervisor"),
 		trace.Str("dir", g.Dir), trace.I64("seq", int64(g.Seq)))
-	// Size the chains first — a link that is already missing fails here,
-	// before anything is read — then decode and verify host-side (free):
-	// a corrupt generation is skipped without charging a read that never
+	// Decode and verify host-side (free): a corrupt generation, or one
+	// with a link missing, is skipped without charging a read that never
 	// completes usefully. The images come back in pod-name order, which
 	// is what makes placement deterministic.
-	var replayBytes int64
 	var images []*ckpt.Image
 	chains, err := s.chains(gi)
-	if err == nil {
-		replayBytes, err = s.chainReplayBytes(g, chains)
-	}
 	if err == nil {
 		images, err = s.readChains(chains)
 	}
@@ -1221,9 +1202,20 @@ func (s *Supervisor) tryRestore(gi int) {
 		s.skipCorrupt(gi, err)
 		return
 	}
-	var logical int64
+	var logical, replayBytes int64
 	for _, img := range images {
 		logical += img.Bytes()
+	}
+	// The replay is every delta record on the chains — pre-copy rounds
+	// and incremental deltas — at the size its commit read it (every
+	// record of a committed generation has a memo).
+	for _, pc := range chains {
+		for _, p := range pc.Paths {
+			if imagestore.ChainRank(p) > 0 {
+				head, _ := s.committed(p)
+				replayBytes += head.Size()
+			}
+		}
 	}
 	costs := s.t.W.Costs
 	s.timer = s.t.W.After(costs.StoreReadTime(costs.EffImageBytes(logical)), func() {
@@ -1244,26 +1236,6 @@ func (s *Supervisor) tryRestore(gi int) {
 			}
 		})
 	})
-}
-
-// chainReplayBytes sizes the delta-replay work for generation g: the
-// stored bytes of every delta record that must be replayed onto its base
-// (pre-copy rounds and incremental deltas). It also verifies every chain
-// link still exists; a Stat failure means a link is gone before any read
-// happened.
-func (s *Supervisor) chainReplayBytes(g Generation, chains []imagestore.PodChain) (replayBytes int64, err error) {
-	for _, pc := range chains {
-		for _, p := range pc.Paths {
-			info, serr := s.t.Store.Stat(p)
-			if serr != nil {
-				return 0, fmt.Errorf("generation %s: %s: %w", g.Dir, p, serr)
-			}
-			if imagestore.ChainRank(p) > 0 {
-				replayBytes += info.Size
-			}
-		}
-	}
-	return replayBytes, nil
 }
 
 // skipCorrupt records a generation that failed validation during

@@ -257,16 +257,3 @@ func (n *Node) wake(p *Process) {
 	p.status = StatusReady
 	n.enqueue(p)
 }
-
-// RestoreBlockedAsReady is used by restart: every restored process
-// resumes in the ready state and re-issues its blocking syscall, whose
-// explicit state machine makes the retry idempotent.
-func (n *Node) RestoreBlockedAsReady(p *Process) {
-	if p.status == StatusBlocked {
-		p.clearWaits()
-		p.status = StatusReady
-	}
-	if !p.stopped {
-		n.enqueue(p)
-	}
-}

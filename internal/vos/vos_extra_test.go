@@ -129,29 +129,6 @@ func (b *bulkWriter) Step(ctx *Context) StepResult {
 func (b *bulkWriter) Layout(imgfmt.Visitor) {}
 func (b *bulkWriter) Kind() string          { return "test.bulkWriter" }
 
-func TestRestoreBlockedAsReady(t *testing.T) {
-	w := sim.NewWorld(6)
-	nw := netstack.NewNetwork(w)
-	st, _ := nw.NewStack(1)
-	n := NewNode(w, "n", 1)
-	env := &Env{Stack: st}
-	srv := &echoServer{Port: 9100}
-	p := n.Spawn(srv, env)
-	w.RunUntil(sim.Time(20 * sim.Millisecond))
-	if p.Status() != StatusBlocked {
-		t.Fatalf("status = %v", p.Status())
-	}
-	n.RestoreBlockedAsReady(p)
-	if p.Status() != StatusReady {
-		t.Fatalf("after restore: %v", p.Status())
-	}
-	// It must re-block cleanly (idempotent retry of the accept).
-	w.RunUntil(w.Now() + sim.Time(20*sim.Millisecond))
-	if p.Status() != StatusBlocked {
-		t.Fatalf("did not re-block: %v", p.Status())
-	}
-}
-
 func TestSignalExitedProcessIsNoop(t *testing.T) {
 	w, n, env := testEnv(t)
 	p := n.Spawn(&counter{Steps: 1}, env)

@@ -116,7 +116,7 @@ func TestRemoteStoreMigration(t *testing.T) {
 		t.Fatalf("peer store holds %d images, want %d", len(files), pods)
 	}
 	for _, f := range files {
-		info, err := peer.Stat(f)
+		info, err := peer.FS().Stat(f)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -172,8 +172,6 @@ type (
 type (
 	// ImageStore is a named destination checkpoint records stream into.
 	ImageStore = imagestore.Store
-	// ImageStoreInfo describes one stored record.
-	ImageStoreInfo = imagestore.Info
 	// DedupImageStore stores image content once per unique block and
 	// garbage-collects blocks by reference count; enable it on a cluster
 	// with c.EnableDedupStore().
