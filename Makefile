@@ -83,7 +83,11 @@ vet:
 # And a record is sized by the read that checks it (ckpt.Chain.Size): no
 # non-test type in internal/imagestore has a Stat method, and non-test
 # internal/supervisor code calls no .Stat( (DESIGN.md §5).
+# And every exported name has a caller outside its own package's tests,
+# and every -run or -fuzz selector below selects a test
+# (exports_test.go; DESIGN.md §1).
 boundary:
+	$(GO) test -count=1 -run '^TestExportedNamesHaveCallers$$|^TestMakefileTestSelectorsMatch$$' .
 	@files="$$($(GO) list -f '{{join .GoFiles " "}}' .)"; \
 	if [ "$$files" != "zapc.go" ]; then echo "boundary: root package must hold zapc.go only, has: $$files"; exit 1; fi
 	@for p in $$($(GO) list -f '{{join .Imports " "}}' .); do \
@@ -275,7 +279,7 @@ scale-check:
 # themselves are held by the modeled baseline, and the nil tracer's cost
 # by an allocation count: nothing here reads a clock.
 obs-check:
-	$(GOTEST) -run '^TestNilTracer|^TestCriticalPath|^TestContainment|^TestWindow|^TestStraggler|^TestAnalyzer|^TestFailoverReport|^TestPhaseStats|^TestCheckMetricName|^TestRegistryCheckNames|^TestWriteProm' ./internal/trace
+	$(GOTEST) -run '^TestNilTracer|^TestCriticalPath|^TestContainment|^TestStraggler|^TestAnalyzer|^TestFailoverReport|^TestPhaseStats|^TestCheckMetricName|^TestRegistryCheckNames|^TestWriteProm' ./internal/trace
 	$(GOTEST) -run '^TestFailoverRTO|^TestMetricNamesConform$$' .
 	@dir=$$(mktemp -d); \
 	$(GO) run ./cmd/zapc-bench -fig trace -events $$dir/a.jsonl -trace $$dir/a.json >/dev/null && \

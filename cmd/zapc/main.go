@@ -17,12 +17,13 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 
 	"zapc"
 )
 
 func main() {
-	app := flag.String("app", "cpi", "workload: cpi, bt, bratu, povray")
+	app := flag.String("app", "cpi", "workload: "+strings.Join(zapc.Apps(), ", "))
 	n := flag.Int("n", 4, "number of application endpoints (pods)")
 	action := flag.String("action", "snapshot", "scenario: run, snapshot, migrate, recover")
 	work := flag.Float64("work", 0.25, "application runtime scale")

@@ -15,6 +15,7 @@ import (
 	"testing"
 
 	"zapc"
+	"zapc/internal/core"
 )
 
 // coordFanRun freezes the seeded workload at half progress, checkpoints
@@ -36,7 +37,7 @@ func coordFanRun(t *testing.T, seed int64, fanout, workers int) (map[string][]by
 	}
 	c.W.RunUntil(c.W.Now() + zapc.Time(300*zapc.Millisecond))
 	ck, err := c.Checkpoint(job, zapc.CheckpointOptions{
-		Mode: zapc.MigrateMode, Workers: workers, FlushTo: "fan/img",
+		Mode: core.Migrate, Workers: workers, FlushTo: "fan/img",
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"zapc"
+	"zapc/internal/ckpt"
 )
 
 // grabFlushed reads every record a checkpoint streamed to the shared
@@ -45,7 +46,7 @@ func detRun(t *testing.T, seed int64, workers int) (full, delta map[string][]byt
 	if err != nil {
 		t.Fatal(err)
 	}
-	incr := zapc.NewIncrSet(10)
+	incr := ckpt.NewIncrSet(10)
 	gen := 0
 	grab := func(p float64) map[string][]byte {
 		driveTo(t, c, job, p)

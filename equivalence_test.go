@@ -13,6 +13,7 @@ import (
 
 	"zapc"
 	"zapc/internal/ckpt"
+	"zapc/internal/core"
 )
 
 const eqDeadline = 4 * 3600 * zapc.Second
@@ -68,7 +69,7 @@ func TestRestoreEquivalenceProperty(t *testing.T) {
 				t.Fatal(err)
 			}
 			driveTo(t, c, job, 0.5)
-			ck, err := c.Checkpoint(job, zapc.CheckpointOptions{Mode: zapc.MigrateMode, Workers: 4})
+			ck, err := c.Checkpoint(job, zapc.CheckpointOptions{Mode: core.Migrate, Workers: 4})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -89,7 +90,7 @@ func TestRestoreEquivalenceProperty(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			incr := zapc.NewIncrSet(10)
+			incr := ckpt.NewIncrSet(10)
 			driveTo(t, c2, job2, 0.3)
 			if _, err := c2.Checkpoint(job2, zapc.CheckpointOptions{
 				Mode: zapc.Snapshot, Workers: 4, Incr: incr, FlushTo: "eq/base",
@@ -98,7 +99,7 @@ func TestRestoreEquivalenceProperty(t *testing.T) {
 			}
 			driveTo(t, c2, job2, 0.6)
 			dck, err := c2.Checkpoint(job2, zapc.CheckpointOptions{
-				Mode: zapc.MigrateMode, Workers: 4, Incr: incr, FlushTo: "eq/delta",
+				Mode: core.Migrate, Workers: 4, Incr: incr, FlushTo: "eq/delta",
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -164,7 +165,7 @@ func TestRestoreEquivalenceBTScratch(t *testing.T) {
 		for i := 0; i < int(100*at); i++ {
 			c.W.Step()
 		}
-		ck, err := c.Checkpoint(job, zapc.CheckpointOptions{Mode: zapc.MigrateMode, Workers: 2})
+		ck, err := c.Checkpoint(job, zapc.CheckpointOptions{Mode: core.Migrate, Workers: 2})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -61,7 +61,7 @@ func main() {
 	// Script the disaster: when the job reaches 55% progress, node02
 	// (index 2 of the cluster's nodes) fail-stops — every pod on it dies
 	// instantly.
-	inj := zapc.NewFaultInjector(c)
+	inj := c.NewFaultInjector()
 	inj.SetProgressProbe(job.Progress, 0)
 	if err := inj.Arm([]zapc.FaultStep{{
 		Name:     "crash-node02",

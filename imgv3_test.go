@@ -84,7 +84,7 @@ func TestV3ChurnStoredBytesReduction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	incr := zapc.NewIncrSet(100) // one full base, then deltas
+	incr := ckpt.NewIncrSet(100) // one full base, then deltas
 	const gens = 4
 	var storedIncr, rawIncr int64
 	var prevStored int64

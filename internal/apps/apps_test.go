@@ -139,7 +139,7 @@ func runPovray(t *testing.T, size int, work float64) uint64 {
 	t.Helper()
 	r := launch(t, "povray", size, work)
 	r.drive(t, func() bool { return r.progs[0].Finished() })
-	return r.progs[0].(*Povray).ChecksumValue()
+	return r.progs[0].(*Povray).Checksum
 }
 
 func TestBallastShape(t *testing.T) {

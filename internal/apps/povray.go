@@ -226,9 +226,6 @@ func (p *Povray) Finished() bool { return p.Done }
 // Result implements Status (the image checksum as float64 bits).
 func (p *Povray) Result() float64 { return float64(p.Checksum % (1 << 52)) }
 
-// ChecksumValue returns the raw image checksum (master only).
-func (p *Povray) ChecksumValue() uint64 { return p.Checksum }
-
 // Progress implements Status.
 func (p *Povray) Progress() float64 {
 	if p.Done {

@@ -239,9 +239,6 @@ func NewRunner(cfg Config) *Runner {
 	return &Runner{cfg: cfg.withDefaults(), ref: make(map[int64]float64)}
 }
 
-// Config returns the effective (defaulted) config.
-func (r *Runner) Config() Config { return r.cfg }
-
 func (r *Runner) spec() cluster.JobSpec {
 	return cluster.JobSpec{
 		App:         r.cfg.App,

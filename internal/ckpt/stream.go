@@ -291,8 +291,9 @@ func DecodeDeltaFrom(r io.Reader) (*DeltaImage, error) {
 // or malformed field. It materializes the image to do so and has no
 // caller in this module: Chain.Verify, which checks the same things and
 // keeps nothing, supersedes it. It stays only because the benchmark
-// module compiles against it; the benchmark-only PR (ROADMAP item 7)
-// removes it together with DecodeImageFrom's ignored int.
+// module calls it. The benchmark-only PR (see ROADMAP) removes that
+// call; TestExportedNamesHaveCallers then fails until this function
+// goes, and DecodeImageFrom's ignored int goes with it.
 func VerifyImageFrom(r io.Reader) (*Image, error) {
 	img, err := DecodeImageFrom(r, 0)
 	if err != nil {

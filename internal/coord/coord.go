@@ -62,9 +62,6 @@ func NewTopology(n int, cfg *Config) Topology {
 	return Topology{n: n, fanout: max(f, 1)}
 }
 
-// N returns the member count.
-func (t Topology) N() int { return t.n }
-
 // Fanout returns the effective tree arity (N when flat).
 func (t Topology) Fanout() int { return t.fanout }
 

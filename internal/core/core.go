@@ -368,9 +368,6 @@ func (m *Manager) SetWorkers(n int) { m.workers = n }
 // the application will resume its execution").
 func (m *Manager) Fail() { m.failed = true }
 
-// Failed reports whether the manager client has crashed.
-func (m *Manager) Failed() bool { return m.failed }
-
 // Recover models starting a replacement Manager client after a crash.
 // The manager is stateless between operations (all durable state lives
 // in the checkpoint images on shared storage), so recovery is just a

@@ -166,13 +166,6 @@ func EncodeSchedule(s Schedule) ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// DecodeSchedule parses and validates a JSON schedule.
-func DecodeSchedule(data []byte) (Schedule, error) {
-	var s Schedule
-	err := s.UnmarshalJSON(data)
-	return s, err
-}
-
 // UnmarshalJSON decodes a schedule strictly, one step at a time, and
 // validates it: unknown fields and unknown action or phase names are
 // rejected naming the step, so a fixture that drifted from the grammar

@@ -39,8 +39,8 @@ func TestScheduleJSONRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	back, err := DecodeSchedule(data)
-	if err != nil {
+	var back Schedule
+	if err := back.UnmarshalJSON(data); err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(s, back) {
@@ -111,7 +111,7 @@ func TestDecodeScheduleRejectsUnknownFields(t *testing.T) {
 		{"second value", `{"steps":[]}{"schema": 7}`, `after the JSON value`},
 	}
 	for _, tc := range cases {
-		_, err := DecodeSchedule([]byte(tc.json))
+		err := new(Schedule).UnmarshalJSON([]byte(tc.json))
 		if !errors.Is(err, ErrBadStep) {
 			t.Errorf("%s: err = %v, want ErrBadStep", tc.label, err)
 		} else if !strings.Contains(err.Error(), tc.want) {
@@ -227,8 +227,8 @@ func FuzzDecodeSchedule(f *testing.F) {
 	sample, _ := EncodeSchedule(sampleSchedule())
 	f.Add(sample)
 	f.Fuzz(func(t *testing.T, data []byte) {
-		s, err := DecodeSchedule(data)
-		if err != nil {
+		var s Schedule
+		if err := s.UnmarshalJSON(data); err != nil {
 			if !named(err) {
 				t.Fatalf("unnamed error: %v", err)
 			}
@@ -238,8 +238,8 @@ func FuzzDecodeSchedule(f *testing.F) {
 		if err != nil {
 			t.Fatalf("decoded schedule does not encode: %v", err)
 		}
-		back, err := DecodeSchedule(enc)
-		if err != nil {
+		var back Schedule
+		if err := back.UnmarshalJSON(enc); err != nil {
 			t.Fatalf("encoding does not decode: %v\n%s", err, enc)
 		}
 		if !reflect.DeepEqual(s, back) {

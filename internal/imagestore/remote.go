@@ -201,9 +201,6 @@ func ServeStack(st *netstack.Stack, port netstack.Port, local Store) (*Server, e
 // Addr returns the address clients dial.
 func (s *Server) Addr() netstack.Addr { return s.addr }
 
-// Store returns the server's local backing store.
-func (s *Server) Store() Store { return s.local }
-
 // Received returns the committed image paths in arrival order.
 func (s *Server) Received() []string {
 	return append([]string(nil), s.received...)

@@ -168,10 +168,6 @@ func NewStreamCounter() *StreamEncoder {
 		stack: [][]byte{make([]byte, 0, 64)}}
 }
 
-// Err returns the first write error encountered, if any. Once set, all
-// further operations are no-ops returning the same error from Close.
-func (s *StreamEncoder) Err() error { return s.err }
-
 // Logical reports the uncompressed payload bytes framed so far — the
 // size of the field stream the frames carry, independent of per-frame
 // compression.

@@ -111,8 +111,12 @@ func mustDecoder(t testing.TB, r io.Reader) *StreamDecoder {
 	return d
 }
 
-// allocated reports the heap bytes fn allocates (TotalAlloc delta).
+// allocated reports the heap bytes fn allocates (TotalAlloc delta). Like
+// testing.AllocsPerRun it measures at GOMAXPROCS 1, so the count does
+// not move with the load on the host: with other processes busy, an
+// unpinned window counted several hundred bytes more.
 func allocated(fn func()) uint64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	var a, b runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&a)

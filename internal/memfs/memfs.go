@@ -27,7 +27,6 @@ import (
 // Common errors.
 var (
 	ErrNotExist = errors.New("memfs: file does not exist")
-	ErrExist    = errors.New("memfs: file already exists")
 	ErrBadPath  = errors.New("memfs: invalid path")
 	ErrClosed   = errors.New("memfs: closed")
 )
@@ -248,16 +247,6 @@ func (fs *FS) Exists(path string) bool {
 	return ok
 }
 
-// Size returns the length of the file at path from its metadata, without
-// touching the contents.
-func (fs *FS) Size(path string) (int64, error) {
-	info, err := fs.Stat(path)
-	if err != nil {
-		return 0, err
-	}
-	return info.Size, nil
-}
-
 // Stat returns the stored metadata of the file at path.
 func (fs *FS) Stat(path string) (FileInfo, error) {
 	p, err := Clean(path)
@@ -294,18 +283,6 @@ func (fs *FS) List(prefix string) []string {
 	}
 	sort.Strings(out)
 	return out
-}
-
-// TotalBytes reports the sum of all file sizes (for storage accounting in
-// experiments).
-func (fs *FS) TotalBytes() int64 {
-	fs.mu.RLock()
-	defer fs.mu.RUnlock()
-	var n int64
-	for _, f := range fs.files {
-		n += f.size
-	}
-	return n
 }
 
 // Snapshot returns a point-in-time copy of the filesystem. File contents

@@ -110,11 +110,19 @@ func TestSizeAndTotal(t *testing.T) {
 	fs := New()
 	fs.WriteFile("a", make([]byte, 100))
 	fs.WriteFile("b", make([]byte, 50))
-	if n, _ := fs.Size("a"); n != 100 {
-		t.Fatalf("Size = %d", n)
+	if info, _ := fs.Stat("a"); info.Size != 100 {
+		t.Fatalf("Size = %d", info.Size)
 	}
-	if fs.TotalBytes() != 150 {
-		t.Fatalf("TotalBytes = %d", fs.TotalBytes())
+	var total int64
+	for _, p := range fs.List("") {
+		info, err := fs.Stat(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		total += info.Size
+	}
+	if total != 150 {
+		t.Fatalf("total = %d", total)
 	}
 }
 
@@ -188,9 +196,6 @@ func TestCreateOpenStat(t *testing.T) {
 	}
 	if info.Size != 11 || info.Chunks != 2 {
 		t.Fatalf("stat: %+v", info)
-	}
-	if n, err := fs.Size("img/a"); err != nil || n != 11 {
-		t.Fatalf("size: %d %v", n, err)
 	}
 	r, err := fs.Open("img/a")
 	if err != nil {

@@ -69,8 +69,8 @@ type Comm struct {
 	outq    [][]byte  // rank -> queued outbound bytes (middleware buffering)
 
 	Seq      uint64 // collective sequence number
-	barMid   bool   // barrier is in its broadcast half
-	arMid    bool   // allreduce is in its broadcast half
+	barMid   bool   // barrier is in its broadcast half (collective_test.go)
+	arMid    bool   // allreduce is in its broadcast half (collective_test.go)
 	arBuf    []byte // allreduce broadcast buffer
 	gathered map[int][]byte
 	closed   []bool // rank -> peer hung up
@@ -390,9 +390,6 @@ func (c *Comm) RecvFloats(ctx *vos.Context, from int, tag uint32, dst []float64)
 	return n, true
 }
 
-// PeerClosed reports whether a peer has hung up (its process exited).
-func (c *Comm) PeerClosed(rank int) bool { return c.closed[rank] }
-
 // collective tag helpers
 
 func (c *Comm) collTag(off uint64) uint32 { return collBase + uint32(c.Seq+off) }
@@ -480,46 +477,4 @@ func (c *Comm) ReduceFloat64(ctx *vos.Context, val float64, root int, op func(a,
 		}
 	}
 	return acc, true
-}
-
-// AllreduceFloat64 folds contributions at rank 0 and broadcasts the
-// result to every rank: a reduce followed by a bcast, each resumable.
-// Returns (value, done); re-call with the same arguments until done.
-func (c *Comm) AllreduceFloat64(ctx *vos.Context, val float64, op func(a, b float64) float64) (float64, bool) {
-	if !c.arMid {
-		r, done := c.ReduceFloat64(ctx, val, 0, op)
-		if !done {
-			return 0, false
-		}
-		if c.Cfg.Rank == 0 {
-			var buf [8]byte
-			binary.BigEndian.PutUint64(buf[:], math.Float64bits(r))
-			c.arBuf = buf[:]
-		}
-		c.arMid = true
-	}
-	if !c.Bcast(ctx, &c.arBuf, 0) {
-		return 0, false
-	}
-	out := math.Float64frombits(binary.BigEndian.Uint64(c.arBuf))
-	c.arMid = false
-	c.arBuf = nil
-	return out, true
-}
-
-// Barrier blocks until every rank has arrived: a gather at rank 0
-// followed by a broadcast. Return false -> block and re-call.
-func (c *Comm) Barrier(ctx *vos.Context) bool {
-	if !c.barMid {
-		if _, done := c.Gather(ctx, nil, 0); !done {
-			return false
-		}
-		c.barMid = true
-	}
-	var empty []byte
-	if !c.Bcast(ctx, &empty, 0) {
-		return false
-	}
-	c.barMid = false
-	return true
 }

@@ -105,14 +105,10 @@ type Restorer struct {
 	// acceptFirst reproduces the strawman the paper warns against: the
 	// agent serves all its accepts before issuing any connect. On cyclic
 	// topologies this deadlocks — the reason ZapC uses two concurrent
-	// actors instead. For ablation/demonstration only.
+	// actors instead. For the ablation only: strawman_test.go sets it.
 	acceptFirst     bool
 	deferredConnect []*entryState
 }
-
-// SetAcceptFirst switches the restorer to the accept-before-connect
-// strawman ordering (see the A3 ablation); call before Start.
-func (r *Restorer) SetAcceptFirst(v bool) { r.acceptFirst = v }
 
 // NewRestorer prepares a restore of img onto st following plan.
 func NewRestorer(st *netstack.Stack, img *NetImage, plan *EndpointPlan, onDone func(error)) *Restorer {

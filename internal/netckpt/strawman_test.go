@@ -95,7 +95,7 @@ func TestAcceptFirstDeadlocks(t *testing.T) {
 			}
 			done++
 		})
-		r.SetAcceptFirst(true)
+		r.acceptFirst = true
 		r.Start()
 	}
 	// Drive a long simulated interval: nothing can complete — every
@@ -172,7 +172,7 @@ func TestAcceptFirstWorksOnStarTopology(t *testing.T) {
 			}
 			done++
 		})
-		r.SetAcceptFirst(true)
+		r.acceptFirst = true
 		r.Start()
 	}
 	drive(t, w, func() bool { return done == len(images) })

@@ -119,51 +119,39 @@ func TestSendOnUnconnected(t *testing.T) {
 func TestDirectionalFilters(t *testing.T) {
 	w, _, st := testNet(t, 2)
 	cli, srv, _ := connectPairHelper(t, w, st[0], st[1], 5000)
-	// Block only what stack 0 sends toward stack 1.
-	st[0].Filter().BlockOut(st[1].IPAddr())
-	cli.Send([]byte("x"), false)
-	srv.Send([]byte("y"), false)
-	w.RunUntil(w.Now() + sim.Time(100*sim.Millisecond))
-	if srv.RecvQueueLen() != 0 {
-		t.Fatal("egress rule leaked")
-	}
-	if cli.RecvQueueLen() != 1 {
-		t.Fatal("reverse direction should still flow")
-	}
-	st[0].Filter().UnblockOut(st[1].IPAddr())
-	run(t, w, func() bool { return srv.RecvQueueLen() == 1 })
-
-	// Now ingress-only on stack 0.
+	// Block only what stack 0 receives from stack 1.
 	st[0].Filter().BlockIn(st[1].IPAddr())
 	srv.Send([]byte("z"), false)
 	cli.Send([]byte("w"), false)
 	w.RunUntil(w.Now() + sim.Time(50*sim.Millisecond))
-	if cli.RecvQueueLen() != 1 {
+	if cli.RecvQueueLen() != 0 {
 		t.Fatalf("ingress rule leaked: %d", cli.RecvQueueLen())
 	}
-	st[0].Filter().UnblockIn(st[1].IPAddr())
-	run(t, w, func() bool { return cli.RecvQueueLen() == 2 })
-	if got := srv.RecvQueueLen() + srv.BacklogLen(); got != 2 {
+	if got := srv.RecvQueueLen() + srv.BacklogLen(); got != 1 {
+		t.Fatalf("the other direction should still flow: srv got %d bytes", got)
+	}
+	delete(st[0].Filter().ingress, st[1].IPAddr())
+	run(t, w, func() bool { return cli.RecvQueueLen() == 1 })
+	if got := srv.RecvQueueLen() + srv.BacklogLen(); got != 1 {
 		t.Fatalf("srv got %d bytes", got)
 	}
 }
 
-func TestFilterRuleCountAndBlocked(t *testing.T) {
+func TestFilterBlocked(t *testing.T) {
 	var f Filter
-	if f.Blocked() || f.RuleCount() != 0 {
+	if f.Blocked() {
 		t.Fatal("fresh filter not clean")
 	}
 	f.BlockAll()
-	f.Block(5)
 	f.BlockIn(6)
-	f.BlockOut(7)
-	if !f.Blocked() || f.RuleCount() != 4 {
-		t.Fatalf("rules = %d", f.RuleCount())
+	if !f.Blocked() {
+		t.Fatal("filter with two rules not blocked")
 	}
 	f.UnblockAll()
-	f.Unblock(5)
-	f.UnblockIn(6)
-	f.UnblockOut(7)
+	if !f.Blocked() {
+		t.Fatal("UnblockAll removed the ingress rule")
+	}
+	delete(f.ingress, 6)
 	if f.Blocked() {
 		t.Fatal("filter still blocked after clearing")
 	}
@@ -234,14 +222,14 @@ func TestDuplicateSYNAfterEstablishment(t *testing.T) {
 	l.Bind(80)
 	l.Listen(4)
 	// Lose every packet from server to client once: the SYNACK dies.
-	st[1].Filter().BlockOut(st[0].IPAddr())
+	st[0].Filter().BlockIn(st[1].IPAddr())
 	c := st[0].Socket(TCP)
 	c.Connect(Addr{st[1].IPAddr(), 80})
 	run(t, w, func() bool { return l.AcceptPending() == 1 })
 	if c.State() == StateEstablished {
 		t.Fatal("client established without SYNACK")
 	}
-	st[1].Filter().UnblockOut(st[0].IPAddr())
+	delete(st[0].Filter().ingress, st[1].IPAddr())
 	// The client's SYN retry now reaches the established child, which
 	// must re-acknowledge.
 	run(t, w, func() bool { return c.State() == StateEstablished })

@@ -3,15 +3,12 @@ package netstack
 // Filter is the netfilter-style hook table attached to every stack. The
 // checkpoint Agent uses it to disable all network activity to and from a
 // pod while its state is saved, exactly as ZapC leverages Linux Netfilter
-// to block the links listed in the pod's connection table. Rules can
-// block everything (pod freeze), individual remote IPs, or a single
-// direction (INPUT/OUTPUT chains), the latter used for failure injection
-// in tests and experiments.
+// to block the links listed in the pod's connection table. Rules block
+// everything (pod freeze) or, on the INPUT chain, what arrives from one
+// remote IP — the latter used for failure injection in tests.
 type Filter struct {
 	all     bool
-	remotes map[IP]bool
 	ingress map[IP]bool
-	egress  map[IP]bool
 }
 
 // BlockAll installs a drop-everything rule.
@@ -19,17 +16,6 @@ func (f *Filter) BlockAll() { f.all = true }
 
 // UnblockAll removes the drop-everything rule (targeted rules persist).
 func (f *Filter) UnblockAll() { f.all = false }
-
-// Block drops all traffic exchanged with the given remote IP.
-func (f *Filter) Block(remote IP) {
-	if f.remotes == nil {
-		f.remotes = make(map[IP]bool)
-	}
-	f.remotes[remote] = true
-}
-
-// Unblock removes a targeted rule.
-func (f *Filter) Unblock(remote IP) { delete(f.remotes, remote) }
 
 // BlockIn drops only traffic arriving from the given remote IP.
 func (f *Filter) BlockIn(remote IP) {
@@ -39,39 +25,7 @@ func (f *Filter) BlockIn(remote IP) {
 	f.ingress[remote] = true
 }
 
-// UnblockIn removes an ingress rule.
-func (f *Filter) UnblockIn(remote IP) { delete(f.ingress, remote) }
-
-// BlockOut drops only traffic leaving toward the given remote IP.
-func (f *Filter) BlockOut(remote IP) {
-	if f.egress == nil {
-		f.egress = make(map[IP]bool)
-	}
-	f.egress[remote] = true
-}
-
-// UnblockOut removes an egress rule.
-func (f *Filter) UnblockOut(remote IP) { delete(f.egress, remote) }
-
 // Blocked reports whether any rule is active.
-func (f *Filter) Blocked() bool {
-	return f.all || len(f.remotes) > 0 || len(f.ingress) > 0 || len(f.egress) > 0
-}
+func (f *Filter) Blocked() bool { return f.all || len(f.ingress) > 0 }
 
-// RuleCount reports how many rules are installed (1 for the all rule
-// plus one per targeted entry), used for cost accounting.
-func (f *Filter) RuleCount() int {
-	n := len(f.remotes) + len(f.ingress) + len(f.egress)
-	if f.all {
-		n++
-	}
-	return n
-}
-
-func (f *Filter) blocksEgress(p *packet) bool {
-	return f.all || f.remotes[p.dst.IP] || f.egress[p.dst.IP]
-}
-
-func (f *Filter) blocksIngress(p *packet) bool {
-	return f.all || f.remotes[p.src.IP] || f.ingress[p.src.IP]
-}
+func (f *Filter) blocksIngress(p *packet) bool { return f.all || f.ingress[p.src.IP] }

@@ -90,7 +90,6 @@ var (
 	ErrBadState     = errors.New("netstack: invalid socket state")
 	ErrMsgSize      = errors.New("netstack: message too long")
 	ErrEOF          = errors.New("netstack: end of stream")
-	ErrNoRoute      = errors.New("netstack: no route to host")
 )
 
 // MSS is the maximum segment size of the TCP-like transport.
@@ -230,17 +229,6 @@ func (n *Network) Detach(s *Stack) {
 	s.detached = true
 }
 
-// Reattach inserts a previously created stack (a restored pod) under its
-// virtual IP.
-func (n *Network) Reattach(s *Stack) error {
-	if cur, ok := n.stacks[s.ip]; ok && cur != s {
-		return fmt.Errorf("%w: %s", ErrAddrInUse, s.ip)
-	}
-	s.detached = false
-	n.stacks[s.ip] = s
-	return nil
-}
-
 // Stack returns the stack currently owning ip, if any.
 func (n *Network) Stack(ip IP) (*Stack, bool) {
 	s, ok := n.stacks[ip]
@@ -248,10 +236,11 @@ func (n *Network) Stack(ip IP) (*Stack, bool) {
 }
 
 // send puts a packet on the wire for delivery after the link latency plus
-// serialization delay. Loss and netfilter egress hooks are applied here,
-// before the packet takes a slot; ingress hooks at delivery.
+// serialization delay. Loss and the netfilter drop-everything rule are
+// applied here, before the packet takes a slot; ingress rules at
+// delivery.
 func (n *Network) send(from *Stack, v packet) {
-	if from.filter.blocksEgress(&v) {
+	if from.filter.all {
 		n.Dropped++
 		return
 	}

@@ -79,9 +79,6 @@ func (p *Pod) Stack() *netstack.Stack { return p.stack }
 // VirtualIP returns the pod's constant virtual address.
 func (p *Pod) VirtualIP() netstack.IP { return p.vip }
 
-// Env returns the pod's shared process environment.
-func (p *Pod) Env() *vos.Env { return p.env }
-
 // Destroyed reports whether the pod has been torn down.
 func (p *Pod) Destroyed() bool { return p.destroyed }
 

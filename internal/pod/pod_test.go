@@ -183,10 +183,10 @@ func TestProcsDropsExited(t *testing.T) {
 func TestPodEnvVirtualized(t *testing.T) {
 	_, n, nw, fs := setup(t)
 	p, _ := New("pod0", n, nw, fs, 1)
-	if !p.Env().Virtualized {
+	if !p.env.Virtualized {
 		t.Fatal("pod env not virtualized")
 	}
-	if p.Env().Stack != p.Stack() {
+	if p.env.Stack != p.Stack() {
 		t.Fatal("env stack mismatch")
 	}
 	if p.Stack().IPAddr() != p.VirtualIP() {

@@ -31,9 +31,6 @@ const (
 	Second               = 1000 * Millisecond
 )
 
-// Std converts a simulated duration to a time.Duration for printing.
-func (d Duration) Std() time.Duration { return time.Duration(d) }
-
 func (d Duration) String() string { return time.Duration(d).String() }
 
 // String formats a simulated timestamp like a duration since t=0.
@@ -290,14 +287,6 @@ func callFunc(f any) { f.(func())() }
 // After schedules fn to run d from now, clamping like AfterCall.
 func (w *World) After(d Duration, fn func()) EventID {
 	return w.AfterCall(d, callFunc, fn)
-}
-
-// At schedules fn at absolute time t (clamped to now).
-func (w *World) At(t Time, fn func()) EventID {
-	if t < w.now {
-		t = w.now
-	}
-	return w.After(Duration(t-w.now), fn)
 }
 
 // Cancel removes a scheduled event from the queue and releases its

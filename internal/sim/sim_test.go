@@ -157,17 +157,6 @@ func TestNegativeDelayClamped(t *testing.T) {
 	}
 }
 
-func TestAtClampsPast(t *testing.T) {
-	w := NewWorld(1)
-	w.RunUntil(100)
-	var at Time
-	w.At(50, func() { at = w.Now() })
-	w.Run()
-	if at != 100 {
-		t.Fatalf("at = %v", at)
-	}
-}
-
 func TestPending(t *testing.T) {
 	w := NewWorld(1)
 	a := w.After(10, func() {})

@@ -5,6 +5,9 @@ import "zapc/internal/ckpt"
 // Attempt exposes the current retry attempt counter to the external tests.
 func (s *Supervisor) Attempt() int { return s.attempt }
 
+// Policy returns the effective (defaulted) policy.
+func (s *Supervisor) Policy() Policy { return s.pol }
+
 // CheckGeneration reruns the commit check on the retained generation at
 // index gi — the work its commit did — for the tests that meter it.
 func (s *Supervisor) CheckGeneration(gi int) error { return s.checkGeneration(gi) }

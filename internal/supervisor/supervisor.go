@@ -406,9 +406,6 @@ func New(t Target, pol Policy) *Supervisor {
 	return s
 }
 
-// Policy returns the effective (defaulted) policy.
-func (s *Supervisor) Policy() Policy { return s.pol }
-
 // SetCtrlHook installs a control-plane perturbation hook applied to the
 // supervisor's heartbeat messages (the fault-injection harness shares
 // one hook between the supervisor and the core manager).
@@ -423,9 +420,6 @@ func (s *Supervisor) SetReplica(r Replica) {
 	s.replica = r
 	s.syncReplica()
 }
-
-// Replica returns the attached replication plane (nil when detached).
-func (s *Supervisor) Replica() Replica { return s.replica }
 
 // Events returns the activity log.
 func (s *Supervisor) Events() []Event { return s.events }

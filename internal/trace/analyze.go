@@ -277,36 +277,6 @@ func critWalk(s *SpanNode, lo, hi int64, out *[]Segment) {
 	}
 }
 
-// WindowCriticalPath computes the critical path of an arbitrary
-// [lo, hi] window across the whole DAG: top-level spans overlapping the
-// window act as children of a synthetic root, and intervals no span
-// covers come back as unattributed gap segments (Span == nil, Name
-// "(idle)").
-func (d *DAG) WindowCriticalPath(lo, hi int64) []Segment {
-	if hi < lo {
-		hi = lo
-	}
-	syn := &SpanNode{Start: lo, End: hi}
-	for _, n := range d.Top {
-		if n.Start < hi && n.End > lo && n.Start != n.End {
-			syn.Children = append(syn.Children, n)
-		}
-	}
-	var out []Segment
-	critWalk(syn, lo, hi, &out)
-	for i, j := 0, len(out)-1; i < j; i, j = i+1, j-1 {
-		out[i], out[j] = out[j], out[i]
-	}
-	for i := range out {
-		if out[i].Span == syn {
-			out[i].Span = nil
-			out[i].Name = "(idle)"
-			out[i].Track = ""
-		}
-	}
-	return out
-}
-
 // Straggler is one entry of a fan-out straggler ranking.
 type Straggler struct {
 	// Track names the lane (the pod, for agent spans).
@@ -425,9 +395,6 @@ type RTOReport struct {
 
 // RTO returns the recovery-time window in nanoseconds.
 func (r RTOReport) RTO() int64 { return r.ServeT - r.MissT }
-
-// RTOUs returns the recovery-time window in microseconds.
-func (r RTOReport) RTOUs() int64 { return r.RTO() / 1e3 }
 
 // SegmentTotal sums the duration of every segment carrying the label.
 func (r RTOReport) SegmentTotal(label string) int64 {

@@ -101,41 +101,6 @@ func TestContainmentAdoption(t *testing.T) {
 	}
 }
 
-// TestWindowCriticalPathGaps checks that window analysis over top-level
-// spans reports uncovered intervals as unattributed idle segments.
-func TestWindowCriticalPathGaps(t *testing.T) {
-	clk := &fakeClock{}
-	tr := New(clk.now)
-	clk.t = 10
-	a := tr.Start(nil, "a")
-	clk.t = 30
-	a.End()
-	clk.t = 50
-	b := tr.Start(nil, "b")
-	clk.t = 70
-	b.End()
-
-	d := BuildDAG(tr.Events())
-	segs := d.WindowCriticalPath(0, 80)
-	var idle, covered int64
-	for _, s := range segs {
-		if s.Span == nil {
-			if s.Name != "(idle)" {
-				t.Fatalf("gap segment not labeled idle: %+v", s)
-			}
-			idle += s.Dur()
-		} else {
-			covered += s.Dur()
-		}
-	}
-	if idle != 40 || covered != 40 {
-		t.Fatalf("want 40 idle / 40 covered, got %d / %d", idle, covered)
-	}
-	if sum := idle + covered; sum != 80 {
-		t.Fatalf("window segments sum to %d, want 80", sum)
-	}
-}
-
 // TestStragglerRanking checks ordering (slowest first) and slack
 // against the fastest sibling.
 func TestStragglerRanking(t *testing.T) {
@@ -175,9 +140,6 @@ func TestAnalyzerEdgeCases(t *testing.T) {
 	d := BuildDAG(nil)
 	if len(d.Top) != 0 || len(d.DanglingSpans()) != 0 || len(d.FailoverReports()) != 0 {
 		t.Fatal("empty trace must analyze to nothing")
-	}
-	if segs := d.WindowCriticalPath(0, 0); len(segs) != 0 {
-		t.Fatalf("empty window must have no segments, got %+v", segs)
 	}
 
 	// Single-span trace.

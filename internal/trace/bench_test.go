@@ -62,7 +62,8 @@ func BenchmarkNilTracer(b *testing.B) {
 }
 
 // BenchmarkActiveTracer measures the instrumented path with a live
-// tracer, for comparison (events accumulate; Reset keeps memory flat).
+// tracer, for comparison (events accumulate; a fresh tracer keeps memory
+// flat).
 func BenchmarkActiveTracer(b *testing.B) {
 	buf := benchBuf()
 	b.SetBytes(int64(len(buf)))
@@ -71,7 +72,7 @@ func BenchmarkActiveTracer(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		benchSink = instrumentedWork(tr, reg, buf)
 		if tr.Len() > 1<<16 {
-			tr.Reset()
+			tr = New(nil)
 		}
 	}
 }

@@ -141,17 +141,6 @@ func (t *Tracer) Len() int {
 	return len(t.events)
 }
 
-// Reset drops all recorded events (the id counter keeps running so
-// span ids stay unique across resets).
-func (t *Tracer) Reset() {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	t.events = t.events[:0]
-	t.mu.Unlock()
-}
-
 func (t *Tracer) emit(ev Event) {
 	t.mu.Lock()
 	t.events = append(t.events, ev)

@@ -2,7 +2,6 @@ package vos
 
 import (
 	"errors"
-	"math/rand"
 
 	"zapc/internal/netstack"
 	"zapc/internal/sim"
@@ -58,19 +57,6 @@ func (c *Context) Now() sim.Time {
 	return c.node.w.Now() + sim.Time(c.proc.Env.TimeBias)
 }
 
-// PID returns the process identifier the application sees: the stable
-// virtual PID inside a pod, the real PID outside.
-func (c *Context) PID() PID {
-	c.charge()
-	if c.proc.Env.Virtualized {
-		return c.proc.VPID
-	}
-	return c.proc.RPID
-}
-
-// Rand returns the world's deterministic random source.
-func (c *Context) Rand() *rand.Rand { return c.node.w.Rand() }
-
 func (c *Context) sock(fd int) (*netstack.Socket, error) {
 	s, ok := c.proc.SocketFor(fd)
 	if !ok {
@@ -94,16 +80,6 @@ func (c *Context) Bind(fd int, port netstack.Port) error {
 		return err
 	}
 	return s.Bind(port)
-}
-
-// BindRaw binds a RAW socket to an IP protocol number.
-func (c *Context) BindRaw(fd, ipProto int) error {
-	c.charge()
-	s, err := c.sock(fd)
-	if err != nil {
-		return err
-	}
-	return s.BindRaw(ipProto)
 }
 
 // Listen marks a TCP socket as accepting connections.
@@ -162,16 +138,6 @@ func (c *Context) SendTo(fd int, data []byte, to netstack.Addr) (int, error) {
 	return s.SendTo(data, to)
 }
 
-// SendRaw transmits one raw IP packet.
-func (c *Context) SendRaw(fd int, dst netstack.IP, data []byte) (int, error) {
-	c.charge()
-	s, err := c.sock(fd)
-	if err != nil {
-		return 0, err
-	}
-	return s.SendRaw(dst, data)
-}
-
 // Recv reads up to n bytes into a new slice (peek = MSG_PEEK, oob =
 // MSG_OOB).
 func (c *Context) Recv(fd, n int, peek, oob bool) ([]byte, error) {
@@ -197,16 +163,6 @@ func (c *Context) RecvFrom(fd int, peek bool) (netstack.Datagram, error) {
 		return netstack.Datagram{}, err
 	}
 	return s.RecvFrom(peek)
-}
-
-// Poll reports socket readiness.
-func (c *Context) Poll(fd int) netstack.PollMask {
-	c.charge()
-	s, err := c.sock(fd)
-	if err != nil {
-		return netstack.PollErr
-	}
-	return s.Poll()
 }
 
 // Shutdown half-closes a connection.
@@ -249,18 +205,6 @@ func (c *Context) SockState(fd int) netstack.State {
 		return netstack.StateClosed
 	}
 	return s.State()
-}
-
-// WriteFile stores a file on the shared filesystem.
-func (c *Context) WriteFile(path string, data []byte) error {
-	c.charge()
-	return c.proc.Env.FS.WriteFile(path, data)
-}
-
-// ReadFile reads a file from the shared filesystem.
-func (c *Context) ReadFile(path string) ([]byte, error) {
-	c.charge()
-	return c.proc.Env.FS.ReadFile(path)
 }
 
 // Step-result helpers.

@@ -214,9 +214,6 @@ func (p *Process) Status() Status { return p.status }
 // Stopped reports whether the process is SIGSTOPped.
 func (p *Process) Stopped() bool { return p.stopped }
 
-// ExitCode returns the exit code of an exited process.
-func (p *Process) ExitCode() int { return p.exitCode }
-
 // CPUTime returns the virtual CPU time consumed so far.
 func (p *Process) CPUTime() sim.Duration { return p.cpuTime }
 
@@ -276,15 +273,6 @@ func (p *Process) ShareMemory() []Region {
 		p.memState[r.Name] |= regionShared
 	}
 	return append([]Region(nil), p.mem...)
-}
-
-// MemoryBytes reports the total size of all regions.
-func (p *Process) MemoryBytes() int64 {
-	var n int64
-	for _, r := range p.mem {
-		n += int64(len(r.Data))
-	}
-	return n
 }
 
 // SetRegion creates or replaces a named memory region, marking it dirty
@@ -350,10 +338,6 @@ func (p *Process) WriteRegion(name string) ([]byte, error) {
 // generation computes dirty regions.
 func (p *Process) MemClock() uint64 { return p.memClock }
 
-// RegionVersion returns the clock value of a region's last write (0 if
-// the region has never been written through the tracked API).
-func (p *Process) RegionVersion(name string) uint64 { return p.memState[name].ver() }
-
 // DirtyRegions returns the regions written after the given watermark, in
 // table order.
 func (p *Process) DirtyRegions(since uint64) []Region {
@@ -402,10 +386,6 @@ func (p *Process) DropRegion(name string) {
 		}
 	}
 }
-
-// Deadline returns the absolute wake deadline if the process is blocked
-// with a timeout.
-func (p *Process) Deadline() (sim.Time, bool) { return p.deadline, p.hasTimer }
 
 // Signal delivers a signal to the process.
 func (p *Process) Signal(sig Signal) {

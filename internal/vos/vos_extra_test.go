@@ -29,18 +29,6 @@ func TestBadFDErrors(t *testing.T) {
 	}
 }
 
-func TestPollOnBadFDReportsError(t *testing.T) {
-	w, n, env := testEnv(t)
-	var mask netstack.PollMask
-	n.Spawn(&probeProg{fn: func(ctx *Context) {
-		mask = ctx.Poll(42)
-	}}, env)
-	w.Run()
-	if mask&netstack.PollErr == 0 {
-		t.Fatalf("mask = %v", mask)
-	}
-}
-
 func TestCPUTimeAccounting(t *testing.T) {
 	w, n, env := testEnv(t)
 	p := n.Spawn(&counter{Steps: 10}, env)
@@ -189,17 +177,17 @@ func TestDirtyRegionTracking(t *testing.T) {
 	if len(got) != 1 || got[0].Name != "a" || got[0].Data[0] != 9 {
 		t.Fatalf("dirty after write = %+v, want region a holding the write", got)
 	}
-	if p.RegionVersion("a") <= p.RegionVersion("b") {
+	if p.memState["a"].ver() <= p.memState["b"].ver() {
 		t.Fatal("write did not advance region version")
 	}
 	// Replacing a region marks it dirty again.
 	p.SetRegion("b", []byte{3})
-	if got := p.DirtyRegions(p.RegionVersion("a")); len(got) != 1 || got[0].Name != "b" {
+	if got := p.DirtyRegions(p.memState["a"].ver()); len(got) != 1 || got[0].Name != "b" {
 		t.Fatalf("dirty after SetRegion = %+v, want region b", got)
 	}
 	// A dropped region leaves no tracking entry behind.
 	p.DropRegion("b")
-	if p.RegionVersion("b") != 0 {
+	if p.memState["b"].ver() != 0 {
 		t.Fatal("DropRegion left the region's version entry in the map")
 	}
 }
@@ -219,7 +207,7 @@ func TestWriteRegionUnknown(t *testing.T) {
 	if p.MemClock() != clock {
 		t.Fatal("failed write must not advance the write clock")
 	}
-	if p.RegionVersion("ghost") != 0 {
+	if p.memState["ghost"].ver() != 0 {
 		t.Fatal("failed write must not create a phantom version entry")
 	}
 }
@@ -260,7 +248,7 @@ func TestCOWWriteRegionCopiesSharedBytes(t *testing.T) {
 
 	restored := []byte{4, 5, 6}
 	p.SetSharedRegion("restored", restored)
-	if p.RegionVersion("restored") != p.MemClock() || p.MemClock() != 1 {
+	if p.memState["restored"].ver() != p.MemClock() || p.MemClock() != 1 {
 		t.Fatal("SetSharedRegion did not mark the region dirty like SetRegion")
 	}
 	writeCopies("restored", restored)

@@ -145,8 +145,8 @@ func TestSigStopContKill(t *testing.T) {
 	}
 	p.Signal(SIGKILL)
 	w.Run()
-	if p.Status() != StatusExited || p.ExitCode() != 137 {
-		t.Fatalf("kill: status=%v code=%d", p.Status(), p.ExitCode())
+	if p.Status() != StatusExited || p.exitCode != 137 {
+		t.Fatalf("kill: status=%v code=%d", p.Status(), p.exitCode)
 	}
 	if c.Done == 1000 {
 		t.Fatal("process ran to completion despite kill")
@@ -274,12 +274,23 @@ func TestSocketBlockingRoundTrip(t *testing.T) {
 	if ps.Status() != StatusExited || pc.Status() != StatusExited {
 		t.Fatalf("statuses: %v / %v", ps.Status(), pc.Status())
 	}
-	if pc.ExitCode() != 0 {
-		t.Fatalf("client exit %d (status %d)", pc.ExitCode(), cli.Status)
+	if pc.exitCode != 0 {
+		t.Fatalf("client exit %d (status %d)", pc.exitCode, cli.Status)
 	}
 	if cli.Got != cli.Msg {
 		t.Fatalf("echo = %q", cli.Got)
 	}
+}
+
+// PID is getpid: the stable virtual PID inside a pod, the real PID
+// outside. No program reads its PID; the tests use it as the cheapest
+// system call, to see the virtualization layer and its overhead.
+func (c *Context) PID() PID {
+	c.charge()
+	if c.proc.Env.Virtualized {
+		return c.proc.VPID
+	}
+	return c.proc.RPID
 }
 
 func TestVirtualizedPIDAndOverhead(t *testing.T) {
@@ -330,17 +341,26 @@ func TestTimeVirtualizationBias(t *testing.T) {
 	}
 }
 
+// memoryBytes is the total size of p's regions.
+func memoryBytes(p *Process) int64 {
+	var n int64
+	for _, r := range p.mem {
+		n += int64(len(r.Data))
+	}
+	return n
+}
+
 func TestMemoryRegions(t *testing.T) {
 	_, n, env := testEnv(t)
 	p := n.Spawn(&counter{Steps: 1}, env)
 	p.SetRegion("heap", make([]byte, 1<<20))
 	p.SetRegion("stack", make([]byte, 8<<10))
-	if p.MemoryBytes() != (1<<20)+(8<<10) {
-		t.Fatalf("MemoryBytes = %d", p.MemoryBytes())
+	if memoryBytes(p) != (1<<20)+(8<<10) {
+		t.Fatalf("MemoryBytes = %d", memoryBytes(p))
 	}
 	p.SetRegion("heap", make([]byte, 2<<20)) // replace
-	if p.MemoryBytes() != (2<<20)+(8<<10) {
-		t.Fatalf("after replace = %d", p.MemoryBytes())
+	if memoryBytes(p) != (2<<20)+(8<<10) {
+		t.Fatalf("after replace = %d", memoryBytes(p))
 	}
 	if _, ok := p.Region("stack"); !ok {
 		t.Fatal("stack region missing")
@@ -438,19 +458,6 @@ func TestBlockedStopCont(t *testing.T) {
 	w.RunUntil(w.Now() + sim.Time(500*sim.Millisecond))
 	if srv.Phase < 2 {
 		t.Fatalf("server did not accept after CONT: phase %d", srv.Phase)
-	}
-}
-
-func TestContextFileIO(t *testing.T) {
-	w, n, env := testEnv(t)
-	var got []byte
-	n.Spawn(&probeProg{fn: func(ctx *Context) {
-		ctx.WriteFile("out/data", []byte("persisted"))
-		got, _ = ctx.ReadFile("out/data")
-	}}, env)
-	w.Run()
-	if string(got) != "persisted" {
-		t.Fatalf("got %q", got)
 	}
 }
 

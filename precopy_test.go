@@ -14,6 +14,7 @@ import (
 
 	"zapc"
 	"zapc/internal/ckpt"
+	"zapc/internal/core"
 )
 
 // churnSpec deploys the synthetic write-heavy workload whose dirty rate
@@ -106,7 +107,7 @@ func TestPrecopyRestoreEquivalence(t *testing.T) {
 			}
 			driveTo(t, c, job, 0.5)
 			res, err := c.Checkpoint(job, zapc.CheckpointOptions{
-				Mode: zapc.MigrateMode, Workers: 4, FlushTo: "eq/pre",
+				Mode: core.Migrate, Workers: 4, FlushTo: "eq/pre",
 				Precopy: &zapc.PrecopyOptions{MaxRounds: 3},
 			})
 			if err != nil {
@@ -170,7 +171,7 @@ func TestPrecopyRestartFromFSFlushTo(t *testing.T) {
 	}
 	driveTo(t, c, job, 0.5)
 	if _, err := c.Checkpoint(job, zapc.CheckpointOptions{
-		Mode: zapc.MigrateMode, Workers: 4, FlushTo: "fs/pre",
+		Mode: core.Migrate, Workers: 4, FlushTo: "fs/pre",
 		Precopy: &zapc.PrecopyOptions{MaxRounds: 3},
 	}); err != nil {
 		t.Fatal(err)

@@ -23,6 +23,7 @@ import (
 	"zapc"
 	"zapc/internal/apps"
 	"zapc/internal/ckpt"
+	"zapc/internal/core"
 	"zapc/internal/imagestore"
 )
 
@@ -96,7 +97,7 @@ func goldenRun(t *testing.T, spec zapc.JobSpec, steps []goldenStep) map[string][
 
 func goldenRuns(t *testing.T) map[string][]byte {
 	t.Helper()
-	incr := zapc.NewIncrSet(4)
+	incr := ckpt.NewIncrSet(4)
 	recs := goldenRun(t, zapc.JobSpec{App: "bt", Endpoints: 4, Work: 0.1, Scale: 1.0 / 16, WithDaemons: true}, []goldenStep{
 		{0.2, zapc.CheckpointOptions{Mode: zapc.Snapshot, Workers: 2, FlushTo: "gold/snap"}},
 		{0.35, zapc.CheckpointOptions{Mode: zapc.Snapshot, Workers: 2, Incr: incr, FlushTo: "gold/incr0"}},
@@ -344,7 +345,7 @@ func TestCheckpointAllocationBudget(t *testing.T) {
 // twice the region again — which is not the copy this budget is about.
 func TestRestartAllocationBudget(t *testing.T) {
 	c, job := budgetJob(t, 1.0/32)
-	res, err := c.Checkpoint(job, zapc.CheckpointOptions{Mode: zapc.MigrateMode, Workers: 2, FlushTo: "budget"})
+	res, err := c.Checkpoint(job, zapc.CheckpointOptions{Mode: core.Migrate, Workers: 2, FlushTo: "budget"})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -176,7 +176,7 @@ func TestStandbyMetricNamesConform(t *testing.T) {
 	if job.Finished() || crashAt >= 0.95 {
 		t.Fatalf("job outran the feed cut (progress %.2f)", job.Progress())
 	}
-	inj := zapc.NewFaultInjector(c)
+	inj := c.NewFaultInjector()
 	inj.SetProgressProbe(job.Progress, 0)
 	if err := inj.Arm([]zapc.FaultStep{{
 		Name: "kill", Progress: crashAt, Action: zapc.FaultCrashNode, Node: 1,

@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"zapc"
+	"zapc/internal/core"
 	"zapc/internal/imagestore"
 	"zapc/internal/memfs"
 	"zapc/internal/netstack"
@@ -93,7 +94,7 @@ func TestRemoteStoreMigration(t *testing.T) {
 	c.Mgr.SetStore(remote)
 
 	const dir = "migrate/g0"
-	if _, err := c.Checkpoint(job, zapc.CheckpointOptions{Mode: zapc.MigrateMode, Workers: 4, FlushTo: dir}); err != nil {
+	if _, err := c.Checkpoint(job, zapc.CheckpointOptions{Mode: core.Migrate, Workers: 4, FlushTo: dir}); err != nil {
 		t.Fatal(err)
 	}
 	// Delivery is asynchronous: drive the simulation until the peer has

@@ -7,8 +7,8 @@ import (
 	"strings"
 	"testing"
 
-	"zapc"
 	"zapc/internal/experiments"
+	"zapc/internal/trace"
 )
 
 // runTraced runs the canonical traced crash-and-failover scenario and
@@ -118,14 +118,14 @@ func TestTraceSpansPresent(t *testing.T) {
 func TestTraceExportRoundTrip(t *testing.T) {
 	res := runTraced(t, 11)
 	data := traceJSONL(t, res)
-	events, err := zapc.ReadTraceJSONL(bytes.NewReader(data))
+	events, err := trace.ReadJSONL(bytes.NewReader(data))
 	if err != nil {
 		t.Fatalf("ReadTraceJSONL: %v", err)
 	}
 	if len(events) != res.Tracer.Len() {
 		t.Fatalf("round trip lost events: %d != %d", len(events), res.Tracer.Len())
 	}
-	chrome, err := zapc.ChromeTraceBytes(events)
+	chrome, err := trace.ChromeTrace(events)
 	if err != nil {
 		t.Fatalf("ChromeTraceBytes: %v", err)
 	}
@@ -138,7 +138,7 @@ func TestTraceExportRoundTrip(t *testing.T) {
 	if len(doc.TraceEvents) == 0 {
 		t.Fatal("chrome export has no events")
 	}
-	summary := zapc.TracePhaseSummary(events)
+	summary := trace.PhaseSummary(events)
 	for _, phase := range []string{"ckpt/serialize", "restart/net-restore"} {
 		if !strings.Contains(summary, phase) {
 			t.Errorf("phase summary missing %s:\n%s", phase, summary)
@@ -150,12 +150,12 @@ func TestTraceExportRoundTrip(t *testing.T) {
 // the facade: corrupt input wraps ErrBadTrace, valid JSONL from a real
 // run does not.
 func TestTraceReaderRejectsGarbage(t *testing.T) {
-	_, err := zapc.ReadTraceJSONL(strings.NewReader("{\"t\":-5,\"ph\":\"B\"}\n"))
-	if !errors.Is(err, zapc.ErrBadTrace) {
+	_, err := trace.ReadJSONL(strings.NewReader("{\"t\":-5,\"ph\":\"B\"}\n"))
+	if !errors.Is(err, trace.ErrBadTrace) {
 		t.Fatalf("want ErrBadTrace, got %v", err)
 	}
-	_, err = zapc.ReadTraceJSONL(strings.NewReader("not json at all\n"))
-	if !errors.Is(err, zapc.ErrBadTrace) {
+	_, err = trace.ReadJSONL(strings.NewReader("not json at all\n"))
+	if !errors.Is(err, trace.ErrBadTrace) {
 		t.Fatalf("want ErrBadTrace for non-JSON, got %v", err)
 	}
 }

@@ -29,6 +29,16 @@
 // internal/trace (the span-DAG analyzer) directly — `make ci` checks
 // the boundary.
 //
+// The same rule holds in every package of the module: an exported func,
+// method, type, var or const has a reference outside its declaration
+// and its own package's tests — from non-test code anywhere (cmd/,
+// examples/ and benchmark/ included) or from another package's tests.
+// TestExportedNamesHaveCallers (exports_test.go, run by `make boundary`)
+// type-checks the repository and names each one that has none; its
+// exemptions are interface methods, typed iota blocks, this file's type
+// aliases (the reachability clause above governs them) and the
+// internal/gm prototype.
+//
 // Everything is deterministic for a fixed seed: a run that is
 // checkpointed, migrated, and resumed produces results bit-identical to
 // an uninterrupted run — the property the test suite verifies for every
@@ -36,8 +46,6 @@
 package zapc
 
 import (
-	"io"
-
 	"zapc/internal/ckpt"
 	"zapc/internal/cluster"
 	"zapc/internal/coord"
@@ -97,7 +105,7 @@ type (
 // c.Supervise(job, policy); faults are scripted with an Injector:
 //
 //	sup, _ := c.Supervise(job, zapc.SupervisorPolicy{CheckpointEvery: 2 * zapc.Second})
-//	inj := zapc.NewFaultInjector(c)
+//	inj := c.NewFaultInjector()
 //	inj.SetProgressProbe(job.Progress, 0)
 //	_ = inj.Arm([]zapc.FaultStep{{
 //		Name: "kill", Progress: 0.5, Action: zapc.FaultCrashNode, Node: 1, // c.Nodes[1]
@@ -149,12 +157,13 @@ type (
 // modeled serialization width is selected per checkpoint with
 // CheckpointOptions.Workers (≤ 0 = sequential; the host runs one thread
 // whatever the width);
-// incremental base+delta capture is enabled by handing the same IncrSet
-// to successive checkpoints via CheckpointOptions.Incr, or by setting
-// SupervisorPolicy.Incremental:
+// incremental base+delta capture is enabled by setting
+// SupervisorPolicy.Incremental, which hands one IncrSet to the
+// supervisor's successive checkpoints (CheckpointOptions.Incr):
 //
-//	incr := zapc.NewIncrSet(4) // full base every 4th generation
-//	res, _ := c.Checkpoint(job, zapc.CheckpointOptions{Workers: 4, Incr: incr})
+//	pol := zapc.SupervisorPolicy{CheckpointEvery: 2 * zapc.Second, Incremental: true,
+//		FullEvery: 4} // full base every 4th generation
+//	sup, _ := c.Supervise(job, pol)
 type (
 	// IncrSet tracks base+delta checkpoint chains for a set of pods.
 	IncrSet = ckpt.IncrSet
@@ -164,11 +173,10 @@ type (
 
 // Streaming image pipeline (see internal/imagestore). Checkpoint records
 // stream chunk by chunk into an ImageStore — the shared filesystem by
-// default (NewFSImageStore), or a netstack-backed remote store that
-// ships each record straight to a peer node for the paper's direct
-// checkpoint-to-network migration. The manager's store is swapped with
-// c.Mgr.SetStore; records flush when CheckpointOptions.FlushTo names a
-// prefix.
+// default, or a netstack-backed remote store that ships each record
+// straight to a peer node for the paper's direct checkpoint-to-network
+// migration. The manager's store is swapped with c.Mgr.SetStore;
+// records flush when CheckpointOptions.FlushTo names a prefix.
 type (
 	// ImageStore is a named destination checkpoint records stream into.
 	ImageStore = imagestore.Store
@@ -179,20 +187,6 @@ type (
 	// DedupUsage is a dedup store's physical-footprint accounting.
 	DedupUsage = imagestore.DedupUsage
 )
-
-// NewFSImageStore wraps a cluster's shared filesystem as an ImageStore
-// (the manager's default).
-func NewFSImageStore(c *Cluster) ImageStore { return imagestore.NewFS(c.FS) }
-
-// NewDedupImageStore wraps any ImageStore with content-hash block
-// dedup: unchanged regions across checkpoint generations are stored
-// once and referenced by hash.
-func NewDedupImageStore(inner ImageStore) *DedupImageStore { return imagestore.NewDedup(inner) }
-
-// NewIncrSet creates an incremental-checkpoint tracker set that takes a
-// full base image every fullEvery generations (<=1 means every
-// checkpoint is full).
-func NewIncrSet(fullEvery int) *IncrSet { return ckpt.NewIncrSet(fullEvery) }
 
 // Pipeline observability (see internal/trace). c.EnableTracing() turns
 // on span tracing and metrics for the whole checkpoint/restart path —
@@ -205,7 +199,6 @@ func NewIncrSet(fullEvery int) *IncrSet { return ckpt.NewIncrSet(fullEvery) }
 //	// ... run checkpoints, failovers, restarts ...
 //	tr.WriteJSONL(f)                     // line-per-event log
 //	tr.WriteChromeTrace(g)               // open in ui.perfetto.dev
-//	fmt.Println(zapc.TracePhaseSummary(tr.Events()))
 //	fmt.Println(reg.Summary())
 //
 // Every timestamp comes from the simulated clock, so two runs with the
@@ -221,70 +214,14 @@ type (
 	TraceRegistry = trace.Registry
 	// TraceMetricPoint is one metric in a registry snapshot.
 	TraceMetricPoint = trace.MetricPoint
-	// TracePhaseStat aggregates latency for one span name.
-	TracePhaseStat = trace.PhaseStat
 )
 
-// ErrBadTrace is returned (wrapped, with a line number) when a trace
-// log fails to parse; readers reject garbage instead of panicking.
-var ErrBadTrace = trace.ErrBadTrace
+// FaultCrashNode is the fault kind that fails a node, as a machine
+// crash would.
+const FaultCrashNode = faultinject.ActCrashNode
 
-// ReadTraceJSONL parses a JSONL trace log as written by
-// Tracer.WriteJSONL. Malformed input wraps ErrBadTrace.
-func ReadTraceJSONL(r io.Reader) ([]TraceEvent, error) { return trace.ReadJSONL(r) }
-
-// ChromeTraceBytes renders events as Chrome trace-event JSON (load in
-// ui.perfetto.dev or chrome://tracing).
-func ChromeTraceBytes(events []TraceEvent) ([]byte, error) { return trace.ChromeTrace(events) }
-
-// TracePhaseStats aggregates per-phase latency from a trace.
-func TracePhaseStats(events []TraceEvent) []TracePhaseStat { return trace.PhaseStats(events) }
-
-// TracePhaseSummary formats the per-phase latency breakdown as a table.
-func TracePhaseSummary(events []TraceEvent) string { return trace.PhaseSummary(events) }
-
-// ErrCorruptImage is returned (wrapped, naming the affected pod and
-// record) when a stored checkpoint record does not decode — a CRC
-// mismatch, a truncation, an unsupported version — during
-// LoadImages/RestartFromFS.
-var ErrCorruptImage = cluster.ErrCorruptImage
-
-// ErrChainBroken is returned the same way when a pod's stored records
-// decode but do not link into a chain: a delta out of sequence, one
-// whose parent checksum names a different record, or a directory that
-// is not self-contained (an incremental delta generation on its own).
-var ErrChainBroken = ckpt.ErrChainBroken
-
-// ErrTruncatedStream is returned (wrapped, naming the affected pod and
-// the byte offset) when a checkpoint image stream dies before commit —
-// a remote transfer aborted mid-flight or an armed truncation fault.
-var ErrTruncatedStream = imagestore.ErrTruncatedStream
-
-// Declarative fault kinds.
-const (
-	FaultCrashNode      = faultinject.ActCrashNode
-	FaultCrashManager   = faultinject.ActCrashManager
-	FaultRecoverManager = faultinject.ActRecoverManager
-	FaultCorruptImage   = faultinject.ActCorruptImage
-	FaultDropControl    = faultinject.ActDropControl
-	FaultDelayControl   = faultinject.ActDelayControl
-	FaultTruncateStream = faultinject.ActTruncateStream
-	FaultTruncateReads  = faultinject.ActTruncateReads
-)
-
-// NewFaultInjector creates a fault injector wired to the cluster's
-// simulation world, shared filesystem, and manager control plane. If
-// the cluster has tracing enabled, fired faults appear on the timeline
-// as instants on the "faults" track.
-func NewFaultInjector(c *Cluster) *FaultInjector { return c.NewFaultInjector() }
-
-// Checkpoint modes.
-const (
-	// Snapshot checkpoints and resumes in place.
-	Snapshot = core.Snapshot
-	// Migrate checkpoints and destroys the source pods.
-	MigrateMode = core.Migrate
-)
+// Snapshot is the checkpoint mode that checkpoints and resumes in place.
+const Snapshot = core.Snapshot
 
 // Convenient simulated-time units.
 const (
