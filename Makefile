@@ -16,8 +16,9 @@ GOTEST = $(GO) test $(GOTESTFLAGS)
 # enumeration, the dedup-store layout gate, the coordination-tree scaling
 # gate, the observability/availability gate,
 # the warm-standby replication gate, the nested benchmark module (which
-# `./...` from the root does not reach), and coverage totals.
-ci: fmt vet boundary build race race-precopy cow-check fuzz trace-check chaos enum-check dedup-check scale-check obs-check standby-check bench-module cover
+# `./...` from the root does not reach), the three examples (each exits
+# non-zero when its result diverges), and coverage totals.
+ci: fmt vet boundary build race race-precopy cow-check fuzz trace-check chaos enum-check dedup-check scale-check obs-check standby-check bench-module examples cover
 
 # gofmt gate: fails listing any file that is not gofmt-clean.
 fmt:
@@ -37,9 +38,10 @@ vet:
 # defines each of its functions once, StreamDecoder's, which reads a
 # section or a blob as a window with no frames behind it.
 # And a controller has one state: the supervisor, the coordinated
-# operations and the standby plane do not regain a lifecycle boolean
-# beside it, and each operation type has one function that calls onDone
-# (DESIGN.md §13).
+# operations, the standby plane and the network restorer do not regain a
+# lifecycle boolean beside it, and each operation type has one function
+# that calls onDone (DESIGN.md §13). The restorer issues every TCP
+# connect from dial; the one other Connect is a restored UDP socket's.
 # And a commit re-reads no history: the supervisor's materializing chain
 # read has one caller, recovery, and the commit check names nothing that
 # builds an image.
@@ -102,8 +104,8 @@ boundary:
 	if [ -n "$$dup" ]; then echo "boundary: internal/imgfmt defines the field grammar twice; StreamDecoder reads memory too (a window with no frames behind it):"; echo "$$dup"; exit 1; fi
 	@bad="$$(grep -rnE --include='*.go' 'func \([^)]*\) (Save|Restore)\([^)]*imgfmt\.' .)"; \
 	if [ -n "$$bad" ]; then echo "boundary: a hand-written Save/Restore pair over an imgfmt codec; declare a Layout:"; echo "$$bad"; exit 1; fi
-	@bad="$$(grep -nE '^\s+([A-Za-z_]+,\s*)*(done|running|recovering|ckptBusy|aborted|finished|stopSent|contSent|saDone|contRecvd|syncing|applying|promoted)(,\s*[A-Za-z_]+)*\s+bool\b' \
-		internal/supervisor/supervisor.go internal/core/core.go internal/standby/standby.go)"; \
+	@bad="$$(grep -nE '^\s+([A-Za-z_]+,\s*)*(done|running|recovering|ckptBusy|aborted|finished|stopSent|contSent|saDone|contRecvd|syncing|applying|promoted|established|restored|adjusted|retryPending)(,\s*[A-Za-z_]+)*\s+bool\b' \
+		internal/supervisor/supervisor.go internal/core/core.go internal/standby/standby.go internal/netckpt/restore.go)"; \
 	if [ -n "$$bad" ]; then echo "boundary: a lifecycle boolean beside the state; give the state a value instead (DESIGN.md §13):"; echo "$$bad"; exit 1; fi
 	@fns="$$(awk '/^func /{fn=$$0} /\.onDone\(/{print fn}' internal/core/core.go | sort -u)"; \
 	dup="$$(echo "$$fns" | sed -E 's/^func \([a-z]+ \*?([A-Za-z]+)\).*/\1/' | sort | uniq -d)"; \
@@ -112,6 +114,11 @@ boundary:
 	if [ -n "$$bad" ]; then echo "boundary: readChains materializes every chain; recovery (tryRestore) is its one caller, the commit check verifies by induction:"; echo "$$bad"; exit 1; fi
 	@bad="$$(awk '/^func /{fn=$$0} fn ~ /\) (checkGeneration|checkChain|verifyRecord|scrubRecord)\(/ && /ApplyDelta|ReconstructChain|\.Next\(/{print FILENAME ": " $$0}' internal/supervisor/supervisor.go)"; \
 	if [ -n "$$bad" ]; then echo "boundary: the commit check materializes nothing; it verifies (ckpt.Chain.Verify) and re-hashes:"; echo "$$bad"; exit 1; fi
+	@bad="$$(awk 'FNR==1{fn=""; arm=""} /^func /{fn=$$0; arm=""} /^[ \t]+case /{arm=$$0} {code=$$0; sub(/\/\/.*/, "", code)} \
+		code ~ /\.Connect\(/ && fn !~ /^func \(r \*Restorer\) dial\(/ \
+		&& !(fn ~ /^func \(r \*Restorer\) createLocalSockets\(/ && arm ~ /netstack\.UDP/){print FILENAME ": " $$0}' \
+		$$(ls internal/netckpt/*.go | grep -v '_test\.go$$'))"; \
+	if [ -n "$$bad" ]; then echo "boundary: a TCP connect outside Restorer.dial; the start, the redial and the strawman's gate all dial through it (DESIGN.md §13):"; echo "$$bad"; exit 1; fi
 	@bad="$$(grep -rn --include='*.go' '"container/heap"' . | grep -v '_test\.go:')"; \
 	if [ -n "$$bad" ]; then echo "boundary: container/heap outside a test; the event queue is sim.World's typed heap:"; echo "$$bad"; exit 1; fi
 	@bad="$$(grep -nE '\.After\(' internal/vos/node.go internal/netstack/netstack.go internal/netstack/tcp.go)"; \

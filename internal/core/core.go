@@ -222,14 +222,13 @@ func parSpeedup(workers, procs int) sim.Duration {
 
 // AgentStats reports one agent's timing breakdown.
 type AgentStats struct {
-	Pod         string
-	Suspend     sim.Duration // SIGSTOP + quiescence + network block
-	NetCkpt     sim.Duration // network-state checkpoint
-	Standalone  sim.Duration // standalone pod checkpoint
-	Total       sim.Duration // agent start -> done reported
-	ImageBytes  int64        // full (materialized) image size
-	NetBytes    int64        // serialized network-state size
-	NetQueueLen int64        // payload bytes captured from socket queues
+	Pod        string
+	Suspend    sim.Duration // SIGSTOP + quiescence + network block
+	NetCkpt    sim.Duration // network-state checkpoint
+	Standalone sim.Duration // standalone pod checkpoint
+	Total      sim.Duration // agent start -> done reported
+	ImageBytes int64        // full (materialized) image size
+	NetBytes   int64        // serialized network-state size
 	// WireBytes is what this generation actually wrote to the sink: the
 	// full image for a full generation, the delta record otherwise.
 	WireBytes int64
@@ -1102,7 +1101,6 @@ func (op *ckptOp) doneArrived(a *ckptAgent) {
 		Total:              total,
 		ImageBytes:         a.img.Bytes(),
 		NetBytes:           a.netBytes,
-		NetQueueLen:        a.queueLen,
 		WireBytes:          a.rec.Bytes,
 		PeakBuffered:       a.rec.Peak,
 		Incremental:        a.incremental(),
@@ -1234,17 +1232,12 @@ type Placement struct {
 type RestartStats struct {
 	Total  sim.Duration
 	Agents []RestartAgentStats
-	// Coord is the control-plane accounting of the operation (see
-	// CheckpointStats.Coord).
-	Coord coord.Stats
 }
 
 // RestartAgentStats is one agent's restart breakdown.
 type RestartAgentStats struct {
-	Pod        string
 	NetRestore sim.Duration // connectivity recovery + queue restore
 	Standalone sim.Duration // standalone restart (dominates, per §6)
-	Total      sim.Duration
 }
 
 // RestartResult reports the restored pods and measurements.
@@ -1414,8 +1407,7 @@ func (op *restartOp) runAgent(idx int, pl Placement, plan *netckpt.EndpointPlan)
 						agSpan.End()
 						op.m.reg.Histogram("restart_agent_total_ns").Observe(int64(w.Now() - began))
 						op.reports[idx] = restartReport{RestartAgentStats{
-							Pod: pl.PodName, NetRestore: netTime, Standalone: saCost,
-							Total: sim.Duration(w.Now() - began),
+							NetRestore: netTime, Standalone: saCost,
 						}, np}
 						op.doneG.Report(idx, 0)
 					})
@@ -1478,7 +1470,6 @@ func (op *restartOp) finish(err error) {
 		op.result.Err = fmt.Errorf("%w: %w", ErrAborted, err)
 	} else {
 		op.result.Stats.Total = sim.Duration(op.m.w.Now() - op.start)
-		op.result.Stats.Coord = op.plane.Stats()
 		op.plane.EmitLevelSpans(op.m.tr, op.span)
 		op.span.End(trace.Str("outcome", "ok"),
 			trace.I64("total_ns", int64(op.result.Stats.Total)))

@@ -59,18 +59,30 @@ func InstallAltQueue(s *netstack.Socket, data []byte) {
 	}
 }
 
+// stage is where one schedule entry stands in its re-establishment.
+// Every entry ends in adjusted; the restore is done when all have.
+type stage int
+
+const (
+	// waiting: an accept entry for its peer's SYN, a connect entry for
+	// the accept-first strawman's gate (only the ablation sets it).
+	waiting   stage = iota
+	dialing         // connect issued, handshake in flight
+	redialing       // refused; dial runs again after connectRetryDelay
+	sending         // state restored, saved send queue being written
+	adjusted        // shutdown flags reinstated: nothing left to do
+)
+
 // entryState tracks one schedule entry through re-establishment.
 type entryState struct {
-	entry        ScheduleEntry
-	rec          *SocketRecord
-	sock         *netstack.Socket
-	established  bool
-	retries      int
-	retryPending bool
-	// writer state: chunks still to push through the new connection
-	pending  []netstack.Chunk
-	restored bool
-	adjusted bool // status (shutdown flags) reinstated
+	entry   ScheduleEntry
+	rec     *SocketRecord
+	sock    *netstack.Socket
+	stage   stage
+	retries int
+	// pending holds the saved send-queue chunks still to be written
+	// through the new connection while the entry is sending.
+	pending []netstack.Chunk
 }
 
 // Reconnection retry policy: a connect may be refused if the peer agent
@@ -90,15 +102,25 @@ const (
 // initiated immediately while accepts complete as SYNs arrive — which is
 // the paper's two-thread scheme that makes deadlock-free ordering
 // unnecessary.
+//
+// Each schedule entry is one stage machine (waiting → dialing ⇄
+// redialing → sending → adjusted, DESIGN.md §13) that progress advances
+// on every socket event; dial is the one place a TCP connect is issued,
+// for the start, every redial after a refusal, and the strawman's gate.
+// onDone is nil once finish has run.
 type Restorer struct {
-	st         *netstack.Stack
-	img        *NetImage
-	plan       *EndpointPlan
-	sockets    []*netstack.Socket // by slot
-	entries    []*entryState
-	temps      map[netstack.Port]*netstack.Socket
+	st      *netstack.Stack
+	img     *NetImage
+	plan    *EndpointPlan
+	sockets []*netstack.Socket // by slot
+	entries []*entryState
+	// listeners holds the live and temporary listeners by port, as
+	// restored; temps are the temporary ones in creation order, which
+	// finish closes.
+	listeners  map[netstack.Port]*netstack.Socket
+	temps      []*netstack.Socket
+	notify     func() // progress, bound once for every socket
 	onDone     func(error)
-	done       bool
 	inProgress bool
 	rerun      bool
 
@@ -106,20 +128,21 @@ type Restorer struct {
 	// agent serves all its accepts before issuing any connect. On cyclic
 	// topologies this deadlocks — the reason ZapC uses two concurrent
 	// actors instead. For the ablation only: strawman_test.go sets it.
-	acceptFirst     bool
-	deferredConnect []*entryState
+	acceptFirst bool
 }
 
 // NewRestorer prepares a restore of img onto st following plan.
 func NewRestorer(st *netstack.Stack, img *NetImage, plan *EndpointPlan, onDone func(error)) *Restorer {
-	return &Restorer{
-		st:      st,
-		img:     img,
-		plan:    plan,
-		temps:   make(map[netstack.Port]*netstack.Socket),
-		onDone:  onDone,
-		sockets: make([]*netstack.Socket, len(img.Sockets)),
+	r := &Restorer{
+		st:        st,
+		img:       img,
+		plan:      plan,
+		listeners: make(map[netstack.Port]*netstack.Socket),
+		onDone:    onDone,
+		sockets:   make([]*netstack.Socket, len(img.Sockets)),
 	}
+	r.notify = r.progress
+	return r
 }
 
 // Sockets returns the restored sockets indexed by their original slot
@@ -129,32 +152,51 @@ func (r *Restorer) Sockets() []*netstack.Socket { return r.sockets }
 
 // Start kicks off the restore.
 func (r *Restorer) Start() {
-	if err := r.createLocalSockets(); err != nil {
-		r.finish(err)
-		return
-	}
-	if err := r.startSchedule(); err != nil {
+	if err := r.start(); err != nil {
 		r.finish(err)
 		return
 	}
 	r.progress()
 }
 
-// scheduledSlots reports which slots the manager's plan re-establishes.
-func (r *Restorer) scheduledSlots() map[int]bool {
-	m := make(map[int]bool, len(r.plan.Entries))
+// start restores the sockets that need no peer, then issues the connects
+// and arms the accepts in schedule order.
+func (r *Restorer) start() error {
 	for _, e := range r.plan.Entries {
-		m[e.Slot] = true
+		if e.Slot < 0 || e.Slot >= len(r.img.Sockets) {
+			return fmt.Errorf("schedule slot %d out of range", e.Slot)
+		}
+		r.entries = append(r.entries, &entryState{entry: e, rec: &r.img.Sockets[e.Slot]})
 	}
-	return m
+	if err := r.createLocalSockets(); err != nil {
+		return err
+	}
+	for _, es := range r.entries {
+		switch {
+		case es.entry.Type == EntryAccept:
+			l := r.listeners[es.entry.Local.Port]
+			if l == nil {
+				return fmt.Errorf("no listener for accept entry on port %d", es.entry.Local.Port)
+			}
+			l.SetNotify(r.notify)
+		case !r.acceptFirst:
+			if err := r.dial(es); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
 }
 
 // createLocalSockets restores sockets that need no peer coordination:
 // listeners, UDP, raw sockets, and fully-closed or peer-less TCP
 // connections (restored detached: remaining data then EOF), in original
-// creation order.
+// creation order, then the temporary listeners.
 func (r *Restorer) createLocalSockets() error {
-	scheduled := r.scheduledSlots()
+	scheduled := make([]bool, len(r.img.Sockets))
+	for _, es := range r.entries {
+		scheduled[es.rec.Slot] = true
+	}
 	for i := range r.img.Sockets {
 		rec := &r.img.Sockets[i]
 		switch {
@@ -180,6 +222,7 @@ func (r *Restorer) createLocalSockets() error {
 				return err
 			}
 			r.sockets[rec.Slot] = s
+			r.listeners[rec.Local.Port] = s
 		case rec.Proto == netstack.UDP:
 			s := r.st.Socket(netstack.UDP)
 			applyOpts(s, rec.Opts)
@@ -214,67 +257,39 @@ func (r *Restorer) createLocalSockets() error {
 		if err := s.Listen(64); err != nil {
 			return err
 		}
-		r.temps[port] = s
+		r.listeners[port] = s
+		r.temps = append(r.temps, s)
 	}
 	return nil
 }
 
-// startSchedule issues connects and arms accept callbacks.
-func (r *Restorer) startSchedule() error {
-	for i := range r.plan.Entries {
-		e := r.plan.Entries[i]
-		if e.Slot < 0 || e.Slot >= len(r.img.Sockets) {
-			return fmt.Errorf("schedule slot %d out of range", e.Slot)
+// dial issues a connect entry's connect on a fresh socket bound to its
+// saved local port: at the start, after each refusal, and when the
+// strawman's gate opens. A socket saved mid-handshake is reproduced
+// as-is by the re-issued connect, so it skips straight to sending with
+// nothing to send.
+func (r *Restorer) dial(es *entryState) error {
+	s := r.st.Socket(netstack.TCP)
+	if err := s.Bind(es.entry.Local.Port); err != nil {
+		what := "connect-side"
+		if es.stage == redialing {
+			what = "reconnect"
 		}
-		rec := &r.img.Sockets[e.Slot]
-		es := &entryState{entry: e, rec: rec}
-		r.entries = append(r.entries, es)
-
-		switch e.Type {
-		case EntryConnect:
-			if r.acceptFirst {
-				r.deferredConnect = append(r.deferredConnect, es)
-				continue
-			}
-			s := r.st.Socket(netstack.TCP)
-			if err := s.Bind(e.Local.Port); err != nil {
-				return fmt.Errorf("connect-side bind %v: %w", e.Local, err)
-			}
-			if err := s.Connect(e.Remote); err != nil {
-				return err
-			}
-			es.sock = s
-			r.sockets[rec.Slot] = s
-			if rec.State == netstack.StateConnecting {
-				// The saved socket had not completed its handshake; the
-				// re-issued connect reproduces that state as-is.
-				es.established = true
-				es.restored = true
-				applyOpts(s, rec.Opts)
-			} else {
-				s.SetNotify(func() { r.progress() })
-			}
-		case EntryAccept:
-			l := r.listenerFor(e.Local.Port)
-			if l == nil {
-				return fmt.Errorf("no listener for accept entry on port %d", e.Local.Port)
-			}
-			l.SetNotify(func() { r.progress() })
-		}
+		return fmt.Errorf("%s bind %v: %w", what, es.entry.Local, err)
 	}
+	if err := s.Connect(es.entry.Remote); err != nil {
+		return err
+	}
+	es.sock = s
+	r.sockets[es.rec.Slot] = s
+	if es.rec.State == netstack.StateConnecting {
+		applyOpts(s, es.rec.Opts)
+		es.stage = sending
+		return nil
+	}
+	s.SetNotify(r.notify)
+	es.stage = dialing
 	return nil
-}
-
-// listenerFor finds the live or temporary listener on a port.
-func (r *Restorer) listenerFor(port netstack.Port) *netstack.Socket {
-	for i := range r.img.Sockets {
-		rec := &r.img.Sockets[i]
-		if rec.Proto == netstack.TCP && rec.State == netstack.StateListening &&
-			rec.Local.Port == port && r.sockets[rec.Slot] != nil {
-			return r.sockets[rec.Slot]
-		}
-	}
-	return r.temps[port]
 }
 
 // progress advances every entry as far as possible; it is the common
@@ -282,7 +297,7 @@ func (r *Restorer) listenerFor(port netstack.Port) *netstack.Socket {
 // invocations (an advance step triggering a socket notification) are
 // coalesced into a rerun rather than recursing.
 func (r *Restorer) progress() {
-	if r.done {
+	if r.onDone == nil {
 		return
 	}
 	if r.inProgress {
@@ -290,91 +305,79 @@ func (r *Restorer) progress() {
 		return
 	}
 	r.inProgress = true
+	defer func() { r.inProgress = false }()
 	for {
 		r.rerun = false
-		r.maybeIssueDeferred()
 		allDone := true
 		for _, es := range r.entries {
 			r.advance(es)
-			if r.done {
-				r.inProgress = false
+			if r.onDone == nil {
 				return
 			}
-			if !es.restored || len(es.pending) > 0 || !es.adjusted {
-				allDone = false
-			}
+			allDone = allDone && es.stage == adjusted
 		}
 		if allDone {
-			r.inProgress = false
 			r.finish(nil)
 			return
 		}
 		if !r.rerun {
-			break
-		}
-	}
-	r.inProgress = false
-}
-
-func (r *Restorer) advance(es *entryState) {
-	// Stage 1: establishment.
-	if !es.established {
-		switch es.entry.Type {
-		case EntryConnect:
-			if es.sock == nil {
-				return // deferred by the accept-first strawman
-			}
-			if es.sock.State() == netstack.StateEstablished {
-				es.established = true
-			} else if err := es.sock.Err(); err != nil {
-				if errors.Is(err, netstack.ErrConnRefused) && es.retries < maxConnectRetries {
-					if !es.retryPending {
-						es.retryPending = true
-						es.retries++
-						r.st.Network().World().After(connectRetryDelay, func() { r.reconnect(es) })
-					}
-					return
-				}
-				r.finish(fmt.Errorf("reconnect %v->%v: %w", es.entry.Local, es.entry.Remote, err))
-				return
-			}
-		case EntryAccept:
-			l := r.listenerFor(es.entry.Local.Port)
-			if l == nil {
-				return
-			}
-			if child, ok := l.AcceptMatching(es.entry.Remote); ok {
-				es.sock = child
-				r.sockets[es.rec.Slot] = child
-				es.established = true
-				child.SetNotify(func() { r.progress() })
-			}
-		}
-		if !es.established {
 			return
 		}
 	}
-	// Stage 2: one-time state restore.
-	if !es.restored {
-		es.restored = true
-		rec := es.rec
-		applyOpts(es.sock, rec.Opts)
-		InstallAltQueue(es.sock, rec.RecvData)
-		es.sock.LoadOOB(rec.OOBData)
-		if !rec.Redirected {
-			chunks := DiscardOverlap(rec.SendChunks, Overlap(rec.PCB, es.entry.PeerRcvNxt))
-			es.pending = chunks
+}
+
+// advance moves one entry through its stages as far as its socket
+// allows; each stage below falls through to the next once it is left.
+func (r *Restorer) advance(es *entryState) {
+	if es.stage == waiting && es.entry.Type == EntryConnect {
+		if !r.gateOpen() {
+			return
 		}
-		if rec.PendingAcceptOf >= 0 {
-			// The application never accepted this connection: put it
-			// back on its listener's queue rather than at a descriptor.
-			if l := r.sockets[rec.PendingAcceptOf]; l != nil {
-				l.PushAccept(es.sock)
-			}
+		if err := r.dial(es); err != nil {
+			r.finish(err)
+			return
 		}
 	}
-	// Stage 3: re-send the saved send queue through the new connection
-	// with ordinary writes; the transport delivers it reliably.
+	if es.stage == waiting {
+		child, ok := r.listeners[es.entry.Local.Port].AcceptMatching(es.entry.Remote)
+		if !ok {
+			return
+		}
+		es.sock = child
+		r.sockets[es.rec.Slot] = child
+		child.SetNotify(r.notify)
+		r.restore(es)
+	}
+	if es.stage == dialing {
+		if es.sock.State() != netstack.StateEstablished {
+			err := es.sock.Err()
+			switch {
+			case err == nil:
+			case errors.Is(err, netstack.ErrConnRefused) && es.retries < maxConnectRetries:
+				es.stage = redialing
+				es.retries++
+				r.st.Network().World().After(connectRetryDelay, func() {
+					if r.onDone == nil {
+						return
+					}
+					if err := r.dial(es); err != nil {
+						r.finish(err)
+						return
+					}
+					r.progress()
+				})
+			default:
+				r.finish(fmt.Errorf("reconnect %v->%v: %w", es.entry.Local, es.entry.Remote, err))
+			}
+			return
+		}
+		r.restore(es)
+	}
+	if es.stage != sending {
+		return
+	}
+	// Re-send the saved send queue through the new connection with
+	// ordinary writes; the transport delivers it reliably.
 	for len(es.pending) > 0 {
 		c := es.pending[0]
 		if c.FIN {
@@ -395,82 +398,62 @@ func (r *Restorer) advance(es *entryState) {
 		}
 		es.pending = es.pending[1:]
 	}
-	// Stage 4: status adjustment (shutdown flags), exactly once, and only
-	// after the data is fully queued so the FIN sequences after it. A
-	// socket the application had already released is closed again: the
-	// kernel finishes delivering its tail and tears it down.
-	if !es.adjusted {
-		es.adjusted = true
-		es.sock.RestoreShutdownState(es.rec.PeerClosed, es.rec.ShutWrite)
-		if es.rec.AppClosed {
-			es.sock.SetNotify(nil)
-			es.sock.Close()
+	// Status adjustment (shutdown flags), only after the data is fully
+	// queued so the FIN sequences after it. A socket the application had
+	// already released is closed again: the kernel finishes delivering
+	// its tail and tears it down.
+	es.stage = adjusted
+	es.sock.RestoreShutdownState(es.rec.PeerClosed, es.rec.ShutWrite)
+	if es.rec.AppClosed {
+		es.sock.SetNotify(nil)
+		es.sock.Close()
+	}
+}
+
+// restore reinstates an established entry's saved state, once, and
+// queues its send-queue chunks for the sending stage.
+func (r *Restorer) restore(es *entryState) {
+	es.stage = sending
+	rec := es.rec
+	applyOpts(es.sock, rec.Opts)
+	InstallAltQueue(es.sock, rec.RecvData)
+	es.sock.LoadOOB(rec.OOBData)
+	if !rec.Redirected {
+		es.pending = DiscardOverlap(rec.SendChunks, Overlap(rec.PCB, es.entry.PeerRcvNxt))
+	}
+	if rec.PendingAcceptOf >= 0 {
+		// The application never accepted this connection: put it
+		// back on its listener's queue rather than at a descriptor.
+		if l := r.sockets[rec.PendingAcceptOf]; l != nil {
+			l.PushAccept(es.sock)
 		}
 	}
 }
 
-// reconnect replaces a refused connect-side socket and tries again.
-func (r *Restorer) reconnect(es *entryState) {
-	es.retryPending = false
-	if r.done || es.established {
-		return
-	}
-	s := r.st.Socket(netstack.TCP)
-	if err := s.Bind(es.entry.Local.Port); err != nil {
-		r.finish(fmt.Errorf("reconnect bind %v: %w", es.entry.Local, err))
-		return
-	}
-	if err := s.Connect(es.entry.Remote); err != nil {
-		r.finish(err)
-		return
-	}
-	es.sock = s
-	r.sockets[es.rec.Slot] = s
-	s.SetNotify(func() { r.progress() })
-	r.progress()
-}
-
-// maybeIssueDeferred releases strawman-deferred connects once every
-// accept entry has been served.
-func (r *Restorer) maybeIssueDeferred() {
-	if !r.acceptFirst || len(r.deferredConnect) == 0 {
-		return
+// gateOpen reports whether waiting connect entries may dial: always,
+// except under the accept-first strawman while an accept still waits.
+func (r *Restorer) gateOpen() bool {
+	if !r.acceptFirst {
+		return true
 	}
 	for _, es := range r.entries {
-		if es.entry.Type == EntryAccept && !es.established {
-			return
+		if es.entry.Type == EntryAccept && es.stage == waiting {
+			return false
 		}
 	}
-	pending := r.deferredConnect
-	r.deferredConnect = nil
-	for _, es := range pending {
-		s := r.st.Socket(netstack.TCP)
-		if err := s.Bind(es.entry.Local.Port); err != nil {
-			r.finish(fmt.Errorf("deferred connect bind %v: %w", es.entry.Local, err))
-			return
-		}
-		if err := s.Connect(es.entry.Remote); err != nil {
-			r.finish(err)
-			return
-		}
-		es.sock = s
-		r.sockets[es.rec.Slot] = s
-		s.SetNotify(func() { r.progress() })
-	}
+	return true
 }
 
+// finish is the restore's one exit: the first call clears every
+// callback, closes the temporary listeners and reports err.
 func (r *Restorer) finish(err error) {
-	if r.done {
+	onDone := r.onDone
+	if onDone == nil {
 		return
 	}
-	r.done = true
-	for _, es := range r.entries {
-		if es.sock != nil {
-			es.sock.SetNotify(nil)
-		}
-	}
-	for i := range r.img.Sockets {
-		if s := r.sockets[i]; s != nil {
+	r.onDone = nil
+	for _, s := range r.sockets {
+		if s != nil {
 			s.SetNotify(nil)
 		}
 	}
@@ -478,7 +461,7 @@ func (r *Restorer) finish(err error) {
 		l.SetNotify(nil)
 		l.Close()
 	}
-	r.onDone(err)
+	onDone(err)
 }
 
 // applyOpts replays a saved option set onto a fresh socket. The set

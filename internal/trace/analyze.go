@@ -49,6 +49,7 @@ type SpanNode struct {
 	Adopted bool
 
 	beginIdx int // emission index of the begin event, for determinism
+	endIdx   int // emission index of the end event; exports keep its order
 }
 
 // Dur returns the span duration (0 for instant-like spans).
@@ -65,15 +66,18 @@ type DAG struct {
 	ByID map[uint64]*SpanNode
 	// Instants holds the zero-duration events in emission order.
 	Instants []Event
-	// OrphanEnds are end events whose begin never appeared (a truncated
-	// log read from mid-stream).
+	// OrphanEnds are end events with no open span to close: the begin
+	// never appeared (a truncated log read from mid-stream), or the span
+	// was already closed by an earlier end.
 	OrphanEnds []Event
 	// EndT is the largest timestamp in the log; dangling spans are
 	// clamped to it.
 	EndT int64
 }
 
-// BuildDAG reconstructs the span DAG from an event log.
+// BuildDAG reconstructs the span DAG from an event log. It is the one
+// place begin and end events are paired: the analyses, the Chrome export
+// and PhaseStats all read spans from it.
 //
 // Two linking rules apply. Spans carrying an explicit parent id nest
 // under it. Spans recorded as roots are then adopted by containment:
@@ -107,11 +111,12 @@ func BuildDAG(events []Event) *DAG {
 			d.Spans = append(d.Spans, n)
 		case PhEnd:
 			n, ok := d.ByID[ev.ID]
-			if !ok {
+			if !ok || !n.Dangling {
 				d.OrphanEnds = append(d.OrphanEnds, ev)
 				continue
 			}
 			n.Dangling = false
+			n.endIdx = i
 			if ev.T > n.End {
 				n.End = ev.T
 			}

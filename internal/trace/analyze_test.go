@@ -182,6 +182,33 @@ func TestAnalyzerEdgeCases(t *testing.T) {
 	}
 }
 
+// TestSecondEndIsAnOrphan: a span ended twice closes at its first end;
+// BuildDAG reports the second as an orphan, and the export and the
+// phase table, which read spans from it, count the span once.
+func TestSecondEndIsAnOrphan(t *testing.T) {
+	clk := &fakeClock{}
+	tr := New(clk.now)
+	s := tr.Start(nil, "twice")
+	clk.t = 10
+	s.End()
+	clk.t = 25
+	s.End()
+	d := BuildDAG(tr.Events())
+	if len(d.Spans) != 1 || d.Spans[0].Dur() != 10 || len(d.OrphanEnds) != 1 {
+		t.Fatalf("want one 10ns span and one orphan end, got %+v orphans %+v", d.Spans, d.OrphanEnds)
+	}
+	if st := PhaseStats(tr.Events()); len(st) != 1 || st[0].Count != 1 || st[0].Total != 10 {
+		t.Fatalf("phase stats %+v, want one 10ns occurrence", st)
+	}
+	data, err := ChromeTrace(tr.Events())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := strings.Count(string(data), `"ph": "X"`); n != 1 {
+		t.Fatalf("chrome export has %d spans, want 1:\n%s", n, data)
+	}
+}
+
 // TestFailoverReportDecomposition builds a synthetic failover trace and
 // checks the RTO window, segment labels, exact partition, and coverage.
 func TestFailoverReportDecomposition(t *testing.T) {

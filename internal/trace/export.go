@@ -121,10 +121,18 @@ func ChromeTraceHighlighted(events []Event, path []Segment) ([]byte, error) {
 }
 
 func chromeTrace(events []Event, path []Segment) ([]byte, error) {
+	d := BuildDAG(events)
 	critical := map[uint64]bool{}
 	for _, s := range path {
 		if s.Span != nil {
 			critical[s.Span.ID] = true
+		}
+	}
+	// A closed span is exported where its end event was emitted.
+	closedAt := make([]*SpanNode, len(events))
+	for _, n := range d.Spans {
+		if !n.Dangling {
+			closedAt[n.endIdx] = n
 		}
 	}
 	// Assign tids per track in order of first appearance.
@@ -140,40 +148,21 @@ func chromeTrace(events []Event, path []Segment) ([]byte, error) {
 		tids[track] = id
 		return id
 	}
-	type open struct {
-		ev  Event
-		tid int
-	}
-	spans := map[uint64]open{}
 	var out []chromeEvent
-	for _, ev := range events {
+	for i, ev := range events {
 		tid := tidOf(ev.Trk)
 		switch ev.Ph {
-		case PhBegin:
-			spans[ev.ID] = open{ev: ev, tid: tid}
 		case PhEnd:
-			b, ok := spans[ev.ID]
-			if !ok {
-				continue // end without begin: drop rather than fail the export
-			}
-			delete(spans, ev.ID)
-			args := b.ev.Args
-			if len(ev.Args) > 0 {
-				merged := make(map[string]string, len(args)+len(ev.Args))
-				for k, v := range args {
-					merged[k] = v
-				}
-				for k, v := range ev.Args {
-					merged[k] = v
-				}
-				args = merged
+			n := closedAt[i]
+			if n == nil {
+				continue // end without an open span: drop rather than fail the export
 			}
 			ce := chromeEvent{
-				Name: ev.Name, Ph: "X",
-				Ts: float64(b.ev.T) / 1e3, Dur: float64(ev.T-b.ev.T) / 1e3,
-				Pid: 1, Tid: b.tid, Args: args,
+				Name: n.Name, Ph: "X",
+				Ts: float64(n.Start) / 1e3, Dur: float64(n.Dur()) / 1e3,
+				Pid: 1, Tid: tidOf(n.Track), Args: n.Args,
 			}
-			if critical[ev.ID] {
+			if critical[n.ID] {
 				ce.Cname = "terrible"
 			}
 			out = append(out, ce)
@@ -184,11 +173,12 @@ func chromeTrace(events []Event, path []Segment) ([]byte, error) {
 			})
 		}
 	}
-	// Still-open spans export as zero-length markers at their start.
-	for _, b := range spans {
+	// Still-open spans export as zero-length markers at their start, in
+	// the order they opened.
+	for _, n := range d.DanglingSpans() {
 		out = append(out, chromeEvent{
-			Name: b.ev.Name, Ph: "X", Ts: float64(b.ev.T) / 1e3,
-			Pid: 1, Tid: b.tid, Args: b.ev.Args,
+			Name: n.Name, Ph: "X", Ts: float64(n.Start) / 1e3,
+			Pid: 1, Tid: tidOf(n.Track), Args: n.Args,
 		})
 	}
 	// The critical path gets its own lane: the bottleneck chain rendered
@@ -259,7 +249,7 @@ func (p PhaseStat) Mean() int64 {
 // sorted by total time descending (name ascending on ties). Instants
 // count as zero-duration occurrences.
 func PhaseStats(events []Event) []PhaseStat {
-	begins := map[uint64]Event{}
+	d := BuildDAG(events)
 	agg := map[string]*PhaseStat{}
 	obs := func(name string, dur int64) {
 		p := agg[name]
@@ -273,18 +263,13 @@ func PhaseStats(events []Event) []PhaseStat {
 			p.Max = dur
 		}
 	}
-	for _, ev := range events {
-		switch ev.Ph {
-		case PhBegin:
-			begins[ev.ID] = ev
-		case PhEnd:
-			if b, ok := begins[ev.ID]; ok {
-				delete(begins, ev.ID)
-				obs(ev.Name, ev.T-b.T)
-			}
-		case PhInstant:
-			obs(ev.Name, 0)
+	for _, n := range d.Spans {
+		if !n.Dangling {
+			obs(n.Name, n.Dur())
 		}
+	}
+	for _, ev := range d.Instants {
+		obs(ev.Name, 0)
 	}
 	out := make([]PhaseStat, 0, len(agg))
 	for _, p := range agg {

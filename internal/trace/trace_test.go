@@ -229,6 +229,49 @@ func TestSpanBetweenAndChromeExport(t *testing.T) {
 	}
 }
 
+// TestChromeExportOpenSpansInOpenOrder: spans still open when the log
+// ends export in the order they opened, so one log exports to the same
+// bytes every time even when the open spans share a start instant.
+func TestChromeExportOpenSpansInOpenOrder(t *testing.T) {
+	clk := &fakeClock{t: 100}
+	tr := New(clk.now)
+	want := []string{"open/a", "open/b", "open/c", "open/d"}
+	for _, name := range want {
+		tr.Start(nil, name, Track("pod0"))
+	}
+	first, err := ChromeTrace(tr.Events())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc struct {
+		TraceEvents []struct {
+			Name string `json:"name"`
+			Ph   string `json:"ph"`
+		} `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(first, &doc); err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, ev := range doc.TraceEvents {
+		if ev.Ph == "X" {
+			got = append(got, ev.Name)
+		}
+	}
+	if strings.Join(got, " ") != strings.Join(want, " ") {
+		t.Fatalf("open spans exported as %v, want %v", got, want)
+	}
+	for i := 0; i < 50; i++ {
+		again, err := ChromeTrace(tr.Events())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(again, first) {
+			t.Fatalf("export %d differs from the first:\n%s\nvs\n%s", i+2, again, first)
+		}
+	}
+}
+
 func TestPhaseStats(t *testing.T) {
 	clk := &fakeClock{}
 	tr := New(clk.now)
