@@ -74,9 +74,10 @@ vet:
 # make one, since a lane per jittered delay would grow without bound.
 # And a reused buffer has an owner, so every allocation count is a pure
 # function of the calls made: no non-test file uses a sync.Pool, whose
-# hand-backs depend on when the collector last ran, and the record
-# encoders' spare is taken in newStream and filled in Close alone
-# (DESIGN.md §5).
+# hand-backs depend on when the collector last ran, the record
+# encoders' spare is taken in newStream and filled in Close alone, and the
+# record decoders' decodeSpare is taken in NewStreamDecoder and filled in
+# handBack alone (DESIGN.md §5).
 # And coordination has one send path: the flat star is the one-level
 # tree, so Topology.IsFlat is read only by the two policies that differ
 # by topology, the per-level trace spans (coord.(*Plane).EmitLevelSpans)
@@ -154,6 +155,11 @@ boundary:
 		$$(ls internal/imgfmt/*.go | grep -v '_test\.go$$'))"; \
 	if [ -n "$$bad" ]; then echo "boundary: the record encoders' spare is taken in newStream and filled in Close, nowhere else; an in-memory encoder's staging buffer is the blob it returns (DESIGN.md §5):"; echo "$$bad"; exit 1; fi
 	@bad="$$(awk 'FNR==1{fn=""} /^func /{fn=$$0} {code=$$0; sub(/\/\/.*/, "", code)} \
+		code ~ /(^|[^A-Za-z0-9_.])decodeSpare([^A-Za-z0-9_]|$$)/ && code !~ /^var decodeSpare / \
+		&& fn !~ /^func NewStreamDecoder\(|^func \(d \*StreamDecoder\) handBack\(/{print FILENAME ": " $$0}' \
+		$$(ls internal/imgfmt/*.go | grep -v '_test\.go$$'))"; \
+	if [ -n "$$bad" ]; then echo "boundary: the record decoders' spare is taken in NewStreamDecoder and filled in handBack, nowhere else; a walk that did not reach its terminator hands back nothing (DESIGN.md §5):"; echo "$$bad"; exit 1; fi
+	@bad="$$(awk 'FNR==1{fn=""} /^func /{fn=$$0} {code=$$0; sub(/\/\/.*/, "", code)} \
 		code ~ /IsFlat\(/ && code !~ /^func \(t Topology\) IsFlat\(/ \
 		&& !(FILENAME ~ /internal\/coord\/coord\.go$$/ && fn ~ /^func \(p \*Plane\) EmitLevelSpans\(/) \
 		&& !(FILENAME ~ /internal\/core\/core\.go$$/ && fn ~ /^func \(op \*ckptOp\) doneArrived\(/){print FILENAME ": " $$0}' \
@@ -189,10 +195,14 @@ race-precopy:
 # allocations come to grow with the sections or frames it writes, or a
 # second record of one shape to allocate any buffer, or the spare that
 # carries those buffers from one record encoder to the next to hand one
-# out while its last encoder still writes through it, all under -race.
+# out while its last encoder still writes through it, all under -race —
+# and the same three for the decoder spare that carries a record
+# decoder's window and stored scratch to the next, whose concurrent
+# test runs ten times.
 cow-check:
 	$(GOTEST) -run '^TestCOW' . ./internal/ckpt ./internal/vos
-	$(GOTEST) -run '^TestCheckpointAllocationBudget$$|^TestEncoderAllocationsIndependentOfCount$$|^TestSecondRecordAllocatesNoBuffer$$|^TestSpareLeavesBlobsAndRecordsAlone$$|^TestSpareSurvivesMisuse$$|^TestSpareUnderConcurrentEncoders$$|^TestRestartAllocationBudget$$' . ./internal/imgfmt
+	$(GOTEST) -run '^TestCheckpointAllocationBudget$$|^TestEncoderAllocationsIndependentOfCount$$|^TestSecondRecordAllocatesNoBuffer$$|^TestSpareLeavesBlobsAndRecordsAlone$$|^TestSpareSurvivesMisuse$$|^TestSpareUnderConcurrentEncoders$$|^TestRestartAllocationBudget$$|^TestSecondDecodeAllocatesNoBuffer$$|^TestDecodeSpareLeavesKeptValuesAlone$$|^TestDecodeSpareSurvivesMisuse$$' . ./internal/imgfmt
+	$(GO) test -race -count=10 -run '^TestDecodeSpareUnderConcurrentDecoders$$' ./internal/imgfmt
 
 # Short, deterministic-budget fuzz passes over every image-format entry
 # point (TLV decoder, round-trip property, the pod-image decoder, the

@@ -205,7 +205,8 @@ func (c *crcReader) Read(p []byte) (int, error) {
 }
 
 // end confirms the record just walked was the whole stream: a record is
-// one file, so a byte after its terminator is a defect.
+// one file, so a byte after its terminator is a defect — a trailing
+// field, as imgfmt names one left before it.
 func (c *crcReader) end() error {
 	if _, err := io.ReadFull(c, c.past[:]); err != nil {
 		if err == io.EOF {
@@ -213,7 +214,8 @@ func (c *crcReader) end() error {
 		}
 		return err
 	}
-	return fmt.Errorf("bytes after the record's terminator at offset %d, the first %#02x", c.n-1, c.past[0])
+	return fmt.Errorf("%w: bytes after the record's terminator at offset %d, the first %#02x",
+		imgfmt.ErrTagMismatch, c.n-1, c.past[0])
 }
 
 // encodeRecord walks a record's layout into s, whose output goes through

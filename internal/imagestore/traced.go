@@ -50,6 +50,16 @@ func (t *tracedStore) Open(path string) (io.ReadCloser, error) {
 
 func (t *tracedStore) List(prefix string) []string { return t.inner.List(prefix) }
 
+// Sweep is the inner store's, so a traced dedup store's orphaned blocks
+// stay visible to the supervisor's GC; a store without block-level GC
+// has nothing to sweep.
+func (t *tracedStore) Sweep() int {
+	if sw, ok := t.inner.(Sweeper); ok {
+		return sw.Sweep()
+	}
+	return 0
+}
+
 func (t *tracedStore) Remove(path string) error {
 	err := t.inner.Remove(path)
 	if err == nil {

@@ -428,6 +428,14 @@ func (s *StreamEncoder) Close() error {
 // All reads are bounded: a truncated or corrupt stream always yields an
 // error (never a hang), and declared lengths are only trusted up to the
 // bytes that actually arrived under a valid frame CRC.
+//
+// A record decoder takes its window and stored scratch from the package's
+// decoder spare, which the last record walk to reach its terminator
+// cleanly filled (ReadRecord, VerifyRecord), so a second record of one
+// shape allocates neither. Nothing handed out of the window outlives the
+// read that handed it out: the window is read in place only by Floats,
+// which converts the doubles at once, and by String, which copies; a
+// record's sections and every caller-owned Bytes value are copies.
 type StreamDecoder struct {
 	frames *frames // what stands behind the window; nil in memory
 	win    []byte  // verified-but-unconsumed payload window
@@ -485,7 +493,41 @@ func NewStreamDecoder(r io.Reader) (*StreamDecoder, error) {
 		return nil, fmt.Errorf("%w: %d", ErrBadVersion, ver)
 	}
 	f.crc = crc32.Update(0, crc32.IEEETable, hdr[:len(hdr)+n])
+	decodeSpare.Lock()
+	d.win, f.stored = decodeSpare.win, decodeSpare.stored
+	decodeSpare.win, decodeSpare.stored = nil, nil
+	decodeSpare.Unlock()
 	return d, nil
+}
+
+// decodeSpare is the read-side twin of spare: the window (truncated) and
+// the stored scratch of the last record decoder whose walk reached the
+// terminator cleanly, until the next record decoder opens. Only
+// NewStreamDecoder takes from the slot and only handBack fills it, and
+// only while it is empty (both nil). A decoder opened while another is
+// open, one whose walk failed, and one abandoned simply allocate their
+// own or let theirs go. As with spare, what the slot hands out depends
+// only on the order of those calls, never on when the collector ran.
+var decodeSpare struct {
+	sync.Mutex
+	win, stored []byte
+}
+
+// handBack gives a record decoder's window and stored scratch to the
+// decoder spare once its walk has verified the terminator, unless the
+// slot is already full, and lets go of them either way: nothing may read
+// through them after the record ends.
+func (d *StreamDecoder) handBack() {
+	f := d.frames
+	if f == nil || !f.fin {
+		return
+	}
+	decodeSpare.Lock()
+	if decodeSpare.win == nil && decodeSpare.stored == nil {
+		decodeSpare.win, decodeSpare.stored = d.win[:0], f.stored
+	}
+	decodeSpare.Unlock()
+	d.win, d.off, f.stored = nil, 0, nil
 }
 
 // inMemory returns a decoder over a field stream held in memory: b is

@@ -231,8 +231,15 @@ func read(d *StreamDecoder, layout func(Visitor)) error {
 
 // ReadRecord reads the rest of the record d has opened through layout,
 // pulling one verified frame at a time, up to the terminator and its
-// whole-stream CRC.
-func ReadRecord(d *StreamDecoder, layout func(Visitor)) error { return read(d, layout) }
+// whole-stream CRC. A walk that gets there hands d's buffers to the next
+// record decoder.
+func ReadRecord(d *StreamDecoder, layout func(Visitor)) error {
+	err := read(d, layout)
+	if err == nil {
+		d.handBack()
+	}
+	return err
+}
 
 // verifier is the checking visitor: a reader that keeps no bulk value. It
 // reads scalars, strings and sections exactly as reader does — so every
@@ -269,7 +276,11 @@ func (r *verifier) Floats(tag uint64, v []float64) []float64 {
 func VerifyRecord(d *StreamDecoder, layout func(Visitor)) error {
 	r := &verifier{reader{base: d, secs: make([]StreamDecoder, 0, 4)}}
 	layout(r)
-	return r.used()
+	err := r.used()
+	if err == nil {
+		d.handBack()
+	}
+	return err
 }
 
 // ReadBlob checks a program-state blob's trailer and header and reads

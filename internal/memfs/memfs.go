@@ -65,10 +65,14 @@ func New() *FS {
 }
 
 // Clean validates and canonicalizes a path: must be non-empty, use '/'
-// separators, no "." or ".." components.
+// separators, no "." or ".." components. A path already in canonical
+// form is returned as it is, allocating nothing.
 func Clean(path string) (string, error) {
 	if path == "" {
 		return "", ErrBadPath
+	}
+	if canonical(path) {
+		return path, nil
 	}
 	parts := strings.Split(strings.Trim(path, "/"), "/")
 	out := make([]string, 0, len(parts))
@@ -86,6 +90,22 @@ func Clean(path string) (string, error) {
 		return "", fmt.Errorf("%w: %q", ErrBadPath, path)
 	}
 	return strings.Join(out, "/"), nil
+}
+
+// canonical reports whether every '/'-separated component of path is a
+// name: none empty (no leading, trailing or doubled '/'), "." or "..".
+func canonical(path string) bool {
+	start := 0
+	for i := 0; i <= len(path); i++ {
+		if i == len(path) || path[i] == '/' {
+			switch path[start:i] {
+			case "", ".", "..":
+				return false
+			}
+			start = i + 1
+		}
+	}
+	return true
 }
 
 func (fs *FS) commit(p string, chunks [][]byte, size int64) {

@@ -3,6 +3,8 @@ package memfs
 import (
 	"bytes"
 	"errors"
+	"fmt"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -79,6 +81,52 @@ func TestCleanPaths(t *testing.T) {
 	for _, in := range []string{"", "/", "..", "a/../b", "."} {
 		if _, err := Clean(in); err == nil {
 			t.Errorf("Clean(%q) should fail", in)
+		}
+	}
+}
+
+// cleanReference is Clean as it was before canonical paths took the
+// fast path: split, drop empty and "." components, refuse "..", join.
+func cleanReference(path string) (string, error) {
+	if path == "" {
+		return "", ErrBadPath
+	}
+	parts := strings.Split(strings.Trim(path, "/"), "/")
+	out := make([]string, 0, len(parts))
+	for _, p := range parts {
+		switch p {
+		case "", ".":
+			continue
+		case "..":
+			return "", fmt.Errorf("%w: %q", ErrBadPath, path)
+		default:
+			out = append(out, p)
+		}
+	}
+	if len(out) == 0 {
+		return "", fmt.Errorf("%w: %q", ErrBadPath, path)
+	}
+	return strings.Join(out, "/"), nil
+}
+
+// TestCleanMatchesReference: every path, clean or dirty, gets the result
+// and the error the split-and-join form gives it, and a path already
+// clean costs no allocation.
+func TestCleanMatchesReference(t *testing.T) {
+	for _, in := range []string{
+		"", "/", "//", ".", "..", "//a//b/", "./a", "a/../b", "a/.", "a/..", "../a",
+		"a", "a/b/c", "ckpt/gen0001/pod-1.delta", "a./b", ".a/..b", "a/b/", "/a",
+		"!dedup/0123abcd", "a//", "a/./b", "...",
+	} {
+		got, err := Clean(in)
+		want, wantErr := cleanReference(in)
+		if got != want || fmt.Sprint(err) != fmt.Sprint(wantErr) || errors.Is(err, ErrBadPath) != errors.Is(wantErr, ErrBadPath) {
+			t.Errorf("Clean(%q) = %q, %v; the reference gives %q, %v", in, got, err, want, wantErr)
+		}
+	}
+	for _, in := range []string{"a", "ckpt/gen0001/pod-1.delta", "!dedup/0123abcd"} {
+		if n := testing.AllocsPerRun(100, func() { _, _ = Clean(in) }); n != 0 {
+			t.Errorf("Clean(%q) allocated %.0f objects, want 0", in, n)
 		}
 	}
 }

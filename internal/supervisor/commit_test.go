@@ -4,6 +4,7 @@ package supervisor_test
 
 import (
 	"bytes"
+	"fmt"
 	"io"
 	"maps"
 	"runtime"
@@ -240,8 +241,9 @@ func TestCommitAllocationBudget(t *testing.T) {
 
 // TestCommitDecodesOnlyNewRecords: at the commit of generation k the
 // bytes that pass through a decoder are the bytes of generation k's
-// records; every retained record under them is read once, whole, through
-// the scrub and parsed by nobody.
+// records; of the retained records under them, one per pod — the ones at
+// the chain place the scrub schedule names — is read once, whole, through
+// the scrub and parsed by nobody, and no other is opened.
 func TestCommitDecodesOnlyNewRecords(t *testing.T) {
 	c, _, sup, probe := incrementalJob(t, budgetSpec, 0.05)
 	verified := c.Metrics().Counter("supervisor_commit_verified_bytes_total")
@@ -256,7 +258,10 @@ func TestCommitDecodesOnlyNewRecords(t *testing.T) {
 		}
 		return n
 	}
-	var older []string
+	// The generation whose records commit k re-hashes: the retained record
+	// least recently checked, oldest first (none under the full image).
+	scrubs := []int{-1, 0, 0, 1, 0}
+	var dirs []string
 	for k := 0; k <= 4; k++ {
 		clear(probe.read)
 		v0, s0 := verified.Value(), scrubbed.Value()
@@ -269,16 +274,160 @@ func TestCommitDecodesOnlyNewRecords(t *testing.T) {
 		if got, want := g.Bytes, size(wrote); got != want {
 			t.Errorf("commit %d: Generation.Bytes = %d, generation %d's records hold %d", k, got, k, want)
 		}
-		if got, want := scrubbed.Value()-s0, size(older); got != want {
-			t.Errorf("commit %d: %d bytes were re-hashed, the %d retained records under it hold %d", k, got, len(older), want)
+		var scrub []string
+		if j := scrubs[k]; j >= 0 {
+			scrub = c.FS.List(dirs[j])
 		}
-		// Each of them was read from the store exactly once, end to end.
-		for _, path := range append(older, wrote...) {
-			if got, want := probe.read[path], size([]string{path}); got != want {
-				t.Errorf("commit %d: %s: %d of %d bytes read", k, path, got, want)
+		if got, want := scrubbed.Value()-s0, size(scrub); got != want || (k > 0 && len(scrub) != len(wrote)) {
+			t.Errorf("commit %d: %d bytes were re-hashed, the %d records of generation %d hold %d", k, got, len(scrub), scrubs[k], want)
+		}
+		// Each of them was read from the store exactly once, end to end,
+		// and no other retained record was read at all.
+		want := make(map[string]int64)
+		for _, path := range append(scrub, wrote...) {
+			want[path] = size([]string{path})
+		}
+		dirs = append(dirs, g.Dir)
+		for _, dir := range dirs {
+			for _, path := range c.FS.List(dir) {
+				if got := probe.read[path]; got != want[path] {
+					t.Errorf("commit %d: %s: %d bytes read, want %d", k, path, got, want[path])
+				}
 			}
 		}
-		older = append(older, wrote...)
+	}
+}
+
+// scrubsPerCommit drives sup through generations 0..last and reports, for
+// each commit, the generation whose records the scrub re-read (-1 for
+// none) and the bytes it re-hashed. It fails unless every commit re-read
+// whole records of exactly one generation, one record per pod.
+func scrubsPerCommit(t *testing.T, c *cluster.Cluster, sup *supervisor.Supervisor, probe *probeStore, last int) (gens []int, bytes []int64) {
+	t.Helper()
+	scrubbed := c.Metrics().Counter("supervisor_commit_scrubbed_bytes_total")
+	var dirs []string
+	for k := 0; k <= last; k++ {
+		clear(probe.read)
+		s0 := scrubbed.Value()
+		committed(t, c, sup, k+1)
+		g := sup.Generations()[k]
+		if g.Full != (k == 0) || g.Seq != k {
+			t.Fatalf("commit %d: %+v, want delta generation %d", k, g, k)
+		}
+		pods := len(c.FS.List(g.Dir))
+		gen := -1
+		for j, dir := range dirs {
+			read := 0
+			for _, path := range c.FS.List(dir) {
+				if n := probe.read[path]; n > 0 {
+					info, err := c.FS.Stat(path)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if n != info.Size {
+						t.Fatalf("commit %d: %s: %d of %d bytes re-hashed", k, path, n, info.Size)
+					}
+					read++
+				}
+			}
+			switch {
+			case read == 0:
+			case read != pods || gen >= 0:
+				t.Fatalf("commit %d re-read %d records of generation %d (and generation %d's), want one per pod of one generation", k, read, j, gen)
+			default:
+				gen = j
+			}
+		}
+		if gen < 0 && k > 0 {
+			t.Fatalf("commit %d re-read no retained record", k)
+		}
+		gens, bytes = append(gens, gen), append(bytes, scrubbed.Value()-s0)
+		dirs = append(dirs, g.Dir)
+	}
+	return gens, bytes
+}
+
+// TestCommitScrubIsBounded: across a whole chain at FullEvery 16 each
+// commit re-hashes the records of one retained generation, so the bytes
+// it scrubs stay at most one generation's — the largest, the full image's
+// — from generation 2 to 15, where re-hashing every retained record grew
+// them by a generation per commit. And the scrub keeps its stated
+// detection latency: a record retained under a head with n records is
+// re-hashed within n commits, that one included.
+func TestCommitScrubIsBounded(t *testing.T) {
+	const last = 15
+	spec := budgetSpec
+	spec.Work = 2 // runs long enough for the chain to reach its bound
+	c, _, sup, probe := incrementalJob(t, spec, 0.03)
+	gens, scrubbed := scrubsPerCommit(t, c, sup, probe, last)
+	t.Logf("generation scrubbed at commits 0..%d: %v", last, gens)
+	t.Logf("bytes scrubbed at commits 0..%d: %v", last, scrubbed)
+	var full, all int64
+	for _, g := range sup.Generations()[:last] {
+		if g.Full {
+			full = g.Bytes
+		}
+		all += g.Bytes
+	}
+	for k := 2; k <= last; k++ {
+		if scrubbed[k] > full || scrubbed[k] == 0 {
+			t.Errorf("commit %d re-hashed %d bytes, more than the largest generation's %d", k, scrubbed[k], full)
+		}
+	}
+	if scrubbed[last] >= all/4 {
+		t.Errorf("commit %d re-hashed %d bytes, not well under the %d its %d retained generations hold", last, scrubbed[last], all, last)
+	}
+	// Commit k has k records retained under its head: each is re-hashed
+	// by commit 2k-1.
+	for k := 1; 2*k-1 <= last; k++ {
+		for j := 0; j < k; j++ {
+			if !slices.Contains(gens[k:2*k], j) {
+				t.Errorf("generation %d, retained under commit %d's head, was not re-hashed by commit %d: %v", j, k, 2*k-1, gens)
+			}
+		}
+	}
+}
+
+// TestCommitRefusesARecordChangedAtRest: a byte flipped at rest in a
+// retained record is refused by the commit that re-hashes it — within as
+// many commits as there are retained records under the first head after
+// the flip — naming the generation being committed, the pod and the
+// record; the commits before it pass.
+func TestCommitRefusesARecordChangedAtRest(t *testing.T) {
+	const head = 5 // generations 0..4 committed when the byte flips
+	for _, gen := range []int{0, 1, 3} {
+		t.Run(fmt.Sprintf("generation %d", gen), func(t *testing.T) {
+			c, job, sup, _ := incrementalJob(t, cluster.JobSpec{App: "cpi", Endpoints: 4, Work: 0.2, Scale: 0.001}, 0.05)
+			committed(t, c, sup, head)
+			path := c.FS.List(sup.Generations()[gen].Dir)[1]
+			data, err := c.FS.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			data[len(data)/2] ^= 0x20
+			if err := c.FS.WriteFile(path, data); err != nil {
+				t.Fatal(err)
+			}
+			retried := func() []supervisor.Event { return sup.EventsOf(supervisor.EvRetry) }
+			if err := c.Drive(func() bool { return len(retried()) > 0 || job.Finished() }, deadline); err != nil {
+				t.Fatalf("drive: %v (events: %v)", err, sup.Events())
+			}
+			if len(retried()) == 0 {
+				t.Fatalf("no commit refused the record changed at rest; events: %v", sup.Events())
+			}
+			passed := sup.Stats().Checkpoints - head
+			if passed >= head {
+				t.Errorf("%d commits passed over the record changed at rest, want under %d", passed, head)
+			}
+			text := retried()[0].Detail
+			for _, want := range []string{ckpt.ErrCorruptImage.Error(), fmt.Sprintf("generation seq %d", head+passed),
+				"pod " + imagestore.PodOf(path), path, "changed since its commit"} {
+				if !strings.Contains(text, want) {
+					t.Errorf("refusal %q does not name %q", text, want)
+				}
+			}
+			t.Logf("refused after %d passing commits: %s", passed, text)
+		})
 	}
 }
 

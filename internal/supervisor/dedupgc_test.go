@@ -133,3 +133,55 @@ func TestDedupGCNeverStrandsReferencedBlocks(t *testing.T) {
 		}
 	}
 }
+
+// TestTracedDedupStoreIsSwept: tracing layered over the dedup store keeps
+// the dedup store's Sweep visible to the supervisor's GC. The blocks a
+// writer that died mid-commit left behind — stored, but under no manifest
+// and no pin, since its pins died with it — are collected by the GC after
+// the next commit, as they are without tracing.
+func TestTracedDedupStoreIsSwept(t *testing.T) {
+	spec := cluster.JobSpec{App: "cpi", Endpoints: 4, Work: 0.03, Scale: 0.001}
+	const seed = 5
+	_, refDur := reference(t, seed, spec)
+
+	c := cluster.New(cluster.Config{Nodes: 4, Seed: seed})
+	job, err := c.Launch(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ded := c.EnableDedupStore()
+	c.EnableTracing()
+	sup, err := c.Supervise(job, supervisor.Policy{
+		Incremental: true, CheckpointEvery: refDur / 8, Retain: 2, Dir: "tracedgc",
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Drive(func() bool { return sup.Stats().Checkpoints >= 1 }, deadline); err != nil {
+		t.Fatalf("drive to the first commit: %v (events: %v)", err, sup.Events())
+	}
+	orphans := []string{"!dedup/" + strings.Repeat("d", 64), "!dedup/" + strings.Repeat("e", 64)}
+	for _, path := range orphans {
+		if err := c.FS.WriteFile(path, []byte("a block its dead writer never referenced")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := c.Drive(func() bool { return sup.Stats().Checkpoints >= 2 }, deadline); err != nil {
+		t.Fatalf("drive to the second commit: %v (events: %v)", err, sup.Events())
+	}
+	for _, path := range orphans {
+		if _, err := c.FS.Stat(path); err == nil {
+			t.Errorf("orphaned block %s survived the GC after a commit", path)
+		}
+	}
+	if n := ded.Sweep(); n != 0 {
+		t.Errorf("%d orphaned blocks were left for a later sweep", n)
+	}
+	var swept bool
+	for _, ev := range sup.EventsOf(supervisor.EvGC) {
+		swept = swept || strings.Contains(ev.Detail, "swept 2 orphaned store blocks")
+	}
+	if !swept {
+		t.Errorf("the supervisor's GC swept nothing; events: %v", sup.Events())
+	}
+}

@@ -22,7 +22,7 @@
 //     is trusted, every record it flushed is walked by the verifying
 //     chain reader (ckpt.Chain.Verify: frame CRCs, trailer, layout, chain
 //     linkage — nothing materialized) from the head its pod's chain was
-//     committed at, and every retained record under it is re-hashed
+//     committed at, and one retained record under it per pod is re-hashed
 //     against the checksum memoized at its own commit; generations beyond
 //     Retain are garbage collected oldest-first;
 //   - automatic failover: on a detected node failure the job's pods are
@@ -36,8 +36,8 @@
 // committed Generation keeps a memo: for every record it wrote, the chain
 // head its pod stood at once the record was verified (checksum, sequence,
 // live processes; no image). A commit verifies only what this generation
-// wrote, against the previous generation's heads, and scrubs the records
-// under them byte for byte against their memoized checksums; the memo
+// wrote, against the previous generation's heads, and scrubs one record
+// under them per pod byte for byte against its memoized checksum; the memo
 // moves only when the whole check passed, and goes where the generation
 // goes (gc, a scrapped attempt). Recovery is the one place chains are
 // read back in full, because it is the one place the image is needed, and
@@ -55,6 +55,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"math/bits"
 	"strings"
 
 	"zapc/internal/ckpt"
@@ -367,7 +368,7 @@ type Supervisor struct {
 
 	events []Event
 	stats  Stats
-	scrub  []byte // the one buffer every retained record is re-hashed through at commit
+	scrub  []byte // the one buffer a commit re-hashes its retained record through
 
 	tr  *trace.Tracer
 	reg *trace.Registry
@@ -739,8 +740,8 @@ func (s *Supervisor) ckptDone(dir string, res *core.CheckpointResult) {
 	if err == nil {
 		// The commit check: every record just flushed must decode from
 		// what actually landed in the store and link to the head its pod's
-		// chain was committed at, and every retained record under it must
-		// still be the bytes that were verified at its own commit.
+		// chain was committed at, and the retained record the scrub
+		// reaches must still be the bytes verified at its own commit.
 		s.gens = append(s.gens, Generation{Seq: s.gen, Dir: dir, T: s.t.W.Now(), Full: full})
 		if lerr := s.checkGeneration(len(s.gens) - 1); lerr != nil {
 			s.gens = s.gens[:len(s.gens)-1]
@@ -925,11 +926,15 @@ func (s *Supervisor) chains(gi int) ([]imagestore.PodChain, error) {
 // verifying decoder and linked to the head the previous generation's
 // commit left (ckpt.Chain.Verify — every frame CRC, the trailer, every
 // field of the layout, kind, pod, Seq, ParentSum, known VPIDs; nothing
-// materialized), and the retained records under them, verified at their
-// own commits, are re-hashed where they lie and compared with the sum
-// memoized then. Together that refuses what reading every chain back to
-// its full image would refuse, at a cost that does not grow with the
-// chain. It first refuses a generation whose directory lists a record no
+// materialized). Of the retained records under them, verified at their
+// own commits, one per pod is re-hashed where it lies and compared with
+// the sum memoized then (scrubbed names which), and every other one
+// lends its memoized head unopened. So the check reads what the
+// generation wrote plus one retained record per pod, whatever the
+// chain's length, and a retained record changed at rest is refused
+// within as many commits as there are retained records under the head;
+// recovery, which reads every chain whole, refuses it whenever it comes
+// first. It first refuses a generation whose directory lists a record no
 // pod's chain reaches, so every record just flushed is checked or the
 // commit fails naming the one that would not be. The new heads are built
 // aside and become the generation's memo, and their sizes its Bytes, only
@@ -966,14 +971,21 @@ func (s *Supervisor) checkGeneration(gi int) error {
 func (s *Supervisor) checkChain(g Generation, pc imagestore.PodChain, heads map[string]ckpt.Chain) error {
 	var head ckpt.Chain
 	wrote := g.Dir + "/"
-	for _, path := range pc.Paths {
+	scrub := scrubbed(len(pc.Paths) - 1)
+	for i, path := range pc.Paths {
 		var err error
-		if strings.HasPrefix(path, wrote) {
+		switch {
+		case strings.HasPrefix(path, wrote):
 			if head, err = s.verifyRecord(head, path); err == nil {
 				heads[path] = head
 			}
-		} else {
+		case i == scrub:
 			head, err = s.scrubRecord(path)
+		default:
+			var ok bool
+			if head, ok = s.committed(path); !ok {
+				err = errNotCommitted
+			}
 		}
 		if err != nil {
 			return fmt.Errorf("generation seq %d: pod %s (%s): %w", g.Seq, pc.Pod, path, err)
@@ -995,6 +1007,24 @@ func (s *Supervisor) verifyRecord(head ckpt.Chain, path string) (ckpt.Chain, err
 	return head, err
 }
 
+// scrubbed is the index of the one retained record a commit re-hashes
+// when n records are retained under the head it verifies: (o-1)/2, o the
+// odd part of n; none when n is 0. Record j is scrubbed first when n is
+// 2j+1 — the first pass runs oldest first — and again whenever n doubles:
+// at each commit it is the record least recently checked (verified or
+// scrubbed), the oldest of those on a tie. So a record retained under a
+// head with n records is re-hashed within n commits, that one included,
+// and a full generation, which has none, starts the walk again.
+func scrubbed(n int) int {
+	if n == 0 {
+		return -1
+	}
+	return (n>>bits.TrailingZeros(uint(n)) - 1) / 2
+}
+
+// errNotCommitted refuses a retained record the memo does not know.
+var errNotCommitted = fmt.Errorf("%w: no commit verified this record", ckpt.ErrChainBroken)
+
 // scrubRecord re-hashes the retained record at path — its stored bytes
 // through the one scrub buffer: no frame parsed, nothing expanded, nothing
 // allocated — and returns the head memoized at its commit if they are the
@@ -1002,7 +1032,7 @@ func (s *Supervisor) verifyRecord(head ckpt.Chain, path string) (ckpt.Chain, err
 func (s *Supervisor) scrubRecord(path string) (ckpt.Chain, error) {
 	memo, ok := s.committed(path)
 	if !ok {
-		return memo, fmt.Errorf("%w: no commit verified this record", ckpt.ErrChainBroken)
+		return memo, errNotCommitted
 	}
 	rc, err := s.t.Store.Open(path)
 	if err != nil {
