@@ -128,6 +128,10 @@ boundary:
 	if [ -n "$$bad" ]; then echo "boundary: After( in the failure detector allocates a closure per monitored node per tick; schedule with AfterCall and the funcs New binds:"; echo "$$bad"; exit 1; fi
 	@bad="$$(awk '/^func /{fn=$$0} /&packet\{|new\(packet\)/ && fn !~ /\) transit\(/{print FILENAME ": " $$0}' internal/netstack/*.go)"; \
 	if [ -n "$$bad" ]; then echo "boundary: a packet made outside the free list; send a packet value, transit takes the pointer from the free list (DESIGN.md §2.1):"; echo "$$bad"; exit 1; fi
+	@bad="$$(grep -rnE --include='*.go' 'map\[(netstack\.)?Opt\]' internal/netstack internal/netckpt)"; \
+	if [ -n "$$bad" ]; then echo "boundary: a map keyed by socket option; an option set is a netstack.OptSet, indexed by option (DESIGN.md §2.1):"; echo "$$bad"; exit 1; fi
+	@bad="$$(awk '/^func /{fn=$$0} /append\(\[\]byte\(nil\)/ && fn ~ /^func \(s \*Socket\) Send\(/{print FILENAME ": " $$0}' internal/netstack/*.go)"; \
+	if [ -n "$$bad" ]; then echo "boundary: a copy per chunk in Socket.Send; segment bytes are cut from the network's slab (Network.keep, DESIGN.md §2.1):"; echo "$$bad"; exit 1; fi
 	@bad="$$(grep -nE ':= [^&]*Costs$$' $$(ls internal/vos/*.go internal/netstack/*.go internal/mpi/*.go | grep -v '_test\.go$$'))"; \
 	if [ -n "$$bad" ]; then echo "boundary: a by-value sim.Costs copy on the per-event path; read the field in place or take a pointer:"; echo "$$bad"; exit 1; fi
 	@bad="$$(grep -nE 'map\[int\]\*netstack\.Socket' $$(ls internal/vos/*.go | grep -v '_test\.go$$'))"; \

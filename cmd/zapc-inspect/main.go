@@ -264,8 +264,14 @@ func inspect(path string) error {
 			fmt.Printf("    slot %-2d raw proto=%d datagrams=%d\n",
 				s.Slot, s.RawProto, len(s.Datagrams))
 		}
-		if len(s.Opts) > 0 && s.Proto == netstack.TCP && s.State == netstack.StateEstablished {
-			fmt.Printf("      options: %d saved (full get/setsockopt set)\n", len(s.Opts))
+		saved := 0
+		for _, val := range s.Opts {
+			if val != 0 {
+				saved++
+			}
+		}
+		if saved > 0 && s.Proto == netstack.TCP && s.State == netstack.StateEstablished {
+			fmt.Printf("      options: %d saved (full get/setsockopt set)\n", saved)
 		}
 	}
 	return nil

@@ -4,7 +4,11 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"os"
 	"reflect"
+	"slices"
+	"strconv"
+	"strings"
 	"testing"
 
 	"zapc/internal/imgfmt"
@@ -164,6 +168,50 @@ func FuzzDecodeImage(f *testing.F) {
 			t.Fatal("decoded image re-encodes to a record that decodes to a different image")
 		}
 	})
+}
+
+// TestTrailingBytesAreRefusedByEveryReader: a record is the whole stream,
+// so a byte after its terminator is refused — by DecodeImageFrom and
+// DecodeDeltaFrom as by the chain reader — with ErrCorruptImage carrying
+// imgfmt.ErrTagMismatch. FuzzDecodeDelta's input a27298aa9b62dc3e is such
+// a delta; the delta decoder used to accept it.
+func TestTrailingBytesAreRefusedByEveryReader(t *testing.T) {
+	refused := func(what string, err error) {
+		t.Helper()
+		if !errors.Is(err, ErrCorruptImage) || !errors.Is(err, imgfmt.ErrTagMismatch) {
+			t.Errorf("%s: %v, want ErrCorruptImage carrying imgfmt.ErrTagMismatch", what, err)
+		}
+	}
+	full, delta := fuzzChain(t)
+	if _, err := decodeImage(full); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := decodeDelta(delta); err != nil {
+		t.Fatal(err)
+	}
+	_, err := decodeImage(append(slices.Clip(full), 0))
+	refused("DecodeImageFrom, one byte past the full image", err)
+	_, err = decodeDelta(append(slices.Clip(delta), 0))
+	refused("DecodeDeltaFrom, one byte past the delta", err)
+	_, err = ReconstructChain([][]byte{full, append(slices.Clip(delta), 0)})
+	refused("ReconstructChain, one byte past the delta", err)
+
+	corpus, err := os.ReadFile("testdata/fuzz/FuzzDecodeDelta/a27298aa9b62dc3e")
+	if err != nil {
+		t.Fatal(err)
+	}
+	lit, ok := strings.CutPrefix(strings.Split(string(corpus), "\n")[1], "[]byte(")
+	if !ok {
+		t.Fatalf("corpus entry is not one []byte: %q", corpus)
+	}
+	s, err := strconv.Unquote(strings.TrimSuffix(lit, ")"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = decodeDelta([]byte(s))
+	refused("DecodeDeltaFrom, a27298aa9b62dc3e", err)
+	_, err = ReconstructChain([][]byte{full, []byte(s)})
+	refused("ReconstructChain, a27298aa9b62dc3e", err)
 }
 
 // FuzzDecodeDelta is FuzzDecodeImage for the delta decoder, plus the

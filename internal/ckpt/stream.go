@@ -252,19 +252,26 @@ func (d *DeltaImage) EncodeStream(w io.Writer) (StreamStats, error) {
 	return encodeRecord(cw, imgfmt.NewStreamDeltaEncoder(cw), d.layout)
 }
 
-// decodeRecord reads one record of the wanted kind from r through layout.
+// decodeRecord reads one record of the wanted kind from r through layout,
+// and r to its end: a record is the whole stream, so it is refused as
+// Chain.Next refuses it, bytes after its terminator included. Every error
+// wraps ErrCorruptImage.
 func decodeRecord(r io.Reader, delta bool, layout func(imgfmt.Visitor)) error {
-	d, err := imgfmt.NewStreamDecoder(r)
+	cr := &crcReader{r: r}
+	d, err := imgfmt.NewStreamDecoder(cr)
+	switch {
+	case err != nil:
+	case d.IsDelta() && !delta:
+		err = fmt.Errorf("%w: delta record where pod image expected", imgfmt.ErrBadMagic)
+	case !d.IsDelta() && delta:
+		err = fmt.Errorf("%w: pod image where delta record expected", imgfmt.ErrBadMagic)
+	default:
+		err = walkRecord(d, cr, layout, true)
+	}
 	if err != nil {
-		return err
+		return fmt.Errorf("%w: %w", ErrCorruptImage, err)
 	}
-	if d.IsDelta() != delta {
-		if delta {
-			return fmt.Errorf("%w: pod image where delta record expected", imgfmt.ErrBadMagic)
-		}
-		return fmt.Errorf("%w: delta record where pod image expected", imgfmt.ErrBadMagic)
-	}
-	return imgfmt.ReadRecord(d, layout)
+	return nil
 }
 
 // DecodeImageFrom parses a pod image record from a reader,
@@ -289,20 +296,15 @@ func DecodeDeltaFrom(r io.Reader) (*DeltaImage, error) {
 }
 
 // VerifyImageFrom decode-checks a pod image from a reader, failing with
-// ErrCorruptImage on any CRC mismatch, truncation, unsupported version
-// or malformed field. It materializes the image to do so and has no
-// caller in this module: Chain.Verify, which checks the same things and
-// keeps nothing, supersedes it. It stays only because the benchmark
-// module calls it. The benchmark-only PR (see ROADMAP) removes that
-// call; TestExportedNamesHaveCallers then fails until this function
-// goes, and DecodeImageFrom's ignored int goes with it.
-func VerifyImageFrom(r io.Reader) (*Image, error) {
-	img, err := DecodeImageFrom(r, 0)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrCorruptImage, err)
-	}
-	return img, nil
-}
+// ErrCorruptImage on any CRC mismatch, truncation, unsupported version,
+// malformed field or trailing byte: it is DecodeImageFrom, which refuses
+// all of them so. It has no caller in this module: Chain.Verify, which
+// checks the same things and keeps nothing, supersedes it. It stays only
+// because the benchmark module calls it. The benchmark-only PR (see
+// ROADMAP) removes that call; TestExportedNamesHaveCallers then fails
+// until this function goes, and DecodeImageFrom's ignored int goes with
+// it.
+func VerifyImageFrom(r io.Reader) (*Image, error) { return DecodeImageFrom(r, 0) }
 
 // Chain is one pod's record chain as read so far: what the next delta
 // must link to — the head — and, when the chain was read with Next, the
@@ -340,6 +342,9 @@ func (c Chain) Size() int64 { return c.size }
 
 // Seq is the last linked record's sequence number: 0 for the full image.
 func (c Chain) Seq() uint64 { return c.seq }
+
+// Pod is the pod the chain's records belong to.
+func (c Chain) Pod() string { return c.pod }
 
 // SameHead reports whether two chains end on the same record of the same
 // pod — same checksum, sequence, length and live processes — whether or

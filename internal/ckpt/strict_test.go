@@ -152,6 +152,38 @@ func (t *tamper) End() {
 	t.Visitor.End()
 }
 
+// optKey relays a layout to the writer, writing the key of the at-th
+// socket option the walk visits as key.
+type optKey struct {
+	imgfmt.Visitor
+	key        uint64
+	at, n      int
+	lead, next bool // More announced an option; its section opened
+}
+
+const tagOpt = 9 // netckpt's socket-option group
+
+func (o *optKey) More(tag uint64, more bool) bool {
+	o.lead = more && tag == tagOpt
+	return o.Visitor.More(tag, more)
+}
+
+func (o *optKey) Begin(tag uint64) {
+	o.next, o.lead = o.lead && tag == tagOpt, false
+	o.Visitor.Begin(tag)
+}
+
+func (o *optKey) Uint(tag, v uint64) uint64 {
+	if o.next {
+		o.next = false
+		if o.n++; o.n == o.at {
+			o.Visitor.Uint(tag, o.key)
+			return v
+		}
+	}
+	return o.Visitor.Uint(tag, v)
+}
+
 // sweep applies defect at every visit of layout in turn, hands the bytes
 // finish makes of each walk to refused, and reports how many walks the
 // defect applied to.
@@ -185,7 +217,7 @@ func strictImage() *ckpt.Image {
 			{
 				Slot: 0, CreateSeq: 1, Proto: netstack.TCP, State: netstack.StateEstablished,
 				Local: netstack.Addr{IP: 0x0a000007, Port: 80}, Remote: netstack.Addr{IP: 0x0a000009, Port: 4001},
-				Opts:       []netstack.OptValue{{Opt: netstack.SO_RCVBUF, Val: 4096}, {Opt: netstack.SO_KEEPALIVE, Val: 1}},
+				Opts:       netstack.OptSet{netstack.SO_RCVBUF: 4096, netstack.SO_KEEPALIVE: 1},
 				RecvData:   []byte("owed"),
 				OOBData:    []byte("!"),
 				SendChunks: []netstack.Chunk{{Data: []byte("unacked")}, {Data: []byte("u"), OOB: true}, {FIN: true}},
@@ -261,6 +293,32 @@ func TestDecodersInsideARecordAreStrict(t *testing.T) {
 			t.Errorf("Verify says %v, Next %v", verr, err)
 		}
 	})
+
+	// A well-formed record whose socket option key names no option — the
+	// restorer indexes the option set by it — or repeats one.
+	for _, key := range []uint64{0, uint64(netstack.NumOpts) + 1, 1 << 40, 1 << 63, uint64(netstack.SO_RCVBUF)} {
+		t.Run(fmt.Sprintf("record/option key %d", key), func(t *testing.T) {
+			var rec bytes.Buffer
+			s := imgfmt.NewStreamEncoder(&rec)
+			// The first socket's options are SO_RCVBUF then SO_KEEPALIVE;
+			// the key of the one keyAt picks is written as key.
+			keyAt := 1
+			if key == uint64(netstack.SO_RCVBUF) {
+				keyAt = 2
+			}
+			ckpt.ImageLayout(strictImage())(&optKey{Visitor: imgfmt.Writer(s), key: key, at: keyAt})
+			if err := s.Close(); err != nil {
+				t.Fatal(err)
+			}
+			c, err := ckpt.Chain{}.Next(bytes.NewReader(rec.Bytes()))
+			if !errors.Is(err, ckpt.ErrCorruptImage) || !errors.Is(err, imgfmt.ErrBadValue) || c.Image != nil {
+				t.Errorf("err = %v, want ErrCorruptImage over ErrBadValue and an unextended chain", err)
+			}
+			if _, verr := (ckpt.Chain{}).Verify(bytes.NewReader(rec.Bytes())); !errors.Is(verr, imgfmt.ErrBadValue) || verr.Error() != err.Error() {
+				t.Errorf("Verify says %v, Next %v", verr, err)
+			}
+		})
+	}
 
 	// A program-state blob of every registered kind.
 	programs := map[string]vos.Program{"mpi.daemon": mpi.NewDaemon(0, 5999, []netstack.IP{1, 2})}

@@ -880,7 +880,7 @@ func (a *ckptAgent) netCheckpoint() {
 		trace.I64("sockets", int64(len(netImg.Sockets))))
 	// Cost: read the full option set per socket plus copy queue payload.
 	nSocks := len(netImg.Sockets)
-	cost := costs.SockOptRead*sim.Duration(nSocks*len(netstack.AllOpts())) +
+	cost := costs.SockOptRead*sim.Duration(nSocks*netstack.NumOpts) +
 		costs.MemCopyTime(a.netBytes) +
 		500*sim.Microsecond // walk kernel tables
 	a.op.after(cost, func() {

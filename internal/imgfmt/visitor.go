@@ -58,8 +58,16 @@ func Int[T ~int | ~int64](v Visitor, tag uint64, x T) T {
 // Each visits a repeated group led by tag and returns the list: the
 // elements of s when writing; when reading, one appended element for as
 // long as the next field carries tag — so a list grows only as bytes
-// arrive to fill it, whatever count a field elsewhere claims.
+// arrive to fill it, whatever count a field elsewhere claims. A new list
+// read out of memory (a section body or a blob) whose elements are
+// sections is made once, at the length of the run of them the body holds,
+// instead of regrown element by element.
 func Each[T any](v Visitor, tag uint64, s []T, elem func(e *T, v Visitor, tag uint64)) []T {
+	if r, ok := v.(interface{ run(tag uint64) int }); ok && cap(s) == 0 {
+		if n := r.run(tag); n > 0 {
+			s = make([]T, 0, n)
+		}
+	}
 	for i := 0; v.More(tag, i < len(s)); i++ {
 		if i == len(s) {
 			s = append(s, *new(T))
@@ -205,6 +213,27 @@ func (r *reader) next() (tag uint64, ok bool) {
 func (r *reader) More(tag uint64, _ bool) bool {
 	next, ok := r.next()
 	return ok && next == tag
+}
+
+// run counts the sections tagged tag that follow one another at the head
+// of the current source, when that is in memory, by reading a copy of it
+// ahead; it reads nothing of a record's frames and reports 0 there. Each
+// sizes a list by it: a capacity, so a run that does not decode costs at
+// most one element per section whose bytes are already held.
+func (r *reader) run(tag uint64) int {
+	if r.err != nil || r.src().frames != nil {
+		return 0
+	}
+	ahead, n := *r.src(), 0
+	for {
+		if next, typ, err := ahead.Peek(); err != nil || next != tag || typ != TypeSection {
+			return n
+		}
+		if _, err := ahead.Section(tag); err != nil {
+			return n
+		}
+		n++
+	}
 }
 
 // used refuses a field left in the current source: one the layout does

@@ -49,9 +49,8 @@ type SocketRecord struct {
 	Remote netstack.Addr
 
 	// Opts is the complete socket/protocol option set (paper: "for
-	// correctness, the entire set of the parameters is included"). An
-	// option it does not list is zero.
-	Opts []netstack.OptValue
+	// correctness, the entire set of the parameters is included").
+	Opts netstack.OptSet
 
 	// RecvData is the receive-side byte stream owed to the application:
 	// alternate queue + receive queue + backlog queue, in consumption
@@ -106,9 +105,8 @@ func CheckpointStack(st *netstack.Stack) (*NetImage, error) {
 	if !st.Filter().Blocked() {
 		return nil, errors.New("netckpt: pod network not blocked")
 	}
-	img := &NetImage{PodIP: st.IPAddr()}
-
 	socks := st.Sockets()
+	img := &NetImage{PodIP: st.IPAddr(), Sockets: make([]SocketRecord, 0, len(socks))}
 	slotOf := make(map[*netstack.Socket]int, len(socks))
 	for i, s := range socks {
 		slotOf[s] = i
@@ -266,23 +264,7 @@ func (r *SocketRecord) layout(v imgfmt.Visitor, tag uint64) {
 	r.Local.Port = imgfmt.Uint(v, tagLocalPt, r.Local.Port)
 	r.Remote.IP = imgfmt.Uint(v, tagRemIP, r.Remote.IP)
 	r.Remote.Port = imgfmt.Uint(v, tagRemPt, r.Remote.Port)
-	// The record carries the entire option set, but a zero value is the
-	// default and has no wire representation: an absent option is zero
-	// (applyOpts), which keeps the network-state footprint at the paper's
-	// few-hundred-byte scale. Dropping the zeros here, in place, is a
-	// no-op on a record just read, which never held one.
-	set := r.Opts[:0]
-	for _, ov := range r.Opts {
-		if ov.Val != 0 {
-			set = append(set, ov)
-		}
-	}
-	r.Opts = imgfmt.Each(v, tagOpt, set, func(ov *netstack.OptValue, v imgfmt.Visitor, tag uint64) {
-		v.Begin(tag)
-		ov.Opt = imgfmt.Uint(v, tagOptKey, ov.Opt)
-		ov.Val = v.Int(tagOptVal, ov.Val)
-		v.End()
-	})
+	r.Opts = optsLayout(v, r.Opts)
 	r.RecvData = v.Bytes(tagRecvData, r.RecvData)
 	r.OOBData = v.Bytes(tagOOBData, r.OOBData)
 	r.SendChunks = imgfmt.Each(v, tagChunk, r.SendChunks, func(c *netstack.Chunk, v imgfmt.Visitor, tag uint64) {
@@ -312,4 +294,37 @@ func (r *SocketRecord) layout(v imgfmt.Visitor, tag uint64) {
 	r.Redirected = v.Bool(tagRedir, r.Redirected)
 	r.AppClosed = v.Bool(tagAppClose, r.AppClosed)
 	v.End()
+}
+
+// optsLayout visits a socket's option set as one (key, value) section per
+// non-zero option, in ascending key order. The record carries the entire
+// set, but a zero value is the default and has no wire representation,
+// which keeps the network-state footprint at the paper's few-hundred-byte
+// scale. A reading walk fills a fresh set and refuses a key that names no
+// option or does not ascend, so a set reads back only as it was written.
+func optsLayout(v imgfmt.Visitor, opts netstack.OptSet) netstack.OptSet {
+	var got netstack.OptSet
+	next := func(o netstack.Opt) netstack.Opt { // the writer's next key after o
+		for o++; int(o) <= netstack.NumOpts && opts[o] == 0; o++ {
+		}
+		return o
+	}
+	prev := netstack.Opt(0)
+	for o := next(0); v.More(tagOpt, int(o) <= netstack.NumOpts); o = next(o) {
+		var val int64
+		if int(o) <= netstack.NumOpts {
+			val = opts[o]
+		}
+		v.Begin(tagOpt)
+		key := imgfmt.Uint(v, tagOptKey, o)
+		val = v.Int(tagOptVal, val)
+		v.End()
+		ok := key > prev && int(key) <= netstack.NumOpts
+		v.Check(ok, "netckpt: socket option key names no option or does not ascend")
+		if !ok {
+			break
+		}
+		got[key], prev = val, key
+	}
+	return got
 }

@@ -170,7 +170,7 @@ func TestImageEncodeDecodeRoundTrip(t *testing.T) {
 			{
 				Slot: 0, CreateSeq: 3, Proto: netstack.TCP, State: netstack.StateEstablished,
 				Local: netstack.Addr{IP: 7, Port: 80}, Remote: netstack.Addr{IP: 9, Port: 1234},
-				Opts:     []netstack.OptValue{{Opt: netstack.SO_RCVBUF, Val: 4096}, {Opt: netstack.SO_KEEPALIVE, Val: 1}},
+				Opts:     netstack.OptSet{netstack.SO_RCVBUF: 4096, netstack.SO_KEEPALIVE: 1},
 				RecvData: []byte("recv"), OOBData: []byte("o"),
 				SendChunks: []netstack.Chunk{{Data: []byte("abc")}, {Data: []byte("d"), OOB: true}, {FIN: true}},
 				PCB:        netstack.PCB{SndNxt: 10, SndUna: 6, RcvNxt: 22},
@@ -198,7 +198,7 @@ func TestImageEncodeDecodeRoundTrip(t *testing.T) {
 	r0 := got.Sockets[0]
 	if r0.PCB != img.Sockets[0].PCB || !bytes.Equal(r0.RecvData, []byte("recv")) ||
 		len(r0.SendChunks) != 3 || !r0.SendChunks[1].OOB || !r0.SendChunks[2].FIN ||
-		!r0.ShutWrite || r0.Remote.Port != 1234 || len(r0.Opts) != 2 {
+		!r0.ShutWrite || r0.Remote.Port != 1234 || r0.Opts != img.Sockets[0].Opts {
 		t.Fatalf("record 0 mismatch: %+v", r0)
 	}
 	if !got.Sockets[1].Peeked || len(got.Sockets[1].Datagrams) != 1 {

@@ -464,16 +464,19 @@ func (r *Restorer) finish(err error) {
 	onDone(err)
 }
 
-// applyOpts replays a saved option set onto a fresh socket. The set
-// names the non-zero options (SocketRecord.layout); every other option
-// was zero, which is not every option's default on a fresh socket.
-func applyOpts(s *netstack.Socket, opts []netstack.OptValue) {
-	for _, o := range netstack.AllOpts() {
+// applyOpts replays a saved option set onto a fresh socket: every option
+// the fresh socket holds non-zero is cleared, then every non-zero saved
+// option is set, each pass in ascending key order. A zero is not every
+// option's default on a fresh socket.
+func applyOpts(s *netstack.Socket, opts netstack.OptSet) {
+	for o := netstack.Opt(1); int(o) <= netstack.NumOpts; o++ {
 		if s.GetOpt(o) != 0 {
 			s.SetOpt(o, 0)
 		}
 	}
-	for _, ov := range opts {
-		s.SetOpt(ov.Opt, ov.Val)
+	for o := netstack.Opt(1); int(o) <= netstack.NumOpts; o++ {
+		if opts[o] != 0 {
+			s.SetOpt(o, opts[o])
+		}
 	}
 }

@@ -25,13 +25,13 @@ func fullNetImage() *NetImage {
 			{
 				Slot: 0, CreateSeq: 1, Proto: netstack.TCP, State: netstack.StateListening,
 				Local:         netstack.Addr{IP: 0x0a000007, Port: 80},
-				Opts:          []netstack.OptValue{{Opt: netstack.SO_RCVBUF, Val: 256 << 10}, {Opt: netstack.SO_REUSEADDR, Val: 1}, {Opt: netstack.SO_LINGER, Val: 0}},
+				Opts:          netstack.OptSet{netstack.SO_RCVBUF: 256 << 10, netstack.SO_REUSEADDR: 1, netstack.SO_LINGER: 0},
 				ListenBacklog: 16, PendingAcceptOf: -1,
 			},
 			{
 				Slot: 1, CreateSeq: 4, Proto: netstack.TCP, State: netstack.StateEstablished,
 				Local: netstack.Addr{IP: 0x0a000007, Port: 80}, Remote: netstack.Addr{IP: 0x0a000009, Port: 40001},
-				Opts:       []netstack.OptValue{{Opt: netstack.SO_RCVBUF, Val: 4096}, {Opt: netstack.SO_SNDBUF, Val: 0}, {Opt: netstack.SO_KEEPALIVE, Val: 1}, {Opt: netstack.TCP_KEEPALIVE, Val: 750}, {Opt: netstack.TCP_MAXSEG, Val: -1}},
+				Opts:       netstack.OptSet{netstack.SO_RCVBUF: 4096, netstack.SO_SNDBUF: 0, netstack.SO_KEEPALIVE: 1, netstack.TCP_KEEPALIVE: 750, netstack.TCP_MAXSEG: -1},
 				RecvData:   []byte("owed to the application"),
 				OOBData:    []byte("!"),
 				SendChunks: []netstack.Chunk{{Data: []byte("unacked")}, {Data: []byte("u"), OOB: true}, {Data: []byte{}}, {FIN: true}},
@@ -48,7 +48,7 @@ func fullNetImage() *NetImage {
 			{
 				Slot: 3, CreateSeq: 6, Proto: netstack.UDP, State: netstack.StateEstablished,
 				Local: netstack.Addr{IP: 0x0a000007, Port: 53}, Remote: netstack.Addr{IP: 0x0a000009, Port: 5353},
-				Opts: []netstack.OptValue{{Opt: netstack.SO_BROADCAST, Val: 1}},
+				Opts: netstack.OptSet{netstack.SO_BROADCAST: 1},
 				Datagrams: []netstack.Datagram{
 					{From: netstack.Addr{IP: 0x0a000009, Port: 5353}, Data: []byte("query")},
 					{From: netstack.Addr{IP: 0x0a00000b, Port: 1}, Data: nil},
@@ -114,7 +114,7 @@ func decoded(t *testing.T, img *NetImage) *NetImage {
 // which cannot, must still leave every socket with the same options — the
 // ones it was checkpointed with.
 func TestRestoreAppliesSameOptionsFromImageAndDecode(t *testing.T) {
-	restored := func(fromDecode bool) (want, got [][]netstack.OptValue) {
+	restored := func(fromDecode bool) (want, got []netstack.OptSet) {
 		w, nw := mkWorld(11)
 		a, b := mkStack(t, nw, 1), mkStack(t, nw, 2)
 		cli, srv, l := establish(t, w, a, b, 80)

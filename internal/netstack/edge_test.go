@@ -157,20 +157,33 @@ func TestFilterBlocked(t *testing.T) {
 	}
 }
 
+// The option set is indexed by option: every defined option has its own
+// slot, 1 through NumOpts, and an undefined one reads zero and is not
+// stored.
 func TestAllOptsStableAndComplete(t *testing.T) {
-	opts := AllOpts()
-	if len(opts) < 15 {
-		t.Fatalf("only %d options defined", len(opts))
+	if NumOpts < 15 || len(OptSet{}) != NumOpts+1 {
+		t.Fatalf("%d options defined in a set of %d slots", NumOpts, len(OptSet{}))
 	}
-	seen := map[Opt]bool{}
-	for _, o := range opts {
-		if seen[o] {
-			t.Fatalf("duplicate option %d", o)
+	for _, o := range []Opt{SO_RCVBUF, TCP_STDURG, SO_OOBINLINE, TCP_MAXSEG} {
+		if o < 1 || int(o) > NumOpts {
+			t.Fatalf("option %d outside 1..%d", o, NumOpts)
 		}
-		seen[o] = true
 	}
-	if !seen[SO_RCVBUF] || !seen[TCP_STDURG] || !seen[SO_OOBINLINE] {
-		t.Fatal("expected options missing")
+	_, _, st := testNet(t, 1)
+	s := st[0].Socket(TCP)
+	want := s.OptsSnapshot()
+	for o := 1; o <= NumOpts; o++ {
+		s.SetOpt(Opt(o), int64(o)*3)
+		want[o] = int64(o) * 3
+	}
+	for _, o := range []Opt{0, -1, optMax, 1 << 40} {
+		s.SetOpt(o, 99)
+		if got := s.GetOpt(o); got != 0 {
+			t.Fatalf("undefined option %d reads %d", o, got)
+		}
+	}
+	if got := s.OptsSnapshot(); got != want {
+		t.Fatalf("snapshot %v, want %v", got, want)
 	}
 }
 
@@ -234,4 +247,69 @@ func TestDuplicateSYNAfterEstablishment(t *testing.T) {
 	// must re-acknowledge.
 	run(t, w, func() bool { return c.State() == StateEstablished })
 	_ = nw
+}
+
+// The packed demultiplexing key tells connections apart exactly as the
+// (local port, remote address) struct it replaced: over the extreme and
+// neighbouring ports and IPs, a map keyed by connKeyOf holds the same
+// entries as one keyed by the struct.
+func TestConnKeyMatchesStructKey(t *testing.T) {
+	type ref struct {
+		local  Port
+		remote Addr
+	}
+	ports := []Port{0, 1, 255, 256, 32768, 65534, 65535}
+	ips := []IP{0, 1, 0xffff, 0x10000, 0x7fffffff, 0x80000000, 0xfffffffe, 0xffffffff}
+	packed := make(map[connKey]ref)
+	want := make(map[ref]bool)
+	for _, local := range ports {
+		for _, ip := range ips {
+			for _, port := range ports {
+				r := ref{local, Addr{ip, port}}
+				k := connKeyOf(r.local, r.remote)
+				if prev, dup := packed[k]; dup {
+					t.Fatalf("%v and %v share key %#x", prev, r, k)
+				}
+				packed[k] = r
+				want[r] = true
+			}
+		}
+	}
+	if len(packed) != len(want) {
+		t.Fatalf("%d packed keys for %d connections", len(packed), len(want))
+	}
+}
+
+// A UDP socket connected to the remote of a TCP connection on the same
+// port computes that connection's key when it is released; the entry is
+// the TCP socket's, so it stays, and the connection still demultiplexes.
+func TestUDPReleaseLeavesTCPConnection(t *testing.T) {
+	w, _, st := testNet(t, 2)
+	c, srv := connectPair(t, w, st[0], st[1], 5000)
+	u := st[1].Socket(UDP)
+	if err := u.Bind(5000); err != nil {
+		t.Fatal(err)
+	}
+	if err := u.Connect(srv.RemoteAddr()); err != nil {
+		t.Fatal(err)
+	}
+	k := connKeyOf(u.LocalAddr().Port, u.RemoteAddr())
+	if st[1].conns[k] != srv {
+		t.Fatal("the UDP socket does not share the TCP connection's key; the test lost its collision")
+	}
+	u.Close()
+	if st[1].conns[k] != srv {
+		t.Fatal("releasing the UDP socket removed the TCP connection from the demultiplexer")
+	}
+	if _, err := c.Send([]byte("still there"), false); err != nil {
+		t.Fatal(err)
+	}
+	var got []byte
+	run(t, w, func() bool {
+		got, _ = srv.RecvAppend(got, 64, false, false)
+		return len(got) == len("still there")
+	})
+	if string(got) != "still there" {
+		t.Fatalf("got %q", got)
+	}
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"testing"
+	"unsafe"
 
 	"zapc/internal/sim"
 )
@@ -72,6 +73,54 @@ func TestChunkDataIsImmutableOnceQueued(t *testing.T) {
 	run(t, w, func() bool { return c.SendQueueSeqLen() == 0 })
 	if !countersMatchScans(c, srv) {
 		t.Fatal("queue counters diverged from the drained queues")
+	}
+
+	// The network's slab is replaced, never reset: with chunks cut from
+	// one slab waiting in the peer's backlog, the sender cuts enough
+	// more to replace the slab twice, and the waiting bytes are still
+	// the ones sent. No chunk's capacity reaches into the slab past its
+	// own bytes.
+	nw.SetLossRate(0)
+	small := make([]byte, 700)
+	var stream []byte
+	send := func() {
+		for i := range small {
+			small[i] = byte(len(stream)+i) * 29
+		}
+		if n, err := c.Send(small, false); n != len(small) || err != nil {
+			t.Fatalf("Send = %d, %v", n, err)
+		}
+		stream = append(stream, small...)
+		for i := range small {
+			small[i] = 0xff
+		}
+		for _, ch := range c.sendQ {
+			if cap(ch.Data) != len(ch.Data) {
+				t.Fatalf("a queued chunk of %d bytes has capacity %d", len(ch.Data), cap(ch.Data))
+			}
+		}
+	}
+	for range 3 {
+		send()
+	}
+	run(t, w, func() bool { return srv.BacklogLen() > 0 })
+	waiting := srv.CheckpointReceiveData()
+	for replaced, slab := 0, unsafe.SliceData(nw.slab); replaced < 2; {
+		send()
+		if s := unsafe.SliceData(nw.slab); s != slab {
+			replaced, slab = replaced+1, s
+		}
+	}
+	if !bytes.Equal(srv.CheckpointReceiveData(), waiting) || !bytes.Equal(waiting, stream[:len(waiting)]) {
+		t.Fatal("bytes waiting in the backlog changed when the sender's slab was replaced")
+	}
+	got = got[:0]
+	run(t, w, func() bool {
+		got, _ = srv.RecvAppend(got, 1<<20, false, false)
+		return len(got) == len(stream)
+	})
+	if !bytes.Equal(got, stream) {
+		t.Fatal("stream corrupted across slab replacements")
 	}
 }
 
@@ -188,11 +237,12 @@ func streamThrough(tb testing.TB, w *sim.World, c, srv *Socket, buf []byte, tota
 }
 
 // TestStreamAllocationBudget: an established stream allocates the data it
-// moves and nothing else — per MSS segment the chunk's copy of the
-// caller's bytes. Packets come from the free list and recvmsg appends to
-// the reader's buffer; no event, no closure, no queue regrowth (12
-// objects before the event path stopped making garbage, 4 before packets
-// were recycled). A count, not a timing.
+// moves and nothing else — a slab per four full segments, which the
+// chunks' copies of the caller's bytes are cut from. Packets come from
+// the free list and recvmsg appends to the reader's buffer; no event, no
+// closure, no queue regrowth (12 objects before the event path stopped
+// making garbage, 4 before packets were recycled, 1 before segment bytes
+// came from a slab). A count, not a timing.
 func TestStreamAllocationBudget(t *testing.T) {
 	w, _, st := testNet(t, 2)
 	c, srv := connectPair(t, w, st[0], st[1], 5000)
@@ -201,8 +251,8 @@ func TestStreamAllocationBudget(t *testing.T) {
 	streamThrough(t, w, c, srv, buf, segs*MSS) // queues reach their working capacity
 	perSeg := testing.AllocsPerRun(5, func() { streamThrough(t, w, c, srv, buf, segs*MSS) }) / segs
 	t.Logf("%.3f objects per segment", perSeg)
-	if perSeg > 2 {
-		t.Fatalf("an established stream allocates %.2f objects per segment, budget 2", perSeg)
+	if perSeg > 0.5 {
+		t.Fatalf("an established stream allocates %.2f objects per segment, budget 0.5", perSeg)
 	}
 }
 

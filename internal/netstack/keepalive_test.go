@@ -80,8 +80,8 @@ func TestKeepaliveSurvivesRestore(t *testing.T) {
 
 	// Fresh connection standing in for the restored one.
 	cli2, _, _ := connectPairHelper(t, w, st[0], st[1], 5001)
-	for _, ov := range snap {
-		cli2.SetOpt(ov.Opt, ov.Val)
+	for o, val := range snap {
+		cli2.SetOpt(Opt(o), val)
 	}
 	nw.Detach(st[1])
 	run(t, w, func() bool { return cli2.Err() != nil })

@@ -65,23 +65,20 @@ const (
 	optMax // sentinel for iteration
 )
 
-// AllOpts lists every defined option in stable order (the checkpoint saves
-// the entire set, per the paper).
-func AllOpts() []Opt {
-	out := make([]Opt, 0, int(optMax)-1)
-	for o := Opt(1); o < optMax; o++ {
-		out = append(out, o)
-	}
-	return out
-}
+// NumOpts is the number of defined options: they are 1 through NumOpts.
+const NumOpts = int(optMax) - 1
 
-func defaultOpts(proto Proto) map[Opt]int64 {
-	m := map[Opt]int64{
+// OptSet is a complete socket/protocol option set indexed by Opt; index 0
+// names no option and stays zero.
+type OptSet [optMax]int64
+
+// defaultOpts is a fresh socket's option set.
+func defaultOpts() OptSet {
+	return OptSet{
 		SO_RCVBUF:  256 << 10,
 		SO_SNDBUF:  256 << 10,
 		TCP_MAXSEG: MSS,
 	}
-	return m
 }
 
 // PCB is the protocol control block of a reliable connection. It exposes
@@ -146,10 +143,13 @@ type boundKey struct {
 	port  Port
 }
 
-type connKey struct {
-	proto  Proto
-	local  Port
-	remote Addr
+// connKey is a connection's demultiplexing key: local port, remote IP
+// and remote port packed into one word. It needs no protocol, since conns
+// holds TCP sockets only, and no local IP, which is always the stack's.
+type connKey uint64
+
+func connKeyOf(local Port, remote Addr) connKey {
+	return connKey(remote.IP)<<32 | connKey(remote.Port)<<16 | connKey(local)
 }
 
 // Stack is one pod's network namespace: its virtual IP, port space,
@@ -188,10 +188,9 @@ func (st *Stack) Socket(proto Proto) *Socket {
 	s := &Socket{
 		stack:     st,
 		proto:     proto,
-		opts:      defaultOpts(proto),
+		opts:      defaultOpts(),
 		ops:       baseOps{},
 		createSeq: st.sockSeq,
-		ooseg:     make(map[uint64]packet),
 	}
 	st.sockSeq++
 	st.sockets = append(st.sockets, s)
@@ -229,7 +228,7 @@ type Socket struct {
 	state     State
 	local     Addr
 	remote    Addr
-	opts      map[Opt]int64
+	opts      OptSet
 	createSeq uint64
 
 	// Stream receive path. Arriving in-sequence bytes land in the kernel
@@ -241,7 +240,7 @@ type Socket struct {
 	backlogBytes int // total bytes in backlogQ
 	oobQ         []byte
 	altQ         []byte            // alternate receive queue installed at restart
-	ooseg        map[uint64]packet // out-of-order segments, held by value
+	ooseg        map[uint64]packet // out-of-order segments, by value; nil until one arrives
 	peeked       bool
 
 	// Datagram receive path (UDP/RAW).
@@ -331,11 +330,21 @@ func (s *Socket) SwapOps(ops Ops) Ops {
 // CurrentOps returns the installed dispatch vector.
 func (s *Socket) CurrentOps() Ops { return s.ops }
 
-// GetOpt reads a socket/protocol option (getsockopt).
-func (s *Socket) GetOpt(o Opt) int64 { return s.opts[o] }
+// GetOpt reads a socket/protocol option (getsockopt); an undefined
+// option reads zero.
+func (s *Socket) GetOpt(o Opt) int64 {
+	if o < 1 || o >= optMax {
+		return 0
+	}
+	return s.opts[o]
+}
 
-// SetOpt writes a socket/protocol option (setsockopt).
+// SetOpt writes a socket/protocol option (setsockopt); an undefined
+// option is ignored.
 func (s *Socket) SetOpt(o Opt, v int64) {
+	if o < 1 || o >= optMax {
+		return
+	}
 	s.opts[o] = v
 	if o == SO_KEEPALIVE || o == TCP_KEEPALIVE {
 		// (Re)arm the keep-alive probe timer with the current interval;
@@ -347,23 +356,10 @@ func (s *Socket) SetOpt(o Opt, v int64) {
 	}
 }
 
-// OptsSnapshot returns the complete socket/protocol option set in
-// stable order — the paper saves the entire set "for correctness", not
-// just options an application has touched.
-func (s *Socket) OptsSnapshot() []OptValue {
-	all := AllOpts()
-	out := make([]OptValue, 0, len(all))
-	for _, o := range all {
-		out = append(out, OptValue{o, s.opts[o]})
-	}
-	return out
-}
-
-// OptValue is one saved socket option.
-type OptValue struct {
-	Opt Opt
-	Val int64
-}
+// OptsSnapshot returns the complete socket/protocol option set — the
+// paper saves the entire set "for correctness", not just options an
+// application has touched.
+func (s *Socket) OptsSnapshot() OptSet { return s.opts }
 
 // Bind assigns the local port (the IP is always the stack's virtual IP).
 // Port 0 allocates an ephemeral port.
@@ -610,8 +606,8 @@ func (s *Socket) deregister() {
 		}
 	}
 	if !s.remote.IsZero() {
-		k := connKey{s.proto, s.local.Port, s.remote}
-		if st.conns[k] == s {
+		k := connKeyOf(s.local.Port, s.remote)
+		if st.conns[k] == s { // a UDP socket's key may name a TCP connection
 			delete(st.conns, k)
 		}
 	}

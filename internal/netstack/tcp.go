@@ -39,7 +39,7 @@ func (s *Socket) Connect(remote Addr) error {
 	if s.state != StateBound {
 		return ErrBadState
 	}
-	k := connKey{TCP, s.local.Port, remote}
+	k := connKeyOf(s.local.Port, remote)
 	if _, ok := s.stack.conns[k]; ok {
 		return ErrAddrInUse
 	}
@@ -107,18 +107,39 @@ func (s *Socket) Send(p []byte, oob bool) (int, error) {
 		n = space
 	}
 	for off := 0; off < n; off += MSS {
-		end := off + MSS
-		if end > n {
-			end = n
-		}
-		// The chunk's bytes are copied once, here, and never written
-		// again: packets (retransmissions included) and the receiver's
-		// backlog alias them, and an ack only reslices.
-		s.sendQ = append(s.sendQ, Chunk{Data: append([]byte(nil), p[off:end]...), OOB: oob})
+		end := min(off+MSS, n)
+		// The chunk's bytes are copied once, here, into the network's
+		// slab, and never written again: packets (retransmissions
+		// included) and the receiver's backlog alias them, and an ack
+		// only reslices.
+		s.sendQ = append(s.sendQ, Chunk{Data: s.stack.net.keep(p[off:end]), OOB: oob})
 	}
 	s.sendQSeq += uint64(n)
 	s.pump()
 	return n, nil
+}
+
+// slabSize is the size of one segment-byte slab, a Go size class that
+// holds four full segments: every chunk Send cuts is at most a quarter of
+// a slab, so none needs an allocation of its own, and a replaced slab
+// wastes less than a segment (DESIGN.md §2.1 has the choice).
+const slabSize = 6 << 10
+
+// keep returns a copy of a chunk's bytes that no one writes again, cut
+// from the network's append-only slab and capped at its length; a full
+// slab is replaced, never reset. A slab lives until every chunk cut from
+// it is acknowledged and out of the peer's backlog. One slab serves every
+// stack, so the live chunks, all sent within about a round trip, share one
+// or two slabs rather than pinning a slab per stack. A checkpoint copies
+// what it saves (SendQueueSnapshot, CheckpointReceiveData), so no image
+// pins one.
+func (n *Network) keep(b []byte) []byte {
+	if len(b) > cap(n.slab)-len(n.slab) {
+		n.slab = make([]byte, 0, slabSize)
+	}
+	off := len(n.slab)
+	n.slab = append(n.slab, b...)
+	return n.slab[off:len(n.slab):len(n.slab)]
 }
 
 // Shutdown closes the write side (write=true) and/or read side of the
@@ -208,7 +229,7 @@ func (s *Socket) rtoFire() {
 // handleSYN runs on a listening socket.
 func (s *Socket) handleSYN(p *packet) {
 	// Duplicate SYN for an already-accepted connection: resend SYNACK.
-	if child, ok := s.stack.conns[connKey{TCP, p.dst.Port, p.src}]; ok {
+	if child, ok := s.stack.conns[connKeyOf(p.dst.Port, p.src)]; ok {
 		child.sendSYNACK()
 		return
 	}
@@ -220,7 +241,7 @@ func (s *Socket) handleSYN(p *packet) {
 	child.local = Addr{s.stack.ip, s.local.Port} // inherits the listening port
 	child.remote = p.src
 	child.state = StateEstablished
-	s.stack.conns[connKey{TCP, child.local.Port, child.remote}] = child
+	s.stack.conns[connKeyOf(child.local.Port, child.remote)] = child
 	s.acceptQ = append(s.acceptQ, child)
 	child.sendSYNACK()
 	s.notify()
@@ -380,6 +401,9 @@ func (s *Socket) handleData(p *packet) {
 		}
 		s.sendAck()
 	case p.seq > s.pcb.RcvNxt:
+		if s.ooseg == nil {
+			s.ooseg = make(map[uint64]packet)
+		}
 		if _, dup := s.ooseg[p.seq]; !dup {
 			s.ooseg[p.seq] = *p // a copy: the packet itself dies with this handler
 		}
@@ -462,7 +486,7 @@ func (st *Stack) receive(p *packet) {
 }
 
 func (st *Stack) receiveTCP(p *packet) {
-	if s, ok := st.conns[connKey{TCP, p.dst.Port, p.src}]; ok {
+	if s, ok := st.conns[connKeyOf(p.dst.Port, p.src)]; ok {
 		s.tcpReceive(p)
 		return
 	}

@@ -412,11 +412,7 @@ func TestSocketOptionsRoundTrip(t *testing.T) {
 	s.SetOpt(TCP_NODELAY, 1)
 	s.SetOpt(SO_RCVBUF, 128<<10)
 	snap := s.OptsSnapshot()
-	m := map[Opt]int64{}
-	for _, ov := range snap {
-		m[ov.Opt] = ov.Val
-	}
-	if m[SO_KEEPALIVE] != 1 || m[TCP_NODELAY] != 1 || m[SO_RCVBUF] != 128<<10 {
+	if snap[SO_KEEPALIVE] != 1 || snap[TCP_NODELAY] != 1 || snap[SO_RCVBUF] != 128<<10 {
 		t.Fatalf("snapshot = %v", snap)
 	}
 }

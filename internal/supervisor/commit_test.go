@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"maps"
+	"math"
 	"runtime"
 	"slices"
 	"strconv"
@@ -195,15 +196,21 @@ func allocatedBy(op func()) int64 {
 }
 
 // TestCommitAllocationBudget: the commit check of delta generation k
-// allocates the same at every k — decoder windows and record metadata,
-// under a tenth of the pod set's logical bytes — because it decodes what
-// generation k wrote and nothing under it. Reading each chain back to its
-// full image allocated more than the logical bytes at every k. Counts
-// bytes, not time.
+// allocates the same at every k of a whole full-to-full cycle — decoder
+// windows and record metadata, under a tenth of the pod set's logical
+// bytes — because it decodes what generation k wrote and nothing under
+// it. Reading each chain back to its full image allocated more than the
+// logical bytes at every k. Counts bytes, not time: the check is a pure
+// function of the chain, so of three identical runs the least is the
+// check's own, and the others may carry whatever else the process
+// allocated meanwhile.
 func TestCommitAllocationBudget(t *testing.T) {
 	c, _, sup, _ := incrementalJob(t, budgetSpec, 0.05)
+	if f := sup.Policy().FullEvery; f != 16 {
+		t.Fatalf("FullEvery %d: generations 1-15 are no longer one cycle of deltas", f)
+	}
 	var logical, first int64
-	for k := 0; k <= 6; k++ {
+	for k := 0; k <= 15; k++ {
 		committed(t, c, sup, k+1)
 		if g := sup.Generations()[k]; g.Full != (k == 0) {
 			t.Fatalf("generation %d: %+v", k, g)
@@ -221,10 +228,13 @@ func TestCommitAllocationBudget(t *testing.T) {
 			}
 			continue
 		}
-		var err error
-		got := allocatedBy(func() { err = sup.CheckGeneration(k) })
-		if err != nil {
-			t.Fatal(err)
+		got := int64(math.MaxInt64)
+		for range 3 {
+			var err error
+			got = min(got, allocatedBy(func() { err = sup.CheckGeneration(k) }))
+			if err != nil {
+				t.Fatal(err)
+			}
 		}
 		if k == 1 {
 			first = got

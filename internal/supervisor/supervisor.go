@@ -56,6 +56,7 @@ import (
 	"hash/crc32"
 	"io"
 	"math/bits"
+	"slices"
 	"strings"
 
 	"zapc/internal/ckpt"
@@ -912,13 +913,25 @@ func (s *Supervisor) chains(gi int) ([]imagestore.PodChain, error) {
 	if len(chains) == 0 {
 		return nil, fmt.Errorf("generation %s: %w", s.gens[base].Dir, ErrNoValidCheckpoint)
 	}
-	for j := base + 1; j <= gi; j++ {
-		for i := range chains {
-			chains[i].Paths = append(chains[i].Paths,
-				imagestore.RecordPath(s.gens[j].Dir, chains[i].Pod, false, 0))
+	for i := range chains {
+		chains[i].Paths = slices.Grow(chains[i].Paths, gi-base)
+		for j := base + 1; j <= gi; j++ {
+			chains[i].Paths = append(chains[i].Paths, s.deltaPath(j, chains[i].Pod))
 		}
 	}
 	return chains, nil
+}
+
+// deltaPath is the path of pod's delta in the generation at index j: the
+// one its commit memoized when it has committed, so a check does not make
+// a new string per retained record, and the one RecordPath names before.
+func (s *Supervisor) deltaPath(j int, pod string) string {
+	for path, head := range s.gens[j].heads {
+		if head.Pod() == pod {
+			return path
+		}
+	}
+	return imagestore.RecordPath(s.gens[j].Dir, pod, false, 0)
 }
 
 // checkGeneration is the commit check, by induction on each pod's chain:
@@ -1073,12 +1086,17 @@ func (s *Supervisor) committed(path string) (ckpt.Chain, bool) {
 }
 
 // unreachedRecord names the first of a generation directory's files that
-// is on no pod's chain, if there is one.
+// is on no pod's chain, if there is one. Only the chains' paths under dir
+// can match one, so only they are kept: the set stays one generation's
+// size however long the chains grow.
 func unreachedRecord(dir string, files []string, chains []imagestore.PodChain) error {
-	reached := make(map[string]bool)
+	reached := make(map[string]bool, len(files))
+	under := dir + "/"
 	for _, pc := range chains {
 		for _, path := range pc.Paths {
-			reached[path] = true
+			if strings.HasPrefix(path, under) {
+				reached[path] = true
+			}
 		}
 	}
 	for _, f := range files {
