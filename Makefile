@@ -86,6 +86,9 @@ vet:
 # And a record is sized by the read that checks it (ckpt.Chain.Size): no
 # non-test type in internal/imagestore has a Stat method, and non-test
 # internal/supervisor code calls no .Stat( (DESIGN.md §5).
+# And copy-on-write is the one dirty signal: a region's backing array is
+# its version, so non-test internal/vos keeps no write clock and non-test
+# internal/ckpt no per-process watermark map (DESIGN.md §5).
 # And every exported name has a caller outside its own package's tests,
 # and every -run or -fuzz selector below selects a test
 # (exports_test.go; DESIGN.md §1).
@@ -136,6 +139,10 @@ boundary:
 	if [ -n "$$bad" ]; then echo "boundary: a by-value sim.Costs copy on the per-event path; read the field in place or take a pointer:"; echo "$$bad"; exit 1; fi
 	@bad="$$(grep -nE 'map\[int\]\*netstack\.Socket' $$(ls internal/vos/*.go | grep -v '_test\.go$$'))"; \
 	if [ -n "$$bad" ]; then echo "boundary: the descriptor table is a slice indexed by fd, nil for a closed slot (DESIGN.md §2):"; echo "$$bad"; exit 1; fi
+	@bad="$$(grep -nE 'memClock|MemClock|DirtyRegions' $$(ls internal/vos/*.go | grep -v '_test\.go$$'))"; \
+	if [ -n "$$bad" ]; then echo "boundary: a write clock in internal/vos; a region's backing array is its version, and copy-on-write the one dirty signal (DESIGN.md §5, Identity is the dirty signal):"; echo "$$bad"; exit 1; fi
+	@bad="$$(grep -nE 'map\[vos\.PID\]uint64' $$(ls internal/ckpt/*.go | grep -v '_test\.go$$'))"; \
+	if [ -n "$$bad" ]; then echo "boundary: a watermark map in internal/ckpt; a delta carries the regions whose backing array is not the last committed image's (DESIGN.md §5, Identity is the dirty signal):"; echo "$$bad"; exit 1; fi
 	@srcs="$$(ls internal/faultinject/*.go | grep -v '_test\.go$$')"; \
 	if [ "$$(cat $$srcs | grep -c 'json:"action')" -gt 1 ]; then echo "boundary: internal/faultinject declares a second fault step; the fixture form is the one Arm takes (DESIGN.md §8):"; grep -n 'json:"action' $$srcs; exit 1; fi; \
 	bad="$$(grep -nE '^func (\([^)]*\) )?(Bind|Spec)\(' $$srcs)"; \

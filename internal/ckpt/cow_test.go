@@ -5,13 +5,17 @@ package ckpt
 // Seeded random sequences of region writes, captures and restores run
 // over two pods; after every step every image captured so far must still
 // equal the deep copy taken at its own capture, each pod's memory must
-// equal a plain map-of-byte-slices model, and a delta against any earlier
-// capture must reconstruct to a fresh full capture.
+// equal a plain map-of-byte-slices model, a delta against any earlier
+// capture must reconstruct to a fresh full capture, and each committed
+// delta must carry exactly the regions the model set or wrote since the
+// commit before it.
 
 import (
 	"bytes"
 	"fmt"
+	"maps"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"zapc/internal/imgfmt"
@@ -31,15 +35,20 @@ import (
 // supplies the network image.
 func refCapture(t *testing.T, p *pod.Pod, net *netckpt.NetImage) *Image {
 	t.Helper()
+	return tableCapture(p, net, func(b []byte) []byte { return append([]byte(nil), b...) })
+}
+
+// tableCapture is the capture walk over the pod's region tables as they
+// stand, without marking anything shared, with each region's bytes
+// passed through keep: a deep copy for refCapture, the bytes themselves
+// for an image that aliases the pod's backing arrays as Capture's does.
+func tableCapture(p *pod.Pod, net *netckpt.NetImage, keep func([]byte) []byte) *Image {
 	img := &Image{PodName: p.Name(), VIP: p.VirtualIP(), VirtualTime: p.VirtualNow(), Net: net}
 	for _, proc := range p.Procs() {
 		pi := ProcImage{VPID: proc.VPID, Kind: proc.Prog.Kind()}
 		pi.ProgData = imgfmt.Blob(proc.Prog.Layout)
-		for _, r := range proc.DirtyRegions(0) { // every region: versions start at 1
-			pi.Regions = append(pi.Regions, vos.Region{
-				Name: r.Name,
-				Data: append([]byte(nil), r.Data...),
-			})
+		for _, r := range proc.Regions() {
+			pi.Regions = append(pi.Regions, vos.Region{Name: r.Name, Data: keep(r.Data)})
 		}
 		img.Procs = append(img.Procs, pi)
 	}
@@ -47,16 +56,12 @@ func refCapture(t *testing.T, p *pod.Pod, net *netckpt.NetImage) *Image {
 	return img
 }
 
-// cowCapture is one capture the check holds on to: the aliasing image,
-// the deep copy taken at the same moment, and what the tracker committed
-// for a later delta to be computed against — the write watermarks and
-// the program-state fingerprints.
+// cowCapture is one capture the check holds on to: the aliasing image
+// and the deep copy taken at the same moment.
 type cowCapture struct {
-	step  int
-	img   *Image
-	ref   *Image
-	marks map[vos.PID]uint64
-	prog  map[vos.PID][]byte
+	step int
+	img  *Image
+	ref  *Image
 }
 
 // cowMemory is the model of one pod's memory.
@@ -77,6 +82,20 @@ type cowCheck struct {
 	// counts the sets that brought one back.
 	dropped   map[*vos.Process]map[string]bool
 	recreated int
+	// touched names, per source process, the regions set or written
+	// since the last commit: what the next delta must carry, no more.
+	touched map[vos.PID]map[string]bool
+}
+
+// touch records that a region of the source pod was set or written.
+func (k *cowCheck) touch(p *pod.Pod, vpid vos.PID, name string) {
+	if p != k.src {
+		return
+	}
+	if k.touched[vpid] == nil {
+		k.touched[vpid] = make(map[string]bool)
+	}
+	k.touched[vpid][name] = true
 }
 
 func (k *cowCheck) bytes() []byte {
@@ -90,7 +109,7 @@ func (k *cowCheck) bytes() []byte {
 func (k *cowCheck) pick(p *pod.Pod) (*vos.Process, string) {
 	procs := p.Procs()
 	proc := procs[k.rng.Intn(len(procs))]
-	regions := proc.DirtyRegions(0) // table order: map iteration would unseed the run
+	regions := proc.Regions() // table order: map iteration would unseed the run
 	if len(regions) == 0 {
 		return proc, ""
 	}
@@ -116,6 +135,7 @@ func (k *cowCheck) set(p *pod.Pod) {
 	data := k.bytes()
 	proc.SetRegion(name, data)
 	k.mem[p][proc.VPID][name] = append([]byte(nil), data...)
+	k.touch(p, proc.VPID, name)
 }
 
 // write asks for a region to write and scribbles on it, as one Step of a
@@ -134,6 +154,7 @@ func (k *cowCheck) write(p *pod.Pod) {
 		i, v := k.rng.Intn(len(data)), byte(k.rng.Intn(256))
 		data[i], model[i] = v, v
 	}
+	k.touch(p, proc.VPID, name)
 }
 
 func (k *cowCheck) drop(p *pod.Pod) {
@@ -143,6 +164,9 @@ func (k *cowCheck) drop(p *pod.Pod) {
 	}
 	proc.DropRegion(name)
 	delete(k.mem[p][proc.VPID], name)
+	if p == k.src {
+		delete(k.touched[proc.VPID], name)
+	}
 	if k.dropped[proc] == nil {
 		k.dropped[proc] = make(map[string]bool)
 	}
@@ -150,8 +174,10 @@ func (k *cowCheck) drop(p *pod.Pod) {
 }
 
 // capture takes the next record of the source pod's chain, frozen or
-// live, and checks it at birth: the image equals the deep copy, and a
-// delta applied to the generation before it gives the same image back.
+// live, and checks it at birth: the image equals the deep copy, a delta
+// applied to the generation before it gives the same image back, and the
+// delta carries exactly the regions set or written since that
+// generation.
 func (k *cowCheck) capture(live bool) {
 	prev := k.tr.last
 	var pend *Pending
@@ -165,13 +191,7 @@ func (k *cowCheck) capture(live bool) {
 		k.t.Fatalf("step %d: capture: %v", k.step, err)
 	}
 	pend.Commit()
-	c := cowCapture{
-		step:  k.step,
-		img:   pend.Image,
-		ref:   refCapture(k.t, k.src, pend.Image.Net),
-		marks: k.tr.marks,
-		prog:  k.tr.lastProg,
-	}
+	c := cowCapture{step: k.step, img: pend.Image, ref: refCapture(k.t, k.src, pend.Image.Net)}
 	k.caps = append(k.caps, c)
 	if !pend.Full() {
 		rebuilt, err := ApplyDelta(prev, pend.Delta)
@@ -181,7 +201,18 @@ func (k *cowCheck) capture(live bool) {
 		if !sameImage(rebuilt, c.ref) {
 			k.t.Fatalf("step %d: the chain's delta does not rebuild the captured image", k.step)
 		}
+		for _, pd := range pend.Delta.Procs {
+			carried := make(map[string]bool, len(pd.Regions))
+			for _, r := range pd.Regions {
+				carried[r.Name] = true
+			}
+			if want := k.touched[pd.VPID]; !maps.Equal(carried, want) {
+				k.t.Fatalf("step %d: vpid %d's delta carries %v, the model set or wrote %v since the last commit",
+					k.step, pd.VPID, slices.Sorted(maps.Keys(carried)), slices.Sorted(maps.Keys(want)))
+			}
+		}
 	}
+	clear(k.touched)
 }
 
 // restore rebuilds the second pod from a random earlier capture of the
@@ -220,7 +251,7 @@ func (k *cowCheck) invariants() {
 	}
 	for p, mem := range k.mem {
 		for _, proc := range p.Procs() {
-			regions := proc.DirtyRegions(0)
+			regions := proc.Regions()
 			if len(regions) != len(mem[proc.VPID]) {
 				t.Fatalf("step %d: pod %s vpid %d holds %d regions, model %d",
 					k.step, p.Name(), proc.VPID, len(regions), len(mem[proc.VPID]))
@@ -232,9 +263,11 @@ func (k *cowCheck) invariants() {
 			}
 		}
 	}
-	fresh := refCapture(t, k.src, &netckpt.NetImage{PodIP: k.src.Stack().IPAddr()})
+	net := &netckpt.NetImage{PodIP: k.src.Stack().IPAddr()}
+	fresh := refCapture(t, k.src, net)
+	aliased := tableCapture(k.src, net, func(b []byte) []byte { return b })
 	for _, c := range k.caps {
-		d := buildDelta(fresh, c.img, c.prog, dirtySince(k.src, c.marks), 1, 0)
+		d := buildDelta(aliased, c.img, 1, 0)
 		rebuilt, err := ApplyDelta(c.img, d)
 		if err != nil {
 			t.Fatalf("step %d: delta against the capture of step %d: %v", k.step, c.step, err)
@@ -258,6 +291,7 @@ func TestCOWModelCheck(t *testing.T) {
 				t: t, rng: rand.New(rand.NewSource(seed)),
 				src: src, dstOn: mkCluster(t, 1), tr: NewTracker(),
 				mem: map[*pod.Pod]cowMemory{src: {}}, dropped: make(map[*vos.Process]map[string]bool),
+				touched: make(map[vos.PID]map[string]bool),
 			}
 			for i := 0; i < 3; i++ {
 				k.mem[src][src.AddProcess(&worker{Limit: 10}).VPID] = make(map[string][]byte)

@@ -29,9 +29,9 @@ type ProcDelta struct {
 	// false the parent's program state is still current.
 	ProgChanged bool
 	ProgData    []byte
-	// Regions holds the full data of every region written since the
-	// parent generation's watermark (region granularity, like the
-	// page-granularity incremental checkpointing of the paper's Zap
+	// Regions holds the full data of every region written or replaced
+	// since the parent generation was captured (region granularity, like
+	// the page-granularity incremental checkpointing of the paper's Zap
 	// layer).
 	Regions []vos.Region
 	// RemovedRegions lists the parent's regions to drop before Regions
@@ -142,9 +142,12 @@ func ApplyDelta(base *Image, d *DeltaImage) (*Image, error) {
 }
 
 // Tracker is the chain writer of one pod: it remembers the last
-// committed generation (materialized image, per-process dirty
-// watermarks, program-state fingerprints, record checksum) and emits
-// delta records containing only what changed since. Every chain is
+// committed generation (its materialized image and its record's
+// checksum) and emits delta records containing only what changed since.
+// The image is also the dirty signal: a capture aliases the pod's
+// regions and vos copies a shared region before its first write, so a
+// region changed since the last commit exactly when its backing array is
+// no longer the one that image holds. Every chain is
 // written through one: an incremental chain across checkpoints (the
 // IncrSet's long-lived tracker), a pre-copy generation within one (a
 // fresh tracker per operation: CaptureLive for the base and each live
@@ -159,45 +162,59 @@ func ApplyDelta(base *Image, d *DeltaImage) (*Image, error) {
 // drops the Pending and the chain stays anchored at the last durable
 // generation.
 type Tracker struct {
-	seq       uint64 // deltas committed since the last full record
-	sinceFull int    // generations committed since the last full record
-	marks     map[vos.PID]uint64
-	lastProg  map[vos.PID][]byte
-	last      *Image // materialized image of the last committed generation
-	lastSum   uint32 // CRC-32 of the last committed record's bytes
+	seq     uint64 // deltas committed since the last full record
+	last    *Image // materialized image of the last committed generation
+	lastSum uint32 // CRC-32 of the last committed record's bytes
 }
 
 // NewTracker returns an empty tracker; its first capture is always a
 // full image.
 func NewTracker() *Tracker { return &Tracker{} }
 
-// SinceFull reports the number of generations committed since the last
-// full record (0 right after a full commit).
-func (t *Tracker) SinceFull() int { return t.sinceFull }
-
 // Rebase forgets the chain: the next capture produces a full image.
 // Recovery paths call it when a chain fails validation or ownership of
 // the pod moved (failover), so the tracker never extends a chain it can
 // no longer vouch for.
-func (t *Tracker) Rebase() {
-	t.seq = 0
-	t.sinceFull = 0
-	t.marks = nil
-	t.lastProg = nil
-	t.last = nil
-	t.lastSum = 0
-}
+func (t *Tracker) Rebase() { *t = Tracker{} }
 
-// DirtyBytes reports the size of the dirty set p has accumulated since
-// the last committed generation — the quantity the pre-copy coordinator
-// compares against its convergence threshold to decide whether another
-// live round is worthwhile.
+// DirtyBytes reports the size of the regions of p whose backing array
+// differs from the last committed generation's (every region before
+// there is one) — the quantity the pre-copy coordinator compares
+// against its convergence threshold to decide whether another live
+// round is worthwhile.
 func (t *Tracker) DirtyBytes(p *pod.Pod) int64 {
 	var n int64
 	for _, proc := range p.Procs() {
-		n += proc.DirtyBytes(t.marks[proc.VPID])
+		old := t.last.proc(proc.VPID)
+		for _, r := range proc.Regions() {
+			if !sameBacking(old.region(r.Name), r.Data) {
+				n += int64(len(r.Data))
+			}
+		}
 	}
 	return n
+}
+
+// proc returns the image's process with the given virtual PID, nil when
+// the image is nil or has none.
+func (img *Image) proc(vpid vos.PID) *ProcImage {
+	for i := 0; img != nil && i < len(img.Procs); i++ {
+		if img.Procs[i].VPID == vpid {
+			return &img.Procs[i]
+		}
+	}
+	return nil
+}
+
+// region returns the bytes of the named region, nil when the process is
+// nil or has none.
+func (pi *ProcImage) region(name string) []byte {
+	for i := 0; pi != nil && i < len(pi.Regions); i++ {
+		if pi.Regions[i].Name == name {
+			return pi.Regions[i].Data
+		}
+	}
+	return nil
 }
 
 // Pending is a captured-but-uncommitted checkpoint generation.
@@ -207,9 +224,9 @@ type Pending struct {
 	// in-memory chains.
 	Image *Image
 	// Delta is the incremental record, nil for a full generation.
-	Delta  *DeltaImage
-	rec    *Record
-	commit func(sum uint32)
+	Delta *DeltaImage
+	rec   *Record
+	tr    *Tracker // the tracker Commit advances; nil once it has
 }
 
 // Full reports whether this generation is a full image record.
@@ -238,19 +255,24 @@ func (pn *Pending) Stream(w io.Writer) (StreamStats, error) {
 // record is durable (the coordinated operation completed and every
 // flush succeeded); a second call is a no-op.
 func (pn *Pending) Commit() {
-	if pn.commit != nil {
-		pn.commit(pn.Record().Sum)
-		pn.commit = nil
+	t := pn.tr
+	if t == nil {
+		return
 	}
+	pn.tr = nil
+	t.seq = 0
+	if pn.Delta != nil {
+		t.seq = pn.Delta.Seq
+	}
+	t.last, t.lastSum = pn.Image, pn.Record().Sum
 }
 
 // buildDelta diffs a freshly captured image against the previous
 // generation's materialized image and emits the delta record: every
 // process appears (carrying its complete FD table and, when changed, its
-// program state), but only the regions whose write watermark or bytes
-// changed are included.
-func buildDelta(img, last *Image, lastProg map[vos.PID][]byte,
-	dirtyNames map[vos.PID]map[string]bool, seq uint64, parentSum uint32) *DeltaImage {
+// program state), but only the regions whose backing array is not the
+// base generation's are included.
+func buildDelta(img, last *Image, seq uint64, parentSum uint32) *DeltaImage {
 	d := &DeltaImage{
 		PodName:     img.PodName,
 		VIP:         img.VIP,
@@ -259,12 +281,8 @@ func buildDelta(img, last *Image, lastProg map[vos.PID][]byte,
 		ParentSum:   parentSum,
 		Net:         img.Net,
 	}
-	prev := make(map[vos.PID]*ProcImage, len(last.Procs))
-	for i := range last.Procs {
-		prev[last.Procs[i].VPID] = &last.Procs[i]
-	}
 	for _, pi := range img.Procs {
-		old := prev[pi.VPID]
+		old := last.proc(pi.VPID)
 		pd := ProcDelta{
 			VPID: pi.VPID,
 			Kind: pi.Kind,
@@ -276,18 +294,17 @@ func buildDelta(img, last *Image, lastProg map[vos.PID][]byte,
 			pd.ProgData = pi.ProgData
 			pd.Regions = pi.Regions
 		} else {
-			if !bytes.Equal(lastProg[pi.VPID], pi.ProgData) {
+			if !bytes.Equal(old.ProgData, pi.ProgData) {
 				pd.ProgChanged = true
 				pd.ProgData = pi.ProgData
 			}
-			// A region goes into the delta when its write watermark says
-			// it was written, or when its bytes differ from the base
-			// generation's. Captures alias, so a region nobody wrote is
-			// the same backing array in both images and the test is O(1);
-			// the byte compare is the fall-through for one whose backing
-			// differs. It cannot see a write made through Region() —
-			// both images hold that array — which is why WriteRegion is
-			// the only call that hands out bytes to write.
+			// A region goes into the delta when its backing array is not
+			// the base generation's. Captures alias and vos copies a
+			// shared region before its first write, so a region nobody
+			// wrote or replaced is the same array in both images, and
+			// one that was is not. A write made through Region() keeps
+			// the array — both images hold it — which is why WriteRegion
+			// is the only call that hands out bytes to write.
 			//
 			// A process's table is the regions it kept, in the parent's
 			// order, then the ones it created since. So the kept ones are
@@ -295,7 +312,6 @@ func buildDelta(img, last *Image, lastProg map[vos.PID][]byte,
 			// name past that prefix was dropped and re-created: it is
 			// removed and shipped again, so the delta rebuilds it at the
 			// end of the table as a full capture does.
-			names := dirtyNames[pi.VPID]
 			oldIdx := make(map[string]int, len(old.Regions))
 			for i, r := range old.Regions {
 				oldIdx[r.Name] = i
@@ -308,7 +324,7 @@ func buildDelta(img, last *Image, lastProg map[vos.PID][]byte,
 				if prefix {
 					last, kept[r.Name] = i, true
 				}
-				if !prefix || names[r.Name] || !sameBytes(old.Regions[i].Data, r.Data) {
+				if !prefix || !sameBacking(old.Regions[i].Data, r.Data) {
 					pd.Regions = append(pd.Regions, r)
 				}
 			}
@@ -320,43 +336,19 @@ func buildDelta(img, last *Image, lastProg map[vos.PID][]byte,
 		}
 		d.Procs = append(d.Procs, pd)
 	}
-	cur := make(map[vos.PID]bool, len(img.Procs))
-	for _, pi := range img.Procs {
-		cur[pi.VPID] = true
-	}
 	for _, bp := range last.Procs {
-		if !cur[bp.VPID] {
+		if img.proc(bp.VPID) == nil {
 			d.RemovedProcs = append(d.RemovedProcs, bp.VPID)
 		}
 	}
 	return d
 }
 
-// sameBytes reports whether a and b hold equal bytes, without reading
-// them when they are one backing array — what an unwritten region is in
-// two captures of the same pod, since captures alias.
-func sameBytes(a, b []byte) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	if len(a) == 0 || &a[0] == &b[0] {
-		return true
-	}
-	return bytes.Equal(a, b)
-}
-
-// dirtySince names, per process, the regions written after the given
-// watermarks.
-func dirtySince(p *pod.Pod, marks map[vos.PID]uint64) map[vos.PID]map[string]bool {
-	dirty := make(map[vos.PID]map[string]bool)
-	for _, proc := range p.Procs() {
-		names := make(map[string]bool)
-		for _, r := range proc.DirtyRegions(marks[proc.VPID]) {
-			names[r.Name] = true
-		}
-		dirty[proc.VPID] = names
-	}
-	return dirty
+// sameBacking reports whether a and b are one backing array: what an
+// unwritten region is in two captures of the same pod, since captures
+// alias and a write to a captured region lands in a copy.
+func sameBacking(a, b []byte) bool {
+	return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0])
 }
 
 // Capture checkpoints the frozen pod and builds either a full record
@@ -378,43 +370,11 @@ func (t *Tracker) capture(p *pod.Pod, full, live bool) (*Pending, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Snapshot the dirty watermarks and program fingerprints at capture
-	// time (no process runs during the capture, so these are the
-	// watermarks of exactly the state in img).
-	marks := make(map[vos.PID]uint64)
-	for _, proc := range p.Procs() {
-		marks[proc.VPID] = proc.MemClock()
+	pn := &Pending{Image: img, tr: t}
+	if !full && t.last != nil {
+		pn.Delta = buildDelta(img, t.last, t.seq+1, t.lastSum)
 	}
-	lastProg := make(map[vos.PID][]byte, len(img.Procs))
-	for _, pi := range img.Procs {
-		lastProg[pi.VPID] = pi.ProgData
-	}
-	if full || t.last == nil {
-		return &Pending{
-			Image: img,
-			commit: func(sum uint32) {
-				t.seq = 0
-				t.sinceFull = 0
-				t.marks = marks
-				t.lastProg = lastProg
-				t.last = img
-				t.lastSum = sum
-			},
-		}, nil
-	}
-	d := buildDelta(img, t.last, t.lastProg, dirtySince(p, t.marks), t.seq+1, t.lastSum)
-	return &Pending{
-		Image: img,
-		Delta: d,
-		commit: func(sum uint32) {
-			t.seq++
-			t.sinceFull++
-			t.marks = marks
-			t.lastProg = lastProg
-			t.last = img
-			t.lastSum = sum
-		},
-	}, nil
+	return pn, nil
 }
 
 // IncrSet manages one Tracker per pod and the full-image cadence: every
@@ -451,7 +411,7 @@ func (s *IncrSet) Tracker(name string) *Tracker {
 // is, and stays only because the benchmark module compiles against it.
 func (s *IncrSet) Capture(p *pod.Pod, _ int) (*Pending, error) {
 	t := s.Tracker(p.Name())
-	full := s.FullEvery <= 1 || t.SinceFull()+1 >= s.FullEvery
+	full := s.FullEvery <= 1 || int(t.seq)+1 >= s.FullEvery
 	return t.Capture(p, full)
 }
 

@@ -292,8 +292,8 @@ func TestPendingDiscardKeepsChainAnchored(t *testing.T) {
 	}
 	// Double Commit is harmless.
 	retry.Commit()
-	if tr.SinceFull() != 1 {
-		t.Fatalf("SinceFull = %d after one committed delta", tr.SinceFull())
+	if tr.seq != 1 {
+		t.Fatalf("seq = %d after one committed delta", tr.seq)
 	}
 }
 

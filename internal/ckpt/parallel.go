@@ -13,16 +13,16 @@ import (
 // process's capture is a table copy of a few microseconds (captureProc
 // shares its regions, it does not copy them), less than handing it to
 // another goroutine would cost. The one side effect on the pod is that
-// its regions are marked shared with the image, which no image byte,
-// dirty clock or trace event can see.
+// its regions are marked shared with the image, which no image byte or
+// trace event can see.
 //
 // A frozen capture requires the pod quiescent with its network blocked.
 // A live capture takes a running pod instead — the pre-copy rounds
 // (paper §4; CheckSync/pre-copy migration lineage). The simulation runs
 // event callbacks atomically (no process is ever mid-step while another
 // callback runs), so a capture taken inside one callback is
-// read-consistent at the processes' write clocks, and copy-on-write
-// keeps it so while the pod runs on. Its network
+// read-consistent at that instant, and copy-on-write keeps it so while
+// the pod runs on. Its network
 // image is intentionally empty: socket sequence numbers and buffer
 // occupancy are inherently quiesce-phase state, and restore always
 // applies the final residual record, whose Net — captured with the pod

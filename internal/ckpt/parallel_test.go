@@ -13,6 +13,7 @@ import (
 
 	"zapc/internal/imgfmt"
 	"zapc/internal/memfs"
+	"zapc/internal/netckpt"
 	"zapc/internal/netstack"
 	"zapc/internal/pod"
 	"zapc/internal/sim"
@@ -114,6 +115,28 @@ func fuzzChain(f testing.TB) (full, delta []byte) {
 	return wires[0].Bytes(), wires[1].Bytes()
 }
 
+// misplacedSlot returns full and delta with one socket whose slot is not
+// its place in the socket list: well-formed records under valid CRCs that
+// a layout's Check refuses with imgfmt.ErrBadValue.
+func misplacedSlot(f testing.TB, full, delta []byte) (badFull, badDelta []byte) {
+	img, err := decodeImage(full)
+	if err != nil {
+		f.Fatal(err)
+	}
+	d, err := decodeDelta(delta)
+	if err != nil {
+		f.Fatal(err)
+	}
+	sockets := []netckpt.SocketRecord{{Slot: 1, CreateSeq: 1, Proto: netstack.UDP,
+		Local: netstack.Addr{IP: img.VIP, Port: 53}, PendingAcceptOf: -1}}
+	img.Net.Sockets, d.Net.Sockets = sockets, sockets
+	var rec bytes.Buffer
+	if _, err := d.EncodeStream(&rec); err != nil {
+		f.Fatal(err)
+	}
+	return recordOf(img), rec.Bytes()
+}
+
 // addMutations seeds f with rec, two truncations of it and a copy with
 // one bit flipped mid-record (under a frame CRC).
 func addMutations(f *testing.F, rec []byte) {
@@ -129,7 +152,8 @@ func addMutations(f *testing.F, rec []byte) {
 // match: a broken chain, or one of imgfmt's error classes.
 func namedErr(err error) bool {
 	for _, class := range []error{ErrChainBroken, imgfmt.ErrBadMagic, imgfmt.ErrBadVersion,
-		imgfmt.ErrBadChecksum, imgfmt.ErrTruncated, imgfmt.ErrTypeMismatch, imgfmt.ErrTagMismatch} {
+		imgfmt.ErrBadChecksum, imgfmt.ErrTruncated, imgfmt.ErrTypeMismatch, imgfmt.ErrTagMismatch,
+		imgfmt.ErrBadValue} {
 		if errors.Is(err, class) {
 			return true
 		}
@@ -146,6 +170,8 @@ func FuzzDecodeImage(f *testing.F) {
 	f.Add(delta) // the wrong kind of record
 	f.Add([]byte{})
 	f.Add(bytes.Repeat([]byte{0x5a}, 64))
+	badFull, _ := misplacedSlot(f, full, delta)
+	f.Add(badFull) // refused by a layout's Check
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		img, err := decodeImage(data)
@@ -223,6 +249,8 @@ func FuzzDecodeDelta(f *testing.F) {
 	addMutations(f, delta)
 	f.Add(full) // the wrong kind of record
 	f.Add([]byte{})
+	_, badDelta := misplacedSlot(f, full, delta)
+	f.Add(badDelta) // refused by a layout's Check
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		d, err := decodeDelta(data)

@@ -74,6 +74,8 @@ func TestRecordReplaysLiveWrites(t *testing.T) {
 	}
 
 	p.Procs()[0].SetRegion("hot", []byte{1, 2, 3, 4})
+	// A fresh array: the committed full image holds noise's.
+	noise = append([]byte(nil), noise...)
 	noise[0] ^= 0xFF
 	p.Procs()[1].SetRegion("noise", noise)
 	delta := captureCommit(t, tr, p, false)

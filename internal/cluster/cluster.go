@@ -277,28 +277,19 @@ func (j *Job) Rebind(pods []*pod.Pod) error {
 	return nil
 }
 
-// Errors from driving the simulation.
+// Errors from driving the simulation: sim.Watchdog's, under the names
+// the benchmark module returns from its own drive loop.
 var (
-	ErrDeadline = errors.New("cluster: simulation deadline exceeded")
-	ErrStalled  = errors.New("cluster: event queue drained before condition")
+	ErrDeadline = sim.ErrDeadline
+	ErrStalled  = sim.ErrDrained
 )
 
-// Drive steps the simulation until cond holds, a generous simulated
-// deadline passes, or the event queue stalls.
+// Drive steps the simulation until cond holds, failing with
+// sim.ErrDeadline once the simulated deadline passes, sim.ErrDrained if
+// the event queue empties first and sim.ErrLivelock if events cascade
+// without the clock moving.
 func (c *Cluster) Drive(cond func() bool, deadline sim.Duration) error {
-	limit := c.W.Now() + sim.Time(deadline)
-	for !cond() {
-		if c.W.Now() > limit {
-			return ErrDeadline
-		}
-		if !c.W.Step() {
-			if cond() {
-				return nil
-			}
-			return ErrStalled
-		}
-	}
-	return nil
+	return sim.Watchdog{W: c.W, Deadline: deadline}.Drive(cond)
 }
 
 // RunJob drives the cluster until the job finishes and returns the

@@ -737,12 +737,12 @@ func (a *ckptAgent) precopyBase() {
 	a.precopyRound()
 }
 
-// precopyRound runs one live round: capture the still-running pod at a
-// watermark — all of its memory in round 1, thereafter only the state
-// dirtied since the previous round's watermark — and stream it out. The
-// serialization cost is charged while the application keeps executing —
-// writes that land during the copy dirty their regions past the
-// watermark and are picked up by the next round.
+// precopyRound runs one live round: capture the still-running pod — all
+// of its memory in round 1, thereafter only the regions written since
+// the previous round's capture — and stream it out. The serialization
+// cost is charged while the application keeps executing — writes that
+// land during the copy move their regions onto private copies and are
+// picked up by the next round.
 func (a *ckptAgent) precopyRound() {
 	w := a.op.m.w
 	costs := w.Costs

@@ -140,25 +140,13 @@ type Env struct {
 // Memory region of a process. Data holds real bytes so checkpoint image
 // sizes are genuine. The bytes belong to vos: a checkpoint image may hold
 // the same backing array as the process (ShareMemory, SetSharedRegion),
-// and WriteRegion is the only call that hands them out for writing.
+// and WriteRegion is the only call that hands them out for writing. So
+// the backing array is the region's version: a region written since an
+// image was captured no longer has the array that image holds.
 type Region struct {
 	Name string
 	Data []byte
 }
-
-// regionState is what vos keeps per region beside its bytes: the memClock
-// value of the region's last write and, in the top bit, the shared mark —
-// some checkpoint image also holds the bytes, so the process may read
-// them but must swap in a private copy before writing. There is no
-// reference count, so the mark outlives the image: a region written
-// after its image was dropped pays one needless copy. One word, so the
-// table costs a process what the version table alone did.
-type regionState uint64
-
-const regionShared regionState = 1 << 63
-
-func (s regionState) ver() uint64  { return uint64(s &^ regionShared) }
-func (s regionState) shared() bool { return s&regionShared != 0 }
 
 // Process is one virtual process.
 type Process struct {
@@ -180,14 +168,11 @@ type Process struct {
 	fds []*netstack.Socket
 
 	mem []Region
-	// Dirty-region tracking for incremental checkpoints: memClock ticks
-	// on every region write and memState records, per region, the clock
-	// value of its last write. A checkpoint generation records the clock
-	// as its watermark; the next generation only serializes regions whose
-	// version exceeds it. The same entry says whether a checkpoint image
-	// holds the region's bytes too (copy-on-write: see WriteRegion).
-	memClock uint64
-	memState map[string]regionState
+	// shared marks the regions some checkpoint image also holds: the
+	// process may read them but swaps in a private copy before writing.
+	// There is no reference count, so the mark outlives the image: a
+	// region written after its image was dropped pays one needless copy.
+	shared map[string]bool
 
 	// Blocking state.
 	waitFDs  []FDWait
@@ -269,15 +254,25 @@ func (p *Process) openFD(s *netstack.Socket) int {
 // the process copies a region only if it goes on to write it. Captures
 // of distinct processes may run concurrently.
 func (p *Process) ShareMemory() []Region {
+	if p.shared == nil {
+		p.shared = make(map[string]bool, len(p.mem))
+	}
 	for _, r := range p.mem {
-		p.memState[r.Name] |= regionShared
+		p.shared[r.Name] = true
 	}
 	return append([]Region(nil), p.mem...)
 }
 
-// SetRegion creates or replaces a named memory region, marking it dirty
-// for incremental checkpointing. The caller's slice becomes the region,
-// private to the process.
+// Regions returns the process's region table, in table order, for
+// reading: it marks nothing shared, and neither the table nor the bytes
+// may be written through it.
+func (p *Process) Regions() []Region { return p.mem }
+
+// SetRegion creates or replaces a named memory region. The caller's
+// slice becomes the region, private to the process. A new backing array
+// is a write: the next incremental checkpoint carries the region. Setting
+// the backing array the region already has is not one, whatever was
+// written through the slice meanwhile.
 func (p *Process) SetRegion(name string, data []byte) {
 	p.setRegion(name, data, false)
 }
@@ -291,15 +286,14 @@ func (p *Process) SetSharedRegion(name string, data []byte) {
 }
 
 func (p *Process) setRegion(name string, data []byte, shared bool) {
-	if p.memState == nil {
-		p.memState = make(map[string]regionState)
-	}
-	p.memClock++
-	st := regionState(p.memClock)
 	if shared {
-		st |= regionShared
+		if p.shared == nil {
+			p.shared = make(map[string]bool)
+		}
+		p.shared[name] = true
+	} else {
+		delete(p.shared, name)
 	}
-	p.memState[name] = st
 	for i := range p.mem {
 		if p.mem[i].Name == name {
 			p.mem[i].Data = data
@@ -309,64 +303,34 @@ func (p *Process) setRegion(name string, data []byte, shared bool) {
 	p.mem = append(p.mem, Region{Name: name, Data: data})
 }
 
-// WriteRegion returns an existing region's bytes for writing in place
-// and marks the region dirty, so incremental and pre-copy checkpoints
-// re-serialize it. It is the MMU of the simulation: a region whose bytes
-// a checkpoint image also holds is first replaced by a private copy, so
-// no image ever sees the write. The slice is valid for writing only
-// inside the Step that asked for it — captures happen between steps, and
-// a slice kept across steps is the one way to write a shared page.
-// Asking for a region that does not exist is a programming error and is
-// reported rather than silently creating a phantom version entry.
+// WriteRegion returns an existing region's bytes for writing in place.
+// It is the MMU of the simulation: a region whose bytes a checkpoint
+// image also holds is first replaced by a private copy, so no image ever
+// sees the write, and the new backing array is what tells the next
+// incremental or pre-copy checkpoint that the region changed. The slice
+// is valid for writing only inside the Step that asked for it — captures
+// happen between steps, and a slice kept across steps is the one way to
+// write a shared page. Asking for a region that does not exist is a
+// programming error and is reported rather than silently creating one.
 func (p *Process) WriteRegion(name string) ([]byte, error) {
 	for i := range p.mem {
 		if p.mem[i].Name != name {
 			continue
 		}
-		if p.memState[name].shared() {
+		if p.shared[name] {
 			p.mem[i].Data = append([]byte(nil), p.mem[i].Data...)
+			delete(p.shared, name)
 		}
-		p.memClock++
-		p.memState[name] = regionState(p.memClock)
 		return p.mem[i].Data, nil
 	}
 	return nil, fmt.Errorf("vos: write to nonexistent region %q in pid %d", name, p.VPID)
 }
 
-// MemClock returns the process's region-write clock. A checkpoint
-// records it as the watermark against which the next incremental
-// generation computes dirty regions.
-func (p *Process) MemClock() uint64 { return p.memClock }
-
-// DirtyRegions returns the regions written after the given watermark, in
-// table order.
-func (p *Process) DirtyRegions(since uint64) []Region {
-	var out []Region
-	for _, r := range p.mem {
-		if p.memState[r.Name].ver() > since {
-			out = append(out, r)
-		}
-	}
-	return out
-}
-
-// DirtyBytes reports the total size of the regions written after the
-// given watermark — the quantity the pre-copy coordinator's convergence
-// check compares against its threshold.
-func (p *Process) DirtyBytes(since uint64) int64 {
-	var n int64
-	for _, r := range p.mem {
-		if p.memState[r.Name].ver() > since {
-			n += int64(len(r.Data))
-		}
-	}
-	return n
-}
-
 // Region returns a named memory region's data for reading. Writing
 // through it is the simulation's equivalent of bypassing the MMU: the
-// write is invisible to dirty tracking and alters every checkpoint image
-// that shares the bytes. WriteRegion is the call for writing.
+// write keeps the backing array, so no incremental checkpoint sees it,
+// and it alters every checkpoint image that shares the bytes.
+// WriteRegion is the call for writing.
 func (p *Process) Region(name string) ([]byte, bool) {
 	for i := range p.mem {
 		if p.mem[i].Name == name {
@@ -376,12 +340,12 @@ func (p *Process) Region(name string) ([]byte, bool) {
 	return nil, false
 }
 
-// DropRegion removes a named region and its tracking entry.
+// DropRegion removes a named region and its shared mark.
 func (p *Process) DropRegion(name string) {
 	for i := range p.mem {
 		if p.mem[i].Name == name {
 			p.mem = append(p.mem[:i], p.mem[i+1:]...)
-			delete(p.memState, name)
+			delete(p.shared, name)
 			return
 		}
 	}

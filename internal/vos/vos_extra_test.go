@@ -144,59 +144,10 @@ func TestRemoveDetachesWithoutClosingSockets(t *testing.T) {
 	}
 }
 
-func TestDirtyRegionTracking(t *testing.T) {
-	_, n, env := testEnv(t)
-	p := n.SpawnStopped(&counter{Steps: 1}, env)
-	if p.MemClock() != 0 {
-		t.Fatalf("fresh process mem clock = %d, want 0", p.MemClock())
-	}
-	p.SetRegion("a", []byte{1})
-	p.SetRegion("b", []byte{2})
-	mark := p.MemClock()
-	if mark != 2 {
-		t.Fatalf("mem clock after two writes = %d, want 2", mark)
-	}
-	if got := p.DirtyRegions(0); len(got) != 2 {
-		t.Fatalf("dirty since 0 = %d regions, want 2", len(got))
-	}
-	if got := p.DirtyRegions(mark); len(got) != 0 {
-		t.Fatalf("dirty since watermark = %d regions, want 0", len(got))
-	}
-	// Asking for a region to write marks it dirty; a private region comes
-	// back as it is, without copying.
-	before, _ := p.Region("a")
-	data, err := p.WriteRegion("a")
-	if err != nil {
-		t.Fatalf("WriteRegion(a): %v", err)
-	}
-	if &data[0] != &before[0] {
-		t.Fatal("WriteRegion copied a private region")
-	}
-	data[0] = 9
-	got := p.DirtyRegions(mark)
-	if len(got) != 1 || got[0].Name != "a" || got[0].Data[0] != 9 {
-		t.Fatalf("dirty after write = %+v, want region a holding the write", got)
-	}
-	if p.memState["a"].ver() <= p.memState["b"].ver() {
-		t.Fatal("write did not advance region version")
-	}
-	// Replacing a region marks it dirty again.
-	p.SetRegion("b", []byte{3})
-	if got := p.DirtyRegions(p.memState["a"].ver()); len(got) != 1 || got[0].Name != "b" {
-		t.Fatalf("dirty after SetRegion = %+v, want region b", got)
-	}
-	// A dropped region leaves no tracking entry behind.
-	p.DropRegion("b")
-	if p.memState["b"].ver() != 0 {
-		t.Fatal("DropRegion left the region's version entry in the map")
-	}
-}
-
 func TestWriteRegionUnknown(t *testing.T) {
 	_, n, env := testEnv(t)
 	p := n.SpawnStopped(&counter{Steps: 1}, env)
 	p.VPID = 7
-	clock := p.MemClock()
 	_, err := p.WriteRegion("ghost")
 	if err == nil {
 		t.Fatal("WriteRegion on a nonexistent region must error")
@@ -204,11 +155,8 @@ func TestWriteRegionUnknown(t *testing.T) {
 	if msg := err.Error(); !strings.Contains(msg, `"ghost"`) || !strings.Contains(msg, "pid 7") {
 		t.Fatalf("error %q does not name the region and the pid", msg)
 	}
-	if p.MemClock() != clock {
-		t.Fatal("failed write must not advance the write clock")
-	}
-	if p.memState["ghost"].ver() != 0 {
-		t.Fatal("failed write must not create a phantom version entry")
+	if _, ok := p.Region("ghost"); ok || len(p.shared) != 0 {
+		t.Fatal("failed write must not create a phantom region or mark")
 	}
 }
 
@@ -216,10 +164,17 @@ func TestWriteRegionUnknown(t *testing.T) {
 // the vos layer: bytes an image holds — handed in by SetSharedRegion or
 // taken by ShareMemory — are never written; the first WriteRegion swaps
 // in a private copy with equal contents, and later ones do not copy
-// again until the next capture.
+// again until the next capture. A region no image holds is handed out as
+// it is.
 func TestCOWWriteRegionCopiesSharedBytes(t *testing.T) {
 	_, n, env := testEnv(t)
 	p := n.SpawnStopped(&counter{Steps: 1}, env)
+	private := []byte{1}
+	p.SetRegion("private", private)
+	if w, err := p.WriteRegion("private"); err != nil || &w[0] != &private[0] {
+		t.Fatalf("WriteRegion(private) = %p, %v; want the region's own bytes", w, err)
+	}
+	p.DropRegion("private")
 	// writeCopies writes a region whose bytes held also belong to an image.
 	writeCopies := func(name string, held []byte) {
 		t.Helper()
@@ -248,8 +203,8 @@ func TestCOWWriteRegionCopiesSharedBytes(t *testing.T) {
 
 	restored := []byte{4, 5, 6}
 	p.SetSharedRegion("restored", restored)
-	if p.memState["restored"].ver() != p.MemClock() || p.MemClock() != 1 {
-		t.Fatal("SetSharedRegion did not mark the region dirty like SetRegion")
+	if !p.shared["restored"] {
+		t.Fatal("SetSharedRegion did not mark the region shared")
 	}
 	writeCopies("restored", restored)
 
@@ -269,13 +224,16 @@ func TestCOWWriteRegionCopiesSharedBytes(t *testing.T) {
 	if len(image) != 2 || image[0].Name != "restored" || image[1].Name != "captured" {
 		t.Fatalf("DropRegion shifted the image's table: %+v", image)
 	}
+	if p.shared["restored"] {
+		t.Fatal("DropRegion left the region's shared mark behind")
+	}
 	writeCopies("captured", image[1].Data)
 	// A second capture shares the private copy in turn.
 	writeCopies("captured", p.ShareMemory()[0].Data)
 }
 
 // BenchmarkWriteRegion is what a Step pays to get a region to write: a
-// private one costs the table walk and the dirty mark, a shared one the
+// private one costs the table walk and the shared-mark lookup, a shared one the
 // copy on top — once per capture, however many steps write afterwards.
 func BenchmarkWriteRegion(b *testing.B) {
 	const size = 1 << 20
@@ -302,24 +260,6 @@ func BenchmarkWriteRegion(b *testing.B) {
 				data[i%size] = byte(i)
 			}
 		})
-	}
-}
-
-func TestDirtyBytesAndSnapshot(t *testing.T) {
-	_, n, env := testEnv(t)
-	p := n.SpawnStopped(&counter{Steps: 1}, env)
-	p.SetRegion("a", []byte{1, 2, 3})
-	p.SetRegion("b", []byte{4, 5})
-	if got := p.DirtyBytes(0); got != 5 {
-		t.Fatalf("DirtyBytes(0) = %d, want 5", got)
-	}
-	mark := p.MemClock()
-	if got := p.DirtyBytes(mark); got != 0 {
-		t.Fatalf("DirtyBytes(watermark) = %d, want 0", got)
-	}
-	p.SetRegion("b", []byte{6, 7, 8, 9})
-	if got := p.DirtyBytes(mark); got != 4 {
-		t.Fatalf("DirtyBytes after one rewrite = %d, want 4", got)
 	}
 }
 
