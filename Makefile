@@ -55,7 +55,9 @@ vet:
 # interval pings every monitored node: hbTick and its ping and pong
 # schedule with AfterCall and the funcs New binds, never with After.
 # And a packet in flight comes from its Network's free list: transit is
-# the one place in internal/netstack that makes one.
+# the one place in internal/netstack that makes one. A receive queue
+# appends a segment's bytes rather than keeping its data slice, which is
+# the sender's send buffer, written again once the bytes are acknowledged.
 # And a fault schedule has one step: non-test internal/faultinject
 # declares one struct with a json:"action" field — the fixture form is
 # what Injector.Arm takes, resolving targets from its Env — and no Bind
@@ -134,7 +136,10 @@ boundary:
 	@bad="$$(grep -rnE --include='*.go' 'map\[(netstack\.)?Opt\]' internal/netstack internal/netckpt)"; \
 	if [ -n "$$bad" ]; then echo "boundary: a map keyed by socket option; an option set is a netstack.OptSet, indexed by option (DESIGN.md §2.1):"; echo "$$bad"; exit 1; fi
 	@bad="$$(awk '/^func /{fn=$$0} /append\(\[\]byte\(nil\)/ && fn ~ /^func \(s \*Socket\) Send\(/{print FILENAME ": " $$0}' internal/netstack/*.go)"; \
-	if [ -n "$$bad" ]; then echo "boundary: a copy per chunk in Socket.Send; segment bytes are cut from the network's slab (Network.keep, DESIGN.md §2.1):"; echo "$$bad"; exit 1; fi
+	if [ -n "$$bad" ]; then echo "boundary: a copy per chunk in Socket.Send; segment bytes are cut from the socket's send buffer (Socket.cut, DESIGN.md §2.1):"; echo "$$bad"; exit 1; fi
+	@bad="$$(awk '{code=$$0; sub(/\/\/.*/, "", code)} code ~ /(recvQ|backlog[A-Za-z]*|oobQ|altQ) *=[^=](.*[^A-Za-z_])?data([^A-Za-z_.]|$$)/ && code !~ /data\.\.\./{print FILENAME ":" FNR ": " $$0}' \
+		$$(ls internal/netstack/*.go | grep -v '_test\.go$$'))"; \
+	if [ -n "$$bad" ]; then echo "boundary: a receive queue keeps a packet's data slice; append its bytes, the sender rewinds its send buffer once they are acknowledged (DESIGN.md §2.1):"; echo "$$bad"; exit 1; fi
 	@bad="$$(grep -nE ':= [^&]*Costs$$' $$(ls internal/vos/*.go internal/netstack/*.go internal/mpi/*.go | grep -v '_test\.go$$'))"; \
 	if [ -n "$$bad" ]; then echo "boundary: a by-value sim.Costs copy on the per-event path; read the field in place or take a pointer:"; echo "$$bad"; exit 1; fi
 	@bad="$$(grep -nE 'map\[int\]\*netstack\.Socket' $$(ls internal/vos/*.go | grep -v '_test\.go$$'))"; \

@@ -79,9 +79,12 @@ type Comm struct {
 	// it only while the process is blocked, and Block runs only when it
 	// is not.
 	waits []vos.FDWait
-	// slab holds the payloads parse hands out (scratch, not state: a
-	// capture encodes inbox, not where its bytes live); see keep.
+	// slab holds the payloads parse hands out, and lent records that
+	// Recv has handed the program a payload since the slab was started
+	// (scratch, not state: a capture encodes inbox, not where its bytes
+	// live); see keep.
 	slab []byte
+	lent bool
 	// scanned is the simulation event of the last full receive scan and
 	// polled the number of peers it called recvmsg on (scratch, not
 	// state: a restored Comm has zeros and scans); see pump.
@@ -299,18 +302,23 @@ func (c *Comm) parse(rank int) {
 // it gets its own allocation instead.
 const slabSize = 8 << 10
 
-// keep returns a copy of a payload that no one writes again: it is cut
-// from the append-only slab, capped at its length. A Message's Data may
-// live on as program state (Bcast's buffer, Gather's contributions), so a
-// full slab is replaced, never reset. Empty payloads stay nil.
+// keep returns a copy of a payload, cut from the slab and capped at its
+// length. The slab is rewound when no payload cut from it can still be
+// read: the inbox is empty, and Recv has handed none of them to the
+// program, whose state (Bcast's buffer, Gather's contributions) may keep
+// it. Once one is lent, a full slab is replaced, never reset, so a lent
+// payload is never written again. Empty payloads stay nil.
 func (c *Comm) keep(b []byte) []byte {
 	switch {
 	case len(b) == 0:
 		return nil
 	case len(b) > slabSize/4:
 		return append([]byte(nil), b...)
-	case len(b) > cap(c.slab)-len(c.slab):
-		c.slab = make([]byte, 0, slabSize)
+	case len(c.inbox) == 0 && !c.lent:
+		c.slab = c.slab[:0]
+	}
+	if len(b) > cap(c.slab)-len(c.slab) {
+		c.slab, c.lent = make([]byte, 0, slabSize), false
 	}
 	off := len(c.slab)
 	c.slab = append(c.slab, b...)
@@ -364,9 +372,20 @@ func appendFloats(q []byte, xs []float64) []byte {
 }
 
 // Recv returns the first undelivered message matching (from, tag); from
-// may be Any. ok=false means nothing matched yet — block and retry.
+// may be Any. ok=false means nothing matched yet — block and retry. The
+// payload is the caller's to keep: it is never written again.
 func (c *Comm) Recv(ctx *vos.Context, from int, tag uint32) (Message, bool) {
 	c.pump(ctx)
+	m, ok := c.take(from, tag)
+	c.lent = c.lent || ok
+	return m, ok
+}
+
+// take removes the first undelivered message matching (from, tag) from
+// the inbox. Its payload may be cut from the slab, which keep rewinds
+// once the inbox is empty: the caller reads it before the next pump and
+// drops it.
+func (c *Comm) take(from int, tag uint32) (Message, bool) {
 	for i, m := range c.inbox {
 		if (from == Any || m.From == from) && m.Tag == tag {
 			c.inbox = append(c.inbox[:i], c.inbox[i+1:]...)
@@ -377,9 +396,11 @@ func (c *Comm) Recv(ctx *vos.Context, from int, tag uint32) (Message, bool) {
 }
 
 // RecvFloats is Recv for a message of little-endian float64s: it decodes
-// the payload into dst as copy would, and returns how many it wrote.
+// the payload into dst as copy would, and returns how many it wrote. The
+// payload is dropped, so its slab space is reused.
 func (c *Comm) RecvFloats(ctx *vos.Context, from int, tag uint32, dst []float64) (n int, ok bool) {
-	m, ok := c.Recv(ctx, from, tag)
+	c.pump(ctx)
+	m, ok := c.take(from, tag)
 	if !ok {
 		return 0, false
 	}

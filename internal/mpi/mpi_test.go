@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"runtime"
 	"testing"
 
 	"zapc/internal/imgfmt"
@@ -404,10 +405,12 @@ func bytesF64(b []byte) []float64 {
 }
 
 // parse cuts payloads from the communicator's slab instead of allocating
-// each one. A payload handed out is never written again — not by later
-// frames, not by an append to it — because program state (a broadcast
-// buffer, a gathered contribution) may keep it. And a capture cannot tell
-// slab-backed messages from separately allocated ones.
+// each one. A payload in the inbox, or handed out by Recv, Bcast or
+// Gather, is never written again — not by later frames, not by an append
+// to it — because program state (a broadcast buffer, a gathered
+// contribution) may keep it. A payload RecvFloats decodes is dropped, so
+// steady float traffic rewinds the slab and allocates nothing. And a
+// capture cannot tell slab-backed messages from separately allocated ones.
 func TestSlabPayloadsAreImmutableAndEncodeAsCopies(t *testing.T) {
 	c := fullComm()
 	copied := fullComm()
@@ -439,5 +442,64 @@ func TestSlabPayloadsAreImmutableAndEncodeAsCopies(t *testing.T) {
 		c.inbox = c.inbox[:0]
 	}); n != 0 { // AllocsPerRun rounds down: a slab's share is zero
 		t.Fatalf("parsing a small frame allocates %v objects, want a slab's share", n)
+	}
+
+	// Rank 0 of three, with no descriptor, so a pump reads nothing: the
+	// frames arrive by parse. One payload is lent by each of Recv, Bcast
+	// (rooted at rank 1) and Gather (rooted here), and then more than
+	// four slabs of float messages go through RecvFloats.
+	rx := New(Config{Rank: 0, Size: 3, Port: 6000, PeerIPs: []netstack.IP{1, 2, 3}})
+	deliver := func(from int, f []byte) {
+		rx.partial[from] = append(rx.partial[from], f...)
+		rx.parse(from)
+	}
+	deliver(1, frame(3, "by recv"))
+	m, ok := rx.Recv(nil, 1, 3)
+	if !ok {
+		t.Fatal("Recv found no message")
+	}
+	byRecv := m.Data
+	deliver(1, frame(rx.collTag(0), "by bcast"))
+	var byBcast []byte
+	if !rx.Bcast(nil, &byBcast, 1) {
+		t.Fatal("Bcast did not complete")
+	}
+	deliver(1, frame(rx.collTag(0), "by gather 1"))
+	deliver(2, frame(rx.collTag(0), "by gather 2"))
+	parts, done := rx.Gather(nil, []byte("by gather 0"), 0)
+	if !done {
+		t.Fatal("Gather did not complete")
+	}
+	xs := make([]float64, slabSize/4/8)
+	for i := range xs {
+		xs[i] = float64(i) + 0.5
+	}
+	floats := append(frameHeader(nil, 9, 8*len(xs)), f64Bytes(xs)...)
+	got := make([]float64, len(xs))
+	recvFloats := func() {
+		deliver(2, floats)
+		if n, ok := rx.RecvFloats(nil, 2, 9, got); !ok || n != len(xs) || got[len(xs)-1] != xs[len(xs)-1] {
+			t.Fatalf("RecvFloats = %d, %v", n, ok)
+		}
+	}
+	for range 4*4 + 1 { // four payloads fill a slab
+		recvFloats()
+	}
+	if string(byRecv) != "by recv" || string(byBcast) != "by bcast" ||
+		string(parts[0]) != "by gather 0" || string(parts[1]) != "by gather 1" || string(parts[2]) != "by gather 2" {
+		t.Fatalf("payloads handed out changed to %q, %q, %q", byRecv, byBcast, parts)
+	}
+
+	// Steady float traffic allocates no bytes per message: RecvFloats
+	// drops each payload, so the slab rewinds.
+	const msgs = 4096
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range msgs {
+		recvFloats()
+	}
+	runtime.ReadMemStats(&after)
+	if perMsg := float64(after.TotalAlloc-before.TotalAlloc) / msgs; perMsg >= 1 {
+		t.Fatalf("RecvFloats traffic allocates %.1f bytes per message, want none", perMsg)
 	}
 }

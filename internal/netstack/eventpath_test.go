@@ -4,56 +4,92 @@ import (
 	"bytes"
 	"errors"
 	"testing"
-	"unsafe"
 
 	"zapc/internal/sim"
 )
 
 // TestChunkDataIsImmutableOnceQueued pins the invariant that lets a
-// packet, its retransmissions and the receiver's backlog all alias the
-// sender's Chunk.Data instead of copying it: once queued the bytes are
-// never written — Send copies the caller's buffer, an ack (a partial one
-// included) only reslices, and processBacklog copies into the receive
-// queue. Under loss, with the caller's buffer scribbled over after every
-// Send and partial acks forced on the sender while segments sit in the
-// peer's backlog, the stream still arrives intact.
+// packet and its retransmissions alias the sender's Chunk.Data, and the
+// sender rewind its send buffer once its queue drains: a chunk's bytes
+// are not written while it is queued — Send copies the caller's buffer,
+// an ack (a partial one included) only reslices — and the receiver
+// copies a segment's bytes into its backlog before it acknowledges them.
+// The cost model here makes the ack reach the sender before the
+// receiver's backlog softirq runs, so the sender rewinds and overwrites
+// its buffer while the bytes it has had acknowledged still wait in the
+// peer's backlog. A receiver that kept the packet's slice instead would
+// hand its reader the overwritten bytes.
 func TestChunkDataIsImmutableOnceQueued(t *testing.T) {
 	watchReleased(t)
 	w, nw, st := testNet(t, 2)
+	w.Costs.NetLatency = 2 * sim.Microsecond // an ack's round trip is well inside backlogDelay
+	w.Costs.NetBandwidth = 1e12
 	c, srv := connectPair(t, w, st[0], st[1], 5000)
-	msg := make([]byte, 24*MSS+77)
-	for i := range msg {
-		msg[i] = byte(i*7 + i>>8)
-	}
-	want := append([]byte(nil), msg...)
-
-	// The backlog holds the very bytes the sender queued.
-	n, _ := c.Send(msg[:MSS], false)
-	run(t, w, func() bool { return srv.BacklogLen() > 0 })
-	if &srv.backlogQ[0][0] != &c.sendQ[0].Data[0] {
-		t.Fatal("the backlog copied the segment; the aliasing this test guards is gone")
-	}
-	sent := n
-	for i := 0; i < sent; i++ {
-		msg[i] = 0xff // the caller's buffer is the caller's again
+	fill := func(b []byte, salt int) []byte {
+		for i := range b {
+			b[i] = byte(i*7 + i>>8 + salt)
+		}
+		return b
 	}
 
+	// The ack arrives first: the sender's queue is empty, the bytes wait
+	// in the peer's backlog, and the next Send cuts from the same bytes.
+	first := fill(make([]byte, 700), 1)
+	if n, err := c.Send(first, false); n != len(first) || err != nil {
+		t.Fatalf("Send = %d, %v", n, err)
+	}
+	cutAt := &c.sendQ[0].Data[0]
+	run(t, w, func() bool { return c.SendQueueSeqLen() == 0 })
+	if srv.BacklogLen() != len(first) {
+		t.Fatalf("backlog holds %d bytes when the ack lands, want %d: the cost model lost its ordering", srv.BacklogLen(), len(first))
+	}
+	second := fill(make([]byte, 700), 2)
+	if n, err := c.Send(second, false); n != len(second) || err != nil {
+		t.Fatalf("Send = %d, %v", n, err)
+	}
+	if &c.sendQ[0].Data[0] != cutAt {
+		t.Fatal("the drained send buffer was not rewound; the overwrite this test guards is gone")
+	}
+	if !bytes.Equal(srv.CheckpointReceiveData(), first) {
+		t.Fatal("bytes waiting in the backlog changed when the sender rewound its buffer")
+	}
+	want := append(append([]byte(nil), first...), second...)
+	got, _ := srv.Recv(1<<20, false, false)
+	run(t, w, func() bool {
+		got, _ = srv.RecvAppend(got, 1<<20, false, false)
+		return len(got) >= len(want)
+	})
+	if !bytes.Equal(got, want) {
+		t.Fatal("stream corrupted across a rewind")
+	}
+
+	// Under loss, sending whenever the queue drains, with the caller's
+	// buffer scribbled over after every Send and partial acks of bytes
+	// the peer holds forced on the sender, the stream still arrives
+	// intact, and the sender rewinds with acknowledged bytes still in
+	// the peer's backlog again and again.
+	msg := fill(make([]byte, 24*MSS+77), 3)
+	want = append([]byte(nil), msg...)
 	nw.SetLossRate(0.25)
-	var got []byte
+	got = got[:0]
+	sent, early := 0, 0
 	for len(got) < len(want) {
-		if sent < len(want) {
+		if sent < len(want) && len(c.sendQ) == 0 { // every Send rewinds
+			if srv.BacklogLen() > 0 {
+				early++
+			}
 			n, err := c.Send(msg[sent:min(sent+3*MSS, len(msg))], false)
 			if err != nil && !errors.Is(err, ErrWouldBlock) {
 				t.Fatal(err)
 			}
 			for i := sent; i < sent+n; i++ {
-				msg[i] = 0xff
+				msg[i] = 0xff // the caller's buffer is the caller's again
 			}
 			sent += n
 		}
-		if srv.BacklogLen() > 0 && len(c.sendQ) > 0 && c.sendQ[0].SeqLen() > 9 {
+		if len(c.sendQ) > 0 && c.sendQ[0].SeqLen() > 9 && c.pcb.SndUna+9 <= srv.pcb.RcvNxt {
 			// An ack landing inside a chunk reslices it under the feet
-			// of the packets and backlog entries that alias it.
+			// of the packets that alias it.
 			c.handleAck(c.pcb.SndUna + 9)
 		}
 		if !countersMatchScans(c, srv) {
@@ -63,64 +99,58 @@ func TestChunkDataIsImmutableOnceQueued(t *testing.T) {
 			t.Fatal("world drained mid-transfer")
 		}
 		poisonReleased(nw)
-		if d, err := srv.Recv(1<<20, false, false); err == nil {
-			got = append(got, d...)
-		}
+		got, _ = srv.RecvAppend(got, 1<<20, false, false)
 	}
 	if !bytes.Equal(got, want) {
-		t.Fatal("stream corrupted: queued chunk bytes were written after queueing")
+		t.Fatal("stream corrupted: queued chunk bytes were written before they were acknowledged")
+	}
+	t.Logf("%d Sends rewound the buffer while the peer's backlog waited", early)
+	if early == 0 {
+		t.Fatal("no Send rewound the buffer while the peer's backlog waited; the test lost its ordering")
 	}
 	run(t, w, func() bool { return c.SendQueueSeqLen() == 0 })
 	if !countersMatchScans(c, srv) {
 		t.Fatal("queue counters diverged from the drained queues")
 	}
 
-	// The network's slab is replaced, never reset: with chunks cut from
-	// one slab waiting in the peer's backlog, the sender cuts enough
-	// more to replace the slab twice, and the waiting bytes are still
-	// the ones sent. No chunk's capacity reaches into the slab past its
-	// own bytes.
+	// A queue that never drains replaces a full buffer, never rewinds
+	// it: with the peer cut off, the sender fills buffers that grow to
+	// sendBufMax and replaces a full one twice, and once the peer is back
+	// the stream arrives intact.
 	nw.SetLossRate(0)
+	st[1].Filter().BlockAll()
 	small := make([]byte, 700)
 	var stream []byte
-	send := func() {
-		for i := range small {
-			small[i] = byte(len(stream)+i) * 29
-		}
-		if n, err := c.Send(small, false); n != len(small) || err != nil {
+	buf, replaced := &c.sendBuf[0], 0
+	for replaced < 2 {
+		if n, err := c.Send(fill(small, len(stream)), false); n != len(small) || err != nil {
 			t.Fatalf("Send = %d, %v", n, err)
 		}
 		stream = append(stream, small...)
-		for i := range small {
-			small[i] = 0xff
-		}
-		for _, ch := range c.sendQ {
-			if cap(ch.Data) != len(ch.Data) {
-				t.Fatalf("a queued chunk of %d bytes has capacity %d", len(ch.Data), cap(ch.Data))
+		fill(small, 0xff)
+		if b := &c.sendBuf[0]; b != buf {
+			if cap(c.sendBuf) > sendBufMax {
+				t.Fatalf("send buffer grew to %d bytes, past %d", cap(c.sendBuf), sendBufMax)
 			}
+			if cap(c.sendBuf) == sendBufMax {
+				replaced++
+			}
+			buf = b
 		}
 	}
-	for range 3 {
-		send()
-	}
-	run(t, w, func() bool { return srv.BacklogLen() > 0 })
-	waiting := srv.CheckpointReceiveData()
-	for replaced, slab := 0, unsafe.SliceData(nw.slab); replaced < 2; {
-		send()
-		if s := unsafe.SliceData(nw.slab); s != slab {
-			replaced, slab = replaced+1, s
+	for _, ch := range c.sendQ {
+		if cap(ch.Data) != len(ch.Data) {
+			t.Fatalf("a queued chunk of %d bytes has capacity %d", len(ch.Data), cap(ch.Data))
 		}
 	}
-	if !bytes.Equal(srv.CheckpointReceiveData(), waiting) || !bytes.Equal(waiting, stream[:len(waiting)]) {
-		t.Fatal("bytes waiting in the backlog changed when the sender's slab was replaced")
-	}
+	st[1].Filter().UnblockAll()
 	got = got[:0]
 	run(t, w, func() bool {
 		got, _ = srv.RecvAppend(got, 1<<20, false, false)
 		return len(got) == len(stream)
 	})
 	if !bytes.Equal(got, stream) {
-		t.Fatal("stream corrupted across slab replacements")
+		t.Fatal("stream corrupted across send-buffer replacements")
 	}
 }
 

@@ -153,11 +153,6 @@ type Network struct {
 	rto, backlog, syn *sim.Lane
 	// free holds released packets for transit to reuse (DESIGN.md §2.1).
 	free []*packet
-	// slab is the append-only buffer every stack's Send cuts segment
-	// bytes from (keep, DESIGN.md §2.1): a full one is replaced, never
-	// reset, because the chunks cut from it live on in send queues,
-	// packets and backlogs.
-	slab []byte
 
 	// Stats counters for experiments.
 	Delivered int64

@@ -27,20 +27,21 @@ func acceptPeerOf(l *Socket, c *Socket) *Socket {
 }
 
 // countersMatchScans holds the running totals the per-segment path keeps
-// (send-queue sequence units, backlog bytes, and the send space derived
-// from the first) to the queue scans they replaced.
+// (send-queue sequence units and the send space derived from them) to
+// the queue scans they replaced, and every queued chunk to a capacity
+// that ends with its bytes: chunks are cut side by side from one send
+// buffer, so an append to one must not reach the next.
 func countersMatchScans(socks ...*Socket) bool {
 	for _, s := range socks {
 		var seq uint64
 		for _, c := range s.sendQ {
 			seq += c.SeqLen()
-		}
-		backlog := 0
-		for _, b := range s.backlogQ {
-			backlog += len(b)
+			if cap(c.Data) != len(c.Data) {
+				return false
+			}
 		}
 		space := max(s.opts[SO_SNDBUF]-int64(seq), 0)
-		if s.SendQueueSeqLen() != seq || s.BacklogLen() != backlog || int64(s.sendSpace()) != space {
+		if s.SendQueueSeqLen() != seq || int64(s.sendSpace()) != space {
 			return false
 		}
 	}

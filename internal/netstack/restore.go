@@ -15,10 +15,7 @@ func (s *Socket) CheckpointReceiveData() []byte {
 	out := make([]byte, 0, n)
 	out = append(out, s.altQ...)
 	out = append(out, s.recvQ...)
-	for _, b := range s.backlogQ {
-		out = append(out, b...)
-	}
-	return out
+	return append(out, s.backlog...)
 }
 
 // CheckpointOOB returns the pending out-of-band bytes without consuming

@@ -235,13 +235,12 @@ type Socket struct {
 	// backlog queue and are moved to the receive queue by a deferred
 	// kernel event — the asynchrony that makes a naive MSG_PEEK-based
 	// checkpoint incomplete.
-	recvQ        []byte
-	backlogQ     [][]byte
-	backlogBytes int // total bytes in backlogQ
-	oobQ         []byte
-	altQ         []byte            // alternate receive queue installed at restart
-	ooseg        map[uint64]packet // out-of-order segments, by value; nil until one arrives
-	peeked       bool
+	recvQ   []byte
+	backlog []byte // accepted bytes, copied out of their segments
+	oobQ    []byte
+	altQ    []byte            // alternate receive queue installed at restart
+	ooseg   map[uint64]packet // out-of-order segments, by value; nil until one arrives
+	peeked  bool
 
 	// Datagram receive path (UDP/RAW).
 	dgrams     []Datagram
@@ -254,6 +253,7 @@ type Socket struct {
 	sendQ    []Chunk
 	sendQSeq uint64 // total seq units in sendQ
 	nextSend int    // index of first not-yet-transmitted chunk
+	sendBuf  []byte // what Send cuts chunk bytes from; see cut
 
 	pcb         PCB
 	rtoTimer    sim.EventID
@@ -470,7 +470,7 @@ func (s *Socket) RecvFrom(peek bool) (Datagram, error) {
 		s.peeked = true
 		return d, nil
 	}
-	s.dgrams = s.dgrams[1:]
+	s.dgrams = popFront(s.dgrams)
 	s.dgramBytes -= len(d.Data)
 	if len(s.dgrams) == 0 {
 		s.peeked = false
@@ -513,7 +513,7 @@ func (baseOps) Recvmsg(s *Socket, dst []byte, n int, peek, oob bool) ([]byte, er
 		if s.sockErr != nil {
 			return dst, s.sockErr
 		}
-		if s.peerClosed && len(s.backlogQ) == 0 {
+		if s.peerClosed && len(s.backlog) == 0 {
 			return dst, ErrEOF
 		}
 		if s.state != StateEstablished {
@@ -545,7 +545,7 @@ func (baseOps) Poll(s *Socket) PollMask {
 			m |= PollIn
 		}
 	case s.proto == TCP:
-		if len(s.recvQ) > 0 || (s.peerClosed && len(s.backlogQ) == 0) {
+		if len(s.recvQ) > 0 || (s.peerClosed && len(s.backlog) == 0) {
 			m |= PollIn
 		}
 		if s.state == StateEstablished && !s.shutWrite && s.sendSpace() > 0 {
@@ -580,7 +580,7 @@ func (baseOps) Release(s *Socket) {
 		s.acceptQ = nil
 		s.deregister()
 	case s.proto == TCP && s.state == StateEstablished:
-		if len(s.recvQ) > 0 || len(s.backlogQ) > 0 {
+		if len(s.recvQ) > 0 || len(s.backlog) > 0 {
 			// Unread data at close: abort the connection, as TCP does.
 			s.sendRST()
 			s.teardown(nil)
@@ -654,7 +654,7 @@ func (s *Socket) sendSpace() int {
 func (s *Socket) RecvQueueLen() int { return len(s.recvQ) }
 
 // BacklogLen reports bytes sitting in the kernel backlog queue.
-func (s *Socket) BacklogLen() int { return s.backlogBytes }
+func (s *Socket) BacklogLen() int { return len(s.backlog) }
 
 // OOBLen reports bytes in the out-of-band queue.
 func (s *Socket) OOBLen() int { return len(s.oobQ) }
@@ -679,6 +679,25 @@ func dropFront[T any](q []T, n int) []T {
 	copy(q, q[n:])
 	return q[:rest]
 }
+
+// popFront removes a queue's first element by moving the rest to the
+// front, so a queue that a reader drains keeps its backing array and the
+// next append allocates nothing. A queue longer than popMoveMax is
+// resliced instead, so a pop never moves more than popMoveMax elements.
+func popFront[T any](q []T) []T {
+	var zero T
+	if len(q) > popMoveMax {
+		q[0] = zero
+		return q[1:]
+	}
+	copy(q, q[1:])
+	q[len(q)-1] = zero
+	return q[:len(q)-1]
+}
+
+// popMoveMax is the longest queue popFront moves rather than reslices: a
+// daemon's heartbeats from every peer of a 64-rank job.
+const popMoveMax = 64
 
 // PCBSnapshot returns the protocol control block. Reading it is the
 // "trivial per-implementation adjustment" the paper concedes to

@@ -106,40 +106,49 @@ func (s *Socket) Send(p []byte, oob bool) (int, error) {
 	if n > space {
 		n = space
 	}
+	if len(s.sendQ) == 0 {
+		// Every chunk cut from the send buffer is acknowledged: rewind.
+		s.sendBuf = s.sendBuf[:0]
+	}
 	for off := 0; off < n; off += MSS {
 		end := min(off+MSS, n)
-		// The chunk's bytes are copied once, here, into the network's
-		// slab, and never written again: packets (retransmissions
-		// included) and the receiver's backlog alias them, and an ack
-		// only reslices.
-		s.sendQ = append(s.sendQ, Chunk{Data: s.stack.net.keep(p[off:end]), OOB: oob})
+		// The chunk's bytes are copied once, here, into the socket's send
+		// buffer, and not written again until they are acknowledged:
+		// packets (retransmissions included) alias them, an ack only
+		// reslices, and the receiver copies them into its backlog before
+		// it acknowledges them.
+		s.sendQ = append(s.sendQ, Chunk{Data: s.cut(p[off:end]), OOB: oob})
 	}
 	s.sendQSeq += uint64(n)
 	s.pump()
 	return n, nil
 }
 
-// slabSize is the size of one segment-byte slab, a Go size class that
-// holds four full segments: every chunk Send cuts is at most a quarter of
-// a slab, so none needs an allocation of its own, and a replaced slab
+// Send buffer sizes: a socket's first is sendBufMin bytes, and each one
+// started when the last is full is twice its size, up to sendBufMax, a
+// Go size class that holds four full segments, so a replaced buffer
 // wastes less than a segment (DESIGN.md §2.1 has the choice).
-const slabSize = 6 << 10
+const (
+	sendBufMin = 512
+	sendBufMax = 6 << 10
+)
 
-// keep returns a copy of a chunk's bytes that no one writes again, cut
-// from the network's append-only slab and capped at its length; a full
-// slab is replaced, never reset. A slab lives until every chunk cut from
-// it is acknowledged and out of the peer's backlog. One slab serves every
-// stack, so the live chunks, all sent within about a round trip, share one
-// or two slabs rather than pinning a slab per stack. A checkpoint copies
-// what it saves (SendQueueSnapshot, CheckpointReceiveData), so no image
-// pins one.
-func (n *Network) keep(b []byte) []byte {
-	if len(b) > cap(n.slab)-len(n.slab) {
-		n.slab = make([]byte, 0, slabSize)
+// cut returns a copy of a chunk's bytes in the socket's send buffer,
+// capped at its length so no append reaches a neighbour. A full buffer is
+// replaced, not reset: the chunks cut from it may still be unacknowledged.
+// Send rewinds it once they are all acknowledged. A checkpoint copies
+// what it saves (SendQueueSnapshot), so no image pins one.
+func (s *Socket) cut(b []byte) []byte {
+	if len(b) > cap(s.sendBuf)-len(s.sendBuf) {
+		size := min(max(2*cap(s.sendBuf), sendBufMin), sendBufMax)
+		for size < len(b) {
+			size *= 2
+		}
+		s.sendBuf = make([]byte, 0, size)
 	}
-	off := len(n.slab)
-	n.slab = append(n.slab, b...)
-	return n.slab[off:len(n.slab):len(n.slab)]
+	off := len(s.sendBuf)
+	s.sendBuf = append(s.sendBuf, b...)
+	return s.sendBuf[off:len(s.sendBuf):len(s.sendBuf)]
 }
 
 // Shutdown closes the write side (write=true) and/or read side of the
@@ -160,7 +169,7 @@ func (s *Socket) Shutdown(read, write bool) error {
 	if read {
 		s.shutRead = true
 		s.recvQ = nil
-		s.backlogQ, s.backlogBytes = nil, 0
+		s.backlog = nil
 	}
 	if write {
 		s.shutdownWrite()
@@ -405,11 +414,14 @@ func (s *Socket) handleData(p *packet) {
 			s.ooseg = make(map[uint64]packet)
 		}
 		if _, dup := s.ooseg[p.seq]; !dup {
-			s.ooseg[p.seq] = *p // a copy: the packet itself dies with this handler
+			// A copy: the packet itself dies with this handler. Its
+			// bytes are still the sender's, but they are read only at
+			// seq == RcvNxt, before they are acknowledged.
+			s.ooseg[p.seq] = *p
 		}
 		s.sendAck() // duplicate ack signals the gap
 	default:
-		s.sendAck() // stale retransmission
+		s.sendAck() // stale retransmission: acknowledged already, dropped unread
 	}
 }
 
@@ -448,27 +460,23 @@ func (s *Socket) acceptSegment(p *packet) bool {
 	return true
 }
 
-// queueBacklog parks a segment's bytes in the kernel backlog and
-// schedules the softirq that moves them on. The backlog aliases the
-// segment: its bytes are the sender's Chunk.Data, immutable once queued,
-// and processBacklog copies them into the receive queue.
+// queueBacklog appends a segment's bytes to the kernel backlog and
+// schedules the softirq that moves them on. The backlog owns its bytes:
+// the segment is acknowledged before the softirq runs, and from then on
+// its sender may write its send buffer again.
 func (s *Socket) queueBacklog(data []byte) {
-	s.backlogQ = append(s.backlogQ, data)
-	s.backlogBytes += len(data)
+	s.backlog = append(s.backlog, data...)
 	s.stack.net.backlog.Call(fireBacklog, s)
 }
 
 // processBacklog is the deferred kernel step that moves backlog data into
 // the receive queue where recvmsg can see it.
 func (s *Socket) processBacklog() {
-	if len(s.backlogQ) == 0 {
+	if len(s.backlog) == 0 {
 		return
 	}
-	for _, b := range s.backlogQ {
-		s.recvQ = append(s.recvQ, b...)
-	}
-	clear(s.backlogQ)
-	s.backlogQ, s.backlogBytes = s.backlogQ[:0], 0
+	s.recvQ = append(s.recvQ, s.backlog...)
+	s.backlog = s.backlog[:0]
 	s.notify()
 }
 

@@ -363,12 +363,15 @@ func TestRestartAllocationBudget(t *testing.T) {
 // paper says a checkpointable job must not pay: per simulator event, a
 // whole bt run allocates next to nothing — no packet, recvmsg result,
 // payload copy, float conversion or per-message copy of the sender's
-// bytes (they are cut from the network's slab), and nothing for the event
-// itself. bt/16 stood at 6.05 objects per event before the event path
-// stopped making garbage, 1.58 before the message path stopped copying,
-// 0.23 before segment bytes came from a slab, and 0.028 after; the budget
-// is under what one object per message coming back would cost. Counts
-// objects, not time.
+// bytes, and nothing for the event itself. bt stood at 6.05 objects per
+// event before the event path stopped making garbage, 1.58 before the
+// message path stopped copying, 0.23 before segment bytes came from a
+// slab, 0.028 before an ack, not the collector, freed them, and 0.005
+// after; the budget is under what one object per message coming back
+// would cost. Bytes too: 146.9 per event while every segment's and every
+// payload's bytes went into a fresh slab, 0.1 since send buffers and the
+// payload slab rewind; the budget of 4 is a thirty-sixth of the
+// former. Counts, not time.
 func TestJobAllocationBudget(t *testing.T) {
 	c := zapc.New(zapc.Config{Nodes: 4, Seed: 2005})
 	job, err := c.Launch(btSpec(1.0 / 64))
@@ -385,9 +388,13 @@ func TestJobAllocationBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	perEvent := float64(after.Mallocs-before.Mallocs) / float64(events)
-	t.Logf("%.3f objects per event over %d events", perEvent, events)
+	bytesPerEvent := float64(after.TotalAlloc-before.TotalAlloc) / float64(events)
+	t.Logf("%.3f objects and %.1f bytes per event over %d events", perEvent, bytesPerEvent, events)
 	if perEvent > 0.1 {
 		t.Fatalf("bt allocates %.2f objects per event over %d events, budget 0.1", perEvent, events)
+	}
+	if bytesPerEvent > 4 {
+		t.Fatalf("bt allocates %.1f bytes per event over %d events, budget 4", bytesPerEvent, events)
 	}
 }
 
