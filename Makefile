@@ -184,6 +184,10 @@ boundary:
 	@bad="$$(grep -HnE '^func \([^)]*\) Stat\(' $$(ls internal/imagestore/*.go | grep -v '_test\.go$$'); \
 		grep -HnE '\.Stat\(' $$(ls internal/supervisor/*.go | grep -v '_test\.go$$') | grep -vE '^[^:]+:[0-9]+:[[:space:]]*//')"; \
 	if [ -n "$$bad" ]; then echo "boundary: a record's size comes from the read that checks it (ckpt.Chain.Size), not from store metadata (DESIGN.md §5):"; echo "$$bad"; exit 1; fi
+	@fns="$$(awk 'FNR==1{fn=""} /^func /{fn=$$0} {code=$$0; sub(/\/\/.*/, "", code)} \
+		code ~ /(^|[^A-Za-z0-9_])Placement\{/{print FILENAME ": " fn}' \
+		$$(find . -name '*.go' -not -name '*_test.go' -not -path './benchmark/*') | sort -u)"; \
+	if [ "$$(echo "$$fns" | grep -c .)" -gt 1 ]; then echo "boundary: core.Placement values built in more than one function; every restart places its images with core.Place (DESIGN.md §5):"; echo "$$fns"; exit 1; fi
 
 build:
 	$(GO) build ./...

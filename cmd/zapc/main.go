@@ -117,7 +117,7 @@ func run(app string, n int, action string, work, scale float64, seed int64, expo
 			p.Destroy()
 		}
 		healthy := c.Nodes[1:]
-		rr, err := c.Restart(job, res, healthy)
+		rr, err := c.Restart(job, res.Images, healthy)
 		if err != nil {
 			return err
 		}

@@ -43,7 +43,7 @@ func coordFanRun(t *testing.T, seed int64, fanout, workers int) (map[string][]by
 		t.Fatal(err)
 	}
 	recs := grabFlushed(t, c, "fan/img")
-	if _, err := c.Restart(job, ck, c.Nodes); err != nil {
+	if _, err := c.Restart(job, ck.Images, c.Nodes); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := c.RunJob(job, eqDeadline); err != nil {

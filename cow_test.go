@@ -10,12 +10,12 @@ package zapc_test
 import (
 	"bytes"
 	"crypto/sha256"
+	"slices"
 	"sort"
 	"testing"
 
 	"zapc"
 	"zapc/internal/ckpt"
-	"zapc/internal/netstack"
 )
 
 // TestCOWImagesOutliveTheWritesThatFollow takes a flushed Snapshot
@@ -41,10 +41,7 @@ func TestCOWImagesOutliveTheWritesThatFollow(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			kept := make([]*ckpt.Image, 0, len(res.Images))
-			for _, img := range res.Images {
-				kept = append(kept, img)
-			}
+			kept := slices.Clone(res.Images)
 			sort.Slice(kept, func(i, j int) bool { return kept[i].PodName < kept[j].PodName })
 			decoded, err := c.LoadImages("cow")
 			if err != nil {
@@ -88,22 +85,18 @@ func TestCOWImagesOutliveTheWritesThatFollow(t *testing.T) {
 			}
 			finish("the checkpointed job running on")
 
-			if _, err := c.Restart(job, res, c.Nodes); err != nil {
+			if _, err := c.Restart(job, res.Images, c.Nodes); err != nil {
 				t.Fatal(err)
 			}
 			finish("restart from the kept in-memory images")
 
-			if _, err := c.RestartFromFS(job, "cow", c.Nodes); err != nil {
+			if err := restartFrom(c, job, "cow"); err != nil {
 				t.Fatal(err)
 			}
 			finish("restart from the store")
 
-			fromDecoded := &zapc.CheckpointResult{Images: make(map[netstack.IP]*ckpt.Image), Stats: res.Stats}
-			for _, img := range decoded {
-				fromDecoded.Images[img.VIP] = img
-			}
 			for _, how := range []string{"first", "second"} {
-				if _, err := c.Restart(job, fromDecoded, c.Nodes); err != nil {
+				if _, err := c.Restart(job, decoded, c.Nodes); err != nil {
 					t.Fatal(err)
 				}
 				finish(how + " restart from the same decoded images")

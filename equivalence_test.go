@@ -46,6 +46,17 @@ func sameImage(a, b *ckpt.Image) bool {
 	return bytes.Equal(ra.Bytes(), rb.Bytes())
 }
 
+// restartFrom restores job onto every node of c from the records flushed
+// under dir: LoadImages, then Restart.
+func restartFrom(c *zapc.Cluster, job *zapc.Job, dir string) error {
+	images, err := c.LoadImages(dir)
+	if err != nil {
+		return err
+	}
+	_, err = c.Restart(job, images, c.Nodes)
+	return err
+}
+
 func driveTo(t *testing.T, c *zapc.Cluster, job *zapc.Job, p float64) {
 	t.Helper()
 	if err := c.Drive(func() bool { return job.Progress() >= p }, eqDeadline); err != nil {
@@ -73,7 +84,7 @@ func TestRestoreEquivalenceProperty(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, err := c.Restart(job, ck, c.Nodes); err != nil {
+			if _, err := c.Restart(job, ck.Images, c.Nodes); err != nil {
 				t.Fatal(err)
 			}
 			if _, err := c.RunJob(job, eqDeadline); err != nil {
@@ -108,28 +119,28 @@ func TestRestoreEquivalenceProperty(t *testing.T) {
 			// The delta chain — as flushed to the shared filesystem —
 			// must reconstruct exactly the full image the restart will
 			// use.
-			for vip, img := range dck.Images {
+			for _, img := range dck.Images {
 				rec, err := c2.FS.ReadFile(fmt.Sprintf("eq/delta/%s.delta", img.PodName))
 				if err != nil {
-					t.Fatalf("pod %v: flushed delta: %v", vip, err)
+					t.Fatalf("pod %s: flushed delta: %v", img.PodName, err)
 				}
 				full, err := c2.FS.ReadFile(fmt.Sprintf("eq/base/%s.img", img.PodName))
 				if err != nil {
-					t.Fatalf("pod %v: flushed base: %v", vip, err)
+					t.Fatalf("pod %s: flushed base: %v", img.PodName, err)
 				}
 				if _, err := ckpt.DecodeDeltaFrom(bytes.NewReader(rec)); err != nil {
-					t.Fatalf("pod %v: second record is not a delta: %v", vip, err)
+					t.Fatalf("pod %s: second record is not a delta: %v", img.PodName, err)
 				}
 				rebuilt, err := ckpt.ReconstructChain([][]byte{full, rec})
 				if err != nil {
-					t.Fatalf("pod %v: chain: %v", vip, err)
+					t.Fatalf("pod %s: chain: %v", img.PodName, err)
 				}
 				if !sameImage(rebuilt, img) {
-					t.Fatalf("pod %v: base+delta reconstruction differs from the materialized image", vip)
+					t.Fatalf("pod %s: base+delta reconstruction differs from the materialized image", img.PodName)
 				}
 			}
 
-			if _, err := c2.Restart(job2, dck, c2.Nodes); err != nil {
+			if _, err := c2.Restart(job2, dck.Images, c2.Nodes); err != nil {
 				t.Fatal(err)
 			}
 			if _, err := c2.RunJob(job2, eqDeadline); err != nil {
@@ -169,7 +180,7 @@ func TestRestoreEquivalenceBTScratch(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := c.Restart(job, ck, c.Nodes); err != nil {
+		if _, err := c.Restart(job, ck.Images, c.Nodes); err != nil {
 			t.Fatal(err)
 		}
 	}

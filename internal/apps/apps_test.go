@@ -240,7 +240,7 @@ func migrateMidRun(t *testing.T, name string, size int, work float64) float64 {
 		return false
 	})
 	var res *core.MigrateResult
-	r.mgr.Migrate(r.pods, targets, true, nil, func(mr *core.MigrateResult) { res = mr })
+	r.mgr.Migrate(r.pods, targets, true, func(mr *core.MigrateResult) { res = mr })
 	r.drive(t, func() bool { return res != nil })
 	if res.Err != nil {
 		t.Fatalf("migrate: %v", res.Err)

@@ -31,7 +31,7 @@ func TestMigrateDuringStartup(t *testing.T) {
 			}
 			r.w.RunUntil(sim.Time(delay))
 			var res *core.MigrateResult
-			r.mgr.Migrate(r.pods, targets, true, nil, func(mr *core.MigrateResult) { res = mr })
+			r.mgr.Migrate(r.pods, targets, true, func(mr *core.MigrateResult) { res = mr })
 			r.drive(t, func() bool { return res != nil })
 			if res.Err != nil {
 				t.Fatalf("migrate during startup (+%v): %v", delay, res.Err)

@@ -16,6 +16,7 @@ import (
 	"fmt"
 
 	"zapc/internal/apps"
+	"zapc/internal/ckpt"
 	"zapc/internal/coord"
 	"zapc/internal/core"
 	"zapc/internal/imagestore"
@@ -301,59 +302,58 @@ func (c *Cluster) RunJob(j *Job, deadline sim.Duration) (sim.Duration, error) {
 	return sim.Duration(c.W.Now() - j.started), nil
 }
 
+// await starts one coordinated operation and steps the simulation until
+// the operation calls done or the deadline passes (failing as Drive
+// does). On success it rebinds j, when not nil, to the pods the
+// operation returned.
+func (c *Cluster) await(j *Job, deadline sim.Duration, start func(done func([]*pod.Pod, error))) error {
+	fired := false
+	var pods []*pod.Pod
+	var opErr error
+	start(func(p []*pod.Pod, err error) { fired, pods, opErr = true, p, err })
+	if err := c.Drive(func() bool { return fired }, deadline); err != nil {
+		return err
+	}
+	if opErr != nil || j == nil {
+		return opErr
+	}
+	return j.Rebind(pods)
+}
+
 // Checkpoint coordinates a checkpoint of the job's pods.
 func (c *Cluster) Checkpoint(j *Job, opts core.Options) (*core.CheckpointResult, error) {
 	if j.Spec.Base {
 		return nil, errors.New("cluster: base jobs are not virtualized and cannot be checkpointed")
 	}
 	var res *core.CheckpointResult
-	c.Mgr.Checkpoint(j.Pods, opts, func(r *core.CheckpointResult) { res = r })
-	if err := c.Drive(func() bool { return res != nil }, 60*sim.Second); err != nil {
-		return nil, err
-	}
-	if res.Err != nil {
-		return res, res.Err
-	}
-	return res, nil
+	err := c.await(nil, 60*sim.Second, func(done func([]*pod.Pod, error)) {
+		c.Mgr.Checkpoint(j.Pods, opts, func(r *core.CheckpointResult) { res = r; done(nil, r.Err) })
+	})
+	return res, err
 }
 
 // Migrate moves the job to the target nodes and rebinds it.
 func (c *Cluster) Migrate(j *Job, targets []*vos.Node, redirect bool) (*core.MigrateResult, error) {
 	var res *core.MigrateResult
-	c.Mgr.Migrate(j.Pods, targets, redirect, nil, func(r *core.MigrateResult) { res = r })
-	if err := c.Drive(func() bool { return res != nil }, 120*sim.Second); err != nil {
-		return nil, err
-	}
-	if res.Err != nil {
-		return res, res.Err
-	}
-	return res, j.Rebind(res.Pods)
+	err := c.await(j, 120*sim.Second, func(done func([]*pod.Pod, error)) {
+		c.Mgr.Migrate(j.Pods, targets, redirect, func(r *core.MigrateResult) { res = r; done(r.Pods, r.Err) })
+	})
+	return res, err
 }
 
-// Restart restores a job from checkpoint images onto the given nodes
-// and rebinds it.
-func (c *Cluster) Restart(j *Job, images *core.CheckpointResult, targets []*vos.Node) (*core.RestartResult, error) {
-	placements := make([]core.Placement, 0, len(images.Images))
-	i := 0
-	for _, a := range images.Stats.Agents {
-		img := images.ImageByName(a.Pod)
-		if img == nil {
-			return nil, fmt.Errorf("cluster: missing image for %s", a.Pod)
-		}
-		placements = append(placements, core.Placement{
-			Image:   img,
-			PodName: a.Pod,
-			Node:    targets[i%len(targets)],
-		})
-		i++
+// Restart restores a job from checkpoint images — a CheckpointResult's
+// Images, or LoadImages from a flushed directory — placed round-robin
+// across the targets in the images' order (core.Place), and rebinds it.
+// An empty target list is refused with core.ErrNoTargets before any
+// virtual address is claimed or pod built.
+func (c *Cluster) Restart(j *Job, images []*ckpt.Image, targets []*vos.Node) (*core.RestartResult, error) {
+	placements, err := core.Place(images, targets)
+	if err != nil {
+		return nil, fmt.Errorf("cluster: restart: %w", err)
 	}
 	var res *core.RestartResult
-	c.Mgr.Restart(placements, nil, func(r *core.RestartResult) { res = r })
-	if err := c.Drive(func() bool { return res != nil }, 120*sim.Second); err != nil {
-		return nil, err
-	}
-	if res.Err != nil {
-		return res, res.Err
-	}
-	return res, j.Rebind(res.Pods)
+	err = c.await(j, 120*sim.Second, func(done func([]*pod.Pod, error)) {
+		c.Mgr.Restart(placements, nil, func(r *core.RestartResult) { res = r; done(r.Pods, r.Err) })
+	})
+	return res, err
 }

@@ -168,7 +168,7 @@ func TestFaultRecoveryFromFlushedImage(t *testing.T) {
 	}
 	targets := c.AddNodes(1, 2)
 	restartNodes := append(targets, c.Nodes[0], c.Nodes[2], c.Nodes[3])
-	if _, err := c.Restart(job, res, restartNodes); err != nil {
+	if _, err := c.Restart(job, res.Images, restartNodes); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := c.RunJob(job, 30*60*sim.Second); err != nil {
@@ -176,6 +176,79 @@ func TestFaultRecoveryFromFlushedImage(t *testing.T) {
 	}
 	if job.Result() != plain {
 		t.Fatalf("recovered result %v != reference %v", job.Result(), plain)
+	}
+}
+
+// TestRestartWithNoTargetsBuildsNothing: a migration onto no node is
+// refused with core.ErrNoTargets before its checkpoint tears the pods
+// down, and a restart onto no node before any virtual address is
+// claimed or any pod built; the job keeps its pods.
+func TestRestartWithNoTargetsBuildsNothing(t *testing.T) {
+	c := New(Config{Nodes: 2, Seed: 7})
+	job, err := c.Launch(JobSpec{App: "cpi", Endpoints: 2, Work: 0.01, Scale: 0.001})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Drive(func() bool { return job.Progress() > 0.2 }, 30*60*sim.Second); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Migrate(job, nil, false); !errors.Is(err, core.ErrNoTargets) {
+		t.Fatalf("Migrate onto no node: err = %v, want core.ErrNoTargets", err)
+	}
+	for _, p := range job.Pods {
+		if p.Destroyed() {
+			t.Fatalf("pod %s torn down by a refused migration", p.Name())
+		}
+	}
+	res, err := c.Checkpoint(job, core.Options{Mode: core.Migrate})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pods := job.Pods
+	rr, err := c.Restart(job, res.Images, nil)
+	if !errors.Is(err, core.ErrNoTargets) || rr != nil {
+		t.Fatalf("Restart onto no node = %v, %v; want nil, core.ErrNoTargets", rr, err)
+	}
+	for _, img := range res.Images {
+		if c.Net.Claimed(img.VIP) {
+			t.Fatalf("VIP %v claimed by a refused restart", img.VIP)
+		}
+	}
+	for _, n := range c.Nodes {
+		if procs := n.Procs(); len(procs) != 0 {
+			t.Fatalf("node %s runs %d processes after a refused restart", n.Name(), len(procs))
+		}
+	}
+	if len(job.Pods) != len(pods) || job.Pods[0] != pods[0] {
+		t.Fatal("a refused restart rebound the job")
+	}
+}
+
+// TestImagesFollowAgentOrder pins CheckpointResult.Images to
+// Stats.Agents: Images[i] is the image of Agents[i].Pod, for the flat
+// star and for a fan-out-16 tree, whose done-reports arrive batched per
+// subtree.
+func TestImagesFollowAgentOrder(t *testing.T) {
+	const pods = 48
+	for _, fanout := range []int{0, 16} {
+		c := New(Config{Nodes: pods / 2, CPUsPerNode: 2, Seed: 8, Fanout: fanout})
+		job, err := c.Launch(JobSpec{App: "cpi", Endpoints: pods, Work: 0.01, Scale: 0.001})
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.W.RunUntil(c.W.Now() + sim.Time(50*sim.Millisecond))
+		res, err := c.Checkpoint(job, core.Options{Mode: core.Snapshot})
+		if err != nil {
+			t.Fatalf("fanout %d: %v", fanout, err)
+		}
+		if len(res.Images) != pods || len(res.Stats.Agents) != pods {
+			t.Fatalf("fanout %d: %d images, %d agents; want %d each", fanout, len(res.Images), len(res.Stats.Agents), pods)
+		}
+		for i, a := range res.Stats.Agents {
+			if got := res.Images[i].PodName; got != a.Pod {
+				t.Fatalf("fanout %d: Images[%d] is pod %s, Agents[%d] is pod %s", fanout, i, got, i, a.Pod)
+			}
+		}
 	}
 }
 

@@ -4,11 +4,9 @@ import (
 	"fmt"
 
 	"zapc/internal/ckpt"
-	"zapc/internal/core"
 	"zapc/internal/faultinject"
 	"zapc/internal/imagestore"
 	"zapc/internal/pod"
-	"zapc/internal/sim"
 	"zapc/internal/supervisor"
 	"zapc/internal/vos"
 )
@@ -21,12 +19,14 @@ var ErrCorruptImage = ckpt.ErrCorruptImage
 // LoadImages reads every pod's records under the given image-store
 // directory through the verifying chain reader — one .img per pod, or a
 // pre-copy generation's base, round deltas and residual — and returns
-// the images they materialize in pod-name order. Records are never
-// materialized as contiguous buffers on the way in. A record that fails
-// validation — one of an unsupported format version included — names
-// the offending pod and path and wraps ErrCorruptImage; records that do
-// not chain (an incremental delta generation, which is not
-// self-contained, included) wrap ckpt.ErrChainBroken.
+// the images they materialize in pod-name order, the order Restart
+// places them in. Records are never materialized as contiguous buffers
+// on the way in. A record that fails validation — one of an unsupported
+// format version included — names the offending pod and path and wraps
+// ErrCorruptImage; records that do not chain (an incremental delta
+// generation, which is not self-contained, included) wrap
+// ckpt.ErrChainBroken. Either refusal comes before Restart can claim a
+// virtual address or build a pod.
 func (c *Cluster) LoadImages(dir string) ([]*ckpt.Image, error) {
 	store := c.Mgr.Store()
 	chains := imagestore.PodChains(store.List(dir))
@@ -42,39 +42,6 @@ func (c *Cluster) LoadImages(dir string) ([]*ckpt.Image, error) {
 		images = append(images, ch.Image)
 	}
 	return images, nil
-}
-
-// RestartFromFS restores a job from the records flushed to a shared-FS
-// directory — any Checkpoint FlushTo target, stop-and-copy or pre-copy,
-// or a self-contained (full) supervisor generation — validating every
-// record first (see LoadImages); a corrupt one refuses the restart with
-// ErrCorruptImage before any VIP is claimed or pod built. Placements go
-// round-robin across targets.
-func (c *Cluster) RestartFromFS(j *Job, dir string, targets []*vos.Node) (*core.RestartResult, error) {
-	if len(targets) == 0 {
-		return nil, fmt.Errorf("cluster: restart from %q: no target nodes", dir)
-	}
-	images, err := c.LoadImages(dir)
-	if err != nil {
-		return nil, err
-	}
-	placements := make([]core.Placement, len(images))
-	for i, img := range images {
-		placements[i] = core.Placement{
-			Image:   img,
-			PodName: img.PodName,
-			Node:    targets[i%len(targets)],
-		}
-	}
-	var res *core.RestartResult
-	c.Mgr.Restart(placements, nil, func(r *core.RestartResult) { res = r })
-	if err := c.Drive(func() bool { return res != nil }, 120*sim.Second); err != nil {
-		return nil, err
-	}
-	if res.Err != nil {
-		return res, res.Err
-	}
-	return res, j.Rebind(res.Pods)
 }
 
 // Supervise places the job under a self-healing supervisor: periodic

@@ -13,9 +13,10 @@ import (
 
 // TestRestartFromFSRefusesCorruptImage corrupts one byte of a flushed
 // checkpoint image on the shared FS and asserts that a restart from
-// storage refuses it up front with ErrCorruptImage naming the pod —
-// before any virtual address is claimed — and that repairing the byte
-// makes the same restart succeed exactly.
+// storage (LoadImages, then Restart) refuses it up front with
+// ErrCorruptImage naming the pod — before any virtual address is
+// claimed — and that repairing the byte makes the same restart succeed
+// exactly.
 func TestRestartFromFSRefusesCorruptImage(t *testing.T) {
 	c := New(Config{Nodes: 4, Seed: 21})
 	job, err := c.Launch(JobSpec{App: "bratu", Endpoints: 4, Work: 0.03, Scale: 0.001})
@@ -55,8 +56,7 @@ func TestRestartFromFSRefusesCorruptImage(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	targets := c.Nodes
-	_, err = c.RestartFromFS(job, dir, targets)
+	_, err = c.LoadImages(dir)
 	if !errors.Is(err, ErrCorruptImage) {
 		t.Fatalf("err = %v, want ErrCorruptImage", err)
 	}
@@ -65,7 +65,7 @@ func TestRestartFromFSRefusesCorruptImage(t *testing.T) {
 	if !strings.Contains(err.Error(), podName) {
 		t.Fatalf("error %q does not name pod %s", err, podName)
 	}
-	// Validation happens before planning: nothing was claimed or built.
+	// Validation happens before the restart: nothing was claimed or built.
 	for _, p := range job.Pods {
 		if c.Net.Claimed(p.VirtualIP()) {
 			t.Fatalf("VIP %v claimed despite refused restart", p.VirtualIP())
@@ -77,7 +77,11 @@ func TestRestartFromFSRefusesCorruptImage(t *testing.T) {
 	if err := c.FS.WriteFile(victim, orig); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.RestartFromFS(job, dir, targets); err != nil {
+	images, err := c.LoadImages(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Restart(job, images, c.Nodes); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := c.RunJob(job, 30*60*sim.Second); err != nil {
@@ -90,8 +94,8 @@ func TestRestartFromFSRefusesCorruptImage(t *testing.T) {
 
 // TestLoadImagesRefusesTruncatedImage truncates a flushed checkpoint
 // image mid-stream, then rewrites its header to each retired format
-// version, and asserts that LoadImages and RestartFromFS refuse it with
-// ErrCorruptImage naming the pod, while the intact record loads fine.
+// version, and asserts that LoadImages refuses it with ErrCorruptImage
+// naming the pod, while the intact record loads fine.
 func TestLoadImagesRefusesTruncatedImage(t *testing.T) {
 	c := New(Config{Nodes: 2, Seed: 23})
 	job, err := c.Launch(JobSpec{App: "cpi", Endpoints: 2, Work: 0.01, Scale: 0.001})
@@ -122,9 +126,6 @@ func TestLoadImagesRefusesTruncatedImage(t *testing.T) {
 			t.Fatalf("%s: LoadImages err = %v, want ErrCorruptImage", label, err)
 		} else if !strings.Contains(err.Error(), podName) || !strings.Contains(err.Error(), why) {
 			t.Fatalf("%s: error %q does not name pod %s and %q", label, err, podName, why)
-		}
-		if _, err := c.RestartFromFS(job, dir, c.Nodes); !errors.Is(err, ErrCorruptImage) {
-			t.Fatalf("%s: RestartFromFS err = %v, want ErrCorruptImage", label, err)
 		}
 	}
 

@@ -46,6 +46,7 @@ var (
 	ErrAgentFailure   = errors.New("core: agent failure detected")
 	ErrManagerFailure = errors.New("core: manager failure detected")
 	ErrTimeout        = errors.New("core: operation watchdog timeout")
+	ErrNoTargets      = errors.New("core: no target nodes")
 )
 
 // Watchdog defaults. A coordinated operation that makes no progress —
@@ -120,10 +121,11 @@ const (
 // Options tunes a coordinated checkpoint.
 type Options struct {
 	Mode Mode
-	// Redirect applies the §5 send-queue redirect optimization during
-	// migration: post-overlap send-queue data is folded into the peer's
-	// checkpoint stream instead of being retransmitted after restart.
-	Redirect bool
+	// redirect applies the §5 send-queue redirect optimization:
+	// post-overlap send-queue data is folded into the peer's checkpoint
+	// stream instead of being retransmitted after restart. Only
+	// Manager.Migrate sets it, always with Mode Migrate.
+	redirect bool
 	// NaiveSync, when set, reproduces the strawman ordering for the
 	// ablation study: agents wait for the manager's continue before
 	// starting the standalone checkpoint instead of overlapping it with
@@ -309,8 +311,9 @@ func (s *CheckpointStats) MaxImageBytes() int64 {
 type CheckpointResult struct {
 	// Images holds the materialized full image of every pod — even for
 	// incremental generations, so restart paths never reconstruct
-	// chains in memory.
-	Images map[netstack.IP]*ckpt.Image
+	// chains in memory — in Stats.Agents order: Images[i] is the image
+	// of Stats.Agents[i].Pod.
+	Images []*ckpt.Image
 	Stats  CheckpointStats
 	// FSSnapshot is the consistent file-system image captured before
 	// the pods resumed (nil unless Options.SnapshotFS).
@@ -462,7 +465,7 @@ func (m *Manager) Checkpoint(pods []*pod.Pod, opts Options, onDone func(*Checkpo
 		opts:   opts,
 		start:  m.w.Now(),
 		agents: make([]*ckptAgent, len(pods)),
-		result: &CheckpointResult{Images: make(map[netstack.IP]*ckpt.Image)},
+		result: &CheckpointResult{Images: make([]*ckpt.Image, 0, len(pods))},
 		onDone: onDone,
 	}
 	for i, p := range pods {
@@ -1112,15 +1115,15 @@ func (op *ckptOp) doneArrived(a *ckptAgent) {
 		op.m.reg.Counter("ckpt_precopy_rounds_total").Add(int64(a.preRounds))
 		op.m.reg.Counter("ckpt_precopy_resent_bytes_total").Add(a.preResent)
 	}
-	op.result.Images[a.img.VIP] = a.img
+	op.result.Images = append(op.result.Images, a.img)
 	op.dones++
 	if op.dones < len(op.agents) {
 		return
 	}
-	if op.opts.Redirect && op.opts.Mode == Migrate {
+	if op.opts.redirect {
 		nets := make(map[netstack.IP]*netckpt.NetImage, len(op.result.Images))
-		for ip, img := range op.result.Images {
-			nets[ip] = img.Net
+		for _, img := range op.result.Images {
+			nets[img.VIP] = img.Net
 		}
 		netckpt.ApplyRedirect(nets)
 	}
@@ -1226,6 +1229,21 @@ type Placement struct {
 	// cost (plus the real network-state recovery, which no placement
 	// escapes).
 	Warm bool
+}
+
+// Place puts images onto targets round-robin, in order: image i goes to
+// targets[i%len(targets)] under its own pod name. It is the one
+// placement rule of every restart; an empty target list is refused with
+// ErrNoTargets.
+func Place(images []*ckpt.Image, targets []*vos.Node) ([]Placement, error) {
+	if len(targets) == 0 {
+		return nil, ErrNoTargets
+	}
+	placements := make([]Placement, len(images))
+	for i, img := range images {
+		placements[i] = Placement{Image: img, PodName: img.PodName, Node: targets[i%len(targets)]}
+	}
+	return placements, nil
 }
 
 // RestartStats aggregates a coordinated restart.

@@ -78,7 +78,7 @@ func TestChainedMigrations(t *testing.T) {
 	h.drive(t, func() bool { return pi.Val > 30 })
 
 	var res1 *MigrateResult
-	h.mgr.Migrate([]*pod.Pod{podA, podB}, h.nodes[2:4], false, nil,
+	h.mgr.Migrate([]*pod.Pod{podA, podB}, h.nodes[2:4], false,
 		func(r *MigrateResult) { res1 = r })
 	h.drive(t, func() bool { return res1 != nil })
 	if res1.Err != nil {
@@ -101,7 +101,7 @@ func TestChainedMigrations(t *testing.T) {
 	h.drive(t, func() bool { return npi.Val > 80 })
 
 	var res2 *MigrateResult
-	h.mgr.Migrate(res1.Pods, h.nodes[4:6], true, nil,
+	h.mgr.Migrate(res1.Pods, h.nodes[4:6], true,
 		func(r *MigrateResult) { res2 = r })
 	h.drive(t, func() bool { return res2 != nil })
 	if res2.Err != nil {

@@ -38,8 +38,8 @@ func TestRestartFailureCleanup(t *testing.T) {
 	cres := checkpointMigrate(t, h, podA, podB)
 
 	placements := []Placement{
-		{Image: cres.ImageByName("ping"), PodName: "ping", Node: h.nodes[2]},
-		{Image: cres.ImageByName("pong"), PodName: "pong", Node: h.nodes[3]},
+		{Image: imageOf(t, cres, "ping"), PodName: "ping", Node: h.nodes[2]},
+		{Image: imageOf(t, cres, "pong"), PodName: "pong", Node: h.nodes[3]},
 	}
 	var rres *RestartResult
 	h.mgr.Restart(placements, nil, func(r *RestartResult) { rres = r })
@@ -66,8 +66,8 @@ func TestRestartFailureCleanup(t *testing.T) {
 	// A retry from the same images onto the surviving node must succeed
 	// and run the application to completion.
 	retry := []Placement{
-		{Image: cres.ImageByName("ping"), PodName: "ping", Node: h.nodes[2]},
-		{Image: cres.ImageByName("pong"), PodName: "pong", Node: h.nodes[2]},
+		{Image: imageOf(t, cres, "ping"), PodName: "ping", Node: h.nodes[2]},
+		{Image: imageOf(t, cres, "pong"), PodName: "pong", Node: h.nodes[2]},
 	}
 	var rres2 *RestartResult
 	h.mgr.Restart(retry, nil, func(r *RestartResult) { rres2 = r })
@@ -101,8 +101,8 @@ func TestRestartFailureMidRestore(t *testing.T) {
 	cres := checkpointMigrate(t, h, podA, podB)
 
 	placements := []Placement{
-		{Image: cres.ImageByName("ping"), PodName: "ping", Node: h.nodes[2]},
-		{Image: cres.ImageByName("pong"), PodName: "pong", Node: h.nodes[3]},
+		{Image: imageOf(t, cres, "ping"), PodName: "ping", Node: h.nodes[2]},
+		{Image: imageOf(t, cres, "pong"), PodName: "pong", Node: h.nodes[3]},
 	}
 	var rres *RestartResult
 	h.mgr.Restart(placements, nil, func(r *RestartResult) { rres = r })
@@ -229,8 +229,8 @@ func TestRestartWatchdogOnLostControl(t *testing.T) {
 		return false, 0
 	})
 	placements := []Placement{
-		{Image: cres.ImageByName("ping"), PodName: "ping", Node: h.nodes[2]},
-		{Image: cres.ImageByName("pong"), PodName: "pong", Node: h.nodes[3]},
+		{Image: imageOf(t, cres, "ping"), PodName: "ping", Node: h.nodes[2]},
+		{Image: imageOf(t, cres, "pong"), PodName: "pong", Node: h.nodes[3]},
 	}
 	var rres *RestartResult
 	h.mgr.Restart(placements, nil, func(r *RestartResult) { rres = r })

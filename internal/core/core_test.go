@@ -233,6 +233,19 @@ func (h *harness) launchPair(t *testing.T, rounds uint32) (*pod.Pod, *pod.Pod, *
 	return podA, podB, pi, po
 }
 
+// imageOf returns the result's image of the named pod, failing the test
+// if it has none.
+func imageOf(t *testing.T, r *CheckpointResult, name string) *ckpt.Image {
+	t.Helper()
+	for _, img := range r.Images {
+		if img.PodName == name {
+			return img
+		}
+	}
+	t.Fatalf("no image of pod %s", name)
+	return nil
+}
+
 func expectSeen(t *testing.T, seen []uint32, rounds uint32) {
 	t.Helper()
 	if len(seen) != int(rounds) {
@@ -306,7 +319,7 @@ func TestMigrateToFreshNodes(t *testing.T) {
 	h.drive(t, func() bool { return pi.Val > 60 })
 
 	var res *MigrateResult
-	h.mgr.Migrate([]*pod.Pod{podA, podB}, []*vos.Node{h.nodes[2], h.nodes[3]}, false, nil,
+	h.mgr.Migrate([]*pod.Pod{podA, podB}, []*vos.Node{h.nodes[2], h.nodes[3]}, false,
 		func(r *MigrateResult) { res = r })
 	h.drive(t, func() bool { return res != nil })
 	if res.Err != nil {
@@ -350,7 +363,7 @@ func TestMigrateNtoM(t *testing.T) {
 	podA, podB, pi, _ := h.launchPair(t, 150)
 	h.drive(t, func() bool { return pi.Val > 20 })
 	var res *MigrateResult
-	h.mgr.Migrate([]*pod.Pod{podA, podB}, []*vos.Node{h.nodes[2]}, false, nil,
+	h.mgr.Migrate([]*pod.Pod{podA, podB}, []*vos.Node{h.nodes[2]}, false,
 		func(r *MigrateResult) { res = r })
 	h.drive(t, func() bool { return res != nil })
 	if res.Err != nil {
@@ -444,7 +457,7 @@ func TestRedirectReducesRestartWireTraffic(t *testing.T) {
 		podB.UnblockNetwork()
 
 		var res *MigrateResult
-		h.mgr.Migrate([]*pod.Pod{podA, podB}, []*vos.Node{h.nodes[2], h.nodes[3]}, redirect, nil,
+		h.mgr.Migrate([]*pod.Pod{podA, podB}, []*vos.Node{h.nodes[2], h.nodes[3]}, redirect,
 			func(r *MigrateResult) { res = r })
 		wireBefore := h.nw.BytesSent
 		h.drive(t, func() bool { return res != nil })
@@ -471,8 +484,8 @@ func TestRestartWithRemap(t *testing.T) {
 		t.Fatal(cres.Err)
 	}
 	placements := []Placement{
-		{Image: cres.ImageByName("ping"), PodName: "ping2", Node: h.nodes[2]},
-		{Image: cres.ImageByName("pong"), PodName: "pong2", Node: h.nodes[3]},
+		{Image: imageOf(t, cres, "ping"), PodName: "ping2", Node: h.nodes[2]},
+		{Image: imageOf(t, cres, "pong"), PodName: "pong2", Node: h.nodes[3]},
 	}
 	remap := map[netstack.IP]netstack.IP{1: 51, 2: 52}
 	var rres *RestartResult

@@ -214,7 +214,7 @@ func RunFig6(cfg Config, app string, endpoints int) (Fig6Row, error) {
 	if err != nil {
 		return row, err
 	}
-	rr, err := c2.Restart(job2, ck, c2.Nodes)
+	rr, err := c2.Restart(job2, ck.Images, c2.Nodes)
 	if err != nil {
 		return row, fmt.Errorf("fig6b %s/%d restart: %w", app, endpoints, err)
 	}

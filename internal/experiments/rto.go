@@ -168,6 +168,28 @@ func RunStandbyRTO(cfg Config, pods, fanout int, incremental bool) (StandbyRTORe
 	return res, nil
 }
 
+// rpo is the episode's data-loss window: the trace's figure, or the
+// supervisor's own where the trace has none.
+func (r FailoverRTORow) rpo() sim.Duration {
+	if r.Report.RPOUs < 0 {
+		return r.SupRPO
+	}
+	return sim.Duration(r.Report.RPOUs * 1e3)
+}
+
+// labels names the row's coordination topology and chain kind as the
+// tables print them.
+func (r FailoverRTORow) labels() (coord, chain string) {
+	coord, chain = "flat", "full"
+	if r.Fanout > 0 {
+		coord = fmt.Sprintf("fan-%d", r.Fanout)
+	}
+	if r.Incremental {
+		chain = "incr"
+	}
+	return coord, chain
+}
+
 // StandbyRTOTable renders the standby-vs-store sweep: both arms of each
 // configuration with the per-segment decomposition showing where the
 // win concentrates (load/reconstruct vanish; catch-up stays bounded).
@@ -176,21 +198,10 @@ func StandbyRTOTable(rows []StandbyRTOResult) string {
 	fmt.Fprintf(&b, "%-5s %-8s %-6s %-8s  %-12s %-12s  %-10s %-10s %-10s %-10s %-10s  %-8s\n",
 		"pods", "coord", "chain", "path", "rto", "rpo", "detect", "load", "reconstr", "catchup", "agent", "speedup")
 	line := func(r FailoverRTORow, path, speedup string) {
-		coordName := "flat"
-		if r.Fanout > 0 {
-			coordName = fmt.Sprintf("fan-%d", r.Fanout)
-		}
-		chain := "full"
-		if r.Incremental {
-			chain = "incr"
-		}
-		rpo := sim.Duration(r.Report.RPOUs * 1e3)
-		if r.Report.RPOUs < 0 {
-			rpo = r.SupRPO
-		}
+		coordName, chain := r.labels()
 		fmt.Fprintf(&b, "%-5d %-8s %-6s %-8s  %-12v %-12v  %-10v %-10v %-10v %-10v %-10v  %-8s\n",
 			r.Pods, coordName, chain, path,
-			sim.Duration(r.Report.RTO()), rpo,
+			sim.Duration(r.Report.RTO()), r.rpo(),
 			sim.Duration(r.Report.SegmentTotal(trace.SegDetect)),
 			sim.Duration(r.Report.SegmentTotal(trace.SegLoad)),
 			sim.Duration(r.Report.SegmentTotal(trace.SegReconstruct)),
@@ -210,11 +221,7 @@ func StandbyRTOTable(rows []StandbyRTOResult) string {
 // outside tests, which pin the decomposition at other seeds.
 func (r FailoverRTORow) Stamp(rec *ModeledRecord) {
 	rec.RTOUs = us(r.Report.RTO())
-	if r.Report.RPOUs >= 0 {
-		rec.RPOUs = float64(r.Report.RPOUs)
-	} else {
-		rec.RPOUs = us(int64(r.SupRPO))
-	}
+	rec.RPOUs = us(int64(r.rpo()))
 	rec.RTODetectUs = us(r.Report.SegmentTotal(trace.SegDetect))
 	rec.RTODecideUs = us(r.Report.SegmentTotal(trace.SegDecide))
 	rec.RTOLoadUs = us(r.Report.SegmentTotal(trace.SegLoad))
@@ -233,21 +240,10 @@ func FailoverRTOTable(rows []FailoverRTORow) string {
 	fmt.Fprintf(&b, "%-5s %-8s %-6s  %-12s %-12s  %-10s %-10s %-10s %-10s %-10s\n",
 		"pods", "coord", "chain", "rto", "rpo", "detect", "load", "reconstr", "barrier", "agent")
 	for _, r := range rows {
-		coordName := "flat"
-		if r.Fanout > 0 {
-			coordName = fmt.Sprintf("fan-%d", r.Fanout)
-		}
-		chain := "full"
-		if r.Incremental {
-			chain = "incr"
-		}
-		rpo := sim.Duration(r.Report.RPOUs * 1e3)
-		if r.Report.RPOUs < 0 {
-			rpo = r.SupRPO
-		}
+		coordName, chain := r.labels()
 		fmt.Fprintf(&b, "%-5d %-8s %-6s  %-12v %-12v  %-10v %-10v %-10v %-10v %-10v\n",
 			r.Pods, coordName, chain,
-			sim.Duration(r.Report.RTO()), rpo,
+			sim.Duration(r.Report.RTO()), r.rpo(),
 			sim.Duration(r.Report.SegmentTotal(trace.SegDetect)),
 			sim.Duration(r.Report.SegmentTotal(trace.SegLoad)),
 			sim.Duration(r.Report.SegmentTotal(trace.SegReconstruct)),

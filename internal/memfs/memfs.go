@@ -19,6 +19,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"maps"
 	"sort"
 	"strings"
 	"sync"
@@ -34,20 +35,16 @@ var (
 type file struct {
 	chunks [][]byte // treated as immutable once stored; writes replace the list
 	size   int64
-	ver    uint64
 }
 
 // FileInfo is the stored metadata of one file.
 type FileInfo struct {
-	Path string
 	Size int64
 	// Chunks is the number of separate buffers backing the file: 1 for
 	// a whole-file WriteFile, one per Write for a streamed Create. The
 	// image pipeline asserts on this to prove an image was never
 	// materialized contiguously.
 	Chunks int
-	// Ver is the filesystem version at which the file was committed.
-	Ver uint64
 }
 
 // FS is an in-memory filesystem shared by all cluster nodes. It is safe
@@ -56,7 +53,6 @@ type FileInfo struct {
 type FS struct {
 	mu    sync.RWMutex
 	files map[string]*file
-	ver   uint64
 }
 
 // New returns an empty filesystem.
@@ -111,8 +107,7 @@ func canonical(path string) bool {
 func (fs *FS) commit(p string, chunks [][]byte, size int64) {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	fs.ver++
-	fs.files[p] = &file{chunks: chunks, size: size, ver: fs.ver}
+	fs.files[p] = &file{chunks: chunks, size: size}
 }
 
 // WriteFile stores data at path, replacing any existing file. The data
@@ -279,7 +274,7 @@ func (fs *FS) Stat(path string) (FileInfo, error) {
 	if !ok {
 		return FileInfo{}, fmt.Errorf("%w: %s", ErrNotExist, p)
 	}
-	return FileInfo{Path: p, Size: f.size, Chunks: len(f.chunks), Ver: f.ver}, nil
+	return FileInfo{Size: f.size, Chunks: len(f.chunks)}, nil
 }
 
 // List returns the sorted paths of all files under the given directory
@@ -305,17 +300,13 @@ func (fs *FS) List(prefix string) []string {
 	return out
 }
 
-// Snapshot returns a point-in-time copy of the filesystem. File contents
-// are shared copy-on-write: since writes replace chunk lists rather than
-// mutating them, sharing is safe and snapshots are O(files), standing in
+// Snapshot returns a point-in-time copy of the filesystem. Files are
+// shared: since writes replace a path's file rather than mutating it,
+// sharing is safe and snapshots are O(files), standing in
 // for the SAN-level snapshot the paper takes immediately prior to
 // reactivating a pod.
 func (fs *FS) Snapshot() *FS {
 	fs.mu.RLock()
 	defer fs.mu.RUnlock()
-	clone := &FS{files: make(map[string]*file, len(fs.files)), ver: fs.ver}
-	for p, f := range fs.files {
-		clone.files[p] = &file{chunks: f.chunks, size: f.size, ver: f.ver}
-	}
-	return clone
+	return &FS{files: maps.Clone(fs.files)}
 }

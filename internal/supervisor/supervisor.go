@@ -1295,19 +1295,16 @@ func (s *Supervisor) restart(images []*ckpt.Image, genT sim.Time, warm *vos.Node
 	s.recGenT = genT
 	targets := []*vos.Node{warm}
 	if warm == nil {
-		if targets = s.survivors(); len(targets) == 0 {
-			s.halt(ErrNoSurvivors)
-			return
-		}
+		targets = s.survivors()
 	}
-	placements := make([]core.Placement, len(images))
-	for i, img := range images {
-		placements[i] = core.Placement{
-			Image:   img,
-			PodName: img.PodName,
-			Node:    targets[i%len(targets)],
-			Warm:    warm != nil,
-		}
+	placements, err := core.Place(images, targets)
+	if err != nil {
+		// Place refuses only an empty target list: no node survived.
+		s.halt(ErrNoSurvivors)
+		return
+	}
+	for i := range placements {
+		placements[i].Warm = warm != nil
 	}
 	s.t.Mgr.SetWorkers(s.pol.Workers)
 	s.t.Mgr.Restart(placements, nil, s.restartDone)

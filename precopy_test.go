@@ -113,11 +113,11 @@ func TestPrecopyRestoreEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for vip, img := range res.Images {
+			for _, img := range res.Images {
 				chain := [][]byte{}
 				base, err := c.FS.ReadFile(fmt.Sprintf("eq/pre/%s.img", img.PodName))
 				if err != nil {
-					t.Fatalf("pod %v: flushed base: %v", vip, err)
+					t.Fatalf("pod %s: flushed base: %v", img.PodName, err)
 				}
 				chain = append(chain, base)
 				for r := 1; ; r++ {
@@ -128,22 +128,22 @@ func TestPrecopyRestoreEquivalence(t *testing.T) {
 					chain = append(chain, rec)
 				}
 				if len(chain) < 3 {
-					t.Fatalf("pod %v: churn chain has no live round deltas (%d records) — budget never engaged", vip, len(chain))
+					t.Fatalf("pod %s: churn chain has no live round deltas (%d records) — budget never engaged", img.PodName, len(chain))
 				}
 				resid, err := c.FS.ReadFile(fmt.Sprintf("eq/pre/%s.delta", img.PodName))
 				if err != nil {
-					t.Fatalf("pod %v: flushed residual: %v", vip, err)
+					t.Fatalf("pod %s: flushed residual: %v", img.PodName, err)
 				}
 				chain = append(chain, resid)
 				rebuilt, err := ckpt.ReconstructChain(chain)
 				if err != nil {
-					t.Fatalf("pod %v: chain: %v", vip, err)
+					t.Fatalf("pod %s: chain: %v", img.PodName, err)
 				}
 				if !sameImage(rebuilt, img) {
-					t.Fatalf("pod %v: pre-copy chain reconstruction differs from the materialized image", vip)
+					t.Fatalf("pod %s: pre-copy chain reconstruction differs from the materialized image", img.PodName)
 				}
 			}
-			if _, err := c.Restart(job, res, c.Nodes); err != nil {
+			if _, err := c.Restart(job, res.Images, c.Nodes); err != nil {
 				t.Fatal(err)
 			}
 			if _, err := c.RunJob(job, eqDeadline); err != nil {
@@ -158,7 +158,7 @@ func TestPrecopyRestoreEquivalence(t *testing.T) {
 
 // TestPrecopyRestartFromFSFlushTo: what a pre-copy checkpoint flushes —
 // base, round deltas and residual per pod — is what a restart from
-// storage reads: RestartFromFS on the FlushTo directory restores the job,
+// storage reads: LoadImages and Restart on the FlushTo directory restore the job,
 // which completes with exactly the uninterrupted result. (LoadImages used
 // to know only .img files and refused the residual as a corrupt image.)
 func TestPrecopyRestartFromFSFlushTo(t *testing.T) {
@@ -179,7 +179,7 @@ func TestPrecopyRestartFromFSFlushTo(t *testing.T) {
 	if n := len(c.FS.List("fs/pre")); n != 4*4 {
 		t.Fatalf("flushed %d records, want base + 2 rounds + residual for each of 4 pods", n)
 	}
-	if _, err := c.RestartFromFS(job, "fs/pre", c.Nodes); err != nil {
+	if err := restartFrom(c, job, "fs/pre"); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := c.RunJob(job, eqDeadline); err != nil {
@@ -193,7 +193,7 @@ func TestPrecopyRestartFromFSFlushTo(t *testing.T) {
 // TestPrecopyRestartFromFSSupervisorGeneration is the same from a
 // generation directory the supervisor wrote under its default policy,
 // which is pre-copy: the newest committed generation restores by hand
-// with RestartFromFS and the job completes with the exact result.
+// with LoadImages and Restart, and the job completes with the exact result.
 func TestPrecopyRestartFromFSSupervisorGeneration(t *testing.T) {
 	const seed = 23
 	spec := churnSpec()
@@ -220,7 +220,7 @@ func TestPrecopyRestartFromFSSupervisorGeneration(t *testing.T) {
 	for _, p := range job.Pods {
 		p.Destroy()
 	}
-	if _, err := c.RestartFromFS(job, newest.Dir, c.Nodes); err != nil {
+	if err := restartFrom(c, job, newest.Dir); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := c.RunJob(job, eqDeadline); err != nil {

@@ -349,7 +349,7 @@ func TestRestartAllocationBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := allocatedBy(func() { _, err = c.RestartFromFS(job, "budget", c.Nodes) })
+	got := allocatedBy(func() { err = restartFrom(c, job, "budget") })
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -131,7 +131,7 @@ func TestRemoteStoreMigration(t *testing.T) {
 
 	// Restart from the peer's local store, as the target node would.
 	c.Mgr.SetStore(peer)
-	if _, err := c.RestartFromFS(job, dir, c.Nodes); err != nil {
+	if err := restartFrom(c, job, dir); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := c.RunJob(job, eqDeadline); err != nil {

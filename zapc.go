@@ -18,7 +18,7 @@
 //	c.Drive(func() bool { return job.Progress() > 0.5 }, zapc.Minute)
 //	res, _ := c.Checkpoint(job, zapc.CheckpointOptions{Mode: zapc.Snapshot})
 //	// ... later, possibly on other nodes:
-//	c.Restart(job, res, targets)
+//	c.Restart(job, res.Images, targets) // or the images c.LoadImages reads back
 //
 // A name belongs here only if examples/, cmd/zapc (both written against
 // the facade alone) or a signature reachable from Cluster, Job,
