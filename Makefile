@@ -58,6 +58,11 @@ vet:
 # the one place in internal/netstack that makes one. A receive queue
 # appends a segment's bytes rather than keeping its data slice, which is
 # the sender's send buffer, written again once the bytes are acknowledged.
+# A datagram's bytes are the other way round: SendTo and SendRaw cut them
+# from their Network's append-only slab, never written again, so
+# udpraw.go copies no datagram one by one and every queue keeps the
+# packet's slice. And an event comes from its World's free list or a slab
+# of them: alloc is the one place in internal/sim that makes one.
 # And a fault schedule has one step: non-test internal/faultinject
 # declares one struct with a json:"action" field — the fixture form is
 # what Injector.Arm takes, resolving targets from its Env — and no Bind
@@ -133,6 +138,10 @@ boundary:
 	if [ -n "$$bad" ]; then echo "boundary: After( in the failure detector allocates a closure per monitored node per tick; schedule with AfterCall and the funcs New binds:"; echo "$$bad"; exit 1; fi
 	@bad="$$(awk '/^func /{fn=$$0} /&packet\{|new\(packet\)/ && fn !~ /\) transit\(/{print FILENAME ": " $$0}' internal/netstack/*.go)"; \
 	if [ -n "$$bad" ]; then echo "boundary: a packet made outside the free list; send a packet value, transit takes the pointer from the free list (DESIGN.md §2.1):"; echo "$$bad"; exit 1; fi
+	@bad="$$(grep -nF 'append([]byte(nil)' internal/netstack/udpraw.go)"; \
+	if [ -n "$$bad" ]; then echo "boundary: a datagram copied one by one; SendTo and SendRaw cut it from the Network's slab (keepDatagram), and a queue keeps that slice (DESIGN.md §2.1):"; echo "$$bad"; exit 1; fi
+	@bad="$$(grep -nE 'new\(event\)|&event\{' $$(ls internal/sim/*.go | grep -v '_test\.go$$'))"; \
+	if [ -n "$$bad" ]; then echo "boundary: an event made one by one; World.alloc takes it from the free list, or from a slab of eventSlab when the list is empty (DESIGN.md §2.1):"; echo "$$bad"; exit 1; fi
 	@bad="$$(grep -rnE --include='*.go' 'map\[(netstack\.)?Opt\]' internal/netstack internal/netckpt)"; \
 	if [ -n "$$bad" ]; then echo "boundary: a map keyed by socket option; an option set is a netstack.OptSet, indexed by option (DESIGN.md §2.1):"; echo "$$bad"; exit 1; fi
 	@bad="$$(awk '/^func /{fn=$$0} /append\(\[\]byte\(nil\)/ && fn ~ /^func \(s \*Socket\) Send\(/{print FILENAME ": " $$0}' internal/netstack/*.go)"; \

@@ -109,7 +109,9 @@ func run(app string, n int, action string, work, scale float64, seed int64, expo
 			return err
 		}
 		fmt.Printf("t=%v: periodic checkpoint taken (%v)\n", c.W.Now(), res.Stats.Total)
-		c.Drive(func() bool { return job.Progress() >= 0.7 }, deadline)
+		if err := c.Drive(func() bool { return job.Progress() >= 0.7 }, deadline); err != nil {
+			return fmt.Errorf("recover: %w", err)
+		}
 		victim := c.Nodes[0]
 		victim.Fail()
 		fmt.Printf("t=%v: node %s failed; application lost\n", c.W.Now(), victim.Name())

@@ -153,6 +153,9 @@ type Network struct {
 	rto, backlog, syn *sim.Lane
 	// free holds released packets for transit to reuse (DESIGN.md §2.1).
 	free []*packet
+	// dgrams is the append-only slab SendTo and SendRaw cut datagram
+	// copies from (keepDatagram).
+	dgrams []byte
 
 	// Stats counters for experiments.
 	Delivered int64

@@ -1,5 +1,30 @@
 package netstack
 
+import "bytes"
+
+// dgramSlabSize is the size of one datagram slab; a datagram over a
+// quarter of it gets its own allocation instead.
+const dgramSlabSize = 1 << 10
+
+// keepDatagram returns a copy of a datagram's bytes, cut from the
+// network's slab and capped at its length. A full slab is replaced, never
+// reset, so datagram bytes are immutable once sent: the receive queue,
+// the reader and a checkpoint image all keep the one copy by reference
+// (DESIGN.md §2.1). Empty datagrams stay nil.
+func (n *Network) keepDatagram(p []byte) []byte {
+	switch {
+	case len(p) == 0:
+		return nil
+	case len(p) > dgramSlabSize/4:
+		return bytes.Clone(p)[:len(p):len(p)]
+	case len(p) > cap(n.dgrams)-len(n.dgrams):
+		n.dgrams = make([]byte, 0, dgramSlabSize)
+	}
+	off := len(n.dgrams)
+	n.dgrams = append(n.dgrams, p...)
+	return n.dgrams[off:len(n.dgrams):len(n.dgrams)]
+}
+
 // sendDatagram transmits on a connected UDP socket (Send path).
 func (s *Socket) sendDatagram(p []byte) (int, error) {
 	if s.proto != UDP {
@@ -29,11 +54,13 @@ func (s *Socket) SendTo(p []byte, to Addr) (int, error) {
 	}
 	s.stack.net.send(s.stack, packet{
 		kind: pktUDP, proto: UDP, src: s.local, dst: to,
-		data: append([]byte(nil), p...),
+		data: s.stack.net.keepDatagram(p),
 	})
 	return len(p), nil
 }
 
+// receiveUDP queues a datagram on its bound socket. The queue keeps the
+// packet's data slice: datagram bytes are immutable once sent.
 func (st *Stack) receiveUDP(p *packet) {
 	s, ok := st.bound[boundKey{UDP, p.dst.Port}]
 	if !ok || s.closed {
@@ -83,11 +110,13 @@ func (s *Socket) SendRaw(dst IP, p []byte) (int, error) {
 	}
 	s.stack.net.send(s.stack, packet{
 		kind: pktRaw, proto: RAW, src: s.local, dst: Addr{IP: dst},
-		rawProto: s.rawProto, data: append([]byte(nil), p...),
+		rawProto: s.rawProto, data: s.stack.net.keepDatagram(p),
 	})
 	return len(p), nil
 }
 
+// receiveRaw queues a raw packet on every socket bound to its protocol,
+// each keeping the packet's one data slice.
 func (st *Stack) receiveRaw(p *packet) {
 	for _, s := range st.raws[p.rawProto] {
 		if s.closed {
@@ -96,9 +125,7 @@ func (st *Stack) receiveRaw(p *packet) {
 		if int64(s.dgramBytes+len(p.data)) > s.opts[SO_RCVBUF] {
 			continue
 		}
-		s.dgrams = append(s.dgrams, Datagram{
-			From: p.src, Data: append([]byte(nil), p.data...), RawProto: p.rawProto,
-		})
+		s.dgrams = append(s.dgrams, Datagram{From: p.src, Data: p.data, RawProto: p.rawProto})
 		s.dgramBytes += len(p.data)
 		s.notify()
 	}

@@ -164,3 +164,34 @@ func TestDatagramLoadRestore(t *testing.T) {
 		t.Fatal("restored order wrong")
 	}
 }
+
+// TestDatagramAllocationBudget: a datagram's copy is cut from its
+// network's slab, so a heartbeat-sized round trip — SendTo, delivery,
+// RecvFrom — allocates a share of a slab and nothing else (one object per
+// send before datagrams came from a slab). A count, not a timing.
+func TestDatagramAllocationBudget(t *testing.T) {
+	w, _, st := testNet(t, 2)
+	rx := st[1].Socket(UDP)
+	rx.Bind(7000)
+	tx := st[0].Socket(UDP)
+	to := Addr{st[1].IPAddr(), 7000}
+	var beat [8]byte
+	const trips = 10000
+	perTrip := testing.AllocsPerRun(1, func() {
+		for i := range trips {
+			beat[0] = byte(i)
+			if _, err := tx.SendTo(beat[:], to); err != nil {
+				t.Fatal(err)
+			}
+			for w.Step() {
+			}
+			if d, err := rx.RecvFrom(false); err != nil || d.Data[0] != byte(i) {
+				t.Fatalf("round trip %d: %v, %v", i, d, err)
+			}
+		}
+	}) / trips
+	t.Logf("%.4f objects per round trip", perTrip)
+	if perTrip >= 0.05 {
+		t.Fatalf("a datagram round trip allocates %.3f objects, budget 0.05", perTrip)
+	}
+}

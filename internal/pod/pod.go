@@ -14,8 +14,9 @@
 package pod
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"zapc/internal/memfs"
 	"zapc/internal/netstack"
@@ -25,12 +26,15 @@ import (
 
 // Pod is one process domain.
 type Pod struct {
-	name      string
-	node      *vos.Node
-	network   *netstack.Network
-	stack     *netstack.Stack
-	env       *vos.Env
-	procs     map[vos.PID]*vos.Process // by virtual PID
+	name    string
+	node    *vos.Node
+	network *netstack.Network
+	stack   *netstack.Stack
+	env     *vos.Env
+	// procs holds the member processes in virtual-PID order. A slice
+	// Procs has handed out is never written again: an insert past the
+	// end appends, and any other change builds a new slice.
+	procs     []*vos.Process
 	nextVPID  vos.PID
 	vip       netstack.IP
 	destroyed bool
@@ -61,7 +65,6 @@ func New(name string, node *vos.Node, nw *netstack.Network, fs *memfs.FS, vip ne
 			Virtualized:  true,
 			VirtOverhead: DefaultVirtOverhead,
 		},
-		procs:    make(map[vos.PID]*vos.Process),
 		nextVPID: 1,
 		vip:      vip,
 	}, nil
@@ -92,7 +95,7 @@ func (p *Pod) AddProcess(prog vos.Program) *vos.Process {
 	}
 	proc.VPID = p.nextVPID
 	p.nextVPID++
-	p.procs[proc.VPID] = proc
+	p.insert(proc)
 	return proc
 }
 
@@ -100,7 +103,7 @@ func (p *Pod) AddProcess(prog vos.Program) *vos.Process {
 // PID (the restart path preserves VPIDs from the checkpoint image, even
 // though the node will generally assign a different real PID).
 func (p *Pod) AddRestoredProcess(prog vos.Program, vpid vos.PID) (*vos.Process, error) {
-	if _, taken := p.procs[vpid]; taken {
+	if _, taken := p.Lookup(vpid); taken {
 		return nil, fmt.Errorf("pod %s: vpid %d already in use", p.name, vpid)
 	}
 	proc := p.node.SpawnStopped(prog, p.env)
@@ -108,37 +111,52 @@ func (p *Pod) AddRestoredProcess(prog vos.Program, vpid vos.PID) (*vos.Process, 
 		return nil, fmt.Errorf("pod %s: node %s refused spawn", p.name, p.node.Name())
 	}
 	proc.VPID = vpid
-	p.procs[vpid] = proc
+	p.insert(proc)
 	if vpid >= p.nextVPID {
 		p.nextVPID = vpid + 1
 	}
 	return proc, nil
 }
 
+// search returns the slot of vpid in the process table, or where it
+// would be inserted.
+func (p *Pod) search(vpid vos.PID) (int, bool) {
+	return slices.BinarySearchFunc(p.procs, vpid, func(proc *vos.Process, vpid vos.PID) int {
+		return cmp.Compare(proc.VPID, vpid)
+	})
+}
+
+// insert adds proc to the process table in virtual-PID order. VPIDs only
+// grow, so that is an append unless a restore brings an older one.
+func (p *Pod) insert(proc *vos.Process) {
+	i, _ := p.search(proc.VPID)
+	if i == len(p.procs) {
+		p.procs = append(p.procs, proc)
+		return
+	}
+	p.procs = slices.Insert(slices.Clip(p.procs), i, proc)
+}
+
 // Lookup resolves a virtual PID.
 func (p *Pod) Lookup(vpid vos.PID) (*vos.Process, bool) {
-	proc, ok := p.procs[vpid]
-	return proc, ok
+	if i, ok := p.search(vpid); ok {
+		return p.procs[i], true
+	}
+	return nil, false
 }
 
 // Procs returns member processes in virtual-PID order, dropping exited
-// ones from the table as a side effect.
+// ones from the table as a side effect. The slice is the table itself,
+// capped at its length: the caller must not write it, and it does not
+// change when the table does.
 func (p *Pod) Procs() []*vos.Process {
-	vpids := make([]int, 0, len(p.procs))
-	for vpid, proc := range p.procs {
-		if proc.Status() == vos.StatusExited {
-			delete(p.procs, vpid)
-			continue
-		}
-		vpids = append(vpids, int(vpid))
+	if slices.ContainsFunc(p.procs, exited) {
+		p.procs = slices.DeleteFunc(slices.Clone(p.procs), exited)
 	}
-	sort.Ints(vpids)
-	out := make([]*vos.Process, 0, len(vpids))
-	for _, vpid := range vpids {
-		out = append(out, p.procs[vos.PID(vpid)])
-	}
-	return out
+	return slices.Clip(p.procs)
 }
+
+func exited(proc *vos.Process) bool { return proc.Status() == vos.StatusExited }
 
 // Suspend sends SIGSTOP to every member process (checkpoint step 1) and
 // freezes the pod's virtual clock at the suspension instant: the
@@ -214,6 +232,6 @@ func (p *Pod) Destroy() {
 	for _, proc := range p.Procs() {
 		p.node.Remove(proc)
 	}
-	p.procs = make(map[vos.PID]*vos.Process)
+	p.procs = nil
 	p.network.Detach(p.stack)
 }

@@ -169,14 +169,28 @@ func TestDestroyDetachesStack(t *testing.T) {
 	}
 }
 
+// TestProcsDropsExited also holds Procs to its contract: a slice it has
+// handed out is never written again, neither when an exited process is
+// dropped nor when a restore inserts a VPID before the others.
 func TestProcsDropsExited(t *testing.T) {
 	w, n, nw, fs := setup(t)
 	p, _ := New("pod0", n, nw, fs, 1)
-	p.AddProcess(&spinner{Limit: 2})
-	p.AddProcess(&spinner{}) // runs forever
+	a := p.AddProcess(&spinner{Limit: 2})
+	b := p.AddProcess(&spinner{}) // runs forever
+	before := p.Procs()
 	w.RunUntil(sim.Time(50 * sim.Millisecond))
-	if got := len(p.Procs()); got != 1 {
-		t.Fatalf("live procs = %d, want 1", got)
+	after := p.Procs()
+	if len(after) != 1 || after[0] != b {
+		t.Fatalf("live procs = %d, want 1", len(after))
+	}
+	if _, err := p.AddRestoredProcess(&spinner{}, a.VPID); err != nil {
+		t.Fatal(err)
+	}
+	if got := p.Procs(); len(got) != 2 || got[0].VPID != a.VPID || got[1] != b {
+		t.Fatal("a restored VPID below the others is out of order")
+	}
+	if len(before) != 2 || before[0] != a || before[1] != b || len(after) != 1 || after[0] != b {
+		t.Fatal("a slice Procs handed out changed")
 	}
 }
 

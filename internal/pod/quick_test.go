@@ -11,8 +11,8 @@ import (
 )
 
 // Property: for any interleaving of AddProcess and AddRestoredProcess
-// calls, virtual PIDs stay unique within the pod and fresh allocations
-// never collide with restored ones.
+// calls, virtual PIDs stay unique within the pod, fresh allocations
+// never collide with restored ones, and Procs lists them in order.
 func TestQuickVPIDUniqueness(t *testing.T) {
 	f := func(ops []uint8) bool {
 		w := sim.NewWorld(2)
@@ -47,7 +47,16 @@ func TestQuickVPIDUniqueness(t *testing.T) {
 				seen[proc.VPID] = true
 			}
 		}
-		return len(p.Procs()) == len(seen)
+		procs := p.Procs()
+		for i, proc := range procs {
+			if i > 0 && procs[i-1].VPID >= proc.VPID {
+				return false // out of virtual-PID order
+			}
+			if got, ok := p.Lookup(proc.VPID); !ok || got != proc {
+				return false
+			}
+		}
+		return len(procs) == len(seen)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
 		t.Fatal(err)

@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sort"
 	"testing"
 )
@@ -262,6 +263,43 @@ func TestSteadyStateSchedulingAllocatesNothing(t *testing.T) {
 	} {
 		if got := testing.AllocsPerRun(200, op); got != 0 {
 			t.Errorf("%s allocates %v objects per run, want 0", name, got)
+		}
+	}
+}
+
+// TestEventsComeFromSlabs is the growth budget of the event free list: a
+// world with at most n events live at once makes its events sixteen to an
+// allocation, so scheduling and firing them allocate at most n/16 + 2
+// objects however often the world cycles (n before events came from
+// slabs). The heap and the free list are sized up front, so the count is
+// of events alone.
+func TestEventsComeFromSlabs(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	for _, n := range []int{1, 15, 16, 17, 100, 1000} {
+		w := NewWorld(1)
+		w.pq = make([]*event, 0, n)
+		w.free = make([]*event, 0, n)
+		lane := w.NewLane(5)
+		fired := 0
+		f := func(any) { fired++ }
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for round := range 3 {
+			for i := range n {
+				if i%3 == 0 {
+					lane.Call(f, nil)
+				} else {
+					w.AfterCall(Duration((i*7+round)%11), f, nil)
+				}
+			}
+			w.Run()
+		}
+		runtime.ReadMemStats(&after)
+		if fired != 3*n {
+			t.Fatalf("n=%d: %d events fired, want %d", n, fired, 3*n)
+		}
+		if got := after.Mallocs - before.Mallocs; got > uint64(n/eventSlab+2) {
+			t.Errorf("n=%d: %d objects allocated for at most %d live events, budget %d", n, got, n, n/eventSlab+2)
 		}
 	}
 }

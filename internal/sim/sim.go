@@ -36,10 +36,11 @@ func (d Duration) String() string { return time.Duration(d).String() }
 // String formats a simulated timestamp like a duration since t=0.
 func (t Time) String() string { return time.Duration(t).String() }
 
-// event is one scheduled callback. Events are owned by their World: a
-// fired or cancelled event goes back to the world's free list and is
-// handed out again by the next AfterCall or Lane.Call, so the steady
-// state of a simulation allocates no events at all.
+// event is one scheduled callback. Events are owned by their World,
+// which makes them eventSlab at a time: a fired or cancelled event goes
+// back to the world's free list and is handed out again by the next
+// AfterCall or Lane.Call, so the steady state of a simulation allocates
+// no events at all.
 type event struct {
 	when Time
 	seq  uint64 // tie-break so simultaneous events run in schedule order
@@ -83,6 +84,8 @@ type World struct {
 	// live counts the scheduled events, in the heap or behind a head.
 	live int
 	free []*event
+	// slab is the unused rest of the block alloc last carved events from.
+	slab []event
 	seq  uint64
 	rng  *rand.Rand
 	// events counts the events Step has run; see Events.
@@ -208,13 +211,21 @@ func (w *World) release(ev *event) {
 	w.free = append(w.free, ev)
 }
 
-// alloc takes an event from the free list, keyed d from now.
+// eventSlab is how many events alloc carves from one allocation when the
+// free list is empty.
+const eventSlab = 16
+
+// alloc takes an event from the free list, or from a slab when the list
+// is empty, keyed d from now. It is the one place an event is made.
 func (w *World) alloc(d Duration, fn func(any), arg any) *event {
 	var ev *event
 	if n := len(w.free) - 1; n >= 0 {
 		ev, w.free = w.free[n], w.free[:n]
 	} else {
-		ev = new(event)
+		if len(w.slab) == 0 {
+			w.slab = make([]event, eventSlab)
+		}
+		ev, w.slab = &w.slab[0], w.slab[1:]
 	}
 	ev.when, ev.seq, ev.fn, ev.arg = w.now+Time(d), w.seq, fn, arg
 	w.seq++
