@@ -96,6 +96,9 @@ vet:
 # And copy-on-write is the one dirty signal: a region's backing array is
 # its version, so non-test internal/vos keeps no write clock and non-test
 # internal/ckpt no per-process watermark map (DESIGN.md §5).
+# And a pod is captured once: the agent's step 2 reads its network-state
+# figures from the frozen capture's Image.Net, so no non-test code outside
+# internal/ckpt calls netckpt.CheckpointStack (DESIGN.md §5).
 # And every exported name has a caller outside its own package's tests,
 # and every -run or -fuzz selector below selects a test
 # (exports_test.go; DESIGN.md §1).
@@ -197,6 +200,8 @@ boundary:
 		code ~ /(^|[^A-Za-z0-9_])Placement\{/{print FILENAME ": " fn}' \
 		$$(find . -name '*.go' -not -name '*_test.go' -not -path './benchmark/*') | sort -u)"; \
 	if [ "$$(echo "$$fns" | grep -c .)" -gt 1 ]; then echo "boundary: core.Placement values built in more than one function; every restart places its images with core.Place (DESIGN.md §5):"; echo "$$fns"; exit 1; fi
+	@bad="$$(grep -rnE --include='*.go' 'CheckpointStack\(' . | grep -vE '^\./internal/ckpt/|_test\.go:|func CheckpointStack\(|^[^:]+:[0-9]+:[[:space:]]*//')"; \
+	if [ -n "$$bad" ]; then echo "boundary: the network state captured outside internal/ckpt; step 2 reads the frozen capture's Image.Net, so a pod is captured once (DESIGN.md §5):"; echo "$$bad"; exit 1; fi
 
 build:
 	$(GO) build ./...
@@ -220,7 +225,8 @@ race-precopy:
 # the model check against the deep-copying reference capture (frozen and
 # live captures marking the regions of every process shared), the
 # end-to-end pin on churn and bt, and the allocation budgets that fail if
-# a copy of the regions comes back on either path, or if the encoder's
+# a copy of the regions comes back on either path, or a snapshot to walk
+# a pod's stack twice (TestSnapshotObjectBudget), or if the encoder's
 # allocations come to grow with the sections or frames it writes, or a
 # second record of one shape to allocate any buffer, or the spare that
 # carries those buffers from one record encoder to the next to hand one
@@ -230,7 +236,7 @@ race-precopy:
 # test runs ten times.
 cow-check:
 	$(GOTEST) -run '^TestCOW' . ./internal/ckpt ./internal/vos
-	$(GOTEST) -run '^TestCheckpointAllocationBudget$$|^TestEncoderAllocationsIndependentOfCount$$|^TestSecondRecordAllocatesNoBuffer$$|^TestSpareLeavesBlobsAndRecordsAlone$$|^TestSpareSurvivesMisuse$$|^TestSpareUnderConcurrentEncoders$$|^TestRestartAllocationBudget$$|^TestSecondDecodeAllocatesNoBuffer$$|^TestDecodeSpareLeavesKeptValuesAlone$$|^TestDecodeSpareSurvivesMisuse$$' . ./internal/imgfmt
+	$(GOTEST) -run '^TestCheckpointAllocationBudget$$|^TestSnapshotObjectBudget$$|^TestEncoderAllocationsIndependentOfCount$$|^TestSecondRecordAllocatesNoBuffer$$|^TestSpareLeavesBlobsAndRecordsAlone$$|^TestSpareSurvivesMisuse$$|^TestSpareUnderConcurrentEncoders$$|^TestRestartAllocationBudget$$|^TestSecondDecodeAllocatesNoBuffer$$|^TestDecodeSpareLeavesKeptValuesAlone$$|^TestDecodeSpareSurvivesMisuse$$' . ./internal/imgfmt
 	$(GO) test -race -count=10 -run '^TestDecodeSpareUnderConcurrentDecoders$$' ./internal/imgfmt
 
 # Short, deterministic-budget fuzz passes over every image-format entry

@@ -4,10 +4,10 @@
 //
 // A Manager client orchestrates one Agent per participating pod. The
 // checkpoint follows Figure 1: every agent suspends its pod and blocks
-// its network independently, takes the (fast) network-state checkpoint
-// first, reports its meta-data to the manager, and proceeds with the
-// standalone pod checkpoint in parallel with the manager's single
-// synchronization — agents may not finish (and re-enable their
+// its network independently, captures the pod once — its network state
+// is the (fast) network-state checkpoint, taken first — reports its
+// meta-data to the manager, and encodes the standalone pod checkpoint in
+// parallel with the manager's single synchronization — agents may not finish (and re-enable their
 // networks) until the manager has collected meta-data from everyone,
 // which is the one and only synchronization point the algorithm needs
 // (Figure 2). Restart follows Figure 3: the manager derives a
@@ -411,7 +411,7 @@ func (m *Manager) notify(p Phase) {
 // records stream to the shared filesystem unless SetStore installs a
 // different sink.
 func NewManager(w *sim.World, nw *netstack.Network, fs *memfs.FS) *Manager {
-	return &Manager{w: w, nw: nw, fs: fs, store: imagestore.NewFS(fs)}
+	return &Manager{w: w, nw: nw, fs: fs, store: fs}
 }
 
 // dropOp removes a finished or aborted checkpoint operation from the
@@ -576,14 +576,12 @@ type ckptAgent struct {
 	window      sim.Duration // SIGSTOP -> resume/teardown (application downtime)
 	netTime     sim.Duration
 	saTime      sim.Duration
-	img         *ckpt.Image
 	pend        *ckpt.Pending // the quiesced capture; committed once the operation is durable
 	pre         *ckpt.Tracker // pre-copy mode only: this operation's chain
 	preResent   int64         // bytes re-copied by live rounds after the base
 	preRounds   int           // live rounds taken (base included)
 	rec         *ckpt.Record  // the generation's one encode: stats now, replayed at flush
 	netBytes    int64
-	queueLen    int64
 	repolls     int64        // quiescence re-polls (exponential backoff)
 	backoff     sim.Duration // current quiescence re-poll interval
 	phase       agentPhase
@@ -868,31 +866,42 @@ func (a *ckptAgent) flush(parent *trace.Span, pend *ckpt.Pending, liveRound int)
 	return nil
 }
 
-// netCheckpoint is agent step 2: take the network-state checkpoint, then
-// (2a) report the meta-data to the manager.
+// netCheckpoint is agent step 2: capture the frozen pod — the one walk
+// of its stack, whose Net is the network-state checkpoint this step
+// charges — then (2a) report the meta-data to the manager. The mode
+// picks the Tracker; in pre-copy mode it is the operation's chain, so
+// only the residual dirty set is captured here.
 func (a *ckptAgent) netCheckpoint() {
 	costs := a.op.m.w.Costs
-	netImg, err := netckpt.CheckpointStack(a.pod.Stack())
+	var err error
+	switch {
+	case a.pre != nil:
+		a.pend, err = a.pre.Capture(a.pod, false)
+	case a.op.opts.Incr != nil:
+		a.pend, err = a.op.opts.Incr.Capture(a.pod, 0)
+	default:
+		a.pend, err = ckpt.NewTracker().Capture(a.pod, true)
+	}
 	if err != nil {
 		a.op.finish(err)
 		return
 	}
+	netImg := a.pend.Image.Net
 	a.netBytes = netImg.Bytes()
-	a.queueLen = netImg.QueueBytes()
-	nSpan := a.op.m.tr.Start(a.span, "ckpt/net-ckpt",
-		trace.I64("sockets", int64(len(netImg.Sockets))))
-	// Cost: read the full option set per socket plus copy queue payload.
+	queueLen := netImg.QueueBytes()
 	nSocks := len(netImg.Sockets)
+	nSpan := a.op.m.tr.Start(a.span, "ckpt/net-ckpt", trace.I64("sockets", int64(nSocks)))
+	// Cost: read the full option set per socket plus copy queue payload.
 	cost := costs.SockOptRead*sim.Duration(nSocks*netstack.NumOpts) +
 		costs.MemCopyTime(a.netBytes) +
 		500*sim.Microsecond // walk kernel tables
 	a.op.after(cost, func() {
 		a.netTime = cost
 		nSpan.End(trace.I64("bytes", a.netBytes),
-			trace.I64("queue_bytes", a.queueLen),
+			trace.I64("queue_bytes", queueLen),
 			trace.I64("queue_msgs", netImg.QueueMsgs()))
 		a.op.m.reg.Counter("netstack_drained_msgs_total").Add(netImg.QueueMsgs())
-		a.op.m.reg.Counter("netstack_drained_bytes_total").Add(a.queueLen)
+		a.op.m.reg.Counter("netstack_drained_bytes_total").Add(queueLen)
 		// 2a: report meta-data (the manager only needs the connectivity
 		// map; transferring it costs latency plus wire time). In a tree
 		// the report ascends in per-link batches; sub-coordinators hold
@@ -907,12 +916,10 @@ func (a *ckptAgent) netCheckpoint() {
 }
 
 // standalone is agent step 3: the standalone pod checkpoint, overlapped
-// with the manager synchronization. Every mode captures through a
-// Tracker; the mode picks which. In pre-copy mode it is the operation's
-// chain, so only the residual dirty set is captured here — the bulk of
-// the image already streamed out during the live rounds — and this, the
-// dominant term of the suspend window, shrinks from O(image) to O(final
-// dirty set).
+// with the manager synchronization. It encodes the generation step 2
+// captured and charges its copy; in pre-copy mode that is the residual
+// record, so this, the dominant term of the suspend window, shrinks from
+// O(image) to O(final dirty set).
 func (a *ckptAgent) standalone() {
 	if a.op.checkFailure() {
 		return
@@ -920,20 +927,6 @@ func (a *ckptAgent) standalone() {
 	w := a.op.m.w
 	costs := w.Costs
 	workers := effWorkers(a.op.opts.Workers)
-	var err error
-	switch {
-	case a.pre != nil:
-		a.pend, err = a.pre.Capture(a.pod, false)
-	case a.op.opts.Incr != nil:
-		a.pend, err = a.op.opts.Incr.Capture(a.pod, 0)
-	default:
-		a.pend, err = ckpt.NewTracker().Capture(a.pod, true)
-	}
-	if err != nil {
-		a.op.finish(err)
-		return
-	}
-	a.img = a.pend.Image
 	// The generation's only encode: its stats size the modeled costs
 	// below, its bytes are what the flush replays.
 	a.rec = a.pend.Record()
@@ -951,7 +944,7 @@ func (a *ckptAgent) standalone() {
 	// worker lanes can start where the fixed prologue ends.
 	bytes := costs.EffImageBytes(a.rec.Bytes)
 	fixed = w.Jitter(fixed, 0.25)
-	cost := fixed + costs.MemCopyTime(bytes)/parSpeedup(workers, len(a.img.Procs))
+	cost := fixed + costs.MemCopyTime(bytes)/parSpeedup(workers, len(a.pend.Image.Procs))
 	a.op.after(cost, func() {
 		a.saTime = cost
 		if a.pre == nil {
@@ -983,15 +976,15 @@ func (a *ckptAgent) incremental() bool {
 // idled waiting for the slowest peer.
 func (a *ckptAgent) emitWorkerLanes(saStart sim.Time, fixed sim.Duration, workers int) {
 	tr := a.op.m.tr
-	if tr == nil || len(a.img.Procs) == 0 {
+	if tr == nil || len(a.pend.Image.Procs) == 0 {
 		return
 	}
 	costs := a.op.m.w.Costs
-	workers = int(parSpeedup(workers, len(a.img.Procs)))
+	workers = int(parSpeedup(workers, len(a.pend.Image.Procs)))
 	busy := make([]sim.Duration, workers)
 	laneBytes := make([]int64, workers)
 	laneProcs := make([]int64, workers)
-	for _, p := range a.img.Procs {
+	for _, p := range a.pend.Image.Procs {
 		wi := 0
 		for j := 1; j < workers; j++ {
 			if busy[j] < busy[wi] {
@@ -1032,7 +1025,7 @@ func (op *ckptOp) metaArrived() {
 	op.plane.Broadcast("continue", nil, op.each(func(i int) {
 		a := op.agents[i]
 		a.join(agContinued)
-		if op.opts.NaiveSync && a.img == nil {
+		if op.opts.NaiveSync && a.rec == nil {
 			a.standalone() // the ablation saves only now
 		}
 	}))
@@ -1093,7 +1086,7 @@ func (op *ckptOp) doneArrived(a *ckptAgent) {
 		return
 	}
 	total := sim.Duration(op.m.w.Now() - a.began)
-	a.span.End(trace.I64("image_bytes", a.img.Bytes()),
+	a.span.End(trace.I64("image_bytes", a.pend.Image.Bytes()),
 		trace.I64("wire_bytes", a.rec.Bytes))
 	op.m.reg.Histogram("ckpt_agent_total_ns").Observe(int64(total))
 	op.result.Stats.Agents = append(op.result.Stats.Agents, AgentStats{
@@ -1102,7 +1095,7 @@ func (op *ckptOp) doneArrived(a *ckptAgent) {
 		NetCkpt:            a.netTime,
 		Standalone:         a.saTime,
 		Total:              total,
-		ImageBytes:         a.img.Bytes(),
+		ImageBytes:         a.pend.Image.Bytes(),
 		NetBytes:           a.netBytes,
 		WireBytes:          a.rec.Bytes,
 		PeakBuffered:       a.rec.Peak,
@@ -1115,7 +1108,7 @@ func (op *ckptOp) doneArrived(a *ckptAgent) {
 		op.m.reg.Counter("ckpt_precopy_rounds_total").Add(int64(a.preRounds))
 		op.m.reg.Counter("ckpt_precopy_resent_bytes_total").Add(a.preResent)
 	}
-	op.result.Images = append(op.result.Images, a.img)
+	op.result.Images = append(op.result.Images, a.pend.Image)
 	op.dones++
 	if op.dones < len(op.agents) {
 		return

@@ -24,7 +24,7 @@
 //
 // Files whose content does not start with the manifest magic (images
 // written before the store was wrapped) pass through untouched, so a
-// DedupStore can be layered over an existing FSStore at any point.
+// DedupStore can be layered over an existing store at any point.
 package imagestore
 
 import (

@@ -19,8 +19,8 @@ import (
 
 // newDedupT returns a small-block dedup store over a fresh memfs so
 // tests exercise multi-block images without megabyte payloads.
-func newDedupT() (*DedupStore, *FSStore) {
-	inner := NewFS(memfs.New())
+func newDedupT() (*DedupStore, *memfs.FS) {
+	inner := memfs.New()
 	return NewDedupBlockSize(inner, 1<<10), inner
 }
 

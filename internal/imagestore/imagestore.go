@@ -5,7 +5,7 @@
 // shared storage in the normal case, or straight over the network to
 // the target node in the paper's direct-migration mode. Store is the
 // seam between the two — producers write images through Create without
-// knowing whether bytes land on the shared filesystem (FSStore) or on a
+// knowing whether bytes land on the shared filesystem (NewFS) or on a
 // peer node's store via a socket (Remote/Server in this package), and
 // consumers read them back through Open without knowing where they came
 // from. Everything above this interface (the coordination manager, the
@@ -37,28 +37,7 @@ type Store interface {
 	Remove(path string) error
 }
 
-// FSStore stores images on the shared in-memory filesystem — the
-// paper's SAN/GFS path. It inherits memfs's chunked storage, so
-// streamed images stay chunked at rest.
-type FSStore struct {
-	fs *memfs.FS
-}
-
-// NewFS returns a Store backed by the given filesystem.
-func NewFS(fs *memfs.FS) *FSStore { return &FSStore{fs: fs} }
-
-// FS returns the backing filesystem.
-func (s *FSStore) FS() *memfs.FS { return s.fs }
-
-// Create returns a streaming writer committing to the filesystem on
-// Close.
-func (s *FSStore) Create(path string) (io.WriteCloser, error) { return s.fs.Create(path) }
-
-// Open returns a streaming reader over a committed image.
-func (s *FSStore) Open(path string) (io.ReadCloser, error) { return s.fs.Open(path) }
-
-// List returns the sorted image paths under prefix.
-func (s *FSStore) List(prefix string) []string { return s.fs.List(prefix) }
-
-// Remove deletes an image.
-func (s *FSStore) Remove(path string) error { return s.fs.Remove(path) }
+// NewFS returns a Store on the shared in-memory filesystem — the
+// paper's SAN/GFS path. *memfs.FS is a Store itself, and its chunked
+// storage keeps streamed images chunked at rest.
+func NewFS(fs *memfs.FS) Store { return fs }

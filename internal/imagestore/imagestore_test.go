@@ -45,7 +45,7 @@ func TestFSStoreRoundTrip(t *testing.T) {
 	if err := wc.Close(); err != nil {
 		t.Fatal(err)
 	}
-	info, err := st.FS().Stat("gen0/pod.img")
+	info, err := fs.Stat("gen0/pod.img")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -108,7 +108,7 @@ func TestTruncStoreWriteFaultUnderBudget(t *testing.T) {
 	if cerr := wc.Close(); !errors.Is(cerr, ErrTruncatedStream) {
 		t.Fatalf("close error = %v, want ErrTruncatedStream", cerr)
 	}
-	if st.inner.(*FSStore).FS().Exists("g/tiny.img") {
+	if st.inner.(*memfs.FS).Exists("g/tiny.img") {
 		t.Fatal("truncated image was committed")
 	}
 }

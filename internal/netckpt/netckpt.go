@@ -107,10 +107,6 @@ func CheckpointStack(st *netstack.Stack) (*NetImage, error) {
 	}
 	socks := st.Sockets()
 	img := &NetImage{PodIP: st.IPAddr(), Sockets: make([]SocketRecord, 0, len(socks))}
-	slotOf := make(map[*netstack.Socket]int, len(socks))
-	for i, s := range socks {
-		slotOf[s] = i
-	}
 	// Map pending (not yet accepted) children to their listener slot.
 	pendingOf := make(map[*netstack.Socket]int)
 	for i, s := range socks {

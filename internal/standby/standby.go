@@ -141,6 +141,7 @@ type Plane struct {
 	files    []string
 	cur      supervisor.Generation
 	want     string // the record on the wire: its server-side commit is the next step
+	buf      []byte // ship's read buffer, reused for every record
 	doneFn   func(error)
 	span     *trace.Span
 	watchdog sim.EventID
@@ -163,7 +164,8 @@ func New(w *sim.World, nw *netstack.Network, node *vos.Node, src imagestore.Stor
 		w:        w,
 		node:     node,
 		src:      src,
-		local:    imagestore.NewFS(memfs.New()),
+		local:    memfs.New(),
+		buf:      make([]byte, 64<<10),
 		shadows:  make(map[string]ckpt.Chain),
 		ackedSeq: -1,
 	}
@@ -359,11 +361,10 @@ func (p *Plane) ship(path string) error {
 	if err != nil {
 		return fmt.Errorf("standby: opening replication stream for %s: %w", path, err)
 	}
-	buf := make([]byte, 64<<10)
 	for {
-		n, rerr := rc.Read(buf)
+		n, rerr := rc.Read(p.buf)
 		if n > 0 {
-			if _, werr := wc.Write(buf[:n]); werr != nil {
+			if _, werr := wc.Write(p.buf[:n]); werr != nil {
 				return werr
 			}
 		}

@@ -3,6 +3,7 @@ package standby_test
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -193,10 +194,19 @@ func TestPromotionWhileRecordOnTheWire(t *testing.T) {
 
 // TestPromotionWhileApplying: the handover waits for the running apply
 // and then holds the generation it applied. The sync never reports, and
-// the plane refuses whatever comes after.
+// the plane refuses whatever comes after. Shipping the generation's two
+// records allocates less than one 64 KiB read buffer: the plane reads
+// every record through its own (26 KiB in all here, 154 KiB while each
+// record had a fresh buffer).
 func TestPromotionWhileApplying(t *testing.T) {
 	r := newRig(t)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
 	r.inPhase(t, "handing-over")
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 64<<10 {
+		t.Fatalf("shipping generation 1 allocated %d bytes, not under one 64 KiB read buffer", got)
+	}
 	if len(r.handover) != 0 {
 		t.Fatalf("handed over %v before the apply ended", r.handover)
 	}

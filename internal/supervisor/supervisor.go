@@ -466,15 +466,15 @@ func (s *Supervisor) SetTracer(tr *trace.Tracer, reg *trace.Registry) {
 }
 
 // counterOf maps a log-event kind to its registry counter name (kinds
-// that are not counted have none).
+// that are not counted have none). A retry and a collected generation
+// are counted where their Stats field is bumped: their kinds also log a
+// diverted abort and a block sweep, which Stats does not count.
 var counterOf = map[EventKind]string{
 	EvCheckpoint:   "supervisor_checkpoints_total",
-	EvRetry:        "supervisor_ckpt_retries_total",
 	EvNodeDown:     "supervisor_nodes_declared_total",
 	EvFailover:     "supervisor_failovers_total",
 	EvSkipCorrupt:  "supervisor_corrupt_skipped_total",
 	EvRestartRetry: "supervisor_restart_retries_total",
-	EvGC:           "supervisor_gc_total",
 	EvGCPin:        "supervisor_gc_pins_total",
 	EvReplicate:    "supervisor_replica_syncs_total",
 	EvReplicaErr:   "supervisor_replica_errors_total",
@@ -789,6 +789,7 @@ func (s *Supervisor) ckptDone(dir string, res *core.CheckpointResult) {
 			return
 		}
 		s.stats.Retries++
+		s.reg.Counter("supervisor_ckpt_retries_total").Add(1)
 		s.log(EvRetry, "checkpoint attempt %d aborted (%v), retrying in %v", s.attempt, err, s.backoff())
 		s.enter(stCkptBackoff, "")
 	}
@@ -815,7 +816,7 @@ func (s *Supervisor) scrapGeneration(dir string) {
 
 // sweepStore collects storage orphaned below the image paths — dedup
 // blocks left by a writer that died mid-commit. Stores without
-// block-level GC (plain FSStore, remote) have nothing to sweep.
+// block-level GC (a plain filesystem, remote) have nothing to sweep.
 func (s *Supervisor) sweepStore() {
 	if sw, ok := s.t.Store.(imagestore.Sweeper); ok {
 		if n := sw.Sweep(); n > 0 {
@@ -856,6 +857,7 @@ func (s *Supervisor) gc() {
 			g := s.gens[i]
 			s.scrapGeneration(g.Dir)
 			s.stats.GCCollected++
+			s.reg.Counter("supervisor_gc_total").Add(1)
 			s.log(EvGC, "collected generation %s", g.Dir)
 		}
 		s.gens = s.gens[chainLen:]

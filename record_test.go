@@ -335,6 +335,84 @@ func TestCheckpointAllocationBudget(t *testing.T) {
 	}
 }
 
+// TestSnapshotObjectBudget: a stop-and-copy checkpoint of a bt/4 job whose
+// sockets hold queued data allocates under 470 objects. Step 2's capture
+// is the pod's one walk of its stack: the network state it charges is the
+// image's. Here that is 440 objects (452 under -race) for 36 queued
+// messages over 20 sockets, and 487 while step 3 took the network state a
+// second time — three objects per pod and one per queued message. The
+// first checkpoint fills the encoder spare; the second is measured.
+// Counts, not time.
+func TestSnapshotObjectBudget(t *testing.T) {
+	c := zapc.New(zapc.Config{Nodes: 4, Seed: 2005})
+	job, err := c.Launch(btSpec(1.0 / 64))
+	if err != nil {
+		t.Fatal(err)
+	}
+	driveTo(t, c, job, 0.2)
+	if _, err := c.Checkpoint(job, zapc.CheckpointOptions{Mode: zapc.Snapshot}); err != nil {
+		t.Fatal(err)
+	}
+	driveTo(t, c, job, 0.3)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	res, err := c.Checkpoint(job, zapc.CheckpointOptions{Mode: zapc.Snapshot})
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var queued int64
+	for _, img := range res.Images {
+		queued += img.Net.QueueMsgs()
+	}
+	if queued == 0 {
+		t.Fatal("no socket holds queued data at the checkpoint; move it")
+	}
+	objects := after.Mallocs - before.Mallocs
+	t.Logf("checkpoint allocated %d objects, %d queued messages", objects, queued)
+	if objects >= 470 {
+		t.Fatalf("a snapshot with %d queued messages allocated %d objects, budget 470", queued, objects)
+	}
+}
+
+// TestAgentNetBytesIsTheImageNet: the network state an agent's step 2
+// reports is the one its image carries, in every mode that captures a
+// frozen pod: stop-and-copy, an incremental delta and a pre-copy residual.
+func TestAgentNetBytesIsTheImageNet(t *testing.T) {
+	incr := ckpt.NewIncrSet(4)
+	for _, mode := range []struct {
+		name string
+		opts []zapc.CheckpointOptions // the last one is checked
+	}{
+		{"stop-and-copy", []zapc.CheckpointOptions{{Mode: zapc.Snapshot}}},
+		{"incremental", []zapc.CheckpointOptions{{Mode: zapc.Snapshot, Incr: incr}, {Mode: zapc.Snapshot, Incr: incr}}},
+		{"pre-copy", []zapc.CheckpointOptions{{Mode: zapc.Snapshot, Precopy: &zapc.PrecopyOptions{MaxRounds: 3}}}},
+	} {
+		t.Run(mode.name, func(t *testing.T) {
+			c := zapc.New(zapc.Config{Nodes: 4, Seed: 2005})
+			job, err := c.Launch(btSpec(1.0 / 64))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var res *zapc.CheckpointResult
+			for i, opts := range mode.opts {
+				driveTo(t, c, job, 0.2+0.1*float64(i))
+				if res, err = c.Checkpoint(job, opts); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if mode.name == "incremental" && !res.Stats.Agents[0].Incremental {
+				t.Fatal("the second generation is not a delta")
+			}
+			for i, a := range res.Stats.Agents {
+				if want := res.Images[i].Net.Bytes(); a.NetBytes != want || want == 0 {
+					t.Errorf("pod %s: step 2 reported %d network bytes, the image carries %d", a.Pod, a.NetBytes, want)
+				}
+			}
+		})
+	}
+}
+
 // TestRestartAllocationBudget is the read-side twin: a restart from the
 // flushed directory allocates less than one and a half times the logical
 // bytes it reads — the decode's one destination per region, which the

@@ -82,7 +82,7 @@ func TestRemoteStoreMigration(t *testing.T) {
 	// The receiving side: a store on its own filesystem (the target
 	// node's local disk), fronted by an image server on the virtual
 	// network.
-	peer := imagestore.NewFS(memfs.New())
+	peer := memfs.New()
 	srv, err := imagestore.NewServer(c.Net, netstack.IP(0x0a00ff01), 9000, peer)
 	if err != nil {
 		t.Fatal(err)
@@ -117,7 +117,7 @@ func TestRemoteStoreMigration(t *testing.T) {
 		t.Fatalf("peer store holds %d images, want %d", len(files), pods)
 	}
 	for _, f := range files {
-		info, err := peer.FS().Stat(f)
+		info, err := peer.Stat(f)
 		if err != nil {
 			t.Fatal(err)
 		}

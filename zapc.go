@@ -46,6 +46,7 @@
 package zapc
 
 import (
+	"zapc/internal/apps"
 	"zapc/internal/ckpt"
 	"zapc/internal/cluster"
 	"zapc/internal/coord"
@@ -239,4 +240,4 @@ func DefaultCosts() Costs { return sim.DefaultCosts() }
 
 // Apps lists the built-in workloads from the paper's evaluation: cpi,
 // bt, bratu (PETSc SFI), povray.
-func Apps() []string { return []string{"cpi", "bt", "bratu", "povray"} }
+func Apps() []string { return apps.Names() }
