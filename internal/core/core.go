@@ -49,15 +49,15 @@ var (
 	ErrNoTargets      = errors.New("core: no target nodes")
 )
 
-// Watchdog defaults. A coordinated operation that makes no progress —
-// an agent that never reports its meta-data or done message, a control
-// message lost by the fabric — aborts after these spans instead of
-// relying on the caller's Drive deadline. Both are generous multiples
-// of the expected agent time (hundreds of milliseconds on the
-// calibrated model).
+// Watchdogs. A coordinated operation that makes no progress — an agent
+// that never reports its meta-data or done message, a control message
+// lost by the fabric — aborts after these spans instead of relying on
+// the caller's Drive deadline. Both are generous multiples of the
+// expected agent time (hundreds of milliseconds on the calibrated
+// model). CheckpointTimeout also caps waitQuiescent's re-poll interval.
 const (
-	DefaultCheckpointTimeout = 30 * sim.Second
-	DefaultRestartTimeout    = 60 * sim.Second
+	CheckpointTimeout     = 5 * sim.Second
+	DefaultRestartTimeout = 60 * sim.Second
 )
 
 // Phase identifies progress points of coordinated operations, exposed
@@ -140,11 +140,6 @@ type Options struct {
 	// SAN/unionfs snapshot, so the checkpoint also has a consistent
 	// file-system image.
 	SnapshotFS bool
-	// Timeout is the checkpoint watchdog: if the coordinated operation
-	// has not completed within this span the manager aborts it and the
-	// agents resume their pods, instead of hanging until the caller's
-	// Drive deadline. Zero or less selects DefaultCheckpointTimeout.
-	Timeout sim.Duration
 	// Workers is the per-agent serialization width the checkpoint
 	// models: the modeled memory-copy time divides by the effective
 	// parallelism min(Workers, processes), and the trace shows that many
@@ -195,14 +190,6 @@ func (o *PrecopyOptions) maxRounds() int {
 		return defaultPrecopyRounds
 	}
 	return o.MaxRounds
-}
-
-// timeout is the checkpoint watchdog's span.
-func (o *Options) timeout() sim.Duration {
-	if o.Timeout <= 0 {
-		return DefaultCheckpointTimeout
-	}
-	return o.Timeout
 }
 
 // effWorkers is the pool width an operation models: the caller's, at
@@ -478,9 +465,8 @@ func (m *Manager) Checkpoint(pods []*pod.Pod, opts Options, onDone func(*Checkpo
 	// Arm the watchdog: a stalled agent (lost control message, node
 	// wedged before reporting) aborts the operation and resumes the
 	// pods rather than hanging until the caller's deadline.
-	timeout := opts.timeout()
-	op.watchdog = m.w.After(timeout, func() {
-		op.finish(fmt.Errorf("%w: checkpoint stalled for %v", ErrTimeout, timeout))
+	op.watchdog = m.w.After(CheckpointTimeout, func() {
+		op.finish(fmt.Errorf("%w: checkpoint stalled for %v", ErrTimeout, CheckpointTimeout))
 	})
 	mode := "snapshot"
 	if opts.Mode == Migrate {
@@ -717,7 +703,7 @@ func (a *ckptAgent) waitQuiescent() {
 		if d <= 0 {
 			d = 200 * sim.Microsecond
 		}
-		d = min(d, a.op.opts.timeout())
+		d = min(d, CheckpointTimeout)
 		a.backoff = 2 * d
 		a.op.after(d, a.waitQuiescent)
 		return

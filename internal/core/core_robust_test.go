@@ -125,7 +125,7 @@ func TestRestartFailureMidRestore(t *testing.T) {
 }
 
 // TestCheckpointWatchdogTimeout drops the manager's initial 'checkpoint'
-// broadcast so no agent ever starts; the Options.Timeout watchdog must
+// broadcast so no agent ever starts; the CheckpointTimeout watchdog must
 // abort the operation instead of hanging until the caller's deadline,
 // and the application must be unaffected.
 func TestCheckpointWatchdogTimeout(t *testing.T) {
@@ -143,14 +143,14 @@ func TestCheckpointWatchdogTimeout(t *testing.T) {
 	})
 	began := h.w.Now()
 	var res *CheckpointResult
-	h.mgr.Checkpoint([]*pod.Pod{podA, podB}, Options{Mode: Snapshot, Timeout: sim.Second},
+	h.mgr.Checkpoint([]*pod.Pod{podA, podB}, Options{Mode: Snapshot},
 		func(r *CheckpointResult) { res = r })
 	h.drive(t, func() bool { return res != nil })
 	if !errors.Is(res.Err, ErrTimeout) {
 		t.Fatalf("err = %v, want ErrTimeout", res.Err)
 	}
-	if waited := sim.Duration(h.w.Now() - began); waited < sim.Second || waited > 2*sim.Second {
-		t.Fatalf("watchdog fired after %v, want ~1s", waited)
+	if waited := sim.Duration(h.w.Now() - began); waited < CheckpointTimeout || waited > 2*CheckpointTimeout {
+		t.Fatalf("watchdog fired after %v, want ~%v", waited, CheckpointTimeout)
 	}
 
 	// With the fault gone, a fresh checkpoint succeeds and the

@@ -180,9 +180,6 @@ const (
 	// silent before it is declared failed: its HeartbeatTimeout is
 	// HeartbeatMisses × HeartbeatInterval.
 	HeartbeatMisses = 4
-	// CheckpointTimeout is the per-attempt watchdog handed to the
-	// coordinated checkpoint.
-	CheckpointTimeout = 5 * sim.Second
 	// MaxRetries bounds checkpoint retry attempts per period and
 	// restart attempts per failover.
 	MaxRetries = 4
@@ -711,7 +708,6 @@ func (s *Supervisor) checkpointAttempt() {
 	opts := core.Options{
 		Mode:    core.Snapshot,
 		FlushTo: dir,
-		Timeout: CheckpointTimeout,
 		Workers: s.pol.Workers,
 		Incr:    s.incr,
 	}

@@ -148,13 +148,13 @@ func TestSupervisorHeartbeatLatency(t *testing.T) {
 // (the first checkpoint's broadcast is dropped entirely) and verifies
 // the supervisor retries with backoff and commits on a later attempt.
 // The job is sized to outlive the first attempt's watchdog
-// (CheckpointTimeout) and the first backoff, so the retry runs while it
+// (core.CheckpointTimeout) and the first backoff, so the retry runs while it
 // still does.
 func TestSupervisorRetryBackoff(t *testing.T) {
 	spec := cluster.JobSpec{App: "bratu", Endpoints: 4, Work: 0.5, Scale: 0.001}
 	want, refDur := reference(t, 5, spec)
 	every := refDur / 16
-	if retry := every + supervisor.CheckpointTimeout + supervisor.RetryBackoff; retry > refDur*3/4 {
+	if retry := every + core.CheckpointTimeout + supervisor.RetryBackoff; retry > refDur*3/4 {
 		t.Fatalf("the retry at %v would land too close to the job's end at %v", retry, refDur)
 	}
 
