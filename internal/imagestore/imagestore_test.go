@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"math/bits"
+	"runtime"
 	"testing"
 
 	"zapc/internal/memfs"
@@ -126,6 +128,62 @@ func TestRemoteStoreTransfer(t *testing.T) {
 	}
 	if info.Chunks <= 1 {
 		t.Fatalf("image stored as %d chunk(s); expected streamed chunks", info.Chunks)
+	}
+}
+
+// TestRemoteWriterCopiesEachWriteOnce ships a 1 MiB record the way the
+// standby plane does: 64 KiB writes from one reused buffer, all made right
+// after Create, while the connection is still being set up, so the writer
+// stages the whole record. Each write is copied once, at its size: the
+// writes allocate one object apiece, besides the regrowth of the entry
+// list and of the prefix buffer, and no more bytes than the record and a
+// little for those two.
+func TestRemoteWriterCopiesEachWriteOnce(t *testing.T) {
+	const chunk = 64 << 10
+	record := bytes.Repeat([]byte("zapc"), 1<<18)
+	w := sim.NewWorld(4)
+	nw := netstack.NewNetwork(w)
+	peerFS := memfs.New()
+	srv, err := NewServer(nw, 0x0a00ff02, 9000, NewFS(peerFS))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rem, err := NewRemote(nw, 0x0a00ff01, srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	wc, err := rem.Create("mig/pod-0.img")
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]byte, chunk)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for off := 0; off < len(record); off += chunk {
+		copy(buf, record[off:])
+		if _, err := wc.Write(buf); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	writes := len(record) / chunk
+	objects, allocated := after.Mallocs-before.Mallocs, after.TotalAlloc-before.TotalAlloc
+	t.Logf("%d writes allocated %d objects, %d bytes", writes, objects, allocated)
+	if staged := wc.(*remoteWriter).sent; staged != 0 {
+		t.Fatalf("the socket took %d bytes before the connection was up", staged)
+	}
+	if limit := uint64(writes + 2*bits.Len(uint(2*writes))); objects > limit {
+		t.Errorf("%d writes allocated %d objects, more than one each and the regrowth (%d)", writes, objects, limit)
+	}
+	if limit := uint64(len(record) + len(record)/64); allocated > limit {
+		t.Errorf("%d writes allocated %d bytes for a %d-byte record, more than %d", writes, allocated, len(record), limit)
+	}
+	if err := wc.Close(); err != nil {
+		t.Fatal(err)
+	}
+	drive(t, w, func() bool { return len(srv.Received()) == 1 })
+	if got, err := peerFS.ReadFile("mig/pod-0.img"); err != nil || !bytes.Equal(got, record) {
+		t.Fatalf("shipped record: %d bytes, %v", len(got), err)
 	}
 }
 

@@ -63,9 +63,7 @@ func (r *Remote) Create(path string) (io.WriteCloser, error) {
 		return nil, err
 	}
 	w := &remoteWriter{sock: sock, path: path}
-	hdr := putUvarint(nil, uint64(len(path)))
-	hdr = append(hdr, path...)
-	w.queue = [][]byte{hdr}
+	w.queue = append(w.queue, append(putUvarint(nil, uint64(len(path))), path...))
 	sock.SetNotify(w.pump)
 	w.pump()
 	return w, nil
@@ -81,18 +79,31 @@ func (r *Remote) List(string) []string { return nil }
 // Remove is unsupported.
 func (r *Remote) Remove(string) error { return ErrUnsupported }
 
-// remoteWriter stages chunk buffers and pumps them through the socket
-// as send-buffer space opens up. The staged queue is a list of
-// independent chunk buffers — never one concatenated image.
+// remoteWriter stages each write as two queue entries, its length prefix
+// and a copy of its bytes (the caller may reuse p), and pumps them through
+// the socket as send-buffer space opens up; the socket copies what Send
+// accepts. So a write allocates one object, its copy, at the exact size:
+// the prefixes are cut from one small buffer the writer owns, rewound once
+// the queue drains. Keeping the prefix and the payload apart keeps the
+// sequence of Send calls, and with it the wire, whatever the staging.
 type remoteWriter struct {
-	sock   *netstack.Socket
-	path   string
-	queue  [][]byte
-	qoff   int // bytes of queue[0] already accepted by the socket
-	sent   int64
-	closed bool
-	done   bool
-	err    error
+	sock     *netstack.Socket
+	path     string
+	prefixes []byte
+	queue    [][]byte
+	qhead    int // entries of queue the socket has accepted whole
+	qoff     int // bytes of queue[qhead] already accepted by the socket
+	sent     int64
+	closed   bool
+	done     bool
+	err      error
+}
+
+// prefix returns the uvarint n, cut from the writer's prefix buffer.
+func (w *remoteWriter) prefix(n int) []byte {
+	off := len(w.prefixes)
+	w.prefixes = putUvarint(w.prefixes, uint64(n))
+	return w.prefixes[off:len(w.prefixes):len(w.prefixes)]
 }
 
 func (w *remoteWriter) Write(p []byte) (int, error) {
@@ -105,7 +116,7 @@ func (w *remoteWriter) Write(p []byte) (int, error) {
 	if len(p) == 0 {
 		return 0, nil
 	}
-	w.queue = append(w.queue, putUvarint(nil, uint64(len(p))), append([]byte(nil), p...))
+	w.queue = append(w.queue, w.prefix(len(p)), append([]byte(nil), p...))
 	w.pump()
 	return len(p), w.err
 }
@@ -118,7 +129,7 @@ func (w *remoteWriter) Close() error {
 		return w.err
 	}
 	w.closed = true
-	w.queue = append(w.queue, []byte{0})
+	w.queue = append(w.queue, w.prefix(0))
 	w.pump()
 	return w.err
 }
@@ -129,13 +140,17 @@ func (w *remoteWriter) pump() {
 	if w.err != nil || w.done {
 		return
 	}
-	for len(w.queue) > 0 {
-		n, err := w.sock.Send(w.queue[0][w.qoff:], false)
+	for w.qhead < len(w.queue) {
+		q := w.queue[w.qhead]
+		n, err := w.sock.Send(q[w.qoff:], false)
 		w.qoff += n
 		w.sent += int64(n)
-		if w.qoff == len(w.queue[0]) {
-			w.queue = w.queue[1:]
-			w.qoff = 0
+		if w.qoff == len(q) {
+			w.queue[w.qhead] = nil // the socket holds its own copy
+			w.qhead, w.qoff = w.qhead+1, 0
+			if w.qhead == len(w.queue) { // every staged byte is the socket's
+				w.queue, w.qhead, w.prefixes = w.queue[:0], 0, w.prefixes[:0]
+			}
 			continue
 		}
 		if err != nil {
