@@ -172,14 +172,12 @@ func (p *ProcImage) ApproxBytes() int64 {
 	return n
 }
 
-// MemoryBytes reports just the application memory payload.
+// MemoryBytes reports just the application memory payload: every
+// process's ApproxBytes.
 func (img *Image) MemoryBytes() int64 {
 	var n int64
-	for _, p := range img.Procs {
-		for _, r := range p.Regions {
-			n += int64(len(r.Data))
-		}
-		n += int64(len(p.ProgData))
+	for i := range img.Procs {
+		n += img.Procs[i].ApproxBytes()
 	}
 	return n
 }
