@@ -5,7 +5,7 @@ FUZZTIME ?= 5s
 GOTESTFLAGS ?= -race -count=1
 GOTEST = $(GO) test $(GOTESTFLAGS)
 
-.PHONY: ci fmt vet boundary build test race race-precopy cow-check fuzz chaos enum-check dedup-check scale-check obs-check standby-check bench-module host-bench cover bench baseline fingerprint fingerprint-wide trace-check examples loc clean
+.PHONY: ci fmt vet boundary build test race race-precopy cow-check fuzz chaos enum-check field-sweep dedup-check scale-check obs-check standby-check bench-module host-bench cover bench baseline fingerprint fingerprint-wide trace-check examples loc clean
 
 # Full CI gate: static checks, the package-boundary check, a clean
 # build, the race-enabled suite (which holds the modeled-baseline
@@ -13,12 +13,12 @@ GOTEST = $(GO) test $(GOTESTFLAGS)
 # scenario and the copy-on-write contract under the race detector, short
 # fuzzing of the image-format decoders, trace determinism, the chaos
 # fuzzer sweep + corpus replay gate, the exhaustive small-scope fault
-# enumeration, the dedup-store layout gate, the coordination-tree scaling
+# enumeration, the field sweep, the dedup-store layout gate, the coordination-tree scaling
 # gate, the observability/availability gate,
 # the warm-standby replication gate, the nested benchmark module (which
 # `./...` from the root does not reach), the three examples (each exits
 # non-zero when its result diverges), and coverage totals.
-ci: fmt vet boundary build race race-precopy cow-check fuzz trace-check chaos enum-check dedup-check scale-check obs-check standby-check bench-module examples cover
+ci: fmt vet boundary build race race-precopy cow-check fuzz trace-check chaos enum-check field-sweep dedup-check scale-check obs-check standby-check bench-module examples cover
 
 # gofmt gate: fails listing any file that is not gofmt-clean.
 fmt:
@@ -302,6 +302,16 @@ chaos:
 # against the chaos invariant; prints the supervisor-state x action table.
 enum-check:
 	ZAPC_ENUM=1 $(GO) test -count=1 -timeout 30m -v -run '^TestEnumerate' ./internal/chaos
+
+# Field sweep: every field a record carries is read by some restore.
+# Canonical checkpoints of the four workloads (five capture points each)
+# and one incremental delta have each field changed in turn, size kept,
+# and are restarted and run to completion; a field whose change moves
+# none of the result, the finish instant and the event count is dead,
+# and fails the sweep unless its exemption names the line that reads it
+# (internal/ckpt/fieldsweep_test.go, DESIGN.md §5). About a minute.
+field-sweep:
+	ZAPC_FIELDS=1 $(GO) test -count=1 -timeout 30m -run '^TestFieldSweep$$' ./internal/ckpt
 
 # Dedup-store layout gate: two generations with overlapping content,
 # written twice into fresh stores, must produce byte-identical physical

@@ -258,8 +258,8 @@ func inspect(path string) error {
 				len(s.RecvData), len(s.OOBData), sendBytes,
 				s.PCB.SndNxt, s.PCB.SndUna, s.PCB.RcvNxt, flags)
 		case s.Proto == netstack.UDP:
-			fmt.Printf("    slot %-2d udp %v->%v datagrams=%d peeked=%v\n",
-				s.Slot, s.Local, s.Remote, len(s.Datagrams), s.Peeked)
+			fmt.Printf("    slot %-2d udp %v->%v datagrams=%d\n",
+				s.Slot, s.Local, s.Remote, len(s.Datagrams))
 		case s.Proto == netstack.RAW:
 			fmt.Printf("    slot %-2d raw proto=%d datagrams=%d\n",
 				s.Slot, s.RawProto, len(s.Datagrams))

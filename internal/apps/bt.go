@@ -34,7 +34,7 @@ type BT struct {
 	Px      int // process grid dimension (Px x Px)
 	Grid    []float64
 	recvd   [4]bool
-	Norm    float64
+	Norm    float64 // the result, set by the step that exits, so no record holds it
 	Done    bool
 	bcast   []byte
 	Pending sim.Duration // simulated compute not yet charged
@@ -290,7 +290,6 @@ func (b *BT) Layout(v imgfmt.Visitor) {
 	for i := range b.recvd {
 		b.recvd[i] = v.Bool(12, b.recvd[i])
 	}
-	b.Norm = v.Float64(13, b.Norm)
 	b.Done = v.Bool(14, b.Done)
 	b.bcast = v.Bytes(15, b.bcast)
 	b.Pending = imgfmt.Int(v, 16, b.Pending)

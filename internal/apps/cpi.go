@@ -23,7 +23,7 @@ type CPI struct {
 	NextI     uint64
 	Partial   float64
 	Phase     int
-	Pi        float64
+	Pi        float64 // the result, set by the step that exits, so no record holds it
 	Done      bool
 	bcastBuf  []byte
 }
@@ -125,7 +125,6 @@ func (c *CPI) Layout(v imgfmt.Visitor) {
 	c.NextI = v.Uint(8, c.NextI)
 	c.Partial = v.Float64(9, c.Partial)
 	c.Phase = imgfmt.Int(v, 10, c.Phase)
-	c.Pi = v.Float64(11, c.Pi)
 	c.Done = v.Bool(12, c.Done)
 	c.bcastBuf = v.Bytes(13, c.bcastBuf)
 }

@@ -229,7 +229,7 @@ func strictImage() *ckpt.Image {
 					{From: netstack.Addr{IP: 0x0a000009, Port: 5353}, Data: []byte("query")},
 					{From: netstack.Addr{IP: 0x0a00000b, Port: 1}, Data: []byte("q2")},
 				},
-				Peeked: true, PendingAcceptOf: -1,
+				PendingAcceptOf: -1,
 			},
 		}},
 		Procs: []ckpt.ProcImage{

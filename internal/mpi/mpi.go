@@ -69,11 +69,7 @@ type Comm struct {
 	outq    [][]byte  // rank -> queued outbound bytes (middleware buffering)
 
 	Seq      uint64 // collective sequence number
-	barMid   bool   // barrier is in its broadcast half (collective_test.go)
-	arMid    bool   // allreduce is in its broadcast half (collective_test.go)
-	arBuf    []byte // allreduce broadcast buffer
 	gathered map[int][]byte
-	closed   []bool // rank -> peer hung up
 
 	// waits is Block's reusable result (scratch, not state): vos holds
 	// it only while the process is blocked, and Block runs only when it
@@ -104,7 +100,6 @@ func New(cfg Config) *Comm {
 	}
 	c.partial = make([][]byte, cfg.Size)
 	c.outq = make([][]byte, cfg.Size)
-	c.closed = make([]bool, cfg.Size)
 	c.gathered = make(map[int][]byte)
 	return c
 }
@@ -264,9 +259,6 @@ func (c *Comm) pump(ctx *vos.Context) {
 			var err error
 			c.partial[rank], err = ctx.RecvAppend(fd, c.partial[rank], 1<<16, false, false)
 			if err != nil {
-				if err == netstack.ErrEOF { // returned unwrapped; errors.Is is dear per poll
-					c.closed[rank] = true
-				}
 				break
 			}
 			if len(c.partial[rank]) == had {

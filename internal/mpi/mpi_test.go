@@ -27,6 +27,7 @@ type ranker struct {
 	Results []float64
 	P2PDone bool
 
+	bar          barrier
 	pendingBcast []byte // in-flight broadcast buffer between steps
 }
 
@@ -55,7 +56,7 @@ func (r *ranker) Step(ctx *vos.Context) vos.StepResult {
 		r.Phase = 2
 		return vos.Yield(0)
 	case 2: // barrier
-		if !r.Comm.Barrier(ctx) {
+		if !r.bar.wait(r.Comm, ctx) {
 			return r.Comm.Block()
 		}
 		r.Phase = 3
@@ -176,13 +177,15 @@ func TestCollectivesAcrossSizes(t *testing.T) {
 	}
 }
 
-// allreducer exercises AllreduceFloat64 across several iterations.
+// allreducer exercises the allreduce across several iterations.
 type allreducer struct {
 	Comm    *Comm
 	Phase   int
 	Iter    int
 	Iters   int
 	Results []float64
+
+	ar allreduce
 }
 
 func (a *allreducer) Step(ctx *vos.Context) vos.StepResult {
@@ -194,7 +197,7 @@ func (a *allreducer) Step(ctx *vos.Context) vos.StepResult {
 		a.Phase = 1
 		return vos.Yield(0)
 	default:
-		v, done := a.Comm.AllreduceFloat64(ctx, float64((a.Comm.Cfg.Rank+1)*(a.Iter+1)),
+		v, done := a.ar.run(a.Comm, ctx, float64((a.Comm.Cfg.Rank+1)*(a.Iter+1)),
 			func(x, y float64) float64 { return x + y })
 		if !done {
 			return a.Comm.Block()
@@ -269,9 +272,7 @@ func TestCommSerializationRoundTrip(t *testing.T) {
 	c.inbox = []Message{{From: 3, Tag: 42, Data: []byte("msg")}}
 	c.outq[1] = []byte{9, 9}
 	c.Seq = 17
-	c.barMid = true
 	c.gathered[0] = []byte("g0")
-	c.closed[3] = true
 
 	c2 := &Comm{}
 	if err := imgfmt.ReadBlob(imgfmt.Blob(c.Layout), c2.Layout); err != nil {
@@ -298,14 +299,11 @@ func TestCommSerializationRoundTrip(t *testing.T) {
 	if string(c2.outq[1]) != string([]byte{9, 9}) {
 		t.Fatal("outq lost")
 	}
-	if c2.Seq != 17 || !c2.barMid {
-		t.Fatalf("coll state: seq=%d barMid=%v", c2.Seq, c2.barMid)
+	if c2.Seq != 17 {
+		t.Fatalf("coll state: seq=%d", c2.Seq)
 	}
 	if string(c2.gathered[0]) != "g0" {
 		t.Fatal("gathered lost")
-	}
-	if !c2.closed[3] || c2.closed[0] {
-		t.Fatal("closed flags lost")
 	}
 }
 

@@ -52,23 +52,22 @@ func (s *scripted) Kind() string          { return "mpitest.scripted" }
 
 // sockView is what a receive could change on one socket.
 type sockView struct {
-	State                        netstack.State
-	RecvQ, Backlog, OOB, Alt     int
-	PCB                          netstack.PCB
-	Peeked, PeerClosed, Released bool
-	Err                          error
+	State                    netstack.State
+	RecvQ, Backlog, OOB, Alt int
+	PCB                      netstack.PCB
+	PeerClosed, Released     bool
+	Err                      error
 }
 
 // scanView is everything a scan could change, deep-copied.
 type scanView struct {
 	Partial [][]byte
 	Inbox   []Message
-	Closed  []bool
-	Socks   []sockView
+	Socks   []sockView // the listener's, then each rank's
 }
 
 func viewScan(ctx *vos.Context, c *Comm) scanView {
-	v := scanView{Closed: append([]bool(nil), c.closed...)}
+	var v scanView
 	for _, p := range c.partial {
 		v.Partial = append(v.Partial, append([]byte(nil), p...))
 	}
@@ -83,7 +82,7 @@ func viewScan(ctx *vos.Context, c *Comm) scanView {
 		}
 		v.Socks = append(v.Socks, sockView{
 			State: s.State(), RecvQ: s.RecvQueueLen(), Backlog: s.BacklogLen(), OOB: s.OOBLen(), Alt: s.AltQueueLen(),
-			PCB: s.PCBSnapshot(), Peeked: s.Peeked(), PeerClosed: s.PeerClosed(), Released: s.Closed(), Err: s.Err(),
+			PCB: s.PCBSnapshot(), PeerClosed: s.PeerClosed(), Released: s.Closed(), Err: s.Err(),
 		})
 	}
 	return v
@@ -93,8 +92,8 @@ func viewScan(ctx *vos.Context, c *Comm) scanView {
 // sends rank 0 one frame and half of the next, rank 2 shuts its side of
 // its connection to rank 0, then rank 0 pumps in one step, once or
 // twice. A second pump in the same event reads nothing, changes nothing
-// and costs exactly one recvmsg per connected peer; the EOF the first
-// scan saw stays seen; and a pump in a later event reads the bytes
+// and costs exactly one recvmsg per connected peer; rank 2's shutdown
+// has reached rank 0's socket; and a pump in a later event reads the bytes
 // delivered since. The twin runs differ only in that second pump, so
 // rank 0's CPU times differ by exactly what it is charged.
 func TestRepeatScanInOneEventReadsNothingAndIsCharged(t *testing.T) {
@@ -128,8 +127,8 @@ func TestRepeatScanInOneEventReadsNothingAndIsCharged(t *testing.T) {
 					if len(v.Inbox) != 1 || v.Inbox[0].From != 1 || string(v.Inbox[0].Data) != "one" {
 						t.Errorf("first scan parsed %+v, want the one whole frame", v.Inbox)
 					}
-					if !bytes.Equal(v.Partial[1], head) || !v.Closed[2] {
-						t.Errorf("first scan left partial % x and closed %v", v.Partial[1], v.Closed)
+					if !bytes.Equal(v.Partial[1], head) || !v.Socks[1+2].PeerClosed {
+						t.Errorf("first scan left partial % x and rank 2's socket %+v", v.Partial[1], v.Socks[1+2])
 					}
 					if twice {
 						c.pump(ctx)
@@ -184,8 +183,8 @@ func TestRepeatScanInOneEventReadsNothingAndIsCharged(t *testing.T) {
 		if len(v.Inbox) != 2 || string(v.Inbox[1].Data) != "0123456789" || v.Inbox[1].Tag != 6 {
 			t.Errorf("a scan in a later event parsed %+v, want the completed second frame", v.Inbox)
 		}
-		if len(v.Partial[1]) != 0 || !v.Closed[2] {
-			t.Errorf("after the later scan: partial % x, closed %v", v.Partial[1], v.Closed)
+		if len(v.Partial[1]) != 0 || !v.Socks[1+2].PeerClosed {
+			t.Errorf("after the later scan: partial % x, rank 2's socket %+v", v.Partial[1], v.Socks[1+2])
 		}
 	}
 	if !reflect.DeepEqual(once.atT4, twice.atT4) {

@@ -6,9 +6,9 @@ import (
 )
 
 // Comm serialization: the communicator is part of an application's
-// checkpointable state, so every field — descriptors, partial frames,
-// queued output, collective progress — round-trips through the
-// intermediate image format.
+// checkpointable state, so every field a restored communicator reads —
+// descriptors, partial frames, queued output, collective progress —
+// round-trips through the intermediate image format.
 
 const (
 	tagRank      = 1
@@ -29,13 +29,9 @@ const (
 	tagMsgData   = 3
 	tagOutq      = 12
 	tagSeq       = 13
-	tagBarMid    = 14
 	tagGathered  = 15
 	tagGathRank  = 1
 	tagGathData  = 2
-	tagClosed    = 16
-	tagArMid     = 17
-	tagArBuf     = 18
 )
 
 // gatherEntry is one element of the gathered map as the wire lists it.
@@ -46,7 +42,6 @@ type gatherEntry struct {
 
 // Element layouts of the repeated scalar fields.
 func intField(x *int, v imgfmt.Visitor, tag uint64)         { *x = imgfmt.Int(v, tag, *x) }
-func boolField(b *bool, v imgfmt.Visitor, tag uint64)       { *b = v.Bool(tag, *b) }
 func bytesField(b *[]byte, v imgfmt.Visitor, tag uint64)    { *b = v.Bytes(tag, *b) }
 func ipField(ip *netstack.IP, v imgfmt.Visitor, tag uint64) { *ip = imgfmt.Uint(v, tag, *ip) }
 
@@ -79,7 +74,6 @@ func (c *Comm) Layout(v imgfmt.Visitor) {
 	})
 	c.outq = imgfmt.Each(v, tagOutq, c.outq, bytesField)
 	c.Seq = v.Uint(tagSeq, c.Seq)
-	c.barMid = v.Bool(tagBarMid, c.barMid)
 	// The gathered map goes on the wire as a list in rank order.
 	var got []gatherEntry
 	if len(c.gathered) > 0 {
@@ -103,13 +97,10 @@ func (c *Comm) Layout(v imgfmt.Visitor) {
 		v.Check(prev < g.rank && g.rank < cfg.Size, "mpi: gathered ranks out of order or range")
 		c.gathered[g.rank], prev = g.data, g.rank
 	}
-	c.closed = imgfmt.Each(v, tagClosed, c.closed, boolField)
-	c.arMid = v.Bool(tagArMid, c.arMid)
-	c.arBuf = v.Bytes(tagArBuf, c.arBuf)
 	n := cfg.Size
 	for _, peer := range c.hello {
 		v.Check(0 <= peer && peer < n, "mpi: owed rank header names a rank outside the communicator")
 	}
-	v.Check(0 <= cfg.Rank && cfg.Rank < n && len(c.FDs) == n && len(c.partial) == n && len(c.outq) == n && len(c.closed) == n,
+	v.Check(0 <= cfg.Rank && cfg.Rank < n && len(c.FDs) == n && len(c.partial) == n && len(c.outq) == n,
 		"mpi: communicator's rank or per-rank lists do not fit its size")
 }

@@ -66,10 +66,8 @@ type SocketRecord struct {
 
 	// Datagrams is the queued data of UDP/RAW sockets. Saved regardless
 	// of protocol reliability: restoring it avoids artificial packet
-	// loss after restart, and peeked data must be preserved for
-	// correctness.
+	// loss after restart.
 	Datagrams []netstack.Datagram
-	Peeked    bool
 	RawProto  int
 
 	ShutWrite  bool
@@ -147,11 +145,9 @@ func CheckpointStack(st *netstack.Stack) (*NetImage, error) {
 			}
 		case netstack.UDP:
 			rec.Datagrams = s.DatagramQueue()
-			rec.Peeked = s.Peeked()
 		case netstack.RAW:
 			rec.RawProto = s.RawProto()
 			rec.Datagrams = s.DatagramQueue()
-			rec.Peeked = s.Peeked()
 		}
 		img.Sockets = append(img.Sockets, rec)
 	}
@@ -230,7 +226,6 @@ const (
 	tagDgFromPt = 2
 	tagDgData   = 3
 	tagDgRaw    = 4
-	tagPeeked   = 17
 	tagRawProto = 18
 	tagShutW    = 19
 	tagPeerCl   = 20
@@ -281,7 +276,6 @@ func (r *SocketRecord) layout(v imgfmt.Visitor, tag uint64) {
 		d.RawProto = imgfmt.Uint(v, tagDgRaw, d.RawProto)
 		v.End()
 	})
-	r.Peeked = v.Bool(tagPeeked, r.Peeked)
 	r.RawProto = imgfmt.Uint(v, tagRawProto, r.RawProto)
 	r.ShutWrite = v.Bool(tagShutW, r.ShutWrite)
 	r.PeerClosed = v.Bool(tagPeerCl, r.PeerClosed)

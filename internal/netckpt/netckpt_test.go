@@ -178,8 +178,8 @@ func TestImageEncodeDecodeRoundTrip(t *testing.T) {
 			},
 			{
 				Slot: 1, Proto: netstack.UDP, Local: netstack.Addr{IP: 7, Port: 53},
-				Datagrams: []netstack.Datagram{{From: netstack.Addr{IP: 9, Port: 5353}, Data: []byte("q")}},
-				Peeked:    true, PendingAcceptOf: -1,
+				Datagrams:       []netstack.Datagram{{From: netstack.Addr{IP: 9, Port: 5353}, Data: []byte("q")}},
+				PendingAcceptOf: -1,
 			},
 			{
 				Slot: 2, Proto: netstack.RAW, RawProto: 89, PendingAcceptOf: -1,
@@ -201,7 +201,7 @@ func TestImageEncodeDecodeRoundTrip(t *testing.T) {
 		!r0.ShutWrite || r0.Remote.Port != 1234 || r0.Opts != img.Sockets[0].Opts {
 		t.Fatalf("record 0 mismatch: %+v", r0)
 	}
-	if !got.Sockets[1].Peeked || len(got.Sockets[1].Datagrams) != 1 {
+	if len(got.Sockets[1].Datagrams) != 1 {
 		t.Fatalf("record 1 mismatch: %+v", got.Sockets[1])
 	}
 	if got.Sockets[2].RawProto != 89 {
@@ -614,7 +614,7 @@ func TestUDPRestore(t *testing.T) {
 	tx.SendTo([]byte("q1"), netstack.Addr{IP: 2, Port: 53})
 	tx.SendTo([]byte("q2"), netstack.Addr{IP: 2, Port: 53})
 	drive(t, w, func() bool { return len(rx.DatagramQueue()) == 2 })
-	rx.RecvFrom(true) // peek obliges preservation
+	rx.RecvFrom(true) // a peek leaves the datagram queued
 
 	images := freezeCheckpoint(t, a, b)
 	var rec *SocketRecord
@@ -623,8 +623,8 @@ func TestUDPRestore(t *testing.T) {
 			rec = &images[2].Sockets[i]
 		}
 	}
-	if !rec.Peeked || len(rec.Datagrams) != 2 {
-		t.Fatalf("udp record: peeked=%v n=%d", rec.Peeked, len(rec.Datagrams))
+	if len(rec.Datagrams) != 2 {
+		t.Fatalf("udp record: %d datagrams, want 2", len(rec.Datagrams))
 	}
 	socks := restoreAll(t, w, nw, images, a, b)
 	var newRx *netstack.Socket

@@ -126,8 +126,8 @@ func compareRecv(t *testing.T, r *rand.Rand, seen map[string]int, sa, sb *netsta
 
 // state is what a read can change on a socket.
 func state(s *netstack.Socket) string {
-	return fmt.Sprintf("recvQ=%d backlog=%d oob=%d alt=%d datagrams=%d peeked=%v closed=%v ops=%T",
-		s.RecvQueueLen(), s.BacklogLen(), s.OOBLen(), s.AltQueueLen(), len(s.DatagramQueue()), s.Peeked(), s.Closed(), s.CurrentOps())
+	return fmt.Sprintf("recvQ=%d backlog=%d oob=%d alt=%d datagrams=%d closed=%v ops=%T",
+		s.RecvQueueLen(), s.BacklogLen(), s.OOBLen(), s.AltQueueLen(), len(s.DatagramQueue()), s.Closed(), s.CurrentOps())
 }
 
 func randBytes(r *rand.Rand, n int) []byte {

@@ -57,8 +57,6 @@ func (s *Socket) ConsumeAlt(dst []byte, n int, peek bool) []byte {
 	dst = append(dst, s.altQ[:n]...)
 	if !peek {
 		s.altQ = s.altQ[n:]
-	} else {
-		s.peeked = true
 	}
 	return dst
 }

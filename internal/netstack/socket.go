@@ -240,7 +240,6 @@ type Socket struct {
 	oobQ    []byte
 	altQ    []byte            // alternate receive queue installed at restart
 	ooseg   map[uint64]packet // out-of-order segments, by value; nil until one arrives
-	peeked  bool
 
 	// Datagram receive path (UDP/RAW).
 	dgrams     []Datagram
@@ -466,14 +465,9 @@ func (s *Socket) RecvFrom(peek bool) (Datagram, error) {
 		return Datagram{}, ErrWouldBlock
 	}
 	d := s.dgrams[0]
-	if peek {
-		s.peeked = true
-		return d, nil
-	}
-	s.dgrams = popFront(s.dgrams)
-	s.dgramBytes -= len(d.Data)
-	if len(s.dgrams) == 0 {
-		s.peeked = false
+	if !peek {
+		s.dgrams = popFront(s.dgrams)
+		s.dgramBytes -= len(d.Data)
 	}
 	return d, nil
 }
@@ -493,8 +487,6 @@ func (baseOps) Recvmsg(s *Socket, dst []byte, n int, peek, oob bool) ([]byte, er
 		dst = append(dst, s.oobQ[:n]...)
 		if !peek {
 			s.oobQ = s.oobQ[n:]
-		} else {
-			s.peeked = true
 		}
 		return dst, nil
 	}
@@ -523,13 +515,8 @@ func (baseOps) Recvmsg(s *Socket, dst []byte, n int, peek, oob bool) ([]byte, er
 	}
 	n = min(n, len(s.recvQ))
 	dst = append(dst, s.recvQ[:n]...)
-	if peek {
-		s.peeked = true
-		return dst, nil
-	}
-	s.recvQ = dropFront(s.recvQ, n)
-	if len(s.recvQ) == 0 {
-		s.peeked = false
+	if !peek {
+		s.recvQ = dropFront(s.recvQ, n)
 	}
 	return dst, nil
 }
@@ -703,10 +690,6 @@ const popMoveMax = 64
 // "trivial per-implementation adjustment" the paper concedes to
 // portability.
 func (s *Socket) PCBSnapshot() PCB { return s.pcb }
-
-// Peeked reports whether queued data has been examined with MSG_PEEK
-// (which obliges even unreliable-protocol checkpoints to preserve it).
-func (s *Socket) Peeked() bool { return s.peeked }
 
 // DatagramQueue returns the queued datagrams (checkpoint read).
 func (s *Socket) DatagramQueue() []Datagram {
