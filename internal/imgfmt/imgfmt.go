@@ -51,8 +51,9 @@ const Magic = "ZAPCIMG"
 const DeltaMagic = "ZAPCDLT"
 
 // Version is the encoding version of a program-state blob, written after
-// its Magic. (Records carry StreamVersion.)
-const Version = 1
+// its Magic. (Records carry StreamVersion.) Version 1 blobs of cpi and bt
+// still held the result field no restore read.
+const Version = 2
 
 // Wire types for encoded fields.
 const (

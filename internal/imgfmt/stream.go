@@ -8,7 +8,7 @@
 // blockCompress):
 //
 //	magic ("ZAPCIMG" | "ZAPCDLT")
-//	uvarint version (3)
+//	uvarint version (4)
 //	frame*    :=  uvarint rawLen (>0) | style (1 byte) | body
 //	body(RAW) :=  payload[rawLen] | crc32(payload) LE
 //	body(LZ4) :=  uvarint storedLen (0 < storedLen < rawLen) |
@@ -29,10 +29,11 @@
 // IO.
 //
 // This is the only record format. Versions 1 (one unframed body under a
-// single trailer CRC) and 2 (RAW-only frames without a style byte) were
-// written by earlier revisions; no record outlives the process that
-// wrote it, so a header carrying either is refused by number
-// (ErrBadVersion) before anything after it is read.
+// single trailer CRC), 2 (RAW-only frames without a style byte) and 3
+// (records whose sockets, communicators and cpi and bt blobs still held
+// fields no restore read) were written by earlier revisions; no record
+// outlives the process that wrote it, so a header carrying any of them
+// is refused by number (ErrBadVersion) before anything after it is read.
 package imgfmt
 
 import (
@@ -47,7 +48,7 @@ import (
 
 // StreamVersion is the record format version: the one streaming
 // encoders write and the only one NewStreamDecoder accepts.
-const StreamVersion = 3
+const StreamVersion = 4
 
 // DefaultChunk is the frame payload size streaming encoders flush at.
 // Peak encoder buffering is O(DefaultChunk + open section bodies).

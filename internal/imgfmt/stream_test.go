@@ -165,7 +165,7 @@ func TestStreamDecoderRefusesOldVersions(t *testing.T) {
 	for _, tc := range []struct {
 		magic   string
 		version uint64
-	}{{Magic, 1}, {Magic, 2}, {DeltaMagic, 1}, {DeltaMagic, 2}, {Magic, 4}, {Magic, 300}} {
+	}{{Magic, 1}, {Magic, 2}, {Magic, 3}, {DeltaMagic, 1}, {DeltaMagic, 2}, {DeltaMagic, 3}, {Magic, 5}, {Magic, 300}} {
 		hdr := appendUvarint([]byte(tc.magic), tc.version)
 		// A well-formed body follows, so only the version can be at fault.
 		r := bytes.NewReader(append(hdr, rawFrame([]byte{1, TypeUint, 7})...))
@@ -178,7 +178,7 @@ func TestStreamDecoderRefusesOldVersions(t *testing.T) {
 			t.Fatalf("%s version %d: refused after reading %d bytes past the header", tc.magic, tc.version, rest-r.Len())
 		}
 	}
-	// The program-state blob (Magic, Version 1, no frames) is not a
+	// The program-state blob (Magic, Version 2, no frames) is not a
 	// record either: handed to the record decoder it is an old version.
 	e := NewEncoder()
 	e.Uint(1, 7)
