@@ -5,20 +5,20 @@ FUZZTIME ?= 5s
 GOTESTFLAGS ?= -race -count=1
 GOTEST = $(GO) test $(GOTESTFLAGS)
 
-.PHONY: ci fmt vet boundary build test race race-precopy cow-check fuzz chaos enum-check field-sweep dedup-check scale-check obs-check standby-check bench-module host-bench cover bench baseline fingerprint fingerprint-wide trace-check examples loc clean
+.PHONY: ci fmt vet boundary build test race race-precopy cow-check budget-check fuzz chaos enum-check field-sweep dedup-check scale-check obs-check standby-check bench-module host-bench cover bench baseline fingerprint fingerprint-wide trace-check examples loc clean
 
 # Full CI gate: static checks, the package-boundary check, a clean
 # build, the race-enabled suite (which holds the modeled-baseline
 # equality gate, TestModeledBaseline), the pre-copy live-checkpoint
-# scenario and the copy-on-write contract under the race detector, short
-# fuzzing of the image-format decoders, trace determinism, the chaos
+# scenario and the copy-on-write contract under the race detector, the
+# allocation-budget repeat gate, short fuzzing of the image-format decoders, trace determinism, the chaos
 # fuzzer sweep + corpus replay gate, the exhaustive small-scope fault
 # enumeration, the field sweep, the dedup-store layout gate, the coordination-tree scaling
 # gate, the observability/availability gate,
 # the warm-standby replication gate, the nested benchmark module (which
 # `./...` from the root does not reach), the three examples (each exits
 # non-zero when its result diverges), and coverage totals.
-ci: fmt vet boundary build race race-precopy cow-check fuzz trace-check chaos enum-check field-sweep dedup-check scale-check obs-check standby-check bench-module examples cover
+ci: fmt vet boundary build race race-precopy cow-check budget-check fuzz trace-check chaos enum-check field-sweep dedup-check scale-check obs-check standby-check bench-module examples cover
 
 # gofmt gate: fails listing any file that is not gofmt-clean.
 fmt:
@@ -99,6 +99,10 @@ vet:
 # And a pod is captured once: the agent's step 2 reads its network-state
 # figures from the frozen capture's Image.Net, so no non-test code outside
 # internal/ckpt calls netckpt.CheckpointStack (DESIGN.md §5).
+# And an allocation budget is counted one way: only internal/allocs reads
+# runtime.ReadMemStats, so every budget test's window runs at GOMAXPROCS 1
+# and reads the smallest of its repeats (DESIGN.md §2). benchmark/ is
+# its own module and measures host cost itself.
 # And every exported name has a caller outside its own package's tests,
 # and every -run or -fuzz selector below selects a test
 # (exports_test.go; DESIGN.md §1).
@@ -202,6 +206,8 @@ boundary:
 	if [ "$$(echo "$$fns" | grep -c .)" -gt 1 ]; then echo "boundary: core.Placement values built in more than one function; every restart places its images with core.Place (DESIGN.md §5):"; echo "$$fns"; exit 1; fi
 	@bad="$$(grep -rnE --include='*.go' 'CheckpointStack\(' . | grep -vE '^\./internal/ckpt/|_test\.go:|func CheckpointStack\(|^[^:]+:[0-9]+:[[:space:]]*//')"; \
 	if [ -n "$$bad" ]; then echo "boundary: the network state captured outside internal/ckpt; step 2 reads the frozen capture's Image.Net, so a pod is captured once (DESIGN.md §5):"; echo "$$bad"; exit 1; fi
+	@bad="$$(grep -rn --include='*.go' 'runtime\.ReadMemStats' . | grep -vE '^\./(internal/allocs|benchmark)/')"; \
+	if [ -n "$$bad" ]; then echo "boundary: an allocation window read by hand; count through allocs.Measure, which reads at GOMAXPROCS 1 and takes the smallest of fresh windows (DESIGN.md §2):"; echo "$$bad"; exit 1; fi
 
 build:
 	$(GO) build ./...
@@ -238,6 +244,18 @@ cow-check:
 	$(GOTEST) -run '^TestCOW' . ./internal/ckpt ./internal/vos
 	$(GOTEST) -run '^TestCheckpointAllocationBudget$$|^TestSnapshotObjectBudget$$|^TestEncoderAllocationsIndependentOfCount$$|^TestSecondRecordAllocatesNoBuffer$$|^TestSpareLeavesBlobsAndRecordsAlone$$|^TestSpareSurvivesMisuse$$|^TestSpareUnderConcurrentEncoders$$|^TestRestartAllocationBudget$$|^TestSecondDecodeAllocatesNoBuffer$$|^TestDecodeSpareLeavesKeptValuesAlone$$|^TestDecodeSpareSurvivesMisuse$$' . ./internal/imgfmt
 	$(GO) test -race -count=10 -run '^TestDecodeSpareUnderConcurrentDecoders$$' ./internal/imgfmt
+
+# Allocation-budget repeat gate: internal/imagestore's test binary, built
+# once and run 300 times (about 8 s). A whole-package run of it is where a
+# hand-read allocation window counted the runtime's own allocations (a
+# thread start, the scavenger's timer heap) about once in a hundred runs;
+# one failed run fails the gate.
+budget-check:
+	@dir=$$(mktemp -d); trap 'rm -rf $$dir' EXIT; \
+	$(GO) test -c -o $$dir/imagestore.test ./internal/imagestore || exit 1; \
+	cd internal/imagestore && for i in $$(seq 300); do \
+		out="$$($$dir/imagestore.test -test.count=1 2>&1)" || { echo "$$out"; echo "budget-check: run $$i of 300 failed"; exit 1; }; \
+	done; echo "budget-check: 300 runs of internal/imagestore's tests passed"
 
 # Short, deterministic-budget fuzz passes over every image-format entry
 # point (TLV decoder, round-trip property, the pod-image decoder, the

@@ -4,9 +4,9 @@ import (
 	"bytes"
 	"errors"
 	"io"
-	"runtime"
 	"testing"
 
+	"zapc/internal/allocs"
 	"zapc/internal/netstack"
 )
 
@@ -130,17 +130,6 @@ func (f *failAfter) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 
-// allocated reports the heap bytes fn allocates (TotalAlloc delta; the
-// test binary is otherwise idle on this goroutine's behalf).
-func allocated(fn func()) uint64 {
-	var a, b runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&a)
-	fn()
-	runtime.ReadMemStats(&b)
-	return b.TotalAlloc - a.TotalAlloc
-}
-
 // TestImageBytesCountsWithoutEncoding: sizing an image nobody sized
 // before equals the encode's Raw, costs almost nothing (no compression
 // scratch, no staging chunk, no copy of a region), and stays lazy where
@@ -157,7 +146,7 @@ func TestImageBytesCountsWithoutEncoding(t *testing.T) {
 		t.Fatal(err)
 	}
 	var got int64
-	if n := allocated(func() { got = img.Bytes() }); n >= 16<<10 {
+	if _, n := allocs.Measure(1, func() func() { return func() { got = img.Bytes() } }); n >= 16<<10 {
 		t.Fatalf("Image.Bytes() allocated %d bytes sizing a %d-byte image; want < 16 KiB", n, got)
 	}
 	if got != st.Raw || got < 2<<20 {
@@ -210,7 +199,9 @@ func TestDecodeImageAllocatesAboutItsSize(t *testing.T) {
 		t.Fatal(err)
 	}
 	var got *Image
-	n := allocated(func() { got, err = DecodeImageFrom(bytes.NewReader(buf.Bytes()), 1) })
+	_, n := allocs.Measure(3, func() func() {
+		return func() { got, err = DecodeImageFrom(bytes.NewReader(buf.Bytes()), 1) }
+	})
 	if err != nil || got.Bytes() != st.Raw || st.Raw < 4<<20 {
 		t.Fatalf("decode: %v (decoded %d logical bytes, encoded %d; want equal, over 4 MiB)", err, got.Bytes(), st.Raw)
 	}

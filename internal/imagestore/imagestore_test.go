@@ -5,9 +5,9 @@ import (
 	"errors"
 	"io"
 	"math/bits"
-	"runtime"
 	"testing"
 
+	"zapc/internal/allocs"
 	"zapc/internal/memfs"
 	"zapc/internal/netstack"
 	"zapc/internal/sim"
@@ -26,6 +26,24 @@ func drive(t *testing.T, w *sim.World, cond func() bool) {
 	if !cond() {
 		t.Fatal("condition never reached")
 	}
+}
+
+// remotePair starts a world of the given seed whose network holds a
+// Server over a fresh memfs and a Remote that ships images to it.
+func remotePair(t *testing.T, seed int64) (*sim.World, *memfs.FS, *Server, *Remote) {
+	t.Helper()
+	w := sim.NewWorld(seed)
+	nw := netstack.NewNetwork(w)
+	peerFS := memfs.New()
+	srv, err := NewServer(nw, 0x0a00ff02, 9000, NewFS(peerFS))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rem, err := NewRemote(nw, 0x0a00ff01, srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return w, peerFS, srv, rem
 }
 
 func TestFSStoreRoundTrip(t *testing.T) {
@@ -74,18 +92,7 @@ func TestFSStoreRoundTrip(t *testing.T) {
 // network and checks it commits on the peer — chunked, byte-identical,
 // and invisible until complete.
 func TestRemoteStoreTransfer(t *testing.T) {
-	w := sim.NewWorld(1)
-	nw := netstack.NewNetwork(w)
-	peerFS := memfs.New()
-	srv, err := NewServer(nw, 0x0a00ff02, 9000, NewFS(peerFS))
-	if err != nil {
-		t.Fatal(err)
-	}
-	rem, err := NewRemote(nw, 0x0a00ff01, srv.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-
+	w, peerFS, srv, rem := remotePair(t, 1)
 	payload := make([]byte, 700*1024) // well past both socket buffers
 	for i := range payload {
 		payload[i] = byte(i * 31)
@@ -141,33 +148,28 @@ func TestRemoteStoreTransfer(t *testing.T) {
 func TestRemoteWriterCopiesEachWriteOnce(t *testing.T) {
 	const chunk = 64 << 10
 	record := bytes.Repeat([]byte("zapc"), 1<<18)
-	w := sim.NewWorld(4)
-	nw := netstack.NewNetwork(w)
-	peerFS := memfs.New()
-	srv, err := NewServer(nw, 0x0a00ff02, 9000, NewFS(peerFS))
-	if err != nil {
-		t.Fatal(err)
-	}
-	rem, err := NewRemote(nw, 0x0a00ff01, srv.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	wc, err := rem.Create("mig/pod-0.img")
-	if err != nil {
-		t.Fatal(err)
-	}
 	buf := make([]byte, chunk)
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for off := 0; off < len(record); off += chunk {
-		copy(buf, record[off:])
-		if _, err := wc.Write(buf); err != nil {
+	var w *sim.World
+	var peerFS *memfs.FS
+	var srv *Server
+	var wc io.WriteCloser
+	objects, allocated := allocs.Measure(3, func() func() {
+		var rem *Remote
+		w, peerFS, srv, rem = remotePair(t, 4)
+		var err error
+		if wc, err = rem.Create("mig/pod-0.img"); err != nil {
 			t.Fatal(err)
 		}
-	}
-	runtime.ReadMemStats(&after)
+		return func() {
+			for off := 0; off < len(record); off += chunk {
+				copy(buf, record[off:])
+				if _, err := wc.Write(buf); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	})
 	writes := len(record) / chunk
-	objects, allocated := after.Mallocs-before.Mallocs, after.TotalAlloc-before.TotalAlloc
 	t.Logf("%d writes allocated %d objects, %d bytes", writes, objects, allocated)
 	if staged := wc.(*remoteWriter).sent; staged != 0 {
 		t.Fatalf("the socket took %d bytes before the connection was up", staged)
@@ -190,17 +192,7 @@ func TestRemoteWriterCopiesEachWriteOnce(t *testing.T) {
 // TestRemoteStoreAbort kills the connection mid-stream and checks the
 // server discards the partial image instead of committing it.
 func TestRemoteStoreAbort(t *testing.T) {
-	w := sim.NewWorld(2)
-	nw := netstack.NewNetwork(w)
-	peerFS := memfs.New()
-	srv, err := NewServer(nw, 0x0a00ff02, 9000, NewFS(peerFS))
-	if err != nil {
-		t.Fatal(err)
-	}
-	rem, err := NewRemote(nw, 0x0a00ff01, srv.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
+	w, peerFS, srv, rem := remotePair(t, 2)
 	wc, err := rem.Create("mig/partial.img")
 	if err != nil {
 		t.Fatal(err)

@@ -9,7 +9,6 @@ import (
 
 	"zapc/internal/memfs"
 	"zapc/internal/netstack"
-	"zapc/internal/sim"
 )
 
 func TestPodOf(t *testing.T) {
@@ -148,16 +147,7 @@ func TestTruncStoreReadFault(t *testing.T) {
 // and names the pod whose record was lost, not a generic transport or
 // decode error.
 func TestRemoteStoreAbortNamesPod(t *testing.T) {
-	w := sim.NewWorld(7)
-	nw := netstack.NewNetwork(w)
-	srv, err := NewServer(nw, 0x0a00ff02, 9000, NewFS(memfs.New()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	rem, err := NewRemote(nw, 0x0a00ff01, srv.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
+	w, _, srv, rem := remotePair(t, 7)
 	wc, err := rem.Create("mig/bt-2-5.img")
 	if err != nil {
 		t.Fatal(err)
@@ -182,9 +172,9 @@ func TestRemoteStoreAbortNamesPod(t *testing.T) {
 // its stack is detached, so what it still has in flight is dropped, and
 // its address stays claimed, so the next segment the server sends it
 // draws a reset.
-func resetPeer(nw *netstack.Network, client *netstack.Stack) {
-	nw.Detach(client)
-	nw.Claim(client.IPAddr())
+func resetPeer(client *netstack.Stack) {
+	client.Network().Detach(client)
+	client.Network().Claim(client.IPAddr())
 }
 
 // serverSide returns the server's end of its one accepted connection.
@@ -205,19 +195,10 @@ func serverSide(t *testing.T, srv *Server) *netstack.Socket {
 // client writes the wire protocol by hand so that it sends no FIN: the
 // reset, not an EOF, is what the server reads next.
 func TestRemoteResetAfterCommitIsNoError(t *testing.T) {
-	w := sim.NewWorld(8)
-	nw := netstack.NewNetwork(w)
-	peerFS := memfs.New()
-	srv, err := NewServer(nw, 0x0a00ff02, 9000, NewFS(peerFS))
-	if err != nil {
-		t.Fatal(err)
-	}
+	w, peerFS, srv, rem := remotePair(t, 8)
 	var failed []error
 	srv.SetOnError(func(_ string, err error) { failed = append(failed, err) })
-	client, err := nw.NewStack(0x0a00ff01)
-	if err != nil {
-		t.Fatal(err)
-	}
+	client := rem.stack // driven by hand, not through the Remote
 	sock := client.Socket(netstack.TCP)
 	if err := sock.Connect(srv.Addr()); err != nil {
 		t.Fatal(err)
@@ -232,7 +213,7 @@ func TestRemoteResetAfterCommitIsNoError(t *testing.T) {
 	}
 	drive(t, w, func() bool { return len(srv.Received()) == 1 })
 	conn := serverSide(t, srv)
-	resetPeer(nw, client) // the ack of the terminator draws the reset
+	resetPeer(client) // the ack of the terminator draws the reset
 	drive(t, w, func() bool { return conn.Closed() })
 	if !errors.Is(conn.Err(), netstack.ErrConnReset) {
 		t.Fatalf("server connection ended with %v, want a reset", conn.Err())
@@ -249,19 +230,9 @@ func TestRemoteResetAfterCommitIsNoError(t *testing.T) {
 // still arriving aborts the transfer, names the pod, and commits
 // nothing.
 func TestRemoteResetMidPayloadNamesPod(t *testing.T) {
-	w := sim.NewWorld(9)
-	nw := netstack.NewNetwork(w)
-	peerFS := memfs.New()
-	srv, err := NewServer(nw, 0x0a00ff02, 9000, NewFS(peerFS))
-	if err != nil {
-		t.Fatal(err)
-	}
+	w, peerFS, srv, rem := remotePair(t, 9)
 	var failed []string
 	srv.SetOnError(func(path string, _ error) { failed = append(failed, path) })
-	rem, err := NewRemote(nw, 0x0a00ff01, srv.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
 	wc, err := rem.Create("mig/bt-2-5.img")
 	if err != nil {
 		t.Fatal(err)
@@ -271,7 +242,7 @@ func TestRemoteResetMidPayloadNamesPod(t *testing.T) {
 	}
 	rw := wc.(*remoteWriter)
 	drive(t, w, func() bool { return rw.sent > 300<<10 })
-	resetPeer(nw, rem.stack)
+	resetPeer(rem.stack)
 	drive(t, w, func() bool { return len(srv.Errs()) == 1 })
 	got := srv.Errs()[0]
 	if !errors.Is(got, ErrTruncatedStream) || !strings.Contains(got.Error(), netstack.ErrConnReset.Error()) {

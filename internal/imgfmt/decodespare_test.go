@@ -6,6 +6,8 @@ import (
 	"reflect"
 	"sync"
 	"testing"
+
+	"zapc/internal/allocs"
 )
 
 // decodeInput is one record's worth of fields, declared once as a layout,
@@ -154,19 +156,14 @@ func TestSecondDecodeAllocatesNoBuffer(t *testing.T) {
 	} {
 		t.Run(tc.walk, func(t *testing.T) {
 			emptyDecodeSpare()
-			first := allocated(tc.decode)
+			_, first := allocs.Measure(1, func() func() { return tc.decode })
 			decodeSpare.Lock()
 			win, stored := uint64(cap(decodeSpare.win)), uint64(cap(decodeSpare.stored))
 			decodeSpare.Unlock()
 			if win == 0 || stored == 0 {
 				t.Fatalf("the first decode handed back a %d-byte window and a %d-byte scratch: the record does not use both", win, stored)
 			}
-			const runs = 10
-			again := allocated(func() {
-				for i := 0; i < runs; i++ {
-					tc.decode()
-				}
-			}) / runs
+			_, again := allocs.Measure(3, func() func() { return tc.decode })
 			t.Logf("first decode %d bytes, repeat %d; window %d, scratch %d", first, again, win, stored)
 			if first < again+win+stored {
 				t.Errorf("a repeat decode allocated %d bytes, the first %d: it saved less than the %d-byte window and %d-byte scratch", again, first, win, stored)

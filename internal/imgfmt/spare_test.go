@@ -7,6 +7,8 @@ import (
 	"sync"
 	"testing"
 	"unsafe"
+
+	"zapc/internal/allocs"
 )
 
 // spareInput is one record's worth of fields that puts every buffer the
@@ -102,16 +104,11 @@ func TestSecondRecordAllocatesNoBuffer(t *testing.T) {
 		}
 	}
 	emptySpare()
-	first := allocated(encode)
+	_, first := allocs.Measure(1, func() func() { return encode })
 	if first < uint64(compressBound(DefaultChunk)) {
 		t.Fatalf("the first encode allocated only %d bytes: the record does not use the compress scratch", first)
 	}
-	const runs = 10
-	again := allocated(func() {
-		for i := 0; i < runs; i++ {
-			encode()
-		}
-	}) / runs
+	_, again := allocs.Measure(3, func() func() { return encode })
 	// The smallest buffer an encoder makes is a 64-byte section body.
 	if limit := uint64(unsafe.Sizeof(StreamEncoder{})) + 64; again >= limit {
 		t.Errorf("a repeat encode allocated %d bytes (the first %d), want under %d: the encoder alone", again, first, limit)

@@ -12,10 +12,11 @@ import (
 	"hash/crc32"
 	"io"
 	"reflect"
-	"runtime"
 	"testing"
 	"testing/iotest"
 	"unsafe"
+
+	"zapc/internal/allocs"
 )
 
 // span is the address range of a slice's whole backing capacity.
@@ -111,20 +112,6 @@ func mustDecoder(t testing.TB, r io.Reader) *StreamDecoder {
 	return d
 }
 
-// allocated reports the heap bytes fn allocates (TotalAlloc delta). Like
-// testing.AllocsPerRun it measures at GOMAXPROCS 1, so the count does
-// not move with the load on the host: with other processes busy, an
-// unpinned window counted several hundred bytes more.
-func allocated(fn func()) uint64 {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	var a, b runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&a)
-	fn()
-	runtime.ReadMemStats(&b)
-	return b.TotalAlloc - a.TotalAlloc
-}
-
 // rawFrame hand-builds one RAW frame.
 func rawFrame(payload []byte) []byte {
 	f := append(appendUvarint(nil, uint64(len(payload))), FrameRaw)
@@ -142,8 +129,8 @@ func TestForgedLengthAllocatesBounded(t *testing.T) {
 	data = append(data, rawFrame(field)...)
 	data = append(data, rawFrame(incompressible(1, DefaultChunk))...)
 	var err error
-	n := allocated(func() {
-		_, err = mustDecoder(t, bytes.NewReader(data)).Bytes(5)
+	_, n := allocs.Measure(3, func() func() {
+		return func() { _, err = mustDecoder(t, bytes.NewReader(data)).Bytes(5) }
 	})
 	if !errors.Is(err, ErrTruncated) {
 		t.Fatalf("want ErrTruncated, got %v", err)
@@ -177,7 +164,8 @@ func TestLargeValueAllocationBudget(t *testing.T) {
 				err = d.Finished()
 			}
 		}
-		n, objs := allocated(read), testing.AllocsPerRun(5, read)
+		_, n := allocs.Measure(3, func() func() { return read })
+		objs := testing.AllocsPerRun(5, read)
 		if err != nil || !bytes.Equal(got, shape.value) {
 			t.Fatalf("%s: value did not round-trip: %v", shape.name, err)
 		}
@@ -191,7 +179,8 @@ func TestLargeValueAllocationBudget(t *testing.T) {
 				err = d.Finished()
 			}
 		}
-		n, objs = allocated(skip), testing.AllocsPerRun(5, skip)
+		_, n = allocs.Measure(3, func() func() { return skip })
+		objs = testing.AllocsPerRun(5, skip)
 		if err != nil {
 			t.Fatalf("%s: skip: %v", shape.name, err)
 		}

@@ -5,9 +5,9 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
-	"runtime"
 	"testing"
 
+	"zapc/internal/allocs"
 	"zapc/internal/imgfmt"
 	"zapc/internal/memfs"
 	"zapc/internal/netstack"
@@ -491,13 +491,14 @@ func TestSlabPayloadsAreImmutableAndEncodeAsCopies(t *testing.T) {
 	// Steady float traffic allocates no bytes per message: RecvFloats
 	// drops each payload, so the slab rewinds.
 	const msgs = 4096
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for range msgs {
-		recvFloats()
-	}
-	runtime.ReadMemStats(&after)
-	if perMsg := float64(after.TotalAlloc-before.TotalAlloc) / msgs; perMsg >= 1 {
+	_, steady := allocs.Measure(3, func() func() {
+		return func() {
+			for range msgs {
+				recvFloats()
+			}
+		}
+	})
+	if perMsg := float64(steady) / msgs; perMsg >= 1 {
 		t.Fatalf("RecvFloats traffic allocates %.1f bytes per message, want none", perMsg)
 	}
 }

@@ -6,9 +6,9 @@ import (
 	"encoding/hex"
 	"errors"
 	"reflect"
-	"runtime"
 	"testing"
 
+	"zapc/internal/allocs"
 	"zapc/internal/imgfmt"
 	"zapc/internal/netstack"
 	"zapc/internal/vos"
@@ -55,14 +55,14 @@ func TestCommLayoutSizesNothingFromTheWire(t *testing.T) {
 		c := New(Config{Rank: 2, Size: 4, Port: 6000, PeerIPs: []netstack.IP{1, 2, 3, 4}})
 		c.Cfg.Size = size // the lists stay four long
 		blob := imgfmt.Blob(c.Layout)
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		err := imgfmt.ReadBlob(blob, new(Comm).Layout)
-		runtime.ReadMemStats(&after)
+		var err error
+		_, grew := allocs.Measure(3, func() func() {
+			return func() { err = imgfmt.ReadBlob(blob, new(Comm).Layout) }
+		})
 		if !errors.Is(err, imgfmt.ErrBadValue) {
 			t.Errorf("Size %d over four-rank lists: err = %v, want ErrBadValue", size, err)
 		}
-		if grew := after.TotalAlloc - before.TotalAlloc; grew > 64<<10 {
+		if grew > 64<<10 {
 			t.Errorf("Size %d: refusing the blob allocated %d bytes", size, grew)
 		}
 	}

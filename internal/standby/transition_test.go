@@ -3,10 +3,10 @@ package standby_test
 import (
 	"errors"
 	"fmt"
-	"runtime"
 	"slices"
 	"testing"
 
+	"zapc/internal/allocs"
 	"zapc/internal/ckpt"
 	"zapc/internal/cluster"
 	"zapc/internal/core"
@@ -199,12 +199,12 @@ func TestPromotionWhileRecordOnTheWire(t *testing.T) {
 // every record through its own (26 KiB in all here, 154 KiB while each
 // record had a fresh buffer).
 func TestPromotionWhileApplying(t *testing.T) {
-	r := newRig(t)
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	r.inPhase(t, "handing-over")
-	runtime.ReadMemStats(&after)
-	if got := after.TotalAlloc - before.TotalAlloc; got >= 64<<10 {
+	var r *rig
+	_, got := allocs.Measure(3, func() func() {
+		r = newRig(t)
+		return func() { r.inPhase(t, "handing-over") }
+	})
+	if got >= 64<<10 {
 		t.Fatalf("shipping generation 1 allocated %d bytes, not under one 64 KiB read buffer", got)
 	}
 	if len(r.handover) != 0 {

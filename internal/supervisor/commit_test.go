@@ -7,13 +7,12 @@ import (
 	"fmt"
 	"io"
 	"maps"
-	"math"
-	"runtime"
 	"slices"
 	"strconv"
 	"strings"
 	"testing"
 
+	"zapc/internal/allocs"
 	"zapc/internal/ckpt"
 	"zapc/internal/cluster"
 	"zapc/internal/imagestore"
@@ -185,25 +184,13 @@ func TestCommitMemoIsTransactional(t *testing.T) {
 // the ballast makes each pod's image over 1 MiB.
 var budgetSpec = cluster.JobSpec{App: "churn", Endpoints: 4, Work: 1, Scale: 0.3, WithDaemons: true}
 
-// allocatedBy reports the bytes op allocates, live or not when it returns.
-func allocatedBy(op func()) int64 {
-	var before, after runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&before)
-	op()
-	runtime.ReadMemStats(&after)
-	return int64(after.TotalAlloc - before.TotalAlloc)
-}
-
 // TestCommitAllocationBudget: the commit check of delta generation k
 // allocates the same at every k of a whole full-to-full cycle — decoder
 // windows and record metadata, under a tenth of the pod set's logical
 // bytes — because it decodes what generation k wrote and nothing under
 // it. Reading each chain back to its full image allocated more than the
-// logical bytes at every k. Counts bytes, not time: the check is a pure
-// function of the chain, so of three identical runs the least is the
-// check's own, and the others may carry whatever else the process
-// allocated meanwhile.
+// logical bytes at every k. Counts bytes, not time, the least of three
+// identical runs: the check is a pure function of the chain.
 func TestCommitAllocationBudget(t *testing.T) {
 	c, _, sup, _ := incrementalJob(t, budgetSpec, 0.05)
 	if f := sup.Policy().FullEvery; f != 16 {
@@ -228,14 +215,12 @@ func TestCommitAllocationBudget(t *testing.T) {
 			}
 			continue
 		}
-		got := int64(math.MaxInt64)
-		for range 3 {
-			var err error
-			got = min(got, allocatedBy(func() { err = sup.CheckGeneration(k) }))
-			if err != nil {
-				t.Fatal(err)
-			}
+		var err error
+		_, n := allocs.Measure(3, func() func() { return func() { err = sup.CheckGeneration(k) } })
+		if err != nil {
+			t.Fatal(err)
 		}
+		got := int64(n)
 		if k == 1 {
 			first = got
 		}

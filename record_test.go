@@ -16,12 +16,12 @@ import (
 	"fmt"
 	"hash"
 	"io"
-	"runtime"
 	"sort"
 	"strings"
 	"testing"
 
 	"zapc"
+	"zapc/internal/allocs"
 	"zapc/internal/apps"
 	"zapc/internal/ckpt"
 	"zapc/internal/core"
@@ -273,33 +273,23 @@ func btSpec(scale float64) zapc.JobSpec {
 	return zapc.JobSpec{App: "bt", Endpoints: 4, Work: 0.1, Scale: scale, WithDaemons: true}
 }
 
-// budgetJob launches the job the allocation budgets measure — pods over
-// 1 MiB each at either scale used — and drives it to its checkpoint
-// point.
-func budgetJob(t *testing.T, scale float64) (*zapc.Cluster, *zapc.Job) {
+// budgetJob launches the bt/4 job the allocation budgets measure — pods
+// over 1 MiB each at the scales the byte budgets use — and drives it to
+// progress at.
+func budgetJob(t *testing.T, scale, at float64) (*zapc.Cluster, *zapc.Job) {
 	t.Helper()
 	c := zapc.New(zapc.Config{Nodes: 4, Seed: 2005})
 	job, err := c.Launch(btSpec(scale))
 	if err != nil {
 		t.Fatal(err)
 	}
-	driveTo(t, c, job, 0.3)
+	driveTo(t, c, job, at)
 	return c, job
-}
-
-// allocatedBy reports the bytes op allocates, live or not when it returns.
-func allocatedBy(op func()) int64 {
-	var before, after runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&before)
-	op()
-	runtime.ReadMemStats(&after)
-	return int64(after.TotalAlloc - before.TotalAlloc)
 }
 
 // checkBudget fails unless an operation over the checkpoint's images
 // allocated less than budget times their logical bytes.
-func checkBudget(t *testing.T, op string, allocated int64, res *zapc.CheckpointResult, budget float64) {
+func checkBudget(t *testing.T, op string, allocated uint64, res *zapc.CheckpointResult, budget float64) {
 	t.Helper()
 	var logical int64
 	for _, a := range res.Stats.Agents {
@@ -312,7 +302,7 @@ func checkBudget(t *testing.T, op string, allocated int64, res *zapc.CheckpointR
 	if ratio >= budget {
 		t.Fatalf("%s allocated %d bytes over %d logical bytes (%.2fx); budget is %.2fx", op, allocated, logical, ratio, budget)
 	}
-	t.Logf("%s allocated %.2fx its %d logical bytes", op, ratio, logical)
+	t.Logf("%s allocated %d bytes, %.2fx its %d logical bytes", op, allocated, ratio, logical)
 }
 
 // TestCheckpointAllocationBudget: a flushed Snapshot checkpoint allocates
@@ -321,11 +311,15 @@ func checkBudget(t *testing.T, op string, allocated int64, res *zapc.CheckpointR
 // encode pass has an image-sized buffer or a 64 KiB block per frame.
 // Counts bytes, not time.
 func TestCheckpointAllocationBudget(t *testing.T) {
-	c, job := budgetJob(t, 1.0/16)
+	var c *zapc.Cluster
+	var job *zapc.Job
 	var res *zapc.CheckpointResult
 	var err error
-	got := allocatedBy(func() {
-		res, err = c.Checkpoint(job, zapc.CheckpointOptions{Mode: zapc.Snapshot, Workers: 2, FlushTo: "budget"})
+	_, got := allocs.Measure(3, func() func() {
+		c, job = budgetJob(t, 1.0/16, 0.3)
+		return func() {
+			res, err = c.Checkpoint(job, zapc.CheckpointOptions{Mode: zapc.Snapshot, Workers: 2, FlushTo: "budget"})
+		}
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -345,20 +339,16 @@ func TestCheckpointAllocationBudget(t *testing.T) {
 // first checkpoint fills the encoder spare; the second is measured.
 // Counts, not time.
 func TestSnapshotObjectBudget(t *testing.T) {
-	c := zapc.New(zapc.Config{Nodes: 4, Seed: 2005})
-	job, err := c.Launch(btSpec(1.0 / 64))
-	if err != nil {
-		t.Fatal(err)
-	}
-	driveTo(t, c, job, 0.2)
-	if _, err := c.Checkpoint(job, zapc.CheckpointOptions{Mode: zapc.Snapshot}); err != nil {
-		t.Fatal(err)
-	}
-	driveTo(t, c, job, 0.3)
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	res, err := c.Checkpoint(job, zapc.CheckpointOptions{Mode: zapc.Snapshot})
-	runtime.ReadMemStats(&after)
+	var res *zapc.CheckpointResult
+	var err error
+	objects, _ := allocs.Measure(3, func() func() {
+		c, job := budgetJob(t, 1.0/64, 0.2)
+		if _, err := c.Checkpoint(job, zapc.CheckpointOptions{Mode: zapc.Snapshot}); err != nil {
+			t.Fatal(err)
+		}
+		driveTo(t, c, job, 0.3)
+		return func() { res, err = c.Checkpoint(job, zapc.CheckpointOptions{Mode: zapc.Snapshot}) }
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -369,7 +359,6 @@ func TestSnapshotObjectBudget(t *testing.T) {
 	if queued == 0 {
 		t.Fatal("no socket holds queued data at the checkpoint; move it")
 	}
-	objects := after.Mallocs - before.Mallocs
 	t.Logf("checkpoint allocated %d objects, %d queued messages", objects, queued)
 	if objects >= 470 {
 		t.Fatalf("a snapshot with %d queued messages allocated %d objects, budget 470", queued, objects)
@@ -390,12 +379,9 @@ func TestAgentNetBytesIsTheImageNet(t *testing.T) {
 		{"pre-copy", []zapc.CheckpointOptions{{Mode: zapc.Snapshot, Precopy: &zapc.PrecopyOptions{MaxRounds: 3}}}},
 	} {
 		t.Run(mode.name, func(t *testing.T) {
-			c := zapc.New(zapc.Config{Nodes: 4, Seed: 2005})
-			job, err := c.Launch(btSpec(1.0 / 64))
-			if err != nil {
-				t.Fatal(err)
-			}
+			c, job := budgetJob(t, 1.0/64, 0.2)
 			var res *zapc.CheckpointResult
+			var err error
 			for i, opts := range mode.opts {
 				driveTo(t, c, job, 0.2+0.1*float64(i))
 				if res, err = c.Checkpoint(job, opts); err != nil {
@@ -423,12 +409,17 @@ func TestAgentNetBytesIsTheImageNet(t *testing.T) {
 // by doubling — the decoder's guard against a lying length prefix, up to
 // twice the region again — which is not the copy this budget is about.
 func TestRestartAllocationBudget(t *testing.T) {
-	c, job := budgetJob(t, 1.0/32)
-	res, err := c.Checkpoint(job, zapc.CheckpointOptions{Mode: core.Migrate, Workers: 2, FlushTo: "budget"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := allocatedBy(func() { err = restartFrom(c, job, "budget") })
+	var c *zapc.Cluster
+	var job *zapc.Job
+	var res *zapc.CheckpointResult
+	var err error
+	_, got := allocs.Measure(3, func() func() {
+		c, job = budgetJob(t, 1.0/32, 0.3)
+		if res, err = c.Checkpoint(job, zapc.CheckpointOptions{Mode: core.Migrate, Workers: 2, FlushTo: "budget"}); err != nil {
+			t.Fatal(err)
+		}
+		return func() { err = restartFrom(c, job, "budget") }
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -452,22 +443,18 @@ func TestRestartAllocationBudget(t *testing.T) {
 // payload slab rewind; the budget of 4 is a thirty-sixth of the
 // former. Counts, not time.
 func TestJobAllocationBudget(t *testing.T) {
-	c := zapc.New(zapc.Config{Nodes: 4, Seed: 2005})
-	job, err := c.Launch(btSpec(1.0 / 64))
+	var events int
+	var err error
+	objects, bytes := allocs.Measure(3, func() func() {
+		c, job := budgetJob(t, 1.0/64, 0.1) // connections up, queues at their working size
+		events = 0
+		return func() { err = c.Drive(func() bool { events++; return job.Finished() }, eqDeadline) }
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	driveTo(t, c, job, 0.1) // connections up, queues at their working size
-	var before, after runtime.MemStats
-	events := 0
-	runtime.ReadMemStats(&before)
-	err = c.Drive(func() bool { events++; return job.Finished() }, eqDeadline)
-	runtime.ReadMemStats(&after)
-	if err != nil {
-		t.Fatal(err)
-	}
-	perEvent := float64(after.Mallocs-before.Mallocs) / float64(events)
-	bytesPerEvent := float64(after.TotalAlloc-before.TotalAlloc) / float64(events)
+	perEvent := float64(objects) / float64(events)
+	bytesPerEvent := float64(bytes) / float64(events)
 	t.Logf("%.3f objects and %.1f bytes per event over %d events", perEvent, bytesPerEvent, events)
 	if perEvent > 0.1 {
 		t.Fatalf("bt allocates %.2f objects per event over %d events, budget 0.1", perEvent, events)
@@ -482,18 +469,19 @@ func TestJobAllocationBudget(t *testing.T) {
 // one ballast per rank, as its ranks share one copy-on-write ballast.
 func TestJobAllocatesLessThanABallastPerRank(t *testing.T) {
 	const ranks, scale = 16, 1.0 / 16
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	c := zapc.New(zapc.Config{Nodes: ranks / 2, CPUsPerNode: 2, Seed: 2005})
-	job, err := c.Launch(zapc.JobSpec{App: "bt", Endpoints: ranks, Work: 0.1, Scale: scale, WithDaemons: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Drive(job.Finished, eqDeadline); err != nil {
-		t.Fatal(err)
-	}
-	runtime.ReadMemStats(&after)
-	got, budget := after.TotalAlloc-before.TotalAlloc, uint64(ranks*apps.BallastBytes("bt", ranks, scale))
+	_, got := allocs.Measure(1, func() func() {
+		return func() {
+			c := zapc.New(zapc.Config{Nodes: ranks / 2, CPUsPerNode: 2, Seed: 2005})
+			job, err := c.Launch(zapc.JobSpec{App: "bt", Endpoints: ranks, Work: 0.1, Scale: scale, WithDaemons: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := c.Drive(job.Finished, eqDeadline); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+	budget := uint64(ranks * apps.BallastBytes("bt", ranks, scale))
 	t.Logf("%.1f MB allocated from launch to finish, budget %.1f MB", float64(got)/(1<<20), float64(budget)/(1<<20))
 	if got >= budget {
 		t.Fatalf("bt/%d allocates %d bytes from launch to finish, not under one ballast per rank (%d)", ranks, got, budget)
