@@ -5,8 +5,8 @@ import (
 	"testing"
 )
 
-// sink keeps what an op allocates reachable, so every make is a heap
-// object; prepare sizes it, so filling it allocates nothing else.
+// sink keeps what an op and its prepare allocate reachable, so every make
+// is a heap object; prepare sizes it, so filling it allocates nothing else.
 var sink [][]byte
 
 // TestMeasure: an op that makes k allocations of n bytes reads exactly k
@@ -19,10 +19,8 @@ func TestMeasure(t *testing.T) {
 	repeats, procs := 0, 0
 	objects, bytes := Measure(3, func() func() {
 		repeats++
-		sink = make([][]byte, k+extra+100)
-		for i := k + extra; i < len(sink); i++ {
-			sink[i] = make([]byte, 4*n) // prepare's own
-		}
+		sink = make([][]byte, k+extra+1)
+		sink[k+extra] = make([]byte, 100*n) // prepare's own
 		m := k
 		if repeats == 1 {
 			m += extra

@@ -9,6 +9,7 @@ import (
 
 	"zapc/internal/memfs"
 	"zapc/internal/netstack"
+	"zapc/internal/sim"
 )
 
 func TestPodOf(t *testing.T) {
@@ -172,9 +173,9 @@ func TestRemoteStoreAbortNamesPod(t *testing.T) {
 // its stack is detached, so what it still has in flight is dropped, and
 // its address stays claimed, so the next segment the server sends it
 // draws a reset.
-func resetPeer(client *netstack.Stack) {
-	client.Network().Detach(client)
-	client.Network().Claim(client.IPAddr())
+func resetPeer(nw *netstack.Network, client *netstack.Stack) {
+	nw.Detach(client)
+	nw.Claim(client.IPAddr())
 }
 
 // serverSide returns the server's end of its one accepted connection.
@@ -195,10 +196,19 @@ func serverSide(t *testing.T, srv *Server) *netstack.Socket {
 // client writes the wire protocol by hand so that it sends no FIN: the
 // reset, not an EOF, is what the server reads next.
 func TestRemoteResetAfterCommitIsNoError(t *testing.T) {
-	w, peerFS, srv, rem := remotePair(t, 8)
+	w := sim.NewWorld(8)
+	nw := netstack.NewNetwork(w)
+	peerFS := memfs.New()
+	srv, err := NewServer(nw, 0x0a00ff02, 9000, NewFS(peerFS))
+	if err != nil {
+		t.Fatal(err)
+	}
 	var failed []error
 	srv.SetOnError(func(_ string, err error) { failed = append(failed, err) })
-	client := rem.stack // driven by hand, not through the Remote
+	client, err := nw.NewStack(0x0a00ff01)
+	if err != nil {
+		t.Fatal(err)
+	}
 	sock := client.Socket(netstack.TCP)
 	if err := sock.Connect(srv.Addr()); err != nil {
 		t.Fatal(err)
@@ -213,7 +223,7 @@ func TestRemoteResetAfterCommitIsNoError(t *testing.T) {
 	}
 	drive(t, w, func() bool { return len(srv.Received()) == 1 })
 	conn := serverSide(t, srv)
-	resetPeer(client) // the ack of the terminator draws the reset
+	resetPeer(nw, client) // the ack of the terminator draws the reset
 	drive(t, w, func() bool { return conn.Closed() })
 	if !errors.Is(conn.Err(), netstack.ErrConnReset) {
 		t.Fatalf("server connection ended with %v, want a reset", conn.Err())
@@ -242,7 +252,7 @@ func TestRemoteResetMidPayloadNamesPod(t *testing.T) {
 	}
 	rw := wc.(*remoteWriter)
 	drive(t, w, func() bool { return rw.sent > 300<<10 })
-	resetPeer(rem.stack)
+	resetPeer(rem.stack.Network(), rem.stack)
 	drive(t, w, func() bool { return len(srv.Errs()) == 1 })
 	got := srv.Errs()[0]
 	if !errors.Is(got, ErrTruncatedStream) || !strings.Contains(got.Error(), netstack.ErrConnReset.Error()) {

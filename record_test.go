@@ -379,9 +379,12 @@ func TestAgentNetBytesIsTheImageNet(t *testing.T) {
 		{"pre-copy", []zapc.CheckpointOptions{{Mode: zapc.Snapshot, Precopy: &zapc.PrecopyOptions{MaxRounds: 3}}}},
 	} {
 		t.Run(mode.name, func(t *testing.T) {
-			c, job := budgetJob(t, 1.0/64, 0.2)
+			c := zapc.New(zapc.Config{Nodes: 4, Seed: 2005})
+			job, err := c.Launch(btSpec(1.0 / 64))
+			if err != nil {
+				t.Fatal(err)
+			}
 			var res *zapc.CheckpointResult
-			var err error
 			for i, opts := range mode.opts {
 				driveTo(t, c, job, 0.2+0.1*float64(i))
 				if res, err = c.Checkpoint(job, opts); err != nil {
