@@ -208,6 +208,10 @@ boundary:
 	if [ -n "$$bad" ]; then echo "boundary: the network state captured outside internal/ckpt; step 2 reads the frozen capture's Image.Net, so a pod is captured once (DESIGN.md §5):"; echo "$$bad"; exit 1; fi
 	@bad="$$(grep -rn --include='*.go' 'runtime\.ReadMemStats' . | grep -vE '^\./(internal/allocs|benchmark)/')"; \
 	if [ -n "$$bad" ]; then echo "boundary: an allocation window read by hand; count through allocs.Measure, which reads at GOMAXPROCS 1 and takes the smallest of fresh windows (DESIGN.md §2):"; echo "$$bad"; exit 1; fi
+	@dup="$$(grep -noE '\.(Start|SpanBetween)\([^,()]*, *"[^"]+"' $$(find . -name '*.go' -not -name '*_test.go' -not -path './benchmark/*') \
+		| sed -E 's/^([^:]+:[0-9]+):.*"([^"]+)"$$/\2 \1/' \
+		| awk '{n[$$1]++; at[$$1] = at[$$1] " " $$2} END {for (k in n) if (n[k] > 1) print k ":" at[k]}' | sort)"; \
+	if [ -n "$$dup" ]; then echo "boundary: one span name opened at two call sites; the analyzer and PhaseSummary key on the name, so each phase gets its own (DESIGN.md §6):"; echo "$$dup"; exit 1; fi
 
 build:
 	$(GO) build ./...

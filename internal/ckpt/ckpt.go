@@ -160,24 +160,16 @@ func (img *Image) Bytes() int64 {
 	return img.sizeCache
 }
 
-// ApproxBytes reports the approximate serialized size of one process
-// section (program state plus memory regions). The parallel worker-lane
-// model divides per-process figures like this across the pool to place
-// each process on a modeled worker timeline.
-func (p *ProcImage) ApproxBytes() int64 {
-	n := int64(len(p.ProgData))
-	for _, r := range p.Regions {
-		n += int64(len(r.Data))
-	}
-	return n
-}
-
 // MemoryBytes reports just the application memory payload: every
-// process's ApproxBytes.
+// process's program state plus its memory regions.
 func (img *Image) MemoryBytes() int64 {
 	var n int64
 	for i := range img.Procs {
-		n += img.Procs[i].ApproxBytes()
+		p := &img.Procs[i]
+		n += int64(len(p.ProgData))
+		for _, r := range p.Regions {
+			n += int64(len(r.Data))
+		}
 	}
 	return n
 }

@@ -142,9 +142,10 @@ type Options struct {
 	SnapshotFS bool
 	// Workers is the per-agent serialization width the checkpoint
 	// models: the modeled memory-copy time divides by the effective
-	// parallelism min(Workers, processes), and the trace shows that many
-	// worker lanes. The host captures and encodes on the one simulation
-	// thread whatever the width. A width ≤ 0 is the sequential model.
+	// parallelism min(Workers, processes), which the ckpt/serialize
+	// span's workers attribute reports. The host captures and encodes
+	// with one sequential writer on the simulation thread whatever the
+	// width. A width ≤ 0 is the sequential model.
 	Workers int
 	// Incr, when non-nil, switches the standalone checkpoint to
 	// incremental mode through the given tracker set: a generation
@@ -192,13 +193,9 @@ func (o *PrecopyOptions) maxRounds() int {
 	return o.MaxRounds
 }
 
-// effWorkers is the pool width an operation models: the caller's, at
-// least one, never the host's, so modeled time and the trace are a
-// function of the options alone.
-func effWorkers(w int) int { return max(w, 1) }
-
-// parSpeedup bounds the modeled serialization speedup by the number of
-// parallelizable units (processes).
+// parSpeedup is the one modeled width rule: the caller's width, at least
+// one and at most the number of parallelizable units (processes), never
+// the host's, so modeled time is a function of the options alone.
 func parSpeedup(workers, procs int) sim.Duration {
 	if workers > procs {
 		workers = procs
@@ -336,9 +333,9 @@ func (m *Manager) SetTracer(tr *trace.Tracer, reg *trace.Registry) {
 }
 
 // SetStore replaces the image store that FlushTo streams records into.
-// The default is the shared filesystem; a netstack-backed remote store
-// ships records straight to a peer node instead (the paper's direct
-// checkpoint-to-network migration).
+// The default is the shared filesystem; the cluster swaps in a traced
+// or deduplicating store, and any imagestore.Store — a netstack-backed
+// imagestore.Remote among them — can take its place.
 func (m *Manager) SetStore(s imagestore.Store) { m.store = s }
 
 // Store returns the manager's image store.
@@ -733,7 +730,6 @@ func (a *ckptAgent) precopyBase() {
 func (a *ckptAgent) precopyRound() {
 	w := a.op.m.w
 	costs := w.Costs
-	workers := effWorkers(a.op.opts.Workers)
 	pend, err := a.pre.CaptureLive(a.pod)
 	if err != nil {
 		a.op.finish(err)
@@ -752,7 +748,7 @@ func (a *ckptAgent) precopyRound() {
 	roundStart := w.Now()
 	bytes := costs.EffImageBytes(pend.Record().Bytes)
 	cost := w.Jitter(fixed, 0.25) +
-		costs.MemCopyTime(bytes)/parSpeedup(workers, len(pend.Image.Procs))
+		costs.MemCopyTime(bytes)/parSpeedup(a.op.opts.Workers, len(pend.Image.Procs))
 	a.op.after(cost, func() { a.precopyRoundDone(pend, roundStart, resent) })
 }
 
@@ -912,7 +908,6 @@ func (a *ckptAgent) standalone() {
 	}
 	w := a.op.m.w
 	costs := w.Costs
-	workers := effWorkers(a.op.opts.Workers)
 	// The generation's only encode: its stats size the modeled costs
 	// below, its bytes are what the flush replays.
 	a.rec = a.pend.Record()
@@ -920,22 +915,17 @@ func (a *ckptAgent) standalone() {
 	if a.pre != nil {
 		fixed, kind = costs.PrecopyResidualFixed, trace.I64("precopy_residual", 1)
 	}
-	a.saSpan = a.op.m.tr.Start(a.span, "ckpt/serialize",
-		trace.I64("workers", int64(workers)), kind)
-	saStart := w.Now()
 	// The copy cost covers what is actually written — the delta record
 	// in incremental and pre-copy mode — and divides by the effective
 	// serialization parallelism (per-process capture fans out across the
-	// pool). The fixed and copy components stay separate so the modeled
-	// worker lanes can start where the fixed prologue ends.
+	// modeled width).
+	workers := parSpeedup(a.op.opts.Workers, len(a.pend.Image.Procs))
+	a.saSpan = a.op.m.tr.Start(a.span, "ckpt/serialize",
+		trace.I64("workers", int64(workers)), kind)
 	bytes := costs.EffImageBytes(a.rec.Bytes)
-	fixed = w.Jitter(fixed, 0.25)
-	cost := fixed + costs.MemCopyTime(bytes)/parSpeedup(workers, len(a.pend.Image.Procs))
+	cost := w.Jitter(fixed, 0.25) + costs.MemCopyTime(bytes)/workers
 	a.op.after(cost, func() {
 		a.saTime = cost
-		if a.pre == nil {
-			a.emitWorkerLanes(saStart, fixed, workers)
-		}
 		a.saSpan.End(trace.I64("wire_bytes", a.rec.Bytes),
 			trace.I64("peak_buffered", a.rec.Peak))
 		a.op.m.reg.Counter("ckpt_encode_bytes_total").Add(a.rec.Bytes)
@@ -949,53 +939,6 @@ func (a *ckptAgent) standalone() {
 // generation is self-contained, which is what callers ask about.
 func (a *ckptAgent) incremental() bool {
 	return a.op.opts.Incr != nil && !a.pend.Full()
-}
-
-// emitWorkerLanes reconstructs the per-worker serialization schedule the
-// cost model implies and records it as modeled sub-spans of
-// ckpt/serialize. No host worker runs them (the capture is one loop on
-// the simulation thread), so the lanes are computed analytically —
-// greedy least-busy assignment of per-process copy costs, the same
-// policy a work-stealing pool converges to — and emitted with explicit
-// timestamps from a single event callback, which keeps the trace
-// byte-deterministic. Each lane reports its encode time and how long it
-// idled waiting for the slowest peer.
-func (a *ckptAgent) emitWorkerLanes(saStart sim.Time, fixed sim.Duration, workers int) {
-	tr := a.op.m.tr
-	if tr == nil || len(a.pend.Image.Procs) == 0 {
-		return
-	}
-	costs := a.op.m.w.Costs
-	workers = int(parSpeedup(workers, len(a.pend.Image.Procs)))
-	busy := make([]sim.Duration, workers)
-	laneBytes := make([]int64, workers)
-	laneProcs := make([]int64, workers)
-	for _, p := range a.pend.Image.Procs {
-		wi := 0
-		for j := 1; j < workers; j++ {
-			if busy[j] < busy[wi] {
-				wi = j
-			}
-		}
-		busy[wi] += costs.MemCopyTime(costs.EffImageBytes(p.ApproxBytes()))
-		laneBytes[wi] += p.ApproxBytes()
-		laneProcs[wi]++
-	}
-	var longest sim.Duration
-	for _, b := range busy {
-		if b > longest {
-			longest = b
-		}
-	}
-	lanesStart := int64(saStart) + int64(fixed)
-	for wi := 0; wi < workers; wi++ {
-		tr.SpanBetween(a.saSpan, "ckpt/worker", lanesStart, lanesStart+int64(busy[wi]),
-			trace.I64("worker", int64(wi)),
-			trace.I64("procs", laneProcs[wi]),
-			trace.I64("bytes", laneBytes[wi]),
-			trace.I64("encode_ns", int64(busy[wi])),
-			trace.I64("wait_ns", int64(longest-busy[wi])))
-	}
 }
 
 // metaArrived is manager step M2/M3: collect meta-data; once all have
@@ -1388,7 +1331,7 @@ func (op *restartOp) runAgent(idx int, pl Placement, plan *netckpt.EndpointPlan)
 						saCost = w.Jitter(costs.PromoteFixed, 0.25)
 					} else {
 						saCost = w.Jitter(costs.RestartFixed, 0.25) +
-							costs.RestoreTime(bytes)/parSpeedup(effWorkers(op.m.workers), len(pl.Image.Procs)) +
+							costs.RestoreTime(bytes)/parSpeedup(op.m.workers, len(pl.Image.Procs)) +
 							costs.ProcCreate*sim.Duration(len(pl.Image.Procs))
 					}
 					saStart := w.Now()

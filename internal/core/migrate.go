@@ -25,9 +25,11 @@ type MigrateResult struct {
 }
 
 // Migrate moves a running distributed application from its current
-// nodes onto the target nodes by checkpointing every pod, streaming
-// each image directly to its receiving agent (the paper's
-// no-intermediate-storage path), and restarting there. The application
+// nodes onto the target nodes by checkpointing every pod, charging each
+// image's transfer to its receiving agent analytically (one network
+// latency plus the image's transfer time, the paper's
+// no-intermediate-storage path; no bytes cross the simulated network),
+// and restarting there. The application
 // may move from N nodes to M nodes: Place puts the pods round-robin
 // across the targets. redirect enables the §5 send-queue optimization.
 func (m *Manager) Migrate(pods []*pod.Pod, targets []*vos.Node, redirect bool, onDone func(*MigrateResult)) {
@@ -49,8 +51,8 @@ func (m *Manager) Migrate(pods []*pod.Pod, targets []*vos.Node, redirect bool, o
 			onDone(&MigrateResult{Err: err})
 			return
 		}
-		// Stream each image to its target agent; streams run in
-		// parallel on distinct links through the switch.
+		// Charge each image's transfer to its target agent; transfers
+		// run in parallel on distinct links through the switch.
 		for i := range placements {
 			bytes := m.w.Costs.EffImageBytes(placements[i].Image.Bytes())
 			xfer := m.w.Costs.NetLatency + m.w.Costs.NetTransferTime(bytes)

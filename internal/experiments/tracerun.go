@@ -22,14 +22,14 @@ type TraceScenarioResult struct {
 // RunTraceScenario runs the canonical observability scenario: a
 // four-endpoint job takes one explicit pre-copy live checkpoint early
 // on, then runs under a supervisor taking periodic incremental
-// checkpoints through the parallel serializer, a scripted fault crashes
+// checkpoints at a modeled width of 3, a scripted fault crashes
 // one node at half progress, the supervisor detects the failure and
 // restarts the job from the newest valid generation on the survivors,
 // and the job runs to completion. The whole story — live copy rounds,
-// quiesce, per-worker serialization lanes, store streams, network
-// drain/reinject, heartbeats, failover, injected fault — lands on one
-// virtual-clock timeline. For a fixed cfg.Seed the exported trace is
-// byte-identical across runs.
+// quiesce, serialization, store streams, network drain/reinject,
+// heartbeats, failover, injected fault — lands on one virtual-clock
+// timeline. For a fixed cfg.Seed the exported trace is byte-identical
+// across runs.
 func RunTraceScenario(cfg Config) (*TraceScenarioResult, error) {
 	cfg = cfg.defaults()
 	const endpoints = 4

@@ -1,7 +1,8 @@
-// Netstack-backed remote image store: the paper's direct
-// checkpoint-to-network migration path. A checkpointing node writes its
-// image through Remote.Create, which ships length-prefixed chunks over
-// a TCP connection to a Server on the target node; the server spools
+// Netstack-backed remote image store: the transport the warm standby
+// replicates committed records over (core.Manager.Migrate charges its
+// transfers analytically and does not use it). A node writes an image
+// through Remote.Create, which ships length-prefixed chunks over a TCP
+// connection to a Server on the target node; the server spools
 // each arriving run of bytes straight into its local Store and commits
 // the image when the stream terminator arrives. At no point — client
 // staging queue, socket buffers, server spool — does the image exist as

@@ -4,9 +4,9 @@
 // instead of reading the whole image chain back from the shared store.
 //
 // The primary's supervisor ships every committed generation — full
-// images and incremental deltas alike — over the same virtual-TCP
-// image transport the migration path uses (imagestore.Remote feeding an
-// imagestore.Server on the standby). Each record lands in the standby's
+// images and incremental deltas alike — over the virtual-TCP image
+// transport (imagestore.Remote feeding an imagestore.Server on the
+// standby). Each record lands in the standby's
 // local mirror store; once a generation's records are all in, the plane
 // applies them into its shadow chains — a full generation starts each
 // pod's chain afresh, an incremental one extends the chain the plane

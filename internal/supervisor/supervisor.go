@@ -952,7 +952,7 @@ func (s *Supervisor) deltaPath(j int, pod string) string {
 // when every pod passed.
 func (s *Supervisor) checkGeneration(gi int) error {
 	g := s.gens[gi]
-	span := s.tr.Start(s.span, "supervisor/load-generation", trace.Track("supervisor"),
+	span := s.tr.Start(s.span, "supervisor/commit-check", trace.Track("supervisor"),
 		trace.Str("dir", g.Dir), trace.I64("seq", int64(g.Seq)))
 	chains, err := s.chains(gi)
 	if err == nil {
@@ -1113,21 +1113,12 @@ func unreachedRecord(dir string, files []string, chains []imagestore.PodChain) e
 func (s *Supervisor) readChains(chains []imagestore.PodChain) ([]*ckpt.Image, error) {
 	images := make([]*ckpt.Image, 0, len(chains))
 	for _, pc := range chains {
-		var cSpan *trace.Span
-		if len(pc.Paths) > 1 {
-			cSpan = s.tr.Start(s.span, "supervisor/chain-reconstruct", trace.Track("supervisor"),
-				trace.Str("pod", pc.Pod), trace.I64("links", int64(len(pc.Paths))))
-		}
 		c, err := pc.Read(s.t.Store, ckpt.Chain{})
 		if err == nil {
 			err = s.checkHead(pc, c)
 		}
 		if err != nil {
-			cSpan.End(trace.Str("err", err.Error()))
 			return nil, err
-		}
-		if cSpan != nil {
-			cSpan.End(trace.I64("bytes", c.Image.Bytes()))
 		}
 		images = append(images, c.Image)
 	}

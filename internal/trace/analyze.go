@@ -16,7 +16,7 @@ import (
 // *where* the time went. The analyzer decomposes each window into
 // named, attributed segments whose durations sum exactly to the window,
 // so a regression in any figure can be pinned to the coord-tree level,
-// agent, serialize lane, or supervisor phase that stretched.
+// agent, serialize phase, or supervisor phase that stretched.
 //
 // Everything here is pure: it consumes []Event (from a live Tracer or
 // ReadJSONL) and produces deterministic structures and byte-identical

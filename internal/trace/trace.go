@@ -6,8 +6,8 @@
 // Transparent checkpoint-restart is undebuggable without phase-level
 // introspection — DMTCP and CRIU both grew first-class stats and image
 // inspectors for exactly this reason. This package gives the whole
-// pipeline (coordinated checkpoint/restart, parallel serialization
-// workers, incremental chains, image stores, network drain/reinject,
+// pipeline (coordinated checkpoint/restart, pre-copy rounds,
+// incremental chains, image stores, network drain/reinject,
 // supervisor failover, fault injection) one shared seam to report what
 // happened and when, without perturbing the simulation.
 //
@@ -215,11 +215,11 @@ func (t *Tracer) Instant(parent *Span, name string, attrs ...Attr) {
 }
 
 // SpanBetween records an already-completed span with explicit virtual
-// timestamps. The pipeline uses it for modeled sub-phases — per-worker
-// serialization lanes whose schedule is computed analytically inside a
-// single event callback — where the clock never actually visits the
-// sub-span's endpoints. start/end may lie in the past; exporters order
-// by timestamp.
+// timestamps. The pipeline uses it for a phase whose endpoints are
+// known only when it ends — a pre-copy round, a restart agent's pod
+// creation and standalone restore, a coordination-tree level — and
+// emits it from that one event callback. start/end may lie in the past;
+// exporters order by timestamp.
 func (t *Tracer) SpanBetween(parent *Span, name string, start, end int64, attrs ...Attr) {
 	if t == nil {
 		return

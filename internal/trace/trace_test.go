@@ -195,11 +195,11 @@ func TestReadJSONLRejectsGarbage(t *testing.T) {
 func TestSpanBetweenAndChromeExport(t *testing.T) {
 	clk := &fakeClock{t: 100}
 	tr := New(clk.now)
-	root := tr.Start(nil, "ckpt/serialize", Track("pod0"))
+	root := tr.Start(nil, "ckpt/precopy", Track("pod0"))
 	clk.t = 200
-	// Modeled sub-spans with explicit (past) timestamps.
-	tr.SpanBetween(root, "ckpt/worker", 110, 150, I64("worker", 0))
-	tr.SpanBetween(root, "ckpt/worker", 110, 190, I64("worker", 1))
+	// Sub-spans with explicit (past) timestamps.
+	tr.SpanBetween(root, "ckpt/precopy/round-1", 110, 150, I64("round", 1))
+	tr.SpanBetween(root, "ckpt/precopy/round-2", 150, 190, I64("round", 2))
 	root.End()
 	tr.Instant(nil, "fault/crash", Track("faults"))
 

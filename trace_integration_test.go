@@ -58,8 +58,9 @@ func TestTraceDeterminism(t *testing.T) {
 }
 
 // TestTraceSpansPresent checks that the scenario's timeline tells the
-// whole story: checkpoint phases, per-worker lanes, store streams,
-// network restore, supervision, and the injected fault all appear.
+// whole story: checkpoint phases, store streams, network restore,
+// supervision, and the injected fault all appear, and every child span
+// lies within its parent.
 func TestTraceSpansPresent(t *testing.T) {
 	res := runTraced(t, 2005)
 	if res.Stats.Failovers == 0 {
@@ -77,7 +78,6 @@ func TestTraceSpansPresent(t *testing.T) {
 		"ckpt/quiesce",
 		"ckpt/net-ckpt",
 		"ckpt/serialize",
-		"ckpt/worker",
 		"ckpt/precopy",
 		"ckpt/precopy/round-1",
 		"ckpt/precopy/stop",
@@ -92,6 +92,12 @@ func TestTraceSpansPresent(t *testing.T) {
 	} {
 		if !names[want] {
 			t.Errorf("timeline is missing %q", want)
+		}
+	}
+	for _, s := range trace.BuildDAG(res.Tracer.Events()).Spans {
+		if p := s.Parent; p != nil && (s.Start < p.Start || s.End > p.End) {
+			t.Errorf("span %s #%d [%d, %d] is not within its parent %s #%d [%d, %d]",
+				s.Name, s.ID, s.Start, s.End, p.Name, p.ID, p.Start, p.End)
 		}
 	}
 	// The registry counted the same story.

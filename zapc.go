@@ -174,10 +174,10 @@ type (
 
 // Streaming image pipeline (see internal/imagestore). Checkpoint records
 // stream chunk by chunk into an ImageStore — the shared filesystem by
-// default, or a netstack-backed remote store that ships each record
-// straight to a peer node for the paper's direct checkpoint-to-network
-// migration. The manager's store is swapped with c.Mgr.SetStore;
-// records flush when CheckpointOptions.FlushTo names a prefix.
+// default, or a deduplicating store (c.EnableDedupStore). The manager's
+// store is swapped with c.Mgr.SetStore; records flush when
+// CheckpointOptions.FlushTo names a prefix. Migration streams no
+// record: it charges each image's transfer analytically.
 type (
 	// ImageStore is a named destination checkpoint records stream into.
 	ImageStore = imagestore.Store
@@ -191,9 +191,9 @@ type (
 
 // Pipeline observability (see internal/trace). c.EnableTracing() turns
 // on span tracing and metrics for the whole checkpoint/restart path —
-// coordinated checkpoints, per-worker serialization lanes, store
-// streams, network-state restore, supervision, and injected faults all
-// appear on one virtual-clock timeline. Off by default; an untraced
+// coordinated checkpoints, serialization, store streams, network-state
+// restore, supervision, and injected faults all appear on one
+// virtual-clock timeline. Off by default; an untraced
 // cluster pays only nil checks.
 //
 //	tr, reg := c.EnableTracing()
