@@ -176,6 +176,7 @@ func (b *Bratu) Step(ctx *vos.Context) vos.StepResult {
 			b.Done = true
 			return vos.Exit(0)
 		}
+		b.bcast = nil // consumed: no later record carries it
 		b.Phase = 1
 		return vos.Yield(0)
 	}

@@ -76,7 +76,7 @@ var sweepExempt = map[string]string{
 	// value in.
 	"apps.cpi/13":    "apps.CPI.bcastBuf: the root's result between the reduce and the bcast, read by Bcast (apps/cpi.go:86); no input is captured there",
 	"apps.bt/15":     "apps.BT.bcast: the root's norm between the reduce and the bcast, read by Bcast (apps/bt.go:181); no input is captured there",
-	"apps.bratu/22":  "apps.Bratu.bcast: the root's residual between the reduce and the bcast, read by Bcast (apps/bratu.go:170); the inputs hold only a consumed one",
+	"apps.bratu/22":  "apps.Bratu.bcast: the root's residual between the reduce and the bcast, read by Bcast (apps/bratu.go:170); no input is captured there",
 	"apps.bt/16":     "apps.BT.Pending: compute not yet charged, read by drainPending (apps/bt.go:115); the inputs are captured between sweeps, where it is 0",
 	"apps.bratu/23":  "apps.Bratu.Pending: compute not yet charged, read by drainPending (apps/bratu.go:121); the inputs are captured between sweeps, where it is 0",
 	"apps.bratu/19":  "apps.Bratu.Residual: the last check's residual, read by Result (apps/bratu.go:189) at any time; every run ends on a check that sets it",
