@@ -1,8 +1,8 @@
 // Migrate: move a running communication-heavy solver from N nodes onto
 // a different, smaller set of nodes (N -> M) without restarting it —
-// the paper's direct-migration path, with checkpoint images streamed
-// agent-to-agent (no intermediate storage) and the §5 send-queue
-// redirect optimization enabled.
+// the paper's direct-migration path, with each checkpoint image's
+// agent-to-agent transfer charged in modeled time (no intermediate
+// storage) and the §5 send-queue redirect optimization enabled.
 //
 // The example runs the same job twice (same seed): once uninterrupted
 // and once migrated mid-run, and verifies the results are bit-identical

@@ -7,14 +7,14 @@ import (
 )
 
 // MigrateStats aggregates a direct migration: coordinated checkpoint,
-// node-to-node image streaming (no intermediate storage), and
-// coordinated restart.
+// node-to-node image transfer (charged analytically, no intermediate
+// storage), and coordinated restart.
 type MigrateStats struct {
 	Ckpt      CheckpointStats
 	Restart   RestartStats
-	Transfer  sim.Duration // slowest image stream
+	Transfer  sim.Duration // slowest image transfer charged
 	Total     sim.Duration
-	WireBytes int64 // bytes streamed between agents
+	WireBytes int64 // bytes the transfers were charged for
 }
 
 // MigrateResult reports the restored pods and measurements.
