@@ -29,9 +29,9 @@ type MigrateResult struct {
 // image's transfer to its receiving agent analytically (one network
 // latency plus the image's transfer time, the paper's
 // no-intermediate-storage path; no bytes cross the simulated network),
-// and restarting there. The application
-// may move from N nodes to M nodes: Place puts the pods round-robin
-// across the targets. redirect enables the §5 send-queue optimization.
+// and restarting there. The application may move from N nodes to M
+// nodes: Place puts the pods round-robin across the targets. redirect
+// enables the §5 send-queue optimization.
 func (m *Manager) Migrate(pods []*pod.Pod, targets []*vos.Node, redirect bool, onDone func(*MigrateResult)) {
 	// Refused before the checkpoint tears the source pods down.
 	if len(targets) == 0 {

@@ -6,15 +6,15 @@
 // The primary's supervisor ships every committed generation — full
 // images and incremental deltas alike — over the virtual-TCP image
 // transport (imagestore.Remote feeding an imagestore.Server on the
-// standby). Each record lands in the standby's
-// local mirror store; once a generation's records are all in, the plane
-// applies them into its shadow chains — a full generation starts each
-// pod's chain afresh, an incremental one extends the chain the plane
-// retains — and advances its acknowledgement watermark. Application is
-// the chain reader the store-restore path uses (ckpt.Chain through
-// imagestore.PodChain.Read) over byte-identical records, so the standby
-// accepts exactly the generations recovery would, and a promoted standby
-// restarts from byte-identical state.
+// standby). Each record lands in the standby's local mirror store;
+// once a generation's records are all in, the plane applies them into
+// its shadow chains — a full generation starts each pod's chain afresh,
+// an incremental one extends the chain the plane retains — and advances
+// its acknowledgement watermark. Application is the chain reader the
+// store-restore path uses (ckpt.Chain through imagestore.PodChain.Read)
+// over byte-identical records, so the standby accepts exactly the
+// generations recovery would, and a promoted standby restarts from
+// byte-identical state.
 //
 // The watermark is the coordination contract with the primary: the
 // supervisor never garbage-collects a generation chain the standby has
