@@ -104,10 +104,12 @@ vet:
 # and reads the smallest of its repeats (DESIGN.md §2). benchmark/ is
 # its own module and measures host cost itself.
 # And every exported name has a caller outside its own package's tests,
-# and every -run or -fuzz selector below selects a test
-# (exports_test.go; DESIGN.md §1).
+# every unexported struct field is read by non-test code (its fixture,
+# testdata/deadfields, proves the rule bites), and every -run or -fuzz
+# selector below selects a test (exports_test.go, fields_test.go;
+# DESIGN.md §1).
 boundary:
-	$(GO) test -count=1 -run '^TestExportedNamesHaveCallers$$|^TestMakefileTestSelectorsMatch$$' .
+	$(GO) test -count=1 -run '^TestExportedNamesHaveCallers$$|^TestStructFieldsAreRead$$|^TestStructFieldRuleBites$$|^TestMakefileTestSelectorsMatch$$' .
 	@files="$$($(GO) list -f '{{join .GoFiles " "}}' .)"; \
 	if [ "$$files" != "zapc.go" ]; then echo "boundary: root package must hold zapc.go only, has: $$files"; exit 1; fi
 	@for p in $$($(GO) list -f '{{join .Imports " "}}' .); do \
@@ -448,9 +450,10 @@ examples:
 	$(GO) run ./examples/faultrecovery
 
 # The size figure simplicity PRs quote: non-test Go lines outside the
-# nested benchmark module.
+# nested benchmark module and testdata/ (a check's fixture package, which
+# the go tool does not build).
 loc:
-	@find . -name '*.go' -not -name '*_test.go' -not -path './benchmark/*' | xargs wc -l | tail -1
+	@find . -name '*.go' -not -name '*_test.go' -not -path './benchmark/*' -not -path '*/testdata/*' | xargs wc -l | tail -1
 
 clean:
 	$(GO) clean ./...

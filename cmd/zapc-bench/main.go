@@ -144,7 +144,7 @@ func main() {
 			return err
 		}
 		fmt.Println("== Figure 6c: largest-pod checkpoint image sizes ==")
-		fmt.Println(experiments.Fig6cTable(rows, cfg.Scale))
+		fmt.Println(experiments.Fig6cTable(rows))
 		return nil
 	})
 

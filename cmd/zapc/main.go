@@ -99,7 +99,7 @@ func run(app string, n int, action string, work, scale float64, seed int64, expo
 		}
 		fmt.Printf("t=%v: migrated %d pods onto %d fresh nodes in %v\n",
 			c.W.Now(), len(res.Pods), len(targets), res.Stats.Total)
-		fmt.Printf("  checkpoint=%v stream=%v restart=%v (wire %0.1f MB)\n",
+		fmt.Printf("  checkpoint=%v charged-transfer=%v restart=%v (%0.1f MB charged, not sent)\n",
 			res.Stats.Ckpt.Total, res.Stats.Transfer, res.Stats.Restart.Total,
 			float64(res.Stats.WireBytes)/(1<<20))
 

@@ -62,7 +62,7 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("t=%v  migration done in %v\n", c.W.Now(), res.Stats.Total)
-	fmt.Printf("      checkpoint %v | stream %v (%.1f MB) | restart %v\n",
+	fmt.Printf("      checkpoint %v | charged transfer %v (%.1f MB, not sent) | restart %v\n",
 		res.Stats.Ckpt.Total, res.Stats.Transfer,
 		float64(res.Stats.WireBytes)/(1<<20), res.Stats.Restart.Total)
 	for _, p := range job.Pods {

@@ -10,8 +10,8 @@ package zapc_test
 // const declared outside benchmark/ that nothing references except its
 // declaration and its own package's tests. A reference from non-test
 // code anywhere (cmd/, examples/ and benchmark/ included) or from
-// another package's tests counts. Struct fields are out of scope. The
-// exemptions, each with its reason:
+// another package's tests counts. Struct fields have their own rule
+// (fields_test.go). The exemptions, each with its reason:
 //   - a method that makes its type satisfy an interface declaring a
 //     method of that name (String, Error, Read, Less, …) is reached
 //     through the interface, which a type checker does not follow;

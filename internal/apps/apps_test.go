@@ -37,7 +37,7 @@ func launch(t testing.TB, name string, size int, work float64) *rig {
 	for i := 0; i < size; i++ {
 		n := vos.NewNode(w, fmt.Sprintf("n%d", i), 1)
 		r.nodes = append(r.nodes, n)
-		p, err := pod.New(fmt.Sprintf("%s-%d", name, i), n, r.nw, r.fs, ips[i])
+		p, err := pod.New(fmt.Sprintf("%s-%d", name, i), n, r.nw, ips[i])
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -61,7 +61,7 @@ func Generate(seed int64, cfg Config) faultinject.Schedule {
 	case seed >= StandbySeedBase:
 		steps = genStandby(rng, cfg)
 	case seed >= TreeSeedBase:
-		steps = genTreeBarrier(rng, cfg)
+		steps = genTreeBarrier(rng)
 	default:
 		steps = genFlat(rng, cfg, seed)
 	}
@@ -95,7 +95,7 @@ func genFlat(rng *rand.Rand, cfg Config, seed int64) []faultinject.Step {
 // behind it, so the watchdog must abort the attempt and the supervisor
 // must retry or fail over — never hang, never serve a half-barriered
 // image.
-func genTreeBarrier(rng *rand.Rand, cfg Config) []faultinject.Step {
+func genTreeBarrier(rng *rand.Rand) []faultinject.Step {
 	skip := rng.Intn(3)
 	steps := []faultinject.Step{
 		{Phase: core.PhaseCheckpointStart, PhaseSkip: skip, Action: faultinject.ActDropControl, Count: 1 + rng.Intn(4)},

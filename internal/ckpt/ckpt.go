@@ -20,7 +20,6 @@ import (
 	"sync"
 
 	"zapc/internal/imgfmt"
-	"zapc/internal/memfs"
 	"zapc/internal/netckpt"
 	"zapc/internal/netstack"
 	"zapc/internal/pod"
@@ -189,9 +188,9 @@ func (img *Image) MemoryBytes() int64 {
 // stalled restore would leak the pod's stack and keep its virtual
 // address busy forever.
 func RestorePod(img *Image, name string, node *vos.Node, nw *netstack.Network,
-	fs *memfs.FS, plan *netckpt.EndpointPlan, onDone func(*pod.Pod, error)) *pod.Pod {
+	plan *netckpt.EndpointPlan, onDone func(*pod.Pod, error)) *pod.Pod {
 
-	newPod, err := pod.New(name, node, nw, fs, img.VIP)
+	newPod, err := pod.New(name, node, nw, img.VIP)
 	if err != nil {
 		onDone(nil, err)
 		return nil

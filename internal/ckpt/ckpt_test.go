@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"zapc/internal/imgfmt"
-	"zapc/internal/memfs"
 	"zapc/internal/netckpt"
 	"zapc/internal/netstack"
 	"zapc/internal/pod"
@@ -189,14 +188,13 @@ func decodeDelta(data []byte) (*DeltaImage, error) { return DecodeDeltaFrom(byte
 type cluster struct {
 	w     *sim.World
 	nw    *netstack.Network
-	fs    *memfs.FS
 	nodes []*vos.Node
 }
 
 func mkCluster(t *testing.T, nodes int) *cluster {
 	t.Helper()
 	w := sim.NewWorld(99)
-	c := &cluster{w: w, nw: netstack.NewNetwork(w), fs: memfs.New()}
+	c := &cluster{w: w, nw: netstack.NewNetwork(w)}
 	for i := 0; i < nodes; i++ {
 		c.nodes = append(c.nodes, vos.NewNode(w, "node"+string(rune('A'+i)), 2))
 	}
@@ -251,7 +249,7 @@ func TestRegistry(t *testing.T) {
 
 func TestCheckpointRequiresQuiescence(t *testing.T) {
 	c := mkCluster(t, 1)
-	p, _ := pod.New("p", c.nodes[0], c.nw, c.fs, 1)
+	p, _ := pod.New("p", c.nodes[0], c.nw, 1)
 	p.AddProcess(&worker{Limit: 1000})
 	c.w.RunUntil(sim.Time(5 * sim.Millisecond))
 	p.BlockNetwork()
@@ -262,7 +260,7 @@ func TestCheckpointRequiresQuiescence(t *testing.T) {
 
 func TestSerializeRoundTrip(t *testing.T) {
 	c := mkCluster(t, 1)
-	p, _ := pod.New("p", c.nodes[0], c.nw, c.fs, 1)
+	p, _ := pod.New("p", c.nodes[0], c.nw, 1)
 	proc := p.AddProcess(&worker{Limit: 500})
 	c.w.RunUntil(sim.Time(5 * sim.Millisecond))
 	proc.SetRegion("heap", []byte{1, 2, 3, 4, 5})
@@ -306,7 +304,7 @@ func TestSerializeRoundTrip(t *testing.T) {
 
 func TestComputeRestoreContinues(t *testing.T) {
 	c := mkCluster(t, 2)
-	p, _ := pod.New("p", c.nodes[0], c.nw, c.fs, 1)
+	p, _ := pod.New("p", c.nodes[0], c.nw, 1)
 	wk := &worker{Limit: 100}
 	proc := p.AddProcess(wk)
 	proc.SetRegion("heap", make([]byte, 4096))
@@ -332,7 +330,7 @@ func TestComputeRestoreContinues(t *testing.T) {
 		t.Fatal(err)
 	}
 	var newPod *pod.Pod
-	RestorePod(img2, "p-restored", c.nodes[1], c.nw, c.fs, plans[img2.VIP], func(np *pod.Pod, err error) {
+	RestorePod(img2, "p-restored", c.nodes[1], c.nw, plans[img2.VIP], func(np *pod.Pod, err error) {
 		if err != nil {
 			t.Fatalf("restore: %v", err)
 		}
@@ -377,8 +375,8 @@ func TestDistributedStreamEquivalence(t *testing.T) {
 func runStream(t *testing.T, total uint32, interrupt bool) uint64 {
 	t.Helper()
 	c := mkCluster(t, 4)
-	podA, _ := pod.New("prod", c.nodes[0], c.nw, c.fs, 1)
-	podB, _ := pod.New("cons", c.nodes[1], c.nw, c.fs, 2)
+	podA, _ := pod.New("prod", c.nodes[0], c.nw, 1)
+	podB, _ := pod.New("cons", c.nodes[1], c.nw, 2)
 	prod := &producer{To: netstack.Addr{IP: 2, Port: 7777}, Next: 1, Total: total}
 	cons := &consumer{Port: 7777}
 	podA.AddProcess(prod)
@@ -419,14 +417,14 @@ func runStream(t *testing.T, total uint32, interrupt bool) uint64 {
 		restored := 0
 		var pods []*pod.Pod
 		fail := func(err error) { t.Fatalf("restore: %v", err) }
-		RestorePod(imgA2, "prod2", c.nodes[2], c.nw, c.fs, plans[imgA2.VIP], func(np *pod.Pod, err error) {
+		RestorePod(imgA2, "prod2", c.nodes[2], c.nw, plans[imgA2.VIP], func(np *pod.Pod, err error) {
 			if err != nil {
 				fail(err)
 			}
 			restored++
 			pods = append(pods, np)
 		})
-		RestorePod(imgB2, "cons2", c.nodes[3], c.nw, c.fs, plans[imgB2.VIP], func(np *pod.Pod, err error) {
+		RestorePod(imgB2, "cons2", c.nodes[3], c.nw, plans[imgB2.VIP], func(np *pod.Pod, err error) {
 			if err != nil {
 				fail(err)
 			}
@@ -461,7 +459,7 @@ func TestRestoreUnknownProgramFails(t *testing.T) {
 	plan := &netckpt.EndpointPlan{PodIP: 5}
 	var gotErr error
 	done := false
-	RestorePod(img, "x2", c.nodes[0], c.nw, c.fs, plan, func(np *pod.Pod, err error) {
+	RestorePod(img, "x2", c.nodes[0], c.nw, plan, func(np *pod.Pod, err error) {
 		gotErr = err
 		done = true
 	})
@@ -477,7 +475,7 @@ func TestRestoreUnknownProgramFails(t *testing.T) {
 
 func TestVirtualTimeContinuity(t *testing.T) {
 	c := mkCluster(t, 2)
-	p, _ := pod.New("p", c.nodes[0], c.nw, c.fs, 1)
+	p, _ := pod.New("p", c.nodes[0], c.nw, 1)
 	p.AddProcess(&worker{Limit: 1 << 30})
 	c.w.RunUntil(sim.Time(40 * sim.Millisecond))
 	c.freeze(t, p)
@@ -488,7 +486,7 @@ func TestVirtualTimeContinuity(t *testing.T) {
 	c.w.RunUntil(c.w.Now() + sim.Time(10*sim.Second))
 	plans, _ := netckpt.PlanRestart(map[netstack.IP]*netckpt.NetImage{img.VIP: img.Net})
 	var np *pod.Pod
-	RestorePod(img, "p2", c.nodes[1], c.nw, c.fs, plans[img.VIP], func(q *pod.Pod, err error) {
+	RestorePod(img, "p2", c.nodes[1], c.nw, plans[img.VIP], func(q *pod.Pod, err error) {
 		if err != nil {
 			t.Fatalf("restore: %v", err)
 		}

@@ -283,7 +283,7 @@ func TestCOWModelCheck(t *testing.T) {
 		seed := seed
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			srcOn := mkCluster(t, 1)
-			src, err := pod.New("src", srcOn.nodes[0], srcOn.nw, srcOn.fs, nextVIP())
+			src, err := pod.New("src", srcOn.nodes[0], srcOn.nw, nextVIP())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -337,7 +337,7 @@ func rawRestore(c *cluster, img *Image, name string) (restored *pod.Pod, err err
 		return nil, err
 	}
 	done := false
-	RestorePod(img, name, c.nodes[0], c.nw, c.fs, plans[img.VIP], func(np *pod.Pod, rerr error) {
+	RestorePod(img, name, c.nodes[0], c.nw, plans[img.VIP], func(np *pod.Pod, rerr error) {
 		restored, err, done = np, rerr, true
 	})
 	for !done && c.w.Step() {
@@ -350,7 +350,7 @@ func rawRestore(c *cluster, img *Image, name string) (restored *pod.Pod, err err
 
 // benchPod is a frozen pod of eight processes with 256 KiB each.
 func benchPod(c *cluster) *pod.Pod {
-	p, _ := pod.New("bench", c.nodes[0], c.nw, c.fs, nextVIP())
+	p, _ := pod.New("bench", c.nodes[0], c.nw, nextVIP())
 	for i := 0; i < 8; i++ {
 		p.AddProcess(&worker{Limit: 100}).SetRegion("heap", bytes.Repeat([]byte{byte(i)}, 256<<10))
 	}

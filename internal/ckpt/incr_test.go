@@ -18,7 +18,7 @@ import (
 // pay off.
 func mkIdlePod(t *testing.T, c *cluster, name string, procs, ballast int) *pod.Pod {
 	t.Helper()
-	p, err := pod.New(name, c.nodes[0], c.nw, c.fs, nextVIP())
+	p, err := pod.New(name, c.nodes[0], c.nw, nextVIP())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -312,7 +312,7 @@ func TestTrackerRebase(t *testing.T) {
 
 func TestProcessExitProducesRemoval(t *testing.T) {
 	c := mkCluster(t, 1)
-	p, err := pod.New("exit", c.nodes[0], c.nw, c.fs, nextVIP())
+	p, err := pod.New("exit", c.nodes[0], c.nw, nextVIP())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -485,7 +485,7 @@ func TestChainNextLeavesChainUnchangedOnError(t *testing.T) {
 // capture at the quiesce point produces.
 func TestTrackerLiveRoundsThenResidual(t *testing.T) {
 	c := mkCluster(t, 1)
-	p, err := pod.New("live", c.nodes[0], c.nw, c.fs, nextVIP())
+	p, err := pod.New("live", c.nodes[0], c.nw, nextVIP())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,7 +12,6 @@ import (
 	"testing"
 
 	"zapc/internal/imgfmt"
-	"zapc/internal/memfs"
 	"zapc/internal/netckpt"
 	"zapc/internal/netstack"
 	"zapc/internal/pod"
@@ -24,7 +23,7 @@ import (
 // seeding and benchmarks).
 func mkRawCluster(nodes int) *cluster {
 	w := sim.NewWorld(99)
-	c := &cluster{w: w, nw: netstack.NewNetwork(w), fs: memfs.New()}
+	c := &cluster{w: w, nw: netstack.NewNetwork(w)}
 	for i := 0; i < nodes; i++ {
 		c.nodes = append(c.nodes, vos.NewNode(w, "node"+string(rune('A'+i)), 2))
 	}
@@ -53,7 +52,7 @@ func nextVIP() netstack.IP {
 // heap region, advanced a few virtual milliseconds and then frozen.
 func mkBusyPod(t *testing.T, c *cluster, name string, node int, n int) *pod.Pod {
 	t.Helper()
-	p, err := pod.New(name, c.nodes[node], c.nw, c.fs, nextVIP())
+	p, err := pod.New(name, c.nodes[node], c.nw, nextVIP())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +93,7 @@ func TestParallelCheckpointMatchesSequential(t *testing.T) {
 // seeding the decoder fuzz targets.
 func fuzzChain(f testing.TB) (full, delta []byte) {
 	c := mkRawCluster(1)
-	p, _ := pod.New("seed", c.nodes[0], c.nw, c.fs, 7)
+	p, _ := pod.New("seed", c.nodes[0], c.nw, 7)
 	proc := p.AddProcess(&worker{Limit: 50})
 	proc.SetRegion("heap", []byte("0123456789abcdef"))
 	c.w.RunUntil(sim.Time(2 * sim.Millisecond))
@@ -283,7 +282,7 @@ func FuzzDecodeDelta(f *testing.F) {
 // eight 256 KiB heaps; cmd/zapc-bench -fig ckpt uses the same shape.
 func BenchmarkCheckpointEncode(b *testing.B) {
 	c := mkRawCluster(1)
-	p, _ := pod.New("bench", c.nodes[0], c.nw, c.fs, 1)
+	p, _ := pod.New("bench", c.nodes[0], c.nw, 1)
 	for i := 0; i < 8; i++ {
 		proc := p.AddProcess(&worker{Limit: 100})
 		proc.SetRegion("heap", make([]byte, 256<<10))

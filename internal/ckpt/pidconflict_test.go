@@ -19,7 +19,7 @@ import (
 // virtual PIDs and run correctly.
 func TestRestartDespitePIDsInUse(t *testing.T) {
 	c := mkCluster(t, 2)
-	p, _ := pod.New("p", c.nodes[0], c.nw, c.fs, 1)
+	p, _ := pod.New("p", c.nodes[0], c.nw, 1)
 	wk := &worker{Limit: 200}
 	orig := p.AddProcess(wk)
 	origRPID := orig.RPID
@@ -35,7 +35,7 @@ func TestRestartDespitePIDsInUse(t *testing.T) {
 	// Crowd the target node's process table so the original real PID is
 	// definitely taken there.
 	target := c.nodes[1]
-	env := &vos.Env{Stack: mustStack(t, c.nw, 99), FS: c.fs}
+	env := &vos.Env{Stack: mustStack(t, c.nw, 99)}
 	var squatter *vos.Process
 	for i := 0; i < 50; i++ {
 		q := target.Spawn(&worker{Limit: 1 << 30}, env)
@@ -52,7 +52,7 @@ func TestRestartDespitePIDsInUse(t *testing.T) {
 		t.Fatal(err)
 	}
 	var np *pod.Pod
-	RestorePod(img, "p2", target, c.nw, c.fs, plans[img.VIP], func(q *pod.Pod, err error) {
+	RestorePod(img, "p2", target, c.nw, plans[img.VIP], func(q *pod.Pod, err error) {
 		if err != nil {
 			t.Fatalf("restore with crowded pid table: %v", err)
 		}

@@ -57,7 +57,7 @@ func init() {
 func runWatchdogAcrossGap(t *testing.T, virtualize bool) bool {
 	t.Helper()
 	c := mkCluster(t, 2)
-	p, _ := pod.New("wd", c.nodes[0], c.nw, c.fs, 1)
+	p, _ := pod.New("wd", c.nodes[0], c.nw, 1)
 	wd := &watchdog{Threshold: 100 * sim.Millisecond, MaxTicks: 50}
 	p.AddProcess(wd)
 	c.w.RunUntil(sim.Time(120 * sim.Millisecond)) // ~12 healthy ticks
@@ -76,7 +76,7 @@ func runWatchdogAcrossGap(t *testing.T, virtualize bool) bool {
 		t.Fatal(err)
 	}
 	var np *pod.Pod
-	RestorePod(img, "wd2", c.nodes[1], c.nw, c.fs, plans[img.VIP], func(q *pod.Pod, err error) {
+	RestorePod(img, "wd2", c.nodes[1], c.nw, plans[img.VIP], func(q *pod.Pod, err error) {
 		if err != nil {
 			t.Fatalf("restore: %v", err)
 		}

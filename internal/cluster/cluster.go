@@ -170,10 +170,7 @@ type Job struct {
 	Pods  []*pod.Pod // nil entries/empty in Base mode
 	Progs []apps.Status
 
-	cluster *Cluster
 	started sim.Time
-	// base-mode environments kept so completion can be observed
-	baseEnvs []*vos.Env
 }
 
 // Launch deploys a job across the cluster's nodes, pods placed
@@ -191,7 +188,6 @@ func (c *Cluster) Launch(spec JobSpec) (*Job, error) {
 	job := &Job{
 		Name:    fmt.Sprintf("%s-%d", spec.App, c.jobSeq),
 		Spec:    spec,
-		cluster: c,
 		started: c.W.Now(),
 	}
 	ips := make([]netstack.IP, spec.Endpoints)
@@ -214,11 +210,9 @@ func (c *Cluster) Launch(spec JobSpec) (*Job, error) {
 			if err != nil {
 				return nil, err
 			}
-			env := &vos.Env{Stack: stack, FS: c.FS}
-			node.Spawn(prog, env)
-			job.baseEnvs = append(job.baseEnvs, env)
+			node.Spawn(prog, &vos.Env{Stack: stack})
 		} else {
-			p, err := pod.New(fmt.Sprintf("%s-%d", job.Name, i), node, c.Net, c.FS, ips[i])
+			p, err := pod.New(fmt.Sprintf("%s-%d", job.Name, i), node, c.Net, ips[i])
 			if err != nil {
 				return nil, err
 			}

@@ -289,8 +289,10 @@ func (p *Plane) relay(win *phaseWindows, c, sib, level int, ex func(int) sim.Dur
 
 // Gather returns a fan-in collector for one phase. onArrive(i) runs at
 // the instant the batched report covering member i reaches the root.
-func (p *Plane) Gather(phase string, onArrive func(int)) *Gather {
-	return &Gather{p: p, phase: phase, onArrive: onArrive,
+// The string, the phase's name, is ignored: nothing records a gather by
+// name, and it stays only because the benchmark module passes one.
+func (p *Plane) Gather(_ string, onArrive func(int)) *Gather {
+	return &Gather{p: p, onArrive: onArrive,
 		got: make([]int, p.topo.n), pend: make([][]int, p.topo.n)}
 }
 
@@ -299,7 +301,6 @@ func (p *Plane) Gather(phase string, onArrive func(int)) *Gather {
 // then sends one batched message per link toward the root.
 type Gather struct {
 	p        *Plane
-	phase    string
 	onArrive func(int)
 	got      []int
 	pend     [][]int

@@ -1296,7 +1296,7 @@ func (op *restartOp) runAgent(idx int, pl Placement, plan *netckpt.EndpointPlan)
 		netStart := w.Now()
 		netSpan := op.m.tr.Start(agSpan, "restart/net-restore",
 			trace.I64("entries", int64(len(plan.Entries))))
-		np := ckpt.RestorePod(pl.Image, pl.PodName, pl.Node, op.m.nw, op.m.fs, plan,
+		np := ckpt.RestorePod(pl.Image, pl.PodName, pl.Node, op.m.nw, plan,
 			func(np *pod.Pod, err error) {
 				op.do(func() {
 					if err != nil {

@@ -285,7 +285,7 @@ func TestDropOpClearsVacatedSlot(t *testing.T) {
 func TestAbortBetweenFlushWavesCompletesOnce(t *testing.T) {
 	h := mkHarness(t, 3)
 	podA, podB, pi, po := h.launchPair(t, 200)
-	podC, err := pod.New("idle", h.nodes[2], h.nw, h.fs, 3)
+	podC, err := pod.New("idle", h.nodes[2], h.nw, 3)
 	if err != nil {
 		t.Fatal(err)
 	}

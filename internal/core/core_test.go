@@ -218,11 +218,11 @@ func (h *harness) drive(t *testing.T, cond func() bool) {
 // launchPair places a pinger pod and ponger pod on the first two nodes.
 func (h *harness) launchPair(t *testing.T, rounds uint32) (*pod.Pod, *pod.Pod, *pinger, *ponger) {
 	t.Helper()
-	podA, err := pod.New("ping", h.nodes[0], h.nw, h.fs, 1)
+	podA, err := pod.New("ping", h.nodes[0], h.nw, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	podB, err := pod.New("pong", h.nodes[1], h.nw, h.fs, 2)
+	podB, err := pod.New("pong", h.nodes[1], h.nw, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

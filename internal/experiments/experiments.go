@@ -514,7 +514,7 @@ func Fig6bTable(rows []Fig6Row) string {
 }
 
 // Fig6cTable renders the image-size series with paper-scale projection.
-func Fig6cTable(rows []Fig6Row, scale float64) string {
+func Fig6cTable(rows []Fig6Row) string {
 	t := metrics.NewTable("app", "endpoints", "max-image", "projected(paper-scale)", "net-state")
 	for _, r := range rows {
 		t.Row(r.App, r.Endpoints,

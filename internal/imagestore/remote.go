@@ -179,7 +179,6 @@ func (w *remoteWriter) pump() {
 // a local Store. It is entirely event-driven: all parsing happens in
 // socket readiness callbacks inside the simulation loop.
 type Server struct {
-	stack *netstack.Stack
 	ls    *netstack.Socket
 	local Store
 	addr  netstack.Addr
@@ -209,7 +208,7 @@ func ServeStack(st *netstack.Stack, port netstack.Port, local Store) (*Server, e
 	if err := ls.Listen(64); err != nil {
 		return nil, err
 	}
-	s := &Server{stack: st, ls: ls, local: local, addr: netstack.Addr{IP: st.IPAddr(), Port: port}}
+	s := &Server{ls: ls, local: local, addr: netstack.Addr{IP: st.IPAddr(), Port: port}}
 	ls.SetNotify(s.acceptLoop)
 	return s, nil
 }

@@ -178,10 +178,11 @@ func resetPeer(nw *netstack.Network, client *netstack.Stack) {
 	nw.Claim(client.IPAddr())
 }
 
-// serverSide returns the server's end of its one accepted connection.
-func serverSide(t *testing.T, srv *Server) *netstack.Socket {
+// serverSide returns the server's end of its one accepted connection;
+// st is the stack it serves on.
+func serverSide(t *testing.T, st *netstack.Stack, srv *Server) *netstack.Socket {
 	t.Helper()
-	for _, s := range srv.stack.Sockets() {
+	for _, s := range st.Sockets() {
 		if s != srv.ls {
 			return s
 		}
@@ -199,7 +200,11 @@ func TestRemoteResetAfterCommitIsNoError(t *testing.T) {
 	w := sim.NewWorld(8)
 	nw := netstack.NewNetwork(w)
 	peerFS := memfs.New()
-	srv, err := NewServer(nw, 0x0a00ff02, 9000, NewFS(peerFS))
+	st, err := nw.NewStack(0x0a00ff02)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := ServeStack(st, 9000, NewFS(peerFS))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,7 +227,7 @@ func TestRemoteResetAfterCommitIsNoError(t *testing.T) {
 		t.Fatalf("send: %d of %d bytes, %v", n, len(stream), err)
 	}
 	drive(t, w, func() bool { return len(srv.Received()) == 1 })
-	conn := serverSide(t, srv)
+	conn := serverSide(t, st, srv)
 	resetPeer(nw, client) // the ack of the terminator draws the reset
 	drive(t, w, func() bool { return conn.Closed() })
 	if !errors.Is(conn.Err(), netstack.ErrConnReset) {

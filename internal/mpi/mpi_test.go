@@ -9,7 +9,6 @@ import (
 
 	"zapc/internal/allocs"
 	"zapc/internal/imgfmt"
-	"zapc/internal/memfs"
 	"zapc/internal/netstack"
 	"zapc/internal/pod"
 	"zapc/internal/sim"
@@ -109,7 +108,6 @@ func launchRanks(t *testing.T, size, iters int) *rankHarness {
 	t.Helper()
 	w := sim.NewWorld(8)
 	nw := netstack.NewNetwork(w)
-	fs := memfs.New()
 	h := &rankHarness{w: w}
 	ips := make([]netstack.IP, size)
 	for i := range ips {
@@ -117,7 +115,7 @@ func launchRanks(t *testing.T, size, iters int) *rankHarness {
 	}
 	for i := 0; i < size; i++ {
 		node := vos.NewNode(w, fmt.Sprintf("n%d", i), 1)
-		p, err := pod.New(fmt.Sprintf("rank%d", i), node, nw, fs, ips[i])
+		p, err := pod.New(fmt.Sprintf("rank%d", i), node, nw, ips[i])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -217,7 +215,6 @@ func TestAllreduceEveryRankGetsResult(t *testing.T) {
 	const size, iters = 4, 3
 	w := sim.NewWorld(12)
 	nw := netstack.NewNetwork(w)
-	fs := memfs.New()
 	ips := make([]netstack.IP, size)
 	for i := range ips {
 		ips[i] = netstack.IP(i + 1)
@@ -226,7 +223,7 @@ func TestAllreduceEveryRankGetsResult(t *testing.T) {
 	var pods []*pod.Pod
 	for i := 0; i < size; i++ {
 		node := vos.NewNode(w, fmt.Sprintf("n%d", i), 1)
-		p, _ := pod.New(fmt.Sprintf("ar%d", i), node, nw, fs, ips[i])
+		p, _ := pod.New(fmt.Sprintf("ar%d", i), node, nw, ips[i])
 		a := &allreducer{Comm: New(Config{Rank: i, Size: size, Port: 6100, PeerIPs: ips}), Iters: iters}
 		p.AddProcess(a)
 		ars = append(ars, a)
@@ -310,12 +307,11 @@ func TestCommSerializationRoundTrip(t *testing.T) {
 func TestDaemonHeartbeats(t *testing.T) {
 	w := sim.NewWorld(9)
 	nw := netstack.NewNetwork(w)
-	fs := memfs.New()
 	ips := []netstack.IP{1, 2, 3}
 	var daemons []*Daemon
 	for i := range ips {
 		node := vos.NewNode(w, fmt.Sprintf("n%d", i), 1)
-		p, _ := pod.New(fmt.Sprintf("d%d", i), node, nw, fs, ips[i])
+		p, _ := pod.New(fmt.Sprintf("d%d", i), node, nw, ips[i])
 		d := NewDaemon(i, 5999, ips)
 		p.AddProcess(d)
 		daemons = append(daemons, d)

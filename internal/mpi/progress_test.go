@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"zapc/internal/imgfmt"
-	"zapc/internal/memfs"
 	"zapc/internal/netstack"
 	"zapc/internal/pod"
 	"zapc/internal/sim"
@@ -116,7 +115,6 @@ func TestRepeatScanInOneEventReadsNothingAndIsCharged(t *testing.T) {
 		const size = 3
 		w := sim.NewWorld(21)
 		nw := netstack.NewNetwork(w)
-		fs := memfs.New()
 		ips := []netstack.IP{1, 2, 3}
 		var out outcome
 		hooks := [size][]timedHook{
@@ -136,7 +134,7 @@ func TestRepeatScanInOneEventReadsNothingAndIsCharged(t *testing.T) {
 							t.Errorf("a second scan in the same event changed\n%+v\nto\n%+v", v, again)
 						}
 					}
-					out.unit = ctx.Proc().Node().World().Costs.Syscall + ctx.Proc().Env.VirtOverhead
+					out.unit = ctx.Proc().Node().World().Costs.Syscall + vos.VirtOverhead
 				}},
 				{t4, func(ctx *vos.Context, c *Comm) {
 					out.cpuAtT4 = ctx.Proc().CPUTime()
@@ -157,7 +155,7 @@ func TestRepeatScanInOneEventReadsNothingAndIsCharged(t *testing.T) {
 		var progs []*scripted
 		for i := range size {
 			node := vos.NewNode(w, fmt.Sprintf("n%d", i), 1)
-			p, err := pod.New(fmt.Sprintf("rank%d", i), node, nw, fs, ips[i])
+			p, err := pod.New(fmt.Sprintf("rank%d", i), node, nw, ips[i])
 			if err != nil {
 				t.Fatal(err)
 			}

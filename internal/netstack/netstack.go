@@ -139,7 +139,6 @@ type Network struct {
 	stacks  map[IP]*Stack
 	claimed map[IP]bool
 	loss    float64
-	nextEph Port
 	// deliverFn is deliver bound once, the callback of every packet in
 	// flight.
 	deliverFn func(any)

@@ -18,7 +18,6 @@ import (
 	"fmt"
 	"slices"
 
-	"zapc/internal/memfs"
 	"zapc/internal/netstack"
 	"zapc/internal/sim"
 	"zapc/internal/vos"
@@ -42,29 +41,19 @@ type Pod struct {
 	frozenAt  sim.Time
 }
 
-// DefaultVirtOverhead is the per-syscall cost of the thin virtualization
-// layer (system-call interposition through a loadable kernel module).
-// The paper measures it as negligible against application runtime.
-const DefaultVirtOverhead = 150 * sim.Nanosecond
-
 // New creates an empty pod on the given node with the given constant
 // virtual IP, attaching a fresh network stack to the cluster network.
-func New(name string, node *vos.Node, nw *netstack.Network, fs *memfs.FS, vip netstack.IP) (*Pod, error) {
+func New(name string, node *vos.Node, nw *netstack.Network, vip netstack.IP) (*Pod, error) {
 	st, err := nw.NewStack(vip)
 	if err != nil {
 		return nil, fmt.Errorf("pod %s: %w", name, err)
 	}
 	return &Pod{
-		name:    name,
-		node:    node,
-		network: nw,
-		stack:   st,
-		env: &vos.Env{
-			Stack:        st,
-			FS:           fs,
-			Virtualized:  true,
-			VirtOverhead: DefaultVirtOverhead,
-		},
+		name:     name,
+		node:     node,
+		network:  nw,
+		stack:    st,
+		env:      &vos.Env{Stack: st, Virtualized: true},
 		nextVPID: 1,
 		vip:      vip,
 	}, nil

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"zapc/internal/imgfmt"
-	"zapc/internal/memfs"
 	"zapc/internal/netstack"
 	"zapc/internal/sim"
 	"zapc/internal/vos"
@@ -25,17 +24,17 @@ func (s *spinner) Step(ctx *vos.Context) vos.StepResult {
 func (s *spinner) Layout(imgfmt.Visitor) {}
 func (s *spinner) Kind() string          { return "test.spinner" }
 
-func setup(t *testing.T) (*sim.World, *vos.Node, *netstack.Network, *memfs.FS) {
+func setup(t *testing.T) (*sim.World, *vos.Node, *netstack.Network) {
 	t.Helper()
 	w := sim.NewWorld(3)
 	nw := netstack.NewNetwork(w)
 	n := vos.NewNode(w, "n0", 2)
-	return w, n, nw, memfs.New()
+	return w, n, nw
 }
 
 func TestPodCreateAndVPIDs(t *testing.T) {
-	_, n, nw, fs := setup(t)
-	p, err := New("pod0", n, nw, fs, 0x0a000001)
+	_, n, nw := setup(t)
+	p, err := New("pod0", n, nw, 0x0a000001)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,18 +56,18 @@ func TestPodCreateAndVPIDs(t *testing.T) {
 }
 
 func TestDuplicateVirtualIPRejected(t *testing.T) {
-	_, n, nw, fs := setup(t)
-	if _, err := New("a", n, nw, fs, 1); err != nil {
+	_, n, nw := setup(t)
+	if _, err := New("a", n, nw, 1); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := New("b", n, nw, fs, 1); err == nil {
+	if _, err := New("b", n, nw, 1); err == nil {
 		t.Fatal("duplicate VIP accepted")
 	}
 }
 
 func TestSuspendQuiescentResume(t *testing.T) {
-	w, n, nw, fs := setup(t)
-	p, _ := New("pod0", n, nw, fs, 1)
+	w, n, nw := setup(t)
+	p, _ := New("pod0", n, nw, 1)
 	s1 := &spinner{}
 	s2 := &spinner{}
 	p.AddProcess(s1)
@@ -95,8 +94,8 @@ func TestSuspendQuiescentResume(t *testing.T) {
 }
 
 func TestNetworkBlockUnblock(t *testing.T) {
-	_, n, nw, fs := setup(t)
-	p, _ := New("pod0", n, nw, fs, 1)
+	_, n, nw := setup(t)
+	p, _ := New("pod0", n, nw, 1)
 	if p.NetworkBlocked() {
 		t.Fatal("new pod blocked")
 	}
@@ -111,8 +110,8 @@ func TestNetworkBlockUnblock(t *testing.T) {
 }
 
 func TestTimeBias(t *testing.T) {
-	w, n, nw, fs := setup(t)
-	p, _ := New("pod0", n, nw, fs, 1)
+	w, n, nw := setup(t)
+	p, _ := New("pod0", n, nw, 1)
 	w.RunUntil(sim.Time(100 * sim.Millisecond))
 	// Pretend the pod was checkpointed when its virtual clock read 30ms.
 	p.SetTimeBias(sim.Time(30 * sim.Millisecond))
@@ -126,8 +125,8 @@ func TestTimeBias(t *testing.T) {
 }
 
 func TestAddRestoredProcessPreservesVPID(t *testing.T) {
-	_, n, nw, fs := setup(t)
-	p, _ := New("pod0", n, nw, fs, 1)
+	_, n, nw := setup(t)
+	p, _ := New("pod0", n, nw, 1)
 	proc, err := p.AddRestoredProcess(&spinner{Limit: 1}, 7)
 	if err != nil {
 		t.Fatal(err)
@@ -146,8 +145,8 @@ func TestAddRestoredProcessPreservesVPID(t *testing.T) {
 }
 
 func TestDestroyDetachesStack(t *testing.T) {
-	w, n, nw, fs := setup(t)
-	p, _ := New("pod0", n, nw, fs, 1)
+	w, n, nw := setup(t)
+	p, _ := New("pod0", n, nw, 1)
 	s := &spinner{}
 	p.AddProcess(s)
 	w.RunUntil(sim.Time(5 * sim.Millisecond))
@@ -164,7 +163,7 @@ func TestDestroyDetachesStack(t *testing.T) {
 		t.Fatal("destroyed pod's process kept running")
 	}
 	// The virtual IP is free again: a restored pod can claim it.
-	if _, err := New("pod0-restored", n, nw, fs, 1); err != nil {
+	if _, err := New("pod0-restored", n, nw, 1); err != nil {
 		t.Fatalf("cannot recreate pod at same VIP: %v", err)
 	}
 }
@@ -173,8 +172,8 @@ func TestDestroyDetachesStack(t *testing.T) {
 // handed out is never written again, neither when an exited process is
 // dropped nor when a restore inserts a VPID before the others.
 func TestProcsDropsExited(t *testing.T) {
-	w, n, nw, fs := setup(t)
-	p, _ := New("pod0", n, nw, fs, 1)
+	w, n, nw := setup(t)
+	p, _ := New("pod0", n, nw, 1)
 	a := p.AddProcess(&spinner{Limit: 2})
 	b := p.AddProcess(&spinner{}) // runs forever
 	before := p.Procs()
@@ -195,8 +194,8 @@ func TestProcsDropsExited(t *testing.T) {
 }
 
 func TestPodEnvVirtualized(t *testing.T) {
-	_, n, nw, fs := setup(t)
-	p, _ := New("pod0", n, nw, fs, 1)
+	_, n, nw := setup(t)
+	p, _ := New("pod0", n, nw, 1)
 	if !p.env.Virtualized {
 		t.Fatal("pod env not virtualized")
 	}

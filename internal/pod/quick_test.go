@@ -4,7 +4,6 @@ import (
 	"testing"
 	"testing/quick"
 
-	"zapc/internal/memfs"
 	"zapc/internal/netstack"
 	"zapc/internal/sim"
 	"zapc/internal/vos"
@@ -18,7 +17,7 @@ func TestQuickVPIDUniqueness(t *testing.T) {
 		w := sim.NewWorld(2)
 		nw := netstack.NewNetwork(w)
 		n := vos.NewNode(w, "n", 1)
-		p, err := New("q", n, nw, memfs.New(), 1)
+		p, err := New("q", n, nw, 1)
 		if err != nil {
 			return false
 		}
@@ -70,7 +69,7 @@ func TestQuickSuspendResumeCycles(t *testing.T) {
 		w := sim.NewWorld(3)
 		nw := netstack.NewNetwork(w)
 		n := vos.NewNode(w, "n", 2)
-		p, err := New("q", n, nw, memfs.New(), 1)
+		p, err := New("q", n, nw, 1)
 		if err != nil {
 			return false
 		}

@@ -37,7 +37,7 @@ func newRig(t *testing.T) *rig {
 	w := sim.NewWorld(7)
 	nw, fs := netstack.NewNetwork(w), memfs.New()
 	r := &rig{t: t, w: w, nodes: []*vos.Node{vos.NewNode(w, "n0", 1), vos.NewNode(w, "n1", 1)}}
-	p, err := pod.New("p0", r.nodes[0], nw, fs, 1)
+	p, err := pod.New("p0", r.nodes[0], nw, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -334,16 +334,15 @@ func StragglerRanking(parent *SpanNode, childName string) []Straggler {
 // Span and instant names the failover analysis keys on. They are the
 // supervisor's and core's stable trace vocabulary, not configuration.
 const (
-	spanFailover    = "supervisor/failover"
-	spanLoadGen     = "supervisor/load-generation"
-	spanChainRecon  = "supervisor/chain-reconstruct"
-	spanRestartCo   = "restart/coordinated"
-	instNodeDown    = "supervisor/node-down"
-	argMissT        = "miss_t"
-	argOutcome      = "outcome"
-	argRPOUs        = "rpo_us"
-	outcomeOK       = "ok"
-	ckptCoordinated = "ckpt/coordinated"
+	spanFailover   = "supervisor/failover"
+	spanLoadGen    = "supervisor/load-generation"
+	spanChainRecon = "supervisor/chain-reconstruct"
+	spanRestartCo  = "restart/coordinated"
+	instNodeDown   = "supervisor/node-down"
+	argMissT       = "miss_t"
+	argOutcome     = "outcome"
+	argRPOUs       = "rpo_us"
+	outcomeOK      = "ok"
 )
 
 // RTO segment labels: the named phases a failover's recovery time

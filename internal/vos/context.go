@@ -30,7 +30,7 @@ func (c *Context) Proc() *Process { return c.proc }
 // syscallCost is what one system call adds to the step's cost.
 func (c *Context) syscallCost() sim.Duration {
 	if c.proc.Env.Virtualized {
-		return c.node.w.Costs.Syscall + c.proc.Env.VirtOverhead
+		return c.node.w.Costs.Syscall + VirtOverhead
 	}
 	return c.node.w.Costs.Syscall
 }

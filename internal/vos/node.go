@@ -212,8 +212,6 @@ func (n *Node) block(p *Process) {
 		}
 	}
 	if res.WaitTimeout > 0 {
-		p.hasTimer = true
-		p.deadline = n.w.Now() + sim.Time(res.WaitTimeout)
 		p.waitEv = n.w.AfterCall(res.WaitTimeout, wakeProc, p)
 	} else if len(res.WaitFDs) == 0 {
 		// Blocking on nothing would hang forever; treat as yield.

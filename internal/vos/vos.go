@@ -18,7 +18,6 @@ import (
 	"fmt"
 
 	"zapc/internal/imgfmt"
-	"zapc/internal/memfs"
 	"zapc/internal/netstack"
 	"zapc/internal/sim"
 )
@@ -125,17 +124,20 @@ type Program interface {
 // processes get an Env with Virtualized=false and a node-level stack.
 type Env struct {
 	Stack *netstack.Stack
-	FS    *memfs.FS
 	// TimeBias is added to the real clock by virtualized time queries;
 	// restart sets it so that application-visible time is continuous
 	// across the checkpoint gap.
 	TimeBias sim.Duration
-	// Virtualized marks pod membership: syscalls pay the thin
-	// interposition overhead and PIDs resolve to virtual PIDs.
+	// Virtualized marks pod membership: syscalls pay VirtOverhead and
+	// PIDs resolve to virtual PIDs.
 	Virtualized bool
-	// VirtOverhead is the per-syscall cost of the virtualization layer.
-	VirtOverhead sim.Duration
 }
+
+// VirtOverhead is what a pod adds to each system call: the thin
+// virtualization layer (system-call interposition through a loadable
+// kernel module), which the paper measures as negligible against
+// application runtime.
+const VirtOverhead = 150 * sim.Nanosecond
 
 // Memory region of a process. Data holds real bytes so checkpoint image
 // sizes are genuine. The bytes belong to vos: a checkpoint image may hold
@@ -175,10 +177,8 @@ type Process struct {
 	shared map[string]bool
 
 	// Blocking state.
-	waitFDs  []FDWait
-	waitEv   sim.EventID
-	deadline sim.Time // wake deadline; 0 when none
-	hasTimer bool
+	waitFDs []FDWait
+	waitEv  sim.EventID // the wait's timeout; stale once fired or cancelled
 
 	exitCode int
 	queued   bool
@@ -412,9 +412,5 @@ func (p *Process) clearWaits() {
 		}
 	}
 	p.waitFDs = nil
-	if p.hasTimer {
-		p.node.w.Cancel(p.waitEv)
-		p.hasTimer = false
-		p.deadline = 0
-	}
+	p.node.w.Cancel(p.waitEv) // a no-op on a fired or zero EventID
 }

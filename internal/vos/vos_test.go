@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"zapc/internal/imgfmt"
-	"zapc/internal/memfs"
 	"zapc/internal/netstack"
 	"zapc/internal/sim"
 )
@@ -20,7 +19,7 @@ func testEnv(t testing.TB) (*sim.World, *Node, *Env) {
 		t.Fatal(err)
 	}
 	n := NewNode(w, "node0", 2)
-	env := &Env{Stack: st, FS: memfs.New()}
+	env := &Env{Stack: st}
 	return w, n, env
 }
 
@@ -100,7 +99,7 @@ func TestSingleCPUSerializes(t *testing.T) {
 	nw := netstack.NewNetwork(w)
 	st, _ := nw.NewStack(1)
 	n := NewNode(w, "uni", 1)
-	env := &Env{Stack: st, FS: memfs.New()}
+	env := &Env{Stack: st}
 	n.Spawn(&counter{Steps: 10}, env)
 	n.Spawn(&counter{Steps: 10}, env)
 	w.Run()
@@ -263,8 +262,8 @@ func TestSocketBlockingRoundTrip(t *testing.T) {
 	stB, _ := nw.NewStack(2)
 	nA := NewNode(w, "a", 1)
 	nB := NewNode(w, "b", 1)
-	envA := &Env{Stack: stA, FS: memfs.New()}
-	envB := &Env{Stack: stB, FS: memfs.New()}
+	envA := &Env{Stack: stA}
+	envB := &Env{Stack: stB}
 
 	srv := &echoServer{Port: 9000}
 	cli := &echoClient{To: netstack.Addr{IP: 1, Port: 9000}, Msg: "hello pod"}
@@ -296,7 +295,6 @@ func (c *Context) PID() PID {
 func TestVirtualizedPIDAndOverhead(t *testing.T) {
 	w, n, env := testEnv(t)
 	env.Virtualized = true
-	env.VirtOverhead = 150 * sim.Nanosecond
 	var seenPID PID
 	probe := &probeProg{fn: func(ctx *Context) { seenPID = ctx.PID() }}
 	p := n.Spawn(probe, env)
@@ -305,7 +303,7 @@ func TestVirtualizedPIDAndOverhead(t *testing.T) {
 	if seenPID != 42 {
 		t.Fatalf("virtual PID = %d, want 42", seenPID)
 	}
-	env2 := &Env{Stack: env.Stack, FS: env.FS}
+	env2 := &Env{Stack: env.Stack}
 	var rawPID PID
 	p2 := n.Spawn(&probeProg{fn: func(ctx *Context) { rawPID = ctx.PID() }}, env2)
 	w.Run()
@@ -435,7 +433,7 @@ func TestBlockedStopCont(t *testing.T) {
 	stA, _ := nw.NewStack(1)
 	stB, _ := nw.NewStack(2)
 	n := NewNode(w, "a", 1)
-	envA := &Env{Stack: stA, FS: memfs.New()}
+	envA := &Env{Stack: stA}
 
 	srv := &echoServer{Port: 9000}
 	ps := n.Spawn(srv, envA)
@@ -467,7 +465,7 @@ func TestBlockedStopCont(t *testing.T) {
 func TestChargeSyscallsEqualsTheCalls(t *testing.T) {
 	for _, virt := range []bool{false, true} {
 		w, n, env := testEnv(t)
-		env.Virtualized, env.VirtOverhead = virt, 150*sim.Nanosecond
+		env.Virtualized = virt
 		var events []uint64
 		calls := n.Spawn(&probeProg{fn: func(ctx *Context) {
 			events = append(events, ctx.Event())
@@ -480,7 +478,7 @@ func TestChargeSyscallsEqualsTheCalls(t *testing.T) {
 			ctx.ChargeSyscalls(7)
 		}}, env)
 		w.Run()
-		want := 7 * (w.Costs.Syscall + env.VirtOverhead)
+		want := 7 * (w.Costs.Syscall + VirtOverhead)
 		if !virt {
 			want = 7 * w.Costs.Syscall
 		}

@@ -37,7 +37,9 @@
 // type-checks the repository and names each one that has none; its
 // exemptions are interface methods, typed iota blocks, this file's type
 // aliases (the reachability clause above governs them) and the
-// internal/gm prototype.
+// internal/gm prototype. Likewise every unexported struct field is read
+// by some non-test file, where a write is no read; TestStructFieldsAreRead
+// (fields_test.go) checks it the same way.
 //
 // Everything is deterministic for a fixed seed: a run that is
 // checkpointed, migrated, and resumed produces results bit-identical to

@@ -119,7 +119,7 @@ func TestTablesRender(t *testing.T) {
 		t.Fatal("empty fig5 table")
 	}
 	rows6 := []experiments.Fig6Row{{App: "cpi", Endpoints: 4, CkptMean: zapc.Millisecond}}
-	for _, s := range []string{experiments.Fig6aTable(rows6), experiments.Fig6bTable(rows6), experiments.Fig6cTable(rows6, 1)} {
+	for _, s := range []string{experiments.Fig6aTable(rows6), experiments.Fig6bTable(rows6), experiments.Fig6cTable(rows6)} {
 		if len(s) == 0 {
 			t.Fatal("empty fig6 table")
 		}
