@@ -72,8 +72,9 @@ vet:
 # capture and every encode run on the one event-loop thread; the worker
 # width a checkpoint names is modeled, not a host pool (DESIGN.md §6).
 # And charging a system call without making it stays one audited site:
-# vos.Context.ChargeSyscalls has one caller, mpi.(*Comm).pump's repeat
-# receive scan, whose result is known (DESIGN.md §2.1).
+# vos.Context.ChargeSyscalls is called in mpi.(*Comm).pump alone, for a
+# repeat receive scan and for ended peers, whose results are known
+# (DESIGN.md §2.1).
 # And a fixed delay rides a lane, so only its oldest event sits in the
 # heap: internal/netstack arms its retransmission, backlog and SYN timers
 # and puts packets in flight with Lane.Call, never AfterCall. And a lane

@@ -69,8 +69,8 @@ var sweepExempt = map[string]string{
 	"apps.bt/3":     "apps.BT.Cfg.Size: ballast share, read by ensureBallast in the first step (apps/bt.go:99)",
 	"apps.bratu/4":  "apps.Bratu.Cfg.Scale: ballast size, read by ensureBallast in the first step (apps/bratu.go:89)",
 	"apps.povray/4": "apps.Povray.Cfg.Scale: ballast size, read by ensureBallast in the first step (apps/povray.go:122)",
-	"comm/3":        "mpi.Comm.Cfg.Port: read by Init's first step, Bind and Connect (mpi/mpi.go:115, :123)",
-	"comm/4":        "mpi.Comm.Cfg.PeerIPs: read by Init's first step, Connect (mpi/mpi.go:123)",
+	"comm/3":        "mpi.Comm.Cfg.Port: read by Init's first step, Bind and Connect (mpi/mpi.go:127, :135)",
+	"comm/4":        "mpi.Comm.Cfg.PeerIPs: read by Init's first step, Connect (mpi/mpi.go:135)",
 
 	// Program state read in a phase no capture point holds a telling
 	// value in.
@@ -81,10 +81,9 @@ var sweepExempt = map[string]string{
 	"apps.bratu/23":  "apps.Bratu.Pending: compute not yet charged, read by drainPending (apps/bratu.go:121); the inputs are captured between sweeps, where it is 0",
 	"apps.bratu/19":  "apps.Bratu.Residual: the last check's residual, read by Result (apps/bratu.go:189) at any time; every run ends on a check that sets it",
 	"apps.povray/12": "apps.Povray.Stopped: workers stopped so far, read by the master's end test (apps/povray.go:165); the inputs are captured before any stops",
-	"comm/6":         "mpi.Comm.LFD: the listener, read by Init's accept loop (mpi/mpi.go:148) and Block (mpi/mpi.go:185); no input has a connection left to accept",
-	"comm/8/2":       "mpi.Comm.pending[].Buf: a rank header's first bytes, read by Init (mpi/mpi.go:158); no input is captured mid-header",
-	"comm/12":        "mpi.Comm.outq: buffered output, read by pump (mpi/mpi.go:231); no input has the kernel refuse a send",
-	"comm/10":        "mpi.Comm.partial: a frame's first bytes, read by parse (mpi/mpi.go:280); no input is captured mid-frame",
+	"comm/8/2":       "mpi.Comm.pending[].Buf: a rank header's first bytes, read by Init (mpi/mpi.go:177); no input is captured mid-header",
+	"comm/12":        "mpi.Comm.outq: buffered output, read by pump (mpi/mpi.go:272); no input has the kernel refuse a send",
+	"comm/10":        "mpi.Comm.partial: a frame's first bytes, read by parse (mpi/mpi.go:343); no input is captured mid-frame",
 	"mpi.daemon/7":   "mpi.Daemon.Sent: the heartbeat count, read into each heartbeat (mpi/daemon.go:54), whose bytes no daemon reads",
 	"mpi.daemon/8":   "mpi.Daemon.Seen: the heartbeats seen, read by the increment that continues it (mpi/daemon.go:51) and by the daemon tests",
 

@@ -86,6 +86,17 @@ type Comm struct {
 	// state: a restored Comm has zeros and scans); see pump.
 	scanned uint64
 	polled  int
+	// ended marks the peers whose connection has ended — a recvmsg on it
+	// failed with ErrEOF or ErrConnReset, or the rank header could not be
+	// sent — and nEnded counts them (scratch, not state: a restored Comm
+	// has none and finds them again on its first scan). An ended peer is
+	// never read again and is out of Block's wait set; see pump.
+	ended  []bool
+	nEnded int
+	// endedPending lists the descriptors of the pending connections whose
+	// recvmsg failed with ErrEOF or ErrConnReset (scratch, like ended):
+	// they can never identify themselves, and Block leaves them out.
+	endedPending []int
 }
 
 // New creates an uninitialized communicator.
@@ -101,6 +112,7 @@ func New(cfg Config) *Comm {
 	c.partial = make([][]byte, cfg.Size)
 	c.outq = make([][]byte, cfg.Size)
 	c.gathered = make(map[int][]byte)
+	c.ended = make([]bool, cfg.Size)
 	return c
 }
 
@@ -138,6 +150,12 @@ func (c *Comm) Init(ctx *vos.Context) bool {
 			var hdr [4]byte
 			binary.BigEndian.PutUint32(hdr[:], uint32(c.Cfg.Rank))
 			if _, err := ctx.Send(fd, hdr[:], false); err != nil {
+				// A connection that is not connecting and cannot take
+				// the header now never will: the connect failed or the
+				// peer is gone.
+				if err != netstack.ErrWouldBlock {
+					c.end(peer)
+				}
 				remaining = append(remaining, peer)
 				continue
 			}
@@ -155,7 +173,11 @@ func (c *Comm) Init(ctx *vos.Context) bool {
 		kept := c.pending[:0]
 		for _, pc := range c.pending {
 			// A failed read leaves Buf as it was; the next step retries.
-			pc.Buf, _ = ctx.RecvAppend(pc.FD, pc.Buf, 4-len(pc.Buf), false, false)
+			var err error
+			pc.Buf, err = ctx.RecvAppend(pc.FD, pc.Buf, 4-len(pc.Buf), false, false)
+			if (err == netstack.ErrEOF || err == netstack.ErrConnReset) && !containsInt(c.endedPending, pc.FD) {
+				c.endedPending = append(c.endedPending, pc.FD)
+			}
 			if len(pc.Buf) == 4 {
 				rank := int(binary.BigEndian.Uint32(pc.Buf))
 				if rank >= 0 && rank < c.Cfg.Size {
@@ -166,16 +188,22 @@ func (c *Comm) Init(ctx *vos.Context) bool {
 			kept = append(kept, pc)
 		}
 		c.pending = kept
-		if len(c.hello) > 0 {
+		return c.connected()
+	}
+}
+
+// connected reports whether connection setup is complete: every rank
+// header is sent and every peer has a descriptor.
+func (c *Comm) connected() bool {
+	if len(c.hello) > 0 {
+		return false
+	}
+	for r, fd := range c.FDs {
+		if r != c.Cfg.Rank && fd < 0 {
 			return false
 		}
-		for r, fd := range c.FDs {
-			if r != c.Cfg.Rank && fd < 0 {
-				return false
-			}
-		}
-		return true
 	}
+	return true
 }
 
 // Block builds the step result that parks the program until any
@@ -185,8 +213,16 @@ func (c *Comm) Block() vos.StepResult {
 	if c.LFD >= 0 {
 		w = append(w, vos.FDWait{FD: c.LFD, Mask: netstack.PollIn})
 	}
+	// A setup that has lost a connection cannot complete through the
+	// peers it has identified, which it does not read: it waits only on
+	// what it does.
+	lost := c.nEnded > 0 || len(c.endedPending) > 0
+	setup := lost && !c.connected()
 	for rank, fd := range c.FDs {
 		if rank == c.Cfg.Rank || fd < 0 {
+			continue
+		}
+		if lost && (c.nEnded > 0 && c.ended[rank] || setup && !containsInt(c.hello, rank)) {
 			continue
 		}
 		mask := netstack.PollIn | netstack.PollHUP
@@ -199,7 +235,7 @@ func (c *Comm) Block() vos.StepResult {
 		w = append(w, vos.FDWait{FD: fd, Mask: mask})
 	}
 	for _, pc := range c.pending {
-		if pc.FD >= 0 {
+		if pc.FD >= 0 && !containsInt(c.endedPending, pc.FD) {
 			w = append(w, vos.FDWait{FD: pc.FD, Mask: netstack.PollIn})
 		}
 	}
@@ -227,6 +263,11 @@ func containsInt(xs []int, v int) bool {
 // error — and would make exactly one recvmsg per connected peer, each
 // charged before it looks at the descriptor: pump charges those calls
 // and reads nothing (DESIGN.md §2.1).
+//
+// A peer whose recvmsg failed with ErrEOF or ErrConnReset has ended:
+// every later recvmsg on it fails the same way, so the scan charges it
+// that one call and does not make it, and Block leaves it out of the
+// wait set, where poll would report it ready forever.
 func (c *Comm) pump(ctx *vos.Context) {
 	for rank, q := range c.outq {
 		if len(q) == 0 {
@@ -247,18 +288,25 @@ func (c *Comm) pump(ctx *vos.Context) {
 		ctx.ChargeSyscalls(c.polled)
 		return
 	}
-	polled := 0
+	polled, ended := 0, 0
 	for rank, fd := range c.FDs {
 		if fd < 0 || rank == c.Cfg.Rank {
 			continue
 		}
 		polled++
+		if c.nEnded > 0 && c.ended[rank] {
+			ended++
+			continue
+		}
 		read := false
 		for {
 			had := len(c.partial[rank])
 			var err error
 			c.partial[rank], err = ctx.RecvAppend(fd, c.partial[rank], 1<<16, false, false)
 			if err != nil {
+				if err != netstack.ErrWouldBlock && (err == netstack.ErrEOF || err == netstack.ErrConnReset) {
+					c.end(rank)
+				}
 				break
 			}
 			if len(c.partial[rank]) == had {
@@ -270,8 +318,23 @@ func (c *Comm) pump(ctx *vos.Context) {
 			c.parse(rank)
 		}
 	}
+	if ended > 0 {
+		ctx.ChargeSyscalls(ended)
+	}
 	if polled > 0 {
 		c.scanned, c.polled = ctx.Event(), polled
+	}
+}
+
+// end marks a peer's connection ended. A restored Comm has no marks yet:
+// it makes them here, the first time one of its peers ends.
+func (c *Comm) end(rank int) {
+	if c.ended == nil {
+		c.ended = make([]bool, len(c.FDs))
+	}
+	if !c.ended[rank] {
+		c.ended[rank] = true
+		c.nEnded++
 	}
 }
 

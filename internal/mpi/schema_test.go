@@ -160,3 +160,27 @@ func TestBlockReusesItsWaitList(t *testing.T) {
 		t.Fatalf("Block allocates %v objects once its list exists, want 0", n)
 	}
 }
+
+// A restored communicator has no end marks and makes its own. fullComm
+// is mid-setup: it owes ranks 0 and 1 their headers, has identified rank
+// 3 and holds two unidentified connections. Once the second of those has
+// ended, the setup cannot complete through rank 3, which it does not
+// read yet: it waits on the listener, the owed peers and the first
+// pending connection. Once owed peer 1 has ended too, on neither.
+func TestRestoredCommWaitsOnlyOnWhatCanCompleteItsSetup(t *testing.T) {
+	c := &Comm{}
+	if err := imgfmt.ReadBlob(imgfmt.Blob(fullComm().Layout), c.Layout); err != nil {
+		t.Fatal(err)
+	}
+	owed := netstack.PollIn | netstack.PollHUP | netstack.PollOut | netstack.PollErr
+	c.endedPending = []int{12}
+	want := []vos.FDWait{{FD: 3, Mask: netstack.PollIn}, {FD: 7, Mask: owed}, {FD: 8, Mask: owed}, {FD: 11, Mask: netstack.PollIn}}
+	if got := c.Block().WaitFDs; !reflect.DeepEqual(got, want) {
+		t.Fatalf("with a pending connection ended, Block waits on %+v, want %+v", got, want)
+	}
+	c.end(1)
+	want = []vos.FDWait{{FD: 3, Mask: netstack.PollIn}, {FD: 7, Mask: owed}, {FD: 11, Mask: netstack.PollIn}}
+	if got := c.Block().WaitFDs; !reflect.DeepEqual(got, want) {
+		t.Fatalf("with owed peer 1 ended too, Block waits on %+v, want %+v", got, want)
+	}
+}

@@ -39,8 +39,9 @@ func (c *Context) charge() { c.extra += c.syscallCost() }
 
 // ChargeSyscalls charges n system calls without making them: exactly
 // what n calls would add to the step's cost. It is for a caller that
-// knows what the calls would return; mpi's repeat receive scan is the
-// one (DESIGN.md §2.1, make boundary).
+// knows what the calls would return; mpi's receive scan is the one, for
+// a repeat scan and for peers whose connection has ended (DESIGN.md
+// §2.1, make boundary).
 func (c *Context) ChargeSyscalls(n int) { c.extra += sim.Duration(n) * c.syscallCost() }
 
 // Event returns the number of the simulation event the step runs in
